@@ -4,14 +4,16 @@
 //! batch. A counting global allocator verifies that after a short warm-up
 //! (buffer pool + layer workspaces populated, output buffer at capacity) a
 //! stack → forward → split cycle performs **zero** heap allocations at every
-//! candidate slice rate — so a worker's per-batch cost is pure compute, with
-//! no allocator traffic to serialise threads against each other.
+//! candidate slice rate, on an un-packed net and on the prepacked panels an
+//! engine replica serves from — so a worker's per-batch cost is pure compute,
+//! with no allocator traffic to serialise threads against each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ms_core::inference::{batched_sliced_forward, batched_sliced_forward_into};
 use ms_core::slice_rate::SliceRate;
+use ms_nn::layer::Layer;
 use ms_nn::linear::{Linear, LinearConfig};
 use ms_nn::sequential::Sequential;
 use ms_tensor::{pool, SeededRng, Tensor};
@@ -88,20 +90,16 @@ fn steady_state_batched_forward_allocates_nothing() {
     // Reused response buffer, exactly as a warm engine worker would hold one.
     let mut out = Vec::with_capacity(inputs.len());
 
-    // Warm-up: populate the pool and each layer's workspace at every rate
-    // (narrow subnets use differently-shaped intermediates).
-    for _ in 0..3 {
-        for &r in &rates {
-            batched_sliced_forward_into(&mut net, &inputs, r, &mut out);
-            for t in out.drain(..) {
-                t.recycle();
-            }
+    // Once on the per-call-packing `gemm` path, once on the prepacked panels
+    // an engine replica serves from (`Engine::start` packs every replica).
+    for packed in [false, true] {
+        if packed {
+            assert!(net.prepack(), "the net arrives un-packed");
         }
-    }
-
-    pool::reset_stats();
-    let delta = allocations(|| {
-        for _ in 0..10 {
+        // Warm-up: populate the pool, the GEMM pack buffers and each layer's
+        // workspace at every rate (narrow subnets use differently-shaped
+        // intermediates).
+        for _ in 0..3 {
             for &r in &rates {
                 batched_sliced_forward_into(&mut net, &inputs, r, &mut out);
                 for t in out.drain(..) {
@@ -109,15 +107,30 @@ fn steady_state_batched_forward_allocates_nothing() {
                 }
             }
         }
-    });
-    assert_eq!(
-        delta, 0,
-        "steady-state batched forward allocated {delta}x across 40 batches"
-    );
-    // Every pooled acquire in the loop was served from the pool.
-    let stats = pool::stats();
-    assert_eq!(stats.misses, 0, "pool misses in steady state: {stats:?}");
-    assert!(stats.hits > 0, "expected pooled acquires: {stats:?}");
+
+        pool::reset_stats();
+        let delta = allocations(|| {
+            for _ in 0..10 {
+                for &r in &rates {
+                    batched_sliced_forward_into(&mut net, &inputs, r, &mut out);
+                    for t in out.drain(..) {
+                        t.recycle();
+                    }
+                }
+            }
+        });
+        assert_eq!(
+            delta, 0,
+            "steady-state batched forward (packed: {packed}) allocated {delta}x across 40 batches"
+        );
+        // Every pooled acquire in the loop was served from the pool.
+        let stats = pool::stats();
+        assert_eq!(
+            stats.misses, 0,
+            "pool misses in steady state (packed: {packed}): {stats:?}"
+        );
+        assert!(stats.hits > 0, "expected pooled acquires: {stats:?}");
+    }
 
     // The allocating convenience wrapper costs exactly its output Vec.
     let delta = allocations(|| {

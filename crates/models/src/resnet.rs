@@ -377,6 +377,17 @@ impl Layer for ResNet {
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         self.net.backward(dy)
     }
+    // `forward_prefix` stays on the trait default (recompute at `to`): the
+    // bottleneck blocks have no prefix forward of their own, so their output
+    // channels move with the rate, and chaining the container's refine would
+    // let the head resume partial sums over columns that changed
+    // (`resnet_refine_is_bitwise_identical` in tests/prefix_refine.rs).
+    fn prepack(&mut self) -> bool {
+        self.net.prepack()
+    }
+    fn release_panels(&mut self) {
+        self.net.release_panels();
+    }
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.net.visit_params(f);
     }

@@ -164,6 +164,15 @@ impl Layer for Vgg {
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         self.net.backward(dy)
     }
+    fn forward_prefix(&mut self, x: &Tensor, from: Option<SliceRate>, to: SliceRate) -> Tensor {
+        self.net.forward_prefix(x, from, to)
+    }
+    fn prepack(&mut self) -> bool {
+        self.net.prepack()
+    }
+    fn release_panels(&mut self) {
+        self.net.release_panels();
+    }
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.net.visit_params(f);
     }

@@ -133,17 +133,20 @@ impl Conv2d {
         self.cfg.kernel * self.cfg.kernel
     }
 
-    fn ensure_packed(&mut self) {
-        if !self.packed.is_valid() {
-            let full_k = self.cfg.in_ch * self.k2();
-            self.packed.pack(
-                Trans::No,
-                self.weight.value.data(),
-                full_k,
-                self.cfg.out_ch,
-                full_k,
-            );
+    /// Packs the panels unless they are valid; returns whether it packed.
+    fn ensure_packed(&mut self) -> bool {
+        if self.packed.is_valid() {
+            return false;
         }
+        let full_k = self.cfg.in_ch * self.k2();
+        self.packed.pack(
+            Trans::No,
+            self.weight.value.data(),
+            full_k,
+            self.cfg.out_ch,
+            full_k,
+        );
+        true
     }
 }
 
@@ -341,8 +344,12 @@ impl Layer for Conv2d {
         y
     }
 
-    fn prepack(&mut self) {
-        self.ensure_packed();
+    fn prepack(&mut self) -> bool {
+        self.ensure_packed()
+    }
+
+    fn release_panels(&mut self) {
+        self.packed = PackedA::new();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -107,10 +107,24 @@ pub trait Layer {
     }
 
     /// Packs persistent GEMM panels for the current weights (idempotent;
-    /// cheap when already packed). Layers without weight panels ignore it.
-    /// Panels are invalidated automatically when weights change through
-    /// `visit_params`, and lazily re-packed on the next prefix forward.
-    fn prepack(&mut self) {}
+    /// cheap when already packed) and returns whether this call packed
+    /// anything. Layers without weight panels ignore it and return `false`.
+    ///
+    /// While a [`crate::linear::Linear`]'s panels are valid, its
+    /// `forward(Infer)` multiplies straight off them instead of re-packing
+    /// the weight per call. Any `visit_params` pass — an optimiser step,
+    /// weight hydration, even a read-only walk — marks the panels stale:
+    /// direct inference then falls back to the per-call-packing `gemm` until
+    /// the next `prepack`, and a prefix forward re-packs on entry.
+    fn prepack(&mut self) -> bool {
+        false
+    }
+
+    /// Frees the persistent panels (they cost about as much memory as the
+    /// weights they mirror). Inference stays correct — it runs unpacked
+    /// until the next [`Layer::prepack`] or prefix forward. For holders of a
+    /// net that packed it only temporarily, e.g. a calibration prototype.
+    fn release_panels(&mut self) {}
 
     /// Multiply–add operations per sample under the *current* slice setting.
     /// Containers sum their children. Default 0 (parameter-free glue).

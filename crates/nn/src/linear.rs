@@ -123,17 +123,20 @@ impl Linear {
         }
     }
 
-    fn ensure_packed(&mut self) {
-        if !self.packed.is_valid() {
-            // op(B) = Wᵀ: k = in_dim rows, n = out_dim columns.
-            self.packed.pack(
-                Trans::Yes,
-                self.weight.value.data(),
-                self.cfg.in_dim,
-                self.cfg.in_dim,
-                self.cfg.out_dim,
-            );
+    /// Packs the panels unless they are valid; returns whether it packed.
+    fn ensure_packed(&mut self) -> bool {
+        if self.packed.is_valid() {
+            return false;
         }
+        // op(B) = Wᵀ: k = in_dim rows, n = out_dim columns.
+        self.packed.pack(
+            Trans::Yes,
+            self.weight.value.data(),
+            self.cfg.in_dim,
+            self.cfg.in_dim,
+            self.cfg.out_dim,
+        );
+        true
     }
 
     /// Prefix pass when the output side is grouped: each output group `h`
@@ -314,21 +317,41 @@ impl Layer for Linear {
         let batch = x.numel() / self.active_in;
         let mut y = Tensor::pooled_zeros([batch, self.active_out]);
         // y = scale * x · W[0..a_out, 0..a_in]^T
-        gemm(
-            Trans::No,
-            Trans::Yes,
-            batch,
-            self.active_out,
-            self.active_in,
-            self.rescale(),
-            x.data(),
-            self.active_in,
-            self.weight.value.data(),
-            self.cfg.in_dim,
-            0.0,
-            y.data_mut(),
-            self.active_out,
-        );
+        if mode == Mode::Infer && self.packed.is_valid() {
+            // Weight-stationary: the active block is the top-left corner of
+            // the panels packed once by `prepack`, read in place.
+            gemm_packed_b(
+                batch,
+                0,
+                self.active_in,
+                0,
+                self.active_out,
+                self.rescale(),
+                x.data(),
+                self.active_in,
+                &self.packed,
+                0.0,
+                y.data_mut(),
+                self.active_out,
+            );
+        } else {
+            // Training (the weights move every step) and un-packed nets.
+            gemm(
+                Trans::No,
+                Trans::Yes,
+                batch,
+                self.active_out,
+                self.active_in,
+                self.rescale(),
+                x.data(),
+                self.active_in,
+                self.weight.value.data(),
+                self.cfg.in_dim,
+                0.0,
+                y.data_mut(),
+                self.active_out,
+            );
+        }
         if let Some(b) = &self.bias {
             ms_tensor::ops::add_bias_rows(
                 y.data_mut(),
@@ -423,8 +446,12 @@ impl Layer for Linear {
         }
     }
 
-    fn prepack(&mut self) {
-        self.ensure_packed();
+    fn prepack(&mut self) -> bool {
+        self.ensure_packed()
+    }
+
+    fn release_panels(&mut self) {
+        self.packed = PackedB::new();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -433,7 +460,8 @@ impl Layer for Linear {
             f(b);
         }
         // The visitor may have rewritten the weights (optimiser step, weight
-        // hydration); panels re-pack lazily on the next prefix forward.
+        // hydration): direct inference goes back to `gemm` until the next
+        // `prepack`; a prefix forward re-packs on entry.
         self.packed.invalidate();
     }
 
@@ -709,6 +737,43 @@ mod tests {
         });
         let want = fresh.forward_prefix(&x, None, SliceRate::FULL);
         assert_bitwise(&want, &after, "repacked panels");
+    }
+
+    /// Direct inference rides the panels only while they are valid: a
+    /// `visit_params` write sends `forward(Infer)` back to `gemm` on the new
+    /// weights (stale panels must never answer) until the next `prepack`.
+    #[test]
+    fn direct_inference_leaves_the_panels_on_a_weight_update() {
+        let rewrite = |l: &mut Linear| {
+            l.visit_params(&mut |p| {
+                if p.name.ends_with("weight") {
+                    p.value.fill(0.25);
+                }
+            })
+        };
+        let mut l = layer(8, 8, true);
+        let x = Tensor::full([2, 8], 0.5);
+        assert!(l.prepack(), "first prepack packs");
+        assert!(!l.prepack(), "second prepack is a no-op");
+        let before = l.forward(&x, Mode::Infer);
+        rewrite(&mut l);
+        assert!(!l.packed.is_valid(), "visit_params must invalidate");
+        let after = l.forward(&x, Mode::Infer);
+        assert!(before.data() != after.data(), "stale panels answered");
+        // Un-packed again: bit for bit what a never-packed layer computes.
+        let mut fresh = layer(8, 8, true);
+        rewrite(&mut fresh);
+        assert_bitwise(&fresh.forward(&x, Mode::Infer), &after, "gemm fallback");
+        // Re-packed: same values off the new panels.
+        assert!(l.prepack(), "prepack after a write re-packs");
+        let repacked = l.forward(&x, Mode::Infer);
+        for (a, b) in repacked.data().iter().zip(after.data()) {
+            assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "{a} vs {b}");
+        }
+        // Training never reads the panels, and releasing them is safe.
+        l.release_panels();
+        assert!(!l.packed.is_valid());
+        assert_bitwise(&l.forward(&x, Mode::Infer), &after, "released");
     }
 
     /// A refine against a cache from a different batch must panic loudly,

@@ -112,8 +112,9 @@ impl Gru {
 
     /// Packs both weight matrices into persistent B-side panels (no-op when
     /// already valid).
-    fn ensure_packed(&mut self) {
+    fn ensure_packed(&mut self) -> bool {
         let (d, h) = (self.cfg.in_dim, self.cfg.hidden_dim);
+        let stale = !(self.packed_x.is_valid() && self.packed_h.is_valid());
         if !self.packed_x.is_valid() {
             self.packed_x
                 .pack(Trans::Yes, self.w_x.value.data(), d, d, GATES * h);
@@ -122,6 +123,7 @@ impl Gru {
             self.packed_h
                 .pack(Trans::Yes, self.w_h.value.data(), h, h, GATES * h);
         }
+        stale
     }
 
     /// Currently active `(input, hidden)` widths.
@@ -426,8 +428,13 @@ impl Layer for Gru {
         out
     }
 
-    fn prepack(&mut self) {
-        self.ensure_packed();
+    fn prepack(&mut self) -> bool {
+        self.ensure_packed()
+    }
+
+    fn release_panels(&mut self) {
+        self.packed_x = PackedB::new();
+        self.packed_h = PackedB::new();
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {

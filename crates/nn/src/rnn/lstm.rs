@@ -119,8 +119,9 @@ impl Lstm {
         }
     }
 
-    fn ensure_packed(&mut self) {
+    fn ensure_packed(&mut self) -> bool {
         let (d, h) = (self.cfg.in_dim, self.cfg.hidden_dim);
+        let stale = !(self.packed_x.is_valid() && self.packed_h.is_valid());
         if !self.packed_x.is_valid() {
             self.packed_x
                 .pack(Trans::Yes, self.w_x.value.data(), d, d, GATES * h);
@@ -129,6 +130,7 @@ impl Lstm {
             self.packed_h
                 .pack(Trans::Yes, self.w_h.value.data(), h, h, GATES * h);
         }
+        stale
     }
 
     /// Currently active `(input, hidden)` widths.
@@ -545,8 +547,13 @@ impl Layer for Lstm {
         out
     }
 
-    fn prepack(&mut self) {
-        self.ensure_packed();
+    fn prepack(&mut self) -> bool {
+        self.ensure_packed()
+    }
+
+    fn release_panels(&mut self) {
+        self.packed_x = PackedB::new();
+        self.packed_h = PackedB::new();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

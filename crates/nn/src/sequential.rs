@@ -100,9 +100,16 @@ impl Layer for Sequential {
         cur
     }
 
-    fn prepack(&mut self) {
+    fn prepack(&mut self) -> bool {
+        // `|`, not `||`: every child must be packed, whatever came before.
+        self.layers
+            .iter_mut()
+            .fold(false, |packed, layer| layer.prepack() | packed)
+    }
+
+    fn release_panels(&mut self) {
         for layer in &mut self.layers {
-            layer.prepack();
+            layer.release_panels();
         }
     }
 

@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator verifies the PR-1 claim directly: after a
 //! short warm-up (which populates the thread-local buffer pool and each
-//! layer's [`Workspace`]), Infer-mode forward passes through `Linear`,
-//! `Conv2d` and `Lstm` perform **zero** heap allocations. The counter is
+//! layer's [`Workspace`]), Infer-mode forward passes through `Linear`
+//! (per-call-packing and prepacked-panel paths), `Conv2d` and `Lstm` perform
+//! **zero** heap allocations. The counter is
 //! thread-local so the test harness' own threads cannot pollute the
 //! measurement.
 
@@ -75,6 +76,23 @@ fn steady_state_infer_forward_allocates_nothing() {
         delta, 0,
         "Linear steady-state Infer forward allocated {delta}x"
     );
+    // Same layer on its packed panels — the path a serving engine runs.
+    // Packing allocates once; the warm passes grow the `A` pack buffer.
+    assert!(fc.prepack());
+    for _ in 0..3 {
+        fc.forward(&x, Mode::Infer).recycle();
+    }
+    pool::reset_stats();
+    let delta = allocations(|| {
+        for _ in 0..10 {
+            fc.forward(&x, Mode::Infer).recycle();
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "packed Linear steady-state Infer forward allocated {delta}x"
+    );
+    assert_eq!(pool::stats().misses, 0, "pool misses on the packed path");
 
     // --- Conv2d ------------------------------------------------------
     let mut conv = Conv2d::new(

@@ -294,6 +294,35 @@ impl SlaController {
             }
         }
     }
+
+    /// Dispatch-time binding: the rate a sealed batch of `n` admitted
+    /// queries runs at when its compute starts with `budget_left` planning
+    /// seconds before its window closes.
+    ///
+    /// [`SlaController::decide`] plans at seal time as if the batch started
+    /// at once; behind a backlog it starts later, and the plan no longer
+    /// fits. Under [`RatePolicy::Elastic`] the batch is re-fitted to what is
+    /// left — the widest rate the profile predicts inside `budget_left`, the
+    /// base rate when nothing fits (`budget_left ≤ 0` included) — but never
+    /// wider than `planned`, so the admission made at seal still holds. The
+    /// fixed policies run what they pinned. A pure function of its
+    /// arguments: the caller reads the clock.
+    pub fn rebind(&self, n: usize, planned: SliceRate, budget_left: f64) -> SliceRate {
+        match self.policy {
+            RatePolicy::Elastic => {
+                let fits = self
+                    .profile
+                    .rate_within(n, budget_left)
+                    .unwrap_or_else(|| self.profile.list().min());
+                if fits < planned {
+                    fits
+                } else {
+                    planned
+                }
+            }
+            RatePolicy::Fixed(_) | RatePolicy::FixedShedding(_) => planned,
+        }
+    }
 }
 
 #[cfg(test)]

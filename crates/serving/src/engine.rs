@@ -26,14 +26,30 @@
 //!   the base rate cannot serve the whole batch within the budget — the
 //!   overflow tail is shed rather than served late.
 //!
+//! # Rate binding
+//!
+//! [`Engine::seal`] plans a batch's rate and admission from its size and the
+//! planning budget, as if compute started at once. A batch that waits behind
+//! a backlog starts with less of its window left, so under
+//! [`RatePolicy::Elastic`](crate::controller::RatePolicy) the worker that
+//! pops it re-fits the rate to `headroom × (deadline − now)`
+//! ([`SlaController::rebind`]): narrower when the plan no longer fits, never
+//! wider, so seal-time admission and shed accounting stand. The response,
+//! the per-rate histograms and the `DispatchStart` flight event all carry
+//! the rate actually run; `engine_rate_rebound_total` counts the batches
+//! that moved.
+//!
 //! # Determinism
 //!
-//! Batch composition (one batch per seal), the chosen rate (a pure function
+//! Batch composition (one batch per seal), the planned rate (a pure function
 //! of batch size and budget), and per-row kernel results (fixed-order
 //! accumulators; a row's output is independent of its batch companions) are
-//! all independent of worker count and scheduling. Replaying one trace on 1
-//! worker and on N workers therefore produces bitwise-identical logits per
-//! request — a hard guarantee, locked in by `tests/engine_determinism.rs`.
+//! all independent of worker count and scheduling. [`Engine::replay`] runs
+//! on a virtual clock, so the batches it stages keep their planned rate —
+//! dispatch-time binding reads the wall clock and applies to live serving
+//! only. Replaying one trace on 1 worker and on N workers therefore produces
+//! bitwise-identical logits per request — a hard guarantee, locked in by
+//! `tests/engine_determinism.rs`.
 
 use crate::controller::{SlaController, SlaDecision};
 use crate::workload::WorkloadTrace;
@@ -71,9 +87,9 @@ struct EngineMetrics {
     /// `SHED_REASON_*` constants. `shed` above stays the aggregate.
     shed_reason: [Counter; 3],
     batches: Counter,
-    /// Slice rate the controller chose for the most recently sealed batch
-    /// (0 before the first seal) — the "current controller rate" the
-    /// health endpoint reports.
+    /// Slice rate most recently chosen: by the controller at seal, lowered
+    /// by a worker whose dispatch-time binding moved it (0 before the first
+    /// seal) — the "current controller rate" the health endpoint reports.
     last_rate: Gauge,
     /// Requests buffered (open batch + sealed-but-unstarted). Updated at
     /// batch granularity — on seal and on worker pop, not per submit — so
@@ -93,6 +109,8 @@ struct EngineMetrics {
     /// Requests lifted to a wider rate by the anytime refinement ladder
     /// (one increment per request per ladder step).
     refined: Counter,
+    /// Batches whose dispatch-time rate came out below their seal-time plan.
+    rebound: Counter,
 }
 
 impl EngineMetrics {
@@ -139,7 +157,7 @@ impl EngineMetrics {
             last_rate: reg.gauge_with(
                 "engine_last_rate",
                 e,
-                "slice rate chosen for the most recently sealed batch",
+                "slice rate most recently chosen (seal-time plan, or a narrower dispatch-time binding)",
             ),
             queue_depth: reg.gauge_with(
                 "engine_queue_depth",
@@ -162,6 +180,11 @@ impl EngineMetrics {
                 "engine_refined_total",
                 e,
                 "requests lifted to a wider rate by anytime refinement (per ladder step)",
+            ),
+            rebound: reg.counter_with(
+                "engine_rate_rebound_total",
+                e,
+                "batches run below their seal-time rate: the window left at dispatch no longer fit the plan",
             ),
         }
     }
@@ -216,7 +239,8 @@ pub struct EngineResponse {
     pub id: u64,
     /// The network's logits for this request.
     pub logits: Tensor,
-    /// Slice rate the request was served at.
+    /// Slice rate the request was actually run at (after dispatch-time
+    /// binding and any refinement).
     pub rate: f32,
     /// Sequence number of the batch that carried it.
     pub batch_seq: usize,
@@ -248,6 +272,8 @@ pub struct EngineCounters {
     /// Requests lifted to a wider rate by the anytime refinement ladder
     /// (one per request per ladder step; 0 unless `EngineConfig::refine`).
     pub refined: u64,
+    /// Batches run below their seal-time rate by dispatch-time binding.
+    pub rebound: u64,
     /// `(rate, batches run at that rate)`, ascending.
     pub rate_histogram: Vec<(f32, u64)>,
     /// Median measured batch service time (seconds; 0 when no batches
@@ -263,11 +289,17 @@ struct WorkBatch {
     /// Trace id per request, parallel to `ids` (0 = untraced).
     traces: Vec<u64>,
     inputs: Vec<Tensor>,
+    /// The rate planned at seal.
     rate: SliceRate,
     /// Wall-clock instant the batch's processing window closes (seal time
-    /// plus the window that produced its planning budget). The refinement
-    /// ladder climbs only while predicted marginal cost fits before this.
+    /// plus the window that produced its planning budget). Dispatch-time
+    /// binding fits the rate to what is left before it, and the refinement
+    /// ladder climbs only while predicted marginal cost fits before it.
     deadline: Instant,
+    /// Sealed while the ready queue was on hold, i.e. staged by
+    /// [`Engine::replay`] on its virtual clock: the wall-clock `deadline`
+    /// says nothing about such a batch, so it runs at its planned rate.
+    staged: bool,
 }
 
 struct EngineState {
@@ -338,16 +370,23 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Starts one worker thread per replica. Replicas must be structurally
+    /// Starts one worker thread per replica, after packing each replica's
+    /// weight panels ([`Layer::prepack`]). Replicas must be structurally
     /// identical and hydrated from the same weights for the determinism
     /// guarantee to hold (e.g. via [`ms_nn::shared::SharedWeights`]).
     pub fn start(
         cfg: EngineConfig,
         controller: SlaController,
-        replicas: Vec<Box<dyn Layer + Send>>,
+        mut replicas: Vec<Box<dyn Layer + Send>>,
     ) -> Engine {
         assert!(!replicas.is_empty(), "need at least one worker replica");
         assert!(cfg.latency > 0.0 && cfg.headroom > 0.0 && cfg.headroom <= 1.0);
+        // Weights are fixed from here on: pack them once so every batch
+        // multiplies straight off the panels (a no-op for replicas that
+        // arrive packed). The profile was calibrated on this path.
+        for replica in &mut replicas {
+            replica.prepack();
+        }
         let metrics = EngineMetrics::new(&controller);
         let shared = Arc::new(Shared {
             state: Mutex::new(EngineState {
@@ -539,6 +578,7 @@ impl Engine {
         // The processing window behind this batch's planning budget: the
         // engine SLA's T/2, or the tightest member deadline's T_i/2.
         let deadline = Instant::now() + Duration::from_secs_f64(budget / self.shared.headroom);
+        let staged = st.hold;
         st.ready.push_back(WorkBatch {
             seq,
             ids,
@@ -546,6 +586,7 @@ impl Engine {
             inputs,
             rate,
             deadline,
+            staged,
         });
         self.shared.metrics.queue_depth.set(st.ready_len as f64);
         drop(st);
@@ -659,6 +700,7 @@ impl Engine {
             shed: m.shed.get(),
             batches: m.batches.get(),
             refined: m.refined.get(),
+            rebound: m.rebound.get(),
             rate_histogram: list
                 .iter()
                 .zip(&m.rate_batches)
@@ -763,13 +805,27 @@ fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Se
                 st = shared.work.wait(st).expect("engine lock");
             }
         };
+        let t0 = Instant::now();
+        // Dispatch-time binding (module docs, "Rate binding"): fit the plan
+        // to the part of the batch's window that is still left.
+        let planned = batch.rate;
+        let mut rate = if batch.staged {
+            planned
+        } else {
+            let left = batch.deadline.saturating_duration_since(t0).as_secs_f64();
+            shared
+                .controller
+                .rebind(batch.inputs.len(), planned, shared.headroom * left)
+        };
+        if rate != planned {
+            shared.metrics.rebound.inc();
+            shared.metrics.last_rate.set(rate.get() as f64);
+        }
         if flight::recording() {
             for &tr in &batch.traces {
-                flight::dispatch_start(tr, worker as u64);
+                flight::dispatch_start(tr, worker as u64, planned.get(), rate.get());
             }
         }
-        let t0 = Instant::now();
-        let mut rate = batch.rate;
         let mut rows;
         if shared.refine {
             // Prefix path: the planned pass establishes each layer's cached
@@ -788,11 +844,16 @@ fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Se
             // Anytime ladder: climb while the profile predicts the marginal
             // cost of the next step still fits before the batch deadline.
             // Prediction deltas (not fresh-pass costs) are the right charge
-            // because the prefix path reuses everything below `rate`.
+            // because the prefix path reuses everything below `rate`. The
+            // base pass just measured how far the profile is off right now
+            // (a drifted profile, a busy machine): a prediction that ran
+            // `drift`× over is charged `drift`× for the next rung too, so an
+            // optimistic profile cannot talk the ladder past the deadline.
             let n = batch.inputs.len();
             let profile = shared.controller.profile();
+            let drift = (t0.elapsed().as_secs_f64() / profile.predict(n, rate)).max(1.0);
             while let Some(next) = profile.list().next_above(rate) {
-                let marginal = profile.predict(n, next) - profile.predict(n, rate);
+                let marginal = (profile.predict(n, next) - profile.predict(n, rate)) * drift;
                 let fits = Instant::now()
                     .checked_add(Duration::from_secs_f64(marginal.max(0.0)))
                     .is_some_and(|eta| eta <= batch.deadline);
@@ -820,7 +881,7 @@ fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Se
         } else {
             rows = {
                 let _span = ms_telemetry::span!("engine.batch_forward");
-                batched_sliced_forward(model.as_mut(), &batch.inputs, batch.rate)
+                batched_sliced_forward(model.as_mut(), &batch.inputs, rate)
             };
             if flight::recording() {
                 for &tr in &batch.traces {
@@ -1266,23 +1327,144 @@ mod tests {
         // the default plan at full width (64·1·10µs = 0.64ms ≤ 1ms); one
         // request with a 0.5ms total SLA (budget 0.25ms) forces the whole
         // batch down to the widest rate with 64·r²·10µs ≤ 0.25ms → r = 0.5.
+        // Both batches are staged under `hold`, so they run at exactly the
+        // rate planned at seal — this is a test of the plan, not the clock.
         let e = engine(1, RatePolicy::Elastic);
+        e.set_hold(true);
         for _ in 0..63 {
             e.submit(Tensor::zeros([8])).unwrap();
         }
         e.submit_with_deadline(Tensor::zeros([8]), Some(0.5e-3)).unwrap();
-        e.seal();
-        e.drain();
-        let rs = e.take_responses();
-        assert_eq!(rs.len(), 64);
-        assert!(rs.iter().all(|r| r.rate == 0.5), "rate {}", rs[0].rate);
+        let tight = e.seal().expect("sealed");
         // The tightened budget does not leak into the next batch.
         for _ in 0..64 {
             e.submit(Tensor::zeros([8])).unwrap();
         }
+        let loose = e.seal().expect("sealed");
+        e.set_hold(false);
+        e.drain();
+        let rs = e.take_responses();
+        assert_eq!(rs.len(), 128);
+        for r in &rs {
+            assert!(r.batch_seq == tight || r.batch_seq == loose);
+            let want = if r.batch_seq == tight { 0.5 } else { 1.0 };
+            assert_eq!(r.rate, want, "batch {} ran at {}", r.batch_seq, r.rate);
+        }
+        e.shutdown();
+    }
+
+    /// A replica that sleeps through every forward and counts `prepack`
+    /// calls: makes a batch overrun its window on purpose, so what the next
+    /// batch is bound to follows from the code, not from the machine's load.
+    struct SlowReplica {
+        nap: Duration,
+        prepacks: Arc<AtomicU64>,
+    }
+
+    impl Layer for SlowReplica {
+        fn forward(&mut self, x: &Tensor, _mode: ms_nn::layer::Mode) -> Tensor {
+            std::thread::sleep(self.nap);
+            Tensor::zeros([x.dims()[0], 4])
+        }
+        fn backward(&mut self, dy: &Tensor) -> Tensor {
+            dy.clone()
+        }
+        fn visit_params(&mut self, _f: &mut dyn FnMut(&mut ms_nn::layer::Param)) {}
+        fn prepack(&mut self) -> bool {
+            self.prepacks.fetch_add(1, Ordering::SeqCst);
+            true
+        }
+        fn name(&self) -> &str {
+            "slow"
+        }
+    }
+
+    fn slow_engine(policy: RatePolicy) -> (Engine, Arc<AtomicU64>) {
+        // Window 10 ms; every forward sleeps 30 ms, so with one worker the
+        // second of two back-to-back batches starts ≥ 20 ms past its window.
+        let profile = LatencyProfile::quadratic(
+            SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
+            1e-5,
+        );
+        let prepacks = Arc::new(AtomicU64::new(0));
+        let engine = Engine::start(
+            EngineConfig {
+                latency: 0.02,
+                headroom: 1.0,
+                max_queue: 100,
+                refine: false,
+            },
+            SlaController::new(profile, policy),
+            vec![Box::new(SlowReplica {
+                nap: Duration::from_millis(30),
+                prepacks: Arc::clone(&prepacks),
+            })],
+        );
+        (engine, prepacks)
+    }
+
+    #[test]
+    fn start_prepacks_every_replica() {
+        let (e, prepacks) = slow_engine(RatePolicy::Elastic);
+        assert_eq!(prepacks.load(Ordering::SeqCst), 1);
+        e.shutdown();
+    }
+
+    #[test]
+    fn a_batch_dispatched_past_its_window_is_rebound_to_the_base_rate() {
+        let (e, _) = slow_engine(RatePolicy::Elastic);
+        let first = e.submit(Tensor::zeros([8])).unwrap();
+        e.seal();
+        let second = e.submit(Tensor::zeros([8])).unwrap();
         e.seal();
         e.drain();
-        assert!(e.take_responses().iter().all(|r| r.rate == 1.0));
+        // Planned at full width (one request against a 10 ms budget), but
+        // its window closed while the worker slept through the first batch.
+        let late = e.take_response(second).expect("served");
+        assert_eq!(late.rate, 0.25, "nothing fits a closed window → r_min");
+        assert!(e.take_response(first).is_some());
+        let c = e.counters();
+        assert!(c.rebound >= 1, "rebound {}", c.rebound);
+        assert_eq!((c.served, c.shed), (2, 0), "binding never sheds");
+        // The per-rate series record the rate actually run.
+        assert!(c.rate_histogram.iter().any(|&(r, n)| r == 0.25 && n >= 1));
+        e.shutdown();
+
+        // A fixed-rate engine in the same spot runs what it pinned.
+        let (e, _) = slow_engine(RatePolicy::Fixed(SliceRate::FULL));
+        e.submit(Tensor::zeros([8])).unwrap();
+        e.seal();
+        let second = e.submit(Tensor::zeros([8])).unwrap();
+        e.seal();
+        e.drain();
+        assert_eq!(e.take_response(second).expect("served").rate, 1.0);
+        assert_eq!(e.counters().rebound, 0);
+        e.shutdown();
+    }
+
+    #[test]
+    fn batches_staged_under_hold_keep_their_seal_time_rate() {
+        // Same overrun as above, but staged the way `replay` stages: both
+        // batches wait out the hold, the second one far past its wall-clock
+        // window — and both still run at the rate planned at seal, which is
+        // what keeps virtual-clock replays bitwise reproducible.
+        let (e, _) = slow_engine(RatePolicy::Elastic);
+        e.set_hold(true);
+        for _ in 0..2 {
+            e.submit(Tensor::zeros([8])).unwrap();
+            e.seal();
+        }
+        std::thread::sleep(Duration::from_millis(15)); // both windows close
+        e.set_hold(false);
+        e.drain();
+        let rs = e.take_responses();
+        assert_eq!(rs.len(), 2);
+        assert!(
+            rs.iter().all(|r| r.rate == 1.0),
+            "rates {:?}",
+            [rs[0].rate, rs[1].rate]
+        );
+        assert_eq!(e.counters().rebound, 0);
         e.shutdown();
     }
 

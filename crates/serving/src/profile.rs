@@ -65,6 +65,13 @@ impl LatencyProfile {
     /// pass per rate is a discarded warm-up that also populates the buffer
     /// pool and layer workspaces, so the kept timings reflect the
     /// zero-allocation steady state the engine runs in.
+    ///
+    /// The engine serves off packed weight panels ([`Layer::prepack`], which
+    /// `Engine::start` calls on every replica), so that is the path timed
+    /// here: `net` is packed for the duration. Panels this call had to pack
+    /// are released again before it returns — a prototype that is only
+    /// calibrated and then dropped or used for training should not keep a
+    /// second copy of its weights alive; a net that arrived packed stays so.
     pub fn calibrate(
         net: &mut dyn Layer,
         list: SliceRateList,
@@ -76,6 +83,7 @@ impl LatencyProfile {
         let inputs: Vec<Tensor> = (0..probe_batch)
             .map(|_| Tensor::zeros(sample_dims))
             .collect();
+        let packed_here = net.prepack();
         let mut per_sample = Vec::with_capacity(list.len());
         for r in list.iter() {
             for out in batched_sliced_forward(net, &inputs, r) {
@@ -91,6 +99,9 @@ impl LatencyProfile {
                 }
             }
             per_sample.push((best / probe_batch as f64).max(1e-9));
+        }
+        if packed_here {
+            net.release_panels();
         }
         LatencyProfile::new(list, per_sample, 0.0)
     }
@@ -224,5 +235,13 @@ mod tests {
         assert!(p.per_sample(SliceRate::new(0.25)) > 0.0);
         assert!(p.elasticity() >= 1.0);
         assert!(p.predict(8, SliceRate::FULL) > p.predict(4, SliceRate::FULL));
+        // The net arrived un-packed, so the panels calibration packed are
+        // gone again; a net that arrives packed keeps them.
+        assert!(net.prepack(), "calibration left its panels alive");
+        let _ = LatencyProfile::calibrate(&mut net, list(), &[32], 16, 1);
+        assert!(
+            !net.prepack(),
+            "calibration released panels it did not pack"
+        );
     }
 }

@@ -3,7 +3,8 @@
 //! the chosen width's cost never exceeds the budget — and degrade
 //! monotonically: more load never buys a *wider* network, and when even the
 //! base rate cannot carry the batch the controller sheds instead of serving
-//! late.
+//! late. The dispatch-time binding (`SlaController::rebind`) is checked the
+//! same way, as the pure function it is: no clock anywhere in this file.
 
 use ms_core::slice_rate::SliceRateList;
 use ms_serving::controller::{AccuracyTable, Policy, RatePolicy, SlaController};
@@ -124,6 +125,88 @@ proptest! {
         prop_assert_eq!(shedding.rate, rate);
         if shedding.admit > 0 {
             prop_assert!(profile.predict(shedding.admit, rate) <= budget + eps(budget));
+        }
+    }
+
+    /// Dispatch-time binding only ever narrows: whatever budget is left, the
+    /// bound rate is a candidate rate no wider than the seal-time plan, and
+    /// a narrowed batch is either predicted to fit what is left or already
+    /// at the base rate.
+    #[test]
+    fn rebind_never_widens_and_fits_what_is_left(
+        t_full in 1e-6f64..1e-2,
+        overhead in 0f64..1e-3,
+        n in 1usize..20_000,
+        budget in 1e-6f64..1.0,
+        left_frac in -0.5f64..2.0,
+    ) {
+        let c = SlaController::elastic(profile_of(t_full, overhead));
+        let d = c.decide(n, budget);
+        prop_assume!(d.admit > 0);
+        let left = budget * left_frac;
+        let bound = c.rebind(d.admit, d.rate, left);
+        prop_assert!(c.profile().list().index_of(bound).is_some());
+        prop_assert!(bound <= d.rate, "bound {} wider than planned {}", bound, d.rate);
+        if bound < d.rate {
+            let r_min = c.profile().list().min();
+            prop_assert!(
+                bound == r_min || c.profile().predict(d.admit, bound) <= left + eps(budget),
+                "bound {} predicted {} > left {}",
+                bound, c.profile().predict(d.admit, bound), left
+            );
+        }
+    }
+
+    /// A batch that starts with at least the budget it was planned against
+    /// runs at its planned rate: an idle engine is untouched by the binding.
+    #[test]
+    fn rebind_keeps_the_plan_when_the_planning_budget_is_left(
+        t_full in 1e-6f64..1e-2,
+        overhead in 0f64..1e-3,
+        n in 1usize..20_000,
+        budget in 1e-6f64..1.0,
+        extra in 0f64..1.0,
+    ) {
+        let c = SlaController::elastic(profile_of(t_full, overhead));
+        let d = c.decide(n, budget);
+        prop_assume!(d.admit > 0);
+        prop_assert_eq!(c.rebind(d.admit, d.rate, budget + extra), d.rate);
+    }
+
+    /// Less time left never buys a wider network, and nothing left means the
+    /// base rate.
+    #[test]
+    fn rebind_is_monotone_in_time_left_and_bottoms_out_at_r_min(
+        t_full in 1e-6f64..1e-2,
+        overhead in 0f64..1e-3,
+        n in 1usize..20_000,
+        planned_idx in 0usize..4,
+        left in 0f64..1.0,
+        more in 0f64..1.0,
+        overdue in 0f64..1.0,
+    ) {
+        let c = SlaController::elastic(profile_of(t_full, overhead));
+        let planned = rate_list().at(planned_idx);
+        let tight = c.rebind(n, planned, left);
+        let loose = c.rebind(n, planned, left + more);
+        prop_assert!(tight <= loose, "left {} chose {}, left {} chose {}", left, tight, left + more, loose);
+        let r_min = c.profile().list().min();
+        prop_assert_eq!(c.rebind(n, planned, 0.0), r_min);
+        prop_assert_eq!(c.rebind(n, planned, -overdue), r_min);
+    }
+
+    /// The fixed policies run what they pinned, however late the batch is.
+    #[test]
+    fn rebind_leaves_fixed_policies_untouched(
+        t_full in 1e-6f64..1e-2,
+        n in 1usize..20_000,
+        rate_idx in 0usize..4,
+        left in -1f64..1.0,
+    ) {
+        let rate = rate_list().at(rate_idx);
+        for policy in [RatePolicy::Fixed(rate), RatePolicy::FixedShedding(rate)] {
+            let c = SlaController::new(profile_of(t_full, 0.0), policy);
+            prop_assert_eq!(c.rebind(n, rate, left), rate);
         }
     }
 

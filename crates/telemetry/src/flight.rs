@@ -71,7 +71,10 @@ pub enum EventKind {
     /// Sealed into a work batch. `a` = batch id; `b` packs the chosen
     /// slice rate (high 32 bits, f32 bits) and batch fill (low 32 bits).
     SealedIntoBatch = 4,
-    /// A worker popped the batch. `a` = worker index.
+    /// A worker popped the batch. `a` = worker index; `b` packs the rate
+    /// planned at seal (high 32 bits, f32 bits) and the rate bound at
+    /// dispatch, the one actually run (low 32 bits). They differ when the
+    /// window left at dispatch no longer fit the plan.
     DispatchStart = 5,
     /// Batched forward finished on the worker.
     ComputeDone = 6,
@@ -309,8 +312,9 @@ pub fn sealed_into_batch(trace_id: u64, batch_id: u64, rate: f32, fill: f32) {
 }
 
 #[inline]
-pub fn dispatch_start(trace_id: u64, worker: u64) {
-    record(trace_id, EventKind::DispatchStart, worker, 0);
+pub fn dispatch_start(trace_id: u64, worker: u64, planned_rate: f32, bound_rate: f32) {
+    let b = ((planned_rate.to_bits() as u64) << 32) | bound_rate.to_bits() as u64;
+    record(trace_id, EventKind::DispatchStart, worker, b);
 }
 
 #[inline]
@@ -450,6 +454,19 @@ impl TraceChain {
             Some(EventKind::Shed) => true,
             _ => false,
         }
+    }
+
+    /// `(planned, bound)` slice rates of the chain's dispatch: what the
+    /// controller planned at seal and what the worker ran after fitting the
+    /// batch to the window it had left. `bound < planned` answers "why was
+    /// this served narrower than the controller chose".
+    pub fn dispatch_rates(&self) -> Option<(f32, f32)> {
+        self.event(EventKind::DispatchStart).map(|e| {
+            (
+                f32::from_bits((e.b >> 32) as u32),
+                f32::from_bits(e.b as u32),
+            )
+        })
     }
 
     /// Refinement ladder steps recorded on this chain, in order, as
@@ -732,12 +749,14 @@ pub fn chrome_trace_json(chains: &[TraceChain]) -> String {
         let us = |ns: u64| ns as f64 / 1000.0;
         if let Some(stages) = chain.stage_nanos() {
             let mut t = chain.event(EventKind::WireDecoded).unwrap().t_nanos;
+            let (planned, bound) = chain.dispatch_rates().unwrap_or((0.0, 0.0));
             for (name, &dur) in STAGE_NAMES.iter().zip(stages.iter()) {
                 emit(
                     &format!(
                         "{{\"name\":\"{name}\",\"cat\":\"request\",\"ph\":\"X\",\
                          \"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{tid},\
-                         \"args\":{{\"trace_id\":{},\"deadline_us\":{}}}}}",
+                         \"args\":{{\"trace_id\":{},\"deadline_us\":{},\
+                         \"rate_planned\":{planned},\"rate_bound\":{bound}}}}}",
                         us(t),
                         us(dur),
                         chain.trace_id,
@@ -803,7 +822,7 @@ mod tests {
         admitted(id);
         enqueued(id);
         sealed_into_batch(id, 7, 0.75, 0.5);
-        dispatch_start(id, 2);
+        dispatch_start(id, 2, 0.75, 0.5);
         compute_done(id);
         delivered(id);
     }
@@ -840,6 +859,7 @@ mod tests {
         assert_eq!(sealed.a, 7);
         assert_eq!(f32::from_bits((sealed.b >> 32) as u32), 0.75);
         assert_eq!(f32::from_bits(sealed.b as u32), 0.5);
+        assert_eq!(served.dispatch_rates(), Some((0.75, 0.5)));
 
         let refused = chain_for(base + 2);
         assert!(refused.is_complete());

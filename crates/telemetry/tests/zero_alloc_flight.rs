@@ -46,7 +46,7 @@ fn full_chain(trace: u64) {
     flight::admitted(trace);
     flight::enqueued(trace);
     flight::sealed_into_batch(trace, trace, 0.75, 0.9);
-    flight::dispatch_start(trace, 1);
+    flight::dispatch_start(trace, 1, 1.0, 0.75);
     flight::compute_done(trace);
     flight::delivered(trace);
 }

@@ -19,6 +19,12 @@
 //! Pack buffers are thread-local and grow-only, so steady-state calls do no
 //! heap allocation.
 //!
+//! [`gemm`] packs both operands on every call, which is right when both move
+//! (training: the weights change every step). Inference against fixed
+//! weights goes through [`crate::panels`] instead: the weight operand is
+//! packed once into the same strip layout, and the ranged entry points there
+//! drive this module's micro-kernel without re-gathering it.
+//!
 //! # Determinism
 //!
 //! Accumulation order is a pure function of `(m, n, k)` and the block
@@ -28,9 +34,14 @@
 //! it (`.cargo/config.toml` sets `target-cpu=native`) and to `a * b + c`
 //! otherwise — each build is internally consistent.
 //!
-//! Kernels are single-threaded (the target environment has one core). All
-//! functions panic (debug-assert) on inconsistent dimensions; they are
-//! internal hot paths, not the validation boundary.
+//! Every call runs on the calling thread; parallelism comes from above (one
+//! model replica per engine worker, one shard process per core). The `6×16`
+//! register tile is sized for sixteen vector registers and written as plain
+//! constant-bound loops, so it autovectorises to whatever `target-cpu=native`
+//! offers — the block constants are not tuned to one machine's caches beyond
+//! "a `B` strip fits L1, an `A` block fits L2". All functions panic
+//! (debug-assert) on inconsistent dimensions; they are internal hot paths,
+//! not the validation boundary.
 
 use std::cell::RefCell;
 
@@ -51,7 +62,7 @@ pub(crate) const MR: usize = 6;
 pub(crate) const NR: usize = 16;
 /// Rows of `op(A)` packed per panel (multiple of `MR`; panel ≈ 72 KiB at
 /// `KC=256`, sized for L2).
-pub(crate) const MC: usize = 72;
+const MC: usize = 72;
 /// Shared dimension per panel: the micro-kernel streams `KC·(MR+NR)` packed
 /// floats per tile, sized so a `B` strip stays cache-resident.
 pub(crate) const KC: usize = 256;

@@ -30,9 +30,17 @@
 //! of the anytime prefix-refine path in `ms-nn`.
 
 use crate::matmul::{
-    micro_kernel_range, pack_a, pack_a_into, pack_b, pack_b_into, with_pack_bufs, Trans, KC, MC,
-    MR, NC, NR,
+    micro_kernel_range, pack_a, pack_a_into, pack_b, pack_b_into, with_pack_bufs, Trans, KC, MR,
+    NC, NR,
 };
+
+/// Rows of `A` that [`gemm_packed_b`] packs per `KC` block (multiple of
+/// `MR`). Every batch a serving engine seals fits one block, so each `B`
+/// strip is streamed from the panels once per call and stays in L1 while the
+/// row strips of the packed `A` block (240 KiB at `KC = 256`, L2-resident)
+/// pass under it. [`crate::matmul::gemm`]'s `MC = 72` would re-read the whole
+/// `kc×n` weight block once per 72 rows.
+const PANEL_MC: usize = 240;
 
 /// A persistently packed `k×n` right-hand operand `op(B)`.
 #[derive(Debug, Default, Clone)]
@@ -188,7 +196,8 @@ impl PackedA {
 /// `a[i * lda + p]` for `p ∈ [k0, k1)`. `c` holds only the requested column
 /// window: element `(i, j)` lives at `c[i * ldc + (j - n0)]`. The `A` side
 /// is packed per call into the shared thread-local buffers (it is the
-/// activation, different every call); `B` is read straight from the panels.
+/// activation, different every call), [`PANEL_MC`] rows per `KC` block; `B`
+/// is read straight from the panels, each strip once per row block.
 ///
 /// The per-call `m·n·k` small-problem dispatch of [`crate::matmul::gemm`] is
 /// deliberately absent: every call takes the packed path, so an output
@@ -243,8 +252,8 @@ pub fn gemm_packed_b(
             let kc = (bstart + block_kc).min(k1) - pc;
             let rib = pc - bstart; // row offset inside the packed block
             let boff = pb.block_offsets[block];
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
+            for ic in (0..m).step_by(PANEL_MC) {
+                let mc = PANEL_MC.min(m - ic);
                 let mc_strips = mc.div_ceil(MR);
                 pack_a(Trans::No, a, lda, ic, mc, pc, kc, apack);
                 for t in t_lo..=t_hi {
@@ -449,6 +458,35 @@ mod tests {
                 whole.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 parts.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "split at {split} changed bits"
+            );
+        }
+    }
+
+    /// A row's bits do not depend on how many rows share its call: batches
+    /// past `gemm`'s 72-row `MC` and past `PANEL_MC` equal the same rows
+    /// computed in ≤72-row calls — what keeps a request's logits independent
+    /// of its batch companions on the packed direct path.
+    #[test]
+    fn packed_b_row_blocking_is_bitwise_invariant() {
+        let mut rng = SeededRng::new(47);
+        let (k, n) = (KC + 19, 37usize);
+        let w = filled(&mut rng, n * k);
+        let mut pb = PackedB::new();
+        pb.pack(Trans::Yes, &w, k, k, n);
+        for m in [73usize, 120, 200, PANEL_MC + 1, 2 * PANEL_MC + 5] {
+            let a = filled(&mut rng, m * k);
+            let mut whole = vec![0.0f32; m * n];
+            gemm_packed_b(m, 0, k, 0, n, 0.7, &a, k, &pb, 0.0, &mut whole, n);
+            let mut parts = vec![0.0f32; m * n];
+            for i0 in (0..m).step_by(72) {
+                let rows = 72.min(m - i0);
+                let (a_rows, c_rows) = (&a[i0 * k..], &mut parts[i0 * n..]);
+                gemm_packed_b(rows, 0, k, 0, n, 0.7, a_rows, k, &pb, 0.0, c_rows, n);
+            }
+            assert_eq!(
+                whole.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                parts.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "m = {m}: row blocking changed bits"
             );
         }
     }

@@ -490,12 +490,15 @@ fn refine_beats_aggressive_planning_under_profile_drift() {
     let trace = live_trace(&truth, window);
 
     // Headroom 1.0 + optimistic profile: flash-crowd batches are planned at
-    // full width but truly cost 1.5× the window — late by construction, and
-    // the backlog drags the following calm batches past their deadlines too.
+    // full width but truly cost 1.5× the window — late by construction.
+    // (The backlog behind them no longer compounds: a batch dispatched late
+    // is re-fitted to the window it has left. The flash crowds themselves
+    // are lost all the same.)
     let aggressive = run_live(&believed, &trace, window, 1.0, false);
     // Headroom 0.125 + refinement: base passes are planned narrow (safe even
     // at 2× drift), then each batch climbs the ladder against the *real*
-    // clock, which no profile error can fake.
+    // clock, which no profile error can fake: the base pass measures how far
+    // off the profile is, and every further rung is charged accordingly.
     let refining = run_live(&believed, &trace, window, 0.125, true);
 
     assert!(refining.refined > 0, "refinement ladder never fired");
