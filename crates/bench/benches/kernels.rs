@@ -1,11 +1,17 @@
 //! Kernel microbenchmarks: the sub-block GEMM that powers sliced layers
 //! (full matrix vs top-left block with a large leading dimension — the
-//! block multiply must not pay for the inactive columns) and im2col.
+//! block multiply must not pay for the inactive columns), and the non-GEMM
+//! work of a conv or recurrent forward: im2col at the VGG stage shapes, the
+//! gate activations of one NNLM layer, and a conv forward on the persistent
+//! panels beside the per-call-packing `gemm` path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ms_nn::conv2d::{Conv2d, Conv2dConfig};
+use ms_nn::layer::{Layer, Mode};
 use ms_tensor::conv::{im2col, ConvGeom};
 use ms_tensor::matmul::{gemm, Trans};
-use ms_tensor::SeededRng;
+use ms_tensor::ops::{sigmoid_inplace, tanh_inplace};
+use ms_tensor::{SeededRng, Tensor};
 
 fn gemm_blocks(c: &mut Criterion) {
     let mut rng = SeededRng::new(1);
@@ -89,24 +95,82 @@ fn gemm_layer_shapes(c: &mut Criterion) {
     }
 }
 
+/// `(channels, side)` of the three stages of `Vgg::vgg13_scaled`.
+const VGG_STAGES: [(usize, usize); 3] = [(16, 16), (32, 8), (64, 4)];
+
+fn random(rng: &mut SeededRng, n: usize) -> Vec<f32> {
+    (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect()
+}
+
+/// One sample's 3×3 / pad-1 lowering at each VGG stage.
 fn im2col_lowering(c: &mut Criterion) {
     let mut rng = SeededRng::new(2);
-    let geom = ConvGeom {
-        h: 16,
-        w: 16,
-        kh: 3,
-        kw: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let channels = 32usize;
-    let input: Vec<f32> = (0..channels * 256)
-        .map(|_| rng.uniform(-1.0, 1.0))
-        .collect();
-    let mut col = vec![0.0f32; channels * 9 * geom.out_len()];
-    c.bench_function("im2col_32ch_16x16_k3", |b| {
-        b.iter(|| im2col(&input, channels, &geom, &mut col))
+    let mut group = c.benchmark_group("im2col");
+    for (channels, side) in VGG_STAGES {
+        let geom = ConvGeom {
+            h: side,
+            w: side,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let input = random(&mut rng, channels * side * side);
+        let mut col = vec![0.0f32; channels * 9 * geom.out_len()];
+        group.bench_function(format!("{channels}ch_{side}x{side}_k3"), |b| {
+            b.iter(|| im2col(&input, channels, &geom, &mut col))
+        });
+    }
+    group.finish();
+}
+
+/// The activations of one 64-unit LSTM layer over a 32 × 16 batch: per
+/// step and sample three sigmoid gates, the tanh gate and `tanh(c)`.
+fn gate_activations(c: &mut Criterion) {
+    let (batch, hidden, steps) = (32usize, 64usize, 16usize);
+    let pre = random(&mut SeededRng::new(4), batch * hidden * steps * 5);
+    let mut slab = pre.clone();
+    let (sig, tanh) = (3 * pre.len() / 5, 2 * pre.len() / 5);
+    c.bench_function("gate_activations/32x64x16", |b| {
+        b.iter(|| {
+            slab.copy_from_slice(&pre);
+            sigmoid_inplace(&mut slab[..sig]);
+            tanh_inplace(&mut slab[sig..sig + tanh]);
+        })
     });
+}
+
+/// A batch-32 conv forward at each VGG stage: weight-stationary on the
+/// persistent panels, and through `gemm`, which packs the weight per sample.
+fn conv_fwd_packed_vs_gemm(c: &mut Criterion) {
+    let mut rng = SeededRng::new(5);
+    let mut group = c.benchmark_group("conv_fwd_packed_vs_gemm");
+    for (channels, side) in VGG_STAGES {
+        let cfg = Conv2dConfig {
+            in_ch: channels,
+            out_ch: channels,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+            h: side,
+            w: side,
+            in_groups: Some(8),
+            out_groups: Some(8),
+            bias: false,
+        };
+        let mut conv = Conv2d::new("bench.conv", cfg, &mut rng);
+        let n = 32 * channels * side * side;
+        let x = Tensor::from_vec([32, channels, side, side], random(&mut rng, n)).expect("input");
+        let shape = format!("{channels}ch_{side}x{side}");
+        group.bench_function(format!("gemm/{shape}"), |b| {
+            b.iter(|| conv.forward(&x, Mode::Infer).recycle())
+        });
+        conv.prepack();
+        group.bench_function(format!("packed/{shape}"), |b| {
+            b.iter(|| conv.forward(&x, Mode::Infer).recycle())
+        });
+    }
+    group.finish();
 }
 
 criterion_group! {
@@ -115,6 +179,7 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(30);
-    targets = gemm_blocks, gemm_layer_shapes, im2col_lowering
+    targets = gemm_blocks, gemm_layer_shapes, im2col_lowering, gate_activations,
+        conv_fwd_packed_vs_gemm
 }
 criterion_main!(benches);

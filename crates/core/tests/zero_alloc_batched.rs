@@ -6,14 +6,18 @@
 //! stack → forward → split cycle performs **zero** heap allocations at every
 //! candidate slice rate, on an un-packed net and on the prepacked panels an
 //! engine replica serves from — so a worker's per-batch cost is pure compute,
-//! with no allocator traffic to serialise threads against each other.
+//! with no allocator traffic to serialise threads against each other. The
+//! same holds for whole networks: a prepacked VGG (conv, GroupNorm, pooling)
+//! and the NNLM (embedding, LSTMs, decoder).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ms_core::inference::{batched_sliced_forward, batched_sliced_forward_into};
 use ms_core::slice_rate::SliceRate;
-use ms_nn::layer::Layer;
+use ms_models::nnlm::{Nnlm, NnlmConfig};
+use ms_models::vgg::{Vgg, VggConfig};
+use ms_nn::layer::{Layer, Mode};
 use ms_nn::linear::{Linear, LinearConfig};
 use ms_nn::sequential::Sequential;
 use ms_tensor::{pool, SeededRng, Tensor};
@@ -74,18 +78,52 @@ fn net() -> Sequential {
         ))
 }
 
-/// One test function so the per-thread counter, the thread-local pool and
-/// the layer workspaces all live on a single thread.
+/// Warms `pass` up at every rate (pool, GEMM pack buffers, layer workspaces:
+/// narrow subnets use differently-shaped intermediates), then asserts that
+/// ten more rounds neither allocate nor miss the buffer pool.
+fn assert_warm_passes_allocate_nothing(what: &str, mut pass: impl FnMut(SliceRate)) {
+    let rates = [0.25f32, 0.5, 0.75, 1.0].map(SliceRate::new);
+    for _ in 0..3 {
+        rates.into_iter().for_each(&mut pass);
+    }
+    pool::reset_stats();
+    let delta = allocations(|| {
+        for _ in 0..10 {
+            rates.into_iter().for_each(&mut pass);
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "steady-state {what} allocated {delta}x across 40 batches"
+    );
+    // Every pooled acquire in the loop was served from the pool.
+    let stats = pool::stats();
+    assert_eq!(
+        stats.misses, 0,
+        "{what}: pool misses in steady state: {stats:?}"
+    );
+    assert!(
+        stats.hits > 0,
+        "{what}: expected pooled acquires: {stats:?}"
+    );
+}
+
+fn random_inputs(n: usize, dims: &[usize], seed: u64) -> Vec<Tensor> {
+    let mut rng = SeededRng::new(seed);
+    let len = dims.iter().product();
+    (0..n)
+        .map(|_| {
+            Tensor::from_vec(dims, (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect()).unwrap()
+        })
+        .collect()
+}
+
+/// One test function per network so its per-thread counter, thread-local
+/// pool and layer workspaces all live on a single thread.
 #[test]
 fn steady_state_batched_forward_allocates_nothing() {
     let mut net = net();
-    let mut rng = SeededRng::new(6);
-    let inputs: Vec<Tensor> = (0..24)
-        .map(|_| {
-            Tensor::from_vec([32], (0..32).map(|_| rng.uniform(-1.0, 1.0)).collect()).unwrap()
-        })
-        .collect();
-    let rates = [0.25f32, 0.5, 0.75, 1.0].map(SliceRate::new);
+    let inputs = random_inputs(24, &[32], 6);
 
     // Reused response buffer, exactly as a warm engine worker would hold one.
     let mut out = Vec::with_capacity(inputs.len());
@@ -96,40 +134,12 @@ fn steady_state_batched_forward_allocates_nothing() {
         if packed {
             assert!(net.prepack(), "the net arrives un-packed");
         }
-        // Warm-up: populate the pool, the GEMM pack buffers and each layer's
-        // workspace at every rate (narrow subnets use differently-shaped
-        // intermediates).
-        for _ in 0..3 {
-            for &r in &rates {
-                batched_sliced_forward_into(&mut net, &inputs, r, &mut out);
-                for t in out.drain(..) {
-                    t.recycle();
-                }
-            }
-        }
-
-        pool::reset_stats();
-        let delta = allocations(|| {
-            for _ in 0..10 {
-                for &r in &rates {
-                    batched_sliced_forward_into(&mut net, &inputs, r, &mut out);
-                    for t in out.drain(..) {
-                        t.recycle();
-                    }
-                }
+        assert_warm_passes_allocate_nothing(&format!("batched forward (packed: {packed})"), |r| {
+            batched_sliced_forward_into(&mut net, &inputs, r, &mut out);
+            for t in out.drain(..) {
+                t.recycle();
             }
         });
-        assert_eq!(
-            delta, 0,
-            "steady-state batched forward (packed: {packed}) allocated {delta}x across 40 batches"
-        );
-        // Every pooled acquire in the loop was served from the pool.
-        let stats = pool::stats();
-        assert_eq!(
-            stats.misses, 0,
-            "pool misses in steady state (packed: {packed}): {stats:?}"
-        );
-        assert!(stats.hits > 0, "expected pooled acquires: {stats:?}");
     }
 
     // The allocating convenience wrapper costs exactly its output Vec.
@@ -142,4 +152,36 @@ fn steady_state_batched_forward_allocates_nothing() {
         delta <= 1,
         "wrapper should only allocate its output Vec, saw {delta} allocations"
     );
+}
+
+#[test]
+fn steady_state_vgg_forward_allocates_nothing() {
+    let mut net = Vgg::new(&VggConfig::vgg13_scaled(10, 8), &mut SeededRng::new(7));
+    assert!(net.prepack(), "the net arrives un-packed");
+    let inputs = random_inputs(8, &[3, 16, 16], 8);
+    let mut out = Vec::with_capacity(inputs.len());
+    assert_warm_passes_allocate_nothing("prepacked VGG forward", |r| {
+        batched_sliced_forward_into(&mut net, &inputs, r, &mut out);
+        for t in out.drain(..) {
+            t.recycle();
+        }
+    });
+}
+
+#[test]
+fn steady_state_nnlm_forward_allocates_nothing() {
+    let cfg = NnlmConfig {
+        dropout: 0.0,
+        ..NnlmConfig::scaled(50, 8)
+    };
+    let mut net = Nnlm::new(&cfg, &mut SeededRng::new(9));
+    assert!(net.prepack(), "the net arrives un-packed");
+    // `[B, T]` token ids: a language model's logits are `[B·T, V]`, not one
+    // row per request, so it is driven through `Layer::forward` directly.
+    let mut rng = SeededRng::new(10);
+    let ids = Tensor::from_vec([4, 6], (0..24).map(|_| rng.below(50) as f32).collect()).unwrap();
+    assert_warm_passes_allocate_nothing("prepacked NNLM forward", |r| {
+        net.set_slice_rate(r);
+        net.forward(&ids, Mode::Infer).recycle();
+    });
 }

@@ -6,13 +6,16 @@
 //! verifies that after a short warm-up (buffer pool, layer workspaces,
 //! per-layer prefix caches and weight panels all populated) a full base +
 //! refine ladder performs **zero** heap allocations — climbing the ladder
-//! is pure delta-panel compute, with no allocator traffic.
+//! is pure delta-panel compute, with no allocator traffic. Checked on the
+//! MLP stack, on a prepacked VGG and on the NNLM.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ms_core::inference::refine_batched_forward;
 use ms_core::slice_rate::SliceRate;
+use ms_models::nnlm::{Nnlm, NnlmConfig};
+use ms_models::vgg::{Vgg, VggConfig};
 use ms_nn::layer::Layer;
 use ms_nn::linear::{Linear, LinearConfig};
 use ms_nn::sequential::Sequential;
@@ -76,7 +79,7 @@ fn net() -> Sequential {
 
 /// Runs one full anytime ladder — base pass at the narrowest rate, then
 /// one refine step per wider rate — recycling each superseded response.
-fn ladder(net: &mut Sequential, inputs: &[Tensor], rates: &[SliceRate], out: &mut Vec<Tensor>) {
+fn ladder(net: &mut dyn Layer, inputs: &[Tensor], rates: &[SliceRate], out: &mut Vec<Tensor>) {
     refine_batched_forward(net, inputs, None, rates[0], out);
     for w in rates.windows(2) {
         for t in out.drain(..) {
@@ -89,18 +92,54 @@ fn ladder(net: &mut Sequential, inputs: &[Tensor], rates: &[SliceRate], out: &mu
     }
 }
 
-/// One test function so the per-thread counter, the thread-local pool and
-/// the layer workspaces all live on a single thread.
+/// Warms `ladder` up (pool, each layer's workspace and prefix cache: the base
+/// pass and every delta step have differently shaped intermediates), then
+/// asserts that ten more ladders neither allocate nor miss the buffer pool.
+fn assert_warm_ladders_allocate_nothing(what: &str, mut ladder: impl FnMut()) {
+    for _ in 0..3 {
+        ladder();
+    }
+    pool::reset_stats();
+    let delta = allocations(|| {
+        for _ in 0..10 {
+            ladder();
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "steady-state {what} allocated {delta}x across 10 ladders"
+    );
+    // Every pooled acquire in the loop was served from the pool.
+    let stats = pool::stats();
+    assert_eq!(
+        stats.misses, 0,
+        "{what}: pool misses in steady state: {stats:?}"
+    );
+    assert!(
+        stats.hits > 0,
+        "{what}: expected pooled acquires: {stats:?}"
+    );
+}
+
+fn random_inputs(n: usize, dims: &[usize], seed: u64) -> Vec<Tensor> {
+    let mut rng = SeededRng::new(seed);
+    let len = dims.iter().product();
+    (0..n)
+        .map(|_| {
+            Tensor::from_vec(dims, (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect()).unwrap()
+        })
+        .collect()
+}
+
+const RATES: [f32; 4] = [0.25, 0.5, 0.75, 1.0];
+
+/// One test function per network so its per-thread counter, thread-local
+/// pool and layer workspaces all live on a single thread.
 #[test]
 fn steady_state_refine_ladder_allocates_nothing() {
     let mut net = net();
-    let mut rng = SeededRng::new(6);
-    let inputs: Vec<Tensor> = (0..24)
-        .map(|_| {
-            Tensor::from_vec([32], (0..32).map(|_| rng.uniform(-1.0, 1.0)).collect()).unwrap()
-        })
-        .collect();
-    let rates = [0.25f32, 0.5, 0.75, 1.0].map(SliceRate::new);
+    let inputs = random_inputs(24, &[32], 6);
+    let rates = RATES.map(SliceRate::new);
 
     // Pack the weight panels up front, exactly as an engine worker does at
     // weight-load time; the first ladder would otherwise pack lazily.
@@ -108,26 +147,40 @@ fn steady_state_refine_ladder_allocates_nothing() {
 
     // Reused response buffer, exactly as a warm engine worker would hold one.
     let mut out = Vec::with_capacity(inputs.len());
+    assert_warm_ladders_allocate_nothing("refine ladder", || {
+        ladder(&mut net, &inputs, &rates, &mut out)
+    });
+}
 
-    // Warm-up: populate the pool, each layer's workspace and each layer's
-    // prefix cache (the base pass and every delta step have differently
-    // shaped intermediates).
-    for _ in 0..3 {
-        ladder(&mut net, &inputs, &rates, &mut out);
-    }
+#[test]
+fn steady_state_vgg_refine_ladder_allocates_nothing() {
+    let mut net = Vgg::new(&VggConfig::vgg13_scaled(10, 8), &mut SeededRng::new(7));
+    net.prepack();
+    let inputs = random_inputs(8, &[3, 16, 16], 8);
+    let rates = RATES.map(SliceRate::new);
+    let mut out = Vec::with_capacity(inputs.len());
+    assert_warm_ladders_allocate_nothing("VGG refine ladder", || {
+        ladder(&mut net, &inputs, &rates, &mut out)
+    });
+}
 
-    pool::reset_stats();
-    let delta = allocations(|| {
-        for _ in 0..10 {
-            ladder(&mut net, &inputs, &rates, &mut out);
+#[test]
+fn steady_state_nnlm_refine_ladder_allocates_nothing() {
+    let cfg = NnlmConfig {
+        dropout: 0.0,
+        ..NnlmConfig::scaled(50, 8)
+    };
+    let mut net = Nnlm::new(&cfg, &mut SeededRng::new(9));
+    net.prepack();
+    // `[B, T]` token ids, driven through `forward_prefix` directly: the
+    // `[B·T, V]` logits do not split one row per request.
+    let mut rng = SeededRng::new(10);
+    let ids = Tensor::from_vec([4, 6], (0..24).map(|_| rng.below(50) as f32).collect()).unwrap();
+    assert_warm_ladders_allocate_nothing("NNLM refine ladder", || {
+        let mut from = None;
+        for r in RATES.map(SliceRate::new) {
+            net.forward_prefix(&ids, from, r).recycle();
+            from = Some(r);
         }
     });
-    assert_eq!(
-        delta, 0,
-        "steady-state refine ladder allocated {delta}x across 10 ladders"
-    );
-    // Every pooled acquire in the loop was served from the pool.
-    let stats = pool::stats();
-    assert_eq!(stats.misses, 0, "pool misses in steady state: {stats:?}");
-    assert!(stats.hits > 0, "expected pooled acquires: {stats:?}");
 }

@@ -193,18 +193,29 @@ impl Layer for Nnlm {
         let dims = x.dims();
         assert_eq!(dims.len(), 2, "nnlm expects [B, T] token ids");
         let (b, t) = (dims[0], dims[1]);
-        let mut h = self.embedding.forward(x, mode); // [B, T, E]
-        h = self.drop_e.forward(&h, mode);
-        h = self.lstm1.as_layer().forward(&h, mode);
-        h = self.drop1.forward(&h, mode);
-        h = self.lstm2.as_layer().forward(&h, mode);
-        h = self.drop2.forward(&h, mode);
-        let hidden = *h.dims().last().expect("rank 3");
         if mode == Mode::Train {
             self.last_bt = Some((b, t));
         }
-        let flat = h.reshaped([b * t, hidden]).expect("same numel");
-        self.decoder.forward(&flat, mode) // [B·T, V]
+        // Each intermediate goes back to the buffer pool as soon as the next
+        // layer has consumed it, so a warm pass allocates nothing.
+        let mut h = self.embedding.forward(x, mode); // [B, T, E]
+        let chain: [&mut dyn Layer; 5] = [
+            &mut self.drop_e,
+            self.lstm1.as_layer(),
+            &mut self.drop1,
+            self.lstm2.as_layer(),
+            &mut self.drop2,
+        ];
+        for layer in chain {
+            let next = layer.forward(&h, mode);
+            h.recycle();
+            h = next;
+        }
+        let hidden = *h.dims().last().expect("rank 3");
+        let flat = h.reshape([b * t, hidden]).expect("same numel");
+        let y = self.decoder.forward(&flat, mode); // [B·T, V]
+        flat.recycle();
+        y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
@@ -219,6 +230,21 @@ impl Layer for Nnlm {
         let d = self.lstm1.as_layer().backward(&d);
         let d = self.drop_e.backward(&d);
         self.embedding.backward(&d)
+    }
+
+    // `forward_prefix` stays the trait default (a recompute at `to`): the
+    // decoder must not resume partial sums over LSTM columns that changed
+    // with the rate — see `nnlm_chain_refine_is_bitwise_identical` in
+    // tests/prefix_refine.rs. The panels are independent of that.
+    fn prepack(&mut self) -> bool {
+        // `|`, not `||`: every layer must be packed, whatever came before.
+        self.lstm1.as_layer().prepack() | self.lstm2.as_layer().prepack() | self.decoder.prepack()
+    }
+
+    fn release_panels(&mut self) {
+        self.lstm1.as_layer().release_panels();
+        self.lstm2.as_layer().release_panels();
+        self.decoder.release_panels();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -15,7 +15,7 @@ use crate::slice::{active_groups, active_units, group_boundary, prefix_input_wid
 use crate::workspace::{PrefixCache, Role, Workspace};
 use ms_tensor::conv::{col2im, im2col, ConvGeom};
 use ms_tensor::matmul::{gemm, Trans};
-use ms_tensor::panels::{gemm_packed_a, PackedA};
+use ms_tensor::panels::{gemm_packed_a, gemm_packed_a_stepped, PackedA};
 use ms_tensor::{init, SeededRng, Tensor};
 
 /// Configuration for a [`Conv2d`] layer. Input spatial size is fixed at
@@ -57,6 +57,11 @@ pub struct Conv2d {
     cache: Option<Tensor>,
     packed: PackedA,     // persistent panels of W (the GEMM A operand)
     prefix: PrefixCache, // full-stride output of the last prefix pass
+    // Prefix-pass geometry, fixed by the config: output-channel boundary of
+    // every output group (`out_groups + 1` entries) and the im2col rows
+    // (`k`) each group's canonical input width spans.
+    group_rows: Vec<usize>,
+    group_k: Vec<usize>,
 }
 
 impl Conv2d {
@@ -89,6 +94,17 @@ impl Conv2d {
             .bias
             .then(|| Param::new(format!("{name}.bias"), Tensor::zeros([cfg.out_ch]), false));
         let (active_in, active_out) = (cfg.in_ch, cfg.out_ch);
+        let (group_rows, group_k) = match cfg.out_groups {
+            Some(go) => (
+                (0..=go)
+                    .map(|g| group_boundary(cfg.out_ch, go, g))
+                    .collect(),
+                (1..=go)
+                    .map(|g| prefix_input_width(cfg.in_ch, cfg.in_groups, cfg.out_ch, go, g) * k2)
+                    .collect(),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
         Conv2d {
             cfg,
             name,
@@ -101,6 +117,8 @@ impl Conv2d {
             cache: None,
             packed: PackedA::new(),
             prefix: PrefixCache::default(),
+            group_rows,
+            group_k,
         }
     }
 
@@ -164,23 +182,44 @@ impl Layer for Conv2d {
         let mut y =
             Tensor::pooled_zeros([batch, self.active_out, self.geom.out_h(), self.geom.out_w()]);
         let mut col = self.ws.take(Role::Cols, k_rows * out_len);
+        // Weight-stationary when the panels are valid (see `Linear`): the
+        // active block is the top-left corner of the panels `prepack` made,
+        // so only the sample's columns are packed per GEMM. Training (the
+        // weights move every step) and un-packed nets keep `gemm`.
+        let on_panels = mode == Mode::Infer && self.packed.is_valid();
         for s in 0..batch {
             im2col(x.row(s), self.active_in, &self.geom, &mut col);
-            gemm(
-                Trans::No,
-                Trans::No,
-                self.active_out,
-                out_len,
-                k_rows,
-                1.0,
-                self.weight.value.data(),
-                full_k,
-                &col,
-                out_len,
-                0.0,
-                y.row_mut(s),
-                out_len,
-            );
+            if on_panels {
+                gemm_packed_a(
+                    0,
+                    self.active_out,
+                    out_len,
+                    k_rows,
+                    1.0,
+                    &self.packed,
+                    &col,
+                    out_len,
+                    0.0,
+                    y.row_mut(s),
+                    out_len,
+                );
+            } else {
+                gemm(
+                    Trans::No,
+                    Trans::No,
+                    self.active_out,
+                    out_len,
+                    k_rows,
+                    1.0,
+                    self.weight.value.data(),
+                    full_k,
+                    &col,
+                    out_len,
+                    0.0,
+                    y.row_mut(s),
+                    out_len,
+                );
+            }
             if let Some(b) = &self.bias {
                 let ys = y.row_mut(s);
                 for ch in 0..self.active_out {
@@ -283,57 +322,53 @@ impl Layer for Conv2d {
         let out_len = self.geom.out_len();
         let (out_ch, k2) = (self.cfg.out_ch, self.k2());
         let g_from = from.map_or(0, |r| active_groups(out_ch, go, r));
-        let g_to = (1..=go)
-            .find(|&g| group_boundary(out_ch, go, g) == self.active_out)
+        let g_to = self
+            .group_rows
+            .iter()
+            .position(|&b| b == self.active_out)
             .expect("active_out must sit on a group boundary");
         match from {
             None => self.prefix.begin(batch, out_ch * out_len),
             Some(_) => {
-                let done = group_boundary(out_ch, go, g_from);
+                let done = self.group_rows[g_from];
                 self.prefix.resume(batch, out_ch * out_len, done, &self.name);
             }
         }
         if g_to > g_from {
             let mut col = self.ws.take(Role::Cols, self.active_in * k2 * out_len);
+            let (c0, c1) = (self.group_rows[g_from], self.group_rows[g_to]);
             for s in 0..batch {
                 // The column matrix is a pure function of the input-channel
                 // prefix, so recomputing it at any width reproduces the rows
                 // a narrower pass saw, bit for bit.
                 im2col(x.row(s), self.active_in, &self.geom, &mut col);
-                for g in (g_from + 1)..=g_to {
-                    let c0 = group_boundary(out_ch, go, g - 1);
-                    let c1 = group_boundary(out_ch, go, g);
-                    let k_ch = prefix_input_width(self.cfg.in_ch, self.cfg.in_groups, out_ch, go, g);
-                    let base = s * out_ch * out_len + c0 * out_len;
-                    gemm_packed_a(
-                        c0,
-                        c1,
-                        out_len,
-                        0,
-                        k_ch * k2,
-                        1.0,
-                        &self.packed,
-                        &col,
-                        out_len,
-                        0.0,
-                        &mut self.prefix.buf[base..],
-                        out_len,
-                    );
-                    if let Some(b) = &self.bias {
-                        for ch in c0..c1 {
-                            let bv = b.value.data()[ch];
-                            let row = &mut self.prefix.buf[s * out_ch * out_len + ch * out_len..]
-                                [..out_len];
-                            for v in row {
-                                *v += bv;
-                            }
+                // One sweep over the delta groups, each with its canonical
+                // `k` extent: the columns are packed once, not once a group.
+                let rows =
+                    &mut self.prefix.buf[(s * out_ch + c0) * out_len..][..(c1 - c0) * out_len];
+                gemm_packed_a_stepped(
+                    &self.group_rows[g_from..=g_to],
+                    &self.group_k[g_from..g_to],
+                    out_len,
+                    1.0,
+                    &self.packed,
+                    &col,
+                    out_len,
+                    0.0,
+                    rows,
+                    out_len,
+                );
+                if let Some(b) = &self.bias {
+                    for (row, &bv) in rows.chunks_exact_mut(out_len).zip(&b.value.data()[c0..c1]) {
+                        for v in row {
+                            *v += bv;
                         }
                     }
                 }
             }
             self.ws.put(Role::Cols, col);
         }
-        self.prefix.done = group_boundary(out_ch, go, g_to);
+        self.prefix.done = self.group_rows[g_to];
         let mut y =
             Tensor::pooled_zeros([batch, self.active_out, self.geom.out_h(), self.geom.out_w()]);
         let per_sample = self.active_out * out_len;

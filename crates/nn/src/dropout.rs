@@ -39,7 +39,7 @@ impl Layer for Dropout {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         if mode == Mode::Infer || self.p == 0.0 {
             self.mask = None;
-            return x.clone();
+            return x.pooled_clone();
         }
         let keep = 1.0 / (1.0 - self.p) as f32;
         let mask_data: Vec<f32> = (0..x.numel())

@@ -7,6 +7,7 @@
 //! substrate simple.
 
 use crate::layer::{Layer, Mode, Param};
+use ms_tensor::shape::MAX_RANK;
 use ms_tensor::{init, SeededRng, Tensor};
 
 /// Embedding table `[vocab, dim]` with lookup forward and scatter-add
@@ -16,7 +17,10 @@ pub struct Embedding {
     vocab: usize,
     dim: usize,
     weight: Param,
-    cache: Option<Vec<usize>>, // flattened token ids of last Train forward
+    /// Flattened token ids of the last Train forward (grow-only storage;
+    /// `cached` says whether a backward may consume them).
+    ids: Vec<usize>,
+    cached: bool,
 }
 
 impl Embedding {
@@ -32,7 +36,8 @@ impl Embedding {
             ),
             vocab,
             dim,
-            cache: None,
+            ids: Vec::new(),
+            cached: false,
             name,
         }
     }
@@ -47,54 +52,52 @@ impl Embedding {
         self.vocab
     }
 
-    fn ids_of(&self, x: &Tensor) -> Vec<usize> {
-        x.data()
-            .iter()
-            .map(|&v| {
-                let id = v as usize;
-                assert!(
-                    v >= 0.0 && v.fract() == 0.0 && id < self.vocab,
-                    "{}: invalid token id {v} for vocab {}",
-                    self.name,
-                    self.vocab
-                );
-                id
-            })
-            .collect()
+    fn id_of(&self, v: f32) -> usize {
+        let id = v as usize;
+        assert!(
+            v >= 0.0 && v.fract() == 0.0 && id < self.vocab,
+            "{}: invalid token id {v} for vocab {}",
+            self.name,
+            self.vocab
+        );
+        id
     }
 }
 
 impl Layer for Embedding {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let ids = self.ids_of(x);
-        let mut out_dims = x.dims().to_vec();
-        out_dims.push(self.dim);
-        let mut y = Tensor::zeros(out_dims);
-        for (i, &id) in ids.iter().enumerate() {
-            let dst = &mut y.data_mut()[i * self.dim..(i + 1) * self.dim];
-            dst.copy_from_slice(self.weight.value.row(id));
-        }
+        let rank = x.dims().len();
+        let mut out_dims = [0usize; MAX_RANK];
+        out_dims[..rank].copy_from_slice(x.dims());
+        out_dims[rank] = self.dim;
+        let mut y = Tensor::pooled_zeros(&out_dims[..=rank]);
         if mode == Mode::Train {
-            self.cache = Some(ids);
+            self.ids.clear();
+            self.cached = true;
+        }
+        for (&v, dst) in x.data().iter().zip(y.data_mut().chunks_exact_mut(self.dim)) {
+            let id = self.id_of(v);
+            dst.copy_from_slice(self.weight.value.row(id));
+            if mode == Mode::Train {
+                self.ids.push(id);
+            }
         }
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let ids = self.cache.take().expect("backward before Train forward");
-        debug_assert_eq!(dy.numel(), ids.len() * self.dim);
-        for (i, &id) in ids.iter().enumerate() {
-            let src = &dy.data()[i * self.dim..(i + 1) * self.dim];
-            let dst = &mut self.weight.grad.row_mut(id)[..];
-            for (d, &s) in dst.iter_mut().zip(src) {
+        assert!(self.cached, "backward before Train forward");
+        self.cached = false;
+        debug_assert_eq!(dy.numel(), self.ids.len() * self.dim);
+        for (&id, src) in self.ids.iter().zip(dy.data().chunks_exact(self.dim)) {
+            for (d, &s) in self.weight.grad.row_mut(id).iter_mut().zip(src) {
                 *d += s;
             }
         }
         // Token ids are not differentiable; return a zero gradient of the
         // id-tensor shape to keep the Layer contract.
-        let mut dims = dy.dims().to_vec();
-        dims.pop();
-        Tensor::zeros(dims)
+        let id_dims = &dy.dims()[..dy.dims().len() - 1];
+        Tensor::pooled_zeros(id_dims)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -110,9 +110,9 @@ pub trait Layer {
     /// cheap when already packed) and returns whether this call packed
     /// anything. Layers without weight panels ignore it and return `false`.
     ///
-    /// While a [`crate::linear::Linear`]'s panels are valid, its
-    /// `forward(Infer)` multiplies straight off them instead of re-packing
-    /// the weight per call. Any `visit_params` pass — an optimiser step,
+    /// While the panels of a `Linear`, `Conv2d`, `Lstm` or `Gru` are valid,
+    /// its `forward(Infer)` multiplies straight off them instead of
+    /// re-packing the weight per call. Any `visit_params` pass — an optimiser step,
     /// weight hydration, even a read-only walk — marks the panels stale:
     /// direct inference then falls back to the per-call-packing `gemm` until
     /// the next `prepack`, and a prefix forward re-packs on entry.

@@ -84,6 +84,7 @@ impl GroupNorm {
 
 impl Layer for GroupNorm {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let _span = ms_tensor::span!("nn.groupnorm");
         let dims = x.dims();
         assert!(
             dims.len() == 2 || dims.len() == 4,

@@ -11,7 +11,9 @@ use ms_tensor::Tensor;
 pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
-    cache: Option<(ms_tensor::Shape, Vec<u32>, ConvGeom)>,
+    cache: Option<(ms_tensor::Shape, ConvGeom)>,
+    /// Argmax of the last Train forward (grow-only; inference never fills it).
+    argmax: Vec<u32>,
 }
 
 impl MaxPool2d {
@@ -22,6 +24,7 @@ impl MaxPool2d {
             kernel,
             stride,
             cache: None,
+            argmax: Vec::new(),
         }
     }
 }
@@ -40,34 +43,30 @@ impl Layer for MaxPool2d {
             pad: 0,
         };
         assert!(geom.is_valid(), "maxpool window larger than input");
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let mut y = Tensor::zeros([batch, c, oh, ow]);
-        let mut argmax = vec![0u32; batch * c * oh * ow];
-        for s in 0..batch {
-            maxpool_forward(
-                x.row(s),
-                c,
-                &geom,
-                y.row_mut(s),
-                &mut argmax[s * c * oh * ow..(s + 1) * c * oh * ow],
-            );
-        }
+        let per_sample = c * geom.out_len();
+        let mut y = Tensor::pooled_zeros([batch, c, geom.out_h(), geom.out_w()]);
         if mode == Mode::Train {
-            self.cache = Some((x.shape().clone(), argmax, geom));
+            self.argmax.resize(batch * per_sample, 0);
+            self.cache = Some((x.shape().clone(), geom));
+        }
+        for s in 0..batch {
+            let argmax = (mode == Mode::Train)
+                .then(|| &mut self.argmax[s * per_sample..(s + 1) * per_sample]);
+            maxpool_forward(x.row(s), c, &geom, y.row_mut(s), argmax);
         }
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (shape, argmax, geom) = self.cache.take().expect("backward before Train forward");
+        let (shape, geom) = self.cache.take().expect("backward before Train forward");
         let batch = shape.dim(0);
         let c = shape.dim(1);
         let out_len = geom.out_len();
-        let mut dx = Tensor::zeros(shape);
+        let mut dx = Tensor::pooled_zeros(shape);
         for s in 0..batch {
             maxpool_backward(
                 dy.row(s),
-                &argmax[s * c * out_len..(s + 1) * c * out_len],
+                &self.argmax[s * c * out_len..(s + 1) * c * out_len],
                 c,
                 &geom,
                 dx.row_mut(s),
@@ -102,7 +101,7 @@ impl Layer for GlobalAvgPool {
         assert_eq!(dims.len(), 4, "global avgpool expects [B,C,H,W]");
         let (batch, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let hw = h * w;
-        let mut y = Tensor::zeros([batch, c]);
+        let mut y = Tensor::pooled_zeros([batch, c]);
         for s in 0..batch {
             global_avgpool_forward(x.row(s), c, hw, y.row_mut(s));
         }
@@ -116,7 +115,7 @@ impl Layer for GlobalAvgPool {
         let (shape, hw) = self.cache.take().expect("backward before Train forward");
         let batch = shape.dim(0);
         let c = shape.dim(1);
-        let mut dx = Tensor::zeros(shape);
+        let mut dx = Tensor::pooled_zeros(shape);
         for s in 0..batch {
             global_avgpool_backward(dy.row(s), c, hw, dx.row_mut(s));
         }

@@ -16,11 +16,15 @@
 //! `b_x: [3H]` and `b_h: [3H]` (separate recurrent bias so the candidate's
 //! `r ⊙ (U_n h + b_u)` form is exact), gate blocks ordered `r, z, n`.
 
+use super::{gate_gemm, project_inputs, store_step, to_time_major};
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
+use crate::workspace::{Role, Workspace};
 use ms_tensor::matmul::{gemm, Trans};
-use ms_tensor::ops::{sigmoid, sigmoid_grad_from_output, tanh_grad_from_output};
-use ms_tensor::panels::{gemm_packed_b, PackedB};
+use ms_tensor::ops::{
+    add_bias_rows, sigmoid_grad_from_output, sigmoid_inplace, tanh_grad_from_output, tanh_inplace,
+};
+use ms_tensor::panels::PackedB;
 use ms_tensor::{init, SeededRng, Tensor};
 
 const GATES: usize = 3; // r, z, n
@@ -70,6 +74,7 @@ pub struct Gru {
     b_h: Param, // [3H]
     active_in: usize,
     active_h: usize,
+    ws: Workspace,
     cache: Vec<StepCache>,
     packed_x: PackedB, // [D, 3H] panels of w_xᵀ
     packed_h: PackedB, // [H, 3H] panels of w_hᵀ
@@ -104,6 +109,7 @@ impl Gru {
             active_h: h,
             cfg,
             name,
+            ws: Workspace::new(),
             cache: Vec::new(),
             packed_x: PackedB::new(),
             packed_h: PackedB::new(),
@@ -146,83 +152,6 @@ impl Gru {
             1.0
         }
     }
-
-    /// `out[B, a_h] = scale · block(W)[0..a_h, 0..cols] · inᵀ + bias prefix`.
-    #[allow(clippy::too_many_arguments)]
-    fn gate_matmul(
-        &self,
-        w: &Tensor,
-        b: &Tensor,
-        gate: usize,
-        input: &Tensor,
-        cols: usize,
-        scale: f32,
-        batch: usize,
-        out: &mut Tensor,
-    ) {
-        let h_full = self.cfg.hidden_dim;
-        let full_cols = w.dims()[1];
-        let a_h = self.active_h;
-        gemm(
-            Trans::No,
-            Trans::Yes,
-            batch,
-            a_h,
-            cols,
-            scale,
-            input.data(),
-            cols,
-            &w.data()[gate * h_full * full_cols..],
-            full_cols,
-            1.0,
-            out.data_mut(),
-            a_h,
-        );
-        let bias = &b.data()[gate * h_full..gate * h_full + a_h];
-        for s in 0..batch {
-            for (v, &bv) in out.row_mut(s).iter_mut().zip(bias) {
-                *v += bv;
-            }
-        }
-    }
-
-    /// Panel twin of [`Self::gate_matmul`]: same math, but `op(W)` comes from
-    /// a persistent [`PackedB`] instead of being repacked per call.
-    #[allow(clippy::too_many_arguments)]
-    fn gate_matmul_packed(
-        &self,
-        packed: &PackedB,
-        b: &Tensor,
-        gate: usize,
-        input: &Tensor,
-        cols: usize,
-        scale: f32,
-        batch: usize,
-        out: &mut Tensor,
-    ) {
-        let h_full = self.cfg.hidden_dim;
-        let a_h = self.active_h;
-        gemm_packed_b(
-            batch,
-            0,
-            cols,
-            gate * h_full,
-            gate * h_full + a_h,
-            scale,
-            input.data(),
-            cols,
-            packed,
-            1.0,
-            out.data_mut(),
-            a_h,
-        );
-        let bias = &b.data()[gate * h_full..gate * h_full + a_h];
-        for s in 0..batch {
-            for (v, &bv) in out.row_mut(s).iter_mut().zip(bias) {
-                *v += bv;
-            }
-        }
-    }
 }
 
 impl Layer for Gru {
@@ -231,201 +160,118 @@ impl Layer for Gru {
         assert_eq!(dims.len(), 3, "{}: expect [B, T, D]", self.name);
         let (batch, steps, d) = (dims[0], dims[1], dims[2]);
         assert_eq!(d, self.active_in, "{}: input width", self.name);
-        let a_h = self.active_h;
+        let (a_h, h_full) = (self.active_h, self.cfg.hidden_dim);
         let (sx, sh) = (self.scale_x(), self.scale_h());
+        let rows = steps * batch; // time-major: row t·B + b
+        let slab = batch * a_h; // one gate of one step
 
         for step in self.cache.drain(..) {
             step.recycle();
         }
+        // Inference on a prepacked layer reads the weights off the panels
+        // (see `Linear`); training and un-packed nets go through `gemm`.
+        let on_panels = mode == Mode::Infer && self.packed_x.is_valid() && self.packed_h.is_valid();
+        let (px, ph) = (
+            on_panels.then_some(&self.packed_x),
+            on_panels.then_some(&self.packed_h),
+        );
+        let b_h = |gate: usize| &self.b_h.value.data()[gate * h_full..];
+
+        // Input projection of every step at once: zx[g] = s_x·X·W_x[g]ᵀ +
+        // b_x[g], gate-major `[gate][t][b][unit]`.
+        let mut xt = self.ws.take(Role::StepInput, rows * d);
+        to_time_major(x.data(), batch, steps, d, &mut xt);
+        let mut zx = self.ws.take(Role::Preact, GATES * rows * a_h);
+        let (w_x, b_x) = (&self.w_x.value, &self.b_x.value);
+        project_inputs(w_x, px, b_x, h_full, a_h, sx, rows, d, &xt, &mut zx);
+
         let mut h = Tensor::pooled_zeros([batch, a_h]);
+        let mut u_n = self.ws.take(Role::Aux1, slab);
         let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
+        // Offset of gate `g`'s step-`t` slab in `zx`.
+        let at = |gate: usize, t: usize| (gate * rows + t * batch) * a_h;
         for t in 0..steps {
-            let mut xt = Tensor::pooled_zeros([batch, d]);
-            for s in 0..batch {
-                xt.row_mut(s)
-                    .copy_from_slice(&x.data()[(s * steps + t) * d..(s * steps + t + 1) * d]);
+            // r and z gates: add the recurrent side, then squash.
+            for gate in 0..2 {
+                let zg = &mut zx[at(gate, t)..][..slab];
+                gate_gemm(
+                    &self.w_h.value,
+                    ph,
+                    h_full,
+                    gate,
+                    a_h,
+                    sh,
+                    batch,
+                    a_h,
+                    h.data(),
+                    zg,
+                );
+                add_bias_rows(zg, b_h(gate), a_h, a_h);
+                sigmoid_inplace(zg);
             }
-            // r and z gates.
-            let mut r = Tensor::pooled_zeros([batch, a_h]);
-            self.gate_matmul(
-                &self.w_x.value,
-                &self.b_x.value,
-                0,
-                &xt,
-                d,
-                sx,
-                batch,
-                &mut r,
-            );
-            self.gate_matmul(
+            // Candidate: tanh(W_n x + b_n  +  r ⊙ (U_n h + b_u)).
+            u_n.fill(0.0);
+            gate_gemm(
                 &self.w_h.value,
-                &self.b_h.value,
-                0,
-                &h,
-                a_h,
-                sh,
-                batch,
-                &mut r,
-            );
-            r.map_inplace(sigmoid);
-            let mut z = Tensor::pooled_zeros([batch, a_h]);
-            self.gate_matmul(
-                &self.w_x.value,
-                &self.b_x.value,
-                1,
-                &xt,
-                d,
-                sx,
-                batch,
-                &mut z,
-            );
-            self.gate_matmul(
-                &self.w_h.value,
-                &self.b_h.value,
-                1,
-                &h,
-                a_h,
-                sh,
-                batch,
-                &mut z,
-            );
-            z.map_inplace(sigmoid);
-            // Candidate: W_n x + b_n  +  r ⊙ (U_n h + b_u).
-            let mut u_n = Tensor::pooled_zeros([batch, a_h]);
-            self.gate_matmul(
-                &self.w_h.value,
-                &self.b_h.value,
+                ph,
+                h_full,
                 2,
-                &h,
                 a_h,
                 sh,
                 batch,
+                a_h,
+                h.data(),
                 &mut u_n,
             );
-            let mut n = Tensor::pooled_zeros([batch, a_h]);
-            self.gate_matmul(
-                &self.w_x.value,
-                &self.b_x.value,
-                2,
-                &xt,
-                d,
-                sx,
-                batch,
-                &mut n,
-            );
-            for ((nv, &rv), &uv) in n.data_mut().iter_mut().zip(r.data()).zip(u_n.data()) {
-                *nv = (*nv + rv * uv).tanh();
+            add_bias_rows(&mut u_n, b_h(2), a_h, a_h);
+            let (rz, n) = zx.split_at_mut(at(2, 0));
+            let n = &mut n[t * slab..][..slab];
+            let (r, z) = (&rz[at(0, t)..][..slab], &rz[at(1, t)..][..slab]);
+            for (k, nv) in n.iter_mut().enumerate() {
+                *nv += r[k] * u_n[k];
             }
+            tanh_inplace(n);
+
             // h_t = (1 − z) ⊙ n + z ⊙ h_prev.
-            let h_prev = h.pooled_clone();
-            for (((hv, &zv), &nv), &hp) in h
-                .data_mut()
-                .iter_mut()
-                .zip(z.data())
-                .zip(n.data())
-                .zip(h_prev.data())
-            {
-                *hv = (1.0 - zv) * nv + zv * hp;
+            let h_prev = (mode == Mode::Train).then(|| h.pooled_clone());
+            for (k, hv) in h.data_mut().iter_mut().enumerate() {
+                *hv = (1.0 - z[k]) * n[k] + z[k] * *hv;
             }
-            for s in 0..batch {
-                out.data_mut()[(s * steps + t) * a_h..(s * steps + t + 1) * a_h]
-                    .copy_from_slice(h.row(s));
-            }
-            if mode == Mode::Train {
+            store_step(h.data(), t, steps, a_h, out.data_mut());
+
+            if let Some(h_prev) = h_prev {
+                let kept = |src: &[f32], width: usize| {
+                    let mut copy = Tensor::pooled_zeros([batch, width]);
+                    copy.data_mut().copy_from_slice(src);
+                    copy
+                };
                 self.cache.push(StepCache {
-                    x: xt,
+                    x: kept(&xt[t * batch * d..][..batch * d], d),
                     h_prev,
-                    r,
-                    z,
-                    n,
-                    u_n,
+                    r: kept(r, a_h),
+                    z: kept(z, a_h),
+                    n: kept(n, a_h),
+                    u_n: kept(&u_n, a_h),
                 });
-            } else {
-                // Inference retains nothing; the pool serves next step's
-                // acquisitions from these buffers.
-                xt.recycle();
-                h_prev.recycle();
-                r.recycle();
-                z.recycle();
-                n.recycle();
-                u_n.recycle();
             }
         }
+        self.ws.put(Role::StepInput, xt);
+        self.ws.put(Role::Preact, zx);
+        self.ws.put(Role::Aux1, u_n);
         h.recycle();
         out
     }
 
     fn forward_prefix(&mut self, x: &Tensor, from: Option<SliceRate>, to: SliceRate) -> Tensor {
-        // Panel-accelerated full recompute at `to`. The recurrence threads
-        // every hidden group through every timestep, so a per-group delta
-        // would need per-group frozen-prefix recurrence state — future work.
+        // Full recompute at `to` on the panels. The recurrence threads every
+        // hidden group through every timestep, so a per-group delta would
+        // need per-group frozen-prefix recurrence state — future work.
         // Ignoring `from` keeps the output a pure function of (x, to), which
         // preserves the refine-equals-direct bitwise contract.
         let _ = from;
         self.set_slice_rate(to);
         self.ensure_packed();
-        let dims = x.dims();
-        assert_eq!(dims.len(), 3, "{}: expect [B, T, D]", self.name);
-        let (batch, steps, d) = (dims[0], dims[1], dims[2]);
-        assert_eq!(d, self.active_in, "{}: input width", self.name);
-        let a_h = self.active_h;
-        let (sx, sh) = (self.scale_x(), self.scale_h());
-
-        let mut h = Tensor::pooled_zeros([batch, a_h]);
-        let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
-        for t in 0..steps {
-            let mut xt = Tensor::pooled_zeros([batch, d]);
-            for s in 0..batch {
-                xt.row_mut(s)
-                    .copy_from_slice(&x.data()[(s * steps + t) * d..(s * steps + t + 1) * d]);
-            }
-            let mut r = Tensor::pooled_zeros([batch, a_h]);
-            self.gate_matmul_packed(&self.packed_x, &self.b_x.value, 0, &xt, d, sx, batch, &mut r);
-            self.gate_matmul_packed(&self.packed_h, &self.b_h.value, 0, &h, a_h, sh, batch, &mut r);
-            r.map_inplace(sigmoid);
-            let mut z = Tensor::pooled_zeros([batch, a_h]);
-            self.gate_matmul_packed(&self.packed_x, &self.b_x.value, 1, &xt, d, sx, batch, &mut z);
-            self.gate_matmul_packed(&self.packed_h, &self.b_h.value, 1, &h, a_h, sh, batch, &mut z);
-            z.map_inplace(sigmoid);
-            let mut u_n = Tensor::pooled_zeros([batch, a_h]);
-            self.gate_matmul_packed(
-                &self.packed_h,
-                &self.b_h.value,
-                2,
-                &h,
-                a_h,
-                sh,
-                batch,
-                &mut u_n,
-            );
-            let mut n = Tensor::pooled_zeros([batch, a_h]);
-            self.gate_matmul_packed(&self.packed_x, &self.b_x.value, 2, &xt, d, sx, batch, &mut n);
-            for ((nv, &rv), &uv) in n.data_mut().iter_mut().zip(r.data()).zip(u_n.data()) {
-                *nv = (*nv + rv * uv).tanh();
-            }
-            let h_prev = h.pooled_clone();
-            for (((hv, &zv), &nv), &hp) in h
-                .data_mut()
-                .iter_mut()
-                .zip(z.data())
-                .zip(n.data())
-                .zip(h_prev.data())
-            {
-                *hv = (1.0 - zv) * nv + zv * hp;
-            }
-            for s in 0..batch {
-                out.data_mut()[(s * steps + t) * a_h..(s * steps + t + 1) * a_h]
-                    .copy_from_slice(h.row(s));
-            }
-            xt.recycle();
-            h_prev.recycle();
-            r.recycle();
-            z.recycle();
-            n.recycle();
-            u_n.recycle();
-        }
-        h.recycle();
-        out
+        self.forward(x, Mode::Infer)
     }
 
     fn prepack(&mut self) -> bool {

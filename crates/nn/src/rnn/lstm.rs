@@ -17,12 +17,15 @@
 //! truncated BPTT with state reset at batch boundaries (a documented
 //! simplification — see DESIGN.md §2).
 
+use super::{gate_gemm, project_inputs, store_step, to_time_major};
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
 use crate::workspace::{Role, Workspace};
 use ms_tensor::matmul::{gemm, Trans};
-use ms_tensor::ops::{sigmoid, sigmoid_grad_from_output, tanh_grad_from_output};
-use ms_tensor::panels::{gemm_packed_b, PackedB};
+use ms_tensor::ops::{
+    sigmoid_grad_from_output, sigmoid_inplace, tanh_grad_from_output, tanh_inplace,
+};
+use ms_tensor::panels::PackedB;
 use ms_tensor::{init, SeededRng, Tensor};
 
 const GATES: usize = 4; // i, f, g, o
@@ -153,102 +156,6 @@ impl Lstm {
             1.0
         }
     }
-
-    /// Computes pre-activations `z = s_x·W_x·x + s_h·W_h·h + b` for all four
-    /// gates into `z` (`[B, 4*a_h]`, gate-major columns).
-    fn gate_preacts(&self, x: &Tensor, h_prev: &Tensor, batch: usize, z: &mut [f32]) {
-        let (d_full, h_full) = (self.cfg.in_dim, self.cfg.hidden_dim);
-        let (a_d, a_h) = (self.active_in, self.active_h);
-        for gate in 0..GATES {
-            // z[:, gate*a_h .. (gate+1)*a_h] — strided columns: run GEMM into
-            // the slab with ldc = 4*a_h and column offset.
-            let w_x_block = &self.w_x.value.data()[gate * h_full * d_full..];
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                batch,
-                a_h,
-                a_d,
-                self.scale_x(),
-                x.data(),
-                a_d,
-                w_x_block,
-                d_full,
-                1.0,
-                &mut z[gate * a_h..],
-                GATES * a_h,
-            );
-            let w_h_block = &self.w_h.value.data()[gate * h_full * h_full..];
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                batch,
-                a_h,
-                a_h,
-                self.scale_h(),
-                h_prev.data(),
-                a_h,
-                w_h_block,
-                h_full,
-                1.0,
-                &mut z[gate * a_h..],
-                GATES * a_h,
-            );
-            let b = &self.bias.value.data()[gate * h_full..gate * h_full + a_h];
-            for row in 0..batch {
-                let base = row * GATES * a_h + gate * a_h;
-                for (v, &bv) in z[base..base + a_h].iter_mut().zip(b) {
-                    *v += bv;
-                }
-            }
-        }
-    }
-
-    /// Panel-backed twin of [`Lstm::gate_preacts`]: same slab layout and
-    /// bias handling, but the weight side reads pre-packed panels instead of
-    /// re-gathering `Wᵀ` strips on every timestep — the recurrence pays the
-    /// strided pack cost `T` times per forward otherwise.
-    fn gate_preacts_packed(&self, x: &Tensor, h_prev: &Tensor, batch: usize, z: &mut [f32]) {
-        let h_full = self.cfg.hidden_dim;
-        let (a_d, a_h) = (self.active_in, self.active_h);
-        for gate in 0..GATES {
-            gemm_packed_b(
-                batch,
-                0,
-                a_d,
-                gate * h_full,
-                gate * h_full + a_h,
-                self.scale_x(),
-                x.data(),
-                a_d,
-                &self.packed_x,
-                1.0,
-                &mut z[gate * a_h..],
-                GATES * a_h,
-            );
-            gemm_packed_b(
-                batch,
-                0,
-                a_h,
-                gate * h_full,
-                gate * h_full + a_h,
-                self.scale_h(),
-                h_prev.data(),
-                a_h,
-                &self.packed_h,
-                1.0,
-                &mut z[gate * a_h..],
-                GATES * a_h,
-            );
-            let b = &self.bias.value.data()[gate * h_full..gate * h_full + a_h];
-            for row in 0..batch {
-                let base = row * GATES * a_h + gate * a_h;
-                for (v, &bv) in z[base..base + a_h].iter_mut().zip(b) {
-                    *v += bv;
-                }
-            }
-        }
-    }
 }
 
 impl Layer for Lstm {
@@ -257,96 +164,96 @@ impl Layer for Lstm {
         assert_eq!(dims.len(), 3, "{}: expect [B, T, D]", self.name);
         let (batch, steps, d) = (dims[0], dims[1], dims[2]);
         assert_eq!(d, self.active_in, "{}: input width", self.name);
-        let a_h = self.active_h;
+        let (a_h, h_full) = (self.active_h, self.cfg.hidden_dim);
+        let (sx, sh) = (self.scale_x(), self.scale_h());
+        let rows = steps * batch; // time-major: row t·B + b
+        let slab = batch * a_h; // one gate of one step
 
         for step in self.cache.drain(..) {
             step.recycle();
         }
+        // Inference on a prepacked layer reads the weights off the panels
+        // (see `Linear`); training and un-packed nets go through `gemm`.
+        let on_panels = mode == Mode::Infer && self.packed_x.is_valid() && self.packed_h.is_valid();
+        let (px, ph) = (
+            on_panels.then_some(&self.packed_x),
+            on_panels.then_some(&self.packed_h),
+        );
+
+        // Input projection of every step at once: z[g] = s_x·X·W_x[g]ᵀ + b[g],
+        // gate-major `[gate][t][b][unit]`.
+        let mut xt = self.ws.take(Role::StepInput, rows * d);
+        to_time_major(x.data(), batch, steps, d, &mut xt);
+        let mut z = self.ws.take(Role::Preact, GATES * rows * a_h);
+        let (w_x, bias) = (&self.w_x.value, &self.bias.value);
+        project_inputs(w_x, px, bias, h_full, a_h, sx, rows, d, &xt, &mut z);
+
         let mut h = Tensor::pooled_zeros([batch, a_h]);
         let mut c = Tensor::pooled_zeros([batch, a_h]);
+        let mut tanh_c = self.ws.take(Role::Cell, slab);
         let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
-        let mut z = self.ws.take(Role::Preact, batch * GATES * a_h);
-        // Inference reuses one x_t gather buffer; training needs one per
-        // step (they live in the BPTT cache until backward recycles them).
-        let mut xt_spare = (mode == Mode::Infer).then(|| Tensor::pooled_zeros([batch, d]));
-
+        // Offset of gate `g`'s step-`t` slab in `z`.
+        let at = |gate: usize, t: usize| (gate * rows + t * batch) * a_h;
         for t in 0..steps {
-            // Gather x_t: [B, a_d] (strided over the time axis).
-            let mut xt = xt_spare
-                .take()
-                .unwrap_or_else(|| Tensor::pooled_zeros([batch, d]));
-            for s in 0..batch {
-                let src = &x.data()[(s * steps + t) * d..(s * steps + t + 1) * d];
-                xt.row_mut(s).copy_from_slice(src);
+            for gate in 0..GATES {
+                let zg = &mut z[at(gate, t)..][..slab];
+                gate_gemm(
+                    &self.w_h.value,
+                    ph,
+                    h_full,
+                    gate,
+                    a_h,
+                    sh,
+                    batch,
+                    a_h,
+                    h.data(),
+                    zg,
+                );
             }
-            z.iter_mut().for_each(|v| *v = 0.0);
-            self.gate_preacts(&xt, &h, batch, &mut z);
+            sigmoid_inplace(&mut z[at(0, t)..][..slab]); // i
+            sigmoid_inplace(&mut z[at(1, t)..][..slab]); // f
+            tanh_inplace(&mut z[at(2, t)..][..slab]); // g
+            sigmoid_inplace(&mut z[at(3, t)..][..slab]); // o
+            let gate = |g: usize| &z[at(g, t)..][..slab];
+            let (zi, zf, zg, zo) = (gate(0), gate(1), gate(2), gate(3));
 
-            if mode == Mode::Train {
-                // Activations + state update, keeping everything backward
-                // needs: h/c before the step, post-activation gates, tanh(c).
-                let h_prev = h.pooled_clone();
-                let c_prev = c.pooled_clone();
+            // What backward needs from before the state update.
+            let prev = (mode == Mode::Train).then(|| (h.pooled_clone(), c.pooled_clone()));
+            for (k, cv) in c.data_mut().iter_mut().enumerate() {
+                *cv = zf[k] * *cv + zi[k] * zg[k];
+            }
+            tanh_c.copy_from_slice(c.data());
+            tanh_inplace(&mut tanh_c);
+            for (k, hv) in h.data_mut().iter_mut().enumerate() {
+                *hv = zo[k] * tanh_c[k];
+            }
+            store_step(h.data(), t, steps, a_h, out.data_mut());
+
+            if let Some((h_prev, c_prev)) = prev {
+                let mut x_t = Tensor::pooled_zeros([batch, d]);
+                x_t.data_mut()
+                    .copy_from_slice(&xt[t * batch * d..][..batch * d]);
+                // Backward reads the gates row-major: [B, (i f g o)·a_h].
                 let mut gates = Tensor::pooled_zeros([batch, GATES * a_h]);
-                let mut tanh_c = Tensor::pooled_zeros([batch, a_h]);
-                for s in 0..batch {
-                    let zrow = &z[s * GATES * a_h..(s + 1) * GATES * a_h];
-                    let grow = gates.row_mut(s);
-                    for k in 0..a_h {
-                        grow[k] = sigmoid(zrow[k]); // i
-                        grow[a_h + k] = sigmoid(zrow[a_h + k]); // f
-                        grow[2 * a_h + k] = zrow[2 * a_h + k].tanh(); // g
-                        grow[3 * a_h + k] = sigmoid(zrow[3 * a_h + k]); // o
+                for (b, row) in gates.data_mut().chunks_exact_mut(GATES * a_h).enumerate() {
+                    for (g, dst) in row.chunks_exact_mut(a_h).enumerate() {
+                        dst.copy_from_slice(&gate(g)[b * a_h..][..a_h]);
                     }
-                    let crow = c.row_mut(s);
-                    let grow = gates.row(s);
-                    for k in 0..a_h {
-                        crow[k] = grow[a_h + k] * c_prev.row(s)[k] + grow[k] * grow[2 * a_h + k];
-                    }
-                    let tc = tanh_c.row_mut(s);
-                    let crow = c.row(s);
-                    for k in 0..a_h {
-                        tc[k] = crow[k].tanh();
-                    }
-                    let hrow = h.row_mut(s);
-                    for k in 0..a_h {
-                        hrow[k] = grow[3 * a_h + k] * tc[k];
-                    }
-                    let dst = &mut out.data_mut()[(s * steps + t) * a_h..(s * steps + t + 1) * a_h];
-                    dst.copy_from_slice(&h.row(s)[..a_h]);
                 }
+                let mut tc = Tensor::pooled_zeros([batch, a_h]);
+                tc.data_mut().copy_from_slice(&tanh_c);
                 self.cache.push(StepCache {
-                    x: xt,
+                    x: x_t,
                     h_prev,
                     c_prev,
                     gates,
-                    tanh_c,
+                    tanh_c: tc,
                 });
-            } else {
-                // Inference keeps nothing: gates stay in registers and the
-                // state updates in place (same operation order as Train).
-                for s in 0..batch {
-                    let zrow = &z[s * GATES * a_h..(s + 1) * GATES * a_h];
-                    let crow = c.row_mut(s);
-                    let hrow = h.row_mut(s);
-                    for k in 0..a_h {
-                        let i = sigmoid(zrow[k]);
-                        let f = sigmoid(zrow[a_h + k]);
-                        let g = zrow[2 * a_h + k].tanh();
-                        let o = sigmoid(zrow[3 * a_h + k]);
-                        crow[k] = f * crow[k] + i * g;
-                        hrow[k] = o * crow[k].tanh();
-                    }
-                    let dst = &mut out.data_mut()[(s * steps + t) * a_h..(s * steps + t + 1) * a_h];
-                    dst.copy_from_slice(&h.row(s)[..a_h]);
-                }
-                xt_spare = Some(xt);
             }
         }
+        self.ws.put(Role::StepInput, xt);
         self.ws.put(Role::Preact, z);
-        if let Some(xt) = xt_spare {
-            xt.recycle();
-        }
+        self.ws.put(Role::Cell, tanh_c);
         h.recycle();
         c.recycle();
         out
@@ -500,51 +407,13 @@ impl Layer for Lstm {
     fn forward_prefix(&mut self, x: &Tensor, from: Option<SliceRate>, to: SliceRate) -> Tensor {
         // The recurrence threads every hidden group through every timestep,
         // so a per-group delta would need per-group frozen-prefix recurrence
-        // state — future work. Instead this recomputes at `to` (a pure
-        // function of (x, to), preserving the bitwise refine guarantee) with
-        // panel-backed gate GEMMs, which is where the wall-clock goes.
+        // state — future work. Instead this recomputes at `to` on the panels
+        // (a pure function of (x, to), preserving the bitwise refine
+        // guarantee).
         let _ = from;
         self.set_slice_rate(to);
         self.ensure_packed();
-        let dims = x.dims();
-        assert_eq!(dims.len(), 3, "{}: expect [B, T, D]", self.name);
-        let (batch, steps, d) = (dims[0], dims[1], dims[2]);
-        assert_eq!(d, self.active_in, "{}: input width", self.name);
-        let a_h = self.active_h;
-
-        let mut h = Tensor::pooled_zeros([batch, a_h]);
-        let mut c = Tensor::pooled_zeros([batch, a_h]);
-        let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
-        let mut z = self.ws.take(Role::Preact, batch * GATES * a_h);
-        let mut xt = Tensor::pooled_zeros([batch, d]);
-        for t in 0..steps {
-            for s in 0..batch {
-                let src = &x.data()[(s * steps + t) * d..(s * steps + t + 1) * d];
-                xt.row_mut(s).copy_from_slice(src);
-            }
-            z.iter_mut().for_each(|v| *v = 0.0);
-            self.gate_preacts_packed(&xt, &h, batch, &mut z);
-            for s in 0..batch {
-                let zrow = &z[s * GATES * a_h..(s + 1) * GATES * a_h];
-                let crow = c.row_mut(s);
-                let hrow = h.row_mut(s);
-                for k in 0..a_h {
-                    let i = sigmoid(zrow[k]);
-                    let f = sigmoid(zrow[a_h + k]);
-                    let g = zrow[2 * a_h + k].tanh();
-                    let o = sigmoid(zrow[3 * a_h + k]);
-                    crow[k] = f * crow[k] + i * g;
-                    hrow[k] = o * crow[k].tanh();
-                }
-                let dst = &mut out.data_mut()[(s * steps + t) * a_h..(s * steps + t + 1) * a_h];
-                dst.copy_from_slice(&h.row(s)[..a_h]);
-            }
-        }
-        self.ws.put(Role::Preact, z);
-        xt.recycle();
-        h.recycle();
-        c.recycle();
-        out
+        self.forward(x, Mode::Infer)
     }
 
     fn prepack(&mut self) -> bool {

@@ -1,7 +1,104 @@
 //! Recurrent layers.
+//!
+//! Both cells run one forward for training and inference. The input
+//! projection `X·W_xᵀ` does not depend on the recurrence, so it is hoisted
+//! out of the time loop into one `[T·B, D]` GEMM per gate over a time-major
+//! copy of the input; the pre-activations live gate-major
+//! (`[gate][t][b][unit]`), which makes one gate of one step a contiguous
+//! `B × a_h` slab that the recurrent GEMM accumulates into and the
+//! vectorised `sigmoid`/`tanh` slab kernels of `ms_tensor::ops` activate in
+//! place. The modes differ only in what they keep for `backward` and in
+//! where the weights are read from ([`gate_gemm`]).
 
 pub mod gru;
 pub mod lstm;
 
 pub use gru::{Gru, GruConfig};
 pub use lstm::{Lstm, LstmConfig};
+
+use ms_tensor::matmul::{gemm, Trans};
+use ms_tensor::ops::add_bias_rows;
+use ms_tensor::panels::{gemm_packed_b, PackedB};
+use ms_tensor::Tensor;
+
+/// `c[m, a_h] += scale · a[m, k] · W_g[0..a_h, 0..k]ᵀ`, where `W_g` is gate
+/// block `gate` (rows `gate·h_full ..`) of `w: [G·h_full, k_full]`.
+///
+/// With `panels` (the persistent packing of `wᵀ`; inference on a prepacked
+/// layer) the weight side is read in place; without (training, where the
+/// weights move every step, and un-packed nets) `gemm` packs it per call.
+#[allow(clippy::too_many_arguments)]
+fn gate_gemm(
+    w: &Tensor,
+    panels: Option<&PackedB>,
+    h_full: usize,
+    gate: usize,
+    a_h: usize,
+    scale: f32,
+    m: usize,
+    k: usize,
+    a: &[f32],
+    c: &mut [f32],
+) {
+    let row0 = gate * h_full;
+    match panels {
+        Some(pb) => gemm_packed_b(m, 0, k, row0, row0 + a_h, scale, a, k, pb, 1.0, c, a_h),
+        None => {
+            let k_full = w.dims()[1];
+            let block = &w.data()[row0 * k_full..];
+            gemm(
+                Trans::No,
+                Trans::Yes,
+                m,
+                a_h,
+                k,
+                scale,
+                a,
+                k,
+                block,
+                k_full,
+                1.0,
+                c,
+                a_h,
+            );
+        }
+    }
+}
+
+/// The input projection of every step at once, gate-major:
+/// `z[g] = scale · X · W_x[g]ᵀ + bias[g]` for each `[rows, a_h]` gate block
+/// of `z` (`rows = T·B`, `xt` time-major, `z` zeroed by the caller).
+#[allow(clippy::too_many_arguments)]
+fn project_inputs(
+    w_x: &Tensor,
+    panels: Option<&PackedB>,
+    bias: &Tensor,
+    h_full: usize,
+    a_h: usize,
+    scale: f32,
+    rows: usize,
+    d: usize,
+    xt: &[f32],
+    z: &mut [f32],
+) {
+    for (gate, zg) in z.chunks_exact_mut(rows * a_h).enumerate() {
+        gate_gemm(w_x, panels, h_full, gate, a_h, scale, rows, d, xt, zg);
+        add_bias_rows(zg, &bias.data()[gate * h_full..], a_h, a_h);
+    }
+}
+
+/// Copies `x: [B, T, D]` into `xt: [T, B, D]` (time-major rows `t·B + b`).
+fn to_time_major(x: &[f32], batch: usize, steps: usize, d: usize, xt: &mut [f32]) {
+    for (b, sample) in x.chunks_exact(steps * d).enumerate().take(batch) {
+        for (t, row) in sample.chunks_exact(d).enumerate() {
+            xt[(t * batch + b) * d..][..d].copy_from_slice(row);
+        }
+    }
+}
+
+/// Writes the step-`t` hidden state `h: [B, a_h]` into `out: [B, T, a_h]`.
+fn store_step(h: &[f32], t: usize, steps: usize, a_h: usize, out: &mut [f32]) {
+    for (b, row) in h.chunks_exact(a_h).enumerate() {
+        out[(b * steps + t) * a_h..][..a_h].copy_from_slice(row);
+    }
+}

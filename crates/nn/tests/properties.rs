@@ -6,14 +6,52 @@ use ms_nn::gradcheck::{check_layer, CheckOpts};
 use ms_nn::layer::{Layer, Mode};
 use ms_nn::linear::{Linear, LinearConfig};
 use ms_nn::norm::GroupNorm;
+use ms_nn::rnn::gru::{Gru, GruConfig};
 use ms_nn::rnn::lstm::{Lstm, LstmConfig};
 use ms_nn::slice::{active_units, SliceRate};
 use ms_tensor::{SeededRng, Tensor};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn random_tensor(rng: &mut SeededRng, dims: Vec<usize>) -> Tensor {
     let n: usize = dims.iter().product();
     Tensor::from_vec(dims, (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect()).expect("tensor")
+}
+
+/// Batches the packed-vs-`gemm` properties draw from (1 … 64).
+const BATCHES: [usize; 6] = [1, 2, 7, 24, 32, 64];
+
+/// Both recurrent cells at one `(D, H)` with eight slice groups on each side.
+fn recurrent_pair(d: usize, h: usize, rescale: bool, seed: u64) -> [Box<dyn Layer>; 2] {
+    let lstm = LstmConfig {
+        in_dim: d,
+        hidden_dim: h,
+        in_groups: Some(8),
+        out_groups: Some(8),
+        input_rescale: rescale,
+    };
+    let gru = GruConfig {
+        in_dim: d,
+        hidden_dim: h,
+        in_groups: Some(8),
+        out_groups: Some(8),
+        input_rescale: rescale,
+    };
+    [
+        Box::new(Lstm::new("lstm", lstm, &mut SeededRng::new(seed))),
+        Box::new(Gru::new("gru", gru, &mut SeededRng::new(seed))),
+    ]
+}
+
+fn assert_close(got: &Tensor, want: &Tensor, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.dims(), want.dims());
+    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        prop_assert!(
+            (g - w).abs() <= 1e-5 * w.abs().max(1.0),
+            "{what}: element {i}: packed {g} vs gemm {w}"
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -107,6 +145,100 @@ proptest! {
                 (g - w).abs() <= 1e-5 * w.abs().max(1.0),
                 "element {i}: packed {g} vs gemm {w} ({in_dim}x{out_dim} rate {rate} batch {batch})"
             );
+        }
+    }
+
+    /// Weight-stationary conv inference (`gemm_packed_a` on the persistent
+    /// panels) agrees with the per-call-packing `gemm` path at every rate of
+    /// g = 8, batches 1…64, strided and padded geometry, bias on.
+    #[test]
+    fn packed_conv_forward_matches_gemm_path(
+        in_mult in 1usize..4,
+        out_mult in 1usize..4,
+        side in 3usize..9,
+        kernel in 1usize..=3,
+        stride in 1usize..=2,
+        pad in 0usize..=1,
+        rate_idx in 1u32..=8,
+        batch_idx in 0usize..BATCHES.len(),
+        seed in any::<u64>(),
+    ) {
+        let cfg = Conv2dConfig {
+            in_ch: 8 * in_mult,
+            out_ch: 8 * out_mult,
+            kernel,
+            stride,
+            pad,
+            h: side,
+            w: side,
+            in_groups: Some(8),
+            out_groups: Some(8),
+            bias: true,
+        };
+        let mut plain = Conv2d::new("c", cfg.clone(), &mut SeededRng::new(seed));
+        let mut packed = Conv2d::new("c", cfg, &mut SeededRng::new(seed));
+        prop_assert!(packed.prepack());
+        let rate = SliceRate::new(rate_idx as f32 / 8.0);
+        plain.set_slice_rate(rate);
+        packed.set_slice_rate(rate);
+        let dims = vec![BATCHES[batch_idx], plain.active_channels().0, side, side];
+        let x = random_tensor(&mut SeededRng::new(seed ^ 0x9e37), dims);
+        let want = plain.forward(&x, Mode::Infer);
+        let got = packed.forward(&x, Mode::Infer);
+        assert_close(&got, &want, "conv")?;
+    }
+
+    /// The same for both recurrent cells: panels for the hoisted input
+    /// projection and for every step's recurrent product.
+    #[test]
+    fn packed_recurrent_forward_matches_gemm_path(
+        d_mult in 1usize..4,
+        h_mult in 1usize..4,
+        steps in 1usize..6,
+        rescale in any::<bool>(),
+        rate_idx in 1u32..=8,
+        batch_idx in 0usize..BATCHES.len(),
+        seed in any::<u64>(),
+    ) {
+        let rate = SliceRate::new(rate_idx as f32 / 8.0);
+        let a_d = active_units(8 * d_mult, 8, rate);
+        let x = random_tensor(
+            &mut SeededRng::new(seed ^ 0x9e37),
+            vec![BATCHES[batch_idx], steps, a_d],
+        );
+        let plain = recurrent_pair(8 * d_mult, 8 * h_mult, rescale, seed);
+        let packed = recurrent_pair(8 * d_mult, 8 * h_mult, rescale, seed);
+        for (mut plain, mut packed) in plain.into_iter().zip(packed) {
+            prop_assert!(packed.prepack());
+            plain.set_slice_rate(rate);
+            packed.set_slice_rate(rate);
+            let want = plain.forward(&x, Mode::Infer);
+            let got = packed.forward(&x, Mode::Infer);
+            assert_close(&got, &want, packed.name())?;
+        }
+    }
+
+    /// Training and inference run one forward: on an un-packed cell the two
+    /// modes write the same bits (a model is served with the arithmetic it
+    /// was trained with; only what is kept for `backward` differs).
+    #[test]
+    fn recurrent_train_and_infer_forwards_agree_bitwise(
+        h_mult in 1usize..4,
+        steps in 1usize..6,
+        rescale in any::<bool>(),
+        rate_idx in 1u32..=8,
+        batch in 1usize..9,
+        seed in any::<u64>(),
+    ) {
+        let rate = SliceRate::new(rate_idx as f32 / 8.0);
+        let a_d = active_units(16, 8, rate);
+        let x = random_tensor(&mut SeededRng::new(seed ^ 0x51), vec![batch, steps, a_d]);
+        for mut cell in recurrent_pair(16, 8 * h_mult, rescale, seed) {
+            cell.set_slice_rate(rate);
+            let train = cell.forward(&x, Mode::Train);
+            let infer = cell.forward(&x, Mode::Infer);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&train), bits(&infer), "{} at rate {}", cell.name(), rate);
         }
     }
 

@@ -53,44 +53,95 @@ impl ConvGeom {
     }
 }
 
+/// Output positions `[lo, hi)` along one axis whose input coordinate
+/// `o·stride + k_off − pad` lands inside `[0, len_in)`; everything outside
+/// the span reads zero padding.
+#[inline]
+fn valid_span(
+    len_in: usize,
+    len_out: usize,
+    k_off: usize,
+    stride: usize,
+    pad: usize,
+) -> (usize, usize) {
+    let lo = pad.saturating_sub(k_off).div_ceil(stride).min(len_out);
+    let hi = if len_in + pad > k_off {
+        ((len_in - 1 + pad - k_off) / stride + 1).min(len_out)
+    } else {
+        0
+    };
+    (lo, hi.max(lo))
+}
+
 /// Lowers `channels` input channels of a `[C, H, W]` sample into the im2col
 /// buffer `col` of shape `[channels·KH·KW, OH·OW]` (row-major).
 ///
 /// `col` must have exactly `channels * kh * kw * out_len` elements; it is
-/// fully overwritten.
+/// fully overwritten. Each `(c, ki, kj, oy)` output row is one contiguous
+/// copy of the valid input span plus a zero fill of the padded edges (a
+/// strided gather only when `stride > 1`) — no per-element bounds test; in
+/// "same" geometry the rows of a tap fuse into a single copy.
 pub fn im2col(input: &[f32], channels: usize, geom: &ConvGeom, col: &mut [f32]) {
+    let _span = ms_telemetry::span!("conv.im2col");
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let out_len = oh * ow;
+    let (h, w, stride, pad) = (geom.h, geom.w, geom.stride, geom.pad);
     debug_assert!(geom.is_valid(), "invalid conv geometry {geom:?}");
-    debug_assert!(input.len() >= channels * geom.h * geom.w);
+    debug_assert!(input.len() >= channels * h * w);
     debug_assert_eq!(col.len(), channels * geom.kh * geom.kw * out_len);
+    if out_len == 0 {
+        return;
+    }
 
-    let mut row = 0usize;
+    // "Same" geometry (stride 1, output as wide as the input): the output
+    // rows of one tap are adjacent in `col` and their sources adjacent in the
+    // plane, so the whole valid block is one run at a fixed offset.
+    let dense = stride == 1 && ow == w;
+    let mut rows = col.chunks_exact_mut(out_len);
     for c in 0..channels {
-        let plane = &input[c * geom.h * geom.w..(c + 1) * geom.h * geom.w];
+        let plane = &input[c * h * w..(c + 1) * h * w];
         for ki in 0..geom.kh {
+            let (oy_lo, oy_hi) = valid_span(h, oh, ki, stride, pad);
             for kj in 0..geom.kw {
-                let dst = &mut col[row * out_len..(row + 1) * out_len];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
-                    if iy < 0 || iy as usize >= geom.h {
-                        dst[idx..idx + ow].iter_mut().for_each(|v| *v = 0.0);
-                        idx += ow;
-                        continue;
+                let (ox_lo, ox_hi) = valid_span(w, ow, kj, stride, pad);
+                let dst = rows.next().expect("one col row per (c, ki, kj)");
+                if oy_lo == oy_hi || ox_lo == ox_hi {
+                    dst.fill(0.0); // the tap only ever sees padding
+                    continue;
+                }
+                dst[..oy_lo * ow].fill(0.0);
+                dst[oy_hi * ow..].fill(0.0);
+                // First valid input column; the span's last one is in range
+                // by `valid_span`.
+                let ix0 = ox_lo * stride + kj - pad;
+                if dense {
+                    let (d0, d1) = (oy_lo * ow + ox_lo, (oy_hi - 1) * ow + ox_hi);
+                    let s0 = (oy_lo + ki - pad) * w + ix0;
+                    dst[d0..d1].copy_from_slice(&plane[s0..s0 + (d1 - d0)]);
+                    // The run wrapped the padding columns in from the
+                    // neighbouring rows; they are few, so clear them down
+                    // the column rather than row by row.
+                    for ox in (0..ox_lo).chain(ox_hi..ow) {
+                        for oy in oy_lo..oy_hi {
+                            dst[oy * ow + ox] = 0.0;
+                        }
                     }
-                    let src_row = &plane[iy as usize * geom.w..(iy as usize + 1) * geom.w];
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
-                        dst[idx] = if ix < 0 || ix as usize >= geom.w {
-                            0.0
-                        } else {
-                            src_row[ix as usize]
-                        };
-                        idx += 1;
+                    continue;
+                }
+                for oy in oy_lo..oy_hi {
+                    let src = &plane[(oy * stride + ki - pad) * w..][..w];
+                    let out = &mut dst[oy * ow..(oy + 1) * ow];
+                    out[..ox_lo].fill(0.0);
+                    out[ox_hi..].fill(0.0);
+                    let span = &mut out[ox_lo..ox_hi];
+                    if stride == 1 {
+                        span.copy_from_slice(&src[ix0..ix0 + span.len()]);
+                    } else {
+                        for (v, &x) in span.iter_mut().zip(src[ix0..].iter().step_by(stride)) {
+                            *v = x;
+                        }
                     }
                 }
-                row += 1;
             }
         }
     }
@@ -98,82 +149,137 @@ pub fn im2col(input: &[f32], channels: usize, geom: &ConvGeom, col: &mut [f32]) 
 
 /// Scatter-adds an im2col-layout gradient back to the input gradient
 /// (`dinput`, `[channels, H, W]`, accumulated — caller zeroes it first).
+/// Walks the same valid spans as [`im2col`].
 pub fn col2im(col: &[f32], channels: usize, geom: &ConvGeom, dinput: &mut [f32]) {
+    let _span = ms_telemetry::span!("conv.col2im");
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let out_len = oh * ow;
+    let (h, w, stride, pad) = (geom.h, geom.w, geom.stride, geom.pad);
     debug_assert_eq!(col.len(), channels * geom.kh * geom.kw * out_len);
-    debug_assert!(dinput.len() >= channels * geom.h * geom.w);
+    debug_assert!(dinput.len() >= channels * h * w);
+    if out_len == 0 {
+        return;
+    }
 
-    let mut row = 0usize;
+    let mut rows = col.chunks_exact(out_len);
     for c in 0..channels {
-        let plane = &mut dinput[c * geom.h * geom.w..(c + 1) * geom.h * geom.w];
+        let plane = &mut dinput[c * h * w..(c + 1) * h * w];
         for ki in 0..geom.kh {
+            let (oy_lo, oy_hi) = valid_span(h, oh, ki, stride, pad);
             for kj in 0..geom.kw {
-                let src = &col[row * out_len..(row + 1) * out_len];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
-                    if iy < 0 || iy as usize >= geom.h {
-                        idx += ow;
-                        continue;
-                    }
-                    let dst_row =
-                        &mut plane[iy as usize * geom.w..(iy as usize + 1) * geom.w];
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
-                        if ix >= 0 && (ix as usize) < geom.w {
-                            dst_row[ix as usize] += src[idx];
+                let (ox_lo, ox_hi) = valid_span(w, ow, kj, stride, pad);
+                let src = rows.next().expect("one col row per (c, ki, kj)");
+                if ox_lo == ox_hi {
+                    continue;
+                }
+                let ix0 = ox_lo * stride + kj - pad;
+                for oy in oy_lo..oy_hi {
+                    let dst = &mut plane[(oy * stride + ki - pad) * w..][..w];
+                    let span = &src[oy * ow + ox_lo..oy * ow + ox_hi];
+                    if stride == 1 {
+                        for (d, &g) in dst[ix0..ix0 + span.len()].iter_mut().zip(span) {
+                            *d += g;
                         }
-                        idx += 1;
+                    } else {
+                        for (d, &g) in dst[ix0..].iter_mut().step_by(stride).zip(span) {
+                            *d += g;
+                        }
                     }
                 }
-                row += 1;
             }
         }
     }
 }
 
-/// Max-pooling over one `[C, H, W]` sample. Writes the pooled output and the
-/// flat argmax index (into the input plane) per output cell for backward.
+/// Max-pooling over one `[C, H, W]` sample. Writes the pooled output and,
+/// when `argmax` is given (training), the flat index into the input plane of
+/// each output cell's maximum for the backward pass. Inference passes `None`
+/// and, for the 2×2 / stride-2 / unpadded window every model here uses,
+/// takes a bounds-check-free loop; the output bits are the same either way.
 pub fn maxpool_forward(
     input: &[f32],
     channels: usize,
     geom: &ConvGeom,
     output: &mut [f32],
-    argmax: &mut [u32],
+    mut argmax: Option<&mut [u32]>,
 ) {
+    let _span = ms_telemetry::span!("pool.max");
     let (oh, ow) = (geom.out_h(), geom.out_w());
     debug_assert_eq!(output.len(), channels * oh * ow);
-    debug_assert_eq!(argmax.len(), output.len());
+    debug_assert!(argmax.as_ref().is_none_or(|a| a.len() == output.len()));
+    let halving = geom.kh == 2 && geom.kw == 2 && geom.stride == 2 && geom.pad == 0;
     for c in 0..channels {
         let plane = &input[c * geom.h * geom.w..(c + 1) * geom.h * geom.w];
         let out_plane = &mut output[c * oh * ow..(c + 1) * oh * ow];
-        let arg_plane = &mut argmax[c * oh * ow..(c + 1) * oh * ow];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0u32;
-                for ki in 0..geom.kh {
-                    let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
-                    if iy < 0 || iy as usize >= geom.h {
+        match argmax.as_deref_mut() {
+            Some(argmax) => {
+                let arg_plane = &mut argmax[c * oh * ow..(c + 1) * oh * ow];
+                maxpool_plane(plane, geom, out_plane, |cell, flat| arg_plane[cell] = flat);
+            }
+            None if halving => maxpool_halve_plane(plane, geom.w, out_plane, ow),
+            None => maxpool_plane(plane, geom, out_plane, |_, _| {}),
+        }
+    }
+}
+
+/// General max-pool of one plane; `note(cell, flat)` receives each output
+/// cell's argmax (first maximum in window scan order).
+fn maxpool_plane(
+    plane: &[f32],
+    geom: &ConvGeom,
+    out_plane: &mut [f32],
+    mut note: impl FnMut(usize, u32),
+) {
+    let (oh, ow) = (geom.out_h(), geom.out_w());
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let mut best = f32::NEG_INFINITY;
+            let mut best_idx = 0u32;
+            for ki in 0..geom.kh {
+                let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
+                if iy < 0 || iy as usize >= geom.h {
+                    continue;
+                }
+                for kj in 0..geom.kw {
+                    let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
+                    if ix < 0 || ix as usize >= geom.w {
                         continue;
                     }
-                    for kj in 0..geom.kw {
-                        let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
-                        if ix < 0 || ix as usize >= geom.w {
-                            continue;
-                        }
-                        let flat = iy as usize * geom.w + ix as usize;
-                        let v = plane[flat];
-                        if v > best {
-                            best = v;
-                            best_idx = flat as u32;
-                        }
+                    let flat = iy as usize * geom.w + ix as usize;
+                    let v = plane[flat];
+                    if v > best {
+                        best = v;
+                        best_idx = flat as u32;
                     }
                 }
-                out_plane[oy * ow + ox] = best;
-                arg_plane[oy * ow + ox] = best_idx;
             }
+            out_plane[oy * ow + ox] = best;
+            note(oy * ow + ox, best_idx);
+        }
+    }
+}
+
+/// 2×2 / stride-2 / unpadded max-pool of one plane: the same `v > best`
+/// chain over the window in the same order as [`maxpool_plane`], on slices
+/// whose lengths the compiler can see.
+fn maxpool_halve_plane(plane: &[f32], w: usize, out_plane: &mut [f32], ow: usize) {
+    if ow == 0 {
+        return;
+    }
+    for (out_row, pair) in out_plane
+        .chunks_exact_mut(ow)
+        .zip(plane.chunks_exact(2 * w))
+    {
+        let (top, bottom) = pair.split_at(w);
+        let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+        for (o, (t, b)) in out_row.iter_mut().zip(windows) {
+            let mut best = f32::NEG_INFINITY;
+            for v in [t[0], t[1], b[0], b[1]] {
+                if v > best {
+                    best = v;
+                }
+            }
+            *o = best;
         }
     }
 }
@@ -201,6 +307,7 @@ pub fn maxpool_backward(
 
 /// Global average pooling: `[C, H, W] → [C]`.
 pub fn global_avgpool_forward(input: &[f32], channels: usize, hw: usize, output: &mut [f32]) {
+    let _span = ms_telemetry::span!("pool.global_avg");
     debug_assert_eq!(input.len(), channels * hw);
     debug_assert!(output.len() >= channels);
     let inv = 1.0 / hw as f32;
@@ -226,6 +333,8 @@ pub fn global_avgpool_backward(doutput: &[f32], channels: usize, hw: usize, dinp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SeededRng;
+    use proptest::prelude::*;
 
     fn geom(h: usize, w: usize, k: usize, stride: usize, pad: usize) -> ConvGeom {
         ConvGeom {
@@ -235,6 +344,132 @@ mod tests {
             kw: k,
             stride,
             pad,
+        }
+    }
+
+    /// The per-element loops the span-copy kernels replaced, kept as the
+    /// oracle: a bounds test per tap, nothing clever.
+    fn im2col_reference(input: &[f32], channels: usize, geom: &ConvGeom, col: &mut [f32]) {
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let mut idx = 0usize;
+        for c in 0..channels {
+            let plane = &input[c * geom.h * geom.w..(c + 1) * geom.h * geom.w];
+            for ki in 0..geom.kh {
+                for kj in 0..geom.kw {
+                    for oy in 0..oh {
+                        let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
+                        for ox in 0..ow {
+                            let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
+                            let inside = iy >= 0
+                                && (iy as usize) < geom.h
+                                && ix >= 0
+                                && (ix as usize) < geom.w;
+                            col[idx] = if inside {
+                                plane[iy as usize * geom.w + ix as usize]
+                            } else {
+                                0.0
+                            };
+                            idx += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn col2im_reference(col: &[f32], channels: usize, geom: &ConvGeom, dinput: &mut [f32]) {
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let mut idx = 0usize;
+        for c in 0..channels {
+            let plane = &mut dinput[c * geom.h * geom.w..(c + 1) * geom.h * geom.w];
+            for ki in 0..geom.kh {
+                for kj in 0..geom.kw {
+                    for oy in 0..oh {
+                        let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
+                        for ox in 0..ow {
+                            let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
+                            if iy >= 0
+                                && (iy as usize) < geom.h
+                                && ix >= 0
+                                && (ix as usize) < geom.w
+                            {
+                                plane[iy as usize * geom.w + ix as usize] += col[idx];
+                            }
+                            idx += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Span-copy `im2col` is byte-identical to the per-element loop, and
+        /// `col2im` both matches its own reference bitwise and stays the
+        /// adjoint of `im2col`, over kernels wider than the image, strides
+        /// that skip the last columns and padding on every side.
+        #[test]
+        fn lowering_matches_the_per_element_reference(
+            c in 1usize..4, h in 1usize..9, w in 1usize..9,
+            k in 1usize..=5, stride in 1usize..=3, pad in 0usize..=2,
+            seed in any::<u64>(),
+        ) {
+            let g = geom(h, w, k, stride, pad);
+            prop_assume!(g.is_valid());
+            let mut rng = SeededRng::new(seed);
+            let x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let col_len = c * k * k * g.out_len();
+            let mut want = vec![7.0f32; col_len];
+            let mut got = vec![-7.0f32; col_len];
+            im2col_reference(&x, c, &g, &mut want);
+            im2col(&x, c, &g, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
+
+            let y: Vec<f32> = (0..col_len).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let mut back_want = x.clone();
+            let mut back = x.clone();
+            col2im_reference(&y, c, &g, &mut back_want);
+            col2im(&y, c, &g, &mut back);
+            prop_assert_eq!(bits(&back), bits(&back_want));
+
+            // <im2col(x), y> == <x, col2im(y)> with col2im from zero.
+            let mut adj = vec![0.0f32; x.len()];
+            col2im(&y, c, &g, &mut adj);
+            let lhs: f64 = got.iter().zip(&y).map(|(a, b)| (a * b) as f64).sum();
+            let rhs: f64 = x.iter().zip(&adj).map(|(a, b)| (a * b) as f64).sum();
+            prop_assert!((lhs - rhs).abs() < 1e-3, "{} vs {}", lhs, rhs);
+        }
+
+        /// Pooling without the argmax (the 2×2 fast loop included) writes the
+        /// same bits as pooling with it, NaN and −0.0 cells included.
+        #[test]
+        fn maxpool_output_does_not_depend_on_argmax(
+            c in 1usize..3, h in 2usize..9, w in 2usize..9,
+            k in 1usize..=3, stride in 1usize..=3,
+            seed in any::<u64>(),
+        ) {
+            let g = geom(h, w, k, stride, 0);
+            prop_assume!(g.is_valid());
+            let mut rng = SeededRng::new(seed);
+            let x: Vec<f32> = (0..c * h * w)
+                .map(|i| match i % 11 {
+                    0 => f32::NAN,
+                    1 => -0.0,
+                    _ => rng.uniform(-1.0, 1.0),
+                })
+                .collect();
+            let n = c * g.out_len();
+            let (mut with, mut without) = (vec![0.0f32; n], vec![1.0f32; n]);
+            let mut arg = vec![0u32; n];
+            maxpool_forward(&x, c, &g, &mut with, Some(&mut arg));
+            maxpool_forward(&x, c, &g, &mut without, None);
+            prop_assert_eq!(bits(&with), bits(&without));
         }
     }
 
@@ -278,7 +513,6 @@ mod tests {
     fn col2im_is_adjoint_of_im2col() {
         // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
         // property that makes the conv backward pass correct.
-        use crate::rng::SeededRng;
         let mut rng = SeededRng::new(3);
         let g = geom(5, 4, 3, 2, 1);
         let c = 3;
@@ -303,7 +537,7 @@ mod tests {
         let g = geom(2, 2, 2, 2, 0);
         let mut out = vec![0.0; 1];
         let mut arg = vec![0u32; 1];
-        maxpool_forward(&input, 1, &g, &mut out, &mut arg);
+        maxpool_forward(&input, 1, &g, &mut out, Some(&mut arg));
         assert_eq!(out, vec![4.0]);
         assert_eq!(arg, vec![3]);
         let mut dx = vec![0.0; 4];

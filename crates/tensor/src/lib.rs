@@ -24,6 +24,9 @@ pub mod shape;
 pub mod tensor;
 
 pub use error::TensorError;
+/// The span tracer's `span!`, re-exported so the layer crates built on this
+/// one can mark spans without a telemetry dependency of their own.
+pub use ms_telemetry::span;
 pub use rng::SeededRng;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -326,6 +326,16 @@ pub(crate) fn pack_b_into(
         let j_base = jc + t * NR;
         let cols = NR.min(nc - t * NR);
         match trans_b {
+            // A full strip copies rows of a length the compiler knows (two
+            // vector moves); the generic arm would call `memcpy` per row.
+            Trans::No if cols == NR => {
+                for (p, dst) in buf[off..off + kc * NR].chunks_exact_mut(NR).enumerate() {
+                    let src: &[f32; NR] = b[(pc + p) * ldb + j_base..][..NR]
+                        .try_into()
+                        .expect("NR-wide row");
+                    dst.copy_from_slice(src);
+                }
+            }
             Trans::No => {
                 for p in 0..kc {
                     let src = &b[(pc + p) * ldb + j_base..][..cols];

@@ -273,18 +273,16 @@ pub fn gemm_packed_b(
     });
 }
 
-/// `C[m0..m1, 0..n) = alpha · op(A)[m0..m1, k0..k1) · B[k0..k1, :] + beta · C`
-/// with `op(A)` prepacked.
+/// `C[m0..m1, 0..n) = alpha · op(A)[m0..m1, 0..k1) · B[0..k1, :] + beta · C`
+/// with `op(A)` prepacked: [`gemm_packed_a_stepped`] with a single step.
 ///
-/// `b` is indexed by absolute `k` (`b[p * ldb + j]` for `p ∈ [k0, k1)`); `c`
-/// holds only the requested row window (`c[(i - m0) * ldc + j]`). The `B`
-/// side is packed per call (for convolution it is the fresh im2col matrix).
+/// `b` holds rows `[0, k1)` (`b[p * ldb + j]`); `c` holds only the requested
+/// row window (`c[(i - m0) * ldc + j]`).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_packed_a(
     m0: usize,
     m1: usize,
     n: usize,
-    k0: usize,
     k1: usize,
     alpha: f32,
     pa: &PackedA,
@@ -294,9 +292,46 @@ pub fn gemm_packed_a(
     c: &mut [f32],
     ldc: usize,
 ) {
+    gemm_packed_a_stepped(&[m0, m1], &[k1], n, alpha, pa, b, ldb, beta, c, ldc);
+}
+
+/// Stepped-`k` sweep over a prepacked `op(A)`: step `i` covers rows
+/// `[rows[i], rows[i+1])` and multiplies them with `k ∈ [0, k_ext[i])`,
+///
+/// `C[rows[i]..rows[i+1], 0..n) = alpha · op(A)[.., 0..k_ext[i]) · B[0..k_ext[i], :] + beta · C`.
+///
+/// `rows` is ascending (`k_ext.len() + 1` boundaries); `c` holds the swept
+/// row window, row `rows[0]` first. `b` is indexed by absolute `k` and must
+/// hold the largest extent. This is the shape of a per-group convolution
+/// prefix pass — output group `g` sees the input channels of groups `≤ g` —
+/// and the reason it is one call: each `KC` block of `B` (the fresh im2col
+/// matrix) is packed **once** and every step reads the leading rows it needs
+/// from that packing. A step's `k` still splits at absolute multiples of
+/// `KC` and its tiles run in the same order, so each output element is
+/// bitwise what a single-step call over its own rows and extent produces.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed_a_stepped(
+    rows: &[usize],
+    k_ext: &[usize],
+    n: usize,
+    alpha: f32,
+    pa: &PackedA,
+    b: &[f32],
+    ldb: usize,
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+) {
     assert!(pa.valid, "gemm_packed_a on invalid panels");
-    assert!(k0 <= k1 && k1 <= pa.k, "k range {k0}..{k1} vs packed {}", pa.k);
-    assert!(m0 <= m1 && m1 <= pa.m, "row range {m0}..{m1} vs packed {}", pa.m);
+    assert_eq!(rows.len(), k_ext.len() + 1, "one k extent per row step");
+    assert!(
+        rows.is_sorted() && rows.last().is_some_and(|&m| m <= pa.m),
+        "row steps {rows:?} vs packed {}",
+        pa.m
+    );
+    let k_max = k_ext.iter().copied().max().unwrap_or(0);
+    assert!(k_max <= pa.k, "k extent {k_max} vs packed {}", pa.k);
+    let (m0, m1) = (rows[0], rows[rows.len() - 1]);
     let mrows = m1 - m0;
     if mrows == 0 {
         return;
@@ -309,39 +344,40 @@ pub fn gemm_packed_a(
             }
         }
     }
-    if k0 == k1 || n == 0 || alpha == 0.0 {
+    if k_max == 0 || n == 0 || alpha == 0.0 {
         return;
     }
-    debug_assert!(ldb >= n.max(1) && b.len() >= (k1 - 1) * ldb + n);
+    debug_assert!(ldb >= n.max(1) && b.len() >= (k_max - 1) * ldb + n);
 
     let _span = ms_telemetry::span!("gemm.panel_a");
-    let s_lo = m0 / MR;
-    let s_hi = (m1 - 1) / MR;
     with_pack_bufs(|_, bpack| {
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             let nc_strips = nc.div_ceil(NR);
-            let mut pc = k0;
-            while pc < k1 {
-                let block = pc / KC;
-                let bstart = block * KC;
-                let block_kc = KC.min(pa.k - bstart);
-                let kc = (bstart + block_kc).min(k1) - pc;
-                let rib = pc - bstart;
+            for (block, pc) in (0..k_max).step_by(KC).enumerate() {
+                let block_kc = KC.min(pa.k - pc);
+                let packed_kc = KC.min(k_max - pc);
                 let boff = pa.block_offsets[block];
-                pack_b(Trans::No, b, ldb, pc, kc, jc, nc, bpack);
-                for s in s_lo..=s_hi {
-                    let si0 = m0.max(s * MR) - s * MR;
-                    let si1 = m1.min(s * MR + MR) - s * MR;
-                    let ap = &pa.buf[boff + s * block_kc * MR + rib * MR..][..kc * MR];
-                    for jr in 0..nc_strips {
-                        let nr = NR.min(nc - jr * NR);
-                        let bp = &bpack[jr * kc * NR..(jr + 1) * kc * NR];
-                        let c_off = (s * MR + si0 - m0) * ldc + jc + jr * NR;
-                        micro_kernel_range(kc, alpha, ap, bp, c, c_off, ldc, si0, si1, 0, nr);
+                pack_b(Trans::No, b, ldb, pc, packed_kc, jc, nc, bpack);
+                for (step, &k1) in k_ext.iter().enumerate() {
+                    let (r0, r1) = (rows[step], rows[step + 1]);
+                    if k1 <= pc || r0 == r1 {
+                        continue;
+                    }
+                    // The leading `kc` rows of every packed strip.
+                    let kc = packed_kc.min(k1 - pc);
+                    for s in r0 / MR..=(r1 - 1) / MR {
+                        let si0 = r0.max(s * MR) - s * MR;
+                        let si1 = r1.min(s * MR + MR) - s * MR;
+                        let ap = &pa.buf[boff + s * block_kc * MR..][..kc * MR];
+                        for jr in 0..nc_strips {
+                            let nr = NR.min(nc - jr * NR);
+                            let bp = &bpack[jr * packed_kc * NR..][..kc * NR];
+                            let c_off = (s * MR + si0 - m0) * ldc + jc + jr * NR;
+                            micro_kernel_range(kc, alpha, ap, bp, c, c_off, ldc, si0, si1, 0, nr);
+                        }
                     }
                 }
-                pc += kc;
             }
         }
     });
@@ -530,7 +566,7 @@ mod tests {
                 let m1 = m0 + 1 + (rng.uniform(0.0, (m - m0) as f32) as usize).min(m - m0 - 1);
                 let k1 = 1 + (rng.uniform(0.0, k as f32) as usize).min(k - 1);
                 let mut c = vec![0.0f32; (m1 - m0) * n];
-                gemm_packed_a(m0, m1, n, 0, k1, 1.0, &pa, &b, n, 0.0, &mut c, n);
+                gemm_packed_a(m0, m1, n, k1, 1.0, &pa, &b, n, 0.0, &mut c, n);
                 let mut want = vec![0.0f32; m * n];
                 gemm_reference(
                     Trans::No,
@@ -572,15 +608,14 @@ mod tests {
         let mut pa = PackedA::new();
         pa.pack(Trans::No, &a, k, m, k);
         let mut whole = vec![0.0f32; m * n];
-        gemm_packed_a(0, m, n, 0, k, 1.0, &pa, &b, n, 0.0, &mut whole, n);
+        gemm_packed_a(0, m, n, k, 1.0, &pa, &b, n, 0.0, &mut whole, n);
         for split in [1, 5, 6, 12, 30] {
             let mut parts = vec![0.0f32; m * n];
-            gemm_packed_a(0, split, n, 0, k, 1.0, &pa, &b, n, 0.0, &mut parts, n);
+            gemm_packed_a(0, split, n, k, 1.0, &pa, &b, n, 0.0, &mut parts, n);
             gemm_packed_a(
                 split,
                 m,
                 n,
-                0,
                 k,
                 1.0,
                 &pa,
@@ -594,6 +629,65 @@ mod tests {
                 whole.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 parts.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "row split at {split} changed bits"
+            );
+        }
+    }
+
+    /// One stepped sweep (columns packed once per `KC` block) writes the
+    /// bits of the per-step `gemm_packed_a` calls it replaces: random group
+    /// boundaries, non-monotone `k` extents, extents on both sides of `KC`
+    /// block edges, empty steps.
+    #[test]
+    fn packed_a_stepped_sweep_is_bitwise_the_per_step_calls() {
+        let mut rng = SeededRng::new(48);
+        let mut pick = |lo: usize, hi: usize| lo + rng.below(hi - lo + 1);
+        for case in 0..24 {
+            let (m, k, n) = (pick(1, 50), pick(1, 2 * KC + 40), pick(1, 70));
+            let mut data = SeededRng::new(100 + case);
+            let a = filled(&mut data, m * k);
+            let b = filled(&mut data, k * n);
+            let mut pa = PackedA::new();
+            pa.pack(Trans::No, &a, k, m, k);
+            let steps = pick(1, 8);
+            let mut rows: Vec<usize> = (0..=steps).map(|_| pick(0, m)).collect();
+            rows.sort_unstable();
+            let k_ext: Vec<usize> = (0..steps)
+                .map(|i| match (case + i as u64) % 4 {
+                    0 => KC.min(k),
+                    1 => (KC + 1).min(k),
+                    _ => pick(0, k),
+                })
+                .collect();
+            let window = rows[steps] - rows[0];
+            let (alpha, beta) = if case % 2 == 0 {
+                (1.0, 0.0)
+            } else {
+                (0.6, 1.0)
+            };
+            let start = filled(&mut data, window * n);
+            let mut swept = start.clone();
+            gemm_packed_a_stepped(&rows, &k_ext, n, alpha, &pa, &b, n, beta, &mut swept, n);
+            let mut parts = start.clone();
+            for i in 0..steps {
+                let c = &mut parts[(rows[i] - rows[0]) * n..];
+                gemm_packed_a(
+                    rows[i],
+                    rows[i + 1],
+                    n,
+                    k_ext[i],
+                    alpha,
+                    &pa,
+                    &b,
+                    n,
+                    beta,
+                    c,
+                    n,
+                );
+            }
+            assert_eq!(
+                swept.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                parts.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "case {case}: rows {rows:?} k {k_ext:?} of {m}x{k}x{n}"
             );
         }
     }

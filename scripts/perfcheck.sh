@@ -8,7 +8,8 @@
 # 3. The zero-allocation instrumented tests must pass in release — layer
 #    forwards (ms-nn) and the engine's batched forward path (ms-core),
 #    each both un-packed and on the prepacked panels a serving replica
-#    runs on, and the telemetry record path (ms-telemetry, both feature
+#    runs on, whole prepacked networks (VGG, NNLM; direct pass and refine
+#    ladder), and the telemetry record path (ms-telemetry, both feature
 #    configs).
 # 4. `determinism_probe` must print byte-identical fingerprints from a
 #    default build and a `--features telemetry-spans` build: the span
@@ -23,8 +24,10 @@
 # 6. Hot forward/backward bodies must not reintroduce ad-hoc allocation:
 #    `Tensor::zeros(` and `vec![` are banned in the layer hot paths — use
 #    `Tensor::pooled_zeros`, `pooled_clone`, `Workspace::take` instead.
-#    The scan covers the packed `forward(Infer)` branch of `Linear` and
-#    the panel GEMM drivers it calls (`gemm_packed_a`/`gemm_packed_b`).
+#    The scan covers the packed `forward(Infer)` branches of `Linear`,
+#    `Conv2d`, `Lstm` and `Gru`, the pooling and embedding layers, and the
+#    panel GEMM drivers they call (`gemm_packed_a`, its stepped-`k` sweep
+#    `gemm_packed_a_stepped`, `gemm_packed_b`).
 # 7. The loopback net gate (PR 4): serving the same full-width request
 #    stream through the TCP front-end must cost <= 15% throughput vs the
 #    in-process engine (MS_NET_GATE_PCT overrides), and `bench_snapshot`
@@ -153,6 +156,8 @@ HOT_FILES=(
     crates/nn/src/norm/group_norm.rs
     crates/nn/src/rnn/lstm.rs
     crates/nn/src/rnn/gru.rs
+    crates/nn/src/pool.rs
+    crates/nn/src/embedding.rs
     crates/tensor/src/panels.rs
 )
 fail=0
@@ -161,7 +166,7 @@ for f in "${HOT_FILES[@]}"; do
     # and the panel GEMM drivers (brace-counted); layer constructors and
     # `pack` may allocate once, the per-call paths may not.
     if ! awk -v file="$f" '
-        /fn (forward|forward_prefix|backward|gemm_packed_a|gemm_packed_b)\(/ { infn = 1; depth = 0; seen = 0 }
+        /fn (forward|forward_prefix|backward|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b)\(/ { infn = 1; depth = 0; seen = 0 }
         infn {
             if ($0 ~ /Tensor::zeros\(|vec!\[/) {
                 printf "    %s:%d: %s\n", file, FNR, $0
