@@ -5,12 +5,6 @@ use ms_models::vgg::{Vgg, VggConfig};
 use ms_models::nnlm::{Nnlm, NnlmConfig};
 use ms_tensor::SeededRng;
 
-pub mod clusterbench;
-pub mod flightbench;
-pub mod netbench;
-pub mod prefixbench;
-pub mod slobench;
-
 /// The standard bench-scale VGG (matches the experiment setting).
 pub fn bench_vgg() -> Vgg {
     let mut rng = SeededRng::new(1);

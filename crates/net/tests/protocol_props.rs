@@ -306,11 +306,12 @@ proptest! {
         prop_assert_eq!(decoded.to_bytes_traced(trace), bytes);
     }
 
-    /// The SLO block is a true optional tail: for any HealthReply carrying
-    /// one, stripping exactly the tail bytes (and re-stamping length +
+    /// The SLO block is a true optional block: for any HealthReply carrying
+    /// one, cutting exactly its bytes out (and re-stamping length +
     /// checksum, as a pre-SLO encoder would have written the frame) decodes
-    /// to the same reply with `slo == None` — old clients and new clients
-    /// agree on every byte that precedes the tail.
+    /// to the same reply with `slo == None` — the shard-identity tail that
+    /// follows it is kept, and old clients and new clients agree on every
+    /// byte that precedes the block.
     #[test]
     fn slo_tail_strips_to_old_layout(seed in any::<u64>()) {
         let frame = build_frame(4, seed);
@@ -327,10 +328,12 @@ proptest! {
             }
             return Ok(());
         }
-        const TAIL: usize = 44; // 4×f64 burns + u32 firing + f64 p99
+        const SLO_BLOCK: usize = 44; // 4×f64 burns + u32 firing + f64 p99
+        const SHARD_TAIL: usize = 12; // shard id + pid + generation, after the SLO block
         const TRACE_EXT: usize = 8; // HealthReply always rides the v2 header
         let mut bytes = frame.to_bytes();
-        bytes.truncate(bytes.len() - TAIL);
+        let slo_end = bytes.len() - if reply.shard.is_some() { SHARD_TAIL } else { 0 };
+        bytes.drain(slo_end - SLO_BLOCK..slo_end);
         let payload_len = (bytes.len() - HEADER_LEN - TRACE_EXT) as u32;
         bytes[8..12].copy_from_slice(&payload_len.to_le_bytes());
         let declared = fnv1a_pair(&bytes);
@@ -339,6 +342,13 @@ proptest! {
         let mut expect = reply;
         expect.slo = None;
         let decoded = Frame::decode(&bytes).unwrap();
+        match &decoded {
+            Frame::HealthReply(h) => {
+                prop_assert!(h.slo.is_none());
+                prop_assert_eq!(h.shard, expect.shard);
+            }
+            _ => unreachable!(),
+        }
         prop_assert_eq!(decoded.to_bytes(), Frame::HealthReply(expect).to_bytes());
     }
 }

@@ -55,6 +55,30 @@ fn probe_indices(len: usize, max: usize) -> Vec<usize> {
     }
 }
 
+/// The central difference at `eps / 2` of the loss `loss_at(delta)` around
+/// `l0 = loss_at(0)`, or `None` when the probe sits on a kink.
+///
+/// Piecewise-linear activations (ReLU, max-pool) make the loss non-smooth; a
+/// probe that crosses a kink produces a garbage central difference. Two
+/// tests must both hold for the probe to count. The central differences at
+/// two step sizes must agree — which catches a kink only one of them
+/// reaches. And the forward and backward one-sided differences at `eps` must
+/// agree — which catches a kink so close to the probe point that both step
+/// sizes straddle it and the two central differences agree with each other
+/// on the same wrong slope (a ReLU behind a one-channel-per-group GroupNorm
+/// amplifies the step enough to do this on most of its probes).
+fn numeric_grad(eps: f32, l0: f64, mut loss_at: impl FnMut(f32) -> f64) -> Option<f32> {
+    let smooth =
+        |d1: f32, d2: f32| -> bool { (d1 - d2).abs() <= 0.05 * (d1.abs() + d2.abs()) + 5e-3 };
+    let h = eps as f64;
+    let (lp, lm) = (loss_at(eps), loss_at(-eps));
+    let forward = ((lp - l0) / h) as f32;
+    let backward = ((l0 - lm) / h) as f32;
+    let full = ((lp - lm) / (2.0 * h)) as f32;
+    let half = ((loss_at(0.5 * eps) - loss_at(-0.5 * eps)) / h) as f32;
+    (smooth(forward, backward) && smooth(full, half)).then_some(half)
+}
+
 /// Checks the input gradient and every parameter gradient of `layer` at `x`.
 ///
 /// Returns `Err` with a human-readable description of the first mismatch.
@@ -90,29 +114,18 @@ pub fn check_layer(
     let agree = |analytic: f32, numeric: f32| -> bool {
         (analytic - numeric).abs() <= opts.tol_abs + opts.tol_rel * numeric.abs()
     };
-    // Piecewise-linear activations (ReLU, max-pool) make the loss
-    // non-smooth; a probe that crosses a kink produces a garbage central
-    // difference. Two step sizes must agree for the probe to count —
-    // otherwise it is skipped as sitting on a kink.
-    let smooth =
-        |d1: f32, d2: f32| -> bool { (d1 - d2).abs() <= 0.05 * (d1.abs() + d2.abs()) + 5e-3 };
 
     // Input gradient.
+    let l0 = loss_of(layer, x, &seed);
     for i in probe_indices(x.numel(), opts.max_probes) {
-        let mut diffs = [0.0f32; 2];
-        for (k, &eps) in [opts.eps, opts.eps * 0.5].iter().enumerate() {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let lp = loss_of(layer, &xp, &seed);
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let lm = loss_of(layer, &xm, &seed);
-            diffs[k] = ((lp - lm) / (2.0 * eps as f64)) as f32;
-        }
-        if !smooth(diffs[0], diffs[1]) {
+        let numeric = numeric_grad(opts.eps, l0, |delta| {
+            let mut xd = x.clone();
+            xd.data_mut()[i] += delta;
+            loss_of(layer, &xd, &seed)
+        });
+        let Some(numeric) = numeric else {
             continue; // kink crossing: numeric estimate unreliable
-        }
-        let numeric = diffs[1];
+        };
         let analytic = dx.data()[i];
         if !agree(analytic, numeric) {
             return Err(format!(
@@ -135,19 +148,15 @@ pub fn check_layer(
 
     for (pi, (pname, grads)) in param_grads.iter().enumerate() {
         for ei in probe_indices(grads.len(), opts.max_probes) {
-            let mut diffs = [0.0f32; 2];
-            for (k, &eps) in [opts.eps, opts.eps * 0.5].iter().enumerate() {
-                perturb(layer, pi, ei, eps);
-                let lp = loss_of(layer, x, &seed);
-                perturb(layer, pi, ei, -2.0 * eps);
-                let lm = loss_of(layer, x, &seed);
-                perturb(layer, pi, ei, eps); // restore
-                diffs[k] = ((lp - lm) / (2.0 * eps as f64)) as f32;
-            }
-            if !smooth(diffs[0], diffs[1]) {
+            let numeric = numeric_grad(opts.eps, l0, |delta| {
+                perturb(layer, pi, ei, delta);
+                let l = loss_of(layer, x, &seed);
+                perturb(layer, pi, ei, -delta); // restore
+                l
+            });
+            let Some(numeric) = numeric else {
                 continue;
-            }
-            let numeric = diffs[1];
+            };
             let analytic = grads[ei];
             if !agree(analytic, numeric) {
                 return Err(format!(
@@ -235,6 +244,27 @@ mod tests {
         let x = Tensor::from_slice(&[1.0, 2.0, -0.5, 3.0]);
         let err = check_layer(&mut layer, &x, &mut rng, &CheckOpts::default());
         assert!(err.is_err());
+        assert!(err.unwrap_err().contains("input grad mismatch"));
+    }
+
+    #[test]
+    fn kink_probes_are_skipped_and_wrong_gradients_still_caught() {
+        // Two inputs sit within eps/4 of ReLU's kink: both step sizes
+        // straddle it, so the two central differences agree with each other
+        // on a slope (~0.6) that is neither side's derivative. Only the
+        // one-sided test tells them from a smooth probe.
+        let eps = CheckOpts::default().eps;
+        let x = Tensor::from_slice(&[0.1 * eps, 1.0, -0.8, -0.125 * eps]);
+        let mut rng = SeededRng::new(1);
+        let mut relu = crate::activation::Relu::new();
+        check_layer(&mut relu, &x, &mut rng, &CheckOpts::default())
+            .expect("probes on a kink are skipped, the smooth ones agree");
+
+        let mut broken = BrokenScale(Scale {
+            w: Param::new("w", Tensor::from_slice(&[0.5, -1.5, 2.0, 0.1]), true),
+            cache: None,
+        });
+        let err = check_layer(&mut broken, &x, &mut rng, &CheckOpts::default());
         assert!(err.unwrap_err().contains("input grad mismatch"));
     }
 }

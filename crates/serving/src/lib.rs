@@ -8,12 +8,12 @@
 //!
 //! - [`workload`] — arrival processes with diurnal cycles and flash-crowd
 //!   spikes up to ≥16× the base rate (the Singles'-Day scenario of §1).
-//! - [`batcher`] — the `T/2` mini-batch accumulation policy.
 //! - [`controller`] — slice-rate selection policies, including the paper's
 //!   elastic policy and the coarse degradation baselines (fixed model,
 //!   model swap, candidate dropping).
-//! - [`simulator`] — a discrete-time loop producing per-batch latency,
-//!   width, shed-rate and accuracy-proxy traces.
+//! - [`simulator`] — a discrete-time loop (one tick = one `T/2` mini-batch
+//!   interval) producing per-batch latency, width, shed-rate and
+//!   accuracy-proxy traces.
 //! - [`queue_sim`] — a backlog-aware variant (queries queue with deadlines
 //!   instead of being shed) showing the fixed-width server's backlog
 //!   snowballing through spikes while the elastic server drains it.
@@ -28,7 +28,6 @@
 //!   backpressure shedding, plus trace replay so the simulator's workloads
 //!   can be scored against measured latencies.
 
-pub mod batcher;
 pub mod controller;
 pub mod engine;
 pub mod profile;

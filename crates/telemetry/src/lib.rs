@@ -45,9 +45,9 @@
 //! # Kill switch
 //!
 //! [`set_enabled`] flips one global `AtomicBool` that every record path
-//! checks first. It exists so `scripts/perfcheck.sh` can measure the cost
-//! of always-on recording by running the same workload with recording on
-//! and off inside a single process (the ≤ 2 % overhead gate).
+//! checks first. It exists so a harness can price always-on recording by
+//! running the same workload with recording on and off inside a single
+//! process; nothing in the serving path turns it off.
 
 pub mod expose;
 pub mod flight;

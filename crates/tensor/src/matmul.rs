@@ -13,8 +13,8 @@
 //! operands sequentially. All four transpose cases differ only in the pack
 //! routines — the micro-kernel is shared, which also gives the previously
 //! column-strided `(Yes, Yes)` case a contiguous inner loop. Problems below
-//! [`SMALL_GEMM_CUTOFF`] use [`gemm_unblocked`], whose per-case loops beat
-//! packing overhead at tiny sizes.
+//! `SMALL_GEMM_CUTOFF` use `gemm_accumulate_unblocked`, whose per-case loops
+//! beat packing overhead at tiny sizes.
 //!
 //! Pack buffers are thread-local and grow-only, so steady-state calls do no
 //! heap allocation.
@@ -446,46 +446,9 @@ fn micro_kernel(
     }
 }
 
-/// The pre-packing kernel, retained verbatim as (a) the small-problem path,
-/// where per-case contiguous loops beat packing overhead, and (b) the
-/// "before" baseline for `ms-bench`'s `bench_snapshot` perf trajectory.
-///
-/// Semantics are identical to [`gemm`] (including the `beta` pre-scale).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_unblocked(
-    trans_a: Trans,
-    trans_b: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    beta: f32,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    debug_check(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if beta != 1.0 {
-        for row in c.chunks_mut(ldc).take(m) {
-            for v in &mut row[..n] {
-                *v *= beta;
-            }
-        }
-    }
-    if k == 0 || alpha == 0.0 {
-        return;
-    }
-    gemm_accumulate_unblocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c, ldc);
-}
-
 /// `C += alpha * op(A)·op(B)` with one contiguous-inner-loop strategy per
-/// transpose case (the pre-packing dispatch).
+/// transpose case: the pre-packing kernel, kept as [`gemm`]'s small-problem
+/// path, where per-case contiguous loops beat packing overhead.
 #[allow(clippy::too_many_arguments)]
 fn gemm_accumulate_unblocked(
     trans_a: Trans,
@@ -808,45 +771,18 @@ mod tests {
 
     #[test]
     fn unblocked_kernel_matches_reference() {
-        for &(m, n, k) in &[(3, 5, 7), (13, 2, 9), (31, 17, 23)] {
-            let mut rng = SeededRng::new(7);
-            let a = random_buf(&mut rng, m * k);
-            let b = random_buf(&mut rng, k * n);
-            let c0 = random_buf(&mut rng, m * n);
-            let mut c_fast = c0.clone();
-            let mut c_ref = c0;
-            gemm_unblocked(
-                Trans::No,
-                Trans::No,
-                m,
-                n,
-                k,
-                0.7,
-                &a,
-                k,
-                &b,
-                n,
-                0.3,
-                &mut c_fast,
-                n,
-            );
-            gemm_reference(
-                Trans::No,
-                Trans::No,
-                m,
-                n,
-                k,
-                0.7,
-                &a,
-                k,
-                &b,
-                n,
-                0.3,
-                &mut c_ref,
-                n,
-            );
-            for (x, y) in c_fast.iter().zip(&c_ref) {
-                assert!((x - y).abs() < 1e-4);
+        // Shapes under SMALL_GEMM_CUTOFF, so `gemm` takes the unblocked path.
+        for &(m, n, k) in &[(3, 5, 7), (13, 2, 9), (19, 17, 23)] {
+            assert!(m * n * k <= SMALL_GEMM_CUTOFF);
+            for &pad in &[0usize, 3] {
+                for &(ta, tb) in &[
+                    (Trans::No, Trans::No),
+                    (Trans::No, Trans::Yes),
+                    (Trans::Yes, Trans::No),
+                    (Trans::Yes, Trans::Yes),
+                ] {
+                    check_case_ab(ta, tb, m, n, k, pad, 0.7, 0.3);
+                }
             }
         }
     }

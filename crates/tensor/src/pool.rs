@@ -32,9 +32,8 @@ pub const MAX_POOLED: usize = 64;
 
 /// Process-wide pool counters on the telemetry registry. The per-thread
 /// [`PoolStats`] stay authoritative for tests (they are exact per thread);
-/// these aggregate across every thread so `engine_smoke`, `bench_snapshot`
-/// and the Prometheus dumps can see total pool traffic from outside the
-/// crate.
+/// these aggregate across every thread so the Prometheus dumps and a
+/// metrics scrape can see total pool traffic from outside the crate.
 struct PoolMetrics {
     hits: ms_telemetry::Counter,
     misses: ms_telemetry::Counter,
@@ -60,14 +59,6 @@ fn pool_metrics() -> &'static PoolMetrics {
             ),
         }
     })
-}
-
-/// Cross-thread totals `(hits, misses, evictions)` from the telemetry
-/// registry — the externally visible counterpart of the thread-local
-/// [`stats`].
-pub fn global_stats() -> (u64, u64, u64) {
-    let m = pool_metrics();
-    (m.hits.get(), m.misses.get(), m.evictions.get())
 }
 
 /// Pool traffic counters for one thread.

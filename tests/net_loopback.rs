@@ -18,7 +18,7 @@ use modelslicing::models::mlp::{Mlp, MlpConfig};
 use modelslicing::net::protocol::{
     read_frame, write_frame, Frame, InferOutcome, InferRequest,
 };
-use modelslicing::net::{PipelinedClient, Router, Server, ServerConfig};
+use modelslicing::net::{Client, PipelinedClient, Router, Server, ServerConfig};
 use modelslicing::telemetry::flight;
 use modelslicing::nn::layer::Layer;
 use modelslicing::nn::shared::SharedWeights;
@@ -420,6 +420,12 @@ fn traced_soak(profile: &LatencyProfile, trace_base: u64) {
             .collect();
         handles.into_iter().map(|h| h.join().expect("client")).collect()
     });
+    // What `scrape <addr> trace` fetches: the server's own harvest, as a
+    // `TraceDumpReply` over the wire.
+    let wire_json = Client::connect(addr)
+        .expect("connect")
+        .trace_dump()
+        .expect("trace dump over the wire");
     server.shutdown();
 
     // Zero lost ids: one complete, monotone chain per request, terminal
@@ -513,6 +519,11 @@ fn traced_soak(profile: &LatencyProfile, trace_base: u64) {
     assert!(
         json.contains(&format!("\"trace_id\":{slow_trace}")),
         "slowest chain must appear in the export"
+    );
+    assert!(wire_json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+    assert!(
+        wire_json.contains(&format!("\"trace_id\":{slow_trace}")),
+        "slowest chain must appear in the dump served over the wire"
     );
 }
 
