@@ -118,7 +118,7 @@ fn im2col_lowering(c: &mut Criterion) {
         let input = random(&mut rng, channels * side * side);
         let mut col = vec![0.0f32; channels * 9 * geom.out_len()];
         group.bench_function(format!("{channels}ch_{side}x{side}_k3"), |b| {
-            b.iter(|| im2col(&input, channels, &geom, &mut col))
+            b.iter(|| im2col(&input, channels, &geom, &mut col, geom.out_len(), 0))
         });
     }
     group.finish();

@@ -1,21 +1,30 @@
-//! Where a forward pass's time goes: GEMM, im2col, activations, pooling and
-//! normalisation, per network and slice rate, from the span tracer.
+//! Where a forward pass's and a training step's time goes, per network, from
+//! the span tracer.
 //!
 //! ```text
 //! cargo run --release -p ms-bench --features telemetry-spans --bin forward_profile
 //! ```
 //!
-//! Batch-32 inference on the prepacked VGG and NNLM the benchmark serves
-//! (`Vgg::vgg13_scaled(10, 8)`, `NnlmConfig::scaled(200, 8)` over 16 tokens)
-//! at r ∈ {0.375, 1.0}. Each column is the summed *self* time of the spans in
-//! that bucket per pass; `other` is what no span claims (ReLU copies, bias
-//! adds, state updates, buffer-pool traffic). Without the feature the spans
-//! compile to nothing and only the totals are printed. DESIGN.md §8 records a
-//! run of this table.
+//! Two tables on the VGG and NNLM the benchmark runs
+//! (`Vgg::vgg13_scaled(10, 8)`, `NnlmConfig::scaled(200, 8)` over 16 tokens),
+//! batch 32. The first is inference on the prepacked nets at
+//! r ∈ {0.375, 1.0}: GEMM, im2col, activations, pooling, normalisation. The
+//! second is one Algorithm-1 `Trainer::step` over the static rate list
+//! {0.25, 0.5, 0.75, 1.0} (NNLM dropout on, as trained): GEMM kernel, operand
+//! packing, im2col + col2im, pooling, normalisation, dropout, loss, and the
+//! elementwise work of activations and backward bodies. Each column is the
+//! summed *self* time of the spans in that bucket; `other` is what no span
+//! claims (bias adds, the embedding, the optimiser, buffer-pool traffic). Without the feature the spans compile
+//! to nothing and only the totals are printed. DESIGN.md §8 records a run of
+//! both tables.
 
+use ms_core::scheduler::{Scheduler, SchedulerKind};
+use ms_core::slice_rate::SliceRateList;
+use ms_core::trainer::{Batch, Trainer, TrainerConfig};
 use ms_models::nnlm::{Nnlm, NnlmConfig};
 use ms_models::vgg::{Vgg, VggConfig};
 use ms_nn::layer::{Layer, Mode};
+use ms_nn::optim::SgdConfig;
 use ms_nn::slice::SliceRate;
 use ms_telemetry::spans::{self, SpanStats};
 use ms_tensor::{SeededRng, Tensor};
@@ -23,14 +32,45 @@ use std::time::Instant;
 
 const BATCH: usize = 32;
 const PASSES: u32 = 50;
+const STEPS: u32 = 30;
 
-/// Table columns and the span-name prefixes each one sums.
-const COLUMNS: [(&str, &[&str]); 5] = [
+/// A table column: its heading and the span-name prefixes it sums.
+type Column = (&'static str, &'static [&'static str]);
+
+const FORWARD_COLUMNS: [Column; 5] = [
     ("gemm", &["gemm."]),
     ("im2col", &["conv.im2col"]),
     ("activ.", &["ops.gate_activation", "ops.relu"]),
     ("pooling", &["pool."]),
     ("norm", &["nn.groupnorm"]),
+];
+
+/// `kernel` is everything of a GEMM that is not operand packing: the
+/// micro-kernel loops of the three packed drivers and the unblocked small
+/// path. `elemwise` is the activations plus what the conv and recurrent
+/// backward bodies do themselves, outside any GEMM: the gate gradients of
+/// the time loop, layout shuffles, bias sums.
+const STEP_COLUMNS: [Column; 8] = [
+    (
+        "kernel",
+        &["gemm.kernel", "gemm.panel_", "gemm.small", "gemm.packed"],
+    ),
+    ("pack", &["gemm.pack_"]),
+    ("im+col2im", &["conv.im2col", "conv.col2im"]),
+    ("pooling", &["pool."]),
+    ("norm", &["nn.groupnorm"]),
+    ("dropout", &["nn.dropout"]),
+    ("loss", &["loss.xent"]),
+    (
+        "elemwise",
+        &[
+            "ops.gate_activation",
+            "ops.relu",
+            "nn.conv_bwd",
+            "nn.lstm_bwd",
+            "nn.gru_bwd",
+        ],
+    ),
 ];
 
 fn self_ns(stats: &[SpanStats], prefixes: &[&str]) -> u64 {
@@ -39,6 +79,66 @@ fn self_ns(stats: &[SpanStats], prefixes: &[&str]) -> u64 {
         .filter(|s| prefixes.iter().any(|p| s.name.starts_with(p)))
         .map(|s| s.self_ns)
         .sum()
+}
+
+/// Prints one row: `total_us` per repetition, then each column's share of
+/// the span time recorded between the two snapshots, then the unclaimed rest.
+fn print_row(
+    label: &str,
+    total_us: f64,
+    reps: u32,
+    columns: &[Column],
+    before: &[SpanStats],
+    after: &[SpanStats],
+) {
+    print!("{label} {total_us:>9.0}");
+    let mut claimed = 0.0;
+    for (_, prefixes) in columns {
+        let ns = self_ns(after, prefixes) - self_ns(before, prefixes);
+        let us = ns as f64 / 1e3 / f64::from(reps);
+        claimed += us;
+        print!(" {us:>9.0}");
+    }
+    println!(" {:>9.0}", total_us - claimed);
+}
+
+fn print_header(first: &str, columns: &[Column]) {
+    print!("{first} {:>9}", "total");
+    for (column, _) in columns {
+        print!(" {column:>9}");
+    }
+    println!(" {:>9}", "other");
+}
+
+/// One Algorithm-1 step over all four rates, `STEPS` times.
+fn profile_step(name: &str, net: &mut dyn Layer, sgd: SgdConfig, batch: &Batch) {
+    let list = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
+    let scheduler = Scheduler::new(SchedulerKind::Static, list, &mut SeededRng::new(5));
+    let mut trainer = Trainer::new(
+        scheduler,
+        TrainerConfig {
+            sgd,
+            average_subnet_grads: true,
+        },
+    );
+    for _ in 0..3 {
+        trainer.step(net, batch);
+    }
+    let before = spans::snapshot();
+    let t = Instant::now();
+    for _ in 0..STEPS {
+        trainer.step(net, batch);
+    }
+    let total_us = t.elapsed().as_secs_f64() * 1e6 / f64::from(STEPS);
+    let after = spans::snapshot();
+    print_row(
+        &format!("{name:<5}"),
+        total_us,
+        STEPS,
+        &STEP_COLUMNS,
+        &before,
+        &after,
+    );
 }
 
 fn profile(name: &str, net: &mut dyn Layer, x: &Tensor) {
@@ -55,15 +155,8 @@ fn profile(name: &str, net: &mut dyn Layer, x: &Tensor) {
         }
         let total_us = t.elapsed().as_secs_f64() * 1e6 / f64::from(PASSES);
         let after = spans::snapshot();
-        print!("{name:<5} {rate:>6.3} {total_us:>9.0}");
-        let mut claimed = 0.0;
-        for (_, prefixes) in COLUMNS {
-            let ns = self_ns(&after, prefixes) - self_ns(&before, prefixes);
-            let us = ns as f64 / 1e3 / f64::from(PASSES);
-            claimed += us;
-            print!(" {us:>8.0}");
-        }
-        println!(" {:>8.0}", total_us - claimed);
+        let label = format!("{name:<5} {rate:>6.3}");
+        print_row(&label, total_us, PASSES, &FORWARD_COLUMNS, &before, &after);
     }
 }
 
@@ -81,11 +174,7 @@ fn main() {
     if !cfg!(feature = "telemetry-spans") {
         println!("# built without --features telemetry-spans: only `total` is measured");
     }
-    print!("{:<5} {:>6} {:>9}", "model", "rate", "total");
-    for (column, _) in COLUMNS {
-        print!(" {column:>8}");
-    }
-    println!(" {:>8}", "other");
+    print_header(&format!("{:<5} {:>6}", "model", "rate"), &FORWARD_COLUMNS);
 
     let mut rng = SeededRng::new(7);
     let mut vgg = Vgg::new(&VggConfig::vgg13_scaled(10, 8), &mut SeededRng::new(42));
@@ -108,4 +197,33 @@ fn main() {
     )
     .expect("token batch");
     profile("nnlm", &mut nnlm, &ids);
+
+    println!(
+        "# one Trainer::step over rates {{0.25, 0.5, 0.75, 1.0}}, µs per step over {STEPS} steps"
+    );
+    print_header(&format!("{:<5}", "model"), &STEP_COLUMNS);
+    let mut vgg = Vgg::new(&VggConfig::vgg13_scaled(10, 8), &mut SeededRng::new(42));
+    let vision = SgdConfig {
+        lr: 0.05,
+        momentum: 0.9,
+        weight_decay: 5e-4,
+        clip_norm: Some(5.0),
+    };
+    let labelled = Batch {
+        x: images,
+        y: (0..BATCH).map(|i| i % 10).collect(),
+    };
+    profile_step("vgg", &mut vgg, vision, &labelled);
+    let mut nnlm = Nnlm::new(&NnlmConfig::scaled(200, 8), &mut SeededRng::new(43));
+    let text = SgdConfig {
+        lr: 1.0,
+        momentum: 0.0,
+        weight_decay: 0.0,
+        clip_norm: Some(1.0),
+    };
+    let next_tokens = Batch {
+        x: ids,
+        y: (0..BATCH * 16).map(|i| (i * 7) % 200).collect(),
+    };
+    profile_step("nnlm", &mut nnlm, text, &next_tokens);
 }

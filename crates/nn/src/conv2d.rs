@@ -17,6 +17,42 @@ use ms_tensor::conv::{col2im, im2col, ConvGeom};
 use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::panels::{gemm_packed_a, gemm_packed_a_stepped, PackedA};
 use ms_tensor::{init, SeededRng, Tensor};
+use std::cell::RefCell;
+
+/// Columns of the column matrix one training GEMM covers: as many whole
+/// samples as fit (at least one), so the small feature maps of the late
+/// stages still give the weight-gradient GEMM a long `k` and the weight
+/// operand is packed once per chunk instead of once per sample.
+const CHUNK_COLS: usize = 512;
+
+/// Chunk scratch of the training path: the column matrix of a chunk of
+/// samples, its gradient, and the chunk's output (or output gradient) with
+/// the samples side by side, `[channels, samples·OH·OW]`.
+///
+/// One set per thread, shared by every conv layer — a layer only needs it
+/// between entering and leaving its own `forward`/`backward` — and sized by
+/// the largest layer that ran; per-layer copies would hold a network's
+/// worth of the largest buffers the training step has. All three are fully
+/// overwritten before they are read, so they are never cleared.
+#[derive(Default)]
+struct ChunkScratch {
+    col: Vec<f32>,
+    dcol: Vec<f32>,
+    out: Vec<f32>,
+}
+
+thread_local! {
+    static CHUNK: RefCell<ChunkScratch> = RefCell::new(ChunkScratch::default());
+}
+
+/// Grows `buf` to at least `len` and returns its first `len` elements,
+/// holding whatever the last user left there.
+fn stale(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
 
 /// Configuration for a [`Conv2d`] layer. Input spatial size is fixed at
 /// construction so FLOPs are known without running the layer.
@@ -53,7 +89,7 @@ pub struct Conv2d {
     bias: Option<Param>,
     active_in: usize,
     active_out: usize,
-    ws: Workspace, // im2col columns and their gradient
+    ws: Workspace, // im2col columns of the per-sample (inference) paths
     cache: Option<Tensor>,
     packed: PackedA,     // persistent panels of W (the GEMM A operand)
     prefix: PrefixCache, // full-stride output of the last prefix pass
@@ -151,6 +187,62 @@ impl Conv2d {
         self.cfg.kernel * self.cfg.kernel
     }
 
+    /// Samples whose columns one training GEMM covers.
+    fn samples_per_gemm(&self, batch: usize) -> usize {
+        (CHUNK_COLS / self.geom.out_len().max(1)).clamp(1, batch.max(1))
+    }
+
+    /// `forward(Train)`: one GEMM per chunk of samples laid side by side in
+    /// the column matrix, off panels packed once per optimiser step (every
+    /// update walks `visit_params`, which marks them stale). Each output
+    /// element sees the operations of the per-sample panel path, in order.
+    fn forward_train(&mut self, x: &Tensor) -> Tensor {
+        self.ensure_packed();
+        let batch = x.dims()[0];
+        let out_len = self.geom.out_len();
+        let (a_in, a_out) = (self.active_in, self.active_out);
+        let k_rows = a_in * self.k2();
+        let mut y = Tensor::pooled_zeros([batch, a_out, self.geom.out_h(), self.geom.out_w()]);
+        let per_gemm = self.samples_per_gemm(batch);
+        CHUNK.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            for first in (0..batch).step_by(per_gemm) {
+                let n = per_gemm.min(batch - first);
+                let ld = n * out_len;
+                let col = stale(&mut scratch.col, k_rows * ld);
+                let out = stale(&mut scratch.out, a_out * ld);
+                for i in 0..n {
+                    im2col(x.row(first + i), a_in, &self.geom, col, ld, i * out_len);
+                }
+                gemm_packed_a(
+                    0,
+                    a_out,
+                    ld,
+                    k_rows,
+                    1.0,
+                    &self.packed,
+                    col,
+                    ld,
+                    0.0,
+                    out,
+                    ld,
+                );
+                for i in 0..n {
+                    let rows = y.row_mut(first + i).chunks_exact_mut(out_len);
+                    for (ch, row) in rows.enumerate() {
+                        row.copy_from_slice(&out[ch * ld + i * out_len..][..out_len]);
+                        if let Some(b) = &self.bias {
+                            let bv = b.value.data()[ch];
+                            row.iter_mut().for_each(|v| *v += bv);
+                        }
+                    }
+                }
+            }
+        });
+        self.cache = Some(x.pooled_clone());
+        y
+    }
+
     /// Packs the panels unless they are valid; returns whether it packed.
     fn ensure_packed(&mut self) -> bool {
         if self.packed.is_valid() {
@@ -176,6 +268,9 @@ impl Layer for Conv2d {
         assert_eq!(c, self.active_in, "{}: input channels", self.name);
         assert_eq!((h, w), (self.geom.h, self.geom.w), "{}: spatial", self.name);
 
+        if mode == Mode::Train {
+            return self.forward_train(x);
+        }
         let out_len = self.geom.out_len();
         let k_rows = self.active_in * self.k2();
         let full_k = self.cfg.in_ch * self.k2();
@@ -184,11 +279,11 @@ impl Layer for Conv2d {
         let mut col = self.ws.take(Role::Cols, k_rows * out_len);
         // Weight-stationary when the panels are valid (see `Linear`): the
         // active block is the top-left corner of the panels `prepack` made,
-        // so only the sample's columns are packed per GEMM. Training (the
-        // weights move every step) and un-packed nets keep `gemm`.
-        let on_panels = mode == Mode::Infer && self.packed.is_valid();
+        // so only the sample's columns are packed per GEMM. Un-packed nets
+        // keep `gemm`: inference never packs on its own.
+        let on_panels = self.packed.is_valid();
         for s in 0..batch {
-            im2col(x.row(s), self.active_in, &self.geom, &mut col);
+            im2col(x.row(s), self.active_in, &self.geom, &mut col, out_len, 0);
             if on_panels {
                 gemm_packed_a(
                     0,
@@ -231,71 +326,89 @@ impl Layer for Conv2d {
             }
         }
         self.ws.put(Role::Cols, col);
-        if mode == Mode::Train {
-            self.cache = Some(x.pooled_clone());
-        }
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
+        let _span = ms_tensor::span!("nn.conv_bwd");
         let x = self.cache.take().expect("backward before Train forward");
         let batch = x.dims()[0];
         let out_len = self.geom.out_len();
-        let k_rows = self.active_in * self.k2();
+        let (a_in, a_out) = (self.active_in, self.active_out);
+        let k_rows = a_in * self.k2();
         let full_k = self.cfg.in_ch * self.k2();
-        debug_assert_eq!(dy.dims()[1], self.active_out);
+        debug_assert_eq!(dy.dims()[1], a_out);
 
         let mut dx = Tensor::pooled_zeros(x.shape().clone());
-        let mut col = self.ws.take(Role::Cols, k_rows * out_len);
-        let mut dcol = self.ws.take(Role::ColGrad, k_rows * out_len);
-        for s in 0..batch {
-            let dys = dy.row(s);
-            // Recompute im2col (cheaper than caching per-sample columns).
-            im2col(x.row(s), self.active_in, &self.geom, &mut col);
-            // dW += dy_s · col^T
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                self.active_out,
-                k_rows,
-                out_len,
-                1.0,
-                dys,
-                out_len,
-                &col,
-                out_len,
-                1.0,
-                self.weight.grad.data_mut(),
-                full_k,
-            );
-            // db += per-channel spatial sums
-            if let Some(b) = &mut self.bias {
-                for ch in 0..self.active_out {
-                    b.grad.data_mut()[ch] +=
-                        dys[ch * out_len..(ch + 1) * out_len].iter().sum::<f32>();
+        let per_gemm = self.samples_per_gemm(batch);
+        CHUNK.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            for first in (0..batch).step_by(per_gemm) {
+                let n = per_gemm.min(batch - first);
+                let ld = n * out_len;
+                let col = stale(&mut scratch.col, k_rows * ld);
+                let dcol = stale(&mut scratch.dcol, k_rows * ld);
+                let dyc = stale(&mut scratch.out, a_out * ld);
+                for i in 0..n {
+                    // Recompute im2col (cheaper than caching the columns).
+                    im2col(x.row(first + i), a_in, &self.geom, col, ld, i * out_len);
+                    let rows = dy.row(first + i).chunks_exact(out_len);
+                    for (ch, row) in rows.enumerate() {
+                        dyc[ch * ld + i * out_len..][..out_len].copy_from_slice(row);
+                    }
+                }
+                // dW += dy · colᵀ over the whole chunk (k = samples·OH·OW).
+                let dw = self.weight.grad.data_mut();
+                gemm(
+                    Trans::No,
+                    Trans::Yes,
+                    a_out,
+                    k_rows,
+                    ld,
+                    1.0,
+                    dyc,
+                    ld,
+                    col,
+                    ld,
+                    1.0,
+                    dw,
+                    full_k,
+                );
+                // db += per-channel sums
+                if let Some(b) = &mut self.bias {
+                    for (g, row) in b.grad.data_mut().iter_mut().zip(dyc.chunks_exact(ld)) {
+                        *g += row.iter().sum::<f32>();
+                    }
+                }
+                // dcol = Wᵀ · dy ; dx_s = col2im(dcol's columns of sample s)
+                let w = self.weight.value.data();
+                gemm(
+                    Trans::Yes,
+                    Trans::No,
+                    k_rows,
+                    ld,
+                    a_out,
+                    1.0,
+                    w,
+                    full_k,
+                    dyc,
+                    ld,
+                    0.0,
+                    dcol,
+                    ld,
+                );
+                for i in 0..n {
+                    col2im(
+                        dcol,
+                        a_in,
+                        &self.geom,
+                        dx.row_mut(first + i),
+                        ld,
+                        i * out_len,
+                    );
                 }
             }
-            // dcol = W^T · dy_s ; dx_s = col2im(dcol)
-            dcol.iter_mut().for_each(|v| *v = 0.0);
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                k_rows,
-                out_len,
-                self.active_out,
-                1.0,
-                self.weight.value.data(),
-                full_k,
-                dys,
-                out_len,
-                1.0,
-                &mut dcol,
-                out_len,
-            );
-            col2im(&dcol, self.active_in, &self.geom, dx.row_mut(s));
-        }
-        self.ws.put(Role::Cols, col);
-        self.ws.put(Role::ColGrad, dcol);
+        });
         x.recycle();
         dx
     }
@@ -341,7 +454,7 @@ impl Layer for Conv2d {
                 // The column matrix is a pure function of the input-channel
                 // prefix, so recomputing it at any width reproduces the rows
                 // a narrower pass saw, bit for bit.
-                im2col(x.row(s), self.active_in, &self.geom, &mut col);
+                im2col(x.row(s), self.active_in, &self.geom, &mut col, out_len, 0);
                 // One sweep over the delta groups, each with its canonical
                 // `k` extent: the columns are packed once, not once a group.
                 let rows =

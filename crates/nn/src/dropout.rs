@@ -2,8 +2,10 @@
 //!
 //! Train-mode forward zeroes each element with probability `p` and scales
 //! survivors by `1/(1-p)`, so inference is a plain identity. The mask is
-//! drawn from a layer-owned seeded RNG stream, keeping whole-experiment
-//! determinism.
+//! never stored: each call draws one 64-bit key from a layer-owned seeded
+//! RNG stream (keeping whole-experiment determinism) and element `i`'s fate
+//! is a counter-based function of `(key, i)`, which `backward` recomputes
+//! from the key.
 
 use crate::layer::{Layer, Mode, Param};
 use ms_tensor::{SeededRng, Tensor};
@@ -12,7 +14,8 @@ use ms_tensor::{SeededRng, Tensor};
 pub struct Dropout {
     p: f64,
     rng: SeededRng,
-    mask: Option<Tensor>,
+    /// Mask key of the last Train forward, until `backward` consumes it.
+    key: Option<u64>,
 }
 
 impl Dropout {
@@ -25,7 +28,7 @@ impl Dropout {
         Dropout {
             p,
             rng: rng.fork(0xD20),
-            mask: None,
+            key: None,
         }
     }
 
@@ -33,29 +36,58 @@ impl Dropout {
     pub fn p(&self) -> f64 {
         self.p
     }
+
+    /// Multiplies `x` by the mask of `key`, in place: elements `2j` and
+    /// `2j + 1` take the low and high 32 bits of `splitmix64(key + j)` and
+    /// are dropped when their lane falls below `p·2³²`.
+    fn apply_mask(&self, key: u64, x: &mut [f32]) {
+        let _span = ms_tensor::span!("nn.dropout");
+        let threshold = (self.p * 4_294_967_296.0) as u64;
+        let keep = 1.0 / (1.0 - self.p) as f32;
+        let scale = |lane: u64| if lane < threshold { 0.0 } else { keep };
+        let mut pairs = x.chunks_exact_mut(2);
+        let mut counter = key;
+        for pair in pairs.by_ref() {
+            let bits = splitmix64(counter);
+            pair[0] *= scale(bits & 0xFFFF_FFFF);
+            pair[1] *= scale(bits >> 32);
+            counter = counter.wrapping_add(1);
+        }
+        if let [last] = pairs.into_remainder() {
+            *last *= scale(splitmix64(counter) & 0xFFFF_FFFF);
+        }
+    }
+}
+
+/// The splitmix64 output function (Steele, Lea & Flood 2014): a bijective
+/// mixer whose outputs over consecutive inputs pass BigCrush.
+#[inline]
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl Layer for Dropout {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Infer || self.p == 0.0 {
-            self.mask = None;
-            return x.pooled_clone();
+        let mut y = x.pooled_clone();
+        self.key = None;
+        if mode == Mode::Train && self.p > 0.0 {
+            let key = self.rng.next_u64();
+            self.apply_mask(key, y.data_mut());
+            self.key = Some(key);
         }
-        let keep = 1.0 / (1.0 - self.p) as f32;
-        let mask_data: Vec<f32> = (0..x.numel())
-            .map(|_| if self.rng.chance(self.p) { 0.0 } else { keep })
-            .collect();
-        let mask = Tensor::from_vec(x.shape().clone(), mask_data).expect("mask shape");
-        let y = x.mul(&mask);
-        self.mask = Some(mask);
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        match self.mask.take() {
-            Some(mask) => dy.mul(&mask),
-            None => dy.clone(), // p == 0 path
+        let mut dx = dy.pooled_clone();
+        // No key: the `p == 0` identity.
+        if let Some(key) = self.key.take() {
+            self.apply_mask(key, dx.data_mut());
         }
+        dx
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -90,17 +122,52 @@ mod tests {
         assert!((y.mean() - 1.0).abs() < 0.1);
     }
 
+    /// `backward` keeps no mask tensor: it rebuilds the forward's mask from
+    /// the key alone, odd lengths included.
     #[test]
-    fn backward_reuses_mask() {
+    fn backward_regenerates_the_mask_from_the_key() {
         let mut rng = SeededRng::new(3);
         let mut l = Dropout::new(0.3, &mut rng);
-        let x = Tensor::full([100], 1.0);
+        let x = Tensor::full([101], 1.0);
         let y = l.forward(&x, Mode::Train);
-        let dy = Tensor::full([100], 1.0);
+        let dy = Tensor::full([101], 1.0);
         let dx = l.backward(&dy);
         // dx must be zero exactly where y is zero and scaled elsewhere.
+        assert!(y.data().iter().any(|&v| v == 0.0) && y.data().iter().any(|&v| v != 0.0));
         for (a, b) in y.data().iter().zip(dx.data()) {
             assert_eq!(a, b);
+        }
+        assert!(l.key.is_none(), "backward consumes the key");
+    }
+
+    #[test]
+    fn same_seed_same_masks_and_consecutive_calls_differ() {
+        let x = Tensor::full([256], 1.0);
+        let mut layers = [7u64, 7].map(|seed| Dropout::new(0.5, &mut SeededRng::new(seed)));
+        let [first_a, second_a] = [0, 1].map(|_| layers[0].forward(&x, Mode::Train));
+        let [first_b, second_b] = [0, 1].map(|_| layers[1].forward(&x, Mode::Train));
+        assert_eq!(first_a, first_b);
+        assert_eq!(second_a, second_b);
+        assert_ne!(first_a, second_a, "each call draws a fresh key");
+    }
+
+    /// Drops are Bernoulli(p): over 1e5 elements the kept share is within
+    /// three standard deviations of `1 − p`.
+    #[test]
+    fn keep_rate_is_within_three_sigma() {
+        let n = 100_000usize;
+        let x = Tensor::full([n], 1.0);
+        for (seed, p) in [(11u64, 0.1f64), (12, 0.3), (13, 0.5)] {
+            let mut l = Dropout::new(p, &mut SeededRng::new(seed));
+            let y = l.forward(&x, Mode::Train);
+            let kept = y.data().iter().filter(|&&v| v != 0.0).count() as f64;
+            let sigma = (n as f64 * p * (1.0 - p)).sqrt();
+            let expect = n as f64 * (1.0 - p);
+            assert!(
+                (kept - expect).abs() <= 3.0 * sigma,
+                "p = {p}: kept {kept}, expected {expect} ± {:.0}",
+                3.0 * sigma
+            );
         }
     }
 

@@ -23,25 +23,19 @@ impl CrossEntropy {
         let rows = logits.numel() / k;
         assert_eq!(rows, targets.len(), "target count vs logit rows");
 
-        let mut probs = logits.clone();
-        ops::softmax_rows_inplace(probs.data_mut(), k);
+        let _span = ms_tensor::span!("loss.xent");
+        // Pool-backed: the trainer recycles the gradient after `backward`.
+        let mut grad = logits.pooled_clone();
+        ops::softmax_rows_inplace(grad.data_mut(), k);
 
-        let mut loss = 0.0f64;
-        let inv = 1.0 / rows as f32;
-        for (row, &t) in targets.iter().enumerate() {
-            assert!(t < k, "target {t} out of range for {k} classes");
-            let p = probs.data()[row * k + t].max(1e-12);
-            loss -= (p as f64).ln();
-        }
         // grad = (softmax - onehot) / rows
-        let grad = {
-            let mut g = probs;
-            for (row, &t) in targets.iter().enumerate() {
-                g.data_mut()[row * k + t] -= 1.0;
-            }
-            g.scale(inv);
-            g
-        };
+        let mut loss = 0.0f64;
+        for (row, &t) in grad.data_mut().chunks_exact_mut(k).zip(targets) {
+            assert!(t < k, "target {t} out of range for {k} classes");
+            loss -= (row[t].max(1e-12) as f64).ln();
+            row[t] -= 1.0;
+        }
+        grad.scale(1.0 / rows as f32);
         (loss / rows as f64, grad)
     }
 

@@ -162,6 +162,7 @@ impl Layer for GroupNorm {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
+        let _span = ms_tensor::span!("nn.groupnorm_bwd");
         let cache = self.cache.take().expect("backward before Train forward");
         let c_act = self.active_channels();
         let hw = cache.hw;

@@ -16,13 +16,14 @@
 //! `b_x: [3H]` and `b_h: [3H]` (separate recurrent bias so the candidate's
 //! `r ⊙ (U_n h + b_u)` form is exact), gate blocks ordered `r, z, n`.
 
-use super::{gate_gemm, project_inputs, store_step, to_time_major};
+use super::{add_step, from_time_major, gate_gemm, project_inputs, store_step, to_time_major};
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
 use crate::workspace::{Role, Workspace};
 use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::ops::{
-    add_bias_rows, sigmoid_grad_from_output, sigmoid_inplace, tanh_grad_from_output, tanh_inplace,
+    add_bias_rows, sigmoid_grad_from_output, sigmoid_inplace, sum_rows_into, tanh_grad_from_output,
+    tanh_inplace,
 };
 use ms_tensor::panels::PackedB;
 use ms_tensor::{init, SeededRng, Tensor};
@@ -44,24 +45,15 @@ pub struct GruConfig {
     pub input_rescale: bool,
 }
 
-struct StepCache {
-    x: Tensor,      // [B, a_d]
-    h_prev: Tensor, // [B, a_h]
-    r: Tensor,      // [B, a_h]
-    z: Tensor,      // [B, a_h]
-    n: Tensor,      // [B, a_h]
-    u_n: Tensor,    // [B, a_h] — U_n·h_prev + b_u (pre reset-gating)
-}
-
-impl StepCache {
-    fn recycle(self) {
-        self.x.recycle();
-        self.h_prev.recycle();
-        self.r.recycle();
-        self.z.recycle();
-        self.n.recycle();
-        self.u_n.recycle();
-    }
+/// What a `Train` forward keeps for `backward`: the whole sequence,
+/// time-major (row `t·B + b`), in the buffers the forward computed it in.
+struct SeqCache {
+    batch: usize,
+    steps: usize,
+    xt: Vec<f32>,  // [T·B, a_d] input (workspace `StepInput`)
+    zx: Vec<f32>,  // activated r, z, n, `[gate][t][b][unit]` (workspace `Preact`)
+    h: Tensor,     // T+1 blocks of [B, a_h]: block t is h before step t, block 0 zero
+    u_n: Vec<f32>, // T blocks of [B, a_h]: U_n·h_prev + b_u, pre reset-gating (workspace `Aux1`)
 }
 
 /// Sliceable GRU over `[B, T, D_active] → [B, T, H_active]`.
@@ -75,7 +67,7 @@ pub struct Gru {
     active_in: usize,
     active_h: usize,
     ws: Workspace,
-    cache: Vec<StepCache>,
+    cache: Option<SeqCache>,
     packed_x: PackedB, // [D, 3H] panels of w_xᵀ
     packed_h: PackedB, // [H, 3H] panels of w_hᵀ
 }
@@ -110,10 +102,18 @@ impl Gru {
             cfg,
             name,
             ws: Workspace::new(),
-            cache: Vec::new(),
+            cache: None,
             packed_x: PackedB::new(),
             packed_h: PackedB::new(),
         }
+    }
+
+    /// Hands a sequence cache's buffers back to where they came from.
+    fn release(&mut self, cache: SeqCache) {
+        self.ws.put(Role::StepInput, cache.xt);
+        self.ws.put(Role::Preact, cache.zx);
+        cache.h.recycle();
+        self.ws.put(Role::Aux1, cache.u_n);
     }
 
     /// Packs both weight matrices into persistent B-side panels (no-op when
@@ -165,12 +165,18 @@ impl Layer for Gru {
         let rows = steps * batch; // time-major: row t·B + b
         let slab = batch * a_h; // one gate of one step
 
-        for step in self.cache.drain(..) {
-            step.recycle();
+        // A Train forward that no backward followed still holds its cache.
+        if let Some(stale) = self.cache.take() {
+            self.release(stale);
         }
-        // Inference on a prepacked layer reads the weights off the panels
-        // (see `Linear`); training and un-packed nets go through `gemm`.
-        let on_panels = mode == Mode::Infer && self.packed_x.is_valid() && self.packed_h.is_valid();
+        // Training packs once per optimiser step and reads the panels from
+        // then on; inference reads them when valid and never packs on its
+        // own (see `Lstm::forward`).
+        let train = mode == Mode::Train;
+        if train {
+            self.ensure_packed();
+        }
+        let on_panels = self.packed_x.is_valid() && self.packed_h.is_valid();
         let (px, ph) = (
             on_panels.then_some(&self.packed_x),
             on_panels.then_some(&self.packed_h),
@@ -185,12 +191,17 @@ impl Layer for Gru {
         let (w_x, b_x) = (&self.w_x.value, &self.b_x.value);
         project_inputs(w_x, px, b_x, h_full, a_h, sx, rows, d, &xt, &mut zx);
 
-        let mut h = Tensor::pooled_zeros([batch, a_h]);
-        let mut u_n = self.ws.take(Role::Aux1, slab);
+        // State blocks: training keeps every step's (block t + 1 is the
+        // state after step t), inference updates block 0 in place.
+        let keep = if train { slab } else { 0 };
+        let mut h = Tensor::pooled_zeros([slab + steps * keep]);
+        let mut u_n = self.ws.take(Role::Aux1, slab.max(steps * keep));
         let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
         // Offset of gate `g`'s step-`t` slab in `zx`.
         let at = |gate: usize, t: usize| (gate * rows + t * batch) * a_h;
         for t in 0..steps {
+            let (prev, next) = (t * keep, (t + 1) * keep);
+            let h_prev = &h.data()[prev..][..slab];
             // r and z gates: add the recurrent side, then squash.
             for gate in 0..2 {
                 let zg = &mut zx[at(gate, t)..][..slab];
@@ -203,14 +214,15 @@ impl Layer for Gru {
                     sh,
                     batch,
                     a_h,
-                    h.data(),
+                    h_prev,
                     zg,
                 );
                 add_bias_rows(zg, b_h(gate), a_h, a_h);
                 sigmoid_inplace(zg);
             }
             // Candidate: tanh(W_n x + b_n  +  r ⊙ (U_n h + b_u)).
-            u_n.fill(0.0);
+            let u_t = &mut u_n[prev..][..slab];
+            u_t.fill(0.0);
             gate_gemm(
                 &self.w_h.value,
                 ph,
@@ -220,45 +232,39 @@ impl Layer for Gru {
                 sh,
                 batch,
                 a_h,
-                h.data(),
-                &mut u_n,
+                h_prev,
+                u_t,
             );
-            add_bias_rows(&mut u_n, b_h(2), a_h, a_h);
+            add_bias_rows(u_t, b_h(2), a_h, a_h);
             let (rz, n) = zx.split_at_mut(at(2, 0));
             let n = &mut n[t * slab..][..slab];
             let (r, z) = (&rz[at(0, t)..][..slab], &rz[at(1, t)..][..slab]);
             for (k, nv) in n.iter_mut().enumerate() {
-                *nv += r[k] * u_n[k];
+                *nv += r[k] * u_t[k];
             }
             tanh_inplace(n);
 
             // h_t = (1 − z) ⊙ n + z ⊙ h_prev.
-            let h_prev = (mode == Mode::Train).then(|| h.pooled_clone());
-            for (k, hv) in h.data_mut().iter_mut().enumerate() {
+            h.data_mut().copy_within(prev..prev + slab, next);
+            let h_t = &mut h.data_mut()[next..][..slab];
+            for (k, hv) in h_t.iter_mut().enumerate() {
                 *hv = (1.0 - z[k]) * n[k] + z[k] * *hv;
             }
-            store_step(h.data(), t, steps, a_h, out.data_mut());
-
-            if let Some(h_prev) = h_prev {
-                let kept = |src: &[f32], width: usize| {
-                    let mut copy = Tensor::pooled_zeros([batch, width]);
-                    copy.data_mut().copy_from_slice(src);
-                    copy
-                };
-                self.cache.push(StepCache {
-                    x: kept(&xt[t * batch * d..][..batch * d], d),
-                    h_prev,
-                    r: kept(r, a_h),
-                    z: kept(z, a_h),
-                    n: kept(n, a_h),
-                    u_n: kept(&u_n, a_h),
-                });
-            }
+            store_step(h_t, t, steps, a_h, out.data_mut());
         }
-        self.ws.put(Role::StepInput, xt);
-        self.ws.put(Role::Preact, zx);
-        self.ws.put(Role::Aux1, u_n);
-        h.recycle();
+        let cache = SeqCache {
+            batch,
+            steps,
+            xt,
+            zx,
+            h,
+            u_n,
+        };
+        if train {
+            self.cache = Some(cache);
+        } else {
+            self.release(cache);
+        }
         out
     }
 
@@ -284,120 +290,50 @@ impl Layer for Gru {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        assert!(!self.cache.is_empty(), "backward before Train forward");
-        let steps = self.cache.len();
-        let a_h = self.active_h;
-        let a_d = self.active_in;
+        let _span = ms_tensor::span!("nn.gru_bwd");
+        let cache = self.cache.take().expect("backward before Train forward");
+        let (batch, steps) = (cache.batch, cache.steps);
+        let (a_h, a_d) = (self.active_h, self.active_in);
         let (d_full, h_full) = (self.cfg.in_dim, self.cfg.hidden_dim);
-        let batch = self.cache[0].x.dims()[0];
         let (sx, sh) = (self.scale_x(), self.scale_h());
+        let rows = steps * batch;
+        let slab = batch * a_h;
+        debug_assert_eq!(dy.dims(), &[batch, steps, a_h]);
 
-        let mut dx = Tensor::pooled_zeros([batch, steps, a_d]);
-        let mut dh_next = Tensor::pooled_zeros([batch, a_h]);
+        // Pre-activation gradients of the whole sequence, laid out like the
+        // gates (`[gate][t][b][unit]`): `dg` for r, z, n as the input side
+        // sees them; the recurrent side sees the same r and z and, in place
+        // of n, `du` — the gradient at `U_n h + b_u`. Only the elementwise
+        // step and `dh_prev` run in the time loop (see `Lstm::backward`).
+        let mut dg = Tensor::pooled_zeros([GATES * rows * a_h]);
+        let mut du = Tensor::pooled_zeros([rows * a_h]);
+        let mut dh = Tensor::pooled_zeros([slab]); // dL/dh_t, recurrent part first
         for t in (0..steps).rev() {
-            let step = self.cache.pop().expect("cache per step");
-            // dh_t = dy_t + recurrent contribution (dh_next is spent after
-            // this, so take it over instead of cloning).
-            let mut dh = dh_next;
-            for s in 0..batch {
-                let src = &dy.data()[(s * steps + t) * a_h..(s * steps + t + 1) * a_h];
-                for (v, &g) in dh.row_mut(s).iter_mut().zip(src) {
-                    *v += g;
-                }
+            add_step(dy.data(), t, steps, a_h, dh.data_mut());
+            let gate = |g: usize| &cache.zx[(g * rows + t * batch) * a_h..][..slab];
+            let (r, z, n) = (gate(0), gate(1), gate(2));
+            let u_n = &cache.u_n[t * slab..][..slab];
+            let h_prev = &cache.h.data()[t * slab..][..slab];
+            let mut blocks = dg.data_mut().chunks_exact_mut(rows * a_h);
+            let [dr, dz, dn] = std::array::from_fn(|_| {
+                &mut blocks.next().expect("three gate blocks")[t * slab..][..slab]
+            });
+            let du_t = &mut du.data_mut()[t * slab..][..slab];
+            let dh_t = &mut dh.data_mut()[..slab];
+            for k in 0..slab {
+                let d_n = dh_t[k] * (1.0 - z[k]) * tanh_grad_from_output(n[k]);
+                dz[k] = dh_t[k] * (h_prev[k] - n[k]) * sigmoid_grad_from_output(z[k]);
+                dn[k] = d_n;
+                du_t[k] = d_n * r[k];
+                dr[k] = d_n * u_n[k] * sigmoid_grad_from_output(r[k]);
+                dh_t[k] *= z[k]; // the direct path into h_prev
             }
-            // Elementwise gate gradients.
-            let mut dzr = Tensor::pooled_zeros([batch, a_h]); // pre-act dz
-            let mut drr = Tensor::pooled_zeros([batch, a_h]); // pre-act dr
-            let mut dnr = Tensor::pooled_zeros([batch, a_h]); // pre-act dn
-            let mut du_n = Tensor::pooled_zeros([batch, a_h]); // grad at (U_n h + b_u)
-            let mut dh_prev = Tensor::pooled_zeros([batch, a_h]);
-            for i in 0..batch * a_h {
-                let dhv = dh.data()[i];
-                let (z, n, hp, r, un) = (
-                    step.z.data()[i],
-                    step.n.data()[i],
-                    step.h_prev.data()[i],
-                    step.r.data()[i],
-                    step.u_n.data()[i],
-                );
-                let dz = dhv * (hp - n);
-                let dn = dhv * (1.0 - z);
-                dzr.data_mut()[i] = dz * sigmoid_grad_from_output(z);
-                let dn_pre = dn * tanh_grad_from_output(n);
-                dnr.data_mut()[i] = dn_pre;
-                du_n.data_mut()[i] = dn_pre * r;
-                drr.data_mut()[i] = dn_pre * un * sigmoid_grad_from_output(r);
-                dh_prev.data_mut()[i] = dhv * z;
+            if t == 0 {
+                break; // h before step 0 is the zero state: nothing to pass on
             }
-
-            // Parameter and input gradients per gate.
-            // Gate 0 (r): inputs x (W_x) and h (W_h), pre-act grad drr.
-            // Gate 1 (z): likewise with dzr.
-            // Gate 2 (n): x side uses dnr; h side uses du_n.
-            let gate_grads = [(&drr, &drr), (&dzr, &dzr), (&dnr, &du_n)];
-            for (gate, (gx, gh)) in gate_grads.iter().enumerate() {
-                // dW_x[gate] += s_x · gxᵀ · x
-                gemm(
-                    Trans::Yes,
-                    Trans::No,
-                    a_h,
-                    a_d,
-                    batch,
-                    sx,
-                    gx.data(),
-                    a_h,
-                    step.x.data(),
-                    a_d,
-                    1.0,
-                    &mut self.w_x.grad.data_mut()[gate * h_full * d_full..],
-                    d_full,
-                );
-                // dW_h[gate] += s_h · ghᵀ · h_prev
-                gemm(
-                    Trans::Yes,
-                    Trans::No,
-                    a_h,
-                    a_h,
-                    batch,
-                    sh,
-                    gh.data(),
-                    a_h,
-                    step.h_prev.data(),
-                    a_h,
-                    1.0,
-                    &mut self.w_h.grad.data_mut()[gate * h_full * h_full..],
-                    h_full,
-                );
-                // Bias gradients.
-                for s in 0..batch {
-                    let bx = &mut self.b_x.grad.data_mut()[gate * h_full..gate * h_full + a_h];
-                    for (b, &v) in bx.iter_mut().zip(gx.row(s)) {
-                        *b += v;
-                    }
-                    let bh = &mut self.b_h.grad.data_mut()[gate * h_full..gate * h_full + a_h];
-                    for (b, &v) in bh.iter_mut().zip(gh.row(s)) {
-                        *b += v;
-                    }
-                }
-                // dx_t += s_x · gx · W_x[gate]
-                for s in 0..batch {
-                    gemm(
-                        Trans::No,
-                        Trans::No,
-                        1,
-                        a_d,
-                        a_h,
-                        sx,
-                        gx.row(s),
-                        a_h,
-                        &self.w_x.value.data()[gate * h_full * d_full..],
-                        d_full,
-                        1.0,
-                        &mut dx.data_mut()[(s * steps + t) * a_d..(s * steps + t + 1) * a_d],
-                        a_d,
-                    );
-                }
-                // dh_prev += s_h · gh · W_h[gate]
+            // dh_prev += s_h · Σ_g (recurrent-side gradient)_g · W_h[g]
+            for (gate, g_h) in [&*dr, dz, du_t].into_iter().enumerate() {
+                let w_h = &self.w_h.value.data()[gate * h_full * h_full..];
                 gemm(
                     Trans::No,
                     Trans::No,
@@ -405,24 +341,85 @@ impl Layer for Gru {
                     a_h,
                     a_h,
                     sh,
-                    gh.data(),
+                    g_h,
                     a_h,
-                    &self.w_h.value.data()[gate * h_full * h_full..],
+                    w_h,
                     h_full,
                     1.0,
-                    dh_prev.data_mut(),
+                    dh_t,
                     a_h,
                 );
             }
-            dh.recycle();
-            dzr.recycle();
-            drr.recycle();
-            dnr.recycle();
-            du_n.recycle();
-            step.recycle();
-            dh_next = dh_prev;
         }
-        dh_next.recycle();
+
+        // One GEMM per gate over all T·B rows for everything else.
+        let mut dxt = Tensor::pooled_zeros([rows * a_d]);
+        let h_prev = &cache.h.data()[..rows * a_h];
+        for (gate, g_x) in dg.data().chunks_exact(rows * a_h).enumerate() {
+            let g_h = if gate == 2 { du.data() } else { g_x };
+            // dW_x[gate] += s_x · g_xᵀ · X
+            let dw_x = &mut self.w_x.grad.data_mut()[gate * h_full * d_full..];
+            gemm(
+                Trans::Yes,
+                Trans::No,
+                a_h,
+                a_d,
+                rows,
+                sx,
+                g_x,
+                a_h,
+                &cache.xt,
+                a_d,
+                1.0,
+                dw_x,
+                d_full,
+            );
+            // dW_h[gate] += s_h · g_hᵀ · H_prev
+            let dw_h = &mut self.w_h.grad.data_mut()[gate * h_full * h_full..];
+            gemm(
+                Trans::Yes,
+                Trans::No,
+                a_h,
+                a_h,
+                rows,
+                sh,
+                g_h,
+                a_h,
+                h_prev,
+                a_h,
+                1.0,
+                dw_h,
+                h_full,
+            );
+            // Bias gradients.
+            sum_rows_into(g_x, a_h, &mut self.b_x.grad.data_mut()[gate * h_full..]);
+            sum_rows_into(g_h, a_h, &mut self.b_h.grad.data_mut()[gate * h_full..]);
+            // dX (+)= s_x · g_x · W_x[gate]
+            let w_x = &self.w_x.value.data()[gate * h_full * d_full..];
+            let beta = if gate == 0 { 0.0 } else { 1.0 };
+            gemm(
+                Trans::No,
+                Trans::No,
+                rows,
+                a_d,
+                a_h,
+                sx,
+                g_x,
+                a_h,
+                w_x,
+                d_full,
+                beta,
+                dxt.data_mut(),
+                a_d,
+            );
+        }
+        let mut dx = Tensor::pooled_zeros([batch, steps, a_d]);
+        from_time_major(dxt.data(), batch, steps, a_d, dx.data_mut());
+        dxt.recycle();
+        dg.recycle();
+        du.recycle();
+        dh.recycle();
+        self.release(cache);
         dx
     }
 

@@ -17,13 +17,13 @@
 //! truncated BPTT with state reset at batch boundaries (a documented
 //! simplification — see DESIGN.md §2).
 
-use super::{gate_gemm, project_inputs, store_step, to_time_major};
+use super::{add_step, from_time_major, gate_gemm, project_inputs, store_step, to_time_major};
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
 use crate::workspace::{Role, Workspace};
 use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::ops::{
-    sigmoid_grad_from_output, sigmoid_inplace, tanh_grad_from_output, tanh_inplace,
+    sigmoid_grad_from_output, sigmoid_inplace, sum_rows_into, tanh_grad_from_output, tanh_inplace,
 };
 use ms_tensor::panels::PackedB;
 use ms_tensor::{init, SeededRng, Tensor};
@@ -45,13 +45,16 @@ pub struct LstmConfig {
     pub input_rescale: bool,
 }
 
-/// Per-timestep cache for BPTT.
-struct StepCache {
-    x: Tensor,      // [B, a_d]
-    h_prev: Tensor, // [B, a_h]
-    c_prev: Tensor, // [B, a_h]
-    gates: Tensor,  // [B, 4*a_h] post-activation (i, f, g, o)
-    tanh_c: Tensor, // [B, a_h]
+/// What a `Train` forward keeps for `backward`: the whole sequence,
+/// time-major (row `t·B + b`), in the buffers the forward computed it in.
+struct SeqCache {
+    batch: usize,
+    steps: usize,
+    xt: Vec<f32>,     // [T·B, a_d] input (workspace `StepInput`)
+    z: Vec<f32>,      // activated gates, `[gate][t][b][unit]` (workspace `Preact`)
+    h: Tensor,        // T+1 blocks of [B, a_h]: block t is h before step t, block 0 zero
+    c: Tensor,        // likewise the cell state
+    tanh_c: Vec<f32>, // T blocks of [B, a_h] (workspace `Cell`)
 }
 
 /// Sliceable LSTM over `[B, T, D_active] → [B, T, H_active]`.
@@ -64,19 +67,9 @@ pub struct Lstm {
     active_in: usize,
     active_h: usize,
     ws: Workspace,
-    cache: Vec<StepCache>,
+    cache: Option<SeqCache>,
     packed_x: PackedB, // persistent panels of W_xᵀ
     packed_h: PackedB, // persistent panels of W_hᵀ
-}
-
-impl StepCache {
-    fn recycle(self) {
-        self.x.recycle();
-        self.h_prev.recycle();
-        self.c_prev.recycle();
-        self.gates.recycle();
-        self.tanh_c.recycle();
-    }
 }
 
 impl Lstm {
@@ -116,10 +109,19 @@ impl Lstm {
             w_h,
             bias,
             ws: Workspace::new(),
-            cache: Vec::new(),
+            cache: None,
             packed_x: PackedB::new(),
             packed_h: PackedB::new(),
         }
+    }
+
+    /// Hands a sequence cache's buffers back to where they came from.
+    fn release(&mut self, cache: SeqCache) {
+        self.ws.put(Role::StepInput, cache.xt);
+        self.ws.put(Role::Preact, cache.z);
+        cache.h.recycle();
+        cache.c.recycle();
+        self.ws.put(Role::Cell, cache.tanh_c);
     }
 
     fn ensure_packed(&mut self) -> bool {
@@ -169,12 +171,20 @@ impl Layer for Lstm {
         let rows = steps * batch; // time-major: row t·B + b
         let slab = batch * a_h; // one gate of one step
 
-        for step in self.cache.drain(..) {
-            step.recycle();
+        // A Train forward that no backward followed still holds its cache.
+        if let Some(stale) = self.cache.take() {
+            self.release(stale);
         }
-        // Inference on a prepacked layer reads the weights off the panels
-        // (see `Linear`); training and un-packed nets go through `gemm`.
-        let on_panels = mode == Mode::Infer && self.packed_x.is_valid() && self.packed_h.is_valid();
+        // Training packs once per optimiser step (every update walks
+        // `visit_params`, which marks the panels stale) and every gate of
+        // every timestep of every scheduled rate reads that packing;
+        // inference reads the panels when it finds them valid and goes
+        // through `gemm` otherwise — it never packs on its own.
+        let train = mode == Mode::Train;
+        if train {
+            self.ensure_packed();
+        }
+        let on_panels = self.packed_x.is_valid() && self.packed_h.is_valid();
         let (px, ph) = (
             on_panels.then_some(&self.packed_x),
             on_panels.then_some(&self.packed_h),
@@ -188,15 +198,20 @@ impl Layer for Lstm {
         let (w_x, bias) = (&self.w_x.value, &self.bias.value);
         project_inputs(w_x, px, bias, h_full, a_h, sx, rows, d, &xt, &mut z);
 
-        let mut h = Tensor::pooled_zeros([batch, a_h]);
-        let mut c = Tensor::pooled_zeros([batch, a_h]);
-        let mut tanh_c = self.ws.take(Role::Cell, slab);
+        // State blocks: training keeps every step's (block t + 1 is the
+        // state after step t), inference updates block 0 in place.
+        let keep = if train { slab } else { 0 };
+        let mut h = Tensor::pooled_zeros([slab + steps * keep]);
+        let mut c = Tensor::pooled_zeros([slab + steps * keep]);
+        let mut tanh_c = self.ws.take(Role::Cell, slab.max(steps * keep));
         let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
         // Offset of gate `g`'s step-`t` slab in `z`.
         let at = |gate: usize, t: usize| (gate * rows + t * batch) * a_h;
         for t in 0..steps {
+            let (prev, next) = (t * keep, (t + 1) * keep);
             for gate in 0..GATES {
                 let zg = &mut z[at(gate, t)..][..slab];
+                let h_prev = &h.data()[prev..][..slab];
                 gate_gemm(
                     &self.w_h.value,
                     ph,
@@ -206,7 +221,7 @@ impl Layer for Lstm {
                     sh,
                     batch,
                     a_h,
-                    h.data(),
+                    h_prev,
                     zg,
                 );
             }
@@ -217,167 +232,83 @@ impl Layer for Lstm {
             let gate = |g: usize| &z[at(g, t)..][..slab];
             let (zi, zf, zg, zo) = (gate(0), gate(1), gate(2), gate(3));
 
-            // What backward needs from before the state update.
-            let prev = (mode == Mode::Train).then(|| (h.pooled_clone(), c.pooled_clone()));
-            for (k, cv) in c.data_mut().iter_mut().enumerate() {
+            c.data_mut().copy_within(prev..prev + slab, next);
+            let c_t = &mut c.data_mut()[next..][..slab];
+            for (k, cv) in c_t.iter_mut().enumerate() {
                 *cv = zf[k] * *cv + zi[k] * zg[k];
             }
-            tanh_c.copy_from_slice(c.data());
-            tanh_inplace(&mut tanh_c);
-            for (k, hv) in h.data_mut().iter_mut().enumerate() {
-                *hv = zo[k] * tanh_c[k];
+            let tc = &mut tanh_c[prev..][..slab];
+            tc.copy_from_slice(c_t);
+            tanh_inplace(tc);
+            let h_t = &mut h.data_mut()[next..][..slab];
+            for (k, hv) in h_t.iter_mut().enumerate() {
+                *hv = zo[k] * tc[k];
             }
-            store_step(h.data(), t, steps, a_h, out.data_mut());
-
-            if let Some((h_prev, c_prev)) = prev {
-                let mut x_t = Tensor::pooled_zeros([batch, d]);
-                x_t.data_mut()
-                    .copy_from_slice(&xt[t * batch * d..][..batch * d]);
-                // Backward reads the gates row-major: [B, (i f g o)·a_h].
-                let mut gates = Tensor::pooled_zeros([batch, GATES * a_h]);
-                for (b, row) in gates.data_mut().chunks_exact_mut(GATES * a_h).enumerate() {
-                    for (g, dst) in row.chunks_exact_mut(a_h).enumerate() {
-                        dst.copy_from_slice(&gate(g)[b * a_h..][..a_h]);
-                    }
-                }
-                let mut tc = Tensor::pooled_zeros([batch, a_h]);
-                tc.data_mut().copy_from_slice(&tanh_c);
-                self.cache.push(StepCache {
-                    x: x_t,
-                    h_prev,
-                    c_prev,
-                    gates,
-                    tanh_c: tc,
-                });
-            }
+            store_step(h_t, t, steps, a_h, out.data_mut());
         }
-        self.ws.put(Role::StepInput, xt);
-        self.ws.put(Role::Preact, z);
-        self.ws.put(Role::Cell, tanh_c);
-        h.recycle();
-        c.recycle();
+        let cache = SeqCache {
+            batch,
+            steps,
+            xt,
+            z,
+            h,
+            c,
+            tanh_c,
+        };
+        if train {
+            self.cache = Some(cache);
+        } else {
+            self.release(cache);
+        }
         out
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        assert!(!self.cache.is_empty(), "backward before Train forward");
-        let steps = self.cache.len();
-        let a_h = self.active_h;
-        let a_d = self.active_in;
+        let _span = ms_tensor::span!("nn.lstm_bwd");
+        let cache = self.cache.take().expect("backward before Train forward");
+        let (batch, steps) = (cache.batch, cache.steps);
+        let (a_h, a_d) = (self.active_h, self.active_in);
         let (d_full, h_full) = (self.cfg.in_dim, self.cfg.hidden_dim);
-        let batch = self.cache[0].x.dims()[0];
+        let (sx, sh) = (self.scale_x(), self.scale_h());
+        let rows = steps * batch;
+        let slab = batch * a_h;
         debug_assert_eq!(dy.dims(), &[batch, steps, a_h]);
 
-        let mut dx = Tensor::pooled_zeros([batch, steps, a_d]);
-        let mut dh_next = Tensor::pooled_zeros([batch, a_h]);
-        let mut dc_next = Tensor::pooled_zeros([batch, a_h]);
-        let (sx, sh) = (self.scale_x(), self.scale_h());
-
+        // Pre-activation gradients of the whole sequence, laid out like the
+        // gates: `[gate][t][b][unit]`. Only what the recurrence needs runs
+        // in the time loop — the elementwise gate gradient and
+        // `dh_prev = s_h·Σ_g dz_g·W_h[g]`; every product with the inputs
+        // waits until all `T·B` rows of `dz_g` exist.
+        let mut dz = Tensor::pooled_zeros([GATES * rows * a_h]);
+        let mut dh = Tensor::pooled_zeros([slab]); // dL/dh_t, recurrent part first
+        let mut dc = Tensor::pooled_zeros([slab]); // dL/dc_t from step t + 1
         for t in (0..steps).rev() {
-            let step = self.cache.pop().expect("cache per step");
-            // dh_t = dy_t + recurrent dh_next (dh_next is spent after this,
-            // so take it over instead of cloning).
-            let mut dh = dh_next;
-            for s in 0..batch {
-                let src = &dy.data()[(s * steps + t) * a_h..(s * steps + t + 1) * a_h];
-                for (v, &g) in dh.row_mut(s).iter_mut().zip(src) {
-                    *v += g;
-                }
+            add_step(dy.data(), t, steps, a_h, dh.data_mut());
+            let gate = |g: usize| &cache.z[(g * rows + t * batch) * a_h..][..slab];
+            let (zi, zf, zg, zo) = (gate(0), gate(1), gate(2), gate(3));
+            let tc = &cache.tanh_c[t * slab..][..slab];
+            let c_prev = &cache.c.data()[t * slab..][..slab];
+            let mut blocks = dz.data_mut().chunks_exact_mut(rows * a_h);
+            let [dzi, dzf, dzg, dzo] = std::array::from_fn(|_| {
+                &mut blocks.next().expect("four gate blocks")[t * slab..][..slab]
+            });
+            let (dh_t, dc_t) = (&dh.data()[..slab], &mut dc.data_mut()[..slab]);
+            for k in 0..slab {
+                let d_o = dh_t[k] * tc[k];
+                let d_c = dc_t[k] + dh_t[k] * zo[k] * tanh_grad_from_output(tc[k]);
+                dzi[k] = d_c * zg[k] * sigmoid_grad_from_output(zi[k]);
+                dzf[k] = d_c * c_prev[k] * sigmoid_grad_from_output(zf[k]);
+                dzg[k] = d_c * zi[k] * tanh_grad_from_output(zg[k]);
+                dzo[k] = d_o * sigmoid_grad_from_output(zo[k]);
+                dc_t[k] = d_c * zf[k];
             }
-            // Per-element gate gradients → dz [B, 4*a_h].
-            let mut dz = Tensor::pooled_zeros([batch, GATES * a_h]);
-            let mut dc_prev = Tensor::pooled_zeros([batch, a_h]);
-            for s in 0..batch {
-                let g = step.gates.row(s);
-                let tc = step.tanh_c.row(s);
-                let cp = step.c_prev.row(s);
-                let dzr = dz.row_mut(s);
-                let dhr = dh.row(s);
-                let dcn = dc_next.row(s);
-                let dcp = dc_prev.row_mut(s);
-                for k in 0..a_h {
-                    let (i, f, gg, o) = (g[k], g[a_h + k], g[2 * a_h + k], g[3 * a_h + k]);
-                    let do_ = dhr[k] * tc[k];
-                    let dc = dcn[k] + dhr[k] * o * tanh_grad_from_output(tc[k]);
-                    let di = dc * gg;
-                    let dg = dc * i;
-                    let df = dc * cp[k];
-                    dcp[k] = dc * f;
-                    dzr[k] = di * sigmoid_grad_from_output(i);
-                    dzr[a_h + k] = df * sigmoid_grad_from_output(f);
-                    dzr[2 * a_h + k] = dg * tanh_grad_from_output(gg);
-                    dzr[3 * a_h + k] = do_ * sigmoid_grad_from_output(o);
-                }
+            if t == 0 {
+                break; // h before step 0 is the zero state: nothing to pass on
             }
-            dc_next.recycle();
-            dc_next = dc_prev;
-
-            // Parameter gradients and input/recurrent gradients per gate.
-            let mut dh_prev = Tensor::pooled_zeros([batch, a_h]);
-            for gate in 0..GATES {
-                // Views of dz for this gate: column slab [B, a_h] at offset.
-                // dW_x[gate] += s_x * dz_g^T · x
-                gemm(
-                    Trans::Yes,
-                    Trans::No,
-                    a_h,
-                    a_d,
-                    batch,
-                    sx,
-                    &dz.data()[gate * a_h..],
-                    GATES * a_h,
-                    step.x.data(),
-                    a_d,
-                    1.0,
-                    &mut self.w_x.grad.data_mut()[gate * h_full * d_full..],
-                    d_full,
-                );
-                // dW_h[gate] += s_h * dz_g^T · h_prev
-                gemm(
-                    Trans::Yes,
-                    Trans::No,
-                    a_h,
-                    a_h,
-                    batch,
-                    sh,
-                    &dz.data()[gate * a_h..],
-                    GATES * a_h,
-                    step.h_prev.data(),
-                    a_h,
-                    1.0,
-                    &mut self.w_h.grad.data_mut()[gate * h_full * h_full..],
-                    h_full,
-                );
-                // db[gate] += colsum(dz_g)
-                for s in 0..batch {
-                    let base = s * GATES * a_h + gate * a_h;
-                    let dzs = &dz.data()[base..base + a_h];
-                    let bg = &mut self.bias.grad.data_mut()[gate * h_full..gate * h_full + a_h];
-                    for (b, &v) in bg.iter_mut().zip(dzs) {
-                        *b += v;
-                    }
-                }
-                // dx_t += s_x * dz_g · W_x[gate]
-                for s in 0..batch {
-                    let dzs_off = s * GATES * a_h + gate * a_h;
-                    let dst = &mut dx.data_mut()[(s * steps + t) * a_d..(s * steps + t + 1) * a_d];
-                    gemm(
-                        Trans::No,
-                        Trans::No,
-                        1,
-                        a_d,
-                        a_h,
-                        sx,
-                        &dz.data()[dzs_off..dzs_off + a_h],
-                        a_h,
-                        &self.w_x.value.data()[gate * h_full * d_full..],
-                        d_full,
-                        1.0,
-                        dst,
-                        a_d,
-                    );
-                }
-                // dh_prev += s_h * dz_g · W_h[gate]
+            for (gate, dz_g) in [&*dzi, dzf, dzg, dzo].into_iter().enumerate() {
+                let w_h = &self.w_h.value.data()[gate * h_full * h_full..];
+                let beta = if gate == 0 { 0.0 } else { 1.0 };
+                let dh_prev = dh.data_mut();
                 gemm(
                     Trans::No,
                     Trans::No,
@@ -385,22 +316,83 @@ impl Layer for Lstm {
                     a_h,
                     a_h,
                     sh,
-                    &dz.data()[gate * a_h..],
-                    GATES * a_h,
-                    &self.w_h.value.data()[gate * h_full * h_full..],
+                    dz_g,
+                    a_h,
+                    w_h,
                     h_full,
-                    1.0,
-                    dh_prev.data_mut(),
+                    beta,
+                    dh_prev,
                     a_h,
                 );
             }
-            dh.recycle();
-            dz.recycle();
-            step.recycle();
-            dh_next = dh_prev;
         }
-        dh_next.recycle();
-        dc_next.recycle();
+
+        // One GEMM per gate over all T·B rows for everything else.
+        let mut dxt = Tensor::pooled_zeros([rows * a_d]);
+        let h_prev = &cache.h.data()[..rows * a_h];
+        for (gate, dz_g) in dz.data().chunks_exact(rows * a_h).enumerate() {
+            // dW_x[gate] += s_x · dz_gᵀ · X
+            let dw_x = &mut self.w_x.grad.data_mut()[gate * h_full * d_full..];
+            gemm(
+                Trans::Yes,
+                Trans::No,
+                a_h,
+                a_d,
+                rows,
+                sx,
+                dz_g,
+                a_h,
+                &cache.xt,
+                a_d,
+                1.0,
+                dw_x,
+                d_full,
+            );
+            // dW_h[gate] += s_h · dz_gᵀ · H_prev
+            let dw_h = &mut self.w_h.grad.data_mut()[gate * h_full * h_full..];
+            gemm(
+                Trans::Yes,
+                Trans::No,
+                a_h,
+                a_h,
+                rows,
+                sh,
+                dz_g,
+                a_h,
+                h_prev,
+                a_h,
+                1.0,
+                dw_h,
+                h_full,
+            );
+            // db[gate] += colsum(dz_g)
+            sum_rows_into(dz_g, a_h, &mut self.bias.grad.data_mut()[gate * h_full..]);
+            // dX (+)= s_x · dz_g · W_x[gate]
+            let w_x = &self.w_x.value.data()[gate * h_full * d_full..];
+            let beta = if gate == 0 { 0.0 } else { 1.0 };
+            gemm(
+                Trans::No,
+                Trans::No,
+                rows,
+                a_d,
+                a_h,
+                sx,
+                dz_g,
+                a_h,
+                w_x,
+                d_full,
+                beta,
+                dxt.data_mut(),
+                a_d,
+            );
+        }
+        let mut dx = Tensor::pooled_zeros([batch, steps, a_d]);
+        from_time_major(dxt.data(), batch, steps, a_d, dx.data_mut());
+        dxt.recycle();
+        dz.recycle();
+        dh.recycle();
+        dc.recycle();
+        self.release(cache);
         dx
     }
 

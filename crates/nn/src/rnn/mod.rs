@@ -96,6 +96,24 @@ fn to_time_major(x: &[f32], batch: usize, steps: usize, d: usize, xt: &mut [f32]
     }
 }
 
+/// The inverse of [`to_time_major`]: `xt: [T, B, D]` back into `x: [B, T, D]`.
+fn from_time_major(xt: &[f32], batch: usize, steps: usize, d: usize, x: &mut [f32]) {
+    for (b, sample) in x.chunks_exact_mut(steps * d).enumerate().take(batch) {
+        for (t, row) in sample.chunks_exact_mut(d).enumerate() {
+            row.copy_from_slice(&xt[(t * batch + b) * d..][..d]);
+        }
+    }
+}
+
+/// Adds step `t` of `dy: [B, T, a_h]` to `dh: [B, a_h]`.
+fn add_step(dy: &[f32], t: usize, steps: usize, a_h: usize, dh: &mut [f32]) {
+    for (b, row) in dh.chunks_exact_mut(a_h).enumerate() {
+        for (v, &g) in row.iter_mut().zip(&dy[(b * steps + t) * a_h..][..a_h]) {
+            *v += g;
+        }
+    }
+}
+
 /// Writes the step-`t` hidden state `h: [B, a_h]` into `out: [B, T, a_h]`.
 fn store_step(h: &[f32], t: usize, steps: usize, a_h: usize, out: &mut [f32]) {
     for (b, row) in h.chunks_exact(a_h).enumerate() {

@@ -28,8 +28,6 @@ pub enum Role {
     Cell,
     /// im2col column matrix (convolutions).
     Cols,
-    /// Gradient of the column matrix (convolution backward).
-    ColGrad,
     /// Per-group statistics (normalisation layers).
     Stats,
     /// Free-form scratch.

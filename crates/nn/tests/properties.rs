@@ -54,6 +54,249 @@ fn assert_close(got: &Tensor, want: &Tensor, what: &str) -> Result<(), TestCaseE
     Ok(())
 }
 
+/// Values of a layer's parameters, in `visit_params` order.
+fn param_values(layer: &mut dyn Layer) -> Vec<Vec<f32>> {
+    let mut out = Vec::new();
+    layer.visit_params(&mut |p| out.push(p.value.data().to_vec()));
+    out
+}
+
+/// Gradients of a layer's parameters, in `visit_params` order.
+fn param_grads(layer: &mut dyn Layer) -> Vec<(String, Vec<f32>)> {
+    let mut out = Vec::new();
+    layer.visit_params(&mut |p| out.push((p.name.clone(), p.grad.data().to_vec())));
+    out
+}
+
+fn assert_slices_close(
+    got: &[f32],
+    want: &[f64],
+    tol: f64,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{}: length", what);
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        prop_assert!(
+            (f64::from(*g) - w).abs() <= tol * w.abs().max(1.0),
+            "{what}: element {i}: layer {g} vs reference {w}"
+        );
+    }
+    Ok(())
+}
+
+fn sigmoid(v: f64) -> f64 {
+    1.0 / (1.0 + (-v).exp())
+}
+
+/// Geometry of one recurrent reference pass: full and active widths, the
+/// `full/active` rescale factors (1 when rescaling is off), batch, steps.
+struct Recurrence {
+    d: usize,
+    h: usize,
+    a_d: usize,
+    a_h: usize,
+    sx: f64,
+    sh: f64,
+    batch: usize,
+    steps: usize,
+}
+
+impl Recurrence {
+    /// `s · Σ_j w[(gate·H + k)·ld + j] · v[j]` over the first `v.len()` columns.
+    fn dot(&self, w: &[f32], ld: usize, gate: usize, k: usize, v: &[f64], s: f64) -> f64 {
+        let row = &w[(gate * self.h + k) * ld..];
+        s * v
+            .iter()
+            .zip(row)
+            .map(|(a, b)| a * f64::from(*b))
+            .sum::<f64>()
+    }
+
+    fn x_at(&self, x: &Tensor, b: usize, t: usize) -> Vec<f64> {
+        let at = (b * self.steps + t) * self.a_d;
+        x.data()[at..at + self.a_d]
+            .iter()
+            .map(|v| f64::from(*v))
+            .collect()
+    }
+}
+
+/// What a reference backward returns: `dx` and the parameter gradients in
+/// `visit_params` order, full-size with zeros outside the active block.
+type RefGrads = (Vec<f64>, Vec<Vec<f64>>);
+
+/// Per-timestep BPTT through a sliced LSTM, one sample and one step at a
+/// time, in `f64`: the textbook form the whole-sequence backward replaced.
+fn lstm_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> RefGrads {
+    let Recurrence {
+        d,
+        h,
+        a_d,
+        a_h,
+        sx,
+        sh,
+        batch,
+        steps,
+    } = *geo;
+    let (w_x, w_h, bias) = (&p[0], &p[1], &p[2]);
+    let mut dx = vec![0.0; batch * steps * a_d];
+    let (mut dw_x, mut dw_h, mut db) =
+        (vec![0.0; 4 * h * d], vec![0.0; 4 * h * h], vec![0.0; 4 * h]);
+    for b in 0..batch {
+        // Forward, keeping every step.
+        let (mut hs, mut cs) = (vec![vec![0.0; a_h]], vec![vec![0.0; a_h]]);
+        let mut gates = Vec::new();
+        for t in 0..steps {
+            let xv = geo.x_at(x, b, t);
+            let (hp, cp) = (&hs[t], &cs[t]);
+            let mut g = [
+                vec![0.0; a_h],
+                vec![0.0; a_h],
+                vec![0.0; a_h],
+                vec![0.0; a_h],
+            ];
+            for (gate, act) in g.iter_mut().enumerate() {
+                for k in 0..a_h {
+                    let z = geo.dot(w_x, d, gate, k, &xv, sx)
+                        + geo.dot(w_h, h, gate, k, hp, sh)
+                        + f64::from(bias[gate * h + k]);
+                    act[k] = if gate == 2 { z.tanh() } else { sigmoid(z) };
+                }
+            }
+            let c: Vec<f64> = (0..a_h)
+                .map(|k| g[1][k] * cp[k] + g[0][k] * g[2][k])
+                .collect();
+            let hn: Vec<f64> = (0..a_h).map(|k| g[3][k] * c[k].tanh()).collect();
+            hs.push(hn);
+            cs.push(c);
+            gates.push(g);
+        }
+        // Backward, newest step first.
+        let (mut dh_next, mut dc_next) = (vec![0.0; a_h], vec![0.0; a_h]);
+        for t in (0..steps).rev() {
+            let xv = geo.x_at(x, b, t);
+            let [i, f, g, o] = &gates[t];
+            let mut dz = [
+                vec![0.0; a_h],
+                vec![0.0; a_h],
+                vec![0.0; a_h],
+                vec![0.0; a_h],
+            ];
+            for k in 0..a_h {
+                let dh = f64::from(dy.data()[(b * steps + t) * a_h + k]) + dh_next[k];
+                let tc = cs[t + 1][k].tanh();
+                let dc = dc_next[k] + dh * o[k] * (1.0 - tc * tc);
+                dz[0][k] = dc * g[k] * i[k] * (1.0 - i[k]);
+                dz[1][k] = dc * cs[t][k] * f[k] * (1.0 - f[k]);
+                dz[2][k] = dc * i[k] * (1.0 - g[k] * g[k]);
+                dz[3][k] = dh * tc * o[k] * (1.0 - o[k]);
+                dc_next[k] = dc * f[k];
+            }
+            dh_next = vec![0.0; a_h];
+            for (gate, dz_g) in dz.iter().enumerate() {
+                for k in 0..a_h {
+                    let row = gate * h + k;
+                    db[row] += dz_g[k];
+                    for j in 0..a_d {
+                        dw_x[row * d + j] += sx * dz_g[k] * xv[j];
+                        dx[(b * steps + t) * a_d + j] += sx * dz_g[k] * f64::from(w_x[row * d + j]);
+                    }
+                    for j in 0..a_h {
+                        dw_h[row * h + j] += sh * dz_g[k] * hs[t][j];
+                        dh_next[j] += sh * dz_g[k] * f64::from(w_h[row * h + j]);
+                    }
+                }
+            }
+        }
+    }
+    (dx, vec![dw_x, dw_h, db])
+}
+
+/// The same for the GRU (`r, z, n` blocks, separate recurrent bias, the
+/// candidate's `r ⊙ (U_n h + b_u)` form).
+fn gru_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> RefGrads {
+    let Recurrence {
+        d,
+        h,
+        a_d,
+        a_h,
+        sx,
+        sh,
+        batch,
+        steps,
+    } = *geo;
+    let (w_x, w_h, b_x, b_h) = (&p[0], &p[1], &p[2], &p[3]);
+    let mut dx = vec![0.0; batch * steps * a_d];
+    let (mut dw_x, mut dw_h) = (vec![0.0; 3 * h * d], vec![0.0; 3 * h * h]);
+    let (mut db_x, mut db_h) = (vec![0.0; 3 * h], vec![0.0; 3 * h]);
+    for b in 0..batch {
+        let mut hs = vec![vec![0.0; a_h]];
+        let mut kept = Vec::new(); // per step: r, z, n, u_n
+        for t in 0..steps {
+            let xv = geo.x_at(x, b, t);
+            let hp = &hs[t];
+            let side = |gate: usize, k: usize| {
+                let from_x = geo.dot(w_x, d, gate, k, &xv, sx) + f64::from(b_x[gate * h + k]);
+                let from_h = geo.dot(w_h, h, gate, k, hp, sh) + f64::from(b_h[gate * h + k]);
+                (from_x, from_h)
+            };
+            let squash = |gate: usize| -> Vec<f64> {
+                (0..a_h)
+                    .map(|k| sigmoid(side(gate, k).0 + side(gate, k).1))
+                    .collect()
+            };
+            let (r, z) = (squash(0), squash(1));
+            let u_n: Vec<f64> = (0..a_h).map(|k| side(2, k).1).collect();
+            let n: Vec<f64> = (0..a_h)
+                .map(|k| (side(2, k).0 + r[k] * u_n[k]).tanh())
+                .collect();
+            let hn: Vec<f64> = (0..a_h)
+                .map(|k| (1.0 - z[k]) * n[k] + z[k] * hp[k])
+                .collect();
+            hs.push(hn);
+            kept.push([r, z, n, u_n]);
+        }
+        let mut dh_next = vec![0.0; a_h];
+        for t in (0..steps).rev() {
+            let xv = geo.x_at(x, b, t);
+            let [r, z, n, u_n] = &kept[t];
+            let hp = &hs[t];
+            // Pre-activation gradients as the input side (`gx`) and the
+            // recurrent side (`gh`) see them.
+            let mut gx = [vec![0.0; a_h], vec![0.0; a_h], vec![0.0; a_h]];
+            let mut gh = gx.clone();
+            let mut direct = vec![0.0; a_h];
+            for k in 0..a_h {
+                let dh = f64::from(dy.data()[(b * steps + t) * a_h + k]) + dh_next[k];
+                let dn = dh * (1.0 - z[k]) * (1.0 - n[k] * n[k]);
+                let dr = dn * u_n[k] * r[k] * (1.0 - r[k]);
+                let dz = dh * (hp[k] - n[k]) * z[k] * (1.0 - z[k]);
+                (gx[0][k], gx[1][k], gx[2][k]) = (dr, dz, dn);
+                (gh[0][k], gh[1][k], gh[2][k]) = (dr, dz, dn * r[k]);
+                direct[k] = dh * z[k];
+            }
+            dh_next = direct;
+            for gate in 0..3 {
+                for k in 0..a_h {
+                    let row = gate * h + k;
+                    db_x[row] += gx[gate][k];
+                    db_h[row] += gh[gate][k];
+                    for j in 0..a_d {
+                        dw_x[row * d + j] += sx * gx[gate][k] * xv[j];
+                        dx[(b * steps + t) * a_d + j] +=
+                            sx * gx[gate][k] * f64::from(w_x[row * d + j]);
+                    }
+                    for j in 0..a_h {
+                        dw_h[row * h + j] += sh * gh[gate][k] * hp[j];
+                        dh_next[j] += sh * gh[gate][k] * f64::from(w_h[row * h + j]);
+                    }
+                }
+            }
+        }
+    }
+    (dx, vec![dw_x, dw_h, db_x, db_h])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -218,9 +461,10 @@ proptest! {
         }
     }
 
-    /// Training and inference run one forward: on an un-packed cell the two
-    /// modes write the same bits (a model is served with the arithmetic it
-    /// was trained with; only what is kept for `backward` differs).
+    /// Training and inference run one forward: the two modes write the same
+    /// bits (a model is served with the arithmetic it was trained with; only
+    /// what is kept for `backward` differs). The `Train` pass packs the
+    /// cell's panels and the `Infer` pass after it reads them.
     #[test]
     fn recurrent_train_and_infer_forwards_agree_bitwise(
         h_mult in 1usize..4,
@@ -320,6 +564,122 @@ proptest! {
             }
         });
         prop_assert!(!leaked, "gradient leaked outside active block");
+    }
+
+    /// The whole-sequence backward of both cells (elementwise step and
+    /// `dh_prev` in the time loop, every product with the inputs as one GEMM
+    /// per gate over all `T·B` rows) computes what per-timestep BPTT does:
+    /// `dx` and every parameter gradient within 1e-5 relative of an `f64`
+    /// reference that walks one sample and one step at a time, at all four
+    /// rates, rescaling on and off.
+    #[test]
+    fn whole_sequence_backward_matches_per_timestep_reference(
+        d_mult in 1usize..=4,
+        h_mult in 1usize..=4,
+        batch in 1usize..=4,
+        steps in 1usize..=6,
+        rescale in any::<bool>(),
+        rate_idx in 1u32..=4,
+        seed in any::<u64>(),
+    ) {
+        let (d, h) = (4 * d_mult, 4 * h_mult);
+        let rate = SliceRate::new(rate_idx as f32 / 4.0);
+        let (a_d, a_h) = (active_units(d, 4, rate), active_units(h, 4, rate));
+        let scale = |full: usize, active: usize| {
+            if rescale && active < full { full as f64 / active as f64 } else { 1.0 }
+        };
+        let geo = Recurrence {
+            d, h, a_d, a_h, sx: scale(d, a_d), sh: scale(h, a_h), batch, steps,
+        };
+        let mut rng = SeededRng::new(seed ^ 0xb977);
+        let x = random_tensor(&mut rng, vec![batch, steps, a_d]);
+        let dy = random_tensor(&mut rng, vec![batch, steps, a_h]);
+        let lstm = LstmConfig {
+            in_dim: d, hidden_dim: h, in_groups: Some(4), out_groups: Some(4), input_rescale: rescale,
+        };
+        let gru = GruConfig {
+            in_dim: d, hidden_dim: h, in_groups: Some(4), out_groups: Some(4), input_rescale: rescale,
+        };
+        let cells: [(Box<dyn Layer>, fn(&Recurrence, &[Vec<f32>], &Tensor, &Tensor) -> RefGrads); 2] = [
+            (Box::new(Lstm::new("lstm", lstm, &mut SeededRng::new(seed))), lstm_reference),
+            (Box::new(Gru::new("gru", gru, &mut SeededRng::new(seed))), gru_reference),
+        ];
+        for (mut cell, reference) in cells {
+            cell.set_slice_rate(rate);
+            let (want_dx, want_grads) = reference(&geo, &param_values(cell.as_mut()), &x, &dy);
+            cell.forward(&x, Mode::Train).recycle();
+            let dx = cell.backward(&dy);
+            assert_slices_close(dx.data(), &want_dx, 1e-5, &format!("{} dx", cell.name()))?;
+            for ((name, got), want) in param_grads(cell.as_mut()).iter().zip(&want_grads) {
+                assert_slices_close(got, want, 1e-5, name)?;
+            }
+        }
+    }
+
+    /// The chunked training path (several samples side by side in one
+    /// column matrix, one GEMM per chunk) against the per-sample path (the
+    /// same layer fed one sample at a time, where a chunk is one sample):
+    /// the forward bit for bit, `dx` within 1e-5 relative, `dW` and `db`
+    /// (`f32` sums of `B·OH·OW` cancelling terms taken in two orders) within
+    /// 1e-4, for batches that are not a multiple of the chunk.
+    #[test]
+    fn chunked_conv_training_matches_the_per_sample_path(
+        in_mult in 1usize..3,
+        out_mult in 1usize..3,
+        side in 5usize..9,
+        kernel in 1usize..=3,
+        stride in 1usize..=2,
+        pad in 0usize..=1,
+        rate_idx in 1u32..=4,
+        extra in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let cfg = Conv2dConfig {
+            in_ch: 4 * in_mult,
+            out_ch: 4 * out_mult,
+            kernel,
+            stride,
+            pad,
+            h: side,
+            w: side,
+            in_groups: Some(4),
+            out_groups: Some(4),
+            bias: true,
+        };
+        let mut chunked = Conv2d::new("c", cfg.clone(), &mut SeededRng::new(seed));
+        let mut single = Conv2d::new("c", cfg, &mut SeededRng::new(seed));
+        let rate = SliceRate::new(rate_idx as f32 / 4.0);
+        chunked.set_slice_rate(rate);
+        single.set_slice_rate(rate);
+        let (a_in, a_out) = chunked.active_channels();
+        // Two full chunks and a ragged third: a chunk is 512 columns' worth
+        // of samples, five or more at these sizes.
+        let out_side = (side + 2 * pad - kernel) / stride + 1;
+        let batch = 2 * (512 / (out_side * out_side)) + extra;
+        let mut rng = SeededRng::new(seed ^ 0x51ce);
+        let x = random_tensor(&mut rng, vec![batch, a_in, side, side]);
+        let dy = random_tensor(&mut rng, vec![batch, a_out, out_side, out_side]);
+
+        let y = chunked.forward(&x, Mode::Train);
+        let dx = chunked.backward(&dy);
+        let (per_x, per_y) = (a_in * side * side, a_out * out_side * out_side);
+        let sample = |t: &Tensor, s: usize, dims: [usize; 4]| {
+            let per: usize = dims.iter().product();
+            Tensor::from_vec(dims, t.data()[s * per..(s + 1) * per].to_vec()).expect("one sample")
+        };
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for s in 0..batch {
+            let y_s = single.forward(&sample(&x, s, [1, a_in, side, side]), Mode::Train);
+            prop_assert_eq!(bits(y_s.data()), bits(&y.data()[s * per_y..(s + 1) * per_y]), "y of sample {}", s);
+            let dx_s = single.backward(&sample(&dy, s, [1, a_out, out_side, out_side]));
+            let want: Vec<f64> = dx_s.data().iter().map(|v| f64::from(*v)).collect();
+            assert_slices_close(&dx.data()[s * per_x..(s + 1) * per_x], &want, 1e-5, "dx")?;
+        }
+        let want = param_grads(&mut single);
+        for ((name, got), (_, want)) in param_grads(&mut chunked).iter().zip(&want) {
+            let want: Vec<f64> = want.iter().map(|v| f64::from(*v)).collect();
+            assert_slices_close(got, &want, 1e-4, name)?;
+        }
     }
 
     /// LSTM gradcheck across random widths and rates.

@@ -73,38 +73,50 @@ fn valid_span(
     (lo, hi.max(lo))
 }
 
-/// Lowers `channels` input channels of a `[C, H, W]` sample into the im2col
-/// buffer `col` of shape `[channels·KH·KW, OH·OW]` (row-major).
+/// Lowers `channels` input channels of a `[C, H, W]` sample into columns
+/// `[col_off, col_off + OH·OW)` of the im2col matrix `col`, which is
+/// `[channels·KH·KW, ld]` row-major.
 ///
-/// `col` must have exactly `channels * kh * kw * out_len` elements; it is
-/// fully overwritten. Each `(c, ki, kj, oy)` output row is one contiguous
+/// One sample fills a matrix of its own with `ld = OH·OW` and `col_off = 0`;
+/// a wider `ld` lays several samples side by side, so one GEMM covers all of
+/// them. The sample's columns are fully overwritten and nothing else is
+/// touched. Each `(c, ki, kj, oy)` output row is one contiguous
 /// copy of the valid input span plus a zero fill of the padded edges (a
 /// strided gather only when `stride > 1`) — no per-element bounds test; in
 /// "same" geometry the rows of a tap fuse into a single copy.
-pub fn im2col(input: &[f32], channels: usize, geom: &ConvGeom, col: &mut [f32]) {
+pub fn im2col(
+    input: &[f32],
+    channels: usize,
+    geom: &ConvGeom,
+    col: &mut [f32],
+    ld: usize,
+    col_off: usize,
+) {
     let _span = ms_telemetry::span!("conv.im2col");
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let out_len = oh * ow;
     let (h, w, stride, pad) = (geom.h, geom.w, geom.stride, geom.pad);
     debug_assert!(geom.is_valid(), "invalid conv geometry {geom:?}");
     debug_assert!(input.len() >= channels * h * w);
-    debug_assert_eq!(col.len(), channels * geom.kh * geom.kw * out_len);
-    if out_len == 0 {
+    if out_len == 0 || channels == 0 {
         return;
     }
+    debug_assert!(col_off + out_len <= ld);
+    debug_assert!(col.len() >= (channels * geom.kh * geom.kw - 1) * ld + col_off + out_len);
 
     // "Same" geometry (stride 1, output as wide as the input): the output
     // rows of one tap are adjacent in `col` and their sources adjacent in the
     // plane, so the whole valid block is one run at a fixed offset.
     let dense = stride == 1 && ow == w;
-    let mut rows = col.chunks_exact_mut(out_len);
+    let mut row = 0;
     for c in 0..channels {
         let plane = &input[c * h * w..(c + 1) * h * w];
         for ki in 0..geom.kh {
             let (oy_lo, oy_hi) = valid_span(h, oh, ki, stride, pad);
             for kj in 0..geom.kw {
                 let (ox_lo, ox_hi) = valid_span(w, ow, kj, stride, pad);
-                let dst = rows.next().expect("one col row per (c, ki, kj)");
+                let dst = &mut col[row * ld + col_off..][..out_len];
+                row += 1;
                 if oy_lo == oy_hi || ox_lo == ox_hi {
                     dst.fill(0.0); // the tap only ever sees padding
                     continue;
@@ -147,28 +159,38 @@ pub fn im2col(input: &[f32], channels: usize, geom: &ConvGeom, col: &mut [f32]) 
     }
 }
 
-/// Scatter-adds an im2col-layout gradient back to the input gradient
-/// (`dinput`, `[channels, H, W]`, accumulated — caller zeroes it first).
-/// Walks the same valid spans as [`im2col`].
-pub fn col2im(col: &[f32], channels: usize, geom: &ConvGeom, dinput: &mut [f32]) {
+/// Scatter-adds columns `[col_off, col_off + OH·OW)` of an im2col-layout
+/// gradient (`[channels·KH·KW, ld]`, as [`im2col`] lays it out) back to the
+/// input gradient (`dinput`, `[channels, H, W]`, accumulated — caller
+/// zeroes it first). Walks the same valid spans as [`im2col`].
+pub fn col2im(
+    col: &[f32],
+    channels: usize,
+    geom: &ConvGeom,
+    dinput: &mut [f32],
+    ld: usize,
+    col_off: usize,
+) {
     let _span = ms_telemetry::span!("conv.col2im");
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let out_len = oh * ow;
     let (h, w, stride, pad) = (geom.h, geom.w, geom.stride, geom.pad);
-    debug_assert_eq!(col.len(), channels * geom.kh * geom.kw * out_len);
     debug_assert!(dinput.len() >= channels * h * w);
-    if out_len == 0 {
+    if out_len == 0 || channels == 0 {
         return;
     }
+    debug_assert!(col_off + out_len <= ld);
+    debug_assert!(col.len() >= (channels * geom.kh * geom.kw - 1) * ld + col_off + out_len);
 
-    let mut rows = col.chunks_exact(out_len);
+    let mut row = 0;
     for c in 0..channels {
         let plane = &mut dinput[c * h * w..(c + 1) * h * w];
         for ki in 0..geom.kh {
             let (oy_lo, oy_hi) = valid_span(h, oh, ki, stride, pad);
             for kj in 0..geom.kw {
                 let (ox_lo, ox_hi) = valid_span(w, ow, kj, stride, pad);
-                let src = rows.next().expect("one col row per (c, ki, kj)");
+                let src = &col[row * ld + col_off..][..out_len];
+                row += 1;
                 if ox_lo == ox_hi {
                     continue;
                 }
@@ -193,9 +215,10 @@ pub fn col2im(col: &[f32], channels: usize, geom: &ConvGeom, dinput: &mut [f32])
 
 /// Max-pooling over one `[C, H, W]` sample. Writes the pooled output and,
 /// when `argmax` is given (training), the flat index into the input plane of
-/// each output cell's maximum for the backward pass. Inference passes `None`
-/// and, for the 2×2 / stride-2 / unpadded window every model here uses,
-/// takes a bounds-check-free loop; the output bits are the same either way.
+/// each output cell's maximum for the backward pass; inference passes `None`.
+/// The 2×2 / stride-2 / unpadded window every model here uses takes a
+/// bounds-check-free loop either way; the output bits (and the indices) are
+/// those of the general loop.
 pub fn maxpool_forward(
     input: &[f32],
     channels: usize,
@@ -211,13 +234,18 @@ pub fn maxpool_forward(
     for c in 0..channels {
         let plane = &input[c * geom.h * geom.w..(c + 1) * geom.h * geom.w];
         let out_plane = &mut output[c * oh * ow..(c + 1) * oh * ow];
-        match argmax.as_deref_mut() {
-            Some(argmax) => {
-                let arg_plane = &mut argmax[c * oh * ow..(c + 1) * oh * ow];
-                maxpool_plane(plane, geom, out_plane, |cell, flat| arg_plane[cell] = flat);
+        let arg_plane = argmax
+            .as_deref_mut()
+            .map(|a| &mut a[c * oh * ow..(c + 1) * oh * ow]);
+        match (arg_plane, halving) {
+            (Some(arg), true) => {
+                maxpool_halve_plane(plane, geom.w, out_plane, ow, |cell, flat| arg[cell] = flat)
             }
-            None if halving => maxpool_halve_plane(plane, geom.w, out_plane, ow),
-            None => maxpool_plane(plane, geom, out_plane, |_, _| {}),
+            (Some(arg), false) => {
+                maxpool_plane(plane, geom, out_plane, |cell, flat| arg[cell] = flat)
+            }
+            (None, true) => maxpool_halve_plane(plane, geom.w, out_plane, ow, |_, _| {}),
+            (None, false) => maxpool_plane(plane, geom, out_plane, |_, _| {}),
         }
     }
 }
@@ -260,26 +288,42 @@ fn maxpool_plane(
 }
 
 /// 2×2 / stride-2 / unpadded max-pool of one plane: the same `v > best`
-/// chain over the window in the same order as [`maxpool_plane`], on slices
-/// whose lengths the compiler can see.
-fn maxpool_halve_plane(plane: &[f32], w: usize, out_plane: &mut [f32], ow: usize) {
+/// chain over the window in the same order as [`maxpool_plane`] (so the same
+/// argmax, index 0 for a window of NaNs included), on slices whose lengths
+/// the compiler can see.
+fn maxpool_halve_plane(
+    plane: &[f32],
+    w: usize,
+    out_plane: &mut [f32],
+    ow: usize,
+    mut note: impl FnMut(usize, u32),
+) {
     if ow == 0 {
         return;
     }
-    for (out_row, pair) in out_plane
+    let rows = out_plane
         .chunks_exact_mut(ow)
-        .zip(plane.chunks_exact(2 * w))
-    {
+        .zip(plane.chunks_exact(2 * w));
+    for (oy, (out_row, pair)) in rows.enumerate() {
         let (top, bottom) = pair.split_at(w);
         let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
-        for (o, (t, b)) in out_row.iter_mut().zip(windows) {
+        for (ox, (o, (t, b))) in out_row.iter_mut().zip(windows).enumerate() {
+            let at = 2 * oy * w + 2 * ox; // flat index of the window's corner
             let mut best = f32::NEG_INFINITY;
-            for v in [t[0], t[1], b[0], b[1]] {
+            let mut best_idx = 0;
+            for (v, flat) in [
+                (t[0], at),
+                (t[1], at + 1),
+                (b[0], at + w),
+                (b[1], at + w + 1),
+            ] {
                 if v > best {
                     best = v;
+                    best_idx = flat;
                 }
             }
             *o = best;
+            note(oy * ow + ox, best_idx as u32);
         }
     }
 }
@@ -293,6 +337,7 @@ pub fn maxpool_backward(
     geom: &ConvGeom,
     dinput: &mut [f32],
 ) {
+    let _span = ms_telemetry::span!("pool.max_bwd");
     let out_len = geom.out_len();
     debug_assert_eq!(doutput.len(), channels * out_len);
     for c in 0..channels {
@@ -428,22 +473,90 @@ mod tests {
             let mut want = vec![7.0f32; col_len];
             let mut got = vec![-7.0f32; col_len];
             im2col_reference(&x, c, &g, &mut want);
-            im2col(&x, c, &g, &mut got);
+            im2col(&x, c, &g, &mut got, g.out_len(), 0);
             prop_assert_eq!(bits(&got), bits(&want));
 
             let y: Vec<f32> = (0..col_len).map(|_| rng.uniform(-1.0, 1.0)).collect();
             let mut back_want = x.clone();
             let mut back = x.clone();
             col2im_reference(&y, c, &g, &mut back_want);
-            col2im(&y, c, &g, &mut back);
+            col2im(&y, c, &g, &mut back, g.out_len(), 0);
             prop_assert_eq!(bits(&back), bits(&back_want));
 
             // <im2col(x), y> == <x, col2im(y)> with col2im from zero.
             let mut adj = vec![0.0f32; x.len()];
-            col2im(&y, c, &g, &mut adj);
+            col2im(&y, c, &g, &mut adj, g.out_len(), 0);
             let lhs: f64 = got.iter().zip(&y).map(|(a, b)| (a * b) as f64).sum();
             let rhs: f64 = x.iter().zip(&adj).map(|(a, b)| (a * b) as f64).sum();
             prop_assert!((lhs - rhs).abs() < 1e-3, "{} vs {}", lhs, rhs);
+        }
+
+        /// A sample lowered into columns `[off, off + L)` of a wider matrix
+        /// (`ld > L`, the chunked conv's layout) holds the bits of its own
+        /// contiguous matrix, leaves its neighbours' columns alone, and
+        /// `col2im` reads back exactly those columns.
+        #[test]
+        fn strided_lowering_matches_the_contiguous_form(
+            c in 1usize..4, h in 1usize..9, w in 1usize..9,
+            k in 1usize..=3, stride in 1usize..=2, pad in 0usize..=1,
+            before in 0usize..3, after in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let g = geom(h, w, k, stride, pad);
+            prop_assume!(g.is_valid());
+            let len = g.out_len();
+            let (ld, off) = (before * len + len + after + 1, before * len);
+            let rows = c * k * k;
+            let mut rng = SeededRng::new(seed);
+            let x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let mut tight = vec![0.0f32; rows * len];
+            im2col(&x, c, &g, &mut tight, len, 0);
+            let mut wide = vec![f32::NAN; rows * ld];
+            im2col(&x, c, &g, &mut wide, ld, off);
+            for (r, row) in wide.chunks_exact(ld).enumerate() {
+                prop_assert_eq!(bits(&row[off..off + len]), bits(&tight[r * len..(r + 1) * len]));
+                prop_assert!(row[..off].iter().chain(&row[off + len..]).all(|v| v.is_nan()));
+            }
+
+            let y: Vec<f32> = (0..rows * len).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let mut y_wide = vec![f32::NAN; rows * ld];
+            for (r, row) in y_wide.chunks_exact_mut(ld).enumerate() {
+                row[off..off + len].copy_from_slice(&y[r * len..(r + 1) * len]);
+            }
+            let (mut back, mut back_wide) = (x.clone(), x.clone());
+            col2im(&y, c, &g, &mut back, len, 0);
+            col2im(&y_wide, c, &g, &mut back_wide, ld, off);
+            prop_assert_eq!(bits(&back_wide), bits(&back));
+        }
+
+        /// The 2×2 / stride-2 loop with the argmax equals the general loop
+        /// in output bits and in every index — ties (first maximum wins),
+        /// −0.0 against 0.0, NaN cells and all-NaN windows included, odd
+        /// sizes that leave a row and a column unpooled too.
+        #[test]
+        fn halving_argmax_path_matches_the_general_loop(
+            c in 1usize..3, h in 2usize..10, w in 2usize..10,
+            seed in any::<u64>(),
+        ) {
+            let g = geom(h, w, 2, 2, 0);
+            let mut rng = SeededRng::new(seed);
+            // A few distinct values, so most windows hold a tie.
+            let x: Vec<f32> = (0..c * h * w)
+                .map(|_| [f32::NAN, -0.0, 0.0, 0.5, 0.5, -1.0, f32::NEG_INFINITY][rng.below(7)])
+                .collect();
+            let n = c * g.out_len();
+            let (mut fast, mut slow) = (vec![7.0f32; n], vec![-7.0f32; n]);
+            let (mut fast_arg, mut slow_arg) = (vec![u32::MAX; n], vec![u32::MAX; n]);
+            maxpool_forward(&x, c, &g, &mut fast, Some(&mut fast_arg));
+            for ch in 0..c {
+                let span = ch * g.out_len()..(ch + 1) * g.out_len();
+                let arg = &mut slow_arg[span.clone()];
+                maxpool_plane(&x[ch * h * w..(ch + 1) * h * w], &g, &mut slow[span], |cell, flat| {
+                    arg[cell] = flat
+                });
+            }
+            prop_assert_eq!(bits(&fast), bits(&slow));
+            prop_assert_eq!(fast_arg, slow_arg);
         }
 
         /// Pooling without the argmax (the 2×2 fast loop included) writes the
@@ -490,7 +603,7 @@ mod tests {
         let input: Vec<f32> = (0..8).map(|v| v as f32).collect(); // 2 ch, 2x2
         let g = geom(2, 2, 1, 1, 0);
         let mut col = vec![0.0; 2 * 4]; // 2 ch × (1·1 kernel) × 4 positions
-        im2col(&input, 2, &g, &mut col);
+        im2col(&input, 2, &g, &mut col, 4, 0);
         assert_eq!(col, input);
     }
 
@@ -499,7 +612,7 @@ mod tests {
         let input = vec![1.0f32; 4]; // 1 ch, 2x2 of ones
         let g = geom(2, 2, 3, 1, 1);
         let mut col = vec![7.0; 9 * 4];
-        im2col(&input, 1, &g, &mut col);
+        im2col(&input, 1, &g, &mut col, 4, 0);
         // Centre tap (ki=1,kj=1) row must be all ones; corner tap (0,0) row
         // sees padding for output (0,0).
         let out_len = 4;
@@ -520,10 +633,10 @@ mod tests {
         let col_len = c * 9 * g.out_len();
         let y: Vec<f32> = (0..col_len).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let mut col = vec![0.0; col_len];
-        im2col(&x, c, &g, &mut col);
+        im2col(&x, c, &g, &mut col, g.out_len(), 0);
         let lhs: f64 = col.iter().zip(&y).map(|(a, b)| (a * b) as f64).sum();
         let mut xback = vec![0.0; x.len()];
-        col2im(&y, c, &g, &mut xback);
+        col2im(&y, c, &g, &mut xback, g.out_len(), 0);
         let rhs: f64 = x.iter().zip(&xback).map(|(a, b)| (a * b) as f64).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }

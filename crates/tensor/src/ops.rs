@@ -108,30 +108,52 @@ pub fn tanh_grad_from_output(t: f32) -> f32 {
     1.0 - t * t
 }
 
+/// `Σ f(v)` over a row with eight independent partial sums: the lanes
+/// vectorise (a sequential `f32` sum cannot) and the fixed reduction tree
+/// keeps the result a pure function of the row.
+#[inline(always)]
+fn lane_sum(row: &[f32], f: impl Fn(f32) -> f32) -> f32 {
+    let mut acc = [0.0f32; 8];
+    let chunks = row.chunks_exact(8);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for l in 0..8 {
+            acc[l] += f(chunk[l]);
+        }
+    }
+    let sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    rest.iter().fold(sum, |s, &v| s + f(v))
+}
+
+fn row_max(row: &[f32]) -> f32 {
+    row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v))
+}
+
 /// Row-wise softmax over a `rows × cols` row-major buffer, in place.
-/// Uses the max-subtraction trick for stability.
+/// Max-subtraction for stability, then two vectorisable passes on the
+/// branch-free [`exp_clamped`] of the gate activations: exponentiate, sum.
+/// (A logit more than 87 below its row's maximum gets `e⁻⁸⁷ ≈ 1.6e-38`
+/// rather than an exact 0.)
 pub fn softmax_rows_inplace(x: &mut [f32], cols: usize) {
     debug_assert!(cols > 0 && x.len().is_multiple_of(cols));
     for row in x.chunks_exact_mut(cols) {
-        let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-        let mut sum = 0.0f32;
+        let max = row_max(row);
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v = exp_clamped(*v - max);
         }
-        let inv = 1.0 / sum;
+        let inv = 1.0 / lane_sum(row, |e| e);
         for v in row.iter_mut() {
             *v *= inv;
         }
     }
 }
 
-/// Row-wise log-softmax, in place.
+/// Row-wise log-softmax, in place (the `exp` of [`softmax_rows_inplace`]).
 pub fn log_softmax_rows_inplace(x: &mut [f32], cols: usize) {
     debug_assert!(cols > 0 && x.len().is_multiple_of(cols));
     for row in x.chunks_exact_mut(cols) {
-        let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-        let log_sum = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
+        let max = row_max(row);
+        let log_sum = lane_sum(row, |v| exp_clamped(v - max)).ln() + max;
         for v in row.iter_mut() {
             *v -= log_sum;
         }

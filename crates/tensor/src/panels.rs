@@ -104,7 +104,7 @@ impl PackedB {
             self.block_offsets.push(total);
             total += strips * kc * NR;
         }
-        self.buf.clear();
+        // No clear: the packers write every lane, padding included.
         self.buf.resize(total, 0.0);
         for p in 0..blocks {
             let pc = p * KC;
@@ -166,7 +166,7 @@ impl PackedA {
             self.block_offsets.push(total);
             total += strips * kc * MR;
         }
-        self.buf.clear();
+        // No clear: the packers write every lane, padding included.
         self.buf.resize(total, 0.0);
         for p in 0..blocks {
             let pc = p * KC;
@@ -255,7 +255,10 @@ pub fn gemm_packed_b(
             for ic in (0..m).step_by(PANEL_MC) {
                 let mc = PANEL_MC.min(m - ic);
                 let mc_strips = mc.div_ceil(MR);
-                pack_a(Trans::No, a, lda, ic, mc, pc, kc, apack);
+                {
+                    let _s = ms_telemetry::span!("gemm.pack_a");
+                    pack_a(Trans::No, a, lda, ic, mc, pc, kc, apack);
+                }
                 for t in t_lo..=t_hi {
                     let sj0 = n0.max(t * NR) - t * NR;
                     let sj1 = n1.min(t * NR + NR) - t * NR;
@@ -358,7 +361,10 @@ pub fn gemm_packed_a_stepped(
                 let block_kc = KC.min(pa.k - pc);
                 let packed_kc = KC.min(k_max - pc);
                 let boff = pa.block_offsets[block];
-                pack_b(Trans::No, b, ldb, pc, packed_kc, jc, nc, bpack);
+                {
+                    let _s = ms_telemetry::span!("gemm.pack_b");
+                    pack_b(Trans::No, b, ldb, pc, packed_kc, jc, nc, bpack);
+                }
                 for (step, &k1) in k_ext.iter().enumerate() {
                     let (r0, r1) = (rows[step], rows[step + 1]);
                     if k1 <= pc || r0 == r1 {

@@ -133,9 +133,9 @@ thread_local! {
     static POOL: RefCell<Pool> = RefCell::new(Pool::new());
 }
 
-/// Fetches a zero-filled buffer of exactly `len` elements, reusing pooled
-/// storage when a suitable buffer is available.
-pub fn acquire(len: usize) -> Vec<f32> {
+/// Takes the best-fitting free buffer with room for `len` elements off
+/// this thread's list (emptied, capacity kept), counting the hit or miss.
+fn take(len: usize) -> Option<Vec<f32>> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         let mut best: Option<(usize, usize)> = None;
@@ -158,17 +158,36 @@ pub fn acquire(len: usize) -> Vec<f32> {
                 p.note_event();
                 let mut buf = p.free.swap_remove(i);
                 buf.clear();
-                buf.resize(len, 0.0);
-                buf
+                Some(buf)
             }
             None => {
                 p.stats.misses += 1;
                 p.pending.misses += 1;
                 p.note_event();
-                vec![0.0; len]
+                None
             }
         }
     })
+}
+
+/// Fetches a zero-filled buffer of exactly `len` elements, reusing pooled
+/// storage when a suitable buffer is available.
+pub fn acquire(len: usize) -> Vec<f32> {
+    match take(len) {
+        Some(mut buf) => {
+            buf.resize(len, 0.0);
+            buf
+        }
+        None => vec![0.0; len],
+    }
+}
+
+/// Fetches a buffer holding a copy of `src`, reusing pooled storage like
+/// [`acquire`] but without zero-filling what the copy overwrites.
+pub fn acquire_copy(src: &[f32]) -> Vec<f32> {
+    let mut buf = take(src.len()).unwrap_or_else(|| Vec::with_capacity(src.len()));
+    buf.extend_from_slice(src);
+    buf
 }
 
 /// Returns a buffer to the pool for later reuse. Zero-capacity buffers are

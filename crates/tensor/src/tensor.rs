@@ -36,11 +36,9 @@ impl Tensor {
 
     /// Pool-backed copy of `self`. Same contract as [`Tensor::pooled_zeros`].
     pub fn pooled_clone(&self) -> Self {
-        let mut data = crate::pool::acquire(self.data.len());
-        data.copy_from_slice(&self.data);
         Tensor {
             shape: self.shape.clone(),
-            data,
+            data: crate::pool::acquire_copy(&self.data),
         }
     }
 

@@ -127,10 +127,10 @@ proptest! {
         let col_len = c * k * k * geom.out_len();
         let y: Vec<f32> = (0..col_len).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let mut col = vec![0.0f32; col_len];
-        im2col(&x, c, &geom, &mut col);
+        im2col(&x, c, &geom, &mut col, geom.out_len(), 0);
         let lhs: f64 = col.iter().zip(&y).map(|(a, b)| (a * b) as f64).sum();
         let mut back = vec![0.0f32; x.len()];
-        col2im(&y, c, &geom, &mut back);
+        col2im(&y, c, &geom, &mut back, geom.out_len(), 0);
         let rhs: f64 = x.iter().zip(&back).map(|(a, b)| (a * b) as f64).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2, "{lhs} vs {rhs}");
     }

@@ -17,6 +17,7 @@ cargo bench -p ms-bench --bench kernels -- --test
 
 echo "== zero-allocation instrumented tests =="
 cargo test --release -p ms-nn --test zero_alloc
+cargo test --release -p ms-nn --test zero_alloc_train
 cargo test --release -p ms-core --test zero_alloc_batched
 cargo test --release -p ms-core --test zero_alloc_refine
 cargo test --release -p ms-telemetry --test zero_alloc
@@ -45,12 +46,12 @@ grep -rnE 'MS_[A-Z_]*GATE|results/BENCH[_]' crates scripts tests examples src \
 
 echo "== allocation tripwire (hot layer bodies) =="
 # `Tensor::zeros(` and `vec![` are banned inside `fn forward(` /
-# `fn forward_prefix(` / `fn backward(` bodies and the panel GEMM drivers
+# `fn forward_train(` / `fn forward_prefix(` / `fn backward(` bodies and the panel GEMM drivers
 # (brace-counted): constructors and `pack` may allocate once, the per-call
 # paths use `Tensor::pooled_zeros`, `pooled_clone`, `Workspace::take`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_prefix|backward|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b)\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_train|forward_prefix|backward|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b)\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
@@ -62,7 +63,7 @@ awk '
         if (seen && depth <= 0) infn = 0
     }
     END { exit bad }
-' crates/nn/src/{linear,conv2d,depthwise,activation,sequential,pool,embedding}.rs \
+' crates/nn/src/{linear,conv2d,depthwise,activation,sequential,pool,embedding,dropout}.rs \
     crates/nn/src/norm/group_norm.rs crates/nn/src/rnn/{lstm,gru}.rs \
     crates/tensor/src/panels.rs \
     || die "allocation reintroduced: hot paths must use pooled_zeros/pooled_clone/Workspace::take (lines above)"
