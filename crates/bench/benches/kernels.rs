@@ -2,16 +2,17 @@
 //! (full matrix vs top-left block with a large leading dimension — the
 //! block multiply must not pay for the inactive columns), and the non-GEMM
 //! work of a conv or recurrent forward: im2col at the VGG stage shapes, the
-//! gate activations of one NNLM layer, and a conv forward on the persistent
-//! panels beside the per-call-packing `gemm` path.
+//! gate activations of one NNLM layer, a conv forward on the persistent
+//! panels beside the per-call-packing `gemm` path, and the bare handoff of
+//! the training step's fork-join.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ms_nn::conv2d::{Conv2d, Conv2dConfig};
 use ms_nn::layer::{Layer, Mode};
 use ms_tensor::conv::{im2col, ConvGeom};
 use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::ops::{sigmoid_inplace, tanh_inplace};
-use ms_tensor::{SeededRng, Tensor};
+use ms_tensor::{par, SeededRng, Tensor};
 
 fn gemm_blocks(c: &mut Criterion) {
     let mut rng = SeededRng::new(1);
@@ -173,6 +174,15 @@ fn conv_fwd_packed_vs_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+/// An empty `join`: to the helper thread and back when this thread gets it
+/// (nothing else here competes), inline on a one-core machine.
+fn par_join(c: &mut Criterion) {
+    let _team = par::enter();
+    c.bench_function("par_join", |b| {
+        b.iter(|| par::join(|| black_box(1u32), || black_box(2u32)))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -180,6 +190,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(30);
     targets = gemm_blocks, gemm_layer_shapes, im2col_lowering, gate_activations,
-        conv_fwd_packed_vs_gemm
+        conv_fwd_packed_vs_gemm, par_join
 }
 criterion_main!(benches);

@@ -14,9 +14,17 @@
 //! packing, im2col + col2im, pooling, normalisation, dropout, loss, and the
 //! elementwise work of activations and backward bodies. Each column is the
 //! summed *self* time of the spans in that bucket; `other` is what no span
-//! claims (bias adds, the embedding, the optimiser, buffer-pool traffic). Without the feature the spans compile
-//! to nothing and only the totals are printed. DESIGN.md §8 records a run of
-//! both tables.
+//! claims (bias adds, the embedding, the optimiser, buffer-pool traffic).
+//!
+//! A step runs on two threads (`ms_tensor::par`: the second part of every
+//! split layer pass goes to the fork-join helper), so its buckets are summed
+//! over both and add up to `2-thread` — the caller's wall time plus the
+//! helper's busy time — not to `wall`; `join wait` is the caller blocked on
+//! the helper's part. A last line times the bare handoff: 10 000 joins with
+//! nothing to do back to back (the helper polling) and 10 000 after a pause
+//! long enough for it to park. Without the feature the spans compile to nothing
+//! and only the totals are printed. DESIGN.md §8 records a run of both
+//! tables.
 
 use ms_core::scheduler::{Scheduler, SchedulerKind};
 use ms_core::slice_rate::SliceRateList;
@@ -27,8 +35,9 @@ use ms_nn::layer::{Layer, Mode};
 use ms_nn::optim::SgdConfig;
 use ms_nn::slice::SliceRate;
 use ms_telemetry::spans::{self, SpanStats};
-use ms_tensor::{SeededRng, Tensor};
-use std::time::Instant;
+use ms_tensor::{par, SeededRng, Tensor};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 const BATCH: usize = 32;
 const PASSES: u32 = 50;
@@ -50,7 +59,7 @@ const FORWARD_COLUMNS: [Column; 5] = [
 /// path. `elemwise` is the activations plus what the conv and recurrent
 /// backward bodies do themselves, outside any GEMM: the gate gradients of
 /// the time loop, layout shuffles, bias sums.
-const STEP_COLUMNS: [Column; 8] = [
+const STEP_COLUMNS: [Column; 9] = [
     (
         "kernel",
         &["gemm.kernel", "gemm.panel_", "gemm.small", "gemm.packed"],
@@ -71,6 +80,7 @@ const STEP_COLUMNS: [Column; 8] = [
             "nn.gru_bwd",
         ],
     ),
+    ("join wait", &["par.join_wait"]),
 ];
 
 fn self_ns(stats: &[SpanStats], prefixes: &[&str]) -> u64 {
@@ -81,17 +91,21 @@ fn self_ns(stats: &[SpanStats], prefixes: &[&str]) -> u64 {
         .sum()
 }
 
-/// Prints one row: `total_us` per repetition, then each column's share of
-/// the span time recorded between the two snapshots, then the unclaimed rest.
+/// Prints one row: the leading figures as given (µs per repetition), then
+/// each column's share of the span time recorded between the two snapshots,
+/// then what of the last leading figure no column claims.
 fn print_row(
     label: &str,
-    total_us: f64,
+    leading: &[f64],
     reps: u32,
     columns: &[Column],
     before: &[SpanStats],
     after: &[SpanStats],
 ) {
-    print!("{label} {total_us:>9.0}");
+    print!("{label}");
+    for us in leading {
+        print!(" {us:>9.0}");
+    }
     let mut claimed = 0.0;
     for (_, prefixes) in columns {
         let ns = self_ns(after, prefixes) - self_ns(before, prefixes);
@@ -99,12 +113,16 @@ fn print_row(
         claimed += us;
         print!(" {us:>9.0}");
     }
-    println!(" {:>9.0}", total_us - claimed);
+    let budget_us = leading.last().copied().unwrap_or(0.0);
+    println!(" {:>9.0}", budget_us - claimed);
 }
 
-fn print_header(first: &str, columns: &[Column]) {
-    print!("{first} {:>9}", "total");
-    for (column, _) in columns {
+fn print_header(first: &str, leading: &[&str], columns: &[Column]) {
+    print!("{first}");
+    for column in leading
+        .iter()
+        .chain(columns.iter().map(|(column, _)| column))
+    {
         print!(" {column:>9}");
     }
     println!(" {:>9}", "other");
@@ -129,15 +147,68 @@ fn profile_step(name: &str, net: &mut dyn Layer, sgd: SgdConfig, batch: &Batch) 
     for _ in 0..STEPS {
         trainer.step(net, batch);
     }
-    let total_us = t.elapsed().as_secs_f64() * 1e6 / f64::from(STEPS);
+    let wall_us = t.elapsed().as_secs_f64() * 1e6 / f64::from(STEPS);
     let after = spans::snapshot();
+    // The helper is busy whenever it is not in its idle span; no idle span
+    // at all means no helper, or no span tracer.
+    let idle = &["par.helper_idle"];
+    let idle_us = (self_ns(&after, idle) - self_ns(&before, idle)) as f64 / 1e3 / f64::from(STEPS);
+    let busy_us = if idle_us > 0.0 {
+        (wall_us - idle_us).max(0.0)
+    } else {
+        0.0
+    };
     print_row(
         &format!("{name:<5}"),
-        total_us,
+        &[wall_us, wall_us + busy_us],
         STEPS,
         &STEP_COLUMNS,
         &before,
         &after,
+    );
+}
+
+/// Times `n` joins with nothing to do, each after `pause`; returns
+/// `(p50, p99)` in µs. The first half ends when the second has started, so
+/// the helper really runs it (a caller that is done first takes its job
+/// back) and the time is post → pick-up → run → signal → seen.
+fn handoff_us(n: usize, pause: Option<Duration>) -> (f64, f64) {
+    let mut us: Vec<f64> = (0..n)
+        .map(|_| {
+            if let Some(pause) = pause {
+                std::thread::sleep(pause);
+            }
+            let started = AtomicBool::new(false);
+            let t = Instant::now();
+            par::join(
+                || {
+                    while !started.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                },
+                || started.store(true, Ordering::Release),
+            );
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    (us[n / 2], us[n * 99 / 100])
+}
+
+/// One line: the round trip of a bare handoff to the helper and back.
+fn print_handoff() {
+    const JOINS: usize = 10_000;
+    let team = par::enter();
+    if !team.holds_helper() {
+        println!("# no fork-join helper on this machine: every join runs inline");
+        return;
+    }
+    let (spin50, spin99) = handoff_us(JOINS, None);
+    // Twice the helper's polling interval: it has parked by then.
+    let (park50, park99) = handoff_us(JOINS, Some(Duration::from_micros(400)));
+    println!(
+        "# handoff round trip over {JOINS} joins, µs p50/p99: helper polling {spin50:.2}/{spin99:.2}, \
+         helper parked {park50:.1}/{park99:.1}"
     );
 }
 
@@ -156,7 +227,14 @@ fn profile(name: &str, net: &mut dyn Layer, x: &Tensor) {
         let total_us = t.elapsed().as_secs_f64() * 1e6 / f64::from(PASSES);
         let after = spans::snapshot();
         let label = format!("{name:<5} {rate:>6.3}");
-        print_row(&label, total_us, PASSES, &FORWARD_COLUMNS, &before, &after);
+        print_row(
+            &label,
+            &[total_us],
+            PASSES,
+            &FORWARD_COLUMNS,
+            &before,
+            &after,
+        );
     }
 }
 
@@ -174,7 +252,11 @@ fn main() {
     if !cfg!(feature = "telemetry-spans") {
         println!("# built without --features telemetry-spans: only `total` is measured");
     }
-    print_header(&format!("{:<5} {:>6}", "model", "rate"), &FORWARD_COLUMNS);
+    print_header(
+        &format!("{:<5} {:>6}", "model", "rate"),
+        &["total"],
+        &FORWARD_COLUMNS,
+    );
 
     let mut rng = SeededRng::new(7);
     let mut vgg = Vgg::new(&VggConfig::vgg13_scaled(10, 8), &mut SeededRng::new(42));
@@ -201,7 +283,11 @@ fn main() {
     println!(
         "# one Trainer::step over rates {{0.25, 0.5, 0.75, 1.0}}, µs per step over {STEPS} steps"
     );
-    print_header(&format!("{:<5}", "model"), &STEP_COLUMNS);
+    print_header(
+        &format!("{:<5}", "model"),
+        &["wall", "2-thread"],
+        &STEP_COLUMNS,
+    );
     let mut vgg = Vgg::new(&VggConfig::vgg13_scaled(10, 8), &mut SeededRng::new(42));
     let vision = SgdConfig {
         lr: 0.05,
@@ -226,4 +312,5 @@ fn main() {
         y: (0..BATCH * 16).map(|i| (i * 7) % 200).collect(),
     };
     profile_step("nnlm", &mut nnlm, text, &next_tokens);
+    print_handoff();
 }

@@ -152,8 +152,14 @@ impl Trainer {
     }
 
     /// One Algorithm-1 iteration on `batch`.
+    ///
+    /// The step claims the process's fork-join helper if it is free, so the
+    /// two fixed parts every split layer pass runs in go to two cores; with
+    /// the helper taken (another trainer's step) or absent (one core) the
+    /// same parts run one after the other, to the same bits.
     pub fn step(&mut self, net: &mut dyn Layer, batch: &Batch) -> StepStats {
         let _span = ms_telemetry::span!("trainer.step");
+        let _team = ms_tensor::par::enter();
         let rates = self.scheduler.next_rates();
         net.zero_grads();
         let mut subnet_losses = Vec::with_capacity(rates.len());

@@ -16,8 +16,9 @@ use crate::workspace::{PrefixCache, Role, Workspace};
 use ms_tensor::conv::{col2im, im2col, ConvGeom};
 use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::panels::{gemm_packed_a, gemm_packed_a_stepped, PackedA};
-use ms_tensor::{init, SeededRng, Tensor};
+use ms_tensor::{init, par, SeededRng, Tensor};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Columns of the column matrix one training GEMM covers: as many whole
 /// samples as fit (at least one), so the small feature maps of the late
@@ -32,13 +33,20 @@ const CHUNK_COLS: usize = 512;
 /// One set per thread, shared by every conv layer — a layer only needs it
 /// between entering and leaving its own `forward`/`backward` — and sized by
 /// the largest layer that ran; per-layer copies would hold a network's
-/// worth of the largest buffers the training step has. All three are fully
-/// overwritten before they are read, so they are never cleared.
+/// worth of the largest buffers the training step has. The three chunk
+/// buffers are fully overwritten before they are read, so they are never
+/// cleared.
+///
+/// `partial` is where the second part of a split `backward` sums its share
+/// of `dW` (compact, `[a_out, a_in·K²]`) and `db` (behind it): the caller
+/// lends its own thread's buffer to whichever thread runs that part, and
+/// adds it to `Param::grad` after the join.
 #[derive(Default)]
 struct ChunkScratch {
     col: Vec<f32>,
     dcol: Vec<f32>,
     out: Vec<f32>,
+    partial: Vec<f32>,
 }
 
 thread_local! {
@@ -196,18 +204,37 @@ impl Conv2d {
     /// the column matrix, off panels packed once per optimiser step (every
     /// update walks `visit_params`, which marks them stale). Each output
     /// element sees the operations of the per-sample panel path, in order.
+    /// The two fixed parts of the batch ([`par::mid`]) each run their own
+    /// chunk loop into their own rows of `y`.
     fn forward_train(&mut self, x: &Tensor) -> Tensor {
         self.ensure_packed();
         let batch = x.dims()[0];
+        let mut y =
+            Tensor::pooled_zeros([batch, self.active_out, self.geom.out_h(), self.geom.out_w()]);
+        let mid = par::mid(batch);
+        let (y0, y1) = y
+            .data_mut()
+            .split_at_mut(mid * self.active_out * self.geom.out_len());
+        let this = &*self;
+        par::join(
+            || this.forward_train_part(x, 0..mid, y0),
+            || this.forward_train_part(x, mid..batch, y1),
+        );
+        self.cache = Some(x.pooled_clone());
+        y
+    }
+
+    /// The chunk loop of `forward_train` over `samples`, on the executing
+    /// thread's chunk scratch; `y` holds exactly those samples' rows.
+    fn forward_train_part(&self, x: &Tensor, samples: Range<usize>, y: &mut [f32]) {
         let out_len = self.geom.out_len();
         let (a_in, a_out) = (self.active_in, self.active_out);
         let k_rows = a_in * self.k2();
-        let mut y = Tensor::pooled_zeros([batch, a_out, self.geom.out_h(), self.geom.out_w()]);
-        let per_gemm = self.samples_per_gemm(batch);
+        let per_gemm = self.samples_per_gemm(x.dims()[0]);
         CHUNK.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
-            for first in (0..batch).step_by(per_gemm) {
-                let n = per_gemm.min(batch - first);
+            for first in samples.clone().step_by(per_gemm) {
+                let n = per_gemm.min(samples.end - first);
                 let ld = n * out_len;
                 let col = stale(&mut scratch.col, k_rows * ld);
                 let out = stale(&mut scratch.out, a_out * ld);
@@ -227,9 +254,9 @@ impl Conv2d {
                     out,
                     ld,
                 );
-                for i in 0..n {
-                    let rows = y.row_mut(first + i).chunks_exact_mut(out_len);
-                    for (ch, row) in rows.enumerate() {
+                let chunk_y = &mut y[(first - samples.start) * a_out * out_len..][..a_out * ld];
+                for (i, sample_y) in chunk_y.chunks_exact_mut(a_out * out_len).enumerate() {
+                    for (ch, row) in sample_y.chunks_exact_mut(out_len).enumerate() {
                         row.copy_from_slice(&out[ch * ld + i * out_len..][..out_len]);
                         if let Some(b) = &self.bias {
                             let bv = b.value.data()[ch];
@@ -239,8 +266,6 @@ impl Conv2d {
                 }
             }
         });
-        self.cache = Some(x.pooled_clone());
-        y
     }
 
     /// Packs the panels unless they are valid; returns whether it packed.
@@ -257,6 +282,97 @@ impl Conv2d {
             full_k,
         );
         true
+    }
+}
+
+/// What both parts of a split `backward` read.
+struct BackwardPass<'a> {
+    geom: &'a ConvGeom,
+    w: &'a [f32],
+    full_k: usize,
+    a_in: usize,
+    a_out: usize,
+    per_gemm: usize,
+    x: &'a Tensor,
+    dy: &'a Tensor,
+}
+
+impl BackwardPass<'_> {
+    /// The chunk loop of `backward` over `samples`, on the executing thread's
+    /// chunk scratch: `dx` holds exactly those samples' rows and is
+    /// overwritten; `dw` (leading dimension `ldw`) and `db` are added to.
+    fn run(
+        &self,
+        samples: Range<usize>,
+        dx: &mut [f32],
+        dw: &mut [f32],
+        ldw: usize,
+        mut db: Option<&mut [f32]>,
+    ) {
+        let (a_in, a_out, geom) = (self.a_in, self.a_out, self.geom);
+        let out_len = geom.out_len();
+        let k_rows = a_in * geom.kh * geom.kw;
+        let per_x = a_in * geom.h * geom.w;
+        CHUNK.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            for first in samples.clone().step_by(self.per_gemm) {
+                let n = self.per_gemm.min(samples.end - first);
+                let ld = n * out_len;
+                let col = stale(&mut scratch.col, k_rows * ld);
+                let dcol = stale(&mut scratch.dcol, k_rows * ld);
+                let dyc = stale(&mut scratch.out, a_out * ld);
+                for i in 0..n {
+                    // Recompute im2col (cheaper than caching the columns).
+                    im2col(self.x.row(first + i), a_in, geom, col, ld, i * out_len);
+                    let rows = self.dy.row(first + i).chunks_exact(out_len);
+                    for (ch, row) in rows.enumerate() {
+                        dyc[ch * ld + i * out_len..][..out_len].copy_from_slice(row);
+                    }
+                }
+                // dW += dy · colᵀ over the whole chunk (k = samples·OH·OW).
+                gemm(
+                    Trans::No,
+                    Trans::Yes,
+                    a_out,
+                    k_rows,
+                    ld,
+                    1.0,
+                    dyc,
+                    ld,
+                    col,
+                    ld,
+                    1.0,
+                    dw,
+                    ldw,
+                );
+                // db += per-channel sums
+                if let Some(db) = &mut db {
+                    for (g, row) in db.iter_mut().zip(dyc.chunks_exact(ld)) {
+                        *g += row.iter().sum::<f32>();
+                    }
+                }
+                // dcol = Wᵀ · dy ; dx_s = col2im(dcol's columns of sample s)
+                gemm(
+                    Trans::Yes,
+                    Trans::No,
+                    k_rows,
+                    ld,
+                    a_out,
+                    1.0,
+                    self.w,
+                    self.full_k,
+                    dyc,
+                    ld,
+                    0.0,
+                    dcol,
+                    ld,
+                );
+                let chunk_dx = &mut dx[(first - samples.start) * per_x..][..n * per_x];
+                for (i, sample_dx) in chunk_dx.chunks_exact_mut(per_x).enumerate() {
+                    col2im(dcol, a_in, geom, sample_dx, ld, i * out_len);
+                }
+            }
+        });
     }
 }
 
@@ -333,82 +449,51 @@ impl Layer for Conv2d {
         let _span = ms_tensor::span!("nn.conv_bwd");
         let x = self.cache.take().expect("backward before Train forward");
         let batch = x.dims()[0];
-        let out_len = self.geom.out_len();
         let (a_in, a_out) = (self.active_in, self.active_out);
         let k_rows = a_in * self.k2();
         let full_k = self.cfg.in_ch * self.k2();
         debug_assert_eq!(dy.dims()[1], a_out);
 
         let mut dx = Tensor::pooled_zeros(x.shape().clone());
-        let per_gemm = self.samples_per_gemm(batch);
-        CHUNK.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            for first in (0..batch).step_by(per_gemm) {
-                let n = per_gemm.min(batch - first);
-                let ld = n * out_len;
-                let col = stale(&mut scratch.col, k_rows * ld);
-                let dcol = stale(&mut scratch.dcol, k_rows * ld);
-                let dyc = stale(&mut scratch.out, a_out * ld);
-                for i in 0..n {
-                    // Recompute im2col (cheaper than caching the columns).
-                    im2col(x.row(first + i), a_in, &self.geom, col, ld, i * out_len);
-                    let rows = dy.row(first + i).chunks_exact(out_len);
-                    for (ch, row) in rows.enumerate() {
-                        dyc[ch * ld + i * out_len..][..out_len].copy_from_slice(row);
-                    }
-                }
-                // dW += dy · colᵀ over the whole chunk (k = samples·OH·OW).
-                let dw = self.weight.grad.data_mut();
-                gemm(
-                    Trans::No,
-                    Trans::Yes,
-                    a_out,
-                    k_rows,
-                    ld,
-                    1.0,
-                    dyc,
-                    ld,
-                    col,
-                    ld,
-                    1.0,
-                    dw,
-                    full_k,
-                );
-                // db += per-channel sums
-                if let Some(b) = &mut self.bias {
-                    for (g, row) in b.grad.data_mut().iter_mut().zip(dyc.chunks_exact(ld)) {
-                        *g += row.iter().sum::<f32>();
-                    }
-                }
-                // dcol = Wᵀ · dy ; dx_s = col2im(dcol's columns of sample s)
-                let w = self.weight.value.data();
-                gemm(
-                    Trans::Yes,
-                    Trans::No,
-                    k_rows,
-                    ld,
-                    a_out,
-                    1.0,
-                    w,
-                    full_k,
-                    dyc,
-                    ld,
-                    0.0,
-                    dcol,
-                    ld,
-                );
-                for i in 0..n {
-                    col2im(
-                        dcol,
-                        a_in,
-                        &self.geom,
-                        dx.row_mut(first + i),
-                        ld,
-                        i * out_len,
-                    );
-                }
+        let mid = par::mid(batch);
+        let (dx0, dx1) = dx
+            .data_mut()
+            .split_at_mut(mid * a_in * self.geom.h * self.geom.w);
+        let pass = BackwardPass {
+            geom: &self.geom,
+            w: self.weight.value.data(),
+            full_k,
+            a_in,
+            a_out,
+            per_gemm: self.samples_per_gemm(batch),
+            x: &x,
+            dy,
+        };
+        // `dW`/`db` are sums over samples, the one reduction that crosses the
+        // split: part 0 adds its chunks to `Param::grad` as the whole batch
+        // used to, part 1 sums into the zeroed partial, and the partial is
+        // added once both are done — the same order whoever ran part 1.
+        let dw = self.weight.grad.data_mut();
+        let mut db = self.bias.as_mut().map(|b| b.grad.data_mut());
+        let mut partial = CHUNK.with(|s| std::mem::take(&mut s.borrow_mut().partial));
+        let (dw1, db1) = stale(&mut partial, a_out * k_rows + a_out).split_at_mut(a_out * k_rows);
+        par::join(
+            || pass.run(0..mid, dx0, dw, full_k, db.as_deref_mut()),
+            || {
+                dw1.fill(0.0);
+                db1.fill(0.0);
+                pass.run(mid..batch, dx1, dw1, k_rows, Some(db1));
+            },
+        );
+        if mid < batch {
+            for (row, part) in dw.chunks_mut(full_k).zip(dw1.chunks_exact(k_rows)) {
+                row.iter_mut().zip(part).for_each(|(g, p)| *g += p);
             }
-        });
+            if let Some(db) = db {
+                db.iter_mut().zip(&*db1).for_each(|(g, p)| *g += p);
+            }
+        }
+        CHUNK.with(|s| s.borrow_mut().partial = partial);
         x.recycle();
         dx
     }

@@ -11,9 +11,10 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_groups, active_units, group_boundary, prefix_input_width, SliceRate};
 use crate::workspace::PrefixCache;
-use ms_tensor::matmul::{gemm, Trans};
+use ms_tensor::matmul::{gemm, Trans, SMALL_GEMM_CUTOFF};
 use ms_tensor::panels::{gemm_packed_b, PackedB};
-use ms_tensor::{init, SeededRng, Tensor};
+use ms_tensor::{init, par, SeededRng, Tensor};
+use std::ops::Range;
 
 /// Configuration for a [`Linear`] layer.
 #[derive(Debug, Clone)]
@@ -137,6 +138,80 @@ impl Linear {
             self.cfg.out_dim,
         );
         true
+    }
+
+    /// Where a training pass over `batch` rows is cut: the `(batch rows,
+    /// output units)` that part 0 takes, part 1 taking the rest.
+    ///
+    /// * A pass too small for its halves to stay on `gemm`'s packed kernel
+    ///   is not cut at all — `(batch, a_out)`: a piece that small is not
+    ///   worth a handoff, and pieces that do stay on the packed kernel
+    ///   produce, element for element, the bits of the uncut multiply. (The
+    ///   three GEMMs of a pass all multiply `batch · a_in · a_out` terms, so
+    ///   one test covers them.)
+    /// * When the batch is the long side, both are halved ([`par::mid`]):
+    ///   each part takes half the rows of `y` and `dx` and half the rows of
+    ///   `dW`.
+    /// * When the weights are (a wide layer at a small batch), halving the
+    ///   rows would make both parts pack the whole weight matrix, the
+    ///   dominant cost. The forward then stays whole and the backward splits
+    ///   by *task* instead — `(batch, 0)`: part 0 computes all of `dx`,
+    ///   part 1 all of `dW` and `db`, each the very GEMM the uncut pass
+    ///   runs.
+    fn cut(&self, batch: usize) -> (usize, usize) {
+        let (a_in, a_out) = (self.active_in, self.active_out);
+        let smallest_half = (batch / 2 * a_out).min(a_out / 2 * batch) * a_in;
+        if smallest_half <= SMALL_GEMM_CUTOFF {
+            (batch, a_out)
+        } else if batch >= a_in.max(a_out) {
+            (par::mid(batch), par::mid(a_out))
+        } else {
+            (batch, 0)
+        }
+    }
+
+    /// `y = scale · x · W_activeᵀ + b` for the rows `x` holds (`y` zeroed or
+    /// not: it is overwritten).
+    fn forward_rows(&self, on_panels: bool, x: &[f32], y: &mut [f32]) {
+        let rows = x.len() / self.active_in;
+        if on_panels {
+            // Weight-stationary: the active block is the top-left corner of
+            // the panels packed once by `prepack`, read in place.
+            gemm_packed_b(
+                rows,
+                0,
+                self.active_in,
+                0,
+                self.active_out,
+                self.rescale(),
+                x,
+                self.active_in,
+                &self.packed,
+                0.0,
+                y,
+                self.active_out,
+            );
+        } else {
+            // Training (the weights move every step) and un-packed nets.
+            gemm(
+                Trans::No,
+                Trans::Yes,
+                rows,
+                self.active_out,
+                self.active_in,
+                self.rescale(),
+                x,
+                self.active_in,
+                self.weight.value.data(),
+                self.cfg.in_dim,
+                0.0,
+                y,
+                self.active_out,
+            );
+        }
+        if let Some(b) = &self.bias {
+            ms_tensor::ops::add_bias_rows(y, b.value.data(), self.active_out, self.active_out);
+        }
     }
 
     /// Prefix pass when the output side is grouped: each output group `h`
@@ -316,49 +391,23 @@ impl Layer for Linear {
         );
         let batch = x.numel() / self.active_in;
         let mut y = Tensor::pooled_zeros([batch, self.active_out]);
-        // y = scale * x · W[0..a_out, 0..a_in]^T
-        if mode == Mode::Infer && self.packed.is_valid() {
-            // Weight-stationary: the active block is the top-left corner of
-            // the panels packed once by `prepack`, read in place.
-            gemm_packed_b(
-                batch,
-                0,
-                self.active_in,
-                0,
-                self.active_out,
-                self.rescale(),
-                x.data(),
-                self.active_in,
-                &self.packed,
-                0.0,
-                y.data_mut(),
-                self.active_out,
+        // y = scale * x · W[0..a_out, 0..a_in]^T + b: the training pass runs
+        // the two fixed parts of the batch, inference all rows at once.
+        let row_mid = if mode == Mode::Train {
+            self.cut(batch).0
+        } else {
+            batch
+        };
+        if row_mid < batch {
+            let (x0, x1) = x.data().split_at(row_mid * self.active_in);
+            let (y0, y1) = y.data_mut().split_at_mut(row_mid * self.active_out);
+            par::join(
+                || self.forward_rows(false, x0, y0),
+                || self.forward_rows(false, x1, y1),
             );
         } else {
-            // Training (the weights move every step) and un-packed nets.
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                batch,
-                self.active_out,
-                self.active_in,
-                self.rescale(),
-                x.data(),
-                self.active_in,
-                self.weight.value.data(),
-                self.cfg.in_dim,
-                0.0,
-                y.data_mut(),
-                self.active_out,
-            );
-        }
-        if let Some(b) = &self.bias {
-            ms_tensor::ops::add_bias_rows(
-                y.data_mut(),
-                b.value.data(),
-                self.active_out,
-                self.active_out,
-            );
+            let on_panels = mode == Mode::Infer && self.packed.is_valid();
+            self.forward_rows(on_panels, x.data(), y.data_mut());
         }
         if mode == Mode::Train {
             self.cache = Some(x.pooled_clone());
@@ -373,48 +422,78 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self.cache.take().expect("backward before Train forward");
-        let batch = x.numel() / self.active_in;
-        debug_assert_eq!(dy.numel(), batch * self.active_out);
+        let input = self.cache.take().expect("backward before Train forward");
+        let (a_in, a_out, in_dim) = (self.active_in, self.active_out, self.cfg.in_dim);
+        let batch = input.numel() / a_in;
+        debug_assert_eq!(dy.numel(), batch * a_out);
         let scale = self.rescale();
+        let mut dx = Tensor::pooled_zeros(input.shape().clone());
 
-        // dW[0..a_out, 0..a_in] += scale * dy^T · x
-        gemm(
-            Trans::Yes,
-            Trans::No,
-            self.active_out,
-            self.active_in,
-            batch,
-            scale,
-            dy.data(),
-            self.active_out,
-            x.data(),
-            self.active_in,
-            1.0,
-            self.weight.grad.data_mut(),
-            self.cfg.in_dim,
-        );
-        if let Some(b) = &mut self.bias {
-            ms_tensor::ops::sum_rows_into(dy.data(), self.active_out, b.grad.data_mut());
+        // Two fixed parts (see `cut`). `dx` splits over the batch rows like
+        // the forward. `dW` and `db` sum over the batch, so they split over
+        // *output* rows instead: each part reduces all samples into its own
+        // rows of the gradient, and nothing is added up afterwards.
+        let (row_mid, out_mid) = self.cut(batch);
+        let (dx0, dx1) = dx.data_mut().split_at_mut(row_mid * a_in);
+        let (dw0, dw1) = self.weight.grad.data_mut().split_at_mut(out_mid * in_dim);
+        let (db0, db1) = match &mut self.bias {
+            Some(b) => {
+                let (lo, hi) = b.grad.data_mut()[..a_out].split_at_mut(out_mid);
+                (Some(lo), Some(hi))
+            }
+            None => (None, None),
+        };
+        let (w, x, dy) = (self.weight.value.data(), input.data(), dy.data());
+        let part = |rows: Range<usize>,
+                    outs: Range<usize>,
+                    dx: &mut [f32],
+                    dw: &mut [f32],
+                    db: Option<&mut [f32]>| {
+            // dW[outs, 0..a_in] += scale * dy[:, outs]^T · x
+            gemm(
+                Trans::Yes,
+                Trans::No,
+                outs.len(),
+                a_in,
+                batch,
+                scale,
+                &dy[outs.start..],
+                a_out,
+                x,
+                a_in,
+                1.0,
+                dw,
+                in_dim,
+            );
+            if let Some(db) = db {
+                ms_tensor::ops::sum_cols_into(dy, a_out, outs.start, db);
+            }
+            // dx[rows] = scale * dy[rows] · W[0..a_out, 0..a_in]
+            gemm(
+                Trans::No,
+                Trans::No,
+                rows.len(),
+                a_in,
+                a_out,
+                scale,
+                &dy[rows.start * a_out..],
+                a_out,
+                w,
+                in_dim,
+                0.0,
+                dx,
+                a_in,
+            );
+        };
+        if row_mid < batch || out_mid < a_out {
+            par::join(
+                || part(0..row_mid, 0..out_mid, dx0, dw0, db0),
+                || part(row_mid..batch, out_mid..a_out, dx1, dw1, db1),
+            );
+        } else {
+            part(0..batch, 0..a_out, dx0, dw0, db0);
         }
-        // dx = scale * dy · W[0..a_out, 0..a_in]
-        let mut dx = Tensor::pooled_zeros(x.shape().clone());
-        gemm(
-            Trans::No,
-            Trans::No,
-            batch,
-            self.active_in,
-            self.active_out,
-            scale,
-            dy.data(),
-            self.active_out,
-            self.weight.value.data(),
-            self.cfg.in_dim,
-            0.0,
-            dx.data_mut(),
-            self.active_in,
-        );
-        x.recycle();
+        input.recycle();
         dx
     }
 

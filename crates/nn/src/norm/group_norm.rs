@@ -14,7 +14,8 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_groups, group_boundary, SliceRate};
 use crate::workspace::{Role, Workspace};
-use ms_tensor::{ops, Tensor};
+use ms_tensor::{ops, par, Tensor};
+use std::ops::Range;
 
 /// Sliced group normalisation over `[B, C_active, H, W]` or `[B, C_active]`.
 pub struct GroupNorm {
@@ -80,6 +81,108 @@ impl GroupNorm {
     pub fn active_channels(&self) -> usize {
         group_boundary(self.channels, self.groups, self.active_groups)
     }
+
+    /// The `Train` forward of some samples: `y` holds their inputs on entry
+    /// and their outputs on return, `xhat` and `inv_stds` receive what
+    /// `backward` needs.
+    fn normalise_train(&self, hw: usize, y: &mut [f32], xhat: &mut [f32], inv_stds: &mut [f32]) {
+        let per_sample = self.active_channels() * hw;
+        let samples = y
+            .chunks_exact_mut(per_sample)
+            .zip(xhat.chunks_exact_mut(per_sample))
+            .zip(inv_stds.chunks_exact_mut(self.active_groups));
+        for ((y, xhat), inv_stds) in samples {
+            for (g, inv_std_out) in inv_stds.iter_mut().enumerate() {
+                let (lo, hi) = self.group_range(g);
+                let span = lo * hw..hi * hw;
+                let (mean, var) = ops::mean_var(&y[span.clone()]);
+                let inv_std = 1.0 / (var + self.eps).sqrt();
+                *inv_std_out = inv_std;
+                // x̂ then y = γ·x̂ + β per channel.
+                let xh = &mut xhat[span.clone()];
+                for v in xh.iter_mut() {
+                    *v = (*v - mean) * inv_std;
+                }
+                let yv = &mut y[span];
+                for (ch_idx, ch) in (lo..hi).enumerate() {
+                    let gamma = self.gamma.value.data()[ch];
+                    let beta = self.beta.value.data()[ch];
+                    let base = ch_idx * hw;
+                    for k in 0..hw {
+                        yv[base + k] = gamma * xh[base + k] + beta;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What both parts of a split `backward` read.
+struct BackwardPass<'a> {
+    /// Group geometry: `group_boundary(channels, groups, g)` bounds group `g`.
+    channels: usize,
+    groups: usize,
+    active_groups: usize,
+    hw: usize,
+    gamma: &'a [f32],
+    xhat: &'a [f32],
+    inv_std: &'a [f32],
+    dy: &'a [f32],
+}
+
+impl BackwardPass<'_> {
+    /// `backward` over `samples`: `dx` holds exactly those samples' rows and
+    /// is overwritten; `dgamma` and `dbeta` are added to.
+    fn run(&self, samples: Range<usize>, dx: &mut [f32], dgamma: &mut [f32], dbeta: &mut [f32]) {
+        let hw = self.hw;
+        let c_act = group_boundary(self.channels, self.groups, self.active_groups);
+        for (s, dx) in samples.zip(dx.chunks_exact_mut(c_act * hw)) {
+            let sample_off = s * c_act * hw;
+            for g in 0..self.active_groups {
+                let lo = group_boundary(self.channels, self.groups, g);
+                let hi = group_boundary(self.channels, self.groups, g + 1);
+                let n = ((hi - lo) * hw) as f32;
+                let span = sample_off + lo * hw..sample_off + hi * hw;
+                let xh = &self.xhat[span.clone()];
+                let dyv = &self.dy[span];
+                let inv_std = self.inv_std[s * self.active_groups + g];
+
+                // Affine grads + dx̂ statistics in one pass.
+                let mut sum_dxhat = 0.0f32;
+                let mut sum_dxhat_xhat = 0.0f32;
+                for (ch_idx, ch) in (lo..hi).enumerate() {
+                    let gamma = self.gamma[ch];
+                    let base = ch_idx * hw;
+                    let mut dg = 0.0f32;
+                    let mut db = 0.0f32;
+                    for k in 0..hw {
+                        let d = dyv[base + k];
+                        let xv = xh[base + k];
+                        dg += d * xv;
+                        db += d;
+                        let dxhat = d * gamma;
+                        sum_dxhat += dxhat;
+                        sum_dxhat_xhat += dxhat * xv;
+                    }
+                    dgamma[ch] += dg;
+                    dbeta[ch] += db;
+                }
+                let mean_dxhat = sum_dxhat / n;
+                let mean_dxhat_xhat = sum_dxhat_xhat / n;
+
+                let dxv = &mut dx[lo * hw..hi * hw];
+                for (ch_idx, ch) in (lo..hi).enumerate() {
+                    let gamma = self.gamma[ch];
+                    let base = ch_idx * hw;
+                    for k in 0..hw {
+                        let dxhat = dyv[base + k] * gamma;
+                        dxv[base + k] =
+                            inv_std * (dxhat - mean_dxhat - xh[base + k] * mean_dxhat_xhat);
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl Layer for GroupNorm {
@@ -105,31 +208,17 @@ impl Layer for GroupNorm {
         if mode == Mode::Train {
             let mut xhat = x.pooled_clone();
             let mut inv_stds = self.ws.take(Role::Stats, batch * self.active_groups);
-            for s in 0..batch {
-                let sample_off = s * c_act * hw;
-                for g in 0..self.active_groups {
-                    let (lo, hi) = self.group_range(g);
-                    let span = sample_off + lo * hw..sample_off + hi * hw;
-                    let (mean, var) = ops::mean_var(&y.data()[span.clone()]);
-                    let inv_std = 1.0 / (var + self.eps).sqrt();
-                    inv_stds[s * self.active_groups + g] = inv_std;
-                    // x̂ then y = γ·x̂ + β per channel.
-                    let xh = &mut xhat.data_mut()[span.clone()];
-                    for v in xh.iter_mut() {
-                        *v = (*v - mean) * inv_std;
-                    }
-                    let xh = &xhat.data()[span.clone()];
-                    let yv = &mut y.data_mut()[span];
-                    for (ch_idx, ch) in (lo..hi).enumerate() {
-                        let gamma = self.gamma.value.data()[ch];
-                        let beta = self.beta.value.data()[ch];
-                        let base = ch_idx * hw;
-                        for k in 0..hw {
-                            yv[base + k] = gamma * xh[base + k] + beta;
-                        }
-                    }
-                }
-            }
+            // Statistics are per (sample, group): the two fixed parts of the
+            // batch normalise their own samples.
+            let mid = par::mid(batch);
+            let (y0, y1) = y.data_mut().split_at_mut(mid * c_act * hw);
+            let (xhat0, xhat1) = xhat.data_mut().split_at_mut(mid * c_act * hw);
+            let (inv0, inv1) = inv_stds.split_at_mut(mid * self.active_groups);
+            let this = &*self;
+            par::join(
+                || this.normalise_train(hw, y0, xhat0, inv0),
+                || this.normalise_train(hw, y1, xhat1, inv1),
+            );
             self.cache = Some(Cache {
                 xhat,
                 inv_std: inv_stds,
@@ -165,53 +254,33 @@ impl Layer for GroupNorm {
         let _span = ms_tensor::span!("nn.groupnorm_bwd");
         let cache = self.cache.take().expect("backward before Train forward");
         let c_act = self.active_channels();
-        let hw = cache.hw;
         let mut dx = Tensor::pooled_zeros(dy.shape().clone());
-        for s in 0..cache.batch {
-            let sample_off = s * c_act * hw;
-            for g in 0..self.active_groups {
-                let (lo, hi) = self.group_range(g);
-                let n = ((hi - lo) * hw) as f32;
-                let span = sample_off + lo * hw..sample_off + hi * hw;
-                let xh = &cache.xhat.data()[span.clone()];
-                let dyv = &dy.data()[span.clone()];
-                let inv_std = cache.inv_std[s * self.active_groups + g];
-
-                // Affine grads + dx̂ statistics in one pass.
-                let mut sum_dxhat = 0.0f32;
-                let mut sum_dxhat_xhat = 0.0f32;
-                for (ch_idx, ch) in (lo..hi).enumerate() {
-                    let gamma = self.gamma.value.data()[ch];
-                    let base = ch_idx * hw;
-                    let mut dgamma = 0.0f32;
-                    let mut dbeta = 0.0f32;
-                    for k in 0..hw {
-                        let d = dyv[base + k];
-                        let xv = xh[base + k];
-                        dgamma += d * xv;
-                        dbeta += d;
-                        let dxhat = d * gamma;
-                        sum_dxhat += dxhat;
-                        sum_dxhat_xhat += dxhat * xv;
-                    }
-                    self.gamma.grad.data_mut()[ch] += dgamma;
-                    self.beta.grad.data_mut()[ch] += dbeta;
-                }
-                let mean_dxhat = sum_dxhat / n;
-                let mean_dxhat_xhat = sum_dxhat_xhat / n;
-
-                let dxv = &mut dx.data_mut()[span];
-                for (ch_idx, ch) in (lo..hi).enumerate() {
-                    let gamma = self.gamma.value.data()[ch];
-                    let base = ch_idx * hw;
-                    for k in 0..hw {
-                        let dxhat = dyv[base + k] * gamma;
-                        dxv[base + k] =
-                            inv_std * (dxhat - mean_dxhat - xh[base + k] * mean_dxhat_xhat);
-                    }
-                }
-            }
+        let mid = par::mid(cache.batch);
+        let (dx0, dx1) = dx.data_mut().split_at_mut(mid * c_act * cache.hw);
+        let pass = BackwardPass {
+            channels: self.channels,
+            groups: self.groups,
+            active_groups: self.active_groups,
+            hw: cache.hw,
+            gamma: self.gamma.value.data(),
+            xhat: cache.xhat.data(),
+            inv_std: &cache.inv_std,
+            dy: dy.data(),
+        };
+        // `dγ`/`dβ` are sums over samples: part 0 adds to `Param::grad`,
+        // part 1 to a zeroed partial that is added once both are done.
+        let (dgamma, dbeta) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
+        let mut partial = self.ws.take(Role::Aux1, 2 * c_act);
+        let (dgamma1, dbeta1) = partial.split_at_mut(c_act);
+        par::join(
+            || pass.run(0..mid, dx0, dgamma, dbeta),
+            || pass.run(mid..cache.batch, dx1, dgamma1, dbeta1),
+        );
+        if mid < cache.batch {
+            dgamma.iter_mut().zip(&*dgamma1).for_each(|(g, p)| *g += p);
+            dbeta.iter_mut().zip(&*dbeta1).for_each(|(g, p)| *g += p);
         }
+        self.ws.put(Role::Aux1, partial);
         cache.xhat.recycle();
         self.ws.put(Role::Stats, cache.inv_std);
         dx

@@ -5,7 +5,8 @@ use crate::layer::{Layer, Mode, Param};
 use ms_tensor::conv::{
     global_avgpool_backward, global_avgpool_forward, maxpool_backward, maxpool_forward, ConvGeom,
 };
-use ms_tensor::Tensor;
+use ms_tensor::{par, Tensor};
+use std::ops::Range;
 
 /// 2-D max pooling with square window and stride.
 pub struct MaxPool2d {
@@ -49,10 +50,24 @@ impl Layer for MaxPool2d {
             self.argmax.resize(batch * per_sample, 0);
             self.cache = Some((x.shape().clone(), geom));
         }
-        for s in 0..batch {
-            let argmax = (mode == Mode::Train)
-                .then(|| &mut self.argmax[s * per_sample..(s + 1) * per_sample]);
-            maxpool_forward(x.row(s), c, &geom, y.row_mut(s), argmax);
+        if mode == Mode::Train {
+            // Two fixed parts of the batch, each into its own rows.
+            let mid = par::mid(batch);
+            let (y0, y1) = y.data_mut().split_at_mut(mid * per_sample);
+            let (arg0, arg1) = self.argmax.split_at_mut(mid * per_sample);
+            let pool = |samples: Range<usize>, y: &mut [f32], argmax: &mut [u32]| {
+                let rows = y
+                    .chunks_exact_mut(per_sample)
+                    .zip(argmax.chunks_exact_mut(per_sample));
+                for (s, (y, argmax)) in samples.zip(rows) {
+                    maxpool_forward(x.row(s), c, &geom, y, Some(argmax));
+                }
+            };
+            par::join(|| pool(0..mid, y0, arg0), || pool(mid..batch, y1, arg1));
+        } else {
+            for s in 0..batch {
+                maxpool_forward(x.row(s), c, &geom, y.row_mut(s), None);
+            }
         }
         y
     }
@@ -63,15 +78,16 @@ impl Layer for MaxPool2d {
         let c = shape.dim(1);
         let out_len = geom.out_len();
         let mut dx = Tensor::pooled_zeros(shape);
-        for s in 0..batch {
-            maxpool_backward(
-                dy.row(s),
-                &self.argmax[s * c * out_len..(s + 1) * c * out_len],
-                c,
-                &geom,
-                dx.row_mut(s),
-            );
-        }
+        let mid = par::mid(batch);
+        let (dx0, dx1) = dx.data_mut().split_at_mut(mid * c * geom.h * geom.w);
+        let argmax = &self.argmax;
+        let scatter = |samples: Range<usize>, dx: &mut [f32]| {
+            for (s, dx) in samples.zip(dx.chunks_exact_mut(c * geom.h * geom.w)) {
+                let argmax = &argmax[s * c * out_len..(s + 1) * c * out_len];
+                maxpool_backward(dy.row(s), argmax, c, &geom, dx);
+            }
+        };
+        par::join(|| scatter(0..mid, dx0), || scatter(mid..batch, dx1));
         dx
     }
 

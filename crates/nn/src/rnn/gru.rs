@@ -16,7 +16,10 @@
 //! `b_x: [3H]` and `b_h: [3H]` (separate recurrent bias so the candidate's
 //! `r ⊙ (U_n h + b_u)` form is exact), gate blocks ordered `r, z, n`.
 
-use super::{add_step, from_time_major, gate_gemm, project_inputs, store_step, to_time_major};
+use super::{
+    add_step, from_time_major, gate_gemm, project_inputs, split_gates, split_gates_ref, store_step,
+    to_time_major,
+};
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
 use crate::workspace::{Role, Workspace};
@@ -26,7 +29,8 @@ use ms_tensor::ops::{
     tanh_inplace,
 };
 use ms_tensor::panels::PackedB;
-use ms_tensor::{init, SeededRng, Tensor};
+use ms_tensor::{init, par, SeededRng, Tensor};
+use std::ops::Range;
 
 const GATES: usize = 3; // r, z, n
 
@@ -46,14 +50,40 @@ pub struct GruConfig {
 }
 
 /// What a `Train` forward keeps for `backward`: the whole sequence,
-/// time-major (row `t·B + b`), in the buffers the forward computed it in.
+/// part-major (see the module docs of [`super`]), in the buffers the forward
+/// computed it in.
 struct SeqCache {
     batch: usize,
     steps: usize,
     xt: Vec<f32>,  // [T·B, a_d] input (workspace `StepInput`)
-    zx: Vec<f32>,  // activated r, z, n, `[gate][t][b][unit]` (workspace `Preact`)
-    h: Tensor,     // T+1 blocks of [B, a_h]: block t is h before step t, block 0 zero
-    u_n: Vec<f32>, // T blocks of [B, a_h]: U_n·h_prev + b_u, pre reset-gating (workspace `Aux1`)
+    zx: Vec<f32>,  // activated r, z, n, `[gate][part][t][b][unit]` (workspace `Preact`)
+    h: Tensor,     // per part T+1 blocks of [b, a_h]: block t is h before step t, block 0 zero
+    u_n: Vec<f32>, // per part T blocks of [b, a_h]: U_n·h_prev + b_u, pre reset-gating (workspace `Aux1`)
+}
+
+/// The buffers of one part of a forward pass: `rows` batch rows.
+struct ForwardPart<'a> {
+    rows: usize,
+    x: &'a [f32],               // [rows, T, a_d]
+    xt: &'a mut [f32],          // [T, rows, a_d]
+    zx: [&'a mut [f32]; GATES], // each [T, rows, a_h]
+    h: &'a mut [f32],           // T+1 state blocks (training) or one (inference)
+    u_n: &'a mut [f32],         // T blocks (training) or one (inference)
+    out: &'a mut [f32],         // [rows, T, a_h]
+}
+
+/// The buffers of one part of a backward pass's time loop.
+struct BackwardPart<'a> {
+    rows: usize,
+    dy: &'a [f32],          // [rows, T, a_h]
+    zx: [&'a [f32]; GATES], // the forward's activated gates
+    h: &'a [f32],
+    u_n: &'a [f32],
+    dg: [&'a mut [f32]; GATES], // each [T, rows, a_h]
+    du: &'a mut [f32],          // [T, rows, a_h]
+    dh: &'a mut [f32],          // [rows, a_h]
+    dxt: &'a mut [f32],         // [T, rows, a_d]
+    dx: &'a mut [f32],          // [rows, T, a_d]
 }
 
 /// Sliceable GRU over `[B, T, D_active] → [B, T, H_active]`.
@@ -137,6 +167,155 @@ impl Gru {
         (self.active_in, self.active_h)
     }
 
+    /// The forward of one part: input projection of all its steps, then the
+    /// recurrence over its batch rows.
+    fn forward_part(&self, train: bool, steps: usize, mut p: ForwardPart<'_>) {
+        let (a_h, h_full, d) = (self.active_h, self.cfg.hidden_dim, self.active_in);
+        let (sx, sh) = (self.scale_x(), self.scale_h());
+        let slab = p.rows * a_h; // one gate of one step
+        let on_panels = self.packed_x.is_valid() && self.packed_h.is_valid();
+        let (px, ph) = (
+            on_panels.then_some(&self.packed_x),
+            on_panels.then_some(&self.packed_h),
+        );
+        let b_h = |gate: usize| &self.b_h.value.data()[gate * h_full..];
+
+        // zx[g] = s_x·X·W_x[g]ᵀ + b_x[g] for every step at once.
+        to_time_major(p.x, p.rows, steps, d, p.xt);
+        let (w_x, b_x) = (&self.w_x.value, &self.b_x.value);
+        let rows = steps * p.rows;
+        project_inputs(w_x, px, b_x, h_full, a_h, sx, rows, d, p.xt, &mut p.zx);
+
+        // State blocks: training keeps every step's (block t + 1 is the
+        // state after step t), inference updates block 0 in place.
+        let keep = if train { slab } else { 0 };
+        for t in 0..steps {
+            let (prev, next) = (t * keep, (t + 1) * keep);
+            let h_prev = &p.h[prev..][..slab];
+            let [r, z, n] = p.zx.each_mut().map(|g| &mut g[t * slab..][..slab]);
+            // r and z gates: add the recurrent side, then squash.
+            for (gate, zg) in [&mut *r, &mut *z].into_iter().enumerate() {
+                gate_gemm(
+                    &self.w_h.value,
+                    ph,
+                    h_full,
+                    gate,
+                    a_h,
+                    sh,
+                    p.rows,
+                    a_h,
+                    h_prev,
+                    zg,
+                );
+                add_bias_rows(zg, b_h(gate), a_h, a_h);
+                sigmoid_inplace(zg);
+            }
+            // Candidate: tanh(W_n x + b_n  +  r ⊙ (U_n h + b_u)).
+            let u_t = &mut p.u_n[prev..][..slab];
+            u_t.fill(0.0);
+            gate_gemm(
+                &self.w_h.value,
+                ph,
+                h_full,
+                2,
+                a_h,
+                sh,
+                p.rows,
+                a_h,
+                h_prev,
+                u_t,
+            );
+            add_bias_rows(u_t, b_h(2), a_h, a_h);
+            for (k, nv) in n.iter_mut().enumerate() {
+                *nv += r[k] * u_t[k];
+            }
+            tanh_inplace(n);
+
+            // h_t = (1 − z) ⊙ n + z ⊙ h_prev.
+            p.h.copy_within(prev..prev + slab, next);
+            let h_t = &mut p.h[next..][..slab];
+            for (k, hv) in h_t.iter_mut().enumerate() {
+                *hv = (1.0 - z[k]) * n[k] + z[k] * *hv;
+            }
+            store_step(h_t, t, steps, a_h, p.out);
+        }
+    }
+
+    /// The time loop of `backward` for one part — the elementwise step and
+    /// `dh_prev` — and, once all of the part's rows of `dg` exist, its rows
+    /// of `dX`.
+    fn backward_part(&self, steps: usize, p: BackwardPart<'_>) {
+        let (a_h, a_d) = (self.active_h, self.active_in);
+        let (d_full, h_full) = (self.cfg.in_dim, self.cfg.hidden_dim);
+        let (sx, sh) = (self.scale_x(), self.scale_h());
+        let slab = p.rows * a_h;
+        let BackwardPart {
+            dg: mut dg_all,
+            du,
+            dh,
+            ..
+        } = p;
+        for t in (0..steps).rev() {
+            add_step(p.dy, t, steps, a_h, dh);
+            let [r, z, n] = p.zx.map(|g| &g[t * slab..][..slab]);
+            let u_n = &p.u_n[t * slab..][..slab];
+            let h_prev = &p.h[t * slab..][..slab];
+            let [dr, dz, dn] = dg_all.each_mut().map(|g| &mut g[t * slab..][..slab]);
+            let du_t = &mut du[t * slab..][..slab];
+            for k in 0..slab {
+                let d_n = dh[k] * (1.0 - z[k]) * tanh_grad_from_output(n[k]);
+                dz[k] = dh[k] * (h_prev[k] - n[k]) * sigmoid_grad_from_output(z[k]);
+                dn[k] = d_n;
+                du_t[k] = d_n * r[k];
+                dr[k] = d_n * u_n[k] * sigmoid_grad_from_output(r[k]);
+                dh[k] *= z[k]; // the direct path into h_prev
+            }
+            if t == 0 {
+                break; // h before step 0 is the zero state: nothing to pass on
+            }
+            // dh_prev += s_h · Σ_g (recurrent-side gradient)_g · W_h[g]
+            for (gate, g_h) in [&*dr, dz, du_t].into_iter().enumerate() {
+                let w_h = &self.w_h.value.data()[gate * h_full * h_full..];
+                gemm(
+                    Trans::No,
+                    Trans::No,
+                    p.rows,
+                    a_h,
+                    a_h,
+                    sh,
+                    g_h,
+                    a_h,
+                    w_h,
+                    h_full,
+                    1.0,
+                    dh,
+                    a_h,
+                );
+            }
+        }
+        // dX = s_x · Σ_g g_x · W_x[g] over all of the part's T·rows rows.
+        for (gate, g_x) in dg_all.iter().enumerate() {
+            let w_x = &self.w_x.value.data()[gate * h_full * d_full..];
+            let beta = if gate == 0 { 0.0 } else { 1.0 };
+            gemm(
+                Trans::No,
+                Trans::No,
+                steps * p.rows,
+                a_d,
+                a_h,
+                sx,
+                g_x,
+                a_h,
+                w_x,
+                d_full,
+                beta,
+                p.dxt,
+                a_d,
+            );
+        }
+        from_time_major(p.dxt, p.rows, steps, a_d, p.dx);
+    }
+
     fn scale_x(&self) -> f32 {
         if self.cfg.input_rescale && self.active_in < self.cfg.in_dim {
             self.cfg.in_dim as f32 / self.active_in as f32
@@ -160,9 +339,8 @@ impl Layer for Gru {
         assert_eq!(dims.len(), 3, "{}: expect [B, T, D]", self.name);
         let (batch, steps, d) = (dims[0], dims[1], dims[2]);
         assert_eq!(d, self.active_in, "{}: input width", self.name);
-        let (a_h, h_full) = (self.active_h, self.cfg.hidden_dim);
-        let (sx, sh) = (self.scale_x(), self.scale_h());
-        let rows = steps * batch; // time-major: row t·B + b
+        let a_h = self.active_h;
+        let rows = steps * batch;
         let slab = batch * a_h; // one gate of one step
 
         // A Train forward that no backward followed still holds its cache.
@@ -176,81 +354,51 @@ impl Layer for Gru {
         if train {
             self.ensure_packed();
         }
-        let on_panels = self.packed_x.is_valid() && self.packed_h.is_valid();
-        let (px, ph) = (
-            on_panels.then_some(&self.packed_x),
-            on_panels.then_some(&self.packed_h),
-        );
-        let b_h = |gate: usize| &self.b_h.value.data()[gate * h_full..];
 
-        // Input projection of every step at once: zx[g] = s_x·X·W_x[g]ᵀ +
-        // b_x[g], gate-major `[gate][t][b][unit]`.
+        // Training keeps every step's state (T + 1 blocks, block 0 zero) and
+        // `U_n h`; inference one block of each, updated in place.
+        let kept = if train { steps } else { 0 };
         let mut xt = self.ws.take(Role::StepInput, rows * d);
-        to_time_major(x.data(), batch, steps, d, &mut xt);
         let mut zx = self.ws.take(Role::Preact, GATES * rows * a_h);
-        let (w_x, b_x) = (&self.w_x.value, &self.b_x.value);
-        project_inputs(w_x, px, b_x, h_full, a_h, sx, rows, d, &xt, &mut zx);
-
-        // State blocks: training keeps every step's (block t + 1 is the
-        // state after step t), inference updates block 0 in place.
-        let keep = if train { slab } else { 0 };
-        let mut h = Tensor::pooled_zeros([slab + steps * keep]);
-        let mut u_n = self.ws.take(Role::Aux1, slab.max(steps * keep));
+        let mut h = Tensor::pooled_zeros([(kept + 1) * slab]);
+        let mut u_n = self.ws.take(Role::Aux1, kept.max(1) * slab);
         let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
-        // Offset of gate `g`'s step-`t` slab in `zx`.
-        let at = |gate: usize, t: usize| (gate * rows + t * batch) * a_h;
-        for t in 0..steps {
-            let (prev, next) = (t * keep, (t + 1) * keep);
-            let h_prev = &h.data()[prev..][..slab];
-            // r and z gates: add the recurrent side, then squash.
-            for gate in 0..2 {
-                let zg = &mut zx[at(gate, t)..][..slab];
-                gate_gemm(
-                    &self.w_h.value,
-                    ph,
-                    h_full,
-                    gate,
-                    a_h,
-                    sh,
-                    batch,
-                    a_h,
-                    h_prev,
-                    zg,
-                );
-                add_bias_rows(zg, b_h(gate), a_h, a_h);
-                sigmoid_inplace(zg);
-            }
-            // Candidate: tanh(W_n x + b_n  +  r ⊙ (U_n h + b_u)).
-            let u_t = &mut u_n[prev..][..slab];
-            u_t.fill(0.0);
-            gate_gemm(
-                &self.w_h.value,
-                ph,
-                h_full,
-                2,
-                a_h,
-                sh,
-                batch,
-                a_h,
-                h_prev,
-                u_t,
-            );
-            add_bias_rows(u_t, b_h(2), a_h, a_h);
-            let (rz, n) = zx.split_at_mut(at(2, 0));
-            let n = &mut n[t * slab..][..slab];
-            let (r, z) = (&rz[at(0, t)..][..slab], &rz[at(1, t)..][..slab]);
-            for (k, nv) in n.iter_mut().enumerate() {
-                *nv += r[k] * u_t[k];
-            }
-            tanh_inplace(n);
 
-            // h_t = (1 − z) ⊙ n + z ⊙ h_prev.
-            h.data_mut().copy_within(prev..prev + slab, next);
-            let h_t = &mut h.data_mut()[next..][..slab];
-            for (k, hv) in h_t.iter_mut().enumerate() {
-                *hv = (1.0 - z[k]) * n[k] + z[k] * *hv;
-            }
-            store_step(h_t, t, steps, a_h, out.data_mut());
+        // Training runs the two fixed parts of the batch, inference the
+        // whole batch as one; every buffer is cut at the same batch row.
+        let mid = if train { par::mid(batch) } else { batch };
+        let (x0, x1) = x.data().split_at(mid * steps * d);
+        let (xt0, xt1) = xt.split_at_mut(steps * mid * d);
+        let (zx0, zx1) = split_gates(&mut zx, rows * a_h, steps * mid * a_h);
+        let (h0, h1) = h.data_mut().split_at_mut((kept + 1) * mid * a_h);
+        let (u0, u1) = u_n.split_at_mut(kept.max(1) * mid * a_h);
+        let (out0, out1) = out.data_mut().split_at_mut(mid * steps * a_h);
+        let part0 = ForwardPart {
+            rows: mid,
+            x: x0,
+            xt: xt0,
+            zx: zx0,
+            h: h0,
+            u_n: u0,
+            out: out0,
+        };
+        let part1 = ForwardPart {
+            rows: batch - mid,
+            x: x1,
+            xt: xt1,
+            zx: zx1,
+            h: h1,
+            u_n: u1,
+            out: out1,
+        };
+        let this = &*self;
+        if mid < batch {
+            par::join(
+                || this.forward_part(train, steps, part0),
+                || this.forward_part(train, steps, part1),
+            );
+        } else {
+            this.forward_part(train, steps, part0);
         }
         let cache = SeqCache {
             batch,
@@ -301,120 +449,130 @@ impl Layer for Gru {
         debug_assert_eq!(dy.dims(), &[batch, steps, a_h]);
 
         // Pre-activation gradients of the whole sequence, laid out like the
-        // gates (`[gate][t][b][unit]`): `dg` for r, z, n as the input side
-        // sees them; the recurrent side sees the same r and z and, in place
-        // of n, `du` — the gradient at `U_n h + b_u`. Only the elementwise
-        // step and `dh_prev` run in the time loop (see `Lstm::backward`).
+        // gates: `dg` for r, z, n as the input side sees them; the recurrent
+        // side sees the same r and z and, in place of n, `du` — the gradient
+        // at `U_n h + b_u`. Only the elementwise step and `dh_prev` run in
+        // the time loop (see `Lstm::backward`).
         let mut dg = Tensor::pooled_zeros([GATES * rows * a_h]);
         let mut du = Tensor::pooled_zeros([rows * a_h]);
         let mut dh = Tensor::pooled_zeros([slab]); // dL/dh_t, recurrent part first
-        for t in (0..steps).rev() {
-            add_step(dy.data(), t, steps, a_h, dh.data_mut());
-            let gate = |g: usize| &cache.zx[(g * rows + t * batch) * a_h..][..slab];
-            let (r, z, n) = (gate(0), gate(1), gate(2));
-            let u_n = &cache.u_n[t * slab..][..slab];
-            let h_prev = &cache.h.data()[t * slab..][..slab];
-            let mut blocks = dg.data_mut().chunks_exact_mut(rows * a_h);
-            let [dr, dz, dn] = std::array::from_fn(|_| {
-                &mut blocks.next().expect("three gate blocks")[t * slab..][..slab]
-            });
-            let du_t = &mut du.data_mut()[t * slab..][..slab];
-            let dh_t = &mut dh.data_mut()[..slab];
-            for k in 0..slab {
-                let d_n = dh_t[k] * (1.0 - z[k]) * tanh_grad_from_output(n[k]);
-                dz[k] = dh_t[k] * (h_prev[k] - n[k]) * sigmoid_grad_from_output(z[k]);
-                dn[k] = d_n;
-                du_t[k] = d_n * r[k];
-                dr[k] = d_n * u_n[k] * sigmoid_grad_from_output(r[k]);
-                dh_t[k] *= z[k]; // the direct path into h_prev
-            }
-            if t == 0 {
-                break; // h before step 0 is the zero state: nothing to pass on
-            }
-            // dh_prev += s_h · Σ_g (recurrent-side gradient)_g · W_h[g]
-            for (gate, g_h) in [&*dr, dz, du_t].into_iter().enumerate() {
-                let w_h = &self.w_h.value.data()[gate * h_full * h_full..];
-                gemm(
-                    Trans::No,
-                    Trans::No,
-                    batch,
-                    a_h,
-                    a_h,
-                    sh,
-                    g_h,
-                    a_h,
-                    w_h,
-                    h_full,
-                    1.0,
-                    dh_t,
-                    a_h,
-                );
-            }
+        let mut dxt = Tensor::pooled_zeros([rows * a_d]);
+        let mut dx = Tensor::pooled_zeros([batch, steps, a_d]);
+
+        // First join: the time loop and `dX`, the two fixed parts of the
+        // batch on the cuts the forward made.
+        let mid = par::mid(batch);
+        {
+            let (dy0, dy1) = dy.data().split_at(mid * steps * a_h);
+            let (zx0, zx1) = split_gates_ref(&cache.zx, rows * a_h, steps * mid * a_h);
+            let (h0, h1) = cache.h.data().split_at((steps + 1) * mid * a_h);
+            let (u0, u1) = cache.u_n.split_at(steps * mid * a_h);
+            let (dg0, dg1) = split_gates(dg.data_mut(), rows * a_h, steps * mid * a_h);
+            let (du0, du1) = du.data_mut().split_at_mut(steps * mid * a_h);
+            let (dh0, dh1) = dh.data_mut().split_at_mut(mid * a_h);
+            let (dxt0, dxt1) = dxt.data_mut().split_at_mut(steps * mid * a_d);
+            let (dx0, dx1) = dx.data_mut().split_at_mut(mid * steps * a_d);
+            let part0 = BackwardPart {
+                rows: mid,
+                dy: dy0,
+                zx: zx0,
+                h: h0,
+                u_n: u0,
+                dg: dg0,
+                du: du0,
+                dh: dh0,
+                dxt: dxt0,
+                dx: dx0,
+            };
+            let part1 = BackwardPart {
+                rows: batch - mid,
+                dy: dy1,
+                zx: zx1,
+                h: h1,
+                u_n: u1,
+                dg: dg1,
+                du: du1,
+                dh: dh1,
+                dxt: dxt1,
+                dx: dx1,
+            };
+            let this = &*self;
+            par::join(
+                || this.backward_part(steps, part0),
+                || this.backward_part(steps, part1),
+            );
         }
 
-        // One GEMM per gate over all T·B rows for everything else.
-        let mut dxt = Tensor::pooled_zeros([rows * a_d]);
-        let h_prev = &cache.h.data()[..rows * a_h];
-        for (gate, g_x) in dg.data().chunks_exact(rows * a_h).enumerate() {
-            let g_h = if gate == 2 { du.data() } else { g_x };
-            // dW_x[gate] += s_x · g_xᵀ · X
-            let dw_x = &mut self.w_x.grad.data_mut()[gate * h_full * d_full..];
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                a_h,
-                a_d,
-                rows,
-                sx,
-                g_x,
-                a_h,
-                &cache.xt,
-                a_d,
-                1.0,
-                dw_x,
-                d_full,
-            );
-            // dW_h[gate] += s_h · g_hᵀ · H_prev
-            let dw_h = &mut self.w_h.grad.data_mut()[gate * h_full * h_full..];
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                a_h,
-                a_h,
-                rows,
-                sh,
-                g_h,
-                a_h,
-                h_prev,
-                a_h,
-                1.0,
-                dw_h,
-                h_full,
-            );
-            // Bias gradients.
-            sum_rows_into(g_x, a_h, &mut self.b_x.grad.data_mut()[gate * h_full..]);
-            sum_rows_into(g_h, a_h, &mut self.b_h.grad.data_mut()[gate * h_full..]);
-            // dX (+)= s_x · g_x · W_x[gate]
-            let w_x = &self.w_x.value.data()[gate * h_full * d_full..];
-            let beta = if gate == 0 { 0.0 } else { 1.0 };
-            gemm(
-                Trans::No,
-                Trans::No,
-                rows,
-                a_d,
-                a_h,
-                sx,
-                g_x,
-                a_h,
-                w_x,
-                d_full,
-                beta,
-                dxt.data_mut(),
-                a_d,
-            );
-        }
-        let mut dx = Tensor::pooled_zeros([batch, steps, a_d]);
-        from_time_major(dxt.data(), batch, steps, a_d, dx.data_mut());
+        // Second join: the parameter gradients, one GEMM per gate over all
+        // T·B rows, split over the gates (see `Lstm::backward`): r and z to
+        // part 0, n to part 1.
+        let gate_mid = par::mid(GATES);
+        let (dwx0, dwx1) = self
+            .w_x
+            .grad
+            .data_mut()
+            .split_at_mut(gate_mid * h_full * d_full);
+        let (dwh0, dwh1) = self
+            .w_h
+            .grad
+            .data_mut()
+            .split_at_mut(gate_mid * h_full * h_full);
+        let (dbx0, dbx1) = self.b_x.grad.data_mut().split_at_mut(gate_mid * h_full);
+        let (dbh0, dbh1) = self.b_h.grad.data_mut().split_at_mut(gate_mid * h_full);
+        let part_rows = [(0, steps * mid), (steps * mid, rows)];
+        let h_prev = [0, (steps + 1) * mid * a_h].map(|at| &cache.h.data()[at..]);
+        let (dg_rows, du_rows, xt) = (dg.data(), du.data(), &cache.xt);
+        let grads = |gates: Range<usize>,
+                     dwx: &mut [f32],
+                     dwh: &mut [f32],
+                     dbx: &mut [f32],
+                     dbh: &mut [f32]| {
+            for (i, gate) in gates.enumerate() {
+                let g_x = &dg_rows[gate * rows * a_h..][..rows * a_h];
+                let g_h = if gate == 2 { du_rows } else { g_x };
+                // dW_x[gate] += s_x · g_xᵀ · X
+                gemm(
+                    Trans::Yes,
+                    Trans::No,
+                    a_h,
+                    a_d,
+                    rows,
+                    sx,
+                    g_x,
+                    a_h,
+                    xt,
+                    a_d,
+                    1.0,
+                    &mut dwx[i * h_full * d_full..],
+                    d_full,
+                );
+                // dW_h[gate] += s_h · g_hᵀ · H_prev
+                for ((first, end), h_prev) in part_rows.into_iter().zip(h_prev) {
+                    gemm(
+                        Trans::Yes,
+                        Trans::No,
+                        a_h,
+                        a_h,
+                        end - first,
+                        sh,
+                        &g_h[first * a_h..],
+                        a_h,
+                        h_prev,
+                        a_h,
+                        1.0,
+                        &mut dwh[i * h_full * h_full..],
+                        h_full,
+                    );
+                }
+                // Bias gradients.
+                sum_rows_into(g_x, a_h, &mut dbx[i * h_full..]);
+                sum_rows_into(g_h, a_h, &mut dbh[i * h_full..]);
+            }
+        };
+        par::join(
+            || grads(0..gate_mid, dwx0, dwh0, dbx0, dbh0),
+            || grads(gate_mid..GATES, dwx1, dwh1, dbx1, dbh1),
+        );
         dxt.recycle();
         dg.recycle();
         du.recycle();

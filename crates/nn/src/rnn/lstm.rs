@@ -17,7 +17,10 @@
 //! truncated BPTT with state reset at batch boundaries (a documented
 //! simplification — see DESIGN.md §2).
 
-use super::{add_step, from_time_major, gate_gemm, project_inputs, store_step, to_time_major};
+use super::{
+    add_step, from_time_major, gate_gemm, project_inputs, split_gates, split_gates_ref, store_step,
+    to_time_major,
+};
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
 use crate::workspace::{Role, Workspace};
@@ -26,7 +29,8 @@ use ms_tensor::ops::{
     sigmoid_grad_from_output, sigmoid_inplace, sum_rows_into, tanh_grad_from_output, tanh_inplace,
 };
 use ms_tensor::panels::PackedB;
-use ms_tensor::{init, SeededRng, Tensor};
+use ms_tensor::{init, par, SeededRng, Tensor};
+use std::ops::Range;
 
 const GATES: usize = 4; // i, f, g, o
 
@@ -46,15 +50,42 @@ pub struct LstmConfig {
 }
 
 /// What a `Train` forward keeps for `backward`: the whole sequence,
-/// time-major (row `t·B + b`), in the buffers the forward computed it in.
+/// part-major (see the module docs of [`super`]), in the buffers the forward
+/// computed it in.
 struct SeqCache {
     batch: usize,
     steps: usize,
     xt: Vec<f32>,     // [T·B, a_d] input (workspace `StepInput`)
-    z: Vec<f32>,      // activated gates, `[gate][t][b][unit]` (workspace `Preact`)
-    h: Tensor,        // T+1 blocks of [B, a_h]: block t is h before step t, block 0 zero
+    z: Vec<f32>,      // activated gates, `[gate][part][t][b][unit]` (workspace `Preact`)
+    h: Tensor,        // per part T+1 blocks of [b, a_h]: block t is h before step t, block 0 zero
     c: Tensor,        // likewise the cell state
-    tanh_c: Vec<f32>, // T blocks of [B, a_h] (workspace `Cell`)
+    tanh_c: Vec<f32>, // per part T blocks of [b, a_h] (workspace `Cell`)
+}
+
+/// The buffers of one part of a forward pass: `rows` batch rows.
+struct ForwardPart<'a> {
+    rows: usize,
+    x: &'a [f32],              // [rows, T, a_d]
+    xt: &'a mut [f32],         // [T, rows, a_d]
+    z: [&'a mut [f32]; GATES], // each [T, rows, a_h]
+    h: &'a mut [f32],          // T+1 state blocks (training) or one (inference)
+    c: &'a mut [f32],          // likewise
+    tanh_c: &'a mut [f32],     // T blocks (training) or one (inference)
+    out: &'a mut [f32],        // [rows, T, a_h]
+}
+
+/// The buffers of one part of a backward pass's time loop.
+struct BackwardPart<'a> {
+    rows: usize,
+    dy: &'a [f32],         // [rows, T, a_h]
+    z: [&'a [f32]; GATES], // the forward's activated gates
+    c: &'a [f32],
+    tanh_c: &'a [f32],
+    dz: [&'a mut [f32]; GATES], // each [T, rows, a_h]
+    dh: &'a mut [f32],          // [rows, a_h]
+    dc: &'a mut [f32],          // [rows, a_h]
+    dxt: &'a mut [f32],         // [T, rows, a_d]
+    dx: &'a mut [f32],          // [rows, T, a_d]
 }
 
 /// Sliceable LSTM over `[B, T, D_active] → [B, T, H_active]`.
@@ -143,6 +174,142 @@ impl Lstm {
         (self.active_in, self.active_h)
     }
 
+    /// The forward of one part: input projection of all its steps, then the
+    /// recurrence over its batch rows.
+    fn forward_part(&self, train: bool, steps: usize, mut p: ForwardPart<'_>) {
+        let (a_h, h_full, d) = (self.active_h, self.cfg.hidden_dim, self.active_in);
+        let (sx, sh) = (self.scale_x(), self.scale_h());
+        let slab = p.rows * a_h; // one gate of one step
+        let on_panels = self.packed_x.is_valid() && self.packed_h.is_valid();
+        let (px, ph) = (
+            on_panels.then_some(&self.packed_x),
+            on_panels.then_some(&self.packed_h),
+        );
+
+        // z[g] = s_x·X·W_x[g]ᵀ + b[g] for every step at once.
+        to_time_major(p.x, p.rows, steps, d, p.xt);
+        let (w_x, bias) = (&self.w_x.value, &self.bias.value);
+        let rows = steps * p.rows;
+        project_inputs(w_x, px, bias, h_full, a_h, sx, rows, d, p.xt, &mut p.z);
+
+        // State blocks: training keeps every step's (block t + 1 is the
+        // state after step t), inference updates block 0 in place.
+        let keep = if train { slab } else { 0 };
+        for t in 0..steps {
+            let (prev, next) = (t * keep, (t + 1) * keep);
+            let h_prev = &p.h[prev..][..slab];
+            for (gate, zg) in p.z.iter_mut().enumerate() {
+                let zg = &mut zg[t * slab..][..slab];
+                gate_gemm(
+                    &self.w_h.value,
+                    ph,
+                    h_full,
+                    gate,
+                    a_h,
+                    sh,
+                    p.rows,
+                    a_h,
+                    h_prev,
+                    zg,
+                );
+            }
+            let [zi, zf, zg, zo] = p.z.each_mut().map(|g| &mut g[t * slab..][..slab]);
+            sigmoid_inplace(zi);
+            sigmoid_inplace(zf);
+            tanh_inplace(zg);
+            sigmoid_inplace(zo);
+
+            p.c.copy_within(prev..prev + slab, next);
+            let c_t = &mut p.c[next..][..slab];
+            for (k, cv) in c_t.iter_mut().enumerate() {
+                *cv = zf[k] * *cv + zi[k] * zg[k];
+            }
+            let tc = &mut p.tanh_c[prev..][..slab];
+            tc.copy_from_slice(c_t);
+            tanh_inplace(tc);
+            let h_t = &mut p.h[next..][..slab];
+            for (k, hv) in h_t.iter_mut().enumerate() {
+                *hv = zo[k] * tc[k];
+            }
+            store_step(h_t, t, steps, a_h, p.out);
+        }
+    }
+
+    /// The time loop of `backward` for one part — the elementwise gate
+    /// gradient and `dh_prev = s_h·Σ_g dz_g·W_h[g]` — and, once all of the
+    /// part's rows of `dz` exist, its rows of `dX`.
+    fn backward_part(&self, steps: usize, p: BackwardPart<'_>) {
+        let (a_h, a_d) = (self.active_h, self.active_in);
+        let (d_full, h_full) = (self.cfg.in_dim, self.cfg.hidden_dim);
+        let (sx, sh) = (self.scale_x(), self.scale_h());
+        let slab = p.rows * a_h;
+        let BackwardPart {
+            dz: mut dz_all,
+            dh,
+            dc,
+            ..
+        } = p;
+        for t in (0..steps).rev() {
+            add_step(p.dy, t, steps, a_h, dh);
+            let [zi, zf, zg, zo] = p.z.map(|g| &g[t * slab..][..slab]);
+            let tc = &p.tanh_c[t * slab..][..slab];
+            let c_prev = &p.c[t * slab..][..slab];
+            let [dzi, dzf, dzg, dzo] = dz_all.each_mut().map(|g| &mut g[t * slab..][..slab]);
+            for k in 0..slab {
+                let d_o = dh[k] * tc[k];
+                let d_c = dc[k] + dh[k] * zo[k] * tanh_grad_from_output(tc[k]);
+                dzi[k] = d_c * zg[k] * sigmoid_grad_from_output(zi[k]);
+                dzf[k] = d_c * c_prev[k] * sigmoid_grad_from_output(zf[k]);
+                dzg[k] = d_c * zi[k] * tanh_grad_from_output(zg[k]);
+                dzo[k] = d_o * sigmoid_grad_from_output(zo[k]);
+                dc[k] = d_c * zf[k];
+            }
+            if t == 0 {
+                break; // h before step 0 is the zero state: nothing to pass on
+            }
+            for (gate, dz_g) in [&*dzi, dzf, dzg, dzo].into_iter().enumerate() {
+                let w_h = &self.w_h.value.data()[gate * h_full * h_full..];
+                let beta = if gate == 0 { 0.0 } else { 1.0 };
+                gemm(
+                    Trans::No,
+                    Trans::No,
+                    p.rows,
+                    a_h,
+                    a_h,
+                    sh,
+                    dz_g,
+                    a_h,
+                    w_h,
+                    h_full,
+                    beta,
+                    dh,
+                    a_h,
+                );
+            }
+        }
+        // dX = s_x · Σ_g dz_g · W_x[g] over all of the part's T·rows rows.
+        for (gate, dz_g) in dz_all.iter().enumerate() {
+            let w_x = &self.w_x.value.data()[gate * h_full * d_full..];
+            let beta = if gate == 0 { 0.0 } else { 1.0 };
+            gemm(
+                Trans::No,
+                Trans::No,
+                steps * p.rows,
+                a_d,
+                a_h,
+                sx,
+                dz_g,
+                a_h,
+                w_x,
+                d_full,
+                beta,
+                p.dxt,
+                a_d,
+            );
+        }
+        from_time_major(p.dxt, p.rows, steps, a_d, p.dx);
+    }
+
     fn scale_x(&self) -> f32 {
         if self.cfg.input_rescale && self.active_in < self.cfg.in_dim {
             self.cfg.in_dim as f32 / self.active_in as f32
@@ -166,9 +333,8 @@ impl Layer for Lstm {
         assert_eq!(dims.len(), 3, "{}: expect [B, T, D]", self.name);
         let (batch, steps, d) = (dims[0], dims[1], dims[2]);
         assert_eq!(d, self.active_in, "{}: input width", self.name);
-        let (a_h, h_full) = (self.active_h, self.cfg.hidden_dim);
-        let (sx, sh) = (self.scale_x(), self.scale_h());
-        let rows = steps * batch; // time-major: row t·B + b
+        let a_h = self.active_h;
+        let rows = steps * batch;
         let slab = batch * a_h; // one gate of one step
 
         // A Train forward that no backward followed still holds its cache.
@@ -184,67 +350,55 @@ impl Layer for Lstm {
         if train {
             self.ensure_packed();
         }
-        let on_panels = self.packed_x.is_valid() && self.packed_h.is_valid();
-        let (px, ph) = (
-            on_panels.then_some(&self.packed_x),
-            on_panels.then_some(&self.packed_h),
-        );
 
-        // Input projection of every step at once: z[g] = s_x·X·W_x[g]ᵀ + b[g],
-        // gate-major `[gate][t][b][unit]`.
+        // Training keeps every step's state (T + 1 blocks, block 0 zero) and
+        // `tanh c`; inference one block of each, updated in place.
+        let kept = if train { steps } else { 0 };
         let mut xt = self.ws.take(Role::StepInput, rows * d);
-        to_time_major(x.data(), batch, steps, d, &mut xt);
         let mut z = self.ws.take(Role::Preact, GATES * rows * a_h);
-        let (w_x, bias) = (&self.w_x.value, &self.bias.value);
-        project_inputs(w_x, px, bias, h_full, a_h, sx, rows, d, &xt, &mut z);
-
-        // State blocks: training keeps every step's (block t + 1 is the
-        // state after step t), inference updates block 0 in place.
-        let keep = if train { slab } else { 0 };
-        let mut h = Tensor::pooled_zeros([slab + steps * keep]);
-        let mut c = Tensor::pooled_zeros([slab + steps * keep]);
-        let mut tanh_c = self.ws.take(Role::Cell, slab.max(steps * keep));
+        let mut h = Tensor::pooled_zeros([(kept + 1) * slab]);
+        let mut c = Tensor::pooled_zeros([(kept + 1) * slab]);
+        let mut tanh_c = self.ws.take(Role::Cell, kept.max(1) * slab);
         let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
-        // Offset of gate `g`'s step-`t` slab in `z`.
-        let at = |gate: usize, t: usize| (gate * rows + t * batch) * a_h;
-        for t in 0..steps {
-            let (prev, next) = (t * keep, (t + 1) * keep);
-            for gate in 0..GATES {
-                let zg = &mut z[at(gate, t)..][..slab];
-                let h_prev = &h.data()[prev..][..slab];
-                gate_gemm(
-                    &self.w_h.value,
-                    ph,
-                    h_full,
-                    gate,
-                    a_h,
-                    sh,
-                    batch,
-                    a_h,
-                    h_prev,
-                    zg,
-                );
-            }
-            sigmoid_inplace(&mut z[at(0, t)..][..slab]); // i
-            sigmoid_inplace(&mut z[at(1, t)..][..slab]); // f
-            tanh_inplace(&mut z[at(2, t)..][..slab]); // g
-            sigmoid_inplace(&mut z[at(3, t)..][..slab]); // o
-            let gate = |g: usize| &z[at(g, t)..][..slab];
-            let (zi, zf, zg, zo) = (gate(0), gate(1), gate(2), gate(3));
 
-            c.data_mut().copy_within(prev..prev + slab, next);
-            let c_t = &mut c.data_mut()[next..][..slab];
-            for (k, cv) in c_t.iter_mut().enumerate() {
-                *cv = zf[k] * *cv + zi[k] * zg[k];
-            }
-            let tc = &mut tanh_c[prev..][..slab];
-            tc.copy_from_slice(c_t);
-            tanh_inplace(tc);
-            let h_t = &mut h.data_mut()[next..][..slab];
-            for (k, hv) in h_t.iter_mut().enumerate() {
-                *hv = zo[k] * tc[k];
-            }
-            store_step(h_t, t, steps, a_h, out.data_mut());
+        // Training runs the two fixed parts of the batch, inference the
+        // whole batch as one; every buffer is cut at the same batch row.
+        let mid = if train { par::mid(batch) } else { batch };
+        let (x0, x1) = x.data().split_at(mid * steps * d);
+        let (xt0, xt1) = xt.split_at_mut(steps * mid * d);
+        let (z0, z1) = split_gates(&mut z, rows * a_h, steps * mid * a_h);
+        let (h0, h1) = h.data_mut().split_at_mut((kept + 1) * mid * a_h);
+        let (c0, c1) = c.data_mut().split_at_mut((kept + 1) * mid * a_h);
+        let (tc0, tc1) = tanh_c.split_at_mut(kept.max(1) * mid * a_h);
+        let (out0, out1) = out.data_mut().split_at_mut(mid * steps * a_h);
+        let part0 = ForwardPart {
+            rows: mid,
+            x: x0,
+            xt: xt0,
+            z: z0,
+            h: h0,
+            c: c0,
+            tanh_c: tc0,
+            out: out0,
+        };
+        let part1 = ForwardPart {
+            rows: batch - mid,
+            x: x1,
+            xt: xt1,
+            z: z1,
+            h: h1,
+            c: c1,
+            tanh_c: tc1,
+            out: out1,
+        };
+        let this = &*self;
+        if mid < batch {
+            par::join(
+                || this.forward_part(train, steps, part0),
+                || this.forward_part(train, steps, part1),
+            );
+        } else {
+            this.forward_part(train, steps, part0);
         }
         let cache = SeqCache {
             batch,
@@ -275,119 +429,125 @@ impl Layer for Lstm {
         debug_assert_eq!(dy.dims(), &[batch, steps, a_h]);
 
         // Pre-activation gradients of the whole sequence, laid out like the
-        // gates: `[gate][t][b][unit]`. Only what the recurrence needs runs
-        // in the time loop — the elementwise gate gradient and
-        // `dh_prev = s_h·Σ_g dz_g·W_h[g]`; every product with the inputs
-        // waits until all `T·B` rows of `dz_g` exist.
+        // gates. Only what the recurrence needs runs in the time loop; every
+        // product with the inputs waits until all `T·B` rows of `dz_g` exist.
         let mut dz = Tensor::pooled_zeros([GATES * rows * a_h]);
         let mut dh = Tensor::pooled_zeros([slab]); // dL/dh_t, recurrent part first
         let mut dc = Tensor::pooled_zeros([slab]); // dL/dc_t from step t + 1
-        for t in (0..steps).rev() {
-            add_step(dy.data(), t, steps, a_h, dh.data_mut());
-            let gate = |g: usize| &cache.z[(g * rows + t * batch) * a_h..][..slab];
-            let (zi, zf, zg, zo) = (gate(0), gate(1), gate(2), gate(3));
-            let tc = &cache.tanh_c[t * slab..][..slab];
-            let c_prev = &cache.c.data()[t * slab..][..slab];
-            let mut blocks = dz.data_mut().chunks_exact_mut(rows * a_h);
-            let [dzi, dzf, dzg, dzo] = std::array::from_fn(|_| {
-                &mut blocks.next().expect("four gate blocks")[t * slab..][..slab]
-            });
-            let (dh_t, dc_t) = (&dh.data()[..slab], &mut dc.data_mut()[..slab]);
-            for k in 0..slab {
-                let d_o = dh_t[k] * tc[k];
-                let d_c = dc_t[k] + dh_t[k] * zo[k] * tanh_grad_from_output(tc[k]);
-                dzi[k] = d_c * zg[k] * sigmoid_grad_from_output(zi[k]);
-                dzf[k] = d_c * c_prev[k] * sigmoid_grad_from_output(zf[k]);
-                dzg[k] = d_c * zi[k] * tanh_grad_from_output(zg[k]);
-                dzo[k] = d_o * sigmoid_grad_from_output(zo[k]);
-                dc_t[k] = d_c * zf[k];
-            }
-            if t == 0 {
-                break; // h before step 0 is the zero state: nothing to pass on
-            }
-            for (gate, dz_g) in [&*dzi, dzf, dzg, dzo].into_iter().enumerate() {
-                let w_h = &self.w_h.value.data()[gate * h_full * h_full..];
-                let beta = if gate == 0 { 0.0 } else { 1.0 };
-                let dh_prev = dh.data_mut();
-                gemm(
-                    Trans::No,
-                    Trans::No,
-                    batch,
-                    a_h,
-                    a_h,
-                    sh,
-                    dz_g,
-                    a_h,
-                    w_h,
-                    h_full,
-                    beta,
-                    dh_prev,
-                    a_h,
-                );
-            }
+        let mut dxt = Tensor::pooled_zeros([rows * a_d]);
+        let mut dx = Tensor::pooled_zeros([batch, steps, a_d]);
+
+        // First join: the time loop and `dX`, the two fixed parts of the
+        // batch on the cuts the forward made.
+        let mid = par::mid(batch);
+        {
+            let (dy0, dy1) = dy.data().split_at(mid * steps * a_h);
+            let (z0, z1) = split_gates_ref(&cache.z, rows * a_h, steps * mid * a_h);
+            let (c0, c1) = cache.c.data().split_at((steps + 1) * mid * a_h);
+            let (tc0, tc1) = cache.tanh_c.split_at(steps * mid * a_h);
+            let (dz0, dz1) = split_gates(dz.data_mut(), rows * a_h, steps * mid * a_h);
+            let (dh0, dh1) = dh.data_mut().split_at_mut(mid * a_h);
+            let (dc0, dc1) = dc.data_mut().split_at_mut(mid * a_h);
+            let (dxt0, dxt1) = dxt.data_mut().split_at_mut(steps * mid * a_d);
+            let (dx0, dx1) = dx.data_mut().split_at_mut(mid * steps * a_d);
+            let part0 = BackwardPart {
+                rows: mid,
+                dy: dy0,
+                z: z0,
+                c: c0,
+                tanh_c: tc0,
+                dz: dz0,
+                dh: dh0,
+                dc: dc0,
+                dxt: dxt0,
+                dx: dx0,
+            };
+            let part1 = BackwardPart {
+                rows: batch - mid,
+                dy: dy1,
+                z: z1,
+                c: c1,
+                tanh_c: tc1,
+                dz: dz1,
+                dh: dh1,
+                dc: dc1,
+                dxt: dxt1,
+                dx: dx1,
+            };
+            let this = &*self;
+            par::join(
+                || this.backward_part(steps, part0),
+                || this.backward_part(steps, part1),
+            );
         }
 
-        // One GEMM per gate over all T·B rows for everything else.
-        let mut dxt = Tensor::pooled_zeros([rows * a_d]);
-        let h_prev = &cache.h.data()[..rows * a_h];
-        for (gate, dz_g) in dz.data().chunks_exact(rows * a_h).enumerate() {
-            // dW_x[gate] += s_x · dz_gᵀ · X
-            let dw_x = &mut self.w_x.grad.data_mut()[gate * h_full * d_full..];
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                a_h,
-                a_d,
-                rows,
-                sx,
-                dz_g,
-                a_h,
-                &cache.xt,
-                a_d,
-                1.0,
-                dw_x,
-                d_full,
-            );
-            // dW_h[gate] += s_h · dz_gᵀ · H_prev
-            let dw_h = &mut self.w_h.grad.data_mut()[gate * h_full * h_full..];
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                a_h,
-                a_h,
-                rows,
-                sh,
-                dz_g,
-                a_h,
-                h_prev,
-                a_h,
-                1.0,
-                dw_h,
-                h_full,
-            );
-            // db[gate] += colsum(dz_g)
-            sum_rows_into(dz_g, a_h, &mut self.bias.grad.data_mut()[gate * h_full..]);
-            // dX (+)= s_x · dz_g · W_x[gate]
-            let w_x = &self.w_x.value.data()[gate * h_full * d_full..];
-            let beta = if gate == 0 { 0.0 } else { 1.0 };
-            gemm(
-                Trans::No,
-                Trans::No,
-                rows,
-                a_d,
-                a_h,
-                sx,
-                dz_g,
-                a_h,
-                w_x,
-                d_full,
-                beta,
-                dxt.data_mut(),
-                a_d,
-            );
-        }
-        let mut dx = Tensor::pooled_zeros([batch, steps, a_d]);
-        from_time_major(dxt.data(), batch, steps, a_d, dx.data_mut());
+        // Second join: the parameter gradients, one GEMM per gate over all
+        // T·B rows. They sum over the batch, so they split over the *gates*
+        // instead: each part reduces every row into its own gates' blocks
+        // of the gradients, no operand is packed twice, and nothing is added
+        // up afterwards.
+        let gate_mid = par::mid(GATES);
+        let (dwx0, dwx1) = self
+            .w_x
+            .grad
+            .data_mut()
+            .split_at_mut(gate_mid * h_full * d_full);
+        let (dwh0, dwh1) = self
+            .w_h
+            .grad
+            .data_mut()
+            .split_at_mut(gate_mid * h_full * h_full);
+        let (db0, db1) = self.bias.grad.data_mut().split_at_mut(gate_mid * h_full);
+        // `h` keeps T + 1 blocks per part, so the rows of `H_prev` that line
+        // up with a part's rows of `dz` start at the part's first block.
+        let part_rows = [(0, steps * mid), (steps * mid, rows)];
+        let h_prev = [0, (steps + 1) * mid * a_h].map(|at| &cache.h.data()[at..]);
+        let (dz_rows, xt) = (dz.data(), &cache.xt);
+        let grads = |gates: Range<usize>, dwx: &mut [f32], dwh: &mut [f32], db: &mut [f32]| {
+            for (i, gate) in gates.enumerate() {
+                let dz_g = &dz_rows[gate * rows * a_h..][..rows * a_h];
+                // dW_x[gate] += s_x · dz_gᵀ · X
+                gemm(
+                    Trans::Yes,
+                    Trans::No,
+                    a_h,
+                    a_d,
+                    rows,
+                    sx,
+                    dz_g,
+                    a_h,
+                    xt,
+                    a_d,
+                    1.0,
+                    &mut dwx[i * h_full * d_full..],
+                    d_full,
+                );
+                // dW_h[gate] += s_h · dz_gᵀ · H_prev
+                for ((first, end), h_prev) in part_rows.into_iter().zip(h_prev) {
+                    gemm(
+                        Trans::Yes,
+                        Trans::No,
+                        a_h,
+                        a_h,
+                        end - first,
+                        sh,
+                        &dz_g[first * a_h..],
+                        a_h,
+                        h_prev,
+                        a_h,
+                        1.0,
+                        &mut dwh[i * h_full * h_full..],
+                        h_full,
+                    );
+                }
+                // db[gate] += colsum(dz_g)
+                sum_rows_into(dz_g, a_h, &mut db[i * h_full..]);
+            }
+        };
+        par::join(
+            || grads(0..gate_mid, dwx0, dwh0, db0),
+            || grads(gate_mid..GATES, dwx1, dwh1, db1),
+        );
         dxt.recycle();
         dz.recycle();
         dh.recycle();

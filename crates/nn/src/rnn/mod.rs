@@ -7,8 +7,21 @@
 //! (`[gate][t][b][unit]`), which makes one gate of one step a contiguous
 //! `B × a_h` slab that the recurrent GEMM accumulates into and the
 //! vectorised `sigmoid`/`tanh` slab kernels of `ms_tensor::ops` activate in
-//! place. The modes differ only in what they keep for `backward` and in
-//! where the weights are read from ([`gate_gemm`]).
+//! place. The modes differ only in what they keep for `backward`, in
+//! where the weights are read from ([`gate_gemm`]), and in how many *parts*
+//! the batch runs as.
+//!
+//! # Parts
+//!
+//! A sample's recurrence never reads another sample's, so a training pass
+//! runs the two fixed halves of the batch (`ms_tensor::par::mid`) as two
+//! independent sub-batches, one `par::join` for the whole sequence. To make
+//! every buffer of a part one contiguous slice, the sequence buffers are
+//! *part-major*: a buffer of `n` time blocks with `w` floats per batch row
+//! holds part 0's `[n][rows of part 0][w]` and then part 1's
+//! `[n][rows of part 1][w]` — inside a gate's block, for the gate-major
+//! ones. Inference runs the whole batch as a single part, for which this is
+//! plain time-major.
 
 pub mod gru;
 pub mod lstm;
@@ -65,9 +78,9 @@ fn gate_gemm(
     }
 }
 
-/// The input projection of every step at once, gate-major:
-/// `z[g] = scale · X · W_x[g]ᵀ + bias[g]` for each `[rows, a_h]` gate block
-/// of `z` (`rows = T·B`, `xt` time-major, `z` zeroed by the caller).
+/// The input projection of every step of one part at once:
+/// `z[g] = scale · X · W_x[g]ᵀ + bias[g]` for each gate's `[rows, a_h]` block
+/// (`rows = T·B` of the part, `xt` time-major, `z` zeroed by the caller).
 #[allow(clippy::too_many_arguments)]
 fn project_inputs(
     w_x: &Tensor,
@@ -79,12 +92,39 @@ fn project_inputs(
     rows: usize,
     d: usize,
     xt: &[f32],
-    z: &mut [f32],
+    z: &mut [&mut [f32]],
 ) {
-    for (gate, zg) in z.chunks_exact_mut(rows * a_h).enumerate() {
+    for (gate, zg) in z.iter_mut().enumerate() {
         gate_gemm(w_x, panels, h_full, gate, a_h, scale, rows, d, xt, zg);
         add_bias_rows(zg, &bias.data()[gate * h_full..], a_h, a_h);
     }
+}
+
+/// Cuts every gate's block of a gate-major buffer (`G` blocks of `block`
+/// floats) at `at`: the leading and the trailing piece of each gate.
+fn split_gates<const G: usize>(
+    buf: &mut [f32],
+    block: usize,
+    at: usize,
+) -> ([&mut [f32]; G], [&mut [f32]; G]) {
+    let mut lo: [&mut [f32]; G] = std::array::from_fn(|_| &mut [][..]);
+    let mut hi: [&mut [f32]; G] = std::array::from_fn(|_| &mut [][..]);
+    for (gate, chunk) in buf.chunks_exact_mut(block.max(1)).take(G).enumerate() {
+        (lo[gate], hi[gate]) = chunk.split_at_mut(at);
+    }
+    (lo, hi)
+}
+
+/// [`split_gates`] over a shared buffer.
+fn split_gates_ref<const G: usize>(
+    buf: &[f32],
+    block: usize,
+    at: usize,
+) -> ([&[f32]; G], [&[f32]; G]) {
+    (
+        std::array::from_fn(|gate| &buf[gate * block..][..at]),
+        std::array::from_fn(|gate| &buf[gate * block + at..(gate + 1) * block]),
+    )
 }
 
 /// Copies `x: [B, T, D]` into `xt: [T, B, D]` (time-major rows `t·B + b`).

@@ -6,12 +6,15 @@ use ms_nn::gradcheck::{check_layer, CheckOpts};
 use ms_nn::layer::{Layer, Mode};
 use ms_nn::linear::{Linear, LinearConfig};
 use ms_nn::norm::GroupNorm;
+use ms_nn::pool::MaxPool2d;
 use ms_nn::rnn::gru::{Gru, GruConfig};
 use ms_nn::rnn::lstm::{Lstm, LstmConfig};
 use ms_nn::slice::{active_units, SliceRate};
-use ms_tensor::{SeededRng, Tensor};
+use ms_tensor::{par, SeededRng, Tensor};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::sync::mpsc;
+use std::thread;
 
 fn random_tensor(rng: &mut SeededRng, dims: Vec<usize>) -> Tensor {
     let n: usize = dims.iter().product();
@@ -82,6 +85,62 @@ fn assert_slices_close(
         );
     }
     Ok(())
+}
+
+/// Batches the two-part split is exercised at: no second part, equal parts,
+/// unequal parts, and one past a whole conv chunk per part.
+const SPLIT_BATCHES: [usize; 5] = [1, 2, 3, 5, 33];
+
+/// Claims the fork-join helper for the calling thread, waiting out other
+/// holders.
+fn hold_helper() -> par::Team {
+    loop {
+        let team = par::enter();
+        if team.holds_helper() {
+            return team;
+        }
+        thread::yield_now();
+    }
+}
+
+/// Runs `f` while another thread holds the helper, so every `join` that `f`
+/// issues runs inline.
+fn with_helper_held_elsewhere<R>(f: impl FnOnce() -> R) -> R {
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    thread::scope(|scope| {
+        scope.spawn(move || {
+            let _team = hold_helper();
+            held_tx.send(()).expect("the test thread waits for this");
+            // Released by the sender being dropped.
+            let _ = release_rx.recv();
+        });
+        held_rx.recv().expect("the holder reports before exiting");
+        let out = f();
+        drop(release_tx);
+        out
+    })
+}
+
+/// One `forward(Train)` + `backward`: output, input gradient and parameter
+/// gradients (accumulated on top of what the layer already holds).
+fn train_pass(layer: &mut dyn Layer, x: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Vec<Vec<f32>>) {
+    let y = layer.forward(x, Mode::Train);
+    let dx = layer.backward(dy);
+    let grads = param_grads(layer).into_iter().map(|(_, g)| g).collect();
+    (y, dx, grads)
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// Sample `s` of a batch-leading tensor, as a batch of one.
+fn sample_of(t: &Tensor, s: usize) -> Tensor {
+    let per = t.numel() / t.dims()[0];
+    let mut dims = t.dims().to_vec();
+    dims[0] = 1;
+    Tensor::from_vec(dims, t.data()[s * per..(s + 1) * per].to_vec()).expect("one sample")
 }
 
 fn sigmoid(v: f64) -> f64 {
@@ -481,8 +540,7 @@ proptest! {
             cell.set_slice_rate(rate);
             let train = cell.forward(&x, Mode::Train);
             let infer = cell.forward(&x, Mode::Infer);
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&train), bits(&infer), "{} at rate {}", cell.name(), rate);
+            prop_assert_eq!(bits(train.data()), bits(infer.data()), "{} at rate {}", cell.name(), rate);
         }
     }
 
@@ -667,7 +725,6 @@ proptest! {
             let per: usize = dims.iter().product();
             Tensor::from_vec(dims, t.data()[s * per..(s + 1) * per].to_vec()).expect("one sample")
         };
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for s in 0..batch {
             let y_s = single.forward(&sample(&x, s, [1, a_in, side, side]), Mode::Train);
             prop_assert_eq!(bits(y_s.data()), bits(&y.data()[s * per_y..(s + 1) * per_y]), "y of sample {}", s);
@@ -679,6 +736,115 @@ proptest! {
         for ((name, got), (_, want)) in param_grads(&mut chunked).iter().zip(&want) {
             let want: Vec<f64> = want.iter().map(|v| f64::from(*v)).collect();
             assert_slices_close(got, &want, 1e-4, name)?;
+        }
+    }
+
+    /// The six layers whose training pass runs as two fixed parts of the
+    /// batch: the forward output, `dx` and every parameter gradient have the
+    /// same bits whether the second part ran on the helper thread or inline
+    /// after the first. Against the un-split reference — the same layer fed
+    /// one sample at a time, where there is no second part — the output is
+    /// bit for bit (1e-5 for `Linear`, whose training forward takes `gemm`'s
+    /// size-dependent small path), `dx` bit for bit where no GEMM is involved
+    /// and within 1e-5 elsewhere, the parameter gradients (sums over the
+    /// batch, taken in another order) within 1e-4.
+    #[test]
+    fn split_passes_do_not_depend_on_who_runs_the_parts(
+        batch_idx in 0usize..SPLIT_BATCHES.len(),
+        rate_idx in 1u32..=4,
+        rescale in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let batch = SPLIT_BATCHES[batch_idx];
+        let rate = SliceRate::new(rate_idx as f32 / 4.0);
+        let (ch, side, steps) = (8, 6, 4);
+        let a_ch = active_units(ch, 4, rate);
+        let conv = Conv2dConfig {
+            in_ch: ch, out_ch: 2 * ch, kernel: 3, stride: 1, pad: 1, h: side, w: side,
+            in_groups: Some(4), out_groups: Some(4), bias: true,
+        };
+        // `Linear` cuts a pass by its shape: not at all while a half would
+        // drop to `gemm`'s small kernel (the narrow rates here), by task
+        // where the weights are the long side (`wide` at batch 33), by rows
+        // where the batch is (`square` at batch 33).
+        let dense = |out_dim| LinearConfig {
+            in_dim: 4 * ch, out_dim, in_groups: Some(4), out_groups: Some(4),
+            bias: true, input_rescale: rescale,
+        };
+        let (wide, square) = (dense(8 * ch), dense(4 * ch));
+        let lstm = LstmConfig {
+            in_dim: ch, hidden_dim: 2 * ch, in_groups: Some(4), out_groups: Some(4),
+            input_rescale: rescale,
+        };
+        let gru = GruConfig {
+            in_dim: ch, hidden_dim: 2 * ch, in_groups: Some(4), out_groups: Some(4),
+            input_rescale: rescale,
+        };
+        // (builder, input dims, output exact vs the reference, dx exact).
+        type Build = Box<dyn Fn() -> Box<dyn Layer>>;
+        let image = vec![batch, a_ch, side, side];
+        let cases: Vec<(Build, Vec<usize>, bool, bool)> = vec![
+            (Box::new(move || Box::new(Conv2d::new("conv", conv.clone(), &mut SeededRng::new(seed)))), image.clone(), true, false),
+            (Box::new(move || Box::new(GroupNorm::new("gn", ch, 4))), image.clone(), true, true),
+            (Box::new(|| Box::new(MaxPool2d::new(2, 2))), image, true, true),
+            (Box::new(move || Box::new(Linear::new("wide", wide.clone(), &mut SeededRng::new(seed)))), vec![batch, 4 * a_ch], false, false),
+            (Box::new(move || Box::new(Linear::new("square", square.clone(), &mut SeededRng::new(seed)))), vec![batch, 4 * a_ch], false, false),
+            (Box::new(move || Box::new(Lstm::new("lstm", lstm.clone(), &mut SeededRng::new(seed)))), vec![batch, steps, a_ch], true, false),
+            (Box::new(move || Box::new(Gru::new("gru", gru.clone(), &mut SeededRng::new(seed)))), vec![batch, steps, a_ch], true, false),
+        ];
+        let parallel = thread::available_parallelism().map_or(1, usize::from) > 1;
+        for (build, x_dims, y_exact, dx_exact) in cases {
+            let fresh = || {
+                let mut layer = build();
+                layer.set_slice_rate(rate);
+                layer
+            };
+            let mut rng = SeededRng::new(seed ^ 0x5917);
+            let x = random_tensor(&mut rng, x_dims);
+            let y_dims = fresh().forward(&x, Mode::Infer).dims().to_vec();
+            let dy = random_tensor(&mut rng, y_dims);
+
+            let mut layer = fresh();
+            let name = layer.name().to_string();
+            let (y, dx, grads) = if parallel {
+                let on_helper = {
+                    let _team = hold_helper();
+                    train_pass(layer.as_mut(), &x, &dy)
+                };
+                let inline = with_helper_held_elsewhere(|| train_pass(fresh().as_mut(), &x, &dy));
+                prop_assert_eq!(bits(on_helper.0.data()), bits(inline.0.data()), "{} y", &name);
+                prop_assert_eq!(bits(on_helper.1.data()), bits(inline.1.data()), "{} dx", &name);
+                for (a, b) in on_helper.2.iter().zip(&inline.2) {
+                    prop_assert_eq!(bits(a), bits(b), "{} gradient", &name);
+                }
+                on_helper
+            } else {
+                train_pass(layer.as_mut(), &x, &dy)
+            };
+
+            let mut single = fresh();
+            let (per_y, per_x) = (y.numel() / batch, x.numel() / batch);
+            let mut want_grads = Vec::new();
+            for s in 0..batch {
+                let (y_s, dx_s, g) = train_pass(single.as_mut(), &sample_of(&x, s), &sample_of(&dy, s));
+                let (got_y, got_dx) = (&y.data()[s * per_y..][..per_y], &dx.data()[s * per_x..][..per_x]);
+                let as_f64 = |t: &Tensor| t.data().iter().map(|v| f64::from(*v)).collect::<Vec<_>>();
+                if y_exact {
+                    prop_assert_eq!(bits(got_y), bits(y_s.data()), "{} y of sample {}", &name, s);
+                } else {
+                    assert_slices_close(got_y, &as_f64(&y_s), 1e-5, &format!("{name} y"))?;
+                }
+                if dx_exact {
+                    prop_assert_eq!(bits(got_dx), bits(dx_s.data()), "{} dx of sample {}", &name, s);
+                } else {
+                    assert_slices_close(got_dx, &as_f64(&dx_s), 1e-5, &format!("{name} dx"))?;
+                }
+                want_grads = g;
+            }
+            for (got, want) in grads.iter().zip(&want_grads) {
+                let want: Vec<f64> = want.iter().map(|v| f64::from(*v)).collect();
+                assert_slices_close(got, &want, 1e-4, &format!("{name} gradient"))?;
+            }
         }
     }
 

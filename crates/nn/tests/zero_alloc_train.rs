@@ -3,32 +3,34 @@
 //! The counting allocator of `zero_alloc.rs`, pointed at training: once the
 //! buffer pool, the layer workspaces, the shared conv chunk scratch and the
 //! train-time weight panels are warm, a `forward(Train)` + `backward` of
-//! `Lstm`, `Gru`, `Conv2d`, `Dropout` and `MaxPool2d` performs **zero** heap
-//! allocations — at a fixed slice rate, and across the four rates an
-//! Algorithm-1 step cycles through once one lap has sized everything.
+//! `Lstm`, `Gru`, `Conv2d`, `GroupNorm`, `Dropout` and `MaxPool2d` performs
+//! **zero** heap allocations — at a fixed slice rate, and across the four
+//! rates an Algorithm-1 step cycles through once one lap has sized
+//! everything — inline, and with the second part of every pass on the
+//! fork-join helper. The counter is process-wide, because the helper's
+//! allocations count too; the file therefore holds a single test, so that no
+//! other test's thread allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use ms_nn::conv2d::{Conv2d, Conv2dConfig};
 use ms_nn::dropout::Dropout;
 use ms_nn::layer::{Layer, Mode};
+use ms_nn::norm::GroupNorm;
 use ms_nn::pool::MaxPool2d;
 use ms_nn::rnn::gru::{Gru, GruConfig};
 use ms_nn::rnn::lstm::{Lstm, LstmConfig};
 use ms_nn::slice::{active_units, SliceRate};
-use ms_tensor::{pool, SeededRng, Tensor};
+use ms_tensor::{par, pool, SeededRng, Tensor};
 
-thread_local! {
-    static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
-}
+static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with` keeps the hook safe during TLS teardown.
-        let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -41,9 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations(mut f: impl FnMut()) -> u64 {
-    let before = ALLOC_COUNT.with(Cell::get);
+    let before = ALLOC_COUNT.load(Ordering::Relaxed);
     f();
-    ALLOC_COUNT.with(Cell::get) - before
+    ALLOC_COUNT.load(Ordering::Relaxed) - before
 }
 
 const RATES: [f32; 4] = [0.25, 0.5, 0.75, 1.0];
@@ -109,25 +111,22 @@ fn assert_warm_training_allocates_nothing(
     );
 }
 
-/// One test function (not several) so the per-thread counter, the
-/// thread-local pool and chunk scratch all live on a single thread.
+/// One test function (not several): the pool and the chunk scratch are
+/// thread-local, and the counter sees every thread of the process.
 #[test]
 fn warm_train_forward_and_backward_allocate_nothing() {
     let mut rng = SeededRng::new(7);
     let (batch, steps, dim) = (4, 6, 16);
     let sequence = |rate| Tensor::zeros([batch, steps, active_units(dim, GROUPS, rate)]);
 
-    let mut lstm = Lstm::new(
-        "lstm",
-        LstmConfig {
-            in_dim: dim,
-            hidden_dim: dim,
-            in_groups: Some(GROUPS),
-            out_groups: Some(GROUPS),
-            input_rescale: true,
-        },
-        &mut rng,
-    );
+    let lstm_cfg = LstmConfig {
+        in_dim: dim,
+        hidden_dim: dim,
+        in_groups: Some(GROUPS),
+        out_groups: Some(GROUPS),
+        input_rescale: true,
+    };
+    let mut lstm = Lstm::new("lstm", lstm_cfg.clone(), &mut rng);
     assert_warm_training_allocates_nothing(&mut lstm, sequence);
 
     let mut gru = Gru::new(
@@ -146,22 +145,19 @@ fn warm_train_forward_and_backward_allocate_nothing() {
     // 8×8 maps: a chunk is 512 / 64 = 8 samples, so a batch of 11 runs one
     // full and one ragged chunk.
     let images = |rate| Tensor::zeros([11, active_units(8, GROUPS, rate), 8, 8]);
-    let mut conv = Conv2d::new(
-        "conv",
-        Conv2dConfig {
-            in_ch: 8,
-            out_ch: 16,
-            kernel: 3,
-            stride: 1,
-            pad: 1,
-            h: 8,
-            w: 8,
-            in_groups: Some(GROUPS),
-            out_groups: Some(GROUPS),
-            bias: true,
-        },
-        &mut rng,
-    );
+    let conv_cfg = Conv2dConfig {
+        in_ch: 8,
+        out_ch: 16,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+        h: 8,
+        w: 8,
+        in_groups: Some(GROUPS),
+        out_groups: Some(GROUPS),
+        bias: true,
+    };
+    let mut conv = Conv2d::new("conv", conv_cfg.clone(), &mut rng);
     assert_warm_training_allocates_nothing(&mut conv, images);
 
     // The keyed mask: no mask tensor, no per-element RNG state.
@@ -170,4 +166,44 @@ fn warm_train_forward_and_backward_allocate_nothing() {
 
     let mut maxpool = MaxPool2d::new(2, 2);
     assert_warm_training_allocates_nothing(&mut maxpool, images);
+
+    let wide_images = |rate| Tensor::zeros([11, active_units(16, GROUPS, rate), 8, 8]);
+    let mut gn = GroupNorm::new("gn", 16, GROUPS);
+    assert_warm_training_allocates_nothing(&mut gn, wide_images);
+
+    // The same with this thread holding the fork-join helper (nothing else
+    // in this binary competes for it; a one-core machine has none and runs
+    // inline again). A part gets only slices of buffers this thread drew, so
+    // what is left to size is each thread's own chunk scratch and pack
+    // buffers. This thread's have seen every part above. The helper's are
+    // sized by running whole passes of twin layers *on* it — the first half
+    // of the join returns only once the second has started, so the helper
+    // has it — because which thread runs a given second half afterwards is a
+    // matter of timing (a caller that is done first takes its job back), and
+    // a warm pass must allocate on neither thread either way.
+    let team = par::enter();
+    if team.holds_helper() {
+        let started = AtomicBool::new(false);
+        par::join(
+            || {
+                while !started.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+            },
+            || {
+                started.store(true, Ordering::Release);
+                let mut rng = SeededRng::new(8);
+                let full = SliceRate::new(1.0);
+                let mut conv = Conv2d::new("conv", conv_cfg.clone(), &mut rng);
+                let mut lstm = Lstm::new("lstm", lstm_cfg.clone(), &mut rng);
+                let mut gn = GroupNorm::new("gn", 16, GROUPS);
+                train_pass(&mut conv, &images(full));
+                train_pass(&mut lstm, &sequence(full));
+                train_pass(&mut gn, &wide_images(full));
+            },
+        );
+    }
+    assert_warm_training_allocates_nothing(&mut conv, images);
+    assert_warm_training_allocates_nothing(&mut lstm, sequence);
+    assert_warm_training_allocates_nothing(&mut gn, wide_images);
 }

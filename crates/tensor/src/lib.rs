@@ -7,10 +7,12 @@
 //! model slicing), im2col convolution, pooling, activations and reductions,
 //! and seeded weight initialisers.
 //!
-//! Everything is CPU-only, single-threaded and deterministic: the paper's
-//! contribution is a *training scheme*, not a kernel library, so the kernels
-//! here favour clarity, exact reproducibility and zero per-call allocation in
-//! hot paths over absolute throughput.
+//! Everything is CPU-only and deterministic: the paper's contribution is a
+//! *training scheme*, not a kernel library, so the kernels here favour
+//! clarity, exact reproducibility and zero per-call allocation in hot paths
+//! over absolute throughput. Every kernel runs on the thread that calls it;
+//! [`par`] is the one place a second thread comes from (a training step's
+//! fixed two-part split), and results do not depend on whether it did.
 
 pub mod conv;
 pub mod error;
@@ -18,6 +20,7 @@ pub mod init;
 pub mod matmul;
 pub mod ops;
 pub mod panels;
+pub mod par;
 pub mod pool;
 pub mod rng;
 pub mod shape;

@@ -71,8 +71,10 @@ pub(crate) const KC: usize = 256;
 pub(crate) const NC: usize = 1024;
 /// Problems with `m·n·k` at or below this use the unblocked kernel: packing
 /// costs `O(mk + kn)` and only pays off once each packed element is reused
-/// across several tiles.
-const SMALL_GEMM_CUTOFF: usize = 8192;
+/// across several tiles. The two kernels sum in different orders, so a
+/// caller that cuts one multiply into several and wants the bits of the
+/// whole keeps every piece on the same side of this line.
+pub const SMALL_GEMM_CUTOFF: usize = 8192;
 
 thread_local! {
     /// Grow-only pack buffers (`op(A)` panel, `op(B)` panel), reused across

@@ -187,9 +187,17 @@ pub fn add_bias_rows(x: &mut [f32], bias: &[f32], cols: usize, active: usize) {
 /// Column-sums of a `rows × cols` buffer into `out[..cols]` (accumulating).
 /// This is the bias gradient.
 pub fn sum_rows_into(x: &[f32], cols: usize, out: &mut [f32]) {
-    debug_assert!(x.len().is_multiple_of(cols) && out.len() >= cols);
+    debug_assert!(out.len() >= cols);
+    sum_cols_into(x, cols, 0, &mut out[..cols]);
+}
+
+/// Sums of the columns `[first, first + out.len())` of a `rows × cols`
+/// buffer into `out` (accumulating), rows in order — a column range of
+/// [`sum_rows_into`], each sum bit for bit what the whole-width call gives.
+pub fn sum_cols_into(x: &[f32], cols: usize, first: usize, out: &mut [f32]) {
+    debug_assert!(x.len().is_multiple_of(cols) && first + out.len() <= cols);
     for row in x.chunks_exact(cols) {
-        for (o, &v) in out[..cols].iter_mut().zip(row) {
+        for (o, &v) in out.iter_mut().zip(&row[first..]) {
             *o += v;
         }
     }

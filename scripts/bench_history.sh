@@ -9,9 +9,15 @@
 #       parent and change alternating, in the order they ran. The sha is the
 #       one slicebench read from the checkout it ran in, so measure a change
 #       from a checkout where it is committed (a scratch clone will do).
+#       A traced run writes no end-to-end result (only trace_*.json); where a
+#       PR cites its per-layer probes it adds the line by hand — sha,
+#       fingerprint, workload, seed, the probes, `"trace": true` and the
+#       run's own `seconds` — which `pairs` passes over.
 #   scripts/bench_history.sh pairs <workload> <sha_a> <sha_b>
 #       Pairs the i-th run of <sha_a> (the parent) with the i-th run of
-#       <sha_b> on <workload> and prints, per end-to-end metric: both medians,
+#       <sha_b> on <workload>, counting only runs whose seed the other side
+#       ran too (a parent measured against two changes pairs with each on
+#       that change's seeds), and prints, per end-to-end metric: both medians,
 #       by what share b's median is worse than a's beside the BENCHMARK.json
 #       bound, a's inter-quartile range, and pairs won by b (ties count for
 #       neither). Shas match by prefix; only runs of BENCHMARK.json's
@@ -41,8 +47,10 @@ pairs)
         def sig: if . == 0 then 0 else (. as $x | pow(10; 3 - ($x | fabs | log10 | floor)) as $k
             | ($x * $k | round) / $k | if $k <= 1 then round else . end) end;
         [inputs | select(.workload == $w and .seconds == $bm[0].run_seconds)] as $runs
-        | [$runs[] | select(.git_sha | startswith($a))] as $A
-        | [$runs[] | select(.git_sha | startswith($b))] as $B
+        | [$runs[] | select(.git_sha | startswith($a))] as $A0
+        | [$runs[] | select(.git_sha | startswith($b))] as $B0
+        | [$A0[] | select(.seed as $s | any($B0[]; .seed == $s))] as $A
+        | [$B0[] | select(.seed as $s | any($A0[]; .seed == $s))] as $B
         | ([($A | length), ($B | length)] | min) as $n
         | if $n == 0 then error("no pair of \($a) and \($b) on \($w)") else . end
         | "\($w): \($n) pairs, a = \($a) (\($A | length) runs), b = \($b) (\($B | length) runs); failed a \($A | map(.failed) | add) b \($B | map(.failed) | add)",

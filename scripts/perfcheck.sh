@@ -25,6 +25,12 @@ cargo test --release -p ms-telemetry --test zero_alloc --features telemetry-span
 cargo test --release -p ms-telemetry --test zero_alloc_flight
 cargo test --release -p ms-telemetry --test zero_alloc_timeseries
 
+echo "== intra-step parallelism: the fork-join helper, and bits that do not depend on who ran a part =="
+cargo test --release -p ms-tensor --lib par::
+cargo test --release -p ms-tensor --test par_threads
+cargo test --release -p ms-nn --test properties split_passes
+cargo test --release --test train_thread_invariance
+
 echo "== cross-build determinism: the span tracer must not move one output bit =="
 cargo run --release -q -p ms-bench --bin determinism_probe > /tmp/ms_probe_default.txt
 cargo run --release -q -p ms-bench --features telemetry-spans \
@@ -44,16 +50,35 @@ echo "== no wall-clock gate knob or self-rewriting result file may come back =="
 grep -rnE 'MS_[A-Z_]*GATE|results/BENCH[_]' crates scripts tests examples src \
     && die "timing gates belong in benchmark/ (lines above)"
 
+echo "== threads and unsafe stay in one file =="
+# The compute crates' only `unsafe` is the lifetime erase of par.rs, the
+# layers never start a thread of their own, and only a training step (and
+# the profiler that times the handoff) claims the helper: serving paths
+# never enter the team.
+grep -rnE '\bunsafe\b' crates/tensor/src crates/nn/src | grep -v '^crates/tensor/src/par\.rs:' \
+    && die "unsafe outside crates/tensor/src/par.rs (lines above)"
+find crates/nn/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { intest = 0 }
+    /^#\[cfg\(test\)\]/ { intest = 1 }
+    !intest && /thread::(spawn|scope|Builder)/ { printf "    %s:%d: %s\n", FILENAME, FNR, $0; bad = 1 }
+    END { exit bad }
+' || die "ms-nn must not start threads outside its unit tests: split a pass with ms_tensor::par::join (lines above)"
+grep -rn 'par::enter' crates/*/src src | grep -vE '^crates/(tensor/src/par|core/src/trainer|bench/src/bin/forward_profile)\.rs:' \
+    && die "only Trainer::step enters the fork-join team (lines above)"
+
 echo "== allocation tripwire (hot layer bodies) =="
 # `Tensor::zeros(` and `vec![` are banned inside `fn forward(` /
-# `fn forward_train(` / `fn forward_prefix(` / `fn backward(` bodies and the panel GEMM drivers
-# (brace-counted): constructors and `pack` may allocate once, the per-call
-# paths use `Tensor::pooled_zeros`, `pooled_clone`, `Workspace::take`.
+# `fn forward_train(` / `fn forward_prefix(` / `fn backward(` bodies, the
+# per-part bodies a split pass runs on either thread, the panel GEMM drivers
+# and the fork-join itself (brace-counted): constructors and `pack` may
+# allocate once, the per-call paths use `Tensor::pooled_zeros`,
+# `pooled_clone`, `Workspace::take`; `Box::new(` is banned with them so the
+# job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_train|forward_prefix|backward|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b)\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_train|forward_prefix|backward|forward_train_part|forward_part|backward_part|forward_rows|normalise_train|run|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b|join|wait|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
-        if ($0 ~ /Tensor::zeros\(|vec!\[/) {
+        if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
             bad = 1
         }
@@ -65,6 +90,6 @@ awk '
     END { exit bad }
 ' crates/nn/src/{linear,conv2d,depthwise,activation,sequential,pool,embedding,dropout}.rs \
     crates/nn/src/norm/group_norm.rs crates/nn/src/rnn/{lstm,gru}.rs \
-    crates/tensor/src/panels.rs \
+    crates/tensor/src/panels.rs crates/tensor/src/par.rs \
     || die "allocation reintroduced: hot paths must use pooled_zeros/pooled_clone/Workspace::take (lines above)"
 echo "perfcheck OK"
