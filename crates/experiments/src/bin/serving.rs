@@ -21,7 +21,6 @@ use ms_nn::shared::SharedWeights;
 use ms_serving::controller::{AccuracyTable, Policy, RatePolicy, SlaController};
 use ms_serving::engine::{Engine, EngineConfig};
 use ms_serving::profile::LatencyProfile;
-use ms_serving::queue_sim::{run_queue_sim, QueuePolicy, QueueSimConfig};
 use ms_serving::simulator::{SimConfig, SimReport, Simulator};
 use ms_serving::workload::{WorkloadConfig, WorkloadTrace};
 use ms_tensor::{SeededRng, Tensor};
@@ -119,27 +118,47 @@ fn main() {
             println!("  rate {r:.3}: {c}");
         }
     }
-    // Backlog regime: queries queue with a deadline instead of being shed.
-    let qcfg = QueueSimConfig {
-        t_full,
-        tick: 0.02,
-        deadline_ticks: 2,
-    };
-    println!("\nbacklog regime (queue with 2-tick deadline instead of shedding):");
-    for policy in [QueuePolicy::FixedFull, QueuePolicy::Elastic] {
-        let r = run_queue_sim(&qcfg, sim.table(), policy, &trace);
+    // Backlog regime: a batch that overruns delays the ones behind it.
+    // The engine's virtual clock under the simulator's own cost law
+    // (t_full · r², T = 40 ms): arithmetic on the trace, like the table
+    // above — the stand-in replica only has to slice at the same rates.
+    println!("\nbacklog regime (late batches delay the ones behind; one replica, virtual clock):");
+    let law = LatencyProfile::quadratic(setting.rates.clone(), t_full);
+    for (name, policy) in [
+        ("FixedFull", RatePolicy::Fixed(SliceRate::FULL)),
+        ("Elastic", RatePolicy::Elastic),
+    ] {
+        let engine = Engine::start_virtual(
+            EngineConfig {
+                latency: 0.04,
+                headroom: 1.0,
+                max_queue: usize::MAX / 2,
+                refine: false,
+            },
+            SlaController::new(law.clone(), policy),
+            law.clone(),
+            vec![Box::new(Mlp::new(&mlp_config(8), &mut SeededRng::new(11)))],
+        );
+        let r = engine.replay(&trace, input_for);
+        engine.shutdown();
+        let accuracy: f64 = r
+            .responses
+            .iter()
+            .map(|resp| sim.table().at(SliceRate::new(resp.rate)))
+            .sum::<f64>()
+            / r.served.max(1) as f64;
         println!(
-            "  {policy:?}: on-time {} late {} peak-backlog {} mean-wait {:.2} ticks acc {:.1}%",
+            "  {name}: on-time {} late {} shed {} p50-latency {:.2} ticks \
+             p99-latency {:.2} ticks acc {:.1}%",
             r.on_time,
             r.late,
-            r.peak_backlog,
-            r.mean_wait_ticks,
-            r.mean_accuracy * 100.0
+            r.shed,
+            r.p50_latency / 0.02,
+            r.p99_latency / 0.02,
+            accuracy * 100.0
         );
     }
-    // Measured regime: the same SLA story on the real multi-threaded engine
-    // (calibrated latency profile, wall-clock service times) instead of the
-    // synthetic simulator's cost accounting.
+    // The same story on a profile calibrated on this machine, two replicas.
     real_engine_replay();
 
     // Network regime: the same engines behind the TCP front-end, driven by
@@ -150,37 +169,41 @@ fn main() {
     write_results("serving", &reports);
 }
 
-/// Replays a flash-crowd trace through `ms_serving::engine` with 2 workers
-/// and prints measured counters for the elastic policy vs the inelastic
-/// full-width server.
-fn real_engine_replay() {
-    const INPUT_DIM: usize = 16;
-    let cfg = MlpConfig {
+const INPUT_DIM: usize = 16;
+
+/// The small sliced MLP the engine sections serve.
+fn mlp_config(groups: usize) -> MlpConfig {
+    MlpConfig {
         input_dim: INPUT_DIM,
         hidden_dims: vec![48, 48],
         num_classes: 8,
-        groups: 4,
+        groups,
         dropout: 0.0,
         input_rescale: true,
-    };
+    }
+}
+
+fn input_for(id: u64) -> Tensor {
+    Tensor::full([INPUT_DIM], ((id % 31) as f32) * 0.06 - 0.9)
+}
+
+/// Replays a flash-crowd trace through `ms_serving::engine` with 2 replicas
+/// and prints the counters for the elastic policy vs the inelastic
+/// full-width server: real forward passes, timed on the virtual clock by
+/// the profile calibrated here, so the rows say what this machine's
+/// measured cost law implies and do not move with its load.
+fn real_engine_replay() {
+    let cfg = mlp_config(4);
     let rates = ms_core::slice_rate::SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
     let mut net = Mlp::new(&cfg, &mut SeededRng::new(11));
     let profile = LatencyProfile::calibrate(&mut net, rates, &[INPUT_DIM], 512, 5);
 
     let budget = profile.predict(200, SliceRate::FULL);
     let latency = budget * 4.0;
-    let calm = (profile.max_batch(SliceRate::FULL, budget) * 7 / 10).max(1);
-    let overload = profile.max_batch(SliceRate::new(0.25), budget) * 3;
-    let arrivals: Vec<usize> = (0..60)
-        .map(|t| if (15..20).contains(&t) || (40..45).contains(&t) { overload } else { calm })
-        .collect();
-    let trace = WorkloadTrace {
-        rates: arrivals.iter().map(|&n| n as f64).collect(),
-        arrivals,
-    };
+    let trace = WorkloadTrace::two_crowds(&profile, budget, 60, 5);
 
     println!(
-        "\nreal engine (2 workers, SLA {:.2} ms, profile calibrated on this machine):",
+        "\nreal engine (2 replicas, SLA {:.2} ms, profile calibrated on this machine):",
         latency * 1e3
     );
     let mut proto = Mlp::new(&cfg, &mut SeededRng::new(17));
@@ -196,7 +219,7 @@ fn real_engine_replay() {
                 Box::new(m) as Box<dyn Layer + Send>
             })
             .collect();
-        let engine = Engine::start(
+        let engine = Engine::start_virtual(
             EngineConfig {
                 latency,
                 headroom: 0.5,
@@ -204,11 +227,10 @@ fn real_engine_replay() {
                 refine: false,
             },
             SlaController::new(profile.clone(), policy),
+            profile.clone(),
             replicas,
         );
-        let r = engine.replay(&trace, |id| {
-            Tensor::full([INPUT_DIM], ((id % 31) as f32) * 0.06 - 0.9)
-        });
+        let r = engine.replay(&trace, input_for);
         let counters = engine.counters();
         engine.shutdown();
         println!(
@@ -245,26 +267,14 @@ fn loopback_serving_run() {
     use ms_telemetry::flight;
     use std::time::Duration;
 
-    const INPUT_DIM: usize = 16;
-    let cfg = MlpConfig {
-        input_dim: INPUT_DIM,
-        hidden_dims: vec![48, 48],
-        num_classes: 8,
-        groups: 4,
-        dropout: 0.0,
-        input_rescale: true,
-    };
+    let cfg = mlp_config(4);
     let rates = ms_core::slice_rate::SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
     let mut net = Mlp::new(&cfg, &mut SeededRng::new(11));
     let profile = LatencyProfile::calibrate(&mut net, rates, &[INPUT_DIM], 512, 5);
     let budget = profile.predict(200, SliceRate::FULL);
     let latency = budget * 4.0;
     let window = latency / 2.0;
-    let calm = (profile.max_batch(SliceRate::FULL, budget) * 7 / 10).max(1);
-    let overload = profile.max_batch(SliceRate::new(0.25), budget) * 3;
-    let arrivals: Vec<usize> = (0..30)
-        .map(|t| if (8..11).contains(&t) || (20..23).contains(&t) { overload } else { calm })
-        .collect();
+    let arrivals = WorkloadTrace::two_crowds(&profile, budget, 30, 3).arrivals;
     let sent: usize = arrivals.iter().sum();
 
     let mut proto = Mlp::new(&cfg, &mut SeededRng::new(17));
@@ -317,7 +327,7 @@ fn loopback_serving_run() {
                 .send_traced(
                     id,
                     deadline_micros,
-                    &Tensor::full([INPUT_DIM], ((id % 31) as f32) * 0.06 - 0.9),
+                    &input_for(id),
                     0x5E1F_0000_0000_0000 + id,
                 )
                 .expect("send");

@@ -65,22 +65,26 @@ fn profile() -> LatencyProfile {
     LatencyProfile::quadratic(SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]), 1e-5)
 }
 
-fn engine(weights: &SharedWeights, policy: RatePolicy) -> Engine {
+/// A live engine for the server, or (`replayed`) the same engine on the
+/// virtual clock for the in-process reference.
+fn engine(weights: &SharedWeights, policy: RatePolicy, replayed: bool) -> Engine {
     let mut m = net(400);
     weights.hydrate(m.as_mut());
-    Engine::start(
-        EngineConfig {
-            // Wide window: the soak is about correctness under concurrency,
-            // not tight SLAs, so capacity comfortably exceeds the load and
-            // nothing sheds.
-            latency: 0.05,
-            headroom: 1.0,
-            max_queue: 1_000_000,
-            refine: false,
-        },
-        SlaController::new(profile(), policy),
-        vec![m],
-    )
+    let config = EngineConfig {
+        // Wide window: the soak is about correctness under concurrency,
+        // not tight SLAs, so capacity comfortably exceeds the load and
+        // nothing sheds.
+        latency: 0.05,
+        headroom: 1.0,
+        max_queue: 1_000_000,
+        refine: false,
+    };
+    let controller = SlaController::new(profile(), policy);
+    if replayed {
+        Engine::start_virtual(config, controller, profile(), vec![m])
+    } else {
+        Engine::start(config, controller, vec![m])
+    }
 }
 
 fn input_for(correlation_id: u64) -> Tensor {
@@ -93,7 +97,7 @@ fn sixteen_clients_lose_nothing_and_match_replay_bitwise() {
     let mut proto = net(7);
     let weights = SharedWeights::capture(proto.as_mut());
     let engines = (0..2)
-        .map(|_| engine(&weights, RatePolicy::Elastic))
+        .map(|_| engine(&weights, RatePolicy::Elastic, false))
         .collect();
     let server = Server::start(
         "127.0.0.1:0",
@@ -167,7 +171,7 @@ fn sixteen_clients_lose_nothing_and_match_replay_bitwise() {
             .find(|sr| sr.get() == rate)
             .unwrap_or_else(|| panic!("server used rate {rate} not in the profile list"));
         ids.sort_unstable();
-        let reference = engine(&weights, RatePolicy::Fixed(sr));
+        let reference = engine(&weights, RatePolicy::Fixed(sr), true);
         let arrivals: Vec<usize> = ids.chunks(16).map(|c| c.len()).collect();
         let trace = WorkloadTrace {
             rates: arrivals.iter().map(|&n| n as f64).collect(),

@@ -14,9 +14,6 @@
 //! - [`simulator`] — a discrete-time loop (one tick = one `T/2` mini-batch
 //!   interval) producing per-batch latency, width, shed-rate and
 //!   accuracy-proxy traces.
-//! - [`queue_sim`] — a backlog-aware variant (queries queue with deadlines
-//!   instead of being shed) showing the fixed-width server's backlog
-//!   snowballing through spikes while the elastic server drains it.
 //!
 //! Beyond the simulation, the crate now hosts the *real* serving path:
 //!
@@ -25,13 +22,17 @@
 //!   column).
 //! - [`engine`] — a multi-threaded worker-pool engine running actual sliced
 //!   forward passes, with SLA-driven batching, admission control and
-//!   backpressure shedding, plus trace replay so the simulator's workloads
-//!   can be scored against measured latencies.
+//!   backpressure shedding. It reads one clock, chosen at construction: the
+//!   wall for live serving, or a virtual one on which a pass costs what a
+//!   truth profile says — there `Engine::replay` runs a workload trace
+//!   through the same worker code as pure arithmetic, which makes it the
+//!   backlog-aware simulator too (queries queue behind a slow batch instead
+//!   of being shed: the fixed-width server's backlog snowballs through a
+//!   spike while the elastic one slices itself down and drains).
 
 pub mod controller;
 pub mod engine;
 pub mod profile;
-pub mod queue_sim;
 pub mod simulator;
 pub mod workload;
 

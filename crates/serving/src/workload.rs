@@ -5,6 +5,7 @@
 //! higher than average, with unpredictable extreme cases" setting that
 //! motivates the paper (§1). The trace is a per-tick arrival count.
 
+use crate::profile::LatencyProfile;
 use ms_tensor::SeededRng;
 use serde::{Deserialize, Serialize};
 
@@ -161,6 +162,37 @@ impl WorkloadTrace {
         })
     }
 
+    /// Two flash crowds sized from a latency profile, exact counts instead
+    /// of Poisson draws: calm ticks at 70 % of what the full network serves
+    /// within `budget`, and `crowd_len`-tick crowds starting a quarter and
+    /// two thirds of the way in at 3× what even the base rate serves — so
+    /// an elastic engine runs full width, then must shed, whatever machine
+    /// (or analytic law) the profile came from.
+    pub fn two_crowds(
+        profile: &LatencyProfile,
+        budget: f64,
+        ticks: usize,
+        crowd_len: usize,
+    ) -> Self {
+        let list = profile.list();
+        let calm = (profile.max_batch(list.max(), budget) * 7 / 10).max(1);
+        let overload = profile.max_batch(list.min(), budget) * 3;
+        let arrivals: Vec<usize> = (0..ticks)
+            .map(|t| {
+                let crowded = [ticks / 4, ticks * 2 / 3]
+                    .iter()
+                    .any(|&start| (start..start + crowd_len).contains(&t));
+                if crowded {
+                    overload
+                } else {
+                    calm
+                }
+            })
+            .collect();
+        let rates = arrivals.iter().map(|&n| n as f64).collect();
+        WorkloadTrace { arrivals, rates }
+    }
+
     /// Peak-to-mean ratio of the latent rate — the volatility figure.
     pub fn volatility(&self) -> f64 {
         let mean = self.rates.iter().sum::<f64>() / self.rates.len() as f64;
@@ -254,6 +286,19 @@ mod tests {
         // Starts and ends calm.
         assert_eq!(f.rates[0], 2.0);
         assert_eq!(*f.rates.last().unwrap(), 2.0);
+    }
+
+    #[test]
+    fn two_crowds_are_sized_from_the_profile() {
+        use ms_core::slice_rate::SliceRateList;
+        // 1 ms a full-width sample, 20 ms budget: 20 fit at full width, 320
+        // at the base rate.
+        let p = LatencyProfile::quadratic(SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]), 1e-3);
+        let t = WorkloadTrace::two_crowds(&p, 0.02, 60, 5);
+        for (tick, &n) in t.arrivals.iter().enumerate() {
+            let crowded = (15..20).contains(&tick) || (40..45).contains(&tick);
+            assert_eq!(n, if crowded { 960 } else { 14 }, "tick {tick}");
+        }
     }
 
     #[test]

@@ -38,17 +38,40 @@ cargo run --release -q -p ms-bench --features telemetry-spans \
 diff /tmp/ms_probe_default.txt /tmp/ms_probe_spans.txt \
     || die "span-instrumented build changed inference output bits"
 
-echo "== logical suites: codec chaos, reactor loopback + soak, time series, autoscaler, fleet e2e =="
+echo "== logical suites: codec chaos, reactor loopback + soak, time series, autoscaler, virtual-clock SLA, fleet e2e =="
 cargo test --release -p ms-net --test chaos_codec
 cargo test --release -p ms-net --test loopback_smoke
 cargo test --release -p ms-net --test soak -- --ignored
 cargo test --release -p ms-telemetry --test timeseries_props
 cargo test --release -p ms-cluster --test autoscaler_props
+cargo test --release --test serving_sla --test engine_determinism
 cargo test --release --test cluster_elastic
 
 echo "== no wall-clock gate knob or self-rewriting result file may come back =="
 grep -rnE 'MS_[A-Z_]*GATE|results/BENCH[_]' crates scripts tests examples src \
     && die "timing gates belong in benchmark/ (lines above)"
+
+echo "== the engine's SLA suites stay off the wall clock, and nothing retries =="
+# tests/serving_sla.rs and tests/engine_determinism.rs assert on the engine's
+# virtual clock only (the `#[ignore]`d soak may nap); a wall-clock verdict
+# belongs on the benchmark, and a test that needs a second attempt is one.
+grep -n 'retrying once' tests/serving_sla.rs tests/net_loopback.rs \
+    && die "retry wrapper in a tier-1 suite (lines above)"
+awk '
+    FNR == 1 { skip = 0; armed = 0 }
+    /^#\[ignore/ { armed = 1 }
+    armed && /^fn / { armed = 0; skip = 1; depth = 0; seen = 0 }
+    skip {
+        o = gsub(/{/, "{"); c = gsub(/}/, "}")
+        depth += o - c
+        if (o > 0) seen = 1
+        if (seen && depth <= 0) skip = 0
+        next
+    }
+    /Instant::now|\.elapsed\(\)|thread::sleep/ { printf "    %s:%d: %s\n", FILENAME, FNR, $0; bad = 1 }
+    END { exit bad }
+' tests/serving_sla.rs tests/engine_determinism.rs \
+    || die "wall-clock read in a virtual-clock suite (lines above)"
 
 echo "== threads and unsafe stay in one file =="
 # The compute crates' only `unsafe` is the lifetime erase of par.rs, the

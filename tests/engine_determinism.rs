@@ -77,14 +77,18 @@ fn replay_with_workers(workers: usize, weights: &SharedWeights) -> ReplayReport 
         SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
         1e-4,
     );
-    let engine = Engine::start(
+    // On the virtual clock a pass costs exactly what the plan says, so no
+    // batch waits, dispatch-time binding moves nothing and every request
+    // runs at its planned rate whatever the worker count.
+    let engine = Engine::start_virtual(
         EngineConfig {
             latency: 0.02,
             headroom: 1.0,
-            max_queue: 100_000,
+            max_queue: usize::MAX / 2,
             refine: false,
         },
-        SlaController::elastic(profile),
+        SlaController::elastic(profile.clone()),
+        profile,
         replicas,
     );
     let report = engine.replay(&trace(), input_for);
@@ -102,7 +106,11 @@ fn one_worker_and_four_workers_produce_bitwise_identical_logits() {
     let solo = replay_with_workers(1, &weights);
     let pool = replay_with_workers(4, &weights);
 
-    // Identical admission decisions…
+    // Nothing late and nothing rebound on either pool…
+    for r in [&solo, &pool] {
+        assert_eq!((r.late, r.counters.rebound), (0, 0));
+    }
+    // …identical admission decisions…
     assert_eq!(solo.served, pool.served);
     assert_eq!(solo.shed, pool.shed);
     assert!(solo.served > 0, "trace produced no served requests");

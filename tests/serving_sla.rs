@@ -10,6 +10,10 @@
 //!   model (rel. cost 5 %, e.g. a GBDT) can win on raw throughput — the
 //!   honest boundary of the method, since the narrowest subnet is only
 //!   ~7× cheaper than the full model.
+//!
+//! Both are told twice: by the synthetic simulator, then by the real engine
+//! on its virtual clock — dispatch-time binding and the refinement ladder
+//! included, under a profile that is true and under one that has drifted 2×.
 
 use modelslicing::models::mlp::{Mlp, MlpConfig};
 use modelslicing::nn::layer::Layer;
@@ -23,20 +27,6 @@ use modelslicing::slicing::slice_rate::{SliceRate, SliceRateList};
 use modelslicing::telemetry::flight;
 use modelslicing::tensor::{SeededRng, Tensor};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-use std::thread;
-use std::time::{Duration, Instant};
-
-/// The measured-latency tests below time real forward passes, so no other
-/// test in this binary may compete for the CPU while one runs (the harness
-/// runs tests on parallel threads; CI boxes can be single-core). Every test
-/// takes this lock.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn simulator() -> Simulator {
     Simulator::new(
@@ -89,7 +79,6 @@ fn extreme() -> WorkloadTrace {
 
 #[test]
 fn extreme_workload_hits_sixteen_x_peaks() {
-    let _serial = serial();
     let trace = extreme();
     assert!(
         trace.volatility() > 8.0,
@@ -102,7 +91,6 @@ fn extreme_workload_hits_sixteen_x_peaks() {
 
 #[test]
 fn moderate_overload_slicing_dominates_every_policy() {
-    let _serial = serial();
     let sim = simulator();
     let trace = moderate();
     let slicing = sim.run(Policy::ModelSlicing, &trace);
@@ -127,7 +115,6 @@ fn moderate_overload_slicing_dominates_every_policy() {
 
 #[test]
 fn extreme_overload_slicing_beats_fixed_and_drop() {
-    let _serial = serial();
     let sim = simulator();
     let trace = extreme();
     let slicing = sim.run(Policy::ModelSlicing, &trace);
@@ -145,7 +132,6 @@ fn extreme_overload_slicing_beats_fixed_and_drop() {
 
 #[test]
 fn processing_never_exceeds_the_latency_budget() {
-    let _serial = serial();
     // By construction every policy decision respects `time_spent ≤ T/2`;
     // verify over both traces for the elastic policy.
     let sim = simulator();
@@ -156,10 +142,12 @@ fn processing_never_exceeds_the_latency_budget() {
 }
 
 // ---------------------------------------------------------------------------
-// Measured-latency assertions: the same SLA story, told by the real engine
-// instead of the synthetic simulator. The latency profile is calibrated on
-// the live network, so every number below is a wall-clock measurement on
-// this machine.
+// The same SLA story told by the real engine: real forward passes through
+// the worker pool, timed on the engine's virtual clock, where a pass costs
+// what a *truth* profile says. Every verdict below is arithmetic on the
+// trace and the two profiles — nothing here reads the wall. What the wall
+// does to these numbers is the benchmark's to say (`loadgen.on_time_frac`,
+// `loadgen.step<k>_*` @`wire_staircase`).
 // ---------------------------------------------------------------------------
 
 const INPUT_DIM: usize = 16;
@@ -175,42 +163,48 @@ fn mlp_config() -> MlpConfig {
     }
 }
 
-fn calibrated_profile() -> LatencyProfile {
-    let mut rng = SeededRng::new(11);
-    let mut net = Mlp::new(&mlp_config(), &mut rng);
-    LatencyProfile::calibrate(
-        &mut net,
-        SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-        &[INPUT_DIM],
-        512,
-        5,
-    )
+/// The quadratic law at `t_full` seconds a full-width sample.
+fn law(t_full: f64) -> LatencyProfile {
+    LatencyProfile::quadratic(SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]), t_full)
 }
 
-/// Runs one single-worker engine over `trace` under the given policy and
-/// reports the replay (virtual arrival clock, measured service times).
-fn replay_measured(
-    profile: &LatencyProfile,
+/// What the controller believes a full-width sample costs.
+const BELIEVED: f64 = 1e-5;
+
+/// An engine whose processing window `T/2` is `window`, with an unbounded
+/// queue.
+fn config(window: f64, headroom: f64, refine: bool) -> EngineConfig {
+    EngineConfig {
+        latency: window * 2.0,
+        headroom,
+        max_queue: usize::MAX / 2,
+        refine,
+    }
+}
+
+/// Replays `trace` through `replicas` workers that plan with `law(BELIEVED)`
+/// while a pass truly costs `law(truth)`.
+fn replay(
     policy: RatePolicy,
+    truth: f64,
+    cfg: EngineConfig,
+    replicas: usize,
     trace: &WorkloadTrace,
-    latency: f64,
 ) -> ReplayReport {
-    let mut rng = SeededRng::new(17);
-    let mut proto = Mlp::new(&mlp_config(), &mut rng);
+    let mut proto = Mlp::new(&mlp_config(), &mut SeededRng::new(17));
     let weights = SharedWeights::capture(&mut proto);
-    let mut replica = Mlp::new(&mlp_config(), &mut SeededRng::new(18));
-    weights.hydrate(&mut replica);
-    let engine = Engine::start(
-        EngineConfig {
-            latency,
-            // Plan to half the window: the other half absorbs measurement
-            // jitter between calibration time and replay time.
-            headroom: 0.5,
-            max_queue: usize::MAX / 2,
-            refine: false,
-        },
-        SlaController::new(profile.clone(), policy),
-        vec![Box::new(replica) as Box<dyn Layer + Send>],
+    let replicas = (0..replicas)
+        .map(|i| {
+            let mut m = Mlp::new(&mlp_config(), &mut SeededRng::new(100 + i as u64));
+            weights.hydrate(&mut m);
+            Box::new(m) as Box<dyn Layer + Send>
+        })
+        .collect();
+    let engine = Engine::start_virtual(
+        cfg,
+        SlaController::new(law(BELIEVED), policy),
+        law(truth),
+        replicas,
     );
     let report = engine.replay(trace, |id| {
         Tensor::full([INPUT_DIM], ((id % 31) as f32) * 0.06 - 0.9)
@@ -219,294 +213,191 @@ fn replay_measured(
     report
 }
 
-/// Calm traffic sized from the calibrated profile itself, with two flash
-/// crowds far beyond even the base subnet's capacity.
-fn spike_trace(profile: &LatencyProfile, budget: f64) -> WorkloadTrace {
-    let calm = (profile.max_batch(SliceRate::FULL, budget) * 7 / 10).max(1);
-    let overload = profile.max_batch(SliceRate::new(0.25), budget) * 3;
-    let arrivals: Vec<usize> = (0..60)
-        .map(|t| {
-            if (15..20).contains(&t) || (40..45).contains(&t) {
-                overload
-            } else {
-                calm
-            }
-        })
-        .collect();
-    let rates = arrivals.iter().map(|&n| n as f64).collect();
-    WorkloadTrace { arrivals, rates }
+/// Planning budget of the comparisons below: a full-width batch of 200.
+const BUDGET: f64 = 200.0 * BELIEVED;
+
+/// Window 2·BUDGET at headroom 0.5; calm ticks of 140, two five-tick crowds
+/// of 9600 against a base-rate capacity of 3200.
+fn crowds() -> (EngineConfig, WorkloadTrace) {
+    (
+        config(2.0 * BUDGET, 0.5, false),
+        WorkloadTrace::two_crowds(&law(BELIEVED), BUDGET, 60, 5),
+    )
 }
 
 #[test]
-fn measured_elastic_beats_every_fixed_rate_on_deadline_hits() {
-    let _serial = serial();
-    let profile = calibrated_profile();
-    // Window sized so a full-width batch of a few hundred samples fits:
-    // big enough that OS timing jitter is small relative to the budget.
-    let budget = profile.predict(200, SliceRate::FULL);
-    let latency = budget * 4.0; // window = T/2 = 2·budget, headroom 0.5
-    let trace = spike_trace(&profile, budget);
+fn elastic_beats_every_fixed_rate_on_deadline_hits() {
+    let (cfg, trace) = crowds();
+    let elastic = replay(RatePolicy::Elastic, BELIEVED, cfg, 1, &trace);
+    // The plan is the truth: elastic admits what fits and all of it is on
+    // time; each crowd tick keeps the base rate's 3200 and sheds 6400.
+    assert_eq!(elastic.served + elastic.shed, trace.total());
+    assert_eq!((elastic.shed, elastic.late), (10 * 6400, 0));
+    assert_eq!(elastic.on_time, 50 * 140 + 10 * 3200);
 
-    let elastic = replay_measured(&profile, RatePolicy::Elastic, &trace, latency);
-    // Elastic never plans past the budget, so nearly everything it admits
-    // hits the deadline even with measurement noise.
-    // Rare multi-x outliers (OS scheduling) can push the odd batch past the
-    // window; the bulk must hit the deadline.
-    assert!(
-        elastic.on_time as f64 >= elastic.served as f64 * 0.85,
-        "elastic late too often: {} late of {} served",
-        elastic.late,
-        elastic.served
-    );
-    assert!(elastic.served > 0);
-
-    for r in profile.list().iter() {
-        let fixed = replay_measured(&profile, RatePolicy::Fixed(r), &trace, latency);
-        // The inelastic server answers everything…
-        assert_eq!(fixed.shed, 0);
-        // …but under the flash crowds it answers late: the elastic engine
-        // completes strictly more requests within the SLA.
+    for r in law(BELIEVED).list().iter() {
+        let fixed = replay(RatePolicy::Fixed(r), BELIEVED, cfg, 1, &trace);
+        // The inelastic server answers everything, the crowds late and
+        // whatever queued behind them with them.
+        assert_eq!((fixed.served, fixed.shed), (trace.total(), 0));
+        assert_eq!(fixed.on_time + fixed.late, fixed.served);
+        assert!(
+            fixed.late >= 10 * 9600,
+            "fixed rate {r}: only {} late",
+            fixed.late
+        );
+        assert!(fixed.p99_latency > elastic.p99_latency);
         assert!(
             elastic.on_time > fixed.on_time,
-            "fixed rate {r}: {} on-time vs elastic {} (elastic shed {})",
+            "fixed rate {r}: {} on-time vs elastic {}",
             fixed.on_time,
-            elastic.on_time,
-            elastic.shed
+            elastic.on_time
         );
     }
 }
 
 #[test]
-fn measured_elastic_stays_on_time_with_multiple_workers() {
-    let _serial = serial();
-    let profile = calibrated_profile();
-    let budget = profile.predict(200, SliceRate::FULL);
-    let latency = budget * 4.0;
-    let trace = spike_trace(&profile, budget);
-
-    let mut rng = SeededRng::new(29);
-    let mut proto = Mlp::new(&mlp_config(), &mut rng);
-    let weights = SharedWeights::capture(&mut proto);
-    let replicas = (0..3)
-        .map(|i| {
-            let mut m = Mlp::new(&mlp_config(), &mut SeededRng::new(100 + i));
-            weights.hydrate(&mut m);
-            Box::new(m) as Box<dyn Layer + Send>
-        })
-        .collect();
-    let engine = Engine::start(
-        EngineConfig {
-            latency,
-            headroom: 0.5,
-            max_queue: usize::MAX / 2,
-            refine: false,
-        },
-        SlaController::elastic(profile),
-        replicas,
-    );
-    let report = engine.replay(&trace, |_| Tensor::zeros([INPUT_DIM]));
-    engine.shutdown();
-    assert_eq!(report.served + report.shed, report.arrived);
-    assert!(
-        report.on_time as f64 >= report.served as f64 * 0.85,
-        "late {} of {}",
-        report.late,
-        report.served
-    );
+fn halving_the_deadline_raises_the_fixed_servers_late_share_not_the_elastic_ones() {
+    let (cfg, trace) = crowds();
+    let halved = EngineConfig {
+        latency: cfg.latency / 2.0,
+        ..cfg
+    };
+    let late_share = |policy, cfg| {
+        let r = replay(policy, BELIEVED, cfg, 1, &trace);
+        r.late as f64 / r.served as f64
+    };
+    // Even the fixed server that copes best, pinned to the base rate: a
+    // crowd tick is 1.5 windows of work for it, 3 of the halved ones, and
+    // the calm batches behind the crowd wait that much longer.
+    let base = RatePolicy::Fixed(SliceRate::new(0.25));
+    assert!(late_share(base, halved) > late_share(base, cfg));
+    assert_eq!(late_share(RatePolicy::Elastic, cfg), 0.0);
+    assert_eq!(late_share(RatePolicy::Elastic, halved), 0.0);
 }
 
-// ---------------------------------------------------------------------------
-// Anytime refinement under calibration drift: live-paced engines.
-//
-// The replay harness scores deadlines on a virtual timeline, but the
-// refinement ladder consults the *wall clock* — so the refine story needs
-// engines paced in real time, with tick lengths far above OS jitter. All
-// batch sizes below are derived from a live-calibrated profile, so the
-// arithmetic is machine-independent: a spike batch is sized to take
-// 1.5× the processing window at full width *on this machine, today*.
-// ---------------------------------------------------------------------------
-
-/// Wider MLP for the live-paced tests: per-sample cost large enough that
-/// profile-derived batch sizes stay small (cheap to stage inside a tick).
-fn wide_mlp_config() -> MlpConfig {
-    MlpConfig {
-        input_dim: INPUT_DIM,
-        hidden_dims: vec![128, 128],
-        num_classes: 8,
-        groups: 4,
-        dropout: 0.0,
-        input_rescale: true,
+#[test]
+fn a_true_profile_binds_nothing_at_one_replica_or_four() {
+    let (cfg, trace) = crowds();
+    let solo = replay(RatePolicy::Elastic, BELIEVED, cfg, 1, &trace);
+    let pool = replay(RatePolicy::Elastic, BELIEVED, cfg, 4, &trace);
+    for r in [&solo, &pool] {
+        assert_eq!(r.served + r.shed, r.arrived);
+        assert_eq!((r.late, r.counters.rebound), (0, 0));
+    }
+    assert_eq!(
+        (solo.served, solo.p99_latency),
+        (pool.served, pool.p99_latency)
+    );
+    for (a, b) in solo.responses.iter().zip(&pool.responses) {
+        assert_eq!((a.id, a.rate, a.batch_seq), (b.id, b.rate, b.batch_seq));
+        assert_eq!(a.logits, b.logits, "request {}", a.id);
     }
 }
 
-fn wide_calibrated_profile() -> LatencyProfile {
-    let mut rng = SeededRng::new(11);
-    let mut net = Mlp::new(&wide_mlp_config(), &mut rng);
-    LatencyProfile::calibrate(
-        &mut net,
-        SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-        &[INPUT_DIM],
-        128,
-        3,
-    )
-}
-
-/// Scales every per-sample time (and the overhead) by `factor` — a stale
-/// profile calibrated when the machine looked `1/factor`× faster than it
-/// measures today.
-fn drifted(profile: &LatencyProfile, factor: f64) -> LatencyProfile {
-    let per_sample = profile
-        .list()
-        .iter()
-        .map(|r| profile.per_sample(r) * factor)
-        .collect();
-    LatencyProfile::new(
-        profile.list().clone(),
-        per_sample,
-        profile.predict(0, SliceRate::FULL) * factor,
-    )
-}
-
-struct LiveOutcome {
-    served: usize,
-    on_time: usize,
-    /// Ladder-step counter (per request per step).
-    refined: u64,
-    /// Highest rate any response was served at.
-    top_rate: f32,
-}
-
-/// Paces `arrivals` through a single-worker engine in real time: one seal
-/// per tick of length `window` seconds, deadlines scored against the wall
-/// clock (`sealed + window` — the same instant the refinement ladder
-/// plans against). A collector thread timestamps responses as they land.
-fn run_live(
-    believed: &LatencyProfile,
-    arrivals: &[usize],
-    window: f64,
-    headroom: f64,
-    refine: bool,
-) -> LiveOutcome {
-    let mut rng = SeededRng::new(17);
-    let mut proto = Mlp::new(&wide_mlp_config(), &mut rng);
-    let weights = SharedWeights::capture(&mut proto);
-    let mut replica = Mlp::new(&wide_mlp_config(), &mut SeededRng::new(18));
-    weights.hydrate(&mut replica);
-    let engine = Engine::start(
-        EngineConfig {
-            latency: window * 2.0,
-            headroom,
-            max_queue: usize::MAX / 2,
-            refine,
-        },
-        SlaController::new(believed.clone(), RatePolicy::Elastic),
-        vec![Box::new(replica) as Box<dyn Layer + Send>],
+#[test]
+fn a_drifted_profile_is_rebound_narrower_never_wider() {
+    // Full headroom and passes that cost twice the plan: a calm batch takes
+    // 1.4 windows, so batches queue and dispatch finds less window than the
+    // plan assumed.
+    let cfg = config(BUDGET, 1.0, false);
+    let trace = WorkloadTrace::two_crowds(&law(BELIEVED), BUDGET, 60, 5);
+    let planned = replay(RatePolicy::Elastic, BELIEVED, cfg, 1, &trace);
+    let drifted = replay(RatePolicy::Elastic, 2.0 * BELIEVED, cfg, 1, &trace);
+    // A replay is a function of its arguments: run again, the same report.
+    let again = replay(RatePolicy::Elastic, 2.0 * BELIEVED, cfg, 1, &trace);
+    assert_eq!((drifted.on_time, drifted.late), (again.on_time, again.late));
+    assert_eq!(
+        (drifted.p50_latency, drifted.p99_latency),
+        (again.p50_latency, again.p99_latency)
     );
-
-    let mut deadline_of: HashMap<u64, Instant> = HashMap::new();
-    let stop = AtomicBool::new(false);
-    let done: Vec<(u64, f32, Instant)> = thread::scope(|s| {
-        let collector = s.spawn(|| {
-            let mut done = Vec::new();
-            loop {
-                let stopping = stop.load(Ordering::Acquire);
-                let now = Instant::now();
-                for r in engine.take_responses() {
-                    done.push((r.id, r.rate, now));
-                }
-                if stopping {
-                    return done;
-                }
-                thread::sleep(Duration::from_micros(500));
-            }
-        });
-        let tick = Duration::from_secs_f64(window);
-        let t0 = Instant::now();
-        for (i, &n) in arrivals.iter().enumerate() {
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                let x = Tensor::full([INPUT_DIM], ((i % 31) as f32) * 0.06 - 0.9);
-                if let Ok(id) = engine.submit(x) {
-                    ids.push(id);
-                }
-            }
-            engine.seal();
-            let deadline = Instant::now() + tick;
-            for id in ids {
-                deadline_of.insert(id, deadline);
-            }
-            let next = t0 + tick * (i as u32 + 1);
-            if let Some(d) = next.checked_duration_since(Instant::now()) {
-                thread::sleep(d);
-            }
+    assert_eq!(
+        drifted.counters.rate_histogram,
+        again.counters.rate_histogram
+    );
+    for (a, b) in drifted.responses.iter().zip(&again.responses) {
+        assert_eq!(
+            (a.id, a.rate, a.service_time),
+            (b.id, b.rate, b.service_time)
+        );
+        assert_eq!(a.logits, b.logits, "request {}", a.id);
+    }
+    assert_eq!(planned.counters.rebound, 0);
+    // Binding never sheds: admission was settled at seal.
+    assert_eq!(
+        (drifted.served, drifted.shed),
+        (planned.served, planned.shed)
+    );
+    let mut moved = HashMap::new();
+    for (p, d) in planned.responses.iter().zip(&drifted.responses) {
+        assert_eq!((p.id, p.batch_seq), (d.id, d.batch_seq));
+        assert!(
+            d.rate <= p.rate,
+            "request {}: {} planned, ran {}",
+            p.id,
+            p.rate,
+            d.rate
+        );
+        if d.rate < p.rate {
+            moved.insert(d.batch_seq, d.rate);
         }
-        engine.drain();
-        stop.store(true, Ordering::Release);
-        collector.join().expect("collector thread")
-    });
-
-    let refined = engine.counters().refined;
-    engine.shutdown();
-    let on_time = done
-        .iter()
-        .filter(|(id, _, at)| deadline_of.get(id).is_some_and(|d| at <= d))
-        .count();
-    let top_rate = done.iter().map(|&(_, r, _)| r).fold(0.0f32, f32::max);
-    LiveOutcome {
-        served: done.len(),
-        on_time,
-        refined,
-        top_rate,
     }
-}
-
-/// Calm ticks sized at 70 % of full-width capacity, with two flash crowds
-/// whose *true* full-width cost is 1.5× the processing window.
-fn live_trace(truth: &LatencyProfile, window: f64) -> Vec<usize> {
-    let c_full = truth.max_batch(SliceRate::FULL, window / 2.0).max(2);
-    let calm = (c_full * 7 / 10).max(1);
-    let overload = c_full * 3;
-    (0..30)
-        .map(|t| {
-            if (8..12).contains(&t) || (20..24).contains(&t) {
-                overload
-            } else {
-                calm
-            }
-        })
-        .collect()
+    assert!(!moved.is_empty(), "nothing was rebound");
+    assert_eq!(drifted.counters.rebound, moved.len() as u64);
+    // Narrower batches are what lets the queue drain: the same drift on a
+    // server that cannot rebind is late more often.
+    let pinned = replay(
+        RatePolicy::Fixed(SliceRate::FULL),
+        2.0 * BELIEVED,
+        cfg,
+        1,
+        &trace,
+    );
+    assert!(drifted.late > 0 && drifted.on_time > pinned.on_time);
 }
 
 #[test]
 fn refine_beats_aggressive_planning_under_profile_drift() {
-    let _serial = serial();
-    let truth = wide_calibrated_profile();
-    // Both engines plan against a stale profile that claims the machine is
-    // 2× faster than it is. The aggressive engine trusts it and plans the
-    // whole window; the conservative engine plans an eighth of the window
-    // and relies on the wall-clock refinement ladder to win the width back.
-    let believed = drifted(&truth, 0.5);
-    let window = 0.01; // 10 ms ticks: far above scheduler jitter
-    let trace = live_trace(&truth, window);
+    // Both engines plan with a profile that claims the machine is 2× faster
+    // than it is. Calm ticks are 70 % of what truly fits half a window at
+    // full width; the crowds are 3× what truly fits it at the base rate.
+    let window = 0.01;
+    let trace = WorkloadTrace::two_crowds(&law(2.0 * BELIEVED), window / 2.0, 30, 4);
 
-    // Headroom 1.0 + optimistic profile: flash-crowd batches are planned at
-    // full width but truly cost 1.5× the window — late by construction.
-    // (The backlog behind them no longer compounds: a batch dispatched late
-    // is re-fitted to the window it has left. The flash crowds themselves
-    // are lost all the same.)
-    let aggressive = run_live(&believed, &trace, window, 1.0, false);
-    // Headroom 0.125 + refinement: base passes are planned narrow (safe even
-    // at 2× drift), then each batch climbs the ladder against the *real*
-    // clock, which no profile error can fake: the base pass measures how far
-    // off the profile is, and every further rung is charged accordingly.
-    let refining = run_live(&believed, &trace, window, 0.125, true);
-
-    assert!(refining.refined > 0, "refinement ladder never fired");
-    assert!(
-        (refining.top_rate - 1.0).abs() < 1e-6,
-        "refinement never reached full width: top rate {}",
-        refining.top_rate
+    // Headroom 1.0: the crowds are admitted whole at the base rate, planned
+    // at 0.75 of the window and truly 1.5 of it — late, and the calm batches
+    // queued behind them start late too.
+    let aggressive = replay(
+        RatePolicy::Elastic,
+        2.0 * BELIEVED,
+        config(window, 1.0, false),
+        1,
+        &trace,
     );
+    // Headroom 0.125 + refinement: base passes are planned narrow (safe even
+    // at 2× drift), then each batch climbs the ladder against the clock: the
+    // base pass measures how far off the profile is, and every further rung
+    // is charged accordingly.
+    let refining = replay(
+        RatePolicy::Elastic,
+        2.0 * BELIEVED,
+        config(window, 0.125, true),
+        1,
+        &trace,
+    );
+
+    assert!(
+        refining.counters.refined > 0,
+        "refinement ladder never fired"
+    );
+    let top_rate = refining
+        .responses
+        .iter()
+        .map(|r| r.rate)
+        .fold(0.0f32, f32::max);
+    assert_eq!(top_rate, 1.0, "refinement never reached full width");
+    assert_eq!(refining.late, 0, "the ladder climbed past a deadline");
+    assert!(aggressive.late > 0);
     assert!(
         refining.on_time > aggressive.on_time,
         "refine {} on-time of {} vs aggressive {} of {}",
@@ -524,8 +415,6 @@ fn refine_beats_aggressive_planning_under_profile_drift() {
 #[test]
 #[ignore = "anytime soak; run with --ignored"]
 fn anytime_soak_serves_everyone_with_complete_monotone_traces() {
-    let _serial = serial();
-    let profile = calibrated_profile();
     let mut rng = SeededRng::new(17);
     let mut proto = Mlp::new(&mlp_config(), &mut rng);
     let weights = SharedWeights::capture(&mut proto);
@@ -542,7 +431,7 @@ fn anytime_soak_serves_everyone_with_complete_monotone_traces() {
         // elastic planner would pick full width outright and leave the
         // ladder nothing to do. Fixed(0.25) makes every wider rate the
         // ladder's work, which is what the soak is here to exercise.
-        SlaController::new(profile, RatePolicy::Fixed(SliceRate::new(0.25))),
+        SlaController::new(law(BELIEVED), RatePolicy::Fixed(SliceRate::new(0.25))),
         vec![Box::new(replica) as Box<dyn Layer + Send>],
     );
 
@@ -566,7 +455,7 @@ fn anytime_soak_serves_everyone_with_complete_monotone_traces() {
         }
         engine.seal();
         if round % 16 == 0 {
-            thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
     engine.drain();
