@@ -5,11 +5,17 @@
 //! cargo run --release -p ms-bench --features telemetry-spans --bin forward_profile
 //! ```
 //!
-//! Two tables on the VGG and NNLM the benchmark runs
-//! (`Vgg::vgg13_scaled(10, 8)`, `NnlmConfig::scaled(200, 8)` over 16 tokens),
-//! batch 32. The first is inference on the prepacked nets at
-//! r ∈ {0.375, 1.0}: GEMM, im2col, activations, pooling, normalisation. The
-//! second is one Algorithm-1 `Trainer::step` over the static rate list
+//! Three tables on the networks the benchmark runs
+//! (`Vgg::vgg13_scaled(10, 8)`, `NnlmConfig::scaled(200, 8)` over 16 tokens,
+//! the 64-2048-2048-8 MLP), batch 32. The first is inference on the prepacked
+//! nets at r ∈ {0.375, 1.0}: GEMM, im2col, activations, pooling,
+//! normalisation. The second is every GEMM shape those forwards issue, with
+//! its *tile fill* — useful multiply-adds over the multiply-adds of the
+//! `MR×NR` register tiles it is padded to on this build target — and the
+//! GFLOP/s the panel driver reaches on that shape alone: the table a tile
+//! shape is argued from, and where a later change of vector width would show
+//! its waste first. The
+//! third is one Algorithm-1 `Trainer::step` over the static rate list
 //! {0.25, 0.5, 0.75, 1.0} (NNLM dropout on, as trained): GEMM kernel, operand
 //! packing, im2col + col2im, pooling, normalisation, dropout, loss, and the
 //! elementwise work of activations and backward bodies. Each column is the
@@ -23,18 +29,21 @@
 //! the helper's part. A last line times the bare handoff: 10 000 joins with
 //! nothing to do back to back (the helper polling) and 10 000 after a pause
 //! long enough for it to park. Without the feature the spans compile to nothing
-//! and only the totals are printed. DESIGN.md §8 records a run of both
-//! tables.
+//! and only the totals and the tile table are printed. DESIGN.md §8 records a
+//! run of all three.
 
 use ms_core::scheduler::{Scheduler, SchedulerKind};
 use ms_core::slice_rate::SliceRateList;
 use ms_core::trainer::{Batch, Trainer, TrainerConfig};
+use ms_models::mlp::{Mlp, MlpConfig};
 use ms_models::nnlm::{Nnlm, NnlmConfig};
 use ms_models::vgg::{Vgg, VggConfig};
 use ms_nn::layer::{Layer, Mode};
 use ms_nn::optim::SgdConfig;
-use ms_nn::slice::SliceRate;
+use ms_nn::slice::{active_units, SliceRate};
 use ms_telemetry::spans::{self, SpanStats};
+use ms_tensor::matmul::{Trans, MR, NR};
+use ms_tensor::panels::{gemm_packed_a, gemm_packed_b, PackedA, PackedB};
 use ms_tensor::{par, SeededRng, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -42,6 +51,9 @@ use std::time::{Duration, Instant};
 const BATCH: usize = 32;
 const PASSES: u32 = 50;
 const STEPS: u32 = 30;
+const GROUPS: usize = 8;
+const SEQ_LEN: usize = 16;
+const RATES: [f32; 2] = [0.375, 1.0];
 
 /// A table column: its heading and the span-name prefixes it sums.
 type Column = (&'static str, &'static [&'static str]);
@@ -212,9 +224,168 @@ fn print_handoff() {
     );
 }
 
+/// One GEMM a `forward(Infer)` issues: `calls` multiplies of `m×k` by `k×n`
+/// per batch, the weights on the left (`Conv2d`, through `gemm_packed_a`) or
+/// on the right (`Linear` and the recurrent gates, through `gemm_packed_b`).
+struct GemmShape {
+    layer: String,
+    weights_left: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    calls: usize,
+}
+
+impl GemmShape {
+    fn new(layer: impl Into<String>, weights_left: bool, m: usize, n: usize, k: usize) -> Self {
+        GemmShape {
+            layer: layer.into(),
+            weights_left,
+            m,
+            n,
+            k,
+            calls: if weights_left { BATCH } else { 1 },
+        }
+    }
+
+    fn macs(&self) -> usize {
+        self.m * self.n * self.k * self.calls
+    }
+
+    /// The multiply-adds the micro-kernel performs: whole `MR×NR` tiles.
+    fn padded_macs(&self) -> usize {
+        self.m.next_multiple_of(MR) * self.n.next_multiple_of(NR) * self.k * self.calls
+    }
+}
+
+fn mlp_shapes(rate: SliceRate) -> Vec<GemmShape> {
+    let w = active_units(2048, GROUPS, rate);
+    vec![
+        GemmShape::new("fc0", false, BATCH, w, 64),
+        GemmShape::new("fc1", false, BATCH, w, w),
+        GemmShape::new("head", false, BATCH, 8, w),
+    ]
+}
+
+fn vgg_shapes(rate: SliceRate) -> Vec<GemmShape> {
+    let cfg = VggConfig::vgg13_scaled(10, GROUPS);
+    let (mut in_ch, mut hw) = (cfg.in_channels, cfg.image_size);
+    let mut shapes = Vec::new();
+    for (si, &(n_convs, _)) in cfg.stages.iter().enumerate() {
+        let out_ch = active_units(cfg.stage_width(si), GROUPS, rate);
+        for ci in 0..n_convs {
+            shapes.push(GemmShape::new(
+                format!("s{si}c{ci}"),
+                true,
+                out_ch,
+                hw * hw,
+                in_ch * 9,
+            ));
+            in_ch = out_ch;
+        }
+        hw /= 2;
+    }
+    shapes.push(GemmShape::new("head", false, BATCH, cfg.num_classes, in_ch));
+    shapes
+}
+
+fn nnlm_shapes(rate: SliceRate) -> Vec<GemmShape> {
+    let h = active_units(64, GROUPS, rate);
+    let mut shapes = Vec::new();
+    for (name, d) in [("rnn1", 64), ("rnn2", h)] {
+        // Four gates: every step's input projection at once, then the
+        // recurrence one step at a time.
+        let mut proj = GemmShape::new(format!("{name}.x"), false, SEQ_LEN * BATCH, h, d);
+        proj.calls = 4;
+        let mut rec = GemmShape::new(format!("{name}.h"), false, BATCH, h, h);
+        rec.calls = 4 * SEQ_LEN;
+        shapes.extend([proj, rec]);
+    }
+    shapes.push(GemmShape::new("decoder", false, SEQ_LEN * BATCH, 200, h));
+    shapes
+}
+
+/// GFLOP/s of the panel driver on `shape` alone: operands of the sliced size
+/// read out of panels packed at `full` size, as the layers do.
+fn achieved_gflops(shape: &GemmShape, full: &GemmShape, rng: &mut SeededRng) -> f64 {
+    let (m, n, k) = (shape.m, shape.n, shape.k);
+    let mut fill = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+    let mut c = vec![0.0f32; m * n];
+    let mut run: Box<dyn FnMut()> = if shape.weights_left {
+        let (w, cols) = (fill(full.m * full.k), fill(k * n));
+        let mut pa = PackedA::new();
+        pa.pack(Trans::No, &w, full.k, full.m, full.k);
+        Box::new(move || gemm_packed_a(0, m, n, k, 1.0, &pa, &cols, n, 0.0, &mut c, n))
+    } else {
+        let (w, x) = (fill(full.n * full.k), fill(m * k));
+        let mut pb = PackedB::new();
+        pb.pack(Trans::Yes, &w, full.k, full.k, full.n);
+        Box::new(move || gemm_packed_b(m, 0, k, 0, n, 1.0, &x, k, &pb, 0.0, &mut c, n))
+    };
+    for _ in 0..3 {
+        run();
+    }
+    let (t, mut calls) = (Instant::now(), 0u32);
+    while calls < 10 || t.elapsed() < Duration::from_millis(20) {
+        run();
+        calls += 1;
+    }
+    2.0 * (m * n * k) as f64 * f64::from(calls) / t.elapsed().as_secs_f64() / 1e9
+}
+
+/// The tile table of one network: a row per GEMM shape and rate, then the
+/// fill of the whole forward. The shape list is checked against the MACs the
+/// network itself counts (per `per_sample_units` of a batch row: tokens for
+/// the NNLM).
+fn print_tile_fill(
+    name: &str,
+    net: &mut dyn Layer,
+    per_sample_units: usize,
+    shapes: fn(SliceRate) -> Vec<GemmShape>,
+) {
+    let mut rng = SeededRng::new(11);
+    let full = shapes(SliceRate::FULL);
+    for rate in RATES {
+        let rate = SliceRate::new(rate);
+        net.set_slice_rate(rate);
+        let list = shapes(rate);
+        let (macs, padded): (usize, usize) = list
+            .iter()
+            .fold((0, 0), |(u, p), s| (u + s.macs(), p + s.padded_macs()));
+        // The network counts GroupNorm's scale-and-shift too, a few
+        // hundredths of a percent of a conv net.
+        let counted = net.flops_per_sample() * (BATCH * per_sample_units) as u64;
+        assert!(
+            (counted as f64 / macs as f64 - 1.0).abs() < 1e-3,
+            "{name}: the shape list ({macs} MACs) no longer describes the network ({counted})"
+        );
+        for (shape, full) in list.iter().zip(&full) {
+            println!(
+                "{name:<5} {:>6.3} {:<8} {:>5} {:>5} {:>5} {:>5} {:>6.3} {:>7.3} {:>8.1}",
+                rate.get(),
+                shape.layer,
+                shape.m,
+                shape.n,
+                shape.k,
+                shape.calls,
+                shape.macs() as f64 / macs as f64,
+                shape.macs() as f64 / shape.padded_macs() as f64,
+                achieved_gflops(shape, full, &mut rng),
+            );
+        }
+        println!(
+            "{name:<5} {:>6.3} {:<8} {:>37.3}",
+            rate.get(),
+            "(all)",
+            macs as f64 / padded as f64
+        );
+    }
+    net.set_slice_rate(SliceRate::FULL);
+}
+
 fn profile(name: &str, net: &mut dyn Layer, x: &Tensor) {
     net.prepack();
-    for rate in [0.375f32, 1.0] {
+    for rate in RATES {
         net.set_slice_rate(SliceRate::new(rate));
         for _ in 0..5 {
             net.forward(x, Mode::Infer).recycle();
@@ -259,7 +430,10 @@ fn main() {
     );
 
     let mut rng = SeededRng::new(7);
-    let mut vgg = Vgg::new(&VggConfig::vgg13_scaled(10, 8), &mut SeededRng::new(42));
+    let mut vgg = Vgg::new(
+        &VggConfig::vgg13_scaled(10, GROUPS),
+        &mut SeededRng::new(42),
+    );
     let n = BATCH * 3 * 16 * 16;
     let images = Tensor::from_vec(
         [BATCH, 3, 16, 16],
@@ -270,15 +444,40 @@ fn main() {
 
     let cfg = NnlmConfig {
         dropout: 0.0,
-        ..NnlmConfig::scaled(200, 8)
+        ..NnlmConfig::scaled(200, GROUPS)
     };
     let mut nnlm = Nnlm::new(&cfg, &mut SeededRng::new(43));
     let ids = Tensor::from_vec(
-        [BATCH, 16],
-        (0..BATCH * 16).map(|_| rng.below(200) as f32).collect(),
+        [BATCH, SEQ_LEN],
+        (0..BATCH * SEQ_LEN)
+            .map(|_| rng.below(200) as f32)
+            .collect(),
     )
     .expect("token batch");
     profile("nnlm", &mut nnlm, &ids);
+
+    println!(
+        "# tile fill on this target's {MR}x{NR} register tile: per GEMM shape of a batch-{BATCH} forward, \
+         its share of the forward's MACs, useful MACs / MACs of the padded tiles, and the GFLOP/s of the \
+         panel driver on that shape alone"
+    );
+    println!(
+        "{:<5} {:>6} {:<8} {:>5} {:>5} {:>5} {:>5} {:>6} {:>7} {:>8}",
+        "model", "rate", "layer", "m", "n", "k", "calls", "share", "fill", "GFLOP/s"
+    );
+    let mlp_cfg = MlpConfig {
+        input_dim: 64,
+        hidden_dims: vec![2048, 2048],
+        num_classes: 8,
+        groups: GROUPS,
+        dropout: 0.0,
+        input_rescale: true,
+    };
+    let mut mlp = Mlp::new(&mlp_cfg, &mut SeededRng::new(41));
+    print_tile_fill("mlp", &mut mlp, 1, mlp_shapes);
+    drop(mlp);
+    print_tile_fill("vgg", &mut vgg, 1, vgg_shapes);
+    print_tile_fill("nnlm", &mut nnlm, SEQ_LEN, nnlm_shapes);
 
     println!(
         "# one Trainer::step over rates {{0.25, 0.5, 0.75, 1.0}}, µs per step over {STEPS} steps"
@@ -288,7 +487,10 @@ fn main() {
         &["wall", "2-thread"],
         &STEP_COLUMNS,
     );
-    let mut vgg = Vgg::new(&VggConfig::vgg13_scaled(10, 8), &mut SeededRng::new(42));
+    let mut vgg = Vgg::new(
+        &VggConfig::vgg13_scaled(10, GROUPS),
+        &mut SeededRng::new(42),
+    );
     let vision = SgdConfig {
         lr: 0.05,
         momentum: 0.9,
@@ -300,7 +502,7 @@ fn main() {
         y: (0..BATCH).map(|i| i % 10).collect(),
     };
     profile_step("vgg", &mut vgg, vision, &labelled);
-    let mut nnlm = Nnlm::new(&NnlmConfig::scaled(200, 8), &mut SeededRng::new(43));
+    let mut nnlm = Nnlm::new(&NnlmConfig::scaled(200, GROUPS), &mut SeededRng::new(43));
     let text = SgdConfig {
         lr: 1.0,
         momentum: 0.0,
@@ -309,7 +511,7 @@ fn main() {
     };
     let next_tokens = Batch {
         x: ids,
-        y: (0..BATCH * 16).map(|i| (i * 7) % 200).collect(),
+        y: (0..BATCH * SEQ_LEN).map(|i| (i * 7) % 200).collect(),
     };
     profile_step("nnlm", &mut nnlm, text, &next_tokens);
     print_handoff();

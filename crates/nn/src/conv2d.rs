@@ -690,6 +690,27 @@ mod tests {
         assert_eq!(l.flops_per_sample() * 4, full_flops);
     }
 
+    /// A training forward multiplies into thread-local scratch that is never
+    /// cleared, with `beta = 0`: what an earlier batch left there — NaN from
+    /// a diverged baseline included — must not reach a later output.
+    #[test]
+    fn a_nan_batch_leaves_nothing_in_the_threads_scratch() {
+        let x = ms_tensor::init::uniform([4, 4, 6, 6], 1.0, &mut SeededRng::new(8));
+        let on_fresh_thread = {
+            let x = x.clone();
+            std::thread::spawn(move || conv(4, 8, 6, true).forward(&x, Mode::Train))
+                .join()
+                .expect("fresh-thread forward")
+        };
+        let mut l = conv(4, 8, 6, true);
+        let poisoned = l.forward(&Tensor::full([4, 4, 6, 6], f32::NAN), Mode::Train);
+        assert!(poisoned.data().iter().all(|v| v.is_nan()));
+        let y = l.forward(&x, Mode::Train);
+        assert!(y.data().iter().all(|v| v.is_finite()));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&on_fresh_thread));
+    }
+
     #[test]
     fn sliced_output_is_prefix_of_full() {
         // Input not sliced, output sliced: first channels must match the

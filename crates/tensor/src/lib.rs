@@ -17,6 +17,7 @@
 pub mod conv;
 pub mod error;
 pub mod init;
+mod kernel;
 pub mod matmul;
 pub mod ops;
 pub mod panels;

@@ -33,18 +33,24 @@
 //! bitwise-identical to the pre-packing kernel, which accumulated in a
 //! different order). `fmadd` compiles to hardware FMA when the target has
 //! it (`.cargo/config.toml` sets `target-cpu=native`) and to `a * b + c`
-//! otherwise — each build is internally consistent.
+//! otherwise — each build is internally consistent, and any two builds with
+//! FMA agree bit for bit whatever their vector width.
 //!
 //! Every call runs on the calling thread; parallelism comes from above (one
-//! model replica per engine worker, one shard process per core). The `6×16`
-//! register tile is sized for sixteen vector registers and written as plain
-//! constant-bound loops, so it autovectorises to whatever `target-cpu=native`
-//! offers — the block constants are not tuned to one machine's caches beyond
-//! "a `B` strip fits L1, an `A` block fits L2". All functions panic
+//! model replica per engine worker, one shard process per core). The
+//! register tile and its two bodies — `zmm` intrinsics where the build target
+//! has AVX-512F, constant-bound loops for the autovectoriser elsewhere — live
+//! in `kernel.rs`; the tile is `8×32` on the first kind of target and
+//! `6×16` on the second, and nothing here or in [`crate::panels`] spells
+//! either number. The block constants are not tuned to one machine's caches
+//! beyond "a `B` strip fits L1, an `A` block fits L2". All functions panic
 //! (debug-assert) on inconsistent dimensions; they are internal hot paths,
 //! not the validation boundary.
 
 use std::cell::RefCell;
+
+use crate::kernel::micro_kernel;
+pub use crate::kernel::{MR, NR};
 
 /// Whether an operand is logically transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,18 +61,12 @@ pub enum Trans {
     Yes,
 }
 
-/// Micro-kernel tile rows: 12 of the 16 AVX2 `ymm` registers hold the
-/// `MR × NR` f32 accumulator (6 rows × two 8-lane vectors), leaving room
-/// for the `B` row vectors and the broadcast `A` element.
-pub(crate) const MR: usize = 6;
-/// Micro-kernel tile columns (two 8-lane f32 vectors).
-pub(crate) const NR: usize = 16;
-/// Rows of `op(A)` packed per panel (multiple of `MR`; panel ≈ 72 KiB at
-/// `KC=256`, sized for L2).
+/// Rows of `op(A)` packed per panel (a multiple of `MR` on every target;
+/// panel ≈ 72 KiB at `KC=256`, sized for L2).
 const MC: usize = 72;
 /// Shared dimension per panel: the micro-kernel streams `KC·(MR+NR)` packed
 /// floats per tile, sized so a `B` strip stays cache-resident.
-pub(crate) const KC: usize = 256;
+pub const KC: usize = 256;
 /// Columns of `op(B)` packed per panel (multiple of `NR`).
 pub(crate) const NC: usize = 1024;
 /// Problems with `m·n·k` at or below this use the unblocked kernel: packing
@@ -75,6 +75,7 @@ pub(crate) const NC: usize = 1024;
 /// caller that cuts one multiply into several and wants the bits of the
 /// whole keeps every piece on the same side of this line.
 pub const SMALL_GEMM_CUTOFF: usize = 8192;
+const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR));
 
 thread_local! {
     /// Grow-only pack buffers (`op(A)` panel, `op(B)` panel), reused across
@@ -94,7 +95,7 @@ pub(crate) fn with_pack_bufs<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> 
 /// Fused multiply-add `a * b + c` on hardware FMA; plain `a * b + c` when
 /// the target lacks it (where `f32::mul_add` would be a slow libm call).
 #[inline(always)]
-fn fmadd(a: f32, b: f32, c: f32) -> f32 {
+pub(crate) fn fmadd(a: f32, b: f32, c: f32) -> f32 {
     #[cfg(target_feature = "fma")]
     {
         a.mul_add(b, c)
@@ -141,21 +142,7 @@ pub fn gemm(
         return;
     }
     let packed = k > 0 && alpha != 0.0 && m * n * k > SMALL_GEMM_CUTOFF;
-    if beta == 0.0 {
-        // The packed path stores its first `KC` block instead of adding to
-        // it, so `C` is neither cleared nor read there.
-        if !packed {
-            for row in c.chunks_mut(ldc).take(m) {
-                row[..n].fill(0.0);
-            }
-        }
-    } else if beta != 1.0 {
-        for row in c.chunks_mut(ldc).take(m) {
-            for v in &mut row[..n] {
-                *v *= beta;
-            }
-        }
-    }
+    apply_beta(beta, packed, c, ldc, m, n);
     if k == 0 || alpha == 0.0 {
         return;
     }
@@ -196,13 +183,37 @@ pub fn gemm(
                             let mr = MR.min(mc - ir * MR);
                             let ap = &apack[ir * kc * MR..(ir + 1) * kc * MR];
                             let c_off = (ic + ir * MR) * ldc + jc + jr * NR;
-                            micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, mr, nr, store);
+                            micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, 0..mr, 0..nr, store);
                         }
                     }
                 }
             }
         }
     });
+}
+
+/// What every GEMM entry point does to `C` before it multiplies: nothing
+/// for `beta = 1`; for `beta = 0` nothing either when `stored` — the first
+/// `KC` block of every element is then written over whatever `C` held, NaN
+/// included — and a clear otherwise; any other `beta` scales.
+pub(crate) fn apply_beta(
+    beta: f32,
+    stored: bool,
+    c: &mut [f32],
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+) {
+    if beta == 1.0 || (beta == 0.0 && stored) {
+        return;
+    }
+    for row in c.chunks_mut(ldc).take(rows) {
+        if beta == 0.0 {
+            row[..cols].fill(0.0);
+        } else {
+            row[..cols].iter_mut().for_each(|v| *v *= beta);
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -354,7 +365,7 @@ pub(crate) fn pack_b_into(
             strip.fill(0.0);
         }
         match trans_b {
-            // A full strip copies rows of a length the compiler knows (two
+            // A full strip copies rows of a length the compiler knows (a few
             // vector moves); the generic arm would call `memcpy` per row.
             Trans::No if cols == NR => {
                 for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
@@ -387,112 +398,6 @@ pub(crate) fn pack_b_into(
                         strip[p * NR + jj] = v;
                     }
                 }
-            }
-        }
-    }
-}
-
-/// One `MR×NR` tile of partial products, aligned so that a row is exactly
-/// one cache line.
-///
-/// Returned as a bare `[[f32; NR]; MR]` into `gemm` once its write-back had
-/// a storing and an accumulating form, the tile was kept current in the
-/// caller's frame — one unaligned 32-byte store after every FMA of the loop
-/// below (NNLM training step 17.6–20.5 ms p50 by process). Behind the
-/// aligned wrapper the twelve accumulators stay in registers for the whole
-/// loop and are spilled once, with aligned stores, after it (13.4–13.9 ms).
-#[repr(align(64))]
-struct Tile([[f32; NR]; MR]);
-
-/// The shared register-tile accumulator: `MR×NR` partial products of packed
-/// `op(A)`/`op(B)` strips over `kc` steps. Constant loop bounds let the
-/// autovectoriser emit two 8-lane FMA chains per row. The result for lane
-/// `(i, j)` is a pure function of the strips and `kc`, independent of which
-/// write-back window a caller later applies — the property the prefix-refine
-/// path's bitwise guarantee rests on.
-#[inline(always)]
-fn micro_accumulate(kc: usize, ap: &[f32], bp: &[f32]) -> Tile {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (a_col, b_row) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-        let a_col: &[f32; MR] = a_col.try_into().unwrap();
-        let b_row: &[f32; NR] = b_row.try_into().unwrap();
-        for i in 0..MR {
-            let aip = a_col[i];
-            for j in 0..NR {
-                acc[i][j] = fmadd(aip, b_row[j], acc[i][j]);
-            }
-        }
-    }
-    Tile(acc)
-}
-
-/// Range-windowed micro-kernel used by the prepacked-panel entry points:
-/// accumulates the full `MR×NR` tile, then writes back only rows
-/// `[i0, i1)` and columns `[j0, j1)` of the tile, at
-/// `c[c_off + (i - i0) * ldc + (j - j0)]`. Because the accumulator is
-/// window-independent, a lane's value is bitwise identical no matter which
-/// group range requested it.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn micro_kernel_range(
-    kc: usize,
-    alpha: f32,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    c_off: usize,
-    ldc: usize,
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
-) {
-    let Tile(acc) = micro_accumulate(kc, ap, bp);
-    for i in i0..i1 {
-        let row = &mut c[c_off + (i - i0) * ldc..c_off + (i - i0) * ldc + (j1 - j0)];
-        for (jj, cv) in row.iter_mut().enumerate() {
-            *cv = fmadd(alpha, acc[i][j0 + jj], *cv);
-        }
-    }
-}
-
-/// The register-tile kernel: accumulates an `MR×NR` block of `op(A)·op(B)`
-/// from packed strips, then adds `alpha ×` the valid `mr×nr` region into
-/// `C` — or, with `store`, writes it over whatever `C` held, with the bits
-/// adding it to a zeroed `C` would leave. The accumulator loop has constant
-/// bounds so the autovectoriser turns each row into two 8-lane FMA chains.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn micro_kernel(
-    kc: usize,
-    alpha: f32,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    c_off: usize,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-    store: bool,
-) {
-    let Tile(acc) = micro_accumulate(kc, ap, bp);
-    if mr == MR && nr == NR {
-        // Full tile: constant-bound write-back.
-        for (i, acc_row) in acc.iter().enumerate() {
-            let row = &mut c[c_off + i * ldc..c_off + i * ldc + NR];
-            for j in 0..NR {
-                let base = if store { 0.0 } else { row[j] };
-                row[j] = fmadd(alpha, acc_row[j], base);
-            }
-        }
-    } else {
-        // Edge tile: the accumulator's padded lanes are zero; write only
-        // the region that exists in C.
-        for (i, acc_row) in acc.iter().enumerate().take(mr) {
-            let row = &mut c[c_off + i * ldc..c_off + i * ldc + nr];
-            for (j, cv) in row.iter_mut().enumerate() {
-                let base = if store { 0.0 } else { *cv };
-                *cv = fmadd(alpha, acc_row[j], base);
             }
         }
     }
@@ -708,7 +613,7 @@ pub fn gemm_reference(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rng::SeededRng;
 
@@ -773,6 +678,21 @@ mod tests {
         }
     }
 
+    /// Every `(m, n, k)` with one row or column, a tile less one and plus
+    /// one, two tiles and one — against one step, a `KC` block less one, a
+    /// block, and more. Shared with the panel drivers' tests.
+    pub(crate) fn tile_and_block_edges() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in [1, MR - 1, MR + 1, 2 * MR + 1] {
+            for n in [1, NR - 1, NR + 1, 2 * NR + 1] {
+                for k in [1, KC - 1, KC, KC + 1, 2 * KC + 3] {
+                    shapes.push((m, n, k));
+                }
+            }
+        }
+        shapes
+    }
+
     fn check_case(trans_a: Trans, trans_b: Trans, m: usize, n: usize, k: usize, pad: usize) {
         check_case_ab(trans_a, trans_b, m, n, k, pad, 0.7, 0.3);
     }
@@ -794,12 +714,12 @@ mod tests {
     /// leading dimensions larger than the logical width.
     #[test]
     fn packed_path_blocking_boundaries_match_reference() {
-        let cases = [
-            (MR + 1, NR + 1, KC + 5),     // edge tiles + two KC blocks
+        let mut cases = vec![
             (MC + 3, NR, 40),             // two MC panels
             (2 * MR, 3 * NR + 7, KC - 1), // full strips + ragged N edge
             (33, 47, 65),                 // nothing aligned at all
         ];
+        cases.extend(tile_and_block_edges());
         for &(m, n, k) in &cases {
             for &pad in &[0usize, 5] {
                 check_case(Trans::No, Trans::No, m, n, k, pad);

@@ -29,9 +29,9 @@
 //! same `k` range produce bitwise-identical contributions — the foundation
 //! of the anytime prefix-refine path in `ms-nn`.
 
+use crate::kernel::{micro_kernel, MR, NR};
 use crate::matmul::{
-    micro_kernel_range, pack_a, pack_a_into, pack_b, pack_b_into, with_pack_bufs, Trans, KC, MR,
-    NC, NR,
+    apply_beta, pack_a, pack_a_into, pack_b, pack_b_into, with_pack_bufs, Trans, KC, NC,
 };
 
 /// Rows of `A` that [`gemm_packed_b`] packs per `KC` block (multiple of
@@ -41,6 +41,7 @@ use crate::matmul::{
 /// pass under it. [`crate::matmul::gemm`]'s `MC = 72` would re-read the whole
 /// `kc×n` weight block once per 72 rows.
 const PANEL_MC: usize = 240;
+const _: () = assert!(PANEL_MC.is_multiple_of(MR));
 
 /// A persistently packed `k×n` right-hand operand `op(B)`.
 #[derive(Debug, Default, Clone)]
@@ -226,14 +227,9 @@ pub fn gemm_packed_b(
     }
     let ncols = n1 - n0;
     debug_assert!(ldc >= ncols.max(1) && c.len() >= (m - 1) * ldc + ncols);
-    if beta != 1.0 {
-        for row in c.chunks_mut(ldc).take(m) {
-            for v in &mut row[..ncols] {
-                *v *= beta;
-            }
-        }
-    }
-    if k0 == k1 || ncols == 0 || alpha == 0.0 {
+    let multiplies = k0 < k1 && ncols > 0 && alpha != 0.0;
+    apply_beta(beta, multiplies, c, ldc, m, ncols);
+    if !multiplies {
         return;
     }
     debug_assert!(lda >= 1 && a.len() >= (m - 1) * lda + k1);
@@ -252,6 +248,7 @@ pub fn gemm_packed_b(
             let kc = (bstart + block_kc).min(k1) - pc;
             let rib = pc - bstart; // row offset inside the packed block
             let boff = pb.block_offsets[block];
+            let store = beta == 0.0 && pc == k0;
             for ic in (0..m).step_by(PANEL_MC) {
                 let mc = PANEL_MC.min(m - ic);
                 let mc_strips = mc.div_ceil(MR);
@@ -267,7 +264,7 @@ pub fn gemm_packed_b(
                         let mr = MR.min(mc - ir * MR);
                         let c_off = (ic + ir * MR) * ldc + t * NR + sj0 - n0;
                         let ap = &apack[ir * kc * MR..(ir + 1) * kc * MR];
-                        micro_kernel_range(kc, alpha, ap, bp, c, c_off, ldc, 0, mr, sj0, sj1);
+                        micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, 0..mr, sj0..sj1, store);
                     }
                 }
             }
@@ -340,11 +337,12 @@ pub fn gemm_packed_a_stepped(
         return;
     }
     debug_assert!(ldc >= n.max(1) && c.len() >= (mrows - 1) * ldc + n);
-    if beta != 1.0 {
-        for row in c.chunks_mut(ldc).take(mrows) {
-            for v in &mut row[..n] {
-                *v *= beta;
-            }
+    // A step stores its rows in the first `KC` block, unless it has none.
+    for (step, &k1) in k_ext.iter().enumerate() {
+        let (r0, r1) = (rows[step], rows[step + 1]);
+        if r0 < r1 {
+            let stored = k1 > 0 && alpha != 0.0;
+            apply_beta(beta, stored, &mut c[(r0 - m0) * ldc..], ldc, r1 - r0, n);
         }
     }
     if k_max == 0 || n == 0 || alpha == 0.0 {
@@ -361,6 +359,7 @@ pub fn gemm_packed_a_stepped(
                 let block_kc = KC.min(pa.k - pc);
                 let packed_kc = KC.min(k_max - pc);
                 let boff = pa.block_offsets[block];
+                let store = beta == 0.0 && pc == 0;
                 {
                     let _s = ms_telemetry::span!("gemm.pack_b");
                     pack_b(Trans::No, b, ldb, pc, packed_kc, jc, nc, bpack);
@@ -380,7 +379,7 @@ pub fn gemm_packed_a_stepped(
                             let nr = NR.min(nc - jr * NR);
                             let bp = &bpack[jr * packed_kc * NR..][..kc * NR];
                             let c_off = (s * MR + si0 - m0) * ldc + jc + jr * NR;
-                            micro_kernel_range(kc, alpha, ap, bp, c, c_off, ldc, si0, si1, 0, nr);
+                            micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, si0..si1, 0..nr, store);
                         }
                     }
                 }
@@ -397,6 +396,19 @@ mod tests {
 
     fn filled(rng: &mut SeededRng, n: usize) -> Vec<f32> {
         (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `shapes` plus the tile- and block-edge grid `gemm` is tested on, as
+    /// `(m, k, n)`.
+    fn with_tile_and_block_edges(shapes: &[(usize, usize, usize)]) -> Vec<(usize, usize, usize)> {
+        let edges = crate::matmul::tests::tile_and_block_edges();
+        let mut all = shapes.to_vec();
+        all.extend(edges.into_iter().map(|(m, n, k)| (m, k, n)));
+        all
     }
 
     fn reference_range_b(
@@ -424,12 +436,19 @@ mod tests {
         }
     }
 
-    /// Ranged panel GEMM agrees with an f64 reference over random ranges,
-    /// both transpose packings, and edge (non-multiple) shapes.
+    /// Ranged panel GEMM agrees with an f64 reference over the whole operand
+    /// and random ranges of it, both transpose packings, and edge
+    /// (non-multiple) shapes.
     #[test]
     fn packed_b_matches_reference_over_ranges() {
         let mut rng = SeededRng::new(41);
-        for &(m, k, n) in &[(1usize, 7usize, 5usize), (6, 16, 16), (13, 33, 29), (64, 300, 270)] {
+        let shapes = [
+            (1usize, 7usize, 5usize),
+            (MR, NR, NR),
+            (13, 33, 29),
+            (64, 300, 270),
+        ];
+        for (m, k, n) in with_tile_and_block_edges(&shapes) {
             // op(B) as k×n (Trans::No) and its transposed storage n×k.
             let bt = filled(&mut rng, k * n);
             let b_trans: Vec<f32> = (0..n * k).map(|i| bt[(i % k) * n + i / k]).collect();
@@ -445,6 +464,11 @@ mod tests {
                     let k1 = k0 + 1 + (rng.uniform(0.0, (k - k0) as f32) as usize).min(k - k0 - 1);
                     let n0 = rng.uniform(0.0, n as f32) as usize % n;
                     let n1 = n0 + 1 + (rng.uniform(0.0, (n - n0) as f32) as usize).min(n - n0 - 1);
+                    let (k0, k1, n0, n1) = if case == 0 {
+                        (0, k, 0, n)
+                    } else {
+                        (k0, k1, n0, n1)
+                    };
                     let (alpha, beta) = if case % 2 == 0 { (1.0, 0.0) } else { (1.7, 1.0) };
                     let ldc = (n1 - n0) + (case % 3);
                     let mut c = filled(&mut rng, m * ldc);
@@ -479,14 +503,14 @@ mod tests {
     #[test]
     fn packed_b_column_split_is_bitwise_invariant() {
         let mut rng = SeededRng::new(42);
-        let (m, k, n) = (9usize, 70usize, 45usize);
+        let (m, k, n) = (9usize, 70usize, 2 * NR + 13);
         let w = filled(&mut rng, n * k); // n×k storage, used Trans::Yes
         let a = filled(&mut rng, m * k);
         let mut pb = PackedB::new();
         pb.pack(Trans::Yes, &w, k, k, n);
         let mut whole = vec![0.0f32; m * n];
         gemm_packed_b(m, 0, k, 0, n, 1.3, &a, k, &pb, 0.0, &mut whole, n);
-        for split in [1, 7, 16, 17, 32, 44] {
+        for split in [1, 7, NR, NR + 1, 2 * NR, n - 1] {
             let mut parts = vec![0.0f32; m * n];
             gemm_packed_b(m, 0, k, 0, split, 1.3, &a, k, &pb, 0.0, &mut parts, n);
             // Second call writes its own window; stitch via offset slice.
@@ -562,15 +586,17 @@ mod tests {
     #[test]
     fn packed_a_matches_reference_over_row_ranges() {
         let mut rng = SeededRng::new(44);
-        for &(m, k, n) in &[(5usize, 9usize, 8usize), (16, 40, 33), (70, 260, 50)] {
+        let shapes = [(5usize, 9usize, 8usize), (16, 40, 33), (70, 260, 50)];
+        for (m, k, n) in with_tile_and_block_edges(&shapes) {
             let a = filled(&mut rng, m * k);
             let b = filled(&mut rng, k * n);
             let mut pa = PackedA::new();
             pa.pack(Trans::No, &a, k, m, k);
-            for _ in 0..6 {
+            for case in 0..6 {
                 let m0 = rng.uniform(0.0, m as f32) as usize % m;
                 let m1 = m0 + 1 + (rng.uniform(0.0, (m - m0) as f32) as usize).min(m - m0 - 1);
                 let k1 = 1 + (rng.uniform(0.0, k as f32) as usize).min(k - 1);
+                let (m0, m1, k1) = if case == 0 { (0, m, k) } else { (m0, m1, k1) };
                 let mut c = vec![0.0f32; (m1 - m0) * n];
                 gemm_packed_a(m0, m1, n, k1, 1.0, &pa, &b, n, 0.0, &mut c, n);
                 let mut want = vec![0.0f32; m * n];
@@ -615,7 +641,7 @@ mod tests {
         pa.pack(Trans::No, &a, k, m, k);
         let mut whole = vec![0.0f32; m * n];
         gemm_packed_a(0, m, n, k, 1.0, &pa, &b, n, 0.0, &mut whole, n);
-        for split in [1, 5, 6, 12, 30] {
+        for split in [1, MR - 1, MR, 2 * MR, 30] {
             let mut parts = vec![0.0f32; m * n];
             gemm_packed_a(0, split, n, k, 1.0, &pa, &b, n, 0.0, &mut parts, n);
             gemm_packed_a(
@@ -696,6 +722,77 @@ mod tests {
                 "case {case}: rows {rows:?} k {k_ext:?} of {m}x{k}x{n}"
             );
         }
+    }
+
+    /// `beta = 0` overwrites on the `B`-panel driver as it does on `gemm`:
+    /// nothing `C` held — NaN, which `0 × NaN` would keep, included —
+    /// survives, over ranged column and `k` windows, one `KC` block and
+    /// several, and a call that multiplies nothing.
+    #[test]
+    fn packed_b_beta_zero_overwrites_garbage() {
+        let mut rng = SeededRng::new(49);
+        let (m, k, n) = (2 * MR + 1, 2 * KC + 9, 2 * NR + 5);
+        let w = filled(&mut rng, n * k);
+        let a = filled(&mut rng, m * k);
+        let mut pb = PackedB::new();
+        pb.pack(Trans::Yes, &w, k, k, n);
+        for (k0, k1, n0, n1, alpha) in [
+            (0, k, 0, n, 0.7),
+            (3, KC - 2, 5, NR + 2, 0.7),
+            (KC - 1, 2 * KC + 1, NR, n, 1.0),
+            (7, 7, 2, n - 1, 0.7),
+            (0, k, 1, n, 0.0),
+        ] {
+            let ldc = (n1 - n0) + 2;
+            let mut dirty = vec![f32::NAN; m * ldc];
+            let mut zeroed = vec![0.0f32; m * ldc];
+            for c in [&mut dirty, &mut zeroed] {
+                gemm_packed_b(m, k0, k1, n0, n1, alpha, &a, k, &pb, 0.0, c, ldc);
+            }
+            for (d, z) in dirty.chunks(ldc).zip(zeroed.chunks(ldc)) {
+                assert_eq!(
+                    bits(&d[..n1 - n0]),
+                    bits(&z[..n1 - n0]),
+                    "k {k0}..{k1} n {n0}..{n1}"
+                );
+                assert!(
+                    d[n1 - n0..].iter().all(|v| v.is_nan()),
+                    "row padding written"
+                );
+            }
+        }
+    }
+
+    /// The same on the stepped `A`-panel driver: steps on both sides of a
+    /// `KC` edge, an empty step, and a step with `k_ext = 0`, whose rows come
+    /// out zero.
+    #[test]
+    fn packed_a_stepped_beta_zero_overwrites_garbage() {
+        let mut rng = SeededRng::new(50);
+        let (m, k, n) = (3 * MR + 2, KC + 40, NR + 7);
+        let a = filled(&mut rng, m * k);
+        let b = filled(&mut rng, k * n);
+        let mut pa = PackedA::new();
+        pa.pack(Trans::No, &a, k, m, k);
+        let rows = [1, MR - 1, MR - 1, 2 * MR + 1, 2 * MR + 4, m];
+        let k_ext = [KC + 3, 17, 0, KC, k];
+        for alpha in [0.7, 0.0] {
+            let window = rows[rows.len() - 1] - rows[0];
+            let mut dirty = vec![f32::NAN; window * n];
+            let mut zeroed = vec![0.0f32; window * n];
+            for c in [&mut dirty, &mut zeroed] {
+                gemm_packed_a_stepped(&rows, &k_ext, n, alpha, &pa, &b, n, 0.0, c, n);
+            }
+            assert_eq!(bits(&dirty), bits(&zeroed), "alpha {alpha}");
+            let cleared = &dirty[(rows[2] - rows[0]) * n..(rows[3] - rows[0]) * n];
+            assert!(
+                cleared.iter().all(|v| v.to_bits() == 0),
+                "k_ext = 0 rows must be +0"
+            );
+        }
+        let mut c = vec![f32::NAN; MR * n];
+        gemm_packed_a(0, MR, n, k, 1.0, &pa, &b, n, 0.0, &mut c, n);
+        assert!(c.iter().all(|v| v.is_finite()));
     }
 
     #[test]

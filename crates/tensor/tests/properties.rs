@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor kernels.
 
 use ms_tensor::conv::{col2im, im2col, ConvGeom};
-use ms_tensor::matmul::{dot, gemm, gemm_reference, Trans};
+use ms_tensor::matmul::{dot, gemm, gemm_reference, Trans, KC, MR, NR};
 use ms_tensor::ops;
 use ms_tensor::{SeededRng, Shape, Tensor};
 use proptest::prelude::*;
@@ -59,9 +59,9 @@ proptest! {
     /// degenerate alpha/beta scalings — and never touches the row padding.
     #[test]
     fn gemm_matches_reference(
-        m in proptest::sample::select(vec![1usize, 5, 6, 7, 12, 13, 17]),
-        n in proptest::sample::select(vec![1usize, 15, 16, 17, 31, 33]),
-        k in proptest::sample::select(vec![1usize, 2, 8, 255, 256, 257]),
+        m in proptest::sample::select(vec![1usize, 5, MR - 1, MR, MR + 1, 2 * MR, 2 * MR + 1]),
+        n in proptest::sample::select(vec![1usize, NR - 1, NR, NR + 1, 2 * NR - 1, 2 * NR + 1]),
+        k in proptest::sample::select(vec![1usize, 2, 8, KC - 1, KC, KC + 1, 2 * KC + 3]),
         ta in any::<bool>(), tb in any::<bool>(),
         pad_a in 0usize..3, pad_b in 0usize..3, pad_c in 0usize..3,
         alpha in proptest::sample::select(vec![0.0f32, 0.5, 1.0]),

@@ -46,7 +46,7 @@ pairs)
         def pad: tostring | . + "                  "[0:([18 - length, 1] | max)];
         def sig: if . == 0 then 0 else (. as $x | pow(10; 3 - ($x | fabs | log10 | floor)) as $k
             | ($x * $k | round) / $k | if $k <= 1 then round else . end) end;
-        [inputs | select(.workload == $w and .seconds == $bm[0].run_seconds)] as $runs
+        [inputs | select(.workload == $w and .seconds == $bm[0].run_seconds and .trace != true)] as $runs
         | [$runs[] | select(.git_sha | startswith($a))] as $A0
         | [$runs[] | select(.git_sha | startswith($b))] as $B0
         | [$A0[] | select(.seed as $s | any($B0[]; .seed == $s))] as $A

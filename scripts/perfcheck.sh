@@ -31,12 +31,22 @@ cargo test --release -p ms-tensor --test par_threads
 cargo test --release -p ms-nn --test properties split_passes
 cargo test --release --test train_thread_invariance
 
-echo "== cross-build determinism: the span tracer must not move one output bit =="
+echo "== cross-build determinism: neither the span tracer nor the vector width may move one output bit =="
 cargo run --release -q -p ms-bench --bin determinism_probe > /tmp/ms_probe_default.txt
 cargo run --release -q -p ms-bench --features telemetry-spans \
     --bin determinism_probe > /tmp/ms_probe_spans.txt
 diff /tmp/ms_probe_default.txt /tmp/ms_probe_spans.txt \
     || die "span-instrumented build changed inference output bits"
+# `target-cpu=native` picks the micro-kernel's `zmm` body where the machine
+# has AVX-512F; x86-64-v3 (AVX2 + FMA) compiles the generic body and its 6x16
+# tile on the same box, in a target directory of its own. Its tests must
+# pass and its probe must print the native build's bytes.
+RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test --release -q -p ms-tensor \
+    --target-dir target/x86-64-v3
+RUSTFLAGS="-C target-cpu=x86-64-v3" cargo run --release -q -p ms-bench \
+    --target-dir target/x86-64-v3 --bin determinism_probe > /tmp/ms_probe_v3.txt
+diff /tmp/ms_probe_default.txt /tmp/ms_probe_v3.txt \
+    || die "the generic micro-kernel (x86-64-v3 build) and the native build disagree on output bits"
 
 echo "== logical suites: codec chaos, reactor loopback + soak, time series, autoscaler, virtual-clock SLA, fleet e2e =="
 cargo test --release -p ms-net --test chaos_codec
@@ -73,13 +83,14 @@ awk '
 ' tests/serving_sla.rs tests/engine_determinism.rs \
     || die "wall-clock read in a virtual-clock suite (lines above)"
 
-echo "== threads and unsafe stay in one file =="
-# The compute crates' only `unsafe` is the lifetime erase of par.rs, the
-# layers never start a thread of their own, and only a training step (and
-# the profiler that times the handoff) claims the helper: serving paths
-# never enter the team.
-grep -rnE '\bunsafe\b' crates/tensor/src crates/nn/src | grep -v '^crates/tensor/src/par\.rs:' \
-    && die "unsafe outside crates/tensor/src/par.rs (lines above)"
+echo "== threads stay in one file, unsafe in two =="
+# The compute crates' only `unsafe` is the lifetime erase of par.rs and the
+# AVX-512 body of the GEMM micro-kernel in kernel.rs, the layers never start
+# a thread of their own, and only a training step (and the profiler that
+# times the handoff) claims the helper: serving paths never enter the team.
+grep -rnE '\bunsafe\b' crates/tensor/src crates/nn/src \
+    | grep -vE '^crates/tensor/src/(par|kernel)\.rs:' \
+    && die "unsafe outside crates/tensor/src/{par,kernel}.rs (lines above)"
 find crates/nn/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { intest = 0 }
     /^#\[cfg\(test\)\]/ { intest = 1 }
