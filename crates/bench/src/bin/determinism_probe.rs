@@ -1,7 +1,9 @@
 //! Bit-exact inference/training fingerprints for cross-build diffing.
 //!
 //! Prints FNV-1a hashes over the raw IEEE-754 bits of GEMM outputs, sliced
-//! MLP logits at every rate, and Algorithm-1 training losses. The output is
+//! MLP logits at every rate, Algorithm-1 training losses, and the same three
+//! for the benchmark's VGG (direct logits, the refine ladder, two training
+//! steps' losses and gradient norm). The output is
 //! byte-identical between a default build and one with
 //! `--features telemetry-spans` — that is the whole point: the span tracer
 //! must not perturb a single bit of any numeric path. `scripts/perfcheck.sh`
@@ -11,11 +13,13 @@
 //! `ms_telemetry::spans_compiled()`), or the diff gate would trip on the
 //! label rather than the numerics.
 
-use ms_core::inference::batched_sliced_forward;
+use ms_core::inference::{batched_sliced_forward, refine_batched_forward};
 use ms_core::scheduler::{Scheduler, SchedulerKind};
 use ms_core::slice_rate::{SliceRate, SliceRateList};
 use ms_core::trainer::{Batch, Trainer, TrainerConfig};
 use ms_models::mlp::{Mlp, MlpConfig};
+use ms_models::vgg::{Vgg, VggConfig};
+use ms_nn::layer::Layer;
 use ms_nn::optim::SgdConfig;
 use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::{SeededRng, Tensor};
@@ -155,4 +159,63 @@ fn main() {
     );
     println!("flight off: {fp_off:016x}");
     println!("flight on:  {fp_on:016x}");
+
+    // 5. The benchmark's VGG — conv, GroupNorm, ReLU and pooling bits, which
+    // nothing above touches: direct logits at its four rates off the
+    // prepacked panels, the four-rung refine ladder, and two Algorithm-1
+    // steps (every subnet's loss and the gradient norm). Twelve images, so
+    // the conv chunks of every stage come out uneven.
+    let mut rng = SeededRng::new(45);
+    let mut vgg = Vgg::new(&VggConfig::vgg13_scaled(10, 8), &mut rng);
+    let images: Vec<Tensor> = (0..12)
+        .map(|_| {
+            let pixels = (0..3 * 16 * 16).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            Tensor::from_vec([3, 16, 16], pixels).unwrap()
+        })
+        .collect();
+    let flat =
+        |rows: &[Tensor]| -> Vec<f32> { rows.iter().flat_map(|t| t.data().to_vec()).collect() };
+    vgg.prepack();
+    let rates = [0.375f32, 0.5, 0.75, 1.0];
+    for r in rates {
+        let rows = batched_sliced_forward(&mut vgg, &images, SliceRate::new(r));
+        println!("vgg forward rate {r}: {:016x}", fingerprint(&flat(&rows)));
+    }
+    let (mut rows, mut from) = (Vec::new(), None);
+    for r in rates.map(SliceRate::new) {
+        refine_batched_forward(&mut vgg, &images, from, r, &mut rows);
+        println!("vgg ladder rung {r}: {:016x}", fingerprint(&flat(&rows)));
+        from = Some(r);
+    }
+    let rates = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
+    let scheduler = Scheduler::new(SchedulerKind::Static, rates, &mut rng);
+    let mut trainer = Trainer::new(
+        scheduler,
+        TrainerConfig {
+            sgd: SgdConfig {
+                lr: 0.05,
+                momentum: 0.9,
+                weight_decay: 5e-4,
+                clip_norm: Some(5.0),
+            },
+            average_subnet_grads: true,
+        },
+    );
+    let batch = Batch {
+        x: Tensor::from_vec([images.len(), 3, 16, 16], flat(&images)).unwrap(),
+        y: (0..images.len()).map(|i| i % 10).collect(),
+    };
+    for step in 0..2 {
+        let stats = trainer.step(&mut vgg, &batch);
+        let losses: Vec<String> = stats
+            .subnet_losses
+            .iter()
+            .map(|(_, loss)| format!("{:016x}", loss.to_bits()))
+            .collect();
+        println!(
+            "vgg train step {step}: losses {} grad norm {:016x}",
+            losses.join(" "),
+            stats.grad_norm.to_bits()
+        );
+    }
 }

@@ -8,13 +8,15 @@
 //! Three tables on the networks the benchmark runs
 //! (`Vgg::vgg13_scaled(10, 8)`, `NnlmConfig::scaled(200, 8)` over 16 tokens,
 //! the 64-2048-2048-8 MLP), batch 32. The first is inference on the prepacked
-//! nets at r ∈ {0.375, 1.0}: GEMM, im2col, activations, pooling,
-//! normalisation. The second is every GEMM shape those forwards issue, with
-//! its *tile fill* — useful multiply-adds over the multiply-adds of the
-//! `MR×NR` register tiles it is padded to on this build target — and the
-//! GFLOP/s the panel driver reaches on that shape alone: the table a tile
-//! shape is argued from, and where a later change of vector width would show
-//! its waste first. The
+//! nets at r ∈ {0.375, 1.0}: GEMM kernel, operand packing (a conv's columns,
+//! packed from the image, included), im2col (which only an un-packed net
+//! still writes), activations, pooling, normalisation. The second is every
+//! GEMM shape those forwards issue — a conv's with the samples one call lays
+//! side by side, `n = S·OH·OW` — with its *tile fill* — useful multiply-adds
+//! over the multiply-adds of the `MR×NR` register tiles it is padded to on
+//! this build target — and the GFLOP/s the panel driver reaches on that shape
+//! alone, packing included: the table a tile shape is argued from, and where
+//! a later change of vector width would show its waste first. The
 //! third is one Algorithm-1 `Trainer::step` over the static rate list
 //! {0.25, 0.5, 0.75, 1.0} (NNLM dropout on, as trained): GEMM kernel, operand
 //! packing, im2col + col2im, pooling, normalisation, dropout, loss, and the
@@ -38,12 +40,14 @@ use ms_core::trainer::{Batch, Trainer, TrainerConfig};
 use ms_models::mlp::{Mlp, MlpConfig};
 use ms_models::nnlm::{Nnlm, NnlmConfig};
 use ms_models::vgg::{Vgg, VggConfig};
+use ms_nn::conv2d::infer_chunk;
 use ms_nn::layer::{Layer, Mode};
 use ms_nn::optim::SgdConfig;
 use ms_nn::slice::{active_units, SliceRate};
 use ms_telemetry::spans::{self, SpanStats};
+use ms_tensor::conv::{ConvGeom, Im2col};
 use ms_tensor::matmul::{Trans, MR, NR};
-use ms_tensor::panels::{gemm_packed_a, gemm_packed_b, PackedA, PackedB};
+use ms_tensor::panels::{gemm_packed_a, gemm_packed_b, OperandB, PackedA, PackedB};
 use ms_tensor::{par, SeededRng, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -58,25 +62,30 @@ const RATES: [f32; 2] = [0.375, 1.0];
 /// A table column: its heading and the span-name prefixes it sums.
 type Column = (&'static str, &'static [&'static str]);
 
-const FORWARD_COLUMNS: [Column; 5] = [
-    ("gemm", &["gemm."]),
+/// Everything of a GEMM that is not operand packing: the micro-kernel loops
+/// of the three packed drivers and the unblocked small path.
+const KERNEL: Column = (
+    "kernel",
+    &["gemm.kernel", "gemm.panel_", "gemm.small", "gemm.packed"],
+);
+/// Operand packing, a conv's columns packed from the image included.
+const PACK: Column = ("pack", &["gemm.pack_"]);
+
+const FORWARD_COLUMNS: [Column; 6] = [
+    KERNEL,
+    PACK,
     ("im2col", &["conv.im2col"]),
     ("activ.", &["ops.gate_activation", "ops.relu"]),
     ("pooling", &["pool."]),
     ("norm", &["nn.groupnorm"]),
 ];
 
-/// `kernel` is everything of a GEMM that is not operand packing: the
-/// micro-kernel loops of the three packed drivers and the unblocked small
-/// path. `elemwise` is the activations plus what the conv and recurrent
-/// backward bodies do themselves, outside any GEMM: the gate gradients of
-/// the time loop, layout shuffles, bias sums.
+/// `elemwise` is the activations plus what the conv and recurrent backward
+/// bodies do themselves, outside any GEMM: the gate gradients of the time
+/// loop, layout shuffles, bias sums.
 const STEP_COLUMNS: [Column; 9] = [
-    (
-        "kernel",
-        &["gemm.kernel", "gemm.panel_", "gemm.small", "gemm.packed"],
-    ),
-    ("pack", &["gemm.pack_"]),
+    KERNEL,
+    PACK,
     ("im+col2im", &["conv.im2col", "conv.col2im"]),
     ("pooling", &["pool."]),
     ("norm", &["nn.groupnorm"]),
@@ -225,11 +234,14 @@ fn print_handoff() {
 }
 
 /// One GEMM a `forward(Infer)` issues: `calls` multiplies of `m×k` by `k×n`
-/// per batch, the weights on the left (`Conv2d`, through `gemm_packed_a`) or
-/// on the right (`Linear` and the recurrent gates, through `gemm_packed_b`).
+/// per batch, the weights on the right (`Linear` and the recurrent gates,
+/// through `gemm_packed_b`) or, for a conv, on the left (`gemm_packed_a`),
+/// the columns of as many samples as one call covers side by side
+/// (`n = S·OH·OW`) packed from the image `conv` describes.
 struct GemmShape {
     layer: String,
-    weights_left: bool,
+    /// A conv's window and active input channels.
+    conv: Option<(ConvGeom, usize)>,
     m: usize,
     n: usize,
     k: usize,
@@ -237,14 +249,38 @@ struct GemmShape {
 }
 
 impl GemmShape {
-    fn new(layer: impl Into<String>, weights_left: bool, m: usize, n: usize, k: usize) -> Self {
+    fn dense(layer: impl Into<String>, m: usize, n: usize, k: usize) -> Self {
         GemmShape {
             layer: layer.into(),
-            weights_left,
+            conv: None,
             m,
             n,
             k,
-            calls: if weights_left { BATCH } else { 1 },
+            calls: 1,
+        }
+    }
+
+    /// A 3×3 "same" conv over `hw × hw` planes, chunked as the layer chunks
+    /// a batch.
+    fn conv(layer: String, hw: usize, a_in: usize, a_out: usize) -> Self {
+        let geom = ConvGeom {
+            h: hw,
+            w: hw,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let k = a_in * 9;
+        let samples = infer_chunk(geom.out_len(), k, a_out, BATCH);
+        assert_eq!(BATCH % samples, 0, "{layer}: uneven chunks");
+        GemmShape {
+            layer,
+            conv: Some((geom, a_in)),
+            m: a_out,
+            n: samples * geom.out_len(),
+            k,
+            calls: BATCH / samples,
         }
     }
 
@@ -261,9 +297,9 @@ impl GemmShape {
 fn mlp_shapes(rate: SliceRate) -> Vec<GemmShape> {
     let w = active_units(2048, GROUPS, rate);
     vec![
-        GemmShape::new("fc0", false, BATCH, w, 64),
-        GemmShape::new("fc1", false, BATCH, w, w),
-        GemmShape::new("head", false, BATCH, 8, w),
+        GemmShape::dense("fc0", BATCH, w, 64),
+        GemmShape::dense("fc1", BATCH, w, w),
+        GemmShape::dense("head", BATCH, 8, w),
     ]
 }
 
@@ -274,18 +310,12 @@ fn vgg_shapes(rate: SliceRate) -> Vec<GemmShape> {
     for (si, &(n_convs, _)) in cfg.stages.iter().enumerate() {
         let out_ch = active_units(cfg.stage_width(si), GROUPS, rate);
         for ci in 0..n_convs {
-            shapes.push(GemmShape::new(
-                format!("s{si}c{ci}"),
-                true,
-                out_ch,
-                hw * hw,
-                in_ch * 9,
-            ));
+            shapes.push(GemmShape::conv(format!("s{si}c{ci}"), hw, in_ch, out_ch));
             in_ch = out_ch;
         }
         hw /= 2;
     }
-    shapes.push(GemmShape::new("head", false, BATCH, cfg.num_classes, in_ch));
+    shapes.push(GemmShape::dense("head", BATCH, cfg.num_classes, in_ch));
     shapes
 }
 
@@ -295,27 +325,40 @@ fn nnlm_shapes(rate: SliceRate) -> Vec<GemmShape> {
     for (name, d) in [("rnn1", 64), ("rnn2", h)] {
         // Four gates: every step's input projection at once, then the
         // recurrence one step at a time.
-        let mut proj = GemmShape::new(format!("{name}.x"), false, SEQ_LEN * BATCH, h, d);
+        let mut proj = GemmShape::dense(format!("{name}.x"), SEQ_LEN * BATCH, h, d);
         proj.calls = 4;
-        let mut rec = GemmShape::new(format!("{name}.h"), false, BATCH, h, h);
+        let mut rec = GemmShape::dense(format!("{name}.h"), BATCH, h, h);
         rec.calls = 4 * SEQ_LEN;
         shapes.extend([proj, rec]);
     }
-    shapes.push(GemmShape::new("decoder", false, SEQ_LEN * BATCH, 200, h));
+    shapes.push(GemmShape::dense("decoder", SEQ_LEN * BATCH, 200, h));
     shapes
 }
 
 /// GFLOP/s of the panel driver on `shape` alone: operands of the sliced size
-/// read out of panels packed at `full` size, as the layers do.
+/// read out of panels packed at `full` size, as the layers do (a conv's
+/// columns packed from an image on every call).
 fn achieved_gflops(shape: &GemmShape, full: &GemmShape, rng: &mut SeededRng) -> f64 {
     let (m, n, k) = (shape.m, shape.n, shape.k);
     let mut fill = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
     let mut c = vec![0.0f32; m * n];
-    let mut run: Box<dyn FnMut()> = if shape.weights_left {
-        let (w, cols) = (fill(full.m * full.k), fill(k * n));
+    let mut run: Box<dyn FnMut()> = if let Some((geom, channels)) = shape.conv {
+        let samples = n / geom.out_len();
+        let (w, image) = (
+            fill(full.m * full.k),
+            fill(samples * channels * geom.h * geom.w),
+        );
         let mut pa = PackedA::new();
         pa.pack(Trans::No, &w, full.k, full.m, full.k);
-        Box::new(move || gemm_packed_a(0, m, n, k, 1.0, &pa, &cols, n, 0.0, &mut c, n))
+        Box::new(move || {
+            let cols = OperandB::Im2col(Im2col {
+                input: &image,
+                channels,
+                geom,
+                samples,
+            });
+            gemm_packed_a(0, m, n, k, 1.0, &pa, cols, 0.0, &mut c, n)
+        })
     } else {
         let (w, x) = (fill(full.n * full.k), fill(m * k));
         let mut pb = PackedB::new();

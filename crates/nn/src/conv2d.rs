@@ -13,22 +13,28 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_groups, active_units, group_boundary, prefix_input_width, SliceRate};
 use crate::workspace::{PrefixCache, Role, Workspace};
-use ms_tensor::conv::{col2im, im2col, ConvGeom};
+use ms_tensor::conv::{col2im, im2col, ConvGeom, Im2col};
 use ms_tensor::matmul::{gemm, Trans};
-use ms_tensor::panels::{gemm_packed_a, gemm_packed_a_stepped, PackedA};
+use ms_tensor::panels::{gemm_packed_a, gemm_packed_a_stepped, OperandB, PackedA};
 use ms_tensor::{init, par, SeededRng, Tensor};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// Columns of the column matrix one training GEMM covers: as many whole
-/// samples as fit (at least one), so the small feature maps of the late
-/// stages still give the weight-gradient GEMM a long `k` and the weight
-/// operand is packed once per chunk instead of once per sample.
+/// Columns one training GEMM covers: as many whole samples as fit (at least
+/// one), so the small feature maps of the late stages still give the
+/// weight-gradient GEMM a long `k` and the weight operand is packed once per
+/// chunk instead of once per sample.
 const CHUNK_COLS: usize = 512;
 
+/// Columns one `forward(Infer)` or `forward_prefix` GEMM covers (at least one
+/// sample): enough for the 4×4 and 8×8 stages to fill whole register tiles,
+/// few enough that the thread's pack buffer stays below what the 16×16
+/// stage's single sample already needs.
+const INFER_COLS: usize = 128;
+
 /// Chunk scratch of the training path: the column matrix of a chunk of
-/// samples, its gradient, and the chunk's output (or output gradient) with
-/// the samples side by side, `[channels, samples·OH·OW]`.
+/// samples and its gradient (`backward`), and the chunk's output (or output
+/// gradient) with the samples side by side, `[channels, samples·OH·OW]`.
 ///
 /// One set per thread, shared by every conv layer — a layer only needs it
 /// between entering and leaving its own `forward`/`backward` — and sized by
@@ -60,6 +66,43 @@ fn stale(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
         buf.resize(len, 0.0);
     }
     &mut buf[..len]
+}
+
+/// Samples whose columns one `forward(Infer)` or `forward_prefix` GEMM covers,
+/// for a conv with `out_len` output positions, `k_rows = a_in·K²` and `a_out`
+/// active output channels: [`INFER_COLS`] worth, and no more than keeps the
+/// chunk's output (`a_out` rows, in `Role::Cols`) within the one sample's
+/// column matrix (`a_in·K²` rows) that role held before the columns were
+/// packed from the image — a larger buffer there moves `peak_rss_mb` by a
+/// glibc heap step (DESIGN §8.2).
+pub fn infer_chunk(out_len: usize, k_rows: usize, a_out: usize, batch: usize) -> usize {
+    let by_cols = INFER_COLS / out_len.max(1);
+    let by_scratch = k_rows / a_out.max(1);
+    by_cols.min(by_scratch).clamp(1, batch.max(1))
+}
+
+/// Copies a chunk's GEMM output — channels of `samples` samples side by side,
+/// `[channels, samples·OH·OW]` — to the sample-major `dst`, where sample `i`'s
+/// first channel starts at `i · stride`, adding `bias[ch]` to channel `ch`.
+fn unchunk(
+    out: &[f32],
+    out_len: usize,
+    samples: usize,
+    dst: &mut [f32],
+    stride: usize,
+    bias: Option<&[f32]>,
+) {
+    let ld = samples * out_len;
+    for (ch, out_row) in out.chunks_exact(ld).enumerate() {
+        let bv = bias.map(|b| b[ch]);
+        for (i, src) in out_row.chunks_exact(out_len).enumerate() {
+            let row = &mut dst[i * stride + ch * out_len..][..out_len];
+            match bv {
+                Some(bv) => row.iter_mut().zip(src).for_each(|(v, &o)| *v = o + bv),
+                None => row.copy_from_slice(src),
+            }
+        }
+    }
 }
 
 /// Configuration for a [`Conv2d`] layer. Input spatial size is fixed at
@@ -200,12 +243,40 @@ impl Conv2d {
         (CHUNK_COLS / self.geom.out_len().max(1)).clamp(1, batch.max(1))
     }
 
-    /// `forward(Train)`: one GEMM per chunk of samples laid side by side in
-    /// the column matrix, off panels packed once per optimiser step (every
-    /// update walks `visit_params`, which marks them stale). Each output
-    /// element sees the operations of the per-sample panel path, in order.
-    /// The two fixed parts of the batch ([`par::mid`]) each run their own
-    /// chunk loop into their own rows of `y`.
+    fn samples_per_infer(&self, batch: usize) -> usize {
+        let k_rows = self.active_in * self.k2();
+        infer_chunk(self.geom.out_len(), k_rows, self.active_out, batch)
+    }
+
+    /// The `Role::Cols` buffer of a chunked `forward(Infer)`/`forward_prefix`
+    /// with `per` samples a chunk: one sample's column matrix, the size the
+    /// role had when it held one, so the heap sees the allocations it always
+    /// saw (DESIGN §8.2). The chunk's output fits by the choice of `per`
+    /// (and on a conv with more outputs than `a_in·K²`, one sample's output).
+    fn chunk_scratch_len(&self, per: usize) -> usize {
+        let k_rows = self.active_in * self.k2();
+        k_rows.max(self.active_out * per) * self.geom.out_len()
+    }
+
+    /// The column matrix of `samples` of `x` (at the active input width) as
+    /// a GEMM operand, packed straight from the image.
+    fn columns<'a>(&self, x: &'a Tensor, samples: Range<usize>) -> OperandB<'a> {
+        let per_x = self.active_in * self.geom.h * self.geom.w;
+        OperandB::Im2col(Im2col {
+            input: &x.data()[samples.start * per_x..samples.end * per_x],
+            channels: self.active_in,
+            geom: self.geom,
+            samples: samples.len(),
+        })
+    }
+
+    /// `forward(Train)`: one GEMM per chunk of samples laid side by side,
+    /// off panels packed once per optimiser step (every update walks
+    /// `visit_params`, which marks them stale), the chunk's columns packed
+    /// from the image. Each output element sees the operations of the
+    /// per-sample panel path, in order. The two fixed parts of the batch
+    /// ([`par::mid`]) each run their own chunk loop into their own rows of
+    /// `y`.
     fn forward_train(&mut self, x: &Tensor) -> Tensor {
         self.ensure_packed();
         let batch = x.dims()[0];
@@ -228,42 +299,20 @@ impl Conv2d {
     /// thread's chunk scratch; `y` holds exactly those samples' rows.
     fn forward_train_part(&self, x: &Tensor, samples: Range<usize>, y: &mut [f32]) {
         let out_len = self.geom.out_len();
-        let (a_in, a_out) = (self.active_in, self.active_out);
-        let k_rows = a_in * self.k2();
+        let a_out = self.active_out;
+        let k_rows = self.active_in * self.k2();
         let per_gemm = self.samples_per_gemm(x.dims()[0]);
+        let bias = self.bias.as_ref().map(|b| b.value.data());
         CHUNK.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             for first in samples.clone().step_by(per_gemm) {
                 let n = per_gemm.min(samples.end - first);
                 let ld = n * out_len;
-                let col = stale(&mut scratch.col, k_rows * ld);
                 let out = stale(&mut scratch.out, a_out * ld);
-                for i in 0..n {
-                    im2col(x.row(first + i), a_in, &self.geom, col, ld, i * out_len);
-                }
-                gemm_packed_a(
-                    0,
-                    a_out,
-                    ld,
-                    k_rows,
-                    1.0,
-                    &self.packed,
-                    col,
-                    ld,
-                    0.0,
-                    out,
-                    ld,
-                );
-                let chunk_y = &mut y[(first - samples.start) * a_out * out_len..][..a_out * ld];
-                for (i, sample_y) in chunk_y.chunks_exact_mut(a_out * out_len).enumerate() {
-                    for (ch, row) in sample_y.chunks_exact_mut(out_len).enumerate() {
-                        row.copy_from_slice(&out[ch * ld + i * out_len..][..out_len]);
-                        if let Some(b) = &self.bias {
-                            let bv = b.value.data()[ch];
-                            row.iter_mut().for_each(|v| *v += bv);
-                        }
-                    }
-                }
+                let cols = self.columns(x, first..first + n);
+                gemm_packed_a(0, a_out, ld, k_rows, 1.0, &self.packed, cols, 0.0, out, ld);
+                let chunk_y = &mut y[(first - samples.start) * a_out * out_len..];
+                unchunk(out, out_len, n, chunk_y, a_out * out_len, bias);
             }
         });
     }
@@ -388,60 +437,75 @@ impl Layer for Conv2d {
             return self.forward_train(x);
         }
         let out_len = self.geom.out_len();
-        let k_rows = self.active_in * self.k2();
-        let full_k = self.cfg.in_ch * self.k2();
-        let mut y =
-            Tensor::pooled_zeros([batch, self.active_out, self.geom.out_h(), self.geom.out_w()]);
-        let mut col = self.ws.take(Role::Cols, k_rows * out_len);
-        // Weight-stationary when the panels are valid (see `Linear`): the
-        // active block is the top-left corner of the panels `prepack` made,
-        // so only the sample's columns are packed per GEMM. Un-packed nets
-        // keep `gemm`: inference never packs on its own.
-        let on_panels = self.packed.is_valid();
-        for s in 0..batch {
-            im2col(x.row(s), self.active_in, &self.geom, &mut col, out_len, 0);
-            if on_panels {
-                gemm_packed_a(
-                    0,
-                    self.active_out,
-                    out_len,
-                    k_rows,
-                    1.0,
-                    &self.packed,
-                    &col,
-                    out_len,
-                    0.0,
-                    y.row_mut(s),
-                    out_len,
-                );
-            } else {
+        let (a_out, k_rows) = (self.active_out, self.active_in * self.k2());
+        let mut y = Tensor::pooled_zeros([batch, a_out, self.geom.out_h(), self.geom.out_w()]);
+        let bias = self.bias.as_ref().map(|b| b.value.data());
+        if !self.packed.is_valid() {
+            // Un-packed nets keep `gemm` on each sample's column matrix:
+            // inference never packs on its own.
+            let full_k = self.cfg.in_ch * self.k2();
+            let mut col = self.ws.take(Role::Cols, k_rows * out_len);
+            for s in 0..batch {
+                im2col(x.row(s), self.active_in, &self.geom, &mut col, out_len, 0);
+                let ys = y.row_mut(s);
+                let w = self.weight.value.data();
+                let (m, n) = (a_out, out_len);
                 gemm(
                     Trans::No,
                     Trans::No,
-                    self.active_out,
-                    out_len,
+                    m,
+                    n,
                     k_rows,
                     1.0,
-                    self.weight.value.data(),
+                    w,
                     full_k,
                     &col,
-                    out_len,
+                    n,
                     0.0,
-                    y.row_mut(s),
-                    out_len,
+                    ys,
+                    n,
                 );
-            }
-            if let Some(b) = &self.bias {
-                let ys = y.row_mut(s);
-                for ch in 0..self.active_out {
-                    let bv = b.value.data()[ch];
-                    for v in &mut ys[ch * out_len..(ch + 1) * out_len] {
-                        *v += bv;
+                if let Some(b) = bias {
+                    for (row, &bv) in ys.chunks_exact_mut(out_len).zip(b) {
+                        row.iter_mut().for_each(|v| *v += bv);
                     }
                 }
             }
+            self.ws.put(Role::Cols, col);
+            return y;
         }
-        self.ws.put(Role::Cols, col);
+        // Weight-stationary (see `Linear`): the active block is the top-left
+        // corner of the panels `prepack` made, and a chunk of samples side by
+        // side is one GEMM whose columns are packed straight from the image.
+        let per = self.samples_per_infer(batch);
+        let mut out = self.ws.take(Role::Cols, self.chunk_scratch_len(per));
+        for first in (0..batch).step_by(per) {
+            let n = per.min(batch - first);
+            let ld = n * out_len;
+            let cols = self.columns(x, first..first + n);
+            gemm_packed_a(
+                0,
+                a_out,
+                ld,
+                k_rows,
+                1.0,
+                &self.packed,
+                cols,
+                0.0,
+                &mut out,
+                ld,
+            );
+            let chunk_y = &mut y.data_mut()[first * a_out * out_len..];
+            unchunk(
+                &out[..a_out * ld],
+                out_len,
+                n,
+                chunk_y,
+                a_out * out_len,
+                bias,
+            );
+        }
+        self.ws.put(Role::Cols, out);
         y
     }
 
@@ -518,7 +582,7 @@ impl Layer for Conv2d {
         assert_eq!((h, w), (self.geom.h, self.geom.w), "{}: spatial", self.name);
 
         let out_len = self.geom.out_len();
-        let (out_ch, k2) = (self.cfg.out_ch, self.k2());
+        let out_ch = self.cfg.out_ch;
         let g_from = from.map_or(0, |r| active_groups(out_ch, go, r));
         let g_to = self
             .group_rows
@@ -533,38 +597,40 @@ impl Layer for Conv2d {
             }
         }
         if g_to > g_from {
-            let mut col = self.ws.take(Role::Cols, self.active_in * k2 * out_len);
             let (c0, c1) = (self.group_rows[g_from], self.group_rows[g_to]);
-            for s in 0..batch {
+            let per = self.samples_per_infer(batch);
+            let mut out = self.ws.take(Role::Cols, self.chunk_scratch_len(per));
+            let bias = self.bias.as_ref().map(|b| &b.value.data()[c0..c1]);
+            for first in (0..batch).step_by(per) {
+                let n = per.min(batch - first);
+                let ld = n * out_len;
                 // The column matrix is a pure function of the input-channel
-                // prefix, so recomputing it at any width reproduces the rows
-                // a narrower pass saw, bit for bit.
-                im2col(x.row(s), self.active_in, &self.geom, &mut col, out_len, 0);
-                // One sweep over the delta groups, each with its canonical
-                // `k` extent: the columns are packed once, not once a group.
-                let rows =
-                    &mut self.prefix.buf[(s * out_ch + c0) * out_len..][..(c1 - c0) * out_len];
+                // prefix, so packing it at any width reproduces the rows a
+                // narrower pass saw, bit for bit. One sweep over the delta
+                // groups, each with its canonical `k` extent: the columns are
+                // packed once, not once a group.
                 gemm_packed_a_stepped(
                     &self.group_rows[g_from..=g_to],
                     &self.group_k[g_from..g_to],
-                    out_len,
+                    ld,
                     1.0,
                     &self.packed,
-                    &col,
-                    out_len,
+                    self.columns(x, first..first + n),
                     0.0,
-                    rows,
-                    out_len,
+                    &mut out,
+                    ld,
                 );
-                if let Some(b) = &self.bias {
-                    for (row, &bv) in rows.chunks_exact_mut(out_len).zip(&b.value.data()[c0..c1]) {
-                        for v in row {
-                            *v += bv;
-                        }
-                    }
-                }
+                let chunk = &mut self.prefix.buf[(first * out_ch + c0) * out_len..];
+                unchunk(
+                    &out[..(c1 - c0) * ld],
+                    out_len,
+                    n,
+                    chunk,
+                    out_ch * out_len,
+                    bias,
+                );
             }
-            self.ws.put(Role::Cols, col);
+            self.ws.put(Role::Cols, out);
         }
         self.prefix.done = self.group_rows[g_to];
         let mut y =
@@ -709,6 +775,134 @@ mod tests {
         assert!(y.data().iter().all(|v| v.is_finite()));
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&y), bits(&on_fresh_thread));
+    }
+
+    /// The per-sample panel path the chunked forwards replaced, kept as their
+    /// oracle: each sample's column matrix written out by `im2col`, one
+    /// stepped panel GEMM over output rows `rows` with extents `k_ext` on it,
+    /// then the bias added. Returns `[batch, rows, OH·OW]`.
+    fn per_sample_reference(
+        l: &mut Conv2d,
+        x: &Tensor,
+        rows: &[usize],
+        k_ext: &[usize],
+    ) -> Vec<f32> {
+        l.ensure_packed();
+        let out_len = l.geom.out_len();
+        let (r0, r1) = (rows[0], rows[rows.len() - 1]);
+        let mut col = vec![0.0f32; l.active_in * l.k2() * out_len];
+        let mut y = vec![f32::NAN; x.dims()[0] * (r1 - r0) * out_len];
+        for (s, ys) in y.chunks_exact_mut((r1 - r0) * out_len).enumerate() {
+            im2col(x.row(s), l.active_in, &l.geom, &mut col, out_len, 0);
+            let b = OperandB::Matrix {
+                b: &col,
+                ldb: out_len,
+            };
+            gemm_packed_a_stepped(rows, k_ext, out_len, 1.0, &l.packed, b, 0.0, ys, out_len);
+            if let Some(bias) = &l.bias {
+                for (row, &bv) in ys.chunks_exact_mut(out_len).zip(&bias.value.data()[r0..r1]) {
+                    row.iter_mut().for_each(|v| *v += bv);
+                }
+            }
+        }
+        y
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Claims the fork-join helper for this thread, so the second part of
+    /// every split pass runs on it; `None` on a machine that has none (or if
+    /// other tests keep it busy), where every part runs inline anyway.
+    fn hold_helper() -> Option<par::Team> {
+        (0..10_000).find_map(|_| {
+            let team = par::enter();
+            if team.holds_helper() {
+                return Some(team);
+            }
+            std::thread::yield_now();
+            None
+        })
+    }
+
+    /// The leading `channels` channels of every sample of `x`.
+    fn channel_prefix(x: &Tensor, channels: usize) -> Tensor {
+        let (batch, plane) = (x.dims()[0], x.dims()[2] * x.dims()[3]);
+        let data = (0..batch)
+            .flat_map(|s| x.row(s)[..channels * plane].to_vec())
+            .collect();
+        Tensor::from_vec([batch, channels, x.dims()[2], x.dims()[3]], data).unwrap()
+    }
+
+    /// Chunking samples side by side and packing their columns from the
+    /// image changes no bit: `forward(Infer)` on the panels, the prefix pass
+    /// from `None` and refined from every lower rate, and `forward(Train)`
+    /// with the helper held and free each equal the per-sample path — every
+    /// rate of g = 8, batches that give one chunk, an uneven last chunk and
+    /// many, bias on and off, "same", strided and pointwise geometry.
+    #[test]
+    fn chunked_forwards_are_bitwise_the_per_sample_path() {
+        // (in, out, kernel, stride, pad, side)
+        let geometries = [
+            (16, 32, 3, 1, 1, 4),
+            (8, 16, 3, 1, 1, 8),
+            (8, 24, 3, 2, 1, 7),
+            (24, 8, 1, 1, 0, 5),
+        ];
+        let rates: Vec<SliceRate> = (1..=8).map(|i| SliceRate::new(i as f32 / 8.0)).collect();
+        for (gi, &(in_ch, out_ch, kernel, stride, pad, side)) in geometries.iter().enumerate() {
+            for bias in [false, true] {
+                let cfg = Conv2dConfig {
+                    in_ch,
+                    out_ch,
+                    kernel,
+                    stride,
+                    pad,
+                    h: side,
+                    w: side,
+                    in_groups: Some(8),
+                    out_groups: Some(8),
+                    bias,
+                };
+                let layer = || Conv2d::new("c", cfg.clone(), &mut SeededRng::new(gi as u64));
+                for batch in [1, 3, 33] {
+                    let dims = [batch, in_ch, side, side];
+                    let x_full = ms_tensor::init::uniform(dims, 1.0, &mut SeededRng::new(7));
+                    let mut l = layer();
+                    l.prepack();
+                    for (ri, &r) in rates.iter().enumerate() {
+                        let case = format!("geometry {gi} bias {bias} batch {batch} rate {r}");
+                        l.set_slice_rate(r);
+                        let (a_in, a_out) = l.active_channels();
+                        let x = channel_prefix(&x_full, a_in);
+                        let k_rows = a_in * l.k2();
+                        let direct = per_sample_reference(&mut l, &x, &[0, a_out], &[k_rows]);
+                        let y = l.forward(&x, Mode::Infer);
+                        assert_eq!(bits(y.data()), bits(&direct), "Infer, {case}");
+                        for held in [false, true] {
+                            let _team = held.then(hold_helper);
+                            let y = l.forward(&x, Mode::Train);
+                            assert_eq!(bits(y.data()), bits(&direct), "Train held {held}, {case}");
+                        }
+
+                        let g_to = ri + 1;
+                        let steps = (l.group_rows[..=g_to].to_vec(), l.group_k[..g_to].to_vec());
+                        let prefix = per_sample_reference(&mut l, &x, &steps.0, &steps.1);
+                        let y = l.forward_prefix(&x, None, r);
+                        assert_eq!(bits(y.data()), bits(&prefix), "prefix from None, {case}");
+                        for &from in &rates[..ri] {
+                            let mut climbing = layer();
+                            climbing.set_slice_rate(from);
+                            let x_from = channel_prefix(&x_full, climbing.active_channels().0);
+                            climbing.forward_prefix(&x_from, None, from).recycle();
+                            let y = climbing.forward_prefix(&x, Some(from), r);
+                            assert_eq!(bits(y.data()), bits(&prefix), "prefix from {from}, {case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

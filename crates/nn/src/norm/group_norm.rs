@@ -91,6 +91,7 @@ impl GroupNorm {
             .chunks_exact_mut(per_sample)
             .zip(xhat.chunks_exact_mut(per_sample))
             .zip(inv_stds.chunks_exact_mut(self.active_groups));
+        let (gammas, betas) = (self.gamma.value.data(), self.beta.value.data());
         for ((y, xhat), inv_stds) in samples {
             for (g, inv_std_out) in inv_stds.iter_mut().enumerate() {
                 let (lo, hi) = self.group_range(g);
@@ -98,19 +99,37 @@ impl GroupNorm {
                 let (mean, var) = ops::mean_var(&y[span.clone()]);
                 let inv_std = 1.0 / (var + self.eps).sqrt();
                 *inv_std_out = inv_std;
-                // x̂ then y = γ·x̂ + β per channel.
-                let xh = &mut xhat[span.clone()];
-                for v in xh.iter_mut() {
-                    *v = (*v - mean) * inv_std;
-                }
-                let yv = &mut y[span];
-                for (ch_idx, ch) in (lo..hi).enumerate() {
-                    let gamma = self.gamma.value.data()[ch];
-                    let beta = self.beta.value.data()[ch];
-                    let base = ch_idx * hw;
-                    for k in 0..hw {
-                        yv[base + k] = gamma * xh[base + k] + beta;
+                // x̂ = (x − μ)·σ⁻¹ (x̂ holds x on entry), then y = γ·x̂ + β,
+                // per channel over slices.
+                let channels = y[span.clone()]
+                    .chunks_exact_mut(hw)
+                    .zip(xhat[span].chunks_exact_mut(hw))
+                    .zip(gammas[lo..hi].iter().zip(&betas[lo..hi]));
+                for ((y, xh), (&gamma, &beta)) in channels {
+                    for (y, xh) in y.iter_mut().zip(xh) {
+                        *xh = (*xh - mean) * inv_std;
+                        *y = gamma * *xh + beta;
                     }
+                }
+            }
+        }
+    }
+
+    /// The `Infer` forward of one sample in place: `y` holds its input on
+    /// entry and its output on return.
+    fn normalise_infer(&self, hw: usize, y: &mut [f32]) {
+        let (gammas, betas) = (self.gamma.value.data(), self.beta.value.data());
+        for g in 0..self.active_groups {
+            let (lo, hi) = self.group_range(g);
+            let group = &mut y[lo * hw..hi * hw];
+            let (mean, var) = ops::mean_var(group);
+            let inv_std = 1.0 / (var + self.eps).sqrt();
+            let channels = group
+                .chunks_exact_mut(hw)
+                .zip(gammas[lo..hi].iter().zip(&betas[lo..hi]));
+            for (row, (&gamma, &beta)) in channels {
+                for v in row {
+                    *v = gamma * (*v - mean) * inv_std + beta;
                 }
             }
         }
@@ -228,23 +247,8 @@ impl Layer for GroupNorm {
         } else {
             // Inference needs no x̂ cache: normalise and apply the affine in
             // a single in-place pass over the output.
-            for s in 0..batch {
-                let sample_off = s * c_act * hw;
-                for g in 0..self.active_groups {
-                    let (lo, hi) = self.group_range(g);
-                    let span = sample_off + lo * hw..sample_off + hi * hw;
-                    let (mean, var) = ops::mean_var(&y.data()[span.clone()]);
-                    let inv_std = 1.0 / (var + self.eps).sqrt();
-                    let yv = &mut y.data_mut()[span];
-                    for (ch_idx, ch) in (lo..hi).enumerate() {
-                        let gamma = self.gamma.value.data()[ch];
-                        let beta = self.beta.value.data()[ch];
-                        let base = ch_idx * hw;
-                        for k in 0..hw {
-                            yv[base + k] = gamma * (yv[base + k] - mean) * inv_std + beta;
-                        }
-                    }
-                }
+            for sample in y.data_mut().chunks_exact_mut(c_act * hw) {
+                self.normalise_infer(hw, sample);
             }
         }
         y

@@ -6,6 +6,15 @@
 //! `c_act` input channels occupy the first `c_act·KH·KW` rows, i.e. a
 //! contiguous prefix, so a sliced convolution is a plain sub-block GEMM (see
 //! `crate::matmul`) with no data movement.
+//!
+//! The forward passes on packed weight panels never write that buffer out:
+//! [`Im2col`] describes the column matrix of a run of samples, and the panel
+//! driver has it packed straight from the image, one `KC × NC` panel at a
+//! time. [`im2col`] itself is left to the backward pass (which needs the
+//! columns twice) and to the un-packed `gemm` fallback.
+
+use crate::kernel::NR;
+use std::cell::RefCell;
 
 /// Geometry of a 2-D convolution or pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,6 +163,233 @@ pub fn im2col(
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The im2col matrix of `samples` consecutive `[channels, H, W]` samples laid
+/// side by side — `[channels·KH·KW, samples·OH·OW]`, column `s·OH·OW + q`
+/// holding output position `q` of sample `s`, as [`im2col`] fills a wide
+/// matrix — as a GEMM operand that is never materialised:
+/// `panels::gemm_packed_a_stepped` packs it panel by panel from the image
+/// into `pack_b`'s strip layout, byte for byte what `im2col` + `pack_b` leave,
+/// so the micro-kernel computes the same bits.
+#[derive(Debug, Clone, Copy)]
+pub struct Im2col<'a> {
+    /// The samples, `[samples, channels, H, W]` row-major.
+    pub input: &'a [f32],
+    /// Channels per sample (all of them are lowered).
+    pub channels: usize,
+    /// Window geometry.
+    pub geom: ConvGeom,
+    /// Samples side by side.
+    pub samples: usize,
+}
+
+impl Im2col<'_> {
+    /// Rows of the column matrix, `channels·KH·KW`.
+    pub(crate) fn rows(&self) -> usize {
+        self.channels * self.geom.kh * self.geom.kw
+    }
+
+    /// Columns of the column matrix, `samples·OH·OW`.
+    pub(crate) fn cols(&self) -> usize {
+        self.samples * self.geom.out_len()
+    }
+
+    /// Packs rows `[pc, pc + kc)` × columns `[jc, jc + nc)` the way
+    /// `matmul::pack_b` packs a row-major `B`: `nc.div_ceil(NR)` strips of
+    /// `NR` columns, each `kc`-major, lanes past `nc` zero. Grow-only `buf`.
+    pub(crate) fn pack(&self, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut Vec<f32>) {
+        // No clear: every lane is written below, padding included.
+        buf.resize(nc.div_ceil(NR) * kc * NR, 0.0);
+        let g = &self.geom;
+        let (out_len, sample_len) = (g.out_len(), self.channels * g.h * g.w);
+        debug_assert!(g.is_valid(), "invalid conv geometry {g:?}");
+        debug_assert!(pc + kc <= self.rows() && jc + nc <= self.cols());
+        debug_assert!(self.input.len() >= self.samples * sample_len);
+        let same = g.stride == 1 && g.out_w() == g.w;
+        KEEP.with(|table| {
+            let mut table = table.borrow_mut();
+            let keep = same.then(|| table.of(g));
+            for (t, strip) in buf.chunks_exact_mut(kc * NR).enumerate() {
+                let (cols, mut lane) = (NR.min(nc - t * NR), 0);
+                if cols < NR {
+                    strip.fill(0.0);
+                }
+                // A strip's columns may run from one sample into the next:
+                // pack it one sample's segment at a time.
+                while lane < cols {
+                    let j = jc + t * NR + lane;
+                    let (s, q0) = (j / out_len, j % out_len);
+                    let len = (out_len - q0).min(cols - lane);
+                    let (at, strip) = (s * sample_len, &mut strip[lane..]);
+                    self.pack_segment(keep, at, pc, kc, q0, len, strip);
+                    lane += len;
+                }
+            }
+        });
+    }
+
+    /// Positions `[q0, q0 + len)` of the sample at `input[at..]` for rows
+    /// `[pc, pc + kc)`: row `p` goes to `strip[(p - pc)·NR..][..len]`.
+    ///
+    /// In "same" geometry (stride 1, output as wide as the input: every conv
+    /// of the zoo but ResNet's strided ones) position `q` of tap `(ki, kj)`
+    /// reads the plane `ki·w + kj − pad·(w+1)` floats on from `q` when it is
+    /// valid, so a row of the segment is one contiguous read ANDed with the
+    /// tap's keep-masks (`keep`, see [`KeepMasks`]), which zero every lane
+    /// that falls on padding: off the top or bottom of the plane (the read
+    /// runs into the neighbouring plane) or wrapped in from the neighbouring
+    /// row. A read that would leave the input is cut to it. Other geometries
+    /// go output row by output row through [`tap_rows`].
+    #[allow(clippy::too_many_arguments)]
+    fn pack_segment(
+        &self,
+        keep: Option<&[u32]>,
+        at: usize,
+        pc: usize,
+        kc: usize,
+        q0: usize,
+        len: usize,
+        strip: &mut [f32],
+    ) {
+        let g = &self.geom;
+        let (taps, plane_len, out_len) = (g.kh * g.kw, g.h * g.w, g.out_len());
+        let Some(keep) = keep else {
+            let rows = strip.chunks_mut(NR).take(kc).map(|row| &mut row[..len]);
+            for (p, dst) in (pc..).zip(rows) {
+                let (plane, tap) = (
+                    &self.input[at + p / taps * plane_len..][..plane_len],
+                    p % taps,
+                );
+                tap_rows(plane, g, (tap / g.kw, tap % g.kw), q0, dst);
+            }
+            return;
+        };
+        // Tap by tap, so a tap's masks stay in registers across the channels.
+        let back = (g.pad * (g.w + 1)) as isize;
+        let (c0, tap0) = (pc / taps, pc % taps);
+        let (c1, tap1) = ((pc + kc) / taps, (pc + kc) % taps);
+        for tap in 0..taps {
+            let keep = &keep[tap * out_len + q0..][..len];
+            let shift = (tap / g.kw * g.w + tap % g.kw) as isize - back;
+            for c in c0 + usize::from(tap < tap0)..c1 + usize::from(tap < tap1) {
+                let dst = &mut strip[(c * taps + tap - pc) * NR..][..len];
+                let first = (at + c * plane_len + q0) as isize + shift;
+                let src = usize::try_from(first)
+                    .ok()
+                    .and_then(|f| self.input.get(f..f + len));
+                match src {
+                    // A whole strip, the common case, at a length the
+                    // compiler knows.
+                    Some(src) if len == NR => and_mask(&mut dst[..NR], &src[..NR], &keep[..NR]),
+                    Some(src) => and_mask(dst, src, keep),
+                    // Lanes whose read would leave the input are padding
+                    // (their masks are zero): clear the row, then mask the
+                    // rest in.
+                    None => {
+                        let lo = (-first).clamp(0, len as isize) as usize;
+                        let hi =
+                            (self.input.len() as isize - first).clamp(lo as isize, len as isize);
+                        let hi = hi as usize;
+                        dst.fill(0.0);
+                        if lo < hi {
+                            let from = (first + lo as isize) as usize;
+                            let src = &self.input[from..from + (hi - lo)];
+                            and_mask(&mut dst[lo..hi], src, &keep[lo..hi]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The keep-masks of one "same" conv geometry (stride 1, output as wide as
+/// the input): `masks[t·OH·OW + q]` is all ones where output position `q` of
+/// tap `t` reads the plane and zero where it reads padding. A segment of a
+/// strip reads its lanes' masks off the table, so packing does no per-lane
+/// geometry.
+#[derive(Debug, Default)]
+struct KeepMasks {
+    geom: Option<ConvGeom>,
+    masks: Vec<u32>,
+}
+
+impl KeepMasks {
+    /// The table of `g`, built unless it is the last one built (grow-only).
+    fn of(&mut self, g: &ConvGeom) -> &[u32] {
+        if self.geom != Some(*g) {
+            let (oh, ow) = (g.out_h(), g.out_w());
+            self.masks.clear();
+            self.masks.resize(g.kh * g.kw * oh * ow, 0);
+            for (tap, masks) in self.masks.chunks_exact_mut(oh * ow).enumerate() {
+                let (y_lo, y_hi) = valid_span(g.h, oh, tap / g.kw, g.stride, g.pad);
+                let (x_lo, x_hi) = valid_span(g.w, ow, tap % g.kw, g.stride, g.pad);
+                for row in masks.chunks_exact_mut(ow).take(y_hi).skip(y_lo) {
+                    // `lo <= ox < hi` without a branch (or a `memset` call
+                    // per row), so the loop vectorises.
+                    for (ox, k) in (0u32..).zip(row) {
+                        let valid = ox.wrapping_sub(x_lo as u32) < (x_hi - x_lo) as u32;
+                        *k = 0u32.wrapping_sub(u32::from(valid));
+                    }
+                }
+            }
+            self.geom = Some(*g);
+        }
+        &self.masks
+    }
+}
+
+thread_local! {
+    /// The keep-masks of the last "same" geometry this thread packed: the
+    /// convs of a stage share one, so a forward builds a table per stage.
+    static KEEP: RefCell<KeepMasks> = RefCell::new(KeepMasks::default());
+}
+
+/// `dst = src` on the lanes `keep` sets (all ones), `+0.0` on the others
+/// (all zeros): bit operations only, so every value keeps its exact bits.
+#[inline(always)]
+fn and_mask(dst: &mut [f32], src: &[f32], keep: &[u32]) {
+    for ((d, &v), &k) in dst.iter_mut().zip(src).zip(keep) {
+        *d = f32::from_bits(v.to_bits() & k);
+    }
+}
+
+/// Positions `[q0, q0 + dst.len())` of the im2col row of one tap `(ki, kj)`
+/// over one plane, in any geometry: one output row at a time, zero outside
+/// the valid spans, the span copied (or gathered, `stride > 1`).
+fn tap_rows(plane: &[f32], g: &ConvGeom, (ki, kj): (usize, usize), q0: usize, dst: &mut [f32]) {
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let (oy_lo, oy_hi) = valid_span(g.h, oh, ki, g.stride, g.pad);
+    let (ox_lo, ox_hi) = valid_span(g.w, ow, kj, g.stride, g.pad);
+    let (mut q, mut rest) = (q0, dst);
+    while !rest.is_empty() {
+        let (oy, ox0) = (q / ow, q % ow);
+        let ox1 = (ox0 + rest.len()).min(ow);
+        let (out, tail) = std::mem::take(&mut rest).split_at_mut(ox1 - ox0);
+        rest = tail;
+        q += out.len();
+        if !(oy_lo..oy_hi).contains(&oy) {
+            out.fill(0.0);
+            continue;
+        }
+        let (a, b) = (ox_lo.clamp(ox0, ox1), ox_hi.clamp(ox0, ox1));
+        out[..a - ox0].fill(0.0);
+        out[b - ox0..].fill(0.0);
+        if a == b {
+            continue;
+        }
+        let src = &plane[(oy * g.stride + ki - g.pad) * g.w..][..g.w];
+        let ix0 = a * g.stride + kj - g.pad;
+        let span = &mut out[a - ox0..b - ox0];
+        if g.stride == 1 {
+            span.copy_from_slice(&src[ix0..ix0 + span.len()]);
+        } else {
+            for (v, &x) in span.iter_mut().zip(src[ix0..].iter().step_by(g.stride)) {
+                *v = x;
             }
         }
     }
@@ -378,8 +614,10 @@ pub fn global_avgpool_backward(doutput: &[f32], channels: usize, hw: usize, dinp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul::{pack_b, Trans, KC};
     use crate::rng::SeededRng;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn geom(h: usize, w: usize, k: usize, stride: usize, pad: usize) -> ConvGeom {
         ConvGeom {
@@ -452,8 +690,112 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Packs every `KC` block of the first `c_pre` channels' rows of
+    /// `samples` samples over several column windows — the whole width, one
+    /// that starts mid-strip, one that straddles two samples, random ones —
+    /// from the image and through `im2col` + `pack_b`, into buffers poisoned
+    /// with NaN, and demands the same bytes.
+    fn check_packing(
+        g: &ConvGeom,
+        c: usize,
+        c_pre: usize,
+        samples: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut rng = SeededRng::new(seed);
+        let (len, taps) = (g.out_len(), g.kh * g.kw);
+        let n = samples * len;
+        let x: Vec<f32> = (0..samples * c * g.h * g.w)
+            .map(|_| rng.uniform(-1.0, 1.0))
+            .collect();
+        let mut col = vec![f32::NAN; c * taps * n];
+        for (s, sample) in x.chunks_exact(c * g.h * g.w).enumerate() {
+            im2col(sample, c, g, &mut col, n, s * len);
+        }
+        let cols = Im2col {
+            input: &x,
+            channels: c,
+            geom: *g,
+            samples,
+        };
+        prop_assert_eq!((cols.rows(), cols.cols()), (c * taps, n));
+        let mut windows = vec![(0, n), (NR / 2 % n, n - NR / 2 % n)];
+        if samples > 1 {
+            windows.push((len - 1, 2));
+        }
+        for _ in 0..3 {
+            let jc = rng.below(n);
+            windows.push((jc, 1 + rng.below(n - jc)));
+        }
+        let k = c_pre * taps;
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            for &(jc, nc) in &windows {
+                let mut want = Vec::new();
+                pack_b(Trans::No, &col, n, pc, kc, jc, nc, &mut want);
+                let mut got = vec![f32::NAN; want.len()];
+                cols.pack(pc, kc, jc, nc, &mut got);
+                prop_assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{:?} c {}/{} x{} rows {}+{} cols {}+{}",
+                    g,
+                    c_pre,
+                    c,
+                    samples,
+                    pc,
+                    kc,
+                    jc,
+                    nc
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// The zoo's geometries, with enough channels for several `KC` blocks:
+    /// VGG's three 3×3 "same" stages, ResNet's stride-2 3×3 and 1×1, the
+    /// pointwise 1×1 of MobileNet and ResNet, and a "same" 5×5.
+    #[test]
+    fn packing_from_the_image_matches_on_the_zoos_geometries() {
+        let zoo = [
+            (geom(16, 16, 3, 1, 1), 32),
+            (geom(8, 8, 3, 1, 1), 64),
+            (geom(4, 4, 3, 1, 1), 64),
+            (geom(16, 16, 3, 2, 1), 40),
+            (geom(8, 8, 3, 2, 1), 32),
+            (geom(16, 16, 1, 2, 0), 300),
+            (geom(8, 8, 1, 1, 0), 520),
+            (geom(16, 16, 5, 1, 2), 12),
+        ];
+        for (i, (g, c)) in zoo.into_iter().enumerate() {
+            for samples in 1..=5 {
+                for c_pre in [c, c / 2 + 1] {
+                    check_packing(&g, c, c_pre, samples, (i * 10 + samples) as u64).unwrap();
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Packing the column matrix from the image is byte for byte
+        /// `im2col` + `pack_b`: every geometry `im2col` takes (kernels wider
+        /// than the image, strides that skip columns, padding on every side,
+        /// non-square planes), one to five samples, channel prefixes, rows
+        /// past one `KC` block.
+        #[test]
+        fn packing_from_the_image_is_im2col_then_pack_b(
+            c in 1usize..13, h in 1usize..9, w in 1usize..9,
+            k in 1usize..=5, stride in 1usize..=3, pad in 0usize..=2,
+            samples in 1usize..=5, prefix in 0usize..13,
+            seed in any::<u64>(),
+        ) {
+            let g = ConvGeom { h, w, kh: k, kw: k, stride, pad };
+            prop_assume!(g.is_valid());
+            check_packing(&g, c, 1 + prefix % c, samples, seed)?;
+        }
 
         /// Span-copy `im2col` is byte-identical to the per-element loop, and
         /// `col2im` both matches its own reference bitwise and stays the

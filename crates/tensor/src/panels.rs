@@ -29,6 +29,7 @@
 //! same `k` range produce bitwise-identical contributions — the foundation
 //! of the anytime prefix-refine path in `ms-nn`.
 
+use crate::conv::Im2col;
 use crate::kernel::{micro_kernel, MR, NR};
 use crate::matmul::{
     apply_beta, pack_a, pack_a_into, pack_b, pack_b_into, with_pack_bufs, Trans, KC, NC,
@@ -273,11 +274,47 @@ pub fn gemm_packed_b(
     });
 }
 
+/// The right-hand operand `B` (`k × n`, indexed by absolute `k`) of
+/// [`gemm_packed_a_stepped`]: whatever it is, the driver packs it one
+/// `KC × NC` panel at a time into the same strip layout, so the kernel — and
+/// every output bit — cannot tell the two kinds apart.
+#[derive(Debug, Clone, Copy)]
+pub enum OperandB<'a> {
+    /// A row-major matrix: element `(p, j)` at `b[p * ldb + j]`.
+    Matrix {
+        /// The elements.
+        b: &'a [f32],
+        /// Row stride.
+        ldb: usize,
+    },
+    /// The im2col matrix of a run of samples, packed straight from the image
+    /// (a convolution's forward pass: no column matrix is written).
+    Im2col(Im2col<'a>),
+}
+
+impl OperandB<'_> {
+    /// Packs rows `[pc, pc + kc)` × columns `[jc, jc + nc)` into `buf`.
+    fn pack(&self, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut Vec<f32>) {
+        match *self {
+            OperandB::Matrix { b, ldb } => pack_b(Trans::No, b, ldb, pc, kc, jc, nc, buf),
+            OperandB::Im2col(cols) => cols.pack(pc, kc, jc, nc, buf),
+        }
+    }
+
+    /// Whether the operand holds `k` rows and `n` columns.
+    fn covers(&self, k: usize, n: usize) -> bool {
+        match *self {
+            OperandB::Matrix { b, ldb } => ldb >= n.max(1) && b.len() >= (k - 1) * ldb + n,
+            OperandB::Im2col(cols) => k <= cols.rows() && n <= cols.cols(),
+        }
+    }
+}
+
 /// `C[m0..m1, 0..n) = alpha · op(A)[m0..m1, 0..k1) · B[0..k1, :] + beta · C`
 /// with `op(A)` prepacked: [`gemm_packed_a_stepped`] with a single step.
 ///
-/// `b` holds rows `[0, k1)` (`b[p * ldb + j]`); `c` holds only the requested
-/// row window (`c[(i - m0) * ldc + j]`).
+/// `b` holds rows `[0, k1)`; `c` holds only the requested row window
+/// (`c[(i - m0) * ldc + j]`).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_packed_a(
     m0: usize,
@@ -286,13 +323,12 @@ pub fn gemm_packed_a(
     k1: usize,
     alpha: f32,
     pa: &PackedA,
-    b: &[f32],
-    ldb: usize,
+    b: OperandB,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
 ) {
-    gemm_packed_a_stepped(&[m0, m1], &[k1], n, alpha, pa, b, ldb, beta, c, ldc);
+    gemm_packed_a_stepped(&[m0, m1], &[k1], n, alpha, pa, b, beta, c, ldc);
 }
 
 /// Stepped-`k` sweep over a prepacked `op(A)`: step `i` covers rows
@@ -304,11 +340,12 @@ pub fn gemm_packed_a(
 /// row window, row `rows[0]` first. `b` is indexed by absolute `k` and must
 /// hold the largest extent. This is the shape of a per-group convolution
 /// prefix pass — output group `g` sees the input channels of groups `≤ g` —
-/// and the reason it is one call: each `KC` block of `B` (the fresh im2col
-/// matrix) is packed **once** and every step reads the leading rows it needs
-/// from that packing. A step's `k` still splits at absolute multiples of
-/// `KC` and its tiles run in the same order, so each output element is
-/// bitwise what a single-step call over its own rows and extent produces.
+/// and the reason it is one call: each `KC × NC` panel of `B` (the im2col
+/// matrix of the input, packed from the image) is packed **once** and every
+/// step reads the leading rows it needs from that packing. A step's `k`
+/// still splits at absolute multiples of `KC` and its tiles run in the same
+/// order, so each output element is bitwise what a single-step call over its
+/// own rows and extent produces.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_packed_a_stepped(
     rows: &[usize],
@@ -316,8 +353,7 @@ pub fn gemm_packed_a_stepped(
     n: usize,
     alpha: f32,
     pa: &PackedA,
-    b: &[f32],
-    ldb: usize,
+    b: OperandB,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
@@ -348,7 +384,7 @@ pub fn gemm_packed_a_stepped(
     if k_max == 0 || n == 0 || alpha == 0.0 {
         return;
     }
-    debug_assert!(ldb >= n.max(1) && b.len() >= (k_max - 1) * ldb + n);
+    debug_assert!(b.covers(k_max, n), "B operand smaller than {k_max}x{n}");
 
     let _span = ms_telemetry::span!("gemm.panel_a");
     with_pack_bufs(|_, bpack| {
@@ -362,7 +398,7 @@ pub fn gemm_packed_a_stepped(
                 let store = beta == 0.0 && pc == 0;
                 {
                     let _s = ms_telemetry::span!("gemm.pack_b");
-                    pack_b(Trans::No, b, ldb, pc, packed_kc, jc, nc, bpack);
+                    b.pack(pc, packed_kc, jc, nc, bpack);
                 }
                 for (step, &k1) in k_ext.iter().enumerate() {
                     let (r0, r1) = (rows[step], rows[step + 1]);
@@ -400,6 +436,10 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn mat(b: &[f32], ldb: usize) -> OperandB<'_> {
+        OperandB::Matrix { b, ldb }
     }
 
     /// `shapes` plus the tile- and block-edge grid `gemm` is tested on, as
@@ -598,7 +638,7 @@ mod tests {
                 let k1 = 1 + (rng.uniform(0.0, k as f32) as usize).min(k - 1);
                 let (m0, m1, k1) = if case == 0 { (0, m, k) } else { (m0, m1, k1) };
                 let mut c = vec![0.0f32; (m1 - m0) * n];
-                gemm_packed_a(m0, m1, n, k1, 1.0, &pa, &b, n, 0.0, &mut c, n);
+                gemm_packed_a(m0, m1, n, k1, 1.0, &pa, mat(&b, n), 0.0, &mut c, n);
                 let mut want = vec![0.0f32; m * n];
                 gemm_reference(
                     Trans::No,
@@ -640,10 +680,10 @@ mod tests {
         let mut pa = PackedA::new();
         pa.pack(Trans::No, &a, k, m, k);
         let mut whole = vec![0.0f32; m * n];
-        gemm_packed_a(0, m, n, k, 1.0, &pa, &b, n, 0.0, &mut whole, n);
+        gemm_packed_a(0, m, n, k, 1.0, &pa, mat(&b, n), 0.0, &mut whole, n);
         for split in [1, MR - 1, MR, 2 * MR, 30] {
             let mut parts = vec![0.0f32; m * n];
-            gemm_packed_a(0, split, n, k, 1.0, &pa, &b, n, 0.0, &mut parts, n);
+            gemm_packed_a(0, split, n, k, 1.0, &pa, mat(&b, n), 0.0, &mut parts, n);
             gemm_packed_a(
                 split,
                 m,
@@ -651,8 +691,7 @@ mod tests {
                 k,
                 1.0,
                 &pa,
-                &b,
-                n,
+                mat(&b, n),
                 0.0,
                 &mut parts[split * n..],
                 n,
@@ -698,7 +737,17 @@ mod tests {
             };
             let start = filled(&mut data, window * n);
             let mut swept = start.clone();
-            gemm_packed_a_stepped(&rows, &k_ext, n, alpha, &pa, &b, n, beta, &mut swept, n);
+            gemm_packed_a_stepped(
+                &rows,
+                &k_ext,
+                n,
+                alpha,
+                &pa,
+                mat(&b, n),
+                beta,
+                &mut swept,
+                n,
+            );
             let mut parts = start.clone();
             for i in 0..steps {
                 let c = &mut parts[(rows[i] - rows[0]) * n..];
@@ -709,8 +758,7 @@ mod tests {
                     k_ext[i],
                     alpha,
                     &pa,
-                    &b,
-                    n,
+                    mat(&b, n),
                     beta,
                     c,
                     n,
@@ -781,7 +829,7 @@ mod tests {
             let mut dirty = vec![f32::NAN; window * n];
             let mut zeroed = vec![0.0f32; window * n];
             for c in [&mut dirty, &mut zeroed] {
-                gemm_packed_a_stepped(&rows, &k_ext, n, alpha, &pa, &b, n, 0.0, c, n);
+                gemm_packed_a_stepped(&rows, &k_ext, n, alpha, &pa, mat(&b, n), 0.0, c, n);
             }
             assert_eq!(bits(&dirty), bits(&zeroed), "alpha {alpha}");
             let cleared = &dirty[(rows[2] - rows[0]) * n..(rows[3] - rows[0]) * n];
@@ -791,7 +839,7 @@ mod tests {
             );
         }
         let mut c = vec![f32::NAN; MR * n];
-        gemm_packed_a(0, MR, n, k, 1.0, &pa, &b, n, 0.0, &mut c, n);
+        gemm_packed_a(0, MR, n, k, 1.0, &pa, mat(&b, n), 0.0, &mut c, n);
         assert!(c.iter().all(|v| v.is_finite()));
     }
 

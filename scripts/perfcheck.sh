@@ -97,20 +97,27 @@ find crates/nn/src -name '*.rs' -print0 | xargs -0 awk '
     !intest && /thread::(spawn|scope|Builder)/ { printf "    %s:%d: %s\n", FILENAME, FNR, $0; bad = 1 }
     END { exit bad }
 ' || die "ms-nn must not start threads outside its unit tests: split a pass with ms_tensor::par::join (lines above)"
-grep -rn 'par::enter' crates/*/src src | grep -vE '^crates/(tensor/src/par|core/src/trainer|bench/src/bin/forward_profile)\.rs:' \
-    && die "only Trainer::step enters the fork-join team (lines above)"
+grep -rln 'par::enter' crates/*/src src \
+    | grep -vE '^crates/(tensor/src/par|core/src/trainer|bench/src/bin/forward_profile)\.rs$' \
+    | xargs -r awk '
+        FNR == 1 { intest = 0 }
+        /^#\[cfg\(test\)\]/ { intest = 1 }
+        !intest && /par::enter/ { printf "    %s:%d: %s\n", FILENAME, FNR, $0; bad = 1 }
+        END { exit bad }
+    ' || die "only Trainer::step enters the fork-join team outside unit tests (lines above)"
 
 echo "== allocation tripwire (hot layer bodies) =="
 # `Tensor::zeros(` and `vec![` are banned inside `fn forward(` /
 # `fn forward_train(` / `fn forward_prefix(` / `fn backward(` bodies, the
-# per-part bodies a split pass runs on either thread, the panel GEMM drivers
-# and the fork-join itself (brace-counted): constructors and `pack` may
-# allocate once, the per-call paths use `Tensor::pooled_zeros`,
-# `pooled_clone`, `Workspace::take`; `Box::new(` is banned with them so the
-# job handoff stays a borrowed `&mut dyn FnMut()`.
+# per-part bodies a split pass runs on either thread, the chunked conv
+# forwards' helpers and the packer that writes their columns from the image,
+# the panel GEMM drivers and the fork-join itself (brace-counted): the
+# per-call paths use `Tensor::pooled_zeros`, `pooled_clone`,
+# `Workspace::take` and grow-only buffers; `Box::new(` is banned with them so
+# the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_train|forward_prefix|backward|forward_train_part|forward_part|backward_part|forward_rows|normalise_train|run|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b|join|wait|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_train|forward_prefix|backward|forward_train_part|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|unchunk|pack|pack_segment|tap_rows|and_mask|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b|join|wait|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
@@ -124,6 +131,6 @@ awk '
     END { exit bad }
 ' crates/nn/src/{linear,conv2d,depthwise,activation,sequential,pool,embedding,dropout}.rs \
     crates/nn/src/norm/group_norm.rs crates/nn/src/rnn/{lstm,gru}.rs \
-    crates/tensor/src/panels.rs crates/tensor/src/par.rs \
+    crates/tensor/src/{panels,conv,par}.rs \
     || die "allocation reintroduced: hot paths must use pooled_zeros/pooled_clone/Workspace::take (lines above)"
 echo "perfcheck OK"

@@ -5,8 +5,8 @@
 # NNLM LSTM forward, at r = 0.375 and 1) with address-space randomisation
 # off (`setarch -R`) and the environment padded by a different number of
 # bytes each time, which moves the initial stack pointer and nothing else,
-# then prints min / max / max÷min of each row's total and GEMM time over the
-# sweep. The box has slow spells of its own, so the paddings are swept five
+# then prints min / max / max÷min of each row's total, GEMM-kernel and
+# operand-packing time over the sweep. The box has slow spells of its own, so the paddings are swept five
 # times and an offset is read as its fastest pass. A kernel whose speed
 # follows the stack offset shows a ratio well above 1 here and bimodal
 # per-layer figures everywhere else (DESIGN.md §8.1); `cargo bench -p
@@ -32,18 +32,19 @@ for _pass in 1 2 3 4 5; do
         # rows — and `head` closing the pipe is what stops the profiler.
         setarch "$(uname -m)" -R env PAD="$(printf '%*s' "$pad" '' | tr ' ' x)" "$bin" 2>/dev/null \
             | head -n 6 \
-            | awk -v pad="$pad" '$1 == "vgg" || $1 == "nnlm" { print pad, $1, $2, $3, $4 }' \
+            | awk -v pad="$pad" '$1 == "vgg" || $1 == "nnlm" { print pad, $1, $2, $3, $4, $5 }' \
             >> "$rows" || true
     done
 done
 
 echo "# ${#paddings[@]} stack offsets (environment padding ${paddings[*]} bytes), ASLR off, fastest of 5 passes each; µs per batch-32 forward"
-printf '%-5s %6s  %9s %9s %6s  %9s %9s %6s\n' model rate total_min total_max ratio gemm_min gemm_max ratio
+printf '%-5s %6s  %9s %9s %6s  %9s %9s %6s  %9s %9s %6s\n' model rate total_min total_max ratio \
+    kernel_min kernel_max ratio pack_min pack_max ratio
 awk '
     {
         row = $2 " " $3
         if (!(row in seen)) { seen[row] = 1; order[++rows] = row }
-        for (c = 4; c <= 5; c++) {
+        for (c = 4; c <= 6; c++) {
             at = row SUBSEP $1 SUBSEP c
             if (!(at in best) || $c < best[at]) best[at] = $c
         }
@@ -52,16 +53,17 @@ awk '
     END {
         for (i = 1; i <= rows; i++) {
             row = order[i]; split(row, k, " ")
-            for (c = 4; c <= 5; c++) {
+            printf "%-5s %6s", k[1], k[2]
+            for (c = 4; c <= 6; c++) {
                 lo[c] = hi[c] = -1
                 for (pad in pads) {
                     v = best[row SUBSEP pad SUBSEP c]
                     if (lo[c] < 0 || v < lo[c]) lo[c] = v
                     if (v > hi[c]) hi[c] = v
                 }
+                printf "  %9d %9d %6.2f", lo[c], hi[c], (lo[c] > 0 ? hi[c] / lo[c] : 0)
             }
-            printf "%-5s %6s  %9d %9d %6.2f  %9d %9d %6.2f\n", k[1], k[2],
-                lo[4], hi[4], hi[4] / lo[4], lo[5], hi[5], (lo[5] > 0 ? hi[5] / lo[5] : 0)
+            print ""
         }
     }
 ' "$rows"
