@@ -140,11 +140,7 @@ impl SkipNet {
             hw /= 2;
             in_ch = width;
         }
-        let head = Linear::new(
-            "head",
-            LinearConfig::dense(in_ch, cfg.num_classes),
-            rng,
-        );
+        let head = Linear::new("head", LinearConfig::dense(in_ch, cfg.num_classes), rng);
         SkipNet {
             stems,
             blocks,

@@ -7,6 +7,7 @@
 //! via **switchable batch-norm** — one BN per declared width — instead of a
 //! single sliced GroupNorm.
 
+use ms_models::vgg::VggConfig;
 use ms_nn::activation::Relu;
 use ms_nn::conv2d::{Conv2d, Conv2dConfig};
 use ms_nn::layer::{Layer, Mode, Param};
@@ -15,7 +16,6 @@ use ms_nn::norm::SwitchableBatchNorm;
 use ms_nn::pool::{GlobalAvgPool, MaxPool2d};
 use ms_nn::sequential::Sequential;
 use ms_nn::slice::SliceRate;
-use ms_models::vgg::VggConfig;
 use ms_tensor::{SeededRng, Tensor};
 
 /// VGG-style network with switchable batch-norm: the SlimmableNet

@@ -242,7 +242,11 @@ mod tests {
         });
         let report = prune_by_gamma(&mut v, 0.5);
         assert_eq!(report.total, 16);
-        assert!(report.pruned >= 7 && report.pruned <= 8, "{}", report.pruned);
+        assert!(
+            report.pruned >= 7 && report.pruned <= 8,
+            "{}",
+            report.pruned
+        );
         // First layer holds the smallest values → prunes more.
         assert!(report.layers[0].1 <= report.layers[1].1);
         // Network still forwards.
@@ -273,7 +277,7 @@ mod tests {
     fn mask_keeps_pruned_channels_dead_through_updates() {
         let mut v = vgg();
         let report = prune_by_gamma(&mut v, 0.9); // prune almost everything
-        // Simulate a fine-tune step perturbing all params.
+                                                  // Simulate a fine-tune step perturbing all params.
         v.visit_params(&mut |p| {
             for g in p.grad.data_mut() {
                 *g = 0.5;

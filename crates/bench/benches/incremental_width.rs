@@ -11,11 +11,8 @@ fn incremental_vs_full(c: &mut Criterion) {
     let mut rng = SeededRng::new(3);
     let n = 512usize;
     let batch = 16usize;
-    let w = Tensor::from_vec(
-        [n, n],
-        (0..n * n).map(|_| rng.uniform(-1.0, 1.0)).collect(),
-    )
-    .expect("weight");
+    let w = Tensor::from_vec([n, n], (0..n * n).map(|_| rng.uniform(-1.0, 1.0)).collect())
+        .expect("weight");
     let x = Tensor::from_vec(
         [batch, n],
         (0..batch * n).map(|_| rng.uniform(-1.0, 1.0)).collect(),

@@ -11,16 +11,13 @@
 //! cargo run --release -p ms-bench --bin cluster_demo
 //! ```
 
-use ms_cluster::{
-    run_trace, AutoscalerConfig, Cluster, ClusterConfig, LoadgenConfig, ShardSpec,
-};
+use ms_cluster::{run_trace, AutoscalerConfig, Cluster, ClusterConfig, LoadgenConfig, ShardSpec};
 use ms_serving::workload::WorkloadTrace;
 use std::time::Duration;
 
 fn main() {
-    let bin = ShardSpec::discover_bin().expect(
-        "shard_server binary not found — run `cargo build --release --workspace` first",
-    );
+    let bin = ShardSpec::discover_bin()
+        .expect("shard_server binary not found — run `cargo build --release --workspace` first");
     let spec = ShardSpec::small(bin);
     eprintln!(
         "spawning elastic fleet: 1..=3 shards of {} ({} replica/shard, T = {} ms)",

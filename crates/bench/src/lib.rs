@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks live in `benches/`; this library only hosts
 //! shared builders so bench targets stay small.
 
-use ms_models::vgg::{Vgg, VggConfig};
 use ms_models::nnlm::{Nnlm, NnlmConfig};
+use ms_models::vgg::{Vgg, VggConfig};
 use ms_tensor::SeededRng;
 
 /// The standard bench-scale VGG (matches the experiment setting).

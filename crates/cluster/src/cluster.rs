@@ -120,10 +120,7 @@ impl Cluster {
             if exit.kind == ExitKind::Crashed {
                 self.restarts += 1;
                 self.restarts_total.inc();
-                if let Ok(addr) = self
-                    .supervisor
-                    .restart_shard(exit.id, exit.generation)
-                {
+                if let Ok(addr) = self.supervisor.restart_shard(exit.id, exit.generation) {
                     let _ = self.router.add_shard(exit.id, exit.generation + 1, addr);
                 }
             }

@@ -81,7 +81,12 @@ impl FrontRouter {
     }
 
     /// Connects to a shard and starts its reader thread.
-    pub fn add_shard(&mut self, shard_id: u32, generation: u32, addr: SocketAddr) -> io::Result<()> {
+    pub fn add_shard(
+        &mut self,
+        shard_id: u32,
+        generation: u32,
+        addr: SocketAddr,
+    ) -> io::Result<()> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let read_half = stream.try_clone()?;

@@ -137,7 +137,10 @@ pub fn run_trace(
             if now >= due {
                 break;
             }
-            for resp in cluster.router_mut().pump((due - now).min(Duration::from_millis(2))) {
+            for resp in cluster
+                .router_mut()
+                .pump((due - now).min(Duration::from_millis(2)))
+            {
                 settle(resp, &mut in_flight);
             }
         }

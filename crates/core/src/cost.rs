@@ -141,19 +141,13 @@ mod tests {
 
     fn model() -> CostModel {
         let mut net = sliced_net();
-        CostModel::measure(
-            &mut net,
-            SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-        )
+        CostModel::measure(&mut net, SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]))
     }
 
     #[test]
     fn measurement_restores_full_width() {
         let mut net = sliced_net();
-        let _ = CostModel::measure(
-            &mut net,
-            SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-        );
+        let _ = CostModel::measure(&mut net, SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]));
         let y = net.forward(&ms_tensor::Tensor::zeros([1, 16]), Mode::Infer);
         assert_eq!(y.dims(), &[1, 32]);
     }

@@ -323,8 +323,7 @@ impl ElasticEngine {
             // panels run, so an escalation to rate r charges the Eq. 3 delta
             // flops(r) − flops(r_prev) instead of a fresh full pass at r.
             let logits = guard.net.forward_prefix(x, prev_rate, r);
-            let marginal =
-                self.cost.flops_at(r) - prev_rate.map_or(0, |p| self.cost.flops_at(p));
+            let marginal = self.cost.flops_at(r) - prev_rate.map_or(0, |p| self.cost.flops_at(p));
             spent += marginal * batch as u64;
             prev_rate = Some(r);
             let conf = min_max_prob(&logits);

@@ -57,7 +57,10 @@ pub fn upgrade_linear(
     let dims = weight.dims();
     assert_eq!(dims.len(), 2);
     let (n, m) = (dims[0], dims[1]);
-    assert!(in_a <= in_b && in_b <= m, "input widths {in_a} ≤ {in_b} ≤ {m}");
+    assert!(
+        in_a <= in_b && in_b <= m,
+        "input widths {in_a} ≤ {in_b} ≤ {m}"
+    );
     assert!(out_a <= out_b && out_b <= n, "output widths");
     let batch = x.numel() / in_b;
     assert_eq!(x.dims().last().copied(), Some(in_b));
@@ -292,8 +295,16 @@ impl IncrementalStack {
             .map(|l| {
                 let m = self.weights[l].dims()[1];
                 let k = self.weights[l].dims()[0];
-                let in_w = if l == 0 { m } else { active_units(m, groups, rate) };
-                let out_w = if l == n - 1 { k } else { active_units(k, groups, rate) };
+                let in_w = if l == 0 {
+                    m
+                } else {
+                    active_units(m, groups, rate)
+                };
+                let out_w = if l == n - 1 {
+                    k
+                } else {
+                    active_units(k, groups, rate)
+                };
                 (in_w, out_w)
             })
             .collect()
@@ -349,7 +360,12 @@ impl IncrementalStack {
     /// Upgrades a cached narrow pass to wider per-layer widths using the
     /// Eq.-9 block decomposition with `ỹ_a ≈ y_a` (pre-activation reuse).
     /// `x` must be the *wide* input (its prefix is the narrow input).
-    pub fn upgrade(&self, x: &Tensor, cache: &StackCache, widths: &[(usize, usize)]) -> StackResult {
+    pub fn upgrade(
+        &self,
+        x: &Tensor,
+        cache: &StackCache,
+        widths: &[(usize, usize)],
+    ) -> StackResult {
         assert_eq!(widths.len(), self.len());
         let batch = x.dims()[0];
         let mut flops = 0u64;
@@ -496,13 +512,12 @@ mod stack_tests {
         let narrow = st.forward_at(&x, &[(6, 6), (6, 5)]);
         let up = st.upgrade(&x, &narrow.cache, &[(6, 12), (12, 5)]);
         let want = st.forward_at(&x, &[(6, 12), (12, 5)]);
-        let err: f32 = up
-            .y
-            .data()
-            .iter()
-            .zip(want.y.data())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max);
+        let err: f32 =
+            up.y.data()
+                .iter()
+                .zip(want.y.data())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f32::max);
         let scale = want.y.max_abs().max(1.0);
         assert!(err / scale < 1.5, "relative error {err} vs scale {scale}");
     }

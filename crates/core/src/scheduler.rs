@@ -88,7 +88,11 @@ pub fn discretize(dist: &ContinuousDist, list: &SliceRateList) -> Vec<f64> {
         } else {
             1.0
         };
-        let lo = if i > 0 { dist.cdf((r[i - 1] + r[i]) / 2.0) } else { 0.0 };
+        let lo = if i > 0 {
+            dist.cdf((r[i - 1] + r[i]) / 2.0)
+        } else {
+            0.0
+        };
         p.push((hi - lo).max(0.0));
     }
     let total: f64 = p.iter().sum();
@@ -364,10 +368,7 @@ mod tests {
     fn eq8_uniform_discretisation_weights_interior_by_spacing() {
         // Uniform over [0,1] on rates (.25,.5,.75,1.0): interior rates get
         // mass .25 each; ends absorb the tails.
-        let p = discretize(
-            &ContinuousDist::Uniform { lo: 0.0, hi: 1.0 },
-            &list4(),
-        );
+        let p = discretize(&ContinuousDist::Uniform { lo: 0.0, hi: 1.0 }, &list4());
         assert!((p[0] - 0.375).abs() < 1e-6, "{p:?}"); // tail 0..0.375
         assert!((p[1] - 0.25).abs() < 1e-6);
         assert!((p[2] - 0.25).abs() < 1e-6);
@@ -411,8 +412,7 @@ mod tests {
             4
         );
         assert_eq!(
-            Scheduler::new(SchedulerKind::RandomMinMax, l.clone(), &mut rng)
-                .rates_per_iteration(),
+            Scheduler::new(SchedulerKind::RandomMinMax, l.clone(), &mut rng).rates_per_iteration(),
             3
         );
         assert_eq!(
@@ -432,7 +432,10 @@ mod distribution_tests {
         let list = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
         let mut s = Scheduler::new(
             SchedulerKind::RandomDistribution {
-                dist: ContinuousDist::Normal { mean: 1.0, std: 0.2 },
+                dist: ContinuousDist::Normal {
+                    mean: 1.0,
+                    std: 0.2,
+                },
                 k: 1,
             },
             list,

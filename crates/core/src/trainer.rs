@@ -172,7 +172,9 @@ impl Trainer {
             let dx = net.backward(&dlogits);
             dx.recycle();
             dlogits.recycle();
-            self.metrics.subnet_seconds(r).record(t0.elapsed().as_secs_f64());
+            self.metrics
+                .subnet_seconds(r)
+                .record(t0.elapsed().as_secs_f64());
             self.metrics.loss.set(loss);
             self.metrics.loss_hist.record(loss);
             subnet_losses.push((r, loss));

@@ -17,7 +17,12 @@ pub struct ImageBatcher<'a> {
 
 impl<'a> ImageBatcher<'a> {
     /// Creates the batcher with its own RNG stream.
-    pub fn new(ds: &'a ImageDataset, batch_size: usize, augment: bool, rng: &mut SeededRng) -> Self {
+    pub fn new(
+        ds: &'a ImageDataset,
+        batch_size: usize,
+        augment: bool,
+        rng: &mut SeededRng,
+    ) -> Self {
         assert!(batch_size > 0);
         ImageBatcher {
             ds,
@@ -191,9 +196,8 @@ mod tests {
         // Every emitted row must be byte-identical to some source image.
         let (x0, y0) = &batches[0];
         let row = &x0.data()[..img_len];
-        let found = (0..ds.train_y.len()).any(|i| {
-            ds.train_y[i] == y0[0] && &ds.train_x[i * img_len..(i + 1) * img_len] == row
-        });
+        let found = (0..ds.train_y.len())
+            .any(|i| ds.train_y[i] == y0[0] && &ds.train_x[i * img_len..(i + 1) * img_len] == row);
         assert!(found);
     }
 

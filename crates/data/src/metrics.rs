@@ -127,10 +127,7 @@ mod tests {
         // Symmetry.
         let a = [1usize, 4, 7, 9];
         let b = [2usize, 4, 9, 11, 13];
-        assert_eq!(
-            inclusion_coefficient(&a, &b),
-            inclusion_coefficient(&b, &a)
-        );
+        assert_eq!(inclusion_coefficient(&a, &b), inclusion_coefficient(&b, &a));
     }
 
     #[test]

@@ -167,10 +167,9 @@ impl ImageDataset {
                 for x in 0..s {
                     let u = x as f32;
                     let v = y as f32;
-                    let main =
-                        (f * (dx * u + dy * v) + phase + shift_x).sin() * contrast;
-                    let distract = (df * (ddx * u + ddy * v) + dphase + shift_y).sin()
-                        * cfg.distractor;
+                    let main = (f * (dx * u + dy * v) + phase + shift_x).sin() * contrast;
+                    let distract =
+                        (df * (ddx * u + ddy * v) + dphase + shift_y).sin() * cfg.distractor;
                     let noise = rng.normal(0.0, cfg.noise);
                     plane[y * s + x] = main + distract + bias + noise;
                 }

@@ -223,7 +223,9 @@ mod tests {
             .unwrap();
         let top_succ = (0..32).max_by_key(|&s| counts[freq_token][s]).unwrap();
         assert!(
-            c.successors[freq_token].iter().any(|&(id, _)| id == top_succ),
+            c.successors[freq_token]
+                .iter()
+                .any(|&(id, _)| id == top_succ),
             "empirical top successor not in chain skeleton"
         );
     }

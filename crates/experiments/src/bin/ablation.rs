@@ -17,8 +17,7 @@ use ms_core::trainer::{Batch, Trainer, TrainerConfig};
 use ms_data::loader::ImageBatcher;
 use ms_data::synth_images::ImageDataset;
 use ms_experiments::{
-    eval_accuracy, pct, print_table, test_batches, train_image_model, write_results,
-    ImageSetting,
+    eval_accuracy, pct, print_table, test_batches, train_image_model, write_results, ImageSetting,
 };
 use ms_models::mobile::{MobileConfig, MobileNetStyle};
 use ms_models::vgg::Vgg;
@@ -162,11 +161,5 @@ fn main() {
     println!("\nAblations — training-scheme design choices (accuracy %, VGG track)\n");
     print_table(&header_refs, &rows);
     println!("elapsed: {:.1}s", start.elapsed().as_secs_f64());
-    write_results(
-        "ablation",
-        &AblationResults {
-            rates,
-            variants,
-        },
-    );
+    write_results("ablation", &AblationResults { rates, variants });
 }

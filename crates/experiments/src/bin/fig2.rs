@@ -19,10 +19,10 @@
 //! (its base has too few channels — the paper's §5.3.3 observation);
 //! multi-classifier/SkipNet degrade fastest.
 
-use ms_core::scheduler::SchedulerKind;
-use ms_core::slice_rate::SliceRate;
 use ms_baselines::skipnet::{SkipNet, SkipNetConfig};
 use ms_baselines::slimming;
+use ms_core::scheduler::SchedulerKind;
+use ms_core::slice_rate::SliceRate;
 use ms_data::synth_images::ImageDataset;
 use ms_experiments::{
     accuracy_sweep, eval_accuracy, pct, print_table, telemetry_flusher, test_batches,
@@ -113,7 +113,14 @@ fn main() {
         let cfg = fixed_resnet_cfg(&wide_cfg, r);
         let mut rng = SeededRng::new(1000 + i as u64);
         let mut m = ResNet::new(&cfg, &mut rng);
-        train_image_model(&mut m, &ds, &setting, SchedulerKind::Fixed(1.0), 1100 + i as u64, |_, _| {});
+        train_image_model(
+            &mut m,
+            &ds,
+            &setting,
+            SchedulerKind::Fixed(1.0),
+            1100 + i as u64,
+            |_, _| {},
+        );
         width_pts.push(Point {
             flops: m.flops_per_sample(),
             accuracy: eval_accuracy(&mut m, &test, SliceRate::FULL),
@@ -132,7 +139,14 @@ fn main() {
         };
         let mut rng = SeededRng::new(1200 + i as u64);
         let mut m = ResNet::new(&cfg, &mut rng);
-        train_image_model(&mut m, &ds, &setting, SchedulerKind::Fixed(1.0), 1300 + i as u64, |_, _| {});
+        train_image_model(
+            &mut m,
+            &ds,
+            &setting,
+            SchedulerKind::Fixed(1.0),
+            1300 + i as u64,
+            |_, _| {},
+        );
         depth_pts.push(Point {
             flops: m.flops_per_sample(),
             accuracy: eval_accuracy(&mut m, &test, SliceRate::FULL),
@@ -242,7 +256,14 @@ fn main() {
         },
         &mut rng,
     );
-    train_image_model(&mut skip, &ds, &setting, SchedulerKind::Fixed(1.0), 1801, |_, _| {});
+    train_image_model(
+        &mut skip,
+        &ds,
+        &setting,
+        SchedulerKind::Fixed(1.0),
+        1801,
+        |_, _| {},
+    );
     let mut skip_pts = Vec::new();
     for f in [0.0f64, 0.5, 1.0] {
         skip.set_skip_fraction(f);

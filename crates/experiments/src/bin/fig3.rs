@@ -48,7 +48,14 @@ fn main() {
         };
         let mut rng = SeededRng::new(700 + i as u64);
         let mut model = Vgg::new(&setting.vgg, &mut rng);
-        train_image_model(&mut model, &ds, &run_setting, kind, 800 + i as u64, |_, _| {});
+        train_image_model(
+            &mut model,
+            &ds,
+            &run_setting,
+            kind,
+            800 + i as u64,
+            |_, _| {},
+        );
         let errors: Vec<f64> = eval_rates
             .iter()
             .map(|&r| 100.0 * (1.0 - eval_accuracy(&mut model, &test, SliceRate::new(r))))
@@ -72,11 +79,5 @@ fn main() {
     println!("\n(read column lb=x downward: error explodes once eval rate < lb)");
     println!("elapsed: {:.1}s", start.elapsed().as_secs_f64());
 
-    write_results(
-        "fig3",
-        &Fig3Results {
-            eval_rates,
-            curves,
-        },
-    );
+    write_results("fig3", &Fig3Results { eval_rates, curves });
 }

@@ -83,7 +83,13 @@ fn main() {
         let h = active_units(hidden, groups, r);
         let mut rng = SeededRng::new(920 + i as u64);
         let mut model = Nnlm::new(&nnlm_config(vocab, h, 1), &mut rng);
-        train_text_model(&mut model, &corpus, &setting, SchedulerKind::Fixed(1.0), 930 + i as u64);
+        train_text_model(
+            &mut model,
+            &corpus,
+            &setting,
+            SchedulerKind::Fixed(1.0),
+            930 + i as u64,
+        );
         let one = perplexity_sweep(
             &mut model,
             &test,
@@ -94,7 +100,13 @@ fn main() {
 
     // Report (Table 2 layout, descending rates).
     let full_flops = sliced_sweep.last().expect("nonempty").flops;
-    let headers = ["slice rate", "Ct (%)", "NNLM-1.0", "NNLM-0.375", "NNLM-fixed"];
+    let headers = [
+        "slice rate",
+        "Ct (%)",
+        "NNLM-1.0",
+        "NNLM-0.375",
+        "NNLM-fixed",
+    ];
     let mut rows = Vec::new();
     for i in (0..sliced_sweep.len()).rev() {
         rows.push(vec![

@@ -27,11 +27,7 @@ fn group_means(gammas: &[f32], groups: usize) -> Vec<f64> {
         .map(|g| {
             let lo = group_boundary(gammas.len(), groups, g);
             let hi = group_boundary(gammas.len(), groups, g + 1);
-            gammas[lo..hi]
-                .iter()
-                .map(|&v| v.abs() as f64)
-                .sum::<f64>()
-                / (hi - lo).max(1) as f64
+            gammas[lo..hi].iter().map(|&v| v.abs() as f64).sum::<f64>() / (hi - lo).max(1) as f64
         })
         .collect()
 }
@@ -79,17 +75,18 @@ fn main() {
         );
     }
 
-    println!("\nFigure 6 — per-group mean |γ| over training epochs (rows = groups, cols = epochs)\n");
+    println!(
+        "\nFigure 6 — per-group mean |γ| over training epochs (rows = groups, cols = epochs)\n"
+    );
     for (pi, pname) in probe_names.iter().enumerate() {
         let matrix = &history[pi];
-        let max = matrix
-            .iter()
-            .flatten()
-            .cloned()
-            .fold(0.0f64, f64::max);
+        let max = matrix.iter().flatten().cloned().fold(0.0f64, f64::max);
         println!("probe layer {pname}:");
         for g in 0..groups {
-            let row: String = matrix.iter().map(|epoch| heat_char(epoch[g], max)).collect();
+            let row: String = matrix
+                .iter()
+                .map(|epoch| heat_char(epoch[g], max))
+                .collect();
             let last = matrix.last().map(|e| e[g]).unwrap_or(0.0);
             println!("  G{:<2} |{}| final {:.3}", g + 1, row, last);
         }

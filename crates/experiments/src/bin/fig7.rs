@@ -10,8 +10,7 @@ use ms_core::scheduler::SchedulerKind;
 use ms_core::slice_rate::SliceRate;
 use ms_data::synth_images::ImageDataset;
 use ms_experiments::{
-    eval_accuracy, fmt, print_table, test_batches, train_image_model, write_results,
-    ImageSetting,
+    eval_accuracy, fmt, print_table, test_batches, train_image_model, write_results, ImageSetting,
 };
 use ms_models::vgg::Vgg;
 use ms_nn::layer::{Layer, Mode};

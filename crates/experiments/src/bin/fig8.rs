@@ -83,7 +83,14 @@ fn main() {
         let cfg = fixed_vgg_config(&setting.vgg, r);
         let mut rng = SeededRng::new(2700 + i as u64);
         let mut m = Vgg::new(&cfg, &mut rng);
-        train_image_model(&mut m, &ds, &setting, SchedulerKind::Fixed(1.0), 2800 + i as u64, |_, _| {});
+        train_image_model(
+            &mut m,
+            &ds,
+            &setting,
+            SchedulerKind::Fixed(1.0),
+            2800 + i as u64,
+            |_, _| {},
+        );
         fixed_errors.push(eval_errors(&mut m, &test, SliceRate::FULL));
     }
 
@@ -107,8 +114,16 @@ fn main() {
     let fixed_matrix = matrix_of(&fixed_errors);
     let sliced_matrix = matrix_of(&sliced_errors);
     println!("\nFigure 8 — inclusion coefficient of wrong-prediction sets\n");
-    print_matrix("(a) independently trained fixed models:", &rates, &fixed_matrix);
-    print_matrix("(b) subnets of one model-slicing model:", &rates, &sliced_matrix);
+    print_matrix(
+        "(a) independently trained fixed models:",
+        &rates,
+        &fixed_matrix,
+    );
+    print_matrix(
+        "(b) subnets of one model-slicing model:",
+        &rates,
+        &sliced_matrix,
+    );
     println!("elapsed: {:.1}s", start.elapsed().as_secs_f64());
 
     write_results(

@@ -109,7 +109,14 @@ fn main() {
     }
     println!("\n§4.1 — serving under dynamic workload (latency T = 40 ms, budget T/2)\n");
     print_table(
-        &["policy", "served", "shed", "shed %", "eff. accuracy %", "budget util"],
+        &[
+            "policy",
+            "served",
+            "shed",
+            "shed %",
+            "eff. accuracy %",
+            "budget util",
+        ],
         &rows,
     );
     if let Some((_, slicing)) = reports.iter().find(|(n, _)| n == "ModelSlicing") {
@@ -361,7 +368,10 @@ fn loopback_serving_run() {
         if std::fs::create_dir_all("results/logs").is_ok()
             && std::fs::write("results/logs/trace_serving.json", &json).is_ok()
         {
-            println!("  flight dump: results/logs/trace_serving.json ({} bytes)", json.len());
+            println!(
+                "  flight dump: results/logs/trace_serving.json ({} bytes)",
+                json.len()
+            );
         }
     }
     let delivered = client

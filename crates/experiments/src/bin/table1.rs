@@ -48,7 +48,14 @@ fn main() {
         let cfg = fixed_vgg_config(&setting.vgg, r);
         let mut rng = SeededRng::new(200 + i as u64);
         let mut model = Vgg::new(&cfg, &mut rng);
-        train_image_model(&mut model, &ds, &setting, SchedulerKind::Fixed(1.0), 300 + i as u64, |_, _| {});
+        train_image_model(
+            &mut model,
+            &ds,
+            &setting,
+            SchedulerKind::Fixed(1.0),
+            300 + i as u64,
+            |_, _| {},
+        );
         fixed.push(eval_accuracy(&mut model, &test, SliceRate::FULL));
     }
     results.insert("Fixed".into(), fixed);
@@ -65,7 +72,10 @@ fn main() {
         ("R-uniform-2", SchedulerKind::RandomUniform { k: 2 }),
         (
             "R-weighted-2",
-            SchedulerKind::RandomWeighted { weights: w2.clone(), k: 2 },
+            SchedulerKind::RandomWeighted {
+                weights: w2.clone(),
+                k: 2,
+            },
         ),
         (
             "R-weighted-3",
@@ -92,7 +102,14 @@ fn main() {
     eprintln!("[table1] Slimmable…");
     let mut rng = SeededRng::new(600);
     let mut slim = SlimmableVgg::new(&setting.vgg, setting.rates.rates(), &mut rng);
-    train_image_model(&mut slim, &ds, &setting, SchedulerKind::Static, 601, |_, _| {});
+    train_image_model(
+        &mut slim,
+        &ds,
+        &setting,
+        SchedulerKind::Static,
+        601,
+        |_, _| {},
+    );
     let accs: Vec<f64> = rates_desc
         .iter()
         .map(|&r| eval_accuracy(&mut slim, &test, r))

@@ -7,8 +7,8 @@
 //! substitution policy; relative ordering is preserved (wide > narrow,
 //! VGG > ResNet at equal depth).
 
-use ms_experiments::print_table;
 use ms_data::metrics::{format_flops, format_params};
+use ms_experiments::print_table;
 use ms_models::config::{summarize, ArchKind};
 
 fn main() {

@@ -52,11 +52,22 @@ fn main() {
     let mut stage_flops = Vec::new();
     let mut cascade_total_params = 0u64;
     for (i, &r) in rates.iter().enumerate() {
-        eprintln!("[table5] training cascade stage {} (width {:.3})…", i + 1, r.get());
+        eprintln!(
+            "[table5] training cascade stage {} (width {:.3})…",
+            i + 1,
+            r.get()
+        );
         let cfg = fixed_vgg_config(&setting.vgg, r);
         let mut rng = SeededRng::new(2000 + i as u64);
         let mut m = Vgg::new(&cfg, &mut rng);
-        train_image_model(&mut m, &ds, &setting, SchedulerKind::Fixed(1.0), 2100 + i as u64, |_, _| {});
+        train_image_model(
+            &mut m,
+            &ds,
+            &setting,
+            SchedulerKind::Fixed(1.0),
+            2100 + i as u64,
+            |_, _| {},
+        );
         stage_params.push(m.full_param_count());
         stage_flops.push(m.flops_per_sample());
         cascade_total_params += m.full_param_count();

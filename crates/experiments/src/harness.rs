@@ -7,10 +7,10 @@ use ms_data::loader::{ImageBatcher, TextBatcher};
 use ms_data::synth_images::{ImageDataset, ImageDatasetConfig};
 use ms_data::synth_text::{TextCorpus, TextCorpusConfig};
 use ms_models::vgg::VggConfig;
-use ms_nn::slice::{active_groups, active_units};
 use ms_nn::layer::{Layer, Mode};
 use ms_nn::loss::CrossEntropy;
 use ms_nn::optim::{LrSchedule, SgdConfig, StepSchedule};
+use ms_nn::slice::{active_groups, active_units};
 use ms_tensor::{ops, SeededRng, Tensor};
 use serde::Serialize;
 
@@ -203,9 +203,7 @@ pub fn train_image_model(
     let mut schedule = StepSchedule::cifar(setting.lr, setting.epochs);
     let mut batcher = ImageBatcher::new(ds, setting.batch, true, &mut rng);
     for epoch in 0..setting.epochs {
-        trainer
-            .optimizer_mut()
-            .set_lr(schedule.lr_for(epoch, None));
+        trainer.optimizer_mut().set_lr(schedule.lr_for(epoch, None));
         let batches: Vec<Batch> = batcher
             .epoch()
             .into_iter()
@@ -255,11 +253,7 @@ pub fn eval_errors(model: &mut dyn Layer, batches: &[Batch], rate: SliceRate) ->
 }
 
 /// Predictions per item (for the Table-5 cascade), in batch order.
-pub fn eval_predictions(
-    model: &mut dyn Layer,
-    batches: &[Batch],
-    rate: SliceRate,
-) -> Vec<usize> {
+pub fn eval_predictions(model: &mut dyn Layer, batches: &[Batch], rate: SliceRate) -> Vec<usize> {
     model.set_slice_rate(rate);
     let mut preds = Vec::new();
     for b in batches {
@@ -397,12 +391,7 @@ pub fn text_eval_batches(tokens: &[usize], batch: usize, seq_len: usize) -> Vec<
 /// mid-training leaves a fresh snapshot behind. Returns `None` on
 /// read-only checkouts, where printing is the only output anyway.
 pub fn telemetry_flusher(name: &str) -> Option<ms_telemetry::Flusher> {
-    ms_telemetry::Flusher::start(
-        "results/logs",
-        name,
-        std::time::Duration::from_secs(1),
-    )
-    .ok()
+    ms_telemetry::Flusher::start("results/logs", name, std::time::Duration::from_secs(1)).ok()
 }
 
 /// Writes a JSON results file under `results/` (created on demand), so runs
@@ -517,12 +506,9 @@ mod tests {
         };
         let cfg = fixed_vgg_config(&base, SliceRate::new(0.375));
         // active_units(8,8,.375)=3, (16,8,.375)=6, (32,8,.375)=12.
-        assert_eq!(
-            cfg.stages,
-            vec![(1usize, 3usize), (1, 6), (2, 12)]
-        );
+        assert_eq!(cfg.stages, vec![(1usize, 3usize), (1, 6), (2, 12)]);
         assert_eq!(cfg.groups, 3); // min active group count across stages
-        // Full rate reproduces the base.
+                                   // Full rate reproduces the base.
         let cfg = fixed_vgg_config(&base, SliceRate::FULL);
         assert_eq!(cfg.stages, base.stages);
     }
@@ -557,7 +543,9 @@ mod tests {
         assert_eq!(calls, 3);
         // Model left at full width.
         assert_eq!(
-            model.forward(&Tensor::zeros([1, 3, 12, 12]), Mode::Infer).dims(),
+            model
+                .forward(&Tensor::zeros([1, 3, 12, 12]), Mode::Infer)
+                .dims(),
             &[1, 8]
         );
     }
@@ -575,14 +563,13 @@ mod tests {
         let preds = eval_predictions(&mut model, &test, r);
         let labels: Vec<usize> = test.iter().flat_map(|b| b.y.iter().copied()).collect();
         assert_eq!(preds.len(), labels.len());
-        let acc_from_preds = preds
-            .iter()
-            .zip(&labels)
-            .filter(|(p, l)| p == l)
-            .count() as f64
-            / labels.len() as f64;
+        let acc_from_preds =
+            preds.iter().zip(&labels).filter(|(p, l)| p == l).count() as f64 / labels.len() as f64;
         assert!((acc - acc_from_preds).abs() < 1e-12);
-        assert_eq!(wrong.len(), labels.len() - (acc * labels.len() as f64).round() as usize);
+        assert_eq!(
+            wrong.len(),
+            labels.len() - (acc * labels.len() as f64).round() as usize
+        );
         // Errors are sorted unique indices.
         assert!(wrong.windows(2).all(|w| w[0] < w[1]));
     }

@@ -23,7 +23,10 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     };
     let header: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
     println!("{}", line(&header));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
+    println!(
+        "{}",
+        "-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1))
+    );
     for row in rows {
         println!("{}", line(row));
     }

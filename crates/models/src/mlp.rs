@@ -41,7 +41,10 @@ pub struct Mlp {
 impl Mlp {
     /// Builds the MLP.
     pub fn new(cfg: &MlpConfig, rng: &mut SeededRng) -> Self {
-        assert!(!cfg.hidden_dims.is_empty(), "need at least one hidden layer");
+        assert!(
+            !cfg.hidden_dims.is_empty(),
+            "need at least one hidden layer"
+        );
         for &h in &cfg.hidden_dims {
             assert!(cfg.groups >= 1 && cfg.groups <= h, "groups vs width {h}");
         }

@@ -353,11 +353,7 @@ mod tests {
             clip_norm: Some(5.0),
         });
         // Deterministic cycle 0,1,2,…,11,0,… is perfectly predictable.
-        let x = Tensor::from_vec(
-            [1, 24],
-            (0..24).map(|i| (i % 12) as f32).collect(),
-        )
-        .unwrap();
+        let x = Tensor::from_vec([1, 24], (0..24).map(|i| (i % 12) as f32).collect()).unwrap();
         let y: Vec<usize> = (1..25).map(|i| i % 12).collect();
         let mut first = None;
         let mut last = 0.0;
@@ -396,8 +392,7 @@ mod gru_tests {
     fn gru_nnlm_forward_and_slice() {
         let mut rng = SeededRng::new(61);
         let mut m = Nnlm::new(&tiny_gru(), &mut rng);
-        let x = Tensor::from_vec([2, 4], vec![0.0, 3.0, 7.0, 11.0, 1.0, 2.0, 5.0, 9.0])
-            .unwrap();
+        let x = Tensor::from_vec([2, 4], vec![0.0, 3.0, 7.0, 11.0, 1.0, 2.0, 5.0, 9.0]).unwrap();
         assert_eq!(m.forward(&x, Mode::Infer).dims(), &[8, 12]);
         m.set_slice_rate(SliceRate::new(0.5));
         assert_eq!(m.forward(&x, Mode::Infer).dims(), &[8, 12]);
@@ -429,8 +424,7 @@ mod gru_tests {
             weight_decay: 0.0,
             clip_norm: Some(5.0),
         });
-        let x = Tensor::from_vec([1, 24], (0..24).map(|i| (i % 12) as f32).collect())
-            .unwrap();
+        let x = Tensor::from_vec([1, 24], (0..24).map(|i| (i % 12) as f32).collect()).unwrap();
         let y: Vec<usize> = (1..25).map(|i| i % 12).collect();
         let mut first = None;
         let mut last = 0.0;

@@ -437,17 +437,7 @@ mod tests {
     #[test]
     fn block_gradients_full_width() {
         let mut rng = SeededRng::new(2);
-        let mut block = PreActBottleneck::new(
-            "b".into(),
-            4,
-            4,
-            8,
-            1,
-            4,
-            4,
-            Some(4),
-            &mut rng,
-        );
+        let mut block = PreActBottleneck::new("b".into(), 4, 4, 8, 1, 4, 4, Some(4), &mut rng);
         let x = Tensor::from_vec(
             [2, 4, 4, 4],
             (0..128).map(|_| rng.uniform(-1.0, 1.0)).collect(),
@@ -461,17 +451,7 @@ mod tests {
     fn identity_block_gradients() {
         let mut rng = SeededRng::new(3);
         // c_in == c_out, stride 1 → identity shortcut path.
-        let mut block = PreActBottleneck::new(
-            "b".into(),
-            8,
-            4,
-            8,
-            1,
-            4,
-            4,
-            Some(4),
-            &mut rng,
-        );
+        let mut block = PreActBottleneck::new("b".into(), 8, 4, 8, 1, 4, 4, Some(4), &mut rng);
         let x = Tensor::from_vec(
             [1, 8, 4, 4],
             (0..128).map(|_| rng.uniform(-1.0, 1.0)).collect(),
@@ -484,17 +464,7 @@ mod tests {
     #[test]
     fn sliced_block_gradients() {
         let mut rng = SeededRng::new(4);
-        let mut block = PreActBottleneck::new(
-            "b".into(),
-            8,
-            8,
-            8,
-            1,
-            4,
-            4,
-            Some(4),
-            &mut rng,
-        );
+        let mut block = PreActBottleneck::new("b".into(), 8, 8, 8, 1, 4, 4, Some(4), &mut rng);
         block.set_slice_rate(SliceRate::new(0.5));
         let x = Tensor::from_vec(
             [1, 4, 4, 4],

@@ -75,11 +75,7 @@ impl Vgg {
     /// Builds the network with explicit control of the classifier's input
     /// rescaling — the ablation knob for the dense-layer scale-stability
     /// device (§5.2.2; see `--bin ablation`).
-    pub fn new_with_head_rescale(
-        cfg: &VggConfig,
-        head_rescale: bool,
-        rng: &mut SeededRng,
-    ) -> Self {
+    pub fn new_with_head_rescale(cfg: &VggConfig, head_rescale: bool, rng: &mut SeededRng) -> Self {
         assert!(!cfg.stages.is_empty());
         let mut net = Sequential::new("vgg");
         let mut in_ch = cfg.in_channels;
@@ -390,7 +386,9 @@ mod deploy_tests {
         });
         let x = Tensor::from_vec(
             [2, 3, 8, 8],
-            (0..384).map(|i| ((i * 13) % 17) as f32 * 0.1 - 0.8).collect(),
+            (0..384)
+                .map(|i| ((i * 13) % 17) as f32 * 0.1 - 0.8)
+                .collect(),
         )
         .unwrap();
         for &r in &[0.25f32, 0.5, 0.75, 1.0] {

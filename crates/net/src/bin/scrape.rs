@@ -165,14 +165,14 @@ fn buckets_by_name(samples: &[Sample], name: &str) -> Vec<(f64, f64)> {
     let bucket_name = format!("{name}_bucket");
     let mut acc: Vec<(f64, f64)> = Vec::new();
     for s in samples.iter().filter(|s| s.name == bucket_name) {
-        let Some(le) = s
-            .labels
-            .iter()
-            .find(|(k, _)| k == "le")
-            .and_then(|(_, v)| match v.as_str() {
-                "+Inf" => Some(f64::INFINITY),
-                v => v.parse().ok(),
-            })
+        let Some(le) =
+            s.labels
+                .iter()
+                .find(|(k, _)| k == "le")
+                .and_then(|(_, v)| match v.as_str() {
+                    "+Inf" => Some(f64::INFINITY),
+                    v => v.parse().ok(),
+                })
         else {
             continue;
         };
@@ -340,7 +340,10 @@ fn main() -> ExitCode {
         }
         "trace" => client.trace_dump().map(|json| println!("{json}")),
         "drain" => client.drain().map(|(flushed, delivered)| {
-            println!("drained: delivered={delivered} flushed_here={}", flushed.len());
+            println!(
+                "drained: delivered={delivered} flushed_here={}",
+                flushed.len()
+            );
         }),
         other => {
             eprintln!(

@@ -96,7 +96,11 @@ impl Client {
                 }
                 // Stale response from an earlier (abandoned) exchange.
                 Frame::InferResponse(_) => continue,
-                _ => return Err(NetError::Wire(WireError::Malformed("unexpected reply frame"))),
+                _ => {
+                    return Err(NetError::Wire(WireError::Malformed(
+                        "unexpected reply frame",
+                    )))
+                }
             }
         }
     }
@@ -108,7 +112,11 @@ impl Client {
             match self.recv()? {
                 Frame::HealthReply(h) => return Ok(h),
                 Frame::InferResponse(_) => continue,
-                _ => return Err(NetError::Wire(WireError::Malformed("unexpected reply frame"))),
+                _ => {
+                    return Err(NetError::Wire(WireError::Malformed(
+                        "unexpected reply frame",
+                    )))
+                }
             }
         }
     }
@@ -120,7 +128,11 @@ impl Client {
             match self.recv()? {
                 Frame::MetricsReply(text) => return Ok(text),
                 Frame::InferResponse(_) => continue,
-                _ => return Err(NetError::Wire(WireError::Malformed("unexpected reply frame"))),
+                _ => {
+                    return Err(NetError::Wire(WireError::Malformed(
+                        "unexpected reply frame",
+                    )))
+                }
             }
         }
     }
@@ -133,7 +145,11 @@ impl Client {
             match self.recv()? {
                 Frame::TraceDumpReply(json) => return Ok(json),
                 Frame::InferResponse(_) => continue,
-                _ => return Err(NetError::Wire(WireError::Malformed("unexpected reply frame"))),
+                _ => {
+                    return Err(NetError::Wire(WireError::Malformed(
+                        "unexpected reply frame",
+                    )))
+                }
             }
         }
     }
@@ -149,7 +165,11 @@ impl Client {
             match self.recv()? {
                 Frame::InferResponse(r) => flushed.push(r),
                 Frame::DrainAck { delivered } => return Ok((flushed, delivered)),
-                _ => return Err(NetError::Wire(WireError::Malformed("unexpected reply frame"))),
+                _ => {
+                    return Err(NetError::Wire(WireError::Malformed(
+                        "unexpected reply frame",
+                    )))
+                }
             }
         }
     }

@@ -60,10 +60,10 @@ pub mod server;
 pub mod sys;
 
 pub use client::{Client, PipelinedClient};
+pub use protocol::{read_frame_traced, write_frame_traced};
 pub use protocol::{
     Frame, FrameDecoder, HealthReply, InferOutcome, InferRequest, InferResponse, NetError,
     ReplicaHealth, ShardIdentity, SloHealth, WireError, WireShedReason,
 };
-pub use protocol::{read_frame_traced, write_frame_traced};
 pub use router::{RouteError, Router, RouterConfig};
 pub use server::{Server, ServerConfig};

@@ -327,7 +327,9 @@ pub enum Frame {
     Drain,
     /// Drain completed; `delivered` responses were flushed over the
     /// server's lifetime.
-    DrainAck { delivered: u64 },
+    DrainAck {
+        delivered: u64,
+    },
     /// Ask the server to harvest its flight recorder and dump the retained
     /// trace chains.
     TraceDumpRequest,
@@ -512,7 +514,9 @@ impl Frame {
                     InferOutcome::Shed(reason) => out.push(reason.code()),
                 }
             }
-            Frame::HealthRequest | Frame::MetricsRequest | Frame::Drain
+            Frame::HealthRequest
+            | Frame::MetricsRequest
+            | Frame::Drain
             | Frame::TraceDumpRequest => {}
             Frame::HealthReply(h) => {
                 // Always the v2 layout: wire_version() pins HealthReply to
@@ -763,7 +767,9 @@ impl Frame {
                 Frame::MetricsReply(text.to_string())
             }
             ty::DRAIN => Frame::Drain,
-            ty::DRAIN_ACK => Frame::DrainAck { delivered: r.u64()? },
+            ty::DRAIN_ACK => Frame::DrainAck {
+                delivered: r.u64()?,
+            },
             ty::TRACE_DUMP_REQUEST => Frame::TraceDumpRequest,
             ty::TRACE_DUMP_REPLY => {
                 let bytes = r.bytes(payload.len())?;
@@ -916,7 +922,8 @@ impl FrameDecoder {
         let mut consumed = 0usize;
         loop {
             let take = (self.need - self.buf.len()).min(chunk.len() - consumed);
-            self.buf.extend_from_slice(&chunk[consumed..consumed + take]);
+            self.buf
+                .extend_from_slice(&chunk[consumed..consumed + take]);
             consumed += take;
             if self.buf.len() < self.need {
                 return Ok((consumed, None));
@@ -1163,7 +1170,10 @@ mod tests {
         without.slo = None;
 
         let bytes_with = Frame::HealthReply(with.clone()).to_bytes();
-        assert_eq!(Frame::decode(&bytes_with).unwrap(), Frame::HealthReply(with));
+        assert_eq!(
+            Frame::decode(&bytes_with).unwrap(),
+            Frame::HealthReply(with)
+        );
 
         // 4×f64 burns + u32 firing + f64 p99 = 44 bytes of tail.
         const TAIL: usize = 44;
@@ -1176,7 +1186,10 @@ mod tests {
         let sum = fnv1a(FNV_OFFSET, &stripped[4..12]);
         let sum = fnv1a(sum, &stripped[HEADER_LEN..]);
         stripped[12..16].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(stripped, bytes_without, "absent tail must be the old layout");
+        assert_eq!(
+            stripped, bytes_without,
+            "absent tail must be the old layout"
+        );
         assert_eq!(
             Frame::decode(&stripped).unwrap(),
             Frame::HealthReply(without)
@@ -1217,9 +1230,7 @@ mod tests {
             pid: 9_001,
             generation: 3,
         };
-        for (with_slo, with_shard) in
-            [(false, false), (true, false), (false, true), (true, true)]
-        {
+        for (with_slo, with_shard) in [(false, false), (true, false), (false, true), (true, true)] {
             let mut h = base.clone();
             h.slo = with_slo.then(|| slo.clone());
             h.shard = with_shard.then_some(shard);
@@ -1333,7 +1344,10 @@ mod tests {
     fn oversized_declaration_is_rejected_before_allocation() {
         let mut bytes = Frame::Drain.to_bytes();
         bytes[8..12].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
-        assert_eq!(Frame::decode(&bytes), Err(WireError::Oversized(MAX_PAYLOAD + 1)));
+        assert_eq!(
+            Frame::decode(&bytes),
+            Err(WireError::Oversized(MAX_PAYLOAD + 1))
+        );
         let mut cursor = io::Cursor::new(bytes);
         assert!(matches!(
             read_frame(&mut cursor),
@@ -1429,7 +1443,10 @@ mod tests {
         assert!(matches!(out, Some((Frame::Drain, 0, _))));
         let (n2, out2) = dec.feed(&wire[n..]).unwrap();
         assert_eq!(n2, b.len());
-        assert!(matches!(out2, Some((Frame::DrainAck { delivered: 5 }, 0, _))));
+        assert!(matches!(
+            out2,
+            Some((Frame::DrainAck { delivered: 5 }, 0, _))
+        ));
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! failover — but keeps serving what it already accepted.
 
 use ms_serving::engine::{Engine, ShedReason};
-use ms_tensor::Tensor;
 use ms_telemetry::WindowedHistogram;
+use ms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 

@@ -520,8 +520,7 @@ impl Shared {
         let slo = self.slo.as_ref()?;
         let (deadline_fast_burn, deadline_slow_burn) =
             slo.engine.slo_burns("deadline").unwrap_or((0.0, 0.0));
-        let (shed_fast_burn, shed_slow_burn) =
-            slo.engine.slo_burns("shed").unwrap_or((0.0, 0.0));
+        let (shed_fast_burn, shed_slow_burn) = slo.engine.slo_burns("shed").unwrap_or((0.0, 0.0));
         let firing_alerts = slo.engine.status().firing;
         let l: &[(&str, &str)] = &[("server", self.metrics.server_id.as_str())];
         let window_p99_s = slo
@@ -673,7 +672,9 @@ impl Server {
             delivered: AtomicU64::new(0),
             reaped: AtomicU64::new(0),
             backpressure_closed: AtomicU64::new(0),
-            tables: (0..n).map(|_| Mutex::new(ReplicaTable::default())).collect(),
+            tables: (0..n)
+                .map(|_| Mutex::new(ReplicaTable::default()))
+                .collect(),
             conns: Mutex::new(HashMap::new()),
             reactors,
             metrics,
@@ -802,8 +803,16 @@ fn build_string() -> String {
     format!(
         "ms-net {} ({}{})",
         env!("CARGO_PKG_VERSION"),
-        if cfg!(debug_assertions) { "debug" } else { "release" },
-        if ms_telemetry::spans_compiled() { ", spans" } else { "" },
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
+        if ms_telemetry::spans_compiled() {
+            ", spans"
+        } else {
+            ""
+        },
     )
 }
 
@@ -1002,9 +1011,7 @@ fn accept_ready(
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if shared.draining.load(Ordering::Acquire)
-                    || shared.stop.load(Ordering::Acquire)
-                {
+                if shared.draining.load(Ordering::Acquire) || shared.stop.load(Ordering::Acquire) {
                     // Drain refuses new connections outright.
                     let _ = stream.shutdown(Shutdown::Both);
                     continue;
@@ -1180,12 +1187,7 @@ fn shut_read(poller: &mut Poller, conns: &mut HashMap<u64, Conn>, id: u64) {
 /// arming/disarming `EPOLLOUT` to match, resuming partial frames at the
 /// recorded offset. Closes the connection on write failure or when a
 /// requested close-after-flush completes.
-fn flush_conn(
-    shared: &Arc<Shared>,
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, Conn>,
-    id: u64,
-) {
+fn flush_conn(shared: &Arc<Shared>, poller: &mut Poller, conns: &mut HashMap<u64, Conn>, id: u64) {
     let mut do_close = false;
     {
         let Some(c) = conns.get_mut(&id) else { return };
@@ -1209,12 +1211,7 @@ fn flush_conn(
     }
 }
 
-fn close_conn(
-    shared: &Arc<Shared>,
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, Conn>,
-    id: u64,
-) {
+fn close_conn(shared: &Arc<Shared>, poller: &mut Poller, conns: &mut HashMap<u64, Conn>, id: u64) {
     let Some(c) = conns.remove(&id) else { return };
     let _ = poller.del(c.fd);
     c.out.lock().expect("outbuf lock").clear_dead();
@@ -1319,8 +1316,7 @@ fn place_request(shared: &Arc<Shared>, conn: u64, req: InferRequest, trace: u64)
                 conn,
                 correlation_id: req.correlation_id,
                 t0: Instant::now(),
-                deadline: deadline
-                    .unwrap_or_else(|| 2.0 * shared.router.engine(replica).window()),
+                deadline: deadline.unwrap_or_else(|| 2.0 * shared.router.engine(replica).window()),
                 trace,
             };
             let claimed = {
@@ -1342,9 +1338,10 @@ fn place_request(shared: &Arc<Shared>, conn: u64, req: InferRequest, trace: u64)
             shared.in_flight.fetch_sub(1, Ordering::AcqRel);
             let (reason, cause) = match e {
                 RouteError::Draining => (WireShedReason::Draining, flight::ShedCause::Draining),
-                RouteError::Shed(ShedReason::Backpressure) => {
-                    (WireShedReason::Backpressure, flight::ShedCause::Backpressure)
-                }
+                RouteError::Shed(ShedReason::Backpressure) => (
+                    WireShedReason::Backpressure,
+                    flight::ShedCause::Backpressure,
+                ),
                 RouteError::Shed(ShedReason::Stopping) => {
                     (WireShedReason::Stopping, flight::ShedCause::Stopping)
                 }

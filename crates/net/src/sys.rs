@@ -177,9 +177,8 @@ mod imp {
         /// Blocks up to `timeout` and appends readiness reports to `out`.
         pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            let n = unsafe {
-                epoll_wait(self.epfd, self.buf.as_mut_ptr(), self.buf.len() as i32, ms)
-            };
+            let n =
+                unsafe { epoll_wait(self.epfd, self.buf.as_mut_ptr(), self.buf.len() as i32, ms) };
             if n < 0 {
                 let e = io::Error::last_os_error();
                 if e.kind() == io::ErrorKind::Interrupted {
@@ -287,7 +286,13 @@ mod imp {
             })
         }
 
-        pub fn add(&mut self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+        pub fn add(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            readable: bool,
+            writable: bool,
+        ) -> io::Result<()> {
             self.interest.insert(fd, (token, readable, writable));
             Ok(())
         }

@@ -139,7 +139,9 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             Frame::MetricsReply(text)
         }
         7 => Frame::Drain,
-        8 => Frame::DrainAck { delivered: m.next() },
+        8 => Frame::DrainAck {
+            delivered: m.next(),
+        },
         9 => Frame::TraceDumpRequest,
         _ => {
             let len = (m.next() % 300) as usize;
@@ -167,7 +169,12 @@ struct ChaosStream {
 }
 
 impl ChaosStream {
-    fn new(mut bytes: Vec<u8>, max_chunk: usize, eof_at: Option<usize>, flip_bit: Option<usize>) -> Self {
+    fn new(
+        mut bytes: Vec<u8>,
+        max_chunk: usize,
+        eof_at: Option<usize>,
+        flip_bit: Option<usize>,
+    ) -> Self {
         if let Some(bit) = flip_bit {
             let bit = bit % (bytes.len() * 8).max(1);
             if !bytes.is_empty() {
@@ -186,7 +193,8 @@ impl ChaosStream {
     /// The transport's view of end-of-stream: the injected hangup point
     /// or the natural end of the byte string, whichever comes first.
     fn limit(&self) -> usize {
-        self.eof_at.map_or(self.bytes.len(), |e| e.min(self.bytes.len()))
+        self.eof_at
+            .map_or(self.bytes.len(), |e| e.min(self.bytes.len()))
     }
 }
 
@@ -237,7 +245,9 @@ fn pump(
     let mut frames = Vec::new();
     let mut scratch = [0u8; 257];
     loop {
-        let n = stream.read(&mut scratch).expect("chaos reads never io-fail");
+        let n = stream
+            .read(&mut scratch)
+            .expect("chaos reads never io-fail");
         if n == 0 {
             return (frames, dec.mid_frame(), None);
         }

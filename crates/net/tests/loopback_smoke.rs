@@ -50,10 +50,8 @@ fn net(seed: u64) -> Box<dyn Layer + Send> {
 }
 
 fn engine(weights: &SharedWeights, workers: usize) -> Engine {
-    let profile = LatencyProfile::quadratic(
-        SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-        1e-5,
-    );
+    let profile =
+        LatencyProfile::quadratic(SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]), 1e-5);
     let replicas = (0..workers)
         .map(|i| {
             let mut m = net(100 + i as u64);
@@ -314,7 +312,9 @@ fn slow_loris_half_frame_is_reaped_but_healthy_and_idle_conns_survive() {
     })
     .to_bytes();
     let mut loris = TcpStream::connect(addr).expect("connect loris");
-    loris.write_all(&frame[..frame.len() / 2]).expect("half frame");
+    loris
+        .write_all(&frame[..frame.len() / 2])
+        .expect("half frame");
     loris.flush().expect("flush half frame");
 
     // A healthy client keeps getting service the whole time the stalled
@@ -323,7 +323,9 @@ fn slow_loris_half_frame_is_reaped_but_healthy_and_idle_conns_survive() {
     let start = Instant::now();
     let mut served = 0u64;
     while start.elapsed() < Duration::from_millis(600) {
-        let r = healthy.infer(served, 0, &input_for(served)).expect("healthy infer");
+        let r = healthy
+            .infer(served, 0, &input_for(served))
+            .expect("healthy infer");
         assert!(matches!(r.outcome, InferOutcome::Logits { .. }));
         served += 1;
         std::thread::sleep(Duration::from_millis(25));
@@ -335,7 +337,11 @@ fn slow_loris_half_frame_is_reaped_but_healthy_and_idle_conns_survive() {
     while server.reaped_connections() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(server.reaped_connections(), 1, "loris connection not reaped");
+    assert_eq!(
+        server.reaped_connections(),
+        1,
+        "loris connection not reaped"
+    );
 
     // ...and the attacker observes the hangup.
     loris
@@ -348,7 +354,9 @@ fn slow_loris_half_frame_is_reaped_but_healthy_and_idle_conns_survive() {
     }
 
     // The idle connection is still perfectly serviceable.
-    let r = idle.infer(9_999, 0, &input_for(3)).expect("idle infer after reap window");
+    let r = idle
+        .infer(9_999, 0, &input_for(3))
+        .expect("idle infer after reap window");
     assert!(matches!(r.outcome, InferOutcome::Logits { .. }));
     assert_eq!(server.reaped_connections(), 1, "idle connection was reaped");
     server.shutdown();

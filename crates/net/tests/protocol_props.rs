@@ -138,7 +138,9 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             Frame::MetricsReply(text)
         }
         7 => Frame::Drain,
-        8 => Frame::DrainAck { delivered: m.next() },
+        8 => Frame::DrainAck {
+            delivered: m.next(),
+        },
         9 => Frame::TraceDumpRequest,
         _ => {
             let len = (m.next() % 300) as usize;

@@ -114,7 +114,10 @@ fn health_score_recovers_within_one_window_after_load_shift() {
         assert!(s <= last + 1e-9, "decay not monotone: {s} after {last}");
         last = s;
     }
-    assert!(last < recovered.max(1e-6), "stale p99 never decayed: {last}");
+    assert!(
+        last < recovered.max(1e-6),
+        "stale p99 never decayed: {last}"
+    );
 }
 
 /// Placement follows the shift: traffic avoids the slow replica, then
@@ -146,7 +149,10 @@ fn placement_adapts_after_load_shift() {
         h0.record(1.0);
     }
     let (to0, to1) = place(20);
-    assert!(to1 > to0, "era 1 placement ({to0}, {to1}) ignored slow replica 0");
+    assert!(
+        to1 > to0,
+        "era 1 placement ({to0}, {to1}) ignored slow replica 0"
+    );
 
     // Era 2: the load shifts — replica 0 recovers, replica 1 turns slow.
     for _ in 0..100 {

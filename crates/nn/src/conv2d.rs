@@ -593,7 +593,8 @@ impl Layer for Conv2d {
             None => self.prefix.begin(batch, out_ch * out_len),
             Some(_) => {
                 let done = self.group_rows[g_from];
-                self.prefix.resume(batch, out_ch * out_len, done, &self.name);
+                self.prefix
+                    .resume(batch, out_ch * out_len, done, &self.name);
             }
         }
         if g_to > g_from {

@@ -218,7 +218,9 @@ impl Layer for DepthwiseConv2d {
         let c_from = from.map_or(0, |r| active_units(channels, g, r));
         match from {
             None => self.prefix.begin(batch, channels * out_len),
-            Some(_) => self.prefix.resume(batch, channels * out_len, c_from, &self.name),
+            Some(_) => self
+                .prefix
+                .resume(batch, channels * out_len, c_from, &self.name),
         }
         for s in 0..batch {
             for ch in c_from..self.active {
@@ -234,8 +236,9 @@ impl Layer for DepthwiseConv2d {
         let mut y =
             Tensor::pooled_zeros([batch, self.active, self.geom.out_h(), self.geom.out_w()]);
         for s in 0..batch {
-            y.row_mut(s)
-                .copy_from_slice(&self.prefix.buf[s * channels * out_len..][..self.active * out_len]);
+            y.row_mut(s).copy_from_slice(
+                &self.prefix.buf[s * channels * out_len..][..self.active * out_len],
+            );
         }
         y
     }

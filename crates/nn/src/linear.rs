@@ -747,10 +747,10 @@ mod tests {
     #[test]
     fn prefix_refine_matches_fresh_pass_bitwise() {
         let cases = [
-            (Some(3), Some(4), true),  // hidden layer, ragged groups
-            (Some(4), None, true),     // classifier head
-            (None, Some(4), false),    // first layer (full-width input)
-            (None, None, false),       // plain dense
+            (Some(3), Some(4), true), // hidden layer, ragged groups
+            (Some(4), None, true),    // classifier head
+            (None, Some(4), false),   // first layer (full-width input)
+            (None, None, false),      // plain dense
         ];
         for (case_id, &(in_groups, out_groups, rescale)) in cases.iter().enumerate() {
             let mk = || {

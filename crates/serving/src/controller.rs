@@ -94,13 +94,7 @@ pub struct Decision {
 
 impl Policy {
     /// Decides how to process a batch of `n` queries.
-    pub fn decide(
-        &self,
-        n: usize,
-        t_full: f64,
-        budget: f64,
-        table: &AccuracyTable,
-    ) -> Decision {
+    pub fn decide(&self, n: usize, t_full: f64, budget: f64, table: &AccuracyTable) -> Decision {
         if n == 0 {
             return Decision {
                 served: 0,
@@ -405,10 +399,7 @@ mod tests {
 
     fn quad_controller(policy: RatePolicy) -> SlaController {
         SlaController::new(
-            LatencyProfile::quadratic(
-                SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-                1e-3,
-            ),
+            LatencyProfile::quadratic(SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]), 1e-3),
             policy,
         )
     }

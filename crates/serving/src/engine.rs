@@ -685,11 +685,7 @@ impl Engine {
             self.shared.idle.notify_all();
             return None;
         }
-        let capacity = self
-            .shared
-            .controller
-            .profile()
-            .max_batch(rate, budget);
+        let capacity = self.shared.controller.profile().max_batch(rate, budget);
         let fill = admit as f64 / capacity.max(1) as f64;
         self.shared.metrics.batch_fill.set(fill);
         let seq = st.next_seq;
@@ -1017,12 +1013,7 @@ fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Se
             shared.metrics.rate_service[idx].record(service_time);
         }
         let mut st = shared.state.lock().expect("engine lock");
-        for ((id, trace_id), logits) in batch
-            .ids
-            .into_iter()
-            .zip(batch.traces)
-            .zip(rows)
-        {
+        for ((id, trace_id), logits) in batch.ids.into_iter().zip(batch.traces).zip(rows) {
             st.responses.insert(
                 id,
                 EngineResponse {
@@ -1337,7 +1328,9 @@ mod tests {
     #[test]
     fn keyed_take_response_removes_exactly_one() {
         let e = engine(2, RatePolicy::Elastic);
-        let ids: Vec<u64> = (0..6).map(|_| e.submit(Tensor::zeros([8])).unwrap()).collect();
+        let ids: Vec<u64> = (0..6)
+            .map(|_| e.submit(Tensor::zeros([8])).unwrap())
+            .collect();
         e.seal();
         e.drain();
         let r = e.take_response(ids[3]).expect("completed");
@@ -1377,7 +1370,8 @@ mod tests {
         for _ in 0..63 {
             e.submit(Tensor::zeros([8])).unwrap();
         }
-        e.submit_with_deadline(Tensor::zeros([8]), Some(0.5e-3)).unwrap();
+        e.submit_with_deadline(Tensor::zeros([8]), Some(0.5e-3))
+            .unwrap();
         let tight = e.seal().expect("sealed");
         // The tightened budget does not leak into the next batch.
         for _ in 0..64 {
@@ -1532,7 +1526,13 @@ mod tests {
             .map(|i| Tensor::full([8], i as f32 * 0.1 - 0.4))
             .collect();
         let mut want = Vec::new();
-        refine_batched_forward(reference.as_mut(), &inputs, None, SliceRate::FULL, &mut want);
+        refine_batched_forward(
+            reference.as_mut(),
+            &inputs,
+            None,
+            SliceRate::FULL,
+            &mut want,
+        );
         for (r, w) in rs.iter().zip(&want) {
             assert_eq!(r.logits.data(), w.data(), "request {}", r.id);
         }

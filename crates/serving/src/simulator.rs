@@ -94,7 +94,11 @@ impl Simulator {
             arrived: trace.total(),
             served,
             shed,
-            mean_accuracy: if weight > 0.0 { acc_weighted / weight } else { 1.0 },
+            mean_accuracy: if weight > 0.0 {
+                acc_weighted / weight
+            } else {
+                1.0
+            },
             utilization: if util_n > 0 {
                 util_sum / util_n as f64
             } else {

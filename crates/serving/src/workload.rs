@@ -69,8 +69,7 @@ impl WorkloadTrace {
             let phase = 2.0 * std::f64::consts::PI * (t % cfg.diurnal_period) as f64
                 / cfg.diurnal_period as f64;
             // Sinusoid in [1, amplitude].
-            let diurnal =
-                1.0 + (cfg.diurnal_amplitude - 1.0) * 0.5 * (1.0 - phase.cos());
+            let diurnal = 1.0 + (cfg.diurnal_amplitude - 1.0) * 0.5 * (1.0 - phase.cos());
             let spike = if spike_left > 0 {
                 spike_left -= 1;
                 cfg.spike_multiplier
@@ -245,8 +244,7 @@ mod tests {
         let mut rng = SeededRng::new(1);
         for &rate in &[0.5f64, 4.0, 20.0, 100.0] {
             let n = 3000;
-            let mean: f64 =
-                (0..n).map(|_| poisson(rate, &mut rng) as f64).sum::<f64>() / n as f64;
+            let mean: f64 = (0..n).map(|_| poisson(rate, &mut rng) as f64).sum::<f64>() / n as f64;
             assert!(
                 (mean - rate).abs() < rate.max(1.0) * 0.12,
                 "rate {rate}: mean {mean}"
@@ -269,7 +267,10 @@ mod tests {
     #[test]
     fn named_shapes_are_deterministic_and_shaped() {
         let d = WorkloadTrace::diurnal(1000, 4.0, 3.0, 250, 7);
-        assert_eq!(d.arrivals, WorkloadTrace::diurnal(1000, 4.0, 3.0, 250, 7).arrivals);
+        assert_eq!(
+            d.arrivals,
+            WorkloadTrace::diurnal(1000, 4.0, 3.0, 250, 7).arrivals
+        );
         let dmax = d.rates.iter().cloned().fold(0.0f64, f64::max);
         let dmin = d.rates.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!((dmax - 12.0).abs() < 1e-6 && (dmin - 4.0).abs() < 1e-6);

@@ -67,10 +67,8 @@ fn eight_producers_five_seconds_no_deadlock_no_lost_requests() {
         let mut proto = replica_proto();
         SharedWeights::capture(proto.as_mut())
     };
-    let profile = LatencyProfile::quadratic(
-        SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-        2e-6,
-    );
+    let profile =
+        LatencyProfile::quadratic(SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]), 2e-6);
     let engine = Arc::new(Engine::start(
         EngineConfig {
             latency: 4e-3,

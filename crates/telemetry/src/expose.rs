@@ -24,7 +24,9 @@ fn fmt_f64(v: f64) -> String {
 }
 
 fn prom_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
@@ -216,7 +218,11 @@ impl Registry {
                 json_escape(&desc.name),
                 json_labels(&desc.labels),
                 c.get(),
-                if i + 1 == inner.counters.len() { "" } else { "," }
+                if i + 1 == inner.counters.len() {
+                    ""
+                } else {
+                    ","
+                }
             );
         }
         out.push_str("  ],\n  \"gauges\": [\n");
@@ -252,7 +258,11 @@ impl Registry {
                 json_num(h.percentile(0.90)),
                 json_num(h.percentile(0.99)),
                 exemplar,
-                if i + 1 == inner.histograms.len() { "" } else { "," }
+                if i + 1 == inner.histograms.len() {
+                    ""
+                } else {
+                    ","
+                }
             );
         }
         out.push_str("  ],\n  \"spans\": [\n");
@@ -285,7 +295,11 @@ fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     let file = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "dump path has no file name"))?;
-    let tmp = dir.join(format!(".{}.tmp.{}", file.to_string_lossy(), std::process::id()));
+    let tmp = dir.join(format!(
+        ".{}.tmp.{}",
+        file.to_string_lossy(),
+        std::process::id()
+    ));
     std::fs::write(&tmp, contents)?;
     let renamed = std::fs::rename(&tmp, path);
     if renamed.is_err() {
@@ -395,9 +409,8 @@ impl Flusher {
                     if *stopped {
                         break;
                     }
-                    let (guard, _timeout) = cv
-                        .wait_timeout(stopped, interval)
-                        .expect("flusher lock");
+                    let (guard, _timeout) =
+                        cv.wait_timeout(stopped, interval).expect("flusher lock");
                     stopped = guard;
                     let _ = dump(&dir, &prefix);
                     if *stopped {
@@ -432,7 +445,8 @@ mod tests {
     fn prometheus_text_has_type_lines_and_series() {
         let r = Registry::new();
         r.counter("expose_requests_total", "requests offered").inc();
-        r.counter_with("expose_served", &[("rate", "0.5")], "served").add(3);
+        r.counter_with("expose_served", &[("rate", "0.5")], "served")
+            .add(3);
         r.gauge("expose_depth", "queue depth").set(7.0);
         let h = r.histogram("expose_service_seconds", "service time");
         h.record(0.001);

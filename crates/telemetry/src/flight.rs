@@ -409,7 +409,8 @@ impl TraceChain {
     }
 
     pub fn shed_cause(&self) -> Option<ShedCause> {
-        self.event(EventKind::Shed).and_then(|e| ShedCause::from_code(e.a))
+        self.event(EventKind::Shed)
+            .and_then(|e| ShedCause::from_code(e.a))
     }
 
     /// Deadline carried on the wire, in µs (0 = none).
@@ -530,7 +531,10 @@ fn chains_of(events: &[FlightEvent]) -> Vec<TraceChain> {
         .map(|id| {
             let mut events = by_id.remove(&id).unwrap();
             events.sort_by_key(|e| (e.t_nanos, e.seq));
-            TraceChain { trace_id: id, events }
+            TraceChain {
+                trace_id: id,
+                events,
+            }
         })
         .collect()
 }
@@ -551,7 +555,10 @@ pub struct TailPolicy {
 
 impl Default for TailPolicy {
     fn default() -> Self {
-        TailPolicy { slowest_k: 8, retain_cap: 256 }
+        TailPolicy {
+            slowest_k: 8,
+            retain_cap: 256,
+        }
     }
 }
 
@@ -635,9 +642,7 @@ pub fn harvest() -> usize {
     // A chain is folded when its terminal event is new since last harvest.
     let new_terminal: Vec<u64> = events
         .iter()
-        .filter(|e| {
-            e.seq > watermark && matches!(e.kind, EventKind::Delivered | EventKind::Shed)
-        })
+        .filter(|e| e.seq > watermark && matches!(e.kind, EventKind::Delivered | EventKind::Shed))
         .map(|e| e.trace_id)
         .collect();
     st.watermark = events.last().map_or(watermark, |e| e.seq.max(watermark));
@@ -698,7 +703,13 @@ fn retain(st: &mut HarvestState, chain: TraceChain) {
 
 /// Chains retained by tail sampling, oldest first.
 pub fn retained() -> Vec<TraceChain> {
-    harvest_state().lock().unwrap().retained.iter().cloned().collect()
+    harvest_state()
+        .lock()
+        .unwrap()
+        .retained
+        .iter()
+        .cloned()
+        .collect()
 }
 
 /// Clears the retained set and fast-forwards the harvest watermark past
@@ -905,7 +916,10 @@ mod tests {
         let _g = GATE.lock().unwrap();
         set_recording(true);
         reset();
-        set_tail_policy(TailPolicy { slowest_k: 2, retain_cap: 64 });
+        set_tail_policy(TailPolicy {
+            slowest_k: 2,
+            retain_cap: 64,
+        });
         let base = 0xD000_0000u64;
         // Five served chains, one shed, one with a 1 µs deadline that the
         // chain (however fast) cannot meet... a deadline of 0 means none,
@@ -954,7 +968,10 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""), "served chain emits slices");
-        assert!(json.contains("shed (draining)"), "shed chain emits an instant");
+        assert!(
+            json.contains("shed (draining)"),
+            "shed chain emits an instant"
+        );
         for stage in STAGE_NAMES {
             assert!(json.contains(&format!("\"name\":\"{stage}\"")));
         }

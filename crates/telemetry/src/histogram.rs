@@ -178,7 +178,10 @@ impl Histogram {
         if id == 0 {
             return None;
         }
-        Some((f64::from_bits(self.0.exemplar_bits.load(Ordering::Relaxed)), id))
+        Some((
+            f64::from_bits(self.0.exemplar_bits.load(Ordering::Relaxed)),
+            id,
+        ))
     }
 
     /// Total recorded samples.

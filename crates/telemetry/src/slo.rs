@@ -54,7 +54,10 @@ pub struct SeriesRef {
 
 impl SeriesRef {
     pub fn new(name: &str, labels: &[(&str, &str)]) -> SeriesRef {
-        assert!(labels.len() <= MAX_LABELS, "too many labels for an SLO series");
+        assert!(
+            labels.len() <= MAX_LABELS,
+            "too many labels for an SLO series"
+        );
         SeriesRef {
             name: name.to_string(),
             labels: labels
@@ -515,10 +518,17 @@ mod tests {
 
         // Gauges mirror the final state — both in the registry and in the
         // store's sampled history.
-        let g = reg.gauge_with("slo_alert_firing", &[("slo", "deadline"), ("alert", "fast")], "");
+        let g = reg.gauge_with(
+            "slo_alert_firing",
+            &[("slo", "deadline"), ("alert", "fast")],
+            "",
+        );
         assert_eq!(g.get(), 0.0);
         assert_eq!(
-            store.gauge_last("slo_alert_firing", &[("slo", "deadline"), ("alert", "fast")]),
+            store.gauge_last(
+                "slo_alert_firing",
+                &[("slo", "deadline"), ("alert", "fast")]
+            ),
             Some(0.0),
         );
         let fired = reg.counter_with(

@@ -573,9 +573,7 @@ impl Sampler {
                         hook(&store, t);
                     }
                     let guard = lock.lock().expect("sampler stop lock");
-                    let (guard, _) = cv
-                        .wait_timeout(guard, interval)
-                        .expect("sampler stop wait");
+                    let (guard, _) = cv.wait_timeout(guard, interval).expect("sampler stop wait");
                     if *guard {
                         return;
                     }
@@ -749,13 +747,10 @@ mod tests {
         c.add(5);
         let ticked = Arc::new(Mutex::new(0u32));
         let ticked_h = Arc::clone(&ticked);
-        let s = Sampler::start_with_hook(
-            Arc::clone(&store),
-            Duration::from_millis(5),
-            move |_, _| {
+        let s =
+            Sampler::start_with_hook(Arc::clone(&store), Duration::from_millis(5), move |_, _| {
                 *ticked_h.lock().unwrap() += 1;
-            },
-        );
+            });
         let t0 = Instant::now();
         while *ticked.lock().unwrap() < 3 {
             assert!(t0.elapsed() < Duration::from_secs(5), "sampler stalled");

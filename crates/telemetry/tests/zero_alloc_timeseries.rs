@@ -97,10 +97,16 @@ fn warm_sampler_tick_and_slo_evaluate_allocate_nothing() {
             t += 1.0;
             store.tick_at(t);
             engine.evaluate(&store, t);
-            assert!(store.counter_delta("zat_requests_total", labels, 4.0).is_some());
-            assert!(store.counter_rate("zat_requests_total", labels, 4.0).is_some());
+            assert!(store
+                .counter_delta("zat_requests_total", labels, 4.0)
+                .is_some());
+            assert!(store
+                .counter_rate("zat_requests_total", labels, 4.0)
+                .is_some());
             assert!(store.gauge_last("zat_depth", labels).is_some());
-            assert!(store.hist_window("zat_service_seconds", labels, 4.0).is_some());
+            assert!(store
+                .hist_window("zat_service_seconds", labels, 4.0)
+                .is_some());
             assert!(!engine.is_firing("deadline", "fast"));
         }
     });

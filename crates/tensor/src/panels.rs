@@ -221,8 +221,16 @@ pub fn gemm_packed_b(
     ldc: usize,
 ) {
     assert!(pb.valid, "gemm_packed_b on invalid panels");
-    assert!(k0 <= k1 && k1 <= pb.k, "k range {k0}..{k1} vs packed {}", pb.k);
-    assert!(n0 <= n1 && n1 <= pb.n, "col range {n0}..{n1} vs packed {}", pb.n);
+    assert!(
+        k0 <= k1 && k1 <= pb.k,
+        "k range {k0}..{k1} vs packed {}",
+        pb.k
+    );
+    assert!(
+        n0 <= n1 && n1 <= pb.n,
+        "col range {n0}..{n1} vs packed {}",
+        pb.n
+    );
     if m == 0 {
         return;
     }
@@ -509,7 +517,11 @@ mod tests {
                     } else {
                         (k0, k1, n0, n1)
                     };
-                    let (alpha, beta) = if case % 2 == 0 { (1.0, 0.0) } else { (1.7, 1.0) };
+                    let (alpha, beta) = if case % 2 == 0 {
+                        (1.0, 0.0)
+                    } else {
+                        (1.7, 1.0)
+                    };
                     let ldc = (n1 - n0) + (case % 3);
                     let mut c = filled(&mut rng, m * ldc);
                     let mut want = c.clone();
@@ -555,7 +567,20 @@ mod tests {
             gemm_packed_b(m, 0, k, 0, split, 1.3, &a, k, &pb, 0.0, &mut parts, n);
             // Second call writes its own window; stitch via offset slice.
             let mut tail = vec![0.0f32; m * (n - split)];
-            gemm_packed_b(m, 0, k, split, n, 1.3, &a, k, &pb, 0.0, &mut tail, n - split);
+            gemm_packed_b(
+                m,
+                0,
+                k,
+                split,
+                n,
+                1.3,
+                &a,
+                k,
+                &pb,
+                0.0,
+                &mut tail,
+                n - split,
+            );
             for i in 0..m {
                 parts[i * n + split..(i + 1) * n]
                     .copy_from_slice(&tail[i * (n - split)..(i + 1) * (n - split)]);

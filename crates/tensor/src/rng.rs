@@ -135,8 +135,11 @@ mod tests {
         let n = 20_000;
         let samples: Vec<f32> = (0..n).map(|_| rng.normal(1.0, 2.0)).collect();
         let mean: f64 = samples.iter().map(|&v| v as f64).sum::<f64>() / n as f64;
-        let var: f64 =
-            samples.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n as f64;
+        let var: f64 = samples
+            .iter()
+            .map(|&v| (v as f64 - mean).powi(2))
+            .sum::<f64>()
+            / n as f64;
         assert!((mean - 1.0).abs() < 0.06, "mean {mean}");
         assert!((var - 4.0).abs() < 0.25, "var {var}");
     }

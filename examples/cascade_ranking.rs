@@ -15,13 +15,7 @@ use modelslicing::slicing::trainer::Batch;
 
 fn batches_from(ds: &ImageDataset) -> (Vec<Batch>, Vec<usize>) {
     let (x, y) = ds.test_tensor();
-    (
-        vec![Batch {
-            x,
-            y: y.clone(),
-        }],
-        y,
-    )
+    (vec![Batch { x, y: y.clone() }], y)
 }
 
 fn train(model: &mut dyn Layer, ds: &ImageDataset, kind: SchedulerKind, seed: u64) {
@@ -29,8 +23,7 @@ fn train(model: &mut dyn Layer, ds: &ImageDataset, kind: SchedulerKind, seed: u6
     let rates = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
     let scheduler = Scheduler::new(kind, rates, &mut rng);
     let mut trainer = Trainer::new(scheduler, TrainerConfig::default());
-    let mut batcher =
-        modelslicing::data::loader::ImageBatcher::new(ds, 64, true, &mut rng);
+    let mut batcher = modelslicing::data::loader::ImageBatcher::new(ds, 64, true, &mut rng);
     for _ in 0..15 {
         let batches: Vec<Batch> = batcher
             .epoch()

@@ -36,8 +36,10 @@ fn main() {
                 for _ in 0..32 {
                     let cls = rng.below(4);
                     for d in 0..8 {
-                        xs.push((cls as f32 - 1.5) * ((d % 3) as f32 + 0.5) * 0.4
-                            + rng.normal(0.0, 0.5));
+                        xs.push(
+                            (cls as f32 - 1.5) * ((d % 3) as f32 + 0.5) * 0.4
+                                + rng.normal(0.0, 0.5),
+                        );
                     }
                     ys.push(cls);
                 }
@@ -58,11 +60,8 @@ fn main() {
     println!("checkpointed parent to {}", path.display());
 
     // Extract standalone deployments at every width.
-    let probe = Tensor::from_vec(
-        [1, 8],
-        vec![0.2, -0.4, 0.9, 0.0, -0.7, 0.3, 0.5, -0.1],
-    )
-    .expect("probe");
+    let probe =
+        Tensor::from_vec([1, 8], vec![0.2, -0.4, 0.9, 0.0, -0.7, 0.3, 0.5, -0.1]).expect("probe");
     model.set_slice_rate(SliceRate::FULL);
     let full_params = model.active_param_count();
     println!("\nwidth   params   vs-full   logits-match-parent");
@@ -82,7 +81,11 @@ fn main() {
             r.get(),
             small.active_param_count(),
             100.0 * small.active_param_count() as f64 / full_params as f64,
-            if matches { "yes (bit-equivalent)" } else { "NO" },
+            if matches {
+                "yes (bit-equivalent)"
+            } else {
+                "NO"
+            },
         );
     }
 

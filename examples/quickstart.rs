@@ -75,8 +75,7 @@ fn main() {
     let engine = ElasticEngine::new(cost);
     let query = Tensor::from_vec([1, 2], vec![0.9, 0.1]).expect("query");
     for budget in [engine.cost().full_flops(), engine.cost().full_flops() / 4] {
-        let (logits, used) =
-            engine.predict_with_budget(&mut model, &query, FlopsBudget(budget));
+        let (logits, used) = engine.predict_with_budget(&mut model, &query, FlopsBudget(budget));
         println!(
             "\nbudget {budget} MACs → served at rate {:.2}, logits {:?}",
             used.get(),

@@ -25,11 +25,8 @@ fn train_briefly(model: &mut Mlp, rng: &mut SeededRng) {
     let scheduler = Scheduler::new(SchedulerKind::Static, rates, rng);
     let mut trainer = Trainer::new(scheduler, TrainerConfig::default());
     for step in 0..20 {
-        let x = Tensor::from_vec(
-            [16, 10],
-            (0..160).map(|_| rng.uniform(-1.0, 1.0)).collect(),
-        )
-        .unwrap();
+        let x =
+            Tensor::from_vec([16, 10], (0..160).map(|_| rng.uniform(-1.0, 1.0)).collect()).unwrap();
         let y = (0..16).map(|i| (i + step) % 3).collect();
         trainer.step(model, &Batch { x, y });
     }
@@ -54,11 +51,7 @@ fn reloaded_checkpoint_reproduces_logits_at_every_rate() {
         .expect("apply checkpoint");
     let _ = std::fs::remove_file(&path);
 
-    let x = Tensor::from_vec(
-        [8, 10],
-        (0..80).map(|i| (i as f32 * 0.713).sin()).collect(),
-    )
-    .unwrap();
+    let x = Tensor::from_vec([8, 10], (0..80).map(|i| (i as f32 * 0.713).sin()).collect()).unwrap();
     for &r in &[0.25f32, 0.5, 0.75, 1.0] {
         let rate = SliceRate::new(r);
         trained.set_slice_rate(rate);

@@ -109,10 +109,16 @@ fn compare_fleets(spec: &ShardSpec) {
         ClusterConfig::new(spec.clone(), autoscaled()),
         "elastic(1..=3)",
     );
-    assert_eq!(elastic.peak_shards, 3, "elastic fleet never reached 3 shards");
+    assert_eq!(
+        elastic.peak_shards, 3,
+        "elastic fleet never reached 3 shards"
+    );
     let elastic_eff = elastic.hits_per_core_second();
     for n in 1..=3 {
-        let fixed = run(ClusterConfig::fixed(spec.clone(), n), &format!("fixed({n})"));
+        let fixed = run(
+            ClusterConfig::fixed(spec.clone(), n),
+            &format!("fixed({n})"),
+        );
         assert_eq!(fixed.peak_shards, n);
         assert!(
             elastic_eff > fixed.hits_per_core_second(),
@@ -166,7 +172,10 @@ fn kill_one_shard(spec: &ShardSpec) {
     let victim = victim.expect("chaos hook ran");
     // Lossless accounting: every id settled, orphans explicitly shed.
     assert_eq!(report.lost, 0, "lost correlation ids across the kill");
-    assert_eq!(report.sent, report.delivered + report.shed + report.failover_shed);
+    assert_eq!(
+        report.sent,
+        report.delivered + report.shed + report.failover_shed
+    );
     assert!(
         report.failover_shed >= 1,
         "a shard killed under load must orphan at least one in-flight request"

@@ -87,8 +87,7 @@ fn budget_solver_never_exceeds_budget_end_to_end() {
     let x = Tensor::zeros([2, 3, 8, 8]);
     let full = engine.cost().full_flops();
     for budget in [full, full / 2, full / 4, full / 10, 1] {
-        let (logits, used) =
-            engine.predict_with_budget(&mut model, &x, FlopsBudget(budget));
+        let (logits, used) = engine.predict_with_budget(&mut model, &x, FlopsBudget(budget));
         assert_eq!(logits.dims(), &[2, 4]);
         let spent = engine.cost().flops_at(used);
         // Either within budget, or clamped to the base network (documented

@@ -73,10 +73,8 @@ fn replay_with_workers(workers: usize, weights: &SharedWeights) -> ReplayReport 
         .collect();
     // A fixed analytic profile, NOT a calibrated one: calibration times real
     // hardware and would give the two engines different batching decisions.
-    let profile = LatencyProfile::quadratic(
-        SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-        1e-4,
-    );
+    let profile =
+        LatencyProfile::quadratic(SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]), 1e-4);
     // On the virtual clock a pass costs exactly what the plan says, so no
     // batch waits, dispatch-time binding moves nothing and every request
     // runs at its planned rate whatever the worker count.
@@ -119,7 +117,11 @@ fn one_worker_and_four_workers_produce_bitwise_identical_logits() {
     assert_eq!(solo.responses.len(), pool.responses.len());
     for (a, b) in solo.responses.iter().zip(&pool.responses) {
         assert_eq!(a.id, b.id);
-        assert_eq!(a.rate, b.rate, "request {} served at different widths", a.id);
+        assert_eq!(
+            a.rate, b.rate,
+            "request {} served at different widths",
+            a.id
+        );
         assert_eq!(a.batch_seq, b.batch_seq);
         assert_eq!(
             a.logits, b.logits,
@@ -163,7 +165,11 @@ fn recording_on_and_off_produce_bitwise_identical_logits() {
     assert_eq!(on.responses.len(), off.responses.len());
     for (a, b) in on.responses.iter().zip(&off.responses) {
         assert_eq!(a.id, b.id);
-        assert_eq!(a.rate, b.rate, "request {} served at different widths", a.id);
+        assert_eq!(
+            a.rate, b.rate,
+            "request {} served at different widths",
+            a.id
+        );
         assert_eq!(a.batch_seq, b.batch_seq);
         assert_eq!(
             a.logits, b.logits,

@@ -27,7 +27,12 @@ fn centres(rng: &mut SeededRng) -> Vec<Vec<f32>> {
 /// Gaussian-ish clusters: samples are centre + uniform noise. Separable
 /// enough that the MLP learns it quickly, noisy enough that subnet decisions
 /// are not all trivially equal.
-fn dataset(centres: &[Vec<f32>], n: usize, noise: f32, rng: &mut SeededRng) -> (Tensor, Vec<usize>) {
+fn dataset(
+    centres: &[Vec<f32>],
+    n: usize,
+    noise: f32,
+    rng: &mut SeededRng,
+) -> (Tensor, Vec<usize>) {
     let mut data = Vec::with_capacity(n * INPUT_DIM);
     let mut labels = Vec::with_capacity(n);
     for i in 0..n {
@@ -98,14 +103,10 @@ fn subnet_predictions_agree_with_full_net_and_agreement_grows_with_width() {
     for r in rates.iter() {
         model.set_slice_rate(r);
         let pred = argmax_rows(&model.forward(&test_x, Mode::Infer));
-        let agree = pred
-            .iter()
-            .zip(&full_pred)
-            .filter(|(a, b)| a == b)
-            .count() as f64
-            / pred.len() as f64;
-        let acc = pred.iter().zip(&test_y).filter(|(a, b)| a == b).count() as f64
-            / pred.len() as f64;
+        let agree =
+            pred.iter().zip(&full_pred).filter(|(a, b)| a == b).count() as f64 / pred.len() as f64;
+        let acc =
+            pred.iter().zip(&test_y).filter(|(a, b)| a == b).count() as f64 / pred.len() as f64;
         agreements.push((r.get(), agree));
         accuracies.push((r.get(), acc));
     }
@@ -113,14 +114,20 @@ fn subnet_predictions_agree_with_full_net_and_agreement_grows_with_width() {
     // The model must actually have learned the task — otherwise agreement
     // between untrained subnets would be vacuous.
     for &(r, acc) in &accuracies {
-        assert!(acc > 0.6, "rate {r}: accuracy {acc:.3} near chance: {accuracies:?}");
+        assert!(
+            acc > 0.6,
+            "rate {r}: accuracy {acc:.3} near chance: {accuracies:?}"
+        );
     }
 
     // Full rate agrees with itself exactly.
     assert_eq!(agreements.last().unwrap().1, 1.0);
     // Every subnet is highly consistent with the full network…
     for &(r, a) in &agreements {
-        assert!(a >= 0.85, "rate {r}: agreement {a:.3} too low: {agreements:?}");
+        assert!(
+            a >= 0.85,
+            "rate {r}: agreement {a:.3} too low: {agreements:?}"
+        );
     }
     // …and consistency does not decrease as width grows (small tolerance
     // for individual flipped test points).

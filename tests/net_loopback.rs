@@ -13,11 +13,8 @@
 //! lives in `tests/serving_sla.rs` on the engine's virtual clock.
 
 use modelslicing::models::mlp::{Mlp, MlpConfig};
-use modelslicing::net::protocol::{
-    read_frame, write_frame, Frame, InferOutcome, InferRequest,
-};
+use modelslicing::net::protocol::{read_frame, write_frame, Frame, InferOutcome, InferRequest};
 use modelslicing::net::{Client, PipelinedClient, Router, Server, ServerConfig};
-use modelslicing::telemetry::flight;
 use modelslicing::nn::layer::Layer;
 use modelslicing::nn::shared::SharedWeights;
 use modelslicing::serving::controller::{RatePolicy, SlaController};
@@ -25,6 +22,7 @@ use modelslicing::serving::engine::{Engine, EngineConfig};
 use modelslicing::serving::profile::LatencyProfile;
 use modelslicing::serving::workload::WorkloadTrace;
 use modelslicing::slicing::slice_rate::{SliceRate, SliceRateList};
+use modelslicing::telemetry::flight;
 use modelslicing::tensor::{SeededRng, Tensor};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -116,12 +114,8 @@ fn run_over_wire(
             )
         })
         .collect();
-    let server = Server::start(
-        "127.0.0.1:0",
-        Router::new(engines),
-        ServerConfig::default(),
-    )
-    .expect("bind loopback");
+    let server = Server::start("127.0.0.1:0", Router::new(engines), ServerConfig::default())
+        .expect("bind loopback");
 
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
@@ -364,7 +358,10 @@ fn traced_soak(profile: &LatencyProfile, trace_base: u64) {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
     // What `scrape <addr> trace` fetches: the server's own harvest, as a
     // `TraceDumpReply` over the wire.
@@ -454,7 +451,10 @@ fn traced_soak(profile: &LatencyProfile, trace_base: u64) {
     assert!(json.contains("\"ph\":\"M\""), "needs metadata events");
     assert!(json.contains("\"ph\":\"X\""), "needs duration slices");
     for name in flight::STAGE_NAMES {
-        assert!(json.contains(&format!("\"name\":\"{name}\"")), "missing {name}");
+        assert!(
+            json.contains(&format!("\"name\":\"{name}\"")),
+            "missing {name}"
+        );
     }
     assert!(
         json.contains(&format!("\"trace_id\":{slow_trace}")),
@@ -614,7 +614,10 @@ fn soak10k_client_fleet_helper() {
             writeln!(out).expect("write result");
         }
     }
-    out.into_inner().expect("flush results").sync_all().expect("sync results");
+    out.into_inner()
+        .expect("flush results")
+        .sync_all()
+        .expect("sync results");
 }
 
 /// 10,000 concurrent connections against the reactor: the client fleet
@@ -694,16 +697,26 @@ fn ten_thousand_connections_zero_loss_bitwise_replay_and_drain_under_churn() {
     let mut out_paths = Vec::new();
     let mut fleet: Vec<KillOnDrop> = (0..CHILDREN)
         .map(|child| {
-            let out_path =
-                format!("results/logs/soak10k_fleet_{}_{child}.txt", std::process::id());
+            let out_path = format!(
+                "results/logs/soak10k_fleet_{}_{child}.txt",
+                std::process::id()
+            );
             let spawned = std::process::Command::new(&exe)
-                .args(["soak10k_client_fleet_helper", "--exact", "--ignored", "--nocapture"])
+                .args([
+                    "soak10k_client_fleet_helper",
+                    "--exact",
+                    "--ignored",
+                    "--nocapture",
+                ])
                 .env("MS_SOAK10K_ADDR", addr.to_string())
                 .env("MS_SOAK10K_OUT", &out_path)
                 .env("MS_SOAK10K_THREADS", THREADS_PER_CHILD.to_string())
                 .env("MS_SOAK10K_CONNS_PER_THREAD", CONNS_PER_THREAD.to_string())
                 .env("MS_SOAK10K_REQS_PER_CONN", REQS_PER_CONN.to_string())
-                .env("MS_SOAK10K_THREAD_BASE", (child * THREADS_PER_CHILD).to_string())
+                .env(
+                    "MS_SOAK10K_THREAD_BASE",
+                    (child * THREADS_PER_CHILD).to_string(),
+                )
                 .spawn()
                 .expect("spawn client fleet");
             out_paths.push(out_path);
@@ -769,7 +782,10 @@ fn ten_thousand_connections_zero_loss_bitwise_replay_and_drain_under_churn() {
     for (child, out_path) in fleet.iter_mut().zip(&out_paths) {
         let status = child.0.wait().expect("await client fleet");
         assert!(status.success(), "client fleet failed: {status}");
-        for line in std::fs::read_to_string(out_path).expect("fleet results").lines() {
+        for line in std::fs::read_to_string(out_path)
+            .expect("fleet results")
+            .lines()
+        {
             let mut cols = line.split_ascii_whitespace();
             let id: u64 = cols.next().expect("id").parse().expect("id");
             let rate = f32::from_bits(cols.next().expect("rate").parse().expect("rate"));
@@ -810,7 +826,10 @@ fn ten_thousand_connections_zero_loss_bitwise_replay_and_drain_under_churn() {
         seen[k] = true;
         assert!(matches!(r.outcome, InferOutcome::Logits { .. }));
     }
-    assert!(seen.iter().all(|&s| s), "lost correlation ids in the drain burst");
+    assert!(
+        seen.iter().all(|&s| s),
+        "lost correlation ids in the drain burst"
+    );
 
     let floor = healthy_total + BURST + churn_read.load(Ordering::Relaxed);
     let ceiling = healthy_total + BURST + churn_written.load(Ordering::Relaxed);
