@@ -19,10 +19,13 @@
 //! a later change of vector width would show its waste first. The
 //! third is one Algorithm-1 `Trainer::step` over the static rate list
 //! {0.25, 0.5, 0.75, 1.0} (NNLM dropout on, as trained): GEMM kernel, operand
-//! packing, im2col + col2im, pooling, normalisation, dropout, loss, and the
-//! elementwise work of activations and backward bodies. Each column is the
-//! summed *self* time of the spans in that bucket; `other` is what no span
-//! claims (bias adds, the embedding, the optimiser, buffer-pool traffic).
+//! packing (a conv backward's columns and output gradient included),
+//! im2col + col2im (which only a strided conv's backward still runs),
+//! pooling, normalisation, dropout, loss, the optimiser (gradient averaging
+//! and the SGD update), and the elementwise work of activations and backward
+//! bodies. Each column is the summed *self* time of the spans in that bucket;
+//! `other` is what no span claims (bias adds, the embedding, the chunk copies
+//! of the conv layers, buffer-pool traffic).
 //!
 //! A step runs on two threads (`ms_tensor::par`: the second part of every
 //! split layer pass goes to the fork-join helper), so its buckets are summed
@@ -46,8 +49,8 @@ use ms_nn::optim::SgdConfig;
 use ms_nn::slice::{active_units, SliceRate};
 use ms_telemetry::spans::{self, SpanStats};
 use ms_tensor::conv::{ConvGeom, Im2col};
-use ms_tensor::matmul::{Trans, MR, NR};
-use ms_tensor::panels::{gemm_packed_a, gemm_packed_b, OperandB, PackedA, PackedB};
+use ms_tensor::matmul::{Operand, Trans, MR, NR};
+use ms_tensor::panels::{gemm_packed_a, gemm_packed_b, PackedA, PackedB};
 use ms_tensor::{par, SeededRng, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -83,7 +86,7 @@ const FORWARD_COLUMNS: [Column; 6] = [
 /// `elemwise` is the activations plus what the conv and recurrent backward
 /// bodies do themselves, outside any GEMM: the gate gradients of the time
 /// loop, layout shuffles, bias sums.
-const STEP_COLUMNS: [Column; 9] = [
+const STEP_COLUMNS: [Column; 10] = [
     KERNEL,
     PACK,
     ("im+col2im", &["conv.im2col", "conv.col2im"]),
@@ -91,6 +94,7 @@ const STEP_COLUMNS: [Column; 9] = [
     ("norm", &["nn.groupnorm"]),
     ("dropout", &["nn.dropout"]),
     ("loss", &["loss.xent"]),
+    ("optim", &["trainer.average", "optim."]),
     (
         "elemwise",
         &[
@@ -351,12 +355,15 @@ fn achieved_gflops(shape: &GemmShape, full: &GemmShape, rng: &mut SeededRng) -> 
         let mut pa = PackedA::new();
         pa.pack(Trans::No, &w, full.k, full.m, full.k);
         Box::new(move || {
-            let cols = OperandB::Im2col(Im2col {
-                input: &image,
-                channels,
-                geom,
-                samples,
-            });
+            let cols = Operand::Im2col(
+                Trans::No,
+                Im2col {
+                    input: &image,
+                    channels,
+                    geom,
+                    samples,
+                },
+            );
             gemm_packed_a(0, m, n, k, 1.0, &pa, cols, 0.0, &mut c, n)
         })
     } else {

@@ -180,10 +180,14 @@ impl Trainer {
             subnet_losses.push((r, loss));
         }
         if self.average && rates.len() > 1 {
+            let _span = ms_telemetry::span!("trainer.average");
             let inv = 1.0 / rates.len() as f32;
             net.visit_params(&mut |p| p.grad.scale(inv));
         }
-        let grad_norm = self.optimizer.step(net);
+        let grad_norm = {
+            let _span = ms_telemetry::span!("optim.sgd");
+            self.optimizer.step(net)
+        };
         self.metrics.steps.inc();
         self.metrics.grad_norm.set(grad_norm);
         self.metrics.grad_norm_hist.record(grad_norm);

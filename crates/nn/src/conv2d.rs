@@ -13,9 +13,9 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_groups, active_units, group_boundary, prefix_input_width, SliceRate};
 use crate::workspace::{PrefixCache, Role, Workspace};
-use ms_tensor::conv::{col2im, im2col, ConvGeom, Im2col};
-use ms_tensor::matmul::{gemm, Trans};
-use ms_tensor::panels::{gemm_packed_a, gemm_packed_a_stepped, OperandB, PackedA};
+use ms_tensor::conv::{col2im, im2col, transpose_flipped, ConvGeom, Im2col};
+use ms_tensor::matmul::{gemm, gemm_operands, Operand, Trans};
+use ms_tensor::panels::{gemm_packed_a, gemm_packed_a_stepped, PackedA};
 use ms_tensor::{init, par, SeededRng, Tensor};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -32,16 +32,17 @@ const CHUNK_COLS: usize = 512;
 /// stage's single sample already needs.
 const INFER_COLS: usize = 128;
 
-/// Chunk scratch of the training path: the column matrix of a chunk of
-/// samples and its gradient (`backward`), and the chunk's output (or output
-/// gradient) with the samples side by side, `[channels, samples·OH·OW]`.
+/// Chunk scratch of the training path: `out`, one GEMM's output with the
+/// samples of a chunk side by side, `[channels, samples·positions]` — the
+/// forward's `y`, the backward's `dx` (or, on a strided conv, the column
+/// gradient `col2im` scatters) — and `partial`.
 ///
 /// One set per thread, shared by every conv layer — a layer only needs it
 /// between entering and leaving its own `forward`/`backward` — and sized by
 /// the largest layer that ran; per-layer copies would hold a network's
-/// worth of the largest buffers the training step has. The three chunk
-/// buffers are fully overwritten before they are read, so they are never
-/// cleared.
+/// worth of the largest buffers the training step has. `out` is fully
+/// overwritten before it is read, so it is never cleared; it also holds the
+/// flipped, transposed weights a layer packs its backward panels from.
 ///
 /// `partial` is where the second part of a split `backward` sums its share
 /// of `dW` (compact, `[a_out, a_in·K²]`) and `db` (behind it): the caller
@@ -49,8 +50,6 @@ const INFER_COLS: usize = 128;
 /// adds it to `Param::grad` after the join.
 #[derive(Default)]
 struct ChunkScratch {
-    col: Vec<f32>,
-    dcol: Vec<f32>,
     out: Vec<f32>,
     partial: Vec<f32>,
 }
@@ -144,6 +143,11 @@ pub struct Conv2d {
     cache: Option<Tensor>,
     packed: PackedA,     // persistent panels of W (the GEMM A operand)
     prefix: PrefixCache, // full-stride output of the last prefix pass
+    // Where `dX` is a convolution of `dY` (stride 1, pad < K): its geometry
+    // and the training panels of its weights, `W` transposed to
+    // `[in_ch, out_ch·K²]` and flipped in space.
+    geom_t: Option<ConvGeom>,
+    packed_t: PackedA,
     // Prefix-pass geometry, fixed by the config: output-channel boundary of
     // every output group (`out_groups + 1` entries) and the im2col rows
     // (`k`) each group's canonical input width spans.
@@ -204,6 +208,8 @@ impl Conv2d {
             cache: None,
             packed: PackedA::new(),
             prefix: PrefixCache::default(),
+            geom_t: geom.transposed(),
+            packed_t: PackedA::new(),
             group_rows,
             group_k,
         }
@@ -260,14 +266,17 @@ impl Conv2d {
 
     /// The column matrix of `samples` of `x` (at the active input width) as
     /// a GEMM operand, packed straight from the image.
-    fn columns<'a>(&self, x: &'a Tensor, samples: Range<usize>) -> OperandB<'a> {
+    fn columns<'a>(&self, x: &'a Tensor, samples: Range<usize>) -> Operand<'a> {
         let per_x = self.active_in * self.geom.h * self.geom.w;
-        OperandB::Im2col(Im2col {
-            input: &x.data()[samples.start * per_x..samples.end * per_x],
-            channels: self.active_in,
-            geom: self.geom,
-            samples: samples.len(),
-        })
+        Operand::Im2col(
+            Trans::No,
+            Im2col {
+                input: &x.data()[samples.start * per_x..samples.end * per_x],
+                channels: self.active_in,
+                geom: self.geom,
+                samples: samples.len(),
+            },
+        )
     }
 
     /// `forward(Train)`: one GEMM per chunk of samples laid side by side,
@@ -278,7 +287,7 @@ impl Conv2d {
     /// ([`par::mid`]) each run their own chunk loop into their own rows of
     /// `y`.
     fn forward_train(&mut self, x: &Tensor) -> Tensor {
-        self.ensure_packed();
+        self.ensure_train_panels();
         let batch = x.dims()[0];
         let mut y =
             Tensor::pooled_zeros([batch, self.active_out, self.geom.out_h(), self.geom.out_w()]);
@@ -332,11 +341,58 @@ impl Conv2d {
         );
         true
     }
+
+    /// [`Conv2d::ensure_packed`], and where `dX` is a convolution of `dY`
+    /// the backward's panels of the flipped, transposed weights beside them
+    /// — packed once per optimiser step too (inference never packs them).
+    /// Their active block is rows `0..a_in` × `k` `0..a_out·K²`, a prefix,
+    /// because `k` runs output channel by output channel.
+    fn ensure_train_panels(&mut self) {
+        self.ensure_packed();
+        if self.geom_t.is_none() || self.packed_t.is_valid() {
+            return;
+        }
+        let (in_ch, out_ch, k2) = (self.cfg.in_ch, self.cfg.out_ch, self.k2());
+        let w = self.weight.value.data();
+        CHUNK.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let wt = stale(&mut scratch.out, in_ch * out_ch * k2);
+            transpose_flipped(w, in_ch * k2, out_ch, in_ch, k2, wt);
+            self.packed_t
+                .pack(Trans::No, wt, out_ch * k2, in_ch, out_ch * k2);
+        });
+    }
+}
+
+/// The samples of `t` (`[samples, channels, H, W]`) side by side,
+/// `[channels, samples·H·W]`, as a GEMM operand: the column matrix of a 1×1
+/// window.
+fn side_by_side(t: &[f32], channels: usize, (h, w): (usize, usize), samples: usize) -> Operand<'_> {
+    let geom = ConvGeom {
+        h,
+        w,
+        kh: 1,
+        kw: 1,
+        stride: 1,
+        pad: 0,
+    };
+    let input = &t[..samples * channels * h * w];
+    Operand::Im2col(
+        Trans::No,
+        Im2col {
+            input,
+            channels,
+            geom,
+            samples,
+        },
+    )
 }
 
 /// What both parts of a split `backward` read.
 struct BackwardPass<'a> {
     geom: &'a ConvGeom,
+    /// Where `dX` is a convolution of `dY`: its geometry and weight panels.
+    transposed: Option<(ConvGeom, &'a PackedA)>,
     w: &'a [f32],
     full_k: usize,
     a_in: usize,
@@ -350,6 +406,13 @@ impl BackwardPass<'_> {
     /// The chunk loop of `backward` over `samples`, on the executing thread's
     /// chunk scratch: `dx` holds exactly those samples' rows and is
     /// overwritten; `dw` (leading dimension `ldw`) and `db` are added to.
+    ///
+    /// No operand is written out: `dW += dY · colsᵀ` packs `dY`'s rows and
+    /// the transposed columns straight from the two tensors, and `dX` is the
+    /// convolution of `dY` with the flipped, transposed weights
+    /// ([`ConvGeom::transposed`]) — one FMA chain per element over
+    /// `(output channel, tap)`. A strided conv (or `pad ≥ K`) has no such
+    /// convolution; it scatters `Wᵀ · dY` back with `col2im`.
     fn run(
         &self,
         samples: Range<usize>,
@@ -359,67 +422,71 @@ impl BackwardPass<'_> {
         mut db: Option<&mut [f32]>,
     ) {
         let (a_in, a_out, geom) = (self.a_in, self.a_out, self.geom);
-        let out_len = geom.out_len();
-        let k_rows = a_in * geom.kh * geom.kw;
-        let per_x = a_in * geom.h * geom.w;
+        let (out_len, plane) = (geom.out_len(), geom.h * geom.w);
+        let taps = geom.kh * geom.kw;
+        let (per_x, per_y) = (a_in * plane, a_out * out_len);
         CHUNK.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
+            let out = &mut scratch.borrow_mut().out;
             for first in samples.clone().step_by(self.per_gemm) {
                 let n = self.per_gemm.min(samples.end - first);
                 let ld = n * out_len;
-                let col = stale(&mut scratch.col, k_rows * ld);
-                let dcol = stale(&mut scratch.dcol, k_rows * ld);
-                let dyc = stale(&mut scratch.out, a_out * ld);
-                for i in 0..n {
-                    // Recompute im2col (cheaper than caching the columns).
-                    im2col(self.x.row(first + i), a_in, geom, col, ld, i * out_len);
-                    let rows = self.dy.row(first + i).chunks_exact(out_len);
-                    for (ch, row) in rows.enumerate() {
-                        dyc[ch * ld + i * out_len..][..out_len].copy_from_slice(row);
-                    }
-                }
-                // dW += dy · colᵀ over the whole chunk (k = samples·OH·OW).
-                gemm(
-                    Trans::No,
-                    Trans::Yes,
-                    a_out,
-                    k_rows,
-                    ld,
-                    1.0,
-                    dyc,
-                    ld,
-                    col,
-                    ld,
-                    1.0,
-                    dw,
-                    ldw,
-                );
-                // db += per-channel sums
+                let x = &self.x.data()[first * per_x..][..n * per_x];
+                let dy = &self.dy.data()[first * per_y..][..n * per_y];
+                let dy_rows = side_by_side(dy, a_out, (geom.out_h(), geom.out_w()), n);
+                // dW += dY · colsᵀ over the whole chunk (k = samples·OH·OW).
+                let cols = Im2col {
+                    input: x,
+                    channels: a_in,
+                    geom: *geom,
+                    samples: n,
+                };
+                let cols_t = Operand::Im2col(Trans::Yes, cols);
+                gemm_operands(a_out, a_in * taps, ld, 1.0, dy_rows, cols_t, 1.0, dw, ldw);
+                // db += per-channel sums, each one chain over the chunk.
                 if let Some(db) = &mut db {
-                    for (g, row) in db.iter_mut().zip(dyc.chunks_exact(ld)) {
-                        *g += row.iter().sum::<f32>();
+                    for (ch, g) in db.iter_mut().take(a_out).enumerate() {
+                        let rows = dy
+                            .chunks_exact(per_y)
+                            .map(|s| &s[ch * out_len..][..out_len]);
+                        *g += rows.flatten().sum::<f32>();
                     }
                 }
-                // dcol = Wᵀ · dy ; dx_s = col2im(dcol's columns of sample s)
-                gemm(
-                    Trans::Yes,
-                    Trans::No,
-                    k_rows,
-                    ld,
-                    a_out,
-                    1.0,
-                    self.w,
-                    self.full_k,
-                    dyc,
-                    ld,
-                    0.0,
-                    dcol,
-                    ld,
-                );
                 let chunk_dx = &mut dx[(first - samples.start) * per_x..][..n * per_x];
-                for (i, sample_dx) in chunk_dx.chunks_exact_mut(per_x).enumerate() {
-                    col2im(dcol, a_in, geom, sample_dx, ld, i * out_len);
-                }
+                let Some((geom_t, panels)) = self.transposed else {
+                    // dcol = Wᵀ · dY; dx_s = col2im(dcol's columns of sample s)
+                    let dcol = stale(out, a_in * taps * ld);
+                    let w_t = Operand::Matrix(Trans::Yes, self.w, self.full_k);
+                    gemm_operands(a_in * taps, ld, a_out, 1.0, w_t, dy_rows, 0.0, dcol, ld);
+                    for (i, sample_dx) in chunk_dx.chunks_exact_mut(per_x).enumerate() {
+                        col2im(dcol, a_in, geom, sample_dx, ld, i * out_len);
+                    }
+                    continue;
+                };
+                // dX = W' ⋆ dY, the chunk's samples side by side.
+                let ld_x = n * plane;
+                let dx_rows = stale(out, a_in * ld_x);
+                let dy_cols = Operand::Im2col(
+                    Trans::No,
+                    Im2col {
+                        input: dy,
+                        channels: a_out,
+                        geom: geom_t,
+                        samples: n,
+                    },
+                );
+                gemm_packed_a(
+                    0,
+                    a_in,
+                    ld_x,
+                    a_out * taps,
+                    1.0,
+                    panels,
+                    dy_cols,
+                    0.0,
+                    dx_rows,
+                    ld_x,
+                );
+                unchunk(dx_rows, plane, n, chunk_dx, per_x, None);
             }
         });
     }
@@ -517,6 +584,8 @@ impl Layer for Conv2d {
         let k_rows = a_in * self.k2();
         let full_k = self.cfg.in_ch * self.k2();
         debug_assert_eq!(dy.dims()[1], a_out);
+        // Valid since the forward unless a parameter walk came in between.
+        self.ensure_train_panels();
 
         let mut dx = Tensor::pooled_zeros(x.shape().clone());
         let mid = par::mid(batch);
@@ -525,6 +594,7 @@ impl Layer for Conv2d {
             .split_at_mut(mid * a_in * self.geom.h * self.geom.w);
         let pass = BackwardPass {
             geom: &self.geom,
+            transposed: self.geom_t.map(|g| (g, &self.packed_t)),
             w: self.weight.value.data(),
             full_k,
             a_in,
@@ -650,6 +720,7 @@ impl Layer for Conv2d {
 
     fn release_panels(&mut self) {
         self.packed = PackedA::new();
+        self.packed_t = PackedA::new();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -658,6 +729,7 @@ impl Layer for Conv2d {
             f(b);
         }
         self.packed.invalidate();
+        self.packed_t.invalidate();
     }
 
     fn set_slice_rate(&mut self, r: SliceRate) {
@@ -795,10 +867,7 @@ mod tests {
         let mut y = vec![f32::NAN; x.dims()[0] * (r1 - r0) * out_len];
         for (s, ys) in y.chunks_exact_mut((r1 - r0) * out_len).enumerate() {
             im2col(x.row(s), l.active_in, &l.geom, &mut col, out_len, 0);
-            let b = OperandB::Matrix {
-                b: &col,
-                ldb: out_len,
-            };
+            let b = Operand::Matrix(Trans::No, &col, out_len);
             gemm_packed_a_stepped(rows, k_ext, out_len, 1.0, &l.packed, b, 0.0, ys, out_len);
             if let Some(bias) = &l.bias {
                 for (row, &bv) in ys.chunks_exact_mut(out_len).zip(&bias.value.data()[r0..r1]) {
@@ -899,6 +968,133 @@ mod tests {
                             climbing.forward_prefix(&x_from, None, from).recycle();
                             let y = climbing.forward_prefix(&x, Some(from), r);
                             assert_eq!(bits(y.data()), bits(&prefix), "prefix from {from}, {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The backward the column-free one replaced, kept as its oracle: per
+    /// chunk, each sample's columns written by `im2col` and `dY` copied side
+    /// by side, `dW += dY · colsᵀ` by `gemm`, `db` summed per row, `Wᵀ · dY`
+    /// by `gemm` scattered back by `col2im`; the batch cut in the layer's two
+    /// parts, the second summed into a zeroed partial added after. Returns
+    /// `dx` and the full-size `dW`, `db` of a layer whose gradients were zero.
+    fn backward_reference(l: &Conv2d, x: &Tensor, dy: &Tensor) -> [Vec<f32>; 3] {
+        let (a_in, a_out, g) = (l.active_in, l.active_out, l.geom);
+        let (batch, out_len) = (x.dims()[0], g.out_len());
+        let (k_rows, full_k) = (a_in * l.k2(), l.cfg.in_ch * l.k2());
+        let per_x = a_in * g.h * g.w;
+        let mut dx = vec![0.0f32; batch * per_x];
+        let (mut dw, mut db) = (vec![0.0f32; l.cfg.out_ch * full_k], vec![0.0; l.cfg.out_ch]);
+        let (mut dw1, mut db1) = (vec![0.0f32; a_out * k_rows], vec![0.0; a_out]);
+        let (mid, per) = (par::mid(batch), l.samples_per_gemm(batch));
+        let parts = [
+            (0..mid, &mut dw, full_k, &mut db),
+            (mid..batch, &mut dw1, k_rows, &mut db1),
+        ];
+        for (part, dw, ldw, db) in parts {
+            for first in part.clone().step_by(per) {
+                let n = per.min(part.end - first);
+                let ld = n * out_len;
+                let (mut col, mut dyc) = (vec![0.0f32; k_rows * ld], vec![0.0f32; a_out * ld]);
+                for i in 0..n {
+                    im2col(x.row(first + i), a_in, &g, &mut col, ld, i * out_len);
+                    for (ch, row) in dy.row(first + i).chunks_exact(out_len).enumerate() {
+                        dyc[ch * ld + i * out_len..][..out_len].copy_from_slice(row);
+                    }
+                }
+                let (no, yes) = (Trans::No, Trans::Yes);
+                gemm(
+                    no, yes, a_out, k_rows, ld, 1.0, &dyc, ld, &col, ld, 1.0, dw, ldw,
+                );
+                for (g, row) in db.iter_mut().zip(dyc.chunks_exact(ld)) {
+                    *g += row.iter().sum::<f32>();
+                }
+                let w = l.weight.value.data();
+                let mut dcol = vec![0.0f32; k_rows * ld];
+                gemm(
+                    yes, no, k_rows, ld, a_out, 1.0, w, full_k, &dyc, ld, 0.0, &mut dcol, ld,
+                );
+                for i in 0..n {
+                    let dx_s = &mut dx[(first + i) * per_x..][..per_x];
+                    col2im(&dcol, a_in, &g, dx_s, ld, i * out_len);
+                }
+            }
+        }
+        if mid < batch {
+            for (row, part) in dw.chunks_mut(full_k).zip(dw1.chunks_exact(k_rows)) {
+                row.iter_mut().zip(part).for_each(|(g, p)| *g += p);
+            }
+            db.iter_mut().zip(&db1).for_each(|(g, p)| *g += p);
+        }
+        [dx, dw, db]
+    }
+
+    /// The backward writes no column matrix and changes no bit of `dW` or
+    /// `db`: against the `im2col` + `gemm` + `col2im` oracle, bitwise, and
+    /// `dX` bitwise where it is still scattered by `col2im` (strided, and
+    /// `pad ≥ K`) and within 1e-5 where it is the convolution of `dY` with
+    /// the flipped weights ("same" and pointwise), which sums it in another
+    /// order. Every rate of g = 8, batches of one chunk, of an uneven last
+    /// chunk and of many, the helper held and free, bias on.
+    #[test]
+    fn column_free_backward_matches_the_written_columns() {
+        // (in, out, kernel, stride, pad, side, dX a convolution of dY)
+        let geometries = [
+            (16, 32, 3, 1, 1, 4, true),
+            (8, 16, 3, 1, 1, 8, true),
+            (24, 8, 1, 1, 0, 5, true),
+            (8, 24, 3, 2, 1, 7, false),
+            (8, 16, 1, 1, 1, 5, false),
+        ];
+        for (gi, &(in_ch, out_ch, kernel, stride, pad, side, transposed)) in
+            geometries.iter().enumerate()
+        {
+            let cfg = Conv2dConfig {
+                in_ch,
+                out_ch,
+                kernel,
+                stride,
+                pad,
+                h: side,
+                w: side,
+                in_groups: Some(8),
+                out_groups: Some(8),
+                bias: true,
+            };
+            let mut l = Conv2d::new("c", cfg, &mut SeededRng::new(gi as u64));
+            assert_eq!(l.geom_t.is_some(), transposed, "geometry {gi}");
+            let (oh, ow) = l.out_hw();
+            for batch in [1, 3, 33] {
+                let dims = [batch, in_ch, side, side];
+                let x_full = ms_tensor::init::uniform(dims, 1.0, &mut SeededRng::new(7));
+                let dy_full =
+                    ms_tensor::init::uniform([batch, out_ch, oh, ow], 1.0, &mut SeededRng::new(8));
+                for r in (1..=8).map(|i| SliceRate::new(i as f32 / 8.0)) {
+                    l.set_slice_rate(r);
+                    let (a_in, a_out) = l.active_channels();
+                    let (x, dy) = (
+                        channel_prefix(&x_full, a_in),
+                        channel_prefix(&dy_full, a_out),
+                    );
+                    let [want_dx, want_dw, want_db] = backward_reference(&l, &x, &dy);
+                    for held in [false, true] {
+                        let case = format!("geometry {gi} batch {batch} rate {r} held {held}");
+                        let _team = held.then(hold_helper);
+                        l.visit_params(&mut |p| p.zero_grad());
+                        l.forward(&x, Mode::Train).recycle();
+                        let dx = l.backward(&dy);
+                        assert_eq!(bits(l.weight.grad.data()), bits(&want_dw), "dW, {case}");
+                        let db = l.bias.as_ref().expect("bias").grad.data();
+                        assert_eq!(bits(db), bits(&want_db), "db, {case}");
+                        if !transposed {
+                            assert_eq!(bits(dx.data()), bits(&want_dx), "dX, {case}");
+                        }
+                        for (i, (&got, &want)) in dx.data().iter().zip(&want_dx).enumerate() {
+                            let close = (got - want).abs() <= 1e-5 * want.abs().max(1.0);
+                            assert!(close, "dX[{i}] {got} vs {want}, {case}");
                         }
                     }
                 }

@@ -7,13 +7,15 @@
 //! contiguous prefix, so a sliced convolution is a plain sub-block GEMM (see
 //! `crate::matmul`) with no data movement.
 //!
-//! The forward passes on packed weight panels never write that buffer out:
-//! [`Im2col`] describes the column matrix of a run of samples, and the panel
-//! driver has it packed straight from the image, one `KC × NC` panel at a
-//! time. [`im2col`] itself is left to the backward pass (which needs the
-//! columns twice) and to the un-packed `gemm` fallback.
+//! No pass on packed weight panels writes that buffer out: [`Im2col`]
+//! describes the column matrix of a run of samples, and the GEMM drivers
+//! have it — or its transpose, the weight gradient's `colsᵀ` — packed
+//! straight from the image, one panel at a time. [`im2col`] itself is left
+//! to the un-packed `gemm` fallback and to `gemm`'s small problems, and
+//! [`col2im`] to the backward of a strided convolution, whose input gradient
+//! is not a convolution of its output gradient ([`ConvGeom::transposed`]).
 
-use crate::kernel::NR;
+use crate::kernel::{store_transposed, TB};
 use std::cell::RefCell;
 
 /// Geometry of a 2-D convolution or pooling window.
@@ -59,6 +61,49 @@ impl ConvGeom {
             && self.kw > 0
             && self.h + 2 * self.pad >= self.kh
             && self.w + 2 * self.pad >= self.kw
+    }
+
+    /// The geometry whose convolution of the output gradient, with the
+    /// weights of [`transpose_flipped`], is the input gradient:
+    /// `{h: OH, w: OW, K, stride 1, pad: K−1−pad}`, which gives `H×W` back
+    /// (and is "same" again when `pad = (K−1)/2`). It exists for a stride-1
+    /// square window with `pad ≤ K−1`; a strided one would have to read a
+    /// zero-inserted gradient.
+    pub fn transposed(&self) -> Option<ConvGeom> {
+        let square = self.kh == self.kw;
+        (self.stride == 1 && square && self.pad < self.kh).then(|| ConvGeom {
+            h: self.out_h(),
+            w: self.out_w(),
+            kh: self.kh,
+            kw: self.kw,
+            stride: 1,
+            pad: self.kh - 1 - self.pad,
+        })
+    }
+}
+
+/// The weights of the convolution [`ConvGeom::transposed`] describes:
+/// `w` holds `[out_ch, in_ch·taps]` (row stride `ldw`), and `wt` gets
+/// `[in_ch, out_ch·taps]` with `wt[ci][co·taps + t] = w[co][ci·taps +
+/// taps−1−t]` — transposed, and flipped in space (reversing the tap index
+/// reverses both axes). Every element of `wt[..in_ch·out_ch·taps]` is
+/// written.
+pub fn transpose_flipped(
+    w: &[f32],
+    ldw: usize,
+    out_ch: usize,
+    in_ch: usize,
+    taps: usize,
+    wt: &mut [f32],
+) {
+    debug_assert!(ldw >= in_ch * taps && wt.len() >= in_ch * out_ch * taps);
+    for (ci, row) in wt.chunks_exact_mut(out_ch * taps).take(in_ch).enumerate() {
+        for (co, dst) in row.chunks_exact_mut(taps).enumerate() {
+            let src = &w[co * ldw + ci * taps..][..taps];
+            for (d, &v) in dst.iter_mut().zip(src.iter().rev()) {
+                *d = v;
+            }
+        }
     }
 }
 
@@ -171,10 +216,12 @@ pub fn im2col(
 /// The im2col matrix of `samples` consecutive `[channels, H, W]` samples laid
 /// side by side — `[channels·KH·KW, samples·OH·OW]`, column `s·OH·OW + q`
 /// holding output position `q` of sample `s`, as [`im2col`] fills a wide
-/// matrix — as a GEMM operand that is never materialised:
-/// `panels::gemm_packed_a_stepped` packs it panel by panel from the image
-/// into `pack_b`'s strip layout, byte for byte what `im2col` + `pack_b` leave,
-/// so the micro-kernel computes the same bits.
+/// matrix — as a GEMM operand that is never materialised: the drivers pack
+/// it (`matmul::Operand::Im2col`) panel by panel from the image into their
+/// strip layout, byte for byte what `im2col` + `pack_b` or `pack_a` leave, so
+/// the micro-kernel computes the same bits. With its rows across the lanes it
+/// is the transposed `colsᵀ` of a weight gradient; with a 1×1 window it is
+/// the samples' planes side by side, as an output gradient's rows are read.
 #[derive(Debug, Clone, Copy)]
 pub struct Im2col<'a> {
     /// The samples, `[samples, channels, H, W]` row-major.
@@ -185,6 +232,25 @@ pub struct Im2col<'a> {
     pub geom: ConvGeom,
     /// Samples side by side.
     pub samples: usize,
+}
+
+/// How a packer reads a row of the column matrix (one channel, one tap)
+/// from its plane.
+#[derive(Clone, Copy)]
+enum Reads<'m> {
+    /// A 1×1 window, stride 1, no padding: position `q` reads the plane at
+    /// `q`, so a row is the plane itself.
+    Plain,
+    /// "Same" geometry (stride 1, output as wide as the input: every conv of
+    /// the zoo but ResNet's strided ones): position `q` of tap `(ki, kj)`
+    /// reads the plane `ki·w + kj − pad·(w+1)` floats on from `q` when it is
+    /// valid, so a row is one contiguous read ANDed with the tap's
+    /// keep-masks (this table, see [`KeepMasks`]), which zero every lane that
+    /// falls on padding: off the top or bottom of the plane (the read runs
+    /// into the neighbouring plane) or wrapped in from the neighbouring row.
+    Masked(&'m [u32]),
+    /// Any other geometry: output row by output row through [`tap_rows`].
+    Gather,
 }
 
 impl Im2col<'_> {
@@ -198,56 +264,202 @@ impl Im2col<'_> {
         self.samples * self.geom.out_len()
     }
 
-    /// Packs rows `[pc, pc + kc)` × columns `[jc, jc + nc)` the way
-    /// `matmul::pack_b` packs a row-major `B`: `nc.div_ceil(NR)` strips of
-    /// `NR` columns, each `kc`-major, lanes past `nc` zero. Grow-only `buf`.
-    pub(crate) fn pack(&self, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut Vec<f32>) {
-        // No clear: every lane is written below, padding included.
-        buf.resize(nc.div_ceil(NR) * kc * NR, 0.0);
+    fn sample_len(&self) -> usize {
+        self.channels * self.geom.h * self.geom.w
+    }
+
+    /// Runs `f` with the way this geometry's rows are read; a "same" one's
+    /// keep-masks come from the thread's table.
+    fn with_reads<R>(&self, f: impl FnOnce(Reads) -> R) -> R {
         let g = &self.geom;
-        let (out_len, sample_len) = (g.out_len(), self.channels * g.h * g.w);
         debug_assert!(g.is_valid(), "invalid conv geometry {g:?}");
+        debug_assert!(self.input.len() >= self.samples * self.sample_len());
+        if g.kh * g.kw == 1 && g.stride == 1 && g.pad == 0 {
+            return f(Reads::Plain);
+        }
+        if g.stride != 1 || g.out_w() != g.w {
+            return f(Reads::Gather);
+        }
+        KEEP.with(|table| f(Reads::Masked(table.borrow_mut().of(g))))
+    }
+
+    /// Packs rows `[pc, pc + kc)` × columns `[jc, jc + nc)` with the columns
+    /// (positions) across the `L` lanes, the way `matmul::pack_b` packs a
+    /// row-major `B` (`L = NR`) and `pack_a` a transposed `A` (`L = MR`):
+    /// `nc.div_ceil(L)` strips of `L` columns, each `kc`-major, lanes past
+    /// `nc` zero, which is all of `panel`.
+    pub(crate) fn pack_cols<const L: usize>(
+        &self,
+        pc: usize,
+        kc: usize,
+        jc: usize,
+        nc: usize,
+        panel: &mut [f32],
+    ) {
+        // No clear: every lane is written below, padding included.
+        debug_assert_eq!(panel.len(), nc.div_ceil(L) * kc * L);
         debug_assert!(pc + kc <= self.rows() && jc + nc <= self.cols());
-        debug_assert!(self.input.len() >= self.samples * sample_len);
-        let same = g.stride == 1 && g.out_w() == g.w;
-        KEEP.with(|table| {
-            let mut table = table.borrow_mut();
-            let keep = same.then(|| table.of(g));
-            for (t, strip) in buf.chunks_exact_mut(kc * NR).enumerate() {
-                let (cols, mut lane) = (NR.min(nc - t * NR), 0);
-                if cols < NR {
+        let (out_len, sample_len) = (self.geom.out_len(), self.sample_len());
+        self.with_reads(|reads| {
+            for (t, strip) in panel.chunks_exact_mut(kc * L).enumerate() {
+                let (cols, mut lane) = (L.min(nc - t * L), 0);
+                if cols < L {
                     strip.fill(0.0);
                 }
                 // A strip's columns may run from one sample into the next:
                 // pack it one sample's segment at a time.
                 while lane < cols {
-                    let j = jc + t * NR + lane;
+                    let j = jc + t * L + lane;
                     let (s, q0) = (j / out_len, j % out_len);
                     let len = (out_len - q0).min(cols - lane);
                     let (at, strip) = (s * sample_len, &mut strip[lane..]);
-                    self.pack_segment(keep, at, pc, kc, q0, len, strip);
+                    self.pack_segment::<L>(reads, at, pc, kc, q0, len, strip);
                     lane += len;
                 }
             }
         });
     }
 
-    /// Positions `[q0, q0 + len)` of the sample at `input[at..]` for rows
-    /// `[pc, pc + kc)`: row `p` goes to `strip[(p - pc)·NR..][..len]`.
+    /// Packs rows `[r0, r0 + rows)` × columns `[pc, pc + kc)` with the rows
+    /// across the `L` lanes and the columns (positions) along `k`: what
+    /// `matmul::pack_b(Trans::Yes)` makes of the written-out matrix
+    /// (`L = NR`: the `colsᵀ` of `dW = dY·colsᵀ`) and `pack_a(Trans::No)`
+    /// (`L = MR`: an output gradient's rows, read through a 1×1 window).
+    /// `rows.div_ceil(L)` strips of `L ≤ 2·TB` rows, each `kc`-major, lanes
+    /// past `rows` zero, which is all of `panel`.
     ///
-    /// In "same" geometry (stride 1, output as wide as the input: every conv
-    /// of the zoo but ResNet's strided ones) position `q` of tap `(ki, kj)`
-    /// reads the plane `ki·w + kj − pad·(w+1)` floats on from `q` when it is
-    /// valid, so a row of the segment is one contiguous read ANDed with the
-    /// tap's keep-masks (`keep`, see [`KeepMasks`]), which zero every lane
-    /// that falls on padding: off the top or bottom of the plane (the read
-    /// runs into the neighbouring plane) or wrapped in from the neighbouring
-    /// row. A read that would leave the input is cut to it. Other geometries
-    /// go output row by output row through [`tap_rows`].
-    #[allow(clippy::too_many_arguments)]
-    fn pack_segment(
+    /// A strip goes `TB` positions at a time: each lane's run read as a row
+    /// (one masked read in "same" geometry), then the `lanes × TB` block
+    /// stored transposed ([`store_transposed`]).
+    pub(crate) fn pack_rows<const L: usize>(
         &self,
-        keep: Option<&[u32]>,
+        r0: usize,
+        rows: usize,
+        pc: usize,
+        kc: usize,
+        panel: &mut [f32],
+    ) {
+        const { assert!(L <= 2 * TB) };
+        // No clear: every lane is written below, padding included.
+        debug_assert_eq!(panel.len(), rows.div_ceil(L) * kc * L);
+        debug_assert!(r0 + rows <= self.rows() && pc + kc <= self.cols());
+        let (out_len, sample_len) = (self.geom.out_len(), self.sample_len());
+        self.with_reads(|reads| {
+            let Tile(tile) = &mut Tile([[0.0; TB]; 2 * TB]);
+            for (t, strip) in panel.chunks_exact_mut(kc * L).enumerate() {
+                let lanes = L.min(rows - t * L);
+                if lanes < L {
+                    strip.fill(0.0);
+                }
+                let mut at = [RowAt::default(); L];
+                for (at, row) in at.iter_mut().zip(self.rows_from(r0 + t * L)).take(lanes) {
+                    *at = row;
+                }
+                let mut p = 0;
+                while p < kc {
+                    // A block stays inside one sample.
+                    let (at_s, q) = ((pc + p) / out_len * sample_len, (pc + p) % out_len);
+                    let len = (out_len - q).min(kc - p).min(TB);
+                    for (row, at) in tile.iter_mut().zip(&at).take(lanes) {
+                        if len == TB {
+                            // At a length the compiler knows.
+                            self.read_row(reads, at_s, *at, q, row);
+                        } else {
+                            self.read_row(reads, at_s, *at, q, &mut row[..len]);
+                        }
+                    }
+                    let block = &mut strip[p * L..][..len * L];
+                    if len == TB {
+                        for l0 in (0..lanes).step_by(TB) {
+                            let src = tile[l0..].as_flattened();
+                            store_transposed(src, TB, TB.min(lanes - l0), &mut block[l0..], L);
+                        }
+                    } else {
+                        for (i, dst) in block.chunks_exact_mut(L).enumerate() {
+                            for (d, row) in dst.iter_mut().zip(&tile[..lanes]) {
+                                *d = row[i];
+                            }
+                        }
+                    }
+                    p += len;
+                }
+            }
+        });
+    }
+
+    /// Writes the column matrix out, `[rows, cols]` row-major, into `buf`
+    /// (grow-only) and returns it.
+    pub(crate) fn write<'b>(&self, buf: &'b mut Vec<f32>) -> &'b [f32] {
+        let (cols, out_len, sample_len) = (self.cols(), self.geom.out_len(), self.sample_len());
+        buf.resize(self.rows() * cols, 0.0);
+        let samples = self.input.chunks_exact(sample_len).take(self.samples);
+        for (s, sample) in samples.enumerate() {
+            im2col(sample, self.channels, &self.geom, buf, cols, s * out_len);
+        }
+        buf
+    }
+
+    /// Where rows `p`, `p + 1`, … of the column matrix read a sample, one
+    /// step of the window at a time rather than a division per row.
+    fn rows_from(&self, p: usize) -> impl Iterator<Item = RowAt> {
+        let g = self.geom;
+        let (taps, plane_len, out_len) = (g.kh * g.kw, g.h * g.w, g.out_len());
+        let tap = p % taps;
+        let first = RowAt {
+            plane: p / taps * plane_len,
+            ki: tap / g.kw,
+            kj: tap % g.kw,
+            masks: tap * out_len,
+            shift: shift(&g, tap),
+        };
+        std::iter::successors(Some(first), move |&row| {
+            let mut next = RowAt {
+                kj: row.kj + 1,
+                masks: row.masks + out_len,
+                shift: row.shift + 1,
+                ..row
+            };
+            if next.kj == g.kw {
+                (next.kj, next.ki, next.shift) =
+                    (0, row.ki + 1, next.shift + (g.w - g.kw) as isize);
+            }
+            if next.ki == g.kh {
+                next = RowAt {
+                    plane: row.plane + plane_len,
+                    shift: shift(&g, 0),
+                    ..RowAt::default()
+                };
+            }
+            Some(next)
+        })
+    }
+
+    /// Positions `[q0, q0 + dst.len())` of the row `row` locates, of the
+    /// sample at `input[at..]`.
+    #[inline(always)]
+    fn read_row(&self, reads: Reads, at: usize, row: RowAt, q0: usize, dst: &mut [f32]) {
+        let g = &self.geom;
+        let plane = at + row.plane;
+        match reads {
+            Reads::Plain => dst.copy_from_slice(&self.input[plane + q0..][..dst.len()]),
+            Reads::Masked(keep) => {
+                let first = (plane + q0) as isize + row.shift;
+                let keep = &keep[row.masks + q0..][..dst.len()];
+                masked_read(self.input, first, keep, dst);
+            }
+            Reads::Gather => {
+                let plane = &self.input[plane..][..g.h * g.w];
+                tap_rows(plane, g, (row.ki, row.kj), q0, dst);
+            }
+        }
+    }
+
+    /// Positions `[q0, q0 + len)` of the sample at `input[at..]` for rows
+    /// `[pc, pc + kc)`: row `p` goes to `strip[(p - pc)·L..][..len]`.
+    #[allow(clippy::too_many_arguments)]
+    fn pack_segment<const L: usize>(
+        &self,
+        reads: Reads,
         at: usize,
         pc: usize,
         kc: usize,
@@ -257,53 +469,82 @@ impl Im2col<'_> {
     ) {
         let g = &self.geom;
         let (taps, plane_len, out_len) = (g.kh * g.kw, g.h * g.w, g.out_len());
-        let Some(keep) = keep else {
-            let rows = strip.chunks_mut(NR).take(kc).map(|row| &mut row[..len]);
-            for (p, dst) in (pc..).zip(rows) {
-                let (plane, tap) = (
-                    &self.input[at + p / taps * plane_len..][..plane_len],
-                    p % taps,
-                );
-                tap_rows(plane, g, (tap / g.kw, tap % g.kw), q0, dst);
+        let Reads::Masked(keep) = reads else {
+            let rows = strip.chunks_mut(L).take(kc).map(|row| &mut row[..len]);
+            for (row, dst) in self.rows_from(pc).zip(rows) {
+                self.read_row(reads, at, row, q0, dst);
             }
             return;
         };
         // Tap by tap, so a tap's masks stay in registers across the channels.
-        let back = (g.pad * (g.w + 1)) as isize;
         let (c0, tap0) = (pc / taps, pc % taps);
         let (c1, tap1) = ((pc + kc) / taps, (pc + kc) % taps);
         for tap in 0..taps {
             let keep = &keep[tap * out_len + q0..][..len];
-            let shift = (tap / g.kw * g.w + tap % g.kw) as isize - back;
+            let shift = shift(g, tap);
             for c in c0 + usize::from(tap < tap0)..c1 + usize::from(tap < tap1) {
-                let dst = &mut strip[(c * taps + tap - pc) * NR..][..len];
+                let dst = &mut strip[(c * taps + tap - pc) * L..][..len];
                 let first = (at + c * plane_len + q0) as isize + shift;
-                let src = usize::try_from(first)
-                    .ok()
-                    .and_then(|f| self.input.get(f..f + len));
-                match src {
-                    // A whole strip, the common case, at a length the
-                    // compiler knows.
-                    Some(src) if len == NR => and_mask(&mut dst[..NR], &src[..NR], &keep[..NR]),
-                    Some(src) => and_mask(dst, src, keep),
-                    // Lanes whose read would leave the input are padding
-                    // (their masks are zero): clear the row, then mask the
-                    // rest in.
-                    None => {
-                        let lo = (-first).clamp(0, len as isize) as usize;
-                        let hi =
-                            (self.input.len() as isize - first).clamp(lo as isize, len as isize);
-                        let hi = hi as usize;
-                        dst.fill(0.0);
-                        if lo < hi {
-                            let from = (first + lo as isize) as usize;
-                            let src = &self.input[from..from + (hi - lo)];
-                            and_mask(&mut dst[lo..hi], src, &keep[lo..hi]);
-                        }
-                    }
+                // A whole strip, the common case, or a 4×4 plane, at a length
+                // the compiler knows.
+                if len == L {
+                    masked_read(self.input, first, &keep[..L], &mut dst[..L]);
+                } else if len == TB {
+                    masked_read(self.input, first, &keep[..TB], &mut dst[..TB]);
+                } else {
+                    masked_read(self.input, first, keep, dst);
                 }
             }
         }
+    }
+}
+
+/// `TB` positions of up to `2·TB` rows, each row a cache line of its own.
+#[repr(align(64))]
+struct Tile([[f32; TB]; 2 * TB]);
+
+/// Where a row of the column matrix reads a sample: the offset of its
+/// channel's plane, its tap `(ki, kj)`, where the tap's keep-masks start in
+/// a "same" geometry's table, and the tap's [`shift`].
+#[derive(Clone, Copy, Default)]
+struct RowAt {
+    plane: usize,
+    ki: usize,
+    kj: usize,
+    masks: usize,
+    shift: isize,
+}
+
+/// Where tap `tap` of output position `q` reads a "same" geometry's plane:
+/// this many floats on from `q`.
+#[inline(always)]
+fn shift(g: &ConvGeom, tap: usize) -> isize {
+    (tap / g.kw * g.w + tap % g.kw) as isize - (g.pad * (g.w + 1)) as isize
+}
+
+/// `dst[i] = input[first + i]` masked by `keep[i]` ([`and_mask`]). A read
+/// that would leave the input is cut to it: the lanes it loses are padding
+/// (their masks are zero), so the row is cleared and the rest masked in.
+#[inline(always)]
+fn masked_read(input: &[f32], first: isize, keep: &[u32], dst: &mut [f32]) {
+    let len = dst.len();
+    let src = usize::try_from(first)
+        .ok()
+        .and_then(|f| input.get(f..f + len));
+    if let Some(src) = src {
+        and_mask(dst, src, keep);
+        return;
+    }
+    let lo = (-first).clamp(0, len as isize) as usize;
+    let hi = (input.len() as isize - first).clamp(lo as isize, len as isize) as usize;
+    dst.fill(0.0);
+    if lo < hi {
+        let from = (first + lo as isize) as usize;
+        and_mask(
+            &mut dst[lo..hi],
+            &input[from..from + (hi - lo)],
+            &keep[lo..hi],
+        );
     }
 }
 
@@ -345,15 +586,31 @@ impl KeepMasks {
 
 thread_local! {
     /// The keep-masks of the last "same" geometry this thread packed: the
-    /// convs of a stage share one, so a forward builds a table per stage.
+    /// convs of a stage share one, so a forward builds a table per stage —
+    /// and a "same" conv's transposed geometry is its own, so its backward
+    /// reads the input and the output gradient through the same table.
     static KEEP: RefCell<KeepMasks> = RefCell::new(KeepMasks::default());
 }
 
 /// `dst = src` on the lanes `keep` sets (all ones), `+0.0` on the others
 /// (all zeros): bit operations only, so every value keeps its exact bits.
+/// Sixteen lanes at a time go through arrays, which the compiler turns into
+/// a few vector operations; the same loop over the slices stays one scalar
+/// `and` per lane.
 #[inline(always)]
 fn and_mask(dst: &mut [f32], src: &[f32], keep: &[u32]) {
-    for ((d, &v), &k) in dst.iter_mut().zip(src).zip(keep) {
+    let mut dst = dst.chunks_exact_mut(16);
+    let (mut src, mut keep) = (src.chunks_exact(16), keep.chunks_exact(16));
+    for ((d, s), k) in (&mut dst).zip(&mut src).zip(&mut keep) {
+        let (s, k): (&[f32; 16], &[u32; 16]) = (
+            s.try_into().expect("a chunk of 16"),
+            k.try_into().expect("a chunk of 16"),
+        );
+        let bits: [u32; 16] = std::array::from_fn(|i| s[i].to_bits() & k[i]);
+        d.copy_from_slice(&bits.map(f32::from_bits));
+    }
+    let rest = dst.into_remainder().iter_mut().zip(src.remainder());
+    for ((d, &v), &k) in rest.zip(keep.remainder()) {
         *d = f32::from_bits(v.to_bits() & k);
     }
 }
@@ -614,7 +871,8 @@ pub fn global_avgpool_backward(doutput: &[f32], channels: usize, hw: usize, dinp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::{pack_b, Trans, KC};
+    use crate::matmul::{gemm, pack_a, pack_b, Operand, Trans, KC, NR};
+    use crate::panels::{gemm_packed_a, PackedA};
     use crate::rng::SeededRng;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -690,11 +948,32 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Packs every `KC` block of the first `c_pre` channels' rows of
-    /// `samples` samples over several column windows — the whole width, one
-    /// that starts mid-strip, one that straddles two samples, random ones —
-    /// from the image and through `im2col` + `pack_b`, into buffers poisoned
-    /// with NaN, and demands the same bytes.
+    /// Windows `(start, len)` of `0..n` to pack: the whole range (when it is
+    /// at most `cap` long; else every `cap` block of it), one that starts
+    /// mid-strip, one that straddles two samples of `len` positions, random
+    /// ones — none longer than `cap`.
+    fn windows(rng: &mut SeededRng, n: usize, len: usize, cap: usize) -> Vec<(usize, usize)> {
+        let mut windows: Vec<_> = (0..n).step_by(cap).map(|p| (p, cap.min(n - p))).collect();
+        let mid = NR / 2 % n;
+        windows.push((mid, cap.min(n - mid)));
+        if n > len {
+            windows.push((len - 1, 2));
+        }
+        for _ in 0..3 {
+            let start = rng.below(n);
+            windows.push((start, 1 + rng.below(cap.min(n - start))));
+        }
+        windows
+    }
+
+    /// Packs the column matrix of the first `c_pre` channels of `samples`
+    /// samples from the image, in all four orientations, over windows of its
+    /// rows and columns (every `KC` block along `k`, windows that start
+    /// mid-strip or straddle two samples, random ones), into buffers poisoned
+    /// with NaN, and demands the bytes `im2col` + `pack_b` / `pack_a` leave:
+    /// the forward's `B` (columns across the lanes), the weight gradient's
+    /// `colsᵀ` (rows across the lanes, positions along `k`) and the two `A`
+    /// sides the same ways round.
     fn check_packing(
         g: &ConvGeom,
         c: usize,
@@ -719,35 +998,146 @@ mod tests {
             samples,
         };
         prop_assert_eq!((cols.rows(), cols.cols()), (c * taps, n));
-        let mut windows = vec![(0, n), (NR / 2 % n, n - NR / 2 % n)];
-        if samples > 1 {
-            windows.push((len - 1, 2));
-        }
-        for _ in 0..3 {
-            let jc = rng.below(n);
-            windows.push((jc, 1 + rng.below(n - jc)));
-        }
+        let mut written = Vec::new();
+        prop_assert_eq!(bits(cols.write(&mut written)), bits(&col));
         let k = c_pre * taps;
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            for &(jc, nc) in &windows {
-                let mut want = Vec::new();
-                pack_b(Trans::No, &col, n, pc, kc, jc, nc, &mut want);
-                let mut got = vec![f32::NAN; want.len()];
-                cols.pack(pc, kc, jc, nc, &mut got);
-                prop_assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "{:?} c {}/{} x{} rows {}+{} cols {}+{}",
-                    g,
-                    c_pre,
-                    c,
-                    samples,
-                    pc,
-                    kc,
-                    jc,
-                    nc
-                );
+        let (row_windows, col_windows) =
+            (windows(&mut rng, k, len, KC), windows(&mut rng, n, len, KC));
+        let (row_any, col_any) = (windows(&mut rng, k, len, k), windows(&mut rng, n, len, n));
+        // (side, orientation, windows along `k`, windows across the lanes)
+        let cases = [
+            ('B', Trans::No, &row_windows, &col_any),
+            ('B', Trans::Yes, &col_windows, &row_any),
+            ('A', Trans::No, &col_windows, &row_any),
+            ('A', Trans::Yes, &row_windows, &col_any),
+        ];
+        for (side, trans, along, across) in cases {
+            let op = Operand::Im2col(trans, cols);
+            for &(pc, kc) in along {
+                for &(jc, nc) in across {
+                    let mut want = Vec::new();
+                    let want = match side {
+                        'B' => pack_b(trans, &col, n, pc, kc, jc, nc, &mut want),
+                        _ => pack_a(trans, &col, n, jc, nc, pc, kc, &mut want),
+                    };
+                    // Poisoned, with room for the panel at any alignment.
+                    let mut got = vec![f32::NAN; want.len() + 16];
+                    let got = match side {
+                        'B' => op.pack_as_b(pc, kc, jc, nc, &mut got),
+                        _ => op.pack_as_a(jc, nc, pc, kc, &mut got),
+                    };
+                    prop_assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "{}{:?} of {:?} c {}/{} x{} k {}+{} lanes {}+{}",
+                        side,
+                        trans,
+                        g,
+                        c_pre,
+                        c,
+                        samples,
+                        pc,
+                        kc,
+                        jc,
+                        nc
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The input gradient of `samples` samples as the backward computes it
+    /// — the convolution of `dY` with the flipped, transposed weights over
+    /// [`ConvGeom::transposed`], `dY` packed from the image — against
+    /// `Wᵀ · dY` scattered back with `col2im`, sample by sample: within 1e-5
+    /// (relative, absolute below 1). `c_pre` of the `c_out` output channels
+    /// are active, as on a sliced layer.
+    fn check_transposed_conv(
+        g: &ConvGeom,
+        c_in: usize,
+        (c_out, c_pre): (usize, usize),
+        samples: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let gt = g.transposed().expect("a stride-1 geometry with pad < K");
+        prop_assert_eq!((gt.out_h(), gt.out_w()), (g.h, g.w));
+        let mut rng = SeededRng::new(seed);
+        let (taps, len, plane) = (g.kh * g.kw, g.out_len(), g.h * g.w);
+        // Weights at the scale of a Kaiming init over the `c_out·taps` terms
+        // an input gradient sums, so that it is of order one.
+        let scale = 1.0 / ((c_out * taps) as f32).sqrt();
+        let mut fill = |n: usize, s: f32| (0..n).map(|_| s * rng.uniform(-1.0, 1.0)).collect();
+        let (w, dy): (Vec<f32>, Vec<f32>) = (
+            fill(c_out * c_in * taps, scale),
+            fill(samples * c_pre * len, 1.0),
+        );
+        let mut want = vec![0.0f32; samples * c_in * plane];
+        let mut dcol = vec![f32::NAN; c_in * taps * len];
+        for (dy_s, dx_s) in dy
+            .chunks_exact(c_pre * len)
+            .zip(want.chunks_exact_mut(c_in * plane))
+        {
+            let k_rows = c_in * taps;
+            let (a, b) = (&w, dy_s);
+            gemm(
+                Trans::Yes,
+                Trans::No,
+                k_rows,
+                len,
+                c_pre,
+                1.0,
+                a,
+                k_rows,
+                b,
+                len,
+                0.0,
+                &mut dcol,
+                len,
+            );
+            col2im(&dcol, c_in, g, dx_s, len, 0);
+        }
+
+        let mut wt = vec![f32::NAN; c_in * c_out * taps];
+        transpose_flipped(&w, c_in * taps, c_out, c_in, taps, &mut wt);
+        let mut panels = PackedA::new();
+        panels.pack(Trans::No, &wt, c_out * taps, c_in, c_out * taps);
+        let ld = samples * plane;
+        let mut got = vec![f32::NAN; c_in * ld];
+        let dy_cols = Im2col {
+            input: &dy,
+            channels: c_pre,
+            geom: gt,
+            samples,
+        };
+        let b = Operand::Im2col(Trans::No, dy_cols);
+        gemm_packed_a(
+            0,
+            c_in,
+            ld,
+            c_pre * taps,
+            1.0,
+            &panels,
+            b,
+            0.0,
+            &mut got,
+            ld,
+        );
+        for (s, want_s) in want.chunks_exact(c_in * plane).enumerate() {
+            for (ci, want_c) in want_s.chunks_exact(plane).enumerate() {
+                let got_c = &got[ci * ld + s * plane..][..plane];
+                for (q, (&a, &b)) in got_c.iter().zip(want_c).enumerate() {
+                    prop_assert!(
+                        (a - b).abs() <= 1e-5 * b.abs().max(1.0),
+                        "{:?} sample {} channel {} position {}: {} vs {}",
+                        g,
+                        s,
+                        ci,
+                        q,
+                        a,
+                        b
+                    );
+                }
             }
         }
         Ok(())
@@ -755,7 +1145,8 @@ mod tests {
 
     /// The zoo's geometries, with enough channels for several `KC` blocks:
     /// VGG's three 3×3 "same" stages, ResNet's stride-2 3×3 and 1×1, the
-    /// pointwise 1×1 of MobileNet and ResNet, and a "same" 5×5.
+    /// pointwise 1×1 of MobileNet and ResNet, and a "same" 5×5 — in every
+    /// orientation; and the input gradient of each stride-1 one.
     #[test]
     fn packing_from_the_image_matches_on_the_zoos_geometries() {
         let zoo = [
@@ -770,8 +1161,12 @@ mod tests {
         ];
         for (i, (g, c)) in zoo.into_iter().enumerate() {
             for samples in 1..=5 {
+                let seed = (i * 10 + samples) as u64;
                 for c_pre in [c, c / 2 + 1] {
-                    check_packing(&g, c, c_pre, samples, (i * 10 + samples) as u64).unwrap();
+                    check_packing(&g, c, c_pre, samples, seed).unwrap();
+                    if g.transposed().is_some() {
+                        check_transposed_conv(&g, c / 2 + 1, (c, c_pre), samples, seed).unwrap();
+                    }
                 }
             }
         }
@@ -781,10 +1176,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Packing the column matrix from the image is byte for byte
-        /// `im2col` + `pack_b`: every geometry `im2col` takes (kernels wider
-        /// than the image, strides that skip columns, padding on every side,
-        /// non-square planes), one to five samples, channel prefixes, rows
-        /// past one `KC` block.
+        /// `im2col` + `pack_b` (or `pack_a`), in all four orientations: every
+        /// geometry `im2col` takes (kernels wider than the image, strides
+        /// that skip columns, padding on every side, non-square planes), one
+        /// to five samples, channel prefixes, rows and positions past one
+        /// `KC` block.
         #[test]
         fn packing_from_the_image_is_im2col_then_pack_b(
             c in 1usize..13, h in 1usize..9, w in 1usize..9,
@@ -795,6 +1191,25 @@ mod tests {
             let g = ConvGeom { h, w, kh: k, kw: k, stride, pad };
             prop_assume!(g.is_valid());
             check_packing(&g, c, 1 + prefix % c, samples, seed)?;
+        }
+
+        /// The output gradient read through the transposed geometry packs
+        /// into the bytes of its written-out im2col, and the input gradient
+        /// convolved from it is `col2im` of `Wᵀ · dY` within 1e-5: every
+        /// stride-1 geometry with `pad < K`, non-square planes, one to five
+        /// samples, a prefix of the output channels.
+        #[test]
+        fn the_input_gradient_is_a_convolution_of_the_output_gradient(
+            c_in in 1usize..9, c_out in 1usize..9, prefix in 0usize..9,
+            h in 1usize..9, w in 1usize..9, k in 1usize..=5, pad in 0usize..=4,
+            samples in 1usize..=5, seed in any::<u64>(),
+        ) {
+            let g = ConvGeom { h, w, kh: k, kw: k, stride: 1, pad };
+            prop_assume!(g.is_valid() && pad < k);
+            let (gt, c_pre) = (g.transposed().expect("pad < K"), 1 + prefix % c_out);
+            prop_assume!(gt.is_valid());
+            check_packing(&gt, c_out, c_pre, samples, seed)?;
+            check_transposed_conv(&g, c_in, (c_out, c_pre), samples, seed)?;
         }
 
         /// Span-copy `im2col` is byte-identical to the per-element loop, and

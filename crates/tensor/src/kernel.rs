@@ -25,8 +25,28 @@
 //!   into whatever the target offers. On AVX-512 builds it is compiled for
 //!   tests only, as the oracle the intrinsics are compared against bit for
 //!   bit.
+//!
+//! The packers need the vector unit once more: a strip whose lanes are rows
+//! of a matrix stored the other way round (a weight gradient's `dY` and
+//! `colsᵀ`) is a transpose, and [`store_transposed`] does `TB × TB` of it at
+//! a time — sixteen loads, 64 shuffles and sixteen stores with AVX-512F, a
+//! plain loop elsewhere. It moves bits and computes nothing.
 
 use std::ops::Range;
+
+/// Side of the square block [`store_transposed`] transposes.
+pub(crate) const TB: usize = 16;
+
+/// Stores the `TB × TB` block whose row `l` is `src[l·lds..][..TB]`
+/// transposed: element `i` of row `l` to `dst[i·ld + l]`, for the first
+/// `lanes ≤ TB` rows; nothing else of `dst` is touched.
+#[inline(always)]
+pub(crate) fn store_transposed(src: &[f32], lds: usize, lanes: usize, dst: &mut [f32], ld: usize) {
+    #[cfg(target_feature = "avx512f")]
+    avx512::store_transposed(src, lds, lanes, dst, ld);
+    #[cfg(not(target_feature = "avx512f"))]
+    generic::store_transposed(src, lds, lanes, dst, ld);
+}
 
 /// Tile rows. With AVX-512F, 16 of the 32 `zmm` registers hold the
 /// accumulator (8 rows × two 16-lane vectors: sixteen independent FMA chains
@@ -79,9 +99,24 @@ pub(crate) fn micro_kernel(
 
 #[cfg(any(test, not(target_feature = "avx512f")))]
 mod generic {
-    use super::{MR, NR};
+    use super::{MR, NR, TB};
     use crate::matmul::fmadd;
     use std::ops::Range;
+
+    #[inline(always)]
+    pub(super) fn store_transposed(
+        src: &[f32],
+        lds: usize,
+        lanes: usize,
+        dst: &mut [f32],
+        ld: usize,
+    ) {
+        for (i, out) in dst.chunks_mut(ld).take(TB).enumerate() {
+            for (l, d) in out[..lanes].iter_mut().enumerate() {
+                *d = src[l * lds + i];
+            }
+        }
+    }
 
     /// One tile of partial products, aligned so that a row is exactly one
     /// cache line: behind the aligned wrapper the accumulators stay in
@@ -146,10 +181,11 @@ mod generic {
 
 #[cfg(target_feature = "avx512f")]
 mod avx512 {
-    use super::{MR, NR};
+    use super::{MR, NR, TB};
     use std::arch::x86_64::{
         __m512, __mmask16, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
-        _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4,
+        _mm512_shuffle_ps, _mm512_unpackhi_ps, _mm512_unpacklo_ps,
     };
     use std::ops::Range;
 
@@ -157,6 +193,96 @@ mod avx512 {
     const NV: usize = NR / 16;
     // The accumulator, one row of `B` and a scratch register fit the file.
     const _: () = assert!(NR.is_multiple_of(16) && MR * NV + NV < 32);
+    // A block row is one `zmm` vector.
+    const _: () = assert!(TB == 16);
+
+    #[inline(always)]
+    pub(super) fn store_transposed(
+        src: &[f32],
+        lds: usize,
+        lanes: usize,
+        dst: &mut [f32],
+        ld: usize,
+    ) {
+        if lanes == 0 {
+            return;
+        }
+        // One past the last element read (element `TB - 1` of row `TB - 1`)
+        // and written (lane `lanes - 1` of row `TB - 1`).
+        let past = |stride: usize, width: usize| {
+            (TB - 1)
+                .checked_mul(stride)
+                .and_then(|v| v.checked_add(width))
+        };
+        assert!(
+            lanes <= TB
+                && past(lds, TB).is_some_and(|end| end <= src.len())
+                && past(ld, lanes).is_some_and(|end| end <= dst.len()),
+            "{TB} rows at stride {lds} ({}) into {lanes} lanes at stride {ld} ({})",
+            src.len(),
+            dst.len()
+        );
+        // SAFETY: the cfg on this module says the target has AVX-512F, and
+        // the assert puts rows `0..TB` at stride `lds` inside `src` and
+        // lanes `0..lanes` of rows `0..TB` at stride `ld` inside `dst`,
+        // which is borrowed mutably for the call.
+        unsafe {
+            let mask = lane_mask(&(0..lanes), 0);
+            transpose_unchecked(src.as_ptr(), lds, mask, dst.as_mut_ptr(), ld)
+        }
+    }
+
+    /// The 16×16 transpose in four rounds of shuffles: row pairs
+    /// interleaved, then 2×2 blocks of pairs, then the 128-bit quarters
+    /// twice over — after which vector `i` holds column `i`.
+    ///
+    /// # Safety
+    /// The target has AVX-512F; `src + l·lds` points at `TB` readable
+    /// floats for every `l < TB`; and `dst + i·ld + l` is a float this call
+    /// may write for every `i < TB` and every lane `l` that `mask` sets. No
+    /// other address is accessed.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn transpose_unchecked(
+        src: *const f32,
+        lds: usize,
+        mask: __mmask16,
+        dst: *mut f32,
+        ld: usize,
+    ) {
+        let mut r = [_mm512_setzero_ps(); TB];
+        for (l, v) in r.iter_mut().enumerate() {
+            // SAFETY: row `l`, which the caller vouches for.
+            *v = unsafe { _mm512_loadu_ps(src.add(l * lds)) };
+        }
+        let mut t = [_mm512_setzero_ps(); TB];
+        for k in (0..TB).step_by(2) {
+            t[k] = _mm512_unpacklo_ps(r[k], r[k + 1]);
+            t[k + 1] = _mm512_unpackhi_ps(r[k], r[k + 1]);
+        }
+        // `r[4g + j]`: column `4q + j` of rows `4g..4g+4` in quarter `q`.
+        for b in (0..TB).step_by(4) {
+            r[b] = _mm512_shuffle_ps::<0x44>(t[b], t[b + 2]);
+            r[b + 1] = _mm512_shuffle_ps::<0xEE>(t[b], t[b + 2]);
+            r[b + 2] = _mm512_shuffle_ps::<0x44>(t[b + 1], t[b + 3]);
+            r[b + 3] = _mm512_shuffle_ps::<0xEE>(t[b + 1], t[b + 3]);
+        }
+        for b in (0..TB).step_by(8) {
+            for j in 0..4 {
+                t[b + j] = _mm512_shuffle_f32x4::<0x88>(r[b + j], r[b + 4 + j]);
+                t[b + 4 + j] = _mm512_shuffle_f32x4::<0xDD>(r[b + j], r[b + 4 + j]);
+            }
+        }
+        for j in 0..TB / 2 {
+            r[j] = _mm512_shuffle_f32x4::<0x88>(t[j], t[TB / 2 + j]);
+            r[TB / 2 + j] = _mm512_shuffle_f32x4::<0xDD>(t[j], t[TB / 2 + j]);
+        }
+        for (i, column) in r.iter().enumerate() {
+            // SAFETY: the lanes `mask` sets of row `i`, which the caller
+            // vouches for.
+            unsafe { _mm512_mask_storeu_ps(dst.wrapping_add(i * ld), mask, *column) };
+        }
+    }
 
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -291,7 +417,7 @@ mod avx512 {
 
 #[cfg(all(test, target_feature = "avx512f"))]
 mod tests {
-    use super::{avx512, generic, MR, NR};
+    use super::{avx512, generic, MR, NR, TB};
     use crate::matmul::KC;
     use crate::rng::SeededRng;
 
@@ -386,5 +512,37 @@ mod tests {
         let (ap, bp) = (vec![0.0f32; MR], vec![0.0f32; NR]);
         let mut c = vec![0.0f32; 2 * LDC];
         avx512::tile(1, 1.0, &ap, &bp, &mut c, 0, LDC, 0..3, 0..NR, true);
+    }
+
+    /// The shuffle transpose moves the bits the generic loop moves — NaN
+    /// payloads and signed zeros included — for every lane count and a
+    /// few source and destination strides, and writes nothing else.
+    #[test]
+    fn the_zmm_transpose_is_bitwise_the_generic_loop() {
+        let mut rng = SeededRng::new(54);
+        for lanes in 0..=TB {
+            for (lds, ld) in [(TB, TB), (TB + 3, 2 * TB), (2 * TB, lanes.max(1)), (TB, 37)] {
+                let src: Vec<f32> = (0..(TB - 1) * lds + TB)
+                    .map(|i| match i % 7 {
+                        0 => f32::from_bits(0x7fc0_0000 | i as u32),
+                        1 => -0.0,
+                        _ => rng.uniform(-1.0, 1.0),
+                    })
+                    .collect();
+                let start = vec![f32::from_bits(POISON); (TB - 1) * ld + TB + 5];
+                let (mut want, mut got) = (start.clone(), start);
+                generic::store_transposed(&src, lds, lanes, &mut want, ld);
+                avx512::store_transposed(&src, lds, lanes, &mut got, ld);
+                assert_eq!(bits(&got), bits(&want), "{lanes} lanes, strides {lds}/{ld}");
+                for (at, v) in got.iter().enumerate() {
+                    let inside = at / ld < TB && at % ld < lanes;
+                    assert_eq!(v.to_bits() != POISON, inside, "element {at}, {lanes} lanes");
+                    if inside {
+                        let (i, l) = (at / ld, at % ld);
+                        assert_eq!(v.to_bits(), src[l * lds + i].to_bits());
+                    }
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,10 @@
 //! beat packing overhead at tiny sizes.
 //!
 //! Pack buffers are thread-local and grow-only, so steady-state calls do no
-//! heap allocation.
+//! heap allocation. An operand ([`Operand`]) is a stored matrix or the
+//! im2col matrix of a run of images, either way round; the latter is packed
+//! straight from the images, so a convolution's backward ([`gemm_operands`])
+//! writes no column matrix, and its bits are those of the written-out one.
 //!
 //! [`gemm`] packs both operands on every call, which is right when both move
 //! (every backward). Against weights that stand still — inference, and the
@@ -49,6 +52,7 @@
 
 use std::cell::RefCell;
 
+use crate::conv::Im2col;
 use crate::kernel::micro_kernel;
 pub use crate::kernel::{MR, NR};
 
@@ -137,7 +141,123 @@ pub fn gemm(
     ldc: usize,
 ) {
     debug_check(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
+    let (a, b) = (
+        Operand::Matrix(trans_a, a, lda),
+        Operand::Matrix(trans_b, b, ldb),
+    );
+    gemm_operands(m, n, k, alpha, a, b, beta, c, ldc);
+}
 
+/// A GEMM operand `op(X)` as the drivers see it. Whatever it is, they pack
+/// it one panel at a time into their strip layout, so the micro-kernel — and
+/// every output bit — cannot tell the kinds apart.
+#[derive(Debug, Clone, Copy)]
+pub enum Operand<'a> {
+    /// A row-major matrix and its row stride, used as stored (`Trans::No`)
+    /// or transposed.
+    Matrix(Trans, &'a [f32], usize),
+    /// The im2col matrix of a run of samples (`Trans::No`: a convolution's
+    /// columns, `[channels·K², samples·OH·OW]`) or its transpose
+    /// (`Trans::Yes`: the `colsᵀ` of a weight gradient `dY·colsᵀ`), packed
+    /// straight from the images — no column matrix is written.
+    Im2col(Trans, Im2col<'a>),
+}
+
+impl<'a> Operand<'a> {
+    /// Whether `op(X)` holds `rows × cols`.
+    pub(crate) fn covers(&self, rows: usize, cols: usize) -> bool {
+        let stored = |r: usize, c: usize, x: &[f32], ld: usize| {
+            ld >= c.max(1) && (r == 0 || c == 0 || x.len() >= (r - 1) * ld + c)
+        };
+        match *self {
+            Operand::Matrix(Trans::No, x, ld) => stored(rows, cols, x, ld),
+            Operand::Matrix(Trans::Yes, x, ld) => stored(cols, rows, x, ld),
+            Operand::Im2col(Trans::No, cols_of) => rows <= cols_of.rows() && cols <= cols_of.cols(),
+            Operand::Im2col(Trans::Yes, cols_of) => {
+                rows <= cols_of.cols() && cols <= cols_of.rows()
+            }
+        }
+    }
+
+    /// Packs rows `[ic, ic + mc)` × columns `[pc, pc + kc)` of `op(X)` the
+    /// way [`pack_a`] packs a left-hand operand, and returns the panel.
+    pub(crate) fn pack_as_a<'b>(
+        &self,
+        ic: usize,
+        mc: usize,
+        pc: usize,
+        kc: usize,
+        buf: &'b mut Vec<f32>,
+    ) -> &'b [f32] {
+        match *self {
+            Operand::Matrix(trans, x, ld) => pack_a(trans, x, ld, ic, mc, pc, kc, buf),
+            Operand::Im2col(trans, cols) => {
+                let panel = aligned(buf, mc.div_ceil(MR) * kc * MR);
+                match trans {
+                    Trans::No => cols.pack_rows::<MR>(ic, mc, pc, kc, panel),
+                    Trans::Yes => cols.pack_cols::<MR>(pc, kc, ic, mc, panel),
+                }
+                panel
+            }
+        }
+    }
+
+    /// Packs rows `[pc, pc + kc)` × columns `[jc, jc + nc)` of `op(X)` the
+    /// way [`pack_b`] packs a right-hand operand, and returns the panel.
+    pub(crate) fn pack_as_b<'b>(
+        &self,
+        pc: usize,
+        kc: usize,
+        jc: usize,
+        nc: usize,
+        buf: &'b mut Vec<f32>,
+    ) -> &'b [f32] {
+        match *self {
+            Operand::Matrix(trans, x, ld) => pack_b(trans, x, ld, pc, kc, jc, nc, buf),
+            Operand::Im2col(trans, cols) => {
+                let panel = aligned(buf, nc.div_ceil(NR) * kc * NR);
+                match trans {
+                    Trans::No => cols.pack_cols::<NR>(pc, kc, jc, nc, panel),
+                    Trans::Yes => cols.pack_rows::<NR>(jc, nc, pc, kc, panel),
+                }
+                panel
+            }
+        }
+    }
+
+    /// `op(X)` as a stored matrix `(trans, x, ld)`: a matrix as it is, an
+    /// im2col matrix written out into `buf`.
+    fn written<'b>(self, buf: &'b mut Vec<f32>) -> (Trans, &'b [f32], usize)
+    where
+        'a: 'b,
+    {
+        match self {
+            Operand::Matrix(trans, x, ld) => (trans, x, ld),
+            Operand::Im2col(trans, cols) => (trans, cols.write(buf), cols.cols()),
+        }
+    }
+}
+
+/// [`gemm`] on [`Operand`]s: `C = alpha · op(A) · op(B) + beta · C`, `op(A)`
+/// `m×k` and `op(B)` `k×n`, through the same loops, so an im2col operand
+/// gives the bits of its written-out matrix. The small problems `gemm` hands
+/// to its unblocked loops are the one place such an operand is written out
+/// (at most `SMALL_GEMM_CUTOFF` floats, into the pack buffers).
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_operands(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: Operand,
+    b: Operand,
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    debug_assert!(a.covers(m, k), "A operand smaller than {m}x{k}");
+    debug_assert!(b.covers(k, n), "B operand smaller than {k}x{n}");
+    debug_assert!(ldc >= n.max(1) && (m == 0 || c.len() >= (m - 1) * ldc + n));
     if m == 0 || n == 0 {
         return;
     }
@@ -149,7 +269,10 @@ pub fn gemm(
 
     if !packed {
         let _span = ms_telemetry::span!("gemm.small");
-        gemm_accumulate_unblocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+        with_pack_bufs(|abuf, bbuf| {
+            let ((ta, a, lda), (tb, b, ldb)) = (a.written(abuf), b.written(bbuf));
+            gemm_accumulate_unblocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+        });
         return;
     }
 
@@ -164,24 +287,24 @@ pub fn gemm(
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 let store = beta == 0.0 && pc == 0;
-                {
+                let bpanel = {
                     let _s = ms_telemetry::span!("gemm.pack_b");
-                    pack_b(trans_b, b, ldb, pc, kc, jc, nc, bpack);
-                }
+                    b.pack_as_b(pc, kc, jc, nc, bpack)
+                };
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
                     let mc_strips = mc.div_ceil(MR);
-                    {
+                    let apanel = {
                         let _s = ms_telemetry::span!("gemm.pack_a");
-                        pack_a(trans_a, a, lda, ic, mc, pc, kc, apack);
-                    }
+                        a.pack_as_a(ic, mc, pc, kc, apack)
+                    };
                     let _s = ms_telemetry::span!("gemm.kernel");
                     for jr in 0..nc_strips {
                         let nr = NR.min(nc - jr * NR);
-                        let bp = &bpack[jr * kc * NR..(jr + 1) * kc * NR];
+                        let bp = &bpanel[jr * kc * NR..(jr + 1) * kc * NR];
                         for ir in 0..mc_strips {
                             let mr = MR.min(mc - ir * MR);
-                            let ap = &apack[ir * kc * MR..(ir + 1) * kc * MR];
+                            let ap = &apanel[ir * kc * MR..(ir + 1) * kc * MR];
                             let c_off = (ic + ir * MR) * ldc + jc + jr * NR;
                             micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, 0..mr, 0..nr, store);
                         }
@@ -255,10 +378,31 @@ fn debug_check(
     debug_assert!(m == 0 || c.len() >= (m - 1) * ldc + n);
 }
 
+/// Floats in a 64-byte cache line.
+const LINE: usize = 16;
+
+/// The first `len` floats of `buf` from its first cache-line boundary on,
+/// holding whatever they held (`buf` grows as needed, and only grows). A
+/// panel packed there has every strip row start where it would in an
+/// aligned buffer, so its vector stores and the micro-kernel's loads split
+/// no more cache lines than the layout makes them.
+pub(crate) fn aligned(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len + LINE {
+        buf.resize(len + LINE, 0.0);
+    }
+    // `align_offset` may decline to answer; the panel is right either way.
+    let off = buf.as_ptr().align_offset(4 * LINE);
+    let off = if off < LINE { off } else { 0 };
+    &mut buf[off..off + len]
+}
+
 /// Packs the `mc×kc` panel of `op(A)` starting at `(ic, pc)` into strips of
 /// `MR` rows, each strip laid out `kc`-major so the micro-kernel reads
 /// `MR` consecutive floats per `p` step. Rows past `mc` are zero padding.
-pub(crate) fn pack_a(
+/// The panel goes into `buf` at its first cache-line boundary
+/// ([`aligned`]) and is returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_a<'b>(
     trans_a: Trans,
     a: &[f32],
     lda: usize,
@@ -266,12 +410,13 @@ pub(crate) fn pack_a(
     mc: usize,
     pc: usize,
     kc: usize,
-    buf: &mut Vec<f32>,
-) {
+    buf: &'b mut Vec<f32>,
+) -> &'b [f32] {
     // No clear: `pack_a_into` writes every lane, padding included, so what
     // an earlier call left behind never shows.
-    buf.resize(mc.div_ceil(MR) * kc * MR, 0.0);
-    pack_a_into(trans_a, a, lda, ic, mc, pc, kc, buf);
+    let panel = aligned(buf, mc.div_ceil(MR) * kc * MR);
+    pack_a_into(trans_a, a, lda, ic, mc, pc, kc, panel);
+    panel
 }
 
 /// [`pack_a`] writing into a caller-provided slice of exactly
@@ -328,7 +473,9 @@ pub(crate) fn pack_a_into(
 /// Packs the `kc×nc` panel of `op(B)` starting at `(pc, jc)` into strips of
 /// `NR` columns, each strip `kc`-major so the micro-kernel loads one
 /// `NR`-wide row vector per `p` step. Columns past `nc` are zero padding.
-pub(crate) fn pack_b(
+/// The panel goes into `buf` as [`pack_a`]'s does and is returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_b<'b>(
     trans_b: Trans,
     b: &[f32],
     ldb: usize,
@@ -336,11 +483,12 @@ pub(crate) fn pack_b(
     kc: usize,
     jc: usize,
     nc: usize,
-    buf: &mut Vec<f32>,
-) {
+    buf: &'b mut Vec<f32>,
+) -> &'b [f32] {
     // No clear: see `pack_a`.
-    buf.resize(nc.div_ceil(NR) * kc * NR, 0.0);
-    pack_b_into(trans_b, b, ldb, pc, kc, jc, nc, buf);
+    let panel = aligned(buf, nc.div_ceil(NR) * kc * NR);
+    pack_b_into(trans_b, b, ldb, pc, kc, jc, nc, panel);
+    panel
 }
 
 /// [`pack_b`] writing into a caller-provided slice of exactly

@@ -29,10 +29,9 @@
 //! same `k` range produce bitwise-identical contributions — the foundation
 //! of the anytime prefix-refine path in `ms-nn`.
 
-use crate::conv::Im2col;
 use crate::kernel::{micro_kernel, MR, NR};
 use crate::matmul::{
-    apply_beta, pack_a, pack_a_into, pack_b, pack_b_into, with_pack_bufs, Trans, KC, NC,
+    apply_beta, pack_a, pack_a_into, pack_b_into, with_pack_bufs, Operand, Trans, KC, NC,
 };
 
 /// Rows of `A` that [`gemm_packed_b`] packs per `KC` block (multiple of
@@ -261,10 +260,10 @@ pub fn gemm_packed_b(
             for ic in (0..m).step_by(PANEL_MC) {
                 let mc = PANEL_MC.min(m - ic);
                 let mc_strips = mc.div_ceil(MR);
-                {
+                let apanel = {
                     let _s = ms_telemetry::span!("gemm.pack_a");
-                    pack_a(Trans::No, a, lda, ic, mc, pc, kc, apack);
-                }
+                    pack_a(Trans::No, a, lda, ic, mc, pc, kc, apack)
+                };
                 for t in t_lo..=t_hi {
                     let sj0 = n0.max(t * NR) - t * NR;
                     let sj1 = n1.min(t * NR + NR) - t * NR;
@@ -272,7 +271,7 @@ pub fn gemm_packed_b(
                     for ir in 0..mc_strips {
                         let mr = MR.min(mc - ir * MR);
                         let c_off = (ic + ir * MR) * ldc + t * NR + sj0 - n0;
-                        let ap = &apack[ir * kc * MR..(ir + 1) * kc * MR];
+                        let ap = &apanel[ir * kc * MR..(ir + 1) * kc * MR];
                         micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, 0..mr, sj0..sj1, store);
                     }
                 }
@@ -282,43 +281,7 @@ pub fn gemm_packed_b(
     });
 }
 
-/// The right-hand operand `B` (`k × n`, indexed by absolute `k`) of
-/// [`gemm_packed_a_stepped`]: whatever it is, the driver packs it one
-/// `KC × NC` panel at a time into the same strip layout, so the kernel — and
-/// every output bit — cannot tell the two kinds apart.
-#[derive(Debug, Clone, Copy)]
-pub enum OperandB<'a> {
-    /// A row-major matrix: element `(p, j)` at `b[p * ldb + j]`.
-    Matrix {
-        /// The elements.
-        b: &'a [f32],
-        /// Row stride.
-        ldb: usize,
-    },
-    /// The im2col matrix of a run of samples, packed straight from the image
-    /// (a convolution's forward pass: no column matrix is written).
-    Im2col(Im2col<'a>),
-}
-
-impl OperandB<'_> {
-    /// Packs rows `[pc, pc + kc)` × columns `[jc, jc + nc)` into `buf`.
-    fn pack(&self, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut Vec<f32>) {
-        match *self {
-            OperandB::Matrix { b, ldb } => pack_b(Trans::No, b, ldb, pc, kc, jc, nc, buf),
-            OperandB::Im2col(cols) => cols.pack(pc, kc, jc, nc, buf),
-        }
-    }
-
-    /// Whether the operand holds `k` rows and `n` columns.
-    fn covers(&self, k: usize, n: usize) -> bool {
-        match *self {
-            OperandB::Matrix { b, ldb } => ldb >= n.max(1) && b.len() >= (k - 1) * ldb + n,
-            OperandB::Im2col(cols) => k <= cols.rows() && n <= cols.cols(),
-        }
-    }
-}
-
-/// `C[m0..m1, 0..n) = alpha · op(A)[m0..m1, 0..k1) · B[0..k1, :] + beta · C`
+/// `C[m0..m1, 0..n) = alpha · op(A)[m0..m1, 0..k1) · op(B)[0..k1, :] + beta · C`
 /// with `op(A)` prepacked: [`gemm_packed_a_stepped`] with a single step.
 ///
 /// `b` holds rows `[0, k1)`; `c` holds only the requested row window
@@ -331,7 +294,7 @@ pub fn gemm_packed_a(
     k1: usize,
     alpha: f32,
     pa: &PackedA,
-    b: OperandB,
+    b: Operand,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
@@ -342,15 +305,17 @@ pub fn gemm_packed_a(
 /// Stepped-`k` sweep over a prepacked `op(A)`: step `i` covers rows
 /// `[rows[i], rows[i+1])` and multiplies them with `k ∈ [0, k_ext[i])`,
 ///
-/// `C[rows[i]..rows[i+1], 0..n) = alpha · op(A)[.., 0..k_ext[i]) · B[0..k_ext[i], :] + beta · C`.
+/// `C[rows[i]..rows[i+1], 0..n) = alpha · op(A)[.., 0..k_ext[i]) · op(B)[0..k_ext[i], :] + beta · C`.
 ///
 /// `rows` is ascending (`k_ext.len() + 1` boundaries); `c` holds the swept
 /// row window, row `rows[0]` first. `b` is indexed by absolute `k` and must
-/// hold the largest extent. This is the shape of a per-group convolution
-/// prefix pass — output group `g` sees the input channels of groups `≤ g` —
-/// and the reason it is one call: each `KC × NC` panel of `B` (the im2col
-/// matrix of the input, packed from the image) is packed **once** and every
-/// step reads the leading rows it needs from that packing. A step's `k`
+/// hold the largest extent; whatever kind of [`Operand`] it is, it is packed
+/// one `KC × NC` panel at a time into the same strip layout. This is the
+/// shape of a per-group convolution prefix pass — output group `g` sees the
+/// input channels of groups `≤ g` — and the reason it is one call: each
+/// `KC × NC` panel of `B` (the im2col matrix of the input, packed from the
+/// image) is packed **once** and every step reads the leading rows it needs
+/// from that packing. A step's `k`
 /// still splits at absolute multiples of `KC` and its tiles run in the same
 /// order, so each output element is bitwise what a single-step call over its
 /// own rows and extent produces.
@@ -361,7 +326,7 @@ pub fn gemm_packed_a_stepped(
     n: usize,
     alpha: f32,
     pa: &PackedA,
-    b: OperandB,
+    b: Operand,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
@@ -404,10 +369,10 @@ pub fn gemm_packed_a_stepped(
                 let packed_kc = KC.min(k_max - pc);
                 let boff = pa.block_offsets[block];
                 let store = beta == 0.0 && pc == 0;
-                {
+                let bpanel = {
                     let _s = ms_telemetry::span!("gemm.pack_b");
-                    b.pack(pc, packed_kc, jc, nc, bpack);
-                }
+                    b.pack_as_b(pc, packed_kc, jc, nc, bpack)
+                };
                 for (step, &k1) in k_ext.iter().enumerate() {
                     let (r0, r1) = (rows[step], rows[step + 1]);
                     if k1 <= pc || r0 == r1 {
@@ -421,7 +386,7 @@ pub fn gemm_packed_a_stepped(
                         let ap = &pa.buf[boff + s * block_kc * MR..][..kc * MR];
                         for jr in 0..nc_strips {
                             let nr = NR.min(nc - jr * NR);
-                            let bp = &bpack[jr * packed_kc * NR..][..kc * NR];
+                            let bp = &bpanel[jr * packed_kc * NR..][..kc * NR];
                             let c_off = (s * MR + si0 - m0) * ldc + jc + jr * NR;
                             micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, si0..si1, 0..nr, store);
                         }
@@ -446,8 +411,8 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn mat(b: &[f32], ldb: usize) -> OperandB<'_> {
-        OperandB::Matrix { b, ldb }
+    fn mat(b: &[f32], ldb: usize) -> Operand<'_> {
+        Operand::Matrix(Trans::No, b, ldb)
     }
 
     /// `shapes` plus the tile- and block-edge grid `gemm` is tested on, as

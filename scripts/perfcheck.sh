@@ -9,6 +9,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 die() { echo "perfcheck FAILED: $*"; exit 1; }
 
+echo "== formatting: the workspace stays as rustfmt lays it out =="
+cargo fmt --all -- --check || die "cargo fmt --all would rewrite the files above"
+
 echo "== release build (also the shard_server that cluster_elastic spawns) =="
 cargo build --release --workspace
 
@@ -106,18 +109,33 @@ grep -rln 'par::enter' crates/*/src src \
         END { exit bad }
     ' || die "only Trainer::step enters the fork-join team outside unit tests (lines above)"
 
+echo "== col2im: the backward of a strided conv is its one caller =="
+# Every other conv's input gradient is a convolution of its output gradient
+# (ms_tensor::conv::ConvGeom::transposed) packed from the image; only a
+# strided one (or pad >= K) scatters a column gradient back. Tests may call it.
+callers=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { intest = 0 }
+    /^#\[cfg\(test\)\]/ { intest = 1 }
+    !intest && /col2im\(/ && !/^[[:space:]]*\/\// && !/fn col2im\(/ { printf "    %s:%d: %s\n", FILENAME, FNR, $0 }
+')
+printf '%s\n' "$callers" | grep -v '^    crates/nn/src/conv2d\.rs:' | grep . \
+    && die "col2im called outside the strided branch of crates/nn/src/conv2d.rs (lines above)"
+[ "$(printf '%s\n' "$callers" | grep -c .)" -le 1 ] \
+    || die "col2im has more than the one strided-branch caller:$(printf '\n%s' "$callers")"
+
 echo "== allocation tripwire (hot layer bodies) =="
 # `Tensor::zeros(` and `vec![` are banned inside `fn forward(` /
 # `fn forward_train(` / `fn forward_prefix(` / `fn backward(` bodies, the
-# per-part bodies a split pass runs on either thread, the chunked conv
-# forwards' helpers and the packer that writes their columns from the image,
-# the panel GEMM drivers and the fork-join itself (brace-counted): the
+# per-part bodies a split pass runs on either thread (a conv backward's chunk
+# loop is `run`), the chunked conv passes' helpers and the packers that write
+# a conv's columns, transposed columns and output gradient from the image,
+# the GEMM drivers that take them and the fork-join itself (brace-counted): the
 # per-call paths use `Tensor::pooled_zeros`, `pooled_clone`,
 # `Workspace::take` and grow-only buffers; `Box::new(` is banned with them so
 # the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_train|forward_prefix|backward|forward_train_part|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|unchunk|pack|pack_segment|tap_rows|and_mask|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b|join|wait|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_train|forward_prefix|backward|forward_train_part|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|unchunk|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b|join|wait|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
@@ -131,6 +149,6 @@ awk '
     END { exit bad }
 ' crates/nn/src/{linear,conv2d,depthwise,activation,sequential,pool,embedding,dropout}.rs \
     crates/nn/src/norm/group_norm.rs crates/nn/src/rnn/{lstm,gru}.rs \
-    crates/tensor/src/{panels,conv,par}.rs \
+    crates/tensor/src/{matmul,panels,conv,kernel,par}.rs \
     || die "allocation reintroduced: hot paths must use pooled_zeros/pooled_clone/Workspace::take (lines above)"
 echo "perfcheck OK"
