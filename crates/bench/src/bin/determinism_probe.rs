@@ -3,7 +3,8 @@
 //! Prints FNV-1a hashes over the raw IEEE-754 bits of GEMM outputs, sliced
 //! MLP logits at every rate, Algorithm-1 training losses, and the same three
 //! for the benchmark's VGG (direct logits, the refine ladder, two training
-//! steps' losses and gradient norm). The output is
+//! steps' losses and gradient norm) and NNLM (direct logits, three training
+//! steps). The output is
 //! byte-identical between a default build and one with
 //! `--features telemetry-spans` — that is the whole point: the span tracer
 //! must not perturb a single bit of any numeric path. `scripts/perfcheck.sh`
@@ -16,10 +17,11 @@
 use ms_core::inference::{batched_sliced_forward, refine_batched_forward};
 use ms_core::scheduler::{Scheduler, SchedulerKind};
 use ms_core::slice_rate::{SliceRate, SliceRateList};
-use ms_core::trainer::{Batch, Trainer, TrainerConfig};
+use ms_core::trainer::{Batch, StepStats, Trainer, TrainerConfig};
 use ms_models::mlp::{Mlp, MlpConfig};
+use ms_models::nnlm::{Nnlm, NnlmConfig};
 use ms_models::vgg::{Vgg, VggConfig};
-use ms_nn::layer::Layer;
+use ms_nn::layer::{Layer, Mode};
 use ms_nn::optim::SgdConfig;
 use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::{SeededRng, Tensor};
@@ -207,15 +209,62 @@ fn main() {
     };
     for step in 0..2 {
         let stats = trainer.step(&mut vgg, &batch);
-        let losses: Vec<String> = stats
-            .subnet_losses
-            .iter()
-            .map(|(_, loss)| format!("{:016x}", loss.to_bits()))
-            .collect();
-        println!(
-            "vgg train step {step}: losses {} grad norm {:016x}",
-            losses.join(" "),
-            stats.grad_norm.to_bits()
-        );
+        println!("vgg train step {step}: {}", step_bits(&stats));
     }
+
+    // 6. The NNLM — embedding, LSTM, dropout and decoder bits: direct logits
+    // at four rates off the prepacked panels, then three Algorithm-1 steps
+    // with dropout on, as it is trained. Thirty-two sentences, so each half
+    // of a training pass has sixteen rows and the backward's recurrent
+    // GEMMs take the packed kernel at every rate but the narrowest.
+    let mut rng = SeededRng::new(46);
+    let (vocab, words) = (200, 8);
+    let mut nnlm = Nnlm::new(&NnlmConfig::scaled(vocab, 8), &mut rng);
+    let sentences = 32;
+    let ids = (0..sentences * words)
+        .map(|_| rng.below(vocab) as f32)
+        .collect();
+    let x = Tensor::from_vec([sentences, words], ids).unwrap();
+    nnlm.prepack();
+    for r in [0.375f32, 0.5, 0.75, 1.0] {
+        nnlm.set_slice_rate(SliceRate::new(r));
+        let logits = nnlm.forward(&x, Mode::Infer);
+        println!("nnlm forward rate {r}: {:016x}", fingerprint(logits.data()));
+    }
+    let rates = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
+    let scheduler = Scheduler::new(SchedulerKind::Static, rates, &mut rng);
+    let mut trainer = Trainer::new(
+        scheduler,
+        TrainerConfig {
+            sgd: SgdConfig {
+                lr: 1.0,
+                momentum: 0.0,
+                weight_decay: 0.0,
+                clip_norm: Some(1.0),
+            },
+            average_subnet_grads: true,
+        },
+    );
+    let batch = Batch {
+        x,
+        y: (0..sentences * words).map(|_| rng.below(vocab)).collect(),
+    };
+    for step in 0..3 {
+        let stats = trainer.step(&mut nnlm, &batch);
+        println!("nnlm train step {step}: {}", step_bits(&stats));
+    }
+}
+
+/// A training step's subnet losses and gradient norm, as raw bits.
+fn step_bits(stats: &StepStats) -> String {
+    let losses: Vec<String> = stats
+        .subnet_losses
+        .iter()
+        .map(|(_, loss)| format!("{:016x}", loss.to_bits()))
+        .collect();
+    format!(
+        "losses {} grad norm {:016x}",
+        losses.join(" "),
+        stats.grad_norm.to_bits()
+    )
 }

@@ -8,15 +8,18 @@
 //! Three tables on the networks the benchmark runs
 //! (`Vgg::vgg13_scaled(10, 8)`, `NnlmConfig::scaled(200, 8)` over 16 tokens,
 //! the 64-2048-2048-8 MLP), batch 32. The first is inference on the prepacked
-//! nets at r ∈ {0.375, 1.0}: GEMM kernel, operand packing (a conv's columns,
-//! packed from the image, included), im2col (which only an un-packed net
-//! still writes), activations, pooling, normalisation. The second is every
-//! GEMM shape those forwards issue — a conv's with the samples one call lays
-//! side by side, `n = S·OH·OW` — with its *tile fill* — useful multiply-adds
-//! over the multiply-adds of the `MR×NR` register tiles it is padded to on
-//! this build target — and the GFLOP/s the panel driver reaches on that shape
-//! alone, packing included: the table a tile shape is argued from, and where
-//! a later change of vector width would show its waste first. The
+//! nets at r ∈ {0.375, 1.0}: GEMM kernel, operand packing (the VGG's convs
+//! multiply straight from the image and pack nothing), im2col (which only an
+//! un-packed net still writes), activations, pooling, normalisation; after
+//! each network's rows, `rate_efficiency(0.375)` — its time ratio over its
+//! MAC ratio, `(t(0.375)/t(1)) / (MACs(0.375)/MACs(1))`, 1 where a narrow
+//! slice costs exactly its multiply-adds. The second is every GEMM shape
+//! those forwards issue — a conv's over the whole batch, `n = B·OH·OW` — with
+//! its *tile fill* — useful multiply-adds over the multiply-adds of the
+//! `MR×NR` register tiles it is padded to on this build target — and the
+//! GFLOP/s the driver the layer calls reaches on that shape alone, packing
+//! included: the table a tile shape is argued from, and where a later change
+//! of vector width would show its waste first. The
 //! third is one Algorithm-1 `Trainer::step` over the static rate list
 //! {0.25, 0.5, 0.75, 1.0} (NNLM dropout on, as trained): GEMM kernel, operand
 //! packing (a conv backward's columns and output gradient included),
@@ -43,14 +46,13 @@ use ms_core::trainer::{Batch, Trainer, TrainerConfig};
 use ms_models::mlp::{Mlp, MlpConfig};
 use ms_models::nnlm::{Nnlm, NnlmConfig};
 use ms_models::vgg::{Vgg, VggConfig};
-use ms_nn::conv2d::infer_chunk;
 use ms_nn::layer::{Layer, Mode};
 use ms_nn::optim::SgdConfig;
 use ms_nn::slice::{active_units, SliceRate};
 use ms_telemetry::spans::{self, SpanStats};
 use ms_tensor::conv::{ConvGeom, Im2col};
-use ms_tensor::matmul::{Operand, Trans, MR, NR};
-use ms_tensor::panels::{gemm_packed_a, gemm_packed_b, PackedA, PackedB};
+use ms_tensor::matmul::{Trans, MR, NR};
+use ms_tensor::panels::{conv_packed_a_stepped, gemm_packed_b, PackedA, PackedB};
 use ms_tensor::{par, SeededRng, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -239,9 +241,9 @@ fn print_handoff() {
 
 /// One GEMM a `forward(Infer)` issues: `calls` multiplies of `m×k` by `k×n`
 /// per batch, the weights on the right (`Linear` and the recurrent gates,
-/// through `gemm_packed_b`) or, for a conv, on the left (`gemm_packed_a`),
-/// the columns of as many samples as one call covers side by side
-/// (`n = S·OH·OW`) packed from the image `conv` describes.
+/// through `gemm_packed_b`) or, for a conv, on the left
+/// (`conv_packed_a_stepped`), the columns of the whole batch (`n = B·OH·OW`)
+/// read straight from the image `conv` describes.
 struct GemmShape {
     layer: String,
     /// A conv's window and active input channels.
@@ -264,8 +266,7 @@ impl GemmShape {
         }
     }
 
-    /// A 3×3 "same" conv over `hw × hw` planes, chunked as the layer chunks
-    /// a batch.
+    /// A 3×3 "same" conv over `hw × hw` planes: one sweep over the batch.
     fn conv(layer: String, hw: usize, a_in: usize, a_out: usize) -> Self {
         let geom = ConvGeom {
             h: hw,
@@ -275,16 +276,14 @@ impl GemmShape {
             stride: 1,
             pad: 1,
         };
-        let k = a_in * 9;
-        let samples = infer_chunk(geom.out_len(), k, a_out, BATCH);
-        assert_eq!(BATCH % samples, 0, "{layer}: uneven chunks");
+        assert!(geom.direct(), "{layer}: columns packed, not read in place");
         GemmShape {
             layer,
             conv: Some((geom, a_in)),
             m: a_out,
-            n: samples * geom.out_len(),
-            k,
-            calls: BATCH / samples,
+            n: BATCH * geom.out_len(),
+            k: a_in * 9,
+            calls: 1,
         }
     }
 
@@ -339,9 +338,9 @@ fn nnlm_shapes(rate: SliceRate) -> Vec<GemmShape> {
     shapes
 }
 
-/// GFLOP/s of the panel driver on `shape` alone: operands of the sliced size
-/// read out of panels packed at `full` size, as the layers do (a conv's
-/// columns packed from an image on every call).
+/// GFLOP/s of the layer's driver on `shape` alone: operands of the sliced
+/// size read out of panels packed at `full` size, as the layers do (a conv's
+/// columns read from an image on every call).
 fn achieved_gflops(shape: &GemmShape, full: &GemmShape, rng: &mut SeededRng) -> f64 {
     let (m, n, k) = (shape.m, shape.n, shape.k);
     let mut fill = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
@@ -355,16 +354,13 @@ fn achieved_gflops(shape: &GemmShape, full: &GemmShape, rng: &mut SeededRng) -> 
         let mut pa = PackedA::new();
         pa.pack(Trans::No, &w, full.k, full.m, full.k);
         Box::new(move || {
-            let cols = Operand::Im2col(
-                Trans::No,
-                Im2col {
-                    input: &image,
-                    channels,
-                    geom,
-                    samples,
-                },
-            );
-            gemm_packed_a(0, m, n, k, 1.0, &pa, cols, 0.0, &mut c, n)
+            let cols = Im2col {
+                input: &image,
+                channels,
+                geom,
+                samples,
+            };
+            conv_packed_a_stepped(&[0, m], &[k], &pa, cols, &mut c, m * geom.out_len())
         })
     } else {
         let (w, x) = (fill(full.n * full.k), fill(m * k));
@@ -433,8 +429,11 @@ fn print_tile_fill(
     net.set_slice_rate(SliceRate::FULL);
 }
 
+/// The first table's rows of one network, then its `rate_efficiency` at the
+/// narrower rate against full width.
 fn profile(name: &str, net: &mut dyn Layer, x: &Tensor) {
     net.prepack();
+    let mut cost = Vec::new();
     for rate in RATES {
         net.set_slice_rate(SliceRate::new(rate));
         for _ in 0..5 {
@@ -456,7 +455,16 @@ fn profile(name: &str, net: &mut dyn Layer, x: &Tensor) {
             &before,
             &after,
         );
+        cost.push((total_us, net.flops_per_sample() as f64));
     }
+    let [(t_r, macs_r), (t_1, macs_1)] = cost[..] else {
+        unreachable!("one narrow rate and full width")
+    };
+    println!(
+        "# {name} rate_efficiency({}) = ({t_r:.0}/{t_1:.0} µs) / ({macs_r:.0}/{macs_1:.0} MACs) = {:.2}",
+        RATES[0],
+        (t_r / t_1) / (macs_r / macs_1)
+    );
 }
 
 fn main() {

@@ -15,7 +15,7 @@ use crate::slice::{active_groups, active_units, group_boundary, prefix_input_wid
 use crate::workspace::{PrefixCache, Role, Workspace};
 use ms_tensor::conv::{col2im, im2col, transpose_flipped, ConvGeom, Im2col};
 use ms_tensor::matmul::{gemm, gemm_operands, Operand, Trans};
-use ms_tensor::panels::{gemm_packed_a, gemm_packed_a_stepped, PackedA};
+use ms_tensor::panels::{conv_packed_a_stepped, gemm_packed_a, gemm_packed_a_stepped, PackedA};
 use ms_tensor::{init, par, SeededRng, Tensor};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -26,16 +26,17 @@ use std::ops::Range;
 /// chunk instead of once per sample.
 const CHUNK_COLS: usize = 512;
 
-/// Columns one `forward(Infer)` or `forward_prefix` GEMM covers (at least one
-/// sample): enough for the 4×4 and 8×8 stages to fill whole register tiles,
-/// few enough that the thread's pack buffer stays below what the 16×16
-/// stage's single sample already needs.
+/// Columns one `forward(Infer)` or `forward_prefix` GEMM covers where the
+/// columns are packed (at least one sample): enough for small planes to
+/// fill whole register tiles, few enough that the thread's pack buffer stays
+/// below what a 16×16 plane's single sample already needs.
 const INFER_COLS: usize = 128;
 
-/// Chunk scratch of the training path: `out`, one GEMM's output with the
-/// samples of a chunk side by side, `[channels, samples·positions]` — the
-/// forward's `y`, the backward's `dx` (or, on a strided conv, the column
-/// gradient `col2im` scatters) — and `partial`.
+/// Chunk scratch of the training path where the columns are packed: `out`,
+/// one GEMM's output with the samples of a chunk side by side,
+/// `[channels, samples·positions]` — the forward's `y`, the backward's `dx`
+/// (or, on a strided conv, the column gradient `col2im` scatters) — and
+/// `partial`.
 ///
 /// One set per thread, shared by every conv layer — a layer only needs it
 /// between entering and leaving its own `forward`/`backward` — and sized by
@@ -67,17 +68,29 @@ fn stale(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[..len]
 }
 
-/// Samples whose columns one `forward(Infer)` or `forward_prefix` GEMM covers,
-/// for a conv with `out_len` output positions, `k_rows = a_in·K²` and `a_out`
-/// active output channels: [`INFER_COLS`] worth, and no more than keeps the
-/// chunk's output (`a_out` rows, in `Role::Cols`) within the one sample's
-/// column matrix (`a_in·K²` rows) that role held before the columns were
-/// packed from the image — a larger buffer there moves `peak_rss_mb` by a
-/// glibc heap step (DESIGN §8.2).
-pub fn infer_chunk(out_len: usize, k_rows: usize, a_out: usize, batch: usize) -> usize {
+/// Samples whose packed columns one `forward(Infer)` or `forward_prefix`
+/// GEMM covers, for a conv with `out_len` output positions, `k_rows =
+/// a_in·K²` and `a_out` active output channels: [`INFER_COLS`] worth, and no
+/// more than keeps the chunk's output (`a_out` rows, in `Role::Cols`) within
+/// the one sample's column matrix (`a_in·K²` rows) that role held before the
+/// columns were packed from the image — a larger buffer there moves
+/// `peak_rss_mb` by a glibc heap step (DESIGN §8.2).
+fn infer_chunk(out_len: usize, k_rows: usize, a_out: usize, batch: usize) -> usize {
     let by_cols = INFER_COLS / out_len.max(1);
     let by_scratch = k_rows / a_out.max(1);
     by_cols.min(by_scratch).clamp(1, batch.max(1))
+}
+
+/// Adds `bias[ch]` to channel `ch` of every sample of the sample-major `y`,
+/// whose samples start `stride` floats apart: the `+` the per-sample path
+/// applies after its GEMM.
+fn add_bias(y: &mut [f32], stride: usize, out_len: usize, bias: Option<&[f32]>) {
+    let Some(bias) = bias else { return };
+    for sample in y.chunks_mut(stride) {
+        for (row, &bv) in sample.chunks_exact_mut(out_len).zip(bias) {
+            row.iter_mut().for_each(|v| *v += bv);
+        }
+    }
 }
 
 /// Copies a chunk's GEMM output — channels of `samples` samples side by side,
@@ -264,28 +277,45 @@ impl Conv2d {
         k_rows.max(self.active_out * per) * self.geom.out_len()
     }
 
-    /// The column matrix of `samples` of `x` (at the active input width) as
-    /// a GEMM operand, packed straight from the image.
-    fn columns<'a>(&self, x: &'a Tensor, samples: Range<usize>) -> Operand<'a> {
+    /// The column matrix of `samples` of `x` (at the active input width),
+    /// which the GEMM drivers read straight from the image.
+    fn columns<'a>(&self, x: &'a Tensor, samples: Range<usize>) -> Im2col<'a> {
         let per_x = self.active_in * self.geom.h * self.geom.w;
-        Operand::Im2col(
-            Trans::No,
-            Im2col {
-                input: &x.data()[samples.start * per_x..samples.end * per_x],
-                channels: self.active_in,
-                geom: self.geom,
-                samples: samples.len(),
-            },
-        )
+        Im2col {
+            input: &x.data()[samples.start * per_x..samples.end * per_x],
+            channels: self.active_in,
+            geom: self.geom,
+            samples: samples.len(),
+        }
     }
 
-    /// `forward(Train)`: one GEMM per chunk of samples laid side by side,
-    /// off panels packed once per optimiser step (every update walks
-    /// `visit_params`, which marks them stale), the chunk's columns packed
-    /// from the image. Each output element sees the operations of the
-    /// per-sample panel path, in order. The two fixed parts of the batch
-    /// ([`par::mid`]) each run their own chunk loop into their own rows of
-    /// `y`.
+    /// The output of `samples` of `x` at the active widths, multiplied
+    /// straight from the image into `y` (their rows, sample-major), the bias
+    /// added: the direct forward of a geometry [`ConvGeom::direct`] admits.
+    fn forward_direct(&self, x: &Tensor, samples: Range<usize>, y: &mut [f32]) {
+        let (out_len, a_out) = (self.geom.out_len(), self.active_out);
+        let k_rows = self.active_in * self.k2();
+        let cols = self.columns(x, samples);
+        conv_packed_a_stepped(
+            &[0, a_out],
+            &[k_rows],
+            &self.packed,
+            cols,
+            y,
+            a_out * out_len,
+        );
+        let bias = self.bias.as_ref().map(|b| b.value.data());
+        add_bias(y, a_out * out_len, out_len, bias);
+    }
+
+    /// `forward(Train)` off panels packed once per optimiser step (every
+    /// update walks `visit_params`, which marks them stale): where
+    /// [`ConvGeom::direct`] holds, one sweep of the micro-kernel straight
+    /// from the image into `y`; elsewhere one GEMM per chunk of samples laid
+    /// side by side, the chunk's columns packed from the image. Each output
+    /// element sees the operations of the per-sample panel path, in order.
+    /// The two fixed parts of the batch ([`par::mid`]) each run their own
+    /// samples into their own rows of `y`.
     fn forward_train(&mut self, x: &Tensor) -> Tensor {
         self.ensure_train_panels();
         let batch = x.dims()[0];
@@ -304,21 +334,24 @@ impl Conv2d {
         y
     }
 
-    /// The chunk loop of `forward_train` over `samples`, on the executing
-    /// thread's chunk scratch; `y` holds exactly those samples' rows.
+    /// `forward_train` over `samples`; `y` holds exactly those samples' rows.
+    /// A chunked conv runs on the executing thread's chunk scratch.
     fn forward_train_part(&self, x: &Tensor, samples: Range<usize>, y: &mut [f32]) {
+        if self.geom.direct() {
+            return self.forward_direct(x, samples, y);
+        }
         let out_len = self.geom.out_len();
         let a_out = self.active_out;
         let k_rows = self.active_in * self.k2();
-        let per_gemm = self.samples_per_gemm(x.dims()[0]);
         let bias = self.bias.as_ref().map(|b| b.value.data());
+        let per_gemm = self.samples_per_gemm(x.dims()[0]);
         CHUNK.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             for first in samples.clone().step_by(per_gemm) {
                 let n = per_gemm.min(samples.end - first);
                 let ld = n * out_len;
                 let out = stale(&mut scratch.out, a_out * ld);
-                let cols = self.columns(x, first..first + n);
+                let cols = Operand::Im2col(Trans::No, self.columns(x, first..first + n));
                 gemm_packed_a(0, a_out, ld, k_rows, 1.0, &self.packed, cols, 0.0, out, ld);
                 let chunk_y = &mut y[(first - samples.start) * a_out * out_len..];
                 unchunk(out, out_len, n, chunk_y, a_out * out_len, bias);
@@ -411,8 +444,9 @@ impl BackwardPass<'_> {
     /// the transposed columns straight from the two tensors, and `dX` is the
     /// convolution of `dY` with the flipped, transposed weights
     /// ([`ConvGeom::transposed`]) — one FMA chain per element over
-    /// `(output channel, tap)`. A strided conv (or `pad ≥ K`) has no such
-    /// convolution; it scatters `Wᵀ · dY` back with `col2im`.
+    /// `(output channel, tap)`, multiplied straight from `dY` into `dx` where
+    /// [`ConvGeom::direct`] holds for it. A strided conv (or `pad ≥ K`) has
+    /// no such convolution; it scatters `Wᵀ · dY` back with `col2im`.
     fn run(
         &self,
         samples: Range<usize>,
@@ -462,30 +496,22 @@ impl BackwardPass<'_> {
                     }
                     continue;
                 };
-                // dX = W' ⋆ dY, the chunk's samples side by side.
-                let ld_x = n * plane;
+                // dX = W' ⋆ dY.
+                let dy_cols = Im2col {
+                    input: dy,
+                    channels: a_out,
+                    geom: geom_t,
+                    samples: n,
+                };
+                let k_t = a_out * taps;
+                if geom_t.direct() {
+                    conv_packed_a_stepped(&[0, a_in], &[k_t], panels, dy_cols, chunk_dx, per_x);
+                    continue;
+                }
+                // The chunk's samples side by side, then sample-major.
+                let (ld_x, b) = (n * plane, Operand::Im2col(Trans::No, dy_cols));
                 let dx_rows = stale(out, a_in * ld_x);
-                let dy_cols = Operand::Im2col(
-                    Trans::No,
-                    Im2col {
-                        input: dy,
-                        channels: a_out,
-                        geom: geom_t,
-                        samples: n,
-                    },
-                );
-                gemm_packed_a(
-                    0,
-                    a_in,
-                    ld_x,
-                    a_out * taps,
-                    1.0,
-                    panels,
-                    dy_cols,
-                    0.0,
-                    dx_rows,
-                    ld_x,
-                );
+                gemm_packed_a(0, a_in, ld_x, k_t, 1.0, panels, b, 0.0, dx_rows, ld_x);
                 unchunk(dx_rows, plane, n, chunk_dx, per_x, None);
             }
         });
@@ -542,14 +568,20 @@ impl Layer for Conv2d {
             return y;
         }
         // Weight-stationary (see `Linear`): the active block is the top-left
-        // corner of the panels `prepack` made, and a chunk of samples side by
-        // side is one GEMM whose columns are packed straight from the image.
+        // corner of the panels `prepack` made, multiplied straight from the
+        // image into `y` — or, where the geometry does not allow that, a
+        // chunk of samples side by side is one GEMM whose columns are packed
+        // from the image.
+        if self.geom.direct() {
+            self.forward_direct(x, 0..batch, y.data_mut());
+            return y;
+        }
         let per = self.samples_per_infer(batch);
         let mut out = self.ws.take(Role::Cols, self.chunk_scratch_len(per));
         for first in (0..batch).step_by(per) {
             let n = per.min(batch - first);
             let ld = n * out_len;
-            let cols = self.columns(x, first..first + n);
+            let cols = Operand::Im2col(Trans::No, self.columns(x, first..first + n));
             gemm_packed_a(
                 0,
                 a_out,
@@ -669,39 +701,48 @@ impl Layer for Conv2d {
         }
         if g_to > g_from {
             let (c0, c1) = (self.group_rows[g_from], self.group_rows[g_to]);
-            let per = self.samples_per_infer(batch);
-            let mut out = self.ws.take(Role::Cols, self.chunk_scratch_len(per));
             let bias = self.bias.as_ref().map(|b| &b.value.data()[c0..c1]);
-            for first in (0..batch).step_by(per) {
-                let n = per.min(batch - first);
-                let ld = n * out_len;
-                // The column matrix is a pure function of the input-channel
-                // prefix, so packing it at any width reproduces the rows a
-                // narrower pass saw, bit for bit. One sweep over the delta
-                // groups, each with its canonical `k` extent: the columns are
-                // packed once, not once a group.
-                gemm_packed_a_stepped(
-                    &self.group_rows[g_from..=g_to],
-                    &self.group_k[g_from..g_to],
-                    ld,
-                    1.0,
-                    &self.packed,
-                    self.columns(x, first..first + n),
-                    0.0,
-                    &mut out,
-                    ld,
-                );
-                let chunk = &mut self.prefix.buf[(first * out_ch + c0) * out_len..];
-                unchunk(
-                    &out[..(c1 - c0) * ld],
-                    out_len,
-                    n,
-                    chunk,
-                    out_ch * out_len,
-                    bias,
-                );
+            // The column matrix is a pure function of the input-channel
+            // prefix, so reading it at any width reproduces the rows a
+            // narrower pass saw, bit for bit. One sweep over the delta
+            // groups, each with its canonical `k` extent: the columns are
+            // read (or packed) once, not once a group.
+            let (rows, k_ext) = (&self.group_rows[g_from..=g_to], &self.group_k[g_from..g_to]);
+            if self.geom.direct() {
+                let (cols, lds) = (self.columns(x, 0..batch), out_ch * out_len);
+                let buf = &mut self.prefix.buf[c0 * out_len..];
+                conv_packed_a_stepped(rows, k_ext, &self.packed, cols, buf, lds);
+                add_bias(buf, lds, out_len, bias);
+            } else {
+                let per = self.samples_per_infer(batch);
+                let mut out = self.ws.take(Role::Cols, self.chunk_scratch_len(per));
+                for first in (0..batch).step_by(per) {
+                    let n = per.min(batch - first);
+                    let ld = n * out_len;
+                    let cols = Operand::Im2col(Trans::No, self.columns(x, first..first + n));
+                    gemm_packed_a_stepped(
+                        rows,
+                        k_ext,
+                        ld,
+                        1.0,
+                        &self.packed,
+                        cols,
+                        0.0,
+                        &mut out,
+                        ld,
+                    );
+                    let chunk = &mut self.prefix.buf[(first * out_ch + c0) * out_len..];
+                    unchunk(
+                        &out[..(c1 - c0) * ld],
+                        out_len,
+                        n,
+                        chunk,
+                        out_ch * out_len,
+                        bias,
+                    );
+                }
+                self.ws.put(Role::Cols, out);
             }
-            self.ws.put(Role::Cols, out);
         }
         self.prefix.done = self.group_rows[g_to];
         let mut y =

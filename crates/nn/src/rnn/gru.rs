@@ -17,8 +17,8 @@
 //! `r ⊙ (U_n h + b_u)` form is exact), gate blocks ordered `r, z, n`.
 
 use super::{
-    add_step, from_time_major, gate_gemm, project_inputs, split_gates, split_gates_ref, store_step,
-    to_time_major,
+    add_step, from_time_major, gate_gemm, pack_gate_blocks, project_inputs, recurrent_grad,
+    split_gates, split_gates_ref, store_step, to_time_major,
 };
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
@@ -100,6 +100,8 @@ pub struct Gru {
     cache: Option<SeqCache>,
     packed_x: PackedB, // [D, 3H] panels of w_xᵀ
     packed_h: PackedB, // [H, 3H] panels of w_hᵀ
+    // Training panels of each gate's W_h[g] as stored, for `dh_prev`.
+    packed_dh: [PackedB; GATES],
 }
 
 impl Gru {
@@ -135,6 +137,7 @@ impl Gru {
             cache: None,
             packed_x: PackedB::new(),
             packed_h: PackedB::new(),
+            packed_dh: Default::default(),
         }
     }
 
@@ -275,22 +278,8 @@ impl Gru {
             }
             // dh_prev += s_h · Σ_g (recurrent-side gradient)_g · W_h[g]
             for (gate, g_h) in [&*dr, dz, du_t].into_iter().enumerate() {
-                let w_h = &self.w_h.value.data()[gate * h_full * h_full..];
-                gemm(
-                    Trans::No,
-                    Trans::No,
-                    p.rows,
-                    a_h,
-                    a_h,
-                    sh,
-                    g_h,
-                    a_h,
-                    w_h,
-                    h_full,
-                    1.0,
-                    dh,
-                    a_h,
-                );
+                let panels = &self.packed_dh[gate];
+                recurrent_grad(&self.w_h.value, panels, gate, a_h, sh, p.rows, g_h, 1.0, dh);
             }
         }
         // dX = s_x · Σ_g g_x · W_x[g] over all of the part's T·rows rows.
@@ -435,6 +424,7 @@ impl Layer for Gru {
     fn release_panels(&mut self) {
         self.packed_x = PackedB::new();
         self.packed_h = PackedB::new();
+        self.packed_dh = Default::default();
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
@@ -447,6 +437,9 @@ impl Layer for Gru {
         let rows = steps * batch;
         let slab = batch * a_h;
         debug_assert_eq!(dy.dims(), &[batch, steps, a_h]);
+        // `dh_prev`'s weights, packed once per optimiser step (see
+        // `Lstm::backward`).
+        pack_gate_blocks(&self.w_h.value, h_full, &mut self.packed_dh);
 
         // Pre-activation gradients of the whole sequence, laid out like the
         // gates: `dg` for r, z, n as the input side sees them; the recurrent
@@ -589,6 +582,7 @@ impl Layer for Gru {
         // The visitor may have rewritten weights; repack lazily on next use.
         self.packed_x.invalidate();
         self.packed_h.invalidate();
+        self.packed_dh.iter_mut().for_each(PackedB::invalidate);
     }
 
     fn set_slice_rate(&mut self, r: SliceRate) {

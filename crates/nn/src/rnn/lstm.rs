@@ -18,8 +18,8 @@
 //! simplification — see DESIGN.md §2).
 
 use super::{
-    add_step, from_time_major, gate_gemm, project_inputs, split_gates, split_gates_ref, store_step,
-    to_time_major,
+    add_step, from_time_major, gate_gemm, pack_gate_blocks, project_inputs, recurrent_grad,
+    split_gates, split_gates_ref, store_step, to_time_major,
 };
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
@@ -101,6 +101,8 @@ pub struct Lstm {
     cache: Option<SeqCache>,
     packed_x: PackedB, // persistent panels of W_xᵀ
     packed_h: PackedB, // persistent panels of W_hᵀ
+    // Training panels of each gate's W_h[g] as stored, for `dh_prev`.
+    packed_dh: [PackedB; GATES],
 }
 
 impl Lstm {
@@ -143,6 +145,7 @@ impl Lstm {
             cache: None,
             packed_x: PackedB::new(),
             packed_h: PackedB::new(),
+            packed_dh: Default::default(),
         }
     }
 
@@ -268,22 +271,17 @@ impl Lstm {
                 break; // h before step 0 is the zero state: nothing to pass on
             }
             for (gate, dz_g) in [&*dzi, dzf, dzg, dzo].into_iter().enumerate() {
-                let w_h = &self.w_h.value.data()[gate * h_full * h_full..];
-                let beta = if gate == 0 { 0.0 } else { 1.0 };
-                gemm(
-                    Trans::No,
-                    Trans::No,
-                    p.rows,
-                    a_h,
+                let (panels, beta) = (&self.packed_dh[gate], if gate == 0 { 0.0 } else { 1.0 });
+                recurrent_grad(
+                    &self.w_h.value,
+                    panels,
+                    gate,
                     a_h,
                     sh,
+                    p.rows,
                     dz_g,
-                    a_h,
-                    w_h,
-                    h_full,
                     beta,
                     dh,
-                    a_h,
                 );
             }
         }
@@ -427,6 +425,9 @@ impl Layer for Lstm {
         let rows = steps * batch;
         let slab = batch * a_h;
         debug_assert_eq!(dy.dims(), &[batch, steps, a_h]);
+        // `dh_prev`'s weights, packed once per optimiser step like the
+        // forward's (the update's `visit_params` marks both stale).
+        pack_gate_blocks(&self.w_h.value, h_full, &mut self.packed_dh);
 
         // Pre-activation gradients of the whole sequence, laid out like the
         // gates. Only what the recurrence needs runs in the time loop; every
@@ -575,6 +576,7 @@ impl Layer for Lstm {
     fn release_panels(&mut self) {
         self.packed_x = PackedB::new();
         self.packed_h = PackedB::new();
+        self.packed_dh = Default::default();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -583,6 +585,7 @@ impl Layer for Lstm {
         f(&mut self.bias);
         self.packed_x.invalidate();
         self.packed_h.invalidate();
+        self.packed_dh.iter_mut().for_each(PackedB::invalidate);
     }
 
     fn set_slice_rate(&mut self, r: SliceRate) {

@@ -29,10 +29,62 @@ pub mod lstm;
 pub use gru::{Gru, GruConfig};
 pub use lstm::{Lstm, LstmConfig};
 
-use ms_tensor::matmul::{gemm, Trans};
+use ms_tensor::matmul::{gemm, Trans, SMALL_GEMM_CUTOFF};
 use ms_tensor::ops::add_bias_rows;
 use ms_tensor::panels::{gemm_packed_b, PackedB};
 use ms_tensor::Tensor;
+
+/// Packs every gate's block of `w_h: [G·h_full, h_full]`, as stored, into
+/// its panels — the `B` side of the backward's `dh_prev` GEMMs — unless they
+/// are valid. Grow-only, like every panel set.
+fn pack_gate_blocks(w_h: &Tensor, h_full: usize, panels: &mut [PackedB]) {
+    for (gate, pb) in panels.iter_mut().enumerate() {
+        if !pb.is_valid() {
+            let block = &w_h.data()[gate * h_full * h_full..];
+            pb.pack(Trans::No, block, h_full, h_full, h_full);
+        }
+    }
+}
+
+/// `dh = scale · g · W_h[gate][0..a_h, 0..a_h] + beta · dh` for `rows` batch
+/// rows: a gate's share of `dh_prev`, off the gate's panels
+/// ([`pack_gate_blocks`]) — except where `gemm` would take its small loops,
+/// which sum in another order: there it is still `gemm` on `w_h`. Either
+/// way the bits are those of packing `W_h[gate]` per call.
+#[allow(clippy::too_many_arguments)]
+fn recurrent_grad(
+    w_h: &Tensor,
+    panels: &PackedB,
+    gate: usize,
+    a_h: usize,
+    scale: f32,
+    rows: usize,
+    g: &[f32],
+    beta: f32,
+    dh: &mut [f32],
+) {
+    if rows * a_h * a_h > SMALL_GEMM_CUTOFF {
+        gemm_packed_b(rows, 0, a_h, 0, a_h, scale, g, a_h, panels, beta, dh, a_h);
+        return;
+    }
+    let h_full = w_h.dims()[1];
+    let block = &w_h.data()[gate * h_full * h_full..];
+    gemm(
+        Trans::No,
+        Trans::No,
+        rows,
+        a_h,
+        a_h,
+        scale,
+        g,
+        a_h,
+        block,
+        h_full,
+        beta,
+        dh,
+        a_h,
+    );
+}
 
 /// `c[m, a_h] += scale · a[m, k] · W_g[0..a_h, 0..k]ᵀ`, where `W_g` is gate
 /// block `gate` (rows `gate·h_full ..`) of `w: [G·h_full, k_full]`.

@@ -8,14 +8,16 @@
 //! `crate::matmul`) with no data movement.
 //!
 //! No pass on packed weight panels writes that buffer out: [`Im2col`]
-//! describes the column matrix of a run of samples, and the GEMM drivers
-//! have it — or its transpose, the weight gradient's `colsᵀ` — packed
-//! straight from the image, one panel at a time. [`im2col`] itself is left
-//! to the un-packed `gemm` fallback and to `gemm`'s small problems, and
-//! [`col2im`] to the backward of a strided convolution, whose input gradient
-//! is not a convolution of its output gradient ([`ConvGeom::transposed`]).
+//! describes the column matrix of a run of samples. Where
+//! [`ConvGeom::direct`] holds, the micro-kernel multiplies it straight from
+//! the image; elsewhere, and for its transpose (the weight gradient's
+//! `colsᵀ`), the GEMM drivers pack it from the image one panel at a time.
+//! [`im2col`] itself is left to the un-packed `gemm` fallback and to
+//! `gemm`'s small problems, and [`col2im`] to the backward of a strided
+//! convolution, whose input gradient is not a convolution of its output
+//! gradient ([`ConvGeom::transposed`]).
 
-use crate::kernel::{store_transposed, TB};
+use crate::kernel::{store_transposed, LG, TB};
 use std::cell::RefCell;
 
 /// Geometry of a 2-D convolution or pooling window.
@@ -61,6 +63,19 @@ impl ConvGeom {
             && self.kw > 0
             && self.h + 2 * self.pad >= self.kh
             && self.w + 2 * self.pad >= self.kw
+    }
+
+    /// Whether the micro-kernel multiplies this geometry's columns straight
+    /// from the image ([`crate::panels::conv_packed_a_stepped`]): stride 1
+    /// and output rows as wide as the input's, so tap `(ki, kj)` of every
+    /// position reads the plane `ki·w + kj − pad·(w+1)` floats on; and
+    /// `OH·OW` a whole number of 16-lane groups, so none straddles two
+    /// samples.
+    pub fn direct(&self) -> bool {
+        self.is_valid()
+            && self.stride == 1
+            && self.out_w() == self.w
+            && self.out_len().is_multiple_of(LG)
     }
 
     /// The geometry whose convolution of the output gradient, with the

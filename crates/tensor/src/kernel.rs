@@ -31,7 +31,14 @@
 //! `colsᵀ`) is a transpose, and [`store_transposed`] does `TB × TB` of it at
 //! a time — sixteen loads, 64 shuffles and sixteen stores with AVX-512F, a
 //! plain loop elsewhere. It moves bits and computes nothing.
+//!
+//! A stride-1 convolution needs no packed `B` strip at all: [`direct_tile`]
+//! is the same tile with each `LG`-lane group of the strip loaded straight
+//! from its sample's plane, at the tap's offset and under the tap's lane
+//! mask ([`TapMasks`]), and written back through its own `C` pointer — the
+//! values the packer would have stored, the same FMA chain, the same bits.
 
+use crate::conv::ConvGeom;
 use std::ops::Range;
 
 /// Side of the square block [`store_transposed`] transposes.
@@ -97,9 +104,129 @@ pub(crate) fn micro_kernel(
     generic::tile(kc, alpha, ap, bp, c, c_off, ldc, rows, cols, store);
 }
 
+/// Lanes of a *lane group* of [`direct_tile`]: `LG` consecutive output
+/// positions of one sample, one `zmm` load.
+pub(crate) const LG: usize = 16;
+/// Lane groups per `NR`-column strip.
+pub(crate) const GROUPS: usize = NR / LG;
+const _: () = assert!(NR.is_multiple_of(LG));
+
+/// How the taps of a convolution [`ConvGeom::direct`] admits read a plane:
+/// tap `t` of output position `q` reads it `shifts[t] = ki·w + kj −
+/// pad·(w+1)` floats on from `q`, and bit `l` of `masks[col·taps + t]` is
+/// set exactly where position `col·LG + l` reads inside the plane rather
+/// than padding; row `col = groups`, past the last lane group, is zero, for
+/// a strip's padding groups. That is the invariant every load of the direct
+/// body rests on: a set bit addresses `[0, H·W)` of its channel's plane.
+#[derive(Debug, Default)]
+pub(crate) struct TapMasks {
+    geom: Option<ConvGeom>,
+    taps: usize,
+    plane: usize,
+    groups: usize,
+    shifts: Vec<isize>,
+    masks: Vec<u16>,
+}
+
+impl TapMasks {
+    /// The table of `g`, built unless it is the one held (grow-only).
+    pub(crate) fn of(&mut self, g: &ConvGeom) -> &TapMasks {
+        assert!(g.direct(), "no direct convolution over {g:?}");
+        if self.geom != Some(*g) {
+            let (h, w, pad) = (g.h as isize, g.w as isize, g.pad as isize);
+            let (taps, out_len) = (g.kh * g.kw, g.out_len());
+            let tap_at = |t: usize| ((t / g.kw) as isize, (t % g.kw) as isize);
+            self.shifts.clear();
+            self.shifts.extend(
+                (0..taps)
+                    .map(tap_at)
+                    .map(|(ki, kj)| ki * w + kj - pad * (w + 1)),
+            );
+            self.masks.clear();
+            for q0 in (0..out_len).step_by(LG) {
+                for (ki, kj) in (0..taps).map(tap_at) {
+                    let reads = |l: usize| {
+                        let (oy, ox) = (((q0 + l) / g.w) as isize, ((q0 + l) % g.w) as isize);
+                        (0..h).contains(&(oy + ki - pad)) && (0..w).contains(&(ox + kj - pad))
+                    };
+                    self.masks
+                        .push((0..LG).filter(|&l| reads(l)).fold(0, |m, l| m | 1 << l));
+                }
+            }
+            self.masks.resize(self.masks.len() + taps, 0);
+            (self.taps, self.plane, self.groups) = (taps, g.h * g.w, out_len / LG);
+            self.geom = Some(*g);
+        }
+        self
+    }
+
+    /// The masks of lane group `col` (`groups`: a padding group's), by tap.
+    #[inline(always)]
+    fn row(&self, col: usize) -> &[u16] {
+        &self.masks[col * self.taps..][..self.taps]
+    }
+
+    /// Where `k` step `p` reads: tap `p % taps` of the channel whose plane
+    /// starts `(p / taps)·H·W` floats into the sample.
+    #[inline(always)]
+    fn step(&self, p: usize) -> (usize, usize) {
+        (p / self.taps * self.plane, p % self.taps)
+    }
+
+    /// The step after `(chan, tap)`: the next tap, or the next channel's
+    /// first.
+    #[inline(always)]
+    fn next(&self, (chan, tap): (usize, usize)) -> (usize, usize) {
+        if tap + 1 == self.taps {
+            (chan + self.plane, 0)
+        } else {
+            (chan, tap + 1)
+        }
+    }
+}
+
+/// One lane group of a [`direct_tile`] strip: positions `col·LG ..
+/// (col+1)·LG` of the sample whose planes start at `image[sample..]`, and
+/// where its lanes of the window's first row go in `C`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneGroup {
+    pub(crate) sample: usize,
+    pub(crate) col: usize,
+    pub(crate) c_at: usize,
+}
+
+/// [`micro_kernel`] with the `NR`-column strip of `B` read in place: `k`
+/// step `p` of `p0..p0 + kc` (channel-major, tap-minor, as a conv weight
+/// row runs) loads lane `l` of group `v` from
+/// `image[sample + (p / taps)·H·W + col·LG + l + shifts[p % taps]]` where the
+/// tap's mask sets its bit and `+0.0` elsewhere — the bytes
+/// `Im2col::pack_cols` packs — and rows `rows` of the group go to
+/// `c[c_at + (i - rows.start)·ldc ..][..LG]`, stored or accumulated as
+/// [`micro_kernel`] does with `alpha = 1`. A `None` group is padding: zeros,
+/// never written.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn direct_tile(
+    p0: usize,
+    kc: usize,
+    ap: &[f32],
+    image: &[f32],
+    taps: &TapMasks,
+    groups: &[Option<LaneGroup>; GROUPS],
+    c: &mut [f32],
+    ldc: usize,
+    rows: Range<usize>,
+    store: bool,
+) {
+    #[cfg(target_feature = "avx512f")]
+    avx512::direct_tile(p0, kc, ap, image, taps, groups, c, ldc, rows, store);
+    #[cfg(not(target_feature = "avx512f"))]
+    generic::direct_tile(p0, kc, ap, image, taps, groups, c, ldc, rows, store);
+}
+
 #[cfg(any(test, not(target_feature = "avx512f")))]
 mod generic {
-    use super::{MR, NR, TB};
+    use super::{LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB};
     use crate::matmul::fmadd;
     use std::ops::Range;
 
@@ -126,22 +253,89 @@ mod generic {
     #[repr(align(64))]
     struct Tile([[f32; NR]; MR]);
 
-    /// The accumulator loop. Constant bounds let the autovectoriser emit one
-    /// FMA chain per row and vector.
+    /// One `k` step of the tile. Constant bounds let the autovectoriser emit
+    /// one FMA chain per row and vector.
+    #[inline(always)]
+    fn fma_step(acc: &mut [[f32; NR]; MR], a_col: &[f32], b_row: &[f32; NR]) {
+        let a_col: &[f32; MR] = a_col.try_into().expect("MR-wide chunk");
+        for i in 0..MR {
+            let aip = a_col[i];
+            for j in 0..NR {
+                acc[i][j] = fmadd(aip, b_row[j], acc[i][j]);
+            }
+        }
+    }
+
+    /// The accumulator loop.
     #[inline(always)]
     fn accumulate(kc: usize, ap: &[f32], bp: &[f32]) -> Tile {
         let mut acc = [[0.0f32; NR]; MR];
         for (a_col, b_row) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-            let a_col: &[f32; MR] = a_col.try_into().expect("MR-wide chunk");
-            let b_row: &[f32; NR] = b_row.try_into().expect("NR-wide chunk");
-            for i in 0..MR {
-                let aip = a_col[i];
-                for j in 0..NR {
-                    acc[i][j] = fmadd(aip, b_row[j], acc[i][j]);
+            fma_step(&mut acc, a_col, b_row.try_into().expect("NR-wide chunk"));
+        }
+        Tile(acc)
+    }
+
+    /// `C = fma(alpha, acc, C)`, or over `+0.0` when storing, lane by lane.
+    #[inline(always)]
+    fn write_back(c_row: &mut [f32], acc: &[f32], alpha: f32, store: bool) {
+        for (cv, &av) in c_row.iter_mut().zip(acc) {
+            let base = if store { 0.0 } else { *cv };
+            *cv = fmadd(alpha, av, base);
+        }
+    }
+
+    /// The `B` row of tap `tap` of the channel at plane offset `chan`: each
+    /// group's lanes read from the image where the tap's mask sets them,
+    /// `+0.0` elsewhere.
+    #[inline(always)]
+    fn direct_row(
+        (chan, tap): (usize, usize),
+        image: &[f32],
+        taps: &TapMasks,
+        groups: &[Option<LaneGroup>; GROUPS],
+    ) -> [f32; NR] {
+        let mut b_row = [0.0f32; NR];
+        for (lanes, g) in b_row.chunks_exact_mut(LG).zip(groups) {
+            let Some(g) = g else { continue };
+            let bits = taps.row(g.col)[tap];
+            let first = (g.sample + chan + g.col * LG) as isize + taps.shifts[tap];
+            for (l, b) in lanes.iter_mut().enumerate() {
+                if bits >> l & 1 == 1 {
+                    *b = image[(first + l as isize) as usize];
                 }
             }
         }
-        Tile(acc)
+        b_row
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(super) fn direct_tile(
+        p0: usize,
+        kc: usize,
+        ap: &[f32],
+        image: &[f32],
+        taps: &TapMasks,
+        groups: &[Option<LaneGroup>; GROUPS],
+        c: &mut [f32],
+        ldc: usize,
+        rows: Range<usize>,
+        store: bool,
+    ) {
+        assert!(ap.len() / MR >= kc, "A strip {} for kc {kc}", ap.len());
+        let (mut acc, mut step) = (Tile([[0.0f32; NR]; MR]), taps.step(p0));
+        for a_col in ap.chunks_exact(MR).take(kc) {
+            fma_step(&mut acc.0, a_col, &direct_row(step, image, taps, groups));
+            step = taps.next(step);
+        }
+        for (i, acc_row) in rows.clone().zip(&acc.0[rows.clone()]) {
+            for (lanes, g) in acc_row.chunks_exact(LG).zip(groups) {
+                let Some(g) = g else { continue };
+                let c_row = &mut c[g.c_at + (i - rows.start) * ldc..][..LG];
+                write_back(c_row, lanes, 1.0, store);
+            }
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -170,10 +364,7 @@ mod generic {
             }
         } else {
             for (acc_row, c_row) in acc[rows].iter().zip(c[c_off..].chunks_mut(ldc)) {
-                for (cv, &av) in c_row.iter_mut().zip(&acc_row[cols.clone()]) {
-                    let base = if store { 0.0 } else { *cv };
-                    *cv = fmadd(alpha, av, base);
-                }
+                write_back(c_row, &acc_row[cols.clone()], alpha, store);
             }
         }
     }
@@ -181,7 +372,7 @@ mod generic {
 
 #[cfg(target_feature = "avx512f")]
 mod avx512 {
-    use super::{MR, NR, TB};
+    use super::{LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB};
     use std::arch::x86_64::{
         __m512, __mmask16, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
         _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4,
@@ -193,8 +384,8 @@ mod avx512 {
     const NV: usize = NR / 16;
     // The accumulator, one row of `B` and a scratch register fit the file.
     const _: () = assert!(NR.is_multiple_of(16) && MR * NV + NV < 32);
-    // A block row is one `zmm` vector.
-    const _: () = assert!(TB == 16);
+    // A block row, and a lane group, is one `zmm` vector.
+    const _: () = assert!(TB == 16 && LG == 16 && GROUPS == NV);
 
     #[inline(always)]
     pub(super) fn store_transposed(
@@ -376,50 +567,214 @@ mod avx512 {
                 // SAFETY: inside the `kc * NR` floats behind `b`.
                 *bv = unsafe { _mm512_loadu_ps(b.add(16 * v)) };
             }
-            for (i, acc_row) in acc.iter_mut().enumerate() {
-                // SAFETY: inside the `kc * MR` floats behind `a`.
-                let a_ip = _mm512_set1_ps(unsafe { *a.add(i) });
-                for (lane, bv) in acc_row.iter_mut().zip(&b_row) {
-                    *lane = _mm512_fmadd_ps(a_ip, *bv, *lane);
-                }
-            }
+            // SAFETY: inside the `kc * MR` floats behind `a`.
+            unsafe { fma_step(&mut acc, a, &b_row) };
             // SAFETY: at most one past the end of either strip.
             (a, b) = unsafe { (a.add(MR), b.add(NR)) };
         }
-
-        let alpha = _mm512_set1_ps(alpha);
-        let mut masks = [0 as __mmask16; NV];
-        for (v, m) in masks.iter_mut().enumerate() {
-            *m = lane_mask(&cols, v);
-        }
+        let masks: [__mmask16; NV] = std::array::from_fn(|v| lane_mask(&cols, v));
+        // Every row by its constant index, so the accumulators stay in
+        // registers; the window skips the rest.
         for (i, acc_row) in acc.iter().enumerate() {
             if !rows.contains(&i) {
                 continue;
             }
             let row = origin.wrapping_add((i - rows.start) * ldc);
-            for (v, (&lane, &mask)) in acc_row.iter().zip(&masks).enumerate() {
-                let at = row.wrapping_add(16 * v);
-                // SAFETY: a masked access touches only the lanes of its
-                // mask, columns `cols` of row `i`, which the caller vouches
-                // for.
-                unsafe {
-                    let base: __m512 = if store {
-                        _mm512_setzero_ps()
-                    } else {
-                        _mm512_maskz_loadu_ps(mask, at)
-                    };
-                    _mm512_mask_storeu_ps(at, mask, _mm512_fmadd_ps(alpha, lane, base));
-                }
+            let at = std::array::from_fn(|v| row.wrapping_add(16 * v));
+            // SAFETY: the lanes `masks` set at `at` are columns `cols` of
+            // row `i`, which the caller vouches for.
+            unsafe { write_back(acc_row, alpha, at, &masks, store) };
+        }
+    }
+
+    /// One `k` step of the tile: `acc[i][v] = fma(a[i], b_row[v], acc[i][v])`.
+    ///
+    /// # Safety
+    /// The target has AVX-512F and `a` points at `MR` readable floats.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn fma_step(acc: &mut [[__m512; NV]; MR], a: *const f32, b_row: &[__m512; NV]) {
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            // SAFETY: inside the `MR` floats behind `a`.
+            let a_ip = _mm512_set1_ps(unsafe { *a.add(i) });
+            for (lane, bv) in acc_row.iter_mut().zip(b_row) {
+                *lane = _mm512_fmadd_ps(a_ip, *bv, *lane);
             }
+        }
+    }
+
+    /// One tile row's write-back: vector `v` of `acc_row` to `at[v]` under
+    /// `masks[v]`, as `fma(alpha, acc, C)` or, storing, over `+0.0`.
+    ///
+    /// # Safety
+    /// The target has AVX-512F, and for every `v` the lanes `masks[v]` sets
+    /// at `at[v]` are floats this call may read and write. A masked access
+    /// touches only the lanes of its mask; no other address is accessed.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn write_back(
+        acc_row: &[__m512; NV],
+        alpha: f32,
+        at: [*mut f32; NV],
+        masks: &[__mmask16; NV],
+        store: bool,
+    ) {
+        let alpha = _mm512_set1_ps(alpha);
+        for ((&lane, &mask), at) in acc_row.iter().zip(masks).zip(at) {
+            // SAFETY: the lanes of `mask` at `at`, which the caller vouches
+            // for.
+            unsafe {
+                let base: __m512 = if store {
+                    _mm512_setzero_ps()
+                } else {
+                    _mm512_maskz_loadu_ps(mask, at)
+                };
+                _mm512_mask_storeu_ps(at, mask, _mm512_fmadd_ps(alpha, lane, base));
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(super) fn direct_tile(
+        p0: usize,
+        kc: usize,
+        ap: &[f32],
+        image: &[f32],
+        taps: &TapMasks,
+        groups: &[Option<LaneGroup>; GROUPS],
+        c: &mut [f32],
+        ldc: usize,
+        rows: Range<usize>,
+        store: bool,
+    ) {
+        if rows.is_empty() {
+            return;
+        }
+        assert!(
+            rows.end <= MR && ap.len() / MR >= kc,
+            "window {rows:?} of {MR} rows, A strip {} for kc {kc}",
+            ap.len()
+        );
+        // The planes of a sample that steps `p0..p0 + kc` read.
+        let planes = (p0 + kc).div_ceil(taps.taps);
+        let mut lanes = Lanes {
+            base: [image.as_ptr(); NV],
+            masks: [taps.row(taps.groups); NV],
+            origin: [c.as_mut_ptr(); NV],
+            live: [0; NV],
+        };
+        for (v, g) in groups.iter().enumerate() {
+            let Some(g) = g else { continue };
+            let reads = planes
+                .checked_mul(taps.plane)
+                .and_then(|len| len.checked_add(g.sample));
+            assert!(
+                g.col < taps.groups && reads.is_some_and(|end| end <= image.len()),
+                "lane group {g:?} reads {planes} planes of {} past the image ({})",
+                taps.plane,
+                image.len()
+            );
+            // One past the last element written: lane `LG - 1` of the
+            // window's last row.
+            let end = (rows.len() - 1)
+                .checked_mul(ldc)
+                .and_then(|v| v.checked_add(g.c_at))
+                .and_then(|v| v.checked_add(LG));
+            assert!(
+                end.is_some_and(|end| end <= c.len()),
+                "lane group {g:?}, window {rows:?} (ld {ldc}) leaves C ({})",
+                c.len()
+            );
+            lanes.base[v] = image.as_ptr().wrapping_add(g.sample + g.col * LG);
+            lanes.masks[v] = taps.row(g.col);
+            lanes.origin[v] = c.as_mut_ptr().wrapping_add(g.c_at);
+            lanes.live[v] = !0;
+        }
+        // SAFETY: the cfg on this module says the target has AVX-512F. The
+        // asserts above give `kc * MR` readable floats behind `ap`, a window
+        // inside the `MR` rows, and for every live group `v`: its own row of
+        // masks, `planes` planes of the sample `base[v]` points into inside
+        // `image` — so every lane a tap's mask sets, which lies in `[0, H·W)`
+        // of its plane (`TapMasks`' invariant), is readable — and `LG` lanes
+        // of every window row from `origin[v]` on inside `c`, which is
+        // borrowed mutably for the call. A padding group's masks are the
+        // table's zero row and `live` zero: it touches nothing.
+        unsafe { direct_unchecked(p0, kc, ap.as_ptr(), taps, &lanes, ldc, rows, store) }
+    }
+
+    /// Where the lane groups of a [`direct_tile`] strip read and write: the
+    /// group's first position in channel 0 of its sample, its masks by tap,
+    /// its first window row in `C`, and whether it is written at all.
+    struct Lanes<'t> {
+        base: [*const f32; NV],
+        masks: [&'t [u16]; NV],
+        origin: [*mut f32; NV],
+        live: [__mmask16; NV],
+    }
+
+    /// # Safety
+    /// The target has AVX-512F; `a` points at `kc * MR` readable floats;
+    /// `rows` is a non-empty window of `0..MR`; and for every group `v`: a
+    /// lane `l` that `lanes.masks[v][t]` sets reads
+    /// `base[v] + (p / taps)·plane + shifts[t] + l`, which for every step `p`
+    /// of `p0..p0 + kc` (tap `t = p % taps`) is a float this call may read;
+    /// and where `lanes.live[v]` is set, `origin[v] + (i - rows.start)·ldc +
+    /// l` is one it may read and write for every `i` in `rows` and `l < LG`.
+    /// No other address is accessed.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn direct_unchecked(
+        p0: usize,
+        kc: usize,
+        mut a: *const f32,
+        taps: &TapMasks,
+        lanes: &Lanes,
+        ldc: usize,
+        rows: Range<usize>,
+        store: bool,
+    ) {
+        let (mut acc, mut step) = ([[_mm512_setzero_ps(); NV]; MR], taps.step(p0));
+        for _ in 0..kc {
+            let (chan, tap) = step;
+            // SAFETY: `tap < taps.taps`, the length of `shifts` and of every
+            // row of masks (`TapMasks::row`).
+            let at = chan as isize + unsafe { *taps.shifts.get_unchecked(tap) };
+            let mut b_row = [_mm512_setzero_ps(); NV];
+            for (v, bv) in b_row.iter_mut().enumerate() {
+                // SAFETY: the lanes the tap's mask sets, which the caller
+                // vouches for; a masked load touches no other.
+                *bv = unsafe {
+                    let mask = *lanes.masks[v].get_unchecked(tap);
+                    _mm512_maskz_loadu_ps(mask, lanes.base[v].wrapping_offset(at))
+                };
+            }
+            // SAFETY: inside the `kc * MR` floats behind `a`.
+            unsafe { fma_step(&mut acc, a, &b_row) };
+            // SAFETY: at most one past the end of the strip.
+            a = unsafe { a.add(MR) };
+            step = taps.next(step);
+        }
+        for (i, acc_row) in acc.iter().enumerate() {
+            if !rows.contains(&i) {
+                continue;
+            }
+            let at = lanes.origin.map(|o| o.wrapping_add((i - rows.start) * ldc));
+            // SAFETY: `LG` lanes of row `i` of each live group, which the
+            // caller vouches for.
+            unsafe { write_back(acc_row, 1.0, at, &lanes.live, store) };
         }
     }
 }
 
 #[cfg(all(test, target_feature = "avx512f"))]
 mod tests {
-    use super::{avx512, generic, MR, NR, TB};
+    use super::{avx512, generic, LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB};
+    use crate::conv::ConvGeom;
     use crate::matmul::KC;
     use crate::rng::SeededRng;
+    use std::ops::Range;
 
     /// A quiet NaN no arithmetic here produces: what `C` holds wherever a
     /// window must not write.
@@ -503,6 +858,134 @@ mod tests {
         }
         check_window(&mut rng, KC, 0..MR, 0..NR, 0.37, true);
         check_window(&mut rng, KC, 0..MR, 0..NR, 1.0, false);
+    }
+
+    fn same(h: usize, w: usize, k: usize) -> ConvGeom {
+        let pad = (k - 1) / 2;
+        ConvGeom {
+            h,
+            w,
+            kh: k,
+            kw: k,
+            stride: 1,
+            pad,
+        }
+    }
+
+    /// Runs both bodies of the direct tile on one strip of three samples —
+    /// each live group at a random sample and column, side by side in `C` —
+    /// from a random `k` step for up to a `KC` block, and checks that they
+    /// leave the same bits everywhere and the poison wherever no live
+    /// group's window reaches. The image holds NaN and `-0.0`, so the loads
+    /// must move bits, not values.
+    fn check_direct_strip(
+        rng: &mut SeededRng,
+        g: &ConvGeom,
+        channels: usize,
+        live: [bool; GROUPS],
+        rows: Range<usize>,
+        store: bool,
+    ) {
+        let (samples, plane, k) = (3, g.h * g.w, channels * g.kh * g.kw);
+        let image: Vec<f32> = (0..samples * channels * plane)
+            .map(|i| match i % 29 {
+                0 => f32::NAN,
+                1 => -0.0,
+                _ => rng.uniform(-1.0, 1.0),
+            })
+            .collect();
+        let p0 = rng.below(k);
+        let kc = 1 + rng.below((k - p0).min(KC));
+        let ap: Vec<f32> = (0..kc * MR).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let groups: [Option<LaneGroup>; GROUPS] = std::array::from_fn(|v| {
+            live[v].then(|| LaneGroup {
+                sample: rng.below(samples) * channels * plane,
+                col: rng.below(g.out_len() / LG),
+                c_at: C_OFF + v * LG,
+            })
+        });
+        let mut table = TapMasks::default();
+        let taps = table.of(g);
+        let inside = |at: usize| {
+            at >= C_OFF
+                && (at - C_OFF) / LDC < rows.len()
+                && live.get((at - C_OFF) % LDC / LG) == Some(&true)
+        };
+        let mut start = vec![f32::from_bits(POISON); C_OFF + MR * LDC];
+        for (at, v) in start.iter_mut().enumerate() {
+            if inside(at) {
+                *v = if store {
+                    f32::NAN
+                } else {
+                    rng.uniform(-1.0, 1.0)
+                };
+            }
+        }
+        let (mut want, mut got) = (start.clone(), start);
+        let r = rows.clone();
+        generic::direct_tile(p0, kc, &ap, &image, taps, &groups, &mut want, LDC, r, store);
+        let r = rows.clone();
+        avx512::direct_tile(p0, kc, &ap, &image, taps, &groups, &mut got, LDC, r, store);
+        let case =
+            || format!("{g:?} c {channels} p {p0}+{kc} {groups:?} rows {rows:?} store {store}");
+        assert_eq!(bits(&got), bits(&want), "{}", case());
+        for (at, v) in got.iter().enumerate() {
+            assert_eq!(
+                v.to_bits() == POISON,
+                !inside(at),
+                "{}: element {at}",
+                case()
+            );
+        }
+    }
+
+    /// The direct body is the generic one bit for bit: "same" 1×1, 3×3 and
+    /// 5×5 windows over square and flat planes, channel counts whose `k`
+    /// passes a `KC` block, every pattern of live and padding lane groups,
+    /// every row window, storing and accumulating.
+    #[test]
+    fn the_zmm_direct_body_is_bitwise_the_generic_body() {
+        let mut rng = SeededRng::new(55);
+        let geometries = [
+            (same(4, 4, 3), 40),
+            (same(8, 8, 3), 7),
+            (same(16, 16, 3), 3),
+            (same(4, 4, 1), 300),
+            (same(8, 8, 5), 12),
+            (same(2, 8, 3), 30),
+        ];
+        for (g, channels) in geometries {
+            for live in 0..1u32 << GROUPS {
+                let live = std::array::from_fn(|v| live >> v & 1 == 1);
+                for i0 in 0..MR {
+                    let i1 = i0 + 1 + rng.below(MR - i0);
+                    for store in [true, false] {
+                        check_direct_strip(&mut rng, &g, channels, live, i0..i1, store);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A lane group that would read past the image is refused before any
+    /// pointer is formed.
+    #[test]
+    #[should_panic(expected = "past the image")]
+    fn a_lane_group_past_the_image_panics() {
+        let g = same(4, 4, 3);
+        let (image, ap) = (vec![0.0f32; 2 * 16], vec![0.0f32; 9 * MR]);
+        let mut table = TapMasks::default();
+        // Nine taps of the third channel: one plane more than the image has.
+        let groups = std::array::from_fn(|v| {
+            (v == 0).then_some(LaneGroup {
+                sample: 0,
+                col: 0,
+                c_at: 0,
+            })
+        });
+        let mut c = vec![0.0f32; MR * NR];
+        let taps = table.of(&g);
+        avx512::direct_tile(18, 9, &ap, &image, taps, &groups, &mut c, NR, 0..MR, true);
     }
 
     /// A window that leaves `C` is refused before any pointer is formed.

@@ -29,10 +29,19 @@
 //! same `k` range produce bitwise-identical contributions — the foundation
 //! of the anytime prefix-refine path in `ms-nn`.
 
-use crate::kernel::{micro_kernel, MR, NR};
+use crate::conv::Im2col;
+use crate::kernel::{direct_tile, micro_kernel, LaneGroup, TapMasks, GROUPS, LG, MR, NR};
 use crate::matmul::{
     apply_beta, pack_a, pack_a_into, pack_b_into, with_pack_bufs, Operand, Trans, KC, NC,
 };
+use std::cell::RefCell;
+
+thread_local! {
+    /// The tap table of the last geometry this thread multiplied straight
+    /// from the image: the convs of a stage share one, and a "same" conv's
+    /// input gradient reads its output gradient through its own.
+    static TAPS: RefCell<TapMasks> = RefCell::new(TapMasks::default());
+}
 
 /// Rows of `A` that [`gemm_packed_b`] packs per `KC` block (multiple of
 /// `MR`). Every batch a serving engine seals fits one block, so each `B`
@@ -397,11 +406,115 @@ pub fn gemm_packed_a_stepped(
     });
 }
 
+/// [`gemm_packed_a_stepped`] with `B` the column matrix of a convolution
+/// [`ConvGeom::direct`](crate::conv::ConvGeom::direct) admits, which the
+/// micro-kernel reads straight from the image (`kernel::direct_tile`) —
+/// nothing is packed — and the product written sample-major, the way a
+/// layer lays out its output: row `i` of sample `s` at output position `q`
+/// goes to `c[s·lds + (i − rows[0])·OH·OW + q]`.
+///
+/// `C` is overwritten; a step with `k_ext = 0` clears its rows. Each element
+/// gets the bits [`gemm_packed_a_stepped`] gives it with `alpha = 1` and
+/// `beta = 0` over `Operand::Im2col(Trans::No, cols)`: the same `A` strips,
+/// the same `B` values (`+0.0` where a tap reads padding), the same absolute
+/// `KC` blocks and the same FMA chain; only where it lands differs.
+pub fn conv_packed_a_stepped(
+    rows: &[usize],
+    k_ext: &[usize],
+    pa: &PackedA,
+    cols: Im2col,
+    c: &mut [f32],
+    lds: usize,
+) {
+    assert!(pa.valid, "conv_packed_a_stepped on invalid panels");
+    assert_eq!(rows.len(), k_ext.len() + 1, "one k extent per row step");
+    assert!(
+        rows.is_sorted() && rows.last().is_some_and(|&m| m <= pa.m),
+        "row steps {rows:?} vs packed {}",
+        pa.m
+    );
+    let k_max = k_ext.iter().copied().max().unwrap_or(0);
+    assert!(
+        k_max <= pa.k.min(cols.rows()),
+        "k extent {k_max} vs packed {} and columns {}",
+        pa.k,
+        cols.rows()
+    );
+    let (m0, m1) = (rows[0], rows[rows.len() - 1]);
+    let (n, out_len) = (cols.cols(), cols.geom.out_len());
+    if m0 == m1 || n == 0 {
+        return;
+    }
+    debug_assert!(lds >= (m1 - m0) * out_len && c.len() >= (cols.samples - 1) * lds);
+    for (step, &k1) in k_ext.iter().enumerate() {
+        let (r0, r1) = (rows[step] - m0, rows[step + 1] - m0);
+        if r0 < r1 && k1 == 0 {
+            for sample in c.chunks_mut(lds).take(cols.samples) {
+                sample[r0 * out_len..r1 * out_len].fill(0.0);
+            }
+        }
+    }
+    if k_max == 0 {
+        return;
+    }
+
+    let _span = ms_telemetry::span!("gemm.panel_conv");
+    let sample_len = cols.channels * cols.geom.h * cols.geom.w;
+    TAPS.with(|table| {
+        let mut table = table.borrow_mut();
+        let taps = table.of(&cols.geom);
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            // The lane groups of the block's strips (at absolute multiples of
+            // `NR`), each inside one sample because `LG` divides `OH·OW`;
+            // where in `C` is counted from the window's first row.
+            let mut strips = [[None; GROUPS]; NC / NR];
+            for (t, strip) in strips.iter_mut().enumerate() {
+                for (v, group) in strip.iter_mut().enumerate() {
+                    let j = jc + t * NR + v * LG;
+                    *group = (j < jc + nc).then(|| LaneGroup {
+                        sample: j / out_len * sample_len,
+                        col: j % out_len / LG,
+                        c_at: j / out_len * lds + j % out_len,
+                    });
+                }
+            }
+            let strips = &strips[..nc.div_ceil(NR)];
+            for (block, pc) in (0..k_max).step_by(KC).enumerate() {
+                let block_kc = KC.min(pa.k - pc);
+                let packed_kc = KC.min(k_max - pc);
+                let boff = pa.block_offsets[block];
+                let store = pc == 0;
+                for (step, &k1) in k_ext.iter().enumerate() {
+                    let (r0, r1) = (rows[step], rows[step + 1]);
+                    if k1 <= pc || r0 == r1 {
+                        continue;
+                    }
+                    let kc = packed_kc.min(k1 - pc);
+                    for s in r0 / MR..=(r1 - 1) / MR {
+                        let si0 = r0.max(s * MR) - s * MR;
+                        let si1 = r1.min(s * MR + MR) - s * MR;
+                        let ap = &pa.buf[boff + s * block_kc * MR..][..kc * MR];
+                        let c = &mut c[(s * MR + si0 - m0) * out_len..];
+                        for groups in strips {
+                            let (image, rows) = (cols.input, si0..si1);
+                            direct_tile(pc, kc, ap, image, taps, groups, c, out_len, rows, store);
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::ConvGeom;
     use crate::matmul::gemm_reference;
     use crate::SeededRng;
+    use proptest::test_runner::TestCaseError;
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn filled(rng: &mut SeededRng, n: usize) -> Vec<f32> {
         (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect()
@@ -831,6 +944,139 @@ mod tests {
         let mut c = vec![f32::NAN; MR * n];
         gemm_packed_a(0, MR, n, k, 1.0, &pa, mat(&b, n), 0.0, &mut c, n);
         assert!(c.iter().all(|v| v.is_finite()));
+    }
+
+    /// A quiet NaN no arithmetic here produces: what `C` holds wherever the
+    /// direct driver must not write.
+    const POISON: u32 = 0x7fc0_beef;
+
+    /// The direct driver over `samples` images of `channels` channels and a
+    /// stepped sweep `(rows, k_ext)` of an `m`-row weight, against
+    /// `gemm_packed_a_stepped` over the same columns packed from the image
+    /// into the chunk layout (`[rows, samples·OH·OW]`), then copied
+    /// sample-major as the layers' `unchunk` did: bit for bit, into output
+    /// poisoned with NaN whose sample stride leaves a gap that must stay
+    /// poisoned.
+    #[allow(clippy::too_many_arguments)]
+    fn check_direct(
+        g: &ConvGeom,
+        channels: usize,
+        samples: usize,
+        m: usize,
+        rows: &[usize],
+        k_ext: &[usize],
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        prop_assert!(g.direct());
+        let mut rng = SeededRng::new(seed);
+        let (k, out_len) = (channels * g.kh * g.kw, g.out_len());
+        let w = filled(&mut rng, m * k);
+        let image = filled(&mut rng, samples * channels * g.h * g.w);
+        let mut pa = PackedA::new();
+        pa.pack(Trans::No, &w, k, m, k);
+        let cols = Im2col {
+            input: &image,
+            channels,
+            geom: *g,
+            samples,
+        };
+        let (m0, m1, n) = (rows[0], rows[rows.len() - 1], samples * out_len);
+        let mut chunk = vec![f32::from_bits(POISON); (m1 - m0) * n];
+        let b = Operand::Im2col(Trans::No, cols);
+        gemm_packed_a_stepped(rows, k_ext, n, 1.0, &pa, b, 0.0, &mut chunk, n);
+        let lds = (m1 - m0 + 1) * out_len;
+        let mut want = vec![f32::from_bits(POISON); samples * lds];
+        for (i, row) in chunk.chunks_exact(n).enumerate() {
+            for (s, src) in row.chunks_exact(out_len).enumerate() {
+                want[s * lds + i * out_len..][..out_len].copy_from_slice(src);
+            }
+        }
+        let mut got = vec![f32::from_bits(POISON); samples * lds];
+        conv_packed_a_stepped(rows, k_ext, &pa, cols, &mut got, lds);
+        prop_assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{:?} x{} channels {} rows {:?} k {:?}",
+            g,
+            samples,
+            channels,
+            rows,
+            k_ext
+        );
+        let written = |at: usize| at % lds < (m1 - m0) * out_len;
+        for (at, v) in got.iter().enumerate() {
+            prop_assert_eq!(v.to_bits() != POISON, written(at), "element {}", at);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Multiplying a convolution's columns straight from the image gives
+        /// the bits of packing them: kernels 1, 3 and 5 with "same" padding
+        /// (which is also the transposed padding of a "same" conv, whose
+        /// input gradient this driver computes), 4×4 / 8×8 / 16×16 planes,
+        /// 1–70 channels (so `k` crosses one and two `KC` boundaries in the
+        /// middle of a channel), 1–8 samples, stepped row windows that start
+        /// mid-tile with canonical (non-decreasing) `k` extents, one of
+        /// which may be zero or end mid-channel.
+        #[test]
+        fn the_direct_kernel_is_bitwise_the_packed_columns(
+            kernel in proptest::sample::select(vec![1usize, 3, 5]),
+            side in proptest::sample::select(vec![4usize, 8, 16]),
+            channels in 1usize..=70, samples in 1usize..=8,
+            m in 1usize..=3 * MR + 2, start in 0usize..MR,
+            cuts in proptest::collection::vec(0usize..=3 * MR + 2, 0..4),
+            widths in proptest::collection::vec(0usize..=70, 4),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let pad = (kernel - 1) / 2;
+            let g = ConvGeom { h: side, w: side, kh: kernel, kw: kernel, stride: 1, pad };
+            proptest::prop_assert_eq!(g.transposed(), Some(g));
+            let taps = kernel * kernel;
+            let mut rows: Vec<usize> = cuts.iter().map(|&r| r.clamp(start.min(m), m)).collect();
+            rows.extend([start.min(m), m]);
+            rows.sort_unstable();
+            let mut widths: Vec<usize> = widths.iter().map(|&c| c.min(channels)).collect();
+            widths.sort_unstable();
+            // One step in four reads a `k` that ends mid-channel.
+            let k_ext: Vec<usize> = (0..rows.len() - 1)
+                .map(|i| match widths[i] * taps {
+                    k if i == 3 && k > 0 => k - 1,
+                    k => k,
+                })
+                .collect();
+            check_direct(&g, channels, samples, m, &rows, &k_ext, seed)?;
+        }
+    }
+
+    /// The zoo's "same" convolutions at batch 32 and at full width: every
+    /// VGG stage and a pointwise conv, past one `NC` block of columns.
+    #[test]
+    fn the_direct_kernel_matches_on_the_zoos_geometries() {
+        for (i, (side, kernel, channels, m)) in [
+            (16, 3, 3, 16),
+            (16, 3, 16, 16),
+            (8, 3, 32, 32),
+            (4, 3, 64, 64),
+            (8, 1, 24, 40),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let pad = (kernel - 1) / 2;
+            let g = ConvGeom {
+                h: side,
+                w: side,
+                kh: kernel,
+                kw: kernel,
+                stride: 1,
+                pad,
+            };
+            let k = channels * kernel * kernel;
+            check_direct(&g, channels, 32, m, &[0, m], &[k], i as u64).unwrap();
+        }
     }
 
     #[test]

@@ -88,7 +88,8 @@ awk '
 
 echo "== threads stay in one file, unsafe in two =="
 # The compute crates' only `unsafe` is the lifetime erase of par.rs and the
-# AVX-512 body of the GEMM micro-kernel in kernel.rs, the layers never start
+# AVX-512 bodies of the GEMM micro-kernel and its direct conv twin in
+# kernel.rs, the layers never start
 # a thread of their own, and only a training step (and the profiler that
 # times the handoff) claims the helper: serving paths never enter the team.
 grep -rnE '\bunsafe\b' crates/tensor/src crates/nn/src \
@@ -111,7 +112,7 @@ grep -rln 'par::enter' crates/*/src src \
 
 echo "== col2im: the backward of a strided conv is its one caller =="
 # Every other conv's input gradient is a convolution of its output gradient
-# (ms_tensor::conv::ConvGeom::transposed) packed from the image; only a
+# (ms_tensor::conv::ConvGeom::transposed) read or packed from the image; only a
 # strided one (or pad >= K) scatters a column gradient back. Tests may call it.
 callers=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { intest = 0 }
@@ -127,15 +128,17 @@ echo "== allocation tripwire (hot layer bodies) =="
 # `Tensor::zeros(` and `vec![` are banned inside `fn forward(` /
 # `fn forward_train(` / `fn forward_prefix(` / `fn backward(` bodies, the
 # per-part bodies a split pass runs on either thread (a conv backward's chunk
-# loop is `run`), the chunked conv passes' helpers and the packers that write
-# a conv's columns, transposed columns and output gradient from the image,
-# the GEMM drivers that take them and the fork-join itself (brace-counted): the
+# loop is `run`), the conv passes' helpers, the direct micro-kernel that
+# reads a stride-1 conv's columns in place and the driver that sweeps it,
+# the packers that write a conv's columns, transposed columns and output
+# gradient from the image, the GEMM drivers that take them, the recurrent
+# backward's panel helpers and the fork-join itself (brace-counted): the
 # per-call paths use `Tensor::pooled_zeros`, `pooled_clone`,
 # `Workspace::take` and grow-only buffers; `Box::new(` is banned with them so
 # the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_train|forward_prefix|backward|forward_train_part|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|unchunk|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a|gemm_packed_a_stepped|gemm_packed_b|join|wait|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_train|forward_prefix|backward|forward_train_part|forward_direct|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|unchunk|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a|gemm_packed_a_stepped|conv_packed_a_stepped|gemm_packed_b|gate_gemm|pack_gate_blocks|recurrent_grad|join|wait|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
@@ -148,7 +151,7 @@ awk '
     }
     END { exit bad }
 ' crates/nn/src/{linear,conv2d,depthwise,activation,sequential,pool,embedding,dropout}.rs \
-    crates/nn/src/norm/group_norm.rs crates/nn/src/rnn/{lstm,gru}.rs \
+    crates/nn/src/norm/group_norm.rs crates/nn/src/rnn/{mod,lstm,gru}.rs \
     crates/tensor/src/{matmul,panels,conv,kernel,par}.rs \
     || die "allocation reintroduced: hot paths must use pooled_zeros/pooled_clone/Workspace::take (lines above)"
 echo "perfcheck OK"
