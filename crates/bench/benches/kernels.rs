@@ -3,8 +3,8 @@
 //! block multiply must not pay for the inactive columns), and the non-GEMM
 //! work of a conv or recurrent forward: im2col at the VGG stage shapes, the
 //! gate activations of one NNLM layer, a conv forward on the persistent
-//! panels beside the per-call-packing `gemm` path, and the bare handoff of
-//! the training step's fork-join.
+//! panels with its columns read from the image and with them packed, and
+//! the bare handoff of the training step's fork-join.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ms_nn::conv2d::{Conv2d, Conv2dConfig};
@@ -141,17 +141,21 @@ fn gate_activations(c: &mut Criterion) {
     });
 }
 
-/// A batch-32 conv forward at each VGG stage: weight-stationary on the
-/// persistent panels, and through `gemm`, which packs the weight per sample.
-fn conv_fwd_packed_vs_gemm(c: &mut Criterion) {
+/// A batch-32 3×3 conv forward on the persistent panels: at each VGG stage,
+/// where the micro-kernel reads the columns from the image, and on two
+/// geometries whose columns are packed chunk by chunk — a stride-2 conv and
+/// a 7×7 plane.
+fn conv_fwd_packed(c: &mut Criterion) {
     let mut rng = SeededRng::new(5);
-    let mut group = c.benchmark_group("conv_fwd_packed_vs_gemm");
-    for (channels, side) in VGG_STAGES {
+    let mut group = c.benchmark_group("conv_fwd_packed");
+    let direct = VGG_STAGES.map(|(channels, side)| ("direct", channels, side, 1));
+    let columns = [("columns", 16, 16, 2), ("columns", 64, 7, 1)];
+    for (path, channels, side, stride) in direct.into_iter().chain(columns) {
         let cfg = Conv2dConfig {
             in_ch: channels,
             out_ch: channels,
             kernel: 3,
-            stride: 1,
+            stride,
             pad: 1,
             h: side,
             w: side,
@@ -160,14 +164,11 @@ fn conv_fwd_packed_vs_gemm(c: &mut Criterion) {
             bias: false,
         };
         let mut conv = Conv2d::new("bench.conv", cfg, &mut rng);
+        conv.prepack();
         let n = 32 * channels * side * side;
         let x = Tensor::from_vec([32, channels, side, side], random(&mut rng, n)).expect("input");
-        let shape = format!("{channels}ch_{side}x{side}");
-        group.bench_function(format!("gemm/{shape}"), |b| {
-            b.iter(|| conv.forward(&x, Mode::Infer).recycle())
-        });
-        conv.prepack();
-        group.bench_function(format!("packed/{shape}"), |b| {
+        let shape = format!("{channels}ch_{side}x{side}_s{stride}");
+        group.bench_function(format!("{path}/{shape}"), |b| {
             b.iter(|| conv.forward(&x, Mode::Infer).recycle())
         });
     }
@@ -190,6 +191,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(30);
     targets = gemm_blocks, gemm_layer_shapes, im2col_lowering, gate_activations,
-        conv_fwd_packed_vs_gemm, par_join
+        conv_fwd_packed, par_join
 }
 criterion_main!(benches);

@@ -9,8 +9,8 @@
 //! (`Vgg::vgg13_scaled(10, 8)`, `NnlmConfig::scaled(200, 8)` over 16 tokens,
 //! the 64-2048-2048-8 MLP), batch 32. The first is inference on the prepacked
 //! nets at r ∈ {0.375, 1.0}: GEMM kernel, operand packing (the VGG's convs
-//! multiply straight from the image and pack nothing), im2col (which only an
-//! un-packed net still writes), activations, pooling, normalisation; after
+//! multiply straight from the image and pack nothing), im2col (which no
+//! forward writes), activations, pooling, normalisation; after
 //! each network's rows, `rate_efficiency(0.375)` — its time ratio over its
 //! MAC ratio, `(t(0.375)/t(1)) / (MACs(0.375)/MACs(1))`, 1 where a narrow
 //! slice costs exactly its multiply-adds. The second is every GEMM shape
@@ -28,7 +28,7 @@
 //! and the SGD update), and the elementwise work of activations and backward
 //! bodies. Each column is the summed *self* time of the spans in that bucket;
 //! `other` is what no span claims (bias adds, the embedding, the chunk copies
-//! of the conv layers, buffer-pool traffic).
+//! of convs whose columns are packed, buffer-pool traffic).
 //!
 //! A step runs on two threads (`ms_tensor::par`: the second part of every
 //! split layer pass goes to the fork-join helper), so its buckets are summed
@@ -276,7 +276,6 @@ impl GemmShape {
             stride: 1,
             pad: 1,
         };
-        assert!(geom.direct(), "{layer}: columns packed, not read in place");
         GemmShape {
             layer,
             conv: Some((geom, a_in)),

@@ -173,7 +173,6 @@ fn metrics_frame_serves_prometheus_text() {
 /// sampler-off server stays byte-compatible with `None`.
 #[test]
 fn health_frame_carries_live_slo_block() {
-    ms_telemetry::set_enabled(true);
     let (server, _w) = start_server_with(
         1,
         ServerConfig {

@@ -80,7 +80,6 @@ fn input() -> Tensor {
 /// A slow era must stop repelling traffic once it leaves the window.
 #[test]
 fn health_score_recovers_within_one_window_after_load_shift() {
-    ms_telemetry::set_enabled(true);
     let r = router();
 
     // Poison replica 0 with a slow era recorded into its service
@@ -124,7 +123,6 @@ fn health_score_recovers_within_one_window_after_load_shift() {
 /// returns to it when the slowness moves to the other one.
 #[test]
 fn placement_adapts_after_load_shift() {
-    ms_telemetry::set_enabled(true);
     let r = router();
     let place = |n: usize| -> (usize, usize) {
         let mut counts = (0, 0);

@@ -12,38 +12,29 @@
 
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_groups, active_units, group_boundary, prefix_input_width, SliceRate};
-use crate::workspace::{PrefixCache, Role, Workspace};
-use ms_tensor::conv::{col2im, im2col, transpose_flipped, ConvGeom, Im2col};
-use ms_tensor::matmul::{gemm, gemm_operands, Operand, Trans};
-use ms_tensor::panels::{conv_packed_a_stepped, gemm_packed_a, gemm_packed_a_stepped, PackedA};
+use crate::workspace::PrefixCache;
+use ms_tensor::conv::{col2im, transpose_flipped, ConvGeom, Im2col};
+use ms_tensor::matmul::{gemm_operands, Operand, Trans};
+use ms_tensor::panels::{conv_packed_a_stepped, PackedA};
 use ms_tensor::{init, par, SeededRng, Tensor};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// Columns one training GEMM covers: as many whole samples as fit (at least
+/// Columns one backward GEMM covers: as many whole samples as fit (at least
 /// one), so the small feature maps of the late stages still give the
-/// weight-gradient GEMM a long `k` and the weight operand is packed once per
+/// weight-gradient GEMM a long `k`, and `dW` is read and written once per
 /// chunk instead of once per sample.
 const CHUNK_COLS: usize = 512;
 
-/// Columns one `forward(Infer)` or `forward_prefix` GEMM covers where the
-/// columns are packed (at least one sample): enough for small planes to
-/// fill whole register tiles, few enough that the thread's pack buffer stays
-/// below what a 16×16 plane's single sample already needs.
-const INFER_COLS: usize = 128;
-
-/// Chunk scratch of the training path where the columns are packed: `out`,
-/// one GEMM's output with the samples of a chunk side by side,
-/// `[channels, samples·positions]` — the forward's `y`, the backward's `dx`
-/// (or, on a strided conv, the column gradient `col2im` scatters) — and
-/// `partial`.
+/// Backward scratch of the conv layers: `out`, the column gradient a strided
+/// conv's `col2im` scatters (`[a_in·K², samples·positions]`), and `partial`.
 ///
 /// One set per thread, shared by every conv layer — a layer only needs it
-/// between entering and leaving its own `forward`/`backward` — and sized by
-/// the largest layer that ran; per-layer copies would hold a network's
-/// worth of the largest buffers the training step has. `out` is fully
-/// overwritten before it is read, so it is never cleared; it also holds the
-/// flipped, transposed weights a layer packs its backward panels from.
+/// between entering and leaving its own `backward` — and sized by the
+/// largest layer that ran; per-layer copies would hold a network's worth of
+/// the largest buffers the training step has. `out` is fully overwritten
+/// before it is read, so it is never cleared; it also holds the flipped,
+/// transposed weights a layer packs its backward panels from.
 ///
 /// `partial` is where the second part of a split `backward` sums its share
 /// of `dW` (compact, `[a_out, a_in·K²]`) and `db` (behind it): the caller
@@ -68,19 +59,6 @@ fn stale(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[..len]
 }
 
-/// Samples whose packed columns one `forward(Infer)` or `forward_prefix`
-/// GEMM covers, for a conv with `out_len` output positions, `k_rows =
-/// a_in·K²` and `a_out` active output channels: [`INFER_COLS`] worth, and no
-/// more than keeps the chunk's output (`a_out` rows, in `Role::Cols`) within
-/// the one sample's column matrix (`a_in·K²` rows) that role held before the
-/// columns were packed from the image — a larger buffer there moves
-/// `peak_rss_mb` by a glibc heap step (DESIGN §8.2).
-fn infer_chunk(out_len: usize, k_rows: usize, a_out: usize, batch: usize) -> usize {
-    let by_cols = INFER_COLS / out_len.max(1);
-    let by_scratch = k_rows / a_out.max(1);
-    by_cols.min(by_scratch).clamp(1, batch.max(1))
-}
-
 /// Adds `bias[ch]` to channel `ch` of every sample of the sample-major `y`,
 /// whose samples start `stride` floats apart: the `+` the per-sample path
 /// applies after its GEMM.
@@ -89,30 +67,6 @@ fn add_bias(y: &mut [f32], stride: usize, out_len: usize, bias: Option<&[f32]>) 
     for sample in y.chunks_mut(stride) {
         for (row, &bv) in sample.chunks_exact_mut(out_len).zip(bias) {
             row.iter_mut().for_each(|v| *v += bv);
-        }
-    }
-}
-
-/// Copies a chunk's GEMM output — channels of `samples` samples side by side,
-/// `[channels, samples·OH·OW]` — to the sample-major `dst`, where sample `i`'s
-/// first channel starts at `i · stride`, adding `bias[ch]` to channel `ch`.
-fn unchunk(
-    out: &[f32],
-    out_len: usize,
-    samples: usize,
-    dst: &mut [f32],
-    stride: usize,
-    bias: Option<&[f32]>,
-) {
-    let ld = samples * out_len;
-    for (ch, out_row) in out.chunks_exact(ld).enumerate() {
-        let bv = bias.map(|b| b[ch]);
-        for (i, src) in out_row.chunks_exact(out_len).enumerate() {
-            let row = &mut dst[i * stride + ch * out_len..][..out_len];
-            match bv {
-                Some(bv) => row.iter_mut().zip(src).for_each(|(v, &o)| *v = o + bv),
-                None => row.copy_from_slice(src),
-            }
         }
     }
 }
@@ -152,7 +106,6 @@ pub struct Conv2d {
     bias: Option<Param>,
     active_in: usize,
     active_out: usize,
-    ws: Workspace, // im2col columns of the per-sample (inference) paths
     cache: Option<Tensor>,
     packed: PackedA,     // persistent panels of W (the GEMM A operand)
     prefix: PrefixCache, // full-stride output of the last prefix pass
@@ -217,7 +170,6 @@ impl Conv2d {
             bias,
             active_in,
             active_out,
-            ws: Workspace::new(),
             cache: None,
             packed: PackedA::new(),
             prefix: PrefixCache::default(),
@@ -226,11 +178,6 @@ impl Conv2d {
             group_rows,
             group_k,
         }
-    }
-
-    /// Scratch-buffer counters (zero-allocation instrumentation).
-    pub fn workspace_stats(&self) -> crate::workspace::WorkspaceStats {
-        self.ws.stats()
     }
 
     /// Currently active `(in, out)` channel counts.
@@ -257,24 +204,9 @@ impl Conv2d {
         self.cfg.kernel * self.cfg.kernel
     }
 
-    /// Samples whose columns one training GEMM covers.
+    /// Samples whose columns one backward GEMM covers.
     fn samples_per_gemm(&self, batch: usize) -> usize {
         (CHUNK_COLS / self.geom.out_len().max(1)).clamp(1, batch.max(1))
-    }
-
-    fn samples_per_infer(&self, batch: usize) -> usize {
-        let k_rows = self.active_in * self.k2();
-        infer_chunk(self.geom.out_len(), k_rows, self.active_out, batch)
-    }
-
-    /// The `Role::Cols` buffer of a chunked `forward(Infer)`/`forward_prefix`
-    /// with `per` samples a chunk: one sample's column matrix, the size the
-    /// role had when it held one, so the heap sees the allocations it always
-    /// saw (DESIGN §8.2). The chunk's output fits by the choice of `per`
-    /// (and on a conv with more outputs than `a_in·K²`, one sample's output).
-    fn chunk_scratch_len(&self, per: usize) -> usize {
-        let k_rows = self.active_in * self.k2();
-        k_rows.max(self.active_out * per) * self.geom.out_len()
     }
 
     /// The column matrix of `samples` of `x` (at the active input width),
@@ -289,10 +221,11 @@ impl Conv2d {
         }
     }
 
-    /// The output of `samples` of `x` at the active widths, multiplied
-    /// straight from the image into `y` (their rows, sample-major), the bias
-    /// added: the direct forward of a geometry [`ConvGeom::direct`] admits.
-    fn forward_direct(&self, x: &Tensor, samples: Range<usize>, y: &mut [f32]) {
+    /// The output of `samples` of `x` at the active widths into `y` (their
+    /// rows, sample-major), the bias added: the active block of the panels —
+    /// their top-left corner — times the samples' columns, read or packed
+    /// straight from the image ([`conv_packed_a_stepped`]).
+    fn forward_samples(&self, x: &Tensor, samples: Range<usize>, y: &mut [f32]) {
         let (out_len, a_out) = (self.geom.out_len(), self.active_out);
         let k_rows = self.active_in * self.k2();
         let cols = self.columns(x, samples);
@@ -309,13 +242,9 @@ impl Conv2d {
     }
 
     /// `forward(Train)` off panels packed once per optimiser step (every
-    /// update walks `visit_params`, which marks them stale): where
-    /// [`ConvGeom::direct`] holds, one sweep of the micro-kernel straight
-    /// from the image into `y`; elsewhere one GEMM per chunk of samples laid
-    /// side by side, the chunk's columns packed from the image. Each output
-    /// element sees the operations of the per-sample panel path, in order.
-    /// The two fixed parts of the batch ([`par::mid`]) each run their own
-    /// samples into their own rows of `y`.
+    /// update walks `visit_params`, which marks them stale). The two fixed
+    /// parts of the batch ([`par::mid`]) each run their own samples into
+    /// their own rows of `y`.
     fn forward_train(&mut self, x: &Tensor) -> Tensor {
         self.ensure_train_panels();
         let batch = x.dims()[0];
@@ -327,36 +256,11 @@ impl Conv2d {
             .split_at_mut(mid * self.active_out * self.geom.out_len());
         let this = &*self;
         par::join(
-            || this.forward_train_part(x, 0..mid, y0),
-            || this.forward_train_part(x, mid..batch, y1),
+            || this.forward_samples(x, 0..mid, y0),
+            || this.forward_samples(x, mid..batch, y1),
         );
         self.cache = Some(x.pooled_clone());
         y
-    }
-
-    /// `forward_train` over `samples`; `y` holds exactly those samples' rows.
-    /// A chunked conv runs on the executing thread's chunk scratch.
-    fn forward_train_part(&self, x: &Tensor, samples: Range<usize>, y: &mut [f32]) {
-        if self.geom.direct() {
-            return self.forward_direct(x, samples, y);
-        }
-        let out_len = self.geom.out_len();
-        let a_out = self.active_out;
-        let k_rows = self.active_in * self.k2();
-        let bias = self.bias.as_ref().map(|b| b.value.data());
-        let per_gemm = self.samples_per_gemm(x.dims()[0]);
-        CHUNK.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            for first in samples.clone().step_by(per_gemm) {
-                let n = per_gemm.min(samples.end - first);
-                let ld = n * out_len;
-                let out = stale(&mut scratch.out, a_out * ld);
-                let cols = Operand::Im2col(Trans::No, self.columns(x, first..first + n));
-                gemm_packed_a(0, a_out, ld, k_rows, 1.0, &self.packed, cols, 0.0, out, ld);
-                let chunk_y = &mut y[(first - samples.start) * a_out * out_len..];
-                unchunk(out, out_len, n, chunk_y, a_out * out_len, bias);
-            }
-        });
     }
 
     /// Packs the panels unless they are valid; returns whether it packed.
@@ -377,7 +281,7 @@ impl Conv2d {
 
     /// [`Conv2d::ensure_packed`], and where `dX` is a convolution of `dY`
     /// the backward's panels of the flipped, transposed weights beside them
-    /// — packed once per optimiser step too (inference never packs them).
+    /// — packed once per optimiser step too (inference does not read them).
     /// Their active block is rows `0..a_in` × `k` `0..a_out·K²`, a prefix,
     /// because `k` runs output channel by output channel.
     fn ensure_train_panels(&mut self) {
@@ -444,9 +348,9 @@ impl BackwardPass<'_> {
     /// the transposed columns straight from the two tensors, and `dX` is the
     /// convolution of `dY` with the flipped, transposed weights
     /// ([`ConvGeom::transposed`]) — one FMA chain per element over
-    /// `(output channel, tap)`, multiplied straight from `dY` into `dx` where
-    /// [`ConvGeom::direct`] holds for it. A strided conv (or `pad ≥ K`) has
-    /// no such convolution; it scatters `Wᵀ · dY` back with `col2im`.
+    /// `(output channel, tap)`, through the forward's conv multiply. A
+    /// strided conv (or `pad ≥ K`) has no such convolution; it scatters
+    /// `Wᵀ · dY` back with `col2im`.
     fn run(
         &self,
         samples: Range<usize>,
@@ -456,9 +360,8 @@ impl BackwardPass<'_> {
         mut db: Option<&mut [f32]>,
     ) {
         let (a_in, a_out, geom) = (self.a_in, self.a_out, self.geom);
-        let (out_len, plane) = (geom.out_len(), geom.h * geom.w);
-        let taps = geom.kh * geom.kw;
-        let (per_x, per_y) = (a_in * plane, a_out * out_len);
+        let (out_len, taps) = (geom.out_len(), geom.kh * geom.kw);
+        let (per_x, per_y) = (a_in * geom.h * geom.w, a_out * out_len);
         CHUNK.with(|scratch| {
             let out = &mut scratch.borrow_mut().out;
             for first in samples.clone().step_by(self.per_gemm) {
@@ -504,15 +407,7 @@ impl BackwardPass<'_> {
                     samples: n,
                 };
                 let k_t = a_out * taps;
-                if geom_t.direct() {
-                    conv_packed_a_stepped(&[0, a_in], &[k_t], panels, dy_cols, chunk_dx, per_x);
-                    continue;
-                }
-                // The chunk's samples side by side, then sample-major.
-                let (ld_x, b) = (n * plane, Operand::Im2col(Trans::No, dy_cols));
-                let dx_rows = stale(out, a_in * ld_x);
-                gemm_packed_a(0, a_in, ld_x, k_t, 1.0, panels, b, 0.0, dx_rows, ld_x);
-                unchunk(dx_rows, plane, n, chunk_dx, per_x, None);
+                conv_packed_a_stepped(&[0, a_in], &[k_t], panels, dy_cols, chunk_dx, per_x);
             }
         });
     }
@@ -529,82 +424,12 @@ impl Layer for Conv2d {
         if mode == Mode::Train {
             return self.forward_train(x);
         }
-        let out_len = self.geom.out_len();
-        let (a_out, k_rows) = (self.active_out, self.active_in * self.k2());
-        let mut y = Tensor::pooled_zeros([batch, a_out, self.geom.out_h(), self.geom.out_w()]);
-        let bias = self.bias.as_ref().map(|b| b.value.data());
-        if !self.packed.is_valid() {
-            // Un-packed nets keep `gemm` on each sample's column matrix:
-            // inference never packs on its own.
-            let full_k = self.cfg.in_ch * self.k2();
-            let mut col = self.ws.take(Role::Cols, k_rows * out_len);
-            for s in 0..batch {
-                im2col(x.row(s), self.active_in, &self.geom, &mut col, out_len, 0);
-                let ys = y.row_mut(s);
-                let w = self.weight.value.data();
-                let (m, n) = (a_out, out_len);
-                gemm(
-                    Trans::No,
-                    Trans::No,
-                    m,
-                    n,
-                    k_rows,
-                    1.0,
-                    w,
-                    full_k,
-                    &col,
-                    n,
-                    0.0,
-                    ys,
-                    n,
-                );
-                if let Some(b) = bias {
-                    for (row, &bv) in ys.chunks_exact_mut(out_len).zip(b) {
-                        row.iter_mut().for_each(|v| *v += bv);
-                    }
-                }
-            }
-            self.ws.put(Role::Cols, col);
-            return y;
-        }
-        // Weight-stationary (see `Linear`): the active block is the top-left
-        // corner of the panels `prepack` made, multiplied straight from the
-        // image into `y` — or, where the geometry does not allow that, a
-        // chunk of samples side by side is one GEMM whose columns are packed
-        // from the image.
-        if self.geom.direct() {
-            self.forward_direct(x, 0..batch, y.data_mut());
-            return y;
-        }
-        let per = self.samples_per_infer(batch);
-        let mut out = self.ws.take(Role::Cols, self.chunk_scratch_len(per));
-        for first in (0..batch).step_by(per) {
-            let n = per.min(batch - first);
-            let ld = n * out_len;
-            let cols = Operand::Im2col(Trans::No, self.columns(x, first..first + n));
-            gemm_packed_a(
-                0,
-                a_out,
-                ld,
-                k_rows,
-                1.0,
-                &self.packed,
-                cols,
-                0.0,
-                &mut out,
-                ld,
-            );
-            let chunk_y = &mut y.data_mut()[first * a_out * out_len..];
-            unchunk(
-                &out[..a_out * ld],
-                out_len,
-                n,
-                chunk_y,
-                a_out * out_len,
-                bias,
-            );
-        }
-        self.ws.put(Role::Cols, out);
+        // Weight-stationary (see `Linear`) on the panels `prepack` made, or
+        // this call packs after a weight change.
+        self.ensure_packed();
+        let (oh, ow) = self.out_hw();
+        let mut y = Tensor::pooled_zeros([batch, self.active_out, oh, ow]);
+        self.forward_samples(x, 0..batch, y.data_mut());
         y
     }
 
@@ -708,41 +533,10 @@ impl Layer for Conv2d {
             // groups, each with its canonical `k` extent: the columns are
             // read (or packed) once, not once a group.
             let (rows, k_ext) = (&self.group_rows[g_from..=g_to], &self.group_k[g_from..g_to]);
-            if self.geom.direct() {
-                let (cols, lds) = (self.columns(x, 0..batch), out_ch * out_len);
-                let buf = &mut self.prefix.buf[c0 * out_len..];
-                conv_packed_a_stepped(rows, k_ext, &self.packed, cols, buf, lds);
-                add_bias(buf, lds, out_len, bias);
-            } else {
-                let per = self.samples_per_infer(batch);
-                let mut out = self.ws.take(Role::Cols, self.chunk_scratch_len(per));
-                for first in (0..batch).step_by(per) {
-                    let n = per.min(batch - first);
-                    let ld = n * out_len;
-                    let cols = Operand::Im2col(Trans::No, self.columns(x, first..first + n));
-                    gemm_packed_a_stepped(
-                        rows,
-                        k_ext,
-                        ld,
-                        1.0,
-                        &self.packed,
-                        cols,
-                        0.0,
-                        &mut out,
-                        ld,
-                    );
-                    let chunk = &mut self.prefix.buf[(first * out_ch + c0) * out_len..];
-                    unchunk(
-                        &out[..(c1 - c0) * ld],
-                        out_len,
-                        n,
-                        chunk,
-                        out_ch * out_len,
-                        bias,
-                    );
-                }
-                self.ws.put(Role::Cols, out);
-            }
+            let (cols, lds) = (self.columns(x, 0..batch), out_ch * out_len);
+            let buf = &mut self.prefix.buf[c0 * out_len..];
+            conv_packed_a_stepped(rows, k_ext, &self.packed, cols, buf, lds);
+            add_bias(buf, lds, out_len, bias);
         }
         self.prefix.done = self.group_rows[g_to];
         let mut y =
@@ -807,6 +601,9 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::gradcheck::assert_grads;
+    use ms_tensor::conv::im2col;
+    use ms_tensor::matmul::gemm;
+    use ms_tensor::panels::gemm_packed_a_stepped;
 
     fn conv(in_ch: usize, out_ch: usize, h: usize, bias: bool) -> Conv2d {
         let mut rng = SeededRng::new(21);

@@ -110,18 +110,20 @@ pub trait Layer {
     /// cheap when already packed) and returns whether this call packed
     /// anything. Layers without weight panels ignore it and return `false`.
     ///
-    /// While the panels of a `Linear`, `Conv2d`, `Lstm` or `Gru` are valid,
-    /// its `forward(Infer)` multiplies straight off them instead of
-    /// re-packing the weight per call. Any `visit_params` pass — an optimiser step,
-    /// weight hydration, even a read-only walk — marks the panels stale:
-    /// direct inference then falls back to the per-call-packing `gemm` until
-    /// the next `prepack`, and a prefix forward re-packs on entry.
+    /// A `Linear`, `Conv2d`, `Lstm` or `Gru` multiplies off its panels
+    /// instead of re-packing the weight per call. Any `visit_params` pass —
+    /// an optimiser step, weight hydration, even a read-only walk — marks
+    /// them stale. A `Conv2d`, `Lstm` or `Gru` then packs on first use after
+    /// the weight change, in any mode; a `Linear`'s `forward(Infer)` runs on
+    /// the per-call-packing `gemm` until the next `prepack`, and its prefix
+    /// forward re-packs on entry.
     fn prepack(&mut self) -> bool {
         false
     }
 
     /// Frees the persistent panels (they cost about as much memory as the
-    /// weights they mirror). Inference stays correct — it runs unpacked
+    /// weights they mirror). Inference stays correct: it packs again on
+    /// first use, except a `Linear`'s `forward(Infer)`, which runs unpacked
     /// until the next [`Layer::prepack`] or prefix forward. For holders of a
     /// net that packed it only temporarily, e.g. a calibration prototype.
     fn release_panels(&mut self) {}

@@ -176,18 +176,14 @@ impl Gru {
         let (a_h, h_full, d) = (self.active_h, self.cfg.hidden_dim, self.active_in);
         let (sx, sh) = (self.scale_x(), self.scale_h());
         let slab = p.rows * a_h; // one gate of one step
-        let on_panels = self.packed_x.is_valid() && self.packed_h.is_valid();
-        let (px, ph) = (
-            on_panels.then_some(&self.packed_x),
-            on_panels.then_some(&self.packed_h),
-        );
+        let ph = &self.packed_h;
         let b_h = |gate: usize| &self.b_h.value.data()[gate * h_full..];
 
         // zx[g] = s_x·X·W_x[g]ᵀ + b_x[g] for every step at once.
         to_time_major(p.x, p.rows, steps, d, p.xt);
-        let (w_x, b_x) = (&self.w_x.value, &self.b_x.value);
+        let (px, b_x) = (&self.packed_x, &self.b_x.value);
         let rows = steps * p.rows;
-        project_inputs(w_x, px, b_x, h_full, a_h, sx, rows, d, p.xt, &mut p.zx);
+        project_inputs(px, b_x, h_full, a_h, sx, rows, d, p.xt, &mut p.zx);
 
         // State blocks: training keeps every step's (block t + 1 is the
         // state after step t), inference updates block 0 in place.
@@ -198,36 +194,14 @@ impl Gru {
             let [r, z, n] = p.zx.each_mut().map(|g| &mut g[t * slab..][..slab]);
             // r and z gates: add the recurrent side, then squash.
             for (gate, zg) in [&mut *r, &mut *z].into_iter().enumerate() {
-                gate_gemm(
-                    &self.w_h.value,
-                    ph,
-                    h_full,
-                    gate,
-                    a_h,
-                    sh,
-                    p.rows,
-                    a_h,
-                    h_prev,
-                    zg,
-                );
+                gate_gemm(ph, h_full, gate, a_h, sh, p.rows, a_h, h_prev, zg);
                 add_bias_rows(zg, b_h(gate), a_h, a_h);
                 sigmoid_inplace(zg);
             }
             // Candidate: tanh(W_n x + b_n  +  r ⊙ (U_n h + b_u)).
             let u_t = &mut p.u_n[prev..][..slab];
             u_t.fill(0.0);
-            gate_gemm(
-                &self.w_h.value,
-                ph,
-                h_full,
-                2,
-                a_h,
-                sh,
-                p.rows,
-                a_h,
-                h_prev,
-                u_t,
-            );
+            gate_gemm(ph, h_full, 2, a_h, sh, p.rows, a_h, h_prev, u_t);
             add_bias_rows(u_t, b_h(2), a_h, a_h);
             for (k, nv) in n.iter_mut().enumerate() {
                 *nv += r[k] * u_t[k];
@@ -336,13 +310,10 @@ impl Layer for Gru {
         if let Some(stale) = self.cache.take() {
             self.release(stale);
         }
-        // Training packs once per optimiser step and reads the panels from
-        // then on; inference reads them when valid and never packs on its
-        // own (see `Lstm::forward`).
+        // Both modes read the panels, packed on first use after a weight
+        // change (see `Lstm::forward`).
+        self.ensure_packed();
         let train = mode == Mode::Train;
-        if train {
-            self.ensure_packed();
-        }
 
         // Training keeps every step's state (T + 1 blocks, block 0 zero) and
         // `U_n h`; inference one block of each, updated in place.
@@ -405,17 +376,7 @@ impl Layer for Gru {
         out
     }
 
-    fn forward_prefix(&mut self, x: &Tensor, from: Option<SliceRate>, to: SliceRate) -> Tensor {
-        // Full recompute at `to` on the panels. The recurrence threads every
-        // hidden group through every timestep, so a per-group delta would
-        // need per-group frozen-prefix recurrence state — future work.
-        // Ignoring `from` keeps the output a pure function of (x, to), which
-        // preserves the refine-equals-direct bitwise contract.
-        let _ = from;
-        self.set_slice_rate(to);
-        self.ensure_packed();
-        self.forward(x, Mode::Infer)
-    }
+    // `forward_prefix` is the trait's recompute at `to` (see `Lstm`).
 
     fn prepack(&mut self) -> bool {
         self.ensure_packed()

@@ -183,17 +183,13 @@ impl Lstm {
         let (a_h, h_full, d) = (self.active_h, self.cfg.hidden_dim, self.active_in);
         let (sx, sh) = (self.scale_x(), self.scale_h());
         let slab = p.rows * a_h; // one gate of one step
-        let on_panels = self.packed_x.is_valid() && self.packed_h.is_valid();
-        let (px, ph) = (
-            on_panels.then_some(&self.packed_x),
-            on_panels.then_some(&self.packed_h),
-        );
+        let ph = &self.packed_h;
 
         // z[g] = s_x·X·W_x[g]ᵀ + b[g] for every step at once.
         to_time_major(p.x, p.rows, steps, d, p.xt);
-        let (w_x, bias) = (&self.w_x.value, &self.bias.value);
+        let (px, bias) = (&self.packed_x, &self.bias.value);
         let rows = steps * p.rows;
-        project_inputs(w_x, px, bias, h_full, a_h, sx, rows, d, p.xt, &mut p.z);
+        project_inputs(px, bias, h_full, a_h, sx, rows, d, p.xt, &mut p.z);
 
         // State blocks: training keeps every step's (block t + 1 is the
         // state after step t), inference updates block 0 in place.
@@ -203,18 +199,7 @@ impl Lstm {
             let h_prev = &p.h[prev..][..slab];
             for (gate, zg) in p.z.iter_mut().enumerate() {
                 let zg = &mut zg[t * slab..][..slab];
-                gate_gemm(
-                    &self.w_h.value,
-                    ph,
-                    h_full,
-                    gate,
-                    a_h,
-                    sh,
-                    p.rows,
-                    a_h,
-                    h_prev,
-                    zg,
-                );
+                gate_gemm(ph, h_full, gate, a_h, sh, p.rows, a_h, h_prev, zg);
             }
             let [zi, zf, zg, zo] = p.z.each_mut().map(|g| &mut g[t * slab..][..slab]);
             sigmoid_inplace(zi);
@@ -339,15 +324,12 @@ impl Layer for Lstm {
         if let Some(stale) = self.cache.take() {
             self.release(stale);
         }
-        // Training packs once per optimiser step (every update walks
-        // `visit_params`, which marks the panels stale) and every gate of
-        // every timestep of every scheduled rate reads that packing;
-        // inference reads the panels when it finds them valid and goes
-        // through `gemm` otherwise — it never packs on its own.
+        // Both modes read the panels, packed on first use after a weight
+        // change: in training once per optimiser step (every update walks
+        // `visit_params`, which marks them stale), and every gate of every
+        // timestep of every scheduled rate reads that packing.
+        self.ensure_packed();
         let train = mode == Mode::Train;
-        if train {
-            self.ensure_packed();
-        }
 
         // Training keeps every step's state (T + 1 blocks, block 0 zero) and
         // `tanh c`; inference one block of each, updated in place.
@@ -557,17 +539,9 @@ impl Layer for Lstm {
         dx
     }
 
-    fn forward_prefix(&mut self, x: &Tensor, from: Option<SliceRate>, to: SliceRate) -> Tensor {
-        // The recurrence threads every hidden group through every timestep,
-        // so a per-group delta would need per-group frozen-prefix recurrence
-        // state — future work. Instead this recomputes at `to` on the panels
-        // (a pure function of (x, to), preserving the bitwise refine
-        // guarantee).
-        let _ = from;
-        self.set_slice_rate(to);
-        self.ensure_packed();
-        self.forward(x, Mode::Infer)
-    }
+    // `forward_prefix` is the trait's recompute at `to`: the recurrence
+    // threads every hidden group through every timestep, so a per-group
+    // delta would need per-group frozen-prefix recurrence state.
 
     fn prepack(&mut self) -> bool {
         self.ensure_packed()
@@ -682,9 +656,8 @@ mod tests {
 
     #[test]
     fn prefix_forward_matches_plain_forward_numerically() {
-        // The panel path reorders no per-element math but takes the blocked
-        // GEMM route unconditionally, so it agrees with the plain forward to
-        // rounding — and with itself exactly.
+        // A prefix pass is the plain forward at `to`, and a refine is a
+        // fresh prefix pass, bit for bit.
         let mut rng = SeededRng::new(34);
         let x = random_input(&mut rng, [2, 4, 8]);
         for &(r1, r2) in &[(0.25f32, 0.5f32), (0.5, 1.0)] {

@@ -7,9 +7,10 @@
 //! (`[gate][t][b][unit]`), which makes one gate of one step a contiguous
 //! `B × a_h` slab that the recurrent GEMM accumulates into and the
 //! vectorised `sigmoid`/`tanh` slab kernels of `ms_tensor::ops` activate in
-//! place. The modes differ only in what they keep for `backward`, in
-//! where the weights are read from ([`gate_gemm`]), and in how many *parts*
-//! the batch runs as.
+//! place. Both read the weights off the layer's packed panels
+//! ([`gate_gemm`]), packing them first after a weight change; the modes
+//! differ only in what they keep for `backward` and in how many *parts* the
+//! batch runs as.
 //!
 //! # Parts
 //!
@@ -87,15 +88,11 @@ fn recurrent_grad(
 }
 
 /// `c[m, a_h] += scale · a[m, k] · W_g[0..a_h, 0..k]ᵀ`, where `W_g` is gate
-/// block `gate` (rows `gate·h_full ..`) of `w: [G·h_full, k_full]`.
-///
-/// With `panels` (the persistent packing of `wᵀ`; inference on a prepacked
-/// layer) the weight side is read in place; without (training, where the
-/// weights move every step, and un-packed nets) `gemm` packs it per call.
+/// block `gate` (rows `gate·h_full ..`) of the weight `panels` hold packed
+/// as `Wᵀ`, read in place.
 #[allow(clippy::too_many_arguments)]
 fn gate_gemm(
-    w: &Tensor,
-    panels: Option<&PackedB>,
+    panels: &PackedB,
     h_full: usize,
     gate: usize,
     a_h: usize,
@@ -106,28 +103,7 @@ fn gate_gemm(
     c: &mut [f32],
 ) {
     let row0 = gate * h_full;
-    match panels {
-        Some(pb) => gemm_packed_b(m, 0, k, row0, row0 + a_h, scale, a, k, pb, 1.0, c, a_h),
-        None => {
-            let k_full = w.dims()[1];
-            let block = &w.data()[row0 * k_full..];
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                m,
-                a_h,
-                k,
-                scale,
-                a,
-                k,
-                block,
-                k_full,
-                1.0,
-                c,
-                a_h,
-            );
-        }
-    }
+    gemm_packed_b(m, 0, k, row0, row0 + a_h, scale, a, k, panels, 1.0, c, a_h);
 }
 
 /// The input projection of every step of one part at once:
@@ -135,8 +111,7 @@ fn gate_gemm(
 /// (`rows = T·B` of the part, `xt` time-major, `z` zeroed by the caller).
 #[allow(clippy::too_many_arguments)]
 fn project_inputs(
-    w_x: &Tensor,
-    panels: Option<&PackedB>,
+    panels: &PackedB,
     bias: &Tensor,
     h_full: usize,
     a_h: usize,
@@ -147,7 +122,7 @@ fn project_inputs(
     z: &mut [&mut [f32]],
 ) {
     for (gate, zg) in z.iter_mut().enumerate() {
-        gate_gemm(w_x, panels, h_full, gate, a_h, scale, rows, d, xt, zg);
+        gate_gemm(panels, h_full, gate, a_h, scale, rows, d, xt, zg);
         add_bias_rows(zg, &bias.data()[gate * h_full..], a_h, a_h);
     }
 }

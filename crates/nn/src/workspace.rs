@@ -1,7 +1,7 @@
 //! Grow-only scratch buffers for layer internals.
 //!
-//! Layers that need named intermediate storage (im2col columns, RNN gate
-//! pre-activations, normalisation statistics, …) own a [`Workspace`] and
+//! Layers that need named intermediate storage (RNN gate pre-activations,
+//! normalisation statistics, …) own a [`Workspace`] and
 //! borrow buffers from it by [`Role`]. Buffers grow to the high-water mark
 //! of the layer's workload and are then reused verbatim, so after the first
 //! call at a given batch size the layer's forward and backward paths touch
@@ -26,8 +26,6 @@ pub enum Role {
     Gates,
     /// Cell-state scratch (LSTM).
     Cell,
-    /// im2col column matrix (convolutions).
-    Cols,
     /// Per-group statistics (normalisation layers).
     Stats,
     /// Free-form scratch.
@@ -162,13 +160,13 @@ mod tests {
     #[test]
     fn take_grows_once_then_reuses() {
         let mut ws = Workspace::new();
-        let b = ws.take(Role::Cols, 100);
+        let b = ws.take(Role::Stats, 100);
         assert_eq!(b.len(), 100);
-        ws.put(Role::Cols, b);
-        let b = ws.take(Role::Cols, 80);
-        ws.put(Role::Cols, b);
-        let b = ws.take(Role::Cols, 100);
-        ws.put(Role::Cols, b);
+        ws.put(Role::Stats, b);
+        let b = ws.take(Role::Stats, 80);
+        ws.put(Role::Stats, b);
+        let b = ws.take(Role::Stats, 100);
+        ws.put(Role::Stats, b);
         let s = ws.stats();
         assert_eq!(s.takes, 3);
         assert_eq!(s.grows, 1, "only the first take should allocate");

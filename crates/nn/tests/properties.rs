@@ -10,6 +10,8 @@ use ms_nn::pool::MaxPool2d;
 use ms_nn::rnn::gru::{Gru, GruConfig};
 use ms_nn::rnn::lstm::{Lstm, LstmConfig};
 use ms_nn::slice::{active_units, SliceRate};
+use ms_tensor::conv::{im2col, ConvGeom};
+use ms_tensor::matmul::{gemm_reference, Trans};
 use ms_tensor::{par, SeededRng, Tensor};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -21,7 +23,7 @@ fn random_tensor(rng: &mut SeededRng, dims: Vec<usize>) -> Tensor {
     Tensor::from_vec(dims, (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect()).expect("tensor")
 }
 
-/// Batches the packed-vs-`gemm` properties draw from (1 … 64).
+/// Batches the packed-vs-reference properties draw from (1 … 64).
 const BATCHES: [usize; 6] = [1, 2, 7, 24, 32, 64];
 
 /// Both recurrent cells at one `(D, H)` with eight slice groups on each side.
@@ -51,7 +53,7 @@ fn assert_close(got: &Tensor, want: &Tensor, what: &str) -> Result<(), TestCaseE
     for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
         prop_assert!(
             (g - w).abs() <= 1e-5 * w.abs().max(1.0),
-            "{what}: element {i}: packed {g} vs gemm {w}"
+            "{what}: element {i}: packed {g} vs reference {w}"
         );
     }
     Ok(())
@@ -180,13 +182,17 @@ impl Recurrence {
     }
 }
 
-/// What a reference backward returns: `dx` and the parameter gradients in
-/// `visit_params` order, full-size with zeros outside the active block.
-type RefGrads = (Vec<f64>, Vec<Vec<f64>>);
+/// What a reference pass returns: the output `y`, `dx` and the parameter
+/// gradients in `visit_params` order, full-size with zeros outside the
+/// active block.
+type RefPass = (Vec<f64>, Vec<f64>, Vec<Vec<f64>>);
+
+/// A reference pass: [`lstm_reference`] or [`gru_reference`].
+type Reference = fn(&Recurrence, &[Vec<f32>], &Tensor, &Tensor) -> RefPass;
 
 /// Per-timestep BPTT through a sliced LSTM, one sample and one step at a
 /// time, in `f64`: the textbook form the whole-sequence backward replaced.
-fn lstm_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> RefGrads {
+fn lstm_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> RefPass {
     let Recurrence {
         d,
         h,
@@ -198,6 +204,7 @@ fn lstm_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> 
         steps,
     } = *geo;
     let (w_x, w_h, bias) = (&p[0], &p[1], &p[2]);
+    let mut y = vec![0.0; batch * steps * a_h];
     let mut dx = vec![0.0; batch * steps * a_d];
     let (mut dw_x, mut dw_h, mut db) =
         (vec![0.0; 4 * h * d], vec![0.0; 4 * h * h], vec![0.0; 4 * h]);
@@ -226,6 +233,7 @@ fn lstm_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> 
                 .map(|k| g[1][k] * cp[k] + g[0][k] * g[2][k])
                 .collect();
             let hn: Vec<f64> = (0..a_h).map(|k| g[3][k] * c[k].tanh()).collect();
+            y[(b * steps + t) * a_h..][..a_h].copy_from_slice(&hn);
             hs.push(hn);
             cs.push(c);
             gates.push(g);
@@ -268,12 +276,12 @@ fn lstm_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> 
             }
         }
     }
-    (dx, vec![dw_x, dw_h, db])
+    (y, dx, vec![dw_x, dw_h, db])
 }
 
 /// The same for the GRU (`r, z, n` blocks, separate recurrent bias, the
 /// candidate's `r ⊙ (U_n h + b_u)` form).
-fn gru_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> RefGrads {
+fn gru_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> RefPass {
     let Recurrence {
         d,
         h,
@@ -285,6 +293,7 @@ fn gru_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> R
         steps,
     } = *geo;
     let (w_x, w_h, b_x, b_h) = (&p[0], &p[1], &p[2], &p[3]);
+    let mut y = vec![0.0; batch * steps * a_h];
     let mut dx = vec![0.0; batch * steps * a_d];
     let (mut dw_x, mut dw_h) = (vec![0.0; 3 * h * d], vec![0.0; 3 * h * h]);
     let (mut db_x, mut db_h) = (vec![0.0; 3 * h], vec![0.0; 3 * h]);
@@ -312,6 +321,7 @@ fn gru_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> R
             let hn: Vec<f64> = (0..a_h)
                 .map(|k| (1.0 - z[k]) * n[k] + z[k] * hp[k])
                 .collect();
+            y[(b * steps + t) * a_h..][..a_h].copy_from_slice(&hn);
             hs.push(hn);
             kept.push([r, z, n, u_n]);
         }
@@ -353,7 +363,36 @@ fn gru_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> R
             }
         }
     }
-    (dx, vec![dw_x, dw_h, db_x, db_h])
+    (y, dx, vec![dw_x, dw_h, db_x, db_h])
+}
+
+/// A sliced conv's inference the long way: each sample's columns written
+/// out by `im2col`, multiplied by the active weight block with `f64` sums
+/// (`gemm_reference`), the bias added.
+fn conv_reference(cfg: &Conv2dConfig, p: &[Vec<f32>], x: &Tensor, a_out: usize) -> Tensor {
+    let geom = ConvGeom {
+        h: cfg.h,
+        w: cfg.w,
+        kh: cfg.kernel,
+        kw: cfg.kernel,
+        stride: cfg.stride,
+        pad: cfg.pad,
+    };
+    let (batch, a_in, taps) = (x.dims()[0], x.dims()[1], cfg.kernel * cfg.kernel);
+    let (k, out_len) = (a_in * taps, geom.out_len());
+    let mut col = vec![0.0f32; k * out_len];
+    let mut y = Tensor::zeros([batch, a_out, geom.out_h(), geom.out_w()]);
+    for s in 0..batch {
+        im2col(x.row(s), a_in, &geom, &mut col, out_len, 0);
+        let (ys, no, ld_w) = (y.row_mut(s), Trans::No, cfg.in_ch * taps);
+        gemm_reference(
+            no, no, a_out, out_len, k, 1.0, &p[0], ld_w, &col, out_len, 0.0, ys, out_len,
+        );
+        for (row, &b) in ys.chunks_exact_mut(out_len).zip(&p[1]) {
+            row.iter_mut().for_each(|v| *v += b);
+        }
+    }
+    y
 }
 
 proptest! {
@@ -450,11 +489,13 @@ proptest! {
         }
     }
 
-    /// Weight-stationary conv inference (`gemm_packed_a` on the persistent
-    /// panels) agrees with the per-call-packing `gemm` path at every rate of
-    /// g = 8, batches 1…64, strided and padded geometry, bias on.
+    /// Weight-stationary conv inference (`conv_packed_a_stepped` on the
+    /// persistent panels) agrees with per-sample `im2col` and an `f64` GEMM
+    /// at every rate of g = 8, batches 1…64, strided and padded geometry,
+    /// bias on; and an un-packed twin's `forward(Infer)`, which packs on first
+    /// use, has the prepacked layer's bits.
     #[test]
-    fn packed_conv_forward_matches_gemm_path(
+    fn packed_conv_forward_matches_the_reference(
         in_mult in 1usize..4,
         out_mult in 1usize..4,
         side in 3usize..9,
@@ -478,22 +519,26 @@ proptest! {
             bias: true,
         };
         let mut plain = Conv2d::new("c", cfg.clone(), &mut SeededRng::new(seed));
-        let mut packed = Conv2d::new("c", cfg, &mut SeededRng::new(seed));
+        let mut packed = Conv2d::new("c", cfg.clone(), &mut SeededRng::new(seed));
         prop_assert!(packed.prepack());
         let rate = SliceRate::new(rate_idx as f32 / 8.0);
         plain.set_slice_rate(rate);
         packed.set_slice_rate(rate);
-        let dims = vec![BATCHES[batch_idx], plain.active_channels().0, side, side];
+        let (a_in, a_out) = packed.active_channels();
+        let dims = vec![BATCHES[batch_idx], a_in, side, side];
         let x = random_tensor(&mut SeededRng::new(seed ^ 0x9e37), dims);
-        let want = plain.forward(&x, Mode::Infer);
         let got = packed.forward(&x, Mode::Infer);
+        let twin = plain.forward(&x, Mode::Infer);
+        prop_assert_eq!(bits(twin.data()), bits(got.data()), "un-packed twin");
+        let want = conv_reference(&cfg, &param_values(&mut packed), &x, a_out);
         assert_close(&got, &want, "conv")?;
     }
 
-    /// The same for both recurrent cells: panels for the hoisted input
-    /// projection and for every step's recurrent product.
+    /// The same for both recurrent cells — panels for the hoisted input
+    /// projection and for every step's recurrent product — against a forward
+    /// of the `f64` per-timestep references.
     #[test]
-    fn packed_recurrent_forward_matches_gemm_path(
+    fn packed_recurrent_forward_matches_the_reference(
         d_mult in 1usize..4,
         h_mult in 1usize..4,
         steps in 1usize..6,
@@ -503,20 +548,29 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let rate = SliceRate::new(rate_idx as f32 / 8.0);
-        let a_d = active_units(8 * d_mult, 8, rate);
-        let x = random_tensor(
-            &mut SeededRng::new(seed ^ 0x9e37),
-            vec![BATCHES[batch_idx], steps, a_d],
-        );
-        let plain = recurrent_pair(8 * d_mult, 8 * h_mult, rescale, seed);
-        let packed = recurrent_pair(8 * d_mult, 8 * h_mult, rescale, seed);
-        for (mut plain, mut packed) in plain.into_iter().zip(packed) {
+        let (d, h, batch) = (8 * d_mult, 8 * h_mult, BATCHES[batch_idx]);
+        let (a_d, a_h) = (active_units(d, 8, rate), active_units(h, 8, rate));
+        let scale = |full: usize, active: usize| {
+            if rescale && active < full { full as f64 / active as f64 } else { 1.0 }
+        };
+        let geo = Recurrence {
+            d, h, a_d, a_h, sx: scale(d, a_d), sh: scale(h, a_h), batch, steps,
+        };
+        let x = random_tensor(&mut SeededRng::new(seed ^ 0x9e37), vec![batch, steps, a_d]);
+        let dy = Tensor::zeros([batch, steps, a_h]);
+        let plain = recurrent_pair(d, h, rescale, seed);
+        let packed = recurrent_pair(d, h, rescale, seed);
+        let references: [Reference; 2] = [lstm_reference, gru_reference];
+        for ((mut plain, mut packed), reference) in plain.into_iter().zip(packed).zip(references) {
             prop_assert!(packed.prepack());
             plain.set_slice_rate(rate);
             packed.set_slice_rate(rate);
-            let want = plain.forward(&x, Mode::Infer);
             let got = packed.forward(&x, Mode::Infer);
-            assert_close(&got, &want, packed.name())?;
+            let twin = plain.forward(&x, Mode::Infer);
+            let name = packed.name().to_string();
+            prop_assert_eq!(bits(twin.data()), bits(got.data()), "{} un-packed twin", &name);
+            let (want, _, _) = reference(&geo, &param_values(packed.as_mut()), &x, &dy);
+            assert_slices_close(got.data(), &want, 1e-5, &name)?;
         }
     }
 
@@ -658,13 +712,13 @@ proptest! {
         let gru = GruConfig {
             in_dim: d, hidden_dim: h, in_groups: Some(4), out_groups: Some(4), input_rescale: rescale,
         };
-        let cells: [(Box<dyn Layer>, fn(&Recurrence, &[Vec<f32>], &Tensor, &Tensor) -> RefGrads); 2] = [
+        let cells: [(Box<dyn Layer>, Reference); 2] = [
             (Box::new(Lstm::new("lstm", lstm, &mut SeededRng::new(seed))), lstm_reference),
             (Box::new(Gru::new("gru", gru, &mut SeededRng::new(seed))), gru_reference),
         ];
         for (mut cell, reference) in cells {
             cell.set_slice_rate(rate);
-            let (want_dx, want_grads) = reference(&geo, &param_values(cell.as_mut()), &x, &dy);
+            let (_, want_dx, want_grads) = reference(&geo, &param_values(cell.as_mut()), &x, &dy);
             cell.forward(&x, Mode::Train).recycle();
             let dx = cell.backward(&dy);
             assert_slices_close(dx.data(), &want_dx, 1e-5, &format!("{} dx", cell.name()))?;

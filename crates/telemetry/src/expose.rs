@@ -544,7 +544,6 @@ mod tests {
     #[test]
     fn history_json_renders_all_kinds_plottably() {
         use crate::timeseries::{TimeStore, TsConfig};
-        crate::set_enabled(true);
         let reg: &'static Registry = Box::leak(Box::new(Registry::new()));
         let store = TimeStore::with_registry(
             reg,

@@ -31,9 +31,8 @@
 //!   relaxed load of the `RECORDING` flag and returns if it is clear (or
 //!   if `trace_id == 0`, the "untraced" sentinel), so workloads that never
 //!   call [`set_recording`] pay a single predictable branch per site.
-//!   Unlike the metrics kill switch ([`crate::set_enabled`]), recording
-//!   defaults to **off**: traces are a debugging instrument, not a
-//!   steady-state metric.
+//!   Unlike the metrics, which always record, recording defaults to
+//!   **off**: traces are a debugging instrument, not a steady-state metric.
 //!
 //! Wrap-around loses the *oldest* events; [`RING_CAP`] (65 536 slots,
 //! ~3 MiB) holds the full seven-event chains of ~9 000 in-flight requests,

@@ -124,9 +124,6 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: f64) {
-        if !crate::enabled() {
-            return;
-        }
         self.0.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         // Float sum via CAS: lock-free, and precise enough for means.
         let mut cur = self.0.sum_bits.load(Ordering::Relaxed);
@@ -149,7 +146,7 @@ impl Histogram {
     /// degrades to a plain [`Histogram::record`].
     pub fn record_traced(&self, v: f64, trace_id: u64) {
         self.record(v);
-        if trace_id == 0 || !crate::enabled() {
+        if trace_id == 0 {
             return;
         }
         let mut cur = self.0.exemplar_bits.load(Ordering::Relaxed);

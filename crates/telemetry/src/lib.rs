@@ -41,13 +41,6 @@
 //! from the serving process, so a live scrape (`ms-net`'s `scrape` binary, or
 //! any client speaking the frame protocol) needs no file [`Flusher`] at
 //! all.
-//!
-//! # Kill switch
-//!
-//! [`set_enabled`] flips one global `AtomicBool` that every record path
-//! checks first. It exists so a harness can price always-on recording by
-//! running the same workload with recording on and off inside a single
-//! process; nothing in the serving path turns it off.
 
 pub mod expose;
 pub mod flight;
@@ -62,22 +55,6 @@ pub use histogram::Histogram;
 pub use registry::{global, Counter, Gauge, Registry};
 pub use slo::{SloEngine, SloSpec, SloStatus};
 pub use timeseries::{Sampler, TimeStore, TsConfig, WindowedHistogram};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables all metric recording and span timing at runtime.
-/// Handles stay valid; records issued while disabled are dropped.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Release);
-}
-
-/// Whether recording is currently enabled (one relaxed load).
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// `true` when this build compiled the span tracer in
 /// (`--features telemetry-spans`).
@@ -108,20 +85,4 @@ macro_rules! span {
         static __MS_SPAN_SITE: $crate::spans::SpanSite = $crate::spans::SpanSite::new($name);
         $crate::spans::SpanGuard::enter(&__MS_SPAN_SITE)
     }};
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn kill_switch_drops_records() {
-        let c = super::global().counter("lib_test_killswitch_total", "test");
-        c.inc();
-        assert_eq!(c.get(), 1);
-        super::set_enabled(false);
-        c.inc();
-        assert_eq!(c.get(), 1);
-        super::set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 2);
-    }
 }

@@ -97,9 +97,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.0.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -132,17 +130,12 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        if crate::enabled() {
-            self.0.bits.store(v.to_bits(), Ordering::Relaxed);
-        }
+        self.0.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Adds `d` (may be negative).
     #[inline]
     pub fn add(&self, d: f64) {
-        if !crate::enabled() {
-            return;
-        }
         let mut cur = self.0.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + d).to_bits();

@@ -462,7 +462,6 @@ mod tests {
     /// either boundary.
     #[test]
     fn burst_fires_fast_alert_and_recovery_resolves_without_flapping() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = TimeStore::with_registry(
             reg,
@@ -548,7 +547,6 @@ mod tests {
     /// firing alert firing and a resolved alert resolved.
     #[test]
     fn hysteresis_band_neither_fires_nor_resolves() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = TimeStore::with_registry(
             reg,
@@ -605,7 +603,6 @@ mod tests {
 
     #[test]
     fn idle_service_is_healthy_and_status_aggregates() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = TimeStore::with_registry(reg, TsConfig::default());
         let _total = reg.counter_with("t_deadline_total", &[("server", "a")], "");

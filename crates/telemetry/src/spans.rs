@@ -117,13 +117,10 @@ mod imp {
     }
 
     impl SpanGuard {
-        /// Enters `site`. No-op when recording is disabled, the site table
-        /// overflowed, or nesting exceeds `MAX_DEPTH`.
+        /// Enters `site`. No-op when the site table overflowed or nesting
+        /// exceeds `MAX_DEPTH`.
         #[inline]
         pub fn enter(site: &SpanSite) -> SpanGuard {
-            if !crate::enabled() {
-                return SpanGuard { active: false };
-            }
             let id = site.resolve();
             if id == DEAD {
                 return SpanGuard { active: false };

@@ -608,7 +608,6 @@ mod tests {
 
     #[test]
     fn counter_windowed_rates_from_snapshot_differencing() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = TimeStore::with_registry(
             reg,
@@ -635,7 +634,6 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_drops_oldest() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = TimeStore::with_registry(
             reg,
@@ -655,7 +653,6 @@ mod tests {
 
     #[test]
     fn gauge_history_keeps_last() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = TimeStore::with_registry(reg, TsConfig::default());
         let g = reg.gauge_with("ts_depth", &[("engine", "0")], "");
@@ -669,7 +666,6 @@ mod tests {
 
     #[test]
     fn hist_window_sees_only_recent_samples() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = TimeStore::with_registry(
             reg,
@@ -702,7 +698,6 @@ mod tests {
 
     #[test]
     fn non_advancing_ticks_are_ignored() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = TimeStore::with_registry(reg, TsConfig::default());
         let c = reg.counter("ts_mono_total", "");
@@ -717,7 +712,6 @@ mod tests {
 
     #[test]
     fn windowed_histogram_recovers_after_load_shift() {
-        crate::set_enabled(true);
         let h = Histogram::detached("wh");
         for _ in 0..100 {
             h.record(2.0);
@@ -740,7 +734,6 @@ mod tests {
 
     #[test]
     fn sampler_thread_ticks_and_stops() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = Arc::new(TimeStore::with_registry(reg, TsConfig::default()));
         let c = reg.counter("ts_sampler_total", "");
@@ -763,7 +756,6 @@ mod tests {
 
     #[test]
     fn series_histories_cover_all_kinds() {
-        crate::set_enabled(true);
         let reg = leaked_registry();
         let store = TimeStore::with_registry(
             reg,

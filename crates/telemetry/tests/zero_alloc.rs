@@ -42,7 +42,6 @@ fn allocations(mut f: impl FnMut()) -> u64 {
 /// state share a single thread.
 #[test]
 fn steady_state_recording_allocates_nothing() {
-    ms_telemetry::set_enabled(true);
     let reg = ms_telemetry::global();
 
     // Cold path: registration allocates — do all of it up front.

@@ -44,7 +44,6 @@ use ms_telemetry::{Registry, TimeStore, TsConfig, WindowedHistogram};
 
 #[test]
 fn warm_sampler_tick_and_slo_evaluate_allocate_nothing() {
-    ms_telemetry::set_enabled(true);
     let reg: &'static Registry = Box::leak(Box::new(Registry::new()));
 
     // Cold: registration, store construction, SLO engine gauges.

@@ -12,10 +12,9 @@
 //! [`ConvGeom::direct`] holds, the micro-kernel multiplies it straight from
 //! the image; elsewhere, and for its transpose (the weight gradient's
 //! `colsᵀ`), the GEMM drivers pack it from the image one panel at a time.
-//! [`im2col`] itself is left to the un-packed `gemm` fallback and to
-//! `gemm`'s small problems, and [`col2im`] to the backward of a strided
-//! convolution, whose input gradient is not a convolution of its output
-//! gradient ([`ConvGeom::transposed`]).
+//! [`im2col`] itself is left to `gemm`'s small problems, and [`col2im`] to
+//! the backward of a strided convolution, whose input gradient is not a
+//! convolution of its output gradient ([`ConvGeom::transposed`]).
 
 use crate::kernel::{store_transposed, LG, TB};
 use std::cell::RefCell;
@@ -887,7 +886,7 @@ pub fn global_avgpool_backward(doutput: &[f32], channels: usize, hw: usize, dinp
 mod tests {
     use super::*;
     use crate::matmul::{gemm, pack_a, pack_b, Operand, Trans, KC, NR};
-    use crate::panels::{gemm_packed_a, PackedA};
+    use crate::panels::{gemm_packed_a_stepped, PackedA};
     use crate::rng::SeededRng;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -1126,18 +1125,8 @@ mod tests {
             samples,
         };
         let b = Operand::Im2col(Trans::No, dy_cols);
-        gemm_packed_a(
-            0,
-            c_in,
-            ld,
-            c_pre * taps,
-            1.0,
-            &panels,
-            b,
-            0.0,
-            &mut got,
-            ld,
-        );
+        let (rows, k_ext) = ([0, c_in], [c_pre * taps]);
+        gemm_packed_a_stepped(&rows, &k_ext, ld, 1.0, &panels, b, 0.0, &mut got, ld);
         for (s, want_s) in want.chunks_exact(c_in * plane).enumerate() {
             for (ci, want_c) in want_s.chunks_exact(plane).enumerate() {
                 let got_c = &got[ci * ld + s * plane..][..plane];

@@ -23,8 +23,8 @@
 //! # Determinism
 //!
 //! For fixed `(m, k0, k1, n0, n1)` the blocking, packing and accumulation
-//! order of [`gemm_packed_b`] / [`gemm_packed_a`] are pure functions of
-//! those bounds (k splits at absolute multiples of `KC`, tiles at absolute
+//! order of [`gemm_packed_b`] / [`gemm_packed_a_stepped`] are pure functions
+//! of those bounds (k splits at absolute multiples of `KC`, tiles at absolute
 //! multiples of `NR`/`MR`). Two calls that cover the same element with the
 //! same `k` range produce bitwise-identical contributions — the foundation
 //! of the anytime prefix-refine path in `ms-nn`.
@@ -41,7 +41,17 @@ thread_local! {
     /// from the image: the convs of a stage share one, and a "same" conv's
     /// input gradient reads its output gradient through its own.
     static TAPS: RefCell<TapMasks> = RefCell::new(TapMasks::default());
+    /// The product of one chunk of samples side by side where the columns
+    /// are packed, before it is scattered sample-major. Grow-only.
+    static CHUNK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Columns one GEMM covers where a conv's columns are packed, in whole
+/// samples: enough that small planes fill whole register tiles, few enough
+/// that the packed `B` panel stays small where few output channels make
+/// packing most of the work (at 512, a stride-2 16-channel conv at batch 32
+/// ran 3 % slower).
+const CHUNK_COLS: usize = 128;
 
 /// Rows of `A` that [`gemm_packed_b`] packs per `KC` block (multiple of
 /// `MR`). Every batch a serving engine seals fits one block, so each `B`
@@ -290,27 +300,6 @@ pub fn gemm_packed_b(
     });
 }
 
-/// `C[m0..m1, 0..n) = alpha · op(A)[m0..m1, 0..k1) · op(B)[0..k1, :] + beta · C`
-/// with `op(A)` prepacked: [`gemm_packed_a_stepped`] with a single step.
-///
-/// `b` holds rows `[0, k1)`; `c` holds only the requested row window
-/// (`c[(i - m0) * ldc + j]`).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_packed_a(
-    m0: usize,
-    m1: usize,
-    n: usize,
-    k1: usize,
-    alpha: f32,
-    pa: &PackedA,
-    b: Operand,
-    beta: f32,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    gemm_packed_a_stepped(&[m0, m1], &[k1], n, alpha, pa, b, beta, c, ldc);
-}
-
 /// Stepped-`k` sweep over a prepacked `op(A)`: step `i` covers rows
 /// `[rows[i], rows[i+1])` and multiplies them with `k ∈ [0, k_ext[i])`,
 ///
@@ -340,7 +329,7 @@ pub fn gemm_packed_a_stepped(
     c: &mut [f32],
     ldc: usize,
 ) {
-    assert!(pa.valid, "gemm_packed_a on invalid panels");
+    assert!(pa.valid, "gemm_packed_a_stepped on invalid panels");
     assert_eq!(rows.len(), k_ext.len() + 1, "one k extent per row step");
     assert!(
         rows.is_sorted() && rows.last().is_some_and(|&m| m <= pa.m),
@@ -406,18 +395,25 @@ pub fn gemm_packed_a_stepped(
     });
 }
 
-/// [`gemm_packed_a_stepped`] with `B` the column matrix of a convolution
-/// [`ConvGeom::direct`](crate::conv::ConvGeom::direct) admits, which the
-/// micro-kernel reads straight from the image (`kernel::direct_tile`) —
-/// nothing is packed — and the product written sample-major, the way a
-/// layer lays out its output: row `i` of sample `s` at output position `q`
-/// goes to `c[s·lds + (i − rows[0])·OH·OW + q]`.
+/// The one conv multiply: [`gemm_packed_a_stepped`] with `alpha = 1`,
+/// `beta = 0` and `B` the column matrix `cols`, the product written
+/// sample-major, the way a layer lays out its output: row `i` of sample `s`
+/// at output position `q` goes to `c[s·lds + (i − rows[0])·OH·OW + q]`.
+///
+/// Where [`ConvGeom::direct`](crate::conv::ConvGeom::direct) admits the
+/// geometry the micro-kernel reads the columns straight from the image
+/// (`kernel::direct_tile`) and writes each lane group into its own sample's
+/// rows: nothing is packed or copied. Elsewhere (strided or shrinking
+/// windows, planes that are not whole lane groups) chunks of
+/// ⌈128 / OH·OW⌉ samples go side by side through [`gemm_packed_a_stepped`],
+/// their columns packed from the image, and each chunk's product is
+/// scattered sample-major.
 ///
 /// `C` is overwritten; a step with `k_ext = 0` clears its rows. Each element
-/// gets the bits [`gemm_packed_a_stepped`] gives it with `alpha = 1` and
-/// `beta = 0` over `Operand::Im2col(Trans::No, cols)`: the same `A` strips,
-/// the same `B` values (`+0.0` where a tap reads padding), the same absolute
-/// `KC` blocks and the same FMA chain; only where it lands differs.
+/// gets the bits [`gemm_packed_a_stepped`] gives it over
+/// `Operand::Im2col(Trans::No, cols)`: the same `A` strips, the same `B`
+/// values (`+0.0` where a tap reads padding), the same absolute `KC` blocks
+/// and the same FMA chain; only where it lands differs.
 pub fn conv_packed_a_stepped(
     rows: &[usize],
     k_ext: &[usize],
@@ -446,6 +442,9 @@ pub fn conv_packed_a_stepped(
         return;
     }
     debug_assert!(lds >= (m1 - m0) * out_len && c.len() >= (cols.samples - 1) * lds);
+    if !cols.geom.direct() {
+        return conv_by_chunks(rows, k_ext, pa, cols, c, lds);
+    }
     for (step, &k1) in k_ext.iter().enumerate() {
         let (r0, r1) = (rows[step] - m0, rows[step + 1] - m0);
         if r0 < r1 && k1 == 0 {
@@ -505,6 +504,55 @@ pub fn conv_packed_a_stepped(
             }
         }
     });
+}
+
+/// [`conv_packed_a_stepped`] where the columns are packed: one
+/// [`gemm_packed_a_stepped`] per chunk of samples side by side, into the
+/// thread's chunk buffer, then [`scatter`]ed into `c`.
+fn conv_by_chunks(
+    rows: &[usize],
+    k_ext: &[usize],
+    pa: &PackedA,
+    cols: Im2col,
+    c: &mut [f32],
+    lds: usize,
+) {
+    let (window, out_len) = (rows[rows.len() - 1] - rows[0], cols.geom.out_len());
+    let per = CHUNK_COLS.div_ceil(out_len);
+    let sample_len = cols.channels * cols.geom.h * cols.geom.w;
+    CHUNK.with(|chunk| {
+        let chunk = &mut *chunk.borrow_mut();
+        for first in (0..cols.samples).step_by(per) {
+            let samples = per.min(cols.samples - first);
+            let ld = samples * out_len;
+            if chunk.len() < window * ld {
+                chunk.resize(window * ld, 0.0);
+            }
+            let out = &mut chunk[..window * ld];
+            let input = &cols.input[first * sample_len..][..samples * sample_len];
+            let b = Operand::Im2col(
+                Trans::No,
+                Im2col {
+                    input,
+                    samples,
+                    ..cols
+                },
+            );
+            gemm_packed_a_stepped(rows, k_ext, ld, 1.0, pa, b, 0.0, out, ld);
+            scatter(out, out_len, samples, &mut c[first * lds..], lds);
+        }
+    });
+}
+
+/// Copies a chunk's product — each row holding `samples` samples side by
+/// side, `[rows, samples·OH·OW]` — to the sample-major `c`, where sample
+/// `s`'s first row starts at `s · lds`.
+fn scatter(out: &[f32], out_len: usize, samples: usize, c: &mut [f32], lds: usize) {
+    for (row, out_row) in out.chunks_exact(samples * out_len).enumerate() {
+        for (s, src) in out_row.chunks_exact(out_len).enumerate() {
+            c[s * lds + row * out_len..][..out_len].copy_from_slice(src);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -741,7 +789,8 @@ mod tests {
                 let k1 = 1 + (rng.uniform(0.0, k as f32) as usize).min(k - 1);
                 let (m0, m1, k1) = if case == 0 { (0, m, k) } else { (m0, m1, k1) };
                 let mut c = vec![0.0f32; (m1 - m0) * n];
-                gemm_packed_a(m0, m1, n, k1, 1.0, &pa, mat(&b, n), 0.0, &mut c, n);
+                let b_op = mat(&b, n);
+                gemm_packed_a_stepped(&[m0, m1], &[k1], n, 1.0, &pa, b_op, 0.0, &mut c, n);
                 let mut want = vec![0.0f32; m * n];
                 gemm_reference(
                     Trans::No,
@@ -782,23 +831,15 @@ mod tests {
         let b = filled(&mut rng, k * n);
         let mut pa = PackedA::new();
         pa.pack(Trans::No, &a, k, m, k);
+        let one_step = |m0: usize, m1: usize, c: &mut [f32]| {
+            gemm_packed_a_stepped(&[m0, m1], &[k], n, 1.0, &pa, mat(&b, n), 0.0, c, n);
+        };
         let mut whole = vec![0.0f32; m * n];
-        gemm_packed_a(0, m, n, k, 1.0, &pa, mat(&b, n), 0.0, &mut whole, n);
+        one_step(0, m, &mut whole);
         for split in [1, MR - 1, MR, 2 * MR, 30] {
             let mut parts = vec![0.0f32; m * n];
-            gemm_packed_a(0, split, n, k, 1.0, &pa, mat(&b, n), 0.0, &mut parts, n);
-            gemm_packed_a(
-                split,
-                m,
-                n,
-                k,
-                1.0,
-                &pa,
-                mat(&b, n),
-                0.0,
-                &mut parts[split * n..],
-                n,
-            );
+            one_step(0, split, &mut parts);
+            one_step(split, m, &mut parts[split * n..]);
             assert_eq!(
                 whole.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 parts.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -808,7 +849,7 @@ mod tests {
     }
 
     /// One stepped sweep (columns packed once per `KC` block) writes the
-    /// bits of the per-step `gemm_packed_a` calls it replaces: random group
+    /// bits of the one-step calls it replaces: random group
     /// boundaries, non-monotone `k` extents, extents on both sides of `KC`
     /// block edges, empty steps.
     #[test]
@@ -854,18 +895,8 @@ mod tests {
             let mut parts = start.clone();
             for i in 0..steps {
                 let c = &mut parts[(rows[i] - rows[0]) * n..];
-                gemm_packed_a(
-                    rows[i],
-                    rows[i + 1],
-                    n,
-                    k_ext[i],
-                    alpha,
-                    &pa,
-                    mat(&b, n),
-                    beta,
-                    c,
-                    n,
-                );
+                let (step, b) = (&rows[i..i + 2], mat(&b, n));
+                gemm_packed_a_stepped(step, &k_ext[i..=i], n, alpha, &pa, b, beta, c, n);
             }
             assert_eq!(
                 swept.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -942,23 +973,22 @@ mod tests {
             );
         }
         let mut c = vec![f32::NAN; MR * n];
-        gemm_packed_a(0, MR, n, k, 1.0, &pa, mat(&b, n), 0.0, &mut c, n);
+        gemm_packed_a_stepped(&[0, MR], &[k], n, 1.0, &pa, mat(&b, n), 0.0, &mut c, n);
         assert!(c.iter().all(|v| v.is_finite()));
     }
 
     /// A quiet NaN no arithmetic here produces: what `C` holds wherever the
-    /// direct driver must not write.
+    /// conv driver must not write.
     const POISON: u32 = 0x7fc0_beef;
 
-    /// The direct driver over `samples` images of `channels` channels and a
-    /// stepped sweep `(rows, k_ext)` of an `m`-row weight, against
-    /// `gemm_packed_a_stepped` over the same columns packed from the image
-    /// into the chunk layout (`[rows, samples·OH·OW]`), then copied
-    /// sample-major as the layers' `unchunk` did: bit for bit, into output
-    /// poisoned with NaN whose sample stride leaves a gap that must stay
-    /// poisoned.
+    /// The conv driver over `samples` images of `channels` channels and a
+    /// stepped sweep `(rows, k_ext)` of an `m`-row weight, against one
+    /// `gemm_packed_a_stepped` over the same columns of every sample packed
+    /// from the image (`[rows, samples·OH·OW]`), then copied sample-major:
+    /// bit for bit, into output poisoned with NaN whose sample stride leaves
+    /// a gap that must stay poisoned.
     #[allow(clippy::too_many_arguments)]
-    fn check_direct(
+    fn check_conv(
         g: &ConvGeom,
         channels: usize,
         samples: usize,
@@ -967,7 +997,6 @@ mod tests {
         k_ext: &[usize],
         seed: u64,
     ) -> Result<(), TestCaseError> {
-        prop_assert!(g.direct());
         let mut rng = SeededRng::new(seed);
         let (k, out_len) = (channels * g.kh * g.kw, g.out_len());
         let w = filled(&mut rng, m * k);
@@ -1034,6 +1063,7 @@ mod tests {
             let pad = (kernel - 1) / 2;
             let g = ConvGeom { h: side, w: side, kh: kernel, kw: kernel, stride: 1, pad };
             proptest::prop_assert_eq!(g.transposed(), Some(g));
+            prop_assert!(g.direct());
             let taps = kernel * kernel;
             let mut rows: Vec<usize> = cuts.iter().map(|&r| r.clamp(start.min(m), m)).collect();
             rows.extend([start.min(m), m]);
@@ -1047,7 +1077,40 @@ mod tests {
                     k => k,
                 })
                 .collect();
-            check_direct(&g, channels, samples, m, &rows, &k_ext, seed)?;
+            check_conv(&g, channels, samples, m, &rows, &k_ext, seed)?;
+        }
+    }
+
+    /// Geometries the micro-kernel cannot read in place — stride 2 with and
+    /// without padding, a 7×7 plane, a padded 1×1 window — go through their
+    /// packed columns chunk by chunk to the same bits: batches of one sample,
+    /// of exactly one chunk and of an uneven third chunk, one step over all
+    /// of `k` (past a `KC` edge for the 3×3 windows) and a stepped sweep with
+    /// a mid-channel and a zero extent.
+    #[test]
+    fn the_columns_path_matches_across_chunks() {
+        let (channels, m) = (40, 20);
+        for (i, (side, kernel, stride, pad)) in
+            [(8, 3, 2, 1), (14, 3, 2, 0), (7, 3, 1, 1), (5, 1, 1, 1)]
+                .into_iter()
+                .enumerate()
+        {
+            let g = ConvGeom {
+                h: side,
+                w: side,
+                kh: kernel,
+                kw: kernel,
+                stride,
+                pad,
+            };
+            assert!(!g.direct(), "{g:?}");
+            let (k, per) = (channels * kernel * kernel, CHUNK_COLS.div_ceil(g.out_len()));
+            for samples in [1, per, 2 * per + 3] {
+                let seed = i as u64;
+                check_conv(&g, channels, samples, m, &[0, m], &[k], seed).unwrap();
+                let (rows, k_ext) = ([3, 9, 12, 17, m], [k - 1, 0, 5, k]);
+                check_conv(&g, channels, samples, m, &rows, &k_ext, seed).unwrap();
+            }
         }
     }
 
@@ -1075,7 +1138,7 @@ mod tests {
                 pad,
             };
             let k = channels * kernel * kernel;
-            check_direct(&g, channels, 32, m, &[0, m], &[k], i as u64).unwrap();
+            check_conv(&g, channels, 32, m, &[0, m], &[k], i as u64).unwrap();
         }
     }
 

@@ -129,8 +129,9 @@ echo "== allocation tripwire (hot layer bodies) =="
 # `fn forward_train(` / `fn forward_prefix(` / `fn backward(` bodies, the
 # per-part bodies a split pass runs on either thread (a conv backward's chunk
 # loop is `run`), the conv passes' helpers, the direct micro-kernel that
-# reads a stride-1 conv's columns in place and the driver that sweeps it,
-# the packers that write a conv's columns, transposed columns and output
+# reads a stride-1 conv's columns in place, the conv driver that sweeps it or
+# runs the packed columns chunk by chunk and scatters each chunk, the
+# packers that write a conv's columns, transposed columns and output
 # gradient from the image, the GEMM drivers that take them, the recurrent
 # backward's panel helpers and the fork-join itself (brace-counted): the
 # per-call paths use `Tensor::pooled_zeros`, `pooled_clone`,
@@ -138,7 +139,7 @@ echo "== allocation tripwire (hot layer bodies) =="
 # the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_train|forward_prefix|backward|forward_train_part|forward_direct|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|unchunk|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a|gemm_packed_a_stepped|conv_packed_a_stepped|gemm_packed_b|gate_gemm|pack_gate_blocks|recurrent_grad|join|wait|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_train|forward_prefix|backward|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|gate_gemm|pack_gate_blocks|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0

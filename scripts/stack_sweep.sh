@@ -10,7 +10,7 @@
 # times and an offset is read as its fastest pass. A kernel whose speed
 # follows the stack offset shows a ratio well above 1 here and bimodal
 # per-layer figures everywhere else (DESIGN.md §8.1); `cargo bench -p
-# ms-bench --bench kernels -- conv_fwd_packed_vs_gemm` under the same
+# ms-bench --bench kernels -- conv_fwd_packed` under the same
 # `setarch -R env PAD=…` is the cross-check on one layer.
 #
 # Usage: scripts/stack_sweep.sh [path/to/forward_profile]   (from the repo root)

@@ -19,11 +19,6 @@ use modelslicing::serving::engine::{Engine, EngineConfig, ReplayReport};
 use modelslicing::serving::{LatencyProfile, SlaController, WorkloadConfig, WorkloadTrace};
 use modelslicing::slicing::slice_rate::SliceRateList;
 use modelslicing::tensor::{SeededRng, Tensor};
-use std::sync::Mutex;
-
-/// The telemetry kill switch is process-global; tests that flip it must not
-/// overlap tests that assert on registry-backed counters.
-static KILL_SWITCH_SERIAL: Mutex<()> = Mutex::new(());
 
 const INPUT_DIM: usize = 12;
 
@@ -96,7 +91,6 @@ fn replay_with_workers(workers: usize, weights: &SharedWeights) -> ReplayReport 
 
 #[test]
 fn one_worker_and_four_workers_produce_bitwise_identical_logits() {
-    let _serial = KILL_SWITCH_SERIAL.lock().unwrap();
     let mut rng = SeededRng::new(7);
     let mut proto = Mlp::new(&mlp_config(), &mut rng);
     let weights = SharedWeights::capture(&mut proto);
@@ -138,43 +132,4 @@ fn one_worker_and_four_workers_produce_bitwise_identical_logits() {
         "trace only used {widths} width(s): {:?}",
         pool.counters.rate_histogram
     );
-}
-
-/// Telemetry is observation, not participation: replaying with metric
-/// recording enabled and disabled (the kill switch `scripts/perfcheck.sh`
-/// uses for the overhead gate) must produce bitwise-identical logits, rates
-/// and batch assignments. Together with the `determinism_probe` diff across
-/// feature builds in perfcheck, this pins satellite 4's guarantee that
-/// instrumented and uninstrumented inference agree bit for bit.
-#[test]
-fn recording_on_and_off_produce_bitwise_identical_logits() {
-    let _serial = KILL_SWITCH_SERIAL.lock().unwrap();
-    let mut rng = SeededRng::new(7);
-    let mut proto = Mlp::new(&mlp_config(), &mut rng);
-    let weights = SharedWeights::capture(&mut proto);
-
-    modelslicing::telemetry::set_enabled(true);
-    let on = replay_with_workers(2, &weights);
-    modelslicing::telemetry::set_enabled(false);
-    let off = replay_with_workers(2, &weights);
-    modelslicing::telemetry::set_enabled(true);
-
-    assert_eq!(on.served, off.served);
-    assert_eq!(on.shed, off.shed);
-    assert!(on.served > 0, "trace produced no served requests");
-    assert_eq!(on.responses.len(), off.responses.len());
-    for (a, b) in on.responses.iter().zip(&off.responses) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(
-            a.rate, b.rate,
-            "request {} served at different widths",
-            a.id
-        );
-        assert_eq!(a.batch_seq, b.batch_seq);
-        assert_eq!(
-            a.logits, b.logits,
-            "request {} logits differ with recording off",
-            a.id
-        );
-    }
 }
