@@ -103,7 +103,7 @@ impl FrontRouter {
                 let mut r = BufReader::new(read_half);
                 loop {
                     match read_frame(&mut r) {
-                        Ok((Frame::InferResponse(resp), _)) => {
+                        Ok((Frame::InferResponse(resp), _, _)) => {
                             if tx.send(Event::Resp(token, resp)).is_err() {
                                 break;
                             }
@@ -204,7 +204,7 @@ impl FrontRouter {
                 self.failover_sheds.inc();
                 return Some(failover_shed(correlation_id));
             };
-            match write_frame(&mut c.writer, &frame) {
+            match write_frame(&mut c.writer, &frame, 0) {
                 Ok(_) => {
                     c.outstanding.insert(correlation_id);
                     return None;

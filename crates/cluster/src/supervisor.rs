@@ -4,20 +4,23 @@
 //!
 //! Each shard is one `shard_server` process (ms-net) configured entirely
 //! through `MS_SHARD_*` environment variables. The spawn handshake is a
-//! single `MS_SHARD_ADDR=<ip:port>` line on the child's stdout: the
-//! child binds an ephemeral port, so the supervisor never has to guess
-//! free ports or race other processes for them. Retirement reuses the
-//! wire `Drain` protocol — the shard flushes every in-flight request,
-//! acks, and *exits*, which turns "retired losslessly" into an ordinary
-//! observable process exit. Any exit the supervisor did not ask for is a
-//! crash, and [`Supervisor::poll_exits`] reports it so the control loop
-//! can restart the shard under a bumped generation.
+//! single `MS_SHARD_ADDR=<ip:port> wire=<version>` line on the child's
+//! stdout: the child binds an ephemeral port, so the supervisor never has
+//! to guess free ports or race other processes for them, and a shard
+//! built for another wire version is refused at spawn instead of failing
+//! every request mid-run. Retirement reuses the wire `Drain` protocol —
+//! the shard flushes every in-flight request, acks, and *exits*, which
+//! turns "retired losslessly" into an ordinary observable process exit.
+//! Any exit the supervisor did not ask for is a crash, and
+//! [`Supervisor::poll_exits`] reports it so the control loop can restart
+//! the shard under a bumped generation.
 
+use ms_net::protocol::VERSION;
 use ms_net::Client;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -198,24 +201,15 @@ impl Supervisor {
             .spawn()?;
         // Handshake: block on the one MS_SHARD_ADDR line. Binding is
         // fast (ephemeral port); model construction happens before the
-        // print, so a successful read means the shard is serving.
+        // print, so a successful read means the shard is serving. A child
+        // that fails the handshake is killed, never left running.
         let stdout = child.stdout.take().expect("piped stdout");
-        let mut reader = BufReader::new(stdout);
-        let mut line = String::new();
-        let addr = loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
+        let addr = match read_handshake(BufReader::new(stdout), &s.bin) {
+            Ok(addr) => addr,
+            Err(e) => {
                 let _ = child.kill();
                 let _ = child.wait();
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "shard exited before printing MS_SHARD_ADDR",
-                ));
-            }
-            if let Some(rest) = line.trim().strip_prefix("MS_SHARD_ADDR=") {
-                break rest.parse::<SocketAddr>().map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("bad shard addr: {e}"))
-                })?;
+                return Err(e);
             }
         };
         let pid = child.id();
@@ -342,6 +336,38 @@ impl Supervisor {
     }
 }
 
+/// Reads the child's `MS_SHARD_ADDR=<ip:port> wire=<version>` line and
+/// refuses a shard that speaks another wire version than this build.
+fn read_handshake(mut reader: impl BufRead, bin: &Path) -> io::Result<SocketAddr> {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "shard exited before printing MS_SHARD_ADDR",
+            ));
+        }
+        let Some(rest) = line.trim().strip_prefix("MS_SHARD_ADDR=") else {
+            continue;
+        };
+        return match rest.split_once(" wire=") {
+            Some((addr, wire)) if wire == VERSION.to_string() => addr.parse().map_err(|e| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("bad shard addr: {e}"))
+            }),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} answered the spawn handshake with {:?}, not wire={VERSION}: \
+                     rebuild it with `cargo build -p ms-net --bin shard_server`",
+                    bin.display(),
+                    line.trim()
+                ),
+            )),
+        };
+    }
+}
+
 impl Drop for Supervisor {
     /// No orphan processes: whatever is still running dies with the
     /// supervisor.
@@ -351,6 +377,46 @@ impl Drop for Supervisor {
         }
         for s in &mut self.shards {
             let _ = s.child.wait();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `shard_server` left in `target/` by a build of another wire
+    /// version is refused at spawn, with the binary and the rebuild
+    /// command in the error.
+    #[cfg(unix)]
+    #[test]
+    fn spawn_refuses_a_shard_of_another_wire_version() {
+        use std::os::unix::fs::PermissionsExt;
+        for (i, line) in [
+            "MS_SHARD_ADDR=127.0.0.1:9",
+            "MS_SHARD_ADDR=127.0.0.1:9 wire=2",
+        ]
+        .iter()
+        .enumerate()
+        {
+            let script =
+                std::env::temp_dir().join(format!("ms_stale_shard_{}_{i}.sh", std::process::id()));
+            std::fs::write(
+                &script,
+                format!("#!/bin/sh\necho '{line}'\nexec sleep 30\n"),
+            )
+            .unwrap();
+            std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+            let err = Supervisor::new(ShardSpec::small(script.clone()))
+                .spawn_shard()
+                .unwrap_err();
+            let _ = std::fs::remove_file(&script);
+            let msg = err.to_string();
+            assert!(msg.contains(&script.display().to_string()), "{msg}");
+            assert!(
+                msg.contains("cargo build -p ms-net --bin shard_server"),
+                "{msg}"
+            );
         }
     }
 }

@@ -5,7 +5,8 @@
 //! (a child process's argv is visible to every user on the box; its
 //! environment is not, and env vars keep the supervisor's spawn code
 //! trivial). The process binds an ephemeral port, prints exactly one
-//! `MS_SHARD_ADDR=<ip:port>` line on stdout for the supervisor to read,
+//! `MS_SHARD_ADDR=<ip:port> wire=<version>` line on stdout for the
+//! supervisor to read (it refuses a shard built for another wire version),
 //! and serves until a wire `Drain` completes — at which point it exits 0
 //! so drain-initiated retirement and process exit are one observable
 //! event. A crash (or `kill`) is the other way out, and the supervisor
@@ -31,7 +32,7 @@
 
 use ms_core::slice_rate::SliceRateList;
 use ms_models::mlp::{Mlp, MlpConfig};
-use ms_net::protocol::ShardIdentity;
+use ms_net::protocol::{ShardIdentity, VERSION};
 use ms_net::{Router, Server, ServerConfig};
 use ms_nn::layer::Layer;
 use ms_nn::shared::SharedWeights;
@@ -125,9 +126,10 @@ fn main() {
     )
     .expect("bind shard server");
 
-    // The one line the supervisor waits for. Line-buffered stdout would
-    // also work, but an explicit flush makes the handshake unambiguous.
-    println!("MS_SHARD_ADDR={}", server.local_addr());
+    // The one line the supervisor waits for, with the wire version this
+    // build speaks. Line-buffered stdout would also work, but an explicit
+    // flush makes the handshake unambiguous.
+    println!("MS_SHARD_ADDR={} wire={VERSION}", server.local_addr());
     std::io::stdout().flush().expect("flush addr line");
 
     // Serve until a wire Drain finishes (stop goes up only after the

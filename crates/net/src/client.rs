@@ -12,8 +12,7 @@
 //! server's partial-read/partial-write handling.
 
 use crate::protocol::{
-    read_frame, read_frame_traced, write_frame, write_frame_traced, Frame, HealthReply,
-    InferRequest, InferResponse, NetError, WireError,
+    read_frame, write_frame, Frame, HealthReply, InferRequest, InferResponse, NetError, WireError,
 };
 use ms_tensor::Tensor;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -50,12 +49,12 @@ impl Client {
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
-        write_frame(&mut self.writer, frame)?;
+        write_frame(&mut self.writer, frame, 0)?;
         self.writer.flush().map_err(NetError::Io)
     }
 
     fn recv(&mut self) -> Result<Frame, NetError> {
-        let (frame, _) = read_frame(&mut self.reader)?;
+        let (frame, _, _) = read_frame(&mut self.reader)?;
         Ok(frame)
     }
 
@@ -82,14 +81,14 @@ impl Client {
         input: &Tensor,
         trace_id: u64,
     ) -> Result<(InferResponse, u64), NetError> {
-        write_frame_traced(
+        write_frame(
             &mut self.writer,
             &request_frame(correlation_id, deadline_micros, input),
             trace_id,
         )?;
         self.writer.flush().map_err(NetError::Io)?;
         loop {
-            let (frame, trace, _) = read_frame_traced(&mut self.reader)?;
+            let (frame, trace, _) = read_frame(&mut self.reader)?;
             match frame {
                 Frame::InferResponse(r) if r.correlation_id == correlation_id => {
                     return Ok((r, trace))
@@ -208,7 +207,7 @@ impl PipelinedClient {
             .spawn(move || {
                 let mut r = BufReader::new(read_half);
                 loop {
-                    match read_frame_traced(&mut r) {
+                    match read_frame(&mut r) {
                         Ok((Frame::InferResponse(resp), trace, _)) => {
                             if resp_tx.send((resp, trace)).is_err() {
                                 break;
@@ -251,7 +250,7 @@ impl PipelinedClient {
     }
 
     /// [`PipelinedClient::send`] with an explicit flight-recorder trace
-    /// context (`trace_id != 0` emits a v2 frame carrying the id).
+    /// context (`0` = untraced).
     pub fn send_traced(
         &mut self,
         correlation_id: u64,
@@ -259,7 +258,7 @@ impl PipelinedClient {
         input: &Tensor,
         trace_id: u64,
     ) -> Result<(), NetError> {
-        write_frame_traced(
+        write_frame(
             &mut self.writer,
             &request_frame(correlation_id, deadline_micros, input),
             trace_id,
@@ -289,7 +288,7 @@ impl PipelinedClient {
 
     /// Requests a health snapshot and waits for it.
     pub fn health(&mut self, timeout: Duration) -> Result<HealthReply, NetError> {
-        write_frame(&mut self.writer, &Frame::HealthRequest)?;
+        write_frame(&mut self.writer, &Frame::HealthRequest, 0)?;
         self.flush().map_err(NetError::Io)?;
         match self.control.recv_timeout(timeout) {
             Ok(Control::Health(h)) => Ok(h),
@@ -302,7 +301,7 @@ impl PipelinedClient {
 
     /// Requests the Prometheus exposition and waits for it.
     pub fn metrics(&mut self, timeout: Duration) -> Result<String, NetError> {
-        write_frame(&mut self.writer, &Frame::MetricsRequest)?;
+        write_frame(&mut self.writer, &Frame::MetricsRequest, 0)?;
         self.flush().map_err(NetError::Io)?;
         match self.control.recv_timeout(timeout) {
             Ok(Control::Metrics(m)) => Ok(m),
@@ -316,7 +315,7 @@ impl PipelinedClient {
     /// Requests the server's flight-recorder dump (Chrome trace-event
     /// JSON) and waits for it.
     pub fn trace_dump(&mut self, timeout: Duration) -> Result<String, NetError> {
-        write_frame(&mut self.writer, &Frame::TraceDumpRequest)?;
+        write_frame(&mut self.writer, &Frame::TraceDumpRequest, 0)?;
         self.flush().map_err(NetError::Io)?;
         match self.control.recv_timeout(timeout) {
             Ok(Control::TraceDump(j)) => Ok(j),
@@ -332,7 +331,7 @@ impl PipelinedClient {
     /// the ack arrives (the server orders them before it). Returns the
     /// server's lifetime delivered count.
     pub fn drain_server(&mut self, timeout: Duration) -> Result<u64, NetError> {
-        write_frame(&mut self.writer, &Frame::Drain)?;
+        write_frame(&mut self.writer, &Frame::Drain, 0)?;
         self.flush().map_err(NetError::Io)?;
         match self.control.recv_timeout(timeout) {
             Ok(Control::DrainAck(delivered)) => Ok(delivered),

@@ -17,12 +17,13 @@
 //!   high-connection-count runs.
 //! - [`protocol`] — versioned frames ([`Frame`]) with an FNV-1a checksum
 //!   over header and payload; decoding rejects malformed bytes with a
-//!   [`WireError`], never a panic. Since v2 a frame can carry an 8-byte
-//!   flight-recorder trace id; untraced frames still encode byte-for-byte
-//!   as v1, and v1 decoders' frames still decode. [`FrameDecoder`] is the
-//!   incremental entry point for non-blocking streams: feed it whatever
-//!   bytes arrived, get complete frames out; it never over-reads and
-//!   accepts exactly the byte strings the buffer decoder accepts.
+//!   [`WireError`], never a panic. Every frame carries an 8-byte
+//!   flight-recorder trace id in its fixed header (0 = untraced), and a
+//!   frame of any other version than this build's is refused.
+//!   [`FrameDecoder`] is the incremental entry point for non-blocking
+//!   streams: feed it whatever bytes arrived, get complete frames out; it
+//!   never over-reads, and it runs the same header check and body parse
+//!   as the buffer decoder, so both reach the same verdict.
 //! - [`router`] — [`Router`] places each request on the healthiest of N
 //!   [`Engine`](ms_serving::engine::Engine) replicas
 //!   (`score = queue_depth + W·p99/window`), failing over on
@@ -60,7 +61,6 @@ pub mod server;
 pub mod sys;
 
 pub use client::{Client, PipelinedClient};
-pub use protocol::{read_frame_traced, write_frame_traced};
 pub use protocol::{
     Frame, FrameDecoder, HealthReply, InferOutcome, InferRequest, InferResponse, NetError,
     ReplicaHealth, ShardIdentity, SloHealth, WireError, WireShedReason,

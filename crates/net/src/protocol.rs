@@ -1,6 +1,6 @@
 //! The length-prefixed binary wire protocol.
 //!
-//! Every message is one **frame**: a fixed 16-byte header followed by a
+//! Every message is one **frame**: a fixed 24-byte header followed by a
 //! type-specific payload. All integers are little-endian; floats travel as
 //! their IEEE-754 bit patterns (`to_le_bytes` of the bits), so a round trip
 //! is bitwise lossless — the property the soak test's logits comparison
@@ -9,49 +9,42 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic     0x4D534E46 ("MSNF")
-//!      4     2  version   1 (legacy) or 2 (trace-context)
+//!      4     2  version   3
 //!      6     2  type      frame type tag (see the `ty` constants)
-//!      8     4  length    payload bytes (≤ 64 MiB, excludes the extension)
-//!     12     4  checksum  FNV-1a/32 over bytes [4..12) ++ ext ++ payload
-//!     16     8  trace_id  (version 2 only) flight-recorder trace context
-//!   16/24     …  payload
+//!      8     4  length    payload bytes (≤ 64 MiB)
+//!     12     4  checksum  FNV-1a/32 over bytes [4..12) ++ [16..end)
+//!     16     8  trace_id  flight-recorder trace context (0 = untraced)
+//!     24     …  payload
 //! ```
 //!
-//! Version 2 (this PR) extends the header with an 8-byte `trace_id` so a
-//! request's flight-recorder identity survives the network hop; `0` means
-//! "untraced". Encoders emit version 1 — byte-identical to the pre-trace
-//! protocol — whenever a frame carries no trace id and no v2-only payload,
-//! so old peers keep interoperating; decoders accept both versions
-//! (version-1 frames decode with `trace_id == 0` and defaulted v2 payload
-//! fields). The extension bytes sit between header and payload and are
-//! covered by the checksum, which conveniently keeps the checksum formula
-//! identical across versions: FNV over bytes `[4..12)` then everything
-//! after the fixed header.
+//! There is one version. Every peer of the protocol is built from this
+//! tree, so a frame stamped with any other version is refused by its
+//! header instead of being parsed under a guessed layout.
 //!
-//! The checksum covers the version/type/length fields as well as the
-//! payload, so *any* single corrupted byte — header, extension or body —
-//! is rejected: a flipped type tag cannot reinterpret a valid payload as a
-//! different frame kind, and a flipped version bit cannot re-frame the
-//! extension (1 and 2 differ in two bits, and the checksum input shifts
-//! anyway). Decoding is total: malformed input of every sort (truncated,
-//! oversized, bit-flipped, structurally invalid) returns a [`WireError`],
-//! never panics, and never allocates more than the declared-and-validated
+//! The checksum covers the version/type/length fields, the trace id and
+//! the payload, so *any* single corrupted byte is rejected: a flipped type
+//! tag cannot reinterpret a valid payload as a different frame kind.
+//! Decoding is total: malformed input of every sort (truncated, oversized,
+//! bit-flipped, structurally invalid) returns a [`WireError`], never
+//! panics, and never allocates more than the declared-and-validated
 //! payload length.
+//!
+//! Every entry point — [`Frame::decode_traced`] over a slice,
+//! [`read_frame`] over a `Read`, [`FrameDecoder::feed`] over whatever
+//! chunks arrive — runs the same two steps: one header check (magic,
+//! version, type, declared length against the cap) before anything is
+//! allocated for the payload, then one body parse (checksum, payload)
+//! over the complete frame.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Frame magic: `"MSNF"` as a little-endian u32.
 pub const MAGIC: u32 = 0x464E_534D;
-/// Current protocol version (adds the `trace_id` header extension).
-pub const VERSION: u16 = 2;
-/// The pre-trace protocol version; still decoded, still emitted for
-/// untraced frames with no v2-only payload.
-pub const LEGACY_VERSION: u16 = 1;
-/// Fixed header bytes (both versions).
-pub const HEADER_LEN: usize = 16;
-/// Header-extension bytes carrying the trace id in version 2 frames.
-pub const TRACE_EXT_LEN: usize = 8;
+/// The protocol version; frames stamped with any other are refused.
+pub const VERSION: u16 = 3;
+/// Fixed header bytes, trace id included.
+pub const HEADER_LEN: usize = 24;
 /// Hard cap on the payload length a peer may declare.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 /// Hard cap on tensor rank in a frame.
@@ -80,7 +73,7 @@ pub mod ty {
 pub enum WireError {
     /// The first four bytes are not the protocol magic.
     BadMagic,
-    /// The version field names a protocol revision this build cannot parse.
+    /// The version field is not [`VERSION`].
     UnsupportedVersion(u16),
     /// The type field names no known frame kind.
     UnknownType(u16),
@@ -237,17 +230,12 @@ pub struct ReplicaHealth {
     /// Requests shed since start.
     pub shed: u64,
     /// Slice rate the controller chose for the most recently sealed batch
-    /// (0.0 before the first seal). Version ≥ 2; decodes as 0.0 from
-    /// legacy peers.
+    /// (0.0 before the first seal).
     pub rate: f32,
 }
 
 /// Live SLO status carried by a [`HealthReply`] from servers that run the
-/// telemetry sampler. On the wire this is an *optional tail* after the
-/// replica list: a reply without it encodes byte-identically to the
-/// pre-SLO layout, and a decoder that finds no bytes left after the
-/// replicas yields `None` — so old peers in either direction keep
-/// working without a version bump.
+/// telemetry sampler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloHealth {
     /// Deadline-SLO burn rate over the fast (seconds-scale) window, in
@@ -266,20 +254,9 @@ pub struct SloHealth {
     pub window_p99_s: f64,
 }
 
-/// Encoded size of the optional [`SloHealth`] tail: 4×f64 burns +
-/// u32 firing + f64 p99.
-const SLO_TAIL_LEN: usize = 44;
-/// Encoded size of the optional [`ShardIdentity`] tail: 3×u32.
-const SHARD_TAIL_LEN: usize = 12;
-
 /// Identity of the shard *process* behind a [`HealthReply`] — set by
 /// servers run as cluster shards (the `shard_server` bin), `None` for
-/// standalone servers. On the wire this is a second length-guarded
-/// optional tail after [`SloHealth`]: the fixed sizes of the two blocks
-/// (44 and 12 bytes) make every present/absent combination decodable
-/// from the remaining byte count alone, so pre-shard peers in either
-/// direction keep working without a version bump (the PR 8 byte-compat
-/// pattern).
+/// standalone servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardIdentity {
     /// Supervisor-assigned shard id, stable across restarts.
@@ -291,24 +268,23 @@ pub struct ShardIdentity {
     pub generation: u32,
 }
 
-/// Reply to a [`Frame::HealthRequest`].
+/// Reply to a [`Frame::HealthRequest`]. Every field is always on the
+/// wire; `slo` and `shard` each travel as a presence byte (0 or 1)
+/// followed, when 1, by their fixed-size block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthReply {
     /// Whether the whole server is draining.
     pub draining: bool,
-    /// Seconds since the server started. Version ≥ 2; decodes as 0.0 from
-    /// legacy peers.
+    /// Seconds since the server started.
     pub uptime_seconds: f64,
     /// Human-readable build identifier (crate version + compiled
-    /// features). Version ≥ 2; decodes as empty from legacy peers.
+    /// features).
     pub build: String,
     /// Per-replica health, in router order.
     pub replicas: Vec<ReplicaHealth>,
-    /// Live SLO status — optional wire tail; `None` from peers that
-    /// predate it or have sampling disabled.
+    /// Live SLO status; `None` with sampling disabled.
     pub slo: Option<SloHealth>,
-    /// Shard-process identity — second optional wire tail; `None` from
-    /// standalone servers and peers that predate it.
+    /// Shard-process identity; `None` from standalone servers.
     pub shard: Option<ShardIdentity>,
 }
 
@@ -352,8 +328,14 @@ fn fnv1a(seed: u32, bytes: &[u8]) -> u32 {
 
 const FNV_OFFSET: u32 = 0x811C_9DC5;
 
+/// The checksum of one whole encoded frame: FNV-1a over the version, type
+/// and length fields `[4..12)`, then the trace id and payload `[16..)`.
+fn checksum(frame: &[u8]) -> u32 {
+    fnv1a(fnv1a(FNV_OFFSET, &frame[4..12]), &frame[16..])
+}
+
 // ---------------------------------------------------------------------------
-// Payload cursor (checked reads, never panics)
+// Byte cursor (checked reads, never panics)
 // ---------------------------------------------------------------------------
 
 struct Reader<'a> {
@@ -376,20 +358,24 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.bytes(N)?.try_into().expect("bytes(N) is N long"))
+    }
+
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.bytes(1)?[0])
     }
 
+    fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
     fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn f32(&mut self) -> Result<f32, WireError> {
@@ -400,16 +386,14 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Whether any payload bytes remain — used to detect optional tails
-    /// (fields appended after the original layout by newer encoders).
-    fn has_remaining(&self) -> bool {
-        self.pos < self.buf.len()
-    }
-
-    /// Payload bytes not yet consumed — length-guards optional tails of
-    /// fixed, mutually distinguishable sizes.
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    /// A presence byte ahead of an optional block: 0 (absent) or 1
+    /// (present); any other value is corruption.
+    fn present(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Malformed("presence byte not 0 or 1")),
+        }
     }
 
     /// The payload must be fully consumed — trailing bytes are corruption.
@@ -482,20 +466,6 @@ impl Frame {
         }
     }
 
-    /// Which header version this frame goes on the wire as: legacy
-    /// (byte-identical to the pre-trace protocol) whenever possible,
-    /// version 2 when a trace id must travel or the payload has v2-only
-    /// fields.
-    fn wire_version(&self, trace_id: u64) -> u16 {
-        if trace_id != 0 {
-            return VERSION;
-        }
-        match self {
-            Frame::HealthReply(_) | Frame::TraceDumpRequest | Frame::TraceDumpReply(_) => VERSION,
-            _ => LEGACY_VERSION,
-        }
-    }
-
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Frame::InferRequest(q) => {
@@ -519,8 +489,6 @@ impl Frame {
             | Frame::Drain
             | Frame::TraceDumpRequest => {}
             Frame::HealthReply(h) => {
-                // Always the v2 layout: wire_version() pins HealthReply to
-                // version 2 precisely because of these fields.
                 out.push(h.draining as u8);
                 out.extend_from_slice(&h.uptime_seconds.to_bits().to_le_bytes());
                 out.extend_from_slice(&(h.build.len() as u32).to_le_bytes());
@@ -534,9 +502,7 @@ impl Frame {
                     out.extend_from_slice(&e.shed.to_le_bytes());
                     out.extend_from_slice(&e.rate.to_bits().to_le_bytes());
                 }
-                // Optional SLO tail: absent replies stay byte-identical
-                // to the pre-SLO layout (decoders treat leftover bytes
-                // after the replicas as this block).
+                out.push(h.slo.is_some() as u8);
                 if let Some(s) = &h.slo {
                     out.extend_from_slice(&s.deadline_fast_burn.to_bits().to_le_bytes());
                     out.extend_from_slice(&s.deadline_slow_burn.to_bits().to_le_bytes());
@@ -545,9 +511,7 @@ impl Frame {
                     out.extend_from_slice(&s.firing_alerts.to_le_bytes());
                     out.extend_from_slice(&s.window_p99_s.to_bits().to_le_bytes());
                 }
-                // Optional shard-identity tail, after the SLO block. The
-                // two blocks' fixed sizes (SLO_TAIL_LEN, SHARD_TAIL_LEN)
-                // keep every combination length-distinguishable.
+                out.push(h.shard.is_some() as u8);
                 if let Some(id) = &h.shard {
                     out.extend_from_slice(&id.shard_id.to_le_bytes());
                     out.extend_from_slice(&id.pid.to_le_bytes());
@@ -562,36 +526,26 @@ impl Frame {
     }
 
     /// Appends the complete encoded frame (header + payload) to `out`,
-    /// untraced (`trace_id == 0`). Equivalent to
-    /// `encode_traced(0, out)` — frames without v2-only payload encode
-    /// byte-identically to protocol version 1.
+    /// untraced (`trace_id == 0`).
     pub fn encode(&self, out: &mut Vec<u8>) {
         self.encode_traced(0, out);
     }
 
-    /// Appends the complete encoded frame carrying `trace_id` in the
-    /// version-2 header extension (`0` = untraced; emits a legacy header
-    /// when the payload allows). Panics only on frames this process built
+    /// Appends the complete encoded frame carrying `trace_id` in its
+    /// header (`0` = untraced). Panics only on frames this process built
     /// wrong (payload over the cap), never on remote input.
     pub fn encode_traced(&self, trace_id: u64, out: &mut Vec<u8>) {
-        let version = self.wire_version(trace_id);
-        let ext = if version >= 2 { TRACE_EXT_LEN } else { 0 };
         let start = out.len();
         out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&self.type_tag().to_le_bytes());
         out.extend_from_slice(&[0u8; 8]); // length + checksum placeholders
-        if ext > 0 {
-            out.extend_from_slice(&trace_id.to_le_bytes());
-        }
+        out.extend_from_slice(&trace_id.to_le_bytes());
         self.encode_payload(out);
-        let payload_len = out.len() - start - HEADER_LEN - ext;
+        let payload_len = out.len() - start - HEADER_LEN;
         assert!(payload_len as u64 <= MAX_PAYLOAD as u64, "frame too large");
         out[start + 8..start + 12].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        // The checksum input — bytes [4..12) then everything after the
-        // fixed header — covers the trace extension in v2 for free.
-        let sum = fnv1a(FNV_OFFSET, &out[start + 4..start + 12]);
-        let sum = fnv1a(sum, &out[start + HEADER_LEN..]);
+        let sum = checksum(&out[start..]);
         out[start + 12..start + 16].copy_from_slice(&sum.to_le_bytes());
     }
 
@@ -609,7 +563,7 @@ impl Frame {
         out
     }
 
-    /// Decodes one complete frame from `buf`, discarding any trace id.
+    /// Decodes one complete frame from `buf`, discarding its trace id.
     /// The buffer must hold exactly the frame — a short buffer is
     /// [`WireError::Truncated`], a long one [`WireError::TrailingBytes`].
     /// Total over arbitrary input: returns an error for anything invalid,
@@ -618,221 +572,193 @@ impl Frame {
         Self::decode_traced(buf).map(|(frame, _)| frame)
     }
 
-    /// Decodes one complete frame plus its trace id (0 for untraced and
-    /// legacy version-1 frames). Accepts both protocol versions.
+    /// Decodes one complete frame plus its trace id (0 = untraced), in
+    /// place. The frame the header declares is checked first; bytes past
+    /// it are then [`WireError::TrailingBytes`] — the verdict a
+    /// [`FrameDecoder`] reaches on the same bytes.
     pub fn decode_traced(buf: &[u8]) -> Result<(Frame, u64), WireError> {
-        if buf.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let magic = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        if magic != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version != LEGACY_VERSION && version != VERSION {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        let ext = if version >= 2 { TRACE_EXT_LEN } else { 0 };
-        let tag = u16::from_le_bytes([buf[6], buf[7]]);
-        let length = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        if length > MAX_PAYLOAD {
-            return Err(WireError::Oversized(length));
-        }
-        let declared = u32::from_le_bytes([buf[12], buf[13], buf[14], buf[15]]);
-        let total = HEADER_LEN + ext + length as usize;
-        if buf.len() < total {
-            return Err(WireError::Truncated);
-        }
+        let header = buf.get(..HEADER_LEN).ok_or(WireError::Truncated)?;
+        let total = check_header(header, MAX_PAYLOAD)?;
+        let decoded = parse_frame(buf.get(..total).ok_or(WireError::Truncated)?)?;
         if buf.len() > total {
             return Err(WireError::TrailingBytes);
         }
-        let sum = fnv1a(FNV_OFFSET, &buf[4..12]);
-        let sum = fnv1a(sum, &buf[HEADER_LEN..]);
-        if sum != declared {
-            return Err(WireError::ChecksumMismatch);
-        }
-        let trace_id = if ext > 0 {
-            u64::from_le_bytes([
-                buf[16], buf[17], buf[18], buf[19], buf[20], buf[21], buf[22], buf[23],
-            ])
-        } else {
-            0
-        };
-        let payload = &buf[HEADER_LEN + ext..];
-        let mut r = Reader::new(payload);
-        let frame = match tag {
-            ty::INFER_REQUEST => {
-                let correlation_id = r.u64()?;
-                let deadline_micros = r.u64()?;
-                let (dims, data) = read_shape_and_data(&mut r)?;
-                Frame::InferRequest(InferRequest {
-                    correlation_id,
-                    deadline_micros,
-                    dims,
-                    data,
-                })
-            }
-            ty::INFER_RESPONSE => {
-                let correlation_id = r.u64()?;
-                let rate_used = r.f32()?;
-                let status = r.u8()?;
-                let outcome = if status == 0 {
-                    let (dims, data) = read_shape_and_data(&mut r)?;
-                    InferOutcome::Logits { dims, data }
-                } else {
-                    InferOutcome::Shed(WireShedReason::from_code(status)?)
-                };
-                Frame::InferResponse(InferResponse {
-                    correlation_id,
-                    rate_used,
-                    outcome,
-                })
-            }
-            ty::HEALTH_REQUEST => Frame::HealthRequest,
-            ty::HEALTH_REPLY => {
-                let draining = r.u8()? != 0;
-                // The uptime/build preamble and per-replica rate exist
-                // only in version ≥ 2; legacy frames decode with defaults.
-                let (uptime_seconds, build) = if version >= 2 {
-                    let uptime = r.f64()?;
-                    let blen = r.u32()? as usize;
-                    if blen > 4096 {
-                        return Err(WireError::Malformed("build string out of range"));
-                    }
-                    let text = std::str::from_utf8(r.bytes(blen)?)
-                        .map_err(|_| WireError::Malformed("build string not utf-8"))?;
-                    (uptime, text.to_string())
-                } else {
-                    (0.0, String::new())
-                };
-                let n = r.u32()? as usize;
-                if n > 4096 {
-                    return Err(WireError::Malformed("replica count out of range"));
-                }
-                let mut replicas = Vec::with_capacity(n);
-                for _ in 0..n {
-                    replicas.push(ReplicaHealth {
-                        draining: r.u8()? != 0,
-                        queue_depth: r.f64()?,
-                        p99_service_s: r.f64()?,
-                        served: r.u64()?,
-                        shed: r.u64()?,
-                        rate: if version >= 2 { r.f32()? } else { 0.0 },
-                    });
-                }
-                // Bytes left after the replicas are the optional tails:
-                // the 44-byte SLO block, the 12-byte shard-identity
-                // block, both, or neither. Each combination leaves a
-                // distinct remaining length, so the tails are decoded by
-                // length-guard; anything else falls through to `done()`
-                // as trailing corruption. Absent tails (all legacy
-                // frames, samplers-off or standalone servers) decode as
-                // `None`.
-                let rem = r.remaining();
-                let slo = if rem == SLO_TAIL_LEN || rem == SLO_TAIL_LEN + SHARD_TAIL_LEN {
-                    Some(SloHealth {
-                        deadline_fast_burn: r.f64()?,
-                        deadline_slow_burn: r.f64()?,
-                        shed_fast_burn: r.f64()?,
-                        shed_slow_burn: r.f64()?,
-                        firing_alerts: r.u32()?,
-                        window_p99_s: r.f64()?,
-                    })
-                } else {
-                    None
-                };
-                let shard = if r.has_remaining() {
-                    Some(ShardIdentity {
-                        shard_id: r.u32()?,
-                        pid: r.u32()?,
-                        generation: r.u32()?,
-                    })
-                } else {
-                    None
-                };
-                Frame::HealthReply(HealthReply {
-                    draining,
-                    uptime_seconds,
-                    build,
-                    replicas,
-                    slo,
-                    shard,
-                })
-            }
-            ty::METRICS_REQUEST => Frame::MetricsRequest,
-            ty::METRICS_REPLY => {
-                let bytes = r.bytes(payload.len())?;
-                let text = std::str::from_utf8(bytes)
-                    .map_err(|_| WireError::Malformed("metrics text not utf-8"))?;
-                Frame::MetricsReply(text.to_string())
-            }
-            ty::DRAIN => Frame::Drain,
-            ty::DRAIN_ACK => Frame::DrainAck {
-                delivered: r.u64()?,
-            },
-            ty::TRACE_DUMP_REQUEST => Frame::TraceDumpRequest,
-            ty::TRACE_DUMP_REPLY => {
-                let bytes = r.bytes(payload.len())?;
-                let text = std::str::from_utf8(bytes)
-                    .map_err(|_| WireError::Malformed("trace dump not utf-8"))?;
-                Frame::TraceDumpReply(text.to_string())
-            }
-            t => return Err(WireError::UnknownType(t)),
-        };
-        r.done()?;
-        Ok((frame, trace_id))
+        Ok(decoded)
     }
+}
+
+// ---------------------------------------------------------------------------
+// Decode: one header check, one body parse
+// ---------------------------------------------------------------------------
+
+/// Step one of every decode: the header's magic, version, type and
+/// declared payload length (against `max_len`), checked before anything
+/// is allocated for the payload. `header` holds [`HEADER_LEN`] bytes;
+/// returns the whole frame's byte count.
+fn check_header(header: &[u8], max_len: u32) -> Result<usize, WireError> {
+    let mut r = Reader::new(header);
+    if r.u32()? != MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    let version = r.u16()?;
+    if version != VERSION {
+        return Err(WireError::UnsupportedVersion(version));
+    }
+    let tag = r.u16()?;
+    if !(ty::INFER_REQUEST..=ty::TRACE_DUMP_REPLY).contains(&tag) {
+        return Err(WireError::UnknownType(tag));
+    }
+    let length = r.u32()?;
+    if length > max_len {
+        return Err(WireError::Oversized(length));
+    }
+    Ok(HEADER_LEN + length as usize)
+}
+
+/// Step two: checksums one complete frame — exactly the byte count
+/// [`check_header`] returned — and parses its payload. Returns the frame
+/// with its trace id.
+fn parse_frame(buf: &[u8]) -> Result<(Frame, u64), WireError> {
+    let mut r = Reader::new(buf);
+    r.bytes(6)?; // magic + version
+    let tag = r.u16()?;
+    r.bytes(4)?; // length
+    if r.u32()? != checksum(buf) {
+        return Err(WireError::ChecksumMismatch);
+    }
+    let trace_id = r.u64()?;
+    let payload_len = buf.len() - HEADER_LEN;
+    let frame = match tag {
+        ty::INFER_REQUEST => {
+            let correlation_id = r.u64()?;
+            let deadline_micros = r.u64()?;
+            let (dims, data) = read_shape_and_data(&mut r)?;
+            Frame::InferRequest(InferRequest {
+                correlation_id,
+                deadline_micros,
+                dims,
+                data,
+            })
+        }
+        ty::INFER_RESPONSE => {
+            let correlation_id = r.u64()?;
+            let rate_used = r.f32()?;
+            let status = r.u8()?;
+            let outcome = if status == 0 {
+                let (dims, data) = read_shape_and_data(&mut r)?;
+                InferOutcome::Logits { dims, data }
+            } else {
+                InferOutcome::Shed(WireShedReason::from_code(status)?)
+            };
+            Frame::InferResponse(InferResponse {
+                correlation_id,
+                rate_used,
+                outcome,
+            })
+        }
+        ty::HEALTH_REQUEST => Frame::HealthRequest,
+        ty::HEALTH_REPLY => {
+            let draining = r.u8()? != 0;
+            let uptime_seconds = r.f64()?;
+            let blen = r.u32()? as usize;
+            if blen > 4096 {
+                return Err(WireError::Malformed("build string out of range"));
+            }
+            let build = std::str::from_utf8(r.bytes(blen)?)
+                .map_err(|_| WireError::Malformed("build string not utf-8"))?
+                .to_string();
+            let n = r.u32()? as usize;
+            if n > 4096 {
+                return Err(WireError::Malformed("replica count out of range"));
+            }
+            let mut replicas = Vec::with_capacity(n);
+            for _ in 0..n {
+                replicas.push(ReplicaHealth {
+                    draining: r.u8()? != 0,
+                    queue_depth: r.f64()?,
+                    p99_service_s: r.f64()?,
+                    served: r.u64()?,
+                    shed: r.u64()?,
+                    rate: r.f32()?,
+                });
+            }
+            let slo = if r.present()? {
+                Some(SloHealth {
+                    deadline_fast_burn: r.f64()?,
+                    deadline_slow_burn: r.f64()?,
+                    shed_fast_burn: r.f64()?,
+                    shed_slow_burn: r.f64()?,
+                    firing_alerts: r.u32()?,
+                    window_p99_s: r.f64()?,
+                })
+            } else {
+                None
+            };
+            let shard = if r.present()? {
+                Some(ShardIdentity {
+                    shard_id: r.u32()?,
+                    pid: r.u32()?,
+                    generation: r.u32()?,
+                })
+            } else {
+                None
+            };
+            Frame::HealthReply(HealthReply {
+                draining,
+                uptime_seconds,
+                build,
+                replicas,
+                slo,
+                shard,
+            })
+        }
+        ty::METRICS_REQUEST => Frame::MetricsRequest,
+        ty::METRICS_REPLY => {
+            let text = std::str::from_utf8(r.bytes(payload_len)?)
+                .map_err(|_| WireError::Malformed("metrics text not utf-8"))?;
+            Frame::MetricsReply(text.to_string())
+        }
+        ty::DRAIN => Frame::Drain,
+        ty::DRAIN_ACK => Frame::DrainAck {
+            delivered: r.u64()?,
+        },
+        ty::TRACE_DUMP_REQUEST => Frame::TraceDumpRequest,
+        ty::TRACE_DUMP_REPLY => {
+            let text = std::str::from_utf8(r.bytes(payload_len)?)
+                .map_err(|_| WireError::Malformed("trace dump not utf-8"))?;
+            Frame::TraceDumpReply(text.to_string())
+        }
+        t => return Err(WireError::UnknownType(t)),
+    };
+    r.done()?;
+    Ok((frame, trace_id))
 }
 
 // ---------------------------------------------------------------------------
 // Stream IO
 // ---------------------------------------------------------------------------
 
-/// Writes one untraced frame; returns the bytes put on the wire.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<usize> {
-    write_frame_traced(w, frame, 0)
-}
-
-/// Writes one frame carrying `trace_id`; returns the bytes put on the
-/// wire.
-pub fn write_frame_traced(w: &mut impl Write, frame: &Frame, trace_id: u64) -> io::Result<usize> {
+/// Writes one frame carrying `trace_id` (0 = untraced); returns the bytes
+/// put on the wire.
+pub fn write_frame(w: &mut impl Write, frame: &Frame, trace_id: u64) -> io::Result<usize> {
     let bytes = frame.to_bytes_traced(trace_id);
     w.write_all(&bytes)?;
     Ok(bytes.len())
 }
 
-/// Reads one frame, discarding its trace id; returns it with the bytes
-/// consumed.
-pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), NetError> {
-    read_frame_traced(r).map(|(frame, _, n)| (frame, n))
-}
-
-/// Reads one frame plus its trace id (0 for untraced/legacy frames);
-/// returns them with the bytes consumed. Header fields are validated
-/// *before* the payload allocation, so a hostile length cannot make the
-/// reader allocate more than [`MAX_PAYLOAD`].
-pub fn read_frame_traced(r: &mut impl Read) -> Result<(Frame, u64, usize), NetError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    if magic != MAGIC {
-        return Err(WireError::BadMagic.into());
+/// Reads one frame; returns it with its trace id (0 = untraced) and the
+/// bytes consumed. Each read takes exactly what a [`FrameDecoder`] still
+/// wants — the header, then the payload — so the header is checked before
+/// the payload is allocated and nothing past the frame is read.
+pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64, usize), NetError> {
+    let mut dec = FrameDecoder::new();
+    loop {
+        let mut chunk = vec![0u8; dec.want()];
+        r.read_exact(&mut chunk)?;
+        if let (_, Some(frame)) = dec.feed(&chunk)? {
+            return Ok(frame);
+        }
     }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != LEGACY_VERSION && version != VERSION {
-        return Err(WireError::UnsupportedVersion(version).into());
-    }
-    let ext = if version >= 2 { TRACE_EXT_LEN } else { 0 };
-    let length = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    if length > MAX_PAYLOAD {
-        return Err(WireError::Oversized(length).into());
-    }
-    let total = HEADER_LEN + ext + length as usize;
-    let mut buf = vec![0u8; total];
-    buf[..HEADER_LEN].copy_from_slice(&header);
-    r.read_exact(&mut buf[HEADER_LEN..])?;
-    let (frame, trace_id) = Frame::decode_traced(&buf)?;
-    Ok((frame, trace_id, total))
 }
 
 // ---------------------------------------------------------------------------
@@ -848,20 +774,19 @@ pub fn read_frame_traced(r: &mut impl Read) -> Result<(Frame, u64, usize), NetEr
 /// current frame still needs, so the caller's offset arithmetic stays
 /// trivial and pipelined frames are never swallowed into a stale buffer.
 ///
-/// Header fields (magic, version, declared length) are validated the
-/// moment the 16th byte arrives — before any payload-sized allocation —
-/// so a hostile peer cannot make the server reserve more than the
-/// connection's configured cap. Full-frame validation (checksum, payload
-/// structure) is delegated to [`Frame::decode_traced`], which makes the
-/// incremental path accept *exactly* the byte strings the buffer decoder
-/// accepts — the property the chaos proptests pin down.
+/// The header is checked the moment its last byte arrives — before any
+/// payload-sized allocation — so a hostile peer cannot make the server
+/// reserve more than the connection's configured cap. The complete frame
+/// then goes through the same body parse as [`Frame::decode_traced`], so
+/// the incremental path reaches the buffer decoder's verdict on every
+/// byte string — the property the chaos proptests pin down.
 ///
 /// Any error poisons the decoder (stream framing is unrecoverable after
 /// corruption); subsequent `feed` calls return the same error.
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Total frame bytes currently known to be needed: `HEADER_LEN`
-    /// until the header completes, then header + extension + payload.
+    /// until the header completes, then header + payload.
     need: usize,
     header_done: bool,
     max_len: u32,
@@ -921,7 +846,7 @@ impl FrameDecoder {
         }
         let mut consumed = 0usize;
         loop {
-            let take = (self.need - self.buf.len()).min(chunk.len() - consumed);
+            let take = self.want().min(chunk.len() - consumed);
             self.buf
                 .extend_from_slice(&chunk[consumed..consumed + take]);
             consumed += take;
@@ -929,31 +854,19 @@ impl FrameDecoder {
                 return Ok((consumed, None));
             }
             if !self.header_done {
-                // Exactly HEADER_LEN bytes buffered: validate the fixed
-                // header before reserving payload space.
-                debug_assert_eq!(self.buf.len(), HEADER_LEN);
-                let b = &self.buf;
-                let magic = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-                if magic != MAGIC {
-                    return Err(self.poison(WireError::BadMagic));
-                }
-                let version = u16::from_le_bytes([b[4], b[5]]);
-                if version != LEGACY_VERSION && version != VERSION {
-                    return Err(self.poison(WireError::UnsupportedVersion(version)));
-                }
-                let length = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
-                if length > self.max_len {
-                    return Err(self.poison(WireError::Oversized(length)));
-                }
-                let ext = if version >= 2 { TRACE_EXT_LEN } else { 0 };
+                // Exactly HEADER_LEN bytes buffered: step one, before
+                // reserving payload space.
+                self.need = match check_header(&self.buf, self.max_len) {
+                    Ok(total) => total,
+                    Err(e) => return Err(self.poison(e)),
+                };
                 self.header_done = true;
-                self.need = HEADER_LEN + ext + length as usize;
                 self.buf.reserve(self.need - HEADER_LEN);
-                continue; // an empty-payload v1 frame is already complete
+                continue; // an empty payload completes the frame already
             }
-            // Whole frame buffered: full validation + parse.
+            // Whole frame buffered: step two.
             let frame_bytes = self.buf.len();
-            let result = Frame::decode_traced(&self.buf);
+            let result = parse_frame(&self.buf);
             self.buf.clear();
             // Don't let one huge frame pin its allocation forever.
             if self.buf.capacity() > (1 << 20) {
@@ -1071,24 +984,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_id_round_trips_and_zero_stays_legacy() {
+    fn trace_id_round_trips_on_the_one_version() {
         for f in sample_frames() {
             for trace in [0u64, 1, 0xDEAD_BEEF_CAFE_F00D, u64::MAX] {
                 let bytes = f.to_bytes_traced(trace);
-                let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-                if trace == 0
-                    && !matches!(
-                        f,
-                        Frame::HealthReply(_) | Frame::TraceDumpRequest | Frame::TraceDumpReply(_)
-                    )
-                {
-                    // Untraced frames stay on the legacy wire format,
-                    // byte-identical to plain encode().
-                    assert_eq!(version, LEGACY_VERSION, "{f:?}");
-                    assert_eq!(bytes, f.to_bytes(), "{f:?}");
-                } else {
-                    assert_eq!(version, VERSION, "{f:?}");
-                }
+                assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION, "{f:?}");
+                assert_eq!(bytes[16..24], trace.to_le_bytes(), "{f:?}");
                 let (got, got_trace) = Frame::decode_traced(&bytes).unwrap();
                 assert_eq!(got, f, "{f:?}");
                 assert_eq!(got_trace, trace, "{f:?}");
@@ -1097,204 +998,43 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_health_reply_decodes_with_defaults() {
-        // Hand-build a version-1 HealthReply (the pre-trace layout: no
-        // uptime/build preamble, no per-replica rate) and check it decodes
-        // with the new fields defaulted.
-        let mut payload = Vec::new();
-        payload.push(1u8); // draining
-        payload.extend_from_slice(&1u32.to_le_bytes()); // one replica
-        payload.push(0u8);
-        payload.extend_from_slice(&3.0f64.to_bits().to_le_bytes()); // queue_depth
-        payload.extend_from_slice(&0.002f64.to_bits().to_le_bytes()); // p99
-        payload.extend_from_slice(&500u64.to_le_bytes()); // served
-        payload.extend_from_slice(&7u64.to_le_bytes()); // shed
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC.to_le_bytes());
-        bytes.extend_from_slice(&LEGACY_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&ty::HEALTH_REPLY.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 4]);
-        bytes.extend_from_slice(&payload);
-        let sum = fnv1a(FNV_OFFSET, &bytes[4..12]);
-        let sum = fnv1a(sum, &bytes[HEADER_LEN..]);
-        bytes[12..16].copy_from_slice(&sum.to_le_bytes());
-
-        let (frame, trace) = Frame::decode_traced(&bytes).unwrap();
-        assert_eq!(trace, 0);
-        match frame {
-            Frame::HealthReply(h) => {
-                assert!(h.draining);
-                assert_eq!(h.uptime_seconds, 0.0);
-                assert_eq!(h.build, "");
-                assert_eq!(h.replicas.len(), 1);
-                let r = &h.replicas[0];
-                assert_eq!((r.queue_depth, r.p99_service_s), (3.0, 0.002));
-                assert_eq!((r.served, r.shed), (500, 7));
-                assert_eq!(r.rate, 0.0);
-                assert_eq!(h.slo, None);
-                assert_eq!(h.shard, None);
-            }
-            other => panic!("wrong frame {other:?}"),
-        }
-    }
-
-    #[test]
-    fn slo_tail_is_optional_and_absent_tail_matches_old_layout() {
-        // A reply with the SLO block decodes back to Some; stripping the
-        // tail (and re-stamping length + checksum) yields exactly what a
-        // pre-SLO encoder would have produced, and decodes with `None`.
-        let with = HealthReply {
-            draining: false,
-            uptime_seconds: 30.0,
-            build: "b".to_string(),
-            replicas: vec![ReplicaHealth {
-                draining: false,
-                queue_depth: 1.0,
-                p99_service_s: 0.002,
-                served: 10,
-                shed: 0,
-                rate: 0.5,
-            }],
-            slo: Some(SloHealth {
-                deadline_fast_burn: 1.5,
-                deadline_slow_burn: 0.25,
-                shed_fast_burn: 0.0,
-                shed_slow_burn: 0.0,
-                firing_alerts: 0,
-                window_p99_s: 0.0019,
-            }),
-            shard: None,
-        };
-        let mut without = with.clone();
-        without.slo = None;
-
-        let bytes_with = Frame::HealthReply(with.clone()).to_bytes();
-        assert_eq!(
-            Frame::decode(&bytes_with).unwrap(),
-            Frame::HealthReply(with)
-        );
-
-        // 4×f64 burns + u32 firing + f64 p99 = 44 bytes of tail.
-        const TAIL: usize = 44;
-        let bytes_without = Frame::HealthReply(without.clone()).to_bytes();
-        assert_eq!(bytes_with.len(), bytes_without.len() + TAIL);
-        let mut stripped = bytes_with;
-        stripped.truncate(stripped.len() - TAIL);
-        let payload_len = (stripped.len() - HEADER_LEN - TRACE_EXT_LEN) as u32;
-        stripped[8..12].copy_from_slice(&payload_len.to_le_bytes());
-        let sum = fnv1a(FNV_OFFSET, &stripped[4..12]);
-        let sum = fnv1a(sum, &stripped[HEADER_LEN..]);
-        stripped[12..16].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            stripped, bytes_without,
-            "absent tail must be the old layout"
-        );
-        assert_eq!(
-            Frame::decode(&stripped).unwrap(),
-            Frame::HealthReply(without)
-        );
-    }
-
-    #[test]
-    fn shard_tail_layouts_are_length_guarded() {
-        // All four slo × shard combinations must round-trip, and
-        // stripping the shard tail from any reply (re-stamping length +
-        // checksum) must yield exactly the bytes a pre-shard encoder
-        // would have produced for the same reply without it.
-        let base = HealthReply {
-            draining: false,
-            uptime_seconds: 8.0,
-            build: "b".to_string(),
-            replicas: vec![ReplicaHealth {
-                draining: false,
-                queue_depth: 4.0,
-                p99_service_s: 0.001,
-                served: 21,
-                shed: 2,
-                rate: 0.25,
-            }],
-            slo: None,
-            shard: None,
-        };
-        let slo = SloHealth {
-            deadline_fast_burn: 3.0,
-            deadline_slow_burn: 1.0,
-            shed_fast_burn: 0.5,
-            shed_slow_burn: 0.25,
-            firing_alerts: 2,
-            window_p99_s: 0.002,
-        };
-        let shard = ShardIdentity {
-            shard_id: 7,
-            pid: 9_001,
-            generation: 3,
-        };
-        for (with_slo, with_shard) in [(false, false), (true, false), (false, true), (true, true)] {
-            let mut h = base.clone();
-            h.slo = with_slo.then(|| slo.clone());
-            h.shard = with_shard.then_some(shard);
-            let bytes = Frame::HealthReply(h.clone()).to_bytes();
-            assert_eq!(
-                Frame::decode(&bytes).unwrap(),
-                Frame::HealthReply(h.clone()),
-                "slo={with_slo} shard={with_shard}"
-            );
-            if with_shard {
-                // Strip the 12-byte shard tail: must be byte-identical
-                // to the same reply encoded without it.
-                let mut plain = h.clone();
-                plain.shard = None;
-                let mut stripped = bytes;
-                stripped.truncate(stripped.len() - SHARD_TAIL_LEN);
-                let payload_len = (stripped.len() - HEADER_LEN - TRACE_EXT_LEN) as u32;
-                stripped[8..12].copy_from_slice(&payload_len.to_le_bytes());
-                let sum = fnv1a(FNV_OFFSET, &stripped[4..12]);
-                let sum = fnv1a(sum, &stripped[HEADER_LEN..]);
-                stripped[12..16].copy_from_slice(&sum.to_le_bytes());
-                assert_eq!(stripped, Frame::HealthReply(plain.clone()).to_bytes());
-                assert_eq!(Frame::decode(&stripped).unwrap(), Frame::HealthReply(plain));
-            }
-        }
-    }
-
-    #[test]
-    fn unaligned_health_tail_is_rejected() {
-        // A remainder that matches neither tail combination (here: a
-        // shard block with one trailing byte lopped off) must decode as
-        // an error, not as a partial tail.
+    fn presence_byte_of_two_is_malformed() {
+        // With both optional blocks absent, the payload ends in the slo
+        // and shard presence bytes.
         let h = HealthReply {
             draining: false,
             uptime_seconds: 1.0,
             build: String::new(),
             replicas: vec![],
             slo: None,
-            shard: Some(ShardIdentity {
-                shard_id: 1,
-                pid: 2,
-                generation: 3,
-            }),
+            shard: None,
         };
-        let mut bytes = Frame::HealthReply(h).to_bytes();
-        bytes.truncate(bytes.len() - 1);
-        let payload_len = (bytes.len() - HEADER_LEN - TRACE_EXT_LEN) as u32;
-        bytes[8..12].copy_from_slice(&payload_len.to_le_bytes());
-        let sum = fnv1a(FNV_OFFSET, &bytes[4..12]);
-        let sum = fnv1a(sum, &bytes[HEADER_LEN..]);
-        bytes[12..16].copy_from_slice(&sum.to_le_bytes());
-        assert!(Frame::decode(&bytes).is_err());
+        let bytes = Frame::HealthReply(h).to_bytes();
+        for from_end in [1, 2] {
+            let mut bad = bytes.clone();
+            let at = bad.len() - from_end;
+            bad[at] = 2;
+            let sum = checksum(&bad);
+            bad[12..16].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Frame::decode(&bad),
+                Err(WireError::Malformed("presence byte not 0 or 1"))
+            );
+        }
     }
 
     #[test]
     fn stream_round_trip() {
         let mut buf = Vec::new();
-        for f in sample_frames() {
-            write_frame(&mut buf, &f).unwrap();
+        for (i, f) in sample_frames().iter().enumerate() {
+            write_frame(&mut buf, f, i as u64).unwrap();
         }
         let mut cursor = io::Cursor::new(buf);
-        for f in sample_frames() {
-            let (got, _) = read_frame(&mut cursor).unwrap();
+        for (i, f) in sample_frames().into_iter().enumerate() {
+            let (got, trace, n) = read_frame(&mut cursor).unwrap();
+            assert_eq!(n, f.to_bytes().len());
             assert_eq!(got, f);
+            assert_eq!(trace, i as u64);
         }
         assert!(matches!(
             read_frame(&mut cursor),
@@ -1313,8 +1053,7 @@ mod tests {
                 data: vec![1.5, -0.5],
             },
         });
-        // Both wire versions: the legacy encoding and a traced v2 frame
-        // (where the flipped bit may land in the trace extension).
+        // Untraced and traced: the flipped bit may land in the trace id.
         for bytes in [f.to_bytes(), f.to_bytes_traced(0x1234_5678_9ABC_DEF0)] {
             for i in 0..bytes.len() {
                 for bit in 0..8 {
@@ -1369,8 +1108,7 @@ mod tests {
         let off = HEADER_LEN + 17;
         bytes[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
         // Re-encoding the checksum by hand so only the structure is invalid.
-        let sum = fnv1a(FNV_OFFSET, &bytes[4..12]);
-        let sum = fnv1a(sum, &bytes[HEADER_LEN..]);
+        let sum = checksum(&bytes);
         bytes[12..16].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             Frame::decode(&bytes),
@@ -1483,41 +1221,16 @@ mod tests {
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x40;
-            let buffered = Frame::decode_traced(&corrupt);
             let mut dec = FrameDecoder::new();
-            let mut incremental = Ok(None);
-            let mut off = 0;
-            while off < corrupt.len() {
-                match dec.feed(&corrupt[off..]) {
-                    Ok((n, out)) => {
-                        off += n;
-                        if out.is_some() {
-                            incremental = Ok(out);
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        incremental = Err(e);
-                        break;
-                    }
-                }
-            }
-            match (buffered, incremental) {
-                (Ok((bf, bt)), Ok(Some((inf, int, _)))) => {
-                    assert_eq!(bf, inf, "byte {i}");
-                    assert_eq!(bt, int, "byte {i}");
-                }
-                (Err(_), Err(_)) => {} // both reject
-                // A corrupted length field that *grows* the frame leaves
-                // the streaming decoder legitimately waiting for bytes
-                // that never come — the buffer decoder calls the same
-                // situation Truncated. The stall must be visible via
-                // mid_frame() (the slow-loris reaper's signal).
-                (Err(WireError::Truncated), Ok(None)) => {
-                    assert!(dec.mid_frame(), "byte {i}: silent stall");
-                }
-                (b, i_) => panic!("byte {i}: buffered {b:?} vs incremental {i_:?}"),
-            }
+            let incremental = match dec.feed(&corrupt) {
+                Ok((_, Some((frame, trace, _)))) => Ok((frame, trace)),
+                // Still waiting for bytes a grown length field promised:
+                // what the buffer decoder calls Truncated.
+                Ok((_, None)) if dec.mid_frame() => Err(WireError::Truncated),
+                Ok((_, None)) => panic!("byte {i}: silent stall"),
+                Err(e) => Err(e),
+            };
+            assert_eq!(Frame::decode_traced(&corrupt), incremental, "byte {i}");
         }
     }
 }

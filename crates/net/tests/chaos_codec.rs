@@ -4,16 +4,10 @@
 //! writes, mid-frame EOF, flipped bits — and must accept *exactly* the
 //! byte strings the buffer decoder accepts, never panicking and never
 //! consuming past the frame it is currently assembling.
-//!
-//! The one sanctioned divergence: a corrupted length field that *grows*
-//! the declared frame leaves the streaming decoder legitimately pending
-//! (it is still waiting for bytes the buffer decoder knows will never
-//! come). That case must be visible as `mid_frame() == true` — it is
-//! precisely the stall the server's slow-loris reaper exists to kill.
 
 use ms_net::protocol::{
-    write_frame_traced, Frame, FrameDecoder, HealthReply, InferOutcome, InferRequest,
-    InferResponse, ReplicaHealth, ShardIdentity, SloHealth, WireError, WireShedReason, HEADER_LEN,
+    write_frame, Frame, FrameDecoder, HealthReply, InferOutcome, InferRequest, InferResponse,
+    ReplicaHealth, ShardIdentity, SloHealth, WireError, WireShedReason, HEADER_LEN,
 };
 use proptest::prelude::*;
 use std::io::{self, Read, Write};
@@ -110,7 +104,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             } else {
                 None
             };
-            // Independent coin for the shard tail: all four slo × shard
+            // Independent coin for the shard block: all four slo × shard
             // layouts flow through every chaos property.
             let shard = if m.next() % 2 == 0 {
                 Some(ShardIdentity {
@@ -308,12 +302,11 @@ proptest! {
         }
     }
 
-    /// A single flipped bit anywhere in a frame stream: the incremental
-    /// decoder must agree with the buffer decoder on the corrupted frame —
-    /// both accept (impossible past the checksum, but allowed in
-    /// principle), both reject, or the buffer decoder says `Truncated`
-    /// while the stream decoder is legitimately still waiting (a grown
-    /// length field), which must be observable as `mid_frame()`.
+    /// A single flipped bit anywhere in a frame: the incremental decoder
+    /// reaches the buffer decoder's verdict on the corrupted bytes — the
+    /// same frame, or the same error. The buffer decoder's `Truncated` is
+    /// the stream ending mid-frame (a grown length field), which must be
+    /// visible as `mid_frame()`: the stall the slow-loris reaper kills.
     #[test]
     fn bit_flips_agree_with_buffer_decoder(
         variant in 0usize..VARIANTS,
@@ -325,34 +318,22 @@ proptest! {
         let clean = build_frame(variant, seed).to_bytes_traced(trace);
         let mut stream = ChaosStream::new(clean.clone(), max_chunk, None, Some(bit));
         let corrupt = stream.bytes.clone();
-        let buffered = Frame::decode_traced(&corrupt);
+        let buffered = Frame::decode_traced(&corrupt).map(|(f, t)| f.to_bytes_traced(t));
 
         let mut dec = FrameDecoder::new();
         let (got, mid, err) = pump(&mut stream, &mut dec);
-        match (&buffered, &err) {
-            (Ok((bf, bt)), None) => {
-                prop_assert_eq!(got.len(), 1, "buffer accepted but stream produced {} frames", got.len());
-                prop_assert!(!mid);
-                let (sf, st, _) = &got[0];
-                prop_assert_eq!(st, bt);
-                prop_assert_eq!(sf.to_bytes_traced(*st), bf.to_bytes_traced(*bt));
+        let streamed = match (got.as_slice(), mid, err) {
+            ([], _, Some(e)) => Err(e),
+            ([], true, None) => Err(WireError::Truncated),
+            ([(f, t, _)], false, None) => Ok(f.to_bytes_traced(*t)),
+            (_, _, e) => {
+                return Err(proptest::test_runner::TestCaseError::fail(format!(
+                    "stream gave {} frames, mid_frame {mid}, error {e:?}",
+                    got.len()
+                )));
             }
-            (Err(_), Some(_)) => {
-                prop_assert!(got.is_empty(), "stream yielded a frame the buffer decoder rejects");
-            }
-            (Err(WireError::Truncated), None) => {
-                // Grown length field: the stream decoder is still waiting
-                // for bytes that will never come. This stall must be
-                // visible to the slow-loris reaper.
-                prop_assert!(got.is_empty());
-                prop_assert!(mid, "silent stall: pending but mid_frame() is false");
-            }
-            (b, s) => {
-                return Err(proptest::test_runner::TestCaseError::fail(
-                    format!("decoders disagree: buffered {b:?} vs stream err {s:?} ({} frames)", got.len()),
-                ));
-            }
-        }
+        };
+        prop_assert_eq!(buffered, streamed);
     }
 
     /// Mid-frame hangup: EOF at any strict prefix of a frame leaves the
@@ -420,7 +401,7 @@ proptest! {
         let frame = build_frame(variant, seed);
         let direct = frame.to_bytes_traced(trace);
         let mut w = ShortWriter { sink: Vec::new(), max_chunk, rng: Mix(seed ^ 0xDEAD) };
-        let n = match write_frame_traced(&mut w, &frame, trace) {
+        let n = match write_frame(&mut w, &frame, trace) {
             Ok(n) => n,
             Err(e) => return Err(proptest::test_runner::TestCaseError::fail(
                 format!("short-write encode failed: {e}"),

@@ -170,7 +170,7 @@ fn metrics_frame_serves_prometheus_text() {
 
 /// The live SLO block: a sampling server answers health with `Some` —
 /// burn rates finite, the windowed p99 reflecting recent traffic — and a
-/// sampler-off server stays byte-compatible with `None`.
+/// sampler-off server answers `None`.
 #[test]
 fn health_frame_carries_live_slo_block() {
     let (server, _w) = start_server_with(
@@ -212,7 +212,7 @@ fn health_frame_carries_live_slo_block() {
     );
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let h = client.health().expect("health");
-    assert_eq!(h.slo, None, "sampling off must encode the old layout");
+    assert_eq!(h.slo, None, "sampling off must send no SLO block");
     server.shutdown();
 }
 

@@ -8,9 +8,9 @@
 //! payloads whose bit patterns (NaNs included) must survive the wire.
 
 use ms_net::protocol::{
-    read_frame, read_frame_traced, Frame, HealthReply, InferOutcome, InferRequest, InferResponse,
-    ReplicaHealth, ShardIdentity, SloHealth, WireShedReason, HEADER_LEN, LEGACY_VERSION, MAGIC,
-    MAX_PAYLOAD,
+    read_frame, Frame, FrameDecoder, HealthReply, InferOutcome, InferRequest, InferResponse,
+    NetError, ReplicaHealth, ShardIdentity, SloHealth, WireError, WireShedReason, HEADER_LEN,
+    MAGIC, MAX_PAYLOAD, VERSION,
 };
 use proptest::prelude::*;
 
@@ -93,7 +93,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             let build: String = (0..blen)
                 .map(|_| char::from_u32(32 + (m.next() % 95) as u32).unwrap())
                 .collect();
-            // Half the generated replies carry the optional SLO tail, so
+            // Half the generated replies carry the optional SLO block, so
             // every property (round-trip, truncation, bit-flip, stream
             // agreement) covers both layouts.
             let slo = if m.next() % 2 == 0 {
@@ -108,7 +108,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             } else {
                 None
             };
-            // Independent coin for the shard-identity tail: round-trip,
+            // Independent coin for the shard-identity block: round-trip,
             // truncation, and bit-flip properties all cover the four
             // slo × shard layouts.
             let shard = if m.next() % 2 == 0 {
@@ -216,7 +216,8 @@ proptest! {
     }
 
     /// A header declaring an oversized payload is refused by the stream
-    /// reader before any allocation, whatever follows.
+    /// reader from the header alone (an unknown type tag is refused
+    /// first), whatever follows.
     #[test]
     fn oversized_declared_length_is_refused(
         declared in (MAX_PAYLOAD + 1)..=u32::MAX,
@@ -224,12 +225,15 @@ proptest! {
     ) {
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(&MAGIC.to_le_bytes());
-        header.extend_from_slice(&1u16.to_le_bytes());
+        header.extend_from_slice(&VERSION.to_le_bytes());
         header.extend_from_slice(&ty.to_le_bytes());
         header.extend_from_slice(&declared.to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes());
+        header.extend_from_slice(&[0u8; 12]); // checksum + trace id
         let mut cursor = std::io::Cursor::new(header);
-        prop_assert!(read_frame(&mut cursor).is_err());
+        prop_assert!(matches!(
+            read_frame(&mut cursor),
+            Err(NetError::Wire(WireError::Oversized(_) | WireError::UnknownType(_)))
+        ));
     }
 
     /// Streamed and buffered decoding agree byte-for-byte, and the stream
@@ -238,7 +242,7 @@ proptest! {
     fn stream_reader_matches_buffer_decoder(variant in 0usize..VARIANTS, seed in any::<u64>()) {
         let bytes = build_frame(variant, seed).to_bytes();
         let mut cursor = std::io::Cursor::new(bytes.clone());
-        let (decoded, n) = match read_frame(&mut cursor) {
+        let (decoded, _, n) = match read_frame(&mut cursor) {
             Ok(r) => r,
             Err(e) => return Err(proptest::test_runner::TestCaseError::fail(
                 format!("stream decode failed: {e}"),
@@ -249,9 +253,7 @@ proptest! {
     }
 
     /// The trace context round-trips the codec for every frame kind and
-    /// every trace id, including 0 — and an untraced frame of a
-    /// v1-expressible kind still encodes byte-for-byte as a legacy v1
-    /// frame, so pre-trace decoders keep working.
+    /// every trace id, including 0.
     #[test]
     fn trace_context_round_trips(variant in 0usize..VARIANTS, seed in any::<u64>(), trace in any::<u64>()) {
         let frame = build_frame(variant, seed);
@@ -264,22 +266,11 @@ proptest! {
         };
         prop_assert_eq!(got_trace, trace);
         prop_assert_eq!(decoded.to_bytes_traced(trace), bytes);
-        // v1 compatibility: untraced legacy-expressible frames are exactly
-        // the v1 bytes (HealthReply and TraceDump* are v2-only kinds).
-        let v2_only = matches!(
-            frame,
-            Frame::HealthReply(_) | Frame::TraceDumpRequest | Frame::TraceDumpReply(_)
-        );
-        if trace == 0 && !v2_only {
-            let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-            prop_assert_eq!(version, LEGACY_VERSION);
-            prop_assert_eq!(bytes, frame.to_bytes());
-        }
     }
 
-    /// Every single-bit flip in a traced (v2) frame is rejected — the
-    /// trace extension is inside the checksummed region, and a flip in
-    /// the version field cannot turn v2 into valid v1 or vice versa.
+    /// Every single-bit flip in a traced frame is rejected — the trace id
+    /// is inside the checksummed region, and a flip in the version field
+    /// names a version no decoder accepts.
     #[test]
     fn traced_bit_flip_is_rejected(variant in 0usize..VARIANTS, seed in any::<u64>(), bit in any::<u64>()) {
         let mut bytes = build_frame(variant, seed).to_bytes_traced(0x1234_5678_9ABC_DEF0);
@@ -297,7 +288,7 @@ proptest! {
     ) {
         let bytes = build_frame(variant, seed).to_bytes_traced(trace);
         let mut cursor = std::io::Cursor::new(bytes.clone());
-        let (decoded, got_trace, n) = match read_frame_traced(&mut cursor) {
+        let (decoded, got_trace, n) = match read_frame(&mut cursor) {
             Ok(r) => r,
             Err(e) => return Err(proptest::test_runner::TestCaseError::fail(
                 format!("traced stream decode failed: {e}"),
@@ -308,65 +299,35 @@ proptest! {
         prop_assert_eq!(decoded.to_bytes_traced(trace), bytes);
     }
 
-    /// The SLO block is a true optional block: for any HealthReply carrying
-    /// one, cutting exactly its bytes out (and re-stamping length +
-    /// checksum, as a pre-SLO encoder would have written the frame) decodes
-    /// to the same reply with `slo == None` — the shard-identity tail that
-    /// follows it is kept, and old clients and new clients agree on every
-    /// byte that precedes the block.
+    /// A frame stamped with an earlier version — re-checksummed, so the
+    /// version is the only thing wrong with it — is refused as
+    /// `UnsupportedVersion` by the buffer decoder, the stream reader and
+    /// the incremental decoder alike.
     #[test]
-    fn slo_tail_strips_to_old_layout(seed in any::<u64>()) {
-        let frame = build_frame(4, seed);
-        let (reply, has_slo) = match &frame {
-            Frame::HealthReply(h) => (h.clone(), h.slo.is_some()),
-            _ => unreachable!("variant 4 is HealthReply"),
-        };
-        if !has_slo {
-            // The no-tail layout round-trips to None directly.
-            let decoded = Frame::decode(&frame.to_bytes()).unwrap();
-            match decoded {
-                Frame::HealthReply(h) => prop_assert!(h.slo.is_none()),
-                _ => unreachable!(),
-            }
-            return Ok(());
-        }
-        const SLO_BLOCK: usize = 44; // 4×f64 burns + u32 firing + f64 p99
-        const SHARD_TAIL: usize = 12; // shard id + pid + generation, after the SLO block
-        const TRACE_EXT: usize = 8; // HealthReply always rides the v2 header
-        let mut bytes = frame.to_bytes();
-        let slo_end = bytes.len() - if reply.shard.is_some() { SHARD_TAIL } else { 0 };
-        bytes.drain(slo_end - SLO_BLOCK..slo_end);
-        let payload_len = (bytes.len() - HEADER_LEN - TRACE_EXT) as u32;
-        bytes[8..12].copy_from_slice(&payload_len.to_le_bytes());
-        let declared = fnv1a_pair(&bytes);
-        bytes[12..16].copy_from_slice(&declared.to_le_bytes());
-        // Compare on canonical bytes (NaN-carrying replicas survive).
-        let mut expect = reply;
-        expect.slo = None;
-        let decoded = Frame::decode(&bytes).unwrap();
-        match &decoded {
-            Frame::HealthReply(h) => {
-                prop_assert!(h.slo.is_none());
-                prop_assert_eq!(h.shard, expect.shard);
-            }
-            _ => unreachable!(),
-        }
-        prop_assert_eq!(decoded.to_bytes(), Frame::HealthReply(expect).to_bytes());
+    fn earlier_versions_are_refused_by_every_entry_point(
+        variant in 0usize..VARIANTS,
+        seed in any::<u64>(),
+        trace in any::<u64>(),
+        old in 1u16..=2,
+    ) {
+        let mut bytes = build_frame(variant, seed).to_bytes_traced(trace);
+        bytes[4..6].copy_from_slice(&old.to_le_bytes());
+        restamp_checksum(&mut bytes);
+        let refused = WireError::UnsupportedVersion(old);
+        prop_assert_eq!(Frame::decode_traced(&bytes).err(), Some(refused));
+        let streamed = read_frame(&mut std::io::Cursor::new(bytes.clone()));
+        prop_assert!(matches!(streamed, Err(NetError::Wire(e)) if e == refused));
+        prop_assert_eq!(FrameDecoder::new().feed(&bytes).err(), Some(refused));
     }
 }
 
-/// FNV-1a over the checksummed regions (bytes [4..12) then everything past
-/// the fixed header) — mirrors the encoder so tests can re-stamp frames
-/// they have surgically edited.
-fn fnv1a_pair(bytes: &[u8]) -> u32 {
+/// Re-stamps the checksum of a frame a test has edited: FNV-1a over bytes
+/// [4..12), then [16..) — the encoder's formula.
+fn restamp_checksum(bytes: &mut [u8]) {
     let mut h: u32 = 0x811C_9DC5;
-    let mut eat = |chunk: &[u8]| {
-        for &b in chunk {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    };
-    eat(&bytes[4..12]);
-    eat(&bytes[HEADER_LEN..]);
-    h
+    for &b in bytes[4..12].iter().chain(&bytes[16..]) {
+        h ^= b as u32;
+        h = h.wrapping_mul(0x0100_0193);
+    }
+    bytes[12..16].copy_from_slice(&h.to_le_bytes());
 }

@@ -53,6 +53,7 @@ diff /tmp/ms_probe_default.txt /tmp/ms_probe_v3.txt \
 
 echo "== logical suites: codec chaos, reactor loopback + soak, time series, autoscaler, virtual-clock SLA, fleet e2e =="
 cargo test --release -p ms-net --test chaos_codec
+cargo test --release -p ms-net --test protocol_props
 cargo test --release -p ms-net --test loopback_smoke
 cargo test --release -p ms-net --test soak -- --ignored
 cargo test --release -p ms-telemetry --test timeseries_props
@@ -123,6 +124,18 @@ printf '%s\n' "$callers" | grep -v '^    crates/nn/src/conv2d\.rs:' | grep . \
     && die "col2im called outside the strided branch of crates/nn/src/conv2d.rs (lines above)"
 [ "$(printf '%s\n' "$callers" | grep -c .)" -le 1 ] \
     || die "col2im has more than the one strided-branch caller:$(printf '\n%s' "$callers")"
+
+echo "== one frame header check: protocol.rs compares against MAGIC in one place =="
+# Buffer decode, read_frame and FrameDecoder::feed all run the one header
+# check (magic, version, type, length); a second comparison against the
+# magic is a second parser growing back. Tests may compare.
+magic=$(awk '
+    FNR == 1 { intest = 0 }
+    /^#\[cfg\(test\)\]/ { intest = 1 }
+    !intest && /(==|!=)[[:space:]]*MAGIC|MAGIC[[:space:]]*(==|!=)/ && !/^[[:space:]]*\/\// { printf "    %s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/net/src/protocol.rs)
+[ "$(printf '%s\n' "$magic" | grep -c .)" -eq 1 ] \
+    || die "crates/net/src/protocol.rs must check the frame magic in exactly one place:$(printf '\n%s' "$magic")"
 
 echo "== allocation tripwire (hot layer bodies) =="
 # `Tensor::zeros(` and `vec![` are banned inside `fn forward(` /

@@ -135,11 +135,11 @@ fn run_over_wire(
             let mut ack = None;
             loop {
                 match read_frame(&mut reader) {
-                    Ok((Frame::InferResponse(r), _)) => {
+                    Ok((Frame::InferResponse(r), _, _)) => {
                         let ok = matches!(r.outcome, InferOutcome::Logits { .. });
                         got.push((r.correlation_id, ok));
                     }
-                    Ok((Frame::DrainAck { delivered }, _)) => {
+                    Ok((Frame::DrainAck { delivered }, _, _)) => {
                         ack = Some(delivered);
                         break;
                     }
@@ -171,6 +171,7 @@ fn run_over_wire(
                         dims: vec![INPUT_DIM as u32],
                         data: input_for(id).data().to_vec(),
                     }),
+                    0,
                 )
                 .expect("write request");
                 id += 1;
@@ -179,7 +180,7 @@ fn run_over_wire(
         }
         // Graceful drain while the backlog is still in flight: every
         // response must be flushed to us before the ack arrives.
-        write_frame(&mut writer, &Frame::Drain).expect("write drain");
+        write_frame(&mut writer, &Frame::Drain, 0).expect("write drain");
         writer.flush().expect("flush drain");
         collector.join().expect("collector thread")
     });
@@ -767,7 +768,7 @@ fn ten_thousand_connections_zero_loss_bitwise_replay_and_drain_under_churn() {
                             dims: vec![8],
                             data: vec![val; 8],
                         });
-                        if write_frame(&mut s, &req).is_ok() {
+                        if write_frame(&mut s, &req, 0).is_ok() {
                             written.fetch_add(1, Ordering::Relaxed);
                             std::thread::sleep(Duration::from_millis(2));
                         }
