@@ -3,8 +3,8 @@
 //! Prints FNV-1a hashes over the raw IEEE-754 bits of GEMM outputs, sliced
 //! MLP logits at every rate, Algorithm-1 training losses, and the same three
 //! for the benchmark's VGG (direct logits, the refine ladder, two training
-//! steps' losses and gradient norm) and NNLM (direct logits, three training
-//! steps). The output is
+//! steps' losses and gradient norm) and NNLM, on LSTM and on GRU cells (direct
+//! logits, three training steps). The output is
 //! byte-identical between a default build and one with
 //! `--features telemetry-spans` — that is the whole point: the span tracer
 //! must not perturb a single bit of any numeric path. `scripts/perfcheck.sh`
@@ -19,7 +19,7 @@ use ms_core::scheduler::{Scheduler, SchedulerKind};
 use ms_core::slice_rate::{SliceRate, SliceRateList};
 use ms_core::trainer::{Batch, StepStats, Trainer, TrainerConfig};
 use ms_models::mlp::{Mlp, MlpConfig};
-use ms_models::nnlm::{Nnlm, NnlmConfig};
+use ms_models::nnlm::{Nnlm, NnlmConfig, RnnCell};
 use ms_models::vgg::{Vgg, VggConfig};
 use ms_nn::layer::{Layer, Mode};
 use ms_nn::optim::SgdConfig;
@@ -252,6 +252,51 @@ fn main() {
     for step in 0..3 {
         let stats = trainer.step(&mut nnlm, &batch);
         println!("nnlm train step {step}: {}", step_bits(&stats));
+    }
+
+    // 7. The same NNLM on GRU cells: direct logits at four rates and three
+    // steps with dropout, on thirty-two sentences as above, so both parts of
+    // a training pass run and `dh_prev` takes the packed kernel.
+    let mut rng = SeededRng::new(47);
+    let cfg = NnlmConfig {
+        cell: RnnCell::Gru,
+        ..NnlmConfig::scaled(vocab, 8)
+    };
+    let mut gru_lm = Nnlm::new(&cfg, &mut rng);
+    let ids = (0..sentences * words)
+        .map(|_| rng.below(vocab) as f32)
+        .collect();
+    let x = Tensor::from_vec([sentences, words], ids).unwrap();
+    gru_lm.prepack();
+    for r in [0.375f32, 0.5, 0.75, 1.0] {
+        gru_lm.set_slice_rate(SliceRate::new(r));
+        let logits = gru_lm.forward(&x, Mode::Infer);
+        println!(
+            "gru lm forward rate {r}: {:016x}",
+            fingerprint(logits.data())
+        );
+    }
+    let rates = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
+    let scheduler = Scheduler::new(SchedulerKind::Static, rates, &mut rng);
+    let mut trainer = Trainer::new(
+        scheduler,
+        TrainerConfig {
+            sgd: SgdConfig {
+                lr: 1.0,
+                momentum: 0.0,
+                weight_decay: 0.0,
+                clip_norm: Some(1.0),
+            },
+            average_subnet_grads: true,
+        },
+    );
+    let batch = Batch {
+        x,
+        y: (0..sentences * words).map(|_| rng.below(vocab)).collect(),
+    };
+    for step in 0..3 {
+        let stats = trainer.step(&mut gru_lm, &batch);
+        println!("gru lm train step {step}: {}", step_bits(&stats));
     }
 }
 

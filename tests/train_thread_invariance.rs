@@ -8,7 +8,7 @@
 //! thread holds it (every `join` runs inline — what a one-core machine
 //! does), and whatever the concurrently running tests leave it with.
 
-use modelslicing::models::nnlm::{Nnlm, NnlmConfig};
+use modelslicing::models::nnlm::{Nnlm, NnlmConfig, RnnCell};
 use modelslicing::models::vgg::{Vgg, VggConfig};
 use modelslicing::nn::activation::Relu;
 use modelslicing::nn::depthwise::{DepthwiseConv2d, DepthwiseConv2dConfig};
@@ -186,11 +186,17 @@ fn nnlm_steps_with_dropout_are_bitwise_independent_of_who_runs_the_parts() {
         weight_decay: 0.0,
         clip_norm: Some(1.0),
     };
-    let cfg = NnlmConfig::scaled(vocab, 8);
-    assert!(cfg.dropout > 0.0);
-    let outcome = assert_invariant(|| Nnlm::new(&cfg, &mut SeededRng::new(43)), sgd, &batches);
-    // Two LSTMs (one join forward, two backward) and the decoder (one each).
-    assert_eq!(outcome.joins, (STEPS * 3 * (2 * 3 + 2)) as u64);
+    for cell in [RnnCell::Lstm, RnnCell::Gru] {
+        let cfg = NnlmConfig {
+            cell,
+            ..NnlmConfig::scaled(vocab, 8)
+        };
+        assert!(cfg.dropout > 0.0);
+        let outcome = assert_invariant(|| Nnlm::new(&cfg, &mut SeededRng::new(43)), sgd, &batches);
+        // Two recurrent layers (one join forward, two backward) and the
+        // decoder (one each).
+        assert_eq!(outcome.joins, (STEPS * 3 * (2 * 3 + 2)) as u64, "{cell:?}");
+    }
 }
 
 /// Batch statistics are a reduction across samples, so `BatchNorm`,
