@@ -75,7 +75,7 @@ use ms_nn::layer::Layer;
 use ms_telemetry::flight;
 use ms_telemetry::{Counter, Gauge, Histogram};
 use ms_tensor::Tensor;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -407,14 +407,14 @@ struct EngineState {
     ready_len: usize,
     in_flight: usize,
     next_seq: usize,
-    /// Completed requests keyed by submission id — keyed delivery for the
-    /// network front-end; [`Engine::take_responses`] drains it in id order.
-    responses: HashMap<u64, EngineResponse>,
+    /// Completed requests, in completion order; [`Engine::take_responses`]
+    /// and [`Engine::wait_events`] drain them in id order.
+    responses: Vec<EngineResponse>,
     /// Ids shed by admission control at [`Engine::seal`]. Unlike
     /// backpressure (which fails `submit` synchronously), admission
     /// shedding happens after the caller already holds an id, so consumers
     /// that promised a reply per id (the TCP server) collect these from
-    /// [`Engine::take_shed_ids`] / [`Engine::wait_events`].
+    /// [`Engine::wait_events`].
     shed_ids: Vec<u64>,
     /// Virtual clock only: the driver's time — when requests arrive and
     /// batches are sealed. [`Engine::replay`] moves it; it is 0 otherwise.
@@ -521,7 +521,7 @@ impl Engine {
                 ready_len: 0,
                 in_flight: 0,
                 next_seq: 0,
-                responses: HashMap::new(),
+                responses: Vec::new(),
                 shed_ids: Vec::new(),
                 now: Duration::ZERO,
                 free_at: vec![Duration::ZERO; replicas.len()],
@@ -572,46 +572,30 @@ impl Engine {
     /// Offers one request to the open batch. Sheds (and counts the shed)
     /// under backpressure instead of buffering beyond `max_queue`.
     pub fn submit(&self, input: Tensor) -> Result<u64, ShedReason> {
-        self.submit_with_deadline(input, None)
-    }
-
-    /// [`Engine::submit`] with an optional per-request SLA: `deadline` is
-    /// this request's own end-to-end latency bound `T_i` in seconds,
-    /// overriding the engine-wide `EngineConfig::latency` when tighter. The
-    /// request's planning budget is `(T_i/2) · headroom` — the same mapping
-    /// the engine default goes through — and the batch it lands in plans
-    /// against the tightest budget of its members. Deadlines looser than
-    /// the engine default do not relax the batch (the engine still owes its
-    /// configured SLA to every other member).
-    pub fn submit_with_deadline(
-        &self,
-        input: Tensor,
-        deadline: Option<f64>,
-    ) -> Result<u64, ShedReason> {
-        self.submit_traced(input, deadline, 0)
-    }
-
-    /// [`Engine::submit_with_deadline`] carrying a flight-recorder trace
-    /// id (0 = untraced). When the recorder is on, `Admitted` and
-    /// `Enqueued` events are stamped on the way into the open batch.
-    pub fn submit_traced(
-        &self,
-        input: Tensor,
-        deadline: Option<f64>,
-        trace_id: u64,
-    ) -> Result<u64, ShedReason> {
-        self.submit_or_return(input, deadline, trace_id)
+        self.submit_or_return(input, None, 0)
             .map_err(|(reason, t)| {
                 t.recycle();
                 reason
             })
     }
 
-    /// [`Engine::submit_traced`] that hands the input back on refusal, so
-    /// a router can fail the same tensor over to another replica without
-    /// copying it. The flight recorder's `Shed` event is *not* stamped on
-    /// refusal — the caller owns it, because a refusal here may still be
-    /// served by a failover replica.
+    /// [`Engine::submit`] with an optional per-request SLA and a
+    /// flight-recorder trace id, handing the input back on refusal.
+    ///
+    /// `deadline` is this request's own end-to-end latency bound `T_i` in
+    /// seconds, overriding the engine-wide `EngineConfig::latency` when
+    /// tighter. The request's planning budget is `(T_i/2) · headroom` — the
+    /// same mapping the engine default goes through — and the batch it lands
+    /// in plans against the tightest budget of its members. Deadlines looser
+    /// than the engine default do not relax the batch (the engine still owes
+    /// its configured SLA to every other member).
+    ///
+    /// With `trace_id` non-zero and the recorder on, `Admitted` and
+    /// `Enqueued` events are stamped on the way into the open batch. The
+    /// returned input lets a router fail the same tensor over to another
+    /// replica without copying it; the recorder's `Shed` event is *not*
+    /// stamped on refusal — the caller owns it, because a refusal here may
+    /// still be served by a failover replica.
     pub fn submit_or_return(
         &self,
         input: Tensor,
@@ -743,28 +727,10 @@ impl Engine {
     }
 
     /// Takes all responses accumulated since the last call, in submission-id
-    /// order. Thin wrapper over the keyed store — consumers that know the id
-    /// they are waiting for should use [`Engine::take_response`] instead of
-    /// scanning this list.
+    /// order.
     pub fn take_responses(&self) -> Vec<EngineResponse> {
         let mut st = self.shared.state.lock().expect("engine lock");
-        let mut out: Vec<EngineResponse> = st.responses.drain().map(|(_, r)| r).collect();
-        out.sort_by_key(|r| r.id);
-        out
-    }
-
-    /// Takes the response for one submission id, if it has completed.
-    pub fn take_response(&self, id: u64) -> Option<EngineResponse> {
-        let mut st = self.shared.state.lock().expect("engine lock");
-        st.responses.remove(&id)
-    }
-
-    /// Takes the ids shed by admission control at [`Engine::seal`] since the
-    /// last call (backpressure sheds fail `submit` synchronously and never
-    /// appear here).
-    pub fn take_shed_ids(&self) -> Vec<u64> {
-        let mut st = self.shared.state.lock().expect("engine lock");
-        std::mem::take(&mut st.shed_ids)
+        take_sorted(&mut st.responses)
     }
 
     /// Blocks until at least one completion event (response or
@@ -786,8 +752,7 @@ impl Engine {
                 .expect("engine lock");
             st = guard;
         }
-        let mut responses: Vec<EngineResponse> = st.responses.drain().map(|(_, r)| r).collect();
-        responses.sort_by_key(|r| r.id);
+        let responses = take_sorted(&mut st.responses);
         let shed = std::mem::take(&mut st.shed_ids);
         (responses, shed)
     }
@@ -888,6 +853,13 @@ impl Drop for Engine {
             self.stop_and_join();
         }
     }
+}
+
+/// Drains completed responses in submission-id order.
+fn take_sorted(responses: &mut Vec<EngineResponse>) -> Vec<EngineResponse> {
+    let mut out = std::mem::take(responses);
+    out.sort_by_key(|r| r.id);
+    out
 }
 
 fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Send>) {
@@ -1014,18 +986,15 @@ fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Se
         }
         let mut st = shared.state.lock().expect("engine lock");
         for ((id, trace_id), logits) in batch.ids.into_iter().zip(batch.traces).zip(rows) {
-            st.responses.insert(
+            st.responses.push(EngineResponse {
                 id,
-                EngineResponse {
-                    id,
-                    logits,
-                    rate: rate.get(),
-                    batch_seq: batch.seq,
-                    service_time,
-                    latency: wait + service,
-                    trace_id,
-                },
-            );
+                logits,
+                rate: rate.get(),
+                batch_seq: batch.seq,
+                service_time,
+                latency: wait + service,
+                trace_id,
+            });
         }
         shared.clock.release(&mut st.free_at, t0 + service);
         st.in_flight -= 1;
@@ -1326,21 +1295,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_take_response_removes_exactly_one() {
-        let e = engine(2, RatePolicy::Elastic);
-        let ids: Vec<u64> = (0..6)
-            .map(|_| e.submit(Tensor::zeros([8])).unwrap())
-            .collect();
-        e.seal();
-        e.drain();
-        let r = e.take_response(ids[3]).expect("completed");
-        assert_eq!(r.id, ids[3]);
-        assert!(e.take_response(ids[3]).is_none(), "second take is empty");
-        assert_eq!(e.take_responses().len(), 5, "wrapper drains the rest");
-        e.shutdown();
-    }
-
-    #[test]
     fn admission_shed_ids_are_reported() {
         // Same setting as `overload_sheds_at_admission_and_within_budget`:
         // capacity 1600 of 2000 → the 400-id tail is shed at seal.
@@ -1350,11 +1304,12 @@ mod tests {
         }
         e.seal();
         e.drain();
-        let shed = e.take_shed_ids();
+        let (responses, shed) = e.wait_events(Duration::ZERO);
         assert_eq!(shed.len(), 400);
         assert!(shed.iter().all(|&id| id >= 1600), "the tail is shed");
-        assert_eq!(e.take_responses().len(), 1600);
-        assert!(e.take_shed_ids().is_empty(), "drained");
+        assert_eq!(responses.len(), 1600);
+        let (responses, shed) = e.wait_events(Duration::ZERO);
+        assert!(responses.is_empty() && shed.is_empty(), "drained");
         e.shutdown();
     }
 
@@ -1370,8 +1325,8 @@ mod tests {
         for _ in 0..63 {
             e.submit(Tensor::zeros([8])).unwrap();
         }
-        e.submit_with_deadline(Tensor::zeros([8]), Some(0.5e-3))
-            .unwrap();
+        e.submit_or_return(Tensor::zeros([8]), Some(0.5e-3), 0)
+            .expect("admitted");
         let tight = e.seal().expect("sealed");
         // The tightened budget does not leak into the next batch.
         for _ in 0..64 {
@@ -1435,12 +1390,14 @@ mod tests {
         let second = e.submit(Tensor::zeros([8])).unwrap();
         e.seal();
         e.drain();
+        let rs = e.take_responses();
+        let served = |id| rs.iter().find(|r| r.id == id).expect("served");
         // Planned at full width (one request against a 1 ms budget).
-        let on_plan = e.take_response(first).expect("served");
+        let on_plan = served(first);
         let ms3 = Duration::from_millis(3);
         assert_eq!((on_plan.rate, on_plan.latency), (1.0, ms3));
         assert_eq!(on_plan.service_time, 3e-3);
-        let late = e.take_response(second).expect("served");
+        let late = served(second);
         assert_eq!(late.rate, 0.25, "nothing fits a closed window → r_min");
         // It waited out the first, then ran a sixteenth of its cost.
         assert_eq!(late.latency, ms3 + ms3 / 16);
@@ -1458,7 +1415,11 @@ mod tests {
         let second = e.submit(Tensor::zeros([8])).unwrap();
         e.seal();
         e.drain();
-        assert_eq!(e.take_response(second).expect("served").rate, 1.0);
+        let rs = e.take_responses();
+        assert_eq!(
+            rs.iter().find(|r| r.id == second).expect("served").rate,
+            1.0
+        );
         assert_eq!(e.counters().rebound, 0);
         e.shutdown();
 
@@ -1469,7 +1430,8 @@ mod tests {
         let second = e.submit(Tensor::zeros([8])).unwrap();
         e.seal();
         e.drain();
-        let r = e.take_response(second).expect("served");
+        let rs = e.take_responses();
+        let r = rs.iter().find(|r| r.id == second).expect("served");
         assert_eq!((r.rate, r.latency, e.counters().rebound), (1.0, ms3, 0));
         e.shutdown();
     }

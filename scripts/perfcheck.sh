@@ -145,14 +145,15 @@ echo "== allocation tripwire (hot layer bodies) =="
 # reads a stride-1 conv's columns in place, the conv driver that sweeps it or
 # runs the packed columns chunk by chunk and scatters each chunk, the
 # packers that write a conv's columns, transposed columns and output
-# gradient from the image, the GEMM drivers that take them, the recurrent
-# backward's panel helpers and the fork-join itself (brace-counted): the
+# gradient from the image, the GEMM drivers that take them, every recurrent
+# cell's forward and backward step with the driver's recurrent GEMM helpers,
+# and the fork-join itself (brace-counted): the
 # per-call paths use `Tensor::pooled_zeros`, `pooled_clone`,
 # `Workspace::take` and grow-only buffers; `Box::new(` is banned with them so
 # the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_train|forward_prefix|backward|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|gate_gemm|pack_gate_blocks|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_train|forward_prefix|backward|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|forward_step|backward_step|recurrent_gemm|recurrent_grad|read_write|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
@@ -165,7 +166,7 @@ awk '
     }
     END { exit bad }
 ' crates/nn/src/{linear,conv2d,depthwise,activation,sequential,pool,embedding,dropout}.rs \
-    crates/nn/src/norm/group_norm.rs crates/nn/src/rnn/{mod,lstm,gru}.rs \
+    crates/nn/src/norm/group_norm.rs crates/nn/src/rnn/*.rs \
     crates/tensor/src/{matmul,panels,conv,kernel,par}.rs \
     || die "allocation reintroduced: hot paths must use pooled_zeros/pooled_clone/Workspace::take (lines above)"
 echo "perfcheck OK"

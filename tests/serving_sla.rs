@@ -450,7 +450,9 @@ fn anytime_soak_serves_everyone_with_complete_monotone_traces() {
                 [INPUT_DIM],
                 (((round * PER_ROUND + k) % 31) as f32) * 0.06 - 0.9,
             );
-            engine.submit_traced(x, None, tr).expect("soak admits all");
+            engine
+                .submit_or_return(x, None, tr)
+                .expect("soak admits all");
             traces.push(tr);
         }
         engine.seal();
