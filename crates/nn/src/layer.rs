@@ -110,11 +110,12 @@ pub trait Layer {
     /// cheap when already packed) and returns whether this call packed
     /// anything. Layers without weight panels ignore it and return `false`.
     ///
-    /// A `Linear`, `Conv2d`, `Lstm` or `Gru` multiplies off its panels
-    /// instead of re-packing the weight per call. Any `visit_params` pass —
-    /// an optimiser step, weight hydration, even a read-only walk — marks
-    /// them stale. A `Conv2d`, `Lstm` or `Gru` then packs on first use after
-    /// the weight change, in any mode; a `Linear`'s `forward(Infer)` runs on
+    /// A `Linear`, a `Conv2d` and the recurrent driver behind `Lstm` and
+    /// `Gru` multiply off their panels instead of re-packing the weight per
+    /// call. Any `visit_params` pass — an optimiser step, weight hydration,
+    /// even a read-only walk — marks them stale. A `Conv2d` or recurrent
+    /// layer then packs on first use after the weight change, in any mode,
+    /// its backward panels included; a `Linear`'s `forward(Infer)` runs on
     /// the per-call-packing `gemm` until the next `prepack`, and its prefix
     /// forward re-packs on entry.
     fn prepack(&mut self) -> bool {

@@ -12,7 +12,8 @@
 //!
 //! Gate blocks are ordered `r, z, n`, with biases `b_x: [3H]` and
 //! `b_h: [3H]` (a separate recurrent bias, so the candidate's
-//! `r ⊙ (U_n h + b_u)` form is exact). A state block saves `U_n h + b_u`.
+//! `r ⊙ (U_n h + b_u)` form is exact). The state is `h` alone; a step saves
+//! `U_n h + b_u`.
 
 use super::{Cell, Recurrent, RecurrentConfig, StepGrads};
 use crate::layer::Param;
@@ -35,6 +36,7 @@ pub struct GruCell {
 }
 
 impl Cell<3> for GruCell {
+    const STATE: usize = 0;
     const SAVED: usize = 1; // U_n·h_prev + b_u, before reset gating
     const BIASES: usize = 2;
     type BiasGrads<'a> = [&'a mut [f32]; 2];
@@ -59,22 +61,21 @@ impl Cell<3> for GruCell {
         l: &Gru,
         rows: usize,
         [r, z, n]: [&mut [f32]; 3],
-        h_prev: &[f32],
         h: &mut [f32],
-        _saved_prev: &[f32],
+        _state: &mut [f32],
         u: &mut [f32],
     ) {
         let a_h = l.active_h;
         let b_h = |gate: usize| &l.cell.b_h.value.data()[gate * l.cfg.hidden_dim..];
         // r and z gates: add the recurrent side, then squash.
         for (gate, zg) in [&mut *r, &mut *z].into_iter().enumerate() {
-            l.recurrent_gemm(gate, rows, h_prev, zg);
+            l.recurrent_gemm(gate, rows, h, zg);
             add_bias_rows(zg, b_h(gate), a_h, a_h);
             sigmoid_inplace(zg);
         }
         // Candidate: tanh(W_n x + b_n  +  r ⊙ (U_n h + b_u)).
         u.fill(0.0);
-        l.recurrent_gemm(2, rows, h_prev, u);
+        l.recurrent_gemm(2, rows, h, u);
         add_bias_rows(u, b_h(2), a_h, a_h);
         for (k, nv) in n.iter_mut().enumerate() {
             *nv += r[k] * u[k];
@@ -83,7 +84,7 @@ impl Cell<3> for GruCell {
 
         // h_t = (1 − z) ⊙ n + z ⊙ h_prev.
         for (k, hv) in h.iter_mut().enumerate() {
-            *hv = (1.0 - z[k]) * n[k] + z[k] * h_prev[k];
+            *hv = (1.0 - z[k]) * n[k] + z[k] * *hv;
         }
     }
 

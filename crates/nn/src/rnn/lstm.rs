@@ -11,8 +11,8 @@
 //! h_t = o_t ⊙ tanh(c_t)
 //! ```
 //!
-//! Gate blocks are ordered `i, f, g, o`, with one bias `bias: [4H]`. A state
-//! block saves `c` and `tanh c`.
+//! Gate blocks are ordered `i, f, g, o`, with one bias `bias: [4H]`. The
+//! cell carries `c` beside `h` and saves `tanh c` per step.
 
 use super::{Cell, Recurrent, RecurrentConfig, StepGrads};
 use crate::layer::Param;
@@ -33,7 +33,8 @@ pub struct LstmCell {
 }
 
 impl Cell<4> for LstmCell {
-    const SAVED: usize = 2; // c, tanh c
+    const STATE: usize = 1; // c
+    const SAVED: usize = 1; // tanh c
     const BIASES: usize = 1;
     type BiasGrads<'a> = &'a mut [f32];
 
@@ -58,13 +59,12 @@ impl Cell<4> for LstmCell {
         l: &Lstm,
         rows: usize,
         mut z: [&mut [f32]; 4],
-        h_prev: &[f32],
         h: &mut [f32],
-        saved_prev: &[f32],
-        saved: &mut [f32],
+        c: &mut [f32],
+        tc: &mut [f32],
     ) {
         for (gate, zg) in z.iter_mut().enumerate() {
-            l.recurrent_gemm(gate, rows, h_prev, zg);
+            l.recurrent_gemm(gate, rows, h, zg);
         }
         let [zi, zf, zg, zo] = z;
         sigmoid_inplace(zi);
@@ -72,9 +72,8 @@ impl Cell<4> for LstmCell {
         tanh_inplace(zg);
         sigmoid_inplace(zo);
 
-        let (c, tc) = saved.split_at_mut(h.len());
         for (k, cv) in c.iter_mut().enumerate() {
-            *cv = zf[k] * saved_prev[k] + zi[k] * zg[k];
+            *cv = zf[k] * *cv + zi[k] * zg[k];
         }
         tc.copy_from_slice(c);
         tanh_inplace(tc);
@@ -91,7 +90,7 @@ impl Cell<4> for LstmCell {
         let ([zi, zf, zg, zo], [dzi, dzf, dzg, dzo]) = (s.z, s.dz);
         let (dh, dc) = (s.dh, s.scratch);
         let slab = dh.len();
-        let (c_prev, tc) = (&s.saved_prev[..slab], &s.saved[slab..]);
+        let (c_prev, tc) = (s.state_prev, s.saved);
         for k in 0..slab {
             let d_o = dh[k] * tc[k];
             let d_c = dc[k] + dh[k] * zo[k] * tanh_grad_from_output(tc[k]);

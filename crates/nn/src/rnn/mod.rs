@@ -33,10 +33,11 @@
 //!
 //! # State blocks
 //!
-//! The hidden state and the cell's saved slabs live in *blocks*, one per
-//! state: block `t` holds the state before step `t`, block 0 the zero state.
-//! Training keeps all `T + 1` for `backward`; inference alternates between
-//! two, so a step never reads the block it writes.
+//! The state — `h`, and whatever the cell carries beside it — lives in
+//! *blocks*: training keeps `T + 1` of them for `backward` (block 0 the zero
+//! state, block `t + 1` the state after step `t`), inference one, updated in
+//! place. A step's saved slabs are kept per step in training and in one
+//! block in inference.
 //!
 //! # Parts
 //!
@@ -84,7 +85,9 @@ pub struct RecurrentConfig {
 /// [`Recurrent`]. Slices handed to a step are slabs of the step's part:
 /// `rows × a_h` floats each.
 pub trait Cell<const G: usize>: Sized + Send + Sync {
-    /// Slabs the cell saves per state block beside `h`.
+    /// Slabs of state the cell carries from step to step beside `h`.
+    const STATE: usize;
+    /// Slabs a step saves for `backward`.
     const SAVED: usize;
     /// Bias vectors of `G·H` floats the cell owns.
     const BIASES: usize;
@@ -102,15 +105,15 @@ pub trait Cell<const G: usize>: Sized + Send + Sync {
     /// Visits the biases.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 
-    /// One step: `z` holds the step's input projections, `h_prev` and
-    /// `saved_prev` the state block before it; writes `h` and `saved`.
+    /// One step: `z` holds the step's input projections, `h` and `state`
+    /// the state before it; leaves the state after it there and fills
+    /// `saved`.
     fn forward_step(
         l: &Recurrent<Self, G>,
         rows: usize,
         z: [&mut [f32]; G],
-        h_prev: &[f32],
         h: &mut [f32],
-        saved_prev: &[f32],
+        state: &mut [f32],
         saved: &mut [f32],
     );
 
@@ -139,8 +142,8 @@ pub trait Cell<const G: usize>: Sized + Send + Sync {
         dz_h: &[f32],
     );
 
-    /// Opens the cell's backward span (a `span!` is one site per call site,
-    /// so each cell names its own).
+    /// Opens the cell's backward span (`span!` declares one static per call
+    /// site, so each cell opens its own).
     fn backward_span() -> impl Sized;
 }
 
@@ -149,9 +152,9 @@ pub struct StepGrads<'a, const G: usize> {
     t: usize,
     rows: usize,
     z: [&'a [f32]; G],     // the forward's activated gates
-    h_prev: &'a [f32],     // state block t
-    saved_prev: &'a [f32], // saved block t
-    saved: &'a [f32],      // saved block t + 1
+    h_prev: &'a [f32],     // `h` of state block t
+    state_prev: &'a [f32], // the cell's slabs of state block t
+    saved: &'a [f32],      // what step t saved
     dz: [&'a mut [f32]; G],
     dh: &'a mut [f32],      // dL/dh_t in, dL/dh_{t-1} out
     scratch: &'a mut [f32], // the part's backward scratch
@@ -165,7 +168,8 @@ struct SeqCache {
     xt: Vec<f32>,    // [T·B, a_d] input (workspace `StepInput`)
     z: Vec<f32>,     // activated gates, `[gate][part][t][b][unit]` (workspace `Preact`)
     h: Tensor,       // per part T + 1 state blocks of [b, a_h]
-    saved: Vec<f32>, // per part T + 1 blocks of SAVED slabs (workspace `Cell`)
+    state: Tensor,   // likewise, STATE slabs each
+    saved: Vec<f32>, // per part T blocks of SAVED slabs (workspace `Cell`)
 }
 
 /// The buffers of one part of a forward pass: `rows` batch rows.
@@ -174,8 +178,9 @@ struct ForwardPart<'a, const G: usize> {
     x: &'a [f32],          // [rows, T, a_d]
     xt: &'a mut [f32],     // [T, rows, a_d]
     z: [&'a mut [f32]; G], // each [T, rows, a_h]
-    h: &'a mut [f32],      // state blocks
-    saved: &'a mut [f32],  // likewise
+    h: &'a mut [f32],      // T + 1 state blocks (training) or one (inference)
+    state: &'a mut [f32],  // likewise
+    saved: &'a mut [f32],  // T blocks (training) or one (inference)
     out: &'a mut [f32],    // [rows, T, a_h]
 }
 
@@ -185,6 +190,7 @@ struct BackwardPart<'a, const G: usize> {
     dy: &'a [f32], // [rows, T, a_h]
     z: [&'a [f32]; G],
     h: &'a [f32],
+    state: &'a [f32],
     saved: &'a [f32],
     dz: [&'a mut [f32]; G], // each [T, rows, a_h]
     dh: &'a mut [f32],      // [rows, a_h]
@@ -250,6 +256,7 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
         self.ws.put(Role::StepInput, cache.xt);
         self.ws.put(Role::Preact, cache.z);
         cache.h.recycle();
+        cache.state.recycle();
         self.ws.put(Role::Cell, cache.saved);
     }
 
@@ -333,16 +340,21 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
             add_bias_rows(zg, &bias.data()[row0..], a_h, a_h);
         }
 
+        // Training keeps every step's state and saved slabs, inference one
+        // block of each, updated in place.
+        let (state_len, saved_len) = (C::STATE * slab, C::SAVED * slab);
         for t in 0..steps {
-            let (prev, next) = if train {
-                (t, t + 1)
-            } else {
-                (t % 2, (t + 1) % 2)
-            };
-            let (h_prev, h) = read_write(p.h, slab, prev, next);
-            let (saved_prev, saved) = read_write(p.saved, C::SAVED * slab, prev, next);
+            let (prev, next) = if train { (t, t + 1) } else { (0, 0) };
+            if train {
+                p.h.copy_within(prev * slab..next * slab, next * slab);
+                let (from, to) = (prev * state_len, next * state_len);
+                p.state.copy_within(from..to, to);
+            }
             let z = p.z.each_mut().map(|g| &mut g[t * slab..][..slab]);
-            C::forward_step(self, p.rows, z, h_prev, h, saved_prev, saved);
+            let h = &mut p.h[next * slab..][..slab];
+            let state = &mut p.state[next * state_len..][..state_len];
+            let saved = &mut p.saved[prev * saved_len..][..saved_len];
+            C::forward_step(self, p.rows, z, h, state, saved);
             store_step(h, t, steps, a_h, p.out);
         }
     }
@@ -352,7 +364,8 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
     fn backward_part(&self, steps: usize, p: BackwardPart<'_, G>) {
         let (a_h, a_d) = (self.active_h, self.active_in);
         let (d_full, h_full) = (self.cfg.in_dim, self.cfg.hidden_dim);
-        let (slab, kept) = (p.rows * a_h, C::SAVED * p.rows * a_h);
+        let slab = p.rows * a_h;
+        let (state_len, saved_len) = (C::STATE * slab, C::SAVED * slab);
         let BackwardPart {
             mut dz,
             dh,
@@ -366,8 +379,8 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
                 rows: p.rows,
                 z: p.z.map(|g| &g[t * slab..][..slab]),
                 h_prev: &p.h[t * slab..][..slab],
-                saved_prev: &p.saved[t * kept..][..kept],
-                saved: &p.saved[(t + 1) * kept..][..kept],
+                state_prev: &p.state[t * state_len..][..state_len],
+                saved: &p.saved[t * saved_len..][..saved_len],
                 dz: dz.each_mut().map(|g| &mut g[t * slab..][..slab]),
                 dh: &mut *dh,
                 scratch: &mut *scratch,
@@ -436,11 +449,12 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         self.ensure_packed();
         let train = mode == Mode::Train;
 
-        let blocks = if train { steps + 1 } else { 2 };
+        let kept = if train { steps } else { 0 };
         let mut xt = self.ws.take(Role::StepInput, rows * d);
         let mut z = self.ws.take(Role::Preact, G * rows * a_h);
-        let mut h = Tensor::pooled_zeros([blocks * slab]);
-        let mut saved = self.ws.take(Role::Cell, blocks * C::SAVED * slab);
+        let mut h = Tensor::pooled_zeros([(kept + 1) * slab]);
+        let mut state = Tensor::pooled_zeros([(kept + 1) * C::STATE * slab]);
+        let mut saved = self.ws.take(Role::Cell, kept.max(1) * C::SAVED * slab);
         let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
 
         // Training runs the two fixed parts of the batch, inference the
@@ -449,8 +463,10 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         let (x0, x1) = x.data().split_at(mid * steps * d);
         let (xt0, xt1) = xt.split_at_mut(steps * mid * d);
         let (z0, z1) = split_gates(&mut z, rows * a_h, steps * mid * a_h);
-        let (h0, h1) = h.data_mut().split_at_mut(blocks * mid * a_h);
-        let (s0, s1) = saved.split_at_mut(blocks * C::SAVED * mid * a_h);
+        let (h0, h1) = h.data_mut().split_at_mut((kept + 1) * mid * a_h);
+        let at = (kept + 1) * C::STATE * mid * a_h;
+        let (st0, st1) = state.data_mut().split_at_mut(at);
+        let (s0, s1) = saved.split_at_mut(kept.max(1) * C::SAVED * mid * a_h);
         let (out0, out1) = out.data_mut().split_at_mut(mid * steps * a_h);
         let part0 = ForwardPart {
             rows: mid,
@@ -458,6 +474,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
             xt: xt0,
             z: z0,
             h: h0,
+            state: st0,
             saved: s0,
             out: out0,
         };
@@ -467,6 +484,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
             xt: xt1,
             z: z1,
             h: h1,
+            state: st1,
             saved: s1,
             out: out1,
         };
@@ -485,6 +503,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
             xt,
             z,
             h,
+            state,
             saved,
         };
         if train {
@@ -529,11 +548,12 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         // batch on the cuts the forward made.
         let mid = par::mid(batch);
         {
-            let kept = C::SAVED * (steps + 1) * mid * a_h;
             let (dy0, dy1) = dy.data().split_at(mid * steps * a_h);
             let (z0, z1) = split_gates_ref(&cache.z, rows * a_h, steps * mid * a_h);
             let (h0, h1) = cache.h.data().split_at((steps + 1) * mid * a_h);
-            let (s0, s1) = cache.saved.split_at(kept);
+            let at = (steps + 1) * C::STATE * mid * a_h;
+            let (st0, st1) = cache.state.data().split_at(at);
+            let (s0, s1) = cache.saved.split_at(steps * C::SAVED * mid * a_h);
             let (dz0, dz1) = split_gates(dz.data_mut(), rows * a_h, steps * mid * a_h);
             let (dh0, dh1) = dh.data_mut().split_at_mut(mid * a_h);
             let (sc0, sc1) = scratch.data_mut().split_at_mut(scratch_slabs * mid * a_h);
@@ -544,6 +564,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
                 dy: dy0,
                 z: z0,
                 h: h0,
+                state: st0,
                 saved: s0,
                 dz: dz0,
                 dh: dh0,
@@ -556,6 +577,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
                 dy: dy1,
                 z: z1,
                 h: h1,
+                state: st1,
                 saved: s1,
                 dz: dz1,
                 dh: dh1,
@@ -695,17 +717,6 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
 
     fn name(&self) -> &str {
         &self.name
-    }
-}
-
-/// Block `read` and block `write` (distinct) of `len` floats each of `buf`.
-fn read_write(buf: &mut [f32], len: usize, read: usize, write: usize) -> (&[f32], &mut [f32]) {
-    if read < write {
-        let (lo, hi) = buf.split_at_mut(write * len);
-        (&lo[read * len..][..len], &mut hi[..len])
-    } else {
-        let (lo, hi) = buf.split_at_mut(read * len);
-        (&hi[..len], &mut lo[write * len..][..len])
     }
 }
 

@@ -24,7 +24,7 @@ pub enum Role {
     Preact,
     /// Post-nonlinearity gate values (RNNs).
     Gates,
-    /// Cell-state scratch (LSTM).
+    /// A recurrent cell's saved state blocks (RNNs).
     Cell,
     /// Per-group statistics (normalisation layers).
     Stats,
