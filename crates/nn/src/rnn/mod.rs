@@ -28,8 +28,8 @@
 //! `ms_tensor::ops` activate in place. Every GEMM reads the weights off the
 //! layer's packed panels, packed on first use after a weight change. The
 //! driver also owns `dX`, the parameter gradients and the panels; a cell
-//! adds its step forward and backward, the per-step buffers it saves, its
-//! biases and which gradient rows feed `dW_h`.
+//! adds its step forward and backward, the state it carries beside `h`, the
+//! slabs a step saves, its biases and which gradient rows feed `dW_h`.
 //!
 //! # State blocks
 //!
