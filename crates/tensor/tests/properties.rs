@@ -1,8 +1,9 @@
 //! Property-based tests for the tensor kernels.
 
 use ms_tensor::conv::{col2im, im2col, ConvGeom};
-use ms_tensor::matmul::{dot, gemm, gemm_reference, Trans, KC, MR, NR};
+use ms_tensor::matmul::{dot, gemm, gemm_reference, Operand, Trans, KC, MR, NR, SMALL_GEMM_CUTOFF};
 use ms_tensor::ops;
+use ms_tensor::panels::{gemm_packed_a_stepped, gemm_packed_b, PackedA, PackedB};
 use ms_tensor::{SeededRng, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -98,6 +99,58 @@ proptest! {
                 prop_assert_eq!(c[i * ldc + j], c0[i * ldc + j], "padding clobbered");
             }
         }
+    }
+
+    /// The three packed entry points print the same bits for the same
+    /// product: `gemm`, `gemm_packed_b` over a `PackedB` of the same `B`, and
+    /// a one-step `gemm_packed_a_stepped` over a `PackedA` of the same `A`.
+    /// Every shape is above `SMALL_GEMM_CUTOFF`, so all three take the blocked
+    /// loop: edge tiles on both sides, `k` on either side of one and two `KC`
+    /// blocks, `n` past one 1024-column `NC` block, both `B` transposes,
+    /// padded leading dimensions, `alpha` off 0 and 1, and `beta = 0` over a
+    /// `C` poisoned with NaN.
+    #[test]
+    fn packed_entry_points_are_bitwise_one_product(
+        m in proptest::sample::select(vec![1usize, MR - 1, MR + 1, 2 * MR + 1]),
+        n in proptest::sample::select(vec![NR - 1, NR + 1, 2 * NR + 1, 1024 + NR + 3]),
+        k in proptest::sample::select(vec![KC - 1, KC, KC + 1, 2 * KC + 3]),
+        tb in any::<bool>(),
+        pad_a in 0usize..3, pad_b in 0usize..3, pad_c in 0usize..3,
+        (alpha, beta) in proptest::sample::select(vec![(0.7f32, 0.0f32), (-1.3, 0.5), (1.0, 1.0)]),
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(m * n * k > SMALL_GEMM_CUTOFF);
+        let trans_b = if tb { Trans::Yes } else { Trans::No };
+        let (br, bc) = if tb { (n, k) } else { (k, n) };
+        let (lda, ldb, ldc) = (k + pad_a, bc + pad_b, n + pad_c);
+        let mut rng = SeededRng::new(seed);
+        let a: Vec<f32> = (0..m * lda).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let b: Vec<f32> = (0..br * ldb).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let c0: Vec<f32> = if beta == 0.0 {
+            vec![f32::NAN; m * ldc]
+        } else {
+            (0..m * ldc).map(|_| rng.uniform(-1.0, 1.0)).collect()
+        };
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let mut by_gemm = c0.clone();
+        gemm(Trans::No, trans_b, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut by_gemm, ldc);
+        let mut pb = PackedB::new();
+        pb.pack(trans_b, &b, ldb, k, n);
+        let mut by_panel_b = c0.clone();
+        gemm_packed_b(m, 0, k, 0, n, alpha, &a, lda, &pb, beta, &mut by_panel_b, ldc);
+        let mut pa = PackedA::new();
+        pa.pack(Trans::No, &a, lda, m, k);
+        let mut by_panel_a = c0.clone();
+        let b_op = Operand::Matrix(trans_b, &b, ldb);
+        gemm_packed_a_stepped(&[0, m], &[k], n, alpha, &pa, b_op, beta, &mut by_panel_a, ldc);
+
+        prop_assert_eq!(bits(&by_panel_b), bits(&by_gemm), "gemm_packed_b vs gemm");
+        prop_assert_eq!(bits(&by_panel_a), bits(&by_gemm), "gemm_packed_a_stepped vs gemm");
+        prop_assert!(
+            by_gemm.chunks(ldc).all(|row| row[..n].iter().all(|v| v.is_finite())),
+            "beta = {beta} left a NaN of C"
+        );
     }
 
     /// dot is symmetric and matches the simple sum.
