@@ -67,12 +67,9 @@ const RATES: [f32; 2] = [0.375, 1.0];
 /// A table column: its heading and the span-name prefixes it sums.
 type Column = (&'static str, &'static [&'static str]);
 
-/// Everything of a GEMM that is not operand packing: the micro-kernel loops
-/// of the three packed drivers and the unblocked small path.
-const KERNEL: Column = (
-    "kernel",
-    &["gemm.kernel", "gemm.panel_", "gemm.small", "gemm.packed"],
-);
+/// Everything of a GEMM that is not operand packing: the blocked loop under
+/// `gemm` and the panel entry points, and the unblocked small path.
+const KERNEL: Column = ("kernel", &["gemm.panel_", "gemm.small", "gemm.packed"]);
 /// Operand packing, a conv's columns packed from the image included.
 const PACK: Column = ("pack", &["gemm.pack_"]);
 

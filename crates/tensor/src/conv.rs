@@ -232,7 +232,7 @@ pub fn im2col(
 /// holding output position `q` of sample `s`, as [`im2col`] fills a wide
 /// matrix — as a GEMM operand that is never materialised: the drivers pack
 /// it (`matmul::Operand::Im2col`) panel by panel from the image into their
-/// strip layout, byte for byte what `im2col` + `pack_b` or `pack_a` leave, so
+/// strip layout, byte for byte what `im2col` and the matrix packers leave, so
 /// the micro-kernel computes the same bits. With its rows across the lanes it
 /// is the transposed `colsᵀ` of a weight gradient; with a 1×1 window it is
 /// the samples' planes side by side, as an output gradient's rows are read.
@@ -298,8 +298,8 @@ impl Im2col<'_> {
     }
 
     /// Packs rows `[pc, pc + kc)` × columns `[jc, jc + nc)` with the columns
-    /// (positions) across the `L` lanes, the way `matmul::pack_b` packs a
-    /// row-major `B` (`L = NR`) and `pack_a` a transposed `A` (`L = MR`):
+    /// (positions) across the `L` lanes, the way `matmul::pack_b_into` packs
+    /// a row-major `B` (`L = NR`) and `pack_a_into` a transposed `A` (`L = MR`):
     /// `nc.div_ceil(L)` strips of `L` columns, each `kc`-major, lanes past
     /// `nc` zero, which is all of `panel`.
     pub(crate) fn pack_cols<const L: usize>(
@@ -336,8 +336,8 @@ impl Im2col<'_> {
 
     /// Packs rows `[r0, r0 + rows)` × columns `[pc, pc + kc)` with the rows
     /// across the `L` lanes and the columns (positions) along `k`: what
-    /// `matmul::pack_b(Trans::Yes)` makes of the written-out matrix
-    /// (`L = NR`: the `colsᵀ` of `dW = dY·colsᵀ`) and `pack_a(Trans::No)`
+    /// `matmul::pack_b_into(Trans::Yes)` makes of the written-out matrix
+    /// (`L = NR`: the `colsᵀ` of `dW = dY·colsᵀ`) and `pack_a_into(Trans::No)`
     /// (`L = MR`: an output gradient's rows, read through a 1×1 window).
     /// `rows.div_ceil(L)` strips of `L ≤ 2·TB` rows, each `kc`-major, lanes
     /// past `rows` zero, which is all of `panel`.
@@ -435,7 +435,7 @@ impl Im2col<'_> {
             };
             if next.kj == g.kw {
                 (next.kj, next.ki, next.shift) =
-                    (0, row.ki + 1, next.shift + (g.w - g.kw) as isize);
+                    (0, row.ki + 1, next.shift + g.w as isize - g.kw as isize);
             }
             if next.ki == g.kh {
                 next = RowAt {
@@ -885,7 +885,7 @@ pub fn global_avgpool_backward(doutput: &[f32], channels: usize, hw: usize, dinp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::{gemm, pack_a, pack_b, Operand, Trans, KC, NR};
+    use crate::matmul::{gemm, Operand, Trans, KC, NR};
     use crate::panels::{gemm_packed_a_stepped, PackedA};
     use crate::rng::SeededRng;
     use proptest::prelude::*;
@@ -984,10 +984,10 @@ mod tests {
     /// samples from the image, in all four orientations, over windows of its
     /// rows and columns (every `KC` block along `k`, windows that start
     /// mid-strip or straddle two samples, random ones), into buffers poisoned
-    /// with NaN, and demands the bytes `im2col` + `pack_b` / `pack_a` leave:
-    /// the forward's `B` (columns across the lanes), the weight gradient's
-    /// `colsᵀ` (rows across the lanes, positions along `k`) and the two `A`
-    /// sides the same ways round.
+    /// with NaN, and demands the bytes `im2col` + `pack_b_into` /
+    /// `pack_a_into` leave: the forward's `B` (columns across the lanes), the
+    /// weight gradient's `colsᵀ` (rows across the lanes, positions along `k`)
+    /// and the two `A` sides the same ways round.
     fn check_packing(
         g: &ConvGeom,
         c: usize,
@@ -1029,10 +1029,10 @@ mod tests {
             let op = Operand::Im2col(trans, cols);
             for &(pc, kc) in along {
                 for &(jc, nc) in across {
-                    let mut want = Vec::new();
+                    let (mut want, written) = (Vec::new(), Operand::Matrix(trans, &col, n));
                     let want = match side {
-                        'B' => pack_b(trans, &col, n, pc, kc, jc, nc, &mut want),
-                        _ => pack_a(trans, &col, n, jc, nc, pc, kc, &mut want),
+                        'B' => written.pack_as_b(pc, kc, jc, nc, &mut want),
+                        _ => written.pack_as_a(jc, nc, pc, kc, &mut want),
                     };
                     // Poisoned, with room for the panel at any alignment.
                     let mut got = vec![f32::NAN; want.len() + 16];
@@ -1180,11 +1180,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Packing the column matrix from the image is byte for byte
-        /// `im2col` + `pack_b` (or `pack_a`), in all four orientations: every
-        /// geometry `im2col` takes (kernels wider than the image, strides
-        /// that skip columns, padding on every side, non-square planes), one
-        /// to five samples, channel prefixes, rows and positions past one
-        /// `KC` block.
+        /// `im2col` + `pack_b_into` (or `pack_a_into`), in all four
+        /// orientations: every geometry `im2col` takes (kernels wider than
+        /// the image, strides that skip columns, padding on every side,
+        /// non-square planes), one to five samples, channel prefixes, rows
+        /// and positions past one `KC` block.
         #[test]
         fn packing_from_the_image_is_im2col_then_pack_b(
             c in 1usize..13, h in 1usize..9, w in 1usize..9,

@@ -1,5 +1,6 @@
-//! The register-tile micro-kernel under [`crate::matmul::gemm`] and the two
-//! panel drivers of [`crate::panels`], and the tile shape they pack for.
+//! The register-tile micro-kernel under the one blocked GEMM loop — behind
+//! [`crate::matmul::gemm`] and the panel entry points of [`crate::panels`] —
+//! and the tile shape its operands are packed for.
 //!
 //! One call multiplies an `MR`-row strip of packed `op(A)` with an
 //! `NR`-column strip of packed `op(B)` over `kc` steps and writes a window of

@@ -7,32 +7,30 @@
 //!
 //! # Kernel structure
 //!
-//! Large multiplies go through a BLIS-style packed path: panels of `op(A)`
-//! (`MC×KC`) and `op(B)` (`KC×NC`) are packed into contiguous, zero-padded
-//! buffers laid out so the `MR×NR` register-tile micro-kernel reads both
-//! operands sequentially. All four transpose cases differ only in the pack
-//! routines — the micro-kernel is shared, which also gives the previously
-//! column-strided `(Yes, Yes)` case a contiguous inner loop. Problems below
-//! `SMALL_GEMM_CUTOFF` use `gemm_accumulate_unblocked`, whose per-case loops
-//! beat packing overhead at tiny sizes.
-//!
-//! Pack buffers are thread-local and grow-only, so steady-state calls do no
-//! heap allocation. An operand ([`Operand`]) is a stored matrix or the
-//! im2col matrix of a run of images, either way round; the latter is packed
-//! straight from the images, so a convolution's backward ([`gemm_operands`])
-//! writes no column matrix, and its bits are those of the written-out one.
-//!
-//! [`gemm`] packs both operands on every call, which is right when both move
-//! (every backward). Against weights that stand still — inference, and the
-//! training forwards between two optimiser steps — layers go through
-//! [`crate::panels`] instead: the weight operand is packed once into the same
-//! strip layout, and the ranged entry points there drive this module's
-//! micro-kernel without re-gathering it.
+//! Every multiply above `SMALL_GEMM_CUTOFF` runs one BLIS-style blocked loop
+//! (`packed_product`): `k` is cut into blocks at absolute multiples of
+//! `KC`, each block of either operand is read in the micro-kernel's strip
+//! layout — `MR`-row strips of `op(A)`, `NR`-column strips of `op(B)`, each
+//! `kc`-major and zero-padded — and the register-tile micro-kernel runs on
+//! every tile window. An operand reaches the loop from one of two sources:
+//! its persistent panels ([`PackedA`]/[`PackedB`], a weight packed once
+//! between optimiser steps), or an [`Operand`] packed one block at a time
+//! into thread-local, grow-only buffers — `MC` rows of `op(A)` (`PANEL_MC`
+//! against panels) or `NC` columns of `op(B)` per block — so steady-state
+//! calls do no heap allocation. [`gemm`] packs both operands on every call, which is right
+//! when both move (every backward); the entry points in [`crate::panels`]
+//! read the weight side from its panels. All four transpose cases, and an
+//! im2col operand packed straight from the images (so a convolution's
+//! backward, [`gemm_operands`], writes no column matrix), differ only in the
+//! packers; the micro-kernel and every output bit cannot tell them apart.
+//! Problems at or below `SMALL_GEMM_CUTOFF` use `gemm_accumulate_unblocked`,
+//! whose per-case loops beat packing overhead at tiny sizes.
 //!
 //! # Determinism
 //!
-//! Accumulation order is a pure function of `(m, n, k)` and the block
-//! constants, so results are bitwise reproducible run to run (they are not
+//! An element's accumulation order is a pure function of its own `k` range
+//! and `KC` — not of the call's shape, its windows or where either operand
+//! came from — so results are bitwise reproducible run to run (they are not
 //! bitwise-identical to the pre-packing kernel, which accumulated in a
 //! different order). `fmadd` compiles to hardware FMA when the target has
 //! it (`.cargo/config.toml` sets `target-cpu=native`) and to `a * b + c`
@@ -51,10 +49,12 @@
 //! not the validation boundary.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use crate::conv::Im2col;
 use crate::kernel::micro_kernel;
 pub use crate::kernel::{MR, NR};
+use crate::panels::{PackedA, PackedB, PANEL_MC};
 
 /// Whether an operand is logically transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,13 +65,16 @@ pub enum Trans {
     Yes,
 }
 
-/// Rows of `op(A)` packed per panel (a multiple of `MR` on every target;
-/// panel ≈ 72 KiB at `KC=256`, sized for L2).
+/// Rows of `op(A)` packed per `KC` block where both operands are packed per
+/// call (a multiple of `MR` on every target; ≈ 72 KiB at `KC = 256`, sized
+/// for L2). 240 rows measured 2–4 % slower on the layer-shaped GEMMs of the
+/// `kernels` bench; against panels [`PANEL_MC`] rows are.
 const MC: usize = 72;
 /// Shared dimension per panel: the micro-kernel streams `KC·(MR+NR)` packed
 /// floats per tile, sized so a `B` strip stays cache-resident.
 pub const KC: usize = 256;
-/// Columns of `op(B)` packed per panel (multiple of `NR`).
+/// Columns of `op(B)` packed per `KC` block where `B` is packed per call
+/// (multiple of `NR`).
 pub(crate) const NC: usize = 1024;
 /// Problems with `m·n·k` at or below this use the unblocked kernel: packing
 /// costs `O(mk + kn)` and only pays off once each packed element is reused
@@ -122,8 +125,8 @@ pub(crate) fn fmadd(a: f32, b: f32, c: f32) -> f32 {
 /// `alpha * op(A)·op(B)` is accumulated.
 ///
 /// # Panics
-/// Debug-asserts that every buffer is large enough for its
-/// `(rows, cols, ld)` description.
+/// Debug-asserts ([`gemm_operands`]) that every buffer is large enough for
+/// its `(rows, cols, ld)` description.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
     trans_a: Trans,
@@ -140,7 +143,6 @@ pub fn gemm(
     c: &mut [f32],
     ldc: usize,
 ) {
-    debug_check(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
     let (a, b) = (
         Operand::Matrix(trans_a, a, lda),
         Operand::Matrix(trans_b, b, ldb),
@@ -180,7 +182,8 @@ impl<'a> Operand<'a> {
     }
 
     /// Packs rows `[ic, ic + mc)` × columns `[pc, pc + kc)` of `op(X)` the
-    /// way [`pack_a`] packs a left-hand operand, and returns the panel.
+    /// way [`pack_a_into`] packs a left-hand operand, into `buf` at its first
+    /// cache-line boundary ([`aligned`]), and returns the panel.
     pub(crate) fn pack_as_a<'b>(
         &self,
         ic: usize,
@@ -189,21 +192,19 @@ impl<'a> Operand<'a> {
         kc: usize,
         buf: &'b mut Vec<f32>,
     ) -> &'b [f32] {
+        // No clear: every packer writes every lane, padding included.
+        let panel = aligned(buf, mc.div_ceil(MR) * kc * MR);
         match *self {
-            Operand::Matrix(trans, x, ld) => pack_a(trans, x, ld, ic, mc, pc, kc, buf),
-            Operand::Im2col(trans, cols) => {
-                let panel = aligned(buf, mc.div_ceil(MR) * kc * MR);
-                match trans {
-                    Trans::No => cols.pack_rows::<MR>(ic, mc, pc, kc, panel),
-                    Trans::Yes => cols.pack_cols::<MR>(pc, kc, ic, mc, panel),
-                }
-                panel
-            }
+            Operand::Matrix(trans, x, ld) => pack_a_into(trans, x, ld, ic, mc, pc, kc, panel),
+            Operand::Im2col(Trans::No, cols) => cols.pack_rows::<MR>(ic, mc, pc, kc, panel),
+            Operand::Im2col(Trans::Yes, cols) => cols.pack_cols::<MR>(pc, kc, ic, mc, panel),
         }
+        panel
     }
 
     /// Packs rows `[pc, pc + kc)` × columns `[jc, jc + nc)` of `op(X)` the
-    /// way [`pack_b`] packs a right-hand operand, and returns the panel.
+    /// way [`pack_b_into`] packs a right-hand operand, as [`Operand::pack_as_a`]
+    /// does, and returns the panel.
     pub(crate) fn pack_as_b<'b>(
         &self,
         pc: usize,
@@ -212,17 +213,13 @@ impl<'a> Operand<'a> {
         nc: usize,
         buf: &'b mut Vec<f32>,
     ) -> &'b [f32] {
+        let panel = aligned(buf, nc.div_ceil(NR) * kc * NR);
         match *self {
-            Operand::Matrix(trans, x, ld) => pack_b(trans, x, ld, pc, kc, jc, nc, buf),
-            Operand::Im2col(trans, cols) => {
-                let panel = aligned(buf, nc.div_ceil(NR) * kc * NR);
-                match trans {
-                    Trans::No => cols.pack_cols::<NR>(pc, kc, jc, nc, panel),
-                    Trans::Yes => cols.pack_rows::<NR>(jc, nc, pc, kc, panel),
-                }
-                panel
-            }
+            Operand::Matrix(trans, x, ld) => pack_b_into(trans, x, ld, pc, kc, jc, nc, panel),
+            Operand::Im2col(Trans::No, cols) => cols.pack_cols::<NR>(pc, kc, jc, nc, panel),
+            Operand::Im2col(Trans::Yes, cols) => cols.pack_rows::<NR>(jc, nc, pc, kc, panel),
         }
+        panel
     }
 
     /// `op(X)` as a stored matrix `(trans, x, ld)`: a matrix as it is, an
@@ -276,40 +273,178 @@ pub fn gemm_operands(
         return;
     }
 
-    // Span sites compile to nothing without `telemetry-spans`; with it,
-    // they attribute packed-GEMM time to packing vs micro-kernel work.
-    let _span_gemm = ms_telemetry::span!("gemm.packed");
-    PACK_BUFS.with(|bufs| {
-        let (ref mut apack, ref mut bpack) = *bufs.borrow_mut();
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            let nc_strips = nc.div_ceil(NR);
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-                let store = beta == 0.0 && pc == 0;
-                let bpanel = {
-                    let _s = ms_telemetry::span!("gemm.pack_b");
-                    b.pack_as_b(pc, kc, jc, nc, bpack)
-                };
-                for ic in (0..m).step_by(MC) {
-                    let mc = MC.min(m - ic);
-                    let mc_strips = mc.div_ceil(MR);
-                    let apanel = {
-                        let _s = ms_telemetry::span!("gemm.pack_a");
-                        a.pack_as_a(ic, mc, pc, kc, apack)
-                    };
-                    let _s = ms_telemetry::span!("gemm.kernel");
-                    for jr in 0..nc_strips {
-                        let nr = NR.min(nc - jr * NR);
-                        let bp = &bpanel[jr * kc * NR..(jr + 1) * kc * NR];
-                        for ir in 0..mc_strips {
-                            let mr = MR.min(mc - ir * MR);
-                            let ap = &apanel[ir * kc * MR..(ir + 1) * kc * MR];
-                            let c_off = (ic + ir * MR) * ldc + jc + jr * NR;
-                            micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, 0..mr, 0..nr, store);
+    let _span = ms_telemetry::span!("gemm.packed");
+    let (a, b) = (Source::Packs(a), Source::Packs(b));
+    packed_product(&[0, m], &[k], 0, 0..n, alpha, a, b, beta, c, ldc);
+}
+
+/// Where [`packed_product`] reads one operand from: its persistent panels,
+/// or an [`Operand`] it packs one block at a time into the thread's buffers.
+pub(crate) enum Source<'a, P> {
+    /// A weight packed once, every `KC` block of it in the strip layout.
+    Panels(&'a P),
+    /// Packed per block: `MC` (against panels `PANEL_MC`) rows of `op(A)`,
+    /// `NC` columns of `op(B)`.
+    Packs(Operand<'a>),
+}
+
+/// One `KC` block of an operand as the micro-kernel reads it, `R` lanes per
+/// strip, from its first requested `k` step on: strip `s` — counted from row
+/// (or column) 0 of the operand — begins at `buf[(s - first) · stride]`.
+pub(crate) struct Block<'p, const R: usize> {
+    pub(crate) buf: &'p [f32],
+    pub(crate) first: usize,
+    pub(crate) stride: usize,
+}
+
+impl<'p, const R: usize> Block<'p, R> {
+    /// The first `kc` steps of strip `s`.
+    #[inline(always)]
+    pub(crate) fn strip(&self, s: usize, kc: usize) -> &'p [f32] {
+        &self.buf[(s - self.first) * self.stride..][..kc * R]
+    }
+}
+
+impl<'a> Source<'a, PackedA> {
+    /// Rows `[ic, ic + mc)` × steps `[pc, pc + kc)` of `op(A)`.
+    fn block(
+        &self,
+        ic: usize,
+        mc: usize,
+        pc: usize,
+        kc: usize,
+        buf: &'a mut Vec<f32>,
+    ) -> Block<'a, MR> {
+        match *self {
+            Source::Panels(pa) => pa.block(pc),
+            Source::Packs(a) => {
+                let _s = ms_telemetry::span!("gemm.pack_a");
+                let (buf, first, stride) = (a.pack_as_a(ic, mc, pc, kc, buf), ic / MR, kc * MR);
+                Block { buf, first, stride }
+            }
+        }
+    }
+}
+
+impl<'a> Source<'a, PackedB> {
+    /// Steps `[pc, pc + kc)` × columns `[jc, jc + nc)` of `op(B)`.
+    fn block(
+        &self,
+        pc: usize,
+        kc: usize,
+        jc: usize,
+        nc: usize,
+        buf: &'a mut Vec<f32>,
+    ) -> Block<'a, NR> {
+        match *self {
+            Source::Panels(pb) => pb.block(pc),
+            Source::Packs(b) => {
+                let _s = ms_telemetry::span!("gemm.pack_b");
+                let (buf, first, stride) = (b.pack_as_b(pc, kc, jc, nc, buf), jc / NR, kc * NR);
+                Block { buf, first, stride }
+            }
+        }
+    }
+}
+
+/// The lanes of strip `s` (`R` wide, at absolute multiples of `R`) that fall
+/// inside `[lo, hi)`.
+#[inline(always)]
+pub(crate) fn lanes<const R: usize>(s: usize, lo: usize, hi: usize) -> Range<usize> {
+    lo.max(s * R) - s * R..hi.min(s * R + R) - s * R
+}
+
+/// The steps of a stepped sweep that multiply in the `KC` block of `kc`
+/// steps from `pc`: each step's rows and how many of those steps it takes.
+pub(crate) fn live_steps<'s>(
+    rows: &'s [usize],
+    k_ext: &'s [usize],
+    pc: usize,
+    kc: usize,
+) -> impl Iterator<Item = (Range<usize>, usize)> + 's {
+    let steps = rows.windows(2).zip(k_ext);
+    let live = steps.filter(move |&(r, &k1)| k1 > pc && r[0] < r[1]);
+    live.map(move |(r, &k1)| (r[0]..r[1], kc.min(k1 - pc)))
+}
+
+/// The one blocked loop under every packed product: step `i` of the sweep
+/// accumulates `alpha · op(A)[rows[i]..rows[i+1], k0..k_ext[i]) ·
+/// op(B)[k0..k_ext[i], cols]` into `C`, whose element `(i, j)` lives at
+/// `c[(i − rows[0]) · ldc + (j − cols.start)]`; with `beta = 0` the first
+/// block is stored over what `C` held rather than added to it (the caller's
+/// [`apply_beta`] does the rest).
+///
+/// `k` splits at absolute multiples of `KC`, strips sit at absolute
+/// multiples of `MR`/`NR`, and every tile gets the first `kc` steps of its
+/// two strips, so an element's bits are a function of its own `k` range —
+/// not of the window, the steps around it or which source either operand
+/// came from. The source is asked for once per block: a panel set is read
+/// whole (one row block of the window, one column block), an operand packed
+/// `MC` rows (`PANEL_MC` against panels) or `NC` columns at a time from row
+/// or column 0. `rows` and `cols` are not empty.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn packed_product(
+    rows: &[usize],
+    k_ext: &[usize],
+    k0: usize,
+    cols: Range<usize>,
+    alpha: f32,
+    a: Source<PackedA>,
+    b: Source<PackedB>,
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let (m0, m1) = (rows[0], rows[rows.len() - 1]);
+    let k1 = k_ext.iter().copied().max().unwrap_or(0);
+    let mc_block = match (&a, &b) {
+        (Source::Panels(_), _) => m1 - m0,
+        (Source::Packs(_), Source::Panels(_)) => PANEL_MC,
+        (Source::Packs(_), Source::Packs(_)) => MC,
+    };
+    let nc_block = match b {
+        Source::Panels(_) => cols.len(),
+        Source::Packs(_) => NC,
+    };
+    debug_assert!(matches!(a, Source::Panels(_)) || m0 == 0);
+    debug_assert!(matches!(b, Source::Panels(_)) || cols.start == 0);
+    with_pack_bufs(|apack, bpack| {
+        for jc in cols.clone().step_by(nc_block) {
+            let nc = nc_block.min(cols.end - jc);
+            let mut pc = k0;
+            while pc < k1 {
+                let kc = (pc - pc % KC + KC).min(k1) - pc;
+                let store = beta == 0.0 && pc == k0;
+                let bb = b.block(pc, kc, jc, nc, bpack);
+                for ic in (m0..m1).step_by(mc_block) {
+                    let ab = a.block(ic, mc_block.min(m1 - ic), pc, kc, apack);
+                    for t in jc / NR..(jc + nc).div_ceil(NR) {
+                        let sj = lanes::<NR>(t, jc, jc + nc);
+                        let c_col = t * NR + sj.start - cols.start;
+                        for (r, kc) in live_steps(rows, k_ext, pc, kc) {
+                            let (r0, r1) = (r.start.max(ic), r.end.min(ic + mc_block));
+                            let bp = bb.strip(t, kc);
+                            for s in r0 / MR..r1.div_ceil(MR) {
+                                let si = lanes::<MR>(s, r0, r1);
+                                let c_off = (s * MR + si.start - m0) * ldc + c_col;
+                                let ap = ab.strip(s, kc);
+                                micro_kernel(
+                                    kc,
+                                    alpha,
+                                    ap,
+                                    bp,
+                                    c,
+                                    c_off,
+                                    ldc,
+                                    si,
+                                    sj.clone(),
+                                    store,
+                                );
+                            }
                         }
                     }
                 }
+                pc += kc;
             }
         }
     });
@@ -339,45 +474,6 @@ pub(crate) fn apply_beta(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn debug_check(
-    trans_a: Trans,
-    trans_b: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    debug_assert!(ldc >= n.max(1), "ldc {ldc} < n {n}");
-    match trans_a {
-        Trans::No => debug_assert!(
-            lda >= k.max(1) && (m == 0 || a.len() >= (m - 1) * lda + k),
-            "A buffer too small for {m}x{k} lda {lda}"
-        ),
-        Trans::Yes => debug_assert!(
-            lda >= m.max(1) && (k == 0 || a.len() >= (k - 1) * lda + m),
-            "A^T buffer too small for {k}x{m} lda {lda}"
-        ),
-    }
-    match trans_b {
-        Trans::No => debug_assert!(
-            ldb >= n.max(1) && (k == 0 || b.len() >= (k - 1) * ldb + n),
-            "B buffer too small for {k}x{n} ldb {ldb}"
-        ),
-        Trans::Yes => debug_assert!(
-            ldb >= k.max(1) && (n == 0 || b.len() >= (n - 1) * ldb + k),
-            "B^T buffer too small for {n}x{k} ldb {ldb}"
-        ),
-    }
-    debug_assert!(m == 0 || c.len() >= (m - 1) * ldc + n);
-}
-
 /// Floats in a 64-byte cache line.
 const LINE: usize = 16;
 
@@ -396,32 +492,12 @@ pub(crate) fn aligned(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[off..off + len]
 }
 
-/// Packs the `mc×kc` panel of `op(A)` starting at `(ic, pc)` into strips of
-/// `MR` rows, each strip laid out `kc`-major so the micro-kernel reads
-/// `MR` consecutive floats per `p` step. Rows past `mc` are zero padding.
-/// The panel goes into `buf` at its first cache-line boundary
-/// ([`aligned`]) and is returned.
+/// Packs the `mc×kc` panel of `op(A)` starting at `(ic, pc)` into `buf`,
+/// exactly `mc.div_ceil(MR) * kc * MR` floats: strips of `MR` rows, each
+/// laid out `kc`-major so the micro-kernel reads `MR` consecutive floats per
+/// `p` step. Every lane is written, the padding rows of an edge strip as
+/// zeros, so what an earlier call left in `buf` never shows.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_a<'b>(
-    trans_a: Trans,
-    a: &[f32],
-    lda: usize,
-    ic: usize,
-    mc: usize,
-    pc: usize,
-    kc: usize,
-    buf: &'b mut Vec<f32>,
-) -> &'b [f32] {
-    // No clear: `pack_a_into` writes every lane, padding included, so what
-    // an earlier call left behind never shows.
-    let panel = aligned(buf, mc.div_ceil(MR) * kc * MR);
-    pack_a_into(trans_a, a, lda, ic, mc, pc, kc, panel);
-    panel
-}
-
-/// [`pack_a`] writing into a caller-provided slice of exactly
-/// `mc.div_ceil(MR) * kc * MR` floats; every lane is written, the padding
-/// rows of an edge strip as zeros.
 pub(crate) fn pack_a_into(
     trans_a: Trans,
     a: &[f32],
@@ -470,30 +546,11 @@ pub(crate) fn pack_a_into(
     }
 }
 
-/// Packs the `kc×nc` panel of `op(B)` starting at `(pc, jc)` into strips of
-/// `NR` columns, each strip `kc`-major so the micro-kernel loads one
-/// `NR`-wide row vector per `p` step. Columns past `nc` are zero padding.
-/// The panel goes into `buf` as [`pack_a`]'s does and is returned.
+/// Packs the `kc×nc` panel of `op(B)` starting at `(pc, jc)` into `buf`,
+/// exactly `nc.div_ceil(NR) * kc * NR` floats: strips of `NR` columns, each
+/// `kc`-major so the micro-kernel loads one `NR`-wide row vector per `p`
+/// step, the padding columns of an edge strip zero.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_b<'b>(
-    trans_b: Trans,
-    b: &[f32],
-    ldb: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    buf: &'b mut Vec<f32>,
-) -> &'b [f32] {
-    // No clear: see `pack_a`.
-    let panel = aligned(buf, nc.div_ceil(NR) * kc * NR);
-    pack_b_into(trans_b, b, ldb, pc, kc, jc, nc, panel);
-    panel
-}
-
-/// [`pack_b`] writing into a caller-provided slice of exactly
-/// `nc.div_ceil(NR) * kc * NR` floats; every lane is written, the padding
-/// columns of an edge strip as zeros.
 pub(crate) fn pack_b_into(
     trans_b: Trans,
     b: &[f32],
@@ -528,7 +585,7 @@ pub(crate) fn pack_b_into(
                     dst[..cols].copy_from_slice(&b[(pc + p) * ldb + j_base..][..cols]);
                 }
             }
-            // The mirror image of `pack_a`'s gather: `NR` source rows, one
+            // The mirror image of `pack_a_into`'s gather: `NR` source rows, one
             // contiguous `NR`-wide store per `p`.
             Trans::Yes if cols == NR => {
                 let src: [&[f32]; NR] =
@@ -653,76 +710,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
-/// Matrix–vector product: `y = alpha * op(A) * x + beta * y` where `op(A)` is
-/// `m×n` row-major with leading dimension `lda`.
-///
-/// Dedicated kernels per transpose (rather than `gemm` with `n = 1`, whose
-/// contiguous inner loop would have length 1): `Trans::No` is a row-dot per
-/// output, `Trans::Yes` streams stored rows with an axpy per input. This is
-/// the batch-1 serving hot path.
-#[allow(clippy::too_many_arguments)]
-pub fn gemv(
-    trans: Trans,
-    m: usize,
-    n: usize,
-    alpha: f32,
-    a: &[f32],
-    lda: usize,
-    x: &[f32],
-    beta: f32,
-    y: &mut [f32],
-) {
-    match trans {
-        Trans::No => debug_assert!(
-            lda >= n.max(1) && (m == 0 || a.len() >= (m - 1) * lda + n),
-            "A buffer too small for {m}x{n} lda {lda}"
-        ),
-        Trans::Yes => debug_assert!(
-            lda >= m.max(1) && (n == 0 || a.len() >= (n - 1) * lda + m),
-            "A^T buffer too small for {n}x{m} lda {lda}"
-        ),
-    }
-    debug_assert!(x.len() >= n);
-    debug_assert!(y.len() >= m);
-
-    if m == 0 {
-        return;
-    }
-    // Same beta semantics as gemm: pre-scale, then accumulate.
-    if beta != 1.0 {
-        for v in &mut y[..m] {
-            *v *= beta;
-        }
-    }
-    if n == 0 || alpha == 0.0 {
-        return;
-    }
-    match trans {
-        // y[i] += alpha * dot(A[i, :], x) — one contiguous row-dot per output.
-        Trans::No => {
-            let x = &x[..n];
-            for (i, yv) in y.iter_mut().enumerate().take(m) {
-                let a_row = &a[i * lda..i * lda + n];
-                *yv = fmadd(alpha, dot(a_row, x), *yv);
-            }
-        }
-        // y += alpha * x[p] * A[p, :] — axpy over contiguous stored rows.
-        Trans::Yes => {
-            let y = &mut y[..m];
-            for (p, &xp) in x.iter().enumerate().take(n) {
-                if xp == 0.0 {
-                    continue;
-                }
-                let s = alpha * xp;
-                let a_row = &a[p * lda..p * lda + m];
-                for (yv, &av) in y.iter_mut().zip(a_row) {
-                    *yv = fmadd(s, av, *yv);
-                }
-            }
-        }
-    }
-}
-
 /// Reference (naive, unblocked, f64-accumulating) GEMM used by tests to
 /// validate the kernels.
 #[allow(clippy::too_many_arguments)]
@@ -769,6 +756,7 @@ pub(crate) mod tests {
         (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect()
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn check_case_ab(
         trans_a: Trans,
         trans_b: Trans,
@@ -828,7 +816,7 @@ pub(crate) mod tests {
 
     /// Every `(m, n, k)` with one row or column, a tile less one and plus
     /// one, two tiles and one — against one step, a `KC` block less one, a
-    /// block, and more. Shared with the panel drivers' tests.
+    /// block, and more. Shared with the panel entry points' tests.
     pub(crate) fn tile_and_block_edges() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
         for m in [1, MR - 1, MR + 1, 2 * MR + 1] {
@@ -915,7 +903,21 @@ pub(crate) mod tests {
         let x = vec![1.0f32, 1.0, 1.0]; // 3-vector
         let mut y = vec![0.0f32; 2];
         // y = W[0..2, 0..3] * x
-        gemv(Trans::No, 2, 3, 1.0, &w, 5, &x, 0.0, &mut y);
+        gemm(
+            Trans::No,
+            Trans::No,
+            2,
+            1,
+            3,
+            1.0,
+            &w,
+            5,
+            &x,
+            1,
+            0.0,
+            &mut y,
+            1,
+        );
         assert_eq!(y, vec![0. + 1. + 2., 5. + 6. + 7.]);
     }
 
@@ -1049,54 +1051,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn gemv_matches_gemm_both_transposes() {
-        let mut rng = SeededRng::new(31);
-        for &(m, n, pad) in &[
-            (1usize, 1usize, 0usize),
-            (7, 5, 0),
-            (16, 33, 3),
-            (64, 48, 1),
-        ] {
-            for &trans in &[Trans::No, Trans::Yes] {
-                let (rows, cols) = match trans {
-                    Trans::No => (m, n),
-                    Trans::Yes => (n, m),
-                };
-                let lda = cols + pad;
-                let a = random_buf(&mut rng, rows * lda);
-                let x = random_buf(&mut rng, n);
-                let y0 = random_buf(&mut rng, m);
-                for &(alpha, beta) in &[(1.0f32, 0.0f32), (0.5, 0.5), (0.0, 1.0), (1.0, 1.0)] {
-                    let mut y_fast = y0.clone();
-                    let mut y_ref = y0.clone();
-                    gemv(trans, m, n, alpha, &a, lda, &x, beta, &mut y_fast);
-                    gemm_reference(
-                        trans,
-                        Trans::No,
-                        m,
-                        1,
-                        n,
-                        alpha,
-                        &a,
-                        lda,
-                        &x,
-                        1,
-                        beta,
-                        &mut y_ref,
-                        1,
-                    );
-                    for (i, (p, q)) in y_fast.iter().zip(&y_ref).enumerate() {
-                        assert!(
-                            (p - q).abs() < 1e-4,
-                            "gemv {trans:?} m={m} n={n} i={i}: {p} vs {q}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_dims_are_noops() {
         let a: Vec<f32> = vec![];
         let b: Vec<f32> = vec![];
@@ -1116,9 +1070,6 @@ pub(crate) mod tests {
             &mut c,
             1,
         );
-        let x: Vec<f32> = vec![];
-        let mut y: Vec<f32> = vec![];
-        gemv(Trans::No, 0, 0, 1.0, &a, 1, &x, 0.0, &mut y);
     }
 
     /// The packing loops before the store-contiguous arms: one source row

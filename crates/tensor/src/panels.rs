@@ -5,9 +5,13 @@
 //! re-gathering the same `op(B)` strips (a strided, cache-hostile walk for
 //! the `Trans::Yes` dense-layer case) thousands of times per second. The
 //! types here pack a weight matrix **once**, in exactly the strip layout the
-//! micro-kernel consumes, and expose ranged GEMM entry points that compute
-//! an arbitrary contiguous column (or row) range against an arbitrary
-//! contiguous `k` range — the shapes a per-group prefix forward needs.
+//! micro-kernel consumes. The entry points run `gemm`'s own blocked loop
+//! with the weight read from its panels and the other operand packed one
+//! block at a time: [`gemm_packed_b`] over an arbitrary contiguous column
+//! range and `k` range, [`gemm_packed_a_stepped`] over row ranges each with
+//! its own `k` extent — the shapes a per-group prefix forward needs.
+//! [`conv_packed_a_stepped`], the conv multiply, keeps a direct sweep of its
+//! own where it reads the columns straight from the image.
 //!
 //! # Layout
 //!
@@ -30,9 +34,10 @@
 //! of the anytime prefix-refine path in `ms-nn`.
 
 use crate::conv::Im2col;
-use crate::kernel::{direct_tile, micro_kernel, LaneGroup, TapMasks, GROUPS, LG, MR, NR};
+use crate::kernel::{direct_tile, LaneGroup, TapMasks, GROUPS, LG, MR, NR};
 use crate::matmul::{
-    apply_beta, pack_a, pack_a_into, pack_b_into, with_pack_bufs, Operand, Trans, KC, NC,
+    apply_beta, lanes, live_steps, pack_a_into, pack_b_into, packed_product, Block, Operand,
+    Source, Trans, KC, NC,
 };
 use std::cell::RefCell;
 
@@ -53,13 +58,13 @@ thread_local! {
 /// ran 3 % slower).
 const CHUNK_COLS: usize = 128;
 
-/// Rows of `A` that [`gemm_packed_b`] packs per `KC` block (multiple of
-/// `MR`). Every batch a serving engine seals fits one block, so each `B`
-/// strip is streamed from the panels once per call and stays in L1 while the
-/// row strips of the packed `A` block (240 KiB at `KC = 256`, L2-resident)
-/// pass under it. [`crate::matmul::gemm`]'s `MC = 72` would re-read the whole
-/// `kc×n` weight block once per 72 rows.
-const PANEL_MC: usize = 240;
+/// Rows of `op(A)` packed per `KC` block against [`PackedB`] panels (a
+/// multiple of `MR`). Every batch a serving engine seals fits one block, so
+/// each `B` strip is streamed from the panels once per call and stays in L1
+/// while the row strips of the `A` block (240 KiB at `KC = 256`,
+/// L2-resident) pass under it; 72 rows would re-read the whole `kc×n`
+/// weight block once per 72 rows.
+pub(crate) const PANEL_MC: usize = 240;
 const _: () = assert!(PANEL_MC.is_multiple_of(MR));
 
 /// A persistently packed `k×n` right-hand operand `op(B)`.
@@ -67,7 +72,6 @@ const _: () = assert!(PANEL_MC.is_multiple_of(MR));
 pub struct PackedB {
     k: usize,
     n: usize,
-    block_offsets: Vec<usize>,
     buf: Vec<f32>,
     valid: bool,
 }
@@ -77,9 +81,39 @@ pub struct PackedB {
 pub struct PackedA {
     m: usize,
     k: usize,
-    block_offsets: Vec<usize>,
     buf: Vec<f32>,
     valid: bool,
+}
+
+/// The layout both panel types share, `width` floats per `k` step (strips ×
+/// lanes): the `KC` block that starts at `start` holds `KC.min(k − start)`
+/// steps of every strip and begins `width · start` floats in.
+fn block_at(width: usize, k: usize, start: usize) -> (usize, usize) {
+    (width * start, KC.min(k - start))
+}
+
+/// Sizes `buf` for `k` steps of `strips` strips of `R` lanes and fills each
+/// `KC` block with `fill(pc, kc, block)`. Grow-only, and no clear: the
+/// packers write every lane, padding included.
+fn pack_blocks<const R: usize>(
+    buf: &mut Vec<f32>,
+    strips: usize,
+    k: usize,
+    mut fill: impl FnMut(usize, usize, &mut [f32]),
+) {
+    buf.resize(strips * R * k, 0.0);
+    for pc in (0..k).step_by(KC) {
+        let (at, kc) = block_at(strips * R, k, pc);
+        fill(pc, kc, &mut buf[at..][..strips * R * kc]);
+    }
+}
+
+/// The block of a panel set that holds step `pc`, read from `pc` on.
+fn block_of<const R: usize>(buf: &[f32], strips: usize, k: usize, pc: usize) -> Block<'_, R> {
+    let start = pc - pc % KC;
+    let (at, block_kc) = block_at(strips * R, k, start);
+    let (buf, first, stride) = (&buf[at + (pc - start) * R..], 0, block_kc * R);
+    Block { buf, first, stride }
 }
 
 impl PackedB {
@@ -115,35 +149,17 @@ impl PackedB {
     /// the buffer.
     pub fn pack(&mut self, trans_b: Trans, b: &[f32], ldb: usize, k: usize, n: usize) {
         assert!(k > 0 && n > 0, "cannot pack an empty {k}x{n} operand");
-        let strips = n.div_ceil(NR);
-        let blocks = k.div_ceil(KC);
-        self.block_offsets.clear();
-        let mut total = 0;
-        for p in 0..blocks {
-            let kc = KC.min(k - p * KC);
-            self.block_offsets.push(total);
-            total += strips * kc * NR;
-        }
-        // No clear: the packers write every lane, padding included.
-        self.buf.resize(total, 0.0);
-        for p in 0..blocks {
-            let pc = p * KC;
-            let kc = KC.min(k - pc);
-            let off = self.block_offsets[p];
-            pack_b_into(
-                trans_b,
-                b,
-                ldb,
-                pc,
-                kc,
-                0,
-                n,
-                &mut self.buf[off..off + strips * kc * NR],
-            );
-        }
+        pack_blocks::<NR>(&mut self.buf, n.div_ceil(NR), k, |pc, kc, block| {
+            pack_b_into(trans_b, b, ldb, pc, kc, 0, n, block)
+        });
         self.k = k;
         self.n = n;
         self.valid = true;
+    }
+
+    /// The `KC` block holding step `pc`, from `pc` on.
+    pub(crate) fn block(&self, pc: usize) -> Block<'_, NR> {
+        block_of(&self.buf, self.n.div_ceil(NR), self.k, pc)
     }
 }
 
@@ -177,35 +193,17 @@ impl PackedA {
     /// transposed per `trans_a`). Grow-only.
     pub fn pack(&mut self, trans_a: Trans, a: &[f32], lda: usize, m: usize, k: usize) {
         assert!(m > 0 && k > 0, "cannot pack an empty {m}x{k} operand");
-        let strips = m.div_ceil(MR);
-        let blocks = k.div_ceil(KC);
-        self.block_offsets.clear();
-        let mut total = 0;
-        for p in 0..blocks {
-            let kc = KC.min(k - p * KC);
-            self.block_offsets.push(total);
-            total += strips * kc * MR;
-        }
-        // No clear: the packers write every lane, padding included.
-        self.buf.resize(total, 0.0);
-        for p in 0..blocks {
-            let pc = p * KC;
-            let kc = KC.min(k - pc);
-            let off = self.block_offsets[p];
-            pack_a_into(
-                trans_a,
-                a,
-                lda,
-                0,
-                m,
-                pc,
-                kc,
-                &mut self.buf[off..off + strips * kc * MR],
-            );
-        }
+        pack_blocks::<MR>(&mut self.buf, m.div_ceil(MR), k, |pc, kc, block| {
+            pack_a_into(trans_a, a, lda, 0, m, pc, kc, block)
+        });
         self.m = m;
         self.k = k;
         self.valid = true;
+    }
+
+    /// The `KC` block holding step `pc`, from `pc` on.
+    pub(crate) fn block(&self, pc: usize) -> Block<'_, MR> {
+        block_of(&self.buf, self.m.div_ceil(MR), self.k, pc)
     }
 }
 
@@ -215,8 +213,8 @@ impl PackedA {
 /// `a` is indexed by **absolute** `k`: element `(i, p)` lives at
 /// `a[i * lda + p]` for `p ∈ [k0, k1)`. `c` holds only the requested column
 /// window: element `(i, j)` lives at `c[i * ldc + (j - n0)]`. The `A` side
-/// is packed per call into the shared thread-local buffers (it is the
-/// activation, different every call), [`PANEL_MC`] rows per `KC` block; `B`
+/// is packed per call, [`PANEL_MC`] rows per `KC` block, into the shared
+/// thread-local buffers (it is the activation, different every call); `B`
 /// is read straight from the panels, each strip once per row block.
 ///
 /// The per-call `m·n·k` small-problem dispatch of [`crate::matmul::gemm`] is
@@ -262,42 +260,9 @@ pub fn gemm_packed_b(
     debug_assert!(lda >= 1 && a.len() >= (m - 1) * lda + k1);
 
     let _span = ms_telemetry::span!("gemm.panel_b");
-    let t_lo = n0 / NR;
-    let t_hi = (n1 - 1) / NR;
-    with_pack_bufs(|apack, _| {
-        // k splits at absolute multiples of KC, so a range's block structure
-        // is a function of (k0, k1) alone.
-        let mut pc = k0;
-        while pc < k1 {
-            let block = pc / KC;
-            let bstart = block * KC;
-            let block_kc = KC.min(pb.k - bstart);
-            let kc = (bstart + block_kc).min(k1) - pc;
-            let rib = pc - bstart; // row offset inside the packed block
-            let boff = pb.block_offsets[block];
-            let store = beta == 0.0 && pc == k0;
-            for ic in (0..m).step_by(PANEL_MC) {
-                let mc = PANEL_MC.min(m - ic);
-                let mc_strips = mc.div_ceil(MR);
-                let apanel = {
-                    let _s = ms_telemetry::span!("gemm.pack_a");
-                    pack_a(Trans::No, a, lda, ic, mc, pc, kc, apack)
-                };
-                for t in t_lo..=t_hi {
-                    let sj0 = n0.max(t * NR) - t * NR;
-                    let sj1 = n1.min(t * NR + NR) - t * NR;
-                    let bp = &pb.buf[boff + t * block_kc * NR + rib * NR..][..kc * NR];
-                    for ir in 0..mc_strips {
-                        let mr = MR.min(mc - ir * MR);
-                        let c_off = (ic + ir * MR) * ldc + t * NR + sj0 - n0;
-                        let ap = &apanel[ir * kc * MR..(ir + 1) * kc * MR];
-                        micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, 0..mr, sj0..sj1, store);
-                    }
-                }
-            }
-            pc += kc;
-        }
-    });
+    let a = Source::Packs(Operand::Matrix(Trans::No, a, lda));
+    let b = Source::Panels(pb);
+    packed_product(&[0, m], &[k1], k0, n0..n1, alpha, a, b, beta, c, ldc);
 }
 
 /// Stepped-`k` sweep over a prepacked `op(A)`: step `i` covers rows
@@ -358,41 +323,8 @@ pub fn gemm_packed_a_stepped(
     debug_assert!(b.covers(k_max, n), "B operand smaller than {k_max}x{n}");
 
     let _span = ms_telemetry::span!("gemm.panel_a");
-    with_pack_bufs(|_, bpack| {
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            let nc_strips = nc.div_ceil(NR);
-            for (block, pc) in (0..k_max).step_by(KC).enumerate() {
-                let block_kc = KC.min(pa.k - pc);
-                let packed_kc = KC.min(k_max - pc);
-                let boff = pa.block_offsets[block];
-                let store = beta == 0.0 && pc == 0;
-                let bpanel = {
-                    let _s = ms_telemetry::span!("gemm.pack_b");
-                    b.pack_as_b(pc, packed_kc, jc, nc, bpack)
-                };
-                for (step, &k1) in k_ext.iter().enumerate() {
-                    let (r0, r1) = (rows[step], rows[step + 1]);
-                    if k1 <= pc || r0 == r1 {
-                        continue;
-                    }
-                    // The leading `kc` rows of every packed strip.
-                    let kc = packed_kc.min(k1 - pc);
-                    for s in r0 / MR..=(r1 - 1) / MR {
-                        let si0 = r0.max(s * MR) - s * MR;
-                        let si1 = r1.min(s * MR + MR) - s * MR;
-                        let ap = &pa.buf[boff + s * block_kc * MR..][..kc * MR];
-                        for jr in 0..nc_strips {
-                            let nr = NR.min(nc - jr * NR);
-                            let bp = &bpanel[jr * packed_kc * NR..][..kc * NR];
-                            let c_off = (s * MR + si0 - m0) * ldc + jc + jr * NR;
-                            micro_kernel(kc, alpha, ap, bp, c, c_off, ldc, si0..si1, 0..nr, store);
-                        }
-                    }
-                }
-            }
-        }
-    });
+    let (a, b) = (Source::Panels(pa), Source::Packs(b));
+    packed_product(rows, k_ext, 0, 0..n, alpha, a, b, beta, c, ldc);
 }
 
 /// The one conv multiply: [`gemm_packed_a_stepped`] with `alpha = 1`,
@@ -479,24 +411,15 @@ pub fn conv_packed_a_stepped(
                 }
             }
             let strips = &strips[..nc.div_ceil(NR)];
-            for (block, pc) in (0..k_max).step_by(KC).enumerate() {
-                let block_kc = KC.min(pa.k - pc);
-                let packed_kc = KC.min(k_max - pc);
-                let boff = pa.block_offsets[block];
-                let store = pc == 0;
-                for (step, &k1) in k_ext.iter().enumerate() {
-                    let (r0, r1) = (rows[step], rows[step + 1]);
-                    if k1 <= pc || r0 == r1 {
-                        continue;
-                    }
-                    let kc = packed_kc.min(k1 - pc);
-                    for s in r0 / MR..=(r1 - 1) / MR {
-                        let si0 = r0.max(s * MR) - s * MR;
-                        let si1 = r1.min(s * MR + MR) - s * MR;
-                        let ap = &pa.buf[boff + s * block_kc * MR..][..kc * MR];
-                        let c = &mut c[(s * MR + si0 - m0) * out_len..];
+            for pc in (0..k_max).step_by(KC) {
+                let (ab, store) = (pa.block(pc), pc == 0);
+                for (r, kc) in live_steps(rows, k_ext, pc, KC.min(k_max - pc)) {
+                    for s in r.start / MR..r.end.div_ceil(MR) {
+                        let si = lanes::<MR>(s, r.start, r.end);
+                        let (ap, image) = (ab.strip(s, kc), cols.input);
+                        let c = &mut c[(s * MR + si.start - m0) * out_len..];
                         for groups in strips {
-                            let (image, rows) = (cols.input, si0..si1);
+                            let rows = si.clone();
                             direct_tile(pc, kc, ap, image, taps, groups, c, out_len, rows, store);
                         }
                     }
@@ -585,6 +508,7 @@ mod tests {
         all
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn reference_range_b(
         m: usize,
         (k0, k1): (usize, usize),

@@ -242,7 +242,7 @@ impl Drop for Posted {
     /// from goes away. Its result — and its panic, if any — has no taker.
     fn drop(&mut self) {
         if !self.settled {
-            drop(self.settle());
+            let _ = self.settle();
             drop(lock(&SHARED.panic).take());
         }
     }

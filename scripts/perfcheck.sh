@@ -12,6 +12,10 @@ die() { echo "perfcheck FAILED: $*"; exit 1; }
 echo "== formatting: the workspace stays as rustfmt lays it out =="
 cargo fmt --all -- --check || die "cargo fmt --all would rewrite the files above"
 
+echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join) is clippy-clean =="
+cargo clippy --release -p ms-tensor --all-targets --no-deps -- -D warnings \
+    || die "clippy warns on ms-tensor (lines above)"
+
 echo "== release build (also the shard_server that cluster_elastic spawns) =="
 cargo build --release --workspace
 
@@ -145,7 +149,8 @@ echo "== allocation tripwire (hot layer bodies) =="
 # reads a stride-1 conv's columns in place, the conv driver that sweeps it or
 # runs the packed columns chunk by chunk and scatters each chunk, the
 # packers that write a conv's columns, transposed columns and output
-# gradient from the image, the GEMM drivers that take them, every recurrent
+# gradient from the image, the one blocked GEMM loop with its operand
+# blocks, the matrix packers and `gemm`'s small loops, every recurrent
 # cell's forward and backward step with the driver's recurrent GEMM helpers,
 # and the fork-join itself (brace-counted): the
 # per-call paths use `Tensor::pooled_zeros`, `pooled_clone`,
@@ -153,7 +158,7 @@ echo "== allocation tripwire (hot layer bodies) =="
 # the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_train|forward_prefix|backward|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|forward_step|backward_step|recurrent_gemm|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_train|forward_prefix|backward|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|packed_product|block|pack_blocks|pack_a_into|pack_b_into|gemm_accumulate_unblocked|forward_step|backward_step|recurrent_gemm|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
