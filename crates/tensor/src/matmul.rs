@@ -348,10 +348,11 @@ impl<'a> Source<'a, PackedB> {
 }
 
 /// The lanes of strip `s` (`R` wide, at absolute multiples of `R`) that fall
-/// inside `[lo, hi)`.
+/// inside `[lo, hi)`, for a strip that `[lo, hi)` reaches into. Written so
+/// the compiler sees the window inside `0..R`.
 #[inline(always)]
 pub(crate) fn lanes<const R: usize>(s: usize, lo: usize, hi: usize) -> Range<usize> {
-    lo.max(s * R) - s * R..hi.min(s * R + R) - s * R
+    lo.saturating_sub(s * R).min(R)..(hi - s * R).min(R)
 }
 
 /// The steps of a stepped sweep that multiply in the `KC` block of `kc`
@@ -418,29 +419,12 @@ pub(crate) fn packed_product(
                 let bb = b.block(pc, kc, jc, nc, bpack);
                 for ic in (m0..m1).step_by(mc_block) {
                     let ab = a.block(ic, mc_block.min(m1 - ic), pc, kc, apack);
-                    for t in jc / NR..(jc + nc).div_ceil(NR) {
-                        let sj = lanes::<NR>(t, jc, jc + nc);
-                        let c_col = t * NR + sj.start - cols.start;
-                        for (r, kc) in live_steps(rows, k_ext, pc, kc) {
-                            let (r0, r1) = (r.start.max(ic), r.end.min(ic + mc_block));
-                            let bp = bb.strip(t, kc);
-                            for s in r0 / MR..r1.div_ceil(MR) {
-                                let si = lanes::<MR>(s, r0, r1);
-                                let c_off = (s * MR + si.start - m0) * ldc + c_col;
-                                let ap = ab.strip(s, kc);
-                                micro_kernel(
-                                    kc,
-                                    alpha,
-                                    ap,
-                                    bp,
-                                    c,
-                                    c_off,
-                                    ldc,
-                                    si,
-                                    sj.clone(),
-                                    store,
-                                );
-                            }
+                    for (r, kc) in live_steps(rows, k_ext, pc, kc) {
+                        let (r0, r1) = (r.start.max(ic), r.end.min(ic + mc_block));
+                        for t in jc / NR..(jc + nc).div_ceil(NR) {
+                            let (sj, bp) = (lanes::<NR>(t, jc, jc + nc), bb.strip(t, kc));
+                            let c = &mut c[t * NR + sj.start - cols.start..];
+                            column(kc, alpha, &ab, bp, r0..r1, m0, sj, c, ldc, store);
                         }
                     }
                 }
@@ -448,6 +432,33 @@ pub(crate) fn packed_product(
             }
         }
     });
+}
+
+/// The tiles of one `NR`-column strip `bp` of a block against the `A` strips
+/// of rows `rows`, into `c` from the strip's first column. Out of line on
+/// purpose: inlined into [`packed_product`]'s nest, the tile's accumulators
+/// and the nest's state compete for registers and the nest spills around
+/// every tile (products of a few tiles, the recurrent steps', measured
+/// 1–2 % slower).
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn column(
+    kc: usize,
+    alpha: f32,
+    ab: &Block<MR>,
+    bp: &[f32],
+    rows: Range<usize>,
+    m0: usize,
+    sj: Range<usize>,
+    c: &mut [f32],
+    ldc: usize,
+    store: bool,
+) {
+    for s in rows.start / MR..rows.end.div_ceil(MR) {
+        let (si, ap) = (lanes::<MR>(s, rows.start, rows.end), ab.strip(s, kc));
+        let at = (s * MR + si.start - m0) * ldc;
+        micro_kernel(kc, alpha, ap, bp, c, at, ldc, si, sj.clone(), store);
+    }
 }
 
 /// What every GEMM entry point does to `C` before it multiplies: nothing
