@@ -17,9 +17,9 @@
 //! between optimiser steps), or an [`Operand`] packed one block at a time
 //! into thread-local, grow-only buffers — `MC` rows of `op(A)` (`PANEL_MC`
 //! against panels) or `NC` columns of `op(B)` per block — so steady-state
-//! calls do no heap allocation. [`gemm`] packs both operands on every call, which is right
-//! when both move (every backward); the entry points in [`crate::panels`]
-//! read the weight side from its panels. All four transpose cases, and an
+//! calls do no heap allocation. [`gemm`] packs both operands on every call,
+//! which is right when both move (every backward); the entry points in
+//! [`crate::panels`] read the weight side from its panels. All four transpose cases, and an
 //! im2col operand packed straight from the images (so a convolution's
 //! backward, [`gemm_operands`], writes no column matrix), differ only in the
 //! packers; the micro-kernel and every output bit cannot tell them apart.
@@ -67,8 +67,8 @@ pub enum Trans {
 
 /// Rows of `op(A)` packed per `KC` block where both operands are packed per
 /// call (a multiple of `MR` on every target; ≈ 72 KiB at `KC = 256`, sized
-/// for L2). 240 rows measured 2–4 % slower on the layer-shaped GEMMs of the
-/// `kernels` bench; against panels [`PANEL_MC`] rows are.
+/// for L2). 240 rows measured 2–4 % slower here on the layer-shaped GEMMs of
+/// the `kernels` bench; against panels the block is [`PANEL_MC`] rows.
 const MC: usize = 72;
 /// Shared dimension per panel: the micro-kernel streams `KC·(MR+NR)` packed
 /// floats per tile, sized so a `B` strip stays cache-resident.
