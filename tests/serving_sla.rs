@@ -141,6 +141,159 @@ fn processing_never_exceeds_the_latency_budget() {
     }
 }
 
+/// The serving binary's trace (`--bin serving`, full run).
+fn binary_trace() -> WorkloadTrace {
+    WorkloadTrace::generate(&WorkloadConfig {
+        ticks: 4000,
+        base_rate: 8.0,
+        diurnal_amplitude: 2.0,
+        diurnal_period: 500,
+        spike_prob: 0.003,
+        spike_multiplier: 9.0,
+        spike_len: 40,
+        seed: 23,
+    })
+}
+
+/// The trace of `examples/elastic_serving.rs`.
+fn example_trace() -> WorkloadTrace {
+    WorkloadTrace::generate(&WorkloadConfig {
+        ticks: 2000,
+        base_rate: 8.0,
+        diurnal_amplitude: 2.0,
+        diurnal_period: 400,
+        spike_prob: 0.004,
+        spike_multiplier: 9.0,
+        spike_len: 30,
+        seed: 7,
+    })
+}
+
+/// One §4.1 policy as the engine runs it: the rate policy, the profile it
+/// plans with and is charged by (headroom 1.0, so the planning budget is the
+/// whole `T/2` window), and the table its on-time answers score against.
+struct Row {
+    policy: RatePolicy,
+    profile: LatencyProfile,
+    scores: AccuracyTable,
+}
+
+fn slicing_row(policy: RatePolicy) -> Row {
+    let table = accuracy();
+    Row {
+        policy,
+        profile: LatencyProfile::quadratic(SliceRateList::paper_cifar(), T_FULL),
+        scores: table,
+    }
+}
+
+/// The swap to a cheap model: elastic over `{r_min, 1}`, where the `r_min`
+/// pass stands in for the cheap model — its cost is `rel_cost` of a full
+/// pass and its answers score the cheap model's accuracy.
+fn swap_row(rel_cost: f64, accuracy_cheap: f64) -> Row {
+    let table = accuracy();
+    let list = SliceRateList::from_rates(&[SliceRateList::paper_cifar().min().get(), 1.0]);
+    Row {
+        policy: RatePolicy::Elastic,
+        profile: LatencyProfile::new(list.clone(), vec![rel_cost * T_FULL, T_FULL], 0.0),
+        scores: AccuracyTable::new(list, vec![accuracy_cheap, table.at(SliceRate::FULL)]),
+    }
+}
+
+const T_FULL: f64 = 1e-3;
+
+fn accuracy() -> AccuracyTable {
+    AccuracyTable::new(
+        SliceRateList::paper_cifar(),
+        vec![0.90, 0.92, 0.93, 0.94, 0.945, 0.95],
+    )
+}
+
+/// Replays `trace` through one replica under `row`, at `T = 40 ms`.
+fn replay_row(row: &Row, trace: &WorkloadTrace) -> ReplayReport {
+    let replica = Mlp::new(
+        &MlpConfig {
+            groups: 8,
+            ..mlp_config()
+        },
+        &mut SeededRng::new(11),
+    );
+    let engine = Engine::start_virtual(
+        EngineConfig {
+            latency: 0.04,
+            headroom: 1.0,
+            max_queue: usize::MAX / 2,
+            refine: false,
+        },
+        SlaController::new(row.profile.clone(), row.policy),
+        row.profile.clone(),
+        vec![Box::new(replica) as Box<dyn Layer + Send>],
+    );
+    let report = engine.replay(trace, |id| {
+        Tensor::full([INPUT_DIM], ((id % 31) as f32) * 0.06 - 0.9)
+    });
+    engine.shutdown();
+    report
+}
+
+/// On-time answers score their rate's accuracy; shed and late ones score 0.
+fn effective_accuracy(r: &ReplayReport, scores: &AccuracyTable) -> f64 {
+    assert_eq!(r.late, 0);
+    r.responses
+        .iter()
+        .map(|resp| scores.at(SliceRate::new(resp.rate)))
+        .sum::<f64>()
+        / r.arrived.max(1) as f64
+}
+
+#[test]
+fn replay_reproduces_the_simulator_on_every_policy_and_trace() {
+    let sim = simulator();
+    let r_min = SliceRateList::paper_cifar().min();
+    let rows = [
+        // The simulator's FixedFull and DropCandidates are the same code.
+        (
+            Policy::FixedFull,
+            slicing_row(RatePolicy::FixedShedding(SliceRate::FULL)),
+        ),
+        (
+            Policy::FixedBase,
+            slicing_row(RatePolicy::FixedShedding(r_min)),
+        ),
+        (swap_policy(), swap_row(0.05, 0.70)),
+        (
+            Policy::DropCandidates,
+            slicing_row(RatePolicy::FixedShedding(SliceRate::FULL)),
+        ),
+        (Policy::ModelSlicing, slicing_row(RatePolicy::Elastic)),
+    ];
+    for (name, trace) in [
+        ("moderate", moderate()),
+        ("extreme", extreme()),
+        ("binary", binary_trace()),
+        ("example", example_trace()),
+    ] {
+        for (policy, row) in &rows {
+            let s = sim.run(*policy, &trace);
+            let r = replay_row(row, &trace);
+            let acc = effective_accuracy(&r, &row.scores);
+            assert_eq!(
+                (r.served, r.shed, r.late),
+                (s.served, s.shed, 0),
+                "{name} {policy:?}"
+            );
+            assert!((acc - s.mean_accuracy).abs() < 1e-9, "{name} {policy:?}");
+            // The simulator has no rate for the cheap model: its batches are
+            // the replay's r_min batches.
+            let hist: Vec<(f32, usize)> = (r.counters.rate_histogram.iter())
+                .filter(|&&(rate, _)| !matches!(policy, Policy::ModelSwap { .. }) || rate == 1.0)
+                .map(|&(rate, c)| (rate, c as usize))
+                .collect();
+            assert_eq!(hist, s.rate_histogram, "{name} {policy:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The same SLA story told by the real engine: real forward passes through
 // the worker pool, timed on the engine's virtual clock, where a pass costs
