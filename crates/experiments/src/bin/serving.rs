@@ -1,14 +1,15 @@
 //! §4.1 — dynamic-workload serving demonstration.
 //!
 //! Trains the VGG analogue with model slicing, measures its real accuracy
-//! at each rate, then simulates a query stream with diurnal load and 16×
-//! flash crowds under five degradation policies. Expected result: the
-//! model-slicing policy sheds (almost) nothing, keeps latency ≤ T by
-//! construction, and delivers the highest effective accuracy — full-width
-//! answers off-peak, gracefully narrower answers during spikes.
+//! at each rate, then replays a query stream with diurnal load and 9× flash
+//! crowds through the serving engine under five policies. Expected result:
+//! the model-slicing policy sheds (almost) nothing, answers every admitted
+//! query within T, and delivers the highest effective accuracy — full-width
+//! answers off-peak, gracefully narrower answers during spikes — while the
+//! inelastic full-width server answers everything and most of it late.
 
 use ms_core::scheduler::SchedulerKind;
-use ms_core::slice_rate::SliceRate;
+use ms_core::slice_rate::{SliceRate, SliceRateList};
 use ms_data::synth_images::ImageDataset;
 use ms_experiments::{
     accuracy_sweep, fmt, pct, print_table, telemetry_flusher, test_batches, train_image_model,
@@ -18,12 +19,12 @@ use ms_models::mlp::{Mlp, MlpConfig};
 use ms_models::vgg::Vgg;
 use ms_nn::layer::Layer;
 use ms_nn::shared::SharedWeights;
-use ms_serving::controller::{AccuracyTable, Policy, RatePolicy, SlaController};
+use ms_serving::controller::{AccuracyTable, RatePolicy, SlaController};
 use ms_serving::engine::{Engine, EngineConfig};
 use ms_serving::profile::LatencyProfile;
-use ms_serving::simulator::{SimConfig, SimReport, Simulator};
 use ms_serving::workload::{WorkloadConfig, WorkloadTrace};
 use ms_tensor::{SeededRng, Tensor};
+use serde::Serialize;
 
 fn main() {
     let start = std::time::Instant::now();
@@ -70,71 +71,35 @@ fn main() {
         trace.volatility()
     );
 
-    // Latency T chosen so the full model handles ~2× the base rate:
-    // budget T/2 = 20 × t_full.
+    // Latency T = 40 ms and a full-width pass of 1 ms a sample: a T/2
+    // window holds 20 of them, ~2× the base rate. Each policy is a replay
+    // of the trace through one replica on the engine's virtual clock, where
+    // a pass costs what Eq. 3's quadratic law says (the stand-in replica
+    // only has to slice at the same rates), at headroom 1.0: the planning
+    // budget is T/2. Late batches delay the ones behind them.
     let t_full = 1e-3;
-    let sim = Simulator::new(
-        SimConfig {
-            t_full,
-            latency: 0.04,
-        },
-        table,
-    );
-    let policies = [
-        ("FixedFull", Policy::FixedFull),
-        ("FixedBase", Policy::FixedBase),
-        (
-            "ModelSwap (GBDT-like)",
-            Policy::ModelSwap {
-                rel_cost: 0.05,
-                accuracy: 0.70,
-            },
-        ),
-        ("DropCandidates", Policy::DropCandidates),
-        ("ModelSlicing", Policy::ModelSlicing),
-    ];
-    let mut reports: Vec<(String, SimReport)> = Vec::new();
-    let mut rows = Vec::new();
-    for (name, p) in policies {
-        let r = sim.run(p, &trace);
-        rows.push(vec![
-            name.to_string(),
-            format!("{}", r.served),
-            format!("{}", r.shed),
-            pct(r.shed as f64 / r.arrived.max(1) as f64),
-            pct(r.mean_accuracy),
-            fmt(r.utilization, 3),
-        ]);
-        reports.push((name.to_string(), r));
-    }
-    println!("\n§4.1 — serving under dynamic workload (latency T = 40 ms, budget T/2)\n");
-    print_table(
-        &[
-            "policy",
-            "served",
-            "shed",
-            "shed %",
-            "eff. accuracy %",
-            "budget util",
-        ],
-        &rows,
-    );
-    if let Some((_, slicing)) = reports.iter().find(|(n, _)| n == "ModelSlicing") {
-        println!("\nmodel-slicing width usage (batches per rate):");
-        for (r, c) in &slicing.rate_histogram {
-            println!("  rate {r:.3}: {c}");
-        }
-    }
-    // Backlog regime: a batch that overruns delays the ones behind it.
-    // The engine's virtual clock under the simulator's own cost law
-    // (t_full · r², T = 40 ms): arithmetic on the trace, like the table
-    // above — the stand-in replica only has to slice at the same rates.
-    println!("\nbacklog regime (late batches delay the ones behind; one replica, virtual clock):");
     let law = LatencyProfile::quadratic(setting.rates.clone(), t_full);
-    for (name, policy) in [
-        ("FixedFull", RatePolicy::Fixed(SliceRate::FULL)),
-        ("Elastic", RatePolicy::Elastic),
-    ] {
+    let r_min = setting.rates.min();
+    // The swap to a GBDT-like model is elastic width over {r_min, 1}: the
+    // r_min pass stands in for the cheap model, charged 5 % of a full pass
+    // and scored the cheap model's accuracy.
+    let cheap = SliceRateList::from_rates(&[r_min.get(), 1.0]);
+    let swap = LatencyProfile::new(cheap.clone(), vec![0.05 * t_full, t_full], 0.0);
+    let scored = AccuracyTable::new(cheap, vec![0.70, table.at(SliceRate::FULL)]);
+    let fixed = RatePolicy::Fixed(SliceRate::FULL);
+    let base = RatePolicy::FixedShedding(r_min);
+    let drop = RatePolicy::FixedShedding(SliceRate::FULL);
+    let elastic = RatePolicy::Elastic;
+    let policies = [
+        ("FixedFull", fixed, &law, &table),
+        ("FixedBase", base, &law, &table),
+        ("ModelSwap (GBDT-like)", elastic, &swap, &scored),
+        ("DropCandidates", drop, &law, &table),
+        ("ModelSlicing", elastic, &law, &table),
+    ];
+    let mut results = Vec::new();
+    let mut rows = Vec::new();
+    for (name, policy, profile, scores) in policies {
         let engine = Engine::start_virtual(
             EngineConfig {
                 latency: 0.04,
@@ -142,28 +107,49 @@ fn main() {
                 max_queue: usize::MAX / 2,
                 refine: false,
             },
-            SlaController::new(law.clone(), policy),
-            law.clone(),
+            SlaController::new(profile.clone(), policy),
+            profile.clone(),
             vec![Box::new(Mlp::new(&mlp_config(8), &mut SeededRng::new(11)))],
         );
         let r = engine.replay(&trace, input_for);
         engine.shutdown();
-        let accuracy: f64 = r
-            .responses
-            .iter()
-            .map(|resp| sim.table().at(SliceRate::new(resp.rate)))
-            .sum::<f64>()
-            / r.served.max(1) as f64;
-        println!(
-            "  {name}: on-time {} late {} shed {} p50-latency {:.2} ticks \
-             p99-latency {:.2} ticks acc {:.1}%",
-            r.on_time,
-            r.late,
-            r.shed,
-            r.p50_latency / 0.02,
-            r.p99_latency / 0.02,
-            accuracy * 100.0
-        );
+        let accuracy = r.effective_accuracy(scores);
+        rows.push(vec![
+            name.to_string(),
+            format!("{}", r.served),
+            format!("{}", r.shed),
+            format!("{}", r.late),
+            pct(r.shed as f64 / r.arrived.max(1) as f64),
+            pct(accuracy),
+            fmt(r.p99_latency * 1e3, 1),
+        ]);
+        results.push(PolicyResult {
+            policy: name,
+            arrived: r.arrived,
+            served: r.served,
+            shed: r.shed,
+            late: r.late,
+            effective_accuracy: accuracy,
+            p99_latency_s: r.p99_latency,
+            rate_histogram: r.counters.rate_histogram.clone(),
+        });
+    }
+    println!("\n§4.1 — serving under dynamic workload (latency T = 40 ms, budget T/2)\n");
+    print_table(
+        &[
+            "policy",
+            "served",
+            "shed",
+            "late",
+            "shed %",
+            "eff. accuracy %",
+            "p99 latency ms",
+        ],
+        &rows,
+    );
+    println!("\nmodel-slicing width usage (batches per rate):");
+    for (r, c) in &results[4].rate_histogram {
+        println!("  rate {r:.3}: {c}");
     }
     // The same story on a profile calibrated on this machine, two replicas.
     real_engine_replay();
@@ -173,7 +159,20 @@ fn main() {
     loopback_serving_run();
 
     println!("elapsed: {:.1}s", start.elapsed().as_secs_f64());
-    write_results("serving", &reports);
+    write_results("serving", &results);
+}
+
+/// One row of `results/serving.json`.
+#[derive(Serialize)]
+struct PolicyResult {
+    policy: &'static str,
+    arrived: usize,
+    served: usize,
+    shed: usize,
+    late: usize,
+    effective_accuracy: f64,
+    p99_latency_s: f64,
+    rate_histogram: Vec<(f32, u64)>,
 }
 
 const INPUT_DIM: usize = 16;

@@ -1,18 +1,22 @@
-//! Slice-rate selection policies and the accuracy table they are scored by.
+//! Slice-rate selection and the accuracy table answers are scored by.
 //!
-//! Two generations live here: [`Policy`] scores degradation strategies inside
-//! the synthetic [`crate::simulator`], while [`SlaController`] makes the same
-//! decision for the real [`crate::engine`] against a *measured*
-//! [`LatencyProfile`] instead of the assumed quadratic cost law.
+//! [`SlaController`] decides width and admission for each batch the
+//! [`crate::engine`] seals, planning against a [`LatencyProfile`]: measured
+//! on the machine when serving live, or the quadratic law (or any other
+//! assumed cost) when a trace is replayed on the virtual clock. The §4.1
+//! baselines are [`RatePolicy`] values on such profiles: a fixed width with
+//! or without admission control, and a swap to a cheap model as elastic
+//! width over a two-rate profile whose narrow rate costs what the cheap model
+//! does (`ReplayReport::effective_accuracy` scores each row).
 
 use crate::profile::LatencyProfile;
 use ms_core::slice_rate::{SliceRate, SliceRateList};
 use serde::{Deserialize, Serialize};
 
 /// Measured accuracy per candidate slice rate (ascending with the list),
-/// produced by evaluating the trained model once per rate. The simulator
-/// scores policies against this table instead of re-running the network per
-/// batch, keeping the simulation cheap without changing the comparison.
+/// produced by evaluating the trained model once per rate. A replay scores
+/// each answer by the rate it ran at against this table, so the logits of a
+/// replayed request need not be labelled.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AccuracyTable {
     list: SliceRateList,
@@ -27,156 +31,10 @@ impl AccuracyTable {
         AccuracyTable { list, accuracy }
     }
 
-    /// The candidate rate list.
-    pub fn list(&self) -> &SliceRateList {
-        &self.list
-    }
-
     /// Accuracy at a candidate rate.
     pub fn at(&self, r: SliceRate) -> f64 {
         let idx = self.list.index_of(r).expect("rate in candidate list");
         self.accuracy[idx]
-    }
-
-    /// Accuracy of the full model.
-    pub fn full(&self) -> f64 {
-        *self.accuracy.last().expect("nonempty")
-    }
-
-    /// Accuracy of the base (smallest) model.
-    pub fn base(&self) -> f64 {
-        self.accuracy[0]
-    }
-}
-
-/// What the server does with a batch of `n` queries given `budget` seconds
-/// of processing time and the full-model per-sample time `t_full`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Policy {
-    /// Always run the full model; queries that do not fit the budget are
-    /// shed (the crash/overflow regime of §1).
-    FixedFull,
-    /// Always run the base-width model: meets load but wastes accuracy in
-    /// off-peak hours.
-    FixedBase,
-    /// Coarse degradation (the "naive approach" of §1): run the full model
-    /// while it fits; when overloaded, swap the whole batch to a cheap
-    /// model whose relative cost and accuracy are given.
-    ModelSwap {
-        /// Cheap model cost relative to the full model (e.g. 0.05 ≈ GBDT).
-        rel_cost: f64,
-        /// Cheap model accuracy (absolute).
-        accuracy: f64,
-    },
-    /// Coarse degradation: run the full model on the first `k` queries that
-    /// fit the budget, shed the rest ("reduce the size of the candidate
-    /// items").
-    DropCandidates,
-    /// The paper's elastic policy: largest rate with `n·r²·t_full ≤ budget`.
-    ModelSlicing,
-}
-
-/// Outcome of one batch decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Decision {
-    /// Queries actually processed.
-    pub served: usize,
-    /// Queries shed.
-    pub shed: usize,
-    /// Processing time consumed (seconds).
-    pub time_spent: f64,
-    /// Mean accuracy over *all* queries in the batch, counting shed queries
-    /// as wrong (a shed query returns no / a default answer).
-    pub effective_accuracy: f64,
-    /// Width used, when a sliced/full model ran.
-    pub rate: Option<f32>,
-}
-
-impl Policy {
-    /// Decides how to process a batch of `n` queries.
-    pub fn decide(&self, n: usize, t_full: f64, budget: f64, table: &AccuracyTable) -> Decision {
-        if n == 0 {
-            return Decision {
-                served: 0,
-                shed: 0,
-                time_spent: 0.0,
-                effective_accuracy: 1.0,
-                rate: None,
-            };
-        }
-        let nf = n as f64;
-        match *self {
-            Policy::FixedFull => {
-                let fit = ((budget / t_full).floor() as usize).min(n);
-                Decision {
-                    served: fit,
-                    shed: n - fit,
-                    time_spent: fit as f64 * t_full,
-                    effective_accuracy: table.full() * fit as f64 / nf,
-                    rate: Some(1.0),
-                }
-            }
-            Policy::FixedBase => {
-                let r = table.list().min();
-                let per = t_full * (r.get() as f64) * (r.get() as f64);
-                let fit = ((budget / per).floor() as usize).min(n);
-                Decision {
-                    served: fit,
-                    shed: n - fit,
-                    time_spent: fit as f64 * per,
-                    effective_accuracy: table.base() * fit as f64 / nf,
-                    rate: Some(r.get()),
-                }
-            }
-            Policy::ModelSwap { rel_cost, accuracy } => {
-                // Full model if the whole batch fits, else the cheap model.
-                if nf * t_full <= budget {
-                    Decision {
-                        served: n,
-                        shed: 0,
-                        time_spent: nf * t_full,
-                        effective_accuracy: table.full(),
-                        rate: Some(1.0),
-                    }
-                } else {
-                    let per = t_full * rel_cost;
-                    let fit = ((budget / per).floor() as usize).min(n);
-                    Decision {
-                        served: fit,
-                        shed: n - fit,
-                        time_spent: fit as f64 * per,
-                        effective_accuracy: accuracy * fit as f64 / nf,
-                        rate: None,
-                    }
-                }
-            }
-            Policy::DropCandidates => {
-                let fit = ((budget / t_full).floor() as usize).min(n);
-                Decision {
-                    served: fit,
-                    shed: n - fit,
-                    time_spent: fit as f64 * t_full,
-                    effective_accuracy: table.full() * fit as f64 / nf,
-                    rate: Some(1.0),
-                }
-            }
-            Policy::ModelSlicing => {
-                // Largest rate with n·r²·t ≤ budget, clamped to the base
-                // rate; if even the base overflows, shed the excess at the
-                // base rate.
-                let r2 = budget / (nf * t_full);
-                let r = table.list().snap_down(r2.max(0.0).sqrt() as f32);
-                let per = t_full * (r.get() as f64) * (r.get() as f64);
-                let fit = ((budget / per).floor() as usize).min(n);
-                Decision {
-                    served: fit,
-                    shed: n - fit,
-                    time_spent: fit as f64 * per,
-                    effective_accuracy: table.at(r) * fit as f64 / nf,
-                    rate: Some(r.get()),
-                }
-            }
-        }
     }
 }
 
@@ -208,9 +66,8 @@ pub struct SlaDecision {
     pub shed: usize,
 }
 
-/// Maps batch size → (rate, admission) through a measured latency profile:
-/// the SLA-driven replacement for the synthetic [`Policy`]. Decisions are a
-/// pure function of `(n, budget)`, which is what makes engine replays
+/// Maps batch size → (rate, admission) through a latency profile. Decisions
+/// are a pure function of `(n, budget)`, which is what makes engine replays
 /// deterministic regardless of worker count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SlaController {
@@ -323,80 +180,6 @@ impl SlaController {
 mod tests {
     use super::*;
 
-    fn table() -> AccuracyTable {
-        AccuracyTable::new(
-            SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-            vec![0.90, 0.93, 0.94, 0.95],
-        )
-    }
-
-    #[test]
-    fn slicing_serves_everything_within_latency() {
-        let t = table();
-        // 100 queries, 1ms each full, 25ms budget → r² ≤ 0.25 → r = 0.5,
-        // per-query 0.25ms → all 100 fit exactly.
-        let d = Policy::ModelSlicing.decide(100, 0.001, 0.025, &t);
-        assert_eq!(d.served, 100);
-        assert_eq!(d.shed, 0);
-        assert_eq!(d.rate, Some(0.5));
-        assert!((d.effective_accuracy - 0.93).abs() < 1e-12);
-        assert!(d.time_spent <= 0.025 + 1e-12);
-    }
-
-    #[test]
-    fn fixed_full_sheds_under_load() {
-        let t = table();
-        let d = Policy::FixedFull.decide(100, 0.001, 0.025, &t);
-        assert_eq!(d.served, 25);
-        assert_eq!(d.shed, 75);
-        assert!(d.effective_accuracy < 0.25);
-    }
-
-    #[test]
-    fn fixed_full_wins_when_idle() {
-        let t = table();
-        let d_full = Policy::FixedFull.decide(5, 0.001, 0.025, &t);
-        let d_slice = Policy::ModelSlicing.decide(5, 0.001, 0.025, &t);
-        // Low load: slicing also picks the full model — no accuracy loss.
-        assert_eq!(d_full.effective_accuracy, d_slice.effective_accuracy);
-        assert_eq!(d_slice.rate, Some(1.0));
-    }
-
-    #[test]
-    fn swap_degrades_to_cheap_model() {
-        let t = table();
-        let p = Policy::ModelSwap {
-            rel_cost: 0.05,
-            accuracy: 0.85,
-        };
-        let d = p.decide(100, 0.001, 0.025, &t);
-        assert_eq!(d.served, 100);
-        assert!((d.effective_accuracy - 0.85).abs() < 1e-12);
-        // But under light load it serves at full accuracy.
-        let d = p.decide(5, 0.001, 0.025, &t);
-        assert_eq!(d.effective_accuracy, 0.95);
-    }
-
-    #[test]
-    fn slicing_beats_coarse_policies_under_surge() {
-        let t = table();
-        let budget = 0.025;
-        let n = 200; // extreme spike
-        let slice = Policy::ModelSlicing.decide(n, 0.001, budget, &t);
-        let full = Policy::FixedFull.decide(n, 0.001, budget, &t);
-        let drop = Policy::DropCandidates.decide(n, 0.001, budget, &t);
-        assert!(slice.effective_accuracy > full.effective_accuracy);
-        assert!(slice.effective_accuracy > drop.effective_accuracy);
-    }
-
-    #[test]
-    fn empty_batch_is_free() {
-        let t = table();
-        let d = Policy::ModelSlicing.decide(0, 0.001, 0.025, &t);
-        assert_eq!(d.time_spent, 0.0);
-        assert_eq!(d.served, 0);
-    }
-
     fn quad_controller(policy: RatePolicy) -> SlaController {
         SlaController::new(
             LatencyProfile::quadratic(SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]), 1e-3),
@@ -407,7 +190,7 @@ mod tests {
     #[test]
     fn sla_elastic_matches_the_synthetic_policy_on_the_quadratic_law() {
         let c = quad_controller(RatePolicy::Elastic);
-        // Same setting as `slicing_serves_everything_within_latency`.
+        // 100 queries, 1 ms each at full width, 25 ms budget → r² ≤ 0.25.
         let d = c.decide(100, 0.025);
         assert_eq!(d.rate.get(), 0.5);
         assert_eq!(d.admit, 100);

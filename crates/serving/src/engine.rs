@@ -1,9 +1,8 @@
 //! The multi-threaded elastic inference engine.
 //!
-//! This is the real version of the story the simulator only sketches: actual
-//! forward passes through the sliced network, on actual OS threads, with the
-//! slice rate chosen per batch by an [`SlaController`] planning against a
-//! *measured* [`LatencyProfile`].
+//! Actual forward passes through the sliced network, on actual OS threads,
+//! with the slice rate chosen per batch by an [`SlaController`] planning
+//! against a [`LatencyProfile`].
 //!
 //! # Threading model
 //!
@@ -66,7 +65,7 @@
 //! replaying one trace on 1 replica and on N produces bitwise-identical
 //! logits per request (`tests/engine_determinism.rs`).
 
-use crate::controller::{SlaController, SlaDecision};
+use crate::controller::{AccuracyTable, SlaController, SlaDecision};
 use crate::profile::LatencyProfile;
 use crate::workload::WorkloadTrace;
 use ms_core::inference::{batched_sliced_forward, refine_batched_forward};
@@ -1004,7 +1003,7 @@ fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Se
 }
 
 // ---------------------------------------------------------------------------
-// Trace replay: the Policy/Simulator workloads, through the real engine.
+// Trace replay: a workload trace through the real engine on virtual time.
 // ---------------------------------------------------------------------------
 
 /// Outcome of replaying one workload trace through a virtual-clock engine:
@@ -1033,6 +1032,19 @@ pub struct ReplayReport {
     pub responses: Vec<EngineResponse>,
     /// Engine counter snapshot taken after the replay drained.
     pub counters: EngineCounters,
+    /// The deadline window `T/2` the verdicts above were judged by.
+    window: Duration,
+}
+
+impl ReplayReport {
+    /// The §4.1 score: each on-time answer scores its rate's accuracy in
+    /// `table`, shed and late requests score 0, and the sum is divided by the
+    /// requests that arrived.
+    pub fn effective_accuracy(&self, table: &AccuracyTable) -> f64 {
+        let on_time = self.responses.iter().filter(|r| r.latency <= self.window);
+        let score: f64 = on_time.map(|r| table.at(SliceRate::new(r.rate))).sum();
+        score / self.arrived.max(1) as f64
+    }
 }
 
 impl Engine {
@@ -1092,6 +1104,7 @@ impl Engine {
             p99_latency: pct(0.99),
             counters: self.counters(),
             responses,
+            window,
         }
     }
 }

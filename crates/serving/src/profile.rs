@@ -1,13 +1,12 @@
-//! Measured per-rate latency profiles.
+//! Per-rate latency profiles.
 //!
-//! The synthetic simulator scores policies against an assumed quadratic cost
-//! law; the real engine cannot afford to assume. A [`LatencyProfile`] is the
-//! measured replacement: at startup the engine times the *actual* sliced
-//! network at every candidate rate and stores seconds-per-sample figures the
-//! SLA controller then plans against (Eq. 3 with measured coefficients
-//! instead of the analytic `r²`). The quadratic law survives as
-//! [`LatencyProfile::quadratic`], used by tests that need a deterministic
-//! profile and by the property suite that checks the controller against the
+//! A [`LatencyProfile`] holds seconds-per-sample figures at every candidate
+//! rate, which the SLA controller plans against. Live serving measures them:
+//! at startup the engine times the *actual* sliced network at every rate
+//! (Eq. 3 with measured coefficients instead of the analytic `r²`). A replay
+//! on the virtual clock may instead assume a law: [`LatencyProfile::quadratic`]
+//! is Eq. 3 itself, the deterministic profile of the §4.1 comparison, the
+//! tests and the property suite that checks the controller against the
 //! Eq. 3 bound.
 
 use ms_core::inference::batched_sliced_forward;

@@ -55,7 +55,7 @@ RUSTFLAGS="-C target-cpu=x86-64-v3" cargo run --release -q -p ms-bench \
 diff /tmp/ms_probe_default.txt /tmp/ms_probe_v3.txt \
     || die "the generic micro-kernel (x86-64-v3 build) and the native build disagree on output bits"
 
-echo "== logical suites: codec chaos, reactor loopback + soak, time series, autoscaler, virtual-clock SLA, fleet e2e =="
+echo "== logical suites: codec chaos, reactor loopback + soak, time series, autoscaler, virtual-clock SLA and the §4.1 example, fleet e2e =="
 cargo test --release -p ms-net --test chaos_codec
 cargo test --release -p ms-net --test protocol_props
 cargo test --release -p ms-net --test loopback_smoke
@@ -63,6 +63,7 @@ cargo test --release -p ms-net --test soak -- --ignored
 cargo test --release -p ms-telemetry --test timeseries_props
 cargo test --release -p ms-cluster --test autoscaler_props
 cargo test --release --test serving_sla --test engine_determinism
+cargo run --release -q --example elastic_serving
 cargo test --release --test cluster_elastic
 
 echo "== no wall-clock gate knob or self-rewriting result file may come back =="
