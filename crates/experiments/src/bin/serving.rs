@@ -131,7 +131,7 @@ fn main() {
             late: r.late,
             effective_accuracy: accuracy,
             p99_latency_s: r.p99_latency,
-            rate_histogram: r.counters.rate_histogram.clone(),
+            rate_histogram: r.counters.rate_histogram,
         });
     }
     println!("\n§4.1 — serving under dynamic workload (latency T = 40 ms, budget T/2)\n");

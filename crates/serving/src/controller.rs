@@ -7,7 +7,8 @@
 //! baselines are [`RatePolicy`] values on such profiles: a fixed width with
 //! or without admission control, and a swap to a cheap model as elastic
 //! width over a two-rate profile whose narrow rate costs what the cheap model
-//! does (`ReplayReport::effective_accuracy` scores each row).
+//! does. [`ReplayReport::effective_accuracy`](crate::engine::ReplayReport::effective_accuracy)
+//! scores each of them.
 
 use crate::profile::LatencyProfile;
 use ms_core::slice_rate::{SliceRate, SliceRateList};

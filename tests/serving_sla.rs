@@ -212,9 +212,9 @@ fn extreme_overload_slicing_beats_fixed_and_drop() {
 
 #[test]
 fn processing_never_exceeds_the_latency_budget() {
-    // Every policy that plans against the profile it is charged by admits
-    // only what finishes inside the window; only the inelastic server goes
-    // late.
+    // Admission control admits only what the profile says finishes inside
+    // the window, and here the profile is what a pass costs: nothing
+    // admitted is late. Only the inelastic server, which admits all, goes late.
     for trace in [moderate(), extreme()] {
         let rows = section41(&trace);
         assert!(rows[0].0.late > 0);
@@ -227,8 +227,8 @@ fn processing_never_exceeds_the_latency_budget() {
 #[test]
 fn replay_reproduces_the_simulator_on_every_policy_and_trace() {
     // (served, shed, effective accuracy) of rows 1–4 and the slicing row's
-    // batches per rate, as the discrete-time simulator these replays replaced
-    // computed them; a replay at the same T/2 budget matched it exactly.
+    // batches per rate, as the discrete-time §4.1 simulator computed them
+    // with one tick per T/2 window; the replays reproduce them exactly.
     type Pins = ([(usize, usize, f64); 4], [(f32, u64); 6]);
     let pinned: [(WorkloadTrace, Pins); 4] = [
         (
