@@ -1,12 +1,13 @@
 //! The cluster front router: fans requests out across live shards and
 //! hard-fails-over when a shard dies mid-request.
 //!
-//! One pipelined connection per shard, each with a background reader
-//! thread that forwards typed events — a response, or the connection
-//! going down — onto a single mpsc the router drains. The reader maps
-//! *any* read failure (EOF, RST, corrupt stream) to a `Down` event, so a
-//! shard crash is observed exactly once per connection no matter how the
-//! socket died. Connections carry a monotonically increasing token so an
+//! One [`Connection`] per shard, the same framed socket the ms-net clients
+//! hold, with its reader loop on a thread: the router's closure turns
+//! each response into a `Resp` event and the end of the stream into one
+//! `Down` event, onto a single mpsc the router drains. The loop reports
+//! the end of the stream exactly once however the socket died (EOF, RST,
+//! corrupt bytes), so a shard crash is observed exactly once per
+//! connection. Connections carry a monotonically increasing token so an
 //! event from a dead incarnation can never be confused with its
 //! restarted successor under the same shard id.
 //!
@@ -17,18 +18,18 @@
 //! have computed and even transmitted the answer) and makes deadline
 //! accounting ambiguous; an explicit distinct shed cause keeps every id
 //! accounted for — delivered or shed, never lost — which is the
-//! invariant the cluster e2e asserts. Callers who want re-execution can
-//! resubmit under a fresh id on seeing the cause.
+//! invariant the cluster e2e asserts. A response that reaches the router
+//! after its id was settled that way is dropped, so each id settles
+//! once. Callers who want re-execution can resubmit under a fresh id on
+//! seeing the cause.
 
-use ms_net::protocol::{
-    read_frame, write_frame, Frame, InferOutcome, InferRequest, InferResponse, WireShedReason,
-};
+use ms_net::client::{request_frame, Connection};
+use ms_net::protocol::{Frame, InferOutcome, InferResponse, WireShedReason};
 use ms_tensor::Tensor;
 use std::collections::HashSet;
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 enum Event {
@@ -41,14 +42,12 @@ enum Event {
 struct ConnState {
     token: u64,
     shard_id: u32,
-    writer: BufWriter<TcpStream>,
-    stream: TcpStream,
+    conn: Connection,
     /// Correlation ids dispatched here and not yet settled.
     outstanding: HashSet<u64>,
     alive: bool,
     /// Cleared before a shard is drained so no new work lands on it.
     accepting: bool,
-    reader: Option<JoinHandle<()>>,
 }
 
 /// Fans requests across shard connections; synthesizes `Failover` sheds
@@ -87,44 +86,29 @@ impl FrontRouter {
         generation: u32,
         addr: SocketAddr,
     ) -> io::Result<()> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        let write_half = stream.try_clone()?;
+        let mut conn = Connection::connect(addr)?;
         let token = self.next_token;
         self.next_token += 1;
         let tx = self.tx.clone();
-        let reader = std::thread::Builder::new()
-            // Generation in the thread name: `Down` races across a restart
-            // are disambiguated by token, but a stack trace should still
-            // say which incarnation it watched.
-            .name(format!("ms-cluster-front-{shard_id}g{generation}"))
-            .spawn(move || {
-                let mut r = BufReader::new(read_half);
-                loop {
-                    match read_frame(&mut r) {
-                        Ok((Frame::InferResponse(resp), _, _)) => {
-                            if tx.send(Event::Resp(token, resp)).is_err() {
-                                break;
-                            }
-                        }
-                        Ok(_) => continue, // health/drain traffic: not ours
-                        Err(_) => {
-                            let _ = tx.send(Event::Down(token));
-                            break;
-                        }
-                    }
-                }
-            })?;
+        // Generation in the thread name: `Down` races across a restart are
+        // disambiguated by token, but a stack trace should still say which
+        // incarnation it watched.
+        let name = format!("ms-cluster-front-{shard_id}g{generation}");
+        conn.spawn_reader(name, move |frame| match frame {
+            Some((Frame::InferResponse(resp), _)) => tx.send(Event::Resp(token, resp)).is_ok(),
+            Some(_) => true, // health/drain traffic: not ours
+            None => {
+                let _ = tx.send(Event::Down(token));
+                false
+            }
+        })?;
         self.conns.push(ConnState {
             token,
             shard_id,
-            writer: BufWriter::new(write_half),
-            stream,
+            conn,
             outstanding: HashSet::new(),
             alive: true,
             accepting: true,
-            reader: Some(reader),
         });
         Ok(())
     }
@@ -152,18 +136,8 @@ impl FrontRouter {
         for t in tokens {
             self.mark_down(t);
         }
-        let mut i = 0;
-        while i < self.conns.len() {
-            if self.conns[i].shard_id == shard_id {
-                let mut c = self.conns.remove(i);
-                let _ = c.stream.shutdown(Shutdown::Both);
-                if let Some(h) = c.reader.take() {
-                    let _ = h.join();
-                }
-            } else {
-                i += 1;
-            }
-        }
+        // Dropping a connection joins its reader thread.
+        self.conns.retain(|c| c.shard_id != shard_id);
     }
 
     /// Live, accepting shard count.
@@ -188,12 +162,7 @@ impl FrontRouter {
         deadline_micros: u64,
         input: &Tensor,
     ) -> Option<InferResponse> {
-        let frame = Frame::InferRequest(InferRequest {
-            correlation_id,
-            deadline_micros,
-            dims: input.dims().iter().map(|&d| d as u32).collect(),
-            data: input.data().to_vec(),
-        });
+        let frame = request_frame(correlation_id, deadline_micros, input);
         loop {
             let best = self
                 .conns
@@ -204,17 +173,12 @@ impl FrontRouter {
                 self.failover_sheds.inc();
                 return Some(failover_shed(correlation_id));
             };
-            match write_frame(&mut c.writer, &frame, 0) {
-                Ok(_) => {
-                    c.outstanding.insert(correlation_id);
-                    return None;
-                }
-                Err(_) => {
-                    let token = c.token;
-                    self.mark_down(token);
-                    // retry the remaining shards
-                }
+            if c.conn.send(&frame, 0).is_ok() {
+                c.outstanding.insert(correlation_id);
+                return None;
             }
+            let token = c.token;
+            self.mark_down(token); // then retry the remaining shards
         }
     }
 
@@ -222,7 +186,7 @@ impl FrontRouter {
     pub fn flush(&mut self) {
         let mut dead = Vec::new();
         for c in &mut self.conns {
-            if c.alive && c.writer.flush().is_err() {
+            if c.alive && c.conn.flush().is_err() {
                 dead.push(c.token);
             }
         }
@@ -252,10 +216,11 @@ impl FrontRouter {
             };
             match ev {
                 Event::Resp(token, resp) => {
-                    if let Some(c) = self.conns.iter_mut().find(|c| c.token == token) {
-                        c.outstanding.remove(&resp.correlation_id);
+                    // An id already settled as a failover shed stays settled.
+                    let open = self.conns.iter_mut().find(|c| c.token == token);
+                    if open.is_some_and(|c| c.outstanding.remove(&resp.correlation_id)) {
+                        out.push(resp);
                     }
-                    out.push(resp);
                 }
                 Event::Down(token) => self.mark_down(token),
             }
@@ -276,7 +241,7 @@ impl FrontRouter {
         }
         c.alive = false;
         c.accepting = false;
-        let _ = c.stream.shutdown(Shutdown::Both);
+        c.conn.shutdown();
         let orphans: Vec<u64> = c.outstanding.drain().collect();
         self.failover_sheds.add(orphans.len() as u64);
         self.pending.extend(orphans.into_iter().map(failover_shed));
@@ -289,23 +254,60 @@ impl Default for FrontRouter {
     }
 }
 
-impl Drop for FrontRouter {
-    fn drop(&mut self) {
-        for c in &mut self.conns {
-            let _ = c.writer.flush();
-            let _ = c.stream.shutdown(Shutdown::Both);
-            if let Some(h) = c.reader.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 /// The synthesized client-side settlement for an orphaned request.
 fn failover_shed(correlation_id: u64) -> InferResponse {
     InferResponse {
         correlation_id,
         rate_used: 0.0,
         outcome: InferOutcome::Shed(WireShedReason::Failover),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ms_net::protocol::{read_frame, write_frame};
+    use std::net::TcpListener;
+
+    /// A shard that answers ids its connection already went down with:
+    /// the late responses must not settle those ids a second time.
+    #[test]
+    fn a_response_behind_a_failover_shed_is_dropped() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shard = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            for _ in 0..8 {
+                let Ok((Frame::InferRequest(req), _, _)) = read_frame(&mut stream) else {
+                    panic!("expected a request frame");
+                };
+                let resp = InferResponse {
+                    correlation_id: req.correlation_id,
+                    rate_used: 1.0,
+                    outcome: InferOutcome::Logits {
+                        dims: vec![1],
+                        data: vec![0.0],
+                    },
+                };
+                write_frame(&mut stream, &Frame::InferResponse(resp), 0).unwrap();
+            }
+        });
+        let mut router = FrontRouter::new();
+        router.add_shard(0, 1, addr).unwrap();
+        for id in 0..8 {
+            assert!(router.dispatch(id, 0, &Tensor::zeros([2])).is_none());
+        }
+        router.flush();
+        shard.join().unwrap();
+        // Not pumped yet: all eight are still outstanding, so removing the
+        // shard settles them as failover sheds, whatever its reader had
+        // already queued. `remove_shard` joins the reader, so one pump
+        // sees every event it will ever send.
+        router.remove_shard(0);
+        let out = router.pump(Duration::ZERO);
+        let mut ids: Vec<u64> = out.iter().map(|r| r.correlation_id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..8).collect::<Vec<_>>(), "each id settles once");
+        assert!(out.iter().all(|r| *r == failover_shed(r.correlation_id)));
     }
 }

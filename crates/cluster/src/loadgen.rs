@@ -170,7 +170,6 @@ pub fn run_trace(
             settle(resp, &mut in_flight);
         }
     }
-    drop(settle);
 
     report.lost = in_flight.len() as u64;
     report.wall_s = t0.elapsed().as_secs_f64();

@@ -16,7 +16,7 @@
 //! the shard under a bumped generation.
 
 use ms_net::protocol::VERSION;
-use ms_net::Client;
+use ms_net::{NetError, PipelinedClient};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
@@ -270,12 +270,13 @@ impl Supervisor {
         exits
     }
 
-    /// Retires a shard losslessly: sends the wire `Drain`, blocks for the
-    /// `DrainAck` (every in-flight response is flushed first — the server
-    /// orders them before the ack), then waits for the process to exit.
-    /// Returns the responses that were still in flight on the *drain
-    /// connection* (always empty here, since the supervisor's connection
-    /// never carried requests) and the shard's lifetime delivered count.
+    /// Retires a shard losslessly: sends the wire `Drain`, waits up to
+    /// `timeout` for the `DrainAck` (every in-flight response is flushed
+    /// first — the server orders them before the ack), then up to
+    /// `timeout` for the process to exit. A shard that fails either step
+    /// is SIGKILLed, so a wedged shard holds neither the caller nor a
+    /// process slot. Returns the shard's lifetime delivered count, or the
+    /// drain's error once the shard is killed.
     pub fn retire(&mut self, id: u32, timeout: Duration) -> io::Result<u64> {
         let shard = self
             .shards
@@ -283,24 +284,26 @@ impl Supervisor {
             .find(|s| s.id == id)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such shard"))?;
         shard.retiring = true;
-        let client = Client::connect(shard.addr)?;
-        let (_flushed, delivered) = client
-            .drain()
-            .map_err(|e| io::Error::new(io::ErrorKind::Other, format!("drain: {e}")))?;
+        let drained = PipelinedClient::connect(shard.addr).and_then(|mut client| {
+            client.drain_server(timeout).map_err(|e| match e {
+                NetError::Io(e) => e,
+                e => io::Error::other(format!("drain: {e}")),
+            })
+        });
         // The ack is queued before the shard's stop flag rises; give the
         // process a bounded window to notice and exit on its own.
         let deadline = Instant::now() + timeout;
         loop {
             match shard.child.try_wait() {
                 Ok(Some(_)) => break,
-                _ if Instant::now() >= deadline => {
+                _ if drained.is_err() || Instant::now() >= deadline => {
                     let _ = shard.child.kill();
                     break;
                 }
                 _ => std::thread::sleep(Duration::from_millis(5)),
             }
         }
-        Ok(delivered)
+        drained
     }
 
     /// Chaos hook: SIGKILL a shard process outright, simulating a crash.
@@ -418,5 +421,41 @@ mod tests {
                 "{msg}"
             );
         }
+    }
+
+    /// A shard that accepts the drain connection and never answers is
+    /// killed once the drain times out; `retire` returns instead of
+    /// blocking the control loop.
+    #[cfg(unix)]
+    #[test]
+    fn retire_kills_a_shard_that_never_acks_the_drain() {
+        use std::os::unix::fs::PermissionsExt;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let silent = std::thread::spawn(move || listener.accept().map(|(s, _)| s));
+        let script =
+            std::env::temp_dir().join(format!("ms_wedged_shard_{}.sh", std::process::id()));
+        std::fs::write(
+            &script,
+            format!("#!/bin/sh\necho 'MS_SHARD_ADDR={addr} wire={VERSION}'\nexec sleep 30\n"),
+        )
+        .unwrap();
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let mut sup = Supervisor::new(ShardSpec::small(script.clone()));
+        let spawned = sup.spawn_shard();
+        let _ = std::fs::remove_file(&script);
+        let (id, _) = spawned.unwrap();
+        let err = sup.retire(id, Duration::from_millis(200)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        let _held = silent.join().unwrap().unwrap();
+        // Killed, so it exits: as a retirement, since it was asked to go.
+        let exits = (0..2000)
+            .map(|_| {
+                std::thread::sleep(Duration::from_millis(5));
+                sup.poll_exits()
+            })
+            .find(|e| !e.is_empty())
+            .expect("the wedged shard was not killed");
+        assert_eq!(exits[0].kind, ExitKind::Retired);
     }
 }

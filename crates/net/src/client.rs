@@ -1,15 +1,23 @@
-//! Blocking and pipelined clients for the ms-net wire protocol.
+//! Clients for the ms-net wire protocol, over one framed connection.
 //!
-//! [`Client`] is strictly request/response: one frame out, wait for the
-//! matching reply. [`PipelinedClient`] decouples the two halves — a
-//! background reader thread collects responses while the caller keeps
-//! submitting — which is what saturates a batching server: the engine
-//! accumulates a whole `T/2` window of requests instead of one.
+//! [`Connection`] is the socket every client side of the wire holds: a
+//! buffered reader half and a buffered writer half over two fds. It is
+//! run one of two ways:
 //!
-//! Both clients are deliberately plain blocking sockets even though the
-//! server side is a readiness reactor (DESIGN.md §14): the wire is
-//! unchanged, and a blocking peer is the strictest exerciser of the
-//! server's partial-read/partial-write handling.
+//! - synchronously — [`Client`] is strictly request/response: one frame
+//!   out, then [`Connection::recv`] until the matching reply;
+//! - with its reader on a thread — [`Connection::spawn_reader`] hands each
+//!   server frame to the owner's closure in arrival order and reports the
+//!   end of the stream exactly once. [`PipelinedClient`] sorts the frames
+//!   into responses and control replies, so the caller keeps submitting
+//!   while responses land, which is what saturates a batching server: the
+//!   engine accumulates a whole `T/2` window of requests instead of one.
+//!   The cluster's front router runs the same loop per shard.
+//!
+//! Both stay plain blocking sockets even though the server side is a
+//! readiness reactor (DESIGN.md §14): the wire is unchanged, and a
+//! blocking peer is the strictest exerciser of the server's
+//! partial-read/partial-write handling.
 
 use crate::protocol::{
     read_frame, write_frame, Frame, HealthReply, InferRequest, InferResponse, NetError, WireError,
@@ -17,11 +25,12 @@ use crate::protocol::{
 use ms_tensor::Tensor;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-fn request_frame(correlation_id: u64, deadline_micros: u64, input: &Tensor) -> Frame {
+/// The request frame for one inference of `input`.
+pub fn request_frame(correlation_id: u64, deadline_micros: u64, input: &Tensor) -> Frame {
     Frame::InferRequest(InferRequest {
         correlation_id,
         deadline_micros,
@@ -30,32 +39,127 @@ fn request_frame(correlation_id: u64, deadline_micros: u64, input: &Tensor) -> F
     })
 }
 
+/// One framed client socket: two fds, a buffered reader half and a
+/// buffered writer half. Dropping it flushes, shuts the socket down
+/// through the writer half and joins the reader thread, if one runs.
+pub struct Connection {
+    /// `None` once [`spawn_reader`](Self::spawn_reader) moved it to a thread.
+    reader: Option<BufReader<TcpStream>>,
+    writer: BufWriter<TcpStream>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Connection {
+    /// Connects with Nagle off and splits the socket into its two halves.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Connection> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let write_half = stream.try_clone()?;
+        Ok(Connection {
+            reader: Some(BufReader::new(stream)),
+            writer: BufWriter::new(write_half),
+            thread: None,
+        })
+    }
+
+    /// Queues one frame (buffered; [`flush`](Self::flush) pushes it).
+    pub fn send(&mut self, frame: &Frame, trace_id: u64) -> io::Result<()> {
+        write_frame(&mut self.writer, frame, trace_id).map(drop)
+    }
+
+    /// Pushes every queued frame to the socket.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.writer.flush()
+    }
+
+    /// Blocks for the next server frame and the trace id it carried.
+    ///
+    /// # Panics
+    /// If the reader half already runs on a thread.
+    pub fn recv(&mut self) -> Result<(Frame, u64), NetError> {
+        let reader = self
+            .reader
+            .as_mut()
+            .expect("recv: the reader runs on a thread");
+        let (frame, trace, _) = read_frame(reader)?;
+        Ok((frame, trace))
+    }
+
+    /// Moves the reader half onto a thread named `name`. It calls
+    /// `on_frame(Some((frame, trace_id)))` for every frame in arrival
+    /// order until the stream ends (EOF, reset, corrupt bytes) or the
+    /// closure returns `false`, then `on_frame(None)` exactly once.
+    pub fn spawn_reader(
+        &mut self,
+        name: String,
+        mut on_frame: impl FnMut(Option<(Frame, u64)>) -> bool + Send + 'static,
+    ) -> io::Result<()> {
+        let mut reader = self.reader.take().expect("spawn_reader: called twice");
+        let thread = std::thread::Builder::new().name(name).spawn(move || {
+            while let Ok((frame, trace, _)) = read_frame(&mut reader) {
+                if !on_frame(Some((frame, trace))) {
+                    break;
+                }
+            }
+            on_frame(None);
+        })?;
+        self.thread = Some(thread);
+        Ok(())
+    }
+
+    /// Shuts the socket down both ways; a reader thread sees the end of
+    /// its stream. Does not wait for it.
+    pub fn shutdown(&self) {
+        let _ = self.writer.get_ref().shutdown(Shutdown::Both);
+    }
+}
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        let _ = self.writer.flush();
+        self.shutdown();
+        if let Some(h) = self.thread.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+fn unexpected_reply() -> NetError {
+    NetError::Wire(WireError::Malformed("unexpected reply frame"))
+}
+
 /// Strictly request/response blocking client.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    conn: Connection,
 }
 
 impl Client {
     /// Connects to a [`Server`](crate::server::Server).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let write_half = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
-        })
+        Connection::connect(addr).map(|conn| Client { conn })
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
-        write_frame(&mut self.writer, frame, 0)?;
-        self.writer.flush().map_err(NetError::Io)
-    }
-
-    fn recv(&mut self) -> Result<Frame, NetError> {
-        let (frame, _, _) = read_frame(&mut self.reader)?;
-        Ok(frame)
+    /// Sends `frame` and reads until `reply` takes a frame. An
+    /// `InferResponse` it leaves is a stale answer to an earlier
+    /// (abandoned) exchange and is skipped; any other frame it leaves is
+    /// a protocol error.
+    fn exchange<T>(
+        &mut self,
+        frame: &Frame,
+        trace_id: u64,
+        mut reply: impl FnMut(Frame, u64) -> Option<T>,
+    ) -> Result<T, NetError> {
+        self.conn.send(frame, trace_id)?;
+        self.conn.flush()?;
+        loop {
+            let (frame, trace) = self.conn.recv()?;
+            let stale = matches!(frame, Frame::InferResponse(_));
+            match reply(frame, trace) {
+                Some(t) => return Ok(t),
+                None if stale => continue,
+                None => return Err(unexpected_reply()),
+            }
+        }
     }
 
     /// Submits one request and blocks for its response.
@@ -81,76 +185,36 @@ impl Client {
         input: &Tensor,
         trace_id: u64,
     ) -> Result<(InferResponse, u64), NetError> {
-        write_frame(
-            &mut self.writer,
-            &request_frame(correlation_id, deadline_micros, input),
-            trace_id,
-        )?;
-        self.writer.flush().map_err(NetError::Io)?;
-        loop {
-            let (frame, trace, _) = read_frame(&mut self.reader)?;
-            match frame {
-                Frame::InferResponse(r) if r.correlation_id == correlation_id => {
-                    return Ok((r, trace))
-                }
-                // Stale response from an earlier (abandoned) exchange.
-                Frame::InferResponse(_) => continue,
-                _ => {
-                    return Err(NetError::Wire(WireError::Malformed(
-                        "unexpected reply frame",
-                    )))
-                }
-            }
-        }
+        let frame = request_frame(correlation_id, deadline_micros, input);
+        self.exchange(&frame, trace_id, |f, trace| match f {
+            Frame::InferResponse(r) if r.correlation_id == correlation_id => Some((r, trace)),
+            _ => None,
+        })
     }
 
     /// Fetches the server's replica health snapshot.
     pub fn health(&mut self) -> Result<HealthReply, NetError> {
-        self.send(&Frame::HealthRequest)?;
-        loop {
-            match self.recv()? {
-                Frame::HealthReply(h) => return Ok(h),
-                Frame::InferResponse(_) => continue,
-                _ => {
-                    return Err(NetError::Wire(WireError::Malformed(
-                        "unexpected reply frame",
-                    )))
-                }
-            }
-        }
+        self.exchange(&Frame::HealthRequest, 0, |f, _| match f {
+            Frame::HealthReply(h) => Some(h),
+            _ => None,
+        })
     }
 
     /// Fetches the Prometheus text exposition of the server's registry.
     pub fn metrics(&mut self) -> Result<String, NetError> {
-        self.send(&Frame::MetricsRequest)?;
-        loop {
-            match self.recv()? {
-                Frame::MetricsReply(text) => return Ok(text),
-                Frame::InferResponse(_) => continue,
-                _ => {
-                    return Err(NetError::Wire(WireError::Malformed(
-                        "unexpected reply frame",
-                    )))
-                }
-            }
-        }
+        self.exchange(&Frame::MetricsRequest, 0, |f, _| match f {
+            Frame::MetricsReply(text) => Some(text),
+            _ => None,
+        })
     }
 
     /// Fetches the server's flight-recorder dump as Chrome trace-event
     /// JSON (load it in `chrome://tracing` or Perfetto).
     pub fn trace_dump(&mut self) -> Result<String, NetError> {
-        self.send(&Frame::TraceDumpRequest)?;
-        loop {
-            match self.recv()? {
-                Frame::TraceDumpReply(json) => return Ok(json),
-                Frame::InferResponse(_) => continue,
-                _ => {
-                    return Err(NetError::Wire(WireError::Malformed(
-                        "unexpected reply frame",
-                    )))
-                }
-            }
-        }
+        self.exchange(&Frame::TraceDumpRequest, 0, |f, _| match f {
+            Frame::TraceDumpReply(json) => Some(json),
+            _ => None,
+        })
     }
 
     /// Initiates a graceful drain and blocks for the `DrainAck`. Responses
@@ -158,84 +222,48 @@ impl Client {
     /// server orders them before the ack); they are returned alongside the
     /// server's lifetime delivered count.
     pub fn drain(mut self) -> Result<(Vec<InferResponse>, u64), NetError> {
-        self.send(&Frame::Drain)?;
         let mut flushed = Vec::new();
-        loop {
-            match self.recv()? {
-                Frame::InferResponse(r) => flushed.push(r),
-                Frame::DrainAck { delivered } => return Ok((flushed, delivered)),
-                _ => {
-                    return Err(NetError::Wire(WireError::Malformed(
-                        "unexpected reply frame",
-                    )))
-                }
+        let delivered = self.exchange(&Frame::Drain, 0, |f, _| match f {
+            Frame::InferResponse(r) => {
+                flushed.push(r);
+                None
             }
-        }
+            Frame::DrainAck { delivered } => Some(delivered),
+            _ => None,
+        })?;
+        Ok((flushed, delivered))
     }
 }
 
-/// Frames a pipelined client's reader thread forwards out-of-band.
-enum Control {
-    Health(HealthReply),
-    Metrics(String),
-    TraceDump(String),
-    DrainAck(u64),
-}
-
-/// Pipelined client: submit without waiting; a reader thread collects
-/// responses concurrently. Responses carry correlation ids, so arrival
-/// order (batch completion order) need not match submission order.
+/// Pipelined client: submit without waiting; the connection's reader
+/// thread collects responses concurrently. Responses carry correlation
+/// ids, so arrival order (batch completion order) need not match
+/// submission order.
 pub struct PipelinedClient {
-    writer: BufWriter<TcpStream>,
-    stream: TcpStream,
+    conn: Connection,
     responses: Receiver<(InferResponse, u64)>,
-    control: Receiver<Control>,
-    reader: Option<JoinHandle<()>>,
+    /// Every other server frame: health, metrics, trace-dump replies and
+    /// the drain ack.
+    control: Receiver<Frame>,
 }
 
 impl PipelinedClient {
     /// Connects and starts the background reader.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<PipelinedClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        let write_half = stream.try_clone()?;
-        let (resp_tx, resp_rx) = mpsc::channel();
-        let (ctrl_tx, ctrl_rx) = mpsc::channel();
-        let reader = std::thread::Builder::new()
-            .name("ms-net-client-read".into())
-            .spawn(move || {
-                let mut r = BufReader::new(read_half);
-                loop {
-                    match read_frame(&mut r) {
-                        Ok((Frame::InferResponse(resp), trace, _)) => {
-                            if resp_tx.send((resp, trace)).is_err() {
-                                break;
-                            }
-                        }
-                        Ok((Frame::HealthReply(h), _, _)) => {
-                            let _ = ctrl_tx.send(Control::Health(h));
-                        }
-                        Ok((Frame::MetricsReply(m), _, _)) => {
-                            let _ = ctrl_tx.send(Control::Metrics(m));
-                        }
-                        Ok((Frame::TraceDumpReply(j), _, _)) => {
-                            let _ = ctrl_tx.send(Control::TraceDump(j));
-                        }
-                        Ok((Frame::DrainAck { delivered }, _, _)) => {
-                            let _ = ctrl_tx.send(Control::DrainAck(delivered));
-                        }
-                        Ok(_) => break,  // client-to-server frame: protocol misuse
-                        Err(_) => break, // EOF, socket closed, or corrupt stream
-                    }
-                }
-            })?;
+        let mut conn = Connection::connect(addr)?;
+        let (resp_tx, responses) = mpsc::channel();
+        let (ctrl_tx, control) = mpsc::channel();
+        conn.spawn_reader("ms-net-client-read".into(), move |frame| match frame {
+            Some((Frame::InferResponse(resp), trace)) => resp_tx.send((resp, trace)).is_ok(),
+            // Health, metrics and trace-dump replies and the drain ack; the
+            // caller waiting for one rejects any other frame.
+            Some((frame, _)) => ctrl_tx.send(frame).is_ok(),
+            None => false,
+        })?;
         Ok(PipelinedClient {
-            writer: BufWriter::new(write_half),
-            stream,
-            responses: resp_rx,
-            control: ctrl_rx,
-            reader: Some(reader),
+            conn,
+            responses,
+            control,
         })
     }
 
@@ -258,17 +286,13 @@ impl PipelinedClient {
         input: &Tensor,
         trace_id: u64,
     ) -> Result<(), NetError> {
-        write_frame(
-            &mut self.writer,
-            &request_frame(correlation_id, deadline_micros, input),
-            trace_id,
-        )?;
-        Ok(())
+        let frame = request_frame(correlation_id, deadline_micros, input);
+        Ok(self.conn.send(&frame, trace_id)?)
     }
 
     /// Pushes all queued requests to the socket.
     pub fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
+        self.conn.flush()
     }
 
     /// Next available response, in arrival order; `None` on timeout or
@@ -280,49 +304,39 @@ impl PipelinedClient {
     /// [`PipelinedClient::recv_timeout`] that also yields the trace id the
     /// response frame carried (0 = untraced).
     pub fn recv_traced_timeout(&self, timeout: Duration) -> Option<(InferResponse, u64)> {
-        match self.responses.recv_timeout(timeout) {
-            Ok(r) => Some(r),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+        self.responses.recv_timeout(timeout).ok()
+    }
+
+    /// Sends a control frame and waits up to `timeout` for the next
+    /// control reply.
+    fn control(&mut self, frame: &Frame, timeout: Duration) -> Result<Option<Frame>, NetError> {
+        self.conn.send(frame, 0)?;
+        self.conn.flush()?;
+        Ok(self.control.recv_timeout(timeout).ok())
     }
 
     /// Requests a health snapshot and waits for it.
     pub fn health(&mut self, timeout: Duration) -> Result<HealthReply, NetError> {
-        write_frame(&mut self.writer, &Frame::HealthRequest, 0)?;
-        self.flush().map_err(NetError::Io)?;
-        match self.control.recv_timeout(timeout) {
-            Ok(Control::Health(h)) => Ok(h),
-            _ => Err(NetError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no health reply",
-            ))),
+        match self.control(&Frame::HealthRequest, timeout)? {
+            Some(Frame::HealthReply(h)) => Ok(h),
+            _ => Err(timed_out("no health reply")),
         }
     }
 
     /// Requests the Prometheus exposition and waits for it.
     pub fn metrics(&mut self, timeout: Duration) -> Result<String, NetError> {
-        write_frame(&mut self.writer, &Frame::MetricsRequest, 0)?;
-        self.flush().map_err(NetError::Io)?;
-        match self.control.recv_timeout(timeout) {
-            Ok(Control::Metrics(m)) => Ok(m),
-            _ => Err(NetError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no metrics reply",
-            ))),
+        match self.control(&Frame::MetricsRequest, timeout)? {
+            Some(Frame::MetricsReply(m)) => Ok(m),
+            _ => Err(timed_out("no metrics reply")),
         }
     }
 
     /// Requests the server's flight-recorder dump (Chrome trace-event
     /// JSON) and waits for it.
     pub fn trace_dump(&mut self, timeout: Duration) -> Result<String, NetError> {
-        write_frame(&mut self.writer, &Frame::TraceDumpRequest, 0)?;
-        self.flush().map_err(NetError::Io)?;
-        match self.control.recv_timeout(timeout) {
-            Ok(Control::TraceDump(j)) => Ok(j),
-            _ => Err(NetError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no trace dump reply",
-            ))),
+        match self.control(&Frame::TraceDumpRequest, timeout)? {
+            Some(Frame::TraceDumpReply(j)) => Ok(j),
+            _ => Err(timed_out("no trace dump reply")),
         }
     }
 
@@ -331,24 +345,13 @@ impl PipelinedClient {
     /// the ack arrives (the server orders them before it). Returns the
     /// server's lifetime delivered count.
     pub fn drain_server(&mut self, timeout: Duration) -> Result<u64, NetError> {
-        write_frame(&mut self.writer, &Frame::Drain, 0)?;
-        self.flush().map_err(NetError::Io)?;
-        match self.control.recv_timeout(timeout) {
-            Ok(Control::DrainAck(delivered)) => Ok(delivered),
-            _ => Err(NetError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no drain ack",
-            ))),
+        match self.control(&Frame::Drain, timeout)? {
+            Some(Frame::DrainAck { delivered }) => Ok(delivered),
+            _ => Err(timed_out("no drain ack")),
         }
     }
 }
 
-impl Drop for PipelinedClient {
-    fn drop(&mut self) {
-        let _ = self.writer.flush();
-        let _ = self.stream.shutdown(Shutdown::Both);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-    }
+fn timed_out(what: &'static str) -> NetError {
+    NetError::Io(io::Error::new(io::ErrorKind::TimedOut, what))
 }

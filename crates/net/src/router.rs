@@ -183,7 +183,7 @@ impl Router {
     pub fn health_score(&self, i: usize) -> f64 {
         let rep = &self.replicas[i];
         let due = rep.since_refresh.fetch_add(1, Ordering::Relaxed);
-        if due % self.cfg.p99_refresh_every == 0 {
+        if due.is_multiple_of(self.cfg.p99_refresh_every) {
             if let Ok(mut w) = rep.windowed_p99.try_lock() {
                 let (count, p99) = w.refresh();
                 let next = if count > 0 {

@@ -907,8 +907,7 @@ fn reactor_loop(shared: Arc<Shared>, idx: usize, mut listener: Option<TcpListene
             }
         }
 
-        let ready: Vec<Event> = events.drain(..).collect();
-        for ev in ready {
+        for ev in events.drain(..) {
             match ev.token {
                 TOKEN_WAKER => shared.reactors[idx].waker.drain(),
                 TOKEN_LISTENER => {

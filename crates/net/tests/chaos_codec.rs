@@ -80,7 +80,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             let n = (m.next() % 4) as usize;
             let replicas = (0..n)
                 .map(|_| ReplicaHealth {
-                    draining: m.next() % 2 == 0,
+                    draining: m.next().is_multiple_of(2),
                     queue_depth: (m.next() % 1_000_000) as f64,
                     p99_service_s: (m.next() % 1_000_000_000) as f64 * 1e-9,
                     served: m.next(),
@@ -92,7 +92,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             let build: String = (0..blen)
                 .map(|_| char::from_u32(32 + (m.next() % 95) as u32).unwrap())
                 .collect();
-            let slo = if m.next() % 2 == 0 {
+            let slo = if m.next().is_multiple_of(2) {
                 Some(SloHealth {
                     deadline_fast_burn: (m.next() % 1000) as f64 * 0.01,
                     deadline_slow_burn: (m.next() % 1000) as f64 * 0.01,
@@ -106,7 +106,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             };
             // Independent coin for the shard block: all four slo × shard
             // layouts flow through every chaos property.
-            let shard = if m.next() % 2 == 0 {
+            let shard = if m.next().is_multiple_of(2) {
                 Some(ShardIdentity {
                     shard_id: (m.next() % 64) as u32,
                     pid: m.next() as u32,
@@ -116,7 +116,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
                 None
             };
             Frame::HealthReply(HealthReply {
-                draining: m.next() % 2 == 0,
+                draining: m.next().is_multiple_of(2),
                 uptime_seconds: (m.next() % 1_000_000_000) as f64 * 1e-3,
                 build,
                 replicas,
@@ -284,7 +284,7 @@ proptest! {
         let mut expect = Vec::new();
         for _ in 0..nframes {
             let frame = build_frame((m.next() as usize) % VARIANTS, m.next());
-            let trace = if m.next() % 2 == 0 { m.next() } else { 0 };
+            let trace = if m.next().is_multiple_of(2) { m.next() } else { 0 };
             let bytes = frame.to_bytes_traced(trace);
             expect.push((bytes.len(), trace, frame));
             wire.extend_from_slice(&bytes);

@@ -417,17 +417,14 @@ fn requests_after_drain_are_refused_with_draining() {
     assert_eq!(delivered, 1);
     // The listener is gone (or refuses) after drain; either connecting
     // fails or the first request comes back shed as Draining.
-    match Client::connect(addr) {
-        Err(_) => {}
-        Ok(mut b) => match b.infer(2, 0, &input_for(2)) {
-            Ok(r) => {
-                assert_eq!(
-                    r.outcome,
-                    InferOutcome::Shed(WireShedReason::Draining),
-                    "post-drain request must be refused"
-                );
-            }
-            Err(_) => {} // connection reset also acceptable
-        },
+    // A connection reset is acceptable too.
+    if let Ok(mut b) = Client::connect(addr) {
+        if let Ok(r) = b.infer(2, 0, &input_for(2)) {
+            assert_eq!(
+                r.outcome,
+                InferOutcome::Shed(WireShedReason::Draining),
+                "post-drain request must be refused"
+            );
+        }
     }
 }

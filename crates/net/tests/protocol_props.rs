@@ -81,7 +81,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             let n = (m.next() % 4) as usize;
             let replicas = (0..n)
                 .map(|_| ReplicaHealth {
-                    draining: m.next() % 2 == 0,
+                    draining: m.next().is_multiple_of(2),
                     queue_depth: (m.next() % 1_000_000) as f64,
                     p99_service_s: (m.next() % 1_000_000_000) as f64 * 1e-9,
                     served: m.next(),
@@ -96,7 +96,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             // Half the generated replies carry the optional SLO block, so
             // every property (round-trip, truncation, bit-flip, stream
             // agreement) covers both layouts.
-            let slo = if m.next() % 2 == 0 {
+            let slo = if m.next().is_multiple_of(2) {
                 Some(SloHealth {
                     deadline_fast_burn: (m.next() % 10_000) as f64 * 1e-2,
                     deadline_slow_burn: (m.next() % 10_000) as f64 * 1e-2,
@@ -111,7 +111,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
             // Independent coin for the shard-identity block: round-trip,
             // truncation, and bit-flip properties all cover the four
             // slo × shard layouts.
-            let shard = if m.next() % 2 == 0 {
+            let shard = if m.next().is_multiple_of(2) {
                 Some(ShardIdentity {
                     shard_id: (m.next() % 64) as u32,
                     pid: m.next() as u32,
@@ -121,7 +121,7 @@ fn build_frame(variant: usize, seed: u64) -> Frame {
                 None
             };
             Frame::HealthReply(HealthReply {
-                draining: m.next() % 2 == 0,
+                draining: m.next().is_multiple_of(2),
                 uptime_seconds: (m.next() % 1_000_000_000) as f64 * 1e-3,
                 build,
                 replicas,

@@ -36,4 +36,3 @@ pub use layer::{Layer, Mode, Param};
 pub use sequential::Sequential;
 pub use shared::SharedWeights;
 pub use slice::SliceRate;
-pub use workspace::{Role, Workspace};

@@ -13,7 +13,7 @@
 
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_groups, group_boundary, SliceRate};
-use crate::workspace::{Role, Workspace};
+use crate::workspace::take_zeroed;
 use ms_tensor::{ops, par, Tensor};
 use std::ops::Range;
 
@@ -26,7 +26,10 @@ pub struct GroupNorm {
     gamma: Param,
     beta: Param,
     active_groups: usize,
-    ws: Workspace,
+    /// Grow-only scratch: the Train forward's `1/σ` per (sample, group),
+    /// and the backward's second-part `dγ`/`dβ` partial sums.
+    inv_std: Vec<f32>,
+    partial: Vec<f32>,
     cache: Option<Cache>,
 }
 
@@ -58,7 +61,8 @@ impl GroupNorm {
             ),
             beta: Param::new(format!("{name}.beta"), Tensor::zeros([channels]), false),
             active_groups: groups,
-            ws: Workspace::new(),
+            inv_std: Vec::new(),
+            partial: Vec::new(),
             cache: None,
             name,
         }
@@ -226,7 +230,7 @@ impl Layer for GroupNorm {
         let mut y = x.pooled_clone();
         if mode == Mode::Train {
             let mut xhat = x.pooled_clone();
-            let mut inv_stds = self.ws.take(Role::Stats, batch * self.active_groups);
+            let mut inv_stds = take_zeroed(&mut self.inv_std, batch * self.active_groups);
             // Statistics are per (sample, group): the two fixed parts of the
             // batch normalise their own samples.
             let mid = par::mid(batch);
@@ -274,7 +278,7 @@ impl Layer for GroupNorm {
         // `dγ`/`dβ` are sums over samples: part 0 adds to `Param::grad`,
         // part 1 to a zeroed partial that is added once both are done.
         let (dgamma, dbeta) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
-        let mut partial = self.ws.take(Role::Aux1, 2 * c_act);
+        let mut partial = take_zeroed(&mut self.partial, 2 * c_act);
         let (dgamma1, dbeta1) = partial.split_at_mut(c_act);
         par::join(
             || pass.run(0..mid, dx0, dgamma, dbeta),
@@ -284,9 +288,9 @@ impl Layer for GroupNorm {
             dgamma.iter_mut().zip(&*dgamma1).for_each(|(g, p)| *g += p);
             dbeta.iter_mut().zip(&*dbeta1).for_each(|(g, p)| *g += p);
         }
-        self.ws.put(Role::Aux1, partial);
+        self.partial = partial;
         cache.xhat.recycle();
-        self.ws.put(Role::Stats, cache.inv_std);
+        self.inv_std = cache.inv_std;
         dx
     }
 

@@ -59,7 +59,7 @@ pub use lstm::{Lstm, LstmConfig};
 
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
-use crate::workspace::{Role, Workspace};
+use crate::workspace::take_zeroed;
 use ms_tensor::matmul::{gemm, Trans, SMALL_GEMM_CUTOFF};
 use ms_tensor::ops::add_bias_rows;
 use ms_tensor::panels::{gemm_packed_b, PackedB};
@@ -165,11 +165,11 @@ pub struct StepGrads<'a, const G: usize> {
 struct SeqCache {
     batch: usize,
     steps: usize,
-    xt: Vec<f32>,    // [T·B, a_d] input (workspace `StepInput`)
-    z: Vec<f32>,     // activated gates, `[gate][part][t][b][unit]` (workspace `Preact`)
+    xt: Vec<f32>,    // [T·B, a_d] input (the layer's `xt`)
+    z: Vec<f32>,     // activated gates, `[gate][part][t][b][unit]` (the layer's `z`)
     h: Tensor,       // per part T + 1 state blocks of [b, a_h]
     state: Tensor,   // likewise, STATE slabs each
-    saved: Vec<f32>, // per part T blocks of SAVED slabs (workspace `Cell`)
+    saved: Vec<f32>, // per part T blocks of SAVED slabs (the layer's `saved`)
 }
 
 /// The buffers of one part of a forward pass: `rows` batch rows.
@@ -208,7 +208,11 @@ pub struct Recurrent<C: Cell<G>, const G: usize> {
     cell: C,
     active_in: usize,
     active_h: usize,
-    ws: Workspace,
+    // Grow-only scratch a forward moves into its `SeqCache` and `release`
+    // moves back.
+    xt: Vec<f32>,
+    z: Vec<f32>,
+    saved: Vec<f32>,
     cache: Option<SeqCache>,
     packed_x: PackedB, // persistent panels of W_xᵀ
     packed_h: PackedB, // persistent panels of W_hᵀ
@@ -238,7 +242,9 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
             active_h: h,
             cfg,
             name,
-            ws: Workspace::new(),
+            xt: Vec::new(),
+            z: Vec::new(),
+            saved: Vec::new(),
             cache: None,
             packed_x: PackedB::new(),
             packed_h: PackedB::new(),
@@ -253,11 +259,11 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
 
     /// Hands a sequence cache's buffers back to where they came from.
     fn release(&mut self, cache: SeqCache) {
-        self.ws.put(Role::StepInput, cache.xt);
-        self.ws.put(Role::Preact, cache.z);
+        self.xt = cache.xt;
+        self.z = cache.z;
         cache.h.recycle();
         cache.state.recycle();
-        self.ws.put(Role::Cell, cache.saved);
+        self.saved = cache.saved;
     }
 
     fn ensure_packed(&mut self) -> bool {
@@ -450,11 +456,11 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         let train = mode == Mode::Train;
 
         let kept = if train { steps } else { 0 };
-        let mut xt = self.ws.take(Role::StepInput, rows * d);
-        let mut z = self.ws.take(Role::Preact, G * rows * a_h);
+        let mut xt = take_zeroed(&mut self.xt, rows * d);
+        let mut z = take_zeroed(&mut self.z, G * rows * a_h);
         let mut h = Tensor::pooled_zeros([(kept + 1) * slab]);
         let mut state = Tensor::pooled_zeros([(kept + 1) * C::STATE * slab]);
-        let mut saved = self.ws.take(Role::Cell, kept.max(1) * C::SAVED * slab);
+        let mut saved = take_zeroed(&mut self.saved, kept.max(1) * C::SAVED * slab);
         let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
 
         // Training runs the two fixed parts of the batch, inference the

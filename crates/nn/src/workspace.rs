@@ -1,89 +1,23 @@
-//! Grow-only scratch buffers for layer internals.
+//! Grow-only layer-owned buffers.
 //!
-//! Layers that need named intermediate storage (RNN gate pre-activations,
-//! normalisation statistics, …) own a [`Workspace`] and
-//! borrow buffers from it by [`Role`]. Buffers grow to the high-water mark
-//! of the layer's workload and are then reused verbatim, so after the first
-//! call at a given batch size the layer's forward and backward paths touch
-//! the allocator zero times.
+//! A layer that needs named scratch storage (recurrent gate
+//! pre-activations, normalisation statistics, …) keeps each buffer in a
+//! `Vec<f32>` field of its own and borrows it with [`take_zeroed`]: the
+//! buffer moves out of the field for the duration of its use and is moved
+//! back afterwards, so it grows to the high-water mark of the layer's
+//! workload and after the first call at a given batch size the layer's
+//! forward and backward paths touch the allocator zero times. These
+//! buffers are never drawn from the tensor pool (DESIGN.md §8.2).
 //!
-//! The `take`/`put` protocol moves the `Vec` out of the workspace for the
-//! duration of its use. That sidesteps aliasing restrictions when a layer
-//! needs two scratch buffers at once (or needs `&self` methods while a
-//! buffer is live), and it makes leaks loud: a buffer that is never `put`
-//! back is re-grown on the next call and shows up in the `grows` counter.
+//! [`PrefixCache`] is the anytime forward's per-layer activation cache.
 
-use std::collections::HashMap;
-
-/// What a scratch buffer is used for. One live buffer per role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Role {
-    /// Current-timestep input slice (RNNs).
-    StepInput,
-    /// Pre-activation buffer (gate pre-activations, linear pre-bias, …).
-    Preact,
-    /// Post-nonlinearity gate values (RNNs).
-    Gates,
-    /// A recurrent cell's saved state blocks (RNNs).
-    Cell,
-    /// Per-group statistics (normalisation layers).
-    Stats,
-    /// Free-form scratch.
-    Aux1,
-    /// Second free-form scratch.
-    Aux2,
-}
-
-/// Workspace traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkspaceStats {
-    /// Total `take` calls.
-    pub takes: u64,
-    /// `take` calls that had to (re)allocate because the stored buffer was
-    /// missing or too small. In steady state this stays flat.
-    pub grows: u64,
-}
-
-/// A role-keyed set of grow-only `f32` scratch buffers.
-#[derive(Debug, Default)]
-pub struct Workspace {
-    bufs: HashMap<Role, Vec<f32>>,
-    stats: WorkspaceStats,
-}
-
-impl Workspace {
-    pub fn new() -> Self {
-        Workspace::default()
-    }
-
-    /// Borrows the buffer for `role`, zero-filled to exactly `len`
-    /// elements. The buffer is moved out of the workspace; return it with
-    /// [`Workspace::put`] when done so the capacity is retained.
-    pub fn take(&mut self, role: Role, len: usize) -> Vec<f32> {
-        self.stats.takes += 1;
-        let mut buf = self.bufs.remove(&role).unwrap_or_default();
-        if buf.capacity() < len {
-            self.stats.grows += 1;
-        }
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Returns a buffer taken with [`Workspace::take`].
-    pub fn put(&mut self, role: Role, buf: Vec<f32>) {
-        self.bufs.insert(role, buf);
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> WorkspaceStats {
-        self.stats
-    }
-
-    /// Resets counters (buffers are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = WorkspaceStats::default();
-    }
+/// Moves a scratch buffer out of its field, zero-filled to exactly `len`
+/// elements. Move it back when done so its capacity is kept.
+pub(crate) fn take_zeroed(field: &mut Vec<f32>, len: usize) -> Vec<f32> {
+    let mut buf = std::mem::take(field);
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
 }
 
 /// Per-layer prefix-activation cache for the anytime forward
@@ -155,52 +89,5 @@ mod tests {
         let mut c = PrefixCache::default();
         c.begin(2, 5);
         c.resume(2, 5, 3, "t");
-    }
-
-    #[test]
-    fn take_grows_once_then_reuses() {
-        let mut ws = Workspace::new();
-        let b = ws.take(Role::Stats, 100);
-        assert_eq!(b.len(), 100);
-        ws.put(Role::Stats, b);
-        let b = ws.take(Role::Stats, 80);
-        ws.put(Role::Stats, b);
-        let b = ws.take(Role::Stats, 100);
-        ws.put(Role::Stats, b);
-        let s = ws.stats();
-        assert_eq!(s.takes, 3);
-        assert_eq!(s.grows, 1, "only the first take should allocate");
-    }
-
-    #[test]
-    fn take_zero_fills() {
-        let mut ws = Workspace::new();
-        let mut b = ws.take(Role::Preact, 8);
-        b.iter_mut().for_each(|v| *v = 3.0);
-        ws.put(Role::Preact, b);
-        let b = ws.take(Role::Preact, 8);
-        assert!(b.iter().all(|&v| v == 0.0));
-        ws.put(Role::Preact, b);
-    }
-
-    #[test]
-    fn roles_are_independent() {
-        let mut ws = Workspace::new();
-        let a = ws.take(Role::Aux1, 4);
-        let b = ws.take(Role::Aux2, 4);
-        assert_eq!(a.len(), 4);
-        assert_eq!(b.len(), 4);
-        ws.put(Role::Aux1, a);
-        ws.put(Role::Aux2, b);
-        assert_eq!(ws.stats().grows, 2);
-    }
-
-    #[test]
-    fn unreturned_buffer_regrows() {
-        let mut ws = Workspace::new();
-        let _leaked = ws.take(Role::Gates, 16);
-        let b = ws.take(Role::Gates, 16);
-        assert_eq!(ws.stats().grows, 2);
-        ws.put(Role::Gates, b);
     }
 }

@@ -12,9 +12,9 @@ die() { echo "perfcheck FAILED: $*"; exit 1; }
 echo "== formatting: the workspace stays as rustfmt lays it out =="
 cargo fmt --all -- --check || die "cargo fmt --all would rewrite the files above"
 
-echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join) is clippy-clean =="
-cargo clippy --release -p ms-tensor --all-targets --no-deps -- -D warnings \
-    || die "clippy warns on ms-tensor (lines above)"
+echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-net and ms-cluster are clippy-clean =="
+cargo clippy --release -p ms-tensor -p ms-net -p ms-cluster --all-targets --no-deps -- -D warnings \
+    || die "clippy warns on ms-tensor, ms-net or ms-cluster (lines above)"
 
 echo "== release build (also the shard_server that cluster_elastic spawns) =="
 cargo build --release --workspace
