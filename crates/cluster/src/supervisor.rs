@@ -388,13 +388,24 @@ impl Drop for Supervisor {
 mod tests {
     use super::*;
 
+    /// A stand-in `shard_server`: a script that prints `line` on stdout
+    /// and sleeps.
+    #[cfg(unix)]
+    fn script_shard(name: &str, line: &str) -> PathBuf {
+        use std::os::unix::fs::PermissionsExt;
+        let script = std::env::temp_dir().join(format!("{name}_{}.sh", std::process::id()));
+        let body = format!("#!/bin/sh\necho '{line}'\nexec sleep 30\n");
+        std::fs::write(&script, body).unwrap();
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        script
+    }
+
     /// A `shard_server` left in `target/` by a build of another wire
     /// version is refused at spawn, with the binary and the rebuild
     /// command in the error.
     #[cfg(unix)]
     #[test]
     fn spawn_refuses_a_shard_of_another_wire_version() {
-        use std::os::unix::fs::PermissionsExt;
         for (i, line) in [
             "MS_SHARD_ADDR=127.0.0.1:9",
             "MS_SHARD_ADDR=127.0.0.1:9 wire=2",
@@ -402,14 +413,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let script =
-                std::env::temp_dir().join(format!("ms_stale_shard_{}_{i}.sh", std::process::id()));
-            std::fs::write(
-                &script,
-                format!("#!/bin/sh\necho '{line}'\nexec sleep 30\n"),
-            )
-            .unwrap();
-            std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+            let script = script_shard(&format!("ms_stale_shard_{i}"), line);
             let err = Supervisor::new(ShardSpec::small(script.clone()))
                 .spawn_shard()
                 .unwrap_err();
@@ -429,18 +433,13 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn retire_kills_a_shard_that_never_acks_the_drain() {
-        use std::os::unix::fs::PermissionsExt;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let silent = std::thread::spawn(move || listener.accept().map(|(s, _)| s));
-        let script =
-            std::env::temp_dir().join(format!("ms_wedged_shard_{}.sh", std::process::id()));
-        std::fs::write(
-            &script,
-            format!("#!/bin/sh\necho 'MS_SHARD_ADDR={addr} wire={VERSION}'\nexec sleep 30\n"),
-        )
-        .unwrap();
-        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let script = script_shard(
+            "ms_wedged_shard",
+            &format!("MS_SHARD_ADDR={addr} wire={VERSION}"),
+        );
         let mut sup = Supervisor::new(ShardSpec::small(script.clone()));
         let spawned = sup.spawn_shard();
         let _ = std::fs::remove_file(&script);

@@ -1,20 +1,14 @@
 //! Clients for the ms-net wire protocol, over one framed connection.
 //!
-//! [`Connection`] is the socket every client side of the wire holds: a
-//! buffered reader half and a buffered writer half over two fds. It is
-//! run one of two ways:
+//! [`Connection`] is a socket split into a buffered reader half and a
+//! buffered writer half (two fds). [`Client`] reads it synchronously:
+//! strict request/response. [`PipelinedClient`] runs its reader loop on a
+//! thread, so the caller keeps submitting while responses land, which is
+//! what saturates a batching server: the engine accumulates a whole `T/2`
+//! window of requests instead of one. The cluster's front router runs the
+//! same loop per shard.
 //!
-//! - synchronously — [`Client`] is strictly request/response: one frame
-//!   out, then [`Connection::recv`] until the matching reply;
-//! - with its reader on a thread — [`Connection::spawn_reader`] hands each
-//!   server frame to the owner's closure in arrival order and reports the
-//!   end of the stream exactly once. [`PipelinedClient`] sorts the frames
-//!   into responses and control replies, so the caller keeps submitting
-//!   while responses land, which is what saturates a batching server: the
-//!   engine accumulates a whole `T/2` window of requests instead of one.
-//!   The cluster's front router runs the same loop per shard.
-//!
-//! Both stay plain blocking sockets even though the server side is a
+//! All stay plain blocking sockets even though the server side is a
 //! readiness reactor (DESIGN.md §14): the wire is unchanged, and a
 //! blocking peer is the strictest exerciser of the server's
 //! partial-read/partial-write handling.
@@ -73,9 +67,7 @@ impl Connection {
     }
 
     /// Blocks for the next server frame and the trace id it carried.
-    ///
-    /// # Panics
-    /// If the reader half already runs on a thread.
+    /// Panics once the reader half runs on a thread.
     pub fn recv(&mut self) -> Result<(Frame, u64), NetError> {
         let reader = self
             .reader
@@ -124,10 +116,6 @@ impl Drop for Connection {
     }
 }
 
-fn unexpected_reply() -> NetError {
-    NetError::Wire(WireError::Malformed("unexpected reply frame"))
-}
-
 /// Strictly request/response blocking client.
 pub struct Client {
     conn: Connection,
@@ -154,10 +142,13 @@ impl Client {
         loop {
             let (frame, trace) = self.conn.recv()?;
             let stale = matches!(frame, Frame::InferResponse(_));
-            match reply(frame, trace) {
-                Some(t) => return Ok(t),
-                None if stale => continue,
-                None => return Err(unexpected_reply()),
+            if let Some(t) = reply(frame, trace) {
+                return Ok(t);
+            }
+            if !stale {
+                return Err(NetError::Wire(WireError::Malformed(
+                    "unexpected reply frame",
+                )));
             }
         }
     }

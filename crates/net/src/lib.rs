@@ -36,10 +36,13 @@
 //!   responses matched by correlation id. `Drain` runs the graceful
 //!   shutdown state machine: refuse new work, flush every in-flight
 //!   request, ack, stop.
-//! - [`client`] — [`Client`] (strict request/response) and
-//!   [`PipelinedClient`] (background reader; keeps the server's batching
-//!   window full). Both stay blocking: simple client code, reactor-grade
-//!   server.
+//! - [`client`] — one framed connection ([`client::Connection`]: two
+//!   fds, a buffered reader and writer half) under every client side of
+//!   the wire. [`Client`] runs it synchronously (strict
+//!   request/response); [`PipelinedClient`] runs its one reader loop on a
+//!   thread and keeps the server's batching window full; the cluster's
+//!   front router runs the same loop per shard. All stay blocking: simple
+//!   client code, reactor-grade server.
 //!
 //! ## Loopback in five lines
 //!

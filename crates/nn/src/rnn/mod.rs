@@ -165,11 +165,11 @@ pub struct StepGrads<'a, const G: usize> {
 struct SeqCache {
     batch: usize,
     steps: usize,
-    xt: Vec<f32>,    // [T·B, a_d] input (the layer's `xt`)
-    z: Vec<f32>,     // activated gates, `[gate][part][t][b][unit]` (the layer's `z`)
+    xt: Vec<f32>,    // [T·B, a_d] input
+    z: Vec<f32>,     // activated gates, `[gate][part][t][b][unit]`
     h: Tensor,       // per part T + 1 state blocks of [b, a_h]
     state: Tensor,   // likewise, STATE slabs each
-    saved: Vec<f32>, // per part T blocks of SAVED slabs (the layer's `saved`)
+    saved: Vec<f32>, // per part T blocks of SAVED slabs
 }
 
 /// The buffers of one part of a forward pass: `rows` batch rows.

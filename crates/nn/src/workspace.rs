@@ -1,15 +1,8 @@
-//! Grow-only layer-owned buffers.
-//!
-//! A layer that needs named scratch storage (recurrent gate
-//! pre-activations, normalisation statistics, …) keeps each buffer in a
-//! `Vec<f32>` field of its own and borrows it with [`take_zeroed`]: the
-//! buffer moves out of the field for the duration of its use and is moved
-//! back afterwards, so it grows to the high-water mark of the layer's
-//! workload and after the first call at a given batch size the layer's
-//! forward and backward paths touch the allocator zero times. These
-//! buffers are never drawn from the tensor pool (DESIGN.md §8.2).
-//!
-//! [`PrefixCache`] is the anytime forward's per-layer activation cache.
+//! Grow-only layer-owned buffers: scratch fields taken with
+//! `take_zeroed` and put back by plain assignment, so after the first
+//! call at a given batch size a layer's forward and backward touch the
+//! allocator zero times; and the anytime forward's [`PrefixCache`].
+//! Neither is ever drawn from the tensor pool (DESIGN.md §8.2).
 
 /// Moves a scratch buffer out of its field, zero-filled to exactly `len`
 /// elements. Move it back when done so its capacity is kept.
