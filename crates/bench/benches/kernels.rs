@@ -11,7 +11,7 @@ use ms_nn::conv2d::{Conv2d, Conv2dConfig};
 use ms_nn::layer::{Layer, Mode};
 use ms_tensor::conv::{im2col, ConvGeom};
 use ms_tensor::matmul::{gemm, Trans};
-use ms_tensor::ops::{sigmoid_inplace, tanh_inplace};
+use ms_tensor::ops::{sigmoid_cols, tanh_cols};
 use ms_tensor::{par, SeededRng, Tensor};
 
 fn gemm_blocks(c: &mut Criterion) {
@@ -125,18 +125,22 @@ fn im2col_lowering(c: &mut Criterion) {
     group.finish();
 }
 
-/// The activations of one 64-unit LSTM layer over a 32 × 16 batch: per
-/// step and sample three sigmoid gates, the tanh gate and `tanh(c)`.
+/// The activations of one 64-unit LSTM layer over a 32 × 16 batch, as the
+/// layer runs them per step: on rows of its four gates side by side, the
+/// sigmoid gates and the tanh gate, then `tanh(c)` over a slab.
 fn gate_activations(c: &mut Criterion) {
     let (batch, hidden, steps) = (32usize, 64usize, 16usize);
-    let pre = random(&mut SeededRng::new(4), batch * hidden * steps * 5);
+    let (rows, width) = (batch * steps, 4 * hidden);
+    let pre = random(&mut SeededRng::new(4), rows * (width + hidden));
     let mut slab = pre.clone();
-    let (sig, tanh) = (3 * pre.len() / 5, 2 * pre.len() / 5);
     c.bench_function("gate_activations/32x64x16", |b| {
         b.iter(|| {
             slab.copy_from_slice(&pre);
-            sigmoid_inplace(&mut slab[..sig]);
-            tanh_inplace(&mut slab[sig..sig + tanh]);
+            let (gates, cell) = slab.split_at_mut(rows * width);
+            sigmoid_cols(gates, width, 0..2 * hidden);
+            tanh_cols(gates, width, 2 * hidden..3 * hidden);
+            sigmoid_cols(gates, width, 3 * hidden..width);
+            tanh_cols(cell, cell.len(), 0..cell.len());
         })
     });
 }

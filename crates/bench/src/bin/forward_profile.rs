@@ -19,7 +19,10 @@
 //! `MR×NR` register tiles it is padded to on this build target — and the
 //! GFLOP/s the driver the layer calls reaches on that shape alone, packing
 //! included: the table a tile shape is argued from, and where a later change
-//! of vector width would show its waste first. The
+//! of vector width would show its waste first. A recurrent layer's rows are
+//! its products as it issues them, all gates side by side: `rnn*.x` one
+//! `T·B × G·a_h × a_d` input projection, `rnn*.h` `T` products of
+//! `B × G·a_h × a_h`. The
 //! third is one Algorithm-1 `Trainer::step` over the static rate list
 //! {0.25, 0.5, 0.75, 1.0} (NNLM dropout on, as trained): GEMM kernel, operand
 //! packing (a conv backward's columns and output gradient included),
@@ -34,7 +37,11 @@
 //! split layer pass goes to the fork-join helper), so its buckets are summed
 //! over both and add up to `2-thread` — the caller's wall time plus the
 //! helper's busy time — not to `wall`; `join wait` is the caller blocked on
-//! the helper's part. A last line times the bare handoff: 10 000 joins with
+//! the helper's part. The last two columns count the step's joins and, of
+//! those, the ones whose second half the caller took back and ran itself
+//! because the helper had not picked it up in time (`par::taken_back`): a
+//! helper that shares its caller's CPU shows as a high share taken back.
+//! A last line times the bare handoff: 10 000 joins with
 //! nothing to do back to back (the helper polling) and 10 000 after a pause
 //! long enough for it to park. Without the feature the spans compile to nothing
 //! and only the totals and the tile table are printed. DESIGN.md §8 records a
@@ -117,7 +124,8 @@ fn self_ns(stats: &[SpanStats], prefixes: &[&str]) -> u64 {
 
 /// Prints one row: the leading figures as given (µs per repetition), then
 /// each column's share of the span time recorded between the two snapshots,
-/// then what of the last leading figure no column claims.
+/// then what of the last leading figure no column claims, then the trailing
+/// figures as given.
 fn print_row(
     label: &str,
     leading: &[f64],
@@ -125,6 +133,7 @@ fn print_row(
     columns: &[Column],
     before: &[SpanStats],
     after: &[SpanStats],
+    trailing: &[f64],
 ) {
     print!("{label}");
     for us in leading {
@@ -138,18 +147,24 @@ fn print_row(
         print!(" {us:>9.0}");
     }
     let budget_us = leading.last().copied().unwrap_or(0.0);
-    println!(" {:>9.0}", budget_us - claimed);
+    print!(" {:>9.0}", budget_us - claimed);
+    for figure in trailing {
+        print!(" {figure:>9.1}");
+    }
+    println!();
 }
 
-fn print_header(first: &str, leading: &[&str], columns: &[Column]) {
+fn print_header(first: &str, leading: &[&str], columns: &[Column], trailing: &[&str]) {
     print!("{first}");
-    for column in leading
-        .iter()
-        .chain(columns.iter().map(|(column, _)| column))
-    {
+    let columns = columns.iter().map(|(column, _)| column);
+    for column in leading.iter().chain(columns) {
         print!(" {column:>9}");
     }
-    println!(" {:>9}", "other");
+    print!(" {:>9}", "other");
+    for column in trailing {
+        print!(" {column:>9}");
+    }
+    println!();
 }
 
 /// One Algorithm-1 step over all four rates, `STEPS` times.
@@ -167,12 +182,15 @@ fn profile_step(name: &str, net: &mut dyn Layer, sgd: SgdConfig, batch: &Batch) 
         trainer.step(net, batch);
     }
     let before = spans::snapshot();
+    let (joins, taken_back) = (par::joins(), par::taken_back());
     let t = Instant::now();
     for _ in 0..STEPS {
         trainer.step(net, batch);
     }
     let wall_us = t.elapsed().as_secs_f64() * 1e6 / f64::from(STEPS);
     let after = spans::snapshot();
+    let per_step = |n: u64| n as f64 / f64::from(STEPS);
+    let settled = [par::joins() - joins, par::taken_back() - taken_back].map(per_step);
     // The helper is busy whenever it is not in its idle span; no idle span
     // at all means no helper, or no span tracer.
     let idle = &["par.helper_idle"];
@@ -189,6 +207,7 @@ fn profile_step(name: &str, net: &mut dyn Layer, sgd: SgdConfig, batch: &Batch) 
         &STEP_COLUMNS,
         &before,
         &after,
+        &settled,
     );
 }
 
@@ -322,12 +341,11 @@ fn nnlm_shapes(rate: SliceRate) -> Vec<GemmShape> {
     let h = active_units(64, GROUPS, rate);
     let mut shapes = Vec::new();
     for (name, d) in [("rnn1", 64), ("rnn2", h)] {
-        // Four gates: every step's input projection at once, then the
-        // recurrence one step at a time.
-        let mut proj = GemmShape::dense(format!("{name}.x"), SEQ_LEN * BATCH, h, d);
-        proj.calls = 4;
-        let mut rec = GemmShape::dense(format!("{name}.h"), BATCH, h, h);
-        rec.calls = 4 * SEQ_LEN;
+        // The four gates side by side: every step's input projection in one
+        // product, then the recurrence one product per step.
+        let proj = GemmShape::dense(format!("{name}.x"), SEQ_LEN * BATCH, 4 * h, d);
+        let mut rec = GemmShape::dense(format!("{name}.h"), BATCH, 4 * h, h);
+        rec.calls = SEQ_LEN;
         shapes.extend([proj, rec]);
     }
     shapes.push(GemmShape::dense("decoder", SEQ_LEN * BATCH, 200, h));
@@ -450,6 +468,7 @@ fn profile(name: &str, net: &mut dyn Layer, x: &Tensor) {
             &FORWARD_COLUMNS,
             &before,
             &after,
+            &[],
         );
         cost.push((total_us, net.flops_per_sample() as f64));
     }
@@ -481,6 +500,7 @@ fn main() {
         &format!("{:<5} {:>6}", "model", "rate"),
         &["total"],
         &FORWARD_COLUMNS,
+        &[],
     );
 
     let mut rng = SeededRng::new(7);
@@ -540,6 +560,7 @@ fn main() {
         &format!("{:<5}", "model"),
         &["wall", "2-thread"],
         &STEP_COLUMNS,
+        &["joins", "taken"],
     );
     let mut vgg = Vgg::new(
         &VggConfig::vgg13_scaled(10, GROUPS),

@@ -15,12 +15,9 @@
 //! `r ⊙ (U_n h + b_u)` form is exact). The state is `h` alone; a step saves
 //! `U_n h + b_u`.
 
-use super::{Cell, Recurrent, RecurrentConfig, StepGrads};
+use super::{gates, gates_mut, Cell, GateCols, Recurrent, RecurrentConfig, StepGrads};
 use crate::layer::Param;
-use ms_tensor::ops::{
-    add_bias_rows, sigmoid_grad_from_output, sigmoid_inplace, sum_rows_into, tanh_grad_from_output,
-    tanh_inplace,
-};
+use ms_tensor::ops::{sigmoid_cols, sigmoid_grad_from_output, tanh_cols, tanh_grad_from_output};
 use ms_tensor::Tensor;
 
 /// Configuration for a [`Gru`] layer.
@@ -60,31 +57,37 @@ impl Cell<3> for GruCell {
     fn forward_step(
         l: &Gru,
         rows: usize,
-        [r, z, n]: [&mut [f32]; 3],
+        z: &mut [f32],
         h: &mut [f32],
         _state: &mut [f32],
         u: &mut [f32],
     ) {
-        let a_h = l.active_h;
-        let b_h = |gate: usize| &l.cell.b_h.value.data()[gate * l.cfg.hidden_dim..];
-        // r and z gates: add the recurrent side, then squash.
-        for (gate, zg) in [&mut *r, &mut *z].into_iter().enumerate() {
-            l.recurrent_gemm(gate, rows, h, zg);
-            add_bias_rows(zg, b_h(gate), a_h, a_h);
-            sigmoid_inplace(zg);
+        let (a_h, width) = (l.active_h, 3 * l.active_h);
+        // The candidate keeps U_n·h apart from W_n·x: park W_n·x + b_n in
+        // `u` and let the step's product fill a cleared n block.
+        for (row, u) in z.chunks_exact_mut(width).zip(u.chunks_exact_mut(a_h)) {
+            u.copy_from_slice(&row[2 * a_h..]);
+            row[2 * a_h..].fill(0.0);
         }
-        // Candidate: tanh(W_n x + b_n  +  r ⊙ (U_n h + b_u)).
-        u.fill(0.0);
-        l.recurrent_gemm(2, rows, h, u);
-        add_bias_rows(u, b_h(2), a_h, a_h);
-        for (k, nv) in n.iter_mut().enumerate() {
-            *nv += r[k] * u[k];
+        l.step_product(rows, h, z);
+        l.add_gate_bias(z, &l.cell.b_h.value);
+        sigmoid_cols(z, width, 0..2 * a_h);
+        // Candidate: tanh(W_n x + b_n  +  r ⊙ (U_n h + b_u)); `u` keeps
+        // U_n h + b_u.
+        for (row, u) in z.chunks_exact_mut(width).zip(u.chunks_exact_mut(a_h)) {
+            let [r, _, n] = gates_mut(row, a_h);
+            for ((uv, nv), &rv) in u.iter_mut().zip(n).zip(&*r) {
+                (*uv, *nv) = (*nv, *uv + rv * *nv);
+            }
         }
-        tanh_inplace(n);
+        tanh_cols(z, width, 2 * a_h..width);
 
         // h_t = (1 − z) ⊙ n + z ⊙ h_prev.
-        for (k, hv) in h.iter_mut().enumerate() {
-            *hv = (1.0 - z[k]) * n[k] + z[k] * *hv;
+        for (row, h) in z.chunks_exact(width).zip(h.chunks_exact_mut(a_h)) {
+            let [_, z, n] = gates(row, a_h);
+            for ((hv, &zv), &nv) in h.iter_mut().zip(z).zip(n) {
+                *hv = (1.0 - zv) * nv + zv * *hv;
+            }
         }
     }
 
@@ -92,33 +95,30 @@ impl Cell<3> for GruCell {
         steps // du of every step: the gradient at `U_n h + b_u`
     }
 
-    fn backward_step(l: &Gru, s: StepGrads<'_, 3>) {
-        let ([r, z, n], [dr, dz, dn]) = (s.z, s.dz);
-        let (u_n, h_prev, dh) = (s.saved, s.h_prev, s.dh);
-        let slab = dh.len();
-        let du = &mut s.scratch[s.t * slab..][..slab];
-        for k in 0..slab {
-            let d_n = dh[k] * (1.0 - z[k]) * tanh_grad_from_output(n[k]);
-            dz[k] = dh[k] * (h_prev[k] - n[k]) * sigmoid_grad_from_output(z[k]);
-            dn[k] = d_n;
-            du[k] = d_n * r[k];
-            dr[k] = d_n * u_n[k] * sigmoid_grad_from_output(r[k]);
-            dh[k] *= z[k]; // the direct path into h_prev
+    fn backward_step(l: &Gru, s: StepGrads<'_>) {
+        let (a_h, width) = (l.active_h, 3 * l.active_h);
+        let (dh, dg) = (s.dh, s.dz);
+        let du = &mut s.scratch[s.t * dh.len()..][..dh.len()];
+        let rows = s.z.chunks_exact(width).zip(dg.chunks_exact_mut(width));
+        let grads = dh.chunks_exact_mut(a_h).zip(du.chunks_exact_mut(a_h));
+        let kept = s.saved.chunks_exact(a_h).zip(s.h_prev.chunks_exact(a_h));
+        for (((g, dg), (dh, du)), (u, h)) in rows.zip(grads).zip(kept) {
+            row_grads(g, dg, dh, du, u, h);
         }
         if s.t == 0 {
             return; // h before step 0 is the zero state: nothing to pass on
         }
         // dh_prev += s_h · Σ_g (recurrent-side gradient)_g · W_h[g]
-        for (gate, g_h) in [&*dr, dz, du].into_iter().enumerate() {
-            l.recurrent_grad(gate, s.rows, g_h, 1.0, dh);
-        }
+        l.recurrent_grad(0, dg, width, 1.0, dh);
+        l.recurrent_grad(1, &dg[a_h..], width, 1.0, dh);
+        l.recurrent_grad(2, du, a_h, 1.0, dh);
     }
 
     /// The recurrent side sees `r` and `z` as the input side does and, in
     /// place of `n`, `du`.
-    fn recurrent_rows<'a>(gate: usize, dz: &'a [f32], scratch: &'a [f32]) -> &'a [f32] {
+    fn recurrent_rows<'a>(gate: usize, dz: GateCols<'a>, scratch: &'a [f32]) -> GateCols<'a> {
         if gate == 2 {
-            scratch
+            GateCols::new(scratch, dz.width, 0, dz.width)
         } else {
             dz
         }
@@ -130,14 +130,30 @@ impl Cell<3> for GruCell {
         ([x0, h0], [x1, h1])
     }
 
-    fn add_bias_grads(db: &mut [&mut [f32]; 2], at: usize, a_h: usize, dz: &[f32], dz_h: &[f32]) {
+    fn add_bias_grads(db: &mut [&mut [f32]; 2], at: usize, dz: GateCols, dz_h: GateCols) {
         let [dbx, dbh] = db;
-        sum_rows_into(dz, a_h, &mut dbx[at..]);
-        sum_rows_into(dz_h, a_h, &mut dbh[at..]);
+        dz.sum_into(&mut dbx[at..]);
+        dz_h.sum_into(&mut dbh[at..]);
     }
 
     fn backward_span() -> impl Sized {
         ms_tensor::span!("nn.gru_bwd")
+    }
+}
+
+/// One row of a step's gate gradients: `g` and `dg` the row's gates, the
+/// rest the row's `a_h` floats of each. Its own function so that the
+/// compiler may take the slices for disjoint and vectorise the loop.
+fn row_grads(g: &[f32], dg: &mut [f32], dh: &mut [f32], du: &mut [f32], u: &[f32], h: &[f32]) {
+    let a_h = dh.len();
+    let ([r, z, n], [dr, dz, dn]) = (gates(g, a_h), gates_mut(dg, a_h));
+    for k in 0..a_h {
+        let d_n = dh[k] * (1.0 - z[k]) * tanh_grad_from_output(n[k]);
+        dz[k] = dh[k] * (h[k] - n[k]) * sigmoid_grad_from_output(z[k]);
+        dn[k] = d_n;
+        du[k] = d_n * r[k];
+        dr[k] = d_n * u[k] * sigmoid_grad_from_output(r[k]);
+        dh[k] *= z[k]; // the direct path into h_prev
     }
 }
 
@@ -200,9 +216,7 @@ mod tests {
             let a_d = g.active_dims().0;
             let x2 = {
                 let data = (0..2)
-                    .flat_map(|s| {
-                        (0..4).flat_map(move |t| ((s * 4 + t) * 8..(s * 4 + t) * 8 + a_d))
-                    })
+                    .flat_map(|s| (0..4).flat_map(move |t| (s * 4 + t) * 8..(s * 4 + t) * 8 + a_d))
                     .map(|i| x.data()[i])
                     .collect();
                 Tensor::from_vec([2, 4, a_d], data).unwrap()

@@ -14,11 +14,9 @@
 //! Gate blocks are ordered `i, f, g, o`, with one bias `bias: [4H]`. The
 //! cell carries `c` beside `h` and saves `tanh c` per step.
 
-use super::{Cell, Recurrent, RecurrentConfig, StepGrads};
+use super::{gates, gates_mut, Cell, GateCols, Recurrent, RecurrentConfig, StepGrads};
 use crate::layer::Param;
-use ms_tensor::ops::{
-    sigmoid_grad_from_output, sigmoid_inplace, sum_rows_into, tanh_grad_from_output, tanh_inplace,
-};
+use ms_tensor::ops::{sigmoid_cols, sigmoid_grad_from_output, tanh_cols, tanh_grad_from_output};
 use ms_tensor::Tensor;
 
 /// Configuration for a [`Lstm`] layer.
@@ -58,27 +56,29 @@ impl Cell<4> for LstmCell {
     fn forward_step(
         l: &Lstm,
         rows: usize,
-        mut z: [&mut [f32]; 4],
+        z: &mut [f32],
         h: &mut [f32],
         c: &mut [f32],
         tc: &mut [f32],
     ) {
-        for (gate, zg) in z.iter_mut().enumerate() {
-            l.recurrent_gemm(gate, rows, h, zg);
-        }
-        let [zi, zf, zg, zo] = z;
-        sigmoid_inplace(zi);
-        sigmoid_inplace(zf);
-        tanh_inplace(zg);
-        sigmoid_inplace(zo);
+        l.step_product(rows, h, z);
+        let (a_h, width) = (l.active_h, 4 * l.active_h);
+        sigmoid_cols(z, width, 0..2 * a_h);
+        tanh_cols(z, width, 2 * a_h..3 * a_h);
+        sigmoid_cols(z, width, 3 * a_h..width);
 
-        for (k, cv) in c.iter_mut().enumerate() {
-            *cv = zf[k] * *cv + zi[k] * zg[k];
+        for (row, c) in z.chunks_exact(width).zip(c.chunks_exact_mut(a_h)) {
+            let [zi, zf, zg, _] = gates(row, a_h);
+            for (((cv, &i), &f), &g) in c.iter_mut().zip(zi).zip(zf).zip(zg) {
+                *cv = f * *cv + i * g;
+            }
         }
         tc.copy_from_slice(c);
-        tanh_inplace(tc);
-        for (k, hv) in h.iter_mut().enumerate() {
-            *hv = zo[k] * tc[k];
+        tanh_cols(tc, tc.len(), 0..tc.len());
+        let rows = z.chunks_exact(width).zip(tc.chunks_exact(a_h));
+        for ((row, tc), h) in rows.zip(h.chunks_exact_mut(a_h)) {
+            let zo = row[3 * a_h..].iter().zip(tc);
+            h.iter_mut().zip(zo).for_each(|(hv, (o, t))| *hv = o * t);
         }
     }
 
@@ -86,44 +86,52 @@ impl Cell<4> for LstmCell {
         1 // dL/dc, carried from step to step
     }
 
-    fn backward_step(l: &Lstm, s: StepGrads<'_, 4>) {
-        let ([zi, zf, zg, zo], [dzi, dzf, dzg, dzo]) = (s.z, s.dz);
-        let (dh, dc) = (s.dh, s.scratch);
-        let slab = dh.len();
-        let (c_prev, tc) = (s.state_prev, s.saved);
-        for k in 0..slab {
-            let d_o = dh[k] * tc[k];
-            let d_c = dc[k] + dh[k] * zo[k] * tanh_grad_from_output(tc[k]);
-            dzi[k] = d_c * zg[k] * sigmoid_grad_from_output(zi[k]);
-            dzf[k] = d_c * c_prev[k] * sigmoid_grad_from_output(zf[k]);
-            dzg[k] = d_c * zi[k] * tanh_grad_from_output(zg[k]);
-            dzo[k] = d_o * sigmoid_grad_from_output(zo[k]);
-            dc[k] = d_c * zf[k];
+    fn backward_step(l: &Lstm, s: StepGrads<'_>) {
+        let (dh, dc, dz, c, tc) = (s.dh, s.scratch, s.dz, s.state_prev, s.saved);
+        let (a_h, width) = (l.active_h, 4 * l.active_h);
+        let rows = s.z.chunks_exact(width).zip(dz.chunks_exact_mut(width));
+        let grads = dh.chunks_exact(a_h).zip(dc.chunks_exact_mut(a_h));
+        let kept = c.chunks_exact(a_h).zip(tc.chunks_exact(a_h));
+        for (((z, dz), (dh, dc)), (c, tc)) in rows.zip(grads).zip(kept) {
+            row_grads(z, dz, dh, dc, c, tc);
         }
         if s.t == 0 {
             return; // h before step 0 is the zero state: nothing to pass on
         }
         // dh_prev = s_h·Σ_g dz_g·W_h[g]: h_prev reaches h through the gates only.
-        for (gate, dz_g) in [&*dzi, dzf, dzg, dzo].into_iter().enumerate() {
+        for gate in 0..4 {
             let beta = if gate == 0 { 0.0 } else { 1.0 };
-            l.recurrent_grad(gate, s.rows, dz_g, beta, dh);
+            l.recurrent_grad(gate, &dz[gate * a_h..], width, beta, dh);
         }
-    }
-
-    fn recurrent_rows<'a>(_gate: usize, dz: &'a [f32], _scratch: &'a [f32]) -> &'a [f32] {
-        dz
     }
 
     fn split_bias_grads(&mut self, at: usize) -> (&mut [f32], &mut [f32]) {
         self.bias.grad.data_mut().split_at_mut(at)
     }
 
-    fn add_bias_grads(db: &mut &mut [f32], at: usize, a_h: usize, dz: &[f32], _dz_h: &[f32]) {
-        sum_rows_into(dz, a_h, &mut db[at..]);
+    fn add_bias_grads(db: &mut &mut [f32], at: usize, dz: GateCols, _dz_h: GateCols) {
+        dz.sum_into(&mut db[at..]);
     }
 
     fn backward_span() -> impl Sized {
         ms_tensor::span!("nn.lstm_bwd")
+    }
+}
+
+/// One row of a step's gate gradients: `z` and `dz` the row's gates, the
+/// rest the row's `a_h` floats of each. Its own function so that the
+/// compiler may take the slices for disjoint and vectorise the loop.
+fn row_grads(z: &[f32], dz: &mut [f32], dh: &[f32], dc: &mut [f32], c: &[f32], tc: &[f32]) {
+    let a_h = dh.len();
+    let ([zi, zf, zg, zo], [dzi, dzf, dzg, dzo]) = (gates(z, a_h), gates_mut(dz, a_h));
+    for k in 0..a_h {
+        let d_o = dh[k] * tc[k];
+        let d_c = dc[k] + dh[k] * zo[k] * tanh_grad_from_output(tc[k]);
+        dzi[k] = d_c * zg[k] * sigmoid_grad_from_output(zi[k]);
+        dzf[k] = d_c * c[k] * sigmoid_grad_from_output(zf[k]);
+        dzg[k] = d_c * zi[k] * tanh_grad_from_output(zg[k]);
+        dzo[k] = d_o * sigmoid_grad_from_output(zo[k]);
+        dc[k] = d_c * zf[k];
     }
 }
 
@@ -207,9 +215,7 @@ mod tests {
             let a_d = l.active_dims().0;
             let x2 = {
                 let data = (0..2)
-                    .flat_map(|s| {
-                        (0..4).flat_map(move |t| ((s * 4 + t) * 8..(s * 4 + t) * 8 + a_d))
-                    })
+                    .flat_map(|s| (0..4).flat_map(move |t| (s * 4 + t) * 8..(s * 4 + t) * 8 + a_d))
                     .map(|i| x.data()[i])
                     .collect();
                 Tensor::from_vec([2, 4, a_d], data).unwrap()

@@ -19,14 +19,27 @@
 //! forward call: the trainer uses truncated BPTT with state reset at batch
 //! boundaries (a documented simplification — see DESIGN.md §2).
 //!
-//! Training and inference run one forward. The input projection `X·W_xᵀ`
-//! does not depend on the recurrence, so it is hoisted out of the time loop
-//! into one `[T·B, D]` GEMM per gate over a time-major copy of the input; the
-//! pre-activations live gate-major (`[gate][t][b][unit]`), which makes one
-//! gate of one step a contiguous `B × a_h` *slab* that the cell's recurrent
-//! GEMMs accumulate into and the vectorised `sigmoid`/`tanh` slab kernels of
-//! `ms_tensor::ops` activate in place. Every GEMM reads the weights off the
-//! layer's packed panels, packed on first use after a weight change. The
+//! Training and inference run one forward, and it makes one product per
+//! part for the input projection and one per timestep for the recurrence,
+//! whatever `G` is. The pre-activations are *gate-adjacent rows*: a part's
+//! buffer is `[t][b][G·a_h]`, gate `g` of a row at columns
+//! `[g·a_h, (g+1)·a_h)`. The input projection `X·W_xᵀ` does not depend on
+//! the recurrence, so it is hoisted out of the time loop into one
+//! `T·rows × G·a_h × a_d` GEMM over a time-major copy of the input; each
+//! step adds its `rows × G·a_h × a_h` product with `h_{t-1}` into the step's
+//! rows, and the cell activates each gate block of the step in one call of
+//! the vectorised `sigmoid_cols`/`tanh_cols` kernels of `ms_tensor::ops`.
+//! Both products read the weights off *per-width panels*: for each active
+//! hidden width `a_h` the layer has run at, one `PackedB` pair of `W_xᵀ`
+//! and `W_hᵀ` whose columns are rows `g·H + u` (`u < a_h`) of the weight,
+//! stacked in the rows' column order. They are packed straight from the
+//! weights on first use at a width after a weight change, and kept
+//! (invalidated, not dropped) across repacks; there are at most as many as
+//! the layer has hidden groups, and at full width the panel is the whole
+//! weight. An output element's `k` range, `KC` split and micro-kernel are
+//! those of one product per gate, so the bits are too. The backward keeps
+//! one product per gate on the same `k` ranges, reading gate `g` of `dz`
+//! (laid out like the forward's rows) with leading dimension `G·a_h`. The
 //! driver also owns `dX`, the parameter gradients and the panels; a cell
 //! adds its step forward and backward, the state it carries beside `h`, the
 //! slabs a step saves, its biases and which gradient rows feed `dW_h`.
@@ -47,9 +60,8 @@
 //! every buffer of a part one contiguous slice, the sequence buffers are
 //! *part-major*: a buffer of `n` time blocks with `w` floats per batch row
 //! holds part 0's `[n][rows of part 0][w]` and then part 1's
-//! `[n][rows of part 1][w]` — inside a gate's block, for the gate-major
-//! ones. Inference runs the whole batch as a single part, for which this is
-//! plain time-major.
+//! `[n][rows of part 1][w]`. Inference runs the whole batch as a single
+//! part, for which this is plain time-major.
 
 pub mod gru;
 pub mod lstm;
@@ -61,7 +73,7 @@ use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
 use crate::workspace::take_zeroed;
 use ms_tensor::matmul::{gemm, Trans, SMALL_GEMM_CUTOFF};
-use ms_tensor::ops::add_bias_rows;
+use ms_tensor::ops::sum_cols_into;
 use ms_tensor::panels::{gemm_packed_b, PackedB};
 use ms_tensor::{init, par, SeededRng, Tensor};
 use std::ops::Range;
@@ -82,8 +94,8 @@ pub struct RecurrentConfig {
 }
 
 /// The gate arithmetic of a recurrent cell with `G` gates, run by
-/// [`Recurrent`]. Slices handed to a step are slabs of the step's part:
-/// `rows × a_h` floats each.
+/// [`Recurrent`]. A step's gates come as its part's `rows` gate-adjacent
+/// rows of `G·a_h` floats; state and saved slabs as `rows × a_h` floats each.
 pub trait Cell<const G: usize>: Sized + Send + Sync {
     /// Slabs of state the cell carries from step to step beside `h`.
     const STATE: usize;
@@ -111,7 +123,7 @@ pub trait Cell<const G: usize>: Sized + Send + Sync {
     fn forward_step(
         l: &Recurrent<Self, G>,
         rows: usize,
-        z: [&mut [f32]; G],
+        z: &mut [f32],
         h: &mut [f32],
         state: &mut [f32],
         saved: &mut [f32],
@@ -123,24 +135,21 @@ pub trait Cell<const G: usize>: Sized + Send + Sync {
     /// One step of the time loop: the pre-activation gradients `dz` from
     /// `dh` (which already holds `dy` at the step), then `dh` for the step
     /// before, unless this is step 0.
-    fn backward_step(l: &Recurrent<Self, G>, s: StepGrads<'_, G>);
+    fn backward_step(l: &Recurrent<Self, G>, s: StepGrads<'_>);
 
     /// The rows, over the whole batch, that multiply `H_prev` into
-    /// `dW_h[gate]`, given the gate's `dz` and the backward scratch.
-    fn recurrent_rows<'a>(gate: usize, dz: &'a [f32], scratch: &'a [f32]) -> &'a [f32];
+    /// `dW_h[gate]`, given the gate's columns of `dz` and the backward
+    /// scratch (`a_h` floats a row): by default the gate's `dz`.
+    fn recurrent_rows<'a>(_gate: usize, dz: GateCols<'a>, _scratch: &'a [f32]) -> GateCols<'a> {
+        dz
+    }
 
     /// The bias gradients, cut at float `at`.
     fn split_bias_grads(&mut self, at: usize) -> (Self::BiasGrads<'_>, Self::BiasGrads<'_>);
 
     /// Adds a gate's column sums at float `at` of `db`: `dz`'s for the input
     /// side, `dz_h`'s (its [`Cell::recurrent_rows`]) for the recurrent one.
-    fn add_bias_grads(
-        db: &mut Self::BiasGrads<'_>,
-        at: usize,
-        a_h: usize,
-        dz: &[f32],
-        dz_h: &[f32],
-    );
+    fn add_bias_grads(db: &mut Self::BiasGrads<'_>, at: usize, dz: GateCols, dz_h: GateCols);
 
     /// Opens the cell's backward span (`span!` declares one static per call
     /// site, so each cell opens its own).
@@ -148,16 +157,47 @@ pub trait Cell<const G: usize>: Sized + Send + Sync {
 }
 
 /// Step `t` of a backward part, as [`Cell::backward_step`] sees it.
-pub struct StepGrads<'a, const G: usize> {
+pub struct StepGrads<'a> {
     t: usize,
-    rows: usize,
-    z: [&'a [f32]; G],     // the forward's activated gates
-    h_prev: &'a [f32],     // `h` of state block t
-    state_prev: &'a [f32], // the cell's slabs of state block t
-    saved: &'a [f32],      // what step t saved
-    dz: [&'a mut [f32]; G],
+    z: &'a [f32],           // the forward's activated gates, gate-adjacent rows
+    h_prev: &'a [f32],      // `h` of state block t
+    state_prev: &'a [f32],  // the cell's slabs of state block t
+    saved: &'a [f32],       // what step t saved
+    dz: &'a mut [f32],      // laid out like `z`
     dh: &'a mut [f32],      // dL/dh_t in, dL/dh_{t-1} out
     scratch: &'a mut [f32], // the part's backward scratch
+}
+
+/// One gate's columns of a row-major buffer: `width` floats from column
+/// `first` of every `ld`-float row of `buf`.
+#[derive(Clone, Copy)]
+pub struct GateCols<'a> {
+    buf: &'a [f32],
+    ld: usize,
+    first: usize,
+    width: usize,
+}
+
+impl<'a> GateCols<'a> {
+    fn new(buf: &'a [f32], ld: usize, first: usize, width: usize) -> Self {
+        GateCols {
+            buf,
+            ld,
+            first,
+            width,
+        }
+    }
+
+    /// The gate from row `row` on (none past the last): a GEMM operand of
+    /// leading dimension `ld`.
+    fn from(&self, row: usize) -> &'a [f32] {
+        self.buf.get(row * self.ld + self.first..).unwrap_or(&[])
+    }
+
+    /// Adds the gate's column sums to `out[..width]`, rows in order.
+    fn sum_into(&self, out: &mut [f32]) {
+        sum_cols_into(self.buf, self.ld, self.first, &mut out[..self.width]);
+    }
 }
 
 /// What a `Train` forward keeps for `backward`: the whole sequence,
@@ -166,37 +206,46 @@ struct SeqCache {
     batch: usize,
     steps: usize,
     xt: Vec<f32>,    // [T·B, a_d] input
-    z: Vec<f32>,     // activated gates, `[gate][part][t][b][unit]`
+    z: Vec<f32>,     // activated gates, `[part][t][b][G·a_h]`
     h: Tensor,       // per part T + 1 state blocks of [b, a_h]
     state: Tensor,   // likewise, STATE slabs each
     saved: Vec<f32>, // per part T blocks of SAVED slabs
 }
 
 /// The buffers of one part of a forward pass: `rows` batch rows.
-struct ForwardPart<'a, const G: usize> {
+struct ForwardPart<'a> {
     rows: usize,
-    x: &'a [f32],          // [rows, T, a_d]
-    xt: &'a mut [f32],     // [T, rows, a_d]
-    z: [&'a mut [f32]; G], // each [T, rows, a_h]
-    h: &'a mut [f32],      // T + 1 state blocks (training) or one (inference)
-    state: &'a mut [f32],  // likewise
-    saved: &'a mut [f32],  // T blocks (training) or one (inference)
-    out: &'a mut [f32],    // [rows, T, a_h]
+    x: &'a [f32],         // [rows, T, a_d]
+    xt: &'a mut [f32],    // [T, rows, a_d]
+    z: &'a mut [f32],     // [T, rows, G·a_h]
+    h: &'a mut [f32],     // T + 1 state blocks (training) or one (inference)
+    state: &'a mut [f32], // likewise
+    saved: &'a mut [f32], // T blocks (training) or one (inference)
+    out: &'a mut [f32],   // [rows, T, a_h]
 }
 
 /// The buffers of one part of a backward pass's time loop.
-struct BackwardPart<'a, const G: usize> {
+struct BackwardPart<'a> {
     rows: usize,
     dy: &'a [f32], // [rows, T, a_h]
-    z: [&'a [f32]; G],
+    z: &'a [f32],
     h: &'a [f32],
     state: &'a [f32],
     saved: &'a [f32],
-    dz: [&'a mut [f32]; G], // each [T, rows, a_h]
-    dh: &'a mut [f32],      // [rows, a_h]
+    dz: &'a mut [f32], // [T, rows, G·a_h]
+    dh: &'a mut [f32], // [rows, a_h]
     scratch: &'a mut [f32],
     dxt: &'a mut [f32], // [T, rows, a_d]
     dx: &'a mut [f32],  // [rows, T, a_d]
+}
+
+/// The panels of one active hidden width `a_h`: `W_xᵀ` over every input and
+/// `W_hᵀ` over the first `a_h`, each with the first `a_h` rows of every
+/// gate block side by side — the column order of the gate-adjacent rows.
+struct WidthPanels {
+    a_h: usize,
+    x: PackedB,
+    h: PackedB,
 }
 
 /// Sliceable recurrent layer over `[B, T, D_active] → [B, T, H_active]`.
@@ -214,8 +263,8 @@ pub struct Recurrent<C: Cell<G>, const G: usize> {
     z: Vec<f32>,
     saved: Vec<f32>,
     cache: Option<SeqCache>,
-    packed_x: PackedB, // persistent panels of W_xᵀ
-    packed_h: PackedB, // persistent panels of W_hᵀ
+    // One pair per width run at, at most one per hidden group.
+    panels: Vec<WidthPanels>,
     // Training panels of each gate's W_h[g] as stored, for `dh_prev`.
     packed_dh: [PackedB; G],
 }
@@ -246,8 +295,7 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
             z: Vec::new(),
             saved: Vec::new(),
             cache: None,
-            packed_x: PackedB::new(),
-            packed_h: PackedB::new(),
+            panels: Vec::new(),
             packed_dh: std::array::from_fn(|_| PackedB::new()),
         }
     }
@@ -266,51 +314,60 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
         self.saved = cache.saved;
     }
 
+    /// Packs the active width's panels unless they are valid; whether it did.
     fn ensure_packed(&mut self) -> bool {
-        let (d, h) = (self.cfg.in_dim, self.cfg.hidden_dim);
-        let stale = !(self.packed_x.is_valid() && self.packed_h.is_valid());
-        if !self.packed_x.is_valid() {
-            self.packed_x
-                .pack(Trans::Yes, self.w_x.value.data(), d, d, G * h);
+        let (d, h, a_h) = (self.cfg.in_dim, self.cfg.hidden_dim, self.active_h);
+        if !self.panels.iter().any(|p| p.a_h == a_h) {
+            let (x, h) = (PackedB::new(), PackedB::new());
+            self.panels.push(WidthPanels { a_h, x, h });
         }
-        if !self.packed_h.is_valid() {
-            self.packed_h
-                .pack(Trans::Yes, self.w_h.value.data(), h, h, G * h);
+        let mut panels = self.panels.iter_mut();
+        let p = panels.find(|p| p.a_h == a_h).expect("pushed above");
+        if p.x.is_valid() {
+            return false;
         }
-        stale
+        p.x.pack_row_blocks(self.w_x.value.data(), d, d, (G, h), a_h);
+        p.h.pack_row_blocks(self.w_h.value.data(), h, a_h, (G, h), a_h);
+        true
     }
 
-    /// `z += s_h · h_prev · W_h[gate][0..a_h, 0..a_h]ᵀ` for `rows` batch rows:
-    /// a gate's recurrent product, off the panels.
-    fn recurrent_gemm(&self, gate: usize, rows: usize, h_prev: &[f32], z: &mut [f32]) {
-        let (a_h, row0) = (self.active_h, gate * self.cfg.hidden_dim);
-        let (sh, ph) = (self.scale_h(), &self.packed_h);
-        gemm_packed_b(
-            rows,
-            0,
-            a_h,
-            row0,
-            row0 + a_h,
-            sh,
-            h_prev,
-            a_h,
-            ph,
-            1.0,
-            z,
-            a_h,
-        );
+    /// The active width's panels, packed by the forward that reads them.
+    fn width_panels(&self) -> &WidthPanels {
+        let p = self.panels.iter().find(|p| p.a_h == self.active_h);
+        p.expect("the forward packs its width's panels first")
     }
 
-    /// `dh = s_h · g · W_h[gate][0..a_h, 0..a_h] + beta · dh` for `rows` batch
-    /// rows: a gate's share of `dh_prev`, off the gate's `packed_dh` panels —
-    /// except where `gemm` would take its small loops, which sum in another
-    /// order: there it is still `gemm` on `w_h`. Either way the bits are those
-    /// of packing `W_h[gate]` per call.
-    fn recurrent_grad(&self, gate: usize, rows: usize, g: &[f32], beta: f32, dh: &mut [f32]) {
+    /// `z += s_h · h_prev · W_hᵀ` for `rows` batch rows: a step's recurrent
+    /// product, every gate at once, off the width's panels.
+    fn step_product(&self, rows: usize, h_prev: &[f32], z: &mut [f32]) {
+        let (a_h, width) = (self.active_h, G * self.active_h);
+        let (sh, ph) = (self.scale_h(), &self.width_panels().h);
+        gemm_packed_b(rows, 0, a_h, 0, width, sh, h_prev, a_h, ph, 1.0, z, width);
+    }
+
+    /// Adds gate `g`'s first `a_h` biases of `bias` (`G` blocks of `H`) to
+    /// gate `g`'s columns of every gate-adjacent row of `z`.
+    fn add_gate_bias(&self, z: &mut [f32], bias: &Tensor) {
+        let (a_h, h_full) = (self.active_h, self.cfg.hidden_dim);
+        let biases = bias.data().chunks_exact(h_full);
+        for row in z.chunks_exact_mut(G * a_h) {
+            for (zg, bg) in row.chunks_exact_mut(a_h).zip(biases.clone()) {
+                zg.iter_mut().zip(bg).for_each(|(v, &b)| *v += b);
+            }
+        }
+    }
+
+    /// `dh = s_h · g · W_h[gate][0..a_h, 0..a_h] + beta · dh` for the rows of
+    /// `dh` (`g` of leading dimension `ld`): a gate's share of `dh_prev`, off
+    /// the gate's `packed_dh` panels — except where `gemm` would take its
+    /// small loops, which sum in another order: there it is still `gemm` on
+    /// `w_h`. Either way the bits are those of packing `W_h[gate]` per call.
+    fn recurrent_grad(&self, gate: usize, g: &[f32], ld: usize, beta: f32, dh: &mut [f32]) {
         let (a_h, h_full, sh) = (self.active_h, self.cfg.hidden_dim, self.scale_h());
+        let rows = dh.len() / a_h;
         if rows * a_h * a_h > SMALL_GEMM_CUTOFF {
-            let panels = &self.packed_dh[gate];
-            gemm_packed_b(rows, 0, a_h, 0, a_h, sh, g, a_h, panels, beta, dh, a_h);
+            let pb = &self.packed_dh[gate];
+            gemm_packed_b(rows, 0, a_h, 0, a_h, sh, g, ld, pb, beta, dh, a_h);
             return;
         }
         let block = &self.w_h.value.data()[gate * h_full * h_full..];
@@ -322,7 +379,7 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
             a_h,
             sh,
             g,
-            a_h,
+            ld,
             block,
             h_full,
             beta,
@@ -333,18 +390,15 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
 
     /// The forward of one part: input projection of all its steps, then the
     /// recurrence over its batch rows.
-    fn forward_part(&self, train: bool, steps: usize, mut p: ForwardPart<'_, G>) {
-        let (a_h, h_full, d) = (self.active_h, self.cfg.hidden_dim, self.active_in);
-        let slab = p.rows * a_h; // one gate of one step
+    fn forward_part(&self, train: bool, steps: usize, p: ForwardPart<'_>) {
+        let (a_h, d) = (self.active_h, self.active_in);
+        let (slab, width) = (p.rows * a_h, G * a_h); // one gate of one step; one row
 
-        // z[g] = s_x·X·W_x[g]ᵀ + b[g] for every step at once.
+        // z = s_x·X·W_xᵀ + b for every step and gate at once.
         to_time_major(p.x, p.rows, steps, d, p.xt);
-        let (rows, sx, bias) = (steps * p.rows, self.scale_x(), self.cell.input_bias());
-        for (gate, zg) in p.z.iter_mut().enumerate() {
-            let (row0, px) = (gate * h_full, &self.packed_x);
-            gemm_packed_b(rows, 0, d, row0, row0 + a_h, sx, p.xt, d, px, 1.0, zg, a_h);
-            add_bias_rows(zg, &bias.data()[row0..], a_h, a_h);
-        }
+        let (m, sx, px) = (steps * p.rows, self.scale_x(), &self.width_panels().x);
+        gemm_packed_b(m, 0, d, 0, width, sx, p.xt, d, px, 1.0, p.z, width);
+        self.add_gate_bias(p.z, self.cell.input_bias());
 
         // Training keeps every step's state and saved slabs, inference one
         // block of each, updated in place.
@@ -356,7 +410,7 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
                 let (from, to) = (prev * state_len, next * state_len);
                 p.state.copy_within(from..to, to);
             }
-            let z = p.z.each_mut().map(|g| &mut g[t * slab..][..slab]);
+            let z = &mut p.z[t * p.rows * width..][..p.rows * width];
             let h = &mut p.h[next * slab..][..slab];
             let state = &mut p.state[next * state_len..][..state_len];
             let saved = &mut p.saved[prev * saved_len..][..saved_len];
@@ -367,27 +421,24 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
 
     /// The time loop of `backward` for one part and, once all of the part's
     /// rows of `dz` exist, its rows of `dX`.
-    fn backward_part(&self, steps: usize, p: BackwardPart<'_, G>) {
+    fn backward_part(&self, steps: usize, p: BackwardPart<'_>) {
         let (a_h, a_d) = (self.active_h, self.active_in);
         let (d_full, h_full) = (self.cfg.in_dim, self.cfg.hidden_dim);
-        let slab = p.rows * a_h;
+        let (slab, width) = (p.rows * a_h, G * a_h);
         let (state_len, saved_len) = (C::STATE * slab, C::SAVED * slab);
-        let BackwardPart {
-            mut dz,
-            dh,
-            scratch,
-            ..
-        } = p;
+        if p.rows == 0 {
+            return; // the empty part of a one-sample batch
+        }
+        let (dz, dh, scratch) = (p.dz, p.dh, p.scratch);
         for t in (0..steps).rev() {
             add_step(p.dy, t, steps, a_h, dh);
             let s = StepGrads {
                 t,
-                rows: p.rows,
-                z: p.z.map(|g| &g[t * slab..][..slab]),
+                z: &p.z[t * p.rows * width..][..p.rows * width],
                 h_prev: &p.h[t * slab..][..slab],
                 state_prev: &p.state[t * state_len..][..state_len],
                 saved: &p.saved[t * saved_len..][..saved_len],
-                dz: dz.each_mut().map(|g| &mut g[t * slab..][..slab]),
+                dz: &mut dz[t * p.rows * width..][..p.rows * width],
                 dh: &mut *dh,
                 scratch: &mut *scratch,
             };
@@ -395,7 +446,7 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
         }
         // dX = s_x · Σ_g dz_g · W_x[g] over all of the part's T·rows rows.
         let (m, sx) = (steps * p.rows, self.scale_x());
-        for (gate, dz_g) in dz.iter().enumerate() {
+        for gate in 0..G {
             let w_x = &self.w_x.value.data()[gate * h_full * d_full..];
             let beta = if gate == 0 { 0.0 } else { 1.0 };
             gemm(
@@ -405,8 +456,8 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
                 a_d,
                 a_h,
                 sx,
-                dz_g,
-                a_h,
+                &dz[gate * a_h..],
+                width,
                 w_x,
                 d_full,
                 beta,
@@ -440,18 +491,17 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         assert_eq!(dims.len(), 3, "{}: expect [B, T, D]", self.name);
         let (batch, steps, d) = (dims[0], dims[1], dims[2]);
         assert_eq!(d, self.active_in, "{}: input width", self.name);
-        let a_h = self.active_h;
-        let rows = steps * batch;
+        let (a_h, rows) = (self.active_h, steps * batch);
         let slab = batch * a_h; // one gate of one step
 
         // A Train forward that no backward followed still holds its cache.
         if let Some(stale) = self.cache.take() {
             self.release(stale);
         }
-        // Both modes read the panels, packed on first use after a weight
-        // change: in training once per optimiser step (every update walks
-        // `visit_params`, which marks them stale), and every gate of every
-        // timestep of every scheduled rate reads that packing.
+        // Both modes read the width's panels, packed on first use at the
+        // width after a weight change: in training once per optimiser step
+        // and scheduled rate (every update walks `visit_params`, which marks
+        // them stale), and every step of every sequence reads that packing.
         self.ensure_packed();
         let train = mode == Mode::Train;
 
@@ -468,7 +518,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         let mid = if train { par::mid(batch) } else { batch };
         let (x0, x1) = x.data().split_at(mid * steps * d);
         let (xt0, xt1) = xt.split_at_mut(steps * mid * d);
-        let (z0, z1) = split_gates(&mut z, rows * a_h, steps * mid * a_h);
+        let (z0, z1) = z.split_at_mut(steps * mid * G * a_h);
         let (h0, h1) = h.data_mut().split_at_mut((kept + 1) * mid * a_h);
         let at = (kept + 1) * C::STATE * mid * a_h;
         let (st0, st1) = state.data_mut().split_at_mut(at);
@@ -527,8 +577,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         let (a_h, a_d) = (self.active_h, self.active_in);
         let (d_full, h_full) = (self.cfg.in_dim, self.cfg.hidden_dim);
         let (sx, sh) = (self.scale_x(), self.scale_h());
-        let rows = steps * batch;
-        let slab = batch * a_h;
+        let (rows, width, slab) = (steps * batch, G * a_h, batch * a_h);
         debug_assert_eq!(dy.dims(), &[batch, steps, a_h]);
         // `dh_prev`'s weights, each gate's block of `w_h` as stored, packed
         // once per optimiser step like the forward's (the update's
@@ -542,9 +591,9 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
 
         // Pre-activation gradients of the whole sequence, laid out like the
         // gates. Only what the recurrence needs runs in the time loop; every
-        // product with the inputs waits until all `T·B` rows of `dz_g` exist.
+        // product with the inputs waits until all `T·B` rows of `dz` exist.
         let scratch_slabs = C::scratch_slabs(steps);
-        let mut dz = Tensor::pooled_zeros([G * rows * a_h]);
+        let mut dz = Tensor::pooled_zeros([rows * width]);
         let mut dh = Tensor::pooled_zeros([slab]); // dL/dh_t, recurrent part first
         let mut scratch = Tensor::pooled_zeros([scratch_slabs * slab]);
         let mut dxt = Tensor::pooled_zeros([rows * a_d]);
@@ -555,12 +604,12 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         let mid = par::mid(batch);
         {
             let (dy0, dy1) = dy.data().split_at(mid * steps * a_h);
-            let (z0, z1) = split_gates_ref(&cache.z, rows * a_h, steps * mid * a_h);
+            let (z0, z1) = cache.z.split_at(steps * mid * width);
             let (h0, h1) = cache.h.data().split_at((steps + 1) * mid * a_h);
             let at = (steps + 1) * C::STATE * mid * a_h;
             let (st0, st1) = cache.state.data().split_at(at);
             let (s0, s1) = cache.saved.split_at(steps * C::SAVED * mid * a_h);
-            let (dz0, dz1) = split_gates(dz.data_mut(), rows * a_h, steps * mid * a_h);
+            let (dz0, dz1) = dz.data_mut().split_at_mut(steps * mid * width);
             let (dh0, dh1) = dh.data_mut().split_at_mut(mid * a_h);
             let (sc0, sc1) = scratch.data_mut().split_at_mut(scratch_slabs * mid * a_h);
             let (dxt0, dxt1) = dxt.data_mut().split_at_mut(steps * mid * a_d);
@@ -604,17 +653,10 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         // of the gradients, no operand is packed twice, and nothing is added
         // up afterwards.
         let gate_mid = par::mid(G);
-        let (dwx0, dwx1) = self
-            .w_x
-            .grad
-            .data_mut()
-            .split_at_mut(gate_mid * h_full * d_full);
-        let (dwh0, dwh1) = self
-            .w_h
-            .grad
-            .data_mut()
-            .split_at_mut(gate_mid * h_full * h_full);
-        let (db0, db1) = self.cell.split_bias_grads(gate_mid * h_full);
+        let at = gate_mid * h_full; // the second part's first weight row
+        let (dwx0, dwx1) = self.w_x.grad.data_mut().split_at_mut(at * d_full);
+        let (dwh0, dwh1) = self.w_h.grad.data_mut().split_at_mut(at * h_full);
+        let (db0, db1) = self.cell.split_bias_grads(at);
         // `h` keeps T + 1 blocks per part, so the rows of `H_prev` that line
         // up with a part's rows of `dz` start at the part's first block.
         let part_rows = [(0, steps * mid), (steps * mid, rows)];
@@ -622,7 +664,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         let (dz_rows, scratch_rows, xt) = (dz.data(), scratch.data(), &cache.xt);
         let grads = |gates: Range<usize>, dwx: &mut [f32], dwh: &mut [f32], mut db| {
             for (i, gate) in gates.enumerate() {
-                let dz_g = &dz_rows[gate * rows * a_h..][..rows * a_h];
+                let dz_g = GateCols::new(dz_rows, width, gate * a_h, a_h);
                 let dz_h = C::recurrent_rows(gate, dz_g, scratch_rows);
                 // dW_x[gate] += s_x · dz_gᵀ · X
                 let dwx = &mut dwx[i * h_full * d_full..];
@@ -633,8 +675,8 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
                     a_d,
                     rows,
                     sx,
-                    dz_g,
-                    a_h,
+                    dz_g.from(0),
+                    width,
                     xt,
                     a_d,
                     1.0,
@@ -643,7 +685,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
                 );
                 // dW_h[gate] += s_h · dz_hᵀ · H_prev
                 for ((first, end), h_prev) in part_rows.into_iter().zip(h_prev) {
-                    let (dwh, g) = (&mut dwh[i * h_full * h_full..], &dz_h[first * a_h..]);
+                    let (dwh, g) = (&mut dwh[i * h_full * h_full..], dz_h.from(first));
                     let k = end - first;
                     gemm(
                         Trans::Yes,
@@ -653,7 +695,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
                         k,
                         sh,
                         g,
-                        a_h,
+                        dz_h.ld,
                         h_prev,
                         a_h,
                         1.0,
@@ -661,7 +703,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
                         h_full,
                     );
                 }
-                C::add_bias_grads(&mut db, i * h_full, a_h, dz_g, dz_h);
+                C::add_bias_grads(&mut db, i * h_full, dz_g, dz_h);
             }
         };
         par::join(
@@ -685,8 +727,7 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
     }
 
     fn release_panels(&mut self) {
-        self.packed_x = PackedB::new();
-        self.packed_h = PackedB::new();
+        self.panels = Vec::new();
         self.packed_dh = std::array::from_fn(|_| PackedB::new());
     }
 
@@ -694,8 +735,10 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         f(&mut self.w_x);
         f(&mut self.w_h);
         self.cell.visit_params(f);
-        self.packed_x.invalidate();
-        self.packed_h.invalidate();
+        for p in &mut self.panels {
+            p.x.invalidate();
+            p.h.invalidate();
+        }
         self.packed_dh.iter_mut().for_each(PackedB::invalidate);
     }
 
@@ -726,31 +769,16 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
     }
 }
 
-/// Cuts every gate's block of a gate-major buffer (`G` blocks of `block`
-/// floats) at `at`: the leading and the trailing piece of each gate.
-fn split_gates<const G: usize>(
-    buf: &mut [f32],
-    block: usize,
-    at: usize,
-) -> ([&mut [f32]; G], [&mut [f32]; G]) {
-    let mut lo: [&mut [f32]; G] = std::array::from_fn(|_| &mut [][..]);
-    let mut hi: [&mut [f32]; G] = std::array::from_fn(|_| &mut [][..]);
-    for (gate, chunk) in buf.chunks_exact_mut(block.max(1)).take(G).enumerate() {
-        (lo[gate], hi[gate]) = chunk.split_at_mut(at);
-    }
-    (lo, hi)
+/// The `G` gate blocks of one gate-adjacent row, `a_h` floats each.
+fn gates<const G: usize>(row: &[f32], a_h: usize) -> [&[f32]; G] {
+    let mut blocks = row.chunks_exact(a_h);
+    std::array::from_fn(|_| blocks.next().expect("G gate blocks"))
 }
 
-/// [`split_gates`] over a shared buffer.
-fn split_gates_ref<const G: usize>(
-    buf: &[f32],
-    block: usize,
-    at: usize,
-) -> ([&[f32]; G], [&[f32]; G]) {
-    (
-        std::array::from_fn(|gate| &buf[gate * block..][..at]),
-        std::array::from_fn(|gate| &buf[gate * block + at..(gate + 1) * block]),
-    )
+/// [`gates`], writable.
+fn gates_mut<const G: usize>(row: &mut [f32], a_h: usize) -> [&mut [f32]; G] {
+    let mut blocks = row.chunks_exact_mut(a_h);
+    std::array::from_fn(|_| blocks.next().expect("G gate blocks"))
 }
 
 /// Copies `x: [B, T, D]` into `xt: [T, B, D]` (time-major rows `t·B + b`).

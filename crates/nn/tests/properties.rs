@@ -261,16 +261,16 @@ fn lstm_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> 
             }
             dh_next = vec![0.0; a_h];
             for (gate, dz_g) in dz.iter().enumerate() {
-                for k in 0..a_h {
+                for (k, &dz_k) in dz_g.iter().enumerate() {
                     let row = gate * h + k;
-                    db[row] += dz_g[k];
+                    db[row] += dz_k;
                     for j in 0..a_d {
-                        dw_x[row * d + j] += sx * dz_g[k] * xv[j];
-                        dx[(b * steps + t) * a_d + j] += sx * dz_g[k] * f64::from(w_x[row * d + j]);
+                        dw_x[row * d + j] += sx * dz_k * xv[j];
+                        dx[(b * steps + t) * a_d + j] += sx * dz_k * f64::from(w_x[row * d + j]);
                     }
                     for j in 0..a_h {
-                        dw_h[row * h + j] += sh * dz_g[k] * hs[t][j];
-                        dh_next[j] += sh * dz_g[k] * f64::from(w_h[row * h + j]);
+                        dw_h[row * h + j] += sh * dz_k * hs[t][j];
+                        dh_next[j] += sh * dz_k * f64::from(w_h[row * h + j]);
                     }
                 }
             }

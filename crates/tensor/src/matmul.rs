@@ -572,6 +572,9 @@ pub(crate) fn pack_b_into(
     nc: usize,
     buf: &mut [f32],
 ) {
+    if trans_b == Trans::Yes {
+        return pack_rows_into(b, ldb, |j| j, pc, kc, jc, nc, buf);
+    }
     let strips = nc.div_ceil(NR);
     debug_assert_eq!(buf.len(), strips * kc * NR);
     for (t, strip) in buf.chunks_exact_mut(kc * NR).enumerate() {
@@ -579,41 +582,57 @@ pub(crate) fn pack_b_into(
         let cols = NR.min(nc - t * NR);
         if cols < NR {
             strip.fill(0.0);
+            for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
+                dst[..cols].copy_from_slice(&b[(pc + p) * ldb + j_base..][..cols]);
+            }
+            continue;
         }
-        match trans_b {
-            // A full strip copies rows of a length the compiler knows (a few
-            // vector moves); the generic arm would call `memcpy` per row.
-            Trans::No if cols == NR => {
-                for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
-                    let src: &[f32; NR] = b[(pc + p) * ldb + j_base..][..NR]
-                        .try_into()
-                        .expect("NR-wide row");
-                    dst.copy_from_slice(src);
+        // A full strip copies rows of a length the compiler knows (a few
+        // vector moves); the edge arm above calls `memcpy` per row.
+        for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
+            let src: &[f32; NR] = b[(pc + p) * ldb + j_base..][..NR]
+                .try_into()
+                .expect("NR-wide row");
+            dst.copy_from_slice(src);
+        }
+    }
+}
+
+/// [`pack_b_into`] of `op(B) = bᵀ` with column `j` of `op(B)` read from row
+/// `row(j)` of `b`: `Trans::Yes` is `row(j) = j`, and a persistent panel of
+/// chosen rows ([`crate::panels::PackedB::pack_row_blocks`]) maps blocks.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn pack_rows_into(
+    b: &[f32],
+    ldb: usize,
+    row: impl Fn(usize) -> usize,
+    pc: usize,
+    kc: usize,
+    jc: usize,
+    nc: usize,
+    buf: &mut [f32],
+) {
+    debug_assert_eq!(buf.len(), nc.div_ceil(NR) * kc * NR);
+    for (t, strip) in buf.chunks_exact_mut(kc * NR).enumerate() {
+        let j_base = jc + t * NR;
+        let cols = NR.min(nc - t * NR);
+        let src = |jj: usize| &b[row(j_base + jj) * ldb + pc..][..kc];
+        if cols < NR {
+            strip.fill(0.0);
+            for jj in 0..cols {
+                for (p, &v) in src(jj).iter().enumerate() {
+                    strip[p * NR + jj] = v;
                 }
             }
-            Trans::No => {
-                for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
-                    dst[..cols].copy_from_slice(&b[(pc + p) * ldb + j_base..][..cols]);
-                }
-            }
-            // The mirror image of `pack_a_into`'s gather: `NR` source rows, one
-            // contiguous `NR`-wide store per `p`.
-            Trans::Yes if cols == NR => {
-                let src: [&[f32]; NR] =
-                    std::array::from_fn(|jj| &b[(j_base + jj) * ldb + pc..][..kc]);
-                for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
-                    for (d, row) in dst.iter_mut().zip(&src) {
-                        *d = row[p];
-                    }
-                }
-            }
-            Trans::Yes => {
-                for jj in 0..cols {
-                    let src = &b[(j_base + jj) * ldb + pc..][..kc];
-                    for (p, &v) in src.iter().enumerate() {
-                        strip[p * NR + jj] = v;
-                    }
-                }
+            continue;
+        }
+        // The mirror image of `pack_a_into`'s gather: `NR` source rows, one
+        // contiguous `NR`-wide store per `p`.
+        let src: [&[f32]; NR] = std::array::from_fn(src);
+        for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
+            for (d, row) in dst.iter_mut().zip(&src) {
+                *d = row[p];
             }
         }
     }

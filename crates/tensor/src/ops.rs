@@ -4,6 +4,8 @@
 //! the *forward output* where that is cheaper (sigmoid/tanh) and the forward
 //! input where required (ReLU), matching what the layer caches store.
 
+use std::ops::Range;
+
 /// ReLU forward, in place.
 pub fn relu_inplace(x: &mut [f32]) {
     let _span = ms_telemetry::span!("ops.relu");
@@ -80,19 +82,28 @@ pub fn tanh(v: f32) -> f32 {
     t.copysign(v)
 }
 
-/// [`sigmoid`] over a slab, in place; bitwise-equal to the scalar form.
-pub fn sigmoid_inplace(x: &mut [f32]) {
+/// [`sigmoid`] over columns `on` of every `cols`-float row of `x`, in place
+/// (a slab is one row): a step's gate blocks of gate-adjacent rows in one
+/// call. Bitwise-equal to the scalar form.
+pub fn sigmoid_cols(x: &mut [f32], cols: usize, on: Range<usize>) {
     let _span = ms_telemetry::span!("ops.gate_activation");
-    for v in x {
-        *v = sigmoid(*v);
-    }
+    map_cols(x, cols, on, sigmoid);
 }
 
-/// [`tanh`] over a slab, in place; bitwise-equal to the scalar form.
-pub fn tanh_inplace(x: &mut [f32]) {
+/// [`tanh`] over columns `on` of every `cols`-float row of `x`, in place,
+/// like [`sigmoid_cols`].
+pub fn tanh_cols(x: &mut [f32], cols: usize, on: Range<usize>) {
     let _span = ms_telemetry::span!("ops.gate_activation");
-    for v in x {
-        *v = tanh(*v);
+    map_cols(x, cols, on, tanh);
+}
+
+#[inline(always)]
+fn map_cols(x: &mut [f32], cols: usize, on: Range<usize>, f: impl Fn(f32) -> f32) {
+    debug_assert!(x.len().is_multiple_of(cols.max(1)) && on.end <= cols);
+    for row in x.chunks_exact_mut(cols.max(1)) {
+        for v in &mut row[on.clone()] {
+            *v = f(*v);
+        }
     }
 }
 
@@ -312,11 +323,23 @@ mod tests {
             .chain([f32::INFINITY, f32::NEG_INFINITY, 88.0, -88.0, 0.0, -0.0])
             .collect();
         let (mut s, mut t) = (xs.clone(), xs.clone());
-        sigmoid_inplace(&mut s);
-        tanh_inplace(&mut t);
+        let n = xs.len();
+        sigmoid_cols(&mut s, n, 0..n);
+        tanh_cols(&mut t, n, 0..n);
         for (i, &x) in xs.iter().enumerate() {
             assert_eq!(s[i].to_bits(), sigmoid(x).to_bits(), "sigmoid slab at {x}");
             assert_eq!(t[i].to_bits(), tanh(x).to_bits(), "tanh slab at {x}");
+        }
+        // Columns 2..5 of 7-float rows; the others untouched.
+        let (mut s, mut t) = (xs.clone(), xs.clone());
+        let rows = n / 7 * 7;
+        sigmoid_cols(&mut s[..rows], 7, 2..5);
+        tanh_cols(&mut t[..rows], 7, 2..5);
+        for (i, &x) in xs.iter().enumerate() {
+            let on = i < rows && (2..5).contains(&(i % 7));
+            let (ws, wt) = if on { (sigmoid(x), tanh(x)) } else { (x, x) };
+            assert_eq!(s[i].to_bits(), ws.to_bits(), "sigmoid column at {i}");
+            assert_eq!(t[i].to_bits(), wt.to_bits(), "tanh column at {i}");
         }
     }
 

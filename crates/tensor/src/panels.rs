@@ -36,8 +36,8 @@
 use crate::conv::Im2col;
 use crate::kernel::{direct_tile, LaneGroup, TapMasks, GROUPS, LG, MR, NR};
 use crate::matmul::{
-    apply_beta, lanes, live_steps, pack_a_into, pack_b_into, packed_product, Block, Operand,
-    Source, Trans, KC, NC,
+    apply_beta, lanes, live_steps, pack_a_into, pack_b_into, pack_rows_into, packed_product, Block,
+    Operand, Source, Trans, KC, NC,
 };
 use std::cell::RefCell;
 
@@ -151,6 +151,32 @@ impl PackedB {
         assert!(k > 0 && n > 0, "cannot pack an empty {k}x{n} operand");
         pack_blocks::<NR>(&mut self.buf, n.div_ceil(NR), k, |pc, kc, block| {
             pack_b_into(trans_b, b, ldb, pc, kc, 0, n, block)
+        });
+        self.k = k;
+        self.n = n;
+        self.valid = true;
+    }
+
+    /// Packs `op(B) = Wᵀ` over the leading `width` rows of each of `blocks`
+    /// row blocks of `w` (`stride` rows apart, `ldw` floats a row, the first
+    /// `k` of them packed), side by side: column `g·width + u` of `op(B)` is
+    /// row `g·stride + u` of `w`. Straight from `w`, and grow-only like
+    /// [`PackedB::pack`]; with `width = stride` it is that `pack` of
+    /// `Trans::Yes` over the first `blocks · stride` rows.
+    pub fn pack_row_blocks(
+        &mut self,
+        w: &[f32],
+        ldw: usize,
+        k: usize,
+        (blocks, stride): (usize, usize),
+        width: usize,
+    ) {
+        let n = blocks * width;
+        assert!(k > 0 && n > 0, "cannot pack an empty {k}x{n} operand");
+        assert!(width <= stride, "{width} rows of blocks {stride} apart");
+        let row = |j: usize| j / width * stride + j % width;
+        pack_blocks::<NR>(&mut self.buf, n.div_ceil(NR), k, |pc, kc, block| {
+            pack_rows_into(w, ldw, row, pc, kc, 0, n, block)
         });
         self.k = k;
         self.n = n;

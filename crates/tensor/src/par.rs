@@ -80,6 +80,7 @@ thread_local! {
     /// This thread holds the team and is not inside a `join`.
     static MAY_POST: Cell<bool> = const { Cell::new(false) };
     static JOINS: Cell<u64> = const { Cell::new(0) };
+    static TAKEN_BACK: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Locks a mutex whose every update is a single assignment, so the data is
@@ -205,6 +206,13 @@ pub fn joins() -> u64 {
     JOINS.get()
 }
 
+/// Joins of the calling thread whose posted half it took back and ran
+/// itself because the helper had not picked it up by then: with
+/// [`joins`], how often the helper was not there to run its half.
+pub fn taken_back() -> u64 {
+    TAKEN_BACK.get()
+}
+
 /// A job in flight: posted by [`join`], settled before `join` is left.
 struct Posted {
     settled: bool,
@@ -288,6 +296,7 @@ where
     }
     let ra = a();
     if let Some(job) = posted.settle() {
+        TAKEN_BACK.set(TAKEN_BACK.get() + 1);
         job();
     }
     if let Some(payload) = lock(&s.panic).take() {
@@ -329,7 +338,7 @@ mod tests {
         let mut right = vec![0u32; 64];
         for held in [false, true] {
             let _team = held.then(hold_helper);
-            let counted = joins();
+            let (counted, taken) = (joins(), taken_back());
             let (a, b) = join(
                 || {
                     left.iter_mut().for_each(|v| *v += 1);
@@ -342,6 +351,10 @@ mod tests {
             );
             assert_eq!((a, b), (64, 65));
             assert_eq!(joins() - counted, 1);
+            // An inline join posts nothing, so it takes nothing back.
+            if !held {
+                assert_eq!(taken_back(), taken);
+            }
         }
         assert!(left.iter().all(|&v| v == 2) && right.iter().all(|&v| v == 4));
     }
@@ -357,7 +370,7 @@ mod tests {
         let Some(_team) = hold_helper() else { return };
         // The first half does not end before the second has started, so the
         // second was not taken back.
-        let started = AtomicBool::new(false);
+        let (started, taken) = (AtomicBool::new(false), taken_back());
         let ((), name) = join(
             || wait_for(&started),
             || {
@@ -366,6 +379,7 @@ mod tests {
             },
         );
         assert_eq!(name.as_deref(), Some("ms-par-helper"));
+        assert_eq!(taken_back(), taken);
     }
 
     #[test]

@@ -153,6 +153,46 @@ proptest! {
         );
     }
 
+    /// A panel of row blocks is the blocks side by side: one `gemm_packed_b`
+    /// over `pack_row_blocks` of the leading `width` rows of each of `blocks`
+    /// row blocks of `W` gives, bit for bit, one call per block over the
+    /// whole `Wᵀ` packed at any `k` from the product's up — block widths that
+    /// do and do not fill whole `NR` strips, `k` below and across `KC`,
+    /// `alpha` off 1 and `beta = 1` onto a non-zero `C`, as a recurrent
+    /// layer's step adds its gates' product.
+    #[test]
+    fn row_block_panel_is_one_call_per_block(
+        width in 1usize..=65,
+        blocks in 1usize..=4,
+        rows in proptest::sample::select(vec![1usize, 16, 32]),
+        k in proptest::sample::select(vec![1usize, 24, KC - 1, KC + 5]),
+        spare_rows in 0usize..3,
+        spare_k in 0usize..3,
+        alpha in proptest::sample::select(vec![0.7f32, -1.3]),
+        seed in any::<u64>(),
+    ) {
+        let (stride, full_k) = (width + spare_rows, k + spare_k);
+        let (n, ldw, lda) = (blocks * width, full_k + 1, k + 2);
+        let mut rng = SeededRng::new(seed);
+        let mut fill = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+        let (w, a, c0) = (fill(blocks * stride * ldw), fill(rows * lda), fill(rows * n));
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let mut whole = PackedB::new();
+        whole.pack(Trans::Yes, &w, ldw, full_k, blocks * stride);
+        let mut per_block = c0.clone();
+        for g in 0..blocks {
+            let (n0, c) = (g * stride, &mut per_block[g * width..]);
+            gemm_packed_b(rows, 0, k, n0, n0 + width, alpha, &a, lda, &whole, 1.0, c, n);
+        }
+        let mut stacked = PackedB::new();
+        stacked.pack_row_blocks(&w, ldw, k, (blocks, stride), width);
+        prop_assert_eq!((stacked.k(), stacked.n()), (k, n));
+        let mut one_call = c0.clone();
+        gemm_packed_b(rows, 0, k, 0, n, alpha, &a, lda, &stacked, 1.0, &mut one_call, n);
+        prop_assert_eq!(bits(&one_call), bits(&per_block));
+    }
+
     /// dot is symmetric and matches the simple sum.
     #[test]
     fn dot_symmetric(len in 0usize..64, seed in any::<u64>()) {

@@ -12,9 +12,9 @@ die() { echo "perfcheck FAILED: $*"; exit 1; }
 echo "== formatting: the workspace stays as rustfmt lays it out =="
 cargo fmt --all -- --check || die "cargo fmt --all would rewrite the files above"
 
-echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-net and ms-cluster are clippy-clean =="
-cargo clippy --release -p ms-tensor -p ms-net -p ms-cluster --all-targets --no-deps -- -D warnings \
-    || die "clippy warns on ms-tensor, ms-net or ms-cluster (lines above)"
+echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (the layers), ms-net and ms-cluster are clippy-clean =="
+cargo clippy --release -p ms-tensor -p ms-nn -p ms-net -p ms-cluster --all-targets --no-deps -- -D warnings \
+    || die "clippy warns on ms-tensor, ms-nn, ms-net or ms-cluster (lines above)"
 
 echo "== release build (also the shard_server that cluster_elastic spawns) =="
 cargo build --release --workspace
@@ -152,14 +152,15 @@ echo "== allocation tripwire (hot layer bodies) =="
 # packers that write a conv's columns, transposed columns and output
 # gradient from the image, the one blocked GEMM loop with its operand
 # blocks, the matrix packers and `gemm`'s small loops, every recurrent
-# cell's forward and backward step with the driver's recurrent GEMM helpers,
+# cell's forward and backward step with the driver's step product, gate
+# biases and recurrent GEMM helper, the row-block panel packer,
 # and the fork-join itself (brace-counted): the
 # per-call paths use `Tensor::pooled_zeros`, `pooled_clone`,
 # `Workspace::take` and grow-only buffers; `Box::new(` is banned with them so
 # the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_train|forward_prefix|backward|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|packed_product|block|pack_blocks|pack_a_into|pack_b_into|gemm_accumulate_unblocked|forward_step|backward_step|recurrent_gemm|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_train|forward_prefix|backward|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|packed_product|block|pack_blocks|pack_a_into|pack_b_into|pack_rows_into|gemm_accumulate_unblocked|forward_step|backward_step|step_product|add_gate_bias|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
