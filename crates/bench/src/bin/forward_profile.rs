@@ -10,7 +10,9 @@
 //! the 64-2048-2048-8 MLP), batch 32. The first is inference on the prepacked
 //! nets at r ∈ {0.375, 1.0}: GEMM kernel, operand packing (the VGG's convs
 //! multiply straight from the image and pack nothing), im2col (which no
-//! forward writes), activations, pooling, normalisation; after
+//! forward writes), activations, pooling, normalisation, buffer-pool copies
+//! and zero fills (`copy+zero`, the `tensor.pool_*` spans, whose per-pass
+//! counts close the row as `copies` and `zeros`); after
 //! each network's rows, `rate_efficiency(0.375)` — its time ratio over its
 //! MAC ratio, `(t(0.375)/t(1)) / (MACs(0.375)/MACs(1))`, 1 where a narrow
 //! slice costs exactly its multiply-adds. The second is every GEMM shape
@@ -28,19 +30,21 @@
 //! packing (a conv backward's columns and output gradient included),
 //! im2col + col2im (which only a strided conv's backward still runs),
 //! pooling, normalisation, dropout, loss, the optimiser (gradient averaging
-//! and the SGD update), and the elementwise work of activations and backward
-//! bodies. Each column is the summed *self* time of the spans in that bucket;
-//! `other` is what no span claims (bias adds, the embedding, the chunk copies
-//! of convs whose columns are packed, buffer-pool traffic).
+//! and the SGD update), the elementwise work of activations and backward
+//! bodies, and buffer-pool copies and zero fills. Each column is the summed
+//! *self* time of the spans in that bucket; `other` is what no span claims
+//! (bias adds, the embedding, the chunk copies of convs whose columns are
+//! packed, the rest of the buffer pool's bookkeeping).
 //!
 //! A step runs on two threads (`ms_tensor::par`: the second part of every
 //! split layer pass goes to the fork-join helper), so its buckets are summed
 //! over both and add up to `2-thread` — the caller's wall time plus the
 //! helper's busy time — not to `wall`; `join wait` is the caller blocked on
-//! the helper's part. The last two columns count the step's joins and, of
+//! the helper's part. The last four columns count the step's joins and, of
 //! those, the ones whose second half the caller took back and ran itself
 //! because the helper had not picked it up in time (`par::taken_back`): a
-//! helper that shares its caller's CPU shows as a high share taken back.
+//! helper that shares its caller's CPU shows as a high share taken back;
+//! then the step's pool copies and zero fills.
 //! A last line times the bare handoff: 10 000 joins with
 //! nothing to do back to back (the helper polling) and 10 000 after a pause
 //! long enough for it to park. Without the feature the spans compile to nothing
@@ -80,19 +84,27 @@ const KERNEL: Column = ("kernel", &["gemm.panel_", "gemm.small", "gemm.packed"])
 /// Operand packing, a conv's columns packed from the image included.
 const PACK: Column = ("pack", &["gemm.pack_"]);
 
-const FORWARD_COLUMNS: [Column; 6] = [
+/// Buffer-pool copies (`pooled_clone`) and zero fills (`pooled_zeros`):
+/// the activation traffic a layer boundary can avoid.
+const POOL_FILL: Column = ("copy+zero", &["tensor.pool_"]);
+/// The spans a pass's pool copies and zero fills are counted by.
+const COPY_SPAN: &str = "tensor.pool_copy";
+const ZERO_SPAN: &str = "tensor.pool_zero";
+
+const FORWARD_COLUMNS: [Column; 7] = [
     KERNEL,
     PACK,
     ("im2col", &["conv.im2col"]),
     ("activ.", &["ops.gate_activation", "ops.relu"]),
     ("pooling", &["pool."]),
     ("norm", &["nn.groupnorm"]),
+    POOL_FILL,
 ];
 
 /// `elemwise` is the activations plus what the conv and recurrent backward
 /// bodies do themselves, outside any GEMM: the gate gradients of the time
 /// loop, layout shuffles, bias sums.
-const STEP_COLUMNS: [Column; 10] = [
+const STEP_COLUMNS: [Column; 11] = [
     KERNEL,
     PACK,
     ("im+col2im", &["conv.im2col", "conv.col2im"]),
@@ -111,8 +123,18 @@ const STEP_COLUMNS: [Column; 10] = [
             "nn.gru_bwd",
         ],
     ),
+    POOL_FILL,
     ("join wait", &["par.join_wait"]),
 ];
+
+/// Calls of span `name` between two snapshots, per repetition.
+fn calls_per(before: &[SpanStats], after: &[SpanStats], name: &str, reps: u32) -> f64 {
+    let calls = |stats: &[SpanStats]| {
+        let site = stats.iter().filter(|s| s.name == name);
+        site.map(|s| s.calls).sum::<u64>()
+    };
+    (calls(after) - calls(before)) as f64 / f64::from(reps)
+}
 
 fn self_ns(stats: &[SpanStats], prefixes: &[&str]) -> u64 {
     stats
@@ -190,7 +212,9 @@ fn profile_step(name: &str, net: &mut dyn Layer, sgd: SgdConfig, batch: &Batch) 
     let wall_us = t.elapsed().as_secs_f64() * 1e6 / f64::from(STEPS);
     let after = spans::snapshot();
     let per_step = |n: u64| n as f64 / f64::from(STEPS);
-    let settled = [par::joins() - joins, par::taken_back() - taken_back].map(per_step);
+    let [joins, taken] = [par::joins() - joins, par::taken_back() - taken_back].map(per_step);
+    let copies = calls_per(&before, &after, COPY_SPAN, STEPS);
+    let zeros = calls_per(&before, &after, ZERO_SPAN, STEPS);
     // The helper is busy whenever it is not in its idle span; no idle span
     // at all means no helper, or no span tracer.
     let idle = &["par.helper_idle"];
@@ -207,7 +231,7 @@ fn profile_step(name: &str, net: &mut dyn Layer, sgd: SgdConfig, batch: &Batch) 
         &STEP_COLUMNS,
         &before,
         &after,
-        &settled,
+        &[joins, taken, copies, zeros],
     );
 }
 
@@ -461,6 +485,8 @@ fn profile(name: &str, net: &mut dyn Layer, x: &Tensor) {
         let total_us = t.elapsed().as_secs_f64() * 1e6 / f64::from(PASSES);
         let after = spans::snapshot();
         let label = format!("{name:<5} {rate:>6.3}");
+        let copies = calls_per(&before, &after, COPY_SPAN, PASSES);
+        let zeros = calls_per(&before, &after, ZERO_SPAN, PASSES);
         print_row(
             &label,
             &[total_us],
@@ -468,7 +494,7 @@ fn profile(name: &str, net: &mut dyn Layer, x: &Tensor) {
             &FORWARD_COLUMNS,
             &before,
             &after,
-            &[],
+            &[copies, zeros],
         );
         cost.push((total_us, net.flops_per_sample() as f64));
     }
@@ -500,7 +526,7 @@ fn main() {
         &format!("{:<5} {:>6}", "model", "rate"),
         &["total"],
         &FORWARD_COLUMNS,
-        &[],
+        &["copies", "zeros"],
     );
 
     let mut rng = SeededRng::new(7);
@@ -560,7 +586,7 @@ fn main() {
         &format!("{:<5}", "model"),
         &["wall", "2-thread"],
         &STEP_COLUMNS,
-        &["joins", "taken"],
+        &["joins", "taken", "copies", "zeros"],
     );
     let mut vgg = Vgg::new(
         &VggConfig::vgg13_scaled(10, GROUPS),

@@ -424,7 +424,10 @@ pub fn batched_sliced_forward_into(
     out.clear();
     let x = stack_inputs(inputs);
     // The guard — not a trailing statement — restores full width, so a
-    // panicking forward (caught upstream) can't leave the net sliced.
+    // panicking forward (caught upstream) can't leave the net sliced. The
+    // net borrows the batch (its first layer reads it in place): handing it
+    // over recycles it a layer sooner, which is enough to move the glibc
+    // heap step over a process's 16 MiB weights (DESIGN.md §8.2).
     let y = {
         let guard = FullRateGuard::new(net, rate);
         guard.net.forward(&x, Mode::Infer)
@@ -478,7 +481,8 @@ fn stack_inputs(inputs: &[Tensor]) -> Tensor {
     let mut batch_dims = [0usize; ms_tensor::shape::MAX_RANK];
     batch_dims[0] = inputs.len();
     batch_dims[1..=sample.len()].copy_from_slice(sample);
-    let mut x = Tensor::pooled_zeros(&batch_dims[..=sample.len()]);
+    // Each sample's rows are copied in: the zero fill would be overwritten.
+    let mut x = Tensor::pooled_stale(&batch_dims[..=sample.len()]);
     for (i, input) in inputs.iter().enumerate() {
         assert_eq!(input.dims(), sample, "ragged batch at row {i}");
         x.data_mut()[i * stride..(i + 1) * stride].copy_from_slice(input.data());
@@ -490,7 +494,7 @@ fn stack_inputs(inputs: &[Tensor]) -> Tensor {
 fn split_rows(y: &Tensor, n: usize, out: &mut Vec<Tensor>) {
     let out_stride = y.numel() / n;
     for i in 0..n {
-        let mut row = Tensor::pooled_zeros(&y.dims()[1..]);
+        let mut row = Tensor::pooled_stale(&y.dims()[1..]);
         row.data_mut()
             .copy_from_slice(&y.data()[i * out_stride..(i + 1) * out_stride]);
         out.push(row);

@@ -166,12 +166,11 @@ impl Trainer {
         for &r in &rates {
             let t0 = Instant::now();
             net.set_slice_rate(r);
+            // The logits become their own gradient, and the gradient flows
+            // down the stack layer by layer: nothing is copied on the way.
             let logits = net.forward(&batch.x, Mode::Train);
-            let (loss, dlogits) = self.criterion.forward(&logits, &batch.y);
-            logits.recycle();
-            let dx = net.backward(&dlogits);
-            dx.recycle();
-            dlogits.recycle();
+            let (loss, dlogits) = self.criterion.forward_owned(logits, &batch.y);
+            net.backward_owned(dlogits).recycle();
             self.metrics
                 .subnet_seconds(r)
                 .record(t0.elapsed().as_secs_f64());

@@ -99,8 +99,14 @@ impl Layer for Mlp {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         self.net.forward(x, mode)
     }
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
+        self.net.forward_owned(x, mode)
+    }
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         self.net.backward(dy)
+    }
+    fn backward_owned(&mut self, dy: Tensor) -> Tensor {
+        self.net.backward_owned(dy)
     }
     fn forward_prefix(&mut self, x: &Tensor, from: Option<SliceRate>, to: SliceRate) -> Tensor {
         self.net.forward_prefix(x, from, to)

@@ -186,6 +186,25 @@ impl Nnlm {
     pub fn config(&self) -> &NnlmConfig {
         &self.cfg
     }
+
+    /// The backward from the decoder's input gradient `d: [B·T, H]` down,
+    /// each gradient handed to the layer below.
+    fn backward_below_decoder(&mut self, d: Tensor) -> Tensor {
+        let (b, t) = self.last_bt.take().expect("backward before Train forward");
+        let hidden = d.dims()[1];
+        let d = d.reshape([b, t, hidden]).expect("same numel");
+        let chain: [&mut dyn Layer; 5] = [
+            &mut self.drop2,
+            self.lstm2.as_layer(),
+            &mut self.drop1,
+            self.lstm1.as_layer(),
+            &mut self.drop_e,
+        ];
+        let d = chain
+            .into_iter()
+            .fold(d, |d, layer| layer.backward_owned(d));
+        self.embedding.backward_owned(d)
+    }
 }
 
 impl Layer for Nnlm {
@@ -196,9 +215,9 @@ impl Layer for Nnlm {
         if mode == Mode::Train {
             self.last_bt = Some((b, t));
         }
-        // Each intermediate goes back to the buffer pool as soon as the next
-        // layer has consumed it, so a warm pass allocates nothing.
-        let mut h = self.embedding.forward(x, mode); // [B, T, E]
+        // Each intermediate is handed to the next layer, which overwrites,
+        // keeps or recycles it, so a warm pass allocates nothing.
+        let h = self.embedding.forward(x, mode); // [B, T, E]
         let chain: [&mut dyn Layer; 5] = [
             &mut self.drop_e,
             self.lstm1.as_layer(),
@@ -206,30 +225,22 @@ impl Layer for Nnlm {
             self.lstm2.as_layer(),
             &mut self.drop2,
         ];
-        for layer in chain {
-            let next = layer.forward(&h, mode);
-            h.recycle();
-            h = next;
-        }
+        let h = chain
+            .into_iter()
+            .fold(h, |h, layer| layer.forward_owned(h, mode));
         let hidden = *h.dims().last().expect("rank 3");
         let flat = h.reshape([b * t, hidden]).expect("same numel");
-        let y = self.decoder.forward(&flat, mode); // [B·T, V]
-        flat.recycle();
-        y
+        self.decoder.forward_owned(flat, mode) // [B·T, V]
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let d = self.decoder.backward(dy);
-        let hidden = d.dims()[1];
-        let (b, t) = self.last_bt.take().expect("backward before Train forward");
-        let d = self
-            .drop2
-            .backward(&d.reshaped([b, t, hidden]).expect("same numel"));
-        let d = self.lstm2.as_layer().backward(&d);
-        let d = self.drop1.backward(&d);
-        let d = self.lstm1.as_layer().backward(&d);
-        let d = self.drop_e.backward(&d);
-        self.embedding.backward(&d)
+        self.backward_below_decoder(d)
+    }
+
+    fn backward_owned(&mut self, dy: Tensor) -> Tensor {
+        let d = self.decoder.backward_owned(dy);
+        self.backward_below_decoder(d)
     }
 
     // `forward_prefix` stays the trait default (a recompute at `to`): the

@@ -241,25 +241,53 @@ impl Conv2d {
         add_bias(y, a_out * out_len, out_len, bias);
     }
 
+    /// Checks that `x` is a `[B, C, H, W]` batch at the active input width.
+    fn check_input(&self, x: &Tensor) {
+        let dims = x.dims();
+        assert_eq!(dims.len(), 4, "{}: expect [B,C,H,W]", self.name);
+        assert_eq!(dims[1], self.active_in, "{}: input channels", self.name);
+        let hw = (dims[2], dims[3]);
+        assert_eq!(hw, (self.geom.h, self.geom.w), "{}: spatial", self.name);
+    }
+
+    /// A pooled output for `batch` samples at the active width, stale: the
+    /// GEMM drivers write every element ([`conv_packed_a_stepped`]
+    /// overwrites `C`) before the bias is added.
+    fn output(&self, batch: usize) -> Tensor {
+        let (oh, ow) = self.out_hw();
+        Tensor::pooled_stale([batch, self.active_out, oh, ow])
+    }
+
     /// `forward(Train)` off panels packed once per optimiser step (every
     /// update walks `visit_params`, which marks them stale). The two fixed
     /// parts of the batch ([`par::mid`]) each run their own samples into
-    /// their own rows of `y`.
-    fn forward_train(&mut self, x: &Tensor) -> Tensor {
+    /// their own rows of `y`. `x` becomes the backward's cache.
+    fn forward_train(&mut self, x: Tensor) -> Tensor {
+        self.check_input(&x);
         self.ensure_train_panels();
         let batch = x.dims()[0];
-        let mut y =
-            Tensor::pooled_zeros([batch, self.active_out, self.geom.out_h(), self.geom.out_w()]);
+        let mut y = self.output(batch);
         let mid = par::mid(batch);
         let (y0, y1) = y
             .data_mut()
             .split_at_mut(mid * self.active_out * self.geom.out_len());
         let this = &*self;
         par::join(
-            || this.forward_samples(x, 0..mid, y0),
-            || this.forward_samples(x, mid..batch, y1),
+            || this.forward_samples(&x, 0..mid, y0),
+            || this.forward_samples(&x, mid..batch, y1),
         );
-        self.cache = Some(x.pooled_clone());
+        self.cache = Some(x);
+        y
+    }
+
+    /// `forward(Infer)`, weight-stationary (see `Linear`) on the panels
+    /// `prepack` made, or this call packs after a weight change.
+    fn forward_infer(&mut self, x: &Tensor) -> Tensor {
+        self.check_input(x);
+        self.ensure_packed();
+        let batch = x.dims()[0];
+        let mut y = self.output(batch);
+        self.forward_samples(x, 0..batch, y.data_mut());
         y
     }
 
@@ -415,22 +443,22 @@ impl BackwardPass<'_> {
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let dims = x.dims();
-        assert_eq!(dims.len(), 4, "{}: expect [B,C,H,W]", self.name);
-        let (batch, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        assert_eq!(c, self.active_in, "{}: input channels", self.name);
-        assert_eq!((h, w), (self.geom.h, self.geom.w), "{}: spatial", self.name);
-
-        if mode == Mode::Train {
-            return self.forward_train(x);
+        // Inference reads `x` where it is; training keeps a copy.
+        match mode {
+            Mode::Train => self.forward_owned(x.pooled_clone(), mode),
+            Mode::Infer => self.forward_infer(x),
         }
-        // Weight-stationary (see `Linear`) on the panels `prepack` made, or
-        // this call packs after a weight change.
-        self.ensure_packed();
-        let (oh, ow) = self.out_hw();
-        let mut y = Tensor::pooled_zeros([batch, self.active_out, oh, ow]);
-        self.forward_samples(x, 0..batch, y.data_mut());
-        y
+    }
+
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
+        match mode {
+            Mode::Train => self.forward_train(x),
+            Mode::Infer => {
+                let y = self.forward_infer(&x);
+                x.recycle();
+                y
+            }
+        }
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
@@ -444,7 +472,12 @@ impl Layer for Conv2d {
         // Valid since the forward unless a parameter walk came in between.
         self.ensure_train_panels();
 
-        let mut dx = Tensor::pooled_zeros(x.shape().clone());
+        // The transposed conv overwrites every sample's rows of `dx`;
+        // `col2im` adds into them.
+        let mut dx = match self.geom_t {
+            Some(_) => Tensor::pooled_stale(x.shape().clone()),
+            None => Tensor::pooled_zeros(x.shape().clone()),
+        };
         let mid = par::mid(batch);
         let (dx0, dx1) = dx
             .data_mut()

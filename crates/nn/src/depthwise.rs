@@ -84,6 +84,30 @@ impl DepthwiseConv2d {
     pub fn active_channels(&self) -> usize {
         self.active
     }
+
+    /// The output of the batch `x`; caches nothing. Every output plane is
+    /// set to its bias before the kernel accumulates into it.
+    fn forward_pass(&self, x: &Tensor) -> Tensor {
+        let dims = x.dims();
+        assert_eq!(dims.len(), 4, "{}: expect [B,C,H,W]", self.name);
+        let (batch, c) = (dims[0], dims[1]);
+        assert_eq!(c, self.active, "{}: channels", self.name);
+        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
+        let out_len = oh * ow;
+        let in_len = self.geom.h * self.geom.w;
+        let mut y = Tensor::pooled_stale([batch, c, oh, ow]);
+        for s in 0..batch {
+            for ch in 0..c {
+                let plane = &x.row(s)[ch * in_len..(ch + 1) * in_len];
+                let kernel = self.weight.value.row(ch);
+                let bias = self.bias.value.data()[ch];
+                let out = &mut y.row_mut(s)[ch * out_len..(ch + 1) * out_len];
+                out.iter_mut().for_each(|v| *v = bias);
+                conv_plane(&self.geom, plane, kernel, out);
+            }
+        }
+        y
+    }
 }
 
 /// Convolves one channel plane with one kernel, accumulating into `out`.
@@ -148,26 +172,18 @@ fn backward_plane(
 
 impl Layer for DepthwiseConv2d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let dims = x.dims();
-        assert_eq!(dims.len(), 4, "{}: expect [B,C,H,W]", self.name);
-        let (batch, c) = (dims[0], dims[1]);
-        assert_eq!(c, self.active, "{}: channels", self.name);
-        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
-        let out_len = oh * ow;
-        let in_len = self.geom.h * self.geom.w;
-        let mut y = Tensor::pooled_zeros([batch, c, oh, ow]);
-        for s in 0..batch {
-            for ch in 0..c {
-                let plane = &x.row(s)[ch * in_len..(ch + 1) * in_len];
-                let kernel = self.weight.value.row(ch);
-                let bias = self.bias.value.data()[ch];
-                let out = &mut y.row_mut(s)[ch * out_len..(ch + 1) * out_len];
-                out.iter_mut().for_each(|v| *v = bias);
-                conv_plane(&self.geom, plane, kernel, out);
-            }
+        // Inference reads `x` where it is; training keeps a copy.
+        match mode {
+            Mode::Train => self.forward_owned(x.pooled_clone(), mode),
+            Mode::Infer => self.forward_pass(x),
         }
-        if mode == Mode::Train {
-            self.cache = Some(x.pooled_clone());
+    }
+
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
+        let y = self.forward_pass(&x);
+        match mode {
+            Mode::Train => self.cache = Some(x),
+            Mode::Infer => x.recycle(),
         }
         y
     }

@@ -1,4 +1,4 @@
-//! Inverted dropout.
+//! Inverted dropout, in place on the tensor it is handed.
 //!
 //! Train-mode forward zeroes each element with probability `p` and scales
 //! survivors by `1/(1-p)`, so inference is a plain identity. The mask is
@@ -71,23 +71,29 @@ fn splitmix64(x: u64) -> u64 {
 
 impl Layer for Dropout {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut y = x.pooled_clone();
+        self.forward_owned(x.pooled_clone(), mode)
+    }
+
+    fn forward_owned(&mut self, mut x: Tensor, mode: Mode) -> Tensor {
         self.key = None;
         if mode == Mode::Train && self.p > 0.0 {
             let key = self.rng.next_u64();
-            self.apply_mask(key, y.data_mut());
+            self.apply_mask(key, x.data_mut());
             self.key = Some(key);
         }
-        y
+        x
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dx = dy.pooled_clone();
+        self.backward_owned(dy.pooled_clone())
+    }
+
+    fn backward_owned(&mut self, mut dy: Tensor) -> Tensor {
         // No key: the `p == 0` identity.
         if let Some(key) = self.key.take() {
-            self.apply_mask(key, dx.data_mut());
+            self.apply_mask(key, dy.data_mut());
         }
-        dx
+        dy
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

@@ -70,7 +70,8 @@ impl Layer for Embedding {
         let mut out_dims = [0usize; MAX_RANK];
         out_dims[..rank].copy_from_slice(x.dims());
         out_dims[rank] = self.dim;
-        let mut y = Tensor::pooled_zeros(&out_dims[..=rank]);
+        // Every row is a copy of a table row.
+        let mut y = Tensor::pooled_stale(&out_dims[..=rank]);
         if mode == Mode::Train {
             self.ids.clear();
             self.cached = true;

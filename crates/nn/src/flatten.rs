@@ -19,17 +19,25 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(x.pooled_clone(), mode)
+    }
+
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
         let batch = x.dims().first().copied().unwrap_or(1);
         let rest = x.numel() / batch.max(1);
         if mode == Mode::Train {
             self.in_shape = Some(x.shape().clone());
         }
-        x.reshaped([batch, rest]).expect("same numel")
+        x.reshape([batch, rest]).expect("same numel")
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.backward_owned(dy.pooled_clone())
+    }
+
+    fn backward_owned(&mut self, dy: Tensor) -> Tensor {
         let shape = self.in_shape.take().expect("backward before Train forward");
-        dy.reshaped(shape).expect("same numel")
+        dy.reshape(shape).expect("same numel")
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

@@ -70,6 +70,16 @@ impl Param {
 ///   several subnet passes).
 /// - `set_slice_rate` reconfigures the active widths; layers that do not
 ///   slice ignore it.
+/// - Every pass has a borrowed entry (`forward`, `backward`) and an owned
+///   one (`forward_owned`, `backward_owned`) that compute the same bits.
+///   The owned entry takes its input by value: the callee may overwrite it
+///   (an elementwise layer writes its output there), keep it (a `Train`
+///   cache *is* the input that flowed forward) or recycle it, and the caller
+///   recycles nothing it handed over. Containers hand each intermediate to
+///   the next child this way, so activations move through the stack instead
+///   of being copied at every boundary. A layer that works in place
+///   implements the owned entry, and its borrowed entry is one pooled copy
+///   followed by it.
 pub trait Layer {
     /// Forward pass. `Train` mode caches activations for `backward`.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
@@ -77,6 +87,23 @@ pub trait Layer {
     /// Backward pass: takes `dL/dy`, accumulates parameter gradients and
     /// returns `dL/dx`.
     fn backward(&mut self, dy: &Tensor) -> Tensor;
+
+    /// [`Layer::forward`] on an input the layer owns from here on (see the
+    /// trait docs). Default: the borrowed forward, then `x` is recycled.
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
+        let y = self.forward(&x, mode);
+        x.recycle();
+        y
+    }
+
+    /// [`Layer::backward`] on a gradient the layer owns from here on; it may
+    /// write `dL/dx` over `dy`. Default: the borrowed backward, then `dy` is
+    /// recycled.
+    fn backward_owned(&mut self, dy: Tensor) -> Tensor {
+        let dx = self.backward(&dy);
+        dy.recycle();
+        dx
+    }
 
     /// Visits every trainable parameter (used by optimisers and serialisers).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));

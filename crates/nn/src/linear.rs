@@ -214,6 +214,47 @@ impl Linear {
         }
     }
 
+    /// `y = scale · x · W_activeᵀ + b` over the whole batch `x`, leading
+    /// dimensions kept: the training pass runs the two fixed parts of the
+    /// batch, inference all rows at once. Caches nothing.
+    fn forward_pass(&self, x: &Tensor, mode: Mode) -> Tensor {
+        let dims = x.dims();
+        assert_eq!(
+            dims.last().copied(),
+            Some(self.active_in),
+            "{}: input width {:?} != active_in {}",
+            self.name,
+            dims.last(),
+            self.active_in
+        );
+        let batch = x.numel() / self.active_in;
+        // Every element is written (`beta = 0`) before the bias is added.
+        let mut y = Tensor::pooled_stale([batch, self.active_out]);
+        let row_mid = if mode == Mode::Train {
+            self.cut(batch).0
+        } else {
+            batch
+        };
+        if row_mid < batch {
+            let (x0, x1) = x.data().split_at(row_mid * self.active_in);
+            let (y0, y1) = y.data_mut().split_at_mut(row_mid * self.active_out);
+            par::join(
+                || self.forward_rows(false, x0, y0),
+                || self.forward_rows(false, x1, y1),
+            );
+        } else {
+            let on_panels = mode == Mode::Infer && self.packed.is_valid();
+            self.forward_rows(on_panels, x.data(), y.data_mut());
+        }
+        // Preserve leading dims, replacing the trailing one.
+        if dims.len() > 2 {
+            y.reshape(x.shape().with_last_dim(self.active_out))
+                .expect("same numel")
+        } else {
+            y
+        }
+    }
+
     /// Prefix pass when the output side is grouped: each output group `h`
     /// is computed from its canonical input width `k(h)` with its canonical
     /// rescale `M / k(h)` — pure functions of `h`, so a refined group runs
@@ -380,45 +421,20 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let dims = x.dims();
-        assert_eq!(
-            dims.last().copied(),
-            Some(self.active_in),
-            "{}: input width {:?} != active_in {}",
-            self.name,
-            dims.last(),
-            self.active_in
-        );
-        let batch = x.numel() / self.active_in;
-        let mut y = Tensor::pooled_zeros([batch, self.active_out]);
-        // y = scale * x · W[0..a_out, 0..a_in]^T + b: the training pass runs
-        // the two fixed parts of the batch, inference all rows at once.
-        let row_mid = if mode == Mode::Train {
-            self.cut(batch).0
-        } else {
-            batch
-        };
-        if row_mid < batch {
-            let (x0, x1) = x.data().split_at(row_mid * self.active_in);
-            let (y0, y1) = y.data_mut().split_at_mut(row_mid * self.active_out);
-            par::join(
-                || self.forward_rows(false, x0, y0),
-                || self.forward_rows(false, x1, y1),
-            );
-        } else {
-            let on_panels = mode == Mode::Infer && self.packed.is_valid();
-            self.forward_rows(on_panels, x.data(), y.data_mut());
+        // Inference reads `x` where it is; training keeps a copy.
+        match mode {
+            Mode::Train => self.forward_owned(x.pooled_clone(), mode),
+            Mode::Infer => self.forward_pass(x, mode),
         }
-        if mode == Mode::Train {
-            self.cache = Some(x.pooled_clone());
+    }
+
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
+        let y = self.forward_pass(&x, mode);
+        match mode {
+            Mode::Train => self.cache = Some(x),
+            Mode::Infer => x.recycle(),
         }
-        // Preserve leading dims, replacing the trailing one.
-        if dims.len() > 2 {
-            y.reshape(x.shape().with_last_dim(self.active_out))
-                .expect("same numel")
-        } else {
-            y
-        }
+        y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
@@ -427,7 +443,8 @@ impl Layer for Linear {
         let batch = input.numel() / a_in;
         debug_assert_eq!(dy.numel(), batch * a_out);
         let scale = self.rescale();
-        let mut dx = Tensor::pooled_zeros(input.shape().clone());
+        // Every row of `dx` is one part's `beta = 0` product.
+        let mut dx = Tensor::pooled_stale(input.shape().clone());
 
         // Two fixed parts (see `cut`). `dx` splits over the batch rows like
         // the forward. `dW` and `db` sum over the batch, so they split over

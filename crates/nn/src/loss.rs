@@ -3,7 +3,8 @@
 //! [`CrossEntropy`] fuses log-softmax and negative log-likelihood; its
 //! gradient `softmax(z) − onehot(y)` is returned alongside the scalar loss,
 //! already divided by the batch size (mean reduction), so callers feed it
-//! straight into `Layer::backward`.
+//! straight into `Layer::backward`. Given the logits by value
+//! ([`CrossEntropy::forward_owned`]), it writes that gradient over them.
 
 use ms_tensor::{ops, Tensor};
 
@@ -19,13 +20,18 @@ impl CrossEntropy {
     /// If `targets.len()` does not divide the logits or a target is out of
     /// range.
     pub fn forward(&self, logits: &Tensor, targets: &[usize]) -> (f64, Tensor) {
+        self.forward_owned(logits.pooled_clone(), targets)
+    }
+
+    /// [`CrossEntropy::forward`] on logits it owns: the gradient is written
+    /// over them.
+    pub fn forward_owned(&self, logits: Tensor, targets: &[usize]) -> (f64, Tensor) {
         let k = *logits.dims().last().expect("rank >= 1");
         let rows = logits.numel() / k;
         assert_eq!(rows, targets.len(), "target count vs logit rows");
 
         let _span = ms_tensor::span!("loss.xent");
-        // Pool-backed: the trainer recycles the gradient after `backward`.
-        let mut grad = logits.pooled_clone();
+        let mut grad = logits;
         ops::softmax_rows_inplace(grad.data_mut(), k);
 
         // grad = (softmax - onehot) / rows

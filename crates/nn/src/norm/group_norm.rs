@@ -87,8 +87,8 @@ impl GroupNorm {
     }
 
     /// The `Train` forward of some samples: `y` holds their inputs on entry
-    /// and their outputs on return, `xhat` and `inv_stds` receive what
-    /// `backward` needs.
+    /// and their outputs on return, `xhat` (stale on entry) and `inv_stds`
+    /// receive what `backward` needs.
     fn normalise_train(&self, hw: usize, y: &mut [f32], xhat: &mut [f32], inv_stds: &mut [f32]) {
         let per_sample = self.active_channels() * hw;
         let samples = y
@@ -103,15 +103,15 @@ impl GroupNorm {
                 let (mean, var) = ops::mean_var(&y[span.clone()]);
                 let inv_std = 1.0 / (var + self.eps).sqrt();
                 *inv_std_out = inv_std;
-                // x̂ = (x − μ)·σ⁻¹ (x̂ holds x on entry), then y = γ·x̂ + β,
-                // per channel over slices.
+                // x̂ = (x − μ)·σ⁻¹ from x (which `y` holds on entry), then
+                // y = γ·x̂ + β over it, per channel over slices.
                 let channels = y[span.clone()]
                     .chunks_exact_mut(hw)
                     .zip(xhat[span].chunks_exact_mut(hw))
                     .zip(gammas[lo..hi].iter().zip(&betas[lo..hi]));
                 for ((y, xh), (&gamma, &beta)) in channels {
                     for (y, xh) in y.iter_mut().zip(xh) {
-                        *xh = (*xh - mean) * inv_std;
+                        *xh = (*y - mean) * inv_std;
                         *y = gamma * *xh + beta;
                     }
                 }
@@ -150,12 +150,12 @@ struct BackwardPass<'a> {
     gamma: &'a [f32],
     xhat: &'a [f32],
     inv_std: &'a [f32],
-    dy: &'a [f32],
 }
 
 impl BackwardPass<'_> {
-    /// `backward` over `samples`: `dx` holds exactly those samples' rows and
-    /// is overwritten; `dgamma` and `dbeta` are added to.
+    /// `backward` over `samples`: `dx` holds exactly those samples' rows of
+    /// `dy` on entry and their `dx` on return, each group read in full
+    /// before it is overwritten; `dgamma` and `dbeta` are added to.
     fn run(&self, samples: Range<usize>, dx: &mut [f32], dgamma: &mut [f32], dbeta: &mut [f32]) {
         let hw = self.hw;
         let c_act = group_boundary(self.channels, self.groups, self.active_groups);
@@ -165,9 +165,8 @@ impl BackwardPass<'_> {
                 let lo = group_boundary(self.channels, self.groups, g);
                 let hi = group_boundary(self.channels, self.groups, g + 1);
                 let n = ((hi - lo) * hw) as f32;
-                let span = sample_off + lo * hw..sample_off + hi * hw;
-                let xh = &self.xhat[span.clone()];
-                let dyv = &self.dy[span];
+                let xh = &self.xhat[sample_off + lo * hw..sample_off + hi * hw];
+                let dxv = &mut dx[lo * hw..hi * hw];
                 let inv_std = self.inv_std[s * self.active_groups + g];
 
                 // Affine grads + dx̂ statistics in one pass.
@@ -179,7 +178,7 @@ impl BackwardPass<'_> {
                     let mut dg = 0.0f32;
                     let mut db = 0.0f32;
                     for k in 0..hw {
-                        let d = dyv[base + k];
+                        let d = dxv[base + k];
                         let xv = xh[base + k];
                         dg += d * xv;
                         db += d;
@@ -193,12 +192,11 @@ impl BackwardPass<'_> {
                 let mean_dxhat = sum_dxhat / n;
                 let mean_dxhat_xhat = sum_dxhat_xhat / n;
 
-                let dxv = &mut dx[lo * hw..hi * hw];
                 for (ch_idx, ch) in (lo..hi).enumerate() {
                     let gamma = self.gamma[ch];
                     let base = ch_idx * hw;
                     for k in 0..hw {
-                        let dxhat = dyv[base + k] * gamma;
+                        let dxhat = dxv[base + k] * gamma;
                         dxv[base + k] =
                             inv_std * (dxhat - mean_dxhat - xh[base + k] * mean_dxhat_xhat);
                     }
@@ -210,6 +208,11 @@ impl BackwardPass<'_> {
 
 impl Layer for GroupNorm {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(x.pooled_clone(), mode)
+    }
+
+    /// Writes `y` over `x`.
+    fn forward_owned(&mut self, mut x: Tensor, mode: Mode) -> Tensor {
         let _span = ms_tensor::span!("nn.groupnorm");
         let dims = x.dims();
         assert!(
@@ -227,14 +230,13 @@ impl Layer for GroupNorm {
         );
         let hw: usize = dims[2..].iter().product::<usize>().max(1);
 
-        let mut y = x.pooled_clone();
         if mode == Mode::Train {
-            let mut xhat = x.pooled_clone();
+            let mut xhat = Tensor::pooled_stale(x.shape().clone());
             let mut inv_stds = take_zeroed(&mut self.inv_std, batch * self.active_groups);
             // Statistics are per (sample, group): the two fixed parts of the
             // batch normalise their own samples.
             let mid = par::mid(batch);
-            let (y0, y1) = y.data_mut().split_at_mut(mid * c_act * hw);
+            let (y0, y1) = x.data_mut().split_at_mut(mid * c_act * hw);
             let (xhat0, xhat1) = xhat.data_mut().split_at_mut(mid * c_act * hw);
             let (inv0, inv1) = inv_stds.split_at_mut(mid * self.active_groups);
             let this = &*self;
@@ -250,21 +252,25 @@ impl Layer for GroupNorm {
             });
         } else {
             // Inference needs no x̂ cache: normalise and apply the affine in
-            // a single in-place pass over the output.
-            for sample in y.data_mut().chunks_exact_mut(c_act * hw) {
+            // a single in-place pass.
+            for sample in x.data_mut().chunks_exact_mut(c_act * hw) {
                 self.normalise_infer(hw, sample);
             }
         }
-        y
+        x
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.backward_owned(dy.pooled_clone())
+    }
+
+    /// Writes `dx` over `dy`.
+    fn backward_owned(&mut self, mut dy: Tensor) -> Tensor {
         let _span = ms_tensor::span!("nn.groupnorm_bwd");
         let cache = self.cache.take().expect("backward before Train forward");
         let c_act = self.active_channels();
-        let mut dx = Tensor::pooled_zeros(dy.shape().clone());
         let mid = par::mid(cache.batch);
-        let (dx0, dx1) = dx.data_mut().split_at_mut(mid * c_act * cache.hw);
+        let (dx0, dx1) = dy.data_mut().split_at_mut(mid * c_act * cache.hw);
         let pass = BackwardPass {
             channels: self.channels,
             groups: self.groups,
@@ -273,7 +279,6 @@ impl Layer for GroupNorm {
             gamma: self.gamma.value.data(),
             xhat: cache.xhat.data(),
             inv_std: &cache.inv_std,
-            dy: dy.data(),
         };
         // `dγ`/`dβ` are sums over samples: part 0 adds to `Param::grad`,
         // part 1 to a zeroed partial that is added once both are done.
@@ -291,7 +296,7 @@ impl Layer for GroupNorm {
         self.partial = partial;
         cache.xhat.recycle();
         self.inv_std = cache.inv_std;
-        dx
+        dy
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

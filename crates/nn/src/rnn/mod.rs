@@ -511,7 +511,8 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         let mut h = Tensor::pooled_zeros([(kept + 1) * slab]);
         let mut state = Tensor::pooled_zeros([(kept + 1) * C::STATE * slab]);
         let mut saved = take_zeroed(&mut self.saved, kept.max(1) * C::SAVED * slab);
-        let mut out = Tensor::pooled_zeros([batch, steps, a_h]);
+        // Every step stores its `h` into its rows of `out`.
+        let mut out = Tensor::pooled_stale([batch, steps, a_h]);
 
         // Training runs the two fixed parts of the batch, inference the
         // whole batch as one; every buffer is cut at the same batch row.
@@ -592,12 +593,15 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         // Pre-activation gradients of the whole sequence, laid out like the
         // gates. Only what the recurrence needs runs in the time loop; every
         // product with the inputs waits until all `T·B` rows of `dz` exist.
+        // Every step writes its rows of `dz` in full, the first gate's `dX`
+        // product overwrites `dxt` and `dx` is `dxt` reordered, so those
+        // three are drawn stale; `dh` and the cell's scratch are added into.
         let scratch_slabs = C::scratch_slabs(steps);
-        let mut dz = Tensor::pooled_zeros([rows * width]);
+        let mut dz = Tensor::pooled_stale([rows * width]);
         let mut dh = Tensor::pooled_zeros([slab]); // dL/dh_t, recurrent part first
         let mut scratch = Tensor::pooled_zeros([scratch_slabs * slab]);
-        let mut dxt = Tensor::pooled_zeros([rows * a_d]);
-        let mut dx = Tensor::pooled_zeros([batch, steps, a_d]);
+        let mut dxt = Tensor::pooled_stale([rows * a_d]);
+        let mut dx = Tensor::pooled_stale([batch, steps, a_d]);
 
         // First join: the time loop and `dX`, the two fixed parts of the
         // batch on the cuts the forward made.

@@ -54,20 +54,22 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        // The first layer reads the caller's tensor directly; intermediates
-        // are recycled into the buffer pool as soon as the next layer has
-        // consumed them, so a steady-state pass allocates nothing.
+        // The first layer reads the caller's tensor; every later one owns
+        // what the layer before it returned.
         let mut iter = self.layers.iter_mut();
         let Some(first) = iter.next() else {
             return x.pooled_clone();
         };
-        let mut cur = first.forward(x, mode);
-        for layer in iter {
-            let next = layer.forward(&cur, mode);
-            cur.recycle();
-            cur = next;
-        }
-        cur
+        let y = first.forward(x, mode);
+        iter.fold(y, |cur, layer| layer.forward_owned(cur, mode))
+    }
+
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
+        // Each intermediate is handed to the next layer, which overwrites,
+        // keeps or recycles it: a steady-state pass allocates nothing.
+        self.layers
+            .iter_mut()
+            .fold(x, |cur, layer| layer.forward_owned(cur, mode))
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
@@ -75,18 +77,21 @@ impl Layer for Sequential {
         let Some(last) = iter.next() else {
             return dy.pooled_clone();
         };
-        let mut cur = last.backward(dy);
-        for layer in iter {
-            let next = layer.backward(&cur);
-            cur.recycle();
-            cur = next;
-        }
-        cur
+        let dx = last.backward(dy);
+        iter.fold(dx, |cur, layer| layer.backward_owned(cur))
+    }
+
+    fn backward_owned(&mut self, dy: Tensor) -> Tensor {
+        self.layers
+            .iter_mut()
+            .rev()
+            .fold(dy, |cur, layer| layer.backward_owned(cur))
     }
 
     fn forward_prefix(&mut self, x: &Tensor, from: Option<SliceRate>, to: SliceRate) -> Tensor {
-        // Same recycling discipline as `forward`; every child sees the same
-        // (from, to) pair, so each refines its own cached prefix.
+        // Intermediates are recycled as soon as the next layer has read
+        // them; every child sees the same (from, to) pair, so each refines
+        // its own cached prefix.
         let mut iter = self.layers.iter_mut();
         let Some(first) = iter.next() else {
             return x.pooled_clone();

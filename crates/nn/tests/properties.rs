@@ -1,7 +1,10 @@
 //! Property-based tests over the sliceable layers: subsumption, gradient
 //! confinement and scale stability across random configurations.
 
+use ms_nn::activation::{Relu, Tanh};
 use ms_nn::conv2d::{Conv2d, Conv2dConfig};
+use ms_nn::dropout::Dropout;
+use ms_nn::flatten::Flatten;
 use ms_nn::gradcheck::{check_layer, CheckOpts};
 use ms_nn::layer::{Layer, Mode};
 use ms_nn::linear::{Linear, LinearConfig};
@@ -9,6 +12,7 @@ use ms_nn::norm::GroupNorm;
 use ms_nn::pool::MaxPool2d;
 use ms_nn::rnn::gru::{Gru, GruConfig};
 use ms_nn::rnn::lstm::{Lstm, LstmConfig};
+use ms_nn::sequential::Sequential;
 use ms_nn::slice::{active_units, SliceRate};
 use ms_tensor::conv::{im2col, ConvGeom};
 use ms_tensor::matmul::{gemm_reference, Trans};
@@ -143,6 +147,45 @@ fn sample_of(t: &Tensor, s: usize) -> Tensor {
     let mut dims = t.dims().to_vec();
     dims[0] = 1;
     Tensor::from_vec(dims, t.data()[s * per..(s + 1) * per].to_vec()).expect("one sample")
+}
+
+/// Runs a layer's borrowed entries on one twin and its owned entries on
+/// another, at r = 0.5 and r = 1: a `forward(Infer)`, then a
+/// `forward(Train)` and `backward`. Outputs, input gradients and every
+/// parameter gradient must agree bit for bit. `in_dims` gives the input
+/// shape at a rate.
+fn assert_owned_matches_borrowed(
+    make: impl Fn() -> Box<dyn Layer>,
+    in_dims: impl Fn(SliceRate) -> Vec<usize>,
+) {
+    for rate in [SliceRate::new(0.5), SliceRate::FULL] {
+        let (mut borrowed, mut owned) = (make(), make());
+        borrowed.set_slice_rate(rate);
+        owned.set_slice_rate(rate);
+        let what = format!("{} at {rate}", borrowed.name());
+        let mut rng = SeededRng::new(71);
+        let x = random_tensor(&mut rng, in_dims(rate));
+        for mode in [Mode::Infer, Mode::Train] {
+            let want = borrowed.forward(&x, mode);
+            let got = owned.forward_owned(x.clone(), mode);
+            assert_eq!(got.dims(), want.dims(), "{what}: {mode:?} output shape");
+            assert_eq!(
+                bits(got.data()),
+                bits(want.data()),
+                "{what}: {mode:?} output"
+            );
+        }
+        let dy = random_tensor(&mut rng, borrowed.forward(&x, Mode::Train).dims().to_vec());
+        owned.forward_owned(x.clone(), Mode::Train).recycle();
+        let want = borrowed.backward(&dy);
+        let got = owned.backward_owned(dy.clone());
+        assert_eq!(got.dims(), want.dims(), "{what}: dx shape");
+        assert_eq!(bits(got.data()), bits(want.data()), "{what}: dx");
+        let want = param_grads(borrowed.as_mut());
+        for ((name, got), (_, want)) in param_grads(owned.as_mut()).iter().zip(&want) {
+            assert_eq!(bits(got), bits(want), "{what}: gradient of {name}");
+        }
+    }
 }
 
 fn sigmoid(v: f64) -> f64 {
@@ -929,4 +972,76 @@ proptest! {
         let res = check_layer(&mut lstm, &x, &mut rng, &CheckOpts::default());
         prop_assert!(res.is_ok(), "{:?}", res.err());
     }
+}
+
+#[test]
+fn owned_entries_match_borrowed_ones_bitwise() {
+    let dense = |_| vec![3, 10];
+    assert_owned_matches_borrowed(|| Box::new(Relu::new()), dense);
+    assert_owned_matches_borrowed(|| Box::new(Tanh::new()), dense);
+    assert_owned_matches_borrowed(
+        || Box::new(Dropout::new(0.3, &mut SeededRng::new(72))),
+        dense,
+    );
+    let channels = |rate| vec![3, active_units(8, 4, rate), 4, 4];
+    assert_owned_matches_borrowed(|| Box::new(GroupNorm::new("gn", 8, 4)), channels);
+    let conv = |in_ch, in_groups| Conv2dConfig {
+        in_ch,
+        out_ch: 8,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+        h: 4,
+        w: 4,
+        in_groups,
+        out_groups: Some(4),
+        bias: true,
+    };
+    assert_owned_matches_borrowed(
+        || {
+            Box::new(Conv2d::new(
+                "conv",
+                conv(8, Some(4)),
+                &mut SeededRng::new(73),
+            ))
+        },
+        channels,
+    );
+    let linear = LinearConfig {
+        in_dim: 16,
+        out_dim: 12,
+        in_groups: Some(4),
+        out_groups: Some(4),
+        bias: true,
+        input_rescale: true,
+    };
+    assert_owned_matches_borrowed(
+        || Box::new(Linear::new("fc", linear.clone(), &mut SeededRng::new(74))),
+        |rate| vec![5, active_units(16, 4, rate)],
+    );
+    // conv → GN → ReLU → max-pool → linear, the head reading the pooled
+    // `[C, 2, 2]` maps flattened (a channel prefix is a column prefix).
+    let head = LinearConfig {
+        in_dim: 32,
+        out_dim: 5,
+        in_groups: Some(4),
+        out_groups: None,
+        bias: true,
+        input_rescale: true,
+    };
+    assert_owned_matches_borrowed(
+        || {
+            let mut rng = SeededRng::new(75);
+            Box::new(
+                Sequential::new("seq")
+                    .push(Conv2d::new("conv", conv(3, None), &mut rng))
+                    .push(GroupNorm::new("gn", 8, 4))
+                    .push(Relu::new())
+                    .push(MaxPool2d::new(2, 2))
+                    .push(Flatten::new())
+                    .push(Linear::new("head", head.clone(), &mut rng)),
+            )
+        },
+        |_| vec![3, 3, 4, 4],
+    );
 }

@@ -1,8 +1,8 @@
 //! Elementwise activations, row-wise softmax and small reductions.
 //!
-//! Activations come in `(forward, backward)` pairs; backward functions take
-//! the *forward output* where that is cheaper (sigmoid/tanh) and the forward
-//! input where required (ReLU), matching what the layer caches store.
+//! Sigmoid and tanh gradients are taken from the *forward output*, which is
+//! what the layer caches store; the ReLU layer keeps a bit mask of its own
+//! (`ms_nn::activation::Relu`).
 
 use std::ops::Range;
 
@@ -12,17 +12,6 @@ pub fn relu_inplace(x: &mut [f32]) {
     for v in x {
         if *v < 0.0 {
             *v = 0.0;
-        }
-    }
-}
-
-/// ReLU backward: `dx = dy * (x > 0)`, written into `dy` in place given the
-/// forward *input* `x`.
-pub fn relu_backward_inplace(dy: &mut [f32], x: &[f32]) {
-    debug_assert_eq!(dy.len(), x.len());
-    for (g, &v) in dy.iter_mut().zip(x) {
-        if v <= 0.0 {
-            *g = 0.0;
         }
     }
 }
@@ -255,14 +244,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn relu_pair() {
+    fn relu_clamps_negatives() {
         let mut x = vec![-1.0, 0.0, 2.0];
-        let input = x.clone();
         relu_inplace(&mut x);
         assert_eq!(x, vec![0.0, 0.0, 2.0]);
-        let mut dy = vec![1.0, 1.0, 1.0];
-        relu_backward_inplace(&mut dy, &input);
-        assert_eq!(dy, vec![0.0, 0.0, 1.0]);
     }
 
     /// Grid over [-30, 30] in steps of 2⁻¹⁰.

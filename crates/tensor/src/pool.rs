@@ -21,8 +21,15 @@
 //! - **Instrumented.** Hit/miss counters let tests assert that a warmed-up
 //!   forward pass is served entirely from the pool.
 //!
-//! Returned buffers are zero-filled to `len` — `acquire` is a drop-in
-//! replacement for `vec![0.0; len]`.
+//! [`acquire`] returns buffers zero-filled to `len` — a drop-in
+//! replacement for `vec![0.0; len]`. [`acquire_stale`] skips the fill, for
+//! outputs whose every element is written before any is read; what it holds
+//! on return is whatever its last user left there, never uninitialised
+//! memory.
+//!
+//! The copies and zero fills are the traffic a layer stack can avoid, so
+//! each carries a span: `tensor.pool_copy` ([`acquire_copy`]) and
+//! `tensor.pool_zero` ([`acquire`]).
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -134,7 +141,8 @@ thread_local! {
 }
 
 /// Takes the best-fitting free buffer with room for `len` elements off
-/// this thread's list (emptied, capacity kept), counting the hit or miss.
+/// this thread's list (contents and capacity kept), counting the hit or
+/// miss.
 fn take(len: usize) -> Option<Vec<f32>> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
@@ -156,9 +164,7 @@ fn take(len: usize) -> Option<Vec<f32>> {
                 p.stats.hits += 1;
                 p.pending.hits += 1;
                 p.note_event();
-                let mut buf = p.free.swap_remove(i);
-                buf.clear();
-                Some(buf)
+                Some(p.free.swap_remove(i))
             }
             None => {
                 p.stats.misses += 1;
@@ -173,8 +179,26 @@ fn take(len: usize) -> Option<Vec<f32>> {
 /// Fetches a zero-filled buffer of exactly `len` elements, reusing pooled
 /// storage when a suitable buffer is available.
 pub fn acquire(len: usize) -> Vec<f32> {
+    let buf = take(len);
+    let _span = ms_telemetry::span!("tensor.pool_zero");
+    match buf {
+        Some(mut buf) => {
+            buf.clear();
+            buf.resize(len, 0.0);
+            buf
+        }
+        None => vec![0.0; len],
+    }
+}
+
+/// Fetches a buffer of exactly `len` elements like [`acquire`], without the
+/// zero fill: a reused buffer keeps what its last user wrote (a fresh one,
+/// or the part past what the last user wrote, is zeroed). Only for outputs
+/// that are written in full before they are read.
+pub fn acquire_stale(len: usize) -> Vec<f32> {
     match take(len) {
         Some(mut buf) => {
+            buf.truncate(len);
             buf.resize(len, 0.0);
             buf
         }
@@ -185,7 +209,10 @@ pub fn acquire(len: usize) -> Vec<f32> {
 /// Fetches a buffer holding a copy of `src`, reusing pooled storage like
 /// [`acquire`] but without zero-filling what the copy overwrites.
 pub fn acquire_copy(src: &[f32]) -> Vec<f32> {
-    let mut buf = take(src.len()).unwrap_or_else(|| Vec::with_capacity(src.len()));
+    let buf = take(src.len());
+    let _span = ms_telemetry::span!("tensor.pool_copy");
+    let mut buf = buf.unwrap_or_else(|| Vec::with_capacity(src.len()));
+    buf.clear();
     buf.extend_from_slice(src);
     buf
 }
@@ -273,6 +300,21 @@ mod tests {
         let b = acquire(16);
         assert!(b.iter().all(|&v| v == 0.0));
         release(b);
+    }
+
+    #[test]
+    fn stale_buffers_keep_what_was_written() {
+        clear();
+        release(vec![7.0; 16]);
+        let b = acquire_stale(12);
+        assert_eq!(b, vec![7.0; 12]);
+        release(b);
+        // Longer than what the last user wrote: the tail is zeroed.
+        let c = acquire_stale(16);
+        assert_eq!(&c[..12], &[7.0; 12]);
+        assert_eq!(&c[12..], &[0.0; 4]);
+        release(c);
+        assert_eq!(stats().hits, 2);
     }
 
     #[test]

@@ -34,6 +34,16 @@ impl Tensor {
         Tensor { shape, data }
     }
 
+    /// [`Tensor::pooled_zeros`] without the zero fill
+    /// ([`crate::pool::acquire_stale`]): the elements hold whatever the
+    /// buffer's last user wrote. Only for outputs whose every element is
+    /// written before any is read.
+    pub fn pooled_stale(shape: impl Into<Shape>) -> Self {
+        let shape = shape.into();
+        let data = crate::pool::acquire_stale(shape.numel());
+        Tensor { shape, data }
+    }
+
     /// Pool-backed copy of `self`. Same contract as [`Tensor::pooled_zeros`].
     pub fn pooled_clone(&self) -> Self {
         Tensor {

@@ -144,8 +144,10 @@ magic=$(awk '
 
 echo "== allocation tripwire (hot layer bodies) =="
 # `Tensor::zeros(` and `vec![` are banned inside `fn forward(` /
-# `fn forward_train(` / `fn forward_prefix(` / `fn backward(` bodies, the
-# per-part bodies a split pass runs on either thread (a conv backward's chunk
+# `fn forward_owned(` / `fn forward_train(` / `fn forward_infer(` /
+# `fn forward_pass(` / `fn forward_prefix(` / `fn backward(` /
+# `fn backward_owned(` bodies, the per-part bodies a split pass runs on
+# either thread (a conv backward's chunk
 # loop is `run`), the conv passes' helpers, the direct micro-kernel that
 # reads a stride-1 conv's columns in place, the conv driver that sweeps it or
 # runs the packed columns chunk by chunk and scatters each chunk, the
@@ -153,14 +155,15 @@ echo "== allocation tripwire (hot layer bodies) =="
 # gradient from the image, the one blocked GEMM loop with its operand
 # blocks, the matrix packers and `gemm`'s small loops, every recurrent
 # cell's forward and backward step with the driver's step product, gate
-# biases and recurrent GEMM helper, the row-block panel packer,
+# biases and recurrent GEMM helper, the row-block panel packer, the ReLU
+# mask helpers, the backward-chain helper of the NNLM,
 # and the fork-join itself (brace-counted): the
-# per-call paths use `Tensor::pooled_zeros`, `pooled_clone`,
-# `Workspace::take` and grow-only buffers; `Box::new(` is banned with them so
+# per-call paths use `Tensor::pooled_zeros`, `pooled_stale`, `pooled_clone`
+# and grow-only layer-owned buffers; `Box::new(` is banned with them so
 # the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_train|forward_prefix|backward|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|packed_product|block|pack_blocks|pack_a_into|pack_b_into|pack_rows_into|gemm_accumulate_unblocked|forward_step|backward_step|step_product|add_gate_bias|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_owned|forward_train|forward_infer|forward_pass|forward_prefix|backward|backward_owned|backward_below_decoder|clamp_and_mask|clamp_word|apply_mask|check_input|output|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|packed_product|block|pack_blocks|pack_a_into|pack_b_into|pack_rows_into|gemm_accumulate_unblocked|forward_step|backward_step|step_product|add_gate_bias|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
@@ -172,8 +175,31 @@ awk '
         if (seen && depth <= 0) infn = 0
     }
     END { exit bad }
-' crates/nn/src/{linear,conv2d,depthwise,activation,sequential,pool,embedding,dropout}.rs \
+' crates/nn/src/{linear,conv2d,depthwise,activation,sequential,pool,embedding,dropout,flatten,loss}.rs \
     crates/nn/src/norm/group_norm.rs crates/nn/src/rnn/*.rs \
+    crates/models/src/{vgg,mlp,nnlm}.rs \
     crates/tensor/src/{matmul,panels,conv,kernel,par}.rs \
-    || die "allocation reintroduced: hot paths must use pooled_zeros/pooled_clone/Workspace::take (lines above)"
+    || die "allocation reintroduced: hot paths must use pooled_zeros/pooled_stale/pooled_clone or grow-only layer buffers (lines above)"
+
+echo "== copy tripwire (owned entries) =="
+# An owned entry owns its input: it overwrites, keeps or recycles it, so a
+# `pooled_clone(` inside `fn forward_owned(` / `fn backward_owned(` (brace-
+# counted) is exactly the activation copy the owned path exists to remove.
+awk '
+    FNR == 1 { infn = 0 }
+    /fn (forward_owned|backward_owned)\(/ { infn = 1; depth = 0; seen = 0 }
+    infn {
+        if ($0 ~ /pooled_clone\(/) {
+            printf "    %s:%d: %s\n", FILENAME, FNR, $0
+            bad = 1
+        }
+        o = gsub(/{/, "{"); c = gsub(/}/, "}")
+        depth += o - c
+        if (o > 0) seen = 1
+        if (seen && depth <= 0) infn = 0
+    }
+    END { exit bad }
+' crates/nn/src/*.rs crates/nn/src/norm/*.rs crates/nn/src/rnn/*.rs \
+    crates/models/src/*.rs crates/core/src/*.rs \
+    || die "an owned entry copies its input (lines above): hand it on, write over it or recycle it"
 echo "perfcheck OK"
