@@ -24,20 +24,16 @@ pub struct ClusterConfig {
     pub spec: ShardSpec,
     /// The fleet-sizing policy.
     pub autoscaler: AutoscalerConfig,
-    /// How long a retiring shard gets to drain-and-exit before SIGKILL.
-    pub retire_timeout: Duration,
-    /// Per-shard health scrape timeout.
-    pub health_timeout: Duration,
 }
+
+/// How long a retiring shard gets to drain-and-exit before SIGKILL.
+const RETIRE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Per-shard health scrape timeout.
+const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 
 impl ClusterConfig {
     pub fn new(spec: ShardSpec, autoscaler: AutoscalerConfig) -> Self {
-        ClusterConfig {
-            spec,
-            autoscaler,
-            retire_timeout: Duration::from_secs(5),
-            health_timeout: Duration::from_secs(1),
-        }
+        ClusterConfig { spec, autoscaler }
     }
 
     /// A fixed fleet of exactly `n` shards: same spec, same control
@@ -59,8 +55,6 @@ pub struct Cluster {
     supervisor: Supervisor,
     router: FrontRouter,
     autoscaler: Autoscaler,
-    retire_timeout: Duration,
-    health_timeout: Duration,
     scale_outs: u64,
     scale_ins: u64,
     restarts: u64,
@@ -78,8 +72,6 @@ impl Cluster {
             autoscaler: Autoscaler::new(cfg.autoscaler),
             supervisor: Supervisor::new(cfg.spec),
             router: FrontRouter::new(),
-            retire_timeout: cfg.retire_timeout,
-            health_timeout: cfg.health_timeout,
             scale_outs: 0,
             scale_ins: 0,
             restarts: 0,
@@ -138,7 +130,7 @@ impl Cluster {
             let Ok(mut client) = PipelinedClient::connect(addr) else {
                 continue; // dying shard; the next reap handles it
             };
-            if let Ok(h) = client.health(self.health_timeout) {
+            if let Ok(h) = client.health(HEALTH_TIMEOUT) {
                 observations.push(ShardObservation::from_health(&h));
             }
         }
@@ -155,7 +147,7 @@ impl Cluster {
                 // composition simple to reason about.
                 if let Some(id) = self.supervisor.serving().map(|s| s.id).max() {
                     self.router.stop_accepting(id);
-                    let _ = self.supervisor.retire(id, self.retire_timeout);
+                    let _ = self.supervisor.retire(id, RETIRE_TIMEOUT);
                     self.scale_ins += 1;
                     self.scale_in_events.inc();
                     self.reap_exits();

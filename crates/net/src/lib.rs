@@ -32,8 +32,9 @@
 //!   read/write state machines over non-blocking sockets, bounded output
 //!   queues with backpressure shedding, a slow-loris read deadline, and
 //!   per-request wire deadlines forwarded as [`SlaController`]
-//!   (ms_serving) budget overrides. Engine completions come back as
-//!   responses matched by correlation id. `Drain` runs the graceful
+//!   (ms_serving) budget overrides. One dispatcher thread per replica
+//!   seals its batches and turns engine completions into responses
+//!   matched by correlation id. `Drain` runs the graceful
 //!   shutdown state machine: refuse new work, flush every in-flight
 //!   request, ack, stop.
 //! - [`client`] — one framed connection ([`client::Connection`]: two

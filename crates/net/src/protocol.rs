@@ -578,7 +578,7 @@ impl Frame {
     /// [`FrameDecoder`] reaches on the same bytes.
     pub fn decode_traced(buf: &[u8]) -> Result<(Frame, u64), WireError> {
         let header = buf.get(..HEADER_LEN).ok_or(WireError::Truncated)?;
-        let total = check_header(header, MAX_PAYLOAD)?;
+        let total = check_header(header)?;
         let decoded = parse_frame(buf.get(..total).ok_or(WireError::Truncated)?)?;
         if buf.len() > total {
             return Err(WireError::TrailingBytes);
@@ -592,10 +592,10 @@ impl Frame {
 // ---------------------------------------------------------------------------
 
 /// Step one of every decode: the header's magic, version, type and
-/// declared payload length (against `max_len`), checked before anything
-/// is allocated for the payload. `header` holds [`HEADER_LEN`] bytes;
-/// returns the whole frame's byte count.
-fn check_header(header: &[u8], max_len: u32) -> Result<usize, WireError> {
+/// declared payload length (against [`MAX_PAYLOAD`]), checked before
+/// anything is allocated for the payload. `header` holds [`HEADER_LEN`]
+/// bytes; returns the whole frame's byte count.
+fn check_header(header: &[u8]) -> Result<usize, WireError> {
     let mut r = Reader::new(header);
     if r.u32()? != MAGIC {
         return Err(WireError::BadMagic);
@@ -609,7 +609,7 @@ fn check_header(header: &[u8], max_len: u32) -> Result<usize, WireError> {
         return Err(WireError::UnknownType(tag));
     }
     let length = r.u32()?;
-    if length > max_len {
+    if length > MAX_PAYLOAD {
         return Err(WireError::Oversized(length));
     }
     Ok(HEADER_LEN + length as usize)
@@ -776,10 +776,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64, usize), NetError> {
 ///
 /// The header is checked the moment its last byte arrives — before any
 /// payload-sized allocation — so a hostile peer cannot make the server
-/// reserve more than the connection's configured cap. The complete frame
-/// then goes through the same body parse as [`Frame::decode_traced`], so
-/// the incremental path reaches the buffer decoder's verdict on every
-/// byte string — the property the chaos proptests pin down.
+/// reserve more than [`MAX_PAYLOAD`]. The complete frame then goes through
+/// the same body parse as [`Frame::decode_traced`], so the incremental path
+/// reaches the buffer decoder's verdict on every byte string — the property
+/// the chaos proptests pin down.
 ///
 /// Any error poisons the decoder (stream framing is unrecoverable after
 /// corruption); subsequent `feed` calls return the same error.
@@ -789,7 +789,6 @@ pub struct FrameDecoder {
     /// until the header completes, then header + payload.
     need: usize,
     header_done: bool,
-    max_len: u32,
     poisoned: Option<WireError>,
 }
 
@@ -800,20 +799,14 @@ impl Default for FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// A decoder accepting payloads up to the protocol cap.
-    pub fn new() -> Self {
-        Self::with_max_len(MAX_PAYLOAD)
-    }
-
-    /// A decoder with a tighter per-connection payload cap (clamped to
-    /// [`MAX_PAYLOAD`]). Frames declaring more are rejected as
+    /// A decoder accepting payloads up to the protocol cap,
+    /// [`MAX_PAYLOAD`]: frames declaring more are rejected as
     /// [`WireError::Oversized`] from the header alone.
-    pub fn with_max_len(max_len: u32) -> Self {
+    pub fn new() -> Self {
         FrameDecoder {
             buf: Vec::with_capacity(HEADER_LEN),
             need: HEADER_LEN,
             header_done: false,
-            max_len: max_len.min(MAX_PAYLOAD),
             poisoned: None,
         }
     }
@@ -856,7 +849,7 @@ impl FrameDecoder {
             if !self.header_done {
                 // Exactly HEADER_LEN bytes buffered: step one, before
                 // reserving payload space.
-                self.need = match check_header(&self.buf, self.max_len) {
+                self.need = match check_header(&self.buf) {
                     Ok(total) => total,
                     Err(e) => return Err(self.poison(e)),
                 };
@@ -1198,21 +1191,6 @@ mod tests {
         assert_eq!(err, WireError::Oversized(MAX_PAYLOAD + 1));
         // Poisoned: same error forever after.
         assert_eq!(dec.feed(&[0]).unwrap_err(), err);
-    }
-
-    #[test]
-    fn incremental_decoder_honors_tighter_cap() {
-        let f = Frame::MetricsReply("x".repeat(4096));
-        let bytes = f.to_bytes();
-        let mut strict = FrameDecoder::with_max_len(1024);
-        assert!(matches!(
-            strict.feed(&bytes),
-            Err(WireError::Oversized(4096))
-        ));
-        let mut lax = FrameDecoder::with_max_len(8192);
-        let (n, out) = lax.feed(&bytes).unwrap();
-        assert_eq!(n, bytes.len());
-        assert!(matches!(out, Some((Frame::MetricsReply(_), 0, _))));
     }
 
     #[test]

@@ -38,9 +38,8 @@
 //! a shed. A draining replica is excluded from placement outright — hard
 //! failover — but keeps serving what it already accepted.
 
-use ms_serving::engine::{Engine, ShedReason};
+use ms_serving::engine::{Engine, EngineRequest, ShedReason};
 use ms_telemetry::WindowedHistogram;
-use ms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -206,33 +205,34 @@ impl Router {
     /// success. The id is scoped to that replica's engine — collect the
     /// response from `self.engine(i)`.
     ///
-    /// `trace_id` is the flight-recorder trace context (0 = untraced); it
-    /// rides into whichever replica finally admits the request. On
-    /// `Err(_)` no replica holds the trace — the *caller* owns stamping
-    /// the terminal `Shed` flight event, precisely because a refusal here
-    /// may have been preceded by failed attempts on other replicas.
-    pub fn route(
-        &self,
-        input: Tensor,
-        deadline: Option<f64>,
-        trace_id: u64,
-    ) -> Result<(usize, u64), RouteError> {
+    /// The request's trace id (0 = untraced) rides into whichever replica
+    /// finally admits it. On `Err(_)` no replica holds the trace — the
+    /// *caller* owns stamping the terminal `Shed` flight event, precisely
+    /// because a refusal here may have been preceded by failed attempts on
+    /// other replicas.
+    pub fn route(&self, req: impl Into<EngineRequest>) -> Result<(usize, u64), RouteError> {
         let mut order: Vec<(f64, usize)> = (0..self.replicas.len())
             .filter(|&i| !self.is_draining(i))
             .map(|i| (self.health_score(i), i))
             .collect();
+        let EngineRequest {
+            mut input,
+            deadline,
+            trace_id,
+        } = req.into();
         if order.is_empty() {
             self.shed.inc();
             return Err(RouteError::Draining);
         }
         order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite score"));
-        let mut input = input;
         let mut last = ShedReason::Backpressure;
         for (attempt, &(_, i)) in order.iter().enumerate() {
-            match self.replicas[i]
-                .engine
-                .submit_or_return(input, deadline, trace_id)
-            {
+            let req = EngineRequest {
+                input,
+                deadline,
+                trace_id,
+            };
+            match self.replicas[i].engine.submit(req) {
                 Ok(id) => {
                     if attempt > 0 {
                         self.failovers.inc();

@@ -9,13 +9,14 @@
 //!   driven happens here: accepting, incremental frame decoding
 //!   ([`crate::protocol::FrameDecoder`]), request placement, inline
 //!   control replies, partial-write resumption and connection teardown.
-//! - **Sealer per replica**: seals the replica's open batch every
-//!   [`Engine::window`] (or the configured override) — the timer thread
-//!   the engine docs promise for live serving.
-//! - **Dispatcher per replica**: blocks on [`Engine::wait_events`],
-//!   translates completions into `InferResponse` frames (logits or
-//!   admission-shed) and enqueues each on the owning connection's output
-//!   queue, waking that connection's reactor.
+//! - **One dispatcher per replica**, the replica's only thread in the
+//!   server: it seals the replica's open batch every [`Engine::window`]
+//!   (or [`ServerConfig::seal_interval`]), each seal one interval after
+//!   the last, and between seals waits in [`Engine::wait_events`] for at
+//!   most the time to the next seal or 20 ms, so it sees the stop flag
+//!   within 20 ms. It translates each completion into an `InferResponse`
+//!   frame (logits or admission-shed) and enqueues it on the owning
+//!   connection's output queue, waking that connection's reactor.
 //!
 //! # Per-connection state machine
 //!
@@ -44,17 +45,21 @@
 //!
 //! Two defenses reap misbehaving peers: a **slow-loris deadline**
 //! ([`ServerConfig::read_deadline`]) closes connections stalled mid-frame
-//! (idle connections *between* frames are fine), and a per-connection
-//! **frame cap** ([`ServerConfig::max_frame_len`]) rejects oversized
-//! declarations from the header alone.
+//! (idle connections *between* frames are fine), and the protocol's
+//! **frame cap** ([`MAX_PAYLOAD`](crate::protocol::MAX_PAYLOAD)) rejects
+//! oversized declarations from the header alone.
 //!
 //! # Rendezvous
 //!
-//! A completion can race the reactor between `route()` returning and the
-//! pending-table insert (the engine may seal, run and report the request
-//! first). The dispatcher parks such events in an *orphan* table keyed by
-//! the same engine id; whichever side arrives second completes delivery,
-//! so exactly one response goes out either way.
+//! One server-wide pending table, keyed by `(replica, engine id)`, joins
+//! the reactor (who knows the connection) to the dispatcher (who has the
+//! result). Placement holds the table's lock across `route()` and the
+//! insert, so an entry is filed before its request's result can be looked
+//! up: the dispatcher takes the lock only after [`Engine::wait_events`]
+//! returned, and always finds the entry. The lock order is table, then
+//! engine, and only on the reactor; the dispatcher never holds the table
+//! while it calls into the engine. Exactly one response goes out per
+//! placed request.
 //!
 //! # Drain state machine
 //!
@@ -76,11 +81,11 @@
 
 use crate::protocol::{
     Frame, FrameDecoder, HealthReply, InferOutcome, InferRequest, InferResponse, ReplicaHealth,
-    WireShedReason, MAX_PAYLOAD,
+    WireShedReason,
 };
 use crate::router::{RouteError, Router};
 use crate::sys::{Event, Poller, Waker};
-use ms_serving::engine::{Engine, ShedReason};
+use ms_serving::engine::{Engine, EngineRequest, EngineResponse, ShedReason};
 use ms_telemetry::flight;
 use ms_tensor::Tensor;
 use std::collections::{HashMap, VecDeque};
@@ -108,9 +113,6 @@ pub struct ServerConfig {
     /// accumulate at most this many undelivered response bytes before it
     /// is shed (queue cleared, socket closed).
     pub max_conn_backlog: usize,
-    /// Per-connection payload cap; frames declaring more are rejected
-    /// from the header alone (clamped to the protocol's 64 MiB cap).
-    pub max_frame_len: u32,
     /// Live SLO tracking: when true the server runs a telemetry sampler
     /// thread that snapshots the registry every [`Self::sample_interval`],
     /// evaluates the deadline and shed SLOs (Google-SRE multi-window
@@ -119,12 +121,6 @@ pub struct ServerConfig {
     pub slo_sampling: bool,
     /// Registry snapshot cadence of the sampler thread.
     pub sample_interval: Duration,
-    /// Deadline SLO objective: target fraction of served responses
-    /// delivered within their effective deadline (the request's own wire
-    /// deadline, or twice the engine window for requests without one).
-    pub deadline_objective: f64,
-    /// Shed SLO objective: target fraction of requests *not* shed.
-    pub shed_objective: f64,
     /// Shard identity stamped into every `HealthReply` when this server
     /// runs as a supervised cluster shard (the `shard_server` bin);
     /// `None` for standalone servers (the identity tail stays off the
@@ -139,15 +135,22 @@ impl Default for ServerConfig {
             reactors: 0,
             read_deadline: Duration::from_secs(10),
             max_conn_backlog: 64 << 20,
-            max_frame_len: MAX_PAYLOAD,
             slo_sampling: true,
             sample_interval: Duration::from_secs(1),
-            deadline_objective: 0.99,
-            shed_objective: 0.99,
             shard: None,
         }
     }
 }
+
+/// Deadline SLO objective: target fraction of served responses delivered
+/// within their effective deadline (the request's own wire deadline, or
+/// twice the engine window for requests without one).
+const DEADLINE_OBJECTIVE: f64 = 0.99;
+/// Shed SLO objective: target fraction of requests *not* shed.
+const SHED_OBJECTIVE: f64 = 0.99;
+/// Longest a dispatcher waits in [`Engine::wait_events`] before it looks at
+/// the seal timer and the stop flag again.
+const DISPATCH_POLL: Duration = Duration::from_millis(20);
 
 /// Wire-layer metrics (registered once per server on the global registry).
 struct NetMetrics {
@@ -343,25 +346,6 @@ struct Pending {
     trace: u64,
 }
 
-/// What the engine reported for one placed request.
-enum Outcome {
-    Served {
-        rate: f32,
-        dims: Vec<u32>,
-        data: Vec<f32>,
-    },
-    /// Dropped by admission control at seal time.
-    Shed,
-}
-
-/// Per-replica rendezvous between the reactor (who knows the connection)
-/// and the dispatcher (who has the result). See the module docs.
-#[derive(Default)]
-struct ReplicaTable {
-    pending: HashMap<u64, Pending>,
-    orphans: HashMap<u64, Outcome>,
-}
-
 struct Shared {
     router: Router,
     cfg: ServerConfig,
@@ -374,7 +358,9 @@ struct Shared {
     delivered: AtomicU64,
     reaped: AtomicU64,
     backpressure_closed: AtomicU64,
-    tables: Vec<Mutex<ReplicaTable>>,
+    /// The rendezvous (module docs): placed requests by `(replica, engine
+    /// id)`, filed by placement, taken by the replica's dispatcher.
+    pending: Mutex<HashMap<(usize, u64), Pending>>,
     conns: Mutex<HashMap<u64, ConnHandle>>,
     reactors: Vec<ReactorHandle>,
     metrics: NetMetrics,
@@ -458,17 +444,18 @@ impl Shared {
         })
     }
 
-    /// Final leg shared by both rendezvous orders: builds the response
-    /// frame, enqueues it on the connection, settles accounting.
+    /// Final leg of the rendezvous: builds the response frame for what the
+    /// engine reported — a response, or `None` for an admission shed —
+    /// enqueues it on the connection, settles accounting.
     ///
     /// Flight terminal: a served request gets its `Delivered` stamp here
     /// (response handed to the wire layer); an admission-shed one was
     /// already stamped `Shed` by the engine at seal time, so delivering
     /// the shed *frame* adds nothing.
-    fn deliver(&self, p: Pending, out: Outcome) {
-        let served = matches!(out, Outcome::Served { .. });
-        let frame = match out {
-            Outcome::Served { rate, dims, data } => {
+    fn deliver(&self, p: Pending, served: Option<EngineResponse>) {
+        let is_served = served.is_some();
+        let frame = match served {
+            Some(r) => {
                 self.metrics.responses_ok.inc();
                 let elapsed = p.t0.elapsed().as_secs_f64();
                 self.metrics.request_seconds.record_traced(elapsed, p.trace);
@@ -480,36 +467,29 @@ impl Shared {
                 }
                 Frame::InferResponse(InferResponse {
                     correlation_id: p.correlation_id,
-                    rate_used: rate,
-                    outcome: InferOutcome::Logits { dims, data },
+                    rate_used: r.rate,
+                    outcome: InferOutcome::Logits {
+                        dims: r.logits.dims().iter().map(|&d| d as u32).collect(),
+                        data: r.logits.into_vec(),
+                    },
                 })
             }
-            Outcome::Shed => self.shed_frame(p.correlation_id, WireShedReason::Admission),
+            None => self.shed_frame(p.correlation_id, WireShedReason::Admission),
         };
         self.send_to(p.conn, frame, p.trace);
-        if served {
+        if is_served {
             flight::delivered(p.trace);
         }
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
         self.delivered.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Dispatcher side of the rendezvous: match the engine event to its
-    /// pending request, or park it for the reactor to claim.
-    fn dispatch_event(&self, replica: usize, id: u64, out: Outcome) {
-        let matched = {
-            let mut t = self.tables[replica].lock().expect("table lock");
-            match t.pending.remove(&id) {
-                Some(p) => Some((p, out)),
-                None => {
-                    t.orphans.insert(id, out);
-                    None
-                }
-            }
-        };
-        if let Some((p, out)) = matched {
-            self.deliver(p, out);
-        }
+    /// Takes the pending entry placement filed for `(replica, id)`.
+    fn take_pending(&self, replica: usize, id: u64) -> Pending {
+        let mut pending = self.pending.lock().expect("pending lock");
+        pending
+            .remove(&(replica, id))
+            .expect("placement files the entry before its result can arrive")
     }
 
     /// The optional SLO block of a `HealthReply`: per-SLO long-window
@@ -570,7 +550,7 @@ impl Shared {
     /// flush-before-close carries it out).
     fn drain_flush(&self) -> u64 {
         self.draining.store(true, Ordering::Release);
-        // Seal on every pass so the flush does not depend on sealer
+        // Seal on every pass so the flush does not depend on the seal
         // cadence (a long-window config would otherwise stall here).
         while self.in_flight.load(Ordering::Acquire) > 0 {
             self.router.seal_all();
@@ -602,7 +582,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// reactor pool plus one sealer and one dispatcher thread per replica.
+    /// reactor pool plus one thread per replica: its dispatcher, which
+    /// seals the replica's batches and delivers their results.
     pub fn start(
         addr: impl ToSocketAddrs,
         router: Router,
@@ -638,13 +619,13 @@ impl Server {
                     "deadline",
                     SeriesRef::new("net_deadline_miss_total", l),
                     SeriesRef::new("net_deadline_total", l),
-                    cfg.deadline_objective,
+                    DEADLINE_OBJECTIVE,
                 ),
                 ms_telemetry::SloSpec::new(
                     "shed",
                     SeriesRef::new("net_responses_shed_total", l),
                     SeriesRef::new("net_requests_total", l),
-                    cfg.shed_objective,
+                    SHED_OBJECTIVE,
                 ),
             ];
             SloTelemetry {
@@ -672,9 +653,7 @@ impl Server {
             delivered: AtomicU64::new(0),
             reaped: AtomicU64::new(0),
             backpressure_closed: AtomicU64::new(0),
-            tables: (0..n)
-                .map(|_| Mutex::new(ReplicaTable::default()))
-                .collect(),
+            pending: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
             reactors,
             metrics,
@@ -693,18 +672,11 @@ impl Server {
             );
         }
         for i in 0..n {
-            let shared_s = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ms-net-seal-{i}"))
-                    .spawn(move || sealer_loop(shared_s, i))
-                    .expect("spawn sealer"),
-            );
-            let shared_d = Arc::clone(&shared);
+            let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ms-net-dispatch-{i}"))
-                    .spawn(move || dispatcher_loop(shared_d, i))
+                    .spawn(move || dispatcher_loop(shared, i))
                     .expect("spawn dispatcher"),
             );
         }
@@ -891,7 +863,7 @@ fn reactor_loop(shared: Arc<Shared>, idx: usize, mut listener: Option<TcpListene
                         Conn {
                             stream,
                             fd,
-                            decoder: FrameDecoder::with_max_len(shared.cfg.max_frame_len),
+                            decoder: FrameDecoder::new(),
                             out,
                             last_read: Instant::now(),
                             read_shut: false,
@@ -1044,7 +1016,7 @@ fn accept_ready(
                         Conn {
                             stream,
                             fd,
-                            decoder: FrameDecoder::with_max_len(shared.cfg.max_frame_len),
+                            decoder: FrameDecoder::new(),
                             out,
                             last_read: Instant::now(),
                             read_shut: false,
@@ -1307,10 +1279,16 @@ fn place_request(shared: &Arc<Shared>, conn: u64, req: InferRequest, trace: u64)
     // Counted before placement so the drain gate can never observe zero
     // while a placed request still lacks its rendezvous entry.
     shared.in_flight.fetch_add(1, Ordering::AcqRel);
-    match shared.router.route(input, deadline, trace) {
+    // Reactor side of the rendezvous (module docs): the table stays locked
+    // from before the engine sees the request until its entry is filed.
+    let mut pending = shared.pending.lock().expect("pending lock");
+    let routed = shared.router.route(EngineRequest {
+        input,
+        deadline,
+        trace_id: trace,
+    });
+    match routed {
         Ok((replica, id)) => {
-            // Reactor side of the rendezvous: claim a parked outcome if the
-            // dispatcher got here first, otherwise file the pending entry.
             let p = Pending {
                 conn,
                 correlation_id: req.correlation_id,
@@ -1318,22 +1296,11 @@ fn place_request(shared: &Arc<Shared>, conn: u64, req: InferRequest, trace: u64)
                 deadline: deadline.unwrap_or_else(|| 2.0 * shared.router.engine(replica).window()),
                 trace,
             };
-            let claimed = {
-                let mut t = shared.tables[replica].lock().expect("table lock");
-                match t.orphans.remove(&id) {
-                    Some(out) => Some((p, out)),
-                    None => {
-                        t.pending.insert(id, p);
-                        None
-                    }
-                }
-            };
-            if let Some((p, out)) = claimed {
-                shared.deliver(p, out);
-            }
+            pending.insert((replica, id), p);
             None
         }
         Err(e) => {
+            drop(pending);
             shared.in_flight.fetch_sub(1, Ordering::AcqRel);
             let (reason, cause) = match e {
                 RouteError::Draining => (WireShedReason::Draining, flight::ShedCause::Draining),
@@ -1351,50 +1318,36 @@ fn place_request(shared: &Arc<Shared>, conn: u64, req: InferRequest, trace: u64)
     }
 }
 
-fn sealer_loop(shared: Arc<Shared>, replica: usize) {
+/// Delivers every event from one `wait_events` call; returns how many.
+fn sweep(shared: &Shared, replica: usize, engine: &Engine, timeout: Duration) -> usize {
+    let (responses, shed) = engine.wait_events(timeout);
+    let n = responses.len() + shed.len();
+    for r in responses {
+        shared.deliver(shared.take_pending(replica, r.id), Some(r));
+    }
+    for id in shed {
+        shared.deliver(shared.take_pending(replica, id), None);
+    }
+    n
+}
+
+/// The replica's one thread: seals its batches on the interval and
+/// delivers what the engine reports (module docs, "Threading model").
+fn dispatcher_loop(shared: Arc<Shared>, replica: usize) {
     let engine = Arc::clone(shared.router.engine(replica));
     let interval = shared
         .cfg
         .seal_interval
         .unwrap_or_else(|| Duration::from_secs_f64(engine.window().max(1e-4)));
-    while !shared.stop.load(Ordering::Acquire) {
-        // Chunked sleep so long windows don't delay stop detection.
-        let mut left = interval;
-        while left > Duration::ZERO && !shared.stop.load(Ordering::Acquire) {
-            let step = left.min(Duration::from_millis(20));
-            std::thread::sleep(step);
-            left = left.saturating_sub(step);
-        }
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        engine.seal();
-    }
-}
-
-/// Delivers every event from one `wait_events` call; returns how many.
-fn sweep(shared: &Arc<Shared>, replica: usize, engine: &Engine, timeout: Duration) -> usize {
-    let (responses, shed) = engine.wait_events(timeout);
-    let n = responses.len() + shed.len();
-    for r in responses {
-        let out = Outcome::Served {
-            rate: r.rate,
-            dims: r.logits.dims().iter().map(|&d| d as u32).collect(),
-            data: r.logits.into_vec(),
-        };
-        shared.dispatch_event(replica, r.id, out);
-    }
-    for id in shed {
-        shared.dispatch_event(replica, id, Outcome::Shed);
-    }
-    n
-}
-
-fn dispatcher_loop(shared: Arc<Shared>, replica: usize) {
-    let engine = Arc::clone(shared.router.engine(replica));
+    let mut next_seal = Instant::now() + interval;
     loop {
         let stopping = shared.stop.load(Ordering::Acquire);
-        let delivered_now = sweep(&shared, replica, &engine, Duration::from_millis(20));
+        if !stopping && Instant::now() >= next_seal {
+            engine.seal();
+            next_seal = Instant::now() + interval;
+        }
+        let wait = next_seal.saturating_duration_since(Instant::now());
+        let delivered_now = sweep(&shared, replica, &engine, wait.min(DISPATCH_POLL));
         if stopping && delivered_now == 0 {
             // Stop was already set before this (empty) wait: flush whatever
             // the engine still holds, sweep once more, and exit.

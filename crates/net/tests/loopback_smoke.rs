@@ -145,7 +145,7 @@ fn identical_input_gets_bitwise_identical_logits_in_process() {
     local.submit(input_for(1)).expect("submit");
     local.seal();
     local.drain();
-    let rs = local.take_responses();
+    let (rs, _) = local.wait_events(Duration::ZERO);
     assert_eq!(rs.len(), 1);
     assert_eq!(rs[0].rate, r.rate_used, "different rate chosen");
     let local_bits: Vec<u32> = rs[0].logits.data().iter().map(|x| x.to_bits()).collect();

@@ -18,6 +18,7 @@ use ms_serving::controller::{RatePolicy, SlaController};
 use ms_serving::engine::{Engine, EngineConfig};
 use ms_serving::profile::LatencyProfile;
 use ms_tensor::{SeededRng, Tensor};
+use std::time::Duration;
 
 const IN_DIM: usize = 8;
 
@@ -127,7 +128,7 @@ fn placement_adapts_after_load_shift() {
     let place = |n: usize| -> (usize, usize) {
         let mut counts = (0, 0);
         for _ in 0..n {
-            let (i, _id) = r.route(input(), None, 0).expect("route");
+            let (i, _id) = r.route(input()).expect("route");
             match i {
                 0 => counts.0 += 1,
                 _ => counts.1 += 1,
@@ -135,7 +136,7 @@ fn placement_adapts_after_load_shift() {
         }
         r.drain_all();
         for i in 0..r.replicas() {
-            let _ = r.engine(i).take_responses();
+            let _ = r.engine(i).wait_events(Duration::ZERO);
         }
         counts
     };

@@ -1,7 +1,11 @@
-//! Multi-client soak (`cargo test -p ms-net -- --ignored`): 16 clients
-//! hammer one server concurrently, then every correlation id must be
-//! accounted for and every wire logit must be bitwise identical to an
-//! in-process [`Engine::replay`] of the same inputs at the same rates.
+//! Multi-client soak: clients hammer one two-replica server concurrently,
+//! then every correlation id must be answered exactly once, the server's
+//! delivered count must equal the requests sent, and every wire logit must
+//! be bitwise identical to an in-process [`Engine::replay`] of the same
+//! inputs at the same rates. Four clients × 50 requests run by default
+//! (the root package runs this file too, as `net_soak`, so the tier-1
+//! suite exercises the server's rendezvous); the 16 × 250 soak is ignored
+//! (`cargo test -p ms-net -- --ignored`).
 //!
 //! Why bitwise equality is a fair demand: each client blocks on its own
 //! response, so at most 16 requests are outstanding and no server batch
@@ -27,8 +31,6 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 const IN_DIM: usize = 8;
-const CLIENTS: u64 = 16;
-const PER_CLIENT: u64 = 250;
 
 fn net(seed: u64) -> Box<dyn Layer + Send> {
     let mut rng = SeededRng::new(seed);
@@ -92,8 +94,19 @@ fn input_for(correlation_id: u64) -> Tensor {
 }
 
 #[test]
+fn four_clients_lose_nothing_and_match_replay_bitwise() {
+    soak(4, 50);
+}
+
+#[test]
 #[ignore = "multi-second soak; run with cargo test -p ms-net -- --ignored"]
 fn sixteen_clients_lose_nothing_and_match_replay_bitwise() {
+    soak(16, 250);
+}
+
+/// `clients` blocking clients send `per_client` requests each (at most 16
+/// clients: see the module docs) through a server sealing every 1 ms.
+fn soak(clients: u64, per_client: u64) {
     let mut proto = net(7);
     let weights = SharedWeights::capture(proto.as_mut());
     let engines = (0..2)
@@ -110,14 +123,14 @@ fn sixteen_clients_lose_nothing_and_match_replay_bitwise() {
     .expect("bind loopback");
     let addr = server.local_addr();
 
-    // 16 clients, each with a disjoint correlation-id block. Blocking
-    // clients self-clock the load: ≤ 16 outstanding ⇒ batches ≤ 16 rows.
-    let workers: Vec<_> = (0..CLIENTS)
+    // Each client has a disjoint correlation-id block. Blocking clients
+    // self-clock the load: ≤ 16 outstanding ⇒ batches ≤ 16 rows.
+    let workers: Vec<_> = (0..clients)
         .map(|c| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
-                let mut got: Vec<(u64, f32, Vec<f32>)> = Vec::with_capacity(PER_CLIENT as usize);
-                for seq in 0..PER_CLIENT {
+                let mut got: Vec<(u64, f32, Vec<f32>)> = Vec::with_capacity(per_client as usize);
+                for seq in 0..per_client {
                     let id = c * 1_000_000 + seq;
                     // Every other request carries an explicit (loose)
                     // deadline, exercising the per-request SLA field.
@@ -141,7 +154,7 @@ fn sixteen_clients_lose_nothing_and_match_replay_bitwise() {
     let mut by_id: HashMap<u64, (f32, Vec<f32>)> = HashMap::new();
     for (c, w) in workers.into_iter().enumerate() {
         let got = w.join().expect("client thread");
-        assert_eq!(got.len(), PER_CLIENT as usize);
+        assert_eq!(got.len(), per_client as usize);
         for (id, rate, logits) in got {
             assert_eq!(id / 1_000_000, c as u64, "id from the wrong client block");
             assert!(
@@ -150,10 +163,13 @@ fn sixteen_clients_lose_nothing_and_match_replay_bitwise() {
             );
         }
     }
-    let total = (CLIENTS * PER_CLIENT) as usize;
+    let total = (clients * per_client) as usize;
     assert_eq!(by_id.len(), total, "lost correlation ids");
     let delivered = server.drain();
-    assert_eq!(delivered as usize, total);
+    assert_eq!(
+        delivered as usize, total,
+        "delivered count vs requests sent"
+    );
 
     // Reference: group by the rate the server actually used, then replay
     // each group's inputs through a fresh in-process engine fixed at that

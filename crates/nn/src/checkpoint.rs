@@ -77,7 +77,7 @@ impl Checkpoint {
                 return;
             }
             match self.params.iter().find(|(n, _)| *n == p.name) {
-                None => error = Some(format!("parameter '{}' not in checkpoint", p.name)),
+                None => error = Some(format!("missing parameter '{}'", p.name)),
                 Some((_, value)) => {
                     if value.shape() != p.value.shape() {
                         error = Some(format!(

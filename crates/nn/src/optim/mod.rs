@@ -1,9 +1,7 @@
 //! Optimisers and learning-rate schedules.
 
-pub mod adam;
 pub mod schedule;
 pub mod sgd;
 
-pub use adam::{Adam, AdamConfig};
 pub use schedule::{LrSchedule, PlateauSchedule, StepSchedule};
 pub use sgd::{Sgd, SgdConfig};

@@ -10,25 +10,24 @@
 //! only the `Arc` is cloned — and hydration copies each tensor exactly once
 //! into the replica that will own it.
 
+use crate::checkpoint::Checkpoint;
 use crate::layer::Layer;
-use ms_tensor::Tensor;
 use std::sync::Arc;
 
-/// An immutable, `Arc`-shared snapshot of a network's trained parameters.
+/// An immutable, `Arc`-shared snapshot of a network's trained parameters:
+/// a [`Checkpoint`] behind an `Arc`.
 ///
 /// Cloning is O(1) (an `Arc` bump); the underlying tensors are frozen.
 #[derive(Debug, Clone)]
 pub struct SharedWeights {
-    params: Arc<Vec<(String, Tensor)>>,
+    snapshot: Arc<Checkpoint>,
 }
 
 impl SharedWeights {
     /// Captures the current parameter values of `net`.
     pub fn capture(net: &mut dyn Layer) -> Self {
-        let mut params = Vec::new();
-        net.visit_params(&mut |p| params.push((p.name.clone(), p.value.clone())));
         SharedWeights {
-            params: Arc::new(params),
+            snapshot: Arc::new(Checkpoint::capture(net)),
         }
     }
 
@@ -39,36 +38,25 @@ impl SharedWeights {
     /// If `net` has a parameter the snapshot lacks, or shapes differ — a
     /// replica built from the same config can never trip this.
     pub fn hydrate(&self, net: &mut dyn Layer) {
-        net.visit_params(&mut |p| {
-            let (_, value) = self
-                .params
-                .iter()
-                .find(|(n, _)| *n == p.name)
-                .unwrap_or_else(|| panic!("shared weights missing parameter '{}'", p.name));
-            assert_eq!(
-                value.shape(),
-                p.value.shape(),
-                "shared weights shape mismatch for '{}'",
-                p.name
-            );
-            p.value = value.clone();
-        });
+        if let Err(e) = self.snapshot.apply(net) {
+            panic!("shared weights: {e}");
+        }
     }
 
     /// Number of named parameters in the snapshot.
     pub fn param_count(&self) -> usize {
-        self.params.len()
+        self.snapshot.params.len()
     }
 
     /// Total scalars in the snapshot.
     pub fn scalar_count(&self) -> usize {
-        self.params.iter().map(|(_, t)| t.numel()).sum()
+        self.snapshot.scalar_count()
     }
 
     /// Number of live handles to this snapshot (diagnostic: one per worker
     /// plus the owner while an engine is running).
     pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.params)
+        Arc::strong_count(&self.snapshot)
     }
 }
 
@@ -78,7 +66,7 @@ mod tests {
     use crate::layer::Mode;
     use crate::linear::{Linear, LinearConfig};
     use crate::sequential::Sequential;
-    use ms_tensor::SeededRng;
+    use ms_tensor::{SeededRng, Tensor};
 
     fn net(seed: u64) -> Sequential {
         let mut rng = SeededRng::new(seed);

@@ -15,9 +15,14 @@
 //! - **Queue ownership.** All mutable queue state (`open` accumulation
 //!   batch, `ready` sealed batches, in-flight count, response log) lives in
 //!   one mutex; two condvars signal it (`work`: a batch became ready,
-//!   `idle`: a batch finished). Whoever drives time owns sealing: a timer
-//!   thread in live serving, the soak test's dedicated sealer thread,
-//!   [`Engine::replay`] on the virtual clock.
+//!   `idle`: a batch finished). Whoever drives time owns sealing: in live
+//!   serving the server's dispatcher seals, on the virtual clock
+//!   [`Engine::replay`] does.
+//! - **One way in, one way out.** A request enters through
+//!   [`Engine::submit`] (an [`EngineRequest`], or a bare tensor for no
+//!   deadline of its own and no trace) and its answer leaves through
+//!   [`Engine::wait_events`]: a response, or its id among the
+//!   admission-shed ones. `wait_events(Duration::ZERO)` polls.
 //! - **Shedding policy.** Two gates, both counted: *backpressure* at
 //!   [`Engine::submit`] when the queue already holds `max_queue` requests
 //!   (the engine is not allowed to buffer itself into deadline violations),
@@ -315,6 +320,29 @@ pub enum ShedReason {
     Stopping,
 }
 
+/// One request offered to [`Engine::submit`]. A bare [`Tensor`] converts
+/// into a request with no deadline of its own and no trace.
+#[derive(Debug)]
+pub struct EngineRequest {
+    /// The sample to run.
+    pub input: Tensor,
+    /// This request's own end-to-end latency bound `T_i` in seconds, or
+    /// `None` for the engine-wide SLA (see [`Engine::submit`]).
+    pub deadline: Option<f64>,
+    /// Flight-recorder trace id (0 = untraced).
+    pub trace_id: u64,
+}
+
+impl From<Tensor> for EngineRequest {
+    fn from(input: Tensor) -> Self {
+        EngineRequest {
+            input,
+            deadline: None,
+            trace_id: 0,
+        }
+    }
+}
+
 /// One completed request.
 #[derive(Debug, Clone)]
 pub struct EngineResponse {
@@ -406,8 +434,8 @@ struct EngineState {
     ready_len: usize,
     in_flight: usize,
     next_seq: usize,
-    /// Completed requests, in completion order; [`Engine::take_responses`]
-    /// and [`Engine::wait_events`] drain them in id order.
+    /// Completed requests, in completion order; [`Engine::wait_events`]
+    /// drains them in id order.
     responses: Vec<EngineResponse>,
     /// Ids shed by admission control at [`Engine::seal`]. Unlike
     /// backpressure (which fails `submit` synchronously), admission
@@ -568,39 +596,30 @@ impl Engine {
         &self.shared.controller
     }
 
-    /// Offers one request to the open batch. Sheds (and counts the shed)
-    /// under backpressure instead of buffering beyond `max_queue`.
-    pub fn submit(&self, input: Tensor) -> Result<u64, ShedReason> {
-        self.submit_or_return(input, None, 0)
-            .map_err(|(reason, t)| {
-                t.recycle();
-                reason
-            })
-    }
-
-    /// [`Engine::submit`] with an optional per-request SLA and a
-    /// flight-recorder trace id, handing the input back on refusal.
+    /// Offers one request to the open batch: the one way in. Refuses (and
+    /// counts the refusal) under backpressure instead of buffering beyond
+    /// `max_queue`, and once the engine is stopping; a refused input is
+    /// handed back, so a router can fail the same tensor over to another
+    /// replica without copying it.
     ///
-    /// `deadline` is this request's own end-to-end latency bound `T_i` in
+    /// A request's `deadline` is its own end-to-end latency bound `T_i` in
     /// seconds, overriding the engine-wide `EngineConfig::latency` when
-    /// tighter. The request's planning budget is `(T_i/2) · headroom` — the
-    /// same mapping the engine default goes through — and the batch it lands
-    /// in plans against the tightest budget of its members. Deadlines looser
+    /// tighter. Its planning budget is `(T_i/2) · headroom` — the same
+    /// mapping the engine default goes through — and the batch it lands in
+    /// plans against the tightest budget of its members. Deadlines looser
     /// than the engine default do not relax the batch (the engine still owes
     /// its configured SLA to every other member).
     ///
-    /// With `trace_id` non-zero and the recorder on, `Admitted` and
+    /// With a non-zero `trace_id` and the recorder on, `Admitted` and
     /// `Enqueued` events are stamped on the way into the open batch. The
-    /// returned input lets a router fail the same tensor over to another
-    /// replica without copying it; the recorder's `Shed` event is *not*
-    /// stamped on refusal — the caller owns it, because a refusal here may
-    /// still be served by a failover replica.
-    pub fn submit_or_return(
-        &self,
-        input: Tensor,
-        deadline: Option<f64>,
-        trace_id: u64,
-    ) -> Result<u64, (ShedReason, Tensor)> {
+    /// recorder's `Shed` event is *not* stamped on refusal — the caller owns
+    /// it, because a refusal here may still be served by a failover replica.
+    pub fn submit(&self, req: impl Into<EngineRequest>) -> Result<u64, (ShedReason, Tensor)> {
+        let EngineRequest {
+            input,
+            deadline,
+            trace_id,
+        } = req.into();
         let mut st = self.shared.state.lock().expect("engine lock");
         st.pending_submitted += 1;
         if st.stop {
@@ -725,17 +744,11 @@ impl Engine {
         }
     }
 
-    /// Takes all responses accumulated since the last call, in submission-id
-    /// order.
-    pub fn take_responses(&self) -> Vec<EngineResponse> {
-        let mut st = self.shared.state.lock().expect("engine lock");
-        take_sorted(&mut st.responses)
-    }
-
-    /// Blocks until at least one completion event (response or
-    /// admission-shed id) is available, or `timeout` elapses; drains and
-    /// returns everything pending. The network front-end's per-engine
-    /// dispatcher thread lives on this call.
+    /// The one way out: blocks until at least one completion event
+    /// (response or admission-shed id) is available, or `timeout` elapses;
+    /// drains and returns everything pending, responses in submission-id
+    /// order. `Duration::ZERO` returns at once. The network front-end's
+    /// per-replica dispatcher lives on this call.
     pub fn wait_events(&self, timeout: Duration) -> (Vec<EngineResponse>, Vec<u64>) {
         let deadline = Instant::now() + timeout;
         let mut st = self.shared.state.lock().expect("engine lock");
@@ -751,7 +764,8 @@ impl Engine {
                 .expect("engine lock");
             st = guard;
         }
-        let responses = take_sorted(&mut st.responses);
+        let mut responses = std::mem::take(&mut st.responses);
+        responses.sort_by_key(|r| r.id);
         let shed = std::mem::take(&mut st.shed_ids);
         (responses, shed)
     }
@@ -817,17 +831,6 @@ impl Engine {
         self.shared.metrics.last_rate.get() as f32
     }
 
-    /// Per-rate `(rate, p50 seconds, p99 seconds)` from the measured
-    /// service-time histograms, for rates that ran at least one batch.
-    pub fn rate_service_percentiles(&self) -> Vec<(f32, f64, f64)> {
-        let list = self.shared.controller.profile().list();
-        list.iter()
-            .zip(&self.shared.metrics.rate_service)
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(r, h)| (r.get(), h.percentile(0.50), h.percentile(0.99)))
-            .collect()
-    }
-
     /// Stops the workers and joins them. Queued batches are abandoned;
     /// callers that care should [`Engine::drain`] first.
     pub fn shutdown(mut self) {
@@ -852,13 +855,6 @@ impl Drop for Engine {
             self.stop_and_join();
         }
     }
-}
-
-/// Drains completed responses in submission-id order.
-fn take_sorted(responses: &mut Vec<EngineResponse>) -> Vec<EngineResponse> {
-    let mut out = std::mem::take(responses);
-    out.sort_by_key(|r| r.id);
-    out
 }
 
 fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Send>) {
@@ -1054,8 +1050,8 @@ impl Engine {
     /// binding, ladder and all — and deadlines are judged on the same clock.
     ///
     /// Needs an engine from [`Engine::start_virtual`], freshly started (or
-    /// fully drained and response-emptied), with a `max_queue` the trace
-    /// cannot fill.
+    /// fully drained and emptied through [`Engine::wait_events`]), with a
+    /// `max_queue` the trace cannot fill. Leaves the engine empty again.
     pub fn replay(
         &self,
         trace: &WorkloadTrace,
@@ -1083,7 +1079,9 @@ impl Engine {
             self.seal();
         }
         self.drain();
-        let responses = self.take_responses();
+        // Admission-shed ids leave through the same drain as the responses;
+        // the report counts them as `arrived - served`.
+        let (responses, _shed) = self.wait_events(Duration::ZERO);
         let mut latencies: Vec<Duration> = responses.iter().map(|r| r.latency).collect();
         let on_time = latencies.iter().filter(|&&l| l <= window).count();
         latencies.sort_unstable();
@@ -1206,7 +1204,7 @@ mod tests {
         }
         assert!(e.seal().is_some());
         e.drain();
-        let rs = e.take_responses();
+        let (rs, _) = e.wait_events(Duration::ZERO);
         assert_eq!(rs.len(), 10);
         let mut ids: Vec<u64> = rs.iter().map(|r| r.id).collect();
         ids.sort_unstable();
@@ -1265,8 +1263,8 @@ mod tests {
         for _ in 0..10 {
             match e.submit(Tensor::zeros([8])) {
                 Ok(_) => accepted += 1,
-                Err(ShedReason::Backpressure) => shed += 1,
-                Err(r) => panic!("unexpected {r:?}"),
+                Err((ShedReason::Backpressure, _)) => shed += 1,
+                Err((r, _)) => panic!("unexpected {r:?}"),
             }
         }
         assert_eq!((accepted, shed), (4, 6));
@@ -1327,6 +1325,23 @@ mod tests {
     }
 
     #[test]
+    fn replay_leaves_no_admission_shed_ids_behind() {
+        // Same capacity as above: 1600 of the first tick's 2000 fit, the
+        // 400-id tail is shed at its seal; the second tick fits whole.
+        let e = virtual_engine(1, RatePolicy::Elastic, 1e-5);
+        let trace = WorkloadTrace {
+            rates: vec![2000.0, 10.0],
+            arrivals: vec![2000, 10],
+        };
+        let r = e.replay(&trace, input);
+        assert_eq!((r.arrived, r.served, r.shed), (2010, 1610, 400));
+        let (responses, shed) = e.wait_events(Duration::ZERO);
+        assert!(responses.is_empty(), "replay handed out every response");
+        assert!(shed.is_empty(), "replay collected every admission-shed id");
+        e.shutdown();
+    }
+
+    #[test]
     fn per_request_deadline_tightens_the_batch_budget() {
         // Quadratic profile, t_full 10µs, engine budget 1ms. 64 requests at
         // the default plan at full width (64·1·10µs = 0.64ms ≤ 1ms); one
@@ -1338,8 +1353,12 @@ mod tests {
         for _ in 0..63 {
             e.submit(Tensor::zeros([8])).unwrap();
         }
-        e.submit_or_return(Tensor::zeros([8]), Some(0.5e-3), 0)
-            .expect("admitted");
+        e.submit(EngineRequest {
+            input: Tensor::zeros([8]),
+            deadline: Some(0.5e-3),
+            trace_id: 0,
+        })
+        .expect("admitted");
         let tight = e.seal().expect("sealed");
         // The tightened budget does not leak into the next batch.
         for _ in 0..64 {
@@ -1347,7 +1366,7 @@ mod tests {
         }
         let loose = e.seal().expect("sealed");
         e.drain();
-        let rs = e.take_responses();
+        let (rs, _) = e.wait_events(Duration::ZERO);
         assert_eq!(rs.len(), 128);
         for r in &rs {
             assert!(r.batch_seq == tight || r.batch_seq == loose);
@@ -1403,7 +1422,7 @@ mod tests {
         let second = e.submit(Tensor::zeros([8])).unwrap();
         e.seal();
         e.drain();
-        let rs = e.take_responses();
+        let (rs, _) = e.wait_events(Duration::ZERO);
         let served = |id| rs.iter().find(|r| r.id == id).expect("served");
         // Planned at full width (one request against a 1 ms budget).
         let on_plan = served(first);
@@ -1428,7 +1447,7 @@ mod tests {
         let second = e.submit(Tensor::zeros([8])).unwrap();
         e.seal();
         e.drain();
-        let rs = e.take_responses();
+        let (rs, _) = e.wait_events(Duration::ZERO);
         assert_eq!(
             rs.iter().find(|r| r.id == second).expect("served").rate,
             1.0
@@ -1443,7 +1462,7 @@ mod tests {
         let second = e.submit(Tensor::zeros([8])).unwrap();
         e.seal();
         e.drain();
-        let rs = e.take_responses();
+        let (rs, _) = e.wait_events(Duration::ZERO);
         let r = rs.iter().find(|r| r.id == second).expect("served");
         assert_eq!((r.rate, r.latency, e.counters().rebound), (1.0, ms3, 0));
         e.shutdown();
@@ -1485,7 +1504,7 @@ mod tests {
         }
         e.seal();
         e.drain();
-        let rs = e.take_responses();
+        let (rs, _) = e.wait_events(Duration::ZERO);
         assert_eq!(rs.len(), 8);
         assert!(
             rs.iter().all(|r| r.rate == 1.0),

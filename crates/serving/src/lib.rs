@@ -30,6 +30,8 @@ pub mod profile;
 pub mod workload;
 
 pub use controller::{AccuracyTable, RatePolicy, SlaController, SlaDecision};
-pub use engine::{Engine, EngineConfig, EngineCounters, EngineResponse, ReplayReport, ShedReason};
+pub use engine::{
+    Engine, EngineConfig, EngineCounters, EngineRequest, EngineResponse, ReplayReport, ShedReason,
+};
 pub use profile::LatencyProfile;
 pub use workload::{WorkloadConfig, WorkloadTrace};

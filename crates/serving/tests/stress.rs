@@ -95,7 +95,7 @@ fn eight_producers_five_seconds_no_deadlock_no_lost_requests() {
                     let v = (p as f32 + local as f32 * 0.001).sin();
                     let _ = engine.submit(Tensor::full([DIM], v));
                     local += 1;
-                    if local % 256 == 0 {
+                    if local.is_multiple_of(256) {
                         std::thread::yield_now();
                     }
                 }
@@ -113,7 +113,7 @@ fn eight_producers_five_seconds_no_deadlock_no_lost_requests() {
             let mut responded = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 engine.seal();
-                for r in engine.take_responses() {
+                for r in engine.wait_events(Duration::ZERO).0 {
                     r.logits.recycle();
                     responded += 1;
                 }
@@ -134,7 +134,7 @@ fn eight_producers_five_seconds_no_deadlock_no_lost_requests() {
     // Flush what is still queued, then reconcile the books.
     engine.seal();
     engine.drain();
-    responded += engine.take_responses().len() as u64;
+    responded += engine.wait_events(Duration::ZERO).0.len() as u64;
     let c = engine.counters();
     assert_eq!(
         c.submitted,

@@ -12,9 +12,9 @@ die() { echo "perfcheck FAILED: $*"; exit 1; }
 echo "== formatting: the workspace stays as rustfmt lays it out =="
 cargo fmt --all -- --check || die "cargo fmt --all would rewrite the files above"
 
-echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (the layers), ms-net and ms-cluster are clippy-clean =="
-cargo clippy --release -p ms-tensor -p ms-nn -p ms-net -p ms-cluster --all-targets --no-deps -- -D warnings \
-    || die "clippy warns on ms-tensor, ms-nn, ms-net or ms-cluster (lines above)"
+echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (the layers), ms-serving (the engine), ms-net and ms-cluster are clippy-clean =="
+cargo clippy --release -p ms-tensor -p ms-nn -p ms-serving -p ms-net -p ms-cluster --all-targets --no-deps -- -D warnings \
+    || die "clippy warns on ms-tensor, ms-nn, ms-serving, ms-net or ms-cluster (lines above)"
 
 echo "== release build (also the shard_server that cluster_elastic spawns) =="
 cargo build --release --workspace
@@ -59,7 +59,7 @@ echo "== logical suites: codec chaos, reactor loopback + soak, time series, auto
 cargo test --release -p ms-net --test chaos_codec
 cargo test --release -p ms-net --test protocol_props
 cargo test --release -p ms-net --test loopback_smoke
-cargo test --release -p ms-net --test soak -- --ignored
+cargo test --release -p ms-net --test soak -- --include-ignored
 cargo test --release -p ms-telemetry --test timeseries_props
 cargo test --release -p ms-cluster --test autoscaler_props
 cargo test --release --test serving_sla --test engine_determinism

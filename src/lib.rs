@@ -27,10 +27,11 @@
 //!   SlimmableNet, cascades ([`ms_baselines`]).
 //! - [`data`] — synthetic image/text datasets, loaders and metrics
 //!   ([`ms_data`]).
-//! - [`serving`] — the Section-4 applications: dynamic-workload serving and
-//!   cascade ranking ([`ms_serving`]).
+//! - [`serving`] — the Section-4.1 application: dynamic-workload serving
+//!   by the elastic engine ([`ms_serving`]); cascade ranking is scored in
+//!   [`baselines`].
 //! - [`net`] — serving over TCP: the length-prefixed wire protocol, the
-//!   thread-per-connection front-end, blocking/pipelined clients and the
+//!   epoll reactor front-end, blocking/pipelined clients and the
 //!   deadline-aware multi-engine router ([`ms_net`]).
 //! - [`telemetry`] — zero-cost observability: the global metrics registry,
 //!   feature-gated span tracing and Prometheus/JSON exposition

@@ -75,7 +75,7 @@ fn input_for(id: u64) -> Tensor {
 /// The client-side SLA is this multiple of the engine's internal SLA:
 /// the engine plans against the tighter budget, and the allowance covers
 /// what the in-process test never pays — transport, the server's
-/// rendezvous, and worker/sealer contention when CI gives us one core.
+/// rendezvous, and worker/dispatcher contention when CI gives us one core.
 const WIRE_ALLOWANCE: f64 = 2.0;
 
 struct WireRun {

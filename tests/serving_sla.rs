@@ -22,7 +22,7 @@ use modelslicing::models::mlp::{Mlp, MlpConfig};
 use modelslicing::nn::layer::Layer;
 use modelslicing::nn::shared::SharedWeights;
 use modelslicing::serving::controller::{AccuracyTable, RatePolicy, SlaController};
-use modelslicing::serving::engine::{Engine, EngineConfig, ReplayReport};
+use modelslicing::serving::engine::{Engine, EngineConfig, EngineRequest, ReplayReport};
 use modelslicing::serving::profile::LatencyProfile;
 use modelslicing::serving::workload::{WorkloadConfig, WorkloadTrace};
 use modelslicing::slicing::slice_rate::{SliceRate, SliceRateList};
@@ -673,7 +673,11 @@ fn anytime_soak_serves_everyone_with_complete_monotone_traces() {
                 (((round * PER_ROUND + k) % 31) as f32) * 0.06 - 0.9,
             );
             engine
-                .submit_or_return(x, None, tr)
+                .submit(EngineRequest {
+                    input: x,
+                    deadline: None,
+                    trace_id: tr,
+                })
                 .expect("soak admits all");
             traces.push(tr);
         }
@@ -683,7 +687,7 @@ fn anytime_soak_serves_everyone_with_complete_monotone_traces() {
         }
     }
     engine.drain();
-    let responses = engine.take_responses();
+    let (responses, _) = engine.wait_events(std::time::Duration::ZERO);
     for r in &responses {
         flight::delivered(r.trace_id);
         assert!(r.rate > 0.0, "request {} served without a rate", r.id);
