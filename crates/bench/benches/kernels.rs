@@ -3,15 +3,19 @@
 //! block multiply must not pay for the inactive columns), and the non-GEMM
 //! work of a conv or recurrent forward: im2col at the VGG stage shapes, the
 //! gate activations of one NNLM layer, a conv forward on the persistent
-//! panels with its columns read from the image and with them packed, and
-//! the bare handoff of the training step's fork-join.
+//! panels with its columns read from the image and with them packed, a
+//! dense layer's product with its weight read in place against the same
+//! product on panels, and the bare handoff of the training step's
+//! fork-join.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ms_nn::conv2d::{Conv2d, Conv2dConfig};
 use ms_nn::layer::{Layer, Mode};
+use ms_nn::slice::{active_units, SliceRate};
 use ms_tensor::conv::{im2col, ConvGeom};
 use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::ops::{sigmoid_cols, tanh_cols};
+use ms_tensor::panels::{gemm_packed_b, linear_in_place, PackedB};
 use ms_tensor::{par, SeededRng, Tensor};
 
 fn gemm_blocks(c: &mut Criterion) {
@@ -179,6 +183,42 @@ fn conv_fwd_packed(c: &mut Criterion) {
     group.finish();
 }
 
+/// A dense forward `y = x·W_activeᵀ` (no bias) both ways, out of a weight
+/// of full size: `in_place/…`, the weight on the left read where it lies
+/// and the product transposed into `y` (`linear_in_place`, what a `Linear`
+/// runs), against `panels/…`, the weight on the right packed once into
+/// panels of `Wᵀ` (`gemm_packed_b`, what a recurrent layer runs). The
+/// shapes: the benchmark MLP's `fc1` (2048 × 2048, eight groups) at the
+/// slice rates, at batches of 8, 32 and 120; and the NNLM decoder (200
+/// words from 64 hidden units) over 32 × 16 tokens at r = 0.375 and 1.
+fn dense_weight_side(c: &mut Criterion) {
+    let mut rng = SeededRng::new(6);
+    let mut shapes = Vec::new();
+    for rate in [0.375, 0.5, 0.75, 1.0] {
+        let w = active_units(2048, 8, SliceRate::new(rate));
+        for batch in [8, 32, 120] {
+            shapes.push((format!("fc1_r{rate}_b{batch}"), batch, w, w, (2048, 2048)));
+        }
+    }
+    for h in [24, 64] {
+        shapes.push((format!("decoder_k{h}_b512"), 512, h, 200, (200, 64)));
+    }
+    let mut group = c.benchmark_group("dense_weight_side");
+    for (shape, n, k, m, (full_m, full_k)) in shapes {
+        let (w, x) = (random(&mut rng, full_m * full_k), random(&mut rng, n * k));
+        let mut y = vec![0.0f32; n * m];
+        group.bench_function(format!("in_place/{shape}"), |b| {
+            b.iter(|| linear_in_place(n, k, m, 1.0, &x, k, &w, full_k, None, &mut y, m))
+        });
+        let mut pb = PackedB::new();
+        pb.pack(Trans::Yes, &w, full_k, full_k, full_m);
+        group.bench_function(format!("panels/{shape}"), |b| {
+            b.iter(|| gemm_packed_b(n, 0, k, 0, m, 1.0, &x, k, &pb, 0.0, &mut y, m))
+        });
+    }
+    group.finish();
+}
+
 /// An empty `join`: to the helper thread and back when this thread gets it
 /// (nothing else here competes), inline on a one-core machine.
 fn par_join(c: &mut Criterion) {
@@ -195,6 +235,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(30);
     targets = gemm_blocks, gemm_layer_shapes, im2col_lowering, gate_activations,
-        conv_fwd_packed, par_join
+        conv_fwd_packed, dense_weight_side, par_join
 }
 criterion_main!(benches);

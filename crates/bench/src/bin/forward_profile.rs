@@ -21,7 +21,9 @@
 //! `MR×NR` register tiles it is padded to on this build target — and the
 //! GFLOP/s the driver the layer calls reaches on that shape alone, packing
 //! included: the table a tile shape is argued from, and where a later change
-//! of vector width would show its waste first. A recurrent layer's rows are
+//! of vector width would show its waste first. A dense layer's rows are its
+//! product as it issues it, the weight on the left: `m` its output units,
+//! `n` the batch along the tile's lanes. A recurrent layer's rows are
 //! its products as it issues them, all gates side by side: `rnn*.x` one
 //! `T·B × G·a_h × a_d` input projection, `rnn*.h` `T` products of
 //! `B × G·a_h × a_h`. The
@@ -33,7 +35,8 @@
 //! and the SGD update), the elementwise work of activations and backward
 //! bodies, and buffer-pool copies and zero fills. Each column is the summed
 //! *self* time of the spans in that bucket; `other` is what no span claims
-//! (bias adds, the embedding, the chunk copies of convs whose columns are
+//! (bias adds, a dense layer's transpose of its out-major product into its
+//! output, the embedding, the chunk copies of convs whose columns are
 //! packed, the rest of the buffer pool's bookkeeping).
 //!
 //! A step runs on two threads (`ms_tensor::par`: the second part of every
@@ -63,7 +66,7 @@ use ms_nn::slice::{active_units, SliceRate};
 use ms_telemetry::spans::{self, SpanStats};
 use ms_tensor::conv::{ConvGeom, Im2col};
 use ms_tensor::matmul::{Trans, MR, NR};
-use ms_tensor::panels::{conv_packed_a_stepped, gemm_packed_b, PackedA, PackedB};
+use ms_tensor::panels::{conv_packed_a_stepped, gemm_packed_b, linear_in_place, PackedA, PackedB};
 use ms_tensor::{par, SeededRng, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -79,8 +82,17 @@ const RATES: [f32; 2] = [0.375, 1.0];
 type Column = (&'static str, &'static [&'static str]);
 
 /// Everything of a GEMM that is not operand packing: the blocked loop under
-/// `gemm` and the panel entry points, and the unblocked small path.
-const KERNEL: Column = ("kernel", &["gemm.panel_", "gemm.small", "gemm.packed"]);
+/// `gemm` and the weight-stationary entry points, and the unblocked small
+/// path.
+const KERNEL: Column = (
+    "kernel",
+    &[
+        "gemm.panel_",
+        "gemm.in_place_a",
+        "gemm.small",
+        "gemm.packed",
+    ],
+);
 /// Operand packing, a conv's columns packed from the image included.
 const PACK: Column = ("pack", &["gemm.pack_"]);
 
@@ -280,25 +292,48 @@ fn print_handoff() {
 }
 
 /// One GEMM a `forward(Infer)` issues: `calls` multiplies of `m×k` by `k×n`
-/// per batch, the weights on the right (`Linear` and the recurrent gates,
-/// through `gemm_packed_b`) or, for a conv, on the left
-/// (`conv_packed_a_stepped`), the columns of the whole batch (`n = B·OH·OW`)
-/// read straight from the image `conv` describes.
+/// per batch, through the driver the layer calls.
 struct GemmShape {
     layer: String,
-    /// A conv's window and active input channels.
-    conv: Option<(ConvGeom, usize)>,
+    driver: Driver,
     m: usize,
     n: usize,
     k: usize,
     calls: usize,
 }
 
+/// Which side a layer's weight is on, and how it is read.
+enum Driver {
+    /// A `Linear`'s weight on the left, read in place (`linear_in_place`):
+    /// `m` output units, `n` the batch.
+    Linear,
+    /// The recurrent gates' panels on the right (`gemm_packed_b`): `m` the
+    /// batch rows, `n` the gates side by side.
+    Panels,
+    /// A conv's panels on the left (`conv_packed_a_stepped`), the columns of
+    /// the whole batch (`n = B·OH·OW`) read straight from the image of this
+    /// window and active input channel count.
+    Conv(ConvGeom, usize),
+}
+
 impl GemmShape {
-    fn dense(layer: impl Into<String>, m: usize, n: usize, k: usize) -> Self {
+    /// A dense layer of `k` inputs and `units` outputs over `batch` rows.
+    fn linear(layer: impl Into<String>, batch: usize, units: usize, k: usize) -> Self {
         GemmShape {
             layer: layer.into(),
-            conv: None,
+            driver: Driver::Linear,
+            m: units,
+            n: batch,
+            k,
+            calls: 1,
+        }
+    }
+
+    /// A recurrent product of `m` rows against `n` gate columns.
+    fn gates(layer: impl Into<String>, m: usize, n: usize, k: usize) -> Self {
+        GemmShape {
+            layer: layer.into(),
+            driver: Driver::Panels,
             m,
             n,
             k,
@@ -318,7 +353,7 @@ impl GemmShape {
         };
         GemmShape {
             layer,
-            conv: Some((geom, a_in)),
+            driver: Driver::Conv(geom, a_in),
             m: a_out,
             n: BATCH * geom.out_len(),
             k: a_in * 9,
@@ -339,9 +374,9 @@ impl GemmShape {
 fn mlp_shapes(rate: SliceRate) -> Vec<GemmShape> {
     let w = active_units(2048, GROUPS, rate);
     vec![
-        GemmShape::dense("fc0", BATCH, w, 64),
-        GemmShape::dense("fc1", BATCH, w, w),
-        GemmShape::dense("head", BATCH, 8, w),
+        GemmShape::linear("fc0", BATCH, w, 64),
+        GemmShape::linear("fc1", BATCH, w, w),
+        GemmShape::linear("head", BATCH, 8, w),
     ]
 }
 
@@ -357,7 +392,7 @@ fn vgg_shapes(rate: SliceRate) -> Vec<GemmShape> {
         }
         hw /= 2;
     }
-    shapes.push(GemmShape::dense("head", BATCH, cfg.num_classes, in_ch));
+    shapes.push(GemmShape::linear("head", BATCH, cfg.num_classes, in_ch));
     shapes
 }
 
@@ -367,44 +402,52 @@ fn nnlm_shapes(rate: SliceRate) -> Vec<GemmShape> {
     for (name, d) in [("rnn1", 64), ("rnn2", h)] {
         // The four gates side by side: every step's input projection in one
         // product, then the recurrence one product per step.
-        let proj = GemmShape::dense(format!("{name}.x"), SEQ_LEN * BATCH, 4 * h, d);
-        let mut rec = GemmShape::dense(format!("{name}.h"), BATCH, 4 * h, h);
+        let proj = GemmShape::gates(format!("{name}.x"), SEQ_LEN * BATCH, 4 * h, d);
+        let mut rec = GemmShape::gates(format!("{name}.h"), BATCH, 4 * h, h);
         rec.calls = SEQ_LEN;
         shapes.extend([proj, rec]);
     }
-    shapes.push(GemmShape::dense("decoder", SEQ_LEN * BATCH, 200, h));
+    shapes.push(GemmShape::linear("decoder", SEQ_LEN * BATCH, 200, h));
     shapes
 }
 
 /// GFLOP/s of the layer's driver on `shape` alone: operands of the sliced
-/// size read out of panels packed at `full` size, as the layers do (a conv's
-/// columns read from an image on every call).
+/// size read out of a weight of `full` size — in place, or from panels —
+/// as the layers do (a conv's columns read from an image on every call).
 fn achieved_gflops(shape: &GemmShape, full: &GemmShape, rng: &mut SeededRng) -> f64 {
     let (m, n, k) = (shape.m, shape.n, shape.k);
     let mut fill = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
     let mut c = vec![0.0f32; m * n];
-    let mut run: Box<dyn FnMut()> = if let Some((geom, channels)) = shape.conv {
-        let samples = n / geom.out_len();
-        let (w, image) = (
-            fill(full.m * full.k),
-            fill(samples * channels * geom.h * geom.w),
-        );
-        let mut pa = PackedA::new();
-        pa.pack(Trans::No, &w, full.k, full.m, full.k);
-        Box::new(move || {
-            let cols = Im2col {
-                input: &image,
-                channels,
-                geom,
-                samples,
-            };
-            conv_packed_a_stepped(&[0, m], &[k], &pa, cols, &mut c, m * geom.out_len())
-        })
-    } else {
-        let (w, x) = (fill(full.n * full.k), fill(m * k));
-        let mut pb = PackedB::new();
-        pb.pack(Trans::Yes, &w, full.k, full.k, full.n);
-        Box::new(move || gemm_packed_b(m, 0, k, 0, n, 1.0, &x, k, &pb, 0.0, &mut c, n))
+    let mut run: Box<dyn FnMut()> = match shape.driver {
+        Driver::Linear => {
+            let (w, x) = (fill(full.m * full.k), fill(n * k));
+            let ldw = full.k;
+            Box::new(move || linear_in_place(n, k, m, 1.0, &x, k, &w, ldw, None, &mut c, m))
+        }
+        Driver::Conv(geom, channels) => {
+            let samples = n / geom.out_len();
+            let (w, image) = (
+                fill(full.m * full.k),
+                fill(samples * channels * geom.h * geom.w),
+            );
+            let mut pa = PackedA::new();
+            pa.pack(Trans::No, &w, full.k, full.m, full.k);
+            Box::new(move || {
+                let cols = Im2col {
+                    input: &image,
+                    channels,
+                    geom,
+                    samples,
+                };
+                conv_packed_a_stepped(&[0, m], &[k], &pa, cols, &mut c, m * geom.out_len())
+            })
+        }
+        Driver::Panels => {
+            let (w, x) = (fill(full.n * full.k), fill(m * k));
+            let mut pb = PackedB::new();
+            pb.pack(Trans::Yes, &w, full.k, full.k, full.n);
+            Box::new(move || gemm_packed_b(m, 0, k, 0, n, 1.0, &x, k, &pb, 0.0, &mut c, n))
+        }
     };
     for _ in 0..3 {
         run();

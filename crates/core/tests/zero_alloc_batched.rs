@@ -4,11 +4,12 @@
 //! batch. A counting global allocator verifies that after a short warm-up
 //! (buffer pool + layer workspaces populated, output buffer at capacity) a
 //! stack → forward → split cycle performs **zero** heap allocations at every
-//! candidate slice rate, on an un-packed net and on the prepacked panels an
-//! engine replica serves from — so a worker's per-batch cost is pure compute,
-//! with no allocator traffic to serialise threads against each other. The
-//! same holds for whole networks: a prepacked VGG (conv, GroupNorm, pooling)
-//! and the NNLM (embedding, LSTMs, decoder).
+//! candidate slice rate, on a dense net as built and after the `prepack` an
+//! engine replica gets (a no-op there: a `Linear` multiplies its weight in
+//! place) — so a worker's per-batch cost is pure compute, with no allocator
+//! traffic to serialise threads against each other. The same holds for
+//! whole networks: a prepacked VGG (conv, GroupNorm, pooling) and the NNLM
+//! (embedding, LSTMs, decoder).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -128,11 +129,11 @@ fn steady_state_batched_forward_allocates_nothing() {
     // Reused response buffer, exactly as a warm engine worker would hold one.
     let mut out = Vec::with_capacity(inputs.len());
 
-    // Once on the per-call-packing `gemm` path, once on the prepacked panels
-    // an engine replica serves from (`Engine::start` packs every replica).
+    // Once as built, once after the `prepack` `Engine::start` gives every
+    // replica: a dense net has no panels, and serves the same path.
     for packed in [false, true] {
         if packed {
-            assert!(net.prepack(), "the net arrives un-packed");
+            assert!(!net.prepack(), "a Linear-only net has no panels to pack");
         }
         assert_warm_passes_allocate_nothing(&format!("batched forward (packed: {packed})"), |r| {
             batched_sliced_forward_into(&mut net, &inputs, r, &mut out);

@@ -111,12 +111,6 @@ impl Layer for Mlp {
     fn forward_prefix(&mut self, x: &Tensor, from: Option<SliceRate>, to: SliceRate) -> Tensor {
         self.net.forward_prefix(x, from, to)
     }
-    fn prepack(&mut self) -> bool {
-        self.net.prepack()
-    }
-    fn release_panels(&mut self) {
-        self.net.release_panels();
-    }
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.net.visit_params(f);
     }

@@ -30,59 +30,38 @@ pub enum RnnCell {
 }
 
 /// A recurrent layer of either family.
-enum Recurrent {
-    Lstm(Lstm),
-    Gru(Gru),
-}
-
-impl Recurrent {
-    fn new(
-        cell: RnnCell,
-        name: &str,
-        in_dim: usize,
-        hidden_dim: usize,
-        in_groups: Option<usize>,
-        out_groups: Option<usize>,
-        rng: &mut SeededRng,
-    ) -> Self {
-        match cell {
-            RnnCell::Lstm => Recurrent::Lstm(Lstm::new(
-                name,
-                LstmConfig {
-                    in_dim,
-                    hidden_dim,
-                    in_groups,
-                    out_groups,
-                    input_rescale: true,
-                },
-                rng,
-            )),
-            RnnCell::Gru => Recurrent::Gru(Gru::new(
-                name,
-                GruConfig {
-                    in_dim,
-                    hidden_dim,
-                    in_groups,
-                    out_groups,
-                    input_rescale: true,
-                },
-                rng,
-            )),
-        }
-    }
-
-    fn as_layer(&mut self) -> &mut dyn Layer {
-        match self {
-            Recurrent::Lstm(l) => l,
-            Recurrent::Gru(g) => g,
-        }
-    }
-
-    fn as_layer_ref(&self) -> &dyn Layer {
-        match self {
-            Recurrent::Lstm(l) => l,
-            Recurrent::Gru(g) => g,
-        }
+fn recurrent(
+    cell: RnnCell,
+    name: &str,
+    in_dim: usize,
+    hidden_dim: usize,
+    in_groups: Option<usize>,
+    out_groups: Option<usize>,
+    rng: &mut SeededRng,
+) -> Box<dyn Layer + Send> {
+    match cell {
+        RnnCell::Lstm => Box::new(Lstm::new(
+            name,
+            LstmConfig {
+                in_dim,
+                hidden_dim,
+                in_groups,
+                out_groups,
+                input_rescale: true,
+            },
+            rng,
+        )),
+        RnnCell::Gru => Box::new(Gru::new(
+            name,
+            GruConfig {
+                in_dim,
+                hidden_dim,
+                in_groups,
+                out_groups,
+                input_rescale: true,
+            },
+            rng,
+        )),
     }
 }
 
@@ -123,9 +102,9 @@ pub struct Nnlm {
     cfg: NnlmConfig,
     embedding: Embedding,
     drop_e: Dropout,
-    lstm1: Recurrent,
+    lstm1: Box<dyn Layer + Send>,
     drop1: Dropout,
-    lstm2: Recurrent,
+    lstm2: Box<dyn Layer + Send>,
     drop2: Dropout,
     decoder: Linear,
     /// `(B, T)` of the last Train forward, for backward reshapes.
@@ -139,7 +118,7 @@ impl Nnlm {
         let embedding = Embedding::new("embed", cfg.vocab, cfg.embed_dim, rng);
         // rnn1's input comes from the embedding (unsliced input layer);
         // rnn2's input is rnn1's sliced hidden state.
-        let lstm1 = Recurrent::new(
+        let lstm1 = recurrent(
             cfg.cell,
             "rnn1",
             cfg.embed_dim,
@@ -148,7 +127,7 @@ impl Nnlm {
             Some(cfg.groups),
             rng,
         );
-        let lstm2 = Recurrent::new(
+        let lstm2 = recurrent(
             cfg.cell,
             "rnn2",
             cfg.hidden_dim,
@@ -195,9 +174,9 @@ impl Nnlm {
         let d = d.reshape([b, t, hidden]).expect("same numel");
         let chain: [&mut dyn Layer; 5] = [
             &mut self.drop2,
-            self.lstm2.as_layer(),
+            self.lstm2.as_mut(),
             &mut self.drop1,
-            self.lstm1.as_layer(),
+            self.lstm1.as_mut(),
             &mut self.drop_e,
         ];
         let d = chain
@@ -220,9 +199,9 @@ impl Layer for Nnlm {
         let h = self.embedding.forward(x, mode); // [B, T, E]
         let chain: [&mut dyn Layer; 5] = [
             &mut self.drop_e,
-            self.lstm1.as_layer(),
+            self.lstm1.as_mut(),
             &mut self.drop1,
-            self.lstm2.as_layer(),
+            self.lstm2.as_mut(),
             &mut self.drop2,
         ];
         let h = chain
@@ -246,42 +225,42 @@ impl Layer for Nnlm {
     // `forward_prefix` stays the trait default (a recompute at `to`): the
     // decoder must not resume partial sums over LSTM columns that changed
     // with the rate — see `nnlm_chain_refine_is_bitwise_identical` in
-    // tests/prefix_refine.rs. The panels are independent of that.
+    // tests/prefix_refine.rs. The panels are independent of that; the
+    // decoder, a `Linear`, has none.
     fn prepack(&mut self) -> bool {
         // `|`, not `||`: every layer must be packed, whatever came before.
-        self.lstm1.as_layer().prepack() | self.lstm2.as_layer().prepack() | self.decoder.prepack()
+        self.lstm1.prepack() | self.lstm2.prepack()
     }
 
     fn release_panels(&mut self) {
-        self.lstm1.as_layer().release_panels();
-        self.lstm2.as_layer().release_panels();
-        self.decoder.release_panels();
+        self.lstm1.release_panels();
+        self.lstm2.release_panels();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.embedding.visit_params(f);
-        self.lstm1.as_layer().visit_params(f);
-        self.lstm2.as_layer().visit_params(f);
+        self.lstm1.visit_params(f);
+        self.lstm2.visit_params(f);
         self.decoder.visit_params(f);
     }
 
     fn set_slice_rate(&mut self, r: SliceRate) {
-        self.lstm1.as_layer().set_slice_rate(r);
-        self.lstm2.as_layer().set_slice_rate(r);
+        self.lstm1.set_slice_rate(r);
+        self.lstm2.set_slice_rate(r);
         self.decoder.set_slice_rate(r);
     }
 
     fn flops_per_sample(&self) -> u64 {
         // Per token: both LSTMs plus the decoder projection.
-        self.lstm1.as_layer_ref().flops_per_sample()
-            + self.lstm2.as_layer_ref().flops_per_sample()
+        self.lstm1.flops_per_sample()
+            + self.lstm2.flops_per_sample()
             + self.decoder.flops_per_sample()
     }
 
     fn active_param_count(&self) -> u64 {
         self.embedding.active_param_count()
-            + self.lstm1.as_layer_ref().active_param_count()
-            + self.lstm2.as_layer_ref().active_param_count()
+            + self.lstm1.active_param_count()
+            + self.lstm2.active_param_count()
             + self.decoder.active_param_count()
     }
 

@@ -137,23 +137,22 @@ pub trait Layer {
     /// cheap when already packed) and returns whether this call packed
     /// anything. Layers without weight panels ignore it and return `false`.
     ///
-    /// A `Linear`, a `Conv2d` and the recurrent driver behind `Lstm` and
-    /// `Gru` multiply off their panels instead of re-packing the weight per
-    /// call. Any `visit_params` pass — an optimiser step, weight hydration,
-    /// even a read-only walk — marks them stale. A `Conv2d` or recurrent
-    /// layer then packs on first use after the weight change, in any mode,
-    /// its backward panels included; a `Linear`'s `forward(Infer)` runs on
-    /// the per-call-packing `gemm` until the next `prepack`, and its prefix
-    /// forward re-packs on entry.
+    /// A `Conv2d` and the recurrent driver behind `Lstm` and `Gru` multiply
+    /// off their panels instead of re-packing the weight per call. Any
+    /// `visit_params` pass — an optimiser step, weight hydration, even a
+    /// read-only walk — marks them stale, and the layer packs again on first
+    /// use after the weight change, in any mode, its backward panels
+    /// included. A `Linear` has no panels: it multiplies its weight where it
+    /// lies, so it holds one copy of it and sees a write on the next
+    /// forward.
     fn prepack(&mut self) -> bool {
         false
     }
 
     /// Frees the persistent panels (they cost about as much memory as the
-    /// weights they mirror). Inference stays correct: it packs again on
-    /// first use, except a `Linear`'s `forward(Infer)`, which runs unpacked
-    /// until the next [`Layer::prepack`] or prefix forward. For holders of a
-    /// net that packed it only temporarily, e.g. a calibration prototype.
+    /// weights they mirror). Inference stays correct and keeps its bits: a
+    /// layer packs again on first use. For holders of a net that packed it
+    /// only temporarily, e.g. a calibration prototype.
     fn release_panels(&mut self) {}
 
     /// Multiply–add operations per sample under the *current* slice setting.

@@ -7,12 +7,23 @@
 //! pre-activation magnitudes slice-invariant (the paper's "output rescaling"
 //! used for dense/recurrent layers, §5.2.2; convolutional stacks rely on
 //! sliced GroupNorm instead).
+//!
+//! The weight is the one copy of itself the layer holds: every forward
+//! multiplies it where it lies, as the GEMM's left operand
+//! ([`linear_in_place`], [`gemm_in_place_a`]: `yᵀ = scale · W_active·xᵀ`,
+//! transposed into `y` with the bias). There are no panels to pack,
+//! invalidate or release, and a weight write is seen by the next forward
+//! in any mode. A forward computes what `gemm` computes on the same
+//! operands — its small-problem loops at or below `SMALL_GEMM_CUTOFF`, its
+//! packed kernel above — whatever was packed or written before it; the
+//! prefix passes stay on the packed kernel at every size, so the refine
+//! ladder's bits do not depend on the batch.
 
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_groups, active_units, group_boundary, prefix_input_width, SliceRate};
 use crate::workspace::PrefixCache;
-use ms_tensor::matmul::{gemm, Trans, SMALL_GEMM_CUTOFF};
-use ms_tensor::panels::{gemm_packed_b, PackedB};
+use ms_tensor::matmul::{gemm, Operand, Trans, SMALL_GEMM_CUTOFF};
+use ms_tensor::panels::{gemm_in_place_a, linear_in_place, store_out_major};
 use ms_tensor::{init, par, SeededRng, Tensor};
 use std::ops::Range;
 
@@ -58,8 +69,7 @@ pub struct Linear {
     active_in: usize,
     active_out: usize,
     cache: Option<Tensor>, // input of the last Train forward
-    packed: PackedB,       // persistent panels of Wᵀ (the GEMM B operand)
-    prefix: PrefixCache,   // full-stride output of the last prefix pass
+    prefix: PrefixCache,   // out-major product of the last prefix pass
 }
 
 impl Linear {
@@ -91,7 +101,6 @@ impl Linear {
             active_in,
             active_out,
             cache: None,
-            packed: PackedB::new(),
             prefix: PrefixCache::default(),
         }
     }
@@ -117,27 +126,37 @@ impl Linear {
     }
 
     fn rescale(&self) -> f32 {
-        if self.cfg.input_rescale && self.active_in < self.cfg.in_dim {
-            self.cfg.in_dim as f32 / self.active_in as f32
+        self.rescale_at(self.active_in)
+    }
+
+    /// The canonical rescale of a prefix computed from `k` input units.
+    fn rescale_at(&self, k: usize) -> f32 {
+        if self.cfg.input_rescale && k < self.cfg.in_dim {
+            self.cfg.in_dim as f32 / k as f32
         } else {
             1.0
         }
     }
 
-    /// Packs the panels unless they are valid; returns whether it packed.
-    fn ensure_packed(&mut self) -> bool {
-        if self.packed.is_valid() {
-            return false;
-        }
-        // op(B) = Wᵀ: k = in_dim rows, n = out_dim columns.
-        self.packed.pack(
-            Trans::Yes,
-            self.weight.value.data(),
-            self.cfg.in_dim,
-            self.cfg.in_dim,
-            self.cfg.out_dim,
-        );
-        true
+    /// The first `units` bias entries, if the layer has a bias.
+    fn bias_prefix(&self, units: usize) -> Option<&[f32]> {
+        self.bias.as_ref().map(|b| &b.value.data()[..units])
+    }
+
+    /// `xᵀ` as the right-hand operand of a product with the weight on the
+    /// left: column `i` of it is row `i` of `x`.
+    fn x_t<'x>(&self, x: &'x Tensor) -> Operand<'x> {
+        Operand::Matrix(Trans::Yes, x.data(), self.active_in)
+    }
+
+    /// `y = scale · S + b` for an out-major prefix sum `S` (`units` rows of
+    /// the cached batch), written row-major into a fresh `[batch, units]`.
+    fn read_out(&self, units: usize, scale: f32) -> Tensor {
+        let (batch, bias) = (self.prefix.batch, self.bias_prefix(units));
+        let mut y = Tensor::pooled_stale([batch, units]);
+        let (sums, out) = (&self.prefix.buf, y.data_mut());
+        store_out_major(sums, batch, units, batch, scale, bias, out, units);
+        y
     }
 
     /// Where a training pass over `batch` rows is cut: the `(batch rows,
@@ -153,8 +172,9 @@ impl Linear {
     ///   each part takes half the rows of `y` and `dx` and half the rows of
     ///   `dW`.
     /// * When the weights are (a wide layer at a small batch), halving the
-    ///   rows would make both parts pack the whole weight matrix, the
-    ///   dominant cost. The forward then stays whole and the backward splits
+    ///   rows would make both parts stream (the forward) or pack (`dx`) the
+    ///   whole weight matrix, the dominant cost. The forward then stays
+    ///   whole and the backward splits
     ///   by *task* instead — `(batch, 0)`: part 0 computes all of `dx`,
     ///   part 1 all of `dW` and `db`, each the very GEMM the uncut pass
     ///   runs.
@@ -171,47 +191,13 @@ impl Linear {
     }
 
     /// `y = scale · x · W_activeᵀ + b` for the rows `x` holds (`y` zeroed or
-    /// not: it is overwritten).
-    fn forward_rows(&self, on_panels: bool, x: &[f32], y: &mut [f32]) {
-        let rows = x.len() / self.active_in;
-        if on_panels {
-            // Weight-stationary: the active block is the top-left corner of
-            // the panels packed once by `prepack`, read in place.
-            gemm_packed_b(
-                rows,
-                0,
-                self.active_in,
-                0,
-                self.active_out,
-                self.rescale(),
-                x,
-                self.active_in,
-                &self.packed,
-                0.0,
-                y,
-                self.active_out,
-            );
-        } else {
-            // Training (the weights move every step) and un-packed nets.
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                rows,
-                self.active_out,
-                self.active_in,
-                self.rescale(),
-                x,
-                self.active_in,
-                self.weight.value.data(),
-                self.cfg.in_dim,
-                0.0,
-                y,
-                self.active_out,
-            );
-        }
-        if let Some(b) = &self.bias {
-            ms_tensor::ops::add_bias_rows(y, b.value.data(), self.active_out, self.active_out);
-        }
+    /// not: it is overwritten), with `gemm`'s bits; the active block is the
+    /// top-left corner of the weight, read in place.
+    fn forward_rows(&self, x: &[f32], y: &mut [f32]) {
+        let (a_in, a_out, scale) = (self.active_in, self.active_out, self.rescale());
+        let (w, ld) = (self.weight.value.data(), self.cfg.in_dim);
+        let (rows, bias) = (x.len() / a_in, self.bias_prefix(a_out));
+        linear_in_place(rows, a_in, a_out, scale, x, a_in, w, ld, bias, y, a_out);
     }
 
     /// `y = scale · x · W_activeᵀ + b` over the whole batch `x`, leading
@@ -238,13 +224,9 @@ impl Linear {
         if row_mid < batch {
             let (x0, x1) = x.data().split_at(row_mid * self.active_in);
             let (y0, y1) = y.data_mut().split_at_mut(row_mid * self.active_out);
-            par::join(
-                || self.forward_rows(false, x0, y0),
-                || self.forward_rows(false, x1, y1),
-            );
+            par::join(|| self.forward_rows(x0, y0), || self.forward_rows(x1, y1));
         } else {
-            let on_panels = mode == Mode::Infer && self.packed.is_valid();
-            self.forward_rows(on_panels, x.data(), y.data_mut());
+            self.forward_rows(x.data(), y.data_mut());
         }
         // Preserve leading dims, replacing the trailing one.
         if dims.len() > 2 {
@@ -274,54 +256,23 @@ impl Linear {
                 self.prefix.resume(batch, out_dim, done, &self.name);
             }
         }
+        let (w, x_t) = (self.weight.value.data(), self.x_t(x));
         for h in (g_from + 1)..=g_to {
             let c0 = group_boundary(out_dim, go, h - 1);
             let c1 = group_boundary(out_dim, go, h);
             let k_h = prefix_input_width(in_dim, self.cfg.in_groups, out_dim, go, h);
-            let alpha = if self.cfg.input_rescale && k_h < in_dim {
-                in_dim as f32 / k_h as f32
-            } else {
-                1.0
-            };
-            gemm_packed_b(
-                batch,
-                0,
-                k_h,
-                c0,
-                c1,
-                alpha,
-                x.data(),
-                self.active_in,
-                &self.packed,
-                0.0,
-                &mut self.prefix.buf[c0..],
-                out_dim,
-            );
-            if let Some(b) = &self.bias {
-                let bias = &b.value.data()[c0..c1];
-                for row in self.prefix.buf[c0..].chunks_mut(out_dim).take(batch) {
-                    for (v, &bv) in row[..c1 - c0].iter_mut().zip(bias) {
-                        *v += bv;
-                    }
-                }
-            }
+            let (alpha, c) = (self.rescale_at(k_h), &mut self.prefix.buf[c0 * batch..]);
+            gemm_in_place_a(c0..c1, 0..k_h, batch, alpha, w, in_dim, x_t, 0.0, c, batch);
         }
         self.prefix.done = group_boundary(out_dim, go, g_to);
-        let mut y = Tensor::pooled_zeros([batch, self.active_out]);
-        for (dst, src) in y
-            .data_mut()
-            .chunks_mut(self.active_out)
-            .zip(self.prefix.buf.chunks(out_dim))
-        {
-            dst.copy_from_slice(&src[..self.active_out]);
-        }
-        y
+        self.read_out(self.active_out, 1.0)
     }
 
     /// Prefix pass for classifier-shaped layers (grouped input, full-width
     /// output): the cache holds the **unscaled** running sum over input
-    /// groups; the readout `y = scale · S + b` is recomputed per call at the
-    /// current rate's rescale.
+    /// groups, each group's `k` range added in a call of its own; the
+    /// readout `y = scale · S + b` is recomputed per call at the current
+    /// rate's rescale.
     fn prefix_in_grouped(&mut self, x: &Tensor, from: Option<SliceRate>, gi: usize) -> Tensor {
         let (in_dim, out_dim) = (self.cfg.in_dim, self.cfg.out_dim);
         let batch = x.numel() / self.active_in;
@@ -336,47 +287,26 @@ impl Linear {
                 self.prefix.resume(batch, out_dim, done, &self.name);
             }
         }
+        let (w, x_t) = (self.weight.value.data(), self.x_t(x));
         for j in (j_from + 1)..=j_to {
             let k0 = group_boundary(in_dim, gi, j - 1);
             let k1 = group_boundary(in_dim, gi, j);
-            gemm_packed_b(
+            let c = &mut self.prefix.buf;
+            gemm_in_place_a(
+                0..out_dim,
+                k0..k1,
                 batch,
-                k0,
-                k1,
-                0,
-                out_dim,
                 1.0,
-                x.data(),
-                self.active_in,
-                &self.packed,
+                w,
+                in_dim,
+                x_t,
                 1.0,
-                &mut self.prefix.buf,
-                out_dim,
+                c,
+                batch,
             );
         }
         self.prefix.done = group_boundary(in_dim, gi, j_to);
-        let scale = self.rescale();
-        let mut y = Tensor::pooled_zeros([batch, out_dim]);
-        let bias = self.bias.as_ref().map(|b| b.value.data());
-        for (dst, src) in y
-            .data_mut()
-            .chunks_mut(out_dim)
-            .zip(self.prefix.buf.chunks(out_dim))
-        {
-            match bias {
-                Some(b) => {
-                    for ((d, &s), &bv) in dst.iter_mut().zip(src).zip(b) {
-                        *d = scale * s + bv;
-                    }
-                }
-                None => {
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d = scale * s;
-                    }
-                }
-            }
-        }
-        y
+        self.read_out(out_dim, self.rescale())
     }
 
     /// Prefix pass for a fully dense layer (no grouped side): one canonical
@@ -387,35 +317,25 @@ impl Linear {
         match from {
             None => {
                 self.prefix.begin(batch, out_dim);
-                gemm_packed_b(
+                let (w, c) = (self.weight.value.data(), &mut self.prefix.buf);
+                let x_t = Operand::Matrix(Trans::Yes, x.data(), in_dim);
+                gemm_in_place_a(
+                    0..out_dim,
+                    0..in_dim,
                     batch,
-                    0,
-                    in_dim,
-                    0,
-                    out_dim,
                     1.0,
-                    x.data(),
+                    w,
                     in_dim,
-                    &self.packed,
+                    x_t,
                     0.0,
-                    &mut self.prefix.buf,
-                    out_dim,
+                    c,
+                    batch,
                 );
-                if let Some(b) = &self.bias {
-                    ms_tensor::ops::add_bias_rows(
-                        &mut self.prefix.buf,
-                        b.value.data(),
-                        out_dim,
-                        out_dim,
-                    );
-                }
                 self.prefix.done = out_dim;
             }
             Some(_) => self.prefix.resume(batch, out_dim, out_dim, &self.name),
         }
-        let mut y = Tensor::pooled_zeros([batch, out_dim]);
-        y.data_mut().copy_from_slice(&self.prefix.buf);
-        y
+        self.read_out(out_dim, 1.0)
     }
 }
 
@@ -519,7 +439,6 @@ impl Layer for Linear {
             debug_assert!(f.get() <= to.get(), "refine must go upward: {f} → {to}");
         }
         self.set_slice_rate(to);
-        self.ensure_packed();
         let dims = x.dims();
         assert_eq!(
             dims.last().copied(),
@@ -542,23 +461,11 @@ impl Layer for Linear {
         }
     }
 
-    fn prepack(&mut self) -> bool {
-        self.ensure_packed()
-    }
-
-    fn release_panels(&mut self) {
-        self.packed = PackedB::new();
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
         if let Some(b) = &mut self.bias {
             f(b);
         }
-        // The visitor may have rewritten the weights (optimiser step, weight
-        // hydration): direct inference goes back to `gemm` until the next
-        // `prepack`; a prefix forward re-packs on entry.
-        self.packed.invalidate();
     }
 
     fn set_slice_rate(&mut self, r: SliceRate) {
@@ -808,10 +715,10 @@ mod tests {
         }
     }
 
-    /// Weight mutation through `visit_params` invalidates the panels; the
-    /// next prefix pass repacks and sees the new weights.
+    /// A weight write through `visit_params` is seen by the next prefix
+    /// pass, bit for bit what a layer built with those weights computes.
     #[test]
-    fn prefix_panels_track_weight_updates() {
+    fn prefix_passes_see_weight_updates() {
         let mut l = layer(8, 8, false);
         let x = Tensor::full([2, 8], 0.5);
         let before = l.forward_prefix(&x, None, SliceRate::FULL);
@@ -821,10 +728,7 @@ mod tests {
             }
         });
         let after = l.forward_prefix(&x, None, SliceRate::FULL);
-        assert!(
-            before.data() != after.data(),
-            "stale panels served old weights"
-        );
+        assert!(before.data() != after.data(), "old weights answered");
         let mut fresh = layer(8, 8, false);
         fresh.visit_params(&mut |p| {
             if p.name.ends_with("weight") {
@@ -832,44 +736,51 @@ mod tests {
             }
         });
         let want = fresh.forward_prefix(&x, None, SliceRate::FULL);
-        assert_bitwise(&want, &after, "repacked panels");
+        assert_bitwise(&want, &after, "rewritten weights");
     }
 
-    /// Direct inference rides the panels only while they are valid: a
-    /// `visit_params` write sends `forward(Infer)` back to `gemm` on the new
-    /// weights (stale panels must never answer) until the next `prepack`.
+    /// A weight write is seen bit for bit by the next forward, in every
+    /// mode, with nothing to pack: `Infer`, `Train` and a prefix pass after
+    /// a `visit_params` write equal a never-written layer built with the new
+    /// weights — at a product under `gemm`'s small-problem cutoff and at one
+    /// over it — and the layer has no panels to pack or release.
     #[test]
-    fn direct_inference_leaves_the_panels_on_a_weight_update() {
+    fn a_weight_write_is_seen_bit_for_bit_by_the_next_forward() {
         let rewrite = |l: &mut Linear| {
+            let mut rng = SeededRng::new(31);
             l.visit_params(&mut |p| {
                 if p.name.ends_with("weight") {
-                    p.value.fill(0.25);
+                    p.value
+                        .data_mut()
+                        .iter_mut()
+                        .for_each(|v| *v = rng.uniform(-1.0, 1.0));
                 }
             })
         };
-        let mut l = layer(8, 8, true);
-        let x = Tensor::full([2, 8], 0.5);
-        assert!(l.prepack(), "first prepack packs");
-        assert!(!l.prepack(), "second prepack is a no-op");
-        let before = l.forward(&x, Mode::Infer);
-        rewrite(&mut l);
-        assert!(!l.packed.is_valid(), "visit_params must invalidate");
-        let after = l.forward(&x, Mode::Infer);
-        assert!(before.data() != after.data(), "stale panels answered");
-        // Un-packed again: bit for bit what a never-packed layer computes.
-        let mut fresh = layer(8, 8, true);
-        rewrite(&mut fresh);
-        assert_bitwise(&fresh.forward(&x, Mode::Infer), &after, "gemm fallback");
-        // Re-packed: same values off the new panels.
-        assert!(l.prepack(), "prepack after a write re-packs");
-        let repacked = l.forward(&x, Mode::Infer);
-        for (a, b) in repacked.data().iter().zip(after.data()) {
-            assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "{a} vs {b}");
+        for (batch, dim) in [(2, 8), (9, 48)] {
+            let mut l = layer(dim, dim, true);
+            assert!(!l.prepack(), "a Linear has no panels to pack");
+            let x = Tensor::full([batch, dim], 0.5);
+            let mut fresh = layer(dim, dim, true);
+            rewrite(&mut fresh);
+            let before = l.forward(&x, Mode::Infer);
+            let _ = l.forward(&x, Mode::Train);
+            let _ = l.forward_prefix(&x, None, SliceRate::FULL);
+            rewrite(&mut l);
+            let after = l.forward(&x, Mode::Infer);
+            assert!(before.data() != after.data(), "old weights answered");
+            for mode in [Mode::Infer, Mode::Train] {
+                let what = format!("{batch}x{dim}x{dim} {mode:?}");
+                assert_bitwise(&fresh.forward(&x, mode), &l.forward(&x, mode), &what);
+            }
+            let (want, got) = (
+                fresh.forward_prefix(&x, None, SliceRate::FULL),
+                l.forward_prefix(&x, None, SliceRate::FULL),
+            );
+            assert_bitwise(&want, &got, &format!("{batch}x{dim}x{dim} prefix"));
+            l.release_panels();
+            assert_bitwise(&l.forward(&x, Mode::Infer), &after, "after release_panels");
         }
-        // Training never reads the panels, and releasing them is safe.
-        l.release_panels();
-        assert!(!l.packed.is_valid());
-        assert_bitwise(&l.forward(&x, Mode::Infer), &after, "released");
     }
 
     /// A refine against a cache from a different batch must panic loudly,

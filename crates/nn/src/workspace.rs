@@ -16,15 +16,17 @@ pub(crate) fn take_zeroed(field: &mut Vec<f32>, len: usize) -> Vec<f32> {
 /// Per-layer prefix-activation cache for the anytime forward
 /// (`Layer::forward_prefix`).
 ///
-/// Holds the layer's output at **full stride** (every row `out_dim` wide,
-/// prefix columns filled, the rest zero) plus a `done` watermark recording
-/// how many leading units are valid. A refine pass `resume`s the cache,
+/// Holds the layer's output, or the sum it is read out of, for every unit
+/// at full width — a conv's sample-major (every row `out_dim` wide), a dense
+/// layer's out-major (a row of the batch per unit) — prefix units filled,
+/// the rest zero, plus a `done` watermark recording how many leading units
+/// are valid. A refine pass `resume`s the cache,
 /// computes only the delta groups, and advances the watermark; a fresh pass
 /// `begin`s it. The buffer is grow-only, so steady-state refinement touches
 /// the allocator zero times.
 #[derive(Debug, Default)]
 pub struct PrefixCache {
-    /// Full-stride activation storage, `batch × stride`.
+    /// Full-width storage, `batch × stride` floats.
     pub buf: Vec<f32>,
     /// Leading units per row that hold valid prefix activations.
     pub done: usize,

@@ -15,7 +15,7 @@ use ms_nn::rnn::lstm::{Lstm, LstmConfig};
 use ms_nn::sequential::Sequential;
 use ms_nn::slice::{active_units, SliceRate};
 use ms_tensor::conv::{im2col, ConvGeom};
-use ms_tensor::matmul::{gemm_reference, Trans};
+use ms_tensor::matmul::{gemm, gemm_reference, Trans, SMALL_GEMM_CUTOFF};
 use ms_tensor::{par, SeededRng, Tensor};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -135,6 +135,96 @@ fn train_pass(layer: &mut dyn Layer, x: &Tensor, dy: &Tensor) -> (Tensor, Tensor
     let dx = layer.backward(dy);
     let grads = param_grads(layer).into_iter().map(|(_, g)| g).collect();
     (y, dx, grads)
+}
+
+/// A `Linear` of `cfg` and seed `seed` in three states: never packed, after
+/// `prepack()`, and built from another seed with `seed`'s weights then
+/// written into it through `visit_params`.
+fn linear_in_three_states(cfg: &LinearConfig, seed: u64) -> [Linear; 3] {
+    let plain = Linear::new("fc", cfg.clone(), &mut SeededRng::new(seed));
+    let mut packed = Linear::new("fc", cfg.clone(), &mut SeededRng::new(seed));
+    packed.prepack();
+    let mut written = Linear::new("fc", cfg.clone(), &mut SeededRng::new(seed ^ 0x5eed));
+    let mut values = param_values(&mut Linear::new(
+        "fc",
+        cfg.clone(),
+        &mut SeededRng::new(seed),
+    ));
+    values.reverse();
+    written.visit_params(&mut |p| {
+        p.value
+            .data_mut()
+            .copy_from_slice(&values.pop().expect("one value per parameter"))
+    });
+    [plain, packed, written]
+}
+
+/// What `gemm` and a bias add compute for `layer`'s forward of `x` at its
+/// current rate: `scale · x · W_activeᵀ + b`.
+fn linear_by_gemm(layer: &mut Linear, cfg: &LinearConfig, x: &Tensor) -> Vec<f32> {
+    let ((a_in, a_out), p) = (layer.active_dims(), param_values(layer));
+    let batch = x.numel() / a_in;
+    let scale = if cfg.input_rescale && a_in < cfg.in_dim {
+        cfg.in_dim as f32 / a_in as f32
+    } else {
+        1.0
+    };
+    let mut y = vec![f32::NAN; batch * a_out];
+    let (w, ld) = (&p[0], cfg.in_dim);
+    gemm(
+        Trans::No,
+        Trans::Yes,
+        batch,
+        a_out,
+        a_in,
+        scale,
+        x.data(),
+        a_in,
+        w,
+        ld,
+        0.0,
+        &mut y,
+        a_out,
+    );
+    if let Some(b) = p.get(1) {
+        ms_tensor::ops::add_bias_rows(&mut y, b, a_out, a_out);
+    }
+    y
+}
+
+/// Each of a `Linear`'s three states ([`linear_in_three_states`]) forwards
+/// `x` in `Infer` and in `Train` to the bits of [`linear_by_gemm`].
+fn check_linear_is_gemm(
+    cfg: &LinearConfig,
+    rate: SliceRate,
+    batch: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    for (state, mut layer) in ["never packed", "prepacked", "written"]
+        .into_iter()
+        .zip(linear_in_three_states(cfg, seed))
+    {
+        layer.set_slice_rate(rate);
+        let (a_in, a_out) = layer.active_dims();
+        let x = random_tensor(&mut SeededRng::new(seed ^ 0x9e37), vec![batch, a_in]);
+        let want = linear_by_gemm(&mut layer, cfg, &x);
+        for mode in [Mode::Infer, Mode::Train] {
+            let got = layer.forward(&x, mode);
+            prop_assert_eq!(got.dims(), &[batch, a_out][..]);
+            prop_assert_eq!(
+                bits(got.data()),
+                bits(&want),
+                "{} {:?}: {}x{}x{} at rate {}",
+                state,
+                mode,
+                batch,
+                a_in,
+                a_out,
+                rate
+            );
+        }
+    }
+    Ok(())
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -488,11 +578,13 @@ proptest! {
         }
     }
 
-    /// The packed direct path is the same function as the `gemm` path: a
-    /// prepacked `Linear`'s `forward(Infer)` agrees with an un-packed twin
-    /// within 1e-5 relative over awkward group geometry (dims not divisible
-    /// by the group count), every rate, rescaling on and off, and batches
-    /// from one row to several `A` blocks.
+    /// The direct forward is `gemm`, whatever was packed: a `Linear` never
+    /// packed, one after `prepack()` and one whose weights were written
+    /// through `visit_params` each compute, bit for bit, what `gemm` and a
+    /// bias add compute, in `Infer` and in `Train`, over awkward group
+    /// geometry (dims not divisible by the group count), every rate,
+    /// rescaling on and off, and batches from one row to several `A`
+    /// blocks.
     #[test]
     fn packed_direct_forward_matches_gemm_path(
         in_dim in 5usize..70,
@@ -513,23 +605,7 @@ proptest! {
             bias: true,
             input_rescale: rescale,
         };
-        let mut plain = Linear::new("fc", cfg.clone(), &mut SeededRng::new(seed));
-        let mut packed = Linear::new("fc", cfg, &mut SeededRng::new(seed));
-        prop_assert!(packed.prepack());
-        let rate = SliceRate::new(rate_idx as f32 / 16.0);
-        plain.set_slice_rate(rate);
-        packed.set_slice_rate(rate);
-        let (a_in, a_out) = plain.active_dims();
-        let x = random_tensor(&mut SeededRng::new(seed ^ 0x9e37), vec![batch, a_in]);
-        let want = plain.forward(&x, Mode::Infer);
-        let got = packed.forward(&x, Mode::Infer);
-        prop_assert_eq!(got.dims(), &[batch, a_out][..]);
-        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-            prop_assert!(
-                (g - w).abs() <= 1e-5 * w.abs().max(1.0),
-                "element {i}: packed {g} vs gemm {w} ({in_dim}x{out_dim} rate {rate} batch {batch})"
-            );
-        }
+        check_linear_is_gemm(&cfg, SliceRate::new(rate_idx as f32 / 16.0), batch, seed)?;
     }
 
     /// Weight-stationary conv inference (`conv_packed_a_stepped` on the
@@ -972,6 +1048,47 @@ proptest! {
         let res = check_layer(&mut lstm, &x, &mut rng, &CheckOpts::default());
         prop_assert!(res.is_ok(), "{:?}", res.err());
     }
+}
+
+/// The bits rule at the shapes where the two orientations of the product
+/// part ways: output widths that are not a multiple of 8, batches that are
+/// not a multiple of the tile or the transpose block (1, 7, 31, 33, 53),
+/// and products on both sides of `SMALL_GEMM_CUTOFF` — every state of
+/// [`linear_in_three_states`], both modes, `gemm`'s bits.
+#[test]
+fn linear_forward_is_gemm_in_every_state() {
+    let (mut small, mut large) = (0, 0);
+    for (in_dim, out_dim) in [(3, 13), (24, 5), (24, 37), (150, 13), (150, 70), (300, 37)] {
+        for grouped in [false, true] {
+            let cfg = LinearConfig {
+                in_dim,
+                out_dim,
+                in_groups: grouped.then_some(3),
+                out_groups: grouped.then_some(4),
+                bias: true,
+                input_rescale: true,
+            };
+            for batch in [1, 7, 31, 33, 53] {
+                for rate in [0.375, 1.0] {
+                    let rate = SliceRate::new(rate);
+                    check_linear_is_gemm(&cfg, rate, batch, (in_dim * out_dim + batch) as u64)
+                        .unwrap();
+                    let mut probe = Linear::new("fc", cfg.clone(), &mut SeededRng::new(0));
+                    probe.set_slice_rate(rate);
+                    let (a_in, a_out) = probe.active_dims();
+                    if batch * a_in * a_out > SMALL_GEMM_CUTOFF {
+                        large += 1;
+                    } else {
+                        small += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        small > 0 && large > 0,
+        "{small} products at or under the cutoff, {large} over"
+    );
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //! A counting global allocator verifies the claim directly: after a short
 //! warm-up (which populates the thread-local buffer pool and each layer's
 //! workspace, and packs the panels a `Conv2d` or `Lstm` packs on first use),
-//! Infer-mode forward passes through `Linear` (per-call-packing and
-//! prepacked-panel paths), `Conv2d` and `Lstm` perform **zero** heap
-//! allocations. The counter is
+//! Infer-mode forward passes through `Linear` (its weight read in place
+//! over `gemm`'s cutoff, `gemm`'s loops under it, before and after a weight
+//! write), `Conv2d` and `Lstm` perform **zero** heap allocations. The
+//! counter is
 //! thread-local so the test harness' own threads cannot pollute the
 //! measurement.
 
@@ -77,23 +78,27 @@ fn steady_state_infer_forward_allocates_nothing() {
         delta, 0,
         "Linear steady-state Infer forward allocated {delta}x"
     );
-    // Same layer on its packed panels — the path a serving engine runs.
-    // Packing allocates once; the warm passes grow the `A` pack buffer.
-    assert!(fc.prepack());
-    for _ in 0..3 {
-        fc.forward(&x, Mode::Infer).recycle();
+    // Same layer after a weight write, the way a serving engine holds it
+    // (it used to drop the panels): nothing to pack, nothing re-grown; and
+    // one row, under `gemm`'s cutoff, on `gemm`'s loops.
+    assert!(!fc.prepack(), "a Linear has no panels to pack");
+    fc.visit_params(&mut |p| p.value.data_mut()[0] += 1.0);
+    let x1 = Tensor::zeros([1, 64]);
+    for x in [&x, &x1] {
+        fc.forward(x, Mode::Infer).recycle();
     }
     pool::reset_stats();
     let delta = allocations(|| {
         for _ in 0..10 {
             fc.forward(&x, Mode::Infer).recycle();
+            fc.forward(&x1, Mode::Infer).recycle();
         }
     });
     assert_eq!(
         delta, 0,
-        "packed Linear steady-state Infer forward allocated {delta}x"
+        "Linear Infer forward after a weight write allocated {delta}x"
     );
-    assert_eq!(pool::stats().misses, 0, "pool misses on the packed path");
+    assert_eq!(pool::stats().misses, 0, "pool misses after a weight write");
 
     // --- Conv2d ------------------------------------------------------
     let mut conv = Conv2d::new(

@@ -489,7 +489,8 @@ pub struct Engine {
 
 impl Engine {
     /// Starts one worker thread per replica, after packing each replica's
-    /// weight panels ([`Layer::prepack`]). Replicas must be structurally
+    /// weight panels ([`Layer::prepack`]: its convs' and recurrent layers';
+    /// a `Linear` reads its weight in place). Replicas must be structurally
     /// identical and hydrated from the same weights for the determinism
     /// guarantee to hold (e.g. via [`ms_nn::shared::SharedWeights`]).
     pub fn start(
@@ -531,9 +532,10 @@ impl Engine {
     ) -> Engine {
         assert!(!replicas.is_empty(), "need at least one worker replica");
         assert!(cfg.latency > 0.0 && cfg.headroom > 0.0 && cfg.headroom <= 1.0);
-        // Weights are fixed from here on: pack them once so every batch
-        // multiplies straight off the panels (a no-op for replicas that
-        // arrive packed). The profile was calibrated on this path.
+        // Weights are fixed from here on: pack the panels of those layers
+        // that have them once, so every batch multiplies straight off them
+        // (a no-op for replicas that arrive packed, and for dense layers).
+        // The profile was calibrated on this path.
         for replica in &mut replicas {
             replica.prepack();
         }

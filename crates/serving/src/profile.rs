@@ -65,12 +65,14 @@ impl LatencyProfile {
     /// pool and layer workspaces, so the kept timings reflect the
     /// zero-allocation steady state the engine runs in.
     ///
-    /// The engine serves off packed weight panels ([`Layer::prepack`], which
-    /// `Engine::start` calls on every replica), so that is the path timed
-    /// here: `net` is packed for the duration. Panels this call had to pack
-    /// are released again before it returns — a prototype that is only
-    /// calibrated and then dropped or used for training should not keep a
-    /// second copy of its weights alive; a net that arrived packed stays so.
+    /// The engine serves its convs and recurrent layers off packed weight
+    /// panels ([`Layer::prepack`], which `Engine::start` calls on every
+    /// replica; a `Linear` has none, it reads its weight in place), so that
+    /// is the path timed here: `net` is packed for the duration. Panels this
+    /// call had to pack are released again before it returns — a prototype
+    /// that is only calibrated and then dropped or used for training should
+    /// not keep a second copy of its weights alive; a net that arrived
+    /// packed stays so.
     pub fn calibrate(
         net: &mut dyn Layer,
         list: SliceRateList,
@@ -199,27 +201,35 @@ mod tests {
 
     #[test]
     fn calibration_produces_a_usable_profile() {
+        use ms_nn::conv2d::{Conv2d, Conv2dConfig};
         use ms_nn::linear::{Linear, LinearConfig};
+        use ms_nn::pool::GlobalAvgPool;
         use ms_nn::sequential::Sequential;
         use ms_tensor::SeededRng;
         let mut rng = SeededRng::new(7);
+        // A conv holds panels; the `Linear` reads its weight in place.
         let mut net = Sequential::new("net")
-            .push(Linear::new(
-                "fc1",
-                LinearConfig {
-                    in_dim: 32,
-                    out_dim: 64,
+            .push(Conv2d::new(
+                "conv",
+                Conv2dConfig {
+                    in_ch: 2,
+                    out_ch: 16,
+                    kernel: 3,
+                    stride: 1,
+                    pad: 1,
+                    h: 4,
+                    w: 4,
                     in_groups: None,
                     out_groups: Some(4),
                     bias: true,
-                    input_rescale: true,
                 },
                 &mut rng,
             ))
+            .push(GlobalAvgPool::new())
             .push(Linear::new(
-                "fc2",
+                "fc",
                 LinearConfig {
-                    in_dim: 64,
+                    in_dim: 16,
                     out_dim: 8,
                     in_groups: Some(4),
                     out_groups: None,
@@ -228,7 +238,7 @@ mod tests {
                 },
                 &mut rng,
             ));
-        let p = LatencyProfile::calibrate(&mut net, list(), &[32], 16, 3);
+        let p = LatencyProfile::calibrate(&mut net, list(), &[2, 4, 4], 16, 3);
         // Times are positive, monotone, and the base subnet is no slower
         // than the full one (exact ratios are machine-dependent).
         assert!(p.per_sample(SliceRate::new(0.25)) > 0.0);
@@ -237,7 +247,7 @@ mod tests {
         // The net arrived un-packed, so the panels calibration packed are
         // gone again; a net that arrives packed keeps them.
         assert!(net.prepack(), "calibration left its panels alive");
-        let _ = LatencyProfile::calibrate(&mut net, list(), &[32], 16, 1);
+        let _ = LatencyProfile::calibrate(&mut net, list(), &[2, 4, 4], 16, 1);
         assert!(
             !net.prepack(),
             "calibration released panels it did not pack"

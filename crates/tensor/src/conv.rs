@@ -386,7 +386,15 @@ impl Im2col<'_> {
                     if len == TB {
                         for l0 in (0..lanes).step_by(TB) {
                             let src = tile[l0..].as_flattened();
-                            store_transposed(src, TB, TB.min(lanes - l0), &mut block[l0..], L);
+                            store_transposed(
+                                src,
+                                TB,
+                                TB.min(lanes - l0),
+                                TB,
+                                &mut block[l0..],
+                                L,
+                                None,
+                            );
                         }
                     } else {
                         for (i, dst) in block.chunks_exact_mut(L).enumerate() {

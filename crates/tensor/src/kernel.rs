@@ -27,11 +27,18 @@
 //!   tests only, as the oracle the intrinsics are compared against bit for
 //!   bit.
 //!
+//! The `A` strip need not be packed: [`AStrip::Rows`] reads the tile's rows
+//! of a row-major matrix where they lie, through its row stride — a dense
+//! layer's weight, multiplied as the left operand without a copy. Step `p`
+//! of row `i` is the element the packer would have stored at `p·MR + i`, so
+//! the FMA chain, and every bit, is the packed strip's.
+//!
 //! The packers need the vector unit once more: a strip whose lanes are rows
 //! of a matrix stored the other way round (a weight gradient's `dY` and
-//! `colsᵀ`) is a transpose, and [`store_transposed`] does `TB × TB` of it at
-//! a time — sixteen loads, 64 shuffles and sixteen stores with AVX-512F, a
-//! plain loop elsewhere. It moves bits and computes nothing.
+//! `colsᵀ`) is a transpose, and [`store_transposed`] does up to `TB × TB` of
+//! it at a time — sixteen masked loads, 64 shuffles and sixteen masked
+//! stores with AVX-512F, a plain loop elsewhere. It moves bits and computes
+//! nothing; a dense layer's out-major product reaches its output through it.
 //!
 //! A stride-1 convolution needs no packed `B` strip at all: [`direct_tile`]
 //! is the same tile with each `LG`-lane group of the strip loaded straight
@@ -45,15 +52,52 @@ use std::ops::Range;
 /// Side of the square block [`store_transposed`] transposes.
 pub(crate) const TB: usize = 16;
 
-/// Stores the `TB × TB` block whose row `l` is `src[l·lds..][..TB]`
-/// transposed: element `i` of row `l` to `dst[i·ld + l]`, for the first
-/// `lanes ≤ TB` rows; nothing else of `dst` is touched.
+/// Stores the block whose row `l` is `src[l·lds..][..width]` transposed:
+/// element `i` of row `l` to `dst[i·ld + l]`, for the first `lanes ≤ TB`
+/// rows and `width ≤ TB` elements, through `post` if there is one; nothing
+/// else of `src` is read and nothing else of `dst` touched.
 #[inline(always)]
-pub(crate) fn store_transposed(src: &[f32], lds: usize, lanes: usize, dst: &mut [f32], ld: usize) {
+pub(crate) fn store_transposed(
+    src: &[f32],
+    lds: usize,
+    lanes: usize,
+    width: usize,
+    dst: &mut [f32],
+    ld: usize,
+    post: Option<Affine>,
+) {
     #[cfg(target_feature = "avx512f")]
-    avx512::store_transposed(src, lds, lanes, dst, ld);
+    avx512::store_transposed(src, lds, lanes, width, dst, ld, post);
     #[cfg(not(target_feature = "avx512f"))]
-    generic::store_transposed(src, lds, lanes, dst, ld);
+    generic::store_transposed(src, lds, lanes, width, dst, ld, post);
+}
+
+/// What [`store_transposed`] makes of row `l`'s element on its way out:
+/// `scale · v + add[l]`, the product and the sum each rounded, the product
+/// left out at `scale = 1` and the sum where `add` is `None`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Affine<'a> {
+    pub(crate) scale: f32,
+    pub(crate) add: Option<&'a [f32]>,
+}
+
+/// The `MR` rows of `op(A)` one tile multiplies, over its `kc` steps.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum AStrip<'p> {
+    /// Packed: step `p` of row `i` at `[p·MR + i]`, `kc`-major, the padding
+    /// rows of an edge strip zero.
+    Packed(&'p [f32]),
+    /// Read where they lie, through the row stride `ld`: step `p` of the
+    /// window's row `i` at `[(i − rows.start)·ld + p]`. A tile row outside
+    /// the window reads the window row nearest to it, so no row past the
+    /// ones that exist is read; it is computed and never written.
+    Rows(&'p [f32], usize),
+}
+
+/// Where [`AStrip::Rows`] finds tile row `i` of the window `rows`.
+#[inline(always)]
+fn row_at(i: usize, rows: &Range<usize>, ld: usize) -> usize {
+    (i.clamp(rows.start, rows.end - 1) - rows.start) * ld
 }
 
 /// Tile rows. With AVX-512F, 16 of the 32 `zmm` registers hold the
@@ -78,7 +122,7 @@ pub const MR: usize = 6;
 #[cfg(not(target_feature = "avx512f"))]
 pub const NR: usize = 16;
 
-/// Multiplies the packed strips `ap` (`kc × MR`) and `bp` (`kc × NR`) and
+/// Multiplies the strips `a` (`kc × MR`) and `bp` (packed, `kc × NR`) and
 /// writes rows `rows` and columns `cols` of the tile to
 /// `c[c_off + (i - rows.start) * ldc + (j - cols.start)]`: added to what `C`
 /// holds as `fma(alpha, acc, C)`, or with `store` written over it — NaN
@@ -90,7 +134,7 @@ pub const NR: usize = 16;
 pub(crate) fn micro_kernel(
     kc: usize,
     alpha: f32,
-    ap: &[f32],
+    a: AStrip,
     bp: &[f32],
     c: &mut [f32],
     c_off: usize,
@@ -100,9 +144,9 @@ pub(crate) fn micro_kernel(
     store: bool,
 ) {
     #[cfg(target_feature = "avx512f")]
-    avx512::tile(kc, alpha, ap, bp, c, c_off, ldc, rows, cols, store);
+    avx512::tile(kc, alpha, a, bp, c, c_off, ldc, rows, cols, store);
     #[cfg(not(target_feature = "avx512f"))]
-    generic::tile(kc, alpha, ap, bp, c, c_off, ldc, rows, cols, store);
+    generic::tile(kc, alpha, a, bp, c, c_off, ldc, rows, cols, store);
 }
 
 /// Lanes of a *lane group* of [`direct_tile`]: `LG` consecutive output
@@ -227,7 +271,7 @@ pub(crate) fn direct_tile(
 
 #[cfg(any(test, not(target_feature = "avx512f")))]
 mod generic {
-    use super::{LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB};
+    use super::{row_at, AStrip, Affine, LaneGroup, TapMasks, GROUPS, LG, MR, NR};
     use crate::matmul::fmadd;
     use std::ops::Range;
 
@@ -236,12 +280,23 @@ mod generic {
         src: &[f32],
         lds: usize,
         lanes: usize,
+        width: usize,
         dst: &mut [f32],
         ld: usize,
+        post: Option<Affine>,
     ) {
-        for (i, out) in dst.chunks_mut(ld).take(TB).enumerate() {
+        for (i, out) in dst.chunks_mut(ld).take(width).enumerate() {
             for (l, d) in out[..lanes].iter_mut().enumerate() {
-                *d = src[l * lds + i];
+                let mut v = src[l * lds + i];
+                if let Some(Affine { scale, add }) = post {
+                    if scale != 1.0 {
+                        v *= scale;
+                    }
+                    if let Some(add) = add {
+                        v += add[l];
+                    }
+                }
+                *d = v;
             }
         }
     }
@@ -273,6 +328,18 @@ mod generic {
         let mut acc = [[0.0f32; NR]; MR];
         for (a_col, b_row) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
             fma_step(&mut acc, a_col, b_row.try_into().expect("NR-wide chunk"));
+        }
+        Tile(acc)
+    }
+
+    /// The accumulator loop over rows read in place ([`AStrip::Rows`]).
+    #[inline(always)]
+    fn accumulate_rows(kc: usize, a: &[f32], ld: usize, rows: &Range<usize>, bp: &[f32]) -> Tile {
+        let at: [usize; MR] = std::array::from_fn(|i| row_at(i, rows, ld));
+        let mut acc = [[0.0f32; NR]; MR];
+        for (p, b_row) in bp.chunks_exact(NR).take(kc).enumerate() {
+            let a_col: [f32; MR] = std::array::from_fn(|i| a[at[i] + p]);
+            fma_step(&mut acc, &a_col, b_row.try_into().expect("NR-wide chunk"));
         }
         Tile(acc)
     }
@@ -344,7 +411,7 @@ mod generic {
     pub(super) fn tile(
         kc: usize,
         alpha: f32,
-        ap: &[f32],
+        a: AStrip,
         bp: &[f32],
         c: &mut [f32],
         c_off: usize,
@@ -353,7 +420,13 @@ mod generic {
         cols: Range<usize>,
         store: bool,
     ) {
-        let Tile(acc) = accumulate(kc, ap, bp);
+        if rows.is_empty() || cols.is_empty() {
+            return;
+        }
+        let Tile(acc) = match a {
+            AStrip::Packed(ap) => accumulate(kc, ap, bp),
+            AStrip::Rows(a, ld) => accumulate_rows(kc, a, ld, &rows, bp),
+        };
         if rows == (0..MR) && cols == (0..NR) {
             // Full tile: constant-bound write-back.
             for (i, acc_row) in acc.iter().enumerate() {
@@ -373,11 +446,11 @@ mod generic {
 
 #[cfg(target_feature = "avx512f")]
 mod avx512 {
-    use super::{LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB};
+    use super::{row_at, AStrip, Affine, LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB};
     use std::arch::x86_64::{
-        __m512, __mmask16, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
-        _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4,
-        _mm512_shuffle_ps, _mm512_unpackhi_ps, _mm512_unpacklo_ps,
+        __m512, __mmask16, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_shuffle_f32x4, _mm512_shuffle_ps, _mm512_unpackhi_ps, _mm512_unpacklo_ps,
     };
     use std::ops::Range;
 
@@ -393,59 +466,76 @@ mod avx512 {
         src: &[f32],
         lds: usize,
         lanes: usize,
+        width: usize,
         dst: &mut [f32],
         ld: usize,
+        post: Option<Affine>,
     ) {
-        if lanes == 0 {
+        if lanes == 0 || width == 0 {
             return;
         }
-        // One past the last element read (element `TB - 1` of row `TB - 1`)
-        // and written (lane `lanes - 1` of row `TB - 1`).
-        let past = |stride: usize, width: usize| {
-            (TB - 1)
+        let add = post.and_then(|p| p.add);
+        // One past the last element of `rows` rows of `len` at `stride`.
+        let past = |rows: usize, stride: usize, len: usize| {
+            (rows - 1)
                 .checked_mul(stride)
-                .and_then(|v| v.checked_add(width))
+                .and_then(|v| v.checked_add(len))
         };
         assert!(
             lanes <= TB
-                && past(lds, TB).is_some_and(|end| end <= src.len())
-                && past(ld, lanes).is_some_and(|end| end <= dst.len()),
-            "{TB} rows at stride {lds} ({}) into {lanes} lanes at stride {ld} ({})",
+                && width <= TB
+                && past(lanes, lds, width).is_some_and(|end| end <= src.len())
+                && past(width, ld, lanes).is_some_and(|end| end <= dst.len())
+                && add.is_none_or(|add| add.len() >= lanes),
+            "{lanes} rows of {width} at stride {lds} ({}) into {lanes} lanes at stride {ld} ({})",
             src.len(),
             dst.len()
         );
+        let scale = post.map_or(1.0, |p| p.scale);
+        let add = add.map(|add| add.as_ptr());
         // SAFETY: the cfg on this module says the target has AVX-512F, and
-        // the assert puts rows `0..TB` at stride `lds` inside `src` and
-        // lanes `0..lanes` of rows `0..TB` at stride `ld` inside `dst`,
-        // which is borrowed mutably for the call.
+        // the assert puts elements `0..width` of rows `0..lanes` at stride
+        // `lds` inside `src`, lanes `0..lanes` of rows `0..width` at stride
+        // `ld` inside `dst`, which is borrowed mutably for the call, and
+        // `lanes` floats behind `add`.
         unsafe {
-            let mask = lane_mask(&(0..lanes), 0);
-            transpose_unchecked(src.as_ptr(), lds, mask, dst.as_mut_ptr(), ld)
+            let (src, dst) = (src.as_ptr(), dst.as_mut_ptr());
+            transpose_unchecked(src, lds, lanes, width, dst, ld, scale, add)
         }
     }
 
     /// The 16×16 transpose in four rounds of shuffles: row pairs
     /// interleaved, then 2×2 blocks of pairs, then the 128-bit quarters
-    /// twice over — after which vector `i` holds column `i`.
+    /// twice over — after which vector `i` holds column `i`, scaled unless
+    /// `scale` is 1 and plus `add` unless it is null. Rows past `lanes` and
+    /// elements past `width` are masked off: never read, never written.
     ///
     /// # Safety
-    /// The target has AVX-512F; `src + l·lds` points at `TB` readable
-    /// floats for every `l < TB`; and `dst + i·ld + l` is a float this call
-    /// may write for every `i < TB` and every lane `l` that `mask` sets. No
-    /// other address is accessed.
+    /// The target has AVX-512F; `src + l·lds` points at `width` readable
+    /// floats for every `l < lanes`; `dst + i·ld` at `lanes` floats this
+    /// call may write for every `i < width`; `add`, unless null, at `lanes`
+    /// readable floats; `lanes, width ≤ TB`. A masked access touches only
+    /// the lanes of its mask; no other address is accessed.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn transpose_unchecked(
         src: *const f32,
         lds: usize,
-        mask: __mmask16,
+        lanes: usize,
+        width: usize,
         dst: *mut f32,
         ld: usize,
+        scale: f32,
+        add: Option<*const f32>,
     ) {
+        let (read, mask) = (lane_mask(&(0..width), 0), lane_mask(&(0..lanes), 0));
         let mut r = [_mm512_setzero_ps(); TB];
         for (l, v) in r.iter_mut().enumerate() {
-            // SAFETY: row `l`, which the caller vouches for.
-            *v = unsafe { _mm512_loadu_ps(src.add(l * lds)) };
+            let read = if l < lanes { read } else { 0 };
+            // SAFETY: the elements `read` sets of row `l`, which the caller
+            // vouches for; none past row `lanes`.
+            *v = unsafe { _mm512_maskz_loadu_ps(read, src.wrapping_add(l * lds)) };
         }
         let mut t = [_mm512_setzero_ps(); TB];
         for k in (0..TB).step_by(2) {
@@ -469,9 +559,19 @@ mod avx512 {
             r[j] = _mm512_shuffle_f32x4::<0x88>(t[j], t[TB / 2 + j]);
             r[TB / 2 + j] = _mm512_shuffle_f32x4::<0xDD>(t[j], t[TB / 2 + j]);
         }
-        for (i, column) in r.iter().enumerate() {
-            // SAFETY: the lanes `mask` sets of row `i`, which the caller
+        if scale != 1.0 {
+            r = r.map(|column| _mm512_mul_ps(column, _mm512_set1_ps(scale)));
+        }
+        if let Some(add) = add {
+            // SAFETY: the `lanes` floats behind `add`, which the caller
             // vouches for.
+            let add = unsafe { _mm512_maskz_loadu_ps(mask, add) };
+            r = r.map(|column| _mm512_add_ps(column, add));
+        }
+        for (i, column) in r.iter().enumerate() {
+            let mask = if i < width { mask } else { 0 };
+            // SAFETY: the lanes `mask` sets of row `i`, which the caller
+            // vouches for; none past row `width`.
             unsafe { _mm512_mask_storeu_ps(dst.wrapping_add(i * ld), mask, *column) };
         }
     }
@@ -481,7 +581,7 @@ mod avx512 {
     pub(super) fn tile(
         kc: usize,
         alpha: f32,
-        ap: &[f32],
+        a: AStrip,
         bp: &[f32],
         c: &mut [f32],
         c_off: usize,
@@ -493,10 +593,19 @@ mod avx512 {
         if rows.is_empty() || cols.is_empty() {
             return;
         }
+        // The `A` strip holds `kc` steps of every row the window reads.
+        let (a_ok, a_len) = match a {
+            AStrip::Packed(ap) => (ap.len() / MR >= kc, ap.len()),
+            AStrip::Rows(a, ld) => {
+                let end = (rows.len() - 1)
+                    .checked_mul(ld)
+                    .and_then(|v| v.checked_add(kc));
+                (end.is_some_and(|end| end <= a.len()), a.len())
+            }
+        };
         assert!(
-            rows.end <= MR && cols.end <= NR && ap.len() / MR >= kc && bp.len() / NR >= kc,
-            "window {rows:?} x {cols:?} of a {MR}x{NR} tile, strips {}/{} for kc {kc}",
-            ap.len(),
+            rows.end <= MR && cols.end <= NR && a_ok && bp.len() / NR >= kc,
+            "window {rows:?} x {cols:?} of a {MR}x{NR} tile, strips {a_len}/{} for kc {kc}",
             bp.len()
         );
         // One past the last element of the window, which is its last row's
@@ -514,23 +623,70 @@ mod avx512 {
         // first element written, so possibly before `c` itself — computed
         // with wrapping arithmetic and only ever accessed under the mask.
         let origin = c.as_mut_ptr().wrapping_add(c_off).wrapping_sub(cols.start);
+        let b = bp.as_ptr();
         // SAFETY: the cfg on this module says the target has AVX-512F. The
-        // asserts above give `kc * MR` readable floats behind `ap` and
-        // `kc * NR` behind `bp`, a window inside the `MR×NR` tile, and every
-        // element `origin + (i - rows.start) * ldc + j` for `i` in `rows`,
-        // `j` in `cols` inside `c`, which is borrowed mutably for the call.
+        // asserts above give `kc` readable steps of every row the `A` strip
+        // reads — `kc * MR` floats behind a packed one; `kc` floats from
+        // each of the window's rows, which are all a strip read in place
+        // addresses (`row_at`) — `kc * NR` floats behind `bp`, a window
+        // inside the `MR×NR` tile, and every element `origin + (i -
+        // rows.start) * ldc + j` for `i` in `rows`, `j` in `cols` inside
+        // `c`, which is borrowed mutably for the call.
         unsafe {
-            tile_unchecked(
-                kc,
-                alpha,
-                ap.as_ptr(),
-                bp.as_ptr(),
-                origin,
-                ldc,
-                rows,
-                cols,
-                store,
-            )
+            match a {
+                AStrip::Packed(ap) => {
+                    let a = Packed(ap.as_ptr());
+                    tile_unchecked(kc, alpha, a, b, origin, ldc, rows, cols, store)
+                }
+                AStrip::Rows(a, ld) => {
+                    let at = std::array::from_fn(|i| a.as_ptr().wrapping_add(row_at(i, &rows, ld)));
+                    tile_unchecked(kc, alpha, InPlace(at, 0), b, origin, ldc, rows, cols, store)
+                }
+            }
+        }
+    }
+
+    /// How [`tile_unchecked`] walks its `A` strip: one `k` step's `MR`
+    /// broadcasts into the accumulator, then on to the next step.
+    trait AWalk {
+        /// # Safety
+        /// The target has AVX-512F and the current step's `MR` elements are
+        /// readable.
+        unsafe fn step(&mut self, acc: &mut [[__m512; NV]; MR], b_row: &[__m512; NV]);
+    }
+
+    /// A packed strip: the step's `MR` elements side by side.
+    struct Packed(*const f32);
+
+    impl AWalk for Packed {
+        #[inline(always)]
+        unsafe fn step(&mut self, acc: &mut [[__m512; NV]; MR], b_row: &[__m512; NV]) {
+            // SAFETY: the step's `MR` floats, which the caller vouches for;
+            // the next step is at most one past the end of the strip.
+            unsafe {
+                fma_step(acc, self.0, b_row);
+                self.0 = self.0.add(MR);
+            }
+        }
+    }
+
+    /// Rows read in place: tile row `i` from its own first element, all of
+    /// them at the current step `p`.
+    struct InPlace([*const f32; MR], usize);
+
+    impl AWalk for InPlace {
+        #[inline(always)]
+        unsafe fn step(&mut self, acc: &mut [[__m512; NV]; MR], b_row: &[__m512; NV]) {
+            let p = self.1;
+            for (acc_row, row) in acc.iter_mut().zip(&self.0) {
+                // SAFETY: row `i`'s element of the step, which the caller
+                // vouches for.
+                let a_ip = _mm512_set1_ps(unsafe { *row.add(p) });
+                for (lane, bv) in acc_row.iter_mut().zip(b_row) {
+                    *lane = _mm512_fmadd_ps(a_ip, *bv, *lane);
+                }
+            }
+            self.1 = p + 1;
         }
     }
 
@@ -542,18 +698,18 @@ mod avx512 {
     }
 
     /// # Safety
-    /// The target has AVX-512F; `a` and `b` point at `kc * MR` and `kc * NR`
-    /// readable floats; `rows` and `cols` are non-empty windows of `0..MR`
-    /// and `0..NR`; and for every `i` in `rows` and `j` in `cols`,
-    /// `origin + (i - rows.start) * ldc + j` is a float this call may read
-    /// and write. No other address is accessed.
+    /// The target has AVX-512F; `a` walks `kc` readable steps and `b` points
+    /// at `kc * NR` readable floats; `rows` and `cols` are non-empty windows
+    /// of `0..MR` and `0..NR`; and for every `i` in `rows` and `j` in
+    /// `cols`, `origin + (i - rows.start) * ldc + j` is a float this call
+    /// may read and write. No other address is accessed.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn tile_unchecked(
         kc: usize,
         alpha: f32,
-        mut a: *const f32,
+        mut a: impl AWalk,
         mut b: *const f32,
         origin: *mut f32,
         ldc: usize,
@@ -568,10 +724,10 @@ mod avx512 {
                 // SAFETY: inside the `kc * NR` floats behind `b`.
                 *bv = unsafe { _mm512_loadu_ps(b.add(16 * v)) };
             }
-            // SAFETY: inside the `kc * MR` floats behind `a`.
-            unsafe { fma_step(&mut acc, a, &b_row) };
-            // SAFETY: at most one past the end of either strip.
-            (a, b) = unsafe { (a.add(MR), b.add(NR)) };
+            // SAFETY: one of the `kc` steps `a` walks.
+            unsafe { a.step(&mut acc, &b_row) };
+            // SAFETY: at most one past the end of the strip.
+            b = unsafe { b.add(NR) };
         }
         let masks: [__mmask16; NV] = std::array::from_fn(|v| lane_mask(&cols, v));
         // Every row by its constant index, so the accumulators stay in
@@ -771,7 +927,7 @@ mod avx512 {
 
 #[cfg(all(test, target_feature = "avx512f"))]
 mod tests {
-    use super::{avx512, generic, LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB};
+    use super::{avx512, generic, AStrip, Affine, LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB};
     use crate::conv::ConvGeom;
     use crate::matmul::KC;
     use crate::rng::SeededRng;
@@ -787,8 +943,12 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs both bodies on one window and checks that they leave the same
-    /// bits everywhere and the poison everywhere outside the window.
+    /// Runs both bodies on one window, the `A` strip packed and read in
+    /// place from rows that hold the same values, and checks that all four
+    /// leave the generic packed body's bits everywhere and the poison
+    /// everywhere outside the window. The rows read in place are exactly the
+    /// window's: a read past them panics in the generic body and fails the
+    /// assert before the intrinsics.
     fn check_window(
         rng: &mut SeededRng,
         kc: usize,
@@ -813,26 +973,49 @@ mod tests {
                 };
             }
         }
-        let (mut want, mut got) = (start.clone(), start);
+        // The window's rows of `ap`, row-major at a stride past `kc`.
+        let ld = kc + 3;
+        let mut in_rows = vec![f32::NAN; (rows.len() - 1) * ld + kc];
+        for (i, row) in rows.clone().zip(in_rows.chunks_mut(ld)) {
+            for (p, v) in row[..kc].iter_mut().enumerate() {
+                *v = ap[p * MR + i];
+            }
+        }
+        let mut want = start.clone();
         let (r, c) = (rows.clone(), cols.clone());
-        generic::tile(kc, alpha, &ap, &bp, &mut want, C_OFF, LDC, r, c, store);
-        let (r, c) = (rows.clone(), cols.clone());
-        avx512::tile(kc, alpha, &ap, &bp, &mut got, C_OFF, LDC, r, c, store);
-        let case = || format!("kc {kc} rows {rows:?} cols {cols:?} alpha {alpha} store {store}");
-        assert_eq!(bits(&got), bits(&want), "{}", case());
-        for (at, v) in got.iter().enumerate() {
-            assert_eq!(
-                v.to_bits() == POISON,
-                !inside(at),
-                "{}: element {at}",
-                case()
-            );
+        let packed = AStrip::Packed(&ap);
+        generic::tile(kc, alpha, packed, &bp, &mut want, C_OFF, LDC, r, c, store);
+        let in_place = AStrip::Rows(&in_rows, ld);
+        for (zmm, a, what) in [
+            (true, packed, "zmm packed"),
+            (true, in_place, "zmm in place"),
+            (false, in_place, "generic in place"),
+        ] {
+            let (mut got, r, c) = (start.clone(), rows.clone(), cols.clone());
+            if zmm {
+                avx512::tile(kc, alpha, a, &bp, &mut got, C_OFF, LDC, r, c, store);
+            } else {
+                generic::tile(kc, alpha, a, &bp, &mut got, C_OFF, LDC, r, c, store);
+            }
+            let case = || {
+                format!("{what}: kc {kc} rows {rows:?} cols {cols:?} alpha {alpha} store {store}")
+            };
+            assert_eq!(bits(&got), bits(&want), "{}", case());
+            for (at, v) in got.iter().enumerate() {
+                assert_eq!(
+                    v.to_bits() == POISON,
+                    !inside(at),
+                    "{}: element {at}",
+                    case()
+                );
+            }
         }
     }
 
-    /// The intrinsics body is the generic body bit for bit: every window of
-    /// the tile, storing and accumulating, `alpha` one and not, at short `kc`;
-    /// then random windows at `kc` up to a whole `KC` block.
+    /// The intrinsics body is the generic body bit for bit, and a strip read
+    /// in place is the packed strip: every window of the tile, storing and
+    /// accumulating, `alpha` one and not, at short `kc`; then random windows
+    /// at `kc` up to a whole `KC` block.
     #[test]
     fn the_zmm_body_is_bitwise_the_generic_body_on_every_window() {
         let mut rng = SeededRng::new(53);
@@ -995,32 +1178,60 @@ mod tests {
     fn a_window_past_the_end_of_c_panics() {
         let (ap, bp) = (vec![0.0f32; MR], vec![0.0f32; NR]);
         let mut c = vec![0.0f32; 2 * LDC];
-        avx512::tile(1, 1.0, &ap, &bp, &mut c, 0, LDC, 0..3, 0..NR, true);
+        let a = AStrip::Packed(&ap);
+        avx512::tile(1, 1.0, a, &bp, &mut c, 0, LDC, 0..3, 0..NR, true);
+    }
+
+    /// Rows read in place that end before the window's last step are
+    /// refused before any pointer is formed.
+    #[test]
+    #[should_panic(expected = "strips")]
+    fn rows_short_of_the_window_panic() {
+        let (a, bp) = (vec![0.0f32; 2 * 5 + 3], vec![0.0f32; 4 * NR]);
+        let mut c = vec![0.0f32; MR * LDC];
+        // Three rows at stride 5 need 2·5 + 4 floats for four steps.
+        let a = AStrip::Rows(&a, 5);
+        avx512::tile(4, 1.0, a, &bp, &mut c, 0, LDC, 2..5, 0..NR, true);
     }
 
     /// The shuffle transpose moves the bits the generic loop moves — NaN
-    /// payloads and signed zeros included — for every lane count and a
-    /// few source and destination strides, and writes nothing else.
+    /// payloads and signed zeros included — for every lane count and
+    /// width, no lanes and no width among them, and a few source and
+    /// destination strides, reads only the `lanes × width` block (the source
+    /// ends with it) and writes nothing else; and scaled and biased on the
+    /// way out, it computes what the generic loop computes.
     #[test]
     fn the_zmm_transpose_is_bitwise_the_generic_loop() {
         let mut rng = SeededRng::new(54);
-        for lanes in 0..=TB {
-            for (lds, ld) in [(TB, TB), (TB + 3, 2 * TB), (2 * TB, lanes.max(1)), (TB, 37)] {
-                let src: Vec<f32> = (0..(TB - 1) * lds + TB)
+        for (lanes, width) in (0..=TB).flat_map(|l| (0..=TB).map(move |w| (l, w))) {
+            let (l1, w1) = (lanes.max(1), width.max(1));
+            for (lds, ld) in [(TB, TB), (TB + 3, 2 * TB), (2 * TB, l1), (w1, 37)] {
+                // Sized for the block, or for one element where it is empty.
+                let src: Vec<f32> = (0..(l1 - 1) * lds + w1)
                     .map(|i| match i % 7 {
                         0 => f32::from_bits(0x7fc0_0000 | i as u32),
                         1 => -0.0,
                         _ => rng.uniform(-1.0, 1.0),
                     })
                     .collect();
-                let start = vec![f32::from_bits(POISON); (TB - 1) * ld + TB + 5];
+                let start = vec![f32::from_bits(POISON); (w1 - 1) * ld + l1];
+                let add: Vec<f32> = (0..lanes).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let affine = Affine {
+                    scale: 0.37,
+                    add: Some(&add),
+                };
+                let (mut want, mut got) = (start.clone(), start.clone());
+                generic::store_transposed(&src, lds, lanes, width, &mut want, ld, Some(affine));
+                avx512::store_transposed(&src, lds, lanes, width, &mut got, ld, Some(affine));
+                let case = format!("{lanes} lanes of {width}, strides {lds}/{ld}");
+                assert_eq!(bits(&got), bits(&want), "{case}, scaled and biased");
                 let (mut want, mut got) = (start.clone(), start);
-                generic::store_transposed(&src, lds, lanes, &mut want, ld);
-                avx512::store_transposed(&src, lds, lanes, &mut got, ld);
-                assert_eq!(bits(&got), bits(&want), "{lanes} lanes, strides {lds}/{ld}");
+                generic::store_transposed(&src, lds, lanes, width, &mut want, ld, None);
+                avx512::store_transposed(&src, lds, lanes, width, &mut got, ld, None);
+                assert_eq!(bits(&got), bits(&want), "{case}");
                 for (at, v) in got.iter().enumerate() {
-                    let inside = at / ld < TB && at % ld < lanes;
-                    assert_eq!(v.to_bits() != POISON, inside, "element {at}, {lanes} lanes");
+                    let inside = at / ld < width && at % ld < lanes;
+                    assert_eq!(v.to_bits() != POISON, inside, "element {at}, {case}");
                     if inside {
                         let (i, l) = (at / ld, at % ld);
                         assert_eq!(v.to_bits(), src[l * lds + i].to_bits());

@@ -1,17 +1,24 @@
-//! Persistent pre-packed GEMM panels for slice-aware weights.
+//! Weight-stationary GEMM entry points for slice-aware weights: persistent
+//! pre-packed panels, and a weight read where it lies.
 //!
 //! [`crate::matmul::gemm`] packs its operands on every call; for a serving
 //! engine that holds weights fixed and only moves the slice rate, that means
-//! re-gathering the same `op(B)` strips (a strided, cache-hostile walk for
-//! the `Trans::Yes` dense-layer case) thousands of times per second. The
-//! types here pack a weight matrix **once**, in exactly the strip layout the
-//! micro-kernel consumes. The entry points run `gemm`'s own blocked loop
-//! with the weight read from its panels and the other operand packed one
-//! block at a time: [`gemm_packed_b`] over an arbitrary contiguous column
-//! range and `k` range, [`gemm_packed_a_stepped`] over row ranges each with
-//! its own `k` extent — the shapes a per-group prefix forward needs.
-//! [`conv_packed_a_stepped`], the conv multiply, keeps a direct sweep of its
-//! own where it reads the columns straight from the image.
+//! re-gathering the same weight strips thousands of times per second. The
+//! entry points here run `gemm`'s own blocked loop with the weight never
+//! packed per call and the other operand packed one block at a time:
+//!
+//! * A dense layer's weight needs no panels at all. Its rows are the
+//!   product's left operand, `Yᵀ = W·Xᵀ`, and the micro-kernel reads them
+//!   where they lie ([`gemm_in_place_a`], over a row window and a `k`
+//!   range; [`linear_in_place`], a whole forward with its transpose and
+//!   bias): one copy of the weight, whatever the mode.
+//! * A conv's and a recurrent cell's weights are packed **once** into
+//!   [`PackedA`]/[`PackedB`], in exactly the strip layout the micro-kernel
+//!   consumes: [`gemm_packed_b`] over an arbitrary contiguous column range
+//!   and `k` range, [`gemm_packed_a_stepped`] over row ranges each with its
+//!   own `k` extent — the shapes a per-group prefix forward needs.
+//!   [`conv_packed_a_stepped`], the conv multiply, keeps a direct sweep of
+//!   its own where it reads the columns straight from the image.
 //!
 //! # Layout
 //!
@@ -27,28 +34,35 @@
 //! # Determinism
 //!
 //! For fixed `(m, k0, k1, n0, n1)` the blocking, packing and accumulation
-//! order of [`gemm_packed_b`] / [`gemm_packed_a_stepped`] are pure functions
-//! of those bounds (k splits at absolute multiples of `KC`, tiles at absolute
-//! multiples of `NR`/`MR`). Two calls that cover the same element with the
-//! same `k` range produce bitwise-identical contributions — the foundation
-//! of the anytime prefix-refine path in `ms-nn`.
+//! order of every entry point here are pure functions of those bounds
+//! (k splits at absolute multiples of `KC`, tiles at absolute multiples of
+//! `NR`/`MR`). Two calls that cover the same element with the same `k`
+//! range and scale produce bitwise-identical contributions — the foundation
+//! of the anytime prefix-refine path in `ms-nn` — and, the multiplicands of
+//! an FMA commuting, so do two calls that hold the weight on opposite sides.
 
 use crate::conv::Im2col;
-use crate::kernel::{direct_tile, LaneGroup, TapMasks, GROUPS, LG, MR, NR};
+use crate::kernel::{
+    direct_tile, store_transposed, Affine, LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB,
+};
 use crate::matmul::{
-    apply_beta, lanes, live_steps, pack_a_into, pack_b_into, pack_rows_into, packed_product, Block,
-    Operand, Source, Trans, KC, NC,
+    apply_beta, gemm, in_place_product, lanes, live_steps, pack_a_into, pack_b_into,
+    pack_rows_into, packed_product, Block, Operand, Source, Trans, KC, NC, SMALL_GEMM_CUTOFF,
 };
 use std::cell::RefCell;
+use std::ops::Range;
 
 thread_local! {
     /// The tap table of the last geometry this thread multiplied straight
     /// from the image: the convs of a stage share one, and a "same" conv's
     /// input gradient reads its output gradient through its own.
     static TAPS: RefCell<TapMasks> = RefCell::new(TapMasks::default());
-    /// The product of one chunk of samples side by side where the columns
-    /// are packed, before it is scattered sample-major. Grow-only.
-    static CHUNK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// A product before it is laid out where it belongs: a chunk of samples
+    /// side by side where a conv's columns are packed, before it is
+    /// scattered sample-major; a chunk of a dense layer's samples
+    /// out-major, before it is transposed. Grow-only; its size is bounded
+    /// by `CHUNK_COLS` and `NC`, not by the batch.
+    static STAGED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Columns one GEMM covers where a conv's columns are packed, in whole
@@ -353,6 +367,172 @@ pub fn gemm_packed_a_stepped(
     packed_product(rows, k_ext, 0, 0..n, alpha, a, b, beta, c, ldc);
 }
 
+/// `A` read where it lies — row-major, row stride `lda`, indexed by
+/// absolute row and `k`: a dense layer's weight, multiplied with no panel
+/// and no copy. For the row window `rows`,
+///
+/// `C[rows, 0..n) = alpha · A[rows, k) · op(B)[k, 0..n) + beta · C`,
+///
+/// `c` holding the window's rows, row `rows.start` first. `b` is indexed by
+/// absolute `k` and packed one `KC × NC` panel at a time; a dense layer's
+/// input `X` is `Operand::Matrix(Trans::Yes, x, ldx)`, and `C` its output
+/// out-major. An empty `k` range multiplies nothing (`beta = 0` clears the
+/// window).
+///
+/// Each element gets the bits [`gemm_packed_b`] — and `gemm` above its
+/// small-problem cutoff — give it with the operands the other way round
+/// (`op(A) = X`, `op(B) = Wᵀ`): the same absolute `KC` blocks, the same
+/// FMA chain, `fma(w, x, acc)` being `fma(x, w, acc)`, the same write-back.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_in_place_a(
+    rows: Range<usize>,
+    k: Range<usize>,
+    n: usize,
+    alpha: f32,
+    a: &[f32],
+    lda: usize,
+    b: Operand,
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    if rows.is_empty() {
+        return;
+    }
+    let live = k.start < k.end;
+    assert!(
+        !live || (lda >= k.end && a.len() >= (rows.end - 1) * lda + k.end),
+        "rows {rows:?} to k {} of A ({} at stride {lda})",
+        k.end,
+        a.len()
+    );
+    debug_assert!(ldc >= n.max(1) && c.len() >= (rows.len() - 1) * ldc + n);
+    // The first `KC` block stores the window's rows, unless there is none.
+    apply_beta(beta, live, c, ldc, rows.len(), n);
+    if !live || n == 0 {
+        return;
+    }
+    debug_assert!(b.covers(k.end, n), "B operand smaller than {}x{n}", k.end);
+
+    let _span = ms_telemetry::span!("gemm.in_place_a");
+    in_place_product(rows, k, n, alpha, a, lda, b, beta, c, ldc);
+}
+
+/// `Y = alpha · X · W[0..m, 0..k)ᵀ + bias`, a dense layer's forward: `X` is
+/// `n×k` (row stride `ldx`), `W` row-major (row stride `ldw`), `Y` `n×m`
+/// (row stride `ldy`, overwritten), `bias` at least `m` long. Every element
+/// has the bits [`crate::matmul::gemm`] gives `X·Wᵀ`, plus the bias as
+/// [`crate::ops::add_bias_rows`] adds it.
+///
+/// At or below `gemm`'s small-problem cutoff that is `gemm` itself. Above
+/// it, the weight is the product's left operand, read where it lies
+/// ([`gemm_in_place_a`]): `Yᵀ = alpha · W·Xᵀ` lands out-major — the output
+/// units down the rows, the samples along the lanes — in a thread-local
+/// buffer, `NC` samples at a time — the column block the blocked loop cuts
+/// `Xᵀ` into anyway, so chunks add no pass over the weight, and the buffer
+/// stays `m × NC` whatever the batch — and [`store_out_major`] transposes
+/// each chunk into `Y` in the pass that adds the bias.
+#[allow(clippy::too_many_arguments)]
+pub fn linear_in_place(
+    n: usize,
+    k: usize,
+    m: usize,
+    alpha: f32,
+    x: &[f32],
+    ldx: usize,
+    w: &[f32],
+    ldw: usize,
+    bias: Option<&[f32]>,
+    y: &mut [f32],
+    ldy: usize,
+) {
+    if n == 0 || m == 0 {
+        return;
+    }
+    if n * k * m <= SMALL_GEMM_CUTOFF {
+        gemm(
+            Trans::No,
+            Trans::Yes,
+            n,
+            m,
+            k,
+            alpha,
+            x,
+            ldx,
+            w,
+            ldw,
+            0.0,
+            y,
+            ldy,
+        );
+        if let Some(bias) = bias {
+            for row in y.chunks_mut(ldy).take(n) {
+                for (v, &b) in row[..m].iter_mut().zip(&bias[..m]) {
+                    *v += b;
+                }
+            }
+        }
+        return;
+    }
+    STAGED.with(|staged| {
+        let staged = &mut *staged.borrow_mut();
+        let most = NC.min(n);
+        if staged.len() < m * most {
+            staged.resize(m * most, 0.0);
+        }
+        for first in (0..n).step_by(NC) {
+            let cols = NC.min(n - first);
+            let yt = &mut staged[..m * cols];
+            let xt = Operand::Matrix(Trans::Yes, &x[first * ldx..], ldx);
+            gemm_in_place_a(0..m, 0..k, cols, alpha, w, ldw, xt, 0.0, yt, cols);
+            let y = &mut y[first * ldy..];
+            store_out_major(yt, cols, m, cols, 1.0, bias, y, ldy);
+        }
+    });
+}
+
+/// Reads an out-major product (`m` rows of `n`, row stride `lds`) out
+/// row-major: `dst[i·ldd + j] = scale · src[j·lds + i] + bias[j]` for
+/// `i < n`, `j < m`, `bias` left out where it is `None`: `TB × TB` blocks
+/// transposed by the vector unit, scaled and biased in registers on the way
+/// out, product and sum each rounded. At `scale = 1` there is no product,
+/// so the bits are those of a copy plus the bias.
+#[allow(clippy::too_many_arguments)]
+pub fn store_out_major(
+    src: &[f32],
+    lds: usize,
+    m: usize,
+    n: usize,
+    scale: f32,
+    bias: Option<&[f32]>,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(
+        lds >= n && src.len() >= (m - 1) * lds + n,
+        "{m} rows of {n} at stride {lds} ({})",
+        src.len()
+    );
+    assert!(
+        ldd >= m && dst.len() >= (n - 1) * ldd + m,
+        "{n} rows of {m} at stride {ldd} ({})",
+        dst.len()
+    );
+    let bias = bias.map(|b| &b[..m]);
+    for i0 in (0..n).step_by(TB) {
+        let width = TB.min(n - i0);
+        for j0 in (0..m).step_by(TB) {
+            let (src, dst) = (&src[j0 * lds + i0..], &mut dst[i0 * ldd + j0..]);
+            let add = bias.map(|b| &b[j0..]);
+            let post = Some(Affine { scale, add });
+            store_transposed(src, lds, TB.min(m - j0), width, dst, ldd, post);
+        }
+    }
+}
+
 /// The one conv multiply: [`gemm_packed_a_stepped`] with `alpha = 1`,
 /// `beta = 0` and `B` the column matrix `cols`, the product written
 /// sample-major, the way a layer lays out its output: row `i` of sample `s`
@@ -469,7 +649,7 @@ fn conv_by_chunks(
     let (window, out_len) = (rows[rows.len() - 1] - rows[0], cols.geom.out_len());
     let per = CHUNK_COLS.div_ceil(out_len);
     let sample_len = cols.channels * cols.geom.h * cols.geom.w;
-    CHUNK.with(|chunk| {
+    STAGED.with(|chunk| {
         let chunk = &mut *chunk.borrow_mut();
         for first in (0..cols.samples).step_by(per) {
             let samples = per.min(cols.samples - first);
@@ -925,6 +1105,218 @@ mod tests {
         let mut c = vec![f32::NAN; MR * n];
         gemm_packed_a_stepped(&[0, MR], &[k], n, 1.0, &pa, mat(&b, n), 0.0, &mut c, n);
         assert!(c.iter().all(|v| v.is_finite()));
+    }
+
+    /// `c` (`rows × cols`, row stride `ld`) transposed, at row stride `rows`.
+    fn transposed(c: &[f32], rows: usize, cols: usize, ld: usize) -> Vec<f32> {
+        (0..cols * rows)
+            .map(|at| c[(at % rows) * ld + at / rows])
+            .collect()
+    }
+
+    /// The weight read in place on the left gives the bits of its panels on
+    /// the right, transposed: `gemm_in_place_a` over rows `[n0, n1)` of `W`
+    /// against `Xᵀ` is `gemm_packed_b` over columns `[n0, n1)` of `Wᵀ`
+    /// against `X`, over the tile- and block-edge grid and random `k`
+    /// ranges, storing and accumulating, `alpha` one and not, and over a
+    /// batch that takes several of the column blocks the in-place product
+    /// packs `Xᵀ` in.
+    #[test]
+    fn in_place_a_is_bitwise_the_panels_transposed() {
+        let mut rng = SeededRng::new(61);
+        let shapes = [
+            (1usize, 7usize, 5usize),
+            (33, 300, 29),
+            (53, KC + 3, 2 * NR + 5),
+            (1000, 2 * KC + 1, 9),
+        ];
+        for (batch, k, out) in with_tile_and_block_edges(&shapes) {
+            let w = filled(&mut rng, out * k);
+            let x = filled(&mut rng, batch * k);
+            let mut pb = PackedB::new();
+            pb.pack(Trans::Yes, &w, k, k, out);
+            for case in 0..6 {
+                let k0 = if case < 2 { 0 } else { rng.below(k) };
+                let k1 = if case == 0 {
+                    k
+                } else {
+                    k0 + 1 + rng.below(k - k0)
+                };
+                let n0 = if case == 0 { 0 } else { rng.below(out) };
+                let n1 = n0 + 1 + rng.below(out - n0);
+                let (alpha, beta) = [(1.0, 0.0), (0.7, 1.0), (1.3, 0.0)][case % 3];
+                let width = n1 - n0;
+                let start = filled(&mut rng, batch * width);
+                let mut want = start.clone();
+                gemm_packed_b(
+                    batch, k0, k1, n0, n1, alpha, &x, k, &pb, beta, &mut want, width,
+                );
+                let mut got = transposed(&start, batch, width, width);
+                let x_t = Operand::Matrix(Trans::Yes, &x, k);
+                gemm_in_place_a(
+                    n0..n1,
+                    k0..k1,
+                    batch,
+                    alpha,
+                    &w,
+                    k,
+                    x_t,
+                    beta,
+                    &mut got,
+                    batch,
+                );
+                assert_eq!(
+                    bits(&got),
+                    bits(&transposed(&want, batch, width, width)),
+                    "{batch}x{k}x{out}: k {k0}..{k1} rows {n0}..{n1} alpha {alpha} beta {beta}"
+                );
+            }
+        }
+    }
+
+    /// `beta = 0` overwrites on the in-place driver: nothing `C` held — NaN
+    /// included — survives, the row padding it does not cover stays as it
+    /// was, and an empty `k` range clears the window under `beta = 0` and
+    /// leaves it under `beta = 1`.
+    #[test]
+    fn in_place_a_beta_zero_overwrites_garbage() {
+        let mut rng = SeededRng::new(63);
+        let (m, k, n) = (2 * MR + 3, 2 * KC + 9, NR + 7);
+        let (a, b) = (filled(&mut rng, m * k), filled(&mut rng, k * n));
+        let ldc = n + 2;
+        let mut dirty = vec![f32::NAN; (m - 1) * ldc];
+        let mut zeroed = vec![0.0f32; (m - 1) * ldc];
+        for c in [&mut dirty, &mut zeroed] {
+            gemm_in_place_a(1..m, 0..k, n, 0.5, &a, k, mat(&b, n), 0.0, c, ldc);
+        }
+        for (d, z) in dirty.chunks(ldc).zip(zeroed.chunks(ldc)) {
+            assert_eq!(bits(&d[..n]), bits(&z[..n]));
+            assert!(d[n..].iter().all(|v| v.is_nan()), "row padding written");
+        }
+        let kept = dirty.clone();
+        gemm_in_place_a(
+            1..m,
+            KC..KC,
+            n,
+            0.5,
+            &a,
+            k,
+            mat(&b, n),
+            1.0,
+            &mut dirty,
+            ldc,
+        );
+        assert_eq!(bits(&dirty), bits(&kept), "an empty k range added");
+        gemm_in_place_a(
+            1..m,
+            KC..KC,
+            n,
+            0.5,
+            &a,
+            k,
+            mat(&b, n),
+            0.0,
+            &mut dirty,
+            ldc,
+        );
+        for row in dirty.chunks(ldc) {
+            assert!(row[..n].iter().all(|v| v.to_bits() == 0), "not cleared");
+            assert!(row[n..].iter().all(|v| v.is_nan()), "row padding written");
+        }
+    }
+
+    /// A dense forward is `gemm` plus the bias as `add_bias_rows` adds it,
+    /// bit for bit, on both sides of `gemm`'s small-problem cutoff: batches
+    /// that are not a multiple of the transpose block or the tile, or of the
+    /// staged chunk, output widths that are not either, one `KC` block and
+    /// several, into output rows wider than the layer whose padding stays
+    /// untouched.
+    #[test]
+    fn linear_in_place_is_bitwise_gemm_plus_the_bias() {
+        let mut rng = SeededRng::new(64);
+        let shapes = [
+            (1, 300, 40),
+            (7, 200, 10),
+            (31, 64, 17),
+            (33, 2 * KC + 1, 9),
+            (53, 40, 70),
+            (2 * NC + 5, 40, 19),
+            (3, 20, 9),
+            (7, 16, 70),
+        ];
+        let small = |&(n, k, m): &(usize, usize, usize)| n * k * m <= SMALL_GEMM_CUTOFF;
+        assert!(shapes.iter().any(small) && !shapes.iter().all(small));
+        for (n, k, m) in shapes {
+            let ldw = k + 5;
+            let (w, x, bias) = (
+                filled(&mut rng, m * ldw),
+                filled(&mut rng, n * k),
+                filled(&mut rng, m),
+            );
+            let ldy = m + 3;
+            let mut plain = vec![f32::NAN; n * ldy];
+            crate::matmul::gemm(
+                Trans::No,
+                Trans::Yes,
+                n,
+                m,
+                k,
+                0.8,
+                &x,
+                k,
+                &w,
+                ldw,
+                0.0,
+                &mut plain,
+                ldy,
+            );
+            let mut biased = plain.clone();
+            crate::ops::add_bias_rows(&mut biased, &bias, ldy, m);
+            for (bias, want) in [(Some(&bias[..]), &biased), (None, &plain)] {
+                let mut got = vec![f32::NAN; n * ldy];
+                linear_in_place(n, k, m, 0.8, &x, k, &w, ldw, bias, &mut got, ldy);
+                for (g, w) in got.chunks(ldy).zip(want.chunks(ldy)) {
+                    assert!(
+                        g[m..].iter().all(|v| v.is_nan()),
+                        "{n}x{k}x{m}: padding written"
+                    );
+                    assert_eq!(
+                        bits(&g[..m]),
+                        bits(&w[..m]),
+                        "{n}x{k}x{m} bias {}",
+                        bias.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The readout of an out-major product is the naive scale, transpose
+    /// and bias, on shapes around the `TB × TB` block.
+    #[test]
+    fn store_out_major_is_the_naive_readout() {
+        let mut rng = SeededRng::new(65);
+        for (m, n) in [(1, 1), (TB, TB), (TB + 1, 3), (5, 2 * TB + 7), (40, 33)] {
+            let lds = n + 2;
+            let (src, bias) = (filled(&mut rng, m * lds), filled(&mut rng, m));
+            for (scale, bias) in [(1.0, None), (1.0, Some(&bias[..])), (2.5, Some(&bias[..]))] {
+                let ldd = m + 1;
+                let mut got = vec![f32::NAN; n * ldd];
+                store_out_major(&src, lds, m, n, scale, bias, &mut got, ldd);
+                for i in 0..n {
+                    for j in 0..m {
+                        let v = scale * src[j * lds + i];
+                        let want = bias.map_or(v, |b| v + b[j]);
+                        assert_eq!(
+                            got[i * ldd + j].to_bits(),
+                            want.to_bits(),
+                            "{m}x{n} ({i},{j})"
+                        );
+                    }
+                    assert!(got[i * ldd + m..][..1].iter().all(|v| v.is_nan()));
+                }
+            }
+        }
     }
 
     /// A quiet NaN no arithmetic here produces: what `C` holds wherever the

@@ -3,7 +3,7 @@
 use ms_tensor::conv::{col2im, im2col, ConvGeom};
 use ms_tensor::matmul::{dot, gemm, gemm_reference, Operand, Trans, KC, MR, NR, SMALL_GEMM_CUTOFF};
 use ms_tensor::ops;
-use ms_tensor::panels::{gemm_packed_a_stepped, gemm_packed_b, PackedA, PackedB};
+use ms_tensor::panels::{gemm_in_place_a, gemm_packed_a_stepped, gemm_packed_b, PackedA, PackedB};
 use ms_tensor::{SeededRng, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -101,14 +101,16 @@ proptest! {
         }
     }
 
-    /// The three packed entry points print the same bits for the same
-    /// product: `gemm`, `gemm_packed_b` over a `PackedB` of the same `B`, and
-    /// a one-step `gemm_packed_a_stepped` over a `PackedA` of the same `A`.
-    /// Every shape is above `SMALL_GEMM_CUTOFF`, so all three take the blocked
-    /// loop: edge tiles on both sides, `k` on either side of one and two `KC`
-    /// blocks, `n` past one 1024-column `NC` block, both `B` transposes,
-    /// padded leading dimensions, `alpha` off 0 and 1, and `beta = 0` over a
-    /// `C` poisoned with NaN.
+    /// The packed entry points print the same bits for the same product:
+    /// `gemm`, `gemm_packed_b` over a `PackedB` of the same `B`, a one-step
+    /// `gemm_packed_a_stepped` over a `PackedA` of the same `A`, and — where
+    /// `B` is stored transposed, a dense layer's weight `W` with `op(B) =
+    /// Wᵀ` — `gemm_in_place_a` of `Cᵀ = W·Aᵀ`, the weight read in place on
+    /// the left. Every shape is above `SMALL_GEMM_CUTOFF`, so all four take
+    /// the blocked loop: edge tiles on both sides, `k` on either side of one
+    /// and two `KC` blocks, `n` past one 1024-column `NC` block, both `B`
+    /// transposes, padded leading dimensions, `alpha` off 0 and 1, and
+    /// `beta = 0` over a `C` poisoned with NaN.
     #[test]
     fn packed_entry_points_are_bitwise_one_product(
         m in proptest::sample::select(vec![1usize, MR - 1, MR + 1, 2 * MR + 1]),
@@ -147,6 +149,14 @@ proptest! {
 
         prop_assert_eq!(bits(&by_panel_b), bits(&by_gemm), "gemm_packed_b vs gemm");
         prop_assert_eq!(bits(&by_panel_a), bits(&by_gemm), "gemm_packed_a_stepped vs gemm");
+        if tb {
+            // `C` and back through its transpose, `n` rows of `m`.
+            let mut by_in_place: Vec<f32> = (0..n * m).map(|at| c0[(at % m) * ldc + at / m]).collect();
+            let a_t = Operand::Matrix(Trans::Yes, &a, lda);
+            gemm_in_place_a(0..n, 0..k, m, alpha, &b, ldb, a_t, beta, &mut by_in_place, m);
+            let want: Vec<f32> = (0..n * m).map(|at| by_gemm[(at % m) * ldc + at / m]).collect();
+            prop_assert_eq!(bits(&by_in_place), bits(&want), "gemm_in_place_a vs gemm");
+        }
         prop_assert!(
             by_gemm.chunks(ldc).all(|row| row[..n].iter().all(|v| v.is_finite())),
             "beta = {beta} left a NaN of C"

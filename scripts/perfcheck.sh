@@ -12,9 +12,9 @@ die() { echo "perfcheck FAILED: $*"; exit 1; }
 echo "== formatting: the workspace stays as rustfmt lays it out =="
 cargo fmt --all -- --check || die "cargo fmt --all would rewrite the files above"
 
-echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (the layers), ms-serving (the engine), ms-net and ms-cluster are clippy-clean =="
-cargo clippy --release -p ms-tensor -p ms-nn -p ms-serving -p ms-net -p ms-cluster --all-targets --no-deps -- -D warnings \
-    || die "clippy warns on ms-tensor, ms-nn, ms-serving, ms-net or ms-cluster (lines above)"
+echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (the layers), ms-core (inference and training), ms-models (the networks), ms-serving (the engine), ms-net and ms-cluster are clippy-clean =="
+cargo clippy --release -p ms-tensor -p ms-nn -p ms-core -p ms-models -p ms-serving -p ms-net -p ms-cluster --all-targets --no-deps -- -D warnings \
+    || die "clippy warns on ms-tensor, ms-nn, ms-core, ms-models, ms-serving, ms-net or ms-cluster (lines above)"
 
 echo "== release build (also the shard_server that cluster_elastic spawns) =="
 cargo build --release --workspace
@@ -153,7 +153,9 @@ echo "== allocation tripwire (hot layer bodies) =="
 # runs the packed columns chunk by chunk and scatters each chunk, the
 # packers that write a conv's columns, transposed columns and output
 # gradient from the image, the one blocked GEMM loop with its operand
-# blocks, the matrix packers and `gemm`'s small loops, every recurrent
+# blocks, the dense product with its weight read in place, its out-major
+# readout and a dense layer's prefix passes, the matrix packers and
+# `gemm`'s small loops, every recurrent
 # cell's forward and backward step with the driver's step product, gate
 # biases and recurrent GEMM helper, the row-block panel packer, the ReLU
 # mask helpers, the backward-chain helper of the NNLM,
@@ -163,7 +165,7 @@ echo "== allocation tripwire (hot layer bodies) =="
 # the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_owned|forward_train|forward_infer|forward_pass|forward_prefix|backward|backward_owned|backward_below_decoder|clamp_and_mask|clamp_word|apply_mask|check_input|output|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|packed_product|block|pack_blocks|pack_a_into|pack_b_into|pack_rows_into|gemm_accumulate_unblocked|forward_step|backward_step|step_product|add_gate_bias|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_owned|forward_train|forward_infer|forward_pass|forward_prefix|backward|backward_owned|backward_below_decoder|clamp_and_mask|clamp_word|apply_mask|check_input|output|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|gemm_in_place_a|linear_in_place|store_out_major|prefix_out_grouped|prefix_in_grouped|prefix_dense|read_out|accumulate_rows|packed_product|in_place_product|pack_b|block|pack_blocks|pack_a_into|pack_b_into|pack_rows_into|gemm_accumulate_unblocked|forward_step|backward_step|step_product|add_gate_bias|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
