@@ -13,6 +13,7 @@
 //! (the paper's §2.2 criticism, which Fig. 2 visualises).
 
 use ms_nn::layer::{Layer, Param};
+use std::sync::Arc;
 
 /// Adds `λ · sign(γ)` to the gradient of every normalisation scale
 /// parameter (params named `*.gamma`). Call between `backward` and the
@@ -20,7 +21,7 @@ use ms_nn::layer::{Layer, Param};
 pub fn add_gamma_l1(net: &mut dyn Layer, lambda: f32) {
     net.visit_params(&mut |p: &mut Param| {
         if p.name.ends_with(".gamma") {
-            for (g, &v) in p.grad.data_mut().iter_mut().zip(p.value.data()) {
+            for (g, &v) in p.grad.get_mut().data_mut().iter_mut().zip(p.value.data()) {
                 *g += lambda * v.signum();
             }
         }
@@ -103,7 +104,7 @@ pub fn prune_by_gamma(net: &mut dyn Layer, frac: f64) -> PruneReport {
                 .iter()
                 .map(|&v| v.abs() > threshold)
                 .collect();
-            for (v, &keep) in p.value.data_mut().iter_mut().zip(&mask) {
+            for (v, &keep) in p.value_mut().data_mut().iter_mut().zip(&mask) {
                 if keep {
                     live += 1;
                 } else {
@@ -113,7 +114,7 @@ pub fn prune_by_gamma(net: &mut dyn Layer, frac: f64) -> PruneReport {
             // Keep at least one channel alive per layer: a fully-dead layer
             // kills the network (physical slimming would do the same).
             if live == 0 {
-                p.value.data_mut()[0] = threshold.max(1e-3);
+                p.value_mut().data_mut()[0] = threshold.max(1e-3);
             }
             let total_ch = mask.len();
             pruned += total_ch - live.max(1);
@@ -126,7 +127,7 @@ pub fn prune_by_gamma(net: &mut dyn Layer, frac: f64) -> PruneReport {
     net.visit_params(&mut |p: &mut Param| {
         if let Some(base) = p.name.strip_suffix(".beta") {
             if let Some((_, mask)) = masks.iter().find(|(b, _)| b == base) {
-                for (v, &keep) in p.value.data_mut().iter_mut().zip(mask) {
+                for (v, &keep) in p.value_mut().data_mut().iter_mut().zip(mask) {
                     if !keep {
                         *v = 0.0;
                     }
@@ -152,13 +153,8 @@ pub fn apply_prune_mask(net: &mut dyn Layer, report: &PruneReport) {
     net.visit_params(&mut |p: &mut Param| {
         if p.name.ends_with(".gamma") {
             let mask: Vec<bool> = p.value.data().iter().map(|&v| v == 0.0).collect();
-            for ((v, g), &dead) in p
-                .value
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data_mut())
-                .zip(&mask)
-            {
+            let (value, grad) = (Arc::make_mut(&mut p.value), p.grad.get_mut());
+            for ((v, g), &dead) in value.data_mut().iter_mut().zip(grad.data_mut()).zip(&mask) {
                 if dead {
                     *v = 0.0;
                     *g = 0.0;
@@ -170,13 +166,8 @@ pub fn apply_prune_mask(net: &mut dyn Layer, report: &PruneReport) {
     net.visit_params(&mut |p: &mut Param| {
         if let Some(base) = p.name.strip_suffix(".beta") {
             if let Some((_, mask)) = dead_masks.iter().find(|(b, _)| b == base) {
-                for ((v, g), &dead) in p
-                    .value
-                    .data_mut()
-                    .iter_mut()
-                    .zip(p.grad.data_mut())
-                    .zip(mask)
-                {
+                let (value, grad) = (Arc::make_mut(&mut p.value), p.grad.get_mut());
+                for ((v, g), &dead) in value.data_mut().iter_mut().zip(grad.data_mut()).zip(mask) {
                     if dead {
                         *v = 0.0;
                         *g = 0.0;
@@ -216,12 +207,13 @@ mod tests {
         add_gamma_l1(&mut v, 0.01);
         let mut saw = 0;
         v.visit_params(&mut |p| {
+            let grad = p.grad.get().expect("zeroed above").data();
             if p.name.ends_with(".gamma") {
                 // γ init is 1.0 → grad += λ·1.
-                assert!(p.grad.data().iter().all(|&g| (g - 0.01).abs() < 1e-7));
+                assert!(grad.iter().all(|&g| (g - 0.01).abs() < 1e-7));
                 saw += 1;
             } else {
-                assert!(p.grad.data().iter().all(|&g| g == 0.0));
+                assert!(grad.iter().all(|&g| g == 0.0));
             }
         });
         assert_eq!(saw, 2);
@@ -234,7 +226,7 @@ mod tests {
         let mut i = 0;
         v.visit_params(&mut |p| {
             if p.name.ends_with(".gamma") {
-                for g in p.value.data_mut() {
+                for g in p.value_mut().data_mut() {
                     i += 1;
                     *g = i as f32 * 0.1;
                 }
@@ -260,7 +252,7 @@ mod tests {
         let mut i = 0;
         v.visit_params(&mut |p| {
             if p.name.ends_with(".gamma") {
-                for g in p.value.data_mut() {
+                for g in p.value_mut().data_mut() {
                     i += 1;
                     *g = if i % 2 == 0 { 1.0 } else { 0.01 };
                 }
@@ -279,14 +271,14 @@ mod tests {
         let report = prune_by_gamma(&mut v, 0.9); // prune almost everything
                                                   // Simulate a fine-tune step perturbing all params.
         v.visit_params(&mut |p| {
-            for g in p.grad.data_mut() {
+            for g in p.grad.get_mut().data_mut() {
                 *g = 0.5;
             }
         });
         apply_prune_mask(&mut v, &report);
         v.visit_params(&mut |p| {
             if p.name.ends_with(".gamma") {
-                for (v, g) in p.value.data().iter().zip(p.grad.data()) {
+                for (v, g) in p.value.data().iter().zip(p.grad.get().unwrap().data()) {
                     if *v == 0.0 {
                         assert_eq!(*g, 0.0, "dead channel received gradient");
                     }

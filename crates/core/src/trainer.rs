@@ -181,7 +181,7 @@ impl Trainer {
         if self.average && rates.len() > 1 {
             let _span = ms_telemetry::span!("trainer.average");
             let inv = 1.0 / rates.len() as f32;
-            net.visit_params(&mut |p| p.grad.scale(inv));
+            net.visit_params(&mut |p| p.grad.get_mut().scale(inv));
         }
         let grad_norm = {
             let _span = ms_telemetry::span!("optim.sgd");

@@ -41,11 +41,15 @@ fn bits(t: &[f32]) -> Vec<u32> {
     t.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Every parameter's value and gradient, in `visit_params` order.
-fn params(net: &mut dyn Layer) -> Vec<(String, Vec<u32>, Vec<u32>)> {
+/// Every parameter's value and gradient (if it has one), in `visit_params`
+/// order.
+type Params = Vec<(String, Vec<u32>, Option<Vec<u32>>)>;
+
+fn params(net: &mut dyn Layer) -> Params {
     let mut out = Vec::new();
     net.visit_params(&mut |p| {
-        out.push((p.name.clone(), bits(p.value.data()), bits(p.grad.data())));
+        let grad = p.grad.get().map(|g| bits(g.data()));
+        out.push((p.name.clone(), bits(p.value.data()), grad));
     });
     out
 }

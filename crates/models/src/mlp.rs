@@ -13,6 +13,7 @@ use ms_nn::linear::{Linear, LinearConfig};
 use ms_nn::sequential::Sequential;
 use ms_nn::slice::{active_units, SliceRate};
 use ms_tensor::{SeededRng, Tensor};
+use std::sync::Arc;
 
 /// Configuration for a sliceable [`Mlp`].
 #[derive(Debug, Clone)]
@@ -156,8 +157,8 @@ impl DeploySliced for Mlp {
         let mut out = Mlp::new(&deployed_cfg, &mut rng);
 
         // Collect (name → value) of the parent's params.
-        let mut parent: Vec<(String, Tensor)> = Vec::new();
-        self.visit_params(&mut |p| parent.push((p.name.clone(), p.value.clone())));
+        let mut parent: Vec<(String, Arc<Tensor>)> = Vec::new();
+        self.visit_params(&mut |p| parent.push((p.name.clone(), Arc::clone(&p.value))));
 
         let scale_for = |layer_idx: usize| -> f32 {
             if !self.cfg.input_rescale || layer_idx == 0 {
@@ -168,12 +169,12 @@ impl DeploySliced for Mlp {
             full as f32 / act as f32
         };
 
-        let find = |name: &str, set: &[(String, Tensor)]| -> Tensor {
-            set.iter()
+        let find = |name: &str| -> &Tensor {
+            &parent
+                .iter()
                 .find(|(n, _)| n == name)
                 .unwrap_or_else(|| panic!("missing param {name}"))
                 .1
-                .clone()
         };
 
         let n_layers = self.cfg.hidden_dims.len();
@@ -181,29 +182,28 @@ impl DeploySliced for Mlp {
         let mut copies: Vec<(String, Tensor)> = Vec::new();
         #[allow(clippy::needless_range_loop)] // i indexes names and widths together
         for i in 0..n_layers {
-            let w = find(&format!("fc{i}.weight"), &parent);
-            let b = find(&format!("fc{i}.bias"), &parent);
+            let w = find(&format!("fc{i}.weight"));
+            let b = find(&format!("fc{i}.bias"));
             let rows = hidden[i];
-            let mut wb = copy_block(&w, rows, dims_in);
+            let mut wb = copy_block(w, rows, dims_in);
             wb.scale(scale_for(i));
             copies.push((format!("fc{i}.weight"), wb));
-            copies.push((format!("fc{i}.bias"), copy_prefix(&b, rows)));
+            copies.push((format!("fc{i}.bias"), copy_prefix(b, rows)));
             dims_in = rows;
         }
-        let w = find("head.weight", &parent);
-        let b = find("head.bias", &parent);
-        let mut wb = copy_block(&w, self.cfg.num_classes, dims_in);
+        let mut wb = copy_block(find("head.weight"), self.cfg.num_classes, dims_in);
         wb.scale(scale_for(n_layers));
         copies.push(("head.weight".into(), wb));
-        copies.push(("head.bias".into(), b));
+        copies.push(("head.bias".into(), find("head.bias").clone()));
 
         out.visit_params(&mut |p: &mut Param| {
-            let src = copies
+            let at = copies
                 .iter()
-                .find(|(n, _)| *n == p.name)
+                .position(|(n, _)| *n == p.name)
                 .unwrap_or_else(|| panic!("no copy for {}", p.name));
-            assert_eq!(p.value.shape(), src.1.shape(), "{}", p.name);
-            p.value = src.1.clone();
+            let (_, value) = copies.swap_remove(at);
+            assert_eq!(p.value.shape(), value.shape(), "{}", p.name);
+            p.value = Arc::new(value);
         });
         out
     }

@@ -17,6 +17,7 @@ use ms_nn::sequential::Sequential;
 use ms_nn::slice::SliceRate;
 use ms_tensor::{SeededRng, Tensor};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Configuration for a [`Vgg`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -301,8 +302,8 @@ impl ms_core::deploy::DeploySliced for Vgg {
         let mut out = Vgg::new(&deployed_cfg, &mut rng);
 
         // Parent parameter snapshot.
-        let mut parent: Vec<(String, Tensor)> = Vec::new();
-        self.visit_params(&mut |p| parent.push((p.name.clone(), p.value.clone())));
+        let mut parent: Vec<(String, Arc<Tensor>)> = Vec::new();
+        self.visit_params(&mut |p| parent.push((p.name.clone(), Arc::clone(&p.value))));
         let find = |name: &str| -> &Tensor {
             &parent
                 .iter()
@@ -354,12 +355,13 @@ impl ms_core::deploy::DeploySliced for Vgg {
         copies.push(("head.bias".into(), find("head.bias").clone()));
 
         out.visit_params(&mut |p| {
-            let src = copies
+            let at = copies
                 .iter()
-                .find(|(n, _)| *n == p.name)
+                .position(|(n, _)| *n == p.name)
                 .unwrap_or_else(|| panic!("no copy for {}", p.name));
-            assert_eq!(p.value.shape(), src.1.shape(), "{}", p.name);
-            p.value = src.1.clone();
+            let (_, value) = copies.swap_remove(at);
+            assert_eq!(p.value.shape(), value.shape(), "{}", p.name);
+            p.value = Arc::new(value);
         });
         out
     }
@@ -385,7 +387,7 @@ mod deploy_tests {
         // Give the head a non-trivial bias so the copy path is exercised.
         parent.visit_params(&mut |p| {
             if p.name == "head.bias" {
-                for (i, v) in p.value.data_mut().iter_mut().enumerate() {
+                for (i, v) in p.value_mut().data_mut().iter_mut().enumerate() {
                     *v = i as f32 * 0.1;
                 }
             }

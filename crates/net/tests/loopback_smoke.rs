@@ -9,6 +9,7 @@ use ms_nn::layer::Layer;
 use ms_nn::linear::{Linear, LinearConfig};
 use ms_nn::sequential::Sequential;
 use ms_nn::shared::SharedWeights;
+use ms_nn::slice::SliceRate;
 use ms_serving::controller::{RatePolicy, SlaController};
 use ms_serving::engine::{Engine, EngineConfig};
 use ms_serving::profile::LatencyProfile;
@@ -49,7 +50,7 @@ fn net(seed: u64) -> Box<dyn Layer + Send> {
     )
 }
 
-fn engine(weights: &SharedWeights, workers: usize) -> Engine {
+fn engine(weights: &SharedWeights, workers: usize, policy: RatePolicy) -> Engine {
     let profile =
         LatencyProfile::quadratic(SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]), 1e-5);
     let replicas = (0..workers)
@@ -66,7 +67,7 @@ fn engine(weights: &SharedWeights, workers: usize) -> Engine {
             max_queue: 10_000,
             refine: false,
         },
-        SlaController::new(profile, RatePolicy::Elastic),
+        SlaController::new(profile, policy),
         replicas,
     )
 }
@@ -74,7 +75,9 @@ fn engine(weights: &SharedWeights, workers: usize) -> Engine {
 fn start_server_with(replicas: usize, cfg: ServerConfig) -> (Server, SharedWeights) {
     let mut proto = net(7);
     let weights = SharedWeights::capture(proto.as_mut());
-    let engines = (0..replicas).map(|_| engine(&weights, 1)).collect();
+    let engines = (0..replicas)
+        .map(|_| engine(&weights, 1, RatePolicy::Elastic))
+        .collect();
     let server = Server::start("127.0.0.1:0", Router::new(engines), cfg).expect("bind loopback");
     (server, weights)
 }
@@ -132,6 +135,8 @@ fn identical_input_gets_bitwise_identical_logits_in_process() {
     // The engine's row outputs are independent of batch companions, so the
     // same input served at the same rate must match an in-process run bit
     // for bit — the property the wire must preserve (f32 as bit patterns).
+    // The elastic engine picks its rate from measured latency, so the
+    // in-process engine is pinned to the rate the wire's engine used.
     let (server, weights) = start_server(1);
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let r = client.infer(1, 0, &input_for(1)).expect("infer");
@@ -141,7 +146,7 @@ fn identical_input_gets_bitwise_identical_logits_in_process() {
     };
     server.shutdown();
 
-    let local = engine(&weights, 1);
+    let local = engine(&weights, 1, RatePolicy::Fixed(SliceRate::new(r.rate_used)));
     local.submit(input_for(1)).expect("submit");
     local.seal();
     local.drain();

@@ -7,19 +7,63 @@
 //! deliberately: checkpoints here are small (experiment scale) and
 //! human-inspectable dumps have repeatedly paid for themselves during
 //! debugging.
+//!
+//! A checkpoint holds each tensor by `Arc`, the storage a [`Param`] shares:
+//! [`Checkpoint::capture`] and [`Checkpoint::apply`] move refcounts, not
+//! weights, and the checkpoint and every net it was captured from or applied
+//! to read one buffer until one of them writes it (copy-on-write).
+//!
+//! [`Param`]: crate::layer::Param
 
 use crate::layer::Layer;
 use ms_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
+use std::sync::Arc;
 
 /// A serialisable snapshot of every trainable parameter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Format version for forward compatibility.
     pub version: u32,
-    /// `(name, tensor)` in visit order.
-    pub params: Vec<(String, Tensor)>,
+    /// `(name, tensor)` in visit order, shared with the nets that hold them.
+    pub params: Vec<(String, Arc<Tensor>)>,
+}
+
+/// The file format: a derive over plain `(String, Tensor)` pairs fixes the
+/// JSON layout, which [`Checkpoint`]'s `Serialize` writes from borrows.
+#[derive(Serialize, Deserialize)]
+struct CheckpointFile {
+    version: u32,
+    params: Vec<(String, Tensor)>,
+}
+
+impl Serialize for Checkpoint {
+    fn to_value(&self) -> Value {
+        let params: Vec<(&str, &Tensor)> = self
+            .params
+            .iter()
+            .map(|(n, t)| (n.as_str(), &**t))
+            .collect();
+        Value::Map(vec![
+            ("version".to_string(), self.version.to_value()),
+            ("params".to_string(), params.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Checkpoint {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let file = CheckpointFile::from_value(v)?;
+        Ok(Checkpoint {
+            version: file.version,
+            params: file
+                .params
+                .into_iter()
+                .map(|(n, t)| (n, Arc::new(t)))
+                .collect(),
+        })
+    }
 }
 
 /// Errors from checkpoint I/O and application.
@@ -58,19 +102,24 @@ impl From<serde_json::Error> for CheckpointError {
 }
 
 impl Checkpoint {
-    /// Captures the current parameters of `net`.
+    /// Captures the current parameters of `net` (refcount bumps: the
+    /// checkpoint shares each tensor with `net` until either side writes).
     pub fn capture(net: &mut dyn Layer) -> Self {
         let mut params = Vec::new();
-        net.visit_params(&mut |p| params.push((p.name.clone(), p.value.clone())));
+        net.visit_params(&mut |p| params.push((p.name.clone(), Arc::clone(&p.value))));
         Checkpoint { version: 1, params }
     }
 
-    /// Applies the checkpoint to `net`, matching parameters by name.
+    /// Applies the checkpoint to `net`, matching parameters by name; each
+    /// parameter then shares the checkpoint's tensor.
     ///
     /// Fails if any model parameter is missing from the checkpoint or has a
-    /// different shape; checkpoint entries the model does not have are
-    /// ignored (they may belong to frozen heads etc.).
+    /// different shape, and then leaves `net` as it was: every name and
+    /// shape is checked before the first parameter is assigned. Checkpoint
+    /// entries the model does not have are ignored (they may belong to
+    /// frozen heads etc.).
     pub fn apply(&self, net: &mut dyn Layer) -> Result<(), CheckpointError> {
+        let mut matched: Vec<&Arc<Tensor>> = Vec::new();
         let mut error: Option<String> = None;
         net.visit_params(&mut |p| {
             if error.is_some() {
@@ -78,24 +127,23 @@ impl Checkpoint {
             }
             match self.params.iter().find(|(n, _)| *n == p.name) {
                 None => error = Some(format!("missing parameter '{}'", p.name)),
-                Some((_, value)) => {
-                    if value.shape() != p.value.shape() {
-                        error = Some(format!(
-                            "parameter '{}': checkpoint shape {} vs model {}",
-                            p.name,
-                            value.shape(),
-                            p.value.shape()
-                        ));
-                    } else {
-                        p.value = value.clone();
-                    }
+                Some((_, value)) if value.shape() != p.value.shape() => {
+                    error = Some(format!(
+                        "parameter '{}': checkpoint shape {} vs model {}",
+                        p.name,
+                        value.shape(),
+                        p.value.shape()
+                    ))
                 }
+                Some((_, value)) => matched.push(value),
             }
         });
-        match error {
-            Some(e) => Err(CheckpointError::Mismatch(e)),
-            None => Ok(()),
+        if let Some(e) = error {
+            return Err(CheckpointError::Mismatch(e));
         }
+        let mut matched = matched.into_iter();
+        net.visit_params(&mut |p| p.value = Arc::clone(matched.next().expect("same walk")));
+        Ok(())
     }
 
     /// Saves to a JSON file.
@@ -164,18 +212,42 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn json_is_the_plain_name_tensor_layout() {
+        let mut a = net(9);
+        let ckpt = Checkpoint::capture(&mut a);
+        let plain = CheckpointFile {
+            version: ckpt.version,
+            params: ckpt
+                .params
+                .iter()
+                .map(|(n, t)| (n.clone(), (**t).clone()))
+                .collect(),
+        };
+        let json = serde_json::to_string(&ckpt).unwrap();
+        assert_eq!(json, serde_json::to_string(&plain).unwrap());
+        let back: Checkpoint = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.params, ckpt.params);
+    }
+
     #[test]
     fn apply_rejects_shape_mismatch() {
         let mut a = net(5);
         let ckpt = Checkpoint::capture(&mut a);
         let mut rng = SeededRng::new(6);
-        let mut wrong = Sequential::new("net").push(Linear::new(
-            "fc1",
-            LinearConfig::dense(4, 16), // different width
-            &mut rng,
-        ));
+        // fc1 fits; fc2 has a different width.
+        let mut wrong = Sequential::new("net")
+            .push(Linear::new("fc1", LinearConfig::dense(4, 8), &mut rng))
+            .push(Linear::new("fc2", LinearConfig::dense(8, 3), &mut rng));
+        let x = Tensor::full([2, 4], 0.5);
+        let before = bits(&wrong.forward(&x, Mode::Infer));
         let err = ckpt.apply(&mut wrong).unwrap_err();
-        assert!(err.to_string().contains("fc1"), "{err}");
+        assert!(err.to_string().contains("fc2"), "{err}");
+        assert_eq!(bits(&wrong.forward(&x, Mode::Infer)), before, "half-loaded");
     }
 
     #[test]
@@ -184,7 +256,10 @@ mod tests {
         let mut ckpt = Checkpoint::capture(&mut a);
         ckpt.params.retain(|(n, _)| n != "fc2.bias");
         let mut b = net(8);
+        let x = Tensor::full([2, 4], 0.5);
+        let before = bits(&b.forward(&x, Mode::Infer));
         let err = ckpt.apply(&mut b).unwrap_err();
         assert!(err.to_string().contains("fc2.bias"), "{err}");
+        assert_eq!(bits(&b.forward(&x, Mode::Infer)), before, "half-loaded");
     }
 }

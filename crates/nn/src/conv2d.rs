@@ -497,8 +497,8 @@ impl Layer for Conv2d {
         // split: part 0 adds its chunks to `Param::grad` as the whole batch
         // used to, part 1 sums into the zeroed partial, and the partial is
         // added once both are done — the same order whoever ran part 1.
-        let dw = self.weight.grad.data_mut();
-        let mut db = self.bias.as_mut().map(|b| b.grad.data_mut());
+        let dw = self.weight.grad.get_mut().data_mut();
+        let mut db = self.bias.as_mut().map(|b| b.grad.get_mut().data_mut());
         let mut partial = CHUNK.with(|s| std::mem::take(&mut s.borrow_mut().partial));
         let (dw1, db1) = stale(&mut partial, a_out * k_rows + a_out).split_at_mut(a_out * k_rows);
         par::join(
@@ -957,8 +957,12 @@ mod tests {
                         l.visit_params(&mut |p| p.zero_grad());
                         l.forward(&x, Mode::Train).recycle();
                         let dx = l.backward(&dy);
-                        assert_eq!(bits(l.weight.grad.data()), bits(&want_dw), "dW, {case}");
-                        let db = l.bias.as_ref().expect("bias").grad.data();
+                        assert_eq!(
+                            bits(l.weight.grad.get().unwrap().data()),
+                            bits(&want_dw),
+                            "dW, {case}"
+                        );
+                        let db = l.bias.as_ref().expect("bias").grad.get().unwrap().data();
                         assert_eq!(bits(db), bits(&want_db), "db, {case}");
                         if !transposed {
                             assert_eq!(bits(dx.data()), bits(&want_dx), "dX, {case}");
@@ -1076,7 +1080,7 @@ mod tests {
         let x = Tensor::full([1, 1, 3, 3], 1.0);
         let _ = l.forward(&x, Mode::Train);
         let _ = l.backward(&Tensor::full([1, 1, 3, 3], 1.0));
-        let g = &l.weight.grad;
+        let g = l.weight.grad.get().unwrap();
         let k2 = 9;
         for o in 0..4 {
             for idx in 0..4 * k2 {

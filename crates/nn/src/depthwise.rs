@@ -199,11 +199,11 @@ impl Layer for DepthwiseConv2d {
             for ch in 0..c {
                 let plane = &x.row(s)[ch * in_len..(ch + 1) * in_len];
                 let dys = &dy.row(s)[ch * out_len..(ch + 1) * out_len];
-                self.bias.grad.data_mut()[ch] += dys.iter().sum::<f32>();
+                self.bias.grad.get_mut().data_mut()[ch] += dys.iter().sum::<f32>();
                 // `value` and `grad` are disjoint fields, so the kernel can
                 // be read while its gradient row is written — no copies.
                 let kernel = w.value.row(ch);
-                let dkernel = w.grad.row_mut(ch);
+                let dkernel = w.grad.get_mut().row_mut(ch);
                 let dplane = &mut dx.row_mut(s)[ch * in_len..(ch + 1) * in_len];
                 backward_plane(&self.geom, plane, kernel, dys, dkernel, dplane);
             }

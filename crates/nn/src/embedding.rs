@@ -91,7 +91,7 @@ impl Layer for Embedding {
         self.cached = false;
         debug_assert_eq!(dy.numel(), self.ids.len() * self.dim);
         for (&id, src) in self.ids.iter().zip(dy.data().chunks_exact(self.dim)) {
-            for (d, &s) in self.weight.grad.row_mut(id).iter_mut().zip(src) {
+            for (d, &s) in self.weight.grad.get_mut().row_mut(id).iter_mut().zip(src) {
                 *d += s;
             }
         }
@@ -137,10 +137,11 @@ mod tests {
         let dx = emb.backward(&dy);
         assert_eq!(dx.dims(), &[2, 2]);
         // Token 4 appeared twice → grad 2, tokens 0 and 1 once → 1, others 0.
-        assert!(emb.weight.grad.row(4).iter().all(|&v| v == 2.0));
-        assert!(emb.weight.grad.row(0).iter().all(|&v| v == 1.0));
-        assert!(emb.weight.grad.row(1).iter().all(|&v| v == 1.0));
-        assert!(emb.weight.grad.row(2).iter().all(|&v| v == 0.0));
+        let grad = emb.weight.grad.get().expect("backward wrote it");
+        assert!(grad.row(4).iter().all(|&v| v == 2.0));
+        assert!(grad.row(0).iter().all(|&v| v == 1.0));
+        assert!(grad.row(1).iter().all(|&v| v == 1.0));
+        assert!(grad.row(2).iter().all(|&v| v == 0.0));
     }
 
     #[test]

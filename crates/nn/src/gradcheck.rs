@@ -109,7 +109,10 @@ pub fn check_layer(
 
     // Snapshot analytic parameter gradients.
     let mut param_grads: Vec<(String, Vec<f32>)> = Vec::new();
-    layer.visit_params(&mut |p| param_grads.push((p.name.clone(), p.grad.data().to_vec())));
+    layer.visit_params(&mut |p| {
+        let g = p.grad.get().expect("zeroed above");
+        param_grads.push((p.name.clone(), g.data().to_vec()))
+    });
 
     let agree = |analytic: f32, numeric: f32| -> bool {
         (analytic - numeric).abs() <= opts.tol_abs + opts.tol_rel * numeric.abs()
@@ -140,7 +143,7 @@ pub fn check_layer(
         let mut idx = 0usize;
         layer.visit_params(&mut |p| {
             if idx == pi {
-                p.value.data_mut()[ei] += delta;
+                p.value_mut().data_mut()[ei] += delta;
             }
             idx += 1;
         });
@@ -193,7 +196,7 @@ mod tests {
         }
         fn backward(&mut self, dy: &Tensor) -> Tensor {
             let x = self.cache.take().expect("forward first");
-            self.w.grad.add_assign(&dy.mul(&x));
+            self.w.grad.get_mut().add_assign(&dy.mul(&x));
             dy.mul(&self.w.value)
         }
         fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

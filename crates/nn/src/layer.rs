@@ -1,7 +1,8 @@
 //! The [`Layer`] trait, trainable [`Param`]s and execution [`Mode`].
 
 use crate::slice::SliceRate;
-use ms_tensor::Tensor;
+use ms_tensor::{Shape, Tensor};
+use std::sync::Arc;
 
 /// Whether a forward pass is part of training (caches activations, applies
 /// dropout, updates batch-norm statistics) or inference.
@@ -14,15 +15,27 @@ pub enum Mode {
 }
 
 /// A trainable parameter: value, gradient accumulator and optimiser state.
+///
+/// The value is shared, copy-on-write storage. Cloning a `Param`, capturing
+/// a [`Checkpoint`](crate::checkpoint::Checkpoint) or hydrating a replica
+/// from [`SharedWeights`](crate::shared::SharedWeights) bumps a refcount, so
+/// every holder reads one buffer. A write goes through [`Param::value_mut`]
+/// (`Arc::make_mut`): it copies the tensor only while another holder still
+/// shares it, and a net that owns its weights writes them in place.
+///
+/// The gradient is allocated the first time something writes it (a
+/// backward, [`Param::zero_grad`], the optimiser), so a net that only serves
+/// holds none.
 #[derive(Debug, Clone)]
 pub struct Param {
     /// Human-readable name, used in diagnostics and weight dumps.
     pub name: String,
-    /// The parameter tensor.
-    pub value: Tensor,
-    /// Gradient accumulator, same shape as `value`. Zeroed by the optimiser
-    /// step or explicitly by the trainer; layers always *accumulate* (`+=`).
-    pub grad: Tensor,
+    /// The parameter tensor, shared copy-on-write (see the type docs).
+    pub value: Arc<Tensor>,
+    /// Gradient accumulator, same shape as `value`, allocated on first
+    /// write. Zeroed by the optimiser step or explicitly by the trainer;
+    /// layers always *accumulate* (`+=`).
+    pub grad: Grad,
     /// Momentum buffer, lazily allocated by SGD on first use.
     pub velocity: Option<Tensor>,
     /// Whether weight decay applies (true for weights, false for biases and
@@ -31,21 +44,26 @@ pub struct Param {
 }
 
 impl Param {
-    /// Creates a parameter with a zeroed gradient.
+    /// Creates a parameter that owns `value` and has no gradient yet.
     pub fn new(name: impl Into<String>, value: Tensor, decay: bool) -> Self {
-        let grad = Tensor::zeros(value.shape().clone());
+        let grad = Grad::new(value.shape().clone());
         Param {
             name: name.into(),
-            value,
+            value: Arc::new(value),
             grad,
             velocity: None,
             decay,
         }
     }
 
-    /// Zeroes the gradient accumulator.
+    /// The value for writing: copied first if another holder shares it.
+    pub fn value_mut(&mut self) -> &mut Tensor {
+        Arc::make_mut(&mut self.value)
+    }
+
+    /// Zeroes the gradient accumulator (allocating it on first use).
     pub fn zero_grad(&mut self) {
-        self.grad.fill_zero();
+        self.grad.get_mut().fill_zero();
     }
 
     /// Number of scalar parameters.
@@ -56,6 +74,40 @@ impl Param {
     /// Whether the tensor is empty.
     pub fn is_empty(&self) -> bool {
         self.value.numel() == 0
+    }
+}
+
+/// A parameter's gradient accumulator, allocated zeroed on first write.
+#[derive(Debug, Clone)]
+pub struct Grad {
+    shape: Shape,
+    acc: Option<Tensor>,
+}
+
+impl Grad {
+    fn new(shape: Shape) -> Self {
+        Grad { shape, acc: None }
+    }
+
+    /// The accumulated gradient; `None` until something wrote one.
+    pub fn get(&self) -> Option<&Tensor> {
+        self.acc.as_ref()
+    }
+
+    /// The accumulator for writing, allocated zeroed on the first call.
+    pub fn get_mut(&mut self) -> &mut Tensor {
+        let shape = &self.shape;
+        self.acc.get_or_insert_with(|| Tensor::zeros(shape.clone()))
+    }
+
+    /// Squared L2 norm; 0 before the first write.
+    pub fn sq_norm(&self) -> f64 {
+        self.acc.as_ref().map_or(0.0, Tensor::sq_norm)
+    }
+
+    /// Largest absolute entry; 0 before the first write.
+    pub fn max_abs(&self) -> f32 {
+        self.acc.as_ref().map_or(0.0, Tensor::max_abs)
     }
 }
 
@@ -229,9 +281,11 @@ mod tests {
     #[test]
     fn param_zero_grad() {
         let mut p = Param::new("w", Tensor::full([2, 2], 1.0), true);
-        p.grad.fill(3.0);
+        assert!(p.grad.get().is_none(), "a new parameter holds no gradient");
+        assert_eq!(p.grad.sq_norm(), 0.0);
+        p.grad.get_mut().fill(3.0);
         p.zero_grad();
-        assert!(p.grad.data().iter().all(|&v| v == 0.0));
+        assert!(p.grad.get().unwrap().data().iter().all(|&v| v == 0.0));
         assert_eq!(p.len(), 4);
         assert!(!p.is_empty());
     }
@@ -242,7 +296,7 @@ mod tests {
             p: Param::new("w", Tensor::full([3], 1.0), true),
         };
         assert_eq!(d.full_param_count(), 3);
-        d.p.grad.fill(2.0);
+        d.p.grad.get_mut().fill(2.0);
         assert!((d.grad_norm() - (12.0f64).sqrt()).abs() < 1e-9);
         d.zero_grads();
         assert_eq!(d.grad_norm(), 0.0);

@@ -372,10 +372,15 @@ impl Layer for Linear {
         // rows of the gradient, and nothing is added up afterwards.
         let (row_mid, out_mid) = self.cut(batch);
         let (dx0, dx1) = dx.data_mut().split_at_mut(row_mid * a_in);
-        let (dw0, dw1) = self.weight.grad.data_mut().split_at_mut(out_mid * in_dim);
+        let (dw0, dw1) = self
+            .weight
+            .grad
+            .get_mut()
+            .data_mut()
+            .split_at_mut(out_mid * in_dim);
         let (db0, db1) = match &mut self.bias {
             Some(b) => {
-                let (lo, hi) = b.grad.data_mut()[..a_out].split_at_mut(out_mid);
+                let (lo, hi) = b.grad.get_mut().data_mut()[..a_out].split_at_mut(out_mid);
                 (Some(lo), Some(hi))
             }
             None => (None, None),
@@ -586,7 +591,7 @@ mod tests {
             },
             &mut rng,
         );
-        l.weight.value.fill(1.0);
+        l.weight.value_mut().fill(1.0);
         let x_full = Tensor::full([1, 8], 1.0);
         let y_full = l.forward(&x_full, Mode::Infer);
         l.set_slice_rate(SliceRate::new(0.5));
@@ -627,7 +632,7 @@ mod tests {
         // Rows 4..8 and columns 4..8 of the weight grad must stay zero.
         for i in 0..8 {
             for j in 0..8 {
-                let g = l.weight.grad.at(&[i, j]);
+                let g = l.weight.grad.get().unwrap().at(&[i, j]);
                 if i >= 4 || j >= 4 {
                     assert_eq!(g, 0.0, "grad leaked to inactive ({i},{j})");
                 } else {
@@ -636,7 +641,7 @@ mod tests {
             }
         }
         // Bias grad beyond a_out stays zero.
-        let bg = l.bias.as_ref().unwrap().grad.data();
+        let bg = l.bias.as_ref().unwrap().grad.get().unwrap().data();
         assert!(bg[..4].iter().all(|&v| v != 0.0));
         assert!(bg[4..].iter().all(|&v| v == 0.0));
     }
@@ -724,7 +729,7 @@ mod tests {
         let before = l.forward_prefix(&x, None, SliceRate::FULL);
         l.visit_params(&mut |p| {
             if p.name.ends_with("weight") {
-                p.value.fill(0.25);
+                p.value_mut().fill(0.25);
             }
         });
         let after = l.forward_prefix(&x, None, SliceRate::FULL);
@@ -732,7 +737,7 @@ mod tests {
         let mut fresh = layer(8, 8, false);
         fresh.visit_params(&mut |p| {
             if p.name.ends_with("weight") {
-                p.value.fill(0.25);
+                p.value_mut().fill(0.25);
             }
         });
         let want = fresh.forward_prefix(&x, None, SliceRate::FULL);
@@ -750,7 +755,7 @@ mod tests {
             let mut rng = SeededRng::new(31);
             l.visit_params(&mut |p| {
                 if p.name.ends_with("weight") {
-                    p.value
+                    p.value_mut()
                         .data_mut()
                         .iter_mut()
                         .for_each(|v| *v = rng.uniform(-1.0, 1.0));

@@ -140,8 +140,8 @@ impl Layer for BatchNorm {
                     sum_dy_xhat += d * cache.xhat.data()[base + k];
                 }
             }
-            self.gamma.grad.data_mut()[ch] += sum_dy_xhat;
-            self.beta.grad.data_mut()[ch] += sum_dy;
+            self.gamma.grad.get_mut().data_mut()[ch] += sum_dy_xhat;
+            self.beta.grad.get_mut().data_mut()[ch] += sum_dy;
             let mean_dy = sum_dy / n;
             let mean_dy_xhat = sum_dy_xhat / n;
             for s in 0..batch {

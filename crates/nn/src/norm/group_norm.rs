@@ -282,7 +282,10 @@ impl Layer for GroupNorm {
         };
         // `dγ`/`dβ` are sums over samples: part 0 adds to `Param::grad`,
         // part 1 to a zeroed partial that is added once both are done.
-        let (dgamma, dbeta) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
+        let (dgamma, dbeta) = (
+            self.gamma.grad.get_mut().data_mut(),
+            self.beta.grad.get_mut().data_mut(),
+        );
         let mut partial = take_zeroed(&mut self.partial, 2 * c_act);
         let (dgamma1, dbeta1) = partial.split_at_mut(c_act);
         par::join(
@@ -404,7 +407,11 @@ mod tests {
         let x = random_input(&mut rng, [1, 2, 2, 2]);
         let _ = gn.forward(&x, Mode::Train);
         let _ = gn.backward(&Tensor::full([1, 2, 2, 2], 1.0));
-        assert!(gn.gamma.grad.data()[2..].iter().all(|&v| v == 0.0));
-        assert!(gn.beta.grad.data()[2..].iter().all(|&v| v == 0.0));
+        assert!(gn.gamma.grad.get().unwrap().data()[2..]
+            .iter()
+            .all(|&v| v == 0.0));
+        assert!(gn.beta.grad.get().unwrap().data()[2..]
+            .iter()
+            .all(|&v| v == 0.0));
     }
 }

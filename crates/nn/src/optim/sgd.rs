@@ -6,6 +6,7 @@
 
 use crate::layer::{Layer, Param};
 use ms_tensor::Tensor;
+use std::sync::Arc;
 
 /// SGD hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -76,27 +77,23 @@ impl Sgd {
                 p.velocity = Some(Tensor::zeros(p.value.shape().clone()));
             }
             let decay = if p.decay { cfg.weight_decay } else { 0.0 };
+            let (w, g) = (Arc::make_mut(&mut p.value), p.grad.get_mut());
             match &mut p.velocity {
                 Some(vel) => {
-                    for ((v, g), w) in vel
-                        .data_mut()
-                        .iter_mut()
-                        .zip(p.grad.data())
-                        .zip(p.value.data_mut())
-                    {
+                    for ((v, g), w) in vel.data_mut().iter_mut().zip(g.data()).zip(w.data_mut()) {
                         let d = clip_scale * g + decay * *w;
                         *v = cfg.momentum * *v + d;
                         *w -= cfg.lr * *v;
                     }
                 }
                 None => {
-                    for (g, w) in p.grad.data().iter().zip(p.value.data_mut()) {
+                    for (g, w) in g.data().iter().zip(w.data_mut()) {
                         let d = clip_scale * g + decay * *w;
                         *w -= cfg.lr * d;
                     }
                 }
             }
-            p.grad.fill_zero();
+            g.fill_zero();
         });
         norm
     }
@@ -145,7 +142,7 @@ mod tests {
         // grad of f(w) = w²/2 is w.
         for _ in 0..50 {
             let w = net.p.value.data()[0];
-            net.p.grad.data_mut()[0] = w;
+            net.p.grad.get_mut().data_mut()[0] = w;
             opt.step(&mut net);
         }
         assert!(net.p.value.data()[0].abs() < 0.01);
@@ -163,7 +160,7 @@ mod tests {
             });
             for _ in 0..30 {
                 let w = net.p.value.data()[0];
-                net.p.grad.data_mut()[0] = w;
+                net.p.grad.get_mut().data_mut()[0] = w;
                 opt.step(&mut net);
             }
             net.p.value.data()[0].abs()
@@ -180,7 +177,7 @@ mod tests {
             weight_decay: 0.0,
             clip_norm: Some(1.0),
         });
-        net.p.grad.data_mut()[0] = 100.0;
+        net.p.grad.get_mut().data_mut()[0] = 100.0;
         let norm = opt.step(&mut net);
         assert!((norm - 100.0).abs() < 1e-6);
         // Update magnitude capped at lr * clip = 1.
@@ -205,8 +202,8 @@ mod tests {
     fn grads_zeroed_after_step() {
         let mut net = param(1.0);
         let mut opt = Sgd::new(SgdConfig::default());
-        net.p.grad.data_mut()[0] = 3.0;
+        net.p.grad.get_mut().data_mut()[0] = 3.0;
         opt.step(&mut net);
-        assert_eq!(net.p.grad.data()[0], 0.0);
+        assert_eq!(net.p.grad.get().unwrap().data()[0], 0.0);
     }
 }

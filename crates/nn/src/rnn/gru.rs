@@ -125,8 +125,8 @@ impl Cell<3> for GruCell {
     }
 
     fn split_bias_grads(&mut self, at: usize) -> ([&mut [f32]; 2], [&mut [f32]; 2]) {
-        let (x0, x1) = self.b_x.grad.data_mut().split_at_mut(at);
-        let (h0, h1) = self.b_h.grad.data_mut().split_at_mut(at);
+        let (x0, x1) = self.b_x.grad.get_mut().data_mut().split_at_mut(at);
+        let (h0, h1) = self.b_h.grad.get_mut().data_mut().split_at_mut(at);
         ([x0, h0], [x1, h1])
     }
 
@@ -200,7 +200,7 @@ mod tests {
     fn zero_input_keeps_zero_state() {
         // With zero weights-biases-input, h stays 0 (z = 0.5, n = 0).
         let mut g = gru(3, 4, false);
-        g.visit_params(&mut |p| p.value.fill_zero());
+        g.visit_params(&mut |p| p.value_mut().fill_zero());
         let y = g.forward(&Tensor::zeros([1, 3, 3]), Mode::Infer);
         assert!(y.data().iter().all(|&v| v == 0.0));
     }
@@ -269,7 +269,7 @@ mod tests {
         for gate in 0..3 {
             for row in 0..8 {
                 for col in 0..8 {
-                    let v = g.w_x.grad.at(&[gate * 8 + row, col]);
+                    let v = g.w_x.grad.get().unwrap().at(&[gate * 8 + row, col]);
                     if row >= 4 || col >= 4 {
                         assert_eq!(v, 0.0, "w_x leak at gate {gate} ({row},{col})");
                     }

@@ -106,7 +106,7 @@ impl Cell<4> for LstmCell {
     }
 
     fn split_bias_grads(&mut self, at: usize) -> (&mut [f32], &mut [f32]) {
-        self.bias.grad.data_mut().split_at_mut(at)
+        self.bias.grad.get_mut().data_mut().split_at_mut(at)
     }
 
     fn add_bias_grads(db: &mut &mut [f32], at: usize, dz: GateCols, _dz_h: GateCols) {
@@ -254,7 +254,7 @@ mod tests {
         for gate in 0..4 {
             for row in 0..8 {
                 for col in 0..8 {
-                    let v = l.w_x.grad.at(&[gate * 8 + row, col]);
+                    let v = l.w_x.grad.get().unwrap().at(&[gate * 8 + row, col]);
                     if row >= 4 || col >= 4 {
                         assert_eq!(v, 0.0, "w_x leak at gate {gate} ({row},{col})");
                     }

@@ -658,8 +658,8 @@ impl<C: Cell<G>, const G: usize> Layer for Recurrent<C, G> {
         // up afterwards.
         let gate_mid = par::mid(G);
         let at = gate_mid * h_full; // the second part's first weight row
-        let (dwx0, dwx1) = self.w_x.grad.data_mut().split_at_mut(at * d_full);
-        let (dwh0, dwh1) = self.w_h.grad.data_mut().split_at_mut(at * h_full);
+        let (dwx0, dwx1) = self.w_x.grad.get_mut().data_mut().split_at_mut(at * d_full);
+        let (dwh0, dwh1) = self.w_h.grad.get_mut().data_mut().split_at_mut(at * h_full);
         let (db0, db1) = self.cell.split_bias_grads(at);
         // `h` keeps T + 1 blocks per part, so the rows of `H_prev` that line
         // up with a part's rows of `dz` start at the part's first block.

@@ -4,11 +4,16 @@
 //! slice-rate bookkeeping and workspaces), so worker threads cannot share one
 //! model instance. What they *can* share is the immutable thing: the trained
 //! parameter values. [`SharedWeights`] captures one `Arc`-backed snapshot of
-//! every named parameter; each worker builds a cheap structural replica of
-//! the model (from its config, with throwaway init) and hydrates it from the
-//! shared snapshot. The snapshot itself is never copied between threads —
-//! only the `Arc` is cloned — and hydration copies each tensor exactly once
-//! into the replica that will own it.
+//! every named parameter; each worker builds a structural replica of the
+//! model (from its config, with throwaway init) and hydrates it from the
+//! shared snapshot. Neither step copies a weight: a [`Param`]'s value is
+//! `Arc`-shared copy-on-write storage, so capture and hydration move
+//! refcounts, and the snapshot, its source net and every replica read one
+//! buffer per tensor. A replica that only serves never writes it (and never
+//! allocates a gradient); one that trains copies a tensor on its first
+//! write, leaving the snapshot and the other replicas as they were.
+//!
+//! [`Param`]: crate::layer::Param
 
 use crate::checkpoint::Checkpoint;
 use crate::layer::Layer;
@@ -17,7 +22,8 @@ use std::sync::Arc;
 /// An immutable, `Arc`-shared snapshot of a network's trained parameters:
 /// a [`Checkpoint`] behind an `Arc`.
 ///
-/// Cloning is O(1) (an `Arc` bump); the underlying tensors are frozen.
+/// Cloning is O(1) (an `Arc` bump); the underlying tensors are frozen, and
+/// shared with every net hydrated from them.
 #[derive(Debug, Clone)]
 pub struct SharedWeights {
     snapshot: Arc<Checkpoint>,
@@ -31,8 +37,8 @@ impl SharedWeights {
         }
     }
 
-    /// Hydrates a structural replica: every parameter of `net` is overwritten
-    /// with the snapshot value of the same name.
+    /// Hydrates a structural replica: every parameter of `net` now shares
+    /// the snapshot value of the same name (its own init is dropped).
     ///
     /// # Panics
     /// If `net` has a parameter the snapshot lacks, or shapes differ — a
@@ -118,6 +124,88 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), want);
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn storage(net: &mut Sequential) -> Vec<*const f32> {
+        let mut out = Vec::new();
+        net.visit_params(&mut |p| out.push(p.value.data().as_ptr()));
+        out
+    }
+
+    #[test]
+    fn replicas_and_the_snapshot_read_one_buffer() {
+        let mut a = net(6);
+        let shared = SharedWeights::capture(&mut a);
+        let (mut b, mut c) = (net(7), net(8));
+        shared.hydrate(&mut b);
+        shared.hydrate(&mut c);
+        let snapshot: Vec<*const f32> = shared
+            .snapshot
+            .params
+            .iter()
+            .map(|(_, t)| t.data().as_ptr())
+            .collect();
+        assert_eq!(storage(&mut a), snapshot);
+        assert_eq!(storage(&mut b), snapshot);
+        assert_eq!(storage(&mut c), snapshot);
+        let mut grads = 0;
+        b.visit_params(&mut |p| grads += p.grad.get().is_some() as usize);
+        assert_eq!(grads, 0, "a hydrated replica holds no gradient");
+    }
+
+    #[test]
+    fn a_write_to_one_replica_leaves_the_others_and_the_snapshot_alone() {
+        let mut a = net(9);
+        let shared = SharedWeights::capture(&mut a);
+        let (mut b, mut c) = (net(10), net(11));
+        shared.hydrate(&mut b);
+        shared.hydrate(&mut c);
+        let x = Tensor::full([3, 4], 0.25);
+        let c_before = bits(&c.forward(&x, Mode::Infer));
+        let snapshot_before: Vec<Vec<u32>> = shared
+            .snapshot
+            .params
+            .iter()
+            .map(|(_, t)| bits(t))
+            .collect();
+
+        let rewrite = |n: &mut Sequential| {
+            let mut k = 0u32;
+            n.visit_params(&mut |p| {
+                for v in p.value_mut().data_mut() {
+                    k += 1;
+                    *v = (k % 7) as f32 * 0.1 - 0.3;
+                }
+            })
+        };
+        rewrite(&mut b);
+        let mut owned = net(12);
+        rewrite(&mut owned);
+
+        assert_eq!(
+            bits(&b.forward(&x, Mode::Infer)),
+            bits(&owned.forward(&x, Mode::Infer))
+        );
+        assert_eq!(bits(&c.forward(&x, Mode::Infer)), c_before);
+        let snapshot_after: Vec<Vec<u32>> = shared
+            .snapshot
+            .params
+            .iter()
+            .map(|(_, t)| bits(t))
+            .collect();
+        assert_eq!(snapshot_after, snapshot_before);
+        let snapshot: Vec<*const f32> = shared
+            .snapshot
+            .params
+            .iter()
+            .map(|(_, t)| t.data().as_ptr())
+            .collect();
+        assert_eq!(storage(&mut c), snapshot);
+        assert!(storage(&mut b).iter().zip(&snapshot).all(|(b, s)| b != s));
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn param_values(layer: &mut dyn Layer) -> Vec<Vec<f32>> {
 /// Gradients of a layer's parameters, in `visit_params` order.
 fn param_grads(layer: &mut dyn Layer) -> Vec<(String, Vec<f32>)> {
     let mut out = Vec::new();
-    layer.visit_params(&mut |p| out.push((p.name.clone(), p.grad.data().to_vec())));
+    layer.visit_params(&mut |p| out.push((p.name.clone(), p.grad.get().unwrap().data().to_vec())));
     out
 }
 
@@ -152,7 +152,7 @@ fn linear_in_three_states(cfg: &LinearConfig, seed: u64) -> [Linear; 3] {
     ));
     values.reverse();
     written.visit_params(&mut |p| {
-        p.value
+        p.value_mut()
             .data_mut()
             .copy_from_slice(&values.pop().expect("one value per parameter"))
     });
@@ -786,7 +786,7 @@ proptest! {
         conv.visit_params(&mut |p| {
             for o in 0..8 {
                 for idx in 0..8 * k2 {
-                    let v = p.grad.at(&[o, idx]);
+                    let v = p.grad.get().unwrap().at(&[o, idx]);
                     let active_cell = o < a && idx < a * k2;
                     if !active_cell && v != 0.0 {
                         leaked = true;

@@ -82,7 +82,7 @@ fn steady_state_infer_forward_allocates_nothing() {
     // (it used to drop the panels): nothing to pack, nothing re-grown; and
     // one row, under `gemm`'s cutoff, on `gemm`'s loops.
     assert!(!fc.prepack(), "a Linear has no panels to pack");
-    fc.visit_params(&mut |p| p.value.data_mut()[0] += 1.0);
+    fc.visit_params(&mut |p| p.value_mut().data_mut()[0] += 1.0);
     let x1 = Tensor::zeros([1, 64]);
     for x in [&x, &x1] {
         fc.forward(x, Mode::Infer).recycle();

@@ -27,6 +27,7 @@ cargo test --release -p ms-nn --test zero_alloc
 cargo test --release -p ms-nn --test zero_alloc_train
 cargo test --release -p ms-core --test zero_alloc_batched
 cargo test --release -p ms-core --test zero_alloc_refine
+cargo test --release -p ms-models --test zero_alloc_hydrate
 cargo test --release -p ms-telemetry --test zero_alloc
 cargo test --release -p ms-telemetry --test zero_alloc --features telemetry-spans
 cargo test --release -p ms-telemetry --test zero_alloc_flight
@@ -55,7 +56,8 @@ RUSTFLAGS="-C target-cpu=x86-64-v3" cargo run --release -q -p ms-bench \
 diff /tmp/ms_probe_default.txt /tmp/ms_probe_v3.txt \
     || die "the generic micro-kernel (x86-64-v3 build) and the native build disagree on output bits"
 
-echo "== logical suites: codec chaos, reactor loopback + soak, time series, autoscaler, virtual-clock SLA and the §4.1 example, fleet e2e =="
+echo "== logical suites: shared copy-on-write weights and all-or-nothing checkpoints, codec chaos, reactor loopback + soak, time series, autoscaler, virtual-clock SLA and the §4.1 example, fleet e2e =="
+cargo test --release -p ms-nn --lib -- shared:: checkpoint::
 cargo test --release -p ms-net --test chaos_codec
 cargo test --release -p ms-net --test protocol_props
 cargo test --release -p ms-net --test loopback_smoke
