@@ -153,6 +153,10 @@ impl Trainer {
 
     /// One Algorithm-1 iteration on `batch`.
     ///
+    /// The step zeroes every gradient before the scheduled subnets'
+    /// backward passes accumulate into them, so what a stray backward left
+    /// behind never reaches the update.
+    ///
     /// The step claims the process's fork-join helper if it is free, so the
     /// two fixed parts every split layer pass runs in go to two cores; with
     /// the helper taken (another trainer's step) or absent (one core) the
@@ -389,5 +393,31 @@ mod tests {
         let y = net.forward(&batch.x, Mode::Infer);
         assert_eq!(y.dims(), &[4, 2]);
         assert_eq!(net.flops_per_sample(), 2 * 32 + 32 * 2);
+    }
+
+    #[test]
+    fn a_step_owns_its_gradients_from_zero() {
+        // Two identical nets and trainers; one net first runs a stray
+        // backward at a narrow width, which leaves gradients behind. The
+        // step zeroes before it accumulates, so both land on the same bits.
+        let steps = |stray: bool| {
+            let mut rng = SeededRng::new(5);
+            let mut net = toy_net(&mut rng);
+            let mut t = trainer(SchedulerKind::RandomMinMax, &mut rng);
+            let batch = &toy_batches(&mut rng, 1, 8)[0];
+            if stray {
+                net.set_slice_rate(SliceRate::new(0.5));
+                let y = net.forward(&batch.x, Mode::Train);
+                let _ = net.backward(&y);
+                net.set_slice_rate(SliceRate::FULL);
+            }
+            let norms: Vec<u64> = (0..2)
+                .map(|_| t.step(&mut net, batch).grad_norm.to_bits())
+                .collect();
+            let mut bits = Vec::new();
+            net.visit_params(&mut |p| bits.extend(p.value.data().iter().map(|v| v.to_bits())));
+            (norms, bits)
+        };
+        assert_eq!(steps(true), steps(false));
     }
 }

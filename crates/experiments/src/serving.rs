@@ -7,16 +7,14 @@
 //! query within T, and delivers the highest effective accuracy — full-width
 //! answers off-peak, gracefully narrower answers during spikes — while the
 //! inelastic full-width server answers everything and most of it late.
+//!
+//! The report is the replays on the engine's virtual clock. Two wall-clock
+//! demonstrations print after it ([`demos`]): the same story on a profile
+//! calibrated on this machine, and over a loopback socket.
 
-use ms_core::scheduler::SchedulerKind;
+use crate::{eval_accuracy, scalar, sweep, Fmt, ImageSetting, ImageTrack, Report, Run, Table};
 use ms_core::slice_rate::{SliceRate, SliceRateList};
-use ms_data::synth_images::ImageDataset;
-use ms_experiments::{
-    accuracy_sweep, fmt, pct, print_table, telemetry_flusher, test_batches, train_image_model,
-    write_results, ImageSetting,
-};
 use ms_models::mlp::{Mlp, MlpConfig};
-use ms_models::vgg::Vgg;
 use ms_nn::layer::Layer;
 use ms_nn::shared::SharedWeights;
 use ms_serving::controller::{AccuracyTable, RatePolicy, SlaController};
@@ -24,38 +22,23 @@ use ms_serving::engine::{Engine, EngineConfig};
 use ms_serving::profile::LatencyProfile;
 use ms_serving::workload::{WorkloadConfig, WorkloadTrace};
 use ms_tensor::{SeededRng, Tensor};
-use serde::Serialize;
 
-fn main() {
-    let start = std::time::Instant::now();
-    let _telemetry = telemetry_flusher("serving");
-    let setting = ImageSetting::standard();
-    let ds = ImageDataset::generate(setting.dataset.clone());
-    let test = test_batches(&ds, 128);
+/// Runs the §4.1 replays.
+pub fn run(run: &Run) -> Report {
+    let track = ImageTrack::new(ImageSetting::standard(run));
+    let rates = &track.setting.rates;
 
     eprintln!("[serving] training sliced model…");
-    let mut rng = SeededRng::new(3000);
-    let mut model = Vgg::new(&setting.vgg, &mut rng);
-    train_image_model(
-        &mut model,
-        &ds,
-        &setting,
-        SchedulerKind::r_weighted_3(&setting.rates),
-        3001,
-        |_, _| {},
-    );
-    let sweep = accuracy_sweep(&mut model, &test, &setting.rates);
-    let table = AccuracyTable::new(
-        setting.rates.clone(),
-        sweep.iter().map(|p| p.accuracy.unwrap_or(0.0)).collect(),
-    );
+    let mut model = track.sliced_vgg(&mut SeededRng::new(3000), 3001);
+    let points = sweep(&mut model, rates, |m, r| eval_accuracy(m, &track.test, r));
+    let table = AccuracyTable::new(rates.clone(), points.iter().map(|p| p.value).collect());
 
     // Workload: base 8 queries/tick with 2× diurnal swing and 9× flash
     // crowds — peaks land right at the base subnet's capacity, the §4.1
     // regime where fine-grained degradation shines. (See
     // tests/serving_sla.rs for the extreme-overload boundary case.)
     let trace = WorkloadTrace::generate(&WorkloadConfig {
-        ticks: if ms_experiments::quick() { 300 } else { 4000 },
+        ticks: if run.quick { 300 } else { 4000 },
         base_rate: 8.0,
         diurnal_amplitude: 2.0,
         diurnal_period: 500,
@@ -64,11 +47,14 @@ fn main() {
         spike_len: 40,
         seed: 23,
     });
-    println!(
-        "\nworkload: {} queries over {} ticks, peak/mean volatility {:.1}x",
-        trace.total(),
-        trace.arrivals.len(),
-        trace.volatility()
+    let mut report = Report::default();
+    report.line(
+        "\nworkload: {} queries over {} ticks, peak/mean volatility {}x",
+        vec![
+            scalar("queries", trace.total() as f64, Fmt::Int),
+            scalar("ticks", trace.arrivals.len() as f64, Fmt::Int),
+            scalar("volatility", trace.volatility(), Fmt::Dec(1)),
+        ],
     );
 
     // Latency T = 40 ms and a full-width pass of 1 ms a sample: a T/2
@@ -78,8 +64,8 @@ fn main() {
     // only has to slice at the same rates), at headroom 1.0: the planning
     // budget is T/2. Late batches delay the ones behind them.
     let t_full = 1e-3;
-    let law = LatencyProfile::quadratic(setting.rates.clone(), t_full);
-    let r_min = setting.rates.min();
+    let law = LatencyProfile::quadratic(rates.clone(), t_full);
+    let r_min = rates.min();
     // The swap to a GBDT-like model is elastic width over {r_min, 1}: the
     // r_min pass stands in for the cheap model, charged 5 % of a full pass
     // and scored the cheap model's accuracy.
@@ -97,9 +83,9 @@ fn main() {
         ("DropCandidates", drop, &law, &table),
         ("ModelSlicing", elastic, &law, &table),
     ];
-    let mut results = Vec::new();
-    let mut rows = Vec::new();
-    for (name, policy, profile, scores) in policies {
+    let mut cols = vec![Vec::new(); 6];
+    let mut histogram = Vec::new();
+    for (_, policy, profile, scores) in policies {
         let engine = Engine::start_virtual(
             EngineConfig {
                 latency: 0.04,
@@ -113,66 +99,50 @@ fn main() {
         );
         let r = engine.replay(&trace, input_for);
         engine.shutdown();
-        let accuracy = r.effective_accuracy(scores);
-        rows.push(vec![
-            name.to_string(),
-            format!("{}", r.served),
-            format!("{}", r.shed),
-            format!("{}", r.late),
-            pct(r.shed as f64 / r.arrived.max(1) as f64),
-            pct(accuracy),
-            fmt(r.p99_latency * 1e3, 1),
-        ]);
-        results.push(PolicyResult {
-            policy: name,
-            arrived: r.arrived,
-            served: r.served,
-            shed: r.shed,
-            late: r.late,
-            effective_accuracy: accuracy,
-            p99_latency_s: r.p99_latency,
-            rate_histogram: r.counters.rate_histogram,
-        });
+        let row = [
+            r.served as f64,
+            r.shed as f64,
+            r.late as f64,
+            r.shed as f64 / r.arrived.max(1) as f64,
+            r.effective_accuracy(scores),
+            r.p99_latency * 1e3,
+        ];
+        for (col, v) in cols.iter_mut().zip(row) {
+            col.push(v);
+        }
+        histogram = r.counters.rate_histogram;
     }
-    println!("\n§4.1 — serving under dynamic workload (latency T = 40 ms, budget T/2)\n");
-    print_table(
-        &[
-            "policy",
-            "served",
-            "shed",
-            "late",
-            "shed %",
-            "eff. accuracy %",
-            "p99 latency ms",
-        ],
-        &rows,
-    );
-    println!("\nmodel-slicing width usage (batches per rate):");
-    for (r, c) in &results[4].rate_histogram {
-        println!("  rate {r:.3}: {c}");
+    let formats = [
+        ("served", Fmt::Int),
+        ("shed", Fmt::Int),
+        ("late", Fmt::Int),
+        ("shed %", Fmt::Pct),
+        ("eff. accuracy %", Fmt::Pct),
+        ("p99 latency ms", Fmt::Dec(1)),
+    ];
+    let mut table = Table::new("policy", policies.iter().map(|p| p.0.to_string()).collect());
+    for ((name, fmt), values) in formats.into_iter().zip(cols) {
+        table = table.col(name, fmt, values);
     }
-    // The same story on a profile calibrated on this machine, two replicas.
-    real_engine_replay();
-
-    // Network regime: the same engines behind the TCP front-end, driven by
-    // a pipelined client over loopback.
-    loopback_serving_run();
-
-    println!("elapsed: {:.1}s", start.elapsed().as_secs_f64());
-    write_results("serving", &results);
+    report.title("§4.1 — serving under dynamic workload (latency T = 40 ms, budget T/2)");
+    report.table(table);
+    // The last policy's, model slicing's.
+    report.line("\nmodel-slicing width usage (batches per rate):", vec![]);
+    for (r, c) in histogram {
+        let rate = scalar("rate", r as f64, Fmt::Dec(3));
+        report.line(
+            "  rate {}: {}",
+            vec![rate, scalar("batches", c as f64, Fmt::Int)],
+        );
+    }
+    report
 }
 
-/// One row of `results/serving.json`.
-#[derive(Serialize)]
-struct PolicyResult {
-    policy: &'static str,
-    arrived: usize,
-    served: usize,
-    shed: usize,
-    late: usize,
-    effective_accuracy: f64,
-    p99_latency_s: f64,
-    rate_histogram: Vec<(f32, u64)>,
+/// The wall-clock demonstrations: a replay timed by a profile calibrated
+/// on this machine, then a run over a loopback socket.
+pub fn demos() {
+    real_engine_replay();
+    loopback_serving_run();
 }
 
 const INPUT_DIM: usize = 16;
@@ -200,7 +170,7 @@ fn input_for(id: u64) -> Tensor {
 /// measured cost law implies and do not move with its load.
 fn real_engine_replay() {
     let cfg = mlp_config(4);
-    let rates = ms_core::slice_rate::SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
+    let rates = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
     let mut net = Mlp::new(&cfg, &mut SeededRng::new(11));
     let profile = LatencyProfile::calibrate(&mut net, rates, &[INPUT_DIM], 512, 5);
 
@@ -274,7 +244,7 @@ fn loopback_serving_run() {
     use std::time::Duration;
 
     let cfg = mlp_config(4);
-    let rates = ms_core::slice_rate::SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
+    let rates = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
     let mut net = Mlp::new(&cfg, &mut SeededRng::new(11));
     let profile = LatencyProfile::calibrate(&mut net, rates, &[INPUT_DIM], 512, 5);
     let budget = profile.predict(200, SliceRate::FULL);

@@ -239,6 +239,7 @@ mod tests {
 
     #[test]
     fn learns_a_toy_task() {
+        use ms_nn::layer::Network;
         use ms_nn::loss::CrossEntropy;
         use ms_nn::optim::{Sgd, SgdConfig};
         let mut rng = SeededRng::new(4);
@@ -260,6 +261,7 @@ mod tests {
         let x = Tensor::from_vec([16, 3, 8, 8], xs).unwrap();
         let mut last = f64::INFINITY;
         for _ in 0..30 {
+            m.zero_grads();
             let logits = m.forward(&x, Mode::Train);
             let (loss, dl) = CrossEntropy.forward(&logits, &ys);
             let _ = m.backward(&dl);

@@ -332,6 +332,7 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_on_repetitive_stream() {
+        use ms_nn::layer::Network;
         use ms_nn::loss::CrossEntropy;
         use ms_nn::optim::{Sgd, SgdConfig};
         let mut rng = SeededRng::new(4);
@@ -348,6 +349,7 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
+            m.zero_grads();
             let logits = m.forward(&x, Mode::Train);
             let (loss, dl) = CrossEntropy.forward(&logits, &y);
             let _ = m.backward(&dl);
@@ -404,6 +406,7 @@ mod gru_tests {
 
     #[test]
     fn gru_nnlm_learns_a_cycle() {
+        use ms_nn::layer::Network;
         use ms_nn::loss::CrossEntropy;
         use ms_nn::optim::{Sgd, SgdConfig};
         let mut rng = SeededRng::new(62);
@@ -419,6 +422,7 @@ mod gru_tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
+            m.zero_grads();
             let logits = m.forward(&x, Mode::Train);
             let (loss, dl) = CrossEntropy.forward(&logits, &y);
             let _ = m.backward(&dl);

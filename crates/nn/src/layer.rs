@@ -33,8 +33,9 @@ pub struct Param {
     /// The parameter tensor, shared copy-on-write (see the type docs).
     pub value: Arc<Tensor>,
     /// Gradient accumulator, same shape as `value`, allocated on first
-    /// write. Zeroed by the optimiser step or explicitly by the trainer;
-    /// layers always *accumulate* (`+=`).
+    /// write. Layers always *accumulate* (`+=`) and the optimiser only reads
+    /// it, so whoever starts an accumulation zeroes it first (the trainer,
+    /// at the top of each step).
     pub grad: Grad,
     /// Momentum buffer, lazily allocated by SGD on first use.
     pub velocity: Option<Tensor>,

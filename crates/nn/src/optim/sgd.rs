@@ -56,8 +56,10 @@ impl Sgd {
     }
 
     /// Applies one update to every parameter of `net` from its accumulated
-    /// gradients, then zeroes the gradients. Returns the pre-clip global
-    /// gradient norm (useful for diagnostics).
+    /// gradients. The gradients are left as they are: whoever starts the
+    /// next accumulation zeroes them first, as Algorithm 1 does at the top
+    /// of each iteration. Returns the pre-clip global gradient norm (useful
+    /// for diagnostics).
     pub fn step(&mut self, net: &mut dyn Layer) -> f64 {
         // Pass 1: global norm (only needed when clipping, but cheap and a
         // useful training diagnostic either way).
@@ -93,7 +95,6 @@ impl Sgd {
                     }
                 }
             }
-            g.fill_zero();
         });
         norm
     }
@@ -199,11 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn grads_zeroed_after_step() {
+    fn step_reads_the_gradient_and_leaves_it() {
         let mut net = param(1.0);
         let mut opt = Sgd::new(SgdConfig::default());
         net.p.grad.get_mut().data_mut()[0] = 3.0;
         opt.step(&mut net);
-        assert_eq!(net.p.grad.get().unwrap().data()[0], 0.0);
+        assert_eq!(net.p.grad.get().unwrap().data()[0], 3.0);
     }
 }

@@ -12,9 +12,10 @@ die() { echo "perfcheck FAILED: $*"; exit 1; }
 echo "== formatting: the workspace stays as rustfmt lays it out =="
 cargo fmt --all -- --check || die "cargo fmt --all would rewrite the files above"
 
-echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (the layers), ms-core (inference and training), ms-models (the networks), ms-serving (the engine), ms-net and ms-cluster are clippy-clean =="
-cargo clippy --release -p ms-tensor -p ms-nn -p ms-core -p ms-models -p ms-serving -p ms-net -p ms-cluster --all-targets --no-deps -- -D warnings \
-    || die "clippy warns on ms-tensor, ms-nn, ms-core, ms-models, ms-serving, ms-net or ms-cluster (lines above)"
+echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (the layers), ms-core (inference and training), ms-models (the networks), ms-serving (the engine), ms-net, ms-cluster, ms-data, ms-baselines and ms-experiments (the paper's evaluation) are clippy-clean =="
+cargo clippy --release -p ms-tensor -p ms-nn -p ms-core -p ms-models -p ms-serving -p ms-net -p ms-cluster \
+    -p ms-data -p ms-baselines -p ms-experiments --all-targets --no-deps -- -D warnings \
+    || die "clippy warns on ms-tensor, ms-nn, ms-core, ms-models, ms-serving, ms-net, ms-cluster, ms-data, ms-baselines or ms-experiments (lines above)"
 
 echo "== release build (also the shard_server that cluster_elastic spawns) =="
 cargo build --release --workspace
@@ -55,6 +56,11 @@ RUSTFLAGS="-C target-cpu=x86-64-v3" cargo run --release -q -p ms-bench \
     --target-dir target/x86-64-v3 --bin determinism_probe > /tmp/ms_probe_v3.txt
 diff /tmp/ms_probe_default.txt /tmp/ms_probe_v3.txt \
     || die "the generic micro-kernel (x86-64-v3 build) and the native build disagree on output bits"
+# The paper's evaluation at quick scale against its committed golden, from
+# the generic micro-kernel: the experiments' bits must not depend on it.
+RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test --release -q --test experiments_golden \
+    --target-dir target/x86-64-v3 \
+    || die "the x86-64-v3 build's experiment reports differ from tests/golden/experiments_quick.json"
 
 echo "== logical suites: shared copy-on-write weights and all-or-nothing checkpoints, codec chaos, reactor loopback + soak, time series, autoscaler, virtual-clock SLA and the §4.1 example, fleet e2e =="
 cargo test --release -p ms-nn --lib -- shared:: checkpoint::
