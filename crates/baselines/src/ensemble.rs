@@ -8,10 +8,7 @@
 
 use ms_nn::layer::Layer;
 
-/// A budget-selectable collection of fixed models.
-///
-/// Members are stored with their per-sample MACs (measured at add time) so
-/// selection does not need to re-probe.
+/// A collection of fixed models, each trained on its own.
 pub struct FixedEnsemble {
     members: Vec<Member>,
 }
@@ -22,8 +19,6 @@ pub struct Member {
     pub label: String,
     /// The trained model.
     pub model: Box<dyn Layer>,
-    /// Per-sample MACs.
-    pub flops: u64,
     /// Parameter count.
     pub params: u64,
 }
@@ -36,18 +31,15 @@ impl FixedEnsemble {
         }
     }
 
-    /// Adds a trained model, measuring its cost.
+    /// Adds a trained model, counting its parameters.
     pub fn add(&mut self, label: impl Into<String>, mut model: Box<dyn Layer>) {
         use ms_nn::layer::Network;
-        let flops = model.flops_per_sample();
         let params = model.full_param_count();
         self.members.push(Member {
             label: label.into(),
             model,
-            flops,
             params,
         });
-        self.members.sort_by_key(|m| m.flops);
     }
 
     /// Number of members.
@@ -58,28 +50,6 @@ impl FixedEnsemble {
     /// Whether the ensemble is empty.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// Members ascending by cost.
-    pub fn members(&self) -> &[Member] {
-        &self.members
-    }
-
-    /// Mutable member access (evaluation needs `&mut` forward).
-    pub fn members_mut(&mut self) -> &mut [Member] {
-        &mut self.members
-    }
-
-    /// Index of the most expensive member within `budget` MACs per sample,
-    /// or the cheapest member if none fits (degraded service beats none).
-    pub fn select_for_budget(&self, budget: u64) -> usize {
-        let mut best = 0;
-        for (i, m) in self.members.iter().enumerate() {
-            if m.flops <= budget {
-                best = i;
-            }
-        }
-        best
     }
 
     /// Total storage across members — the deployment-cost figure the paper
@@ -116,30 +86,14 @@ mod tests {
     }
 
     #[test]
-    fn members_sorted_and_selected_by_budget() {
-        let mut rng = SeededRng::new(1);
-        let mut e = FixedEnsemble::new();
-        e.add("w32", member(32, &mut rng));
-        e.add("w8", member(8, &mut rng));
-        e.add("w16", member(16, &mut rng));
-        assert_eq!(e.len(), 3);
-        let flops: Vec<u64> = e.members().iter().map(|m| m.flops).collect();
-        assert!(flops.windows(2).all(|w| w[0] < w[1]));
-        // Budget exactly the middle member.
-        assert_eq!(e.select_for_budget(flops[1]), 1);
-        assert_eq!(e.select_for_budget(flops[2] + 10), 2);
-        // Starvation: cheapest member.
-        assert_eq!(e.select_for_budget(0), 0);
-    }
-
-    #[test]
     fn total_params_sums_members() {
         let mut rng = SeededRng::new(2);
         let mut e = FixedEnsemble::new();
         e.add("a", member(8, &mut rng));
         e.add("b", member(16, &mut rng));
-        let each: u64 = e.members().iter().map(|m| m.params).sum();
-        assert_eq!(e.total_params(), each);
-        assert!(e.total_params() > e.members()[1].params);
+        assert_eq!(e.len(), 2);
+        // fc0 (8 inputs → w, with bias) and the head (w → 2, with bias).
+        let params = |w: u64| (8 * w + w) + (w * 2 + 2);
+        assert_eq!(e.total_params(), params(8) + params(16));
     }
 }

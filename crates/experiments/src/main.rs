@@ -3,6 +3,7 @@
 
 use ms_experiments::{Experiment, Report, Run, EXPERIMENTS};
 use ms_telemetry::Flusher;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -34,17 +35,37 @@ fn main() {
             demo();
         }
         println!("elapsed: {:.1}s", start.elapsed().as_secs_f64());
-        write_results(exp.name, &report);
+        write_results(&results_path(exp.name, run.quick), &report);
     }
 }
 
-/// Writes `results/<name>.json`; a read-only checkout only prints.
-fn write_results(name: &str, report: &Report) {
-    let path = format!("results/{name}.json");
+/// Where a run's report goes: `results/<name>.json` for a full run, which
+/// is committed, and the git-ignored `results/quick/<name>.json` for an
+/// `MS_QUICK=1` run, so a quick run never overwrites a full one.
+fn results_path(name: &str, quick: bool) -> PathBuf {
+    let dir = if quick { "results/quick" } else { "results" };
+    Path::new(dir).join(format!("{name}.json"))
+}
+
+/// Writes the report to `path`; a read-only checkout only prints.
+fn write_results(path: &Path, report: &Report) {
     let json = serde_json::to_string_pretty(report).expect("a report serialises");
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|_| std::fs::write(&path, json + "\n"))
-    {
-        eprintln!("warn: could not write {path}: {e}");
+    let dir = path.parent().expect("a results path has a directory");
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| std::fs::write(path, json + "\n")) {
+        eprintln!("warn: could not write {}: {e}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_quick_run_writes_beside_the_committed_results_not_over_them() {
+        assert_eq!(results_path("fig6", false), Path::new("results/fig6.json"));
+        assert_eq!(
+            results_path("fig6", true),
+            Path::new("results/quick/fig6.json")
+        );
     }
 }

@@ -16,7 +16,6 @@ use crate::{eval_accuracy, scalar, sweep, Fmt, ImageSetting, ImageTrack, Report,
 use ms_core::slice_rate::{SliceRate, SliceRateList};
 use ms_models::mlp::{Mlp, MlpConfig};
 use ms_nn::layer::Layer;
-use ms_nn::shared::SharedWeights;
 use ms_serving::controller::{AccuracyTable, RatePolicy, SlaController};
 use ms_serving::engine::{Engine, EngineConfig};
 use ms_serving::profile::LatencyProfile;
@@ -182,18 +181,13 @@ fn real_engine_replay() {
         "\nreal engine (2 replicas, SLA {:.2} ms, profile calibrated on this machine):",
         latency * 1e3
     );
-    let mut proto = Mlp::new(&cfg, &mut SeededRng::new(17));
-    let weights = SharedWeights::capture(&mut proto);
+    let proto = Mlp::new(&cfg, &mut SeededRng::new(17));
     for (name, policy) in [
         ("Elastic", RatePolicy::Elastic),
         ("FixedFull", RatePolicy::Fixed(SliceRate::FULL)),
     ] {
         let replicas = (0..2)
-            .map(|i| {
-                let mut m = Mlp::new(&cfg, &mut SeededRng::new(100 + i as u64));
-                weights.hydrate(&mut m);
-                Box::new(m) as Box<dyn Layer + Send>
-            })
+            .map(|_| Box::new(proto.replica()) as Box<dyn Layer + Send>)
             .collect();
         let engine = Engine::start_virtual(
             EngineConfig {
@@ -253,12 +247,10 @@ fn loopback_serving_run() {
     let arrivals = WorkloadTrace::two_crowds(&profile, budget, 30, 3).arrivals;
     let sent: usize = arrivals.iter().sum();
 
-    let mut proto = Mlp::new(&cfg, &mut SeededRng::new(17));
-    let weights = SharedWeights::capture(&mut proto);
+    let proto = Mlp::new(&cfg, &mut SeededRng::new(17));
     let engines = (0..2)
-        .map(|i| {
-            let mut m = Mlp::new(&cfg, &mut SeededRng::new(200 + i as u64));
-            weights.hydrate(&mut m);
+        .map(|_| {
+            let m = proto.replica();
             Engine::start(
                 EngineConfig {
                     latency,

@@ -8,7 +8,7 @@
 use ms_core::deploy::{copy_block, copy_prefix, DeploySliced};
 use ms_nn::activation::Relu;
 use ms_nn::dropout::Dropout;
-use ms_nn::layer::{Layer, Mode, Param};
+use ms_nn::layer::{BoxedLayer, Layer, Mode, Param};
 use ms_nn::linear::{Linear, LinearConfig};
 use ms_nn::sequential::Sequential;
 use ms_nn::slice::{active_units, SliceRate};
@@ -94,6 +94,15 @@ impl Mlp {
     pub fn config(&self) -> &MlpConfig {
         &self.cfg
     }
+
+    /// A copy for another thread to serve ([`Layer::replica`]): it shares
+    /// every weight with `self`, so it costs no init and no second copy.
+    pub fn replica(&self) -> Mlp {
+        Mlp {
+            cfg: self.cfg.clone(),
+            net: self.net.replica().expect("an MLP's layers all offer one"),
+        }
+    }
 }
 
 impl Layer for Mlp {
@@ -114,6 +123,9 @@ impl Layer for Mlp {
     }
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.net.visit_params(f);
+    }
+    fn replica(&self) -> Option<BoxedLayer> {
+        Some(Box::new(Mlp::replica(self)))
     }
     fn set_slice_rate(&mut self, r: SliceRate) {
         self.net.set_slice_rate(r);
@@ -225,6 +237,28 @@ mod tests {
             },
             rng,
         )
+    }
+
+    #[test]
+    fn a_replica_shares_every_weight_and_serves_the_same_bits() {
+        let mut rng = SeededRng::new(7);
+        let mut m = mlp(&mut rng);
+        let mut r = m.replica();
+        let mut values = Vec::new();
+        m.visit_params(&mut |p| values.push(Arc::clone(&p.value)));
+        let mut seen = 0;
+        r.visit_params(&mut |p| {
+            assert!(Arc::ptr_eq(&p.value, &values[seen]), "{} copied", p.name);
+            assert!(p.grad.get().is_none());
+            seen += 1;
+        });
+        assert_eq!(seen, values.len());
+        let x = Tensor::from_vec([2, 6], (0..12).map(|v| v as f32 * 0.1 - 0.5).collect()).unwrap();
+        for rate in [0.5, 1.0].map(SliceRate::new) {
+            m.set_slice_rate(rate);
+            r.set_slice_rate(rate);
+            assert_eq!(m.forward(&x, Mode::Infer), r.forward(&x, Mode::Infer));
+        }
     }
 
     #[test]

@@ -27,15 +27,14 @@
 //! |                         |               | sample; `0` calibrates the real model |
 //! | `MS_SHARD_MAX_QUEUE`    | `100000`      | engine admission queue cap            |
 //! | `MS_SHARD_SAMPLE_MS`    | `250`         | SLO sampler cadence                   |
-//! | `MS_SHARD_SEED`         | `17`          | weight init seed (shared across       |
-//! |                         |               | replicas via `SharedWeights`)         |
+//! | `MS_SHARD_SEED`         | `17`          | weight init seed (every replica       |
+//! |                         |               | shares the one init's weights)        |
 
 use ms_core::slice_rate::SliceRateList;
 use ms_models::mlp::{Mlp, MlpConfig};
 use ms_net::protocol::{ShardIdentity, VERSION};
 use ms_net::{Router, Server, ServerConfig};
 use ms_nn::layer::Layer;
-use ms_nn::shared::SharedWeights;
 use ms_serving::controller::{RatePolicy, SlaController};
 use ms_serving::engine::{Engine, EngineConfig};
 use ms_serving::profile::LatencyProfile;
@@ -81,23 +80,19 @@ fn main() {
         input_rescale: true,
     };
     let rates = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
-    // One weight capture hydrates every replica: the shard serves one
-    // model, N threads deep — and with a quadratic profile the planned
-    // capacity is identical across restarts of the same spec, which the
-    // cluster e2e tests lean on.
-    let mut proto = Mlp::new(&cfg, &mut SeededRng::new(seed));
-    let weights = SharedWeights::capture(&mut proto);
+    // One init, shared by every replica: the shard serves one model, N
+    // threads deep — and with a quadratic profile the planned capacity is
+    // identical across restarts of the same spec, which the cluster e2e
+    // tests lean on.
+    let proto = Mlp::new(&cfg, &mut SeededRng::new(seed));
     let profile = if t_full > 0.0 {
         LatencyProfile::quadratic(rates, t_full)
     } else {
-        let mut probe = Mlp::new(&cfg, &mut SeededRng::new(seed));
-        weights.hydrate(&mut probe);
-        LatencyProfile::calibrate(&mut probe, rates, &[input_dim], 256, 3)
+        LatencyProfile::calibrate(&mut proto.replica(), rates, &[input_dim], 256, 3)
     };
     let engines: Vec<Engine> = (0..replicas)
-        .map(|i| {
-            let mut m = Mlp::new(&cfg, &mut SeededRng::new(seed + 1 + i as u64));
-            weights.hydrate(&mut m);
+        .map(|_| {
+            let m = proto.replica();
             Engine::start(
                 EngineConfig {
                     latency,

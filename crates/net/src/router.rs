@@ -246,7 +246,9 @@ impl Router {
                 }
             }
         }
-        input.recycle();
+        // Dropped, not recycled: a decoded request owes this thread's pool
+        // nothing.
+        drop(input);
         self.shed.inc();
         Err(RouteError::Shed(last))
     }

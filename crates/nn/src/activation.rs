@@ -1,6 +1,6 @@
 //! Parameter-free activation layers.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{BoxedLayer, Layer, Mode, Param};
 use ms_tensor::{ops, Tensor};
 
 /// ReLU activation, in place on the tensor it is handed.
@@ -93,6 +93,10 @@ impl Layer for Relu {
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+
+    fn replica(&self) -> Option<BoxedLayer> {
+        Some(Box::new(Relu::new()))
+    }
 
     fn name(&self) -> &str {
         "relu"

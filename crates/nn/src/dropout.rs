@@ -7,7 +7,7 @@
 //! is a counter-based function of `(key, i)`, which `backward` recomputes
 //! from the key.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{BoxedLayer, Layer, Mode, Param};
 use ms_tensor::{SeededRng, Tensor};
 
 /// Inverted-dropout layer.
@@ -97,6 +97,14 @@ impl Layer for Dropout {
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+
+    fn replica(&self) -> Option<BoxedLayer> {
+        Some(Box::new(Dropout {
+            p: self.p,
+            rng: self.rng.clone(),
+            key: None,
+        }))
+    }
 
     fn name(&self) -> &str {
         "dropout"

@@ -57,6 +57,18 @@ impl Param {
         }
     }
 
+    /// A parameter that shares this one's value (a refcount moves) and has
+    /// no gradient or momentum of its own: what a serving replica holds.
+    pub fn share(&self) -> Param {
+        Param {
+            name: self.name.clone(),
+            value: Arc::clone(&self.value),
+            grad: Grad::new(self.value.shape().clone()),
+            velocity: None,
+            decay: self.decay,
+        }
+    }
+
     /// The value for writing: copied first if another holder shares it.
     pub fn value_mut(&mut self) -> &mut Tensor {
         Arc::make_mut(&mut self.value)
@@ -207,6 +219,15 @@ pub trait Layer {
     /// layer packs again on first use. For holders of a net that packed it
     /// only temporarily, e.g. a calibration prototype.
     fn release_panels(&mut self) {}
+
+    /// A copy of this layer for another thread to serve: the same structure
+    /// and slice setting, every parameter [`Param::share`]d, and no cache of
+    /// a pass in flight. `None` (the default) for a layer that offers none;
+    /// the dense stack (`Linear`, `Relu`, `Dropout`, a `Sequential` of them)
+    /// does.
+    fn replica(&self) -> Option<BoxedLayer> {
+        None
+    }
 
     /// Multiply–add operations per sample under the *current* slice setting.
     /// Containers sum their children. Default 0 (parameter-free glue).

@@ -19,7 +19,7 @@
 //! prefix passes stay on the packed kernel at every size, so the refine
 //! ladder's bits do not depend on the batch.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{BoxedLayer, Layer, Mode, Param};
 use crate::slice::{active_groups, active_units, group_boundary, prefix_input_width, SliceRate};
 use crate::workspace::PrefixCache;
 use ms_tensor::matmul::{gemm, Operand, Trans, SMALL_GEMM_CUTOFF};
@@ -471,6 +471,19 @@ impl Layer for Linear {
         if let Some(b) = &mut self.bias {
             f(b);
         }
+    }
+
+    fn replica(&self) -> Option<BoxedLayer> {
+        Some(Box::new(Linear {
+            cfg: self.cfg.clone(),
+            name: self.name.clone(),
+            weight: self.weight.share(),
+            bias: self.bias.as_ref().map(Param::share),
+            active_in: self.active_in,
+            active_out: self.active_out,
+            cache: None,
+            prefix: PrefixCache::default(),
+        }))
     }
 
     fn set_slice_rate(&mut self, r: SliceRate) {

@@ -50,6 +50,19 @@ impl Sequential {
     pub fn layer_mut(&mut self, idx: usize) -> &mut BoxedLayer {
         &mut self.layers[idx]
     }
+
+    /// [`Layer::replica`] as a `Sequential`: `None` unless every child
+    /// offers one.
+    pub fn replica(&self) -> Option<Sequential> {
+        Some(Sequential {
+            name: self.name.clone(),
+            layers: self
+                .layers
+                .iter()
+                .map(|l| l.replica())
+                .collect::<Option<_>>()?,
+        })
+    }
 }
 
 impl Layer for Sequential {
@@ -128,6 +141,10 @@ impl Layer for Sequential {
         for layer in &mut self.layers {
             layer.set_slice_rate(r);
         }
+    }
+
+    fn replica(&self) -> Option<BoxedLayer> {
+        Some(Box::new(Sequential::replica(self)?))
     }
 
     fn flops_per_sample(&self) -> u64 {

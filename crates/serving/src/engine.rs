@@ -670,9 +670,9 @@ impl Engine {
         if shed > 0 {
             let dropped = ids.split_off(admit);
             let dropped_traces = traces.split_off(admit);
-            for t in inputs.split_off(admit) {
-                t.recycle();
-            }
+            // Request tensors are the submitter's storage, not this
+            // thread's pool's: they are dropped, never recycled.
+            inputs.truncate(admit);
             st.shed_ids.extend(dropped);
             self.shared.metrics.shed.add(shed as u64);
             self.shared.metrics.shed_reason[SHED_ADMISSION].add(shed as u64);
@@ -971,9 +971,9 @@ fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Se
         }
         let service = shared.clock.since(t0, ran);
         let service_time = service.as_secs_f64();
-        for input in batch.inputs {
-            input.recycle();
-        }
+        // The requests' own storage, which no pool lent: dropped, not
+        // recycled into this worker's pool, which never draws its size.
+        drop(batch.inputs);
         shared.metrics.served.add(batch.ids.len() as u64);
         shared.metrics.batches.inc();
         shared.metrics.service.record(service_time);

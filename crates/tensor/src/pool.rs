@@ -11,15 +11,27 @@
 //! Design points:
 //!
 //! - **Thread-local, lock-free.** Each thread owns its free list; buffers
-//!   never migrate between threads, so no synchronisation is needed.
+//!   never migrate between threads, so no synchronisation is needed. A
+//!   tensor whose storage no pool lent (a request decoded off the wire) is
+//!   dropped where it dies, not released into that thread's list, which
+//!   would never draw its size.
 //! - **Best-fit with bounded slack.** `acquire(len)` picks the smallest
 //!   free buffer whose capacity is `>= len` and at most `2 * len`, so a
 //!   tiny request cannot pin a huge buffer.
+//! - **Sized by the working set.** A miss retires the largest free buffer
+//!   below `len` and more than half of it, mirroring the hit slack. A slot
+//!   whose batch grows replaces its buffer instead of keeping the new one
+//!   beside the old, so a thread that sees every batch size holds what its
+//!   largest batch needs, not one buffer per size it has seen. A buffer of
+//!   exactly half is kept: a size that doubles and comes back (a layer
+//!   linear in the width, stepping from 0.25 to 0.5 and back) draws it
+//!   again. A pool that hits in steady state never retires anything.
 //! - **Bounded.** At most [`MAX_POOLED`] buffers are retained; releasing
 //!   into a full pool drops the smallest entry (large activations are the
 //!   expensive ones to reallocate).
 //! - **Instrumented.** Hit/miss counters let tests assert that a warmed-up
-//!   forward pass is served entirely from the pool.
+//!   forward pass is served entirely from the pool; [`pooled_bytes`] and
+//!   the `tensor_pool_bytes` gauge say how much memory the free lists hold.
 //!
 //! [`acquire`] returns buffers zero-filled to `len` — a drop-in
 //! replacement for `vec![0.0; len]`. [`acquire_stale`] skips the fill, for
@@ -37,14 +49,16 @@ use std::sync::OnceLock;
 /// Maximum number of buffers retained per thread.
 pub const MAX_POOLED: usize = 64;
 
-/// Process-wide pool counters on the telemetry registry. The per-thread
-/// [`PoolStats`] stay authoritative for tests (they are exact per thread);
-/// these aggregate across every thread so the Prometheus dumps and a
-/// metrics scrape can see total pool traffic from outside the crate.
+/// Process-wide pool series on the telemetry registry. The per-thread
+/// [`PoolStats`] and [`pooled_bytes`] stay authoritative for tests (they are
+/// exact per thread); these aggregate across every thread so the Prometheus
+/// dumps and a metrics scrape can see total pool traffic, and the memory
+/// the free lists hold, from outside the crate.
 struct PoolMetrics {
     hits: ms_telemetry::Counter,
     misses: ms_telemetry::Counter,
     evictions: ms_telemetry::Counter,
+    bytes: ms_telemetry::Gauge,
 }
 
 fn pool_metrics() -> &'static PoolMetrics {
@@ -64,6 +78,10 @@ fn pool_metrics() -> &'static PoolMetrics {
                 "tensor_pool_evictions_total",
                 "buffer-pool releases dropped because the pool was full",
             ),
+            bytes: reg.gauge(
+                "tensor_pool_bytes",
+                "bytes of buffer capacity held in the pools' free lists",
+            ),
         }
     })
 }
@@ -80,18 +98,23 @@ pub struct PoolStats {
 }
 
 /// How many pool events a thread accumulates locally before publishing the
-/// deltas to the global telemetry counters. The pool sits on the per-request
-/// hot path of the serving engine; a global `fetch_add` per acquire would
-/// put every worker thread on the same contended cache lines, so traffic is
-/// batched and the registry series lag the thread-local truth by at most
-/// `FLUSH_EVERY - 1` events per live thread (exact on thread exit).
+/// deltas to the global telemetry series, the byte gauge's with them. The
+/// pool sits on the per-request hot path of the serving engine; a global
+/// `fetch_add` per acquire would put every worker thread on the same
+/// contended cache lines, so traffic is batched and the registry series lag
+/// the thread-local truth by at most `FLUSH_EVERY - 1` events per live
+/// thread (exact on thread exit).
 const FLUSH_EVERY: u64 = 64;
 
 struct Pool {
     free: Vec<Vec<f32>>,
+    /// Bytes of capacity held in `free`.
+    bytes: i64,
     stats: PoolStats,
     /// Deltas not yet published to the global registry counters.
     pending: PoolStats,
+    /// Change of `bytes` not yet published to the byte gauge.
+    pending_bytes: i64,
 }
 
 impl Pool {
@@ -104,9 +127,27 @@ impl Pool {
         let _ = pool_metrics();
         Pool {
             free: Vec::new(),
+            bytes: 0,
             stats: PoolStats::default(),
             pending: PoolStats::default(),
+            pending_bytes: 0,
         }
+    }
+
+    fn push(&mut self, buf: Vec<f32>) {
+        self.resize_by(bytes_of(&buf));
+        self.free.push(buf);
+    }
+
+    fn swap_remove(&mut self, i: usize) -> Vec<f32> {
+        let buf = self.free.swap_remove(i);
+        self.resize_by(-bytes_of(&buf));
+        buf
+    }
+
+    fn resize_by(&mut self, delta: i64) {
+        self.bytes += delta;
+        self.pending_bytes += delta;
     }
 
     fn flush_pending(&mut self) {
@@ -120,7 +161,11 @@ impl Pool {
         if self.pending.evictions > 0 {
             m.evictions.add(self.pending.evictions);
         }
+        if self.pending_bytes != 0 {
+            m.bytes.add(self.pending_bytes as f64);
+        }
         self.pending = PoolStats::default();
+        self.pending_bytes = 0;
     }
 
     fn note_event(&mut self) {
@@ -132,8 +177,14 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
+        // The free list goes with the thread.
+        self.pending_bytes -= self.bytes;
         self.flush_pending();
     }
+}
+
+fn bytes_of(buf: &Vec<f32>) -> i64 {
+    (buf.capacity() * std::mem::size_of::<f32>()) as i64
 }
 
 thread_local! {
@@ -142,11 +193,13 @@ thread_local! {
 
 /// Takes the best-fitting free buffer with room for `len` elements off
 /// this thread's list (contents and capacity kept), counting the hit or
-/// miss.
+/// miss. A miss retires the largest free buffer in `(len / 2, len)`: the
+/// caller is about to allocate its successor.
 fn take(len: usize) -> Option<Vec<f32>> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         let mut best: Option<(usize, usize)> = None;
+        let mut outgrown: Option<(usize, usize)> = None;
         for (i, buf) in p.free.iter().enumerate() {
             let cap = buf.capacity();
             if cap >= len && cap <= len.saturating_mul(2).max(len) {
@@ -157,6 +210,11 @@ fn take(len: usize) -> Option<Vec<f32>> {
                 if cap == len {
                     break;
                 }
+            } else if cap < len && cap.saturating_mul(2) > len {
+                match outgrown {
+                    Some((_, out_cap)) if out_cap >= cap => {}
+                    _ => outgrown = Some((i, cap)),
+                }
             }
         }
         match best {
@@ -164,9 +222,12 @@ fn take(len: usize) -> Option<Vec<f32>> {
                 p.stats.hits += 1;
                 p.pending.hits += 1;
                 p.note_event();
-                Some(p.free.swap_remove(i))
+                Some(p.swap_remove(i))
             }
             None => {
+                if let Some((i, _)) = outgrown {
+                    drop(p.swap_remove(i));
+                }
                 p.stats.misses += 1;
                 p.pending.misses += 1;
                 p.note_event();
@@ -239,12 +300,12 @@ pub fn release(buf: Vec<f32>) {
             p.pending.evictions += 1;
             p.note_event();
             if buf.capacity() > min_cap {
-                p.free.swap_remove(min_i);
+                p.swap_remove(min_i);
             } else {
                 return;
             }
         }
-        p.free.push(buf);
+        p.push(buf);
     });
 }
 
@@ -259,6 +320,11 @@ pub fn stats() -> PoolStats {
     })
 }
 
+/// Bytes of buffer capacity this thread's free list holds.
+pub fn pooled_bytes() -> usize {
+    POOL.with(|p| p.borrow().bytes as usize)
+}
+
 /// Resets this thread's counters (the free list is kept).
 pub fn reset_stats() {
     POOL.with(|p| p.borrow_mut().stats = PoolStats::default());
@@ -269,6 +335,8 @@ pub fn reset_stats() {
 pub fn clear() {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
+        let held = p.bytes;
+        p.resize_by(-held);
         p.free.clear();
         p.stats = PoolStats::default();
     });
@@ -336,6 +404,34 @@ mod tests {
         let got = acquire(50);
         assert_eq!(stats().hits, 1);
         assert!(got.capacity() >= 50 && got.capacity() <= 100);
+        release(got);
+    }
+
+    #[test]
+    fn a_miss_retires_the_largest_buffer_it_outgrew() {
+        clear();
+        release(Vec::with_capacity(50)); // exactly half of 100: kept
+        release(Vec::with_capacity(60));
+        release(Vec::with_capacity(70));
+        assert_eq!(pooled_bytes(), 4 * 180);
+        let grown = acquire(100);
+        assert_eq!((stats().hits, stats().misses), (0, 1));
+        // The 70 went; the 60, also in the band, waits for the next miss.
+        assert_eq!(pooled_bytes(), 4 * 110);
+        release(grown);
+        assert_eq!(pooled_bytes(), 4 * 210);
+        clear();
+        assert_eq!(pooled_bytes(), 0);
+    }
+
+    #[test]
+    fn a_hit_retires_nothing() {
+        clear();
+        release(Vec::with_capacity(60));
+        release(Vec::with_capacity(100));
+        let got = acquire(100);
+        assert_eq!(stats().hits, 1);
+        assert_eq!(pooled_bytes(), 4 * 60);
         release(got);
     }
 

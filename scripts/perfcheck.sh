@@ -33,6 +33,10 @@ cargo test --release -p ms-telemetry --test zero_alloc
 cargo test --release -p ms-telemetry --test zero_alloc --features telemetry-spans
 cargo test --release -p ms-telemetry --test zero_alloc_flight
 cargo test --release -p ms-telemetry --test zero_alloc_timeseries
+# The pool holds what the largest batch needs, whatever order sizes come in,
+# and an engine worker's pool takes back only what it lent.
+cargo test --release --test pool_batch_order
+cargo test --release --test engine_pool_evictions
 
 echo "== intra-step parallelism: the fork-join helper, and bits that do not depend on who ran a part =="
 cargo test --release -p ms-tensor --lib par::
