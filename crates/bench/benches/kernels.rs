@@ -5,8 +5,9 @@
 //! gate activations of one NNLM layer, a conv forward on the persistent
 //! panels with its columns read from the image and with them packed, a
 //! dense layer's product with its weight read in place against the same
-//! product on panels, and the bare handoff of the training step's
-//! fork-join.
+//! product on panels, the bare handoff of the training step's fork-join,
+//! and seeded weight init: a bulk normal fill and the heavy MLP's
+//! 2048×2048 Kaiming weight.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ms_nn::conv2d::{Conv2d, Conv2dConfig};
@@ -16,7 +17,7 @@ use ms_tensor::conv::{im2col, ConvGeom};
 use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::ops::{sigmoid_cols, tanh_cols};
 use ms_tensor::panels::{gemm_packed_b, linear_in_place, PackedB};
-use ms_tensor::{par, SeededRng, Tensor};
+use ms_tensor::{init, par, SeededRng, Tensor};
 
 fn gemm_blocks(c: &mut Criterion) {
     let mut rng = SeededRng::new(1);
@@ -228,6 +229,20 @@ fn par_join(c: &mut Criterion) {
     });
 }
 
+/// Seeded init: 64 Ki normals drawn in bulk into a warm buffer, and one
+/// 2048×2048 Kaiming-normal weight, its allocation included, as a model
+/// build runs it.
+fn seeded_init(c: &mut Criterion) {
+    let mut rng = SeededRng::new(41);
+    let mut buf = vec![0.0f32; 1 << 16];
+    c.bench_function("rng/fill_normal", |b| {
+        b.iter(|| rng.fill_normal(&mut buf, 0.0, 1.0))
+    });
+    c.bench_function("init/kaiming_normal_2048x2048", |b| {
+        b.iter(|| init::kaiming_normal([2048, 2048], 2048, &mut rng))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -235,6 +250,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(30);
     targets = gemm_blocks, gemm_layer_shapes, im2col_lowering, gate_activations,
-        conv_fwd_packed, dense_weight_side, par_join
+        conv_fwd_packed, dense_weight_side, par_join, seeded_init
 }
 criterion_main!(benches);

@@ -219,31 +219,52 @@ impl Trainer {
         }
     }
 
-    /// Evaluates `(mean cross-entropy, accuracy)` of `net` sliced at `rate`.
-    /// The network is restored to full width afterwards.
+    /// Evaluates `(mean cross-entropy, accuracy)` of `net` sliced at `rate`
+    /// ([`evaluate`]). The network is restored to full width afterwards.
     pub fn evaluate(&self, net: &mut dyn Layer, batches: &[Batch], rate: SliceRate) -> (f64, f64) {
-        net.set_slice_rate(rate);
-        let mut loss = 0.0f64;
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for batch in batches {
-            let logits = net.forward(&batch.x, Mode::Infer);
-            loss += self.criterion.loss_only(&logits, &batch.y) * batch.y.len() as f64;
-            let k = *logits.dims().last().expect("rank");
-            for (row, &t) in batch.y.iter().enumerate() {
-                if ops::argmax(&logits.data()[row * k..(row + 1) * k]) == t {
-                    correct += 1;
-                }
-            }
-            total += batch.y.len();
-            logits.recycle();
-        }
-        net.set_slice_rate(SliceRate::FULL);
-        if total == 0 {
-            return (0.0, 0.0);
-        }
-        (loss / total as f64, correct as f64 / total as f64)
+        evaluate(net, batches, rate)
     }
+}
+
+/// Runs every batch of `batches` through `net` sliced at `rate` in
+/// inference mode and hands each batch with its logits to `visit`; the
+/// network is restored to full width afterwards. The one evaluation loop of
+/// the workspace: [`evaluate`] and the experiments' predictions run on it.
+pub fn infer_batches(
+    net: &mut dyn Layer,
+    batches: &[Batch],
+    rate: SliceRate,
+    mut visit: impl FnMut(&Batch, &Tensor),
+) {
+    net.set_slice_rate(rate);
+    for batch in batches {
+        let logits = net.forward(&batch.x, Mode::Infer);
+        visit(batch, &logits);
+        logits.recycle();
+    }
+    net.set_slice_rate(SliceRate::FULL);
+}
+
+/// `(mean cross-entropy, accuracy)` over every item of `batches` with `net`
+/// sliced at `rate`; `(0, 0)` on no items.
+pub fn evaluate(net: &mut dyn Layer, batches: &[Batch], rate: SliceRate) -> (f64, f64) {
+    let mut loss = 0.0f64;
+    let mut correct = 0usize;
+    let mut total = 0usize;
+    infer_batches(net, batches, rate, |batch, logits| {
+        loss += CrossEntropy.loss_only(logits, &batch.y) * batch.y.len() as f64;
+        let k = *logits.dims().last().expect("rank");
+        for (row, &t) in batch.y.iter().enumerate() {
+            if ops::argmax(&logits.data()[row * k..(row + 1) * k]) == t {
+                correct += 1;
+            }
+        }
+        total += batch.y.len();
+    });
+    if total == 0 {
+        return (0.0, 0.0);
+    }
+    (loss / total as f64, correct as f64 / total as f64)
 }
 
 #[cfg(test)]

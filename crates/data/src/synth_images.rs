@@ -158,6 +158,10 @@ impl ImageDataset {
             }
         };
         let distractor = &self.protos[other];
+        // The noise is the image's last draw, one normal per pixel in
+        // layout order, so one bulk fill draws the same values; the
+        // gratings are added on top of it.
+        rng.fill_normal(&mut img, 0.0, cfg.noise);
         for c in 0..cfg.channels {
             let (dx, dy, f, phase) = proto.gratings[c];
             let (ddx, ddy, df, dphase) = distractor.gratings[c];
@@ -170,8 +174,7 @@ impl ImageDataset {
                     let main = (f * (dx * u + dy * v) + phase + shift_x).sin() * contrast;
                     let distract =
                         (df * (ddx * u + ddy * v) + dphase + shift_y).sin() * cfg.distractor;
-                    let noise = rng.normal(0.0, cfg.noise);
-                    plane[y * s + x] = main + distract + bias + noise;
+                    plane[y * s + x] += main + distract + bias;
                 }
             }
         }

@@ -2,13 +2,12 @@
 
 use ms_core::scheduler::{Scheduler, SchedulerKind};
 use ms_core::slice_rate::{SliceRate, SliceRateList};
-use ms_core::trainer::{Batch, Trainer, TrainerConfig};
+use ms_core::trainer::{self, Batch, Trainer, TrainerConfig};
 use ms_data::loader::{ImageBatcher, TextBatcher};
 use ms_data::synth_images::{ImageDataset, ImageDatasetConfig};
 use ms_data::synth_text::{TextCorpus, TextCorpusConfig};
 use ms_models::vgg::{Vgg, VggConfig};
-use ms_nn::layer::{Layer, Mode, Network};
-use ms_nn::loss::CrossEntropy;
+use ms_nn::layer::{Layer, Network};
 use ms_nn::optim::{LrSchedule, Sgd, SgdConfig, StepSchedule};
 use ms_nn::slice::{active_groups, active_units};
 use ms_tensor::{ops, SeededRng, Tensor};
@@ -278,14 +277,11 @@ impl ImageTrack {
 /// Predicted class per item of `batches`, in order, with `model` sliced at
 /// `rate` (left at full width after).
 pub fn eval_predictions(model: &mut dyn Layer, batches: &[Batch], rate: SliceRate) -> Vec<usize> {
-    model.set_slice_rate(rate);
     let mut preds = Vec::new();
-    for b in batches {
-        let logits = model.forward(&b.x, Mode::Infer);
+    trainer::infer_batches(model, batches, rate, |b, logits| {
         let k = *logits.dims().last().expect("rank");
         preds.extend(logits.data().chunks(k).take(b.y.len()).map(ops::argmax));
-    }
-    model.set_slice_rate(SliceRate::FULL);
+    });
     preds
 }
 
@@ -310,16 +306,7 @@ pub fn eval_accuracy(model: &mut dyn Layer, batches: &[Batch], rate: SliceRate) 
 
 /// Mean NLL (nats per item) of `model` sliced at `rate`.
 pub fn eval_nll(model: &mut dyn Layer, batches: &[Batch], rate: SliceRate) -> f64 {
-    model.set_slice_rate(rate);
-    let mut nll = 0.0f64;
-    let mut total = 0usize;
-    for b in batches {
-        let logits = model.forward(&b.x, Mode::Infer);
-        nll += CrossEntropy.loss_only(&logits, &b.y) * b.y.len() as f64;
-        total += b.y.len();
-    }
-    model.set_slice_rate(SliceRate::FULL);
-    nll / total.max(1) as f64
+    trainer::evaluate(model, batches, rate).0
 }
 
 /// One point of a rate sweep.
@@ -402,6 +389,7 @@ pub fn text_eval_batches(tokens: &[usize], batch: usize, seq_len: usize) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ms_nn::layer::Mode;
 
     const QUICK: Run = Run { quick: true };
 

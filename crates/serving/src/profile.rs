@@ -87,17 +87,16 @@ impl LatencyProfile {
         let packed_here = net.prepack();
         let mut per_sample = Vec::with_capacity(list.len());
         for r in list.iter() {
-            for out in batched_sliced_forward(net, &inputs, r) {
-                out.recycle(); // warm-up pass
-            }
+            // The per-request rows are dropped, not recycled: a serving
+            // worker's leave with its responses, and a probe batch larger
+            // than the pool would evict once per row.
+            drop(batched_sliced_forward(net, &inputs, r)); // warm-up pass
             let mut best = f64::INFINITY;
             for _ in 0..reps {
                 let t0 = Instant::now();
                 let outs = batched_sliced_forward(net, &inputs, r);
                 best = best.min(t0.elapsed().as_secs_f64());
-                for out in outs {
-                    out.recycle();
-                }
+                drop(outs);
             }
             per_sample.push((best / probe_batch as f64).max(1e-9));
         }
@@ -197,6 +196,28 @@ mod tests {
         let p = LatencyProfile::new(list(), vec![1e-3; 4], 5e-3);
         assert!((p.predict(10, SliceRate::FULL) - 0.015).abs() < 1e-12);
         assert_eq!(p.max_batch(SliceRate::FULL, 0.015), 10);
+    }
+
+    #[test]
+    fn calibration_rows_do_not_churn_the_pool() {
+        use ms_nn::linear::{Linear, LinearConfig};
+        use ms_tensor::{pool, SeededRng};
+        let mut net = Linear::new(
+            "fc",
+            LinearConfig {
+                in_dim: 4,
+                out_dim: 8,
+                in_groups: None,
+                out_groups: Some(4),
+                bias: true,
+                input_rescale: true,
+            },
+            &mut SeededRng::new(3),
+        );
+        let before = pool::stats().evictions;
+        // 256 rows per pass, four times the pool's capacity.
+        let _ = LatencyProfile::calibrate(&mut net, list(), &[4], 256, 2);
+        assert_eq!(pool::stats().evictions, before);
     }
 
     #[test]

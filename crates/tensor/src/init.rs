@@ -13,7 +13,8 @@ use crate::{SeededRng, Shape, Tensor};
 pub fn kaiming_normal(shape: impl Into<Shape>, fan_in: usize, rng: &mut SeededRng) -> Tensor {
     let shape = shape.into();
     let std = (2.0 / fan_in.max(1) as f32).sqrt();
-    let data = (0..shape.numel()).map(|_| rng.normal(0.0, std)).collect();
+    let mut data = vec![0.0; shape.numel()];
+    rng.fill_normal(&mut data, 0.0, std);
     Tensor::from_vec(shape, data).expect("generated buffer matches shape")
 }
 
@@ -24,16 +25,15 @@ pub fn xavier_uniform(
     fan_out: usize,
     rng: &mut SeededRng,
 ) -> Tensor {
-    let shape = shape.into();
     let a = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    let data = (0..shape.numel()).map(|_| rng.uniform(-a, a)).collect();
-    Tensor::from_vec(shape, data).expect("generated buffer matches shape")
+    uniform(shape, a, rng)
 }
 
 /// Uniform initialisation in `[-a, a]`, the classic LM embedding init.
 pub fn uniform(shape: impl Into<Shape>, a: f32, rng: &mut SeededRng) -> Tensor {
     let shape = shape.into();
-    let data = (0..shape.numel()).map(|_| rng.uniform(-a, a)).collect();
+    let mut data = vec![0.0; shape.numel()];
+    rng.fill_uniform(&mut data, -a, a);
     Tensor::from_vec(shape, data).expect("generated buffer matches shape")
 }
 

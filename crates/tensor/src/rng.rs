@@ -5,8 +5,69 @@
 //! [`SeededRng`] so that experiments are bit-reproducible run to run.
 
 use rand::distributions::Distribution;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// Elements per round of a bulk fill: its scratch lives on the stack.
+const FILL_CHUNK: usize = 256;
+
+/// `2π`, as `normal` has always computed it (`2.0 * PI`, exact in `f32`).
+const TURN: f32 = 2.0 * std::f32::consts::PI;
+
+/// The `f32` in `[lo, hi)` that the vendored `rand`'s `gen_range(lo..hi)`
+/// makes of the word it draws: the top 24 bits as a unit float, scaled, and
+/// a result that rounds up to `hi` mapped to `lo`. Every uniform and normal
+/// of [`SeededRng`], one at a time or in bulk, goes through it.
+#[inline(always)]
+fn in_range(word: u32, lo: f32, hi: f32) -> f32 {
+    let unit = (word >> 8) as f32 * (1.0 / (1u32 << 24) as f32);
+    let v = lo + (hi - lo) * unit;
+    if v >= hi {
+        lo
+    } else {
+        v
+    }
+}
+
+/// The Box–Muller variate from `ln u₁` and `cos 2πu₂`.
+#[inline(always)]
+fn box_muller(ln_u1: f32, cos_u2: f32, mean: f32, std: f32) -> f32 {
+    mean + std * ((-2.0 * ln_u1).sqrt() * cos_u2)
+}
+
+/// `cos` of every angle of `theta` (each in `[0, 2π)`) in place, called
+/// path by path. glibc's `cosf` takes one path below 0.75 and, above it,
+/// one of two by the parity of the nearest multiple of π/2: on random angles
+/// its branches are coin tosses. Called on one path's angles after the
+/// other's, they are predicted, which halves the cost of the calls. Only
+/// the order of the calls changes.
+fn cos_by_path(theta: &mut [f32]) {
+    use std::f32::consts::FRAC_PI_4;
+    // One bit per angle and path, 64 angles to a word.
+    let mut paths = [[0u64; FILL_CHUNK / 64]; 3];
+    for (w, angles) in theta.chunks(64).enumerate() {
+        let (mut small, mut odd) = (0u64, 0u64);
+        for (j, &t) in angles.iter().enumerate() {
+            small |= u64::from(t < 0.75) << j;
+            let odd_quadrant = (FRAC_PI_4..3.0 * FRAC_PI_4).contains(&t)
+                | (5.0 * FRAC_PI_4..7.0 * FRAC_PI_4).contains(&t);
+            odd |= u64::from(odd_quadrant) << j;
+        }
+        paths[0][w] = small;
+        paths[1][w] = u64::MAX >> (64 - angles.len()) & !small & !odd;
+        paths[2][w] = odd;
+    }
+    for path in &paths {
+        for (w, &bits) in path.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let t = &mut theta[w * 64 + bits.trailing_zeros() as usize];
+                *t = t.cos();
+                bits &= bits - 1;
+            }
+        }
+    }
+}
 
 /// A deterministic RNG with the sampling helpers the codebase needs.
 ///
@@ -36,16 +97,64 @@ impl SeededRng {
     /// Uniform sample in `[lo, hi)`.
     #[inline]
     pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
-        self.inner.gen_range(lo..hi)
+        assert!(lo < hi, "cannot sample empty range");
+        in_range(self.inner.next_u32(), lo, hi)
     }
 
-    /// Standard normal sample (Box–Muller; two uniforms per call, second
-    /// discarded for simplicity — init and noise paths are not hot).
+    /// Fills `out` with what as many [`uniform`](Self::uniform) calls would
+    /// return, in order, drawing the stream in bulk.
+    pub fn fill_uniform(&mut self, out: &mut [f32], lo: f32, hi: f32) {
+        let mut words = [0u32; FILL_CHUNK];
+        for chunk in out.chunks_mut(FILL_CHUNK) {
+            assert!(lo < hi, "cannot sample empty range");
+            let words = &mut words[..chunk.len()];
+            self.inner.fill_u32(words);
+            for (v, &w) in chunk.iter_mut().zip(words.iter()) {
+                *v = in_range(w, lo, hi);
+            }
+        }
+    }
+
+    /// Normal sample by Box–Muller: two uniforms per call, the second
+    /// variate discarded. Weight init draws millions of these
+    /// ([`fill_normal`](Self::fill_normal)), the rest of the codebase few.
     pub fn normal(&mut self, mean: f32, std: f32) -> f32 {
-        let u1: f32 = self.inner.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.inner.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-        mean + std * z
+        let u1 = in_range(self.inner.next_u32(), f32::EPSILON, 1.0);
+        let u2 = in_range(self.inner.next_u32(), 0.0, 1.0);
+        box_muller(u1.ln(), (TURN * u2).cos(), mean, std)
+    }
+
+    /// Fills `out` with what as many [`normal`](Self::normal) calls would
+    /// return, in order, bit for bit. Per chunk: the uniforms are drawn in
+    /// bulk in the order `normal` takes them (u₁ then u₂ per element), `ln`
+    /// runs over the chunk, then `cos` grouped by the branch libm's `cosf`
+    /// takes ([`cos_by_path`]), and [`box_muller`] combines them. Every
+    /// element goes through the same `logf` and `cosf` on the same argument
+    /// as in `normal`; only the order of the calls differs.
+    pub fn fill_normal(&mut self, out: &mut [f32], mean: f32, std: f32) {
+        let mut words = [0u32; 2 * FILL_CHUNK];
+        let mut ln_u1 = [0f32; FILL_CHUNK];
+        let mut cos_u2 = [0f32; FILL_CHUNK];
+        for chunk in out.chunks_mut(FILL_CHUNK) {
+            let n = chunk.len();
+            let (words, ln_u1, cos_u2) = (&mut words[..2 * n], &mut ln_u1[..n], &mut cos_u2[..n]);
+            self.inner.fill_u32(words);
+            for ((pair, l), c) in words
+                .chunks_exact(2)
+                .zip(ln_u1.iter_mut())
+                .zip(cos_u2.iter_mut())
+            {
+                *l = in_range(pair[0], f32::EPSILON, 1.0);
+                *c = TURN * in_range(pair[1], 0.0, 1.0);
+            }
+            for l in ln_u1.iter_mut() {
+                *l = l.ln();
+            }
+            cos_by_path(cos_u2);
+            for ((v, &l), &c) in chunk.iter_mut().zip(ln_u1.iter()).zip(cos_u2.iter()) {
+                *v = box_muller(l, c, mean, std);
+            }
+        }
     }
 
     /// Uniform integer in `[0, n)`.

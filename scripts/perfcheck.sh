@@ -60,6 +60,12 @@ RUSTFLAGS="-C target-cpu=x86-64-v3" cargo run --release -q -p ms-bench \
     --target-dir target/x86-64-v3 --bin determinism_probe > /tmp/ms_probe_v3.txt
 diff /tmp/ms_probe_default.txt /tmp/ms_probe_v3.txt \
     || die "the generic micro-kernel (x86-64-v3 build) and the native build disagree on output bits"
+# Seeded init draws its ChaCha8 blocks lane-parallel, vectorised to the
+# build's width: the weights and images it makes are pinned by hash, and
+# its bulk draws must equal the per-call ones, in this build too.
+RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test --release -q --test seeded_init_pinned \
+    --test seeded_draws --target-dir target/x86-64-v3 \
+    || die "the x86-64-v3 build draws seeded init differently from the pinned bits"
 # The paper's evaluation at quick scale against its committed golden, from
 # the generic micro-kernel: the experiments' bits must not depend on it.
 RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test --release -q --test experiments_golden \
