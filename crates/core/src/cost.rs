@@ -1,11 +1,12 @@
 //! The cost model and budget→rate solver (paper Eq. 3).
 //!
 //! Computation of a sliced network is roughly quadratic in the slice rate:
-//! `C(r) ≈ r²·C0`. Eq. 3 inverts this — `r ≤ min(√(C_t/C0), 1)` — and the
-//! solver snaps to the largest candidate rate within budget. Because "roughly
-//! quadratic" is an approximation (input/output layers do not slice), the
-//! model is *measured*: it probes the network's `flops_per_sample()` at every
-//! candidate rate once at construction and solves against the measured table.
+//! `C(r) ≈ r²·C0`, and Eq. 3 inverts this — `r ≤ min(√(C_t/C0), 1)`.
+//! Because "roughly quadratic" is an approximation (input/output layers do
+//! not slice), the model is *measured*: it probes the network's
+//! `flops_per_sample()` at every candidate rate once at construction, and
+//! the solver picks the largest candidate rate whose measured cost fits the
+//! budget.
 
 use crate::slice_rate::{SliceRate, SliceRateList};
 use ms_nn::layer::Layer;
@@ -73,14 +74,6 @@ impl CostModel {
     /// Tables 2 and 4).
     pub fn remaining_fraction(&self, r: SliceRate) -> f64 {
         self.flops_at(r) as f64 / self.full_flops() as f64
-    }
-
-    /// Eq. 3 closed form: the largest rate with `r ≤ √(C_t/C0)`, snapped
-    /// down to the candidate list (clamping up to the base network if even
-    /// that exceeds the budget — slicing below `lb` is destructive, §5.1.3).
-    pub fn rate_for_budget_analytic(&self, budget: FlopsBudget) -> SliceRate {
-        let ratio = (budget.0 as f64 / self.full_flops() as f64).clamp(0.0, 1.0);
-        self.list.snap_down(ratio.sqrt() as f32)
     }
 
     /// Measured-table solver: the largest candidate rate whose *measured*
@@ -180,17 +173,6 @@ mod tests {
         assert_eq!(m.rate_for_budget(FlopsBudget(1)).get(), 0.25);
         assert!(m.budget_infeasible(FlopsBudget(1)));
         assert!(!m.budget_infeasible(FlopsBudget(full)));
-    }
-
-    #[test]
-    fn analytic_solver_respects_eq3() {
-        let m = model();
-        let c0 = m.full_flops();
-        // Budget = C0/4 → r ≤ 0.5.
-        let r = m.rate_for_budget_analytic(FlopsBudget(c0 / 4));
-        assert_eq!(r.get(), 0.5);
-        // Over-budget clamps to full.
-        assert!(m.rate_for_budget_analytic(FlopsBudget(10 * c0)).is_full());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The engine is deliberately stateless with respect to the network (it
 //! borrows it per call), so one trained model can serve many concurrent
-//! policies. Rate selection composes the measured [`CostModel`] with either
-//! a FLOPs budget (Eq. 3) or the §4.1 latency rule `n·r²·t ≤ T/2`.
+//! policies. Rate selection solves a FLOPs budget (Eq. 3) against the
+//! measured [`CostModel`]; the §4.1 latency rule `n·r²·t ≤ T/2` lives in
+//! `ms-serving`'s `SlaController`.
 
 use crate::cost::{CostModel, FlopsBudget};
 use crate::slice_rate::SliceRate;
@@ -44,23 +45,6 @@ impl ElasticEngine {
     ) -> (Tensor, SliceRate) {
         let rate = self.cost.rate_for_budget(budget);
         (self.predict_at(net, x, rate), rate)
-    }
-
-    /// §4.1 latency rule: given a batch of `n` samples, the full-model
-    /// per-sample processing time `t_full` and a time budget, pick the
-    /// largest rate with `n·r²·t_full ≤ budget` (cost quadratic in `r`),
-    /// snapped to the candidate list.
-    pub fn rate_for_latency(
-        &self,
-        n: usize,
-        t_full_per_sample: f64,
-        time_budget: f64,
-    ) -> SliceRate {
-        if n == 0 || t_full_per_sample <= 0.0 {
-            return self.cost.list().max();
-        }
-        let r2 = time_budget / (n as f64 * t_full_per_sample);
-        self.cost.list().snap_down(r2.max(0.0).sqrt() as f32)
     }
 
     /// Anytime prediction (§2.1 discussion): predictions at every candidate
@@ -126,19 +110,6 @@ mod tests {
         let half_cost = eng.cost().flops_at(SliceRate::new(0.5));
         let (_, r) = eng.predict_with_budget(&mut net, &x, FlopsBudget(half_cost));
         assert_eq!(r.get(), 0.5);
-    }
-
-    #[test]
-    fn latency_rule_is_quadratic() {
-        let (eng, _) = engine_and_net();
-        // 4 samples, 1ms each at full width, 1ms budget: r² ≤ 1/4 → r = 0.5.
-        assert_eq!(eng.rate_for_latency(4, 1.0, 1.0).get(), 0.5);
-        // Loose budget → full.
-        assert!(eng.rate_for_latency(1, 1.0, 100.0).is_full());
-        // Impossible budget → clamped to the base network.
-        assert_eq!(eng.rate_for_latency(1000, 1.0, 0.001).get(), 0.25);
-        // Empty batch degenerates to full width.
-        assert!(eng.rate_for_latency(0, 1.0, 1.0).is_full());
     }
 
     #[test]

@@ -94,21 +94,6 @@ impl SliceRateList {
         self.rates.iter().map(|&r| SliceRate::new(r))
     }
 
-    /// The largest listed rate `≤ r`, or the lower bound if none qualifies
-    /// (slicing below the base network destroys the representation — §5.1.3
-    /// — so requests below `lb` clamp up to it).
-    pub fn snap_down(&self, r: f32) -> SliceRate {
-        let mut best = self.rates[0];
-        for &cand in &self.rates {
-            if cand <= r + 1e-6 {
-                best = cand;
-            } else {
-                break;
-            }
-        }
-        SliceRate::new(best)
-    }
-
     /// Index of `r` in the list, if present.
     pub fn index_of(&self, r: SliceRate) -> Option<usize> {
         self.rates.iter().position(|&c| (c - r.get()).abs() < 1e-6)
@@ -149,16 +134,6 @@ mod tests {
     fn from_rates_sorts_and_dedups() {
         let l = SliceRateList::from_rates(&[1.0, 0.25, 0.5, 0.5]);
         assert_eq!(l.rates(), &[0.25, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn snap_down_picks_largest_affordable() {
-        let l = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
-        assert_eq!(l.snap_down(0.6).get(), 0.5);
-        assert_eq!(l.snap_down(0.75).get(), 0.75);
-        assert_eq!(l.snap_down(2.0).get(), 1.0);
-        // Below lb clamps up to the base network.
-        assert_eq!(l.snap_down(0.1).get(), 0.25);
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! The experiment runner: `ms-experiments <name>...` (names from
-//! [`ms_experiments::EXPERIMENTS`]).
+//! [`ms_experiments::EXPERIMENTS`]), and `ms-experiments render`, which
+//! rewrites EXPERIMENTS.md's measured blocks from `results/*.json`.
 
-use ms_experiments::{Experiment, Report, Run, EXPERIMENTS};
+use ms_experiments::{render_blocks, Experiment, Report, Run, EXPERIMENTS};
 use ms_telemetry::Flusher;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();
+    if names == ["render"] {
+        render_doc(Path::new("EXPERIMENTS.md"), Path::new("results"));
+        return;
+    }
     let chosen: Option<Vec<&Experiment>> = names
         .iter()
         .map(|n| EXPERIMENTS.iter().find(|e| e.name == n))
@@ -15,7 +20,7 @@ fn main() {
     let Some(chosen) = chosen.filter(|c| !c.is_empty()) else {
         let all: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         eprintln!(
-            "usage: ms-experiments <name>...  (names: {})",
+            "usage: ms-experiments <name>...  (names: {})\n       ms-experiments render",
             all.join(" ")
         );
         std::process::exit(2);
@@ -30,12 +35,24 @@ fn main() {
         // snapshot. `None` on a read-only checkout.
         let _telemetry = Flusher::start("results/logs", exp.name, Duration::from_secs(1));
         let report = (exp.run)(&run);
-        report.print();
+        print!("{}", report.render());
         if let Some(demo) = exp.demo {
             demo();
         }
         println!("elapsed: {:.1}s", start.elapsed().as_secs_f64());
         write_results(&results_path(exp.name, run.quick), &report);
+    }
+}
+
+/// Rewrites the measured blocks of `doc` from the reports in `results`.
+fn render_doc(doc: &Path, results: &Path) {
+    let rendered = std::fs::read_to_string(doc)
+        .map_err(|e| format!("{}: {e}", doc.display()))
+        .and_then(|text| render_blocks(&text, results))
+        .and_then(|text| std::fs::write(doc, text).map_err(|e| format!("{}: {e}", doc.display())));
+    if let Err(e) = rendered {
+        eprintln!("render: {e}");
+        std::process::exit(1);
     }
 }
 

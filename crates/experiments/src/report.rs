@@ -1,5 +1,7 @@
 //! The one result schema: every experiment returns a [`Report`], which the
-//! runner prints and writes to `results/<name>.json`.
+//! runner prints and writes to `results/<name>.json`. [`Report::render`] is
+//! the one printer: the runner's stdout and EXPERIMENTS.md's measured blocks
+//! are both its output.
 //!
 //! A report is an ordered list of [`Item`]s: headlines, lines of text with
 //! named scalars in them, and tables whose columns are numbers with a
@@ -119,9 +121,9 @@ impl Table {
         self
     }
 
-    fn print(&self) {
+    fn render(&self, out: &mut String) {
         if let Some(title) = &self.title {
-            println!("{title}:");
+            *out += &format!("{title}:\n");
         }
         let mut headers = vec![self.key.as_str()];
         headers.extend(self.columns.iter().map(|c| c.name.as_str()));
@@ -135,7 +137,7 @@ impl Table {
                 row
             })
             .collect();
-        print_table(&headers, &rows);
+        render_table(&headers, &rows, out);
     }
 }
 
@@ -183,32 +185,34 @@ impl Report {
         self.items.push(Item::Table(table));
     }
 
-    /// Prints the report as plain text.
-    pub fn print(&self) {
+    /// The report as plain text, one `\n`-terminated line at a time.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
         for item in &self.items {
             match item {
-                Item::Title(text) => println!("\n{text}\n"),
+                Item::Title(text) => out += &format!("\n{text}\n\n"),
                 Item::Line { text, scalars } => {
                     let mut parts = text.split("{}");
-                    let mut out = parts.next().unwrap_or_default().to_string();
+                    out += parts.next().unwrap_or_default();
                     for (part, s) in parts.zip(scalars) {
-                        out.push_str(&s.fmt.show(s.value));
-                        out.push_str(part);
+                        out += &s.fmt.show(s.value);
+                        out += part;
                     }
-                    println!("{out}");
+                    out.push('\n');
                 }
-                Item::Table(table) => table.print(),
+                Item::Table(table) => table.render(&mut out),
                 Item::Heat(rows) => {
                     let max = rows.iter().flatten().cloned().fold(0.0f64, f64::max);
                     for (g, row) in rows.iter().enumerate() {
                         let shades: String = row.iter().map(|&v| shade(v, max)).collect();
                         let last = row.last().copied().unwrap_or(0.0);
-                        println!("  G{:<2} |{shades}| final {last:.3}", g + 1);
+                        out += &format!("  G{:<2} |{shades}| final {last:.3}\n", g + 1);
                     }
                 }
                 Item::Record(_) => {}
             }
         }
+        out
     }
 }
 
@@ -219,9 +223,9 @@ fn shade(v: f64, max: f64) -> char {
     RAMP[idx.min(RAMP.len() - 1)]
 }
 
-/// Prints a fixed-width table: a header row, a rule, then data rows. Column
-/// widths adapt to content.
-fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Appends a fixed-width table to `out`: a header row, a rule, then data
+/// rows. Column widths adapt to content.
+fn render_table(headers: &[&str], rows: &[Vec<String>], out: &mut String) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         assert_eq!(row.len(), widths.len(), "row width mismatch");
@@ -229,21 +233,19 @@ fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             *w = (*w).max(cell.len());
         }
     }
-    let line = |cells: Vec<&str>| {
+    let line = |out: &mut String, cells: Vec<&str>| {
         let cells: Vec<String> = cells
             .iter()
             .zip(&widths)
             .map(|(c, &width)| format!("{c:>width$}"))
             .collect();
-        println!("{}", cells.join("  "));
+        *out += &format!("{}\n", cells.join("  "));
     };
-    line(headers.to_vec());
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-    );
+    line(out, headers.to_vec());
+    let rule = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+    *out += &format!("{}\n", "-".repeat(rule));
     for row in rows {
-        line(row.iter().map(String::as_str).collect());
+        line(out, row.iter().map(String::as_str).collect());
     }
 }
 
@@ -260,8 +262,8 @@ mod tests {
         assert_eq!(Fmt::Params.show(15_600.0), "15.6K");
     }
 
-    #[test]
-    fn report_round_trips_through_json() {
+    /// One item of every kind, the `Record` last.
+    fn sample() -> Report {
         let mut r = Report::default();
         r.title("T");
         r.line(
@@ -274,9 +276,36 @@ mod tests {
             vec![1.0 / 3.0],
         ));
         r.items.push(Item::Heat(vec![vec![0.5, 1.0]]));
+        let record = Table::new("epoch", vec!["1".into()]).col("err", Fmt::Dec(2), vec![7.0]);
+        r.items.push(Item::Record(record));
+        r
+    }
+
+    #[test]
+    fn report_round_trips_through_json() {
+        let r = sample();
         let back: Report = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
         assert_eq!(back, r);
-        r.print();
+    }
+
+    /// EXPERIMENTS.md's blocks are this text, so its layout is pinned.
+    #[test]
+    fn render_lays_out_every_item_and_skips_records() {
+        let lines = [
+            "",
+            "T",
+            "",
+            "x 10.00 y 3",
+            "t:",
+            "rate    acc",
+            "-----------",
+            " 1.0  33.33",
+            "  G1  |=@| final 1.000",
+        ];
+        assert_eq!(
+            sample().render(),
+            lines.map(|l| l.to_string() + "\n").concat()
+        );
     }
 
     #[test]

@@ -12,10 +12,10 @@ die() { echo "perfcheck FAILED: $*"; exit 1; }
 echo "== formatting: the workspace stays as rustfmt lays it out =="
 cargo fmt --all -- --check || die "cargo fmt --all would rewrite the files above"
 
-echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (the layers), ms-core (inference and training), ms-models (the networks), ms-serving (the engine), ms-net, ms-cluster, ms-data, ms-baselines and ms-experiments (the paper's evaluation) are clippy-clean =="
+echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (the layers), ms-core (inference and training), ms-models (the networks), ms-serving (the engine), ms-net, ms-cluster, ms-data, ms-baselines, ms-experiments (the paper's evaluation) and the root package (the tier-1 tests) are clippy-clean =="
 cargo clippy --release -p ms-tensor -p ms-nn -p ms-core -p ms-models -p ms-serving -p ms-net -p ms-cluster \
-    -p ms-data -p ms-baselines -p ms-experiments --all-targets --no-deps -- -D warnings \
-    || die "clippy warns on ms-tensor, ms-nn, ms-core, ms-models, ms-serving, ms-net, ms-cluster, ms-data, ms-baselines or ms-experiments (lines above)"
+    -p ms-data -p ms-baselines -p ms-experiments -p modelslicing --all-targets --no-deps -- -D warnings \
+    || die "clippy warns on ms-tensor, ms-nn, ms-core, ms-models, ms-serving, ms-net, ms-cluster, ms-data, ms-baselines, ms-experiments or modelslicing (lines above)"
 
 echo "== release build (also the shard_server that cluster_elastic spawns) =="
 cargo build --release --workspace

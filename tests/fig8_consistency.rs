@@ -38,8 +38,8 @@ fn dataset(
     for i in 0..n {
         let c = i % CLASSES;
         labels.push(c);
-        for j in 0..INPUT_DIM {
-            data.push(centres[c][j] + rng.uniform(-noise, noise));
+        for &centre in &centres[c][..INPUT_DIM] {
+            data.push(centre + rng.uniform(-noise, noise));
         }
     }
     (Tensor::from_vec([n, INPUT_DIM], data).unwrap(), labels)

@@ -46,7 +46,7 @@ fn fake_shard(
         let mut writer = stream;
         let mut silent = Vec::new();
         let mut i = 0;
-        while reads.map_or(true, |n| i < n) {
+        while reads.is_none_or(|n| i < n) {
             let Ok((frame, _, _)) = read_frame(&mut reader) else {
                 break;
             };

@@ -399,7 +399,7 @@ fn traced_soak(profile: &LatencyProfile, trace_base: u64) {
             if chain.deadline_missed() {
                 misses += 1;
             }
-            if slowest_served.map_or(true, |(_, s)| *client_s > s) {
+            if slowest_served.is_none_or(|(_, s)| *client_s > s) {
                 slowest_served = Some((*trace, *client_s));
             }
         } else {
