@@ -2,9 +2,11 @@
 //!
 //! The engine is deliberately stateless with respect to the network (it
 //! borrows it per call), so one trained model can serve many concurrent
-//! policies. Rate selection solves a FLOPs budget (Eq. 3) against the
-//! measured [`CostModel`]; the §4.1 latency rule `n·r²·t ≤ T/2` lives in
-//! `ms-serving`'s `SlaController`.
+//! policies. Rate selection is Eq. 3, the measured [`CostModel`]'s
+//! [`rate_within`](crate::cost::CostSurface::rate_within) at a FLOPs
+//! budget; the §4.1 latency rule `n·t(r) ≤ T/2` is the same inversion of a
+//! [`LatencyProfile`](crate::cost::LatencyProfile), which `ms-serving`'s
+//! `SlaController` plans against.
 
 use crate::cost::{CostModel, FlopsBudget};
 use crate::slice_rate::SliceRate;
@@ -36,14 +38,19 @@ impl ElasticEngine {
     }
 
     /// Selects the widest affordable subnet for a per-sample FLOPs budget
-    /// and predicts. Returns the prediction and the rate used.
+    /// and predicts; the base subnet when nothing fits (the serving layer
+    /// decides whether to queue or shed instead). Returns the prediction and
+    /// the rate used.
     pub fn predict_with_budget(
         &self,
         net: &mut dyn Layer,
         x: &Tensor,
         budget: FlopsBudget,
     ) -> (Tensor, SliceRate) {
-        let rate = self.cost.rate_for_budget(budget);
+        let rate = self
+            .cost
+            .rate_within(1, budget.0 as f64)
+            .unwrap_or_else(|| self.cost.list().min());
         (self.predict_at(net, x, rate), rate)
     }
 
@@ -57,6 +64,152 @@ impl ElasticEngine {
             out.push((r, self.predict_at(net, x, r)));
         }
         out
+    }
+}
+
+/// RAII guard that pins a network at a slice rate for the duration of a
+/// forward pass and restores full width on drop — **including when the pass
+/// panics**. Without it, a caught panic (e.g. a poisoned batch behind
+/// `catch_unwind`) would leave the shared network sliced, silently truncating
+/// every subsequent full-width caller.
+struct FullRateGuard<'a> {
+    net: &'a mut dyn Layer,
+}
+
+impl<'a> FullRateGuard<'a> {
+    fn new(net: &'a mut dyn Layer, rate: SliceRate) -> Self {
+        net.set_slice_rate(rate);
+        FullRateGuard { net }
+    }
+}
+
+impl Drop for FullRateGuard<'_> {
+    fn drop(&mut self) {
+        self.net.set_slice_rate(SliceRate::FULL);
+    }
+}
+
+/// Runs one forward pass over a whole group of same-shaped single-sample
+/// inputs at `rate` — the serving engine's hot path: requests batched by
+/// selected slice rate share one GEMM per layer instead of paying a
+/// per-request pass each.
+///
+/// Each input is a *sample* tensor (e.g. `[d]` features or `[c, h, w]`
+/// images); they are stacked into a `[n, …]` batch, run once, and the logits
+/// are split back out per request. Row `i` of a fixed-order GEMM depends only
+/// on row `i` of the input and the weights, so a request's logits are
+/// bitwise-independent of its batch companions — the property the
+/// cross-thread determinism guarantee rests on.
+///
+/// All intermediates come from the thread-local buffer pool and the batch
+/// shape lives on the stack; in steady state (same `n`, same shapes) the
+/// stack → forward → split cycle allocates nothing beyond the returned `Vec`
+/// once callers [`Tensor::recycle`] the returned logits. Use
+/// [`batched_sliced_forward_into`] with a reused buffer for a fully
+/// allocation-free steady state.
+///
+/// The network is left at full width afterwards.
+///
+/// # Panics
+/// If `inputs` is empty or the samples disagree on shape.
+pub fn batched_sliced_forward(
+    net: &mut dyn Layer,
+    inputs: &[Tensor],
+    rate: SliceRate,
+) -> Vec<Tensor> {
+    let mut out = Vec::with_capacity(inputs.len());
+    batched_sliced_forward_into(net, inputs, rate, &mut out);
+    out
+}
+
+/// [`batched_sliced_forward`] writing its per-request logits into a
+/// caller-owned buffer (cleared first). With a warm buffer pool and a reused
+/// `out` of sufficient capacity, a steady-state call performs **zero** heap
+/// allocations regardless of batch size or tensor width — the property
+/// `crates/core/tests/zero_alloc_batched.rs` pins with a counting allocator.
+pub fn batched_sliced_forward_into(
+    net: &mut dyn Layer,
+    inputs: &[Tensor],
+    rate: SliceRate,
+    out: &mut Vec<Tensor>,
+) {
+    out.clear();
+    let x = stack_inputs(inputs);
+    // The guard — not a trailing statement — restores full width, so a
+    // panicking forward (caught upstream) can't leave the net sliced. The
+    // net borrows the batch (its first layer reads it in place): handing it
+    // over recycles it a layer sooner, which is enough to move the glibc
+    // heap step over a process's 16 MiB weights (DESIGN.md §8.2).
+    let y = {
+        let guard = FullRateGuard::new(net, rate);
+        guard.net.forward(&x, Mode::Infer)
+    };
+    x.recycle();
+    split_rows(&y, inputs.len(), out);
+    y.recycle();
+}
+
+/// Refinement twin of [`batched_sliced_forward_into`]: runs the batch through
+/// [`Layer::forward_prefix`], computing only the weight panels between `from`
+/// and `to` and reusing each layer's cached prefix activations.
+///
+/// Call it first with `from = None` to establish the prefix at the base rate,
+/// then with `from = Some(prev)` and the **same net and inputs** to refine
+/// upward; each layer checks its cache watermark and panics on a stale or
+/// mismatched resume. The refined logits are bitwise-identical to a direct
+/// `from = None` pass at `to` — the anytime-inference contract
+/// `tests/prefix_refine.rs` pins across layer types.
+///
+/// Shares the zero-alloc steady-state contract of its twin (warm pool +
+/// reused `out` ⇒ no heap allocations), which
+/// `crates/core/tests/zero_alloc_refine.rs` pins with a counting allocator.
+/// The network is left at full width afterwards, panics included.
+pub fn refine_batched_forward(
+    net: &mut dyn Layer,
+    inputs: &[Tensor],
+    from: Option<SliceRate>,
+    to: SliceRate,
+    out: &mut Vec<Tensor>,
+) {
+    out.clear();
+    let x = stack_inputs(inputs);
+    let y = {
+        let guard = FullRateGuard::new(net, to);
+        guard.net.forward_prefix(&x, from, to)
+    };
+    x.recycle();
+    split_rows(&y, inputs.len(), out);
+    y.recycle();
+}
+
+/// Stacks same-shaped sample tensors into one pooled `[n, …]` batch.
+///
+/// # Panics
+/// If `inputs` is empty or the samples disagree on shape (`ragged batch`).
+fn stack_inputs(inputs: &[Tensor]) -> Tensor {
+    assert!(!inputs.is_empty(), "empty batch");
+    let sample = inputs[0].dims();
+    let stride = inputs[0].numel();
+    let mut batch_dims = [0usize; ms_tensor::shape::MAX_RANK];
+    batch_dims[0] = inputs.len();
+    batch_dims[1..=sample.len()].copy_from_slice(sample);
+    // Each sample's rows are copied in: the zero fill would be overwritten.
+    let mut x = Tensor::pooled_stale(&batch_dims[..=sample.len()]);
+    for (i, input) in inputs.iter().enumerate() {
+        assert_eq!(input.dims(), sample, "ragged batch at row {i}");
+        x.data_mut()[i * stride..(i + 1) * stride].copy_from_slice(input.data());
+    }
+    x
+}
+
+/// Splits a `[n, …]` batch output into `n` pooled per-request rows.
+fn split_rows(y: &Tensor, n: usize, out: &mut Vec<Tensor>) {
+    let out_stride = y.numel() / n;
+    for i in 0..n {
+        let mut row = Tensor::pooled_stale(&y.dims()[1..]);
+        row.data_mut()
+            .copy_from_slice(&y.data()[i * out_stride..(i + 1) * out_stride]);
+        out.push(row);
     }
 }
 
@@ -259,343 +412,5 @@ mod tests {
             // The net ends restored at full width.
             assert_eq!(refined.flops_per_sample(), (8 * 16 + 16 * 4) as u64);
         }
-    }
-}
-
-/// Confidence-gated progressive inference — the "IDK cascade" policy the
-/// paper cites (Wang et al. 2017, [47]): run the cheapest subnet first and
-/// only pay for a wider one while the prediction remains unconfident.
-///
-/// Because subnets of one sliced model agree heavily (Fig. 8), most inputs
-/// exit at the base width, spending a fraction of the full cost; the hard
-/// inputs escalate. This composes the paper's two serving stories — anytime
-/// prediction and cascade consistency — into a per-query policy.
-impl ElasticEngine {
-    /// Predicts with escalation: starting from the base rate, re-run at the
-    /// next wider rate until the max softmax probability reaches
-    /// `confidence` or the full network has answered. Returns the logits,
-    /// the rate that produced them, and the total MACs spent across all
-    /// attempts (escalation is only a win when early exits dominate).
-    pub fn predict_until_confident(
-        &self,
-        net: &mut dyn Layer,
-        x: &Tensor,
-        confidence: f32,
-    ) -> ConfidentPrediction {
-        assert!((0.0..=1.0).contains(&confidence));
-        let rates: Vec<SliceRate> = self.cost.list().iter().collect();
-        let mut spent = 0u64;
-        let batch = x.dims()[0];
-        let mut last = None;
-        let mut prev_rate: Option<SliceRate> = None;
-        let guard = FullRateGuard::new(net, self.cost.list().min());
-        for (i, &r) in rates.iter().enumerate() {
-            // Refine upward from the previous attempt: only the new weight
-            // panels run, so an escalation to rate r charges the Eq. 3 delta
-            // flops(r) − flops(r_prev) instead of a fresh full pass at r.
-            let logits = guard.net.forward_prefix(x, prev_rate, r);
-            let marginal = self.cost.flops_at(r) - prev_rate.map_or(0, |p| self.cost.flops_at(p));
-            spent += marginal * batch as u64;
-            prev_rate = Some(r);
-            let conf = min_max_prob(&logits);
-            let is_last = i + 1 == rates.len();
-            if conf >= confidence || is_last {
-                return ConfidentPrediction {
-                    logits,
-                    rate: r,
-                    flops_spent: spent,
-                    confidence: conf,
-                };
-            }
-            // Superseded logits go back to the buffer pool; steady-state
-            // escalation re-acquires the same buffers on the next attempt.
-            if let Some(prev) = last.replace(logits) {
-                prev.recycle();
-            }
-        }
-        // Unreachable: the loop always returns on the last rate; keep the
-        // compiler satisfied without panicking in release.
-        let logits = last.expect("nonempty rate list");
-        let conf = min_max_prob(&logits);
-        ConfidentPrediction {
-            logits,
-            rate: self.cost.list().max(),
-            flops_spent: spent,
-            confidence: conf,
-        }
-    }
-}
-
-/// RAII guard that pins a network at a slice rate for the duration of a
-/// forward pass and restores full width on drop — **including when the pass
-/// panics**. Without it, a caught panic (e.g. a poisoned batch behind
-/// `catch_unwind`) would leave the shared network sliced, silently truncating
-/// every subsequent full-width caller.
-struct FullRateGuard<'a> {
-    net: &'a mut dyn Layer,
-}
-
-impl<'a> FullRateGuard<'a> {
-    fn new(net: &'a mut dyn Layer, rate: SliceRate) -> Self {
-        net.set_slice_rate(rate);
-        FullRateGuard { net }
-    }
-}
-
-impl Drop for FullRateGuard<'_> {
-    fn drop(&mut self) {
-        self.net.set_slice_rate(SliceRate::FULL);
-    }
-}
-
-/// Runs one forward pass over a whole group of same-shaped single-sample
-/// inputs at `rate` — the serving engine's hot path: requests batched by
-/// selected slice rate share one GEMM per layer instead of paying a
-/// per-request pass each.
-///
-/// Each input is a *sample* tensor (e.g. `[d]` features or `[c, h, w]`
-/// images); they are stacked into a `[n, …]` batch, run once, and the logits
-/// are split back out per request. Row `i` of a fixed-order GEMM depends only
-/// on row `i` of the input and the weights, so a request's logits are
-/// bitwise-independent of its batch companions — the property the
-/// cross-thread determinism guarantee rests on.
-///
-/// All intermediates come from the thread-local buffer pool and the batch
-/// shape lives on the stack; in steady state (same `n`, same shapes) the
-/// stack → forward → split cycle allocates nothing beyond the returned `Vec`
-/// once callers [`Tensor::recycle`] the returned logits. Use
-/// [`batched_sliced_forward_into`] with a reused buffer for a fully
-/// allocation-free steady state.
-///
-/// The network is left at full width afterwards.
-///
-/// # Panics
-/// If `inputs` is empty or the samples disagree on shape.
-pub fn batched_sliced_forward(
-    net: &mut dyn Layer,
-    inputs: &[Tensor],
-    rate: SliceRate,
-) -> Vec<Tensor> {
-    let mut out = Vec::with_capacity(inputs.len());
-    batched_sliced_forward_into(net, inputs, rate, &mut out);
-    out
-}
-
-/// [`batched_sliced_forward`] writing its per-request logits into a
-/// caller-owned buffer (cleared first). With a warm buffer pool and a reused
-/// `out` of sufficient capacity, a steady-state call performs **zero** heap
-/// allocations regardless of batch size or tensor width — the property
-/// `crates/core/tests/zero_alloc_batched.rs` pins with a counting allocator.
-pub fn batched_sliced_forward_into(
-    net: &mut dyn Layer,
-    inputs: &[Tensor],
-    rate: SliceRate,
-    out: &mut Vec<Tensor>,
-) {
-    out.clear();
-    let x = stack_inputs(inputs);
-    // The guard — not a trailing statement — restores full width, so a
-    // panicking forward (caught upstream) can't leave the net sliced. The
-    // net borrows the batch (its first layer reads it in place): handing it
-    // over recycles it a layer sooner, which is enough to move the glibc
-    // heap step over a process's 16 MiB weights (DESIGN.md §8.2).
-    let y = {
-        let guard = FullRateGuard::new(net, rate);
-        guard.net.forward(&x, Mode::Infer)
-    };
-    x.recycle();
-    split_rows(&y, inputs.len(), out);
-    y.recycle();
-}
-
-/// Refinement twin of [`batched_sliced_forward_into`]: runs the batch through
-/// [`Layer::forward_prefix`], computing only the weight panels between `from`
-/// and `to` and reusing each layer's cached prefix activations.
-///
-/// Call it first with `from = None` to establish the prefix at the base rate,
-/// then with `from = Some(prev)` and the **same net and inputs** to refine
-/// upward; each layer checks its cache watermark and panics on a stale or
-/// mismatched resume. The refined logits are bitwise-identical to a direct
-/// `from = None` pass at `to` — the anytime-inference contract
-/// `tests/prefix_refine.rs` pins across layer types.
-///
-/// Shares the zero-alloc steady-state contract of its twin (warm pool +
-/// reused `out` ⇒ no heap allocations), which
-/// `crates/core/tests/zero_alloc_refine.rs` pins with a counting allocator.
-/// The network is left at full width afterwards, panics included.
-pub fn refine_batched_forward(
-    net: &mut dyn Layer,
-    inputs: &[Tensor],
-    from: Option<SliceRate>,
-    to: SliceRate,
-    out: &mut Vec<Tensor>,
-) {
-    out.clear();
-    let x = stack_inputs(inputs);
-    let y = {
-        let guard = FullRateGuard::new(net, to);
-        guard.net.forward_prefix(&x, from, to)
-    };
-    x.recycle();
-    split_rows(&y, inputs.len(), out);
-    y.recycle();
-}
-
-/// Stacks same-shaped sample tensors into one pooled `[n, …]` batch.
-///
-/// # Panics
-/// If `inputs` is empty or the samples disagree on shape (`ragged batch`).
-fn stack_inputs(inputs: &[Tensor]) -> Tensor {
-    assert!(!inputs.is_empty(), "empty batch");
-    let sample = inputs[0].dims();
-    let stride = inputs[0].numel();
-    let mut batch_dims = [0usize; ms_tensor::shape::MAX_RANK];
-    batch_dims[0] = inputs.len();
-    batch_dims[1..=sample.len()].copy_from_slice(sample);
-    // Each sample's rows are copied in: the zero fill would be overwritten.
-    let mut x = Tensor::pooled_stale(&batch_dims[..=sample.len()]);
-    for (i, input) in inputs.iter().enumerate() {
-        assert_eq!(input.dims(), sample, "ragged batch at row {i}");
-        x.data_mut()[i * stride..(i + 1) * stride].copy_from_slice(input.data());
-    }
-    x
-}
-
-/// Splits a `[n, …]` batch output into `n` pooled per-request rows.
-fn split_rows(y: &Tensor, n: usize, out: &mut Vec<Tensor>) {
-    let out_stride = y.numel() / n;
-    for i in 0..n {
-        let mut row = Tensor::pooled_stale(&y.dims()[1..]);
-        row.data_mut()
-            .copy_from_slice(&y.data()[i * out_stride..(i + 1) * out_stride]);
-        out.push(row);
-    }
-}
-
-/// Result of a confidence-gated prediction.
-#[derive(Debug, Clone)]
-pub struct ConfidentPrediction {
-    /// Logits of the accepted pass.
-    pub logits: Tensor,
-    /// Rate that produced them.
-    pub rate: SliceRate,
-    /// MACs spent over all escalation attempts. Escalation refines the
-    /// previous pass instead of recomputing, so each step charges only the
-    /// marginal `flops(r) − flops(r_prev)` and the worst case (escalate to
-    /// full) costs one full pass, not the sum of the ladder.
-    pub flops_spent: u64,
-    /// The batch's minimum top-class softmax probability at acceptance.
-    pub confidence: f32,
-}
-
-/// Minimum (over the batch) of the maximum softmax probability per row —
-/// the batch is only as confident as its least confident sample.
-fn min_max_prob(logits: &Tensor) -> f32 {
-    let k = *logits.dims().last().expect("rank >= 1");
-    let mut p = ms_tensor::pool::acquire(k);
-    let mut worst = 1.0f32;
-    for row in logits.data().chunks_exact(k) {
-        p.copy_from_slice(row);
-        ms_tensor::ops::softmax_rows_inplace(&mut p, k);
-        let top = p.iter().cloned().fold(0.0f32, f32::max);
-        worst = worst.min(top);
-    }
-    ms_tensor::pool::release(p);
-    worst
-}
-
-#[cfg(test)]
-mod confidence_tests {
-    use super::*;
-    use crate::cost::CostModel;
-    use crate::slice_rate::SliceRateList;
-    use ms_nn::layer::{Mode, Param};
-
-    /// A fake "model" whose confidence depends on the slice rate: narrow
-    /// widths produce flat logits, wide widths produce peaked ones.
-    struct FakeModel {
-        rate: f32,
-        /// Rate at which the model becomes confident.
-        confident_from: f32,
-    }
-
-    impl Layer for FakeModel {
-        fn forward(&mut self, x: &Tensor, _m: Mode) -> Tensor {
-            let batch = x.dims()[0];
-            let peaked = self.rate >= self.confident_from;
-            let mut t = Tensor::zeros([batch, 4]);
-            for s in 0..batch {
-                t.row_mut(s)[0] = if peaked { 10.0 } else { 0.1 };
-            }
-            t
-        }
-        fn backward(&mut self, dy: &Tensor) -> Tensor {
-            dy.clone()
-        }
-        fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-        fn set_slice_rate(&mut self, r: SliceRate) {
-            self.rate = r.get();
-        }
-        fn flops_per_sample(&self) -> u64 {
-            (self.rate * self.rate * 1000.0) as u64
-        }
-        fn name(&self) -> &str {
-            "fake"
-        }
-    }
-
-    fn engine_for(confident_from: f32) -> (ElasticEngine, FakeModel) {
-        let mut model = FakeModel {
-            rate: 1.0,
-            confident_from,
-        };
-        let cost = CostModel::measure(
-            &mut model,
-            SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]),
-        );
-        (ElasticEngine::new(cost), model)
-    }
-
-    #[test]
-    fn easy_inputs_exit_at_base_width() {
-        let (eng, mut model) = engine_for(0.0); // always confident
-        let x = Tensor::zeros([2, 3]);
-        let p = eng.predict_until_confident(&mut model, &x, 0.9);
-        assert_eq!(p.rate.get(), 0.25);
-        assert!(p.confidence > 0.9);
-        // Spent exactly one base-width pass.
-        assert_eq!(p.flops_spent, eng.cost().flops_at(SliceRate::new(0.25)) * 2);
-    }
-
-    #[test]
-    fn hard_inputs_escalate_to_full_width() {
-        let (eng, mut model) = engine_for(2.0); // never confident
-        let x = Tensor::zeros([1, 3]);
-        let p = eng.predict_until_confident(&mut model, &x, 0.9);
-        assert!(p.rate.is_full());
-        // Escalation charges marginal deltas, so the worst case telescopes
-        // to exactly one full-width pass — not the sum of the ladder.
-        assert_eq!(p.flops_spent, eng.cost().full_flops());
-        assert!(p.confidence < 0.9);
-    }
-
-    #[test]
-    fn escalation_stops_at_the_confident_width() {
-        let (eng, mut model) = engine_for(0.75);
-        let x = Tensor::zeros([1, 3]);
-        let p = eng.predict_until_confident(&mut model, &x, 0.9);
-        assert_eq!(p.rate.get(), 0.75);
-        // Marginal accounting telescopes: the ladder through 0.25 and 0.5
-        // costs exactly one pass at the accepting rate.
-        assert_eq!(p.flops_spent, eng.cost().flops_at(SliceRate::new(0.75)));
-        assert!(p.flops_spent < eng.cost().full_flops());
-    }
-
-    #[test]
-    fn zero_threshold_always_takes_first_answer() {
-        let (eng, mut model) = engine_for(2.0);
-        let x = Tensor::zeros([1, 3]);
-        let p = eng.predict_until_confident(&mut model, &x, 0.0);
-        assert_eq!(p.rate.get(), 0.25);
     }
 }

@@ -31,8 +31,8 @@
 //! - [`server`] — [`Server`] runs a small reactor pool: per-connection
 //!   read/write state machines over non-blocking sockets, bounded output
 //!   queues with backpressure shedding, a slow-loris read deadline, and
-//!   per-request wire deadlines forwarded as [`SlaController`]
-//!   (ms_serving) budget overrides. One dispatcher thread per replica
+//!   per-request wire deadlines forwarded as [`SlaController`](ms_serving::SlaController)
+//!   budget overrides. One dispatcher thread per replica
 //!   seals its batches and turns engine completions into responses
 //!   matched by correlation id. `Drain` runs the graceful
 //!   shutdown state machine: refuse new work, flush every in-flight

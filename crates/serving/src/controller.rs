@@ -70,7 +70,7 @@ pub struct SlaDecision {
 /// Maps batch size → (rate, admission) through a latency profile. Decisions
 /// are a pure function of `(n, budget)`, which is what makes engine replays
 /// deterministic regardless of worker count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlaController {
     profile: LatencyProfile,
     policy: RatePolicy,

@@ -8,8 +8,9 @@
 //!
 //! - [`workload`] — arrival processes with diurnal cycles and flash-crowd
 //!   spikes up to ≥16× the base rate (the Singles'-Day scenario of §1).
-//! - [`profile`] — per-rate latency profiles: calibrated on the live network
-//!   at startup, or an assumed law such as Eq. 3's quadratic.
+//! - [`LatencyProfile`] — per-rate service times, `ms_core`'s cost surface
+//!   in seconds: calibrated on the live network at startup, or an assumed
+//!   law such as Eq. 3's quadratic.
 //! - [`controller`] — the SLA controller that picks each batch's rate and
 //!   admission from a profile, and the accuracy table answers are scored by.
 //! - [`engine`] — a multi-threaded worker-pool engine running actual sliced
@@ -26,6 +27,7 @@
 
 pub mod controller;
 pub mod engine;
+/// `LatencyProfile` under its former path.
 pub mod profile;
 pub mod workload;
 

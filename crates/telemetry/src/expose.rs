@@ -322,7 +322,7 @@ pub fn dump(dir: &Path, prefix: &str) -> io::Result<(PathBuf, PathBuf)> {
     Ok((prom, json))
 }
 
-/// Renders a [`TimeStore`]'s retained history as plottable JSON: one
+/// Renders a [`TimeStore`](crate::timeseries::TimeStore)'s retained history as plottable JSON: one
 /// entry per series with its kind, labels and points array — counters as
 /// `[t, value, rate]`, gauges as `[t, value]`, histograms as per-tick
 /// deltas `[t, count, p50, p99]`. Cold path; allocate freely.

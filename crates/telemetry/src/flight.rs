@@ -19,7 +19,7 @@
 //!
 //! - **No locks, no allocation.** The ring is a flat array of slots made of
 //!   plain `AtomicU64`s, allocated once on first use. Threads claim slots
-//!   in chunks of [`CHUNK`] with a single `fetch_add` on a global cursor
+//!   in chunks of `CHUNK` (64) with a single `fetch_add` on a global cursor
 //!   and then hand them out from a thread-local `Cell` — the common case
 //!   writes six relaxed/release stores and touches no shared cache line.
 //! - **Per-slot seqlock.** Each slot's `stamp` holds `1 + global event
@@ -49,7 +49,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Ring capacity in events. Power of two, multiple of [`CHUNK`].
+/// Ring capacity in events. Power of two, multiple of `CHUNK` (64).
 pub const RING_CAP: usize = 1 << 16;
 /// Events a thread claims per refill of its local lane.
 const CHUNK: usize = 64;

@@ -131,7 +131,7 @@ fn row_max(row: &[f32]) -> f32 {
 
 /// Row-wise softmax over a `rows × cols` row-major buffer, in place.
 /// Max-subtraction for stability, then two vectorisable passes on the
-/// branch-free [`exp_clamped`] of the gate activations: exponentiate, sum.
+/// branch-free `exp_clamped` of the gate activations: exponentiate, sum.
 /// (A logit more than 87 below its row's maximum gets `e⁻⁸⁷ ≈ 1.6e-38`
 /// rather than an exact 0.)
 pub fn softmax_rows_inplace(x: &mut [f32], cols: usize) {

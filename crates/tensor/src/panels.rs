@@ -253,7 +253,7 @@ impl PackedA {
 /// `a` is indexed by **absolute** `k`: element `(i, p)` lives at
 /// `a[i * lda + p]` for `p ∈ [k0, k1)`. `c` holds only the requested column
 /// window: element `(i, j)` lives at `c[i * ldc + (j - n0)]`. The `A` side
-/// is packed per call, [`PANEL_MC`] rows per `KC` block, into the shared
+/// is packed per call, `PANEL_MC` (240) rows per `KC` block, into the shared
 /// thread-local buffers (it is the activation, different every call); `B`
 /// is read straight from the panels, each strip once per row block.
 ///

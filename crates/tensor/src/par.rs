@@ -12,7 +12,7 @@
 //!
 //! The handoff spins. A layer pass is tens to hundreds of microseconds and a
 //! training step makes a hundred-odd joins, so the helper polls for a bounded
-//! interval after its last job ([`SPIN_FOR`]) before it parks, and the caller
+//! interval after its last job (`SPIN_FOR`, 200 µs) before it parks, and the caller
 //! polls for the helper's half when its own is done. Between steps, and under
 //! a test binary's many concurrent trainers, the helper is parked and costs
 //! nothing.

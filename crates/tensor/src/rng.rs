@@ -128,7 +128,7 @@ impl SeededRng {
     /// return, in order, bit for bit. Per chunk: the uniforms are drawn in
     /// bulk in the order `normal` takes them (u₁ then u₂ per element), `ln`
     /// runs over the chunk, then `cos` grouped by the branch libm's `cosf`
-    /// takes ([`cos_by_path`]), and [`box_muller`] combines them. Every
+    /// takes (`cos_by_path`), and `box_muller` combines them. Every
     /// element goes through the same `logf` and `cosf` on the same argument
     /// as in `normal`; only the order of the calls differs.
     pub fn fill_normal(&mut self, out: &mut [f32], mean: f32, std: f32) {

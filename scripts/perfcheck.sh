@@ -9,6 +9,27 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 die() { echo "perfcheck FAILED: $*"; exit 1; }
 
+echo "== vendored crates: an edited one is rebuilt, not served stale =="
+# Cargo fingerprints a directory source (vendor/, .cargo/config.toml) by
+# name and version, never by its files' mtimes, so an edited vendored crate
+# would keep its old build. Each build this script runs (`target` in release
+# and, for the rustdoc step, dev; `target/x86-64-v3` in release) keeps a
+# stamp of when a run last passed there; a vendored crate with a file newer
+# than it (or every crate, with no stamp yet) is cleaned from that build.
+builds=("target --release" "target" "target/x86-64-v3 --release")
+for build in "${builds[@]}"; do
+    read -r dir profile <<< "$build"
+    stamp="$dir/.vendor-stamp${profile:+-release}"
+    mkdir -p "$dir"
+    touch "$stamp.next"
+    for crate in vendor/*/; do
+        crate=$(basename "$crate")
+        if [ ! -e "$stamp" ] || [ -n "$(find "vendor/$crate" -newer "$stamp" -print -quit)" ]; then
+            cargo clean -q -p "$crate" $profile --target-dir "$dir"
+        fi
+    done
+done
+
 echo "== formatting: the workspace stays as rustfmt lays it out =="
 cargo fmt --all -- --check || die "cargo fmt --all would rewrite the files above"
 
@@ -16,6 +37,10 @@ echo "== lints: ms-tensor (the kernels, the GEMM loop, the fork-join), ms-nn (th
 cargo clippy --release -p ms-tensor -p ms-nn -p ms-core -p ms-models -p ms-serving -p ms-net -p ms-cluster \
     -p ms-data -p ms-baselines -p ms-experiments -p modelslicing --all-targets --no-deps -- -D warnings \
     || die "clippy warns on ms-tensor, ms-nn, ms-core, ms-models, ms-serving, ms-net, ms-cluster, ms-data, ms-baselines, ms-experiments or modelslicing (lines above)"
+
+echo "== rustdoc: every crate's docs build without a warning =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps \
+    || die "cargo doc warns (lines above): a broken or private intra-doc link"
 
 echo "== release build (also the shard_server that cluster_elastic spawns) =="
 cargo build --release --workspace
@@ -222,4 +247,9 @@ awk '
 ' crates/nn/src/*.rs crates/nn/src/norm/*.rs crates/nn/src/rnn/*.rs \
     crates/models/src/*.rs crates/core/src/*.rs \
     || die "an owned entry copies its input (lines above): hand it on, write over it or recycle it"
+for build in "${builds[@]}"; do
+    read -r dir profile <<< "$build"
+    stamp="$dir/.vendor-stamp${profile:+-release}"
+    mv "$stamp.next" "$stamp"
+done
 echo "perfcheck OK"

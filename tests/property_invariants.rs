@@ -3,8 +3,10 @@
 
 use modelslicing::nn::gradcheck::{check_layer, CheckOpts};
 use modelslicing::nn::linear::{Linear, LinearConfig};
+use modelslicing::nn::sequential::Sequential;
 use modelslicing::nn::slice::{active_units, group_boundary};
 use modelslicing::prelude::*;
+use modelslicing::slicing::inference::ElasticEngine;
 use modelslicing::tensor::matmul::{gemm, gemm_reference, Trans};
 use proptest::prelude::*;
 
@@ -109,22 +111,27 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = SeededRng::new(seed);
-        let mut layer = Linear::new(
-            "fc",
-            LinearConfig {
-                in_dim: 32,
-                out_dim: 32,
-                in_groups: Some(8),
-                out_groups: Some(8),
-                bias: false,
-                input_rescale: false,
-            },
-            &mut rng,
-        );
+        // An unsliced input side in front, so one input fits every rate.
+        let mut net = Sequential::new("net");
+        for (name, in_groups) in [("fc0", None), ("fc1", Some(8))] {
+            net = net.push(Linear::new(
+                name,
+                LinearConfig {
+                    in_dim: 32,
+                    out_dim: 32,
+                    in_groups,
+                    out_groups: Some(8),
+                    bias: false,
+                    input_rescale: false,
+                },
+                &mut rng,
+            ));
+        }
         let rates = SliceRateList::with_granularity(0.25, 0.125);
-        let cost = CostModel::measure(&mut layer, rates.clone());
+        let engine = ElasticEngine::new(CostModel::measure(&mut net, rates.clone()));
+        let cost = engine.cost();
         let budget = FlopsBudget((cost.full_flops() as f64 * budget_frac) as u64);
-        let chosen = cost.rate_for_budget(budget);
+        let (_, chosen) = engine.predict_with_budget(&mut net, &Tensor::zeros([1, 32]), budget);
         let spent = cost.flops_at(chosen);
         if spent > budget.0 {
             prop_assert_eq!(chosen, rates.min(), "over budget must clamp to base");
