@@ -40,14 +40,11 @@ pub type LatencyProfile = CostSurface<Seconds>;
 /// table from the latency controller and a seconds table from the elastic
 /// engine.
 ///
-/// Its two readings agree one way: whenever [`rate_within`](Self::rate_within)`(n, b)`
-/// picks `r`, [`max_batch`](Self::max_batch)`(r, b) ≥ n`, so a batch the
-/// controller sized by one never overfills the capacity the engine reads
-/// off the other. The converse does not hold: `max_batch` adds a relative
-/// `1e-12` so that `0.010 / 0.001` counts as 10, and so may admit a batch
-/// whose `predict` overruns `b` by that much. The implication needs the
-/// overhead within about 10³ batch costs: `overhead + n·per_sample` rounds
-/// to the overhead's ulp, and `max_batch` subtracts it again.
+/// Its two readings are one test: [`max_batch`](Self::max_batch)`(r, b)` is
+/// the largest `n` with `predict(n, r) ≤ b`, the comparison
+/// [`rate_within`](Self::rate_within) makes. So whenever `rate_within(n, b)`
+/// picks `r`, `max_batch(r, b) ≥ n`, and a batch the controller sized by one
+/// never overfills the capacity the engine reads off the other.
 #[derive(Debug, Clone)]
 pub struct CostSurface<U> {
     list: SliceRateList,
@@ -108,15 +105,23 @@ impl<U> CostSurface<U> {
         best
     }
 
-    /// The largest batch size serviceable at `r` within `budget`.
+    /// The largest batch `n` with `predict(n, r) ≤ budget`.
     pub fn max_batch(&self, r: SliceRate, budget: f64) -> usize {
         let room = budget - self.overhead;
         if room <= 0.0 {
             return 0;
         }
-        // Relative epsilon: `0.010 / 0.001` computes as 9.999…, which must
-        // still count as a capacity of 10.
-        (room / self.at(r) * (1.0 + 1e-12)).floor() as usize
+        // The quotient is an estimate: `0.010 / 0.001` computes as 9.999…,
+        // and `predict` rounds its sum at the overhead's ulp. `predict`
+        // itself decides, a step or two either way.
+        let mut n = (room / self.at(r)).floor() as usize;
+        while n > 0 && self.predict(n, r) > budget {
+            n -= 1;
+        }
+        while n < usize::MAX && self.predict(n + 1, r) <= budget {
+            n += 1;
+        }
+        n
     }
 }
 
@@ -338,13 +343,13 @@ mod tests {
         /// exact fit of some rate, one ulp either side of it, and a budget
         /// scaled off it. The table over four rates is a log-uniform base
         /// cost (`1e-9` to `1e9`: seconds or MACs per sample) times
-        /// non-decreasing steps, and the overhead 0 or up to 10³ base costs.
+        /// non-decreasing steps, and the overhead 0 or up to 10⁷ base costs.
         #[test]
         fn a_fitted_rate_has_room_for_the_batch(
             exp in -9.0f64..9.0,
             steps in proptest::collection::vec(1.0f64..4.0, 3),
             overhead in proptest::sample::select(vec![0.0, 1.0]),
-            over in 0.0f64..1e3,
+            over in 0.0f64..1e7,
             n in 1usize..=10_000,
             at in 0usize..4,
             scale in 0.5f64..2.0,

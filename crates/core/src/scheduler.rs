@@ -40,7 +40,7 @@ pub enum ContinuousDist {
 
 impl ContinuousDist {
     /// Cumulative distribution function.
-    pub fn cdf(&self, x: f32) -> f64 {
+    fn cdf(&self, x: f32) -> f64 {
         match *self {
             ContinuousDist::Uniform { lo, hi } => {
                 if x <= lo {
@@ -75,7 +75,7 @@ fn erf(x: f64) -> f64 {
 /// Discretises a continuous distribution onto an ordered rate list (Eq. 8):
 /// `p(r_i)` is the CDF mass between the midpoints of `r_i`'s neighbours,
 /// with the end rates absorbing the tails.
-pub fn discretize(dist: &ContinuousDist, list: &SliceRateList) -> Vec<f64> {
+fn discretize(dist: &ContinuousDist, list: &SliceRateList) -> Vec<f64> {
     let r = list.rates();
     let g = r.len();
     if g == 1 {
@@ -197,19 +197,6 @@ impl Scheduler {
     /// The candidate rate list.
     pub fn list(&self) -> &SliceRateList {
         &self.list
-    }
-
-    /// Number of subnets trained per iteration (`|L_t|` in Table 1).
-    pub fn rates_per_iteration(&self) -> usize {
-        match &self.kind {
-            SchedulerKind::Fixed(_) => 1,
-            SchedulerKind::Static => self.list.len(),
-            SchedulerKind::RandomUniform { k }
-            | SchedulerKind::RandomWeighted { k, .. }
-            | SchedulerKind::RandomDistribution { k, .. } => (*k).min(self.list.len()),
-            SchedulerKind::RandomMin | SchedulerKind::RandomMax => 2.min(self.list.len()),
-            SchedulerKind::RandomMinMax => 3.min(self.list.len()),
-        }
     }
 
     /// Draws `k` *distinct* indices from the categorical `probs`.
@@ -401,24 +388,6 @@ mod tests {
         assert!((erf(1.0) - 0.842_700_79).abs() < 1e-6);
         assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-6);
         assert!((erf(3.0) - 0.999_977_9).abs() < 1e-5);
-    }
-
-    #[test]
-    fn rates_per_iteration_reports_budget() {
-        let mut rng = SeededRng::new(6);
-        let l = list4();
-        assert_eq!(
-            Scheduler::new(SchedulerKind::Static, l.clone(), &mut rng).rates_per_iteration(),
-            4
-        );
-        assert_eq!(
-            Scheduler::new(SchedulerKind::RandomMinMax, l.clone(), &mut rng).rates_per_iteration(),
-            3
-        );
-        assert_eq!(
-            Scheduler::new(SchedulerKind::Fixed(1.0), l, &mut rng).rates_per_iteration(),
-            1
-        );
     }
 }
 

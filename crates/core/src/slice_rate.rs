@@ -98,16 +98,6 @@ impl SliceRateList {
     pub fn index_of(&self, r: SliceRate) -> Option<usize> {
         self.rates.iter().position(|&c| (c - r.get()).abs() < 1e-6)
     }
-
-    /// The smallest listed rate strictly greater than `r`, or `None` when
-    /// `r` is already at (or above) the top of the list — the refinement
-    /// ladder's step function.
-    pub fn next_above(&self, r: SliceRate) -> Option<SliceRate> {
-        self.rates
-            .iter()
-            .find(|&&c| c > r.get() + 1e-6)
-            .map(|&c| SliceRate::new(c))
-    }
 }
 
 #[cfg(test)]
@@ -134,15 +124,6 @@ mod tests {
     fn from_rates_sorts_and_dedups() {
         let l = SliceRateList::from_rates(&[1.0, 0.25, 0.5, 0.5]);
         assert_eq!(l.rates(), &[0.25, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn next_above_steps_the_ladder() {
-        let l = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
-        assert_eq!(l.next_above(SliceRate::new(0.25)).unwrap().get(), 0.5);
-        assert_eq!(l.next_above(SliceRate::new(0.6)).unwrap().get(), 0.75);
-        assert_eq!(l.next_above(SliceRate::new(0.75)).unwrap().get(), 1.0);
-        assert!(l.next_above(SliceRate::FULL).is_none());
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl Client {
     /// Returns the response together with the trace id its frame carried
     /// back (the server echoes the request's id, minting one if the
     /// recorder is on and `trace_id` was 0).
-    pub fn infer_traced(
+    fn infer_traced(
         &mut self,
         correlation_id: u64,
         deadline_micros: u64,

@@ -534,7 +534,7 @@ impl Frame {
     /// Appends the complete encoded frame carrying `trace_id` in its
     /// header (`0` = untraced). Panics only on frames this process built
     /// wrong (payload over the cap), never on remote input.
-    pub fn encode_traced(&self, trace_id: u64, out: &mut Vec<u8>) {
+    fn encode_traced(&self, trace_id: u64, out: &mut Vec<u8>) {
         let start = out.len();
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&VERSION.to_le_bytes());

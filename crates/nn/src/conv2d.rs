@@ -195,11 +195,6 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Mutable weight access (pruning baselines reorder channels).
-    pub fn weight_mut(&mut self) -> &mut Param {
-        &mut self.weight
-    }
-
     fn k2(&self) -> usize {
         self.cfg.kernel * self.cfg.kernel
     }

@@ -110,11 +110,6 @@ impl Linear {
         (self.active_in, self.active_out)
     }
 
-    /// Full `(in, out)` widths.
-    pub fn full_dims(&self) -> (usize, usize) {
-        (self.cfg.in_dim, self.cfg.out_dim)
-    }
-
     /// Immutable weight access (deployment/extraction).
     pub fn weight(&self) -> &Param {
         &self.weight

@@ -46,11 +46,6 @@ impl Sequential {
         self.layers[idx].as_ref()
     }
 
-    /// Mutably borrow a child layer.
-    pub fn layer_mut(&mut self, idx: usize) -> &mut BoxedLayer {
-        &mut self.layers[idx]
-    }
-
     /// [`Layer::replica`] as a `Sequential`: `None` unless every child
     /// offers one.
     pub fn replica(&self) -> Option<Sequential> {

@@ -49,20 +49,9 @@ impl SharedWeights {
         }
     }
 
-    /// Number of named parameters in the snapshot.
-    pub fn param_count(&self) -> usize {
-        self.snapshot.params.len()
-    }
-
     /// Total scalars in the snapshot.
     pub fn scalar_count(&self) -> usize {
         self.snapshot.scalar_count()
-    }
-
-    /// Number of live handles to this snapshot (diagnostic: one per worker
-    /// plus the owner while an engine is running).
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.snapshot)
     }
 }
 
@@ -89,7 +78,7 @@ mod tests {
         shared.hydrate(&mut b);
         let x = Tensor::full([3, 4], 0.25);
         assert_eq!(a.forward(&x, Mode::Infer), b.forward(&x, Mode::Infer));
-        assert_eq!(shared.param_count(), 4);
+        assert_eq!(shared.snapshot.params.len(), 4);
         assert_eq!(shared.scalar_count(), 4 * 8 + 8 + 8 * 2 + 2);
     }
 
@@ -97,12 +86,13 @@ mod tests {
     fn clone_shares_storage() {
         let mut a = net(3);
         let shared = SharedWeights::capture(&mut a);
-        let before = shared.handle_count();
+        let handles = || Arc::strong_count(&shared.snapshot);
+        let before = handles();
         let c1 = shared.clone();
         let c2 = shared.clone();
-        assert_eq!(shared.handle_count(), before + 2);
+        assert_eq!(handles(), before + 2);
         drop((c1, c2));
-        assert_eq!(shared.handle_count(), before);
+        assert_eq!(handles(), before);
     }
 
     #[test]

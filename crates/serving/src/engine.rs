@@ -51,10 +51,10 @@
 //! arrive and batches are sealed when the replay driver says so, a batch
 //! starts when the earliest-free of one lane per replica is free, and a
 //! forward pass takes what a *truth* [`LatencyProfile`] says it costs. The
-//! five reads — seal time, dispatch time, the base pass's measured drift,
-//! the ladder's fit, service time — go through the same `Clock`, so live and
-//! replayed batches run one worker body: binding and the refinement ladder
-//! act under replay exactly as they do live, against virtual time.
+//! three reads — seal time, dispatch time, service time — go through the
+//! same `Clock`, so live and replayed batches run one worker body: binding
+//! acts under replay exactly as it does live, against virtual time. Every
+//! batch is one `batched_sliced_forward` at its bound rate.
 //!
 //! # Determinism
 //!
@@ -62,18 +62,18 @@
 //! of batch size and budget), and per-row kernel results (fixed-order
 //! accumulators; a row's output is independent of its batch companions) are
 //! all independent of worker count and scheduling. On the virtual clock so
-//! is time itself: a [`ReplayReport`] — logits, rates, rebinds, ladder
-//! steps, every deadline verdict — is a pure function of the trace, the
-//! controller's profile, the truth profile, the replica count and the
-//! engine's configuration. When the truth is the profile the controller
-//! plans with, an elastic replay binds nothing and misses nothing, so
-//! replaying one trace on 1 replica and on N produces bitwise-identical
-//! logits per request (`tests/engine_determinism.rs`).
+//! is time itself: a [`ReplayReport`] — logits, rates, rebinds, every
+//! deadline verdict — is a pure function of the trace, the controller's
+//! profile, the truth profile, the replica count and the engine's
+//! configuration. When the truth is the profile the controller plans with,
+//! an elastic replay binds nothing and misses nothing, so replaying one
+//! trace on 1 replica and on N produces bitwise-identical logits per request
+//! (`tests/engine_determinism.rs`).
 
 use crate::controller::{AccuracyTable, SlaController, SlaDecision};
 use crate::profile::LatencyProfile;
 use crate::workload::WorkloadTrace;
-use ms_core::inference::{batched_sliced_forward, refine_batched_forward};
+use ms_core::inference::batched_sliced_forward;
 use ms_core::slice_rate::SliceRate;
 use ms_nn::layer::Layer;
 use ms_telemetry::flight;
@@ -127,25 +127,13 @@ impl Clock {
         }
     }
 
-    /// Virtual time a pass over `n` samples takes that lifts them to `to` —
-    /// from scratch, or incrementally from the rate they are at. On the wall
-    /// the pass has taken its time by itself.
-    fn pass(&self, n: usize, from: Option<SliceRate>, to: SliceRate) -> Duration {
-        match self {
-            Clock::Wall(_) => Duration::ZERO,
-            Clock::Virtual(truth) => {
-                let upto = |r| Duration::from_secs_f64(truth.predict(n, r));
-                upto(to).saturating_sub(from.map_or(Duration::ZERO, upto))
-            }
-        }
-    }
-
-    /// Time since a batch was dispatched at `t0`, for a worker that has run
-    /// `ran` of virtual passes on it since.
-    fn since(&self, t0: Duration, ran: Duration) -> Duration {
+    /// How long the pass over `n` samples at `rate`, dispatched at `t0`,
+    /// took: measured since `t0` on the wall, what the truth profile charges
+    /// for it on the virtual clock.
+    fn pass(&self, t0: Duration, n: usize, rate: SliceRate) -> Duration {
         match self {
             Clock::Wall(_) => self.now(t0).saturating_sub(t0),
-            Clock::Virtual(_) => ran,
+            Clock::Virtual(truth) => Duration::from_secs_f64(truth.predict(n, rate)),
         }
     }
 
@@ -194,9 +182,6 @@ struct EngineMetrics {
     /// Measured batch service seconds across all rates — the histogram
     /// behind [`EngineCounters::p50_service`]/[`p99_service`].
     service: Histogram,
-    /// Requests lifted to a wider rate by the anytime refinement ladder
-    /// (one increment per request per ladder step).
-    refined: Counter,
     /// Batches whose dispatch-time rate came out below their seal-time plan.
     rebound: Counter,
 }
@@ -264,11 +249,6 @@ impl EngineMetrics {
                 &[("engine", id.as_str()), ("rate", "all")],
                 "batch service time on the engine's clock, all rates",
             ),
-            refined: reg.counter_with(
-                "engine_refined_total",
-                e,
-                "requests lifted to a wider rate by anytime refinement (per ladder step)",
-            ),
             rebound: reg.counter_with(
                 "engine_rate_rebound_total",
                 e,
@@ -291,12 +271,8 @@ pub struct EngineConfig {
     /// Maximum requests buffered (accumulating + sealed, not yet running)
     /// before `submit` sheds — backpressure instead of unbounded queueing.
     pub max_queue: usize,
-    /// Anytime refinement: after a batch's planned pass completes, workers
-    /// keep lifting it to wider rates through the incremental prefix path
-    /// while the profile predicts the *marginal* cost still fits before the
-    /// batch deadline. Off by default — with it on, a live engine's served
-    /// rate depends on measured wall-clock time, so runs are no longer
-    /// bit-reproducible across machines (each step's logits still are).
+    /// Must be `false`; kept only because `benchmark/` names it; goes with
+    /// ROADMAP 10(f). Every batch is served by one pass at its bound rate.
     pub refine: bool,
 }
 
@@ -351,11 +327,11 @@ pub struct EngineResponse {
     /// The network's logits for this request.
     pub logits: Tensor,
     /// Slice rate the request was actually run at (after dispatch-time
-    /// binding and any refinement).
+    /// binding).
     pub rate: f32,
     /// Sequence number of the batch that carried it.
     pub batch_seq: usize,
-    /// Service time of that whole batch in seconds, dispatch to last pass,
+    /// Service time of that whole batch in seconds, dispatch to end of pass,
     /// on the engine's clock: measured on the wall, what the truth profile
     /// charges on the virtual one.
     pub service_time: f64,
@@ -385,9 +361,6 @@ pub struct EngineCounters {
     pub shed: u64,
     /// Batches executed.
     pub batches: u64,
-    /// Requests lifted to a wider rate by the anytime refinement ladder
-    /// (one per request per ladder step; 0 unless `EngineConfig::refine`).
-    pub refined: u64,
     /// Batches run below their seal-time rate by dispatch-time binding.
     pub rebound: u64,
     /// `(rate, batches run at that rate)`, ascending.
@@ -412,9 +385,7 @@ struct WorkBatch {
     /// The planning budget `rate` was chosen against: `headroom ×` the
     /// processing window that opened at `sealed`. Dispatch-time binding fits
     /// the rate to what is left of it (all of it, to the bit, for a batch
-    /// that starts the instant it is sealed), and the refinement ladder
-    /// climbs only while predicted marginal cost fits before the window
-    /// closes.
+    /// that starts the instant it is sealed).
     budget: f64,
 }
 
@@ -475,8 +446,6 @@ struct Shared {
     /// to planning budgets the same way the engine-wide SLA does.
     headroom: f64,
     max_queue: usize,
-    /// Anytime refinement ladder enabled (see [`EngineConfig::refine`]).
-    refine: bool,
     metrics: EngineMetrics,
 }
 
@@ -504,10 +473,10 @@ impl Engine {
     /// [`Engine::start`] on the virtual clock (module docs, "One clock"): a
     /// forward pass over `n` samples at rate `r` takes `truth.predict(n, r)`
     /// seconds whatever the machine does, so everything the engine decides
-    /// by the clock — binding, the refinement ladder, what
-    /// [`Engine::replay`] reports — is arithmetic. `truth` is what the
-    /// replicas cost; the controller plans with its own profile, and the two
-    /// differ exactly when the test is about a profile that has drifted.
+    /// by the clock — binding, what [`Engine::replay`] reports — is
+    /// arithmetic. `truth` is what the replicas cost; the controller plans
+    /// with its own profile, and the two differ exactly when the test is
+    /// about a profile that no longer describes the machine.
     /// Batches run one at a time, so lanes are handed out in sealing order
     /// and not by which OS thread finishes first.
     pub fn start_virtual(
@@ -532,6 +501,11 @@ impl Engine {
     ) -> Engine {
         assert!(!replicas.is_empty(), "need at least one worker replica");
         assert!(cfg.latency > 0.0 && cfg.headroom > 0.0 && cfg.headroom <= 1.0);
+        assert!(
+            !cfg.refine,
+            "EngineConfig::refine must be false: the engine serves one pass per batch; \
+             the field is kept only because benchmark/ names it (ROADMAP 10(f))"
+        );
         // Weights are fixed from here on: pack the panels of those layers
         // that have them once, so every batch multiplies straight off them
         // (a no-op for replicas that arrive packed, and for dense layers).
@@ -567,7 +541,6 @@ impl Engine {
             budget: cfg.latency / 2.0 * cfg.headroom,
             headroom: cfg.headroom,
             max_queue: cfg.max_queue,
-            refine: cfg.refine,
             metrics,
         });
         let workers = replicas
@@ -797,7 +770,6 @@ impl Engine {
             served: m.served.get(),
             shed: m.shed.get(),
             batches: m.batches.get(),
-            refined: m.refined.get(),
             rebound: m.rebound.get(),
             rate_histogram: list
                 .iter()
@@ -890,7 +862,7 @@ fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Se
         let planned = batch.rate;
         let wait = t0.saturating_sub(batch.sealed);
         let left = batch.budget - shared.headroom * wait.as_secs_f64();
-        let mut rate = shared.controller.rebind(n, planned, left);
+        let rate = shared.controller.rebind(n, planned, left);
         if rate != planned {
             shared.metrics.rebound.inc();
             shared.metrics.last_rate.set(rate.get() as f64);
@@ -900,76 +872,16 @@ fn worker_loop(shared: Arc<Shared>, worker: usize, mut model: Box<dyn Layer + Se
                 flight::dispatch_start(tr, worker as u64, planned.get(), rate.get());
             }
         }
-        // Virtual time of the passes run on this batch so far.
-        let mut ran = Duration::ZERO;
-        let mut rows;
-        if shared.refine {
-            // Prefix path: the planned pass establishes each layer's cached
-            // prefix activations so later ladder steps compute only the
-            // delta panels.
-            rows = Vec::new();
-            {
-                let _span = ms_telemetry::span!("engine.batch_forward");
-                refine_batched_forward(model.as_mut(), &batch.inputs, None, rate, &mut rows);
-            }
-            ran += shared.clock.pass(n, None, rate);
-            if flight::recording() {
-                for &tr in &batch.traces {
-                    flight::compute_done(tr);
-                }
-            }
-            // Anytime ladder: climb while the profile predicts the marginal
-            // cost of the next step still fits before the batch deadline.
-            // Prediction deltas (not fresh-pass costs) are the right charge
-            // because the prefix path reuses everything below `rate`. The
-            // base pass just measured how far the profile is off right now
-            // (a drifted profile, a busy machine): a prediction that ran
-            // `drift`× over is charged `drift`× for the next rung too, so an
-            // optimistic profile cannot talk the ladder past the deadline.
-            let profile = shared.controller.profile();
-            let base = shared.clock.since(t0, ran).as_secs_f64();
-            let drift = (base / profile.predict(n, rate)).max(1.0);
-            // The window behind the batch's budget: the engine SLA's T/2,
-            // or the tightest member deadline's T_i/2.
-            let window = batch.budget / shared.headroom;
-            while let Some(next) = profile.list().next_above(rate) {
-                let marginal = (profile.predict(n, next) - profile.predict(n, rate)) * drift;
-                let spent = wait + shared.clock.since(t0, ran);
-                if spent.as_secs_f64() + marginal.max(0.0) > window {
-                    break;
-                }
-                {
-                    let _span = ms_telemetry::span!("engine.batch_refine");
-                    refine_batched_forward(
-                        model.as_mut(),
-                        &batch.inputs,
-                        Some(rate),
-                        next,
-                        &mut rows,
-                    );
-                }
-                ran += shared.clock.pass(n, Some(rate), next);
-                shared.metrics.refined.add(n as u64);
-                if flight::recording() {
-                    for &tr in &batch.traces {
-                        flight::refine_step(tr, rate.get(), next.get());
-                    }
-                }
-                rate = next;
-            }
-        } else {
-            rows = {
-                let _span = ms_telemetry::span!("engine.batch_forward");
-                batched_sliced_forward(model.as_mut(), &batch.inputs, rate)
-            };
-            ran += shared.clock.pass(n, None, rate);
-            if flight::recording() {
-                for &tr in &batch.traces {
-                    flight::compute_done(tr);
-                }
+        let rows = {
+            let _span = ms_telemetry::span!("engine.batch_forward");
+            batched_sliced_forward(model.as_mut(), &batch.inputs, rate)
+        };
+        if flight::recording() {
+            for &tr in &batch.traces {
+                flight::compute_done(tr);
             }
         }
-        let service = shared.clock.since(t0, ran);
+        let service = shared.clock.pass(t0, n, rate);
         let service_time = service.as_secs_f64();
         // The requests' own storage, which no pool lent: dropped, not
         // recycled into this worker's pool, which never draws its size.
@@ -1049,7 +961,7 @@ impl Engine {
     /// Replays a workload trace on the virtual clock: tick `k`'s arrivals
     /// (inputs produced by `input_for(id)`) are submitted and sealed at
     /// `(k + 1) · T/2`, the workers run each batch as they would live —
-    /// binding, ladder and all — and deadlines are judged on the same clock.
+    /// binding included — and deadlines are judged on the same clock.
     ///
     /// Needs an engine from [`Engine::start_virtual`], freshly started (or
     /// fully drained and emptied through [`Engine::wait_events`]), with a
@@ -1486,53 +1398,18 @@ mod tests {
     }
 
     #[test]
-    fn refine_lifts_batches_to_full_width_given_slack() {
+    #[should_panic(expected = "kept only because benchmark/ names it (ROADMAP 10(f))")]
+    fn start_refuses_a_refining_config() {
         let w = weights();
-        let profile = quadratic(1e-5);
-        // A 2-second SLA dwarfs the microsecond-scale predicted deltas, so
-        // the ladder always climbs to full width.
-        let e = Engine::start(
-            EngineConfig {
-                latency: 2.0,
-                headroom: 0.5,
-                max_queue: 10_000,
-                refine: true,
-            },
-            SlaController::new(profile, RatePolicy::Fixed(SliceRate::new(0.25))),
+        let cfg = EngineConfig {
+            refine: true,
+            ..CONFIG
+        };
+        Engine::start(
+            cfg,
+            SlaController::elastic(quadratic(1e-5)),
             vec![replica(&w)],
         );
-        for i in 0..8 {
-            e.submit(Tensor::full([8], i as f32 * 0.1 - 0.4)).unwrap();
-        }
-        e.seal();
-        e.drain();
-        let (rs, _) = e.wait_events(Duration::ZERO);
-        assert_eq!(rs.len(), 8);
-        assert!(
-            rs.iter().all(|r| r.rate == 1.0),
-            "served at {}, not lifted to full",
-            rs[0].rate
-        );
-        // Three ladder steps (0.25→0.5→0.75→1.0) for each of 8 requests.
-        assert_eq!(e.counters().refined, 24);
-        // The refined logits are bitwise what a direct prefix pass at full
-        // width produces — refinement changes cost, never the answer.
-        let mut reference = replica(&w);
-        let inputs: Vec<Tensor> = (0..8)
-            .map(|i| Tensor::full([8], i as f32 * 0.1 - 0.4))
-            .collect();
-        let mut want = Vec::new();
-        refine_batched_forward(
-            reference.as_mut(),
-            &inputs,
-            None,
-            SliceRate::FULL,
-            &mut want,
-        );
-        for (r, w) in rs.iter().zip(&want) {
-            assert_eq!(r.logits.data(), w.data(), "request {}", r.id);
-        }
-        e.shutdown();
     }
 
     #[test]

@@ -81,10 +81,6 @@ pub enum EventKind {
     Delivered = 7,
     /// Refused. `a` = [`ShedCause`] code. Terminal.
     Shed = 8,
-    /// An anytime refinement pass lifted the batch to a wider rate. `a` and
-    /// `b` hold the from/to slice rates as f32 bits. Repeats once per
-    /// ladder step between `ComputeDone` and `Delivered`.
-    RefineStep = 9,
 }
 
 impl EventKind {
@@ -98,7 +94,6 @@ impl EventKind {
             6 => EventKind::ComputeDone,
             7 => EventKind::Delivered,
             8 => EventKind::Shed,
-            9 => EventKind::RefineStep,
             _ => return None,
         })
     }
@@ -114,7 +109,6 @@ impl EventKind {
             EventKind::ComputeDone => "compute_done",
             EventKind::Delivered => "delivered",
             EventKind::Shed => "shed",
-            EventKind::RefineStep => "refine_step",
         }
     }
 }
@@ -331,19 +325,6 @@ pub fn shed(trace_id: u64, cause: ShedCause) {
     record(trace_id, EventKind::Shed, cause as u64, 0);
 }
 
-/// Anytime refinement lifted the request's batch from one slice rate to a
-/// wider one — one event per ladder step, between `compute_done` and
-/// `delivered`.
-#[inline]
-pub fn refine_step(trace_id: u64, from: f32, to: f32) {
-    record(
-        trace_id,
-        EventKind::RefineStep,
-        from.to_bits() as u64,
-        to.to_bits() as u64,
-    );
-}
-
 /// Copies every currently-valid slot out of the ring, oldest first.
 /// Slots being rewritten concurrently are skipped (seqlock read side).
 pub fn snapshot() -> Vec<FlightEvent> {
@@ -407,11 +388,6 @@ impl TraceChain {
             .map(|e| e.kind)
     }
 
-    pub fn shed_cause(&self) -> Option<ShedCause> {
-        self.event(EventKind::Shed)
-            .and_then(|e| ShedCause::from_code(e.a))
-    }
-
     /// Deadline carried on the wire, in µs (0 = none).
     pub fn deadline_micros(&self) -> u64 {
         self.event(EventKind::WireDecoded).map_or(0, |e| e.a)
@@ -460,23 +436,13 @@ impl TraceChain {
     /// controller planned at seal and what the worker ran after fitting the
     /// batch to the window it had left. `bound < planned` answers "why was
     /// this served narrower than the controller chose".
-    pub fn dispatch_rates(&self) -> Option<(f32, f32)> {
+    fn dispatch_rates(&self) -> Option<(f32, f32)> {
         self.event(EventKind::DispatchStart).map(|e| {
             (
                 f32::from_bits((e.b >> 32) as u32),
                 f32::from_bits(e.b as u32),
             )
         })
-    }
-
-    /// Refinement ladder steps recorded on this chain, in order, as
-    /// `(from, to)` slice-rate pairs.
-    pub fn refine_steps(&self) -> Vec<(f32, f32)> {
-        self.events
-            .iter()
-            .filter(|e| e.kind == EventKind::RefineStep)
-            .map(|e| (f32::from_bits(e.a as u32), f32::from_bits(e.b as u32)))
-            .collect()
     }
 
     /// The request missed the deadline it carried on the wire.
@@ -874,7 +840,8 @@ mod tests {
         let refused = chain_for(base + 2);
         assert!(refused.is_complete());
         assert_eq!(refused.terminal(), Some(EventKind::Shed));
-        assert_eq!(refused.shed_cause(), Some(ShedCause::Backpressure));
+        let cause = refused.event(EventKind::Shed).map(|e| e.a);
+        assert_eq!(cause, Some(ShedCause::Backpressure as u64));
         set_recording(false);
     }
 

@@ -31,12 +31,12 @@ pub const MAX_EXP: i32 = 20;
 pub const NBUCKETS: usize = 2 + ((MAX_EXP - MIN_EXP) as usize) * SUBS;
 
 /// Lower edge of the covered range.
-pub fn min_value() -> f64 {
+fn min_value() -> f64 {
     (MIN_EXP as f64).exp2()
 }
 
 /// Upper edge of the covered range.
-pub fn max_value() -> f64 {
+fn max_value() -> f64 {
     (MAX_EXP as f64).exp2()
 }
 

@@ -113,6 +113,25 @@ echo "== no wall-clock gate knob or self-rewriting result file may come back =="
 grep -rnE 'MS_[A-Z_]*GATE|results/BENCH[_]' crates scripts tests examples src \
     && die "timing gates belong in benchmark/ (lines above)"
 
+echo "== public surface: a pub fn nothing else names is on the allow-list =="
+# A `pub fn` under crates/*/src whose name no other file of these trees holds
+# is API nothing calls. scripts/pub_fn_allow.txt lists the ones there are,
+# so the count cannot grow unseen (a name shared with another item passes).
+trees="crates src tests examples benchmark/src"
+unnamed=$(awk '
+    NR == FNR { files[$1]++; next }
+    files[$2] <= 1 { print $1, $2 }
+' <(grep -rowE --include='*.rs' '[A-Za-z_][A-Za-z0-9_]*' $trees | LC_ALL=C sort -u | cut -d: -f2) \
+  <(grep -rnoE --include='*.rs' 'pub (const )?fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src \
+      | awk -F: '{ n = $3; sub(/.*fn /, "", n); print $1, n }' | LC_ALL=C sort -u))
+allowed=$(grep -v '^#' scripts/pub_fn_allow.txt | LC_ALL=C sort -u)
+new=$(LC_ALL=C comm -23 <(printf '%s\n' "$unnamed") <(printf '%s\n' "$allowed") | sed 's/^/    /')
+[ -z "$new" ] || die "pub fn named in no other file: make it private, delete it or allow-list it:
+$new"
+stale=$(LC_ALL=C comm -13 <(printf '%s\n' "$unnamed") <(printf '%s\n' "$allowed") | sed 's/^/    /')
+[ -z "$stale" ] || die "scripts/pub_fn_allow.txt lists a function that is called or gone: drop
+$stale"
+
 echo "== the engine's SLA suites stay off the wall clock, and nothing retries =="
 # tests/serving_sla.rs and tests/engine_determinism.rs assert on the engine's
 # virtual clock only (the `#[ignore]`d soak may nap); a wall-clock verdict

@@ -14,9 +14,8 @@
 //!   honest boundary of the method, since the narrowest subnet is only
 //!   ~7× cheaper than the full model.
 //!
-//! Then the engine's own mechanisms on the same clock: dispatch-time binding
-//! and the refinement ladder, under a profile that is true and under one that
-//! has drifted 2×.
+//! Then the engine's own mechanism on the same clock: dispatch-time binding,
+//! under a profile that is true and under one that has drifted 2×.
 
 use modelslicing::models::mlp::{Mlp, MlpConfig};
 use modelslicing::nn::layer::Layer;
@@ -395,12 +394,12 @@ const BELIEVED: f64 = 1e-5;
 
 /// An engine whose processing window `T/2` is `window`, with an unbounded
 /// queue.
-fn config(window: f64, headroom: f64, refine: bool) -> EngineConfig {
+fn config(window: f64, headroom: f64) -> EngineConfig {
     EngineConfig {
         latency: window * 2.0,
         headroom,
         max_queue: usize::MAX / 2,
-        refine,
+        refine: false,
     }
 }
 
@@ -442,7 +441,7 @@ const BUDGET: f64 = 200.0 * BELIEVED;
 /// of 9600 against a base-rate capacity of 3200.
 fn crowds() -> (EngineConfig, WorkloadTrace) {
     (
-        config(2.0 * BUDGET, 0.5, false),
+        config(2.0 * BUDGET, 0.5),
         WorkloadTrace::two_crowds(&law(BELIEVED), BUDGET, 60, 5),
     )
 }
@@ -522,7 +521,7 @@ fn a_drifted_profile_is_rebound_narrower_never_wider() {
     // Full headroom and passes that cost twice the plan: a calm batch takes
     // 1.4 windows, so batches queue and dispatch finds less window than the
     // plan assumed.
-    let cfg = config(BUDGET, 1.0, false);
+    let cfg = config(BUDGET, 1.0);
     let trace = WorkloadTrace::two_crowds(&law(BELIEVED), BUDGET, 60, 5);
     let planned = replay(RatePolicy::Elastic, BELIEVED, cfg, 1, &trace);
     let drifted = replay(RatePolicy::Elastic, 2.0 * BELIEVED, cfg, 1, &trace);
@@ -578,65 +577,12 @@ fn a_drifted_profile_is_rebound_narrower_never_wider() {
     assert!(drifted.late > 0 && drifted.on_time > pinned.on_time);
 }
 
-#[test]
-fn refine_beats_aggressive_planning_under_profile_drift() {
-    // Both engines plan with a profile that claims the machine is 2× faster
-    // than it is. Calm ticks are 70 % of what truly fits half a window at
-    // full width; the crowds are 3× what truly fits it at the base rate.
-    let window = 0.01;
-    let trace = WorkloadTrace::two_crowds(&law(2.0 * BELIEVED), window / 2.0, 30, 4);
-
-    // Headroom 1.0: the crowds are admitted whole at the base rate, planned
-    // at 0.75 of the window and truly 1.5 of it — late, and the calm batches
-    // queued behind them start late too.
-    let aggressive = replay(
-        RatePolicy::Elastic,
-        2.0 * BELIEVED,
-        config(window, 1.0, false),
-        1,
-        &trace,
-    );
-    // Headroom 0.125 + refinement: base passes are planned narrow (safe even
-    // at 2× drift), then each batch climbs the ladder against the clock: the
-    // base pass measures how far off the profile is, and every further rung
-    // is charged accordingly.
-    let refining = replay(
-        RatePolicy::Elastic,
-        2.0 * BELIEVED,
-        config(window, 0.125, true),
-        1,
-        &trace,
-    );
-
-    assert!(
-        refining.counters.refined > 0,
-        "refinement ladder never fired"
-    );
-    let top_rate = refining
-        .responses
-        .iter()
-        .map(|r| r.rate)
-        .fold(0.0f32, f32::max);
-    assert_eq!(top_rate, 1.0, "refinement never reached full width");
-    assert_eq!(refining.late, 0, "the ladder climbed past a deadline");
-    assert!(aggressive.late > 0);
-    assert!(
-        refining.on_time > aggressive.on_time,
-        "refine {} on-time of {} vs aggressive {} of {}",
-        refining.on_time,
-        refining.served,
-        aggressive.on_time,
-        aggressive.served
-    );
-}
-
-/// Soak: thousands of traced requests through a refining engine with the
+/// Soak: thousands of traced requests through a wall-clock engine with the
 /// flight recorder on. Every request must come back with logits at *some*
-/// rate, every trace chain must be complete and time-ordered, and recorded
-/// ladder steps must walk strictly upward without gaps.
+/// rate, and every trace chain must be complete and time-ordered.
 #[test]
-#[ignore = "anytime soak; run with --ignored"]
-fn anytime_soak_serves_everyone_with_complete_monotone_traces() {
+#[ignore = "traced soak; run with --ignored"]
+fn traced_soak_serves_everyone_with_complete_monotone_traces() {
     let mut rng = SeededRng::new(17);
     let mut proto = Mlp::new(&mlp_config(), &mut rng);
     let weights = SharedWeights::capture(&mut proto);
@@ -644,16 +590,12 @@ fn anytime_soak_serves_everyone_with_complete_monotone_traces() {
     weights.hydrate(&mut replica);
     let engine = Engine::start(
         EngineConfig {
-            latency: 0.1, // 50 ms window: every batch has refinement slack
+            latency: 0.1,
             headroom: 0.25,
             max_queue: usize::MAX / 2,
-            refine: true,
+            refine: false,
         },
-        // Pin the planner to the base subnet: under this light load an
-        // elastic planner would pick full width outright and leave the
-        // ladder nothing to do. Fixed(0.25) makes every wider rate the
-        // ladder's work, which is what the soak is here to exercise.
-        SlaController::new(law(BELIEVED), RatePolicy::Fixed(SliceRate::new(0.25))),
+        SlaController::elastic(law(BELIEVED)),
         vec![Box::new(replica) as Box<dyn Layer + Send>],
     );
 
@@ -693,33 +635,15 @@ fn anytime_soak_serves_everyone_with_complete_monotone_traces() {
         assert!(r.rate > 0.0, "request {} served without a rate", r.id);
     }
     assert_eq!(responses.len(), traces.len(), "soak shed requests");
-    let refined_counter = engine.counters().refined;
-    assert!(refined_counter > 0, "soak never exercised the ladder");
     engine.shutdown();
 
     let chains = flight::chains();
     let by_id: HashMap<u64, _> = chains.iter().map(|c| (c.trace_id, c)).collect();
-    let mut refine_events = 0usize;
     for &tr in &traces {
         let c = by_id.get(&tr).unwrap_or_else(|| panic!("trace {tr} lost"));
         assert!(c.is_complete(), "incomplete chain for trace {tr}");
         assert!(c.is_monotonic(), "out-of-order chain for trace {tr}");
-        let steps = c.refine_steps();
-        for &(from, to) in &steps {
-            assert!(from < to, "trace {tr}: non-ascending step {from}→{to}");
-        }
-        for w in steps.windows(2) {
-            assert_eq!(w[0].1, w[1].0, "trace {tr}: ladder gap {w:?}");
-        }
-        refine_events += steps.len();
     }
-    // `engine_refined_total` adds one per request per ladder step, and the
-    // worker stamps one `RefineStep` event per trace per step: the flight
-    // recorder and the metrics registry must tell the same story.
-    assert_eq!(
-        refine_events as u64, refined_counter,
-        "flight ladder steps disagree with engine_refined_total"
-    );
     flight::set_recording(false);
     flight::reset();
 }
