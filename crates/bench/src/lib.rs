@@ -1,5 +1,8 @@
-//! Criterion microbenchmarks live in `benches/`; this library only hosts
-//! shared builders so bench targets stay small.
+//! Criterion microbenchmarks live in `benches/`; this library hosts shared
+//! builders so bench targets stay small, and the determinism probe that the
+//! `determinism_probe` bin prints and the root package's golden test diffs.
+
+pub mod probe;
 
 use ms_models::nnlm::{Nnlm, NnlmConfig};
 use ms_models::vgg::{Vgg, VggConfig};

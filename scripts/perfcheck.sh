@@ -70,21 +70,22 @@ cargo test --release -p ms-nn --test properties split_passes
 cargo test --release --test train_thread_invariance
 
 echo "== cross-build determinism: neither the span tracer nor the vector width may move one output bit =="
-cargo run --release -q -p ms-bench --bin determinism_probe > /tmp/ms_probe_default.txt
-cargo run --release -q -p ms-bench --features telemetry-spans \
-    --bin determinism_probe > /tmp/ms_probe_spans.txt
-diff /tmp/ms_probe_default.txt /tmp/ms_probe_spans.txt \
-    || die "span-instrumented build changed inference output bits"
+# Each build's probe must print tests/golden/determinism_probe.txt, the lines
+# the tier-1 `determinism_golden` test pins.
+golden=tests/golden/determinism_probe.txt
+cargo run --release -q -p ms-bench --bin determinism_probe | diff "$golden" - \
+    || die "the default build's probe differs from $golden (lines above)"
+cargo run --release -q -p ms-bench --features telemetry-spans --bin determinism_probe \
+    | diff "$golden" - || die "the span-instrumented build's probe differs from $golden (lines above)"
 # `target-cpu=native` picks the micro-kernel's `zmm` body where the machine
 # has AVX-512F; x86-64-v3 (AVX2 + FMA) compiles the generic body and its 6x16
 # tile on the same box, in a target directory of its own. Its tests must
-# pass and its probe must print the native build's bytes.
+# pass and its probe must print the golden too.
 RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test --release -q -p ms-tensor \
     --target-dir target/x86-64-v3
 RUSTFLAGS="-C target-cpu=x86-64-v3" cargo run --release -q -p ms-bench \
-    --target-dir target/x86-64-v3 --bin determinism_probe > /tmp/ms_probe_v3.txt
-diff /tmp/ms_probe_default.txt /tmp/ms_probe_v3.txt \
-    || die "the generic micro-kernel (x86-64-v3 build) and the native build disagree on output bits"
+    --target-dir target/x86-64-v3 --bin determinism_probe | diff "$golden" - \
+    || die "the generic micro-kernel's (x86-64-v3 build) probe differs from $golden (lines above)"
 # Seeded init draws its ChaCha8 blocks lane-parallel, vectorised to the
 # build's width: the weights and images it makes are pinned by hash, and
 # its bulk draws must equal the per-call ones, in this build too.
