@@ -82,17 +82,8 @@ const RATES: [f32; 2] = [0.375, 1.0];
 type Column = (&'static str, &'static [&'static str]);
 
 /// Everything of a GEMM that is not operand packing: the blocked loop under
-/// `gemm` and the weight-stationary entry points, and the unblocked small
-/// path.
-const KERNEL: Column = (
-    "kernel",
-    &[
-        "gemm.panel_",
-        "gemm.in_place_a",
-        "gemm.small",
-        "gemm.packed",
-    ],
-);
+/// `gemm` and the weight-stationary entry points.
+const KERNEL: Column = ("kernel", &["gemm.panel_", "gemm.in_place_a", "gemm.packed"]);
 /// Operand packing, a conv's columns packed from the image included.
 const PACK: Column = ("pack", &["gemm.pack_"]);
 

@@ -14,18 +14,22 @@
 //! transposed into `y` with the bias). There are no panels to pack,
 //! invalidate or release, and a weight write is seen by the next forward
 //! in any mode. A forward computes what `gemm` computes on the same
-//! operands — its small-problem loops at or below `SMALL_GEMM_CUTOFF`, its
-//! packed kernel above — whatever was packed or written before it; the
-//! prefix passes stay on the packed kernel at every size, so the refine
-//! ladder's bits do not depend on the batch.
+//! operands, whatever was packed or written before it, and so do the
+//! prefix passes; every product runs the one blocked loop at every size,
+//! so no bit depends on the batch or on how a pass is cut.
 
 use crate::layer::{BoxedLayer, Layer, Mode, Param};
 use crate::slice::{active_groups, active_units, group_boundary, prefix_input_width, SliceRate};
 use crate::workspace::PrefixCache;
-use ms_tensor::matmul::{gemm, Operand, Trans, SMALL_GEMM_CUTOFF};
+use ms_tensor::matmul::{gemm, Operand, Trans};
 use ms_tensor::panels::{gemm_in_place_a, linear_in_place, store_out_major};
 use ms_tensor::{init, par, SeededRng, Tensor};
 use std::ops::Range;
+
+/// Multiply-adds at or below which a training pass's smaller half is not
+/// worth a fork-join handoff: such a pass runs whole on the calling thread
+/// ([`Linear::cut`]).
+const UNCUT_TERMS: usize = 8192;
 
 /// Configuration for a [`Linear`] layer.
 #[derive(Debug, Clone)]
@@ -157,12 +161,11 @@ impl Linear {
     /// Where a training pass over `batch` rows is cut: the `(batch rows,
     /// output units)` that part 0 takes, part 1 taking the rest.
     ///
-    /// * A pass too small for its halves to stay on `gemm`'s packed kernel
-    ///   is not cut at all — `(batch, a_out)`: a piece that small is not
-    ///   worth a handoff, and pieces that do stay on the packed kernel
-    ///   produce, element for element, the bits of the uncut multiply. (The
-    ///   three GEMMs of a pass all multiply `batch · a_in · a_out` terms, so
-    ///   one test covers them.)
+    /// * A pass whose smaller half would multiply at most [`UNCUT_TERMS`]
+    ///   terms is not cut at all — `(batch, a_out)`. (The three GEMMs of a
+    ///   pass all multiply `batch · a_in · a_out` terms, so one test covers
+    ///   them.) Whichever way a pass is cut, each element gets the bits of
+    ///   the uncut multiply.
     /// * When the batch is the long side, both are halved ([`par::mid`]):
     ///   each part takes half the rows of `y` and `dx` and half the rows of
     ///   `dW`.
@@ -176,7 +179,7 @@ impl Linear {
     fn cut(&self, batch: usize) -> (usize, usize) {
         let (a_in, a_out) = (self.active_in, self.active_out);
         let smallest_half = (batch / 2 * a_out).min(a_out / 2 * batch) * a_in;
-        if smallest_half <= SMALL_GEMM_CUTOFF {
+        if smallest_half <= UNCUT_TERMS {
             (batch, a_out)
         } else if batch >= a_in.max(a_out) {
             (par::mid(batch), par::mid(a_out))
@@ -755,8 +758,8 @@ mod tests {
     /// A weight write is seen bit for bit by the next forward, in every
     /// mode, with nothing to pack: `Infer`, `Train` and a prefix pass after
     /// a `visit_params` write equal a never-written layer built with the new
-    /// weights — at a product under `gemm`'s small-problem cutoff and at one
-    /// over it — and the layer has no panels to pack or release.
+    /// weights — at a product inside one tile and at one over several — and
+    /// the layer has no panels to pack or release.
     #[test]
     fn a_weight_write_is_seen_bit_for_bit_by_the_next_forward() {
         let rewrite = |l: &mut Linear| {

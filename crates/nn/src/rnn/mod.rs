@@ -72,7 +72,7 @@ pub use lstm::{Lstm, LstmConfig};
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_units, SliceRate};
 use crate::workspace::take_zeroed;
-use ms_tensor::matmul::{gemm, Trans, SMALL_GEMM_CUTOFF};
+use ms_tensor::matmul::{gemm, Trans};
 use ms_tensor::ops::sum_cols_into;
 use ms_tensor::panels::{gemm_packed_b, PackedB};
 use ms_tensor::{init, par, SeededRng, Tensor};
@@ -359,33 +359,12 @@ impl<C: Cell<G>, const G: usize> Recurrent<C, G> {
 
     /// `dh = s_h · g · W_h[gate][0..a_h, 0..a_h] + beta · dh` for the rows of
     /// `dh` (`g` of leading dimension `ld`): a gate's share of `dh_prev`, off
-    /// the gate's `packed_dh` panels — except where `gemm` would take its
-    /// small loops, which sum in another order: there it is still `gemm` on
-    /// `w_h`. Either way the bits are those of packing `W_h[gate]` per call.
+    /// the gate's `packed_dh` panels, with the bits of packing `W_h[gate]`
+    /// per call.
     fn recurrent_grad(&self, gate: usize, g: &[f32], ld: usize, beta: f32, dh: &mut [f32]) {
-        let (a_h, h_full, sh) = (self.active_h, self.cfg.hidden_dim, self.scale_h());
+        let (a_h, sh, pb) = (self.active_h, self.scale_h(), &self.packed_dh[gate]);
         let rows = dh.len() / a_h;
-        if rows * a_h * a_h > SMALL_GEMM_CUTOFF {
-            let pb = &self.packed_dh[gate];
-            gemm_packed_b(rows, 0, a_h, 0, a_h, sh, g, ld, pb, beta, dh, a_h);
-            return;
-        }
-        let block = &self.w_h.value.data()[gate * h_full * h_full..];
-        gemm(
-            Trans::No,
-            Trans::No,
-            rows,
-            a_h,
-            a_h,
-            sh,
-            g,
-            ld,
-            block,
-            h_full,
-            beta,
-            dh,
-            a_h,
-        );
+        gemm_packed_b(rows, 0, a_h, 0, a_h, sh, g, ld, pb, beta, dh, a_h);
     }
 
     /// The forward of one part: input projection of all its steps, then the

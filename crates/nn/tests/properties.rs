@@ -15,7 +15,7 @@ use ms_nn::rnn::lstm::{Lstm, LstmConfig};
 use ms_nn::sequential::Sequential;
 use ms_nn::slice::{active_units, SliceRate};
 use ms_tensor::conv::{im2col, ConvGeom};
-use ms_tensor::matmul::{gemm, gemm_reference, Trans, SMALL_GEMM_CUTOFF};
+use ms_tensor::matmul::{gemm, gemm_reference, Trans};
 use ms_tensor::{par, SeededRng, Tensor};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -297,7 +297,7 @@ struct Recurrence {
 
 impl Recurrence {
     /// `s · Σ_j w[(gate·H + k)·ld + j] · v[j]` over the first `v.len()` columns.
-    fn dot(&self, w: &[f32], ld: usize, gate: usize, k: usize, v: &[f64], s: f64) -> f64 {
+    fn gate_product(&self, w: &[f32], ld: usize, gate: usize, k: usize, v: &[f64], s: f64) -> f64 {
         let row = &w[(gate * self.h + k) * ld..];
         s * v
             .iter()
@@ -356,8 +356,8 @@ fn lstm_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> 
             ];
             for (gate, act) in g.iter_mut().enumerate() {
                 for k in 0..a_h {
-                    let z = geo.dot(w_x, d, gate, k, &xv, sx)
-                        + geo.dot(w_h, h, gate, k, hp, sh)
+                    let z = geo.gate_product(w_x, d, gate, k, &xv, sx)
+                        + geo.gate_product(w_h, h, gate, k, hp, sh)
                         + f64::from(bias[gate * h + k]);
                     act[k] = if gate == 2 { z.tanh() } else { sigmoid(z) };
                 }
@@ -437,8 +437,10 @@ fn gru_reference(geo: &Recurrence, p: &[Vec<f32>], x: &Tensor, dy: &Tensor) -> R
             let xv = geo.x_at(x, b, t);
             let hp = &hs[t];
             let side = |gate: usize, k: usize| {
-                let from_x = geo.dot(w_x, d, gate, k, &xv, sx) + f64::from(b_x[gate * h + k]);
-                let from_h = geo.dot(w_h, h, gate, k, hp, sh) + f64::from(b_h[gate * h + k]);
+                let from_x =
+                    geo.gate_product(w_x, d, gate, k, &xv, sx) + f64::from(b_x[gate * h + k]);
+                let from_h =
+                    geo.gate_product(w_h, h, gate, k, hp, sh) + f64::from(b_h[gate * h + k]);
                 (from_x, from_h)
             };
             let squash = |gate: usize| -> Vec<f64> {
@@ -1053,11 +1055,10 @@ proptest! {
 /// The bits rule at the shapes where the two orientations of the product
 /// part ways: output widths that are not a multiple of 8, batches that are
 /// not a multiple of the tile or the transpose block (1, 7, 31, 33, 53),
-/// and products on both sides of `SMALL_GEMM_CUTOFF` — every state of
+/// and products from inside one tile to several — every state of
 /// [`linear_in_three_states`], both modes, `gemm`'s bits.
 #[test]
 fn linear_forward_is_gemm_in_every_state() {
-    let (mut small, mut large) = (0, 0);
     for (in_dim, out_dim) in [(3, 13), (24, 5), (24, 37), (150, 13), (150, 70), (300, 37)] {
         for grouped in [false, true] {
             let cfg = LinearConfig {
@@ -1073,22 +1074,10 @@ fn linear_forward_is_gemm_in_every_state() {
                     let rate = SliceRate::new(rate);
                     check_linear_is_gemm(&cfg, rate, batch, (in_dim * out_dim + batch) as u64)
                         .unwrap();
-                    let mut probe = Linear::new("fc", cfg.clone(), &mut SeededRng::new(0));
-                    probe.set_slice_rate(rate);
-                    let (a_in, a_out) = probe.active_dims();
-                    if batch * a_in * a_out > SMALL_GEMM_CUTOFF {
-                        large += 1;
-                    } else {
-                        small += 1;
-                    }
                 }
             }
         }
     }
-    assert!(
-        small > 0 && large > 0,
-        "{small} products at or under the cutoff, {large} over"
-    );
 }
 
 #[test]

@@ -12,9 +12,10 @@
 //! [`ConvGeom::direct`] holds, the micro-kernel multiplies it straight from
 //! the image; elsewhere, and for its transpose (the weight gradient's
 //! `colsᵀ`), the GEMM drivers pack it from the image one panel at a time.
-//! [`im2col`] itself is left to `gemm`'s small problems, and [`col2im`] to
-//! the backward of a strided convolution, whose input gradient is not a
-//! convolution of its output gradient ([`ConvGeom::transposed`]).
+//! [`im2col`] itself writes the matrix out for the tests that check those
+//! packers, and [`col2im`] is left to the backward of a strided
+//! convolution, whose input gradient is not a convolution of its output
+//! gradient ([`ConvGeom::transposed`]).
 
 use crate::kernel::{store_transposed, LG, TB};
 use std::cell::RefCell;
@@ -407,18 +408,6 @@ impl Im2col<'_> {
                 }
             }
         });
-    }
-
-    /// Writes the column matrix out, `[rows, cols]` row-major, into `buf`
-    /// (grow-only) and returns it.
-    pub(crate) fn write<'b>(&self, buf: &'b mut Vec<f32>) -> &'b [f32] {
-        let (cols, out_len, sample_len) = (self.cols(), self.geom.out_len(), self.sample_len());
-        buf.resize(self.rows() * cols, 0.0);
-        let samples = self.input.chunks_exact(sample_len).take(self.samples);
-        for (s, sample) in samples.enumerate() {
-            im2col(sample, self.channels, &self.geom, buf, cols, s * out_len);
-        }
-        buf
     }
 
     /// Where rows `p`, `p + 1`, … of the column matrix read a sample, one
@@ -1020,8 +1009,6 @@ mod tests {
             samples,
         };
         prop_assert_eq!((cols.rows(), cols.cols()), (c * taps, n));
-        let mut written = Vec::new();
-        prop_assert_eq!(bits(cols.write(&mut written)), bits(&col));
         let k = c_pre * taps;
         let (row_windows, col_windows) =
             (windows(&mut rng, k, len, KC), windows(&mut rng, n, len, KC));

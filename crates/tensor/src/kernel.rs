@@ -13,8 +13,8 @@
 //! invariance of a training step and the `x86-64-v3` pass of
 //! `scripts/perfcheck.sh` rest on.
 //!
-//! There are two bodies and the build target picks one, the way
-//! [`fmadd`](crate::matmul::fmadd) picks FMA — a `cfg`, no runtime detection:
+//! There are two bodies and the build target picks one, the way the generic
+//! body's `fmadd` picks FMA — a `cfg`, no runtime detection:
 //!
 //! * with AVX-512F, `avx512`: `MR × NR/16` accumulators held in `zmm`
 //!   registers from the first FMA to the store into `C`, the column window a
@@ -272,8 +272,22 @@ pub(crate) fn direct_tile(
 #[cfg(any(test, not(target_feature = "avx512f")))]
 mod generic {
     use super::{row_at, AStrip, Affine, LaneGroup, TapMasks, GROUPS, LG, MR, NR};
-    use crate::matmul::fmadd;
     use std::ops::Range;
+
+    /// Fused multiply-add `a * b + c` on hardware FMA; plain `a * b + c`
+    /// when the target lacks it (where `f32::mul_add` would be a slow libm
+    /// call).
+    #[inline(always)]
+    fn fmadd(a: f32, b: f32, c: f32) -> f32 {
+        #[cfg(target_feature = "fma")]
+        {
+            a.mul_add(b, c)
+        }
+        #[cfg(not(target_feature = "fma"))]
+        {
+            a * b + c
+        }
+    }
 
     #[inline(always)]
     pub(super) fn store_transposed(

@@ -7,7 +7,7 @@
 //!
 //! # Kernel structure
 //!
-//! Every multiply above `SMALL_GEMM_CUTOFF` runs one BLIS-style blocked loop
+//! Every multiply, whatever its size, runs one BLIS-style blocked loop
 //! (`packed_product`): `k` is cut into blocks at absolute multiples of
 //! `KC`, each block of either operand is read in the micro-kernel's strip
 //! layout — `MR`-row strips of `op(A)`, `NR`-column strips of `op(B)`, each
@@ -26,9 +26,9 @@
 //! transpose cases, and an im2col operand packed straight from the images
 //! (so a convolution's backward, [`gemm_operands`], writes no column
 //! matrix), differ only in the packers; the micro-kernel and every output
-//! bit cannot tell them apart.
-//! Problems at or below `SMALL_GEMM_CUTOFF` use `gemm_accumulate_unblocked`,
-//! whose per-case loops beat packing overhead at tiny sizes.
+//! bit cannot tell them apart. A product smaller than one tile is one
+//! padded tile: there is no second kernel for small problems, so a layer's
+//! bits do not depend on how its products are sized or cut.
 //!
 //! # Determinism
 //!
@@ -36,10 +36,10 @@
 //! and `KC` — not of the call's shape, its windows or where either operand
 //! came from — so results are bitwise reproducible run to run (they are not
 //! bitwise-identical to the pre-packing kernel, which accumulated in a
-//! different order). `fmadd` compiles to hardware FMA when the target has
-//! it (`.cargo/config.toml` sets `target-cpu=native`) and to `a * b + c`
-//! otherwise — each build is internally consistent, and any two builds with
-//! FMA agree bit for bit whatever their vector width.
+//! different order). The micro-kernel's multiply-add is hardware FMA when
+//! the target has it (`.cargo/config.toml` sets `target-cpu=native`) and
+//! `a * b + c` otherwise — each build is internally consistent, and any two
+//! builds with FMA agree bit for bit whatever their vector width.
 //!
 //! Every call runs on the calling thread; parallelism comes from above (one
 //! model replica per engine worker, one shard process per core). The
@@ -80,12 +80,6 @@ pub const KC: usize = 256;
 /// Columns of `op(B)` packed per `KC` block where `B` is packed per call
 /// (multiple of `NR`).
 pub(crate) const NC: usize = 1024;
-/// Problems with `m·n·k` at or below this use the unblocked kernel: packing
-/// costs `O(mk + kn)` and only pays off once each packed element is reused
-/// across several tiles. The two kernels sum in different orders, so a
-/// caller that cuts one multiply into several and wants the bits of the
-/// whole keeps every piece on the same side of this line.
-pub const SMALL_GEMM_CUTOFF: usize = 8192;
 const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR));
 
 thread_local! {
@@ -101,20 +95,6 @@ pub(crate) fn with_pack_bufs<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> 
         let (ref mut apack, ref mut bpack) = *bufs.borrow_mut();
         f(apack, bpack)
     })
-}
-
-/// Fused multiply-add `a * b + c` on hardware FMA; plain `a * b + c` when
-/// the target lacks it (where `f32::mul_add` would be a slow libm call).
-#[inline(always)]
-pub(crate) fn fmadd(a: f32, b: f32, c: f32) -> f32 {
-    #[cfg(target_feature = "fma")]
-    {
-        a.mul_add(b, c)
-    }
-    #[cfg(not(target_feature = "fma"))]
-    {
-        a * b + c
-    }
 }
 
 /// General matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
@@ -231,25 +211,11 @@ impl<'a> Operand<'a> {
             Operand::Im2col(Trans::Yes, cols) => cols.pack_rows::<NR>(jc, nc, pc, kc, panel),
         }
     }
-
-    /// `op(X)` as a stored matrix `(trans, x, ld)`: a matrix as it is, an
-    /// im2col matrix written out into `buf`.
-    fn written<'b>(self, buf: &'b mut Vec<f32>) -> (Trans, &'b [f32], usize)
-    where
-        'a: 'b,
-    {
-        match self {
-            Operand::Matrix(trans, x, ld) => (trans, x, ld),
-            Operand::Im2col(trans, cols) => (trans, cols.write(buf), cols.cols()),
-        }
-    }
 }
 
 /// [`gemm`] on [`Operand`]s: `C = alpha · op(A) · op(B) + beta · C`, `op(A)`
 /// `m×k` and `op(B)` `k×n`, through the same loops, so an im2col operand
-/// gives the bits of its written-out matrix. The small problems `gemm` hands
-/// to its unblocked loops are the one place such an operand is written out
-/// (at most `SMALL_GEMM_CUTOFF` floats, into the pack buffers).
+/// gives the bits of its written-out matrix.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_operands(
     m: usize,
@@ -268,18 +234,9 @@ pub fn gemm_operands(
     if m == 0 || n == 0 {
         return;
     }
-    let packed = k > 0 && alpha != 0.0 && m * n * k > SMALL_GEMM_CUTOFF;
-    apply_beta(beta, packed, c, ldc, m, n);
-    if k == 0 || alpha == 0.0 {
-        return;
-    }
-
-    if !packed {
-        let _span = ms_telemetry::span!("gemm.small");
-        with_pack_bufs(|abuf, bbuf| {
-            let ((ta, a, lda), (tb, b, ldb)) = (a.written(abuf), b.written(bbuf));
-            gemm_accumulate_unblocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
-        });
+    let multiplies = k > 0 && alpha != 0.0;
+    apply_beta(beta, multiplies, c, ldc, m, n);
+    if !multiplies {
         return;
     }
 
@@ -749,108 +706,6 @@ pub(crate) fn pack_rows_into(
     }
 }
 
-/// `C += alpha * op(A)·op(B)` with one contiguous-inner-loop strategy per
-/// transpose case: the pre-packing kernel, kept as [`gemm`]'s small-problem
-/// path, where per-case contiguous loops beat packing overhead.
-#[allow(clippy::too_many_arguments)]
-fn gemm_accumulate_unblocked(
-    trans_a: Trans,
-    trans_b: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    match (trans_a, trans_b) {
-        // C[i,:] += alpha * A[i,p] * B[p,:]  — contiguous inner loop over B rows.
-        (Trans::No, Trans::No) => {
-            for i in 0..m {
-                let a_row = &a[i * lda..i * lda + k];
-                let c_row = &mut c[i * ldc..i * ldc + n];
-                for (p, &aip) in a_row.iter().enumerate() {
-                    if aip == 0.0 {
-                        continue;
-                    }
-                    let s = alpha * aip;
-                    let b_row = &b[p * ldb..p * ldb + n];
-                    for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                        *cv = fmadd(s, bv, *cv);
-                    }
-                }
-            }
-        }
-        // C[i,j] += alpha * dot(A[i,:], B[j,:]) — both rows contiguous.
-        (Trans::No, Trans::Yes) => {
-            for i in 0..m {
-                let a_row = &a[i * lda..i * lda + k];
-                let c_row = &mut c[i * ldc..i * ldc + n];
-                for (j, cv) in c_row.iter_mut().enumerate() {
-                    let b_row = &b[j * ldb..j * ldb + k];
-                    *cv = fmadd(alpha, dot(a_row, b_row), *cv);
-                }
-            }
-        }
-        // C[i,:] += alpha * A[p,i] * B[p,:] — stream both A and B by rows of p.
-        (Trans::Yes, Trans::No) => {
-            for p in 0..k {
-                let a_row = &a[p * lda..p * lda + m];
-                let b_row = &b[p * ldb..p * ldb + n];
-                for (i, &api) in a_row.iter().enumerate() {
-                    if api == 0.0 {
-                        continue;
-                    }
-                    let s = alpha * api;
-                    let c_row = &mut c[i * ldc..i * ldc + n];
-                    for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                        *cv = fmadd(s, bv, *cv);
-                    }
-                }
-            }
-        }
-        // C[i,j] += alpha * sum_p A[p,i] * B[j,p] — B row contiguous, A strided.
-        (Trans::Yes, Trans::Yes) => {
-            for i in 0..m {
-                for j in 0..n {
-                    let b_row = &b[j * ldb..j * ldb + k];
-                    let mut acc = 0.0f32;
-                    for (p, &bv) in b_row.iter().enumerate() {
-                        acc = fmadd(a[p * lda + i], bv, acc);
-                    }
-                    c[i * ldc + j] = fmadd(alpha, acc, c[i * ldc + j]);
-                }
-            }
-        }
-    }
-}
-
-/// Dot product with 8 independent partial sums (one AVX2 FMA chain per
-/// lane group; the fixed reduction tree keeps results run-to-run
-/// deterministic).
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    let (a8, a_rest) = a.split_at(chunks * 8);
-    let (b8, b_rest) = b.split_at(chunks * 8);
-    for (ac, bc) in a8.chunks_exact(8).zip(b8.chunks_exact(8)) {
-        for l in 0..8 {
-            acc[l] = fmadd(ac[l], bc[l], acc[l]);
-        }
-    }
-    let mut s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for (x, y) in a_rest.iter().zip(b_rest) {
-        s = fmadd(*x, *y, s);
-    }
-    s
-}
-
 /// Reference (naive, unblocked, f64-accumulating) GEMM used by tests to
 /// validate the kernels.
 #[allow(clippy::too_many_arguments)]
@@ -1011,27 +866,9 @@ pub(crate) mod tests {
     fn alpha_beta_grid_matches_reference() {
         for &alpha in &[0.0f32, 0.5, 1.0] {
             for &beta in &[0.0f32, 0.5, 1.0] {
-                // One small (unblocked) and one packed-path shape each.
+                // One shape inside a tile, one over several.
                 check_case_ab(Trans::No, Trans::Yes, 5, 6, 7, 2, alpha, beta);
                 check_case_ab(Trans::Yes, Trans::No, 25, 33, 41, 3, alpha, beta);
-            }
-        }
-    }
-
-    #[test]
-    fn unblocked_kernel_matches_reference() {
-        // Shapes under SMALL_GEMM_CUTOFF, so `gemm` takes the unblocked path.
-        for &(m, n, k) in &[(3, 5, 7), (13, 2, 9), (19, 17, 23)] {
-            assert!(m * n * k <= SMALL_GEMM_CUTOFF);
-            for &pad in &[0usize, 3] {
-                for &(ta, tb) in &[
-                    (Trans::No, Trans::No),
-                    (Trans::No, Trans::Yes),
-                    (Trans::Yes, Trans::No),
-                    (Trans::Yes, Trans::Yes),
-                ] {
-                    check_case_ab(ta, tb, m, n, k, pad, 0.7, 0.3);
-                }
             }
         }
     }
@@ -1149,13 +986,13 @@ pub(crate) mod tests {
         assert_eq!(c1, c2, "bitwise reproducibility");
     }
 
-    /// `beta = 0` overwrites on both paths: nothing `C` held — NaN, which
-    /// `0 × NaN` would keep, included — survives, and the packed path writes
-    /// the bits it would add to a zeroed `C`.
+    /// `beta = 0` overwrites: nothing `C` held — NaN, which `0 × NaN` would
+    /// keep, included — survives, and the first `KC` block writes the bits
+    /// it would add to a zeroed `C`.
     #[test]
     fn beta_zero_overwrites_garbage() {
         let mut rng = SeededRng::new(19);
-        // Unblocked; packed with edge tiles; packed over two KC blocks.
+        // Inside one tile; edge tiles; over two KC blocks.
         for &(m, n, k) in &[(2usize, 2usize, 2usize), (13, 35, 40), (7, 18, KC + 9)] {
             let a = random_buf(&mut rng, m * k);
             let b = random_buf(&mut rng, k * n);
@@ -1172,23 +1009,48 @@ pub(crate) mod tests {
         }
     }
 
+    /// A NaN or an Inf in row `p` of `op(B)` reaches every element of `C`
+    /// whose row multiplies it, even by `A[i, p] = 0` (`0 × NaN` and `0 × Inf`
+    /// are NaN), in every transpose case and at a shape inside one tile, as
+    /// `gemm_reference` has it.
     #[test]
-    fn dot_matches_naive() {
-        let mut rng = SeededRng::new(7);
-        for len in [0usize, 1, 3, 4, 5, 8, 9, 17, 64, 100] {
-            let a = random_buf(&mut rng, len);
-            let b = random_buf(&mut rng, len);
-            let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            assert!((dot(&a, &b) - naive).abs() < 1e-4, "len {len}");
+    fn a_zero_times_nan_or_inf_is_nan() {
+        let (m, n, k, p) = (3, 4, 5, 2);
+        for poison in [f32::NAN, f32::INFINITY] {
+            for (ta, tb) in [
+                (Trans::No, Trans::No),
+                (Trans::No, Trans::Yes),
+                (Trans::Yes, Trans::No),
+                (Trans::Yes, Trans::Yes),
+            ] {
+                let mut rng = SeededRng::new(5);
+                let (mut a, mut b) = (random_buf(&mut rng, m * k), random_buf(&mut rng, k * n));
+                for i in 0..m {
+                    match ta {
+                        Trans::No => a[i * k + p] = 0.0,
+                        Trans::Yes => a[p * m + i] = 0.0,
+                    }
+                }
+                for j in 0..n {
+                    match tb {
+                        Trans::No => b[p * n + j] = poison,
+                        Trans::Yes => b[j * k + p] = poison,
+                    }
+                }
+                let (lda, ldb) = (
+                    if ta == Trans::No { k } else { m },
+                    if tb == Trans::No { n } else { k },
+                );
+                let (mut got, mut want) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+                gemm(ta, tb, m, n, k, 1.0, &a, lda, &b, ldb, 0.0, &mut got, n);
+                gemm_reference(ta, tb, m, n, k, 1.0, &a, lda, &b, ldb, 0.0, &mut want, n);
+                assert!(want.iter().all(|v| v.is_nan()), "the reference");
+                assert!(
+                    got.iter().all(|v| v.is_nan()),
+                    "({ta:?}, {tb:?}) with {poison} in B: {got:?}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn dot_is_deterministic() {
-        let mut rng = SeededRng::new(29);
-        let a = random_buf(&mut rng, 1000);
-        let b = random_buf(&mut rng, 1000);
-        assert_eq!(dot(&a, &b), dot(&a, &b));
     }
 
     #[test]

@@ -184,16 +184,10 @@ pub fn add_bias_rows(x: &mut [f32], bias: &[f32], cols: usize, active: usize) {
     }
 }
 
-/// Column-sums of a `rows × cols` buffer into `out[..cols]` (accumulating).
-/// This is the bias gradient.
-pub fn sum_rows_into(x: &[f32], cols: usize, out: &mut [f32]) {
-    debug_assert!(out.len() >= cols);
-    sum_cols_into(x, cols, 0, &mut out[..cols]);
-}
-
 /// Sums of the columns `[first, first + out.len())` of a `rows × cols`
-/// buffer into `out` (accumulating), rows in order — a column range of
-/// [`sum_rows_into`], each sum bit for bit what the whole-width call gives.
+/// buffer into `out` (accumulating), rows in order: a bias gradient, or a
+/// column range of one, each sum bit for bit what the whole-width call
+/// gives.
 pub fn sum_cols_into(x: &[f32], cols: usize, first: usize, out: &mut [f32]) {
     debug_assert!(x.len().is_multiple_of(cols) && first + out.len() <= cols);
     for row in x.chunks_exact(cols) {
@@ -364,7 +358,7 @@ mod tests {
         add_bias_rows(&mut x, &[1.0, 2.0, 3.0], 3, 2);
         assert_eq!(x, vec![1.0, 2.0, 0.0, 1.0, 2.0, 0.0]);
         let mut out = vec![0.0; 3];
-        sum_rows_into(&x, 3, &mut out);
+        sum_cols_into(&x, 3, 0, &mut out);
         assert_eq!(out, vec![2.0, 4.0, 0.0]);
     }
 

@@ -46,8 +46,8 @@ use crate::kernel::{
     direct_tile, store_transposed, Affine, LaneGroup, TapMasks, GROUPS, LG, MR, NR, TB,
 };
 use crate::matmul::{
-    apply_beta, gemm, in_place_product, lanes, live_steps, pack_a_into, pack_b_into,
-    pack_rows_into, packed_product, Block, Operand, Source, Trans, KC, NC, SMALL_GEMM_CUTOFF,
+    apply_beta, in_place_product, lanes, live_steps, pack_a_into, pack_b_into, pack_rows_into,
+    packed_product, Block, Operand, Source, Trans, KC, NC,
 };
 use std::cell::RefCell;
 use std::ops::Range;
@@ -257,10 +257,9 @@ impl PackedA {
 /// thread-local buffers (it is the activation, different every call); `B`
 /// is read straight from the panels, each strip once per row block.
 ///
-/// The per-call `m·n·k` small-problem dispatch of [`crate::matmul::gemm`] is
-/// deliberately absent: every call takes the packed path, so an output
-/// element's accumulation order depends only on its own `(k0, k1)` range —
-/// never on how large the enclosing call happened to be.
+/// As in every product, an output element's accumulation order depends
+/// only on its own `(k0, k1)` range — never on how large the enclosing call
+/// happened to be.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_packed_b(
     m: usize,
@@ -379,8 +378,8 @@ pub fn gemm_packed_a_stepped(
 /// out-major. An empty `k` range multiplies nothing (`beta = 0` clears the
 /// window).
 ///
-/// Each element gets the bits [`gemm_packed_b`] — and `gemm` above its
-/// small-problem cutoff — give it with the operands the other way round
+/// Each element gets the bits [`gemm_packed_b`] and `gemm` give it with the
+/// operands the other way round
 /// (`op(A) = X`, `op(B) = Wᵀ`): the same absolute `KC` blocks, the same
 /// FMA chain, `fma(w, x, acc)` being `fma(x, w, acc)`, the same write-back.
 #[allow(clippy::too_many_arguments)]
@@ -424,8 +423,7 @@ pub fn gemm_in_place_a(
 /// has the bits [`crate::matmul::gemm`] gives `X·Wᵀ`, plus the bias as
 /// [`crate::ops::add_bias_rows`] adds it.
 ///
-/// At or below `gemm`'s small-problem cutoff that is `gemm` itself. Above
-/// it, the weight is the product's left operand, read where it lies
+/// The weight is the product's left operand, read where it lies
 /// ([`gemm_in_place_a`]): `Yᵀ = alpha · W·Xᵀ` lands out-major — the output
 /// units down the rows, the samples along the lanes — in a thread-local
 /// buffer, `NC` samples at a time — the column block the blocked loop cuts
@@ -447,31 +445,6 @@ pub fn linear_in_place(
     ldy: usize,
 ) {
     if n == 0 || m == 0 {
-        return;
-    }
-    if n * k * m <= SMALL_GEMM_CUTOFF {
-        gemm(
-            Trans::No,
-            Trans::Yes,
-            n,
-            m,
-            k,
-            alpha,
-            x,
-            ldx,
-            w,
-            ldw,
-            0.0,
-            y,
-            ldy,
-        );
-        if let Some(bias) = bias {
-            for row in y.chunks_mut(ldy).take(n) {
-                for (v, &b) in row[..m].iter_mut().zip(&bias[..m]) {
-                    *v += b;
-                }
-            }
-        }
         return;
     }
     STAGED.with(|staged| {
@@ -1226,8 +1199,8 @@ mod tests {
     }
 
     /// A dense forward is `gemm` plus the bias as `add_bias_rows` adds it,
-    /// bit for bit, on both sides of `gemm`'s small-problem cutoff: batches
-    /// that are not a multiple of the transpose block or the tile, or of the
+    /// bit for bit, from products inside one tile to several `KC` blocks:
+    /// batches that are not a multiple of the transpose block or the tile, or of the
     /// staged chunk, output widths that are not either, one `KC` block and
     /// several, into output rows wider than the layer whose padding stays
     /// untouched.
@@ -1244,8 +1217,6 @@ mod tests {
             (3, 20, 9),
             (7, 16, 70),
         ];
-        let small = |&(n, k, m): &(usize, usize, usize)| n * k * m <= SMALL_GEMM_CUTOFF;
-        assert!(shapes.iter().any(small) && !shapes.iter().all(small));
         for (n, k, m) in shapes {
             let ldw = k + 5;
             let (w, x, bias) = (

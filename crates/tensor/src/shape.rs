@@ -117,19 +117,6 @@ impl Shape {
         }
     }
 
-    /// Returns a new shape with `axis` replaced by `size`.
-    pub fn with_dim(&self, axis: usize, size: usize) -> Result<Self> {
-        if axis >= self.rank() {
-            return Err(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            });
-        }
-        let mut s = self.clone();
-        s.dims[axis] = size;
-        Ok(s)
-    }
-
     /// Returns a new shape with the last axis replaced by `size` (the common
     /// "same leading dims, new feature width" case in layer forwards).
     ///
@@ -243,11 +230,8 @@ mod tests {
     }
 
     #[test]
-    fn with_dim_replaces_axis() {
-        let s = Shape::from([2, 3]);
-        assert_eq!(s.with_dim(1, 7).unwrap(), Shape::from([2, 7]));
-        assert!(s.with_dim(2, 7).is_err());
-        assert_eq!(s.with_last_dim(9), Shape::from([2, 9]));
+    fn with_last_dim_replaces_the_last_axis() {
+        assert_eq!(Shape::from([2, 3]).with_last_dim(9), Shape::from([2, 9]));
     }
 
     #[test]

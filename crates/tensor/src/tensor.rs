@@ -1,6 +1,6 @@
 //! The dense row-major `f32` tensor.
 
-use crate::{Result, Shape, TensorError};
+use crate::{Result, Shape};
 use serde::{Deserialize, Serialize};
 
 /// A dense, owned, row-major `f32` tensor.
@@ -238,35 +238,6 @@ impl Tensor {
         self.data.iter().map(|&v| (v as f64) * (v as f64)).sum()
     }
 
-    /// Copies one "row" (leading-axis slab) from `src` into this tensor's
-    /// row `dst_row`. Both tensors must have the same trailing-dim product.
-    pub fn copy_row_from(&mut self, dst_row: usize, src: &Tensor, src_row: usize) -> Result<()> {
-        if self.shape.rank() == 0 || src.shape.rank() == 0 {
-            return Err(TensorError::Incompatible(
-                "copy_row_from requires rank >= 1".into(),
-            ));
-        }
-        let dst_stride = self.numel() / self.shape.dim(0);
-        let src_stride = src.numel() / src.shape.dim(0);
-        if dst_stride != src_stride {
-            return Err(TensorError::ShapeMismatch {
-                expected: format!("row stride {dst_stride}"),
-                got: format!("row stride {src_stride}"),
-            });
-        }
-        if dst_row >= self.shape.dim(0) || src_row >= src.shape.dim(0) {
-            return Err(TensorError::Incompatible(format!(
-                "row out of range: dst {dst_row}/{}, src {src_row}/{}",
-                self.shape.dim(0),
-                src.shape.dim(0)
-            )));
-        }
-        let dst = &mut self.data[dst_row * dst_stride..(dst_row + 1) * dst_stride];
-        let src = &src.data[src_row * src_stride..(src_row + 1) * src_stride];
-        dst.copy_from_slice(src);
-        Ok(())
-    }
-
     /// Returns the contiguous slab for leading-axis index `row`.
     pub fn row(&self, row: usize) -> &[f32] {
         let stride = self.numel() / self.shape.dim(0);
@@ -336,17 +307,6 @@ mod tests {
         assert_eq!(t.row(1), &[4., 5., 6.]);
         t.row_mut(0)[2] = 9.0;
         assert_eq!(t.at(&[0, 2]), 9.0);
-    }
-
-    #[test]
-    fn copy_row_from_moves_slabs() {
-        let src = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        let mut dst = Tensor::zeros([3, 3]);
-        dst.copy_row_from(2, &src, 1).unwrap();
-        assert_eq!(dst.row(2), &[4., 5., 6.]);
-        let bad = Tensor::zeros([2, 4]);
-        assert!(dst.clone().copy_row_from(0, &bad, 0).is_err());
-        assert!(dst.copy_row_from(5, &src, 0).is_err());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property-based tests for the tensor kernels.
 
 use ms_tensor::conv::{col2im, im2col, ConvGeom};
-use ms_tensor::matmul::{dot, gemm, gemm_reference, Operand, Trans, KC, MR, NR, SMALL_GEMM_CUTOFF};
+use ms_tensor::matmul::{gemm, gemm_reference, Operand, Trans, KC, MR, NR};
 use ms_tensor::ops;
 use ms_tensor::panels::{gemm_in_place_a, gemm_packed_a_stepped, gemm_packed_b, PackedA, PackedB};
 use ms_tensor::{SeededRng, Shape, Tensor};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -101,66 +102,23 @@ proptest! {
         }
     }
 
-    /// The packed entry points print the same bits for the same product:
-    /// `gemm`, `gemm_packed_b` over a `PackedB` of the same `B`, a one-step
-    /// `gemm_packed_a_stepped` over a `PackedA` of the same `A`, and — where
-    /// `B` is stored transposed, a dense layer's weight `W` with `op(B) =
-    /// Wᵀ` — `gemm_in_place_a` of `Cᵀ = W·Aᵀ`, the weight read in place on
-    /// the left. Every shape is above `SMALL_GEMM_CUTOFF`, so all four take
-    /// the blocked loop: edge tiles on both sides, `k` on either side of one
-    /// and two `KC` blocks, `n` past one 1024-column `NC` block, both `B`
-    /// transposes, padded leading dimensions, `alpha` off 0 and 1, and
-    /// `beta = 0` over a `C` poisoned with NaN.
+    /// The entry points print the same bits for the same product
+    /// ([`one_product`]) on shapes from one element to edge tiles on both
+    /// sides, `k` from one step to either side of one and two `KC` blocks,
+    /// `n` past one 1024-column `NC` block, both `B` transposes, padded
+    /// leading dimensions, `alpha` off 0 and 1, and `beta = 0` over a `C`
+    /// poisoned with NaN.
     #[test]
     fn packed_entry_points_are_bitwise_one_product(
         m in proptest::sample::select(vec![1usize, MR - 1, MR + 1, 2 * MR + 1]),
-        n in proptest::sample::select(vec![NR - 1, NR + 1, 2 * NR + 1, 1024 + NR + 3]),
-        k in proptest::sample::select(vec![KC - 1, KC, KC + 1, 2 * KC + 3]),
+        n in proptest::sample::select(vec![1usize, NR - 1, NR + 1, 2 * NR + 1, 1024 + NR + 3]),
+        k in proptest::sample::select(vec![1usize, KC - 1, KC, KC + 1, 2 * KC + 3]),
         tb in any::<bool>(),
         pad_a in 0usize..3, pad_b in 0usize..3, pad_c in 0usize..3,
-        (alpha, beta) in proptest::sample::select(vec![(0.7f32, 0.0f32), (-1.3, 0.5), (1.0, 1.0)]),
+        (alpha, beta) in proptest::sample::select(ALPHA_BETA.to_vec()),
         seed in any::<u64>(),
     ) {
-        prop_assume!(m * n * k > SMALL_GEMM_CUTOFF);
-        let trans_b = if tb { Trans::Yes } else { Trans::No };
-        let (br, bc) = if tb { (n, k) } else { (k, n) };
-        let (lda, ldb, ldc) = (k + pad_a, bc + pad_b, n + pad_c);
-        let mut rng = SeededRng::new(seed);
-        let a: Vec<f32> = (0..m * lda).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let b: Vec<f32> = (0..br * ldb).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let c0: Vec<f32> = if beta == 0.0 {
-            vec![f32::NAN; m * ldc]
-        } else {
-            (0..m * ldc).map(|_| rng.uniform(-1.0, 1.0)).collect()
-        };
-        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-
-        let mut by_gemm = c0.clone();
-        gemm(Trans::No, trans_b, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut by_gemm, ldc);
-        let mut pb = PackedB::new();
-        pb.pack(trans_b, &b, ldb, k, n);
-        let mut by_panel_b = c0.clone();
-        gemm_packed_b(m, 0, k, 0, n, alpha, &a, lda, &pb, beta, &mut by_panel_b, ldc);
-        let mut pa = PackedA::new();
-        pa.pack(Trans::No, &a, lda, m, k);
-        let mut by_panel_a = c0.clone();
-        let b_op = Operand::Matrix(trans_b, &b, ldb);
-        gemm_packed_a_stepped(&[0, m], &[k], n, alpha, &pa, b_op, beta, &mut by_panel_a, ldc);
-
-        prop_assert_eq!(bits(&by_panel_b), bits(&by_gemm), "gemm_packed_b vs gemm");
-        prop_assert_eq!(bits(&by_panel_a), bits(&by_gemm), "gemm_packed_a_stepped vs gemm");
-        if tb {
-            // `C` and back through its transpose, `n` rows of `m`.
-            let mut by_in_place: Vec<f32> = (0..n * m).map(|at| c0[(at % m) * ldc + at / m]).collect();
-            let a_t = Operand::Matrix(Trans::Yes, &a, lda);
-            gemm_in_place_a(0..n, 0..k, m, alpha, &b, ldb, a_t, beta, &mut by_in_place, m);
-            let want: Vec<f32> = (0..n * m).map(|at| by_gemm[(at % m) * ldc + at / m]).collect();
-            prop_assert_eq!(bits(&by_in_place), bits(&want), "gemm_in_place_a vs gemm");
-        }
-        prop_assert!(
-            by_gemm.chunks(ldc).all(|row| row[..n].iter().all(|v| v.is_finite())),
-            "beta = {beta} left a NaN of C"
-        );
+        one_product(m, n, k, tb, (pad_a, pad_b, pad_c), alpha, beta, seed)?;
     }
 
     /// A panel of row blocks is the blocks side by side: one `gemm_packed_b`
@@ -201,17 +159,6 @@ proptest! {
         let mut one_call = c0.clone();
         gemm_packed_b(rows, 0, k, 0, n, alpha, &a, lda, &stacked, 1.0, &mut one_call, n);
         prop_assert_eq!(bits(&one_call), bits(&per_block));
-    }
-
-    /// dot is symmetric and matches the simple sum.
-    #[test]
-    fn dot_symmetric(len in 0usize..64, seed in any::<u64>()) {
-        let mut rng = SeededRng::new(seed);
-        let a: Vec<f32> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let b: Vec<f32> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        prop_assert!((dot(&a, &b) - dot(&b, &a)).abs() < 1e-5);
-        let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        prop_assert!((dot(&a, &b) - naive).abs() < 1e-3);
     }
 
     /// im2col/col2im adjointness for arbitrary geometry:
@@ -310,6 +257,151 @@ proptest! {
         rhs.axpy(alpha * beta, &y);
         for (a, b) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((a - b).abs() < 1e-4);
+        }
+    }
+}
+
+/// The `(alpha, beta)` pairs the entry points are compared at.
+const ALPHA_BETA: [(f32, f32); 3] = [(0.7, 0.0), (-1.3, 0.5), (1.0, 1.0)];
+
+/// The entry points print the same bits for the same product: `gemm`,
+/// `gemm_packed_b` over a `PackedB` of the same `B`, a one-step
+/// `gemm_packed_a_stepped` over a `PackedA` of the same `A`, and — where `B`
+/// is stored transposed, a dense layer's weight `W` with `op(B) = Wᵀ` —
+/// `gemm_in_place_a` of `Cᵀ = W·Aᵀ`, the weight read in place on the left.
+/// All four run the one blocked loop at every size.
+#[allow(clippy::too_many_arguments)]
+fn one_product(
+    m: usize,
+    n: usize,
+    k: usize,
+    tb: bool,
+    (pad_a, pad_b, pad_c): (usize, usize, usize),
+    alpha: f32,
+    beta: f32,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let trans_b = if tb { Trans::Yes } else { Trans::No };
+    let (br, bc) = if tb { (n, k) } else { (k, n) };
+    let (lda, ldb, ldc) = (k + pad_a, bc + pad_b, n + pad_c);
+    let mut rng = SeededRng::new(seed);
+    let a: Vec<f32> = (0..m * lda).map(|_| rng.uniform(-1.0, 1.0)).collect();
+    let b: Vec<f32> = (0..br * ldb).map(|_| rng.uniform(-1.0, 1.0)).collect();
+    let c0: Vec<f32> = if beta == 0.0 {
+        vec![f32::NAN; m * ldc]
+    } else {
+        (0..m * ldc).map(|_| rng.uniform(-1.0, 1.0)).collect()
+    };
+    let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+    let mut by_gemm = c0.clone();
+    gemm(
+        Trans::No,
+        trans_b,
+        m,
+        n,
+        k,
+        alpha,
+        &a,
+        lda,
+        &b,
+        ldb,
+        beta,
+        &mut by_gemm,
+        ldc,
+    );
+    let mut pb = PackedB::new();
+    pb.pack(trans_b, &b, ldb, k, n);
+    let mut by_panel_b = c0.clone();
+    gemm_packed_b(
+        m,
+        0,
+        k,
+        0,
+        n,
+        alpha,
+        &a,
+        lda,
+        &pb,
+        beta,
+        &mut by_panel_b,
+        ldc,
+    );
+    let mut pa = PackedA::new();
+    pa.pack(Trans::No, &a, lda, m, k);
+    let mut by_panel_a = c0.clone();
+    let b_op = Operand::Matrix(trans_b, &b, ldb);
+    gemm_packed_a_stepped(
+        &[0, m],
+        &[k],
+        n,
+        alpha,
+        &pa,
+        b_op,
+        beta,
+        &mut by_panel_a,
+        ldc,
+    );
+
+    prop_assert_eq!(bits(&by_panel_b), bits(&by_gemm), "gemm_packed_b vs gemm");
+    prop_assert_eq!(
+        bits(&by_panel_a),
+        bits(&by_gemm),
+        "gemm_packed_a_stepped vs gemm"
+    );
+    if tb {
+        // `C` and back through its transpose, `n` rows of `m`.
+        let mut by_in_place: Vec<f32> = (0..n * m).map(|at| c0[(at % m) * ldc + at / m]).collect();
+        let a_t = Operand::Matrix(Trans::Yes, &a, lda);
+        gemm_in_place_a(
+            0..n,
+            0..k,
+            m,
+            alpha,
+            &b,
+            ldb,
+            a_t,
+            beta,
+            &mut by_in_place,
+            m,
+        );
+        let want: Vec<f32> = (0..n * m)
+            .map(|at| by_gemm[(at % m) * ldc + at / m])
+            .collect();
+        prop_assert_eq!(bits(&by_in_place), bits(&want), "gemm_in_place_a vs gemm");
+    }
+    prop_assert!(
+        by_gemm
+            .chunks(ldc)
+            .all(|row| row[..n].iter().all(|v| v.is_finite())),
+        "beta = {beta} left a NaN of C"
+    );
+    Ok(())
+}
+
+/// Every product of at most three rows, columns and steps, the 1×1×1 one
+/// first, through [`one_product`] with both `B` transposes and every
+/// `(alpha, beta)`.
+#[test]
+fn tiny_products_are_bitwise_one_product() {
+    for (m, n, k) in
+        (1..=3).flat_map(|m| (1..=3).flat_map(move |n| (1..=3).map(move |k| (m, n, k))))
+    {
+        for (tb, &(alpha, beta)) in [false, true]
+            .iter()
+            .flat_map(|&tb| ALPHA_BETA.iter().map(move |ab| (tb, ab)))
+        {
+            one_product(
+                m,
+                n,
+                k,
+                tb,
+                (1, 0, 2),
+                alpha,
+                beta,
+                (m * 9 + n * 3 + k) as u64,
+            )
+            .unwrap_or_else(|e| panic!("{m}x{n}x{k} tb={tb}: {e:?}"));
         }
     }
 }

@@ -217,9 +217,8 @@ echo "== allocation tripwire (hot layer bodies) =="
 # packers that write a conv's columns, transposed columns and output
 # gradient from the image, the one blocked GEMM loop with its operand
 # blocks, the dense product with its weight read in place, its out-major
-# readout and a dense layer's prefix passes, the matrix packers and
-# `gemm`'s small loops, every recurrent
-# cell's forward and backward step with the driver's step product, gate
+# readout and a dense layer's prefix passes, the matrix packers, every
+# recurrent cell's forward and backward step with the driver's step product, gate
 # biases and recurrent GEMM helper, the row-block panel packer, the ReLU
 # mask helpers, the backward-chain helper of the NNLM,
 # and the fork-join itself (brace-counted): the
@@ -228,7 +227,7 @@ echo "== allocation tripwire (hot layer bodies) =="
 # the job handoff stays a borrowed `&mut dyn FnMut()`.
 awk '
     FNR == 1 { infn = 0 }
-    /fn (forward|forward_owned|forward_train|forward_infer|forward_pass|forward_prefix|backward|backward_owned|backward_below_decoder|clamp_and_mask|clamp_word|apply_mask|check_input|output|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|gemm_in_place_a|linear_in_place|store_out_major|prefix_out_grouped|prefix_in_grouped|prefix_dense|read_out|accumulate_rows|packed_product|in_place_product|pack_b|block|pack_blocks|pack_a_into|pack_b_into|pack_rows_into|gemm_accumulate_unblocked|forward_step|backward_step|step_product|add_gate_bias|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
+    /fn (forward|forward_owned|forward_train|forward_infer|forward_pass|forward_prefix|backward|backward_owned|backward_below_decoder|clamp_and_mask|clamp_word|apply_mask|check_input|output|forward_samples|forward_part|backward_part|forward_rows|normalise_train|normalise_infer|run|columns|side_by_side|ensure_train_panels|add_bias|transpose_flipped|pack_cols|pack_rows|pack_segment|read_row|rows_from|with_reads|masked_read|tap_rows|and_mask|store_transposed|transpose_unchecked|of|step|next|row|direct_tile|direct_row|direct_unchecked|fma_step|write_back|tile|tile_unchecked|aligned|pack_as_a|pack_as_b|gemm_operands|gemm_packed_a_stepped|conv_packed_a_stepped|conv_by_chunks|scatter|gemm_packed_b|gemm_in_place_a|linear_in_place|store_out_major|prefix_out_grouped|prefix_in_grouped|prefix_dense|read_out|accumulate_rows|packed_product|in_place_product|pack_b|block|pack_blocks|pack_a_into|pack_b_into|pack_rows_into|forward_step|backward_step|step_product|add_gate_bias|recurrent_grad|join|next_job|helper_loop)(<[^(]*>)?\(/ { infn = 1; depth = 0; seen = 0 }
     infn {
         if ($0 ~ /Tensor::zeros\(|vec!\[|Box::new\(/) {
             printf "    %s:%d: %s\n", FILENAME, FNR, $0
