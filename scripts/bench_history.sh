@@ -9,6 +9,12 @@
 #       parent and change alternating, in the order they ran. The sha is the
 #       one slicebench read from the checkout it ran in, so measure a change
 #       from a checkout where it is committed (a scratch clone will do).
+#       slicebench overwrites benchmark/out/result_<workload>.json on every
+#       run, so append each result before the next run of that workload, and
+#       alternate which side runs first from pair to pair: in one session of
+#       six infer_ladder pairs the side that ran second read 7-38 % higher
+#       goodput in all six, whichever code it was. A result whose line is
+#       already in the history is refused (exit 1, naming the file).
 #       A traced run writes no end-to-end result (only trace_*.json); where a
 #       PR cites its per-layer probes it adds the line by hand — sha,
 #       fingerprint, workload, seed, the probes, `"trace": true` and the
@@ -31,11 +37,17 @@ case "${1:-}" in
 append)
     shift
     mkdir -p "$(dirname "$hist")"
+    touch "$hist"
     for f in "$@"; do
-        jq -c '{git_sha: .fingerprint.git_sha, fingerprint: (.fingerprint | del(.git_sha)),
+        line=$(jq -c '{git_sha: .fingerprint.git_sha, fingerprint: (.fingerprint | del(.git_sha)),
                 workload, seed, seconds}
                + (.end_to_end | map_values(.value))
-               + {attempted, failed, correct}' "$f" >> "$hist"
+               + {attempted, failed, correct}' "$f")
+        if grep -qxF -- "$line" "$hist"; then
+            echo "bench_history: $f is already in $hist (re-appended, or not rerun since)" >&2
+            exit 1
+        fi
+        printf '%s\n' "$line" >> "$hist"
     done
     ;;
 pairs)
