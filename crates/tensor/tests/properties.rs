@@ -387,21 +387,12 @@ fn tiny_products_are_bitwise_one_product() {
     for (m, n, k) in
         (1..=3).flat_map(|m| (1..=3).flat_map(move |n| (1..=3).map(move |k| (m, n, k))))
     {
-        for (tb, &(alpha, beta)) in [false, true]
-            .iter()
-            .flat_map(|&tb| ALPHA_BETA.iter().map(move |ab| (tb, ab)))
-        {
-            one_product(
-                m,
-                n,
-                k,
-                tb,
-                (1, 0, 2),
-                alpha,
-                beta,
-                (m * 9 + n * 3 + k) as u64,
-            )
-            .unwrap_or_else(|e| panic!("{m}x{n}x{k} tb={tb}: {e:?}"));
+        for tb in [false, true] {
+            for (alpha, beta) in ALPHA_BETA {
+                let seed = (m * 9 + n * 3 + k) as u64;
+                one_product(m, n, k, tb, (1, 0, 2), alpha, beta, seed)
+                    .unwrap_or_else(|e| panic!("{m}x{n}x{k} tb={tb}: {e:?}"));
+            }
         }
     }
 }
