@@ -49,6 +49,35 @@ fn gemm_blocks(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // Products of a few micro-tiles or less, the sizes a batch-1 dense
+    // layer or one recurrent step issues: each is dominated by the blocked
+    // loop's fixed cost (packing into the thread's buffers, one pass of
+    // the driver), not by its MACs.
+    let mut group = c.benchmark_group("gemm_tiny");
+    for (m, n, k) in [(1, 64, 64), (8, 8, 8), (16, 16, 16), (32, 24, 24)] {
+        let mut out = vec![0.0f32; m * n];
+        group.bench_function(format!("{m}x{n}x{k}"), |bch| {
+            bch.iter(|| {
+                gemm(
+                    Trans::No,
+                    Trans::No,
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    &a,
+                    k,
+                    &b,
+                    n,
+                    0.0,
+                    &mut out,
+                    n,
+                )
+            })
+        });
+    }
+    group.finish();
 }
 
 /// Layer-shaped GEMMs at the paper's slice rates. Both channel widths

@@ -56,9 +56,8 @@ fn mlp_config() -> MlpConfig {
 /// The probe's lines, in print order.
 pub fn determinism_probe() -> Vec<String> {
     let mut out = Vec::new();
-    // 1. Raw packed GEMM on shapes that cross the small-gemm cutoff, so
-    // both the packed path (with its pack/kernel spans) and the direct
-    // path are fingerprinted.
+    // 1. Raw GEMM through the one blocked loop at three sizes, from a
+    // handful of micro-tiles to rows that span several row blocks.
     for (m, n, k) in [(7, 9, 11), (64, 48, 56), (160, 144, 152)] {
         let mut rng = SeededRng::new(41);
         let a: Vec<f32> = (0..m * k).map(|_| rng.uniform(-1.0, 1.0)).collect();

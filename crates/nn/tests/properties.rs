@@ -919,10 +919,9 @@ proptest! {
     /// same bits whether the second part ran on the helper thread or inline
     /// after the first. Against the un-split reference — the same layer fed
     /// one sample at a time, where there is no second part — the output is
-    /// bit for bit (1e-5 for `Linear`, whose training forward takes `gemm`'s
-    /// size-dependent small path), `dx` bit for bit where no GEMM is involved
-    /// and within 1e-5 elsewhere, the parameter gradients (sums over the
-    /// batch, taken in another order) within 1e-4.
+    /// bit for bit, `dx` bit for bit where no GEMM is involved and within
+    /// 1e-5 elsewhere, the parameter gradients (sums over the batch, taken
+    /// in another order) within 1e-4.
     #[test]
     fn split_passes_do_not_depend_on_who_runs_the_parts(
         batch_idx in 0usize..SPLIT_BATCHES.len(),
@@ -938,8 +937,8 @@ proptest! {
             in_ch: ch, out_ch: 2 * ch, kernel: 3, stride: 1, pad: 1, h: side, w: side,
             in_groups: Some(4), out_groups: Some(4), bias: true,
         };
-        // `Linear` cuts a pass by its shape: not at all while a half would
-        // drop to `gemm`'s small kernel (the narrow rates here), by task
+        // `Linear` cuts a pass by its shape: not at all while a half is too
+        // small to be worth the handoff (the narrow rates here), by task
         // where the weights are the long side (`wide` at batch 33), by rows
         // where the batch is (`square` at batch 33).
         let dense = |out_dim| LinearConfig {
@@ -962,8 +961,8 @@ proptest! {
             (Box::new(move || Box::new(Conv2d::new("conv", conv.clone(), &mut SeededRng::new(seed)))), image.clone(), true, false),
             (Box::new(move || Box::new(GroupNorm::new("gn", ch, 4))), image.clone(), true, true),
             (Box::new(|| Box::new(MaxPool2d::new(2, 2))), image, true, true),
-            (Box::new(move || Box::new(Linear::new("wide", wide.clone(), &mut SeededRng::new(seed)))), vec![batch, 4 * a_ch], false, false),
-            (Box::new(move || Box::new(Linear::new("square", square.clone(), &mut SeededRng::new(seed)))), vec![batch, 4 * a_ch], false, false),
+            (Box::new(move || Box::new(Linear::new("wide", wide.clone(), &mut SeededRng::new(seed)))), vec![batch, 4 * a_ch], true, false),
+            (Box::new(move || Box::new(Linear::new("square", square.clone(), &mut SeededRng::new(seed)))), vec![batch, 4 * a_ch], true, false),
             (Box::new(move || Box::new(Lstm::new("lstm", lstm.clone(), &mut SeededRng::new(seed)))), vec![batch, steps, a_ch], true, false),
             (Box::new(move || Box::new(Gru::new("gru", gru.clone(), &mut SeededRng::new(seed)))), vec![batch, steps, a_ch], true, false),
         ];
